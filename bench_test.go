@@ -18,18 +18,20 @@
 //	      vs plan-cache hits, serial and parallel.
 //	BenchmarkLargeQuery
 //	    — the adaptive tier: exact vs linearized DP around the exact
-//	      horizon (with cost-ratio metrics), linearized-only beyond it
-//	      (make bench-large → BENCH_large.json).
+//	      horizon (with cost-ratio metrics), linearized-only beyond it.
 //	BenchmarkExecRuntime
 //	    — end-to-end execution: the same TPC-R query planned with the
 //	      DFSM framework, the Simmen baseline and order-obliviously,
 //	      each executed by the streaming executor (runtime + rows-sorted
-//	      metrics; make bench-exec → BENCH_exec.json).
+//	      metrics).
 //	BenchmarkExecTopK
 //	    — LIMIT-k execution: the order-flow query with k ∈ {1, 10, 100},
 //	      the limit-aware costing's order-satisfying early-out pipeline
-//	      vs the order-oblivious hash + full-sort plan
-//	      (make bench-topk → BENCH_topk.json).
+//	      vs the order-oblivious hash + full-sort plan.
+//
+// Nothing here writes an artifact: docs/benchmarks.md says how to run a
+// family, make bench-smoke runs each once, and the gated served
+// benchmark is benchmark/ (make bench).
 package orderopt_test
 
 import (
@@ -613,7 +615,7 @@ func BenchmarkPlannerThroughput(b *testing.B) {
 // BenchmarkLargeQuery measures the adaptive planning tier on join
 // graphs around and beyond the exact-DP horizon, on the prepared path
 // (Prepare once, Run per iteration — the serving layer's steady state;
-// this is what BENCH_large.json records via make bench-large). Points
+// experiments -table large prints the same comparison). Points
 // within the horizon run under both strategies, and the linearized run
 // reports its cost ratio against the exact optimum; the large points
 // run linearized only — the exact DP would take minutes to forever,
@@ -703,7 +705,7 @@ func BenchmarkLargeQuery(b *testing.B) {
 // ns/op is pipeline wall time; rows-sorted/op how many rows the plan
 // actually sorted. The headline: on the order-flow workload the
 // DFSM-planned pipeline sorts nothing and beats the oblivious plan
-// several-fold at runtime (make bench-exec → BENCH_exec.json).
+// several-fold at runtime (experiments -table exec is the table form).
 func BenchmarkExecRuntime(b *testing.B) {
 	workloads, err := experiments.ExecWorkloads(experiments.ExecSpec{})
 	if err != nil {
@@ -749,10 +751,10 @@ func BenchmarkExecRuntime(b *testing.B) {
 // BenchmarkExecParallel measures morsel-parallel scaling: the TPC-R
 // execution workloads planned with the DFSM framework at MaxDOP 1, 2,
 // 4 and 8 (dop=1 is the serial plan — no exchange — and the baseline
-// cmd/benchfmt computes speedup against). The parallel plans run the
-// join spine through an order-preserving ExchangeMerge, so
-// rows-sorted/op stays 0 on the orders workload at every DOP
-// (make bench-parallel → BENCH_parallel.json).
+// to divide by; experiments -table exec prints the serial-vs-best-DOP
+// column). The parallel plans run the join spine through an
+// order-preserving ExchangeMerge, so rows-sorted/op stays 0 on the
+// orders workload at every DOP.
 func BenchmarkExecParallel(b *testing.B) {
 	// A heap ballast pins the GC cycle rate so every DOP (including the
 	// dop=1 serial baseline) is measured under the same GC regime —
@@ -809,8 +811,7 @@ func BenchmarkExecParallel(b *testing.B) {
 // order-oblivious plan must hash-join everything and sort the full
 // result before it knows the first k rows. The limit-aware costing
 // picks the early-out pipeline automatically — the benchmark fails if
-// it ever chooses a sorting plan for the dfsm variant
-// (make bench-topk → BENCH_topk.json).
+// it ever chooses a sorting plan for the dfsm variant.
 func BenchmarkExecTopK(b *testing.B) {
 	reg := exec.TPCRRegistry()
 	variants := experiments.ExecVariants()
@@ -865,10 +866,10 @@ func BenchmarkExecTopK(b *testing.B) {
 
 // BenchmarkExecVector measures what batch-at-a-time execution buys over
 // the row-at-a-time interpreter: the order-flow query per dataset in
-// both modes (cmd/benchfmt derives speedup-vs-row for the vec rows),
-// plus the external-sort contrast — the same query planned sort-free
-// and order-obliviously under a spill budget, where only the oblivious
-// plan's top sort goes to disk (make bench-vector → BENCH_vector.json).
+// both modes (experiments -table vector prints the vec-vs-row
+// speedup), plus the external-sort contrast — the same query planned
+// sort-free and order-obliviously under a spill budget, where only the
+// oblivious plan's top sort goes to disk.
 // The million-row tpcr-xl tier stays out of the default registry; this
 // benchmark resolves it directly.
 func BenchmarkExecVector(b *testing.B) {

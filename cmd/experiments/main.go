@@ -6,12 +6,6 @@
 //	experiments -table fig13   # Fig. 13: join-graph sweep (time/#plans)
 //	experiments -table fig14   # Fig. 14: memory consumption
 //	experiments -table enum    # DPccp vs naive join enumeration per shape
-//	experiments -table throughput  # planner layer: cold vs prepared vs
-//	                               # plan-cache-hit plans/sec, serial and
-//	                               # parallel
-//	experiments -table serve   # served throughput: closed-loop load
-//	                           # generator against a real HTTP planning
-//	                           # server (cold/prepared/cachehit QPS)
 //	experiments -table large   # adaptive tier: exact vs linearized DP on
 //	                           # large join graphs (time, plans, cost
 //	                           # ratio where both run)
@@ -27,15 +21,18 @@
 //	                           # pipelines per workload, plus the
 //	                           # external-sort spill contrast (sort-free
 //	                           # dfsm vs oblivious under a spill budget)
-//	experiments -table all     # everything except enum, throughput,
-//	                           # serve, large, exec, topk and vector
-//	                           # (opt-in: clique points run for seconds)
+//	experiments -table abort   # saturation/abort: healthy /plan QPS
+//	                           # while fault-injected /execute pipelines
+//	                           # hang until their deadline (make faults
+//	                           # asserts the same workload)
+//	experiments -table all     # the paper's four: prep, q8, fig13, fig14
+//	                           # (the rest are opt-in: clique points run
+//	                           # for seconds)
 //
 // The sweep is configurable: -sizes 5,6,7,8,9,10 -extras 0,1,2 -seeds 5,
 // -enumerator dpccp|naive; the enum table via -enum-shapes and
-// -enum-sizes; the throughput table via -tp-queries, -tp-relations,
-// -tp-repeat and -tp-parallel; the serve table via -serve-workers,
-// -serve-requests, -serve-qps, -serve-queries and -serve-relations.
+// -enum-sizes. Served throughput and latency are not measured here:
+// that is the benchmark/ harness (make bench, see benchmark/README.md).
 // Absolute numbers depend on the machine; the shape (who wins, by what
 // factor, how factors grow with query size) is what reproduces the
 // paper. Results are deterministic per seed set.
@@ -45,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -55,7 +53,8 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "prep, q8, fig13, fig14, enum, throughput, serve, large, exec, topk, vector or all")
+	tables := []string{"prep", "q8", "fig13", "fig14", "enum", "large", "exec", "topk", "vector", "abort", "all"}
+	table := flag.String("table", "all", "one of "+strings.Join(tables, ", "))
 	sizes := flag.String("sizes", "5,6,7,8,9,10", "relation counts for the sweep")
 	extras := flag.String("extras", "0,1,2", "extra edges beyond the chain (0→n-1 edges, 1→n, 2→n+1)")
 	seeds := flag.Int("seeds", 5, "queries averaged per configuration")
@@ -64,18 +63,8 @@ func main() {
 	enumShapes := flag.String("enum-shapes", "chain,star,cycle,clique,grid", "join-graph shapes for the enum table")
 	enumSizes := flag.String("enum-sizes", "5,6,7", "relation counts for the enum table")
 	enumSeeds := flag.Int("enum-seeds", 1, "queries averaged per enum configuration")
-	tpQueries := flag.Int("tp-queries", 6, "distinct queries in the throughput working set")
-	tpRelations := flag.Int("tp-relations", 7, "relations per throughput query")
-	tpRepeat := flag.Int("tp-repeat", 96, "plans per throughput measurement")
-	tpParallel := flag.String("tp-parallel", "", "goroutine counts for the throughput table (default 1,GOMAXPROCS)")
-	serveWorkers := flag.Int("serve-workers", 0, "closed-loop client goroutines for the serve table (default 2*GOMAXPROCS)")
-	serveRequests := flag.Int("serve-requests", 300, "requests per serve measurement")
-	serveQPS := flag.Float64("serve-qps", 0, "aggregate QPS target for the serve table (0: unthrottled)")
-	serveQueries := flag.Int("serve-queries", 4, "generated queries in the serve table's mixed workload")
-	serveRelations := flag.Int("serve-relations", 6, "relations per generated serve query")
-	serveMixedRequests := flag.Int("serve-mixed-requests", 240, "requests per registry configuration in the mixed plan+execute table")
-	abortDuration := flag.Duration("abort-duration", time.Second, "per-phase duration of the serve table's saturation/abort workload")
-	abortVictims := flag.Int("abort-victims", 4, "faulted /execute clients in the saturation/abort workload")
+	abortDuration := flag.Duration("abort-duration", time.Second, "per-phase duration of the abort table")
+	abortVictims := flag.Int("abort-victims", 4, "faulted /execute clients in the abort table")
 	largeShapes := flag.String("large-shapes", "chain,star,cycle,clique,grid", "join-graph shapes for the large table")
 	largeSizes := flag.String("large-sizes", "10,16,20,24,30", "relation counts for the large table")
 	largeSeeds := flag.Int("large-seeds", 3, "queries averaged per large configuration")
@@ -108,16 +97,18 @@ func main() {
 		die(fmt.Errorf("unknown enumerator %q", *enumerator))
 	}
 
+	if !slices.Contains(tables, *table) {
+		die(fmt.Errorf("unknown table %q (want one of %s)", *table, strings.Join(tables, ", ")))
+	}
 	runPrep := *table == "prep" || *table == "all"
 	runQ8 := *table == "q8" || *table == "all"
 	runSweep := *table == "fig13" || *table == "fig14" || *table == "all"
 	runEnum := *table == "enum"
-	runThroughput := *table == "throughput"
-	runServe := *table == "serve"
 	runLarge := *table == "large"
 	runExec := *table == "exec"
 	runTopk := *table == "topk"
 	runVector := *table == "vector"
+	runAbort := *table == "abort"
 
 	if runPrep {
 		rows, err := experiments.PrepQ8(*tested)
@@ -167,22 +158,6 @@ func main() {
 		die(err)
 		fmt.Println("=== Join enumeration: naive DPsub vs DPccp (DFSM mode) ===")
 		fmt.Print(experiments.FormatEnum(rows))
-	}
-	if runThroughput {
-		fmt.Println("=== Planner throughput: cold vs prepared vs plan-cache hits ===")
-		var all []experiments.ThroughputRow
-		for _, mode := range []optimizer.Mode{optimizer.ModeDFSM, optimizer.ModeSimmen} {
-			rows, err := experiments.Throughput(experiments.ThroughputSpec{
-				Mode:      mode,
-				Queries:   *tpQueries,
-				Relations: *tpRelations,
-				Repeat:    *tpRepeat,
-				Parallel:  parseInts(*tpParallel),
-			})
-			die(err)
-			all = append(all, rows...)
-		}
-		fmt.Print(experiments.FormatThroughput(all))
 	}
 	if runLarge {
 		var shapes []querygen.Shape
@@ -236,31 +211,10 @@ func main() {
 		fmt.Println("=== Vectorized execution: row vs batch pipelines, and the spill contrast ===")
 		fmt.Print(experiments.FormatVector(rows, spills))
 	}
-	if runServe {
-		fmt.Println("=== Served throughput: HTTP planning service under closed-loop load ===")
-		rows, err := experiments.Serve(experiments.ServeSpec{
-			Mode:      optimizer.ModeDFSM,
-			Queries:   *serveQueries,
-			Relations: *serveRelations,
-			Workers:   *serveWorkers,
-			TargetQPS: *serveQPS,
-			Requests:  *serveRequests,
-		})
-		die(err)
-		fmt.Print(experiments.FormatServe(rows))
-		fmt.Println()
-		fmt.Println("=== Mixed plan+execute over a cold dataset registry: pinned vs on-demand ===")
-		mixedRows, err := experiments.ServeMixed(experiments.ServeMixedSpec{
-			Workers:  *serveWorkers,
-			Requests: *serveMixedRequests,
-		})
-		die(err)
-		fmt.Print(experiments.FormatServeMixed(mixedRows))
-		fmt.Println()
+	if runAbort {
 		fmt.Println("=== Saturation/abort: healthy planning QPS while faulted pipelines hang and time out ===")
 		abortRows, err := experiments.Abort(experiments.AbortSpec{
 			Mode:     optimizer.ModeDFSM,
-			Workers:  *serveWorkers,
 			Victims:  *abortVictims,
 			Duration: *abortDuration,
 		})

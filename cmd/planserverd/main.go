@@ -4,7 +4,6 @@
 //
 //	planserverd                      # listen on :7432
 //	planserverd -addr :8080 -max-inflight 128
-//	planserverd -mode simmen         # baseline order framework
 //	planserverd -no-plan-cache       # every request re-runs the DP
 //	planserverd -no-exec             # planning only, no /execute
 //	planserverd -timeout 2s -mem-budget 268435456
@@ -23,11 +22,16 @@
 // dataset (tpcr-small, tpcr-mid, tpcr-large) through the streaming
 // executor — buffered JSON by default, chunked NDJSON frames with
 // "stream": true. Datasets are generated on first use and LRU-evicted
-// under -registry-budget (-eager-datasets restores pin-at-start). Note
-// the planner costs plans against the schema's scale-factor-1
-// statistics while the datasets are miniatures — /execute demonstrates
-// and validates plans; the runtime experiments (make bench-exec) plan
-// against restated dataset statistics instead.
+// under -registry-budget. Note the planner costs plans against the
+// schema's scale-factor-1 statistics while the datasets are miniatures
+// — /execute demonstrates and validates plans; the runtime experiments
+// (experiments -table exec) plan against restated dataset statistics
+// instead.
+//
+// The daemon serves one configuration: the DFSM order framework, DPccp
+// enumeration, the auto planning tier. The Simmen baseline, the naive
+// enumerator and forced tiers are oracles for tests and the paper
+// tables (cmd/experiments), not serving options.
 //
 // SIGTERM/SIGINT drain gracefully: /healthz flips to 503 so load
 // balancers stop routing, new planning requests are rejected, and the
@@ -49,7 +53,6 @@ import (
 	"time"
 
 	"orderopt/internal/exec"
-	"orderopt/internal/optimizer"
 	"orderopt/internal/planner"
 	"orderopt/internal/server"
 	"orderopt/internal/tpcr"
@@ -59,9 +62,6 @@ func main() {
 	addr := flag.String("addr", ":7432", "listen address")
 	maxInFlight := flag.Int("max-inflight", server.DefaultMaxInFlight,
 		"max concurrent planning requests before 429 shedding (negative disables)")
-	mode := flag.String("mode", "dfsm", "order framework: dfsm or simmen")
-	enumerator := flag.String("enumerator", "dpccp", "join enumeration: dpccp or naive")
-	strategy := flag.String("strategy", "auto", "planning tier: exact, linearized or auto (exact within the exact-DP horizon, linearized beyond)")
 	planCache := flag.Int("plan-cache", planner.DefaultPlanCacheSize,
 		"plan cache entries (negative disables)")
 	preparedCache := flag.Int("prepared-cache", planner.DefaultPreparedCacheSize,
@@ -70,10 +70,8 @@ func main() {
 		"how long a SIGTERM drain waits for in-flight requests")
 	noExec := flag.Bool("no-exec", false,
 		"disable /execute (skips generating the in-memory TPC-R datasets)")
-	eagerDatasets := flag.Bool("eager-datasets", false,
-		"generate every TPC-R dataset at startup and pin it (the pre-registry behavior); default is on-demand loading with LRU eviction")
 	registryBudget := flag.Int64("registry-budget", 0,
-		"resident bytes the on-demand dataset registry may hold before LRU-evicting idle datasets (0 means unlimited; ignored with -eager-datasets)")
+		"resident bytes the on-demand dataset registry may hold before LRU-evicting idle datasets (0 means unlimited)")
 	queryReserve := flag.Int64("query-reserve", 0,
 		"per-query admission reservation against -mem-budget (0 means the server default, negative disables)")
 	timeout := flag.Duration("timeout", 0,
@@ -95,51 +93,20 @@ func main() {
 	}
 	flag.Parse()
 
-	var m optimizer.Mode
-	switch *mode {
-	case "dfsm":
-		m = optimizer.ModeDFSM
-	case "simmen":
-		m = optimizer.ModeSimmen
-	default:
-		log.Fatalf("planserverd: unknown mode %q (want dfsm or simmen)", *mode)
-	}
-	var enum optimizer.Enumerator
-	switch *enumerator {
-	case "dpccp":
-		enum = optimizer.EnumDPccp
-	case "naive":
-		enum = optimizer.EnumNaive
-	default:
-		log.Fatalf("planserverd: unknown enumerator %q (want dpccp or naive)", *enumerator)
-	}
-
-	strat, err := optimizer.ParseStrategy(*strategy)
-	if err != nil {
-		log.Fatalf("planserverd: %v", err)
-	}
-
 	nw := *workers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
 
 	cfg := planner.DefaultConfig(tpcr.Schema())
-	cfg.Optimizer = optimizer.DefaultConfig(m)
-	cfg.Optimizer.Enumerator = enum
-	cfg.Optimizer.Strategy = strat
 	cfg.Optimizer.MaxDOP = nw
 	cfg.PlanCacheSize = *planCache
 	cfg.PreparedCacheSize = *preparedCache
 
 	var datasets *exec.Registry
 	if !*noExec {
-		if *eagerDatasets {
-			datasets = exec.TPCRRegistry()
-		} else {
-			datasets = exec.TPCRLazyRegistry()
-			datasets.SetBudget(*registryBudget)
-		}
+		datasets = exec.TPCRLazyRegistry()
+		datasets.SetBudget(*registryBudget)
 	}
 	srv := server.New(server.Config{
 		Planner:           planner.New(cfg),
@@ -180,14 +147,10 @@ func main() {
 
 	execInfo := "disabled"
 	if datasets != nil {
-		how := "on-demand"
-		if *eagerDatasets {
-			how = "pinned"
-		}
-		execInfo = fmt.Sprintf("datasets %v (%s)", datasets.Names(), how)
+		execInfo = fmt.Sprintf("datasets %v (on-demand)", datasets.Names())
 	}
-	log.Printf("planserverd: serving TPC-R planning on %s (mode=%s enumerator=%s strategy=%s max-inflight=%d workers=%d, execute: %s)",
-		*addr, m, enum, strat, *maxInFlight, nw, execInfo)
+	log.Printf("planserverd: serving TPC-R planning on %s (max-inflight=%d workers=%d, execute: %s)",
+		*addr, *maxInFlight, nw, execInfo)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("planserverd: %v", err)
 	}

@@ -42,15 +42,17 @@
 //	internal/optimizer   bottom-up DP plan generator, split into an
 //	                     immutable Prepared and pooled per-run scratch;
 //	                     pluggable order component, join enumeration
-//	                     (DPccp csg-cmp pairs or the naive DPsub
-//	                     reference) and planning strategy (exact DP,
-//	                     GOO-linearized polynomial DP for large join
-//	                     graphs, or auto)
+//	                     (DPccp csg-cmp pairs; the naive DPsub
+//	                     reference is the tests' oracle) and planning
+//	                     strategy (exact DP, GOO-linearized polynomial
+//	                     DP for large join graphs, or auto)
 //	internal/plan        physical operators, cost model, resettable
 //	                     node arena, plan cloning
 //	internal/query       join graph, §5.2 analysis, canonical
 //	                     fingerprinting for plan caching
-//	internal/simmen      the Simmen/Shekita/Malkemus baseline
+//	internal/simmen      the Simmen/Shekita/Malkemus baseline (an
+//	                     oracle for tests and the paper tables, not a
+//	                     serving option)
 //	internal/core        this framework (builder + prepared DFSM)
 //	internal/{order,nfsm,dfsm,bitset}  framework internals
 //	internal/sqlparse    SQL front end (parser + binder)
@@ -65,12 +67,14 @@
 //	                     tracking, declarative failure scenarios
 //	internal/{querygen,tpcr,catalog}   workloads: random join graphs
 //	                     (chain/star/cycle/clique/grid) and TPC-R
-//	internal/experiments §6.2/§7 tables, sweeps, the planner throughput
-//	                     experiment, the served-throughput load
-//	                     generator and the end-to-end execution
-//	                     comparison
-//	cmd/{orderopt,sqlplan,experiments}  CLIs over all of the above
+//	internal/experiments §6.2/§7 tables, sweeps, the end-to-end
+//	                     execution comparisons and the saturation/abort
+//	                     workload
+//	cmd/orderopt         inspect-and-plan CLI (state machines, plans)
+//	cmd/experiments      the paper's tables
 //	cmd/planserverd      the planning + execution daemon (TPC-R schema)
+//	benchmark/           the gated served benchmark (BENCHMARK.json; a
+//	                     Go module of its own)
 //
 // README.md is the front door (quickstart for every binary); DESIGN.md
 // documents the architecture — enumerator choice, DP table layout,

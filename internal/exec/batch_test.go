@@ -50,13 +50,14 @@ func TestVectorizedMatchesRowPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			row := &Runner{A: a, Data: data}
+			row := fixtureRunner(a, data)
 			want, wantSchema, err := row.Run(res.Best)
 			if err != nil {
 				t.Fatalf("%s: row path: %v\n%s", name, err, res.Best)
 			}
 			for _, bs := range vecBatchSizes {
-				vec := &Runner{A: a, Data: data, Vectorize: true, BatchSize: bs}
+				vec := fixtureRunner(a, data)
+				vec.Vectorize, vec.BatchSize = true, bs
 				p, err := vec.Compile(res.Best)
 				if err != nil {
 					t.Fatalf("%s bs=%d: vec compile: %v\n%s", name, bs, err, res.Best)

@@ -15,7 +15,7 @@ import (
 // underpriced sorting ~10x and overpriced hash probes, steering the
 // DFSM tier into a merge-join pipeline the executor measured slower
 // than the order-oblivious hash plan (the q8/tpcr-large inversion).
-// With the constants calibrated against BENCH_exec.json, the chosen
+// With the constants calibrated against BenchmarkExecRuntime, the chosen
 // plan must be the measured-faster shape: hash joins probing lineitem,
 // no merge joins, and ordering paid only on the small post-join result
 // (a top Sort feeding GroupSorted) — priced below the merge-join

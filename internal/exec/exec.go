@@ -6,7 +6,7 @@
 // every functional dependency it consumed) physically holds — and has
 // grown into the measured execution backend behind the serving layer's
 // /execute endpoint and the runtime sort-avoidance benchmark
-// (make bench-exec).
+// (BenchmarkExecRuntime).
 //
 // Operators are pipelined: a merge join buffers only the current
 // duplicate-key group of its right input, a hash join materializes only

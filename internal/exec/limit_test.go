@@ -136,7 +136,7 @@ func TestLimitMidDuplicateGroupMergeJoin(t *testing.T) {
 		Left:  &plan.Node{Op: plan.TableScan, Rel: pred.Left.Rel},
 		Right: &plan.Node{Op: plan.TableScan, Rel: pred.Right.Rel},
 	}
-	runner := &Runner{A: a, Data: data}
+	runner := fixtureRunner(a, data)
 	want, _, err := runner.Run(join)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestLimitMidDuplicateGroupMergeJoin(t *testing.T) {
 	// later group (5), and past the end (9).
 	for _, k := range []int{3, 4, 5, 7, 9} {
 		limited := &plan.Node{Op: plan.Limit, Limit: k, Left: join}
-		got, _, err := (&Runner{A: a, Data: data}).Run(limited)
+		got, _, err := fixtureRunner(a, data).Run(limited)
 		if err != nil {
 			t.Fatalf("limit %d: %v", k, err)
 		}

@@ -144,10 +144,12 @@ func (s *spineStep) materialize(life *Life) error {
 		return nil
 	}
 	bh := &bulkHold{life: life}
-	hint := s.est
-	if hint < 0 {
-		hint = 0
-	}
+	// The estimate only presizes, and is capped like morselHint: a plan
+	// costed against statistics far larger than the data (the SF-1
+	// catalog over the mini datasets) would otherwise allocate, and
+	// fault in, a hundred-megabyte slice per query before its first
+	// row and before any cancellation poll.
+	hint := min(max(s.est, 0), 1<<16)
 	switch s.op {
 	case plan.HashJoin:
 		table := make(map[int64][]Row, hint)

@@ -23,20 +23,13 @@ var AggColumn = query.ColumnRef{Rel: -1, Col: 0}
 // backend behind the serving layer's /execute endpoint.
 type Runner struct {
 	A *query.Analysis
-	// Dataset, when set, is the columnar data source (the normal case —
-	// Dataset.Runner sets it): row operators read its cached row views,
-	// vectorized operators slice its column vectors directly.
+	// Dataset is the columnar data source (Dataset.Runner sets it): row
+	// operators read its cached row views, vectorized operators slice its
+	// column vectors directly. Where it maintains a presorted view of an
+	// index (BuildIndexes), index scans stream the view instead of
+	// sorting at Open — the executor-level equivalent of an index
+	// existing, which is what makes runtime sort avoidance measurable.
 	Dataset *Dataset
-	// Data maps table names to row-major rows (values aligned with the
-	// catalog's column order) — the hand-rolled-fixture alternative to
-	// Dataset, used by tests that construct runners directly.
-	Data map[string][][]int64
-	// Indexed optionally maps table name → index name → rows presorted
-	// in index order (pairs with Data). When a presorted view exists —
-	// here or on the Dataset — index scans stream it instead of sorting
-	// at Open: the executor-level equivalent of an index existing, which
-	// is what makes runtime sort avoidance measurable.
-	Indexed map[string]map[string][][]int64
 	// DisableTiming turns off per-operator wall-clock accounting (row
 	// counters remain). The benchmark harness disables it so operator
 	// timer overhead does not tint the measured runtimes.
@@ -75,25 +68,16 @@ type Runner struct {
 
 	equiv map[query.ColumnRef]int // lazily built column equivalence classes
 
-	// rowViews/idxViews lazily cache the []Row views of Data and Indexed
-	// so repeated compiles on one runner don't re-allocate a slice of
-	// row headers per scan (a 40k-row view is ~1MB of headers). The
-	// views alias the underlying rows, which no operator mutates.
-	rowViews map[string][]Row
-	idxViews map[string]map[string][]Row
 	// sortedDriving caches index views the parallel tier had to sort
-	// itself (no maintained view), keyed "table/index". Kept separate
-	// from idxViews on purpose: serial index scans must keep paying
-	// their per-execution Sort so rows-sorted accounting stays honest.
+	// itself (no maintained view), keyed "table/index". Only the
+	// parallel tier reads it: serial index scans must keep paying their
+	// per-execution Sort so rows-sorted accounting stays honest.
 	sortedDriving map[string][]Row
 	// hashViews caches hash-join build tables over bare base-table
 	// scans for the parallel tier, keyed "table/view/keycol". Bucket
 	// contents follow the scan's stream order, so fused probes emit the
 	// exact serial match sequence.
 	hashViews map[string]*hashView
-	// colTables caches columnar transpositions of the row-major Data
-	// fixture (runners over a Dataset use its tables directly).
-	colTables map[string]*ColTable
 }
 
 // hashView is one cached build table. table is always populated (the
@@ -161,93 +145,34 @@ func (r *Runner) sortedIndexView(table, index string, raw []Row, keys []int) []R
 	return rows
 }
 
-// dataRows returns the []Row view of a table's rows: the dataset's
-// cached view, or a per-runner cached conversion of the row-major Data
-// fixture.
+// dataRows returns the dataset's cached []Row view of a table's rows.
 func (r *Runner) dataRows(name string) ([]Row, bool) {
-	if r.Dataset != nil {
-		ct, ok := r.Dataset.Tables[name]
-		if !ok {
-			return nil, false
-		}
-		return ct.RowView(), true
-	}
-	if rows, ok := r.rowViews[name]; ok {
-		return rows, true
-	}
-	raw, ok := r.Data[name]
+	ct, ok := r.colTable(name)
 	if !ok {
 		return nil, false
 	}
-	if r.rowViews == nil {
-		r.rowViews = make(map[string][]Row)
-	}
-	rows := asRows(raw)
-	r.rowViews[name] = rows
-	return rows, true
+	return ct.RowView(), true
 }
 
 // indexRows returns the []Row view of a maintained index's presorted
 // rows, when the dataset maintains one.
 func (r *Runner) indexRows(table, index string) ([]Row, bool) {
-	if r.Dataset != nil {
-		v := r.Dataset.Views[table][index]
-		if v == nil {
-			return nil, false
-		}
-		return v.RowView(), true
-	}
-	if rows, ok := r.idxViews[table][index]; ok {
-		return rows, true
-	}
-	sorted := r.Indexed[table][index]
-	if sorted == nil {
-		return nil, false
-	}
-	if r.idxViews == nil {
-		r.idxViews = make(map[string]map[string][]Row)
-	}
-	m := r.idxViews[table]
-	if m == nil {
-		m = make(map[string][]Row)
-		r.idxViews[table] = m
-	}
-	rows := asRows(sorted)
-	m[index] = rows
-	return rows, true
-}
-
-// colTable returns the columnar storage of a table: the dataset's, or
-// a per-runner cached transposition of the Data fixture (so vectorized
-// execution also works over hand-rolled test data).
-func (r *Runner) colTable(name string) (*ColTable, bool) {
-	if r.Dataset != nil {
-		ct, ok := r.Dataset.Tables[name]
-		return ct, ok
-	}
-	if ct, ok := r.colTables[name]; ok {
-		return ct, true
-	}
-	raw, ok := r.Data[name]
+	v, ok := r.indexView(table, index)
 	if !ok {
 		return nil, false
 	}
-	if r.colTables == nil {
-		r.colTables = make(map[string]*ColTable)
-	}
-	ct := NewColTable(raw, 0)
-	r.colTables[name] = ct
-	return ct, true
+	return v.RowView(), true
+}
+
+// colTable returns the columnar storage of a table.
+func (r *Runner) colTable(name string) (*ColTable, bool) {
+	ct, ok := r.Dataset.Tables[name]
+	return ct, ok
 }
 
 // indexView returns the maintained permutation view of an index, when
-// the dataset keeps one (the vectorized index-scan source). Fixture
-// runners (Data/Indexed) have no permutation vectors; their index
-// scans stay on the row path.
+// the dataset keeps one (the vectorized index-scan source).
 func (r *Runner) indexView(table, index string) (*IndexView, bool) {
-	if r.Dataset == nil {
-		return nil, false
-	}
 	v := r.Dataset.Views[table][index]
 	return v, v != nil
 }
@@ -456,6 +381,9 @@ func (r *Runner) Run(n *plan.Node) ([]Row, []query.ColumnRef, error) {
 // through join-equivalence classes, so ordering by a column the plan
 // only carries as an equated twin (or grouping by one) works.
 func (r *Runner) Compile(n *plan.Node) (*Pipeline, error) {
+	if r.Dataset == nil {
+		return nil, fmt.Errorf("exec: runner has no dataset (build one with Dataset.Runner)")
+	}
 	p := &Pipeline{Life: &Life{budget: r.Budget, acct: r.Accountant}}
 	it, schema, ok, err := r.tryVec(n, p, true)
 	if err != nil {
@@ -849,14 +777,6 @@ func (r *Runner) resolveGroup(schema []query.ColumnRef, st *OpStats) ([]int, []A
 		outSchema = append(outSchema, AggColumn)
 	}
 	return keys, aggs, outSchema, nil
-}
-
-func asRows(raw [][]int64) []Row {
-	rows := make([]Row, len(raw))
-	for i, v := range raw {
-		rows[i] = Row(v)
-	}
-	return rows
 }
 
 // joinEq is one equality predicate's column positions in a join's

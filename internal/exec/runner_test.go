@@ -10,6 +10,13 @@ import (
 	"orderopt/internal/querygen"
 )
 
+// fixtureRunner runs plans for a over hand-rolled row-major data. The
+// dataset gets no BuildIndexes, so index scans take the sort-at-Open
+// fallback these tests pin.
+func fixtureRunner(a *query.Analysis, data map[string][][]int64) *Runner {
+	return NewDataset("fixture", "hand-rolled test data", data).Runner(a)
+}
+
 // TestOptimizedPlansProduceCorrectResults is the system-level check: for
 // random queries, optimize with BOTH order-optimization components,
 // execute the chosen plans over real data, and compare against
@@ -42,7 +49,7 @@ func TestOptimizedPlansProduceCorrectResults(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %v: %v", name, mode, err)
 					}
-					runner := &Runner{A: a, Data: data}
+					runner := fixtureRunner(a, data)
 					rows, schema, err := runner.Run(res.Best)
 					if err != nil {
 						t.Fatalf("%s %v: executing the optimal plan failed: %v\n%s",
@@ -111,7 +118,7 @@ func TestGroupedPlansProduceCorrectResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			runner := &Runner{A: a, Data: data}
+			runner := fixtureRunner(a, data)
 			rows, schema, err := runner.Run(res.Best)
 			if err != nil {
 				t.Fatalf("%s: executing the grouped plan failed: %v\n%s", name, err, res.Best)
@@ -174,7 +181,7 @@ func TestRunnerMergeJoinPlan(t *testing.T) {
 			Left: &plan.Node{Op: plan.TableScan, Rel: pred.Right.Rel},
 		},
 	}
-	runner := &Runner{A: a, Data: data}
+	runner := fixtureRunner(a, data)
 	rows, schema, err := runner.Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +224,7 @@ func TestRunnerUnsortedMergeJoinFails(t *testing.T) {
 		Left:  &plan.Node{Op: plan.TableScan, Rel: pred.Left.Rel},
 		Right: &plan.Node{Op: plan.TableScan, Rel: pred.Right.Rel},
 	}
-	if _, _, err := (&Runner{A: a, Data: data}).Run(p); err == nil {
+	if _, _, err := fixtureRunner(a, data).Run(p); err == nil {
 		t.Fatal("unsorted merge join must fail at runtime")
 	}
 }
@@ -231,12 +238,15 @@ func TestRunnerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &Runner{A: a, Data: map[string][][]int64{}}
+	runner := fixtureRunner(a, nil)
 	if _, _, err := runner.Run(&plan.Node{Op: plan.TableScan, Rel: 0}); err == nil {
 		t.Error("missing data must fail")
 	}
 	if _, _, err := runner.Run(&plan.Node{Op: plan.Op(99)}); err == nil {
 		t.Error("unknown operator must fail")
+	}
+	if _, _, err := (&Runner{A: a}).Run(&plan.Node{Op: plan.TableScan, Rel: 0}); err == nil {
+		t.Error("a runner without a dataset must fail, not panic")
 	}
 }
 
@@ -268,7 +278,7 @@ func TestPipelineStats(t *testing.T) {
 			Left: &plan.Node{Op: plan.TableScan, Rel: pred.Right.Rel},
 		},
 	}
-	runner := &Runner{A: a, Data: data}
+	runner := fixtureRunner(a, data)
 	pipe, err := runner.Compile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +307,8 @@ func TestPipelineStats(t *testing.T) {
 	}
 
 	// Timing off: rows still counted, clocks zero.
-	runner2 := &Runner{A: a, Data: data, DisableTiming: true}
+	runner2 := fixtureRunner(a, data)
+	runner2.DisableTiming = true
 	pipe2, err := runner2.Compile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +350,7 @@ func TestOrderByEquatedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &Runner{A: a, Data: data}
+	runner := fixtureRunner(a, data)
 	rows, schema, err := runner.Run(res.Best)
 	if err != nil {
 		t.Fatalf("executing ORDER BY over an equated column failed: %v\n%s", err, res.Best)
@@ -399,7 +410,7 @@ func TestRunnerIndexedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := &Runner{A: a, Data: ds.RawRows()} // no Indexed: falls back to sorting
+	plain := fixtureRunner(a, ds.RawRows()) // no BuildIndexes: falls back to sorting
 	rows2, _, err := plain.Run(p)
 	if err != nil {
 		t.Fatal(err)

@@ -46,8 +46,6 @@ type AbortSpec struct {
 	Duration time.Duration
 	// TimeoutMs is the victims' per-request deadline (default 25).
 	TimeoutMs int
-	// MaxInFlight is the server's admission bound (0: server default).
-	MaxInFlight int
 }
 
 func (s *AbortSpec) defaults() {
@@ -140,8 +138,7 @@ func abortPhase(spec AbortSpec, cat *catalog.Catalog, ds *exec.Dataset, faulted 
 			Analyze:   planner.DefaultConfig(cat).Analyze,
 			Optimizer: optimizer.DefaultConfig(spec.Mode),
 		}),
-		Datasets:    reg,
-		MaxInFlight: spec.MaxInFlight,
+		Datasets: reg,
 	}
 	if faulted {
 		// Wedge every victim pipeline on its first row; only the

@@ -164,7 +164,13 @@ func TestScenariosAcrossOperators(t *testing.T) {
 						covered[op] = true
 						w, sc := w, sc
 						t.Run(fmt.Sprintf("%s/%s/%s", w.name, op, sc.Name), func(t *testing.T) {
-							t.Parallel()
+							// Deadline scenarios assert wall-clock
+							// promptness, so they run serially: the parallel
+							// siblings stay parked in t.Parallel until every
+							// serial subtest is done.
+							if sc.Outcome != faultinject.WantTimeout {
+								t.Parallel()
+							}
 							r := w.ds.Runner(w.a)
 							err := sc.Run(r, func() (*exec.Pipeline, error) {
 								return r.Compile(w.best)

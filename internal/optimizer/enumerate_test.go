@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"math/bits"
@@ -278,42 +279,73 @@ func TestDPccpEmitsInDPOrder(t *testing.T) {
 	}
 }
 
+// exhaustive widens the two randomized cross-checks
+// (TestEnumeratorsAgreeOnOptimalCost, TestLinearizedCrossCheck) from one
+// seed per point to their full seed sweep. The default run keeps every
+// mode, shape, size and extra-edge point so tier-1 stays in seconds;
+// `make race` runs the sweep — without -race, which is for the default
+// run: the detector's shadow memory on a grid-12 exact DP (26M plans)
+// alone reaches 16 GB:
+//
+//	go test ./internal/optimizer/ -args -exhaustive
+var exhaustive = flag.Bool("exhaustive", false,
+	"run the randomized optimizer cross-checks over their full seed sweep")
+
+// crossCheckSeeds returns the seeds a cross-check runs per point: all
+// of 0..full-1 under -exhaustive, otherwise seed 1 alone (the cheapest
+// of the sweep on the two points that dominate the run time, grid-12
+// and the Simmen chain-9+2).
+func crossCheckSeeds(full int64) []int64 {
+	if !*exhaustive {
+		return []int64{1}
+	}
+	seeds := make([]int64, full)
+	for i := range seeds {
+		seeds[i] = int64(i)
+	}
+	return seeds
+}
+
 // TestEnumeratorsAgreeOnOptimalCost runs the full optimizer under both
 // enumerators on randomized graphs of every shape and demands identical
 // best-plan costs — the paper's "same optimal plan" sanity check applied
-// to the enumeration dimension.
+// to the enumeration dimension. Cases share nothing, so they run in
+// parallel.
 func TestEnumeratorsAgreeOnOptimalCost(t *testing.T) {
 	for _, mode := range []Mode{ModeDFSM, ModeSimmen} {
 		for _, shape := range querygen.Shapes() {
 			for _, n := range costSizes(mode, shape) {
 				for _, extra := range extrasFor(shape, n) {
-					for seed := int64(0); seed < 2; seed++ {
+					for _, seed := range crossCheckSeeds(2) {
 						name := fmt.Sprintf("%s/%s/n%d_e%d_s%d", mode, shape, n, extra, seed)
-						costs := map[Enumerator]float64{}
-						pairs := map[Enumerator]int64{}
-						for _, enum := range []Enumerator{EnumNaive, EnumDPccp} {
-							g := genGraph(t, shape, n, extra, seed)
-							a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
+						t.Run(name, func(t *testing.T) {
+							t.Parallel()
+							costs := map[Enumerator]float64{}
+							pairs := map[Enumerator]int64{}
+							for _, enum := range []Enumerator{EnumNaive, EnumDPccp} {
+								g := genGraph(t, shape, n, extra, seed)
+								a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
+								if err != nil {
+									t.Fatal(err)
+								}
+								cfg := DefaultConfig(mode)
+								cfg.Enumerator = enum
+								res, err := Optimize(a, cfg)
+								if err != nil {
+									t.Fatalf("%s: %v", enum, err)
+								}
+								costs[enum] = res.Best.Cost
+								pairs[enum] = res.CsgCmpPairs
 							}
-							cfg := DefaultConfig(mode)
-							cfg.Enumerator = enum
-							res, err := Optimize(a, cfg)
-							if err != nil {
-								t.Fatalf("%s %s: %v", name, enum, err)
+							if math.Abs(costs[EnumNaive]-costs[EnumDPccp]) > 1e-6*math.Max(costs[EnumNaive], 1) {
+								t.Errorf("optimal costs differ: naive %.3f vs dpccp %.3f",
+									costs[EnumNaive], costs[EnumDPccp])
 							}
-							costs[enum] = res.Best.Cost
-							pairs[enum] = res.CsgCmpPairs
-						}
-						if math.Abs(costs[EnumNaive]-costs[EnumDPccp]) > 1e-6*math.Max(costs[EnumNaive], 1) {
-							t.Errorf("%s: optimal costs differ: naive %.3f vs dpccp %.3f",
-								name, costs[EnumNaive], costs[EnumDPccp])
-						}
-						if pairs[EnumNaive] != pairs[EnumDPccp] {
-							t.Errorf("%s: pair counts differ: naive %d vs dpccp %d",
-								name, pairs[EnumNaive], pairs[EnumDPccp])
-						}
+							if pairs[EnumNaive] != pairs[EnumDPccp] {
+								t.Errorf("pair counts differ: naive %d vs dpccp %d",
+									pairs[EnumNaive], pairs[EnumDPccp])
+							}
+						})
 					}
 				}
 			}

@@ -60,19 +60,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// ParseStrategy maps a strategy name to its Strategy.
-func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "exact":
-		return StrategyExact, nil
-	case "linearized":
-		return StrategyLinearized, nil
-	case "auto":
-		return StrategyAuto, nil
-	}
-	return StrategyExact, fmt.Errorf("optimizer: unknown strategy %q (want exact, linearized or auto)", name)
-}
-
 // StrategyAuto defaults. The relation cap is a hard ceiling on the
 // exact tier: beyond it even a sparse graph's exact DP gets slow, not
 // because of the pair count (a chain-30 has only ~4.5k) but because

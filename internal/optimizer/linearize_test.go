@@ -63,6 +63,8 @@ func validatePlan(t *testing.T, g *query.Graph, n *plan.Node) uint64 {
 // linearized plan must be structurally valid, satisfy the query's order
 // requirements via the DFSM, never beat the exact optimum, and stay
 // within a pinned cost ratio of it so quality regressions fail loudly.
+// One seed per point by default, three under -exhaustive (the pinned
+// ratios were measured over all three).
 func TestLinearizedCrossCheck(t *testing.T) {
 	points := []struct {
 		shape    querygen.Shape
@@ -78,9 +80,10 @@ func TestLinearizedCrossCheck(t *testing.T) {
 		{querygen.Clique, 8, 1.25},
 	}
 	for _, pt := range points {
-		for seed := int64(0); seed < 3; seed++ {
+		for _, seed := range crossCheckSeeds(3) {
 			name := fmt.Sprintf("%s-%d/seed%d", pt.shape, pt.n, seed)
 			t.Run(name, func(t *testing.T) {
+				t.Parallel()
 				spec := querygen.Spec{Relations: pt.n, Shape: pt.shape, Seed: seed}
 
 				exactCfg := DefaultConfig(ModeDFSM)

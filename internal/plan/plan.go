@@ -241,7 +241,7 @@ func (n *Node) Ops() map[Op]int {
 // scans are the unit, sorting is n·log n, merge joins touch each input
 // once, hash joins pay per probe and a build premium per materialized
 // build tuple, nested loops pay per pair. The sort and hash constants
-// are calibrated against measured executor runtimes (BENCH_exec.json):
+// are calibrated against measured executor runtimes (BenchmarkExecRuntime):
 //
 //   - CSortTuple: the order-oblivious orders/tpcr-large plan (sorts
 //     12191 rows) ran at ~106ns per cost unit against ~35ns/unit for
@@ -289,7 +289,7 @@ const (
 // probes, hash grouping and output materialization. Sorting, merge
 // joins and nested loops stay row-at-a-time and keep their row
 // constants. The ratios below follow the measured row-vs-batch
-// speedups (BENCH_vector.json): scans ~4x, probes ~3x, grouping ~2x;
+// speedups (BenchmarkExecVector): scans ~4x, probes ~3x, grouping ~2x;
 // the hash build improves less (it still drains a row iterator, only
 // the table insert is columnar).
 const (

@@ -141,9 +141,6 @@ func New(cfg Config) *Planner {
 	return p
 }
 
-// Config returns the planner's configuration.
-func (p *Planner) Config() Config { return p.cfg }
-
 // Stats returns a snapshot of the planner's counters.
 func (p *Planner) Stats() Stats {
 	s := Stats{

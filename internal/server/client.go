@@ -65,7 +65,6 @@ type ExplainResponse struct {
 	Source   string  `json:"source"`
 	Strategy string  `json:"strategy"` // exact or linearized
 	Cost     float64 `json:"cost"`
-	Mode     string  `json:"mode"` // dfsm or simmen
 	// Text is the rendered physical plan tree.
 	Text string `json:"text"`
 	// OrderBy is the required result ordering, e.g. "(o.o_orderkey)".

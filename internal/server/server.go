@@ -533,7 +533,6 @@ func (s *Server) explainResponse(ctx context.Context, sql string) (any, int, err
 		Source:   pd.Source.String(),
 		Strategy: org.Prepared().Strategy().String(),
 		Cost:     pd.Cost,
-		Mode:     s.pl.Config().Optimizer.Mode.String(),
 		Text:     pd.Best.String(),
 	}
 	if a.OrderByOrd != 0 {

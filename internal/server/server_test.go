@@ -135,9 +135,6 @@ func TestExplainEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Mode != "dfsm" {
-		t.Errorf("mode = %q, want dfsm", resp.Mode)
-	}
 	if !strings.Contains(resp.Text, "Scan") {
 		t.Errorf("explain text has no scans:\n%s", resp.Text)
 	}

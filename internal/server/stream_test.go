@@ -518,7 +518,7 @@ func TestEvictVsExecute(t *testing.T) {
 		ds.BuildIndexes(tpcr.Schema())
 		return ds, nil
 	})
-	_, c, done := newTestServer(t, Config{Datasets: reg})
+	srv, c, done := newTestServer(t, Config{Datasets: reg})
 	defer done()
 
 	ref, err := c.Execute(ExecuteRequest{SQL: joinSQL, Dataset: "churn", MaxRows: ExecuteRowCap})
@@ -569,6 +569,13 @@ func TestEvictVsExecute(t *testing.T) {
 	close(stop)
 	evictor.Wait()
 
+	// A handler unpins after its last write, which the client can see
+	// before the handler returns: wait for the handlers, not the wire.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.DrainAndWait(ctx); err != nil {
+		t.Fatalf("handlers still running after every response was read: %v", err)
+	}
 	// Every pin drained; the dataset is evictable again.
 	for _, info := range reg.Info() {
 		if info.Pins != 0 {
