@@ -864,19 +864,13 @@ func BenchmarkExecTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkExecVector measures what batch-at-a-time execution buys over
-// the row-at-a-time interpreter: the order-flow query per dataset in
-// both modes (experiments -table vector prints the vec-vs-row
-// speedup), plus the external-sort contrast — the same query planned
-// sort-free and order-obliviously under a spill budget, where only the
-// oblivious plan's top sort goes to disk.
+// BenchmarkExecSpill measures the external-sort contrast
+// (experiments -table spill): the order-flow query planned sort-free
+// and order-obliviously under a spill budget, where only the oblivious
+// plan's top sort goes to disk.
 // The million-row tpcr-xl tier stays out of the default registry; this
 // benchmark resolves it directly.
-func BenchmarkExecVector(b *testing.B) {
-	// Heap ballast pins the GC cycle rate so both modes run under the
-	// same collector regime (see BenchmarkExecParallel).
-	ballast := make([]byte, 96<<20)
-	defer runtime.KeepAlive(ballast)
+func BenchmarkExecSpill(b *testing.B) {
 	reg := exec.TPCRRegistry()
 	dataset := func(name string) *exec.Dataset {
 		if ds, ok := reg.Get(name); ok {
@@ -890,62 +884,11 @@ func BenchmarkExecVector(b *testing.B) {
 		// seconds, and the registry datasets exercise the same paths.
 		datasets = datasets[:1]
 	}
-	for _, dsName := range datasets {
-		ds := dataset(dsName)
-		_, g, err := tpcr.OrderStreamGraph()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ds.ApplyStats(g)
-		a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range []string{"row", "vec"} {
-			vec := mode == "vec"
-			b.Run(fmt.Sprintf("orders/%s/mode=%s", dsName, mode), func(b *testing.B) {
-				cfg := optimizer.DefaultConfig(optimizer.ModeDFSM)
-				cfg.Vectorized = vec
-				res, err := optimizer.Optimize(a, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runner := ds.Runner(a)
-				runner.DisableTiming = true
-				runner.Vectorize = vec
-				var rows, sorted, batches int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Compile outside the clock: the comparison is
-					// execution row-vs-batch, not plan instantiation.
-					b.StopTimer()
-					p, err := runner.Compile(res.Best)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					out, err := p.Execute()
-					if err != nil {
-						b.Fatal(err)
-					}
-					rows = int64(len(out))
-					sorted = p.RowsSorted()
-					batches = 0
-					for _, op := range p.Ops {
-						batches += op.Batches
-					}
-				}
-				b.ReportMetric(float64(rows), "result-rows")
-				b.ReportMetric(float64(sorted), "rows-sorted/op")
-				b.ReportMetric(float64(batches), "batches/op")
-			})
-		}
-	}
 	variants := experiments.ExecVariants()
 	for _, dsName := range datasets {
 		ds := dataset(dsName)
 		for _, v := range []experiments.ExecVariant{variants[0], variants[2]} {
-			b.Run(fmt.Sprintf("spill/orders/%s/%s", dsName, v.Name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("orders/%s/%s", dsName, v.Name), func(b *testing.B) {
 				_, g, err := tpcr.OrderStreamGraph()
 				if err != nil {
 					b.Fatal(err)

@@ -17,10 +17,10 @@
 //	experiments -table topk    # LIMIT-k runtime: the order-satisfying
 //	                           # early-out pipeline vs the oblivious
 //	                           # hash + full-sort plan, k in -topk-ks
-//	experiments -table vector  # vectorized execution: row vs batch
-//	                           # pipelines per workload, plus the
-//	                           # external-sort spill contrast (sort-free
-//	                           # dfsm vs oblivious under a spill budget)
+//	experiments -table spill   # external-sort contrast: the sort-free
+//	                           # dfsm plan vs the oblivious plan's top
+//	                           # sort under a spill budget (fails unless
+//	                           # only the oblivious plan spills)
 //	experiments -table abort   # saturation/abort: healthy /plan QPS
 //	                           # while fault-injected /execute pipelines
 //	                           # hang until their deadline (make faults
@@ -53,7 +53,7 @@ import (
 )
 
 func main() {
-	tables := []string{"prep", "q8", "fig13", "fig14", "enum", "large", "exec", "topk", "vector", "abort", "all"}
+	tables := []string{"prep", "q8", "fig13", "fig14", "enum", "large", "exec", "topk", "spill", "abort", "all"}
 	table := flag.String("table", "all", "one of "+strings.Join(tables, ", "))
 	sizes := flag.String("sizes", "5,6,7,8,9,10", "relation counts for the sweep")
 	extras := flag.String("extras", "0,1,2", "extra edges beyond the chain (0→n-1 edges, 1→n, 2→n+1)")
@@ -76,10 +76,9 @@ func main() {
 	execRelations := flag.Int("exec-relations", 5, "relations per generated exec query")
 	execRows := flag.Int("exec-rows", 48, "rows per table for generated exec data")
 	workers := flag.Int("workers", 4, "max morsel workers for the exec table's parallel-scaling column (serial vs best DOP up to this; 1 disables)")
-	vectorDatasets := flag.String("vector-datasets", "tpcr-large,tpcr-xl", "TPC-R datasets for the vector table (tpcr-xl resolves outside the registry)")
-	vectorRuns := flag.Int("vector-runs", 5, "timed executions per vector measurement (minimum reported)")
-	vectorBatch := flag.Int("vector-batch", 0, "vector width for the vector table (0: exec default)")
-	vectorSpill := flag.Int64("vector-spill", 256<<10, "external-sort budget in bytes for the vector table's spill contrast")
+	spillDatasets := flag.String("spill-datasets", "tpcr-large,tpcr-xl", "TPC-R datasets for the spill table (tpcr-xl resolves outside the registry)")
+	spillRuns := flag.Int("spill-runs", 5, "timed executions per spill measurement (minimum reported)")
+	spillBytes := flag.Int64("spill-bytes", 256<<10, "external-sort budget in bytes for the spill table")
 	flag.Usage = func() {
 		fmt.Fprintln(flag.CommandLine.Output(),
 			"experiments regenerates the paper's evaluation tables — see README.md and docs/benchmarks.md.")
@@ -107,7 +106,7 @@ func main() {
 	runLarge := *table == "large"
 	runExec := *table == "exec"
 	runTopk := *table == "topk"
-	runVector := *table == "vector"
+	runSpill := *table == "spill"
 	runAbort := *table == "abort"
 
 	if runPrep {
@@ -200,16 +199,15 @@ func main() {
 		fmt.Println("=== Top-k execution: order-satisfying early-out vs hash + full sort ===")
 		fmt.Print(experiments.FormatTopk(rows))
 	}
-	if runVector {
-		rows, spills, err := experiments.Vector(experiments.VectorSpec{
-			Datasets:   splitList(*vectorDatasets),
-			Runs:       *vectorRuns,
-			BatchSize:  *vectorBatch,
-			SpillBytes: *vectorSpill,
+	if runSpill {
+		rows, err := experiments.Spill(experiments.SpillSpec{
+			Datasets:   splitList(*spillDatasets),
+			Runs:       *spillRuns,
+			SpillBytes: *spillBytes,
 		})
 		die(err)
-		fmt.Println("=== Vectorized execution: row vs batch pipelines, and the spill contrast ===")
-		fmt.Print(experiments.FormatVector(rows, spills))
+		fmt.Println("=== External-sort contrast: sort-free dfsm vs oblivious under a spill budget ===")
+		fmt.Print(experiments.FormatSpill(rows))
 	}
 	if runAbort {
 		fmt.Println("=== Saturation/abort: healthy planning QPS while faulted pipelines hang and time out ===")

@@ -50,28 +50,31 @@ func TestCorpus(t *testing.T) {
 }
 
 // TestMatrixShape pins the matrix dimensions the corpus promises:
-// 3 strategies × 3 idioms × 3 DOPs × 2 × 2 operator toggles, plus 4
-// vectorized-execution cells per idiom (batch sizes 1, 3,
-// DefaultBatchSize serial and DefaultBatchSize at DOP 4).
+// 3 strategies × 3 idioms × 3 DOPs × 2 × 2 operator toggles — 108
+// distinct cells, each named by exactly those four segments, so a new
+// dimension (execution dialect, batch size, ...) fails here first.
 func TestMatrixShape(t *testing.T) {
 	m := Matrix()
-	if len(m) != 120 {
-		t.Fatalf("matrix has %d cells, want 120", len(m))
+	if len(m) != 108 {
+		t.Fatalf("matrix has %d cells, want 108", len(m))
 	}
-	canonical, vectorized := 0, 0
+	names := map[string]bool{}
+	canonical := 0
 	for _, c := range m {
 		if c.Canonical() {
 			canonical++
 		}
-		if c.Batch > 0 {
-			vectorized++
+		name := c.String()
+		if names[name] {
+			t.Errorf("cell %s appears twice", name)
+		}
+		names[name] = true
+		if strings.Count(name, "/") != 3 {
+			t.Errorf("cell %s: want strategy/idiom/dop/toggles and nothing else", name)
 		}
 	}
 	if canonical != 3 {
 		t.Fatalf("matrix has %d canonical cells, want 3 (one per idiom)", canonical)
-	}
-	if vectorized != 12 {
-		t.Fatalf("matrix has %d vectorized cells, want 12 (four per idiom)", vectorized)
 	}
 }
 

@@ -59,23 +59,15 @@ type Cell struct {
 	// has them off regardless).
 	MergeJoin       bool
 	OrderedGrouping bool
-	// Batch, when > 0, executes through the vectorized path at this
-	// batch size (exec.Runner.Vectorize + BatchSize). 0 is the row
-	// path. Planning stays row-costed either way, so the golden plan
-	// trees are batch-independent; only execution changes, and the
-	// checksums must not.
-	Batch int
 }
 
 // Canonical reports whether this is an idiom's golden-plan cell: exact
-// strategy, serial, row execution, all operator families enabled.
+// strategy, serial, all operator families enabled.
 func (c Cell) Canonical() bool {
-	return c.Strategy == optimizer.StrategyExact && c.DOP == 1 && c.Batch == 0 &&
-		c.MergeJoin && c.OrderedGrouping
+	return c.Strategy == optimizer.StrategyExact && c.DOP == 1 && c.MergeJoin && c.OrderedGrouping
 }
 
-// String names the cell for failure messages: "exact/dfsm/dop1/mj+og+"
-// (vectorized cells append "/b<size>").
+// String names the cell for failure messages: "exact/dfsm/dop1/mj+og+".
 func (c Cell) String() string {
 	flag := func(b bool) string {
 		if b {
@@ -83,13 +75,9 @@ func (c Cell) String() string {
 		}
 		return "-"
 	}
-	s := fmt.Sprintf("%s/%s/dop%d/mj%sog%s",
+	return fmt.Sprintf("%s/%s/dop%d/mj%sog%s",
 		strategyName(c.Strategy), Idioms()[c.Idiom].Name, c.DOP,
 		flag(c.MergeJoin), flag(c.OrderedGrouping))
-	if c.Batch > 0 {
-		s += fmt.Sprintf("/b%d", c.Batch)
-	}
-	return s
 }
 
 func strategyName(s optimizer.Strategy) string {
@@ -104,11 +92,8 @@ func strategyName(s optimizer.Strategy) string {
 }
 
 // Matrix enumerates the full configuration matrix: strategy × idiom ×
-// DOP × operator toggles — 108 row-execution cells — plus the
-// vectorized-execution cells: per idiom, the exact serial plan run
-// batch-at-a-time at sizes 1 (degenerate), 3 (partial batches) and
-// DefaultBatchSize, and one parallel vectorized cell. Every cell must
-// produce the identical result multiset.
+// DOP × operator toggles, 108 cells. Every cell must produce the
+// identical result multiset.
 func Matrix() []Cell {
 	var out []Cell
 	for _, strat := range []optimizer.Strategy{optimizer.StrategyExact, optimizer.StrategyLinearized, optimizer.StrategyAuto} {
@@ -121,14 +106,6 @@ func Matrix() []Cell {
 				}
 			}
 		}
-	}
-	for idiom := range Idioms() {
-		for _, b := range []int{1, 3, exec.DefaultBatchSize} {
-			out = append(out, Cell{Strategy: optimizer.StrategyExact, Idiom: idiom, DOP: 1,
-				MergeJoin: true, OrderedGrouping: true, Batch: b})
-		}
-		out = append(out, Cell{Strategy: optimizer.StrategyExact, Idiom: idiom, DOP: 4,
-			MergeJoin: true, OrderedGrouping: true, Batch: exec.DefaultBatchSize})
 	}
 	return out
 }
@@ -204,9 +181,6 @@ func (r *Runner) Run(f *Fixture) (Expect, error) {
 		runner := ds.Runner(a)
 		runner.DisableTiming = true
 		runner.Hook = r.Hook
-		if cell.Batch > 0 {
-			runner.Vectorize, runner.BatchSize = true, cell.Batch
-		}
 		pipe, err := runner.Compile(res.Best)
 		if err != nil {
 			return Expect{}, fmt.Errorf("fixture %s cell %s: compile: %w", f.Name, cell, err)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"orderopt/internal/catalog"
@@ -11,58 +12,89 @@ import (
 )
 
 // Dataset is one named, immutable in-memory database the executor can
-// run plans over. Storage is columnar (struct-of-arrays, one []int64
-// per column — see ColTable): the vectorized operators slice column
-// vectors straight out of it, the row operators read lazily cached row
-// views, and index orderings are kept as permutation vectors instead
-// of copied row sets. Datasets must not be mutated after registration —
-// the serving layer executes concurrent requests against them.
+// run plans over. Every table is resident exactly once, as one
+// row-major slab built at load (row i is slab[i*w:(i+1)*w]) — the
+// layout the row operators scan. An index the catalog defines is a
+// second []Row in index order: when the table already lies in that
+// order the view aliases the table's rows, otherwise it owns a slab of
+// its own in index order. Datasets must not be mutated after
+// registration — the serving layer executes concurrent requests
+// against them.
 type Dataset struct {
 	Name string
 	// Desc is a one-line description shown by the serving layer.
 	Desc string
-	// Tables maps table names to their columnar storage (columns aligned
-	// with the catalog's column order).
-	Tables map[string]*ColTable
-	// Views maps table name → index name → presorted permutation view
-	// (built by BuildIndexes).
-	Views map[string]map[string]*IndexView
+	// Tables maps table names to their rows (columns aligned with the
+	// catalog's column order).
+	Tables map[string][]Row
+	// Views maps table name → index name → the table's rows in index
+	// order (built by BuildIndexes).
+	Views map[string]map[string][]Row
 }
 
-// NewDataset converts row-major generated data into a columnar
-// dataset. The input rows are transposed, not retained.
+// NewDataset copies generated rows into one slab per table. The input
+// rows are not retained.
 func NewDataset(name, desc string, rows map[string][][]int64) *Dataset {
 	d := &Dataset{
 		Name:   name,
 		Desc:   desc,
-		Tables: make(map[string]*ColTable, len(rows)),
+		Tables: make(map[string][]Row, len(rows)),
 	}
 	for table, raw := range rows {
-		d.Tables[table] = NewColTable(raw, 0)
+		d.Tables[table] = packRows(raw)
 	}
 	return d
 }
 
-// BuildIndexes builds the presorted permutation views for every table
-// the catalog defines indexes on. Call it once, before the dataset is
-// shared.
+// packRows copies src into one contiguous slab, row after row, and
+// returns the rows as capacity-clipped windows into it.
+func packRows[R ~[]int64](src []R) []Row {
+	total := 0
+	for _, r := range src {
+		total += len(r)
+	}
+	slab := make([]int64, total)
+	rows := make([]Row, len(src))
+	for i, r := range src {
+		n := copy(slab, r)
+		rows[i] = slab[:n:n]
+		slab = slab[n:]
+	}
+	return rows
+}
+
+// BuildIndexes builds the presorted view of every index the catalog
+// defines. Call it once, before the dataset is shared.
 func (d *Dataset) BuildIndexes(cat *catalog.Catalog) {
-	d.Views = make(map[string]map[string]*IndexView)
-	for name, ct := range d.Tables {
+	d.Views = make(map[string]map[string][]Row)
+	for name, base := range d.Tables {
 		t, ok := cat.Table(name)
 		if !ok || len(t.Indexes) == 0 {
 			continue
 		}
-		byIndex := make(map[string]*IndexView, len(t.Indexes))
+		byIndex := make(map[string][]Row, len(t.Indexes))
 		for _, ix := range t.Indexes {
 			keys := make([]int, len(ix.Columns))
 			for i, col := range ix.Columns {
 				keys[i] = t.ColumnIndex(col)
 			}
-			byIndex[ix.Name] = buildIndexView(ct, keys)
+			byIndex[ix.Name] = sortedView(base, keys)
 		}
 		d.Views[name] = byIndex
 	}
+}
+
+// sortedView returns base's rows stably sorted on the key columns. A
+// table already in key order is its own view (the stable sort would
+// be the identity); any other order gets a slab of its own, so an
+// index scan reads memory front to back like a table scan does.
+func sortedView(base []Row, keys []int) []Row {
+	if SatisfiesOrdering(base, keys) {
+		return base
+	}
+	sorted := append(make([]Row, 0, len(base)), base...)
+	sort.SliceStable(sorted, func(i, j int) bool { return lessByKeys(sorted[i], sorted[j], keys) })
+	return packRows(sorted)
 }
 
 // ApplyStats rewrites the statistics of every table the graph
@@ -81,17 +113,17 @@ func (d *Dataset) ApplyStats(g *query.Graph) {
 			continue
 		}
 		seen[t] = true
-		ct, ok := d.Tables[t.Name]
+		rows, ok := d.Tables[t.Name]
 		if !ok {
 			continue
 		}
-		t.Rows = int64(ct.N)
-		distinct := make(map[int64]struct{}, ct.N)
+		t.Rows = int64(len(rows))
+		distinct := make(map[int64]struct{}, len(rows))
 		for c := range t.Columns {
 			clear(distinct)
-			if c < len(ct.Cols) {
-				for _, v := range ct.Cols[c] {
-					distinct[v] = struct{}{}
+			for _, r := range rows {
+				if c < len(r) {
+					distinct[r[c]] = struct{}{}
 				}
 			}
 			n := int64(len(distinct))
@@ -106,29 +138,24 @@ func (d *Dataset) ApplyStats(g *query.Graph) {
 // TotalRows sums the base-table row counts.
 func (d *Dataset) TotalRows() int64 {
 	var n int64
-	for _, ct := range d.Tables {
-		n += int64(ct.N)
+	for _, rows := range d.Tables {
+		n += int64(len(rows))
 	}
 	return n
 }
 
-// TableRows returns the row-major view of one table (nil when the
-// table does not exist) — the brute-force reference evaluator and
-// tests read datasets through it.
+// TableRows returns one table's rows (nil when the table does not
+// exist) — the brute-force reference evaluator and tests read datasets
+// through it.
 func (d *Dataset) TableRows(name string) []Row {
-	ct, ok := d.Tables[name]
-	if !ok {
-		return nil
-	}
-	return ct.RowView()
+	return d.Tables[name]
 }
 
 // RawRows returns the dataset in the row-major map layout the
 // brute-force evaluator consumes.
 func (d *Dataset) RawRows() map[string][][]int64 {
 	out := make(map[string][][]int64, len(d.Tables))
-	for name, ct := range d.Tables {
-		rows := ct.RowView()
+	for name, rows := range d.Tables {
 		raw := make([][]int64, len(rows))
 		for i, r := range rows {
 			raw[i] = r
@@ -138,25 +165,26 @@ func (d *Dataset) RawRows() map[string][][]int64 {
 	return out
 }
 
-// MemBytes approximates the dataset's resident memory footprint: the
-// column slabs plus, conservatively, the lazily cached row views of
-// every table and index view (they materialize on first row-path use
-// and stay cached for the dataset's lifetime, so the registry charges
-// them up front — a deterministic worst case rather than a gauge that
-// depends on which access paths have run).
+// MemBytes is the dataset's resident size: per stored row its values
+// plus one slice header, over every table and every view that owns
+// its rows (a view aliasing its table adds nothing).
 func (d *Dataset) MemBytes() int64 {
 	var n int64
-	for _, ct := range d.Tables {
-		w, rows := int64(len(ct.Cols)), int64(ct.N)
-		cols := 8 * w * rows
-		rowView := (8*w + 24) * rows // row slab + one slice header per row
-		n += cols + rowView
-	}
-	for _, byIndex := range d.Views {
-		for _, v := range byIndex {
-			w, rows := int64(len(v.table.Cols)), int64(len(v.Perm))
-			n += 4*rows + (8*w+24)*rows // permutation + cached row view
+	for table, base := range d.Tables {
+		n += rowsBytes(base)
+		for _, view := range d.Views[table] {
+			if len(view) > 0 && &view[0] != &base[0] {
+				n += rowsBytes(view)
+			}
 		}
+	}
+	return n
+}
+
+func rowsBytes(rows []Row) int64 {
+	var n int64
+	for _, r := range rows {
+		n += 8*int64(len(r)) + 24
 	}
 	return n
 }
@@ -223,7 +251,7 @@ var (
 
 // TPCRXL builds (once; generation and index presorting take seconds at
 // this scale) and returns the tpcr-xl dataset: ≥1M lineitems, the
-// scale where vectorization and spilling dominate (see
+// scale where sorts no longer fit in memory and spill (see
 // tpcr.XLGenSpec). Benchmarks and experiments opt into it explicitly;
 // it is excluded from TPCRRegistry so the default test registry stays
 // fast.

@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"orderopt/internal/catalog"
 	"orderopt/internal/query"
 	"orderopt/internal/tpcr"
 )
@@ -29,8 +32,9 @@ func TestTPCRRegistry(t *testing.T) {
 		if ds.TotalRows() == 0 {
 			t.Fatalf("%s is empty", name)
 		}
-		// Every index view exists, holds all rows (as a permutation of
-		// the base table), and is sorted on the index columns.
+		// Every index view exists, is sorted on the index columns and
+		// holds exactly its table's rows.
+		shared := 0
 		for table, byIndex := range ds.Views {
 			ct, ok := cat.Table(table)
 			if !ok {
@@ -42,26 +46,27 @@ func TestTPCRRegistry(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s: missing index view %s.%s", name, table, ix.Name)
 				}
-				if len(view.Perm) != base.N {
-					t.Fatalf("%s: index view %s.%s has %d rows, table %d",
-						name, table, ix.Name, len(view.Perm), base.N)
-				}
-				seen := make(map[int32]bool, len(view.Perm))
-				for _, p := range view.Perm {
-					if p < 0 || int(p) >= base.N || seen[p] {
-						t.Fatalf("%s: index view %s.%s is not a permutation", name, table, ix.Name)
-					}
-					seen[p] = true
-				}
 				keys := make([]int, len(ix.Columns))
 				for i, col := range ix.Columns {
 					keys[i] = ct.ColumnIndex(col)
 				}
-				rows := view.RowView()
-				if len(rows) != base.N || !SatisfiesOrdering(rows, keys) {
+				if !SatisfiesOrdering(view, keys) {
 					t.Fatalf("%s: index view %s.%s not sorted", name, table, ix.Name)
 				}
+				if len(view) != len(base) || ChecksumRows(view) != ChecksumRows(base) {
+					t.Fatalf("%s: index view %s.%s is not its table's row multiset (%d rows, table %d)",
+						name, table, ix.Name, len(view), len(base))
+				}
+				if &view[0][0] == &base[0][0] {
+					shared++
+				}
 			}
+		}
+		// The generators emit every table in key order and lineitem
+		// clustered on l_orderkey: only one TPC-R index (lineitem by
+		// part) needs rows of its own.
+		if shared != 5 {
+			t.Errorf("%s: %d index views share their table's slab, want 5 of 6", name, shared)
 		}
 	}
 }
@@ -83,8 +88,8 @@ func TestApplyStats(t *testing.T) {
 	if lineitem == nil {
 		t.Fatal("no lineitem relation")
 	}
-	if got := lineitem.Table.Rows; got != int64(ds.Tables["lineitem"].N) {
-		t.Fatalf("lineitem rows = %d, want %d", got, ds.Tables["lineitem"].N)
+	if got := lineitem.Table.Rows; got != int64(len(ds.Tables["lineitem"])) {
+		t.Fatalf("lineitem rows = %d, want %d", got, len(ds.Tables["lineitem"]))
 	}
 	for _, c := range lineitem.Table.Columns {
 		if c.Distinct < 1 || c.Distinct > lineitem.Table.Rows {
@@ -93,49 +98,90 @@ func TestApplyStats(t *testing.T) {
 	}
 }
 
-// TestColTableRoundTrip pins the columnar transposition: row-major in,
-// struct-of-arrays storage, identical row-major view back out — and
-// RawRows reproduces the generator's map exactly.
-func TestColTableRoundTrip(t *testing.T) {
+// TestTableRowsRoundTrip pins storage-once: row-major in, the same
+// values out through TableRows and RawRows, the input not retained,
+// and the rows of one table adjacent in one slab.
+func TestTableRowsRoundTrip(t *testing.T) {
 	raw := [][]int64{{1, 10, 100}, {2, 20, 200}, {3, 30, 300}}
-	ct := NewColTable(raw, 0)
-	if ct.N != 3 || ct.Width() != 3 {
-		t.Fatalf("shape = %dx%d", ct.N, ct.Width())
+	ds := NewDataset("rt", "round trip", map[string][][]int64{"t": raw, "empty": nil})
+	rows := ds.TableRows("t")
+	got := ds.RawRows()["t"]
+	if len(rows) != len(raw) || len(got) != len(raw) {
+		t.Fatalf("rows = %d, raw rows = %d, want %d", len(rows), len(got), len(raw))
 	}
-	if ct.Cols[1][2] != 30 {
-		t.Fatalf("cols[1][2] = %d", ct.Cols[1][2])
-	}
-	view := ct.RowView()
 	for i, r := range raw {
 		for c, v := range r {
-			if view[i][c] != v {
-				t.Fatalf("view[%d][%d] = %d, want %d", i, c, view[i][c], v)
+			if rows[i][c] != v || got[i][c] != v {
+				t.Fatalf("[%d][%d] = %d / %d, want %d", i, c, rows[i][c], got[i][c], v)
 			}
 		}
-	}
-	ds := NewDataset("rt", "round trip", map[string][][]int64{"t": raw})
-	got := ds.RawRows()["t"]
-	if len(got) != len(raw) {
-		t.Fatalf("raw rows = %d", len(got))
-	}
-	for i := range raw {
-		for c := range raw[i] {
-			if got[i][c] != raw[i][c] {
-				t.Fatalf("raw[%d][%d] = %d, want %d", i, c, got[i][c], raw[i][c])
-			}
+		if i > 0 && uintptr(unsafe.Pointer(&rows[i][0]))-uintptr(unsafe.Pointer(&rows[i-1][0])) != 8*uintptr(len(r)) {
+			t.Fatalf("row %d does not follow row %d in the slab", i, i-1)
 		}
 	}
-	if rows := ds.TableRows("t"); len(rows) != 3 || rows[2][0] != 3 {
-		t.Fatalf("TableRows = %v", rows)
+	raw[0][0] = 99
+	if rows[0][0] != 1 {
+		t.Fatal("dataset aliases the generator's rows")
 	}
 	if ds.TableRows("missing") != nil {
 		t.Fatal("missing table must return nil")
 	}
-	// Empty tables keep a well-defined width-0 shape.
-	empty := NewColTable(nil, 0)
-	if empty.N != 0 || len(empty.RowView()) != 0 {
-		t.Fatalf("empty table: N=%d", empty.N)
+	if len(ds.TableRows("empty")) != 0 || ds.TotalRows() != 3 {
+		t.Fatalf("empty table: %d rows, total %d", len(ds.TableRows("empty")), ds.TotalRows())
 	}
+}
+
+// TestViewsSortedStableShared: a view is its table's rows stably
+// sorted on the index keys; one whose order the table already has is
+// the table's own rows, any other owns a copy.
+func TestViewsSortedStableShared(t *testing.T) {
+	cat := catalog.New()
+	cat.MustAdd(&catalog.Table{
+		Name:    "t",
+		Columns: []catalog.Column{{Name: "k"}, {Name: "seq"}},
+		Indexes: []catalog.Index{{Name: "by_k", Columns: []string{"k"}}, {Name: "by_seq", Columns: []string{"seq"}}},
+	})
+	raw := make([][]int64, 64)
+	for i := range raw {
+		raw[i] = []int64{int64((i * 7) % 5), int64(i)}
+	}
+	ds := NewDataset("v", "views", map[string][][]int64{"t": raw})
+	ds.BuildIndexes(cat)
+	base := ds.Tables["t"]
+	bySeq, byK := ds.Views["t"]["by_seq"], ds.Views["t"]["by_k"]
+	if &bySeq[0][0] != &base[0][0] {
+		t.Error("view in table order must share the table's slab")
+	}
+	if &byK[0][0] == &base[0][0] || len(byK) != len(base) || ChecksumRows(byK) != ChecksumRows(base) {
+		t.Fatal("reordering view must own a copy of exactly the table's rows")
+	}
+	for i := 1; i < len(byK); i++ {
+		prev, cur := byK[i-1], byK[i]
+		if cur[0] < prev[0] || (cur[0] == prev[0] && cur[1] < prev[1]) {
+			t.Fatalf("by_k[%d]=%v after %v: not a stable sort on k", i, cur, prev)
+		}
+	}
+	if want := 2 * int64(len(base)) * (2*8 + 24); ds.MemBytes() != want {
+		t.Errorf("MemBytes = %d, want %d (table + one owned view)", ds.MemBytes(), want)
+	}
+}
+
+// TestMemBytesMatchesHeap: what the registry charges for a dataset is
+// what building it leaves on the heap.
+func TestMemBytesMatchesHeap(t *testing.T) {
+	spec := tpcrSizes[1]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ds := buildTPCRDataset(spec.name, spec.spec)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	got := ds.MemBytes()
+	if diff := got - grown; diff > grown/10 || diff < -grown/10 {
+		t.Errorf("MemBytes = %d, live heap grew %d: off by more than 10%%", got, grown)
+	}
+	runtime.KeepAlive(ds)
 }
 
 // TestGenSpecScale pins the scale-factor knob and the XL spec floor.

@@ -692,11 +692,7 @@ func concatRows(a, b Row) Row {
 
 // rowAlloc chunk sizes (in int64s): chunks start small so short-lived
 // operator instances (morsel pipelines) don't over-allocate, and grow
-// geometrically so long streams amortize allocator round-trips. The
-// ceiling is large relative to a whole-batch slab carve (~80 KiB at
-// the default batch size) so the stranded chunk tail stays a few
-// percent — per-batch dedicated allocations measured ~9 ms/op on
-// orders/tpcr-xl in malloc+memclr alone.
+// geometrically so long streams amortize allocator round-trips.
 const (
 	rowAllocChunkMin = 512    // 4 KiB
 	rowAllocChunkMax = 262144 // 2 MiB
@@ -733,8 +729,7 @@ func (al *rowAlloc) ensure(n int) {
 }
 
 // carve returns one blank n-wide slice cut from the current chunk; the
-// caller fills every column. Whole-batch slabs (vecRows) carve just
-// like single rows — the chunk ceiling keeps the stranded tail small.
+// caller fills every column.
 func (al *rowAlloc) carve(n int) Row {
 	al.ensure(n)
 	out := al.buf[:n:n]

@@ -234,21 +234,6 @@ func (l *Life) step() error {
 	return l.ctxErr()
 }
 
-// stepN is step for a batch of n rows: the shared tick advances by n at
-// once and cancellation is polled whenever the batch crossed an interval
-// boundary, preserving the once-per-CancelCheckInterval-rows poll rate
-// of the row path without per-row atomics.
-func (l *Life) stepN(n int64) error {
-	if l == nil {
-		return nil
-	}
-	t := l.tick.Add(n)
-	if (t-n)/CancelCheckInterval == t/CancelCheckInterval {
-		return nil
-	}
-	return l.ctxErr()
-}
-
 // hold charges rows/bytes of materialized data against the per-query
 // budget and the shared accountant. On failure nothing remains charged
 // and the returned error wraps ErrBudgetExceeded. The charge is

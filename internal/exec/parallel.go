@@ -91,7 +91,7 @@ type spineStep struct {
 	// streamed per execution: a merge join over a maintained (or
 	// runner-sorted) index view whose leading column is the merge key,
 	// or a hash join whose build side is a bare base-table scan (the
-	// runner caches the build table). Open neither streams nor
+	// runner builds the table at compile). Open neither streams nor
 	// re-verifies the subtree, and charges no budget: the state is a
 	// view of the dataset's own memory.
 	preset      bool
@@ -101,7 +101,7 @@ type spineStep struct {
 	// Shared state, filled by materialize at exchange Open (or adopted
 	// at compile when preset); immutable (and therefore safely shared)
 	// once workers start.
-	hashTable map[int64][]Row // HashJoin: the one shared build table
+	hashTable map[int64][]Row // HashJoin: the one shared build table (nil when hashDense is set)
 	hashDense [][]Row         // HashJoin preset, dense keys: bucket = hashDense[k-hashMin]
 	hashMin   int64
 	sorted    []Row // MergeJoin: materialized, verified right input
@@ -959,7 +959,7 @@ func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange) ([]query.C
 		p.Ops = append(p.Ops, st)
 		rel := &g.Relations[n.Rel]
 		st.Detail = rel.Alias
-		raw, ok := r.dataRows(rel.Table.Name)
+		raw, ok := r.Dataset.Tables[rel.Table.Name]
 		if !ok {
 			return nil, fmt.Errorf("exec: no data for table %s", rel.Table.Name)
 		}
@@ -971,7 +971,7 @@ func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange) ([]query.C
 		if n.Op == plan.IndexScan {
 			ix := rel.Table.Indexes[n.Index]
 			st.Detail = rel.Alias + "/" + ix.Name
-			if sorted, ok := r.indexRows(rel.Table.Name, ix.Name); ok {
+			if sorted, ok := r.Dataset.Views[rel.Table.Name][ix.Name]; ok {
 				x.driving = sorted
 			} else {
 				// No maintained index: the runner sorts the view once
@@ -1036,9 +1036,10 @@ func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange) ([]query.C
 		if n.Op == plan.HashJoin && r.Hook == nil {
 			// Analogous fast path for the build side: a bare, unfiltered
 			// base-table scan's build table depends only on (table, view,
-			// key column), so the runner builds it once and every
-			// execution adopts it. Bucket order follows the scan's stream
-			// order, preserving the serial match sequence.
+			// key column), so the runner builds it at compile (once per
+			// Runner, see Runner.hashViews) and the exchange adopts it.
+			// Bucket order follows the scan's stream order, preserving
+			// the serial match sequence.
 			if rows, ck, rst, rschema, ok := r.bareScanRows(n.Right); ok {
 				eqs, primary, _, err := r.resolveJoinPreds(n, ls, rschema)
 				if err == nil {
@@ -1074,13 +1075,9 @@ func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange) ([]query.C
 	return nil, fmt.Errorf("exec: exchange over non-parallelizable operator %v", n.Op)
 }
 
-// presortedLeaf reports the maintained presorted view for a plan node
-// that is a bare, unfiltered IndexScan, together with a fresh OpStats
-// entry and the scan's schema. The view is sorted by construction
-// (Dataset.BuildIndexes).
-// bareScanRows reports the cached row view a bare, unfiltered scan
-// node would stream — a table scan's raw rows, or an index scan's
-// maintained view — together with a cache key naming the view, a fresh
+// bareScanRows reports the rows a bare, unfiltered scan node would
+// stream — a table scan's rows, or an index scan's maintained view —
+// together with a memo key (Runner.hashViews) naming the view, a fresh
 // OpStats entry, and the scan's schema. An index scan without a
 // maintained view is rejected: its serial twin streams through a Sort,
 // and a cached substitute would have to prove order equivalence.
@@ -1100,10 +1097,10 @@ func (r *Runner) bareScanRows(n *plan.Node) ([]Row, string, *OpStats, []query.Co
 	)
 	st := &OpStats{Op: n.Op.String(), Detail: rel.Alias, EstRows: n.Card}
 	if n.Op == plan.TableScan {
-		rows, ok = r.dataRows(rel.Table.Name)
+		rows, ok = r.Dataset.Tables[rel.Table.Name]
 	} else {
 		ix := rel.Table.Indexes[n.Index]
-		rows, ok = r.indexRows(rel.Table.Name, ix.Name)
+		rows, ok = r.Dataset.Views[rel.Table.Name][ix.Name]
 		ck = rel.Table.Name + "/" + ix.Name
 		st.Detail = rel.Alias + "/" + ix.Name
 	}
@@ -1117,6 +1114,10 @@ func (r *Runner) bareScanRows(n *plan.Node) ([]Row, string, *OpStats, []query.Co
 	return rows, ck, st, schema, true
 }
 
+// presortedLeaf reports the maintained presorted view for a plan node
+// that is a bare, unfiltered IndexScan, together with a fresh OpStats
+// entry and the scan's schema. The view is sorted by construction
+// (Dataset.BuildIndexes).
 func (r *Runner) presortedLeaf(n *plan.Node) ([]Row, *OpStats, []query.ColumnRef, bool) {
 	if n.Op != plan.IndexScan {
 		return nil, nil, nil, false
@@ -1127,7 +1128,7 @@ func (r *Runner) presortedLeaf(n *plan.Node) ([]Row, *OpStats, []query.ColumnRef
 		return nil, nil, nil, false
 	}
 	ix := rel.Table.Indexes[n.Index]
-	sorted, ok := r.indexRows(rel.Table.Name, ix.Name)
+	sorted, ok := r.Dataset.Views[rel.Table.Name][ix.Name]
 	if !ok {
 		return nil, nil, nil, false
 	}

@@ -269,3 +269,34 @@ func TestExchangeUnionExecutes(t *testing.T) {
 		t.Fatalf("union multiset differs from serial (%d vs %d rows)", len(got), len(want))
 	}
 }
+
+// TestHashViewOneForm: a preset build table exists in exactly one form
+// — direct-address buckets over a packed key domain, a map over a
+// sparse one — with bucket contents in stream order either way, and is
+// built once per Runner and key column.
+func TestHashViewOneForm(t *testing.T) {
+	var r Runner
+	packed := []Row{{5, 0}, {7, 1}, {5, 2}, {6, 3}}
+	hv := r.buildHashView("t/raw", 0, packed)
+	if hv.table != nil || hv.dense == nil || hv.min != 5 {
+		t.Fatalf("packed keys: table=%v dense=%v min=%d, want dense buckets from 5", hv.table, hv.dense, hv.min)
+	}
+	if got := hv.dense[5-hv.min]; len(got) != 2 || got[0][1] != 0 || got[1][1] != 2 {
+		t.Errorf("dense bucket 5 = %v, want the two key-5 rows in stream order", got)
+	}
+	if r.buildHashView("t/raw", 0, packed) != hv {
+		t.Error("second build for the same view and column did not reuse the first")
+	}
+
+	sparse := []Row{{1, 0}, {1 << 40, 1}, {1, 2}}
+	hv = r.buildHashView("u/raw", 0, sparse)
+	if hv.dense != nil || len(hv.table) != 2 {
+		t.Fatalf("sparse keys: dense=%v table=%v, want a 2-key map only", hv.dense, hv.table)
+	}
+	if got := hv.table[1]; len(got) != 2 || got[0][1] != 0 || got[1][1] != 2 {
+		t.Errorf("map bucket 1 = %v, want the two key-1 rows in stream order", got)
+	}
+	if hv = r.buildHashView("e/raw", 0, nil); hv.dense != nil || len(hv.table) != 0 {
+		t.Errorf("empty build side: %+v, want an empty map", hv)
+	}
+}

@@ -183,7 +183,7 @@ func TestRegistryPinBlocksEviction(t *testing.T) {
 		t.Fatalf("loading b over a pinned registry: %v, want ErrBudgetExceeded", err)
 	}
 	// The pinned dataset stayed intact through the failed load.
-	if dsA.Tables["t"] == nil || dsA.Tables["t"].N == 0 {
+	if len(dsA.Tables["t"]) == 0 {
 		t.Fatal("pinned dataset lost its storage")
 	}
 
@@ -346,8 +346,8 @@ func TestRegistryConcurrentAcquireEvict(t *testing.T) {
 				}
 				// Read through the pin: a use-after-evict here is a
 				// -race report or a nil dereference.
-				ct := ds.Tables["t"]
-				if ct == nil || ct.N != 16 || ct.Cols[0][ct.N-1] != int64(ct.N-1) {
+				rows := ds.Tables["t"]
+				if len(rows) != 16 || rows[15][0] != 15 {
 					t.Errorf("acquire %s: dataset storage corrupted under concurrent eviction", name)
 					release()
 					return
@@ -408,8 +408,8 @@ func TestRegistryReplaceRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
-	if ds.Tables["t"].N != 8 {
-		t.Errorf("acquired the stale dataset: %d rows, want 8", ds.Tables["t"].N)
+	if len(ds.Tables["t"]) != 8 {
+		t.Errorf("acquired the stale dataset: %d rows, want 8", len(ds.Tables["t"]))
 	}
 	if got := r.Names(); len(got) != 1 {
 		t.Errorf("Names() = %v after replacement, want one entry", got)

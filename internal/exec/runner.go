@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"orderopt/internal/order"
@@ -23,12 +22,11 @@ var AggColumn = query.ColumnRef{Rel: -1, Col: 0}
 // backend behind the serving layer's /execute endpoint.
 type Runner struct {
 	A *query.Analysis
-	// Dataset is the columnar data source (Dataset.Runner sets it): row
-	// operators read its cached row views, vectorized operators slice its
-	// column vectors directly. Where it maintains a presorted view of an
-	// index (BuildIndexes), index scans stream the view instead of
-	// sorting at Open — the executor-level equivalent of an index
-	// existing, which is what makes runtime sort avoidance measurable.
+	// Dataset is the data source (Dataset.Runner sets it). Where it
+	// maintains a presorted view of an index (BuildIndexes), index scans
+	// stream the view instead of sorting at Open — the executor-level
+	// equivalent of an index existing, which is what makes runtime sort
+	// avoidance measurable.
 	Dataset *Dataset
 	// DisableTiming turns off per-operator wall-clock accounting (row
 	// counters remain). The benchmark harness disables it so operator
@@ -49,15 +47,6 @@ type Runner struct {
 	// in a compiled plan below what the optimizer planned — the
 	// per-request maxDOP clamp of the serving layer.
 	MaxDOP int
-	// Vectorize compiles batch-at-a-time (vector) pipelines for the plan
-	// subtrees the vectorized operators cover (see batch.go); everything
-	// else falls back to the row path through an adapter. Off by
-	// default; incompatible with Hook (fault injection needs the per-row
-	// seam), which silently wins.
-	Vectorize bool
-	// BatchSize is the vector width of the batch path (0 means
-	// DefaultBatchSize).
-	BatchSize int
 	// SpillBytes, when > 0, compiles every Sort as a spilling external
 	// sort (see ExtSort): in-memory runs are bounded by this many bytes
 	// (and by the query budget), spilled to disk and k-way merged.
@@ -68,42 +57,46 @@ type Runner struct {
 
 	equiv map[query.ColumnRef]int // lazily built column equivalence classes
 
-	// sortedDriving caches index views the parallel tier had to sort
-	// itself (no maintained view), keyed "table/index". Only the
-	// parallel tier reads it: serial index scans must keep paying their
-	// per-execution Sort so rows-sorted accounting stays honest.
+	// sortedDriving and hashViews memoize, per Runner, what the parallel
+	// tier derives from the dataset alone, so repeated Compile calls on
+	// one Runner (benchmarks, experiments) derive it once. They are not
+	// a cross-request cache: the serving layer makes a Runner per
+	// request, so there every parallel request builds its own.
+	//
+	// sortedDriving holds index orders the parallel tier had to sort
+	// itself (no maintained view), keyed "table/index". Serial index
+	// scans never read it: they must keep paying their per-execution
+	// Sort so rows-sorted accounting stays honest.
 	sortedDriving map[string][]Row
-	// hashViews caches hash-join build tables over bare base-table
-	// scans for the parallel tier, keyed "table/view/keycol". Bucket
-	// contents follow the scan's stream order, so fused probes emit the
-	// exact serial match sequence.
+	// hashViews holds hash-join build tables over bare base-table scans,
+	// keyed "table/view/keycol". Bucket contents follow the scan's
+	// stream order, so probes emit the exact serial match sequence.
 	hashViews map[string]*hashView
 }
 
-// hashView is one cached build table. table is always populated (the
-// composed morsel pipeline probes it); dense is an additional direct
-// address accelerator the fused evaluator uses when the key domain is
-// packed: bucket = dense[k-min].
+// hashView is one preset build table, in exactly one of two forms:
+// direct-address buckets (bucket = dense[k-min]) when the key domain
+// is packed, a map otherwise. Only the fused morsel evaluator probes
+// a preset (presets are not adopted under a fault hook, and the
+// composed evaluator runs only under one), and it reads dense when
+// dense is non-nil.
 type hashView struct {
 	table map[int64][]Row
 	dense [][]Row
 	min   int64
 }
 
-// buildHashView returns (building and caching on first use) the build
-// table over the given rows keyed on column col. When the observed key
-// span is within 4x the row count the rows also get a direct-address
-// bucket array, which replaces the map lookup on the fused hot path.
+// buildHashView returns (memoized per Runner) the build table over the
+// given rows keyed on column col: direct-address buckets when the
+// observed key span is within 4x the row count, a map otherwise.
 func (r *Runner) buildHashView(ck string, col int, rows []Row) *hashView {
 	ck = fmt.Sprintf("%s/%d", ck, col)
 	if hv, ok := r.hashViews[ck]; ok {
 		return hv
 	}
-	hv := &hashView{table: make(map[int64][]Row, len(rows))}
 	var min, max int64
 	for i, row := range rows {
 		k := row[col]
-		hv.table[k] = append(hv.table[k], row)
 		if i == 0 || k < min {
 			min = k
 		}
@@ -111,14 +104,18 @@ func (r *Runner) buildHashView(ck string, col int, rows []Row) *hashView {
 			max = k
 		}
 	}
-	if n := len(rows); n > 0 {
-		if span := max - min + 1; span > 0 && span <= int64(4*n+16) {
-			hv.min = min
-			hv.dense = make([][]Row, span)
-			for _, row := range rows {
-				k := row[col] - min
-				hv.dense[k] = append(hv.dense[k], row)
-			}
+	hv := &hashView{}
+	if span := max - min + 1; len(rows) > 0 && span > 0 && span <= int64(4*len(rows)+16) {
+		hv.min = min
+		hv.dense = make([][]Row, span)
+		for _, row := range rows {
+			k := row[col] - min
+			hv.dense[k] = append(hv.dense[k], row)
+		}
+	} else {
+		hv.table = make(map[int64][]Row, len(rows))
+		for _, row := range rows {
+			hv.table[row[col]] = append(hv.table[row[col]], row)
 		}
 	}
 	if r.hashViews == nil {
@@ -128,7 +125,7 @@ func (r *Runner) buildHashView(ck string, col int, rows []Row) *hashView {
 	return hv
 }
 
-// sortedIndexView returns (building and caching on first use) the rows
+// sortedIndexView returns (memoized per Runner) the rows
 // of a table sorted in the given index order — the parallel tier's
 // driving view when the dataset maintains no view for the index.
 func (r *Runner) sortedIndexView(table, index string, raw []Row, keys []int) []Row {
@@ -136,45 +133,12 @@ func (r *Runner) sortedIndexView(table, index string, raw []Row, keys []int) []R
 	if rows, ok := r.sortedDriving[ck]; ok {
 		return rows
 	}
-	rows := append(make([]Row, 0, len(raw)), raw...)
-	sort.SliceStable(rows, func(i, j int) bool { return lessByKeys(rows[i], rows[j], keys) })
+	rows := sortedView(raw, keys)
 	if r.sortedDriving == nil {
 		r.sortedDriving = make(map[string][]Row)
 	}
 	r.sortedDriving[ck] = rows
 	return rows
-}
-
-// dataRows returns the dataset's cached []Row view of a table's rows.
-func (r *Runner) dataRows(name string) ([]Row, bool) {
-	ct, ok := r.colTable(name)
-	if !ok {
-		return nil, false
-	}
-	return ct.RowView(), true
-}
-
-// indexRows returns the []Row view of a maintained index's presorted
-// rows, when the dataset maintains one.
-func (r *Runner) indexRows(table, index string) ([]Row, bool) {
-	v, ok := r.indexView(table, index)
-	if !ok {
-		return nil, false
-	}
-	return v.RowView(), true
-}
-
-// colTable returns the columnar storage of a table.
-func (r *Runner) colTable(name string) (*ColTable, bool) {
-	ct, ok := r.Dataset.Tables[name]
-	return ct, ok
-}
-
-// indexView returns the maintained permutation view of an index, when
-// the dataset keeps one (the vectorized index-scan source).
-func (r *Runner) indexView(table, index string) (*IndexView, bool) {
-	v := r.Dataset.Views[table][index]
-	return v, v != nil
 }
 
 // IterHook rewrites one compiled operator. op and detail match the
@@ -210,9 +174,6 @@ type OpStats struct {
 	// legitimately stop far short of it once the limit quiesces the
 	// pipeline. Without the marker that gap reads as a misestimate.
 	Limited bool `json:"limited,omitempty"`
-	// Batches counts the vector batches a vectorized operator emitted
-	// (0 for row operators).
-	Batches int64 `json:"batches,omitempty"`
 	// SpillRuns/SpilledBytes report an external sort's disk activity:
 	// how many sorted runs it flushed and their total size (0 when the
 	// sort stayed in memory or the operator isn't a sort).
@@ -385,209 +346,13 @@ func (r *Runner) Compile(n *plan.Node) (*Pipeline, error) {
 		return nil, fmt.Errorf("exec: runner has no dataset (build one with Dataset.Runner)")
 	}
 	p := &Pipeline{Life: &Life{budget: r.Budget, acct: r.Accountant}}
-	it, schema, ok, err := r.tryVec(n, p, true)
+	it, schema, err := r.build(n, p)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		it, schema, err = r.build(n, p)
-		if err != nil {
-			return nil, err
-		}
 	}
 	p.Root = it
 	p.Schema = schema
 	return p, nil
-}
-
-// tryVec compiles the subtree at n vectorized (behind a vecRows
-// adapter) when the runner vectorizes, the batch operators cover the
-// subtree, and batching pays for the adapter copy at the seam: a hash
-// probe or hash grouping anywhere in the subtree, or — at the pipeline
-// root only — a scan with constant predicates to fold into a selection
-// vector. Fault hooks need the per-row seam, so a hooked runner never
-// vectorizes.
-func (r *Runner) tryVec(n *plan.Node, p *Pipeline, root bool) (Iterator, []query.ColumnRef, bool, error) {
-	if !r.Vectorize || r.Hook != nil || !r.vecWins(n, root) || !r.vecable(n) {
-		return nil, nil, false, nil
-	}
-	v, schema, err := r.buildVec(n, p)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return &vecRows{in: v, w: len(schema), hint: int(n.Card)}, schema, true, nil
-}
-
-// vecWins reports whether vectorizing the subtree at n beats the row
-// path. Bare scans lose: the row path hands out zero-copy row views
-// while the adapter copies every value, so a scan only pays at the
-// root and only when constant predicates ride the vector path.
-func (r *Runner) vecWins(n *plan.Node, root bool) bool {
-	switch n.Op {
-	case plan.HashJoin, plan.GroupHash:
-		return true
-	case plan.TableScan, plan.IndexScan:
-		return root && len(r.A.Graph.Relations[n.Rel].ConstPreds) > 0
-	}
-	return false
-}
-
-// vecable reports whether the vectorized operator set covers the
-// subtree rooted at n (see batch.go).
-func (r *Runner) vecable(n *plan.Node) bool {
-	g := r.A.Graph
-	switch n.Op {
-	case plan.TableScan:
-		_, ok := r.colTable(g.Relations[n.Rel].Table.Name)
-		return ok
-	case plan.IndexScan:
-		// Only a maintained permutation view qualifies: fixture runners
-		// without one sort at Open on the row path, and that sort must
-		// keep showing up in rows-sorted accounting.
-		rel := &g.Relations[n.Rel]
-		_, ok := r.indexView(rel.Table.Name, rel.Table.Indexes[n.Index].Name)
-		return ok
-	case plan.HashJoin:
-		// The vectorized probe evaluates exactly one equality predicate
-		// and compiles no residual filter; multi-predicate joins stay on
-		// the row path.
-		return r.crossingPreds(n) == 1 && r.vecable(n.Left)
-	case plan.GroupHash:
-		return len(g.GroupBy) <= tupleKeyWidth && r.vecable(n.Left)
-	}
-	return false
-}
-
-// crossingPreds counts the equality predicates between a join's two
-// sides — the number resolveJoinPreds will resolve.
-func (r *Runner) crossingPreds(n *plan.Node) int {
-	g := r.A.Graph
-	cnt := 0
-	for _, e := range g.EdgesBetween(planRels(n.Left), planRels(n.Right)) {
-		cnt += len(g.Edges[e].Preds)
-	}
-	return cnt
-}
-
-// planRels is the relation bitmask of the scan leaves under n.
-func planRels(n *plan.Node) uint64 {
-	if n == nil {
-		return 0
-	}
-	var m uint64
-	if n.Op == plan.TableScan || n.Op == plan.IndexScan {
-		m |= 1 << uint(n.Rel)
-	}
-	return m | planRels(n.Left) | planRels(n.Right)
-}
-
-func (r *Runner) batchSize() int {
-	if r.BatchSize > 0 {
-		return r.BatchSize
-	}
-	return DefaultBatchSize
-}
-
-// wrapVec attaches the vectorized counter wrapper. No hook seam: a
-// hooked runner never reaches the batch path (tryVec guards).
-func (r *Runner) wrapVec(v VecIterator, st *OpStats, p *Pipeline) VecIterator {
-	return &vecStats{in: v, st: st, life: p.Life, timing: !r.DisableTiming}
-}
-
-// buildVec compiles a vecable subtree into batch operators, reporting
-// under the same OpStats preorder (and operator names) as the row
-// compiler, so EXPLAIN ANALYZE output keeps its shape either way.
-func (r *Runner) buildVec(n *plan.Node, p *Pipeline) (VecIterator, []query.ColumnRef, error) {
-	g := r.A.Graph
-	st := &OpStats{Op: n.Op.String(), EstRows: n.Card}
-	p.Ops = append(p.Ops, st)
-	size := r.batchSize()
-	switch n.Op {
-	case plan.TableScan, plan.IndexScan:
-		rel := &g.Relations[n.Rel]
-		st.Detail = rel.Alias
-		ct, ok := r.colTable(rel.Table.Name)
-		if !ok {
-			return nil, nil, fmt.Errorf("exec: no data for table %s", rel.Table.Name)
-		}
-		var perm []int32
-		if n.Op == plan.IndexScan {
-			ix := rel.Table.Indexes[n.Index]
-			st.Detail = rel.Alias + "/" + ix.Name
-			v, ok := r.indexView(rel.Table.Name, ix.Name)
-			if !ok {
-				return nil, nil, fmt.Errorf("exec: no maintained view for %s.%s", rel.Table.Name, ix.Name)
-			}
-			if !v.Identity {
-				// An identity view (base order == index order) scans the
-				// table's columns zero-copy; only a real permutation
-				// pays the gather.
-				perm = v.Perm
-			}
-		}
-		schema := make([]query.ColumnRef, len(rel.Table.Columns))
-		for c := range schema {
-			schema[c] = query.ColumnRef{Rel: n.Rel, Col: c}
-		}
-		sc := &vecScan{cols: ct.Cols, total: ct.N, perm: perm, preds: rel.ConstPreds, size: size}
-		return r.wrapVec(sc, st, p), schema, nil
-
-	case plan.HashJoin:
-		left, ls, err := r.buildVec(n.Left, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		var right Iterator
-		var rs []query.ColumnRef
-		if r.vecable(n.Right) {
-			// A bare scan loses behind the row adapter (vecWins), but as
-			// a build side it drains batch-at-a-time below — compile any
-			// vecable build vectorized regardless.
-			v, vrs, verr := r.buildVec(n.Right, p)
-			if verr != nil {
-				return nil, nil, verr
-			}
-			right, rs = &vecRows{in: v, w: len(vrs), hint: int(n.Right.Card)}, vrs
-		} else if right, rs, err = r.build(n.Right, p); err != nil {
-			return nil, nil, err
-		}
-		eqs, primary, detail, err := r.resolveJoinPreds(n, ls, rs)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.Detail = detail
-		schema := append(append([]query.ColumnRef{}, ls...), rs...)
-		j := &vecHashJoin{
-			left: left, build: right,
-			lkey: eqs[primary].l, rkey: eqs[primary].r - len(ls),
-			lw: len(ls), rw: len(rs),
-			life: p.Life, size: size,
-			rcard: int(n.Right.Card),
-		}
-		// A build side that is itself a vectorized subtree behind the
-		// row adapter drains batch-at-a-time, skipping the adapter's
-		// per-row materialization.
-		if vr, ok := right.(*vecRows); ok {
-			j.vbuild = vr.in
-		}
-		return r.wrapVec(j, st, p), schema, nil
-
-	case plan.GroupHash:
-		in, schema, err := r.buildVec(n.Left, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		keys, aggs, outSchema, err := r.resolveGroup(schema, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		gh := &vecGroupHash{
-			in: in, keys: keys, specs: normalizeAggs(aggs, AggCount, 0),
-			life: p.Life, size: size, width: len(schema),
-		}
-		return r.wrapVec(gh, st, p), outSchema, nil
-	}
-	return nil, nil, fmt.Errorf("exec: operator %v not vectorized", n.Op)
 }
 
 // wrap attaches counters for node n around it and registers them on the
@@ -607,13 +372,6 @@ func (r *Runner) wrap(it Iterator, st *OpStats, p *Pipeline) Iterator {
 }
 
 func (r *Runner) build(n *plan.Node, p *Pipeline) (Iterator, []query.ColumnRef, error) {
-	// A hash-heavy subtree under a row operator (sort, merge join,
-	// exchange, limit) still runs vectorized behind the adapter.
-	if it, schema, ok, err := r.tryVec(n, p, false); err != nil {
-		return nil, nil, err
-	} else if ok {
-		return it, schema, nil
-	}
 	g := r.A.Graph
 	st := &OpStats{Op: n.Op.String(), EstRows: n.Card}
 	p.Ops = append(p.Ops, st)
@@ -621,7 +379,7 @@ func (r *Runner) build(n *plan.Node, p *Pipeline) (Iterator, []query.ColumnRef, 
 	case plan.TableScan, plan.IndexScan:
 		rel := &g.Relations[n.Rel]
 		st.Detail = rel.Alias
-		raw, ok := r.dataRows(rel.Table.Name)
+		raw, ok := r.Dataset.Tables[rel.Table.Name]
 		if !ok {
 			return nil, nil, fmt.Errorf("exec: no data for table %s", rel.Table.Name)
 		}
@@ -633,7 +391,7 @@ func (r *Runner) build(n *plan.Node, p *Pipeline) (Iterator, []query.ColumnRef, 
 		if n.Op == plan.IndexScan {
 			ix := rel.Table.Indexes[n.Index]
 			st.Detail = rel.Alias + "/" + ix.Name
-			if sorted, ok := r.indexRows(rel.Table.Name, ix.Name); ok {
+			if sorted, ok := r.Dataset.Views[rel.Table.Name][ix.Name]; ok {
 				// The dataset maintains this index: stream it in order.
 				it = NewScan(sorted)
 			} else {

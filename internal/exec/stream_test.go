@@ -99,8 +99,8 @@ func collectStream(t *testing.T, p *exec.Pipeline, chunk int) (rows []exec.Row, 
 }
 
 // TestStreamMatchesExecute: across chunk sizes, serial and parallel,
-// row and vectorized execution, the streamed row sequence is exactly
-// the buffered result — same rows, same order.
+// the streamed row sequence is exactly the buffered result — same
+// rows, same order.
 func TestStreamMatchesExecute(t *testing.T) {
 	for _, dop := range []int{1, 4} {
 		runner, res := streamPlan(t, dop)
@@ -111,23 +111,19 @@ func TestStreamMatchesExecute(t *testing.T) {
 		if len(ref) == 0 {
 			t.Fatal("reference result is empty; the workload shrank under the test")
 		}
-		for _, vectorize := range []bool{false, true} {
-			runner.Vectorize = vectorize
-			for _, chunk := range []int{1, 7, 4096} {
-				rows, maxChunk := collectStream(t, mustCompile(t, runner, res), chunk)
-				if maxChunk > chunk {
-					t.Errorf("dop=%d vec=%v chunk=%d: sink saw a %d-row chunk", dop, vectorize, chunk, maxChunk)
-				}
-				assertSameRows(t, rows, ref)
-			}
-			// chunk <= 0 selects the default, never unbounded chunks.
-			rows, maxChunk := collectStream(t, mustCompile(t, runner, res), 0)
-			if maxChunk > exec.DefaultStreamChunk {
-				t.Errorf("dop=%d vec=%v default chunk: sink saw a %d-row chunk", dop, vectorize, maxChunk)
+		for _, chunk := range []int{1, 7, 4096} {
+			rows, maxChunk := collectStream(t, mustCompile(t, runner, res), chunk)
+			if maxChunk > chunk {
+				t.Errorf("dop=%d chunk=%d: sink saw a %d-row chunk", dop, chunk, maxChunk)
 			}
 			assertSameRows(t, rows, ref)
 		}
-		runner.Vectorize = false
+		// chunk <= 0 selects the default, never unbounded chunks.
+		rows, maxChunk := collectStream(t, mustCompile(t, runner, res), 0)
+		if maxChunk > exec.DefaultStreamChunk {
+			t.Errorf("dop=%d default chunk: sink saw a %d-row chunk", dop, maxChunk)
+		}
+		assertSameRows(t, rows, ref)
 	}
 }
 

@@ -92,13 +92,6 @@ type Config struct {
 	// candidates: GROUP BY always plans as hash grouping (the
 	// order-oblivious baseline's other half).
 	DisableOrderedGrouping bool
-	// Vectorized prices plans for the batch-at-a-time executor
-	// (plan.VecCosts) instead of the row-at-a-time one (plan.RowCosts):
-	// scans, hash probes and hash grouping cheapen, sorting and merging
-	// do not — so the DP's pipeline choices reflect what the vectorized
-	// runtime actually executes fast. It changes costs only, never the
-	// plan's semantics.
-	Vectorized bool
 	// MaxDOP, when > 1, adds parallel candidates to the final plans:
 	// every parallelizable full-set plan is also considered wrapped in
 	// an order-preserving ExchangeMerge and an order-destroying
@@ -165,12 +158,6 @@ type Prepared struct {
 
 	fw    *core.Framework // ModeDFSM; nil in ModeSimmen
 	stats *core.Stats
-
-	// costs is the operator price list every cost in this Prepared's
-	// plans comes from: plan.VecCosts when cfg.Vectorized, else
-	// plan.RowCosts. Resolved once here so a Prepared's runs never mix
-	// models.
-	costs plan.CostModel
 
 	relCard []float64 // per relation, after base filters
 	edgeSel []float64 // per edge, product over its predicates
@@ -338,10 +325,7 @@ func Prepare(a *query.Analysis, cfg Config) (*Prepared, error) {
 	// not replayed after a sort (the sorted stream then under-reports
 	// derivable orderings, which costs sort opportunities, never
 	// correctness).
-	p := &Prepared{a: a, g: a.Graph, cfg: cfg, costs: plan.RowCosts}
-	if cfg.Vectorized {
-		p.costs = plan.VecCosts
-	}
+	p := &Prepared{a: a, g: a.Graph, cfg: cfg}
 
 	start := time.Now()
 	switch cfg.Mode {
@@ -619,7 +603,7 @@ func (o *optimizer) scanPlan(r, ix int) *plan.Node {
 	*node = plan.Node{Rel: r, Card: o.p.relCard[r]}
 	if ix < 0 {
 		node.Op = plan.TableScan
-		node.Cost = o.p.costs.ScanCost(rows)
+		node.Cost = plan.ScanCost(rows)
 		if o.p.fw != nil {
 			node.State = o.p.fw.Produce(order.EmptyID)
 		} else {
@@ -628,7 +612,7 @@ func (o *optimizer) scanPlan(r, ix int) *plan.Node {
 	} else {
 		node.Op = plan.IndexScan
 		node.Index = ix
-		node.Cost = o.p.costs.IndexScanCost(rows, t.Indexes[ix].Clustered)
+		node.Cost = plan.IndexScanCost(rows, t.Indexes[ix].Clustered)
 		ord := o.p.a.IndexOrders[r][ix]
 		if o.p.fw != nil {
 			node.State = o.p.fw.Produce(ord)
@@ -683,7 +667,7 @@ func (o *optimizer) sortPlan(p *plan.Node, ord order.ID) *plan.Node {
 	n := o.arena.New()
 	*n = plan.Node{
 		Op: plan.Sort, Left: p, SortOrd: ord,
-		Cost: p.Cost + o.p.costs.SortCost(p.Card),
+		Cost: p.Cost + plan.SortCost(p.Card),
 		Card: p.Card, FDMask: p.FDMask,
 	}
 	if o.p.fw != nil {
@@ -729,10 +713,10 @@ func (o *optimizer) emitJoins(mask, s1 uint64, p1, p2 *plan.Node, edges []int, o
 	}
 
 	if !o.p.cfg.DisableNLJoin {
-		join(plan.NestedLoopJoin, p1, p2, o.p.costs.NestedLoopCost(p1.Card, p2.Card, out), edges[0], 0)
+		join(plan.NestedLoopJoin, p1, p2, plan.NestedLoopCost(p1.Card, p2.Card, out), edges[0], 0)
 	}
 	if !o.p.cfg.DisableHashJoin {
-		join(plan.HashJoin, p1, p2, o.p.costs.HashJoinCost(p1.Card, p2.Card, out), edges[0], 0)
+		join(plan.HashJoin, p1, p2, plan.HashJoinCost(p1.Card, p2.Card, out), edges[0], 0)
 	}
 
 	if o.p.cfg.DisableMergeJoin {
@@ -780,7 +764,7 @@ func (o *optimizer) emitJoins(mask, s1 uint64, p1, p2 *plan.Node, edges []int, o
 			if !rHas {
 				right = o.sortPlan(right, rOrd)
 			}
-			join(plan.MergeJoin, left, right, o.p.costs.MergeJoinCost(left.Card, right.Card, out), e, pi)
+			join(plan.MergeJoin, left, right, plan.MergeJoinCost(left.Card, right.Card, out), e, pi)
 		}
 	}
 }
@@ -866,7 +850,7 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 	// query still needs lands above the exchange (a Sort inside a
 	// morsel segment would break the order-restriction argument).
 	if dop := o.p.cfg.MaxDOP; dop > 1 {
-		if spine, ok := parallelSpineCost(p, o.p.costs); ok {
+		if spine, ok := parallelSpineCost(p); ok {
 			shared := p.Cost - spine
 			for _, op := range [...]plan.Op{plan.ExchangeMerge, plan.ExchangeUnion} {
 				n := o.arena.New()
@@ -957,7 +941,7 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 			}
 			*n = plan.Node{
 				Op: plan.Limit, Left: c, Limit: k,
-				Cost:   o.p.costs.LimitedCost(c, float64(k)) + o.p.costs.LimitCost(float64(k)),
+				Cost:   plan.LimitedCost(c, float64(k)) + plan.LimitCost(float64(k)),
 				Card:   card,
 				FDMask: c.FDMask,
 			}
@@ -983,7 +967,7 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 // the tree is not parallelizable: the left spine must run through joins
 // only, down to a single scan leaf — a Sort on the spine would break
 // the exchange's order-restriction argument.
-func parallelSpineCost(p *plan.Node, m plan.CostModel) (spine float64, ok bool) {
+func parallelSpineCost(p *plan.Node) (spine float64, ok bool) {
 	n := p
 	for {
 		switch n.Op {
@@ -994,7 +978,7 @@ func parallelSpineCost(p *plan.Node, m plan.CostModel) (spine float64, ok bool) 
 			if n.Op == plan.HashJoin {
 				// The build table is built once and shared; only the
 				// probe work parallelizes.
-				op -= n.Right.Card * m.HashBuild
+				op -= n.Right.Card * plan.CHashBuild
 			}
 			spine += op
 			n = n.Left
@@ -1023,7 +1007,7 @@ func (o *optimizer) groupNode(in *plan.Node, op plan.Op, card float64) *plan.Nod
 	n := o.arena.New()
 	*n = plan.Node{
 		Op: op, Left: in,
-		Cost: in.Cost + o.p.costs.GroupCost(in.Card, streaming),
+		Cost: in.Cost + plan.GroupCost(in.Card, streaming),
 		Card: card, FDMask: in.FDMask,
 	}
 	switch {

@@ -360,51 +360,3 @@ func TestResultCounters(t *testing.T) {
 		t.Error("PrepTime missing")
 	}
 }
-
-func TestVectorizedCosting(t *testing.T) {
-	// Vectorized pricing changes costs, never semantics: the same query
-	// still plans (identical operator families available), and every
-	// cost strictly drops because scans — present in every plan — are
-	// discounted.
-	a := twoTableQuery(t)
-	rowRes, err := Optimize(a, DefaultConfig(ModeDFSM))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(ModeDFSM)
-	cfg.Vectorized = true
-	vecRes, err := Optimize(a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vecRes.Best == nil {
-		t.Fatal("no vectorized plan")
-	}
-	if vecRes.Best.Cost >= rowRes.Best.Cost {
-		t.Errorf("vectorized best cost %.1f not below row best cost %.1f",
-			vecRes.Best.Cost, rowRes.Best.Cost)
-	}
-	// The batch model discounts hash pipelines more than merge
-	// pipelines, so the hash-only configuration gains more from
-	// vectorization than the merge-only one does.
-	gain := func(base Config) float64 {
-		t.Helper()
-		r, err := Optimize(a, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base.Vectorized = true
-		v, err := Optimize(a, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Best.Cost / v.Best.Cost
-	}
-	hashOnly := DefaultConfig(ModeDFSM)
-	hashOnly.DisableMergeJoin, hashOnly.DisableNLJoin = true, true
-	mergeOnly := DefaultConfig(ModeDFSM)
-	mergeOnly.DisableHashJoin, mergeOnly.DisableNLJoin = true, true
-	if hg, mg := gain(hashOnly), gain(mergeOnly); hg <= mg {
-		t.Errorf("vectorization gain: hash-only %.2fx <= merge-only %.2fx, want hash pipelines to gain more", hg, mg)
-	}
-}

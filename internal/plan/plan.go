@@ -280,151 +280,39 @@ const (
 	CWorkerSetup      = 500.0 // per worker: spawn + per-morsel pipeline setup
 )
 
-// Vectorized (batch-at-a-time) cost constants. The executor's vector
-// path amortizes the per-row iterator overhead — virtual Next call,
-// per-row cancellation polling, per-row stats — over DefaultBatchSize
-// rows, and runs tight per-column loops instead (see
-// internal/exec/batch.go). That discounts exactly the operators the
-// vector compiler covers: scans over columnar tables, hash-join
-// probes, hash grouping and output materialization. Sorting, merge
-// joins and nested loops stay row-at-a-time and keep their row
-// constants. The ratios below follow the measured row-vs-batch
-// speedups (BenchmarkExecVector): scans ~4x, probes ~3x, grouping ~2x;
-// the hash build improves less (it still drains a row iterator, only
-// the table insert is columnar).
-const (
-	CBatchSeqTuple   = 0.25 // per tuple through a vectorized scan
-	CBatchIdxTuple   = 0.6  // per tuple gathered in unclustered index order
-	CBatchIdxClust   = 0.35 // per tuple gathered in clustered index order
-	CBatchHashProbe  = 0.3  // per probe-side tuple, batched lookup
-	CBatchHashBuild  = 0.8  // per build-side tuple into columnar build slabs
-	CBatchGroupTuple = 0.25 // per tuple hash-grouped in batches
-	CBatchOutTuple   = 0.05 // per output tuple written column-wise
-)
-
-// CostModel is one consistent set of per-tuple operator prices. The
-// optimizer carries a model per Prepared so the same DP can price
-// row-at-a-time execution (RowCosts) or the vectorized executor
-// (VecCosts, selected by optimizer.Config.Vectorized) — the relative
-// prices shift which pipelines win, e.g. hash pipelines cheapen
-// against merge pipelines when probes vectorize and sorts do not.
-// The zero value prices everything free; start from RowCosts or
-// VecCosts.
-type CostModel struct {
-	SeqTuple   float64 // per tuple scanned sequentially
-	IdxTuple   float64 // per tuple through an unclustered index
-	IdxClust   float64 // per tuple through a clustered index
-	SortTuple  float64 // per tuple per log₂ level
-	MergeTuple float64 // per input tuple merged
-	HashProbe  float64 // per probe-side tuple hashed and looked up
-	HashBuild  float64 // per build-side tuple materialized into the table
-	NLTuple    float64 // per tuple pair examined
-	GroupTuple float64 // per tuple grouped (hash); sorted grouping pays OutTuple
-	OutTuple   float64 // per output tuple materialized
-}
-
-// RowCosts prices the row-at-a-time executor — the constants the
-// package-level cost functions use.
-var RowCosts = CostModel{
-	SeqTuple:   CSeqTuple,
-	IdxTuple:   CIdxTuple,
-	IdxClust:   CIdxClust,
-	SortTuple:  CSortTuple,
-	MergeTuple: CMergeTuple,
-	HashProbe:  CHashProbe,
-	HashBuild:  CHashBuild,
-	NLTuple:    CNLTuple,
-	GroupTuple: CGroupTuple,
-	OutTuple:   COutTuple,
-}
-
-// VecCosts prices the vectorized executor: batch discounts on the
-// operators the vector compiler covers, row prices on the rest.
-var VecCosts = CostModel{
-	SeqTuple:   CBatchSeqTuple,
-	IdxTuple:   CBatchIdxTuple,
-	IdxClust:   CBatchIdxClust,
-	SortTuple:  CSortTuple, // sorting stays row-at-a-time
-	MergeTuple: CMergeTuple,
-	HashProbe:  CBatchHashProbe,
-	HashBuild:  CBatchHashBuild,
-	NLTuple:    CNLTuple,
-	GroupTuple: CBatchGroupTuple,
-	OutTuple:   CBatchOutTuple,
-}
-
 // ScanCost is the cost of a sequential scan over rows tuples.
-func (m CostModel) ScanCost(rows float64) float64 { return rows * m.SeqTuple }
-
-// IndexScanCost is the cost of a full index-order scan.
-func (m CostModel) IndexScanCost(rows float64, clustered bool) float64 {
-	if clustered {
-		return rows * m.IdxClust
-	}
-	return rows * m.IdxTuple
-}
-
-// SortCost is the cost of sorting card tuples (input cost excluded).
-func (m CostModel) SortCost(card float64) float64 {
-	if card < 2 {
-		return m.SortTuple
-	}
-	return card * log2(card) * m.SortTuple
-}
-
-// MergeJoinCost is the cost of merging two sorted inputs (input costs
-// excluded).
-func (m CostModel) MergeJoinCost(cardL, cardR, cardOut float64) float64 {
-	return (cardL+cardR)*m.MergeTuple + cardOut*m.OutTuple
-}
-
-// HashJoinCost is the cost of building on R and probing with L.
-func (m CostModel) HashJoinCost(cardL, cardR, cardOut float64) float64 {
-	return cardL*m.HashProbe + cardR*m.HashBuild + cardOut*m.OutTuple
-}
-
-// NestedLoopCost is the cost of scanning the inner per outer tuple.
-func (m CostModel) NestedLoopCost(cardOuter, cardInner, cardOut float64) float64 {
-	return cardOuter*cardInner*m.NLTuple + cardOut*m.OutTuple
-}
-
-// GroupCost is the cost of grouping card tuples.
-func (m CostModel) GroupCost(card float64, sorted bool) float64 {
-	if sorted {
-		return card * m.OutTuple
-	}
-	return card * m.GroupTuple
-}
-
-// LimitCost is the cost of the Limit operator itself: it forwards at
-// most k tuples.
-func (m CostModel) LimitCost(k float64) float64 { return k * m.OutTuple }
-
-// ScanCost is the cost of a sequential scan over rows tuples.
-func ScanCost(rows float64) float64 { return RowCosts.ScanCost(rows) }
+func ScanCost(rows float64) float64 { return rows * CSeqTuple }
 
 // IndexScanCost is the cost of a full index-order scan.
 func IndexScanCost(rows float64, clustered bool) float64 {
-	return RowCosts.IndexScanCost(rows, clustered)
+	if clustered {
+		return rows * CIdxClust
+	}
+	return rows * CIdxTuple
 }
 
 // SortCost is the cost of sorting card tuples (input cost excluded).
-func SortCost(card float64) float64 { return RowCosts.SortCost(card) }
+func SortCost(card float64) float64 {
+	if card < 2 {
+		return CSortTuple
+	}
+	return card * log2(card) * CSortTuple
+}
 
 // MergeJoinCost is the cost of merging two sorted inputs (input costs
 // excluded).
 func MergeJoinCost(cardL, cardR, cardOut float64) float64 {
-	return RowCosts.MergeJoinCost(cardL, cardR, cardOut)
+	return (cardL+cardR)*CMergeTuple + cardOut*COutTuple
 }
 
 // HashJoinCost is the cost of building on R and probing with L.
 func HashJoinCost(cardL, cardR, cardOut float64) float64 {
-	return RowCosts.HashJoinCost(cardL, cardR, cardOut)
+	return cardL*CHashProbe + cardR*CHashBuild + cardOut*COutTuple
 }
 
 // NestedLoopCost is the cost of scanning the inner per outer tuple.
 func NestedLoopCost(cardOuter, cardInner, cardOut float64) float64 {
-	return RowCosts.NestedLoopCost(cardOuter, cardInner, cardOut)
+	return cardOuter*cardInner*CNLTuple + cardOut*COutTuple
 }
 
 // ExchangeCost is the total cost of running a child pipeline
@@ -447,14 +335,18 @@ func ExchangeCost(op Op, spineCost, sharedCost, card float64, dop int) float64 {
 	return sharedCost + spineCost/speedup + card*perTuple + float64(dop)*CWorkerSetup
 }
 
-// GroupCost is the cost of grouping card tuples.
+// GroupCost is the cost of grouping card tuples: hash grouping pays
+// per tuple, sorted (streaming) grouping only the output write.
 func GroupCost(card float64, sorted bool) float64 {
-	return RowCosts.GroupCost(card, sorted)
+	if sorted {
+		return card * COutTuple
+	}
+	return card * CGroupTuple
 }
 
 // LimitCost is the cost of the Limit operator itself: it forwards at
 // most k tuples.
-func LimitCost(k float64) float64 { return RowCosts.LimitCost(k) }
+func LimitCost(k float64) float64 { return k * COutTuple }
 
 // LimitedCost estimates the cost of executing n only until its first k
 // output rows have been produced — what a Limit directly above n makes
@@ -466,13 +358,7 @@ func LimitCost(k float64) float64 { return RowCosts.LimitCost(k) }
 // cheap top-k" against "full work + sort": a pipeline whose top is
 // streaming (no Sort) is almost fully discounted at small k, while a
 // sort-based plan pays everything below and including the Sort.
-func LimitedCost(n *Node, k float64) float64 { return RowCosts.LimitedCost(n, k) }
-
-// LimitedCost is the model-aware form of the package-level LimitedCost:
-// the model's build constant decides how much of a hash join's own cost
-// is blocking (paid in full) versus streaming (discounted by the pulled
-// fraction), so it must match the model the tree was priced with.
-func (m CostModel) LimitedCost(n *Node, k float64) float64 {
+func LimitedCost(n *Node, k float64) float64 {
 	if n == nil {
 		return 0
 	}
@@ -493,24 +379,24 @@ func (m CostModel) LimitedCost(n *Node, k float64) float64 {
 	case MergeJoin:
 		own := n.Cost - n.Left.Cost - n.Right.Cost
 		return own*frac +
-			m.LimitedCost(n.Left, n.Left.Card*frac) +
-			m.LimitedCost(n.Right, n.Right.Card*frac)
+			LimitedCost(n.Left, n.Left.Card*frac) +
+			LimitedCost(n.Right, n.Right.Card*frac)
 	case HashJoin:
 		own := n.Cost - n.Left.Cost - n.Right.Cost
-		build := n.Right.Card * m.HashBuild
+		build := n.Right.Card * CHashBuild
 		stream := own - build
 		if stream < 0 {
 			stream = 0
 		}
 		return n.Right.Cost + build + stream*frac +
-			m.LimitedCost(n.Left, n.Left.Card*frac)
+			LimitedCost(n.Left, n.Left.Card*frac)
 	case NestedLoopJoin:
 		own := n.Cost - n.Left.Cost - n.Right.Cost
 		return n.Right.Cost + own*frac +
-			m.LimitedCost(n.Left, n.Left.Card*frac)
+			LimitedCost(n.Left, n.Left.Card*frac)
 	case GroupSorted, GroupClustered:
 		own := n.Cost - n.Left.Cost
-		return own*frac + m.LimitedCost(n.Left, n.Left.Card*frac)
+		return own*frac + LimitedCost(n.Left, n.Left.Card*frac)
 	case ExchangeMerge, ExchangeUnion:
 		// Worker setup happens regardless; the parallel work itself winds
 		// down once the consumer's limit quiesces the pipeline.
@@ -525,7 +411,7 @@ func (m CostModel) LimitedCost(n *Node, k float64) float64 {
 		if k < kk {
 			kk = k
 		}
-		return m.LimitedCost(n.Left, kk) + m.LimitCost(kk)
+		return LimitedCost(n.Left, kk) + LimitCost(kk)
 	default:
 		return n.Cost
 	}

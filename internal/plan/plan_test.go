@@ -153,67 +153,15 @@ func TestQuickSortCostMonotone(t *testing.T) {
 	}
 }
 
-func TestCostModelDelegation(t *testing.T) {
-	// The package-level cost functions are the row model; the two must
-	// never drift.
-	m := RowCosts
-	checks := []struct {
-		name     string
-		fn, meth float64
-	}{
-		{"scan", ScanCost(123), m.ScanCost(123)},
-		{"idx", IndexScanCost(123, false), m.IndexScanCost(123, false)},
-		{"idxclust", IndexScanCost(123, true), m.IndexScanCost(123, true)},
-		{"sort", SortCost(123), m.SortCost(123)},
-		{"merge", MergeJoinCost(100, 50, 20), m.MergeJoinCost(100, 50, 20)},
-		{"hash", HashJoinCost(100, 50, 20), m.HashJoinCost(100, 50, 20)},
-		{"nl", NestedLoopCost(100, 50, 20), m.NestedLoopCost(100, 50, 20)},
-		{"group", GroupCost(100, false), m.GroupCost(100, false)},
-		{"groupsorted", GroupCost(100, true), m.GroupCost(100, true)},
-		{"limit", LimitCost(10), m.LimitCost(10)},
-	}
-	for _, c := range checks {
-		if c.fn != c.meth {
-			t.Errorf("%s: package func %v != RowCosts method %v", c.name, c.fn, c.meth)
-		}
-	}
-}
-
-func TestVecCostsDiscountVectorizedOperators(t *testing.T) {
-	// The batch model discounts exactly what the vector compiler
-	// covers; row-at-a-time operators keep their prices, so the DP's
-	// sort-avoidance tradeoffs shift rather than collapse.
-	if VecCosts.ScanCost(1000) >= RowCosts.ScanCost(1000) {
-		t.Error("vectorized scans must be cheaper")
-	}
-	if VecCosts.HashJoinCost(1000, 100, 500) >= RowCosts.HashJoinCost(1000, 100, 500) {
-		t.Error("vectorized hash joins must be cheaper")
-	}
-	if VecCosts.GroupCost(1000, false) >= RowCosts.GroupCost(1000, false) {
-		t.Error("vectorized hash grouping must be cheaper")
-	}
-	if VecCosts.SortCost(1000) != RowCosts.SortCost(1000) {
-		t.Error("sorting stays row-at-a-time: same price in both models")
-	}
-	if VecCosts.SeqTuple >= VecCosts.HashProbe {
-		t.Error("probing must stay dearer than scanning")
-	}
-	// Relative discount: hashing cheapens more than merging (merge
-	// joins only gain the columnar output write), so vectorized
-	// pricing narrows the hash-vs-merge gap.
-	rowGap := RowCosts.HashJoinCost(1000, 1000, 100) / RowCosts.MergeJoinCost(1000, 1000, 100)
-	vecGap := VecCosts.HashJoinCost(1000, 1000, 100) / VecCosts.MergeJoinCost(1000, 1000, 100)
-	if vecGap >= rowGap {
-		t.Errorf("hash/merge cost ratio: vec %v, row %v — vectorization should favor hashing", vecGap, rowGap)
-	}
-	// The limit discount logic holds under both models: a hash join's
-	// build side stays fully charged.
+func TestLimitedCostKeepsHashBuildBlocking(t *testing.T) {
+	// A limit discounts the streaming part of a hash join; the build
+	// side runs in full before the first row and stays fully charged.
 	n := &Node{Op: HashJoin, Card: 1000, Left: &Node{Op: TableScan, Card: 1000}, Right: &Node{Op: TableScan, Card: 100}}
-	n.Left.Cost = VecCosts.ScanCost(1000)
-	n.Right.Cost = VecCosts.ScanCost(100)
-	n.Cost = n.Left.Cost + n.Right.Cost + VecCosts.HashJoinCost(1000, 100, 1000)
-	lim := VecCosts.LimitedCost(n, 10)
-	if min := n.Right.Cost + 100*VecCosts.HashBuild; lim < min {
+	n.Left.Cost = ScanCost(1000)
+	n.Right.Cost = ScanCost(100)
+	n.Cost = n.Left.Cost + n.Right.Cost + HashJoinCost(1000, 100, 1000)
+	lim := LimitedCost(n, 10)
+	if min := n.Right.Cost + 100*CHashBuild; lim < min {
 		t.Errorf("limited cost %v below the blocking build floor %v", lim, min)
 	}
 	if lim >= n.Cost {

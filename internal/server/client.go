@@ -103,10 +103,6 @@ type ExecuteRequest struct {
 	// the plan run with at most this many morsel workers. 0 uses the
 	// server's configuration; 1 forces serial execution.
 	MaxDOP int `json:"maxDOP,omitempty"`
-	// Vectorized compiles batch-at-a-time (vector) pipelines where the
-	// plan's operators support it; the result is identical either way.
-	// Per-operator batch counts surface in the response's op stats.
-	Vectorized bool `json:"vectorized,omitempty"`
 	// Stream switches the response to chunked NDJSON frames (header,
 	// rows..., trailer — see docs/api.md): the full result streams in
 	// pipeline order as it is produced, MaxRows is ignored, and errors

@@ -440,6 +440,27 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 	return context.WithTimeout(r.Context(), d)
 }
 
+// maxRequestBytes bounds a request body: the largest statement the
+// binder accepts (64 relations) is a few KiB, so 1 MiB never refuses a
+// real query and a client cannot make the decoder buffer more.
+const maxRequestBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxRequestBytes of it. On failure it returns the status to answer
+// with: 413 for an oversized body, 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return 0, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxRequestBytes)
+	default:
+		return http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err)
+	}
+}
+
 // requestSQL extracts the statement (and optional timeoutMs) from a
 // GET ?q=...&timeoutMs=... or a POST JSON body.
 func requestSQL(w http.ResponseWriter, r *http.Request, m *endpointMetrics) (string, int, bool) {
@@ -462,8 +483,8 @@ func requestSQL(w http.ResponseWriter, r *http.Request, m *endpointMetrics) (str
 		}
 	case http.MethodPost:
 		var req PlanRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return fail(http.StatusBadRequest, "invalid request body: "+err.Error())
+		if code, err := decodeBody(w, r, &req); err != nil {
+			return fail(code, err.Error())
 		}
 		sql = req.SQL
 		timeoutMs = req.TimeoutMs
@@ -576,8 +597,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, msg)
 	}
 	var req ExecuteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		reject(http.StatusBadRequest, "invalid request body: "+err.Error())
+	if code, err := decodeBody(w, r, &req); err != nil {
+		reject(code, err.Error())
 		return
 	}
 	if strings.TrimSpace(req.SQL) == "" {
@@ -692,7 +713,7 @@ type compiled struct {
 
 // compileRequest plans req.SQL and compiles the chosen plan into a
 // pipeline over ds, applying the server's budgets, hook and worker cap
-// plus the request's DOP/vectorization choices.
+// plus the request's maxDOP.
 func (s *Server) compileRequest(ctx context.Context, req ExecuteRequest, ds *exec.Dataset) (*compiled, int, error) {
 	pd, q, err := s.pl.PlanQueryContext(ctx, req.SQL)
 	if err != nil {
@@ -707,7 +728,6 @@ func (s *Server) compileRequest(ctx context.Context, req ExecuteRequest, ds *exe
 	if req.MaxDOP > 0 && req.MaxDOP < runner.MaxDOP {
 		runner.MaxDOP = req.MaxDOP
 	}
-	runner.Vectorize = req.Vectorized
 	if hasExchange(pd.Best) {
 		s.executeMetrics.parallel.Add(1)
 	}
