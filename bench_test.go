@@ -815,6 +815,26 @@ func BenchmarkExecParallel(b *testing.B) {
 func BenchmarkExecTopK(b *testing.B) {
 	reg := exec.TPCRRegistry()
 	variants := experiments.ExecVariants()
+	planTopK := func(b *testing.B, ds *exec.Dataset, k int, v experiments.ExecVariant) (*query.Analysis, *plan.Node) {
+		_, g, err := tpcr.OrderStreamGraph()
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.Limit, g.HasLimit = k, true
+		ds.ApplyStats(g)
+		a, err := query.Analyze(g, v.Analyze)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := optimizer.Optimize(a, v.Config)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v.Name == "dfsm" && res.Best.Ops()[plan.Sort] != 0 {
+			b.Fatalf("limit-aware costing chose a sorting plan:\n%s", res.Best)
+		}
+		return a, res.Best
+	}
 	for _, dsName := range []string{"tpcr-mid", "tpcr-large"} {
 		ds, ok := reg.Get(dsName)
 		if !ok {
@@ -823,29 +843,13 @@ func BenchmarkExecTopK(b *testing.B) {
 		for _, k := range []int{1, 10, 100} {
 			for _, v := range []experiments.ExecVariant{variants[0], variants[2]} {
 				b.Run(fmt.Sprintf("orders/%s/k=%d/%s", dsName, k, v.Name), func(b *testing.B) {
-					_, g, err := tpcr.OrderStreamGraph()
-					if err != nil {
-						b.Fatal(err)
-					}
-					g.Limit, g.HasLimit = k, true
-					ds.ApplyStats(g)
-					a, err := query.Analyze(g, v.Analyze)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := optimizer.Optimize(a, v.Config)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if v.Name == "dfsm" && res.Best.Ops()[plan.Sort] != 0 {
-						b.Fatalf("limit-aware costing chose a sorting plan:\n%s", res.Best)
-					}
+					a, best := planTopK(b, ds, k, v)
 					runner := ds.Runner(a)
 					runner.DisableTiming = true
 					var rows, sorted int64
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						p, err := runner.Compile(res.Best)
+						p, err := runner.Compile(best)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -862,6 +866,25 @@ func BenchmarkExecTopK(b *testing.B) {
 			}
 		}
 	}
+	// warm is the served shape of a repeated top-10: a Runner per request,
+	// timing on, over the one dataset every request shares — so whatever
+	// a request rebuilds that the dataset could have kept shows up here
+	// as bytes per op (exec.TestTopKHotAllocCeiling pins the number).
+	b.Run("warm", func(b *testing.B) {
+		ds, _ := reg.Get("tpcr-large")
+		a, best := planTopK(b, ds, 10, variants[0])
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p, err := ds.Runner(a).Compile(best)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.Execute(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkExecSpill measures the external-sort contrast

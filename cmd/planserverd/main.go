@@ -58,6 +58,15 @@ import (
 	"orderopt/internal/tpcr"
 )
 
+// A client gets this long to send its request head and, at most
+// 1 MiB (the server's body cap), its whole request: a peer that opens a
+// connection and stalls cannot hold it forever. Responses carry no
+// write deadline — a streamed /execute is bounded by -timeout instead.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
 func main() {
 	addr := flag.String("addr", ":7432", "listen address")
 	maxInFlight := flag.Int("max-inflight", server.DefaultMaxInFlight,
@@ -119,7 +128,8 @@ func main() {
 		QueryBudget:       exec.Budget{MaxRows: *queryRowsBudget, MaxBytes: *queryMemBudget},
 		Workers:           nw,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv,
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

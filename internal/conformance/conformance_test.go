@@ -2,11 +2,14 @@ package conformance
 
 import (
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 
 	"orderopt/internal/exec"
+	"orderopt/internal/optimizer"
 	"orderopt/internal/plan"
+	"orderopt/internal/query"
 )
 
 var update = flag.Bool("update", false, "re-record fixture expectation blocks (checksums, verdicts, golden plans)")
@@ -176,5 +179,86 @@ func TestFixtureRoundTrip(t *testing.T) {
 	}
 	if back.Expect.Plans["dfsm"] != f.Expect.Plans["dfsm"] {
 		t.Fatalf("plan tree did not round-trip:\n%q\nwant\n%q", back.Expect.Plans["dfsm"], f.Expect.Plans["dfsm"])
+	}
+}
+
+// TestResidentBuildEquivalence: adopting a dataset-resident build table
+// changes where a hash join's table comes from and nothing else. Every
+// fixture, under each idiom at DOP 1, 2 and 4, is compiled twice — as
+// served, and with a pass-through hook, under which nothing is adopted
+// and every build side streams per execution — and both pipelines must
+// deliver the same row sequence (the same multiset where an unordered
+// exchange makes the sequence arrival-dependent), sort the same number
+// of rows, and carry one stats entry per plan node.
+func TestResidentBuildEquivalence(t *testing.T) {
+	fixtures, err := Load("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	passThrough := func(op, detail string, it exec.Iterator, life *exec.Life) exec.Iterator { return it }
+	adopted := 0
+	for _, f := range fixtures {
+		ds, q, err := Resolve(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idiom, idm := range Idioms() {
+			a, err := query.Analyze(q.Graph, idm.Analyze)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dop := range []int{1, 2, 4} {
+				cell := Cell{Strategy: optimizer.StrategyExact, Idiom: idiom, DOP: dop, MergeJoin: true, OrderedGrouping: true}
+				res, err := optimizer.Optimize(a, cell.Config())
+				if err != nil {
+					t.Fatalf("fixture %s cell %s: %v", f.Name, cell, err)
+				}
+				nodes := 0
+				for _, count := range res.Best.Ops() {
+					nodes += count
+				}
+				run := func(hook exec.IterHook) (*exec.Pipeline, []exec.Row) {
+					r := ds.Runner(a)
+					r.Hook = hook
+					p, err := r.Compile(res.Best)
+					if err != nil {
+						t.Fatalf("fixture %s cell %s: compile: %v", f.Name, cell, err)
+					}
+					rows, err := p.Execute()
+					if err != nil {
+						t.Fatalf("fixture %s cell %s: execute: %v", f.Name, cell, err)
+					}
+					if len(p.Ops) != nodes {
+						t.Errorf("fixture %s cell %s: %d stats entries for %d plan nodes", f.Name, cell, len(p.Ops), nodes)
+					}
+					if res.Best.Ops()[plan.ExchangeUnion] > 0 {
+						slices.SortFunc(rows, func(x, y exec.Row) int { return slices.Compare(x, y) })
+					}
+					return p, rows
+				}
+				served, got := run(nil)
+				streamed, want := run(passThrough)
+				if !slices.EqualFunc(got, want, func(x, y exec.Row) bool { return slices.Equal(x, y) }) {
+					t.Errorf("fixture %s cell %s: adopting resident builds changed the row sequence", f.Name, cell)
+				}
+				if served.RowsSorted() != streamed.RowsSorted() {
+					t.Errorf("fixture %s cell %s: rows sorted %d with adoption, %d without", f.Name, cell, served.RowsSorted(), streamed.RowsSorted())
+				}
+				for i, op := range served.Ops {
+					// Same preorder either way; an adopted scan reports what
+					// its streamed twin emitted into the build.
+					s := streamed.Ops[i]
+					if s.Op != op.Op || s.Detail != op.Detail || s.Resident || (op.Resident && s.Rows != op.Rows) {
+						t.Errorf("fixture %s cell %s: entry %d is %+v with adoption, %+v without", f.Name, cell, i, *op, *s)
+					}
+					if op.Resident {
+						adopted++
+					}
+				}
+			}
+		}
+	}
+	if adopted == 0 {
+		t.Error("no cell adopted a resident build table; the corpus no longer exercises the path")
 	}
 }

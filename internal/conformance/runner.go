@@ -80,6 +80,23 @@ func (c Cell) String() string {
 		flag(c.MergeJoin), flag(c.OrderedGrouping))
 }
 
+// Config is the optimizer configuration the cell plans under: its
+// idiom's, with the cell's strategy, DOP bound and operator toggles.
+func (c Cell) Config() optimizer.Config {
+	cfg := Idioms()[c.Idiom].Config
+	cfg.Strategy = c.Strategy
+	if c.DOP > 1 {
+		cfg.MaxDOP = c.DOP
+	}
+	if !c.MergeJoin {
+		cfg.DisableMergeJoin = true
+	}
+	if !c.OrderedGrouping {
+		cfg.DisableOrderedGrouping = true
+	}
+	return cfg
+}
+
 func strategyName(s optimizer.Strategy) string {
 	switch s {
 	case optimizer.StrategyExact:
@@ -157,19 +174,8 @@ func (r *Runner) Run(f *Fixture) (Expect, error) {
 	first := true
 	for _, cell := range cells {
 		idm := idioms[cell.Idiom]
-		cfg := idm.Config
-		cfg.Strategy = cell.Strategy
-		if cell.DOP > 1 {
-			cfg.MaxDOP = cell.DOP
-		}
-		if !cell.MergeJoin {
-			cfg.DisableMergeJoin = true
-		}
-		if !cell.OrderedGrouping {
-			cfg.DisableOrderedGrouping = true
-		}
 		a := analyses[cell.Idiom]
-		prep, err := optimizer.Prepare(a, cfg)
+		prep, err := optimizer.Prepare(a, cell.Config())
 		if err != nil {
 			return Expect{}, fmt.Errorf("fixture %s cell %s: prepare: %w", f.Name, cell, err)
 		}

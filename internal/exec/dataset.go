@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"orderopt/internal/catalog"
 	"orderopt/internal/query"
@@ -19,7 +21,9 @@ import (
 // order the view aliases the table's rows, otherwise it owns a slab of
 // its own in index order. Datasets must not be mutated after
 // registration — the serving layer executes concurrent requests
-// against them.
+// against them. What a dataset derives from its own rows afterwards
+// (hash-join build tables, see buildTable) is built at most once,
+// immutable, counted in MemBytes and freed with the dataset.
 type Dataset struct {
 	Name string
 	// Desc is a one-line description shown by the serving layer.
@@ -30,6 +34,146 @@ type Dataset struct {
 	// Views maps table name → index name → the table's rows in index
 	// order (built by BuildIndexes).
 	Views map[string]map[string][]Row
+
+	// owner is the registry holding this dataset resident: build tables
+	// are charged to its budget and counted in its stats. A dataset no
+	// registry holds retains them unbounded.
+	owner   atomic.Pointer[Registry]
+	mu      sync.Mutex // guards builds, and is held while one is built
+	builds  map[buildKey]*hashView
+	derived atomic.Int64 // bytes of the retained build tables
+	tables  atomic.Int64 // how many there are
+}
+
+// buildKey names one hash-join build table: the stream of a table's
+// bare scan (view "") or of one of its maintained index views, keyed on
+// column col.
+type buildKey struct {
+	table, view string
+	col         int
+}
+
+// hashView is a hash-join build table in one of two forms. A resident
+// one (Dataset.buildTable) is CSR: rows holds the build rows bucket
+// after bucket, in stream order within a bucket, and bucket i is
+// rows[off[i]:off[i+1]], where i is k-min over a packed key domain
+// (keys nil) and k's position in the sorted distinct keys otherwise. A
+// per-execution build is the map it filled (off nil).
+type hashView struct {
+	table map[int64][]Row
+	keys  []int64
+	min   int64
+	off   []int32
+	rows  []Row
+}
+
+// slot returns the index of key k's bucket in a CSR view, -1 for none.
+func (hv *hashView) slot(k int64) int {
+	if hv.keys != nil {
+		if i, ok := slices.BinarySearch(hv.keys, k); ok {
+			return i
+		}
+	} else if i := k - hv.min; i >= 0 && i < int64(len(hv.off))-1 {
+		return int(i)
+	}
+	return -1
+}
+
+// bucket returns the build rows with key k, in stream order.
+func (hv *hashView) bucket(k int64) []Row {
+	if hv.off == nil {
+		return hv.table[k]
+	}
+	if i := hv.slot(k); i >= 0 {
+		return hv.rows[hv.off[i]:hv.off[i+1]]
+	}
+	return nil
+}
+
+// newHashView builds the CSR table over rows keyed on column col:
+// direct-address when the observed key span is within 4x the row count,
+// sorted distinct keys otherwise. Its size is known before anything
+// lasting is allocated — 4 bytes per bucket boundary, 8 per sorted key,
+// one 24-byte row header per row — and admit decides on it; a refusal
+// returns nil.
+func newHashView(rows []Row, col int, admit func(bytes int64) bool) *hashView {
+	hv := &hashView{}
+	n, max := int64(len(rows)), int64(-1) // no rows: no buckets
+	for i, row := range rows {
+		if k := row[col]; i == 0 {
+			hv.min, max = k, k
+		} else if k < hv.min {
+			hv.min = k
+		} else if k > max {
+			max = k
+		}
+	}
+	buckets := max - hv.min + 1
+	if n > 0 && (buckets <= 0 || buckets > 4*n+16) {
+		hv.keys = make([]int64, n)
+		for i, row := range rows {
+			hv.keys[i] = row[col]
+		}
+		slices.Sort(hv.keys)
+		hv.keys = slices.Clip(slices.Compact(hv.keys))
+		buckets = int64(len(hv.keys))
+	}
+	if !admit(4*(buckets+1) + 8*int64(len(hv.keys)) + 24*n) {
+		return nil
+	}
+	// Counting sort, scattered back to front so that equal keys keep
+	// their stream order: off[i] counts bucket i, then is its end, and is
+	// walked down to its start as the rows land.
+	hv.off = make([]int32, buckets+1)
+	for _, row := range rows {
+		hv.off[hv.slot(row[col])]++
+	}
+	var sum int32
+	for i, c := range hv.off {
+		sum += c
+		hv.off[i] = sum
+	}
+	hv.rows = make([]Row, n)
+	for j := n - 1; j >= 0; j-- {
+		i := hv.slot(rows[j][col])
+		hv.off[i]--
+		hv.rows[hv.off[i]] = rows[j]
+	}
+	return hv
+}
+
+// buildTable returns the resident build table for key over rows (the
+// stream key names), building it on first touch — concurrent first
+// touches build it once — and never changing it afterwards. Its bytes
+// are charged to the owning registry like the tables' own; when they do
+// not fit next to what is pinned there, buildTable returns nil and
+// retains nothing: the caller builds per execution, as it would under a
+// fault hook.
+func (d *Dataset) buildTable(key buildKey, rows []Row) *hashView {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	reg := d.owner.Load()
+	if hv := d.builds[key]; hv != nil {
+		reg.countBuild(buildHit)
+		return hv
+	}
+	var size int64
+	hv := newHashView(rows, key.col, func(bytes int64) bool {
+		size = bytes
+		return reg.admitDerived(d, bytes)
+	})
+	if hv == nil {
+		reg.countBuild(buildFallback)
+		return nil
+	}
+	if d.builds == nil {
+		d.builds = make(map[buildKey]*hashView)
+	}
+	d.builds[key] = hv
+	d.derived.Add(size)
+	d.tables.Add(1)
+	reg.countBuild(buildMiss)
+	return hv
 }
 
 // NewDataset copies generated rows into one slab per table. The input
@@ -167,9 +311,10 @@ func (d *Dataset) RawRows() map[string][][]int64 {
 
 // MemBytes is the dataset's resident size: per stored row its values
 // plus one slice header, over every table and every view that owns
-// its rows (a view aliasing its table adds nothing).
+// its rows (a view aliasing its table adds nothing), plus the build
+// tables derived so far.
 func (d *Dataset) MemBytes() int64 {
-	var n int64
+	n := d.derived.Load()
 	for table, base := range d.Tables {
 		n += rowsBytes(base)
 		for _, view := range d.Views[table] {

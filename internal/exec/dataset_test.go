@@ -166,21 +166,37 @@ func TestViewsSortedStableShared(t *testing.T) {
 	}
 }
 
-// TestMemBytesMatchesHeap: what the registry charges for a dataset is
-// what building it leaves on the heap.
+// TestMemBytesMatchesHeap: what the registry charges for a dataset —
+// its tables and views, and then the build tables it derives — is what
+// building them leaves on the heap.
 func TestMemBytesMatchesHeap(t *testing.T) {
 	spec := tpcrSizes[1]
 	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	ds := buildTPCRDataset(spec.name, spec.spec)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	got := ds.MemBytes()
-	if diff := got - grown; diff > grown/10 || diff < -grown/10 {
-		t.Errorf("MemBytes = %d, live heap grew %d: off by more than 10%%", got, grown)
+	heap := func(m *runtime.MemStats) {
+		runtime.GC()
+		runtime.ReadMemStats(m)
 	}
+	check := func(what string, got int64) {
+		t.Helper()
+		grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		if diff := got - grown; diff > grown/10 || diff < -grown/10 {
+			t.Errorf("%s: MemBytes = %d, live heap grew %d: off by more than 10%%", what, got, grown)
+		}
+	}
+	heap(&before)
+	ds := buildTPCRDataset(spec.name, spec.spec)
+	heap(&after)
+	check("tables and views", ds.MemBytes())
+
+	// One build table per table, over its bare scan, keyed on its first
+	// column: packed keys and, for lineitem, long duplicate runs.
+	for name, rows := range ds.Tables {
+		if ds.buildTable(buildKey{table: name}, rows) == nil {
+			t.Fatalf("build table over %s refused without a budget", name)
+		}
+	}
+	heap(&after)
+	check("with build tables", ds.MemBytes())
 	runtime.KeepAlive(ds)
 }
 

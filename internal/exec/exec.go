@@ -511,17 +511,19 @@ type HashJoin struct {
 	// budget as the table is built.
 	Life *Life
 
-	table  map[int64][]Row
+	table  hashView
 	probe  Row   // current left row
 	bucket []Row // its matches
 	bi     int
 	opened bool
 
-	// prebuilt, when set (morsel segments only), is a build table shared
-	// across morsel pipelines: Open adopts it instead of draining Right
-	// (which is then nil), and the rows were already charged once at
-	// exchange setup.
-	prebuilt map[int64][]Row
+	// prebuilt, when set, is a build table Open adopts instead of
+	// draining Right (which is then nil): the dataset's resident table
+	// over the bare base-relation scan adopted (whose stats entry Open
+	// credits with the table's rows) or, in a morsel pipeline, the one
+	// table the exchange built and charged for all of them.
+	prebuilt *hashView
+	adopted  *bareScan
 
 	alloc rowAlloc // chunked allocator for output rows
 }
@@ -529,12 +531,15 @@ type HashJoin struct {
 // Open implements Iterator.
 func (h *HashJoin) Open() error {
 	if h.prebuilt != nil {
-		h.table = h.prebuilt
+		h.table = *h.prebuilt
+		if h.adopted != nil {
+			h.adopted.st.Rows = int64(len(h.adopted.rows))
+		}
 	} else {
 		if err := h.Right.Open(); err != nil {
 			return err
 		}
-		h.table = make(map[int64][]Row)
+		table := make(map[int64][]Row)
 		for {
 			row, ok, err := h.Right.Next()
 			if err != nil {
@@ -549,11 +554,12 @@ func (h *HashJoin) Open() error {
 				return err
 			}
 			k := row[h.RightKey]
-			h.table[k] = append(h.table[k], row)
+			table[k] = append(table[k], row)
 		}
 		if err := h.Right.Close(); err != nil {
 			return err
 		}
+		h.table = hashView{table: table}
 	}
 	h.probe, h.bucket, h.bi = nil, nil, 0
 	if err := h.Left.Open(); err != nil {
@@ -576,14 +582,14 @@ func (h *HashJoin) Next() (Row, bool, error) {
 			return nil, false, err
 		}
 		h.probe = left
-		h.bucket = h.table[left[h.LeftKey]]
+		h.bucket = h.table.bucket(left[h.LeftKey])
 		h.bi = 0
 	}
 }
 
 // Close implements Iterator.
 func (h *HashJoin) Close() error {
-	h.table, h.probe, h.bucket = nil, nil, nil
+	h.table, h.probe, h.bucket = hashView{}, nil, nil
 	if h.opened {
 		h.opened = false
 		return h.Left.Close()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -301,4 +302,118 @@ func opRows(t *testing.T, p *Pipeline, op plan.Op) int64 {
 		t.Fatalf("pipeline has no %s operator", op)
 	}
 	return n
+}
+
+// topKHot plans the benchmark's topk_hot statement — top 10 of orders ⋈
+// customer by o_orderkey — over ds: a sort-free pipeline whose only
+// blocking step is the hash join's build over the bare customer scan.
+func topKHot(t *testing.T, ds *Dataset) (*query.Analysis, *plan.Node) {
+	t.Helper()
+	g := ordersCustomerGraph(t)
+	g.Limit, g.HasLimit = 10, true
+	a, best := planParallel(t, ds, g, 1)
+	if j := findOp(best, plan.HashJoin); j == nil || j.Right.Op != plan.TableScan || best.Ops()[plan.Sort] != 0 {
+		t.Fatalf("topk_hot is no longer a sort-free hash join over a bare scan:\n%s", best)
+	}
+	return a, best
+}
+
+// TestTopKHotAllocCeiling pins what a cache-hit top-10 costs once the
+// dataset holds the build table: compiling and running it allocates a
+// few KiB (the pipeline and its ten result rows), not the hundreds a
+// per-request build of the customer table did.
+func TestTopKHotAllocCeiling(t *testing.T) {
+	ds, ok := TPCRRegistry().Get("tpcr-large")
+	if !ok {
+		t.Fatal("no tpcr-large dataset")
+	}
+	a, best := topKHot(t, ds)
+	run := func() {
+		p, err := ds.Runner(a).Compile(best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := p.Execute(); err != nil || len(rows) != 10 {
+			t.Fatalf("top-10 returned %d rows, error %v", len(rows), err)
+		}
+	}
+	run() // builds the table
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a warm top-10 allocates %d bytes", perRun)
+	if perRun > 16<<10 {
+		t.Errorf("a warm top-10 allocates %d bytes, want at most 16 KiB", perRun)
+	}
+}
+
+// TestResidentBuildFallback: under a registry budget with room for the
+// dataset and nothing else, the top-10 runs exactly as before — it
+// builds its own table, charged to its own budget, and retains nothing
+// — and the same statement adopts the resident table once there is
+// room, reporting so and returning the same rows, now without charging
+// the query for a build it did not do.
+func TestResidentBuildFallback(t *testing.T) {
+	r := TPCRLazyRegistry()
+	ds, release, err := r.Acquire("tpcr-mid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	base := ds.MemBytes()
+	r.SetBudget(base)
+	a, best := topKHot(t, ds)
+	customers := int64(len(ds.Tables["customer"]))
+	run := func(budget Budget) ([]Row, *Pipeline, error) {
+		runner := ds.Runner(a)
+		runner.Budget = budget
+		p, err := runner.Compile(best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := p.Execute()
+		return rows, p, err
+	}
+	resident := func(p *Pipeline) *OpStats {
+		for _, op := range p.Ops {
+			if op.Resident {
+				return op
+			}
+		}
+		return nil
+	}
+
+	want, p, err := run(Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses, fallbacks := r.BuildCounts(); resident(p) != nil || misses != 0 || fallbacks != 1 {
+		t.Errorf("tight budget: resident entry %v, %d misses, %d fallbacks; want a per-query build and 1 fallback", resident(p), misses, fallbacks)
+	}
+	if r.ResidentBytes() != base || ds.MemBytes() != base {
+		t.Errorf("tight budget retained something: %d resident, want %d", r.ResidentBytes(), base)
+	}
+	if _, _, err := run(Budget{MaxRows: customers - 1}); err == nil {
+		t.Error("a per-query build over the row budget passed")
+	}
+
+	r.SetBudget(0)
+	got, p, err := run(Budget{MaxRows: customers - 1})
+	if err != nil {
+		t.Fatalf("adopted build charged the query: %v", err)
+	}
+	if !rowsEqual(got, want) {
+		t.Error("adopting the resident table changed the result")
+	}
+	if op := resident(p); op == nil || op.Op != plan.TableScan.String() || op.Rows != customers || !op.Limited {
+		t.Errorf("adopted scan entry = %+v, want a limited TableScan of %d rows", op, customers)
+	}
+	if _, misses, _ := r.BuildCounts(); misses != 1 || r.ResidentBytes() != ds.MemBytes() || ds.MemBytes() <= base {
+		t.Errorf("after adoption: %d misses, %d resident, dataset %d (base %d)", misses, r.ResidentBytes(), ds.MemBytes(), base)
+	}
 }

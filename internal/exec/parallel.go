@@ -87,25 +87,20 @@ type spineStep struct {
 	primary int
 	est     int // planner's right-side cardinality estimate (presizing)
 
-	// preset marks right sides adopted at compile time instead of
-	// streamed per execution: a merge join over a maintained (or
-	// runner-sorted) index view whose leading column is the merge key,
-	// or a hash join whose build side is a bare base-table scan (the
-	// runner builds the table at compile). Open neither streams nor
-	// re-verifies the subtree, and charges no budget: the state is a
-	// view of the dataset's own memory.
-	preset      bool
-	presetRows  int64    // preset: right-side row count for the stats entry
-	rightLeafSt *OpStats // preset: the adopted scan's stats entry
+	// adopted is set for a right side adopted at compile time instead of
+	// streamed per execution (Runner.joinRight): a merge join over a
+	// maintained index view whose leading column is the merge key, or a
+	// hash join whose build side is a bare base-relation scan. Open
+	// neither streams nor re-verifies the subtree, and charges no
+	// budget: the state is the dataset's own memory.
+	adopted *bareScan
 
-	// Shared state, filled by materialize at exchange Open (or adopted
-	// at compile when preset); immutable (and therefore safely shared)
+	// Shared state, filled by materialize at exchange Open (or at
+	// compile when adopted); immutable (and therefore safely shared)
 	// once workers start.
-	hashTable map[int64][]Row // HashJoin: the one shared build table (nil when hashDense is set)
-	hashDense [][]Row         // HashJoin preset, dense keys: bucket = hashDense[k-hashMin]
-	hashMin   int64
-	sorted    []Row // MergeJoin: materialized, verified right input
-	inner     []Row // NestedLoopJoin: materialized inner
+	hash   *hashView // HashJoin: the one shared build table
+	sorted []Row     // MergeJoin: materialized, verified right input
+	inner  []Row     // NestedLoopJoin: materialized inner
 }
 
 // bulkHold batches budget charges during shared-side materialization:
@@ -131,7 +126,7 @@ func (b *bulkHold) flush() error {
 	return err
 }
 
-// materialize builds the step's shared state. The preset fast path
+// materialize builds the step's shared state. The adopted fast path
 // only records the adopted view's row count (sortedness on the merge
 // key is structural: the key is the index's leading column); the
 // general path runs the compiled right-hand subtree to completion,
@@ -139,8 +134,8 @@ func (b *bulkHold) flush() error {
 // with the pipeline, like the serial builds).
 func (s *spineStep) materialize(life *Life) error {
 	key := s.eqs[s.primary].r - s.leftLen
-	if s.preset {
-		s.rightLeafSt.Rows = s.presetRows
+	if s.adopted != nil {
+		s.adopted.st.Rows = int64(len(s.adopted.rows))
 		return nil
 	}
 	bh := &bulkHold{life: life}
@@ -162,7 +157,7 @@ func (s *spineStep) materialize(life *Life) error {
 		}); err != nil {
 			return err
 		}
-		s.hashTable = table
+		s.hash = &hashView{table: table}
 	case plan.MergeJoin:
 		rows := make([]Row, 0, hint)
 		var prev int64
@@ -302,8 +297,6 @@ type fusedStep struct {
 	rightKey         int       // primary equality, column in the right piece
 	res              []fusedEq // non-primary equalities (merge/hash residual)
 	all              []fusedEq // every equality (nested-loop predicate)
-	dense            [][]Row   // HashJoin with a dense preset build: direct-address buckets
-	dmin             int64
 }
 
 func (f *fusedStep) resOK(pieces []Row, r Row) bool {
@@ -321,7 +314,7 @@ func (f *fusedStep) resOK(pieces []Row, r Row) bool {
 func (x *Exchange) buildFused() {
 	x.fused = make([]fusedStep, 0, len(x.steps))
 	for i, s := range x.steps {
-		f := fusedStep{op: s.op, s: s, dense: s.hashDense, dmin: s.hashMin}
+		f := fusedStep{op: s.op, s: s}
 		widths := x.pieceWidths[:i+1]
 		k := s.eqs[s.primary]
 		f.keyPiece, f.keyCol = locatePiece(widths, k.l)
@@ -421,15 +414,7 @@ func (x *Exchange) runMorselFused(rows []Row) morselResult {
 				}
 			}
 		case plan.HashJoin:
-			var bucket []Row
-			if f.dense != nil {
-				if i := pieces[f.keyPiece][f.keyCol] - f.dmin; i >= 0 && i < int64(len(f.dense)) {
-					bucket = f.dense[i]
-				}
-			} else {
-				bucket = f.s.hashTable[pieces[f.keyPiece][f.keyCol]]
-			}
-			for _, r := range bucket {
+			for _, r := range f.s.hash.bucket(pieces[f.keyPiece][f.keyCol]) {
 				if len(f.res) > 0 && !f.resOK(pieces, r) {
 					continue
 				}
@@ -677,7 +662,7 @@ func (x *Exchange) runMorsel(rows []Row) morselResult {
 			}
 		case plan.HashJoin:
 			it = &HashJoin{
-				Left: it, prebuilt: s.hashTable,
+				Left: it, prebuilt: s.hash,
 				LeftKey: k.l, RightKey: k.r - s.leftLen,
 			}
 		default: // NestedLoopJoin
@@ -1007,135 +992,73 @@ func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange) ([]query.C
 		if err != nil {
 			return nil, err
 		}
-		step := &spineStep{op: n.Op, st: st}
-		var rs []query.ColumnRef
-		// Preset adoption skips instantiating the right-hand subtree, so
-		// a fault hook could never wrap its operators — with a hook set,
-		// every subtree streams per execution like the serial compiler's.
-		if n.Op == plan.MergeJoin && r.Hook == nil {
-			// Fast path: a merge join whose right side is a bare,
-			// unfiltered index scan with a maintained view — and whose
-			// merge key is the index's leading column, making the view
-			// sorted on it by construction — adopts the view as its
-			// shared state: no per-execution streaming of the subtree
-			// at all.
-			if rows, rst, rschema, ok := r.presortedLeaf(n.Right); ok {
-				eqs, primary, _, err := r.resolveJoinPreds(n, ls, rschema)
-				if err == nil {
-					rel := &g.Relations[n.Right.Rel]
-					ix := rel.Table.Indexes[n.Right.Index]
-					if eqs[primary].r-len(ls) == rel.Table.ColumnIndex(ix.Columns[0]) {
-						p.Ops = append(p.Ops, rst)
-						step.sorted, step.preset, step.rightLeafSt = rows, true, rst
-						step.presetRows = int64(len(rows))
-						rs = rschema
-					}
-				}
-			}
-		}
-		if n.Op == plan.HashJoin && r.Hook == nil {
-			// Analogous fast path for the build side: a bare, unfiltered
-			// base-table scan's build table depends only on (table, view,
-			// key column), so the runner builds it at compile (once per
-			// Runner, see Runner.hashViews) and the exchange adopts it.
-			// Bucket order follows the scan's stream order, preserving
-			// the serial match sequence.
-			if rows, ck, rst, rschema, ok := r.bareScanRows(n.Right); ok {
-				eqs, primary, _, err := r.resolveJoinPreds(n, ls, rschema)
-				if err == nil {
-					hv := r.buildHashView(ck, eqs[primary].r-len(ls), rows)
-					p.Ops = append(p.Ops, rst)
-					step.hashTable = hv.table
-					step.hashDense, step.hashMin = hv.dense, hv.min
-					step.preset, step.rightLeafSt = true, rst
-					step.presetRows = int64(len(rows))
-					rs = rschema
-				}
-			}
-		}
-		if rs == nil {
-			right, rschema, err := r.build(n.Right, p)
-			if err != nil {
-				return nil, err
-			}
-			step.right, rs = right, rschema
-		}
-		schema := append(append([]query.ColumnRef{}, ls...), rs...)
-		eqs, primary, detail, err := r.resolveJoinPreds(n, ls, rs)
+		rt, err := r.joinRight(n, ls, p, true)
 		if err != nil {
 			return nil, err
 		}
-		st.Detail = detail
-		step.leftLen, step.eqs, step.primary = len(ls), eqs, primary
-		step.est = int(n.Right.Card)
-		x.pieceWidths = append(x.pieceWidths, len(rs))
+		st.Detail = rt.detail
+		step := &spineStep{op: n.Op, st: st, right: rt.it, hash: rt.hash, adopted: rt.adopted,
+			leftLen: len(ls), eqs: rt.eqs, primary: rt.primary, est: int(n.Right.Card)}
+		if rt.adopted != nil && n.Op == plan.MergeJoin {
+			step.sorted = rt.adopted.rows
+		}
+		x.pieceWidths = append(x.pieceWidths, len(rt.schema))
 		x.steps = append(x.steps, step)
-		return schema, nil
+		return append(append([]query.ColumnRef{}, ls...), rt.schema...), nil
 	}
 	return nil, fmt.Errorf("exec: exchange over non-parallelizable operator %v", n.Op)
 }
 
-// bareScanRows reports the rows a bare, unfiltered scan node would
-// stream — a table scan's rows, or an index scan's maintained view —
-// together with a memo key (Runner.hashViews) naming the view, a fresh
-// OpStats entry, and the scan's schema. An index scan without a
-// maintained view is rejected: its serial twin streams through a Sort,
-// and a cached substitute would have to prove order equivalence.
-func (r *Runner) bareScanRows(n *plan.Node) ([]Row, string, *OpStats, []query.ColumnRef, bool) {
-	if n.Op != plan.TableScan && n.Op != plan.IndexScan {
-		return nil, "", nil, nil, false
-	}
-	g := r.A.Graph
-	rel := &g.Relations[n.Rel]
-	if len(rel.ConstPreds) > 0 {
-		return nil, "", nil, nil, false
-	}
-	var (
-		rows []Row
-		ok   bool
-		ck   = rel.Table.Name + "/raw"
-	)
-	st := &OpStats{Op: n.Op.String(), Detail: rel.Alias, EstRows: n.Card}
-	if n.Op == plan.TableScan {
-		rows, ok = r.Dataset.Tables[rel.Table.Name]
-	} else {
-		ix := rel.Table.Indexes[n.Index]
-		rows, ok = r.Dataset.Views[rel.Table.Name][ix.Name]
-		ck = rel.Table.Name + "/" + ix.Name
-		st.Detail = rel.Alias + "/" + ix.Name
-	}
-	if !ok {
-		return nil, "", nil, nil, false
-	}
-	schema := make([]query.ColumnRef, len(rel.Table.Columns))
-	for c := range schema {
-		schema[c] = query.ColumnRef{Rel: n.Rel, Col: c}
-	}
-	return rows, ck, st, schema, true
+// bareScan describes a plan node that is a bare, unfiltered scan of a
+// base relation, which a join may adopt instead of compiling
+// (Runner.joinRight): the rows the scan would stream, the name of that
+// stream for Dataset.buildTable (the adopter fills in the key column),
+// the stats entry to register where the compiled scan's would stand,
+// the scan's schema, and the column the stream is sorted on first (an
+// index view's leading key column; -1 for a table scan).
+type bareScan struct {
+	rows    []Row
+	key     buildKey
+	st      *OpStats
+	schema  []query.ColumnRef
+	leading int
 }
 
-// presortedLeaf reports the maintained presorted view for a plan node
-// that is a bare, unfiltered IndexScan, together with a fresh OpStats
-// entry and the scan's schema. The view is sorted by construction
-// (Dataset.BuildIndexes).
-func (r *Runner) presortedLeaf(n *plan.Node) ([]Row, *OpStats, []query.ColumnRef, bool) {
-	if n.Op != plan.IndexScan {
-		return nil, nil, nil, false
+// bareScanRows returns n's bareScan — a table scan's rows, or an index
+// scan's maintained view — and nil for anything else. An index scan
+// without a maintained view is rejected: its serial twin streams
+// through a Sort, and a cached substitute would have to prove order
+// equivalence. So is everything under a fault hook: adoption skips
+// instantiating the subtree, and the hook must be able to wrap every
+// operator.
+func (r *Runner) bareScanRows(n *plan.Node) *bareScan {
+	if r.Hook != nil || (n.Op != plan.TableScan && n.Op != plan.IndexScan) {
+		return nil
 	}
-	g := r.A.Graph
-	rel := &g.Relations[n.Rel]
+	rel := &r.A.Graph.Relations[n.Rel]
 	if len(rel.ConstPreds) > 0 {
-		return nil, nil, nil, false
+		return nil
 	}
-	ix := rel.Table.Indexes[n.Index]
-	sorted, ok := r.Dataset.Views[rel.Table.Name][ix.Name]
+	b := &bareScan{
+		key:     buildKey{table: rel.Table.Name},
+		st:      &OpStats{Op: n.Op.String(), Detail: rel.Alias, EstRows: n.Card},
+		leading: -1,
+	}
+	var ok bool
+	if n.Op == plan.TableScan {
+		b.rows, ok = r.Dataset.Tables[rel.Table.Name]
+	} else {
+		ix := rel.Table.Indexes[n.Index]
+		b.key.view, b.leading = ix.Name, rel.Table.ColumnIndex(ix.Columns[0])
+		b.rows, ok = r.Dataset.Views[rel.Table.Name][ix.Name]
+		b.st.Detail = rel.Alias + "/" + ix.Name
+	}
 	if !ok {
-		return nil, nil, nil, false
+		return nil
 	}
-	st := &OpStats{Op: n.Op.String(), Detail: rel.Alias + "/" + ix.Name, EstRows: n.Card}
-	schema := make([]query.ColumnRef, len(rel.Table.Columns))
-	for c := range schema {
-		schema[c] = query.ColumnRef{Rel: n.Rel, Col: c}
+	b.schema = make([]query.ColumnRef, len(rel.Table.Columns))
+	for c := range b.schema {
+		b.schema[c] = query.ColumnRef{Rel: n.Rel, Col: c}
 	}
-	return sorted, st, schema, true
+	return b
 }

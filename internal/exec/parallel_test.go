@@ -270,33 +270,46 @@ func TestExchangeUnionExecutes(t *testing.T) {
 	}
 }
 
-// TestHashViewOneForm: a preset build table exists in exactly one form
-// — direct-address buckets over a packed key domain, a map over a
-// sparse one — with bucket contents in stream order either way, and is
-// built once per Runner and key column.
+// TestHashViewOneForm: a dataset's build table is one struct in one
+// form — CSR, direct-addressed over a packed key domain and through the
+// sorted distinct keys over a sparse one — with bucket contents in
+// stream order either way, of exactly the size it was admitted at, and
+// built once per dataset, view and key column.
 func TestHashViewOneForm(t *testing.T) {
-	var r Runner
+	d := NewDataset("d", "", nil)
 	packed := []Row{{5, 0}, {7, 1}, {5, 2}, {6, 3}}
-	hv := r.buildHashView("t/raw", 0, packed)
-	if hv.table != nil || hv.dense == nil || hv.min != 5 {
-		t.Fatalf("packed keys: table=%v dense=%v min=%d, want dense buckets from 5", hv.table, hv.dense, hv.min)
+	hv := d.buildTable(buildKey{table: "t"}, packed)
+	if hv.table != nil || hv.keys != nil || hv.min != 5 || len(hv.off) != 4 {
+		t.Fatalf("packed keys: %+v, want direct-address CSR over 5..7", hv)
 	}
-	if got := hv.dense[5-hv.min]; len(got) != 2 || got[0][1] != 0 || got[1][1] != 2 {
-		t.Errorf("dense bucket 5 = %v, want the two key-5 rows in stream order", got)
+	if got := hv.bucket(5); len(got) != 2 || got[0][1] != 0 || got[1][1] != 2 {
+		t.Errorf("bucket 5 = %v, want the two key-5 rows in stream order", got)
 	}
-	if r.buildHashView("t/raw", 0, packed) != hv {
-		t.Error("second build for the same view and column did not reuse the first")
+	if len(hv.bucket(4))+len(hv.bucket(8))+len(hv.bucket(-1<<63)) != 0 {
+		t.Error("keys outside the span found rows")
+	}
+	if d.buildTable(buildKey{table: "t"}, packed) != hv {
+		t.Error("second touch of the same view and column did not reuse the first")
+	}
+	if want := int64(4*4 + 24*4); d.MemBytes() != want {
+		t.Errorf("MemBytes = %d after one packed view, want %d", d.MemBytes(), want)
 	}
 
-	sparse := []Row{{1, 0}, {1 << 40, 1}, {1, 2}}
-	hv = r.buildHashView("u/raw", 0, sparse)
-	if hv.dense != nil || len(hv.table) != 2 {
-		t.Fatalf("sparse keys: dense=%v table=%v, want a 2-key map only", hv.dense, hv.table)
+	sparse := []Row{{1 << 40, 0}, {1, 1}, {1 << 40, 2}}
+	hv = d.buildTable(buildKey{table: "u"}, sparse)
+	if hv.table != nil || len(hv.keys) != 2 || len(hv.off) != 3 {
+		t.Fatalf("sparse keys: %+v, want CSR over 2 sorted keys", hv)
 	}
-	if got := hv.table[1]; len(got) != 2 || got[0][1] != 0 || got[1][1] != 2 {
-		t.Errorf("map bucket 1 = %v, want the two key-1 rows in stream order", got)
+	if got := hv.bucket(1 << 40); len(got) != 2 || got[0][1] != 0 || got[1][1] != 2 {
+		t.Errorf("bucket 1<<40 = %v, want its two rows in stream order", got)
 	}
-	if hv = r.buildHashView("e/raw", 0, nil); hv.dense != nil || len(hv.table) != 0 {
-		t.Errorf("empty build side: %+v, want an empty map", hv)
+	if len(hv.bucket(1)) != 1 || len(hv.bucket(2)) != 0 {
+		t.Error("sparse lookup: want one row under 1 and none under 2")
+	}
+	if want := int64(4*4+24*4) + int64(4*3+8*2+24*3); d.MemBytes() != want {
+		t.Errorf("MemBytes = %d after both views, want %d", d.MemBytes(), want)
+	}
+	if hv = d.buildTable(buildKey{table: "e"}, nil); hv == nil || len(hv.bucket(0)) != 0 {
+		t.Errorf("empty build side: %+v, want a table that finds nothing", hv)
 	}
 }

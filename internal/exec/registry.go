@@ -61,7 +61,16 @@ type Registry struct {
 	highWater atomic.Int64 // max resident bytes ever observed
 	loads     atomic.Int64 // loader invocations that went resident
 	evictions atomic.Int64 // datasets dropped for space (incl. Evict)
+
+	builds [3]atomic.Int64 // Dataset.buildTable outcomes, indexed by buildHit…
 }
+
+// Outcomes of one Dataset.buildTable call, counted per registry.
+const (
+	buildHit      = iota // the table was resident
+	buildMiss            // built and retained
+	buildFallback        // did not fit: the query built its own
+)
 
 // NewRegistry returns an empty registry with no byte budget.
 func NewRegistry() *Registry {
@@ -102,6 +111,7 @@ func (r *Registry) Register(d *Dataset) {
 	e.ds = d
 	e.bytes = d.MemBytes()
 	r.residentAdd(e.bytes)
+	d.owner.Store(r)
 }
 
 // RegisterLazy adds a dataset that load builds on first Acquire. The
@@ -208,6 +218,7 @@ func (r *Registry) Acquire(name string) (*Dataset, func(), error) {
 				err = ferr // drop the freshly built dataset; nothing was charged
 			} else {
 				e.ds, e.bytes = ds, bytes
+				ds.owner.Store(r)
 				r.residentAdd(bytes)
 				r.loads.Add(1)
 			}
@@ -276,6 +287,50 @@ func (r *Registry) evictLocked(victim *regEntry) {
 	r.evictions.Add(1)
 }
 
+// admitDerived charges n more bytes to d's resident entry — state d
+// derived from its own rows, freed and uncharged with it — evicting
+// least-recently-used unpinned datasets for room as a load would. It
+// reports false, with nothing charged or evicted, when d is not this
+// registry's resident copy of its name or the bytes do not fit next to
+// what is pinned or sticky. A nil registry admits everything: nobody
+// budgets a dataset no registry holds.
+func (r *Registry) admitDerived(d *Dataset, n int64) bool {
+	if r == nil {
+		return true
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.entries[d.Name]
+	if e == nil || e.ds != d {
+		return false
+	}
+	if r.budget > 0 {
+		room := r.budget - r.resident.Load()
+		for _, o := range r.entries {
+			if o != e && o.ds != nil && o.pins == 0 && o.load != nil {
+				room += o.bytes
+			}
+		}
+		if room < n {
+			return false
+		}
+		// d itself is no victim, pinned by the caller or not; and the
+		// eviction cannot fail: its room was just counted.
+		e.pins++
+		_ = r.evictLRULocked(n)
+		e.pins--
+	}
+	e.bytes += n
+	r.residentAdd(n)
+	return true
+}
+
+func (r *Registry) countBuild(outcome int) {
+	if r != nil {
+		r.builds[outcome].Add(1)
+	}
+}
+
 // Evict drops the named dataset's resident copy if it is loaded,
 // unpinned and reloadable, reporting whether anything was evicted.
 // In-flight queries that acquired the dataset before the call keep
@@ -321,6 +376,10 @@ type DatasetInfo struct {
 	Bytes     int64  `json:"bytes,omitempty"`
 	Rows      int64  `json:"rows,omitempty"`
 	Pins      int    `json:"pins,omitempty"`
+	// DerivedBytes is the part of Bytes held by the BuildTables hash-join
+	// build tables the dataset has derived from its rows so far.
+	DerivedBytes int64 `json:"derivedBytes,omitempty"`
+	BuildTables  int64 `json:"buildTables,omitempty"`
 }
 
 // Info snapshots every entry in registration order.
@@ -340,6 +399,8 @@ func (r *Registry) Info() []DatasetInfo {
 		}
 		if e.ds != nil {
 			info.Rows = e.ds.TotalRows()
+			info.DerivedBytes = e.ds.derived.Load()
+			info.BuildTables = e.ds.tables.Load()
 		}
 		out = append(out, info)
 	}
@@ -359,3 +420,10 @@ func (r *Registry) Loads() int64 { return r.loads.Load() }
 
 // Evictions reports how many resident datasets were dropped.
 func (r *Registry) Evictions() int64 { return r.evictions.Load() }
+
+// BuildCounts reports how hash joins over bare base-relation scans got
+// their build table: resident already (hits), built and retained
+// (misses), or not fitting the budget and built per query (fallbacks).
+func (r *Registry) BuildCounts() (hits, misses, fallbacks int64) {
+	return r.builds[buildHit].Load(), r.builds[buildMiss].Load(), r.builds[buildFallback].Load()
+}

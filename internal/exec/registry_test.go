@@ -456,3 +456,123 @@ func TestRegistryInfoRows(t *testing.T) {
 		t.Errorf("info bytes = %d, want MemBytes", info[0].Bytes)
 	}
 }
+
+// tinyViewBytes is the exact size of the build table over tinyDataset's
+// table keyed on column 0 (keys 0..rows-1: one bucket boundary per key
+// and one more, one row header per row).
+func tinyViewBytes(rows int) int64 { return 4*int64(rows+1) + 24*int64(rows) }
+
+// TestRegistryBuildTableSingleFlight: sixteen queries first-touching
+// one build table build it once; all of them probe the same table, and
+// the registry carries its bytes next to the dataset's own.
+func TestRegistryBuildTableSingleFlight(t *testing.T) {
+	const rows = 4096
+	r := NewRegistry()
+	r.Register(tinyDataset("a", rows))
+	ds, release, err := r.Acquire("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	base := r.ResidentBytes()
+
+	views := make([]*hashView, 16)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			views[g] = ds.buildTable(buildKey{table: "t"}, ds.Tables["t"])
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, hv := range views {
+		if hv == nil || hv != views[0] {
+			t.Fatalf("goroutine %d got table %p, goroutine 0 got %p", g, hv, views[0])
+		}
+	}
+	if hits, misses, fallbacks := r.BuildCounts(); hits != 15 || misses != 1 || fallbacks != 0 {
+		t.Errorf("build counts: %d hits, %d misses, %d fallbacks; want 15, 1, 0", hits, misses, fallbacks)
+	}
+	want := base + tinyViewBytes(rows)
+	if got := r.ResidentBytes(); got != want || ds.MemBytes() != want {
+		t.Errorf("resident %d, MemBytes %d; want base %d + view %d", got, ds.MemBytes(), base, tinyViewBytes(rows))
+	}
+	if info := r.Info()[0]; info.Bytes != want || info.DerivedBytes != tinyViewBytes(rows) || info.BuildTables != 1 {
+		t.Errorf("info = %+v, want %d bytes of which %d derived in 1 table", info, want, tinyViewBytes(rows))
+	}
+}
+
+// TestRegistryBuildTableBudget: a build table is charged to the same
+// budget as the datasets. It evicts an idle neighbour to fit, as a load
+// would; it never evicts a pinned one, and a table that cannot fit is
+// not retained and not an error — nothing is evicted on its behalf, the
+// caller builds its own. Evicting the dataset uncharges its tables with
+// it, and the reloaded copy starts with none.
+func TestRegistryBuildTableBudget(t *testing.T) {
+	const rows = 256
+	var calls atomic.Int64
+	r := NewRegistry()
+	r.RegisterLazy("a", "", countingLoader("a", rows, &calls))
+	r.RegisterLazy("b", "", countingLoader("b", rows, &calls))
+	base := tinyDataset("a", rows).MemBytes()
+	r.SetBudget(2*base + tinyViewBytes(rows)/2)
+
+	a, releaseA, err := r.Acquire("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, releaseB, err := r.Acquire("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	touch := func(d *Dataset) *hashView { return d.buildTable(buildKey{table: "t"}, d.Tables["t"]) }
+
+	// b is pinned: the table does not fit, and b stays.
+	if hv := touch(a); hv != nil {
+		t.Fatal("build table retained over the budget")
+	}
+	if _, _, fallbacks := r.BuildCounts(); fallbacks != 1 || r.Evictions() != 0 || r.ResidentBytes() != 2*base || a.MemBytes() != base {
+		t.Fatalf("after a refused table: %d fallbacks, %d evictions, %d resident, a is %d bytes; want 1, 0, %d, %d",
+			fallbacks, r.Evictions(), r.ResidentBytes(), a.MemBytes(), 2*base, base)
+	}
+
+	// b idle: it is evicted for the table.
+	releaseB()
+	hv := touch(a)
+	if hv == nil {
+		t.Fatal("build table refused although evicting the idle neighbour makes room")
+	}
+	if r.Evictions() != 1 || r.ResidentBytes() != base+tinyViewBytes(rows) || r.ResidentBytes() > r.Budget() {
+		t.Fatalf("after an admitted table: %d evictions, %d resident of %d budget", r.Evictions(), r.ResidentBytes(), r.Budget())
+	}
+	if touch(a) != hv {
+		t.Error("second touch built a second table")
+	}
+
+	// Evicted with its dataset, rebuilt on the reloaded copy.
+	releaseA()
+	if !r.Evict("a") || r.ResidentBytes() != 0 {
+		t.Fatalf("after evicting a: %d bytes resident, want 0", r.ResidentBytes())
+	}
+	if touch(a) != hv || r.ResidentBytes() != 0 {
+		t.Error("the evicted copy must keep serving its table and charge nobody")
+	}
+	a2, releaseA2, err := r.Acquire("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer releaseA2()
+	if a2 == a || a2.MemBytes() != base {
+		t.Fatalf("reloaded copy: same object %v, %d bytes; want a fresh one of %d", a2 == a, a2.MemBytes(), base)
+	}
+	if hv2 := touch(a2); hv2 == nil || hv2 == hv {
+		t.Error("reloaded copy did not build its own table")
+	}
+	if _, misses, _ := r.BuildCounts(); misses != 2 {
+		t.Errorf("%d build misses, want 2 (one per resident copy)", misses)
+	}
+}

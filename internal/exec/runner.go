@@ -57,72 +57,14 @@ type Runner struct {
 
 	equiv map[query.ColumnRef]int // lazily built column equivalence classes
 
-	// sortedDriving and hashViews memoize, per Runner, what the parallel
-	// tier derives from the dataset alone, so repeated Compile calls on
-	// one Runner (benchmarks, experiments) derive it once. They are not
-	// a cross-request cache: the serving layer makes a Runner per
-	// request, so there every parallel request builds its own.
-	//
-	// sortedDriving holds index orders the parallel tier had to sort
-	// itself (no maintained view), keyed "table/index". Serial index
-	// scans never read it: they must keep paying their per-execution
-	// Sort so rows-sorted accounting stays honest.
+	// sortedDriving memoizes, per Runner, index orders the parallel tier
+	// had to sort itself (no maintained view), keyed "table/index", so
+	// repeated Compile calls on one Runner (benchmarks, experiments) sort
+	// once. It is not a cross-request cache: the serving layer makes a
+	// Runner per request. Serial index scans never read it: they must
+	// keep paying their per-execution Sort so rows-sorted accounting
+	// stays honest.
 	sortedDriving map[string][]Row
-	// hashViews holds hash-join build tables over bare base-table scans,
-	// keyed "table/view/keycol". Bucket contents follow the scan's
-	// stream order, so probes emit the exact serial match sequence.
-	hashViews map[string]*hashView
-}
-
-// hashView is one preset build table, in exactly one of two forms:
-// direct-address buckets (bucket = dense[k-min]) when the key domain
-// is packed, a map otherwise. Only the fused morsel evaluator probes
-// a preset (presets are not adopted under a fault hook, and the
-// composed evaluator runs only under one), and it reads dense when
-// dense is non-nil.
-type hashView struct {
-	table map[int64][]Row
-	dense [][]Row
-	min   int64
-}
-
-// buildHashView returns (memoized per Runner) the build table over the
-// given rows keyed on column col: direct-address buckets when the
-// observed key span is within 4x the row count, a map otherwise.
-func (r *Runner) buildHashView(ck string, col int, rows []Row) *hashView {
-	ck = fmt.Sprintf("%s/%d", ck, col)
-	if hv, ok := r.hashViews[ck]; ok {
-		return hv
-	}
-	var min, max int64
-	for i, row := range rows {
-		k := row[col]
-		if i == 0 || k < min {
-			min = k
-		}
-		if i == 0 || k > max {
-			max = k
-		}
-	}
-	hv := &hashView{}
-	if span := max - min + 1; len(rows) > 0 && span > 0 && span <= int64(4*len(rows)+16) {
-		hv.min = min
-		hv.dense = make([][]Row, span)
-		for _, row := range rows {
-			k := row[col] - min
-			hv.dense[k] = append(hv.dense[k], row)
-		}
-	} else {
-		hv.table = make(map[int64][]Row, len(rows))
-		for _, row := range rows {
-			hv.table[row[col]] = append(hv.table[row[col]], row)
-		}
-	}
-	if r.hashViews == nil {
-		r.hashViews = make(map[string]*hashView)
-	}
-	r.hashViews[ck] = hv
-	return hv
 }
 
 // sortedIndexView returns (memoized per Runner) the rows
@@ -174,6 +116,10 @@ type OpStats struct {
 	// legitimately stop far short of it once the limit quiesces the
 	// pipeline. Without the marker that gap reads as a misestimate.
 	Limited bool `json:"limited,omitempty"`
+	// Resident marks a hash join's build-side scan that never ran: the
+	// join adopted the dataset-resident build table over the relation
+	// (Dataset.buildTable), and Rows is that table's size.
+	Resident bool `json:"resident,omitempty"`
 	// SpillRuns/SpilledBytes report an external sort's disk activity:
 	// how many sorted runs it flushed and their total size (0 when the
 	// sort stayed in memory or the operator isn't a sort).
@@ -599,21 +545,70 @@ func (r *Runner) resolveJoinPreds(n *plan.Node, ls, rs []query.ColumnRef) ([]joi
 	return eqs, primary, detail, nil
 }
 
+// rightSide is a join's right input as joinRight compiled it: the
+// resolved predicates, and either the input's iterator or — adopted set
+// — the dataset state standing in for it. An adopted input is a bare
+// scan that never runs; its stats entry is registered in its place, and
+// the join probes hash (a hash join: the dataset's resident build
+// table) or reads adopted.rows (an exchange's merge join: an index view
+// sorted on the merge key by construction).
+type rightSide struct {
+	it      Iterator
+	schema  []query.ColumnRef
+	eqs     []joinEq
+	primary int
+	detail  string
+	adopted *bareScan
+	hash    *hashView
+}
+
+// joinRight resolves join n's predicates against its compiled left
+// schema ls and compiles its right input — the one place where both
+// compilers (the exchange's passes inExchange) decide between running
+// the input and adopting dataset state for it. Adopted state is the
+// dataset's memory: the query materializes nothing and is charged
+// nothing. A build table the registry budget has no room for is not
+// adopted; the input is then compiled like any other.
+func (r *Runner) joinRight(n *plan.Node, ls []query.ColumnRef, p *Pipeline, inExchange bool) (rt rightSide, err error) {
+	var bare *bareScan
+	if n.Op == plan.HashJoin || (inExchange && n.Op == plan.MergeJoin) {
+		bare = r.bareScanRows(n.Right)
+	}
+	if bare != nil {
+		rt.schema = bare.schema
+	} else if rt.it, rt.schema, err = r.build(n.Right, p); err != nil {
+		return rt, err
+	}
+	rt.eqs, rt.primary, rt.detail, err = r.resolveJoinPreds(n, ls, rt.schema)
+	if err != nil || bare == nil {
+		return rt, err
+	}
+	bare.key.col = rt.eqs[rt.primary].r - len(ls)
+	if n.Op == plan.HashJoin {
+		rt.hash = r.Dataset.buildTable(bare.key, bare.rows)
+		bare.st.Resident = rt.hash != nil
+	}
+	if rt.hash != nil || (n.Op == plan.MergeJoin && bare.key.col == bare.leading) {
+		rt.adopted = bare
+		p.Ops = append(p.Ops, bare.st)
+		return rt, nil
+	}
+	rt.it, _, err = r.build(n.Right, p)
+	return rt, err
+}
+
 func (r *Runner) buildJoin(n *plan.Node, p *Pipeline, st *OpStats) (Iterator, []query.ColumnRef, error) {
 	left, ls, err := r.build(n.Left, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	right, rs, err := r.build(n.Right, p)
+	rt, err := r.joinRight(n, ls, p, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	schema := append(append([]query.ColumnRef{}, ls...), rs...)
-	eqs, primary, detail, err := r.resolveJoinPreds(n, ls, rs)
-	if err != nil {
-		return nil, nil, err
-	}
-	st.Detail = detail
+	right, eqs, primary := rt.it, rt.eqs, rt.primary
+	schema := append(append([]query.ColumnRef{}, ls...), rt.schema...)
+	st.Detail = rt.detail
 
 	switch n.Op {
 	case plan.MergeJoin:
@@ -633,6 +628,7 @@ func (r *Runner) buildJoin(n *plan.Node, p *Pipeline, st *OpStats) (Iterator, []
 			LeftKey:  eqs[primary].l,
 			RightKey: eqs[primary].r - len(ls),
 			Life:     p.Life,
+			prebuilt: rt.hash, adopted: rt.adopted,
 		})
 		if len(eqs) > 1 {
 			it = &Filter{In: it, Pred: residualPred(eqs, primary)}

@@ -182,10 +182,12 @@ type StatsResponse struct {
 	// MemUsedBytes is the approximate bytes currently materialized by
 	// running pipelines; MemLimitBytes the global budget (0: tracking
 	// only).
-	MemUsedBytes  int64                    `json:"memUsedBytes"`
-	MemLimitBytes int64                    `json:"memLimitBytes"`
-	Planner       planner.Stats            `json:"planner"`
-	Endpoints     map[string]EndpointStats `json:"endpoints"`
+	MemUsedBytes  int64 `json:"memUsedBytes"`
+	MemLimitBytes int64 `json:"memLimitBytes"`
+	// Panics counts handler panics answered with 500 ("code": "panic").
+	Panics    int64                    `json:"panics"`
+	Planner   planner.Stats            `json:"planner"`
+	Endpoints map[string]EndpointStats `json:"endpoints"`
 	// Registry reports the dataset registry's lifecycle gauges (nil
 	// when execution is disabled).
 	Registry *RegistryStats `json:"registry,omitempty"`
@@ -193,14 +195,21 @@ type StatsResponse struct {
 
 // RegistryStats are the dataset registry's lifecycle gauges: what is
 // resident, the high-water mark, the configured budget and the
-// load/eviction counters. Entries lists every registered dataset,
-// resident or not.
+// load/eviction counters. Datasets lists every registered dataset,
+// resident or not. The build counters say how hash joins over bare
+// base-relation scans got their build table: from the dataset's
+// resident one (BuildHits), by building and retaining it (BuildMisses),
+// or — it did not fit the budget — by building their own per query
+// (BuildFallbacks).
 type RegistryStats struct {
 	ResidentBytes  int64              `json:"residentBytes"`
 	HighWaterBytes int64              `json:"highWaterBytes"`
 	BudgetBytes    int64              `json:"budgetBytes,omitempty"`
 	Loads          int64              `json:"loads"`
 	Evictions      int64              `json:"evictions"`
+	BuildHits      int64              `json:"buildHits"`
+	BuildMisses    int64              `json:"buildMisses"`
+	BuildFallbacks int64              `json:"buildFallbacks"`
 	Datasets       []exec.DatasetInfo `json:"datasets,omitempty"`
 }
 

@@ -47,6 +47,10 @@
 //     may materialize and Config.MemLimitBytes what all of them may
 //     hold together; exceeding either returns a typed 429
 //     ("code": "budget") instead of growing the process.
+//   - Panics. A bug that panics under a handler is that request's 500
+//     ("code": "panic"), counted in /stats; what the request held —
+//     dataset pin, admission slot, reservation, budget charges — is
+//     released on the way out and the next request is served.
 //
 // /stats reports cancelled/timed-out/budget-rejected counters per
 // endpoint, and /healthz the draining flag plus in-flight and memory
@@ -160,6 +164,7 @@ type Server struct {
 	start          time.Time
 	draining       atomic.Bool
 	inFlight       atomic.Int64
+	panics         atomic.Int64   // handler panics answered with 500
 	wg             sync.WaitGroup // tracks admitted requests for DrainAndWait
 	admitMu        sync.RWMutex   // orders admission (wg.Add) against drain (wg.Wait)
 	defaultTimeout time.Duration
@@ -306,8 +311,27 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. A panic anywhere under a handler
+// is a bug, but one request's bug must not take the connection's
+// goroutine down unanswered: it is counted and answered 500
+// ("code": "panic"). The handlers' own deferred releases — dataset pin,
+// admission slot, memory reservation, the pipeline's budget — have run
+// by the time the panic reaches this frame. http.ErrAbortHandler keeps
+// its net/http meaning and is re-raised.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		if v == http.ErrAbortHandler {
+			panic(v)
+		}
+		s.panics.Add(1)
+		// If the handler had already started its response this write is
+		// a no-op on the status line; the client sees a cut-short body.
+		writeErrorCoded(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v), "panic", nil)
+	}()
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -829,6 +853,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Draining:      s.draining.Load(),
 		MemUsedBytes:  s.acct.Used(),
 		MemLimitBytes: s.acct.Limit(),
+		Panics:        s.panics.Load(),
 		Planner:       s.pl.Stats(),
 		Endpoints: map[string]EndpointStats{
 			"plan":    s.planMetrics.snapshot(),
@@ -845,6 +870,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Evictions:      s.datasets.Evictions(),
 			Datasets:       s.datasets.Info(),
 		}
+		resp.Registry.BuildHits, resp.Registry.BuildMisses, resp.Registry.BuildFallbacks = s.datasets.BuildCounts()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

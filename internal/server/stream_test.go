@@ -510,8 +510,13 @@ func TestRegistryStatsSurface(t *testing.T) {
 // TestEvictVsExecute races eviction against streaming execution under
 // -race: pins must keep every in-flight query's dataset alive, so all
 // requests succeed with identical results while the dataset is
-// repeatedly evicted and reloaded underneath them.
+// repeatedly evicted and reloaded underneath them. Half the requests
+// hash-join over a bare customer scan, so every reloaded copy also
+// builds (once, whoever touches it first) the build table it keeps; at
+// rest the registry carries exactly the resident copy's tables plus
+// that derived state, and an eviction takes both.
 func TestEvictVsExecute(t *testing.T) {
+	const hashSQL = "select * from orders, customer where o_custkey = c_custkey order by o_orderkey"
 	reg := exec.NewRegistry()
 	reg.RegisterLazy("churn", "evicted constantly", func() (*exec.Dataset, error) {
 		ds := exec.NewDataset("churn", "", tpcr.Generate(tpcr.DefaultGenSpec()))
@@ -521,9 +526,13 @@ func TestEvictVsExecute(t *testing.T) {
 	srv, c, done := newTestServer(t, Config{Datasets: reg})
 	defer done()
 
-	ref, err := c.Execute(ExecuteRequest{SQL: joinSQL, Dataset: "churn", MaxRows: ExecuteRowCap})
-	if err != nil {
-		t.Fatal(err)
+	refs := map[string]int64{}
+	for _, sql := range []string{joinSQL, hashSQL} {
+		ref, err := c.Execute(ExecuteRequest{SQL: sql, Dataset: "churn", MaxRows: ExecuteRowCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[sql] = ref.RowCount
 	}
 
 	stop := make(chan struct{})
@@ -547,7 +556,8 @@ func TestEvictVsExecute(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				st, err := c.ExecuteStream(ExecuteRequest{SQL: joinSQL, Dataset: "churn", ChunkRows: 16})
+				sql := []string{joinSQL, hashSQL}[i%2]
+				st, err := c.ExecuteStream(ExecuteRequest{SQL: sql, Dataset: "churn", ChunkRows: 16})
 				if err != nil {
 					t.Errorf("stream under eviction churn: %v", err)
 					return
@@ -558,8 +568,8 @@ func TestEvictVsExecute(t *testing.T) {
 					t.Errorf("collect under eviction churn: %v", err)
 					return
 				}
-				if int64(len(rows)) != ref.RowCount {
-					t.Errorf("eviction churn changed the result: %d rows, want %d", len(rows), ref.RowCount)
+				if int64(len(rows)) != refs[sql] {
+					t.Errorf("eviction churn changed the result: %d rows, want %d", len(rows), refs[sql])
 					return
 				}
 			}
@@ -581,6 +591,47 @@ func TestEvictVsExecute(t *testing.T) {
 		if info.Pins != 0 {
 			t.Errorf("dataset %s still pinned after all requests finished", info.Name)
 		}
+	}
+
+	// At rest the resident copy accounts for every byte, its build table
+	// included, and all of it leaves with an eviction; the next acquire
+	// reloads, and the next hash join over it rebuilds.
+	pd, q, err := srv.Planner().PlanQueryContext(context.Background(), hashSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func() (adopted bool) {
+		ds, unpin, err := reg.Acquire("churn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer unpin()
+		pipe, err := ds.Runner(origin(pd, q).Analysis()).Compile(pd.Best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range pipe.Ops {
+			adopted = adopted || op.Resident
+		}
+		return adopted
+	}
+	adopted := compile()
+	info := reg.Info()[0]
+	if !adopted || info.DerivedBytes == 0 || info.BuildTables != 1 || reg.ResidentBytes() != info.Bytes {
+		t.Errorf("at rest: adopted %v, info %+v, %d bytes resident; want one build table inside equal totals",
+			adopted, info, reg.ResidentBytes())
+	}
+	_, misses, _ := reg.BuildCounts()
+	loads := reg.Loads()
+	if !reg.Evict("churn") || reg.ResidentBytes() != 0 {
+		t.Fatalf("after evicting the idle dataset: %d bytes resident, want 0", reg.ResidentBytes())
+	}
+	if !compile() {
+		t.Error("the reloaded dataset's build table was not adopted")
+	}
+	if _, m, _ := reg.BuildCounts(); reg.Loads() != loads+1 || m != misses+1 || reg.ResidentBytes() != info.Bytes {
+		t.Errorf("after the reload: %d loads, %d build misses, %d bytes resident; want %d, %d, %d",
+			reg.Loads(), m, reg.ResidentBytes(), loads+1, misses+1, info.Bytes)
 	}
 }
 
