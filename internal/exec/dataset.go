@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -237,7 +236,7 @@ func sortedView(base []Row, keys []int) []Row {
 		return base
 	}
 	sorted := append(make([]Row, 0, len(base)), base...)
-	sort.SliceStable(sorted, func(i, j int) bool { return lessByKeys(sorted[i], sorted[j], keys) })
+	sortRows(sorted, keys)
 	return packRows(sorted)
 }
 

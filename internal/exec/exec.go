@@ -20,8 +20,9 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Row is one tuple; values are int64 (strings are dictionary-coded by
@@ -205,14 +206,20 @@ func (s *Sort) Open() error {
 			s.In.Close()
 			return err
 		}
+		if len(rows) == cap(rows) {
+			// Double exactly: append's 1.25x steps allocate about four
+			// times the final run on the way to it, which is what pays
+			// for sortRows' references.
+			grown := make([]Row, len(rows), max(2*cap(rows), 64))
+			copy(grown, rows)
+			rows = grown
+		}
 		rows = append(rows, row)
 	}
 	if err := s.In.Close(); err != nil {
 		return err
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return lessByKeys(rows[i], rows[j], s.Keys)
-	})
+	sortRows(rows, s.Keys)
 	s.rows = rows
 	s.pos = 0
 	return nil
@@ -238,6 +245,65 @@ func lessByKeys(a, b Row, keys []int) bool {
 		}
 	}
 	return false
+}
+
+func compareByKeys(a, b Row, keys []int) int {
+	for _, k := range keys {
+		if a[k] != b[k] {
+			return cmp.Compare(a[k], b[k])
+		}
+	}
+	return 0
+}
+
+// sortRows stably sorts rows ascending on the key columns, in place: the
+// one sort kernel behind Sort, ExtSort's runs and the dataset's index
+// views. It sorts 16-byte (first key, position) references rather than
+// the rows — most comparisons are decided by the first key without
+// touching a row — with the position as the last tie-break, which makes
+// the unstable pdqsort stable; the rows are then permuted along the
+// references' cycles.
+func sortRows(rows []Row, keys []int) {
+	if len(keys) == 0 || SatisfiesOrdering(rows, keys) {
+		return
+	}
+	type ref struct {
+		key int64
+		idx int
+	}
+	refs := make([]ref, len(rows))
+	for i, r := range rows {
+		refs[i] = ref{key: r[keys[0]], idx: i}
+	}
+	rest := keys[1:]
+	slices.SortFunc(refs, func(a, b ref) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		if c := compareByKeys(rows[a.idx], rows[b.idx], rest); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	// rows[i] must become the old rows[refs[i].idx]. Walk each cycle of
+	// that permutation once, marking a slot done by pointing it at itself.
+	for i := range refs {
+		if refs[i].idx == i {
+			continue
+		}
+		first := rows[i]
+		j := i
+		for {
+			src := refs[j].idx
+			refs[j].idx = j
+			if src == i {
+				rows[j] = first
+				break
+			}
+			rows[j] = rows[src]
+			j = src
+		}
+	}
 }
 
 // MergeJoin equi-joins two inputs sorted on their key columns; output

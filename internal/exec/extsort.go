@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // ExtSort is the spilling external sort: it materializes its input in
@@ -91,7 +90,7 @@ func (s *ExtSort) Open() error {
 	if err := s.In.Close(); err != nil {
 		return err
 	}
-	s.sortRun()
+	sortRows(s.run, s.Keys)
 	if len(s.runs) == 0 {
 		return nil // everything fit: serve the single run from memory
 	}
@@ -135,16 +134,10 @@ func (s *ExtSort) add(row Row) error {
 	return nil
 }
 
-func (s *ExtSort) sortRun() {
-	keys := s.Keys
-	run := s.run
-	sort.SliceStable(run, func(i, j int) bool { return lessByKeys(run[i], run[j], keys) })
-}
-
 // flushRun sorts the current run, writes it to a spill file and
 // releases its memory charge — the rows now live on disk.
 func (s *ExtSort) flushRun() error {
-	s.sortRun()
+	sortRows(s.run, s.Keys)
 	f, err := os.CreateTemp(s.Dir, "extsort-*.run")
 	if err != nil {
 		return fmt.Errorf("exec: external sort spill: %w", err)

@@ -1,0 +1,248 @@
+package exec
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// meterChain wraps a scan over rows and depth-1 pass-through filters
+// above it, each in its own stats wrapper — the shape of a compiled
+// pipeline with the operators' own work taken out, so what is left is
+// the hand-off and the meter.
+func meterChain(rows []Row, depth int, timing bool) Iterator {
+	it := Iterator(NewScan(rows))
+	for d := 0; d < depth; d++ {
+		if d > 0 {
+			it = &Filter{In: it, Pred: func(Row) bool { return true }}
+		}
+		it = &statsIter{in: it, st: &OpStats{}, life: &Life{}, timing: timing}
+	}
+	return it
+}
+
+func meterRows(n int) []Row {
+	slab := make([]int64, 2*n)
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = slab[2*i : 2*i+2 : 2*i+2]
+		rows[i][0] = int64(i)
+	}
+	return rows
+}
+
+// TestMeterClockPairs: past the warm-up, a stats wrapper reads the clock
+// once per burst, not once per row, and still counts every row it hands
+// out.
+func TestMeterClockPairs(t *testing.T) {
+	const n = 10_000
+	it := meterChain(meterRows(n), 1, true).(*statsIter)
+	out, err := Collect(it)
+	if err != nil || len(out) != n {
+		t.Fatalf("collected %d rows, error %v; want %d", len(out), err, n)
+	}
+	for i, r := range out {
+		if r[0] != int64(i) {
+			t.Fatalf("row %d is %v: a burst handed rows out of order", i, r)
+		}
+	}
+	if it.st.Rows != n {
+		t.Errorf("Rows = %d, want %d", it.st.Rows, n)
+	}
+	if it.st.TimeNs <= 0 {
+		t.Errorf("TimeNs = %d with timing on", it.st.TimeNs)
+	}
+	// Open, the warm-up calls, the bursts, and the one that only finds
+	// the end of the stream.
+	limit := uint32(meterWarmCalls + (n+meterBurstRows-1)/meterBurstRows + 2)
+	if it.pairs > limit {
+		t.Errorf("%d clock pairs for %d rows, want at most %d", it.pairs, n, limit)
+	}
+	t.Logf("%d rows, %d clock pairs", n, it.pairs)
+}
+
+// TestMeterShortStreamAllocatesNothing: a stream that ends inside the
+// warm-up never allocates the burst buffer — the top-k pipelines' case.
+func TestMeterShortStreamAllocatesNothing(t *testing.T) {
+	it := meterChain(meterRows(meterWarmCalls-1), 1, true).(*statsIter)
+	if out, err := Collect(it); err != nil || len(out) != meterWarmCalls-1 {
+		t.Fatalf("collected %d rows, error %v", len(out), err)
+	}
+	if it.burst != nil {
+		t.Error("a stream shorter than the warm-up allocated a burst buffer")
+	}
+}
+
+// failOnce passes its input through, except that the first pass fails
+// at the at-th Next.
+type failOnce struct {
+	Iterator
+	at, n int
+	fired bool
+}
+
+func (f *failOnce) Open() error { f.n = 0; return f.Iterator.Open() }
+
+func (f *failOnce) Next() (Row, bool, error) {
+	if f.n++; f.n == f.at && !f.fired {
+		f.fired = true
+		return nil, false, errors.New("failOnce: injected")
+	}
+	return f.Iterator.Next()
+}
+
+// TestMeterReopenStartsClean: a wrapper whose burst ended in an error is
+// reopened; nothing of the first pass — buffered rows, the error, the
+// position — survives into the second.
+func TestMeterReopenStartsClean(t *testing.T) {
+	const n, at = 1000, 101
+	it := &statsIter{in: &failOnce{Iterator: NewScan(meterRows(n)), at: at}, st: &OpStats{}, life: &Life{}, timing: true}
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		row, ok, err := it.Next()
+		if err != nil {
+			if i != at-1 {
+				t.Fatalf("the error at row %d arrived after %d rows", at, i)
+			}
+			break
+		}
+		if !ok || row[0] != int64(i) {
+			t.Fatalf("row %d of the first pass: %v, ok=%v", i, row, ok)
+		}
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := Collect(it)
+	if err != nil || len(out) != n {
+		t.Fatalf("second pass collected %d rows, error %v; want %d and none", len(out), err, n)
+	}
+	for i, r := range out {
+		if r[0] != int64(i) {
+			t.Fatalf("second pass row %d is %v", i, r)
+		}
+	}
+	if want := int64(at - 1 + n); it.st.Rows != want {
+		t.Errorf("Rows = %d over both passes, want %d", it.st.Rows, want)
+	}
+}
+
+// BenchmarkMeter is the meter's own bill: a pass-through chain of
+// depth 1, 3 and 5 over 40 000 rows with operator timing on and off.
+// The on/off ratio at depth 5 is the number docs/benchmarks.md records.
+func BenchmarkMeter(b *testing.B) {
+	rows := meterRows(40_000)
+	for _, depth := range []int{1, 3, 5} {
+		for _, timing := range []bool{false, true} {
+			b.Run(fmt.Sprintf("depth%d/timing=%v", depth, timing), func(b *testing.B) {
+				it := meterChain(rows, depth, timing)
+				for b.Loop() {
+					if err := it.Open(); err != nil {
+						b.Fatal(err)
+					}
+					n := 0
+					for {
+						_, ok, err := it.Next()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+						n++
+					}
+					if n != len(rows) {
+						b.Fatalf("drained %d rows, want %d", n, len(rows))
+					}
+					it.Close()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rows)), "ns/row")
+			})
+		}
+	}
+}
+
+// sortInput returns n three-column rows: column 0 has the given number
+// of distinct values, column 1 two, column 2 is the row's position (so
+// stability is checkable), shuffled by a fixed seed.
+func sortInput(n, distinct int) []Row {
+	rng := rand.New(rand.NewSource(int64(n)*31 + int64(distinct)))
+	slab := make([]int64, 3*n)
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = slab[3*i : 3*i+3 : 3*i+3]
+		rows[i][0] = int64(rng.Intn(distinct))
+		rows[i][1] = int64(rng.Intn(2))
+		rows[i][2] = int64(i)
+	}
+	return rows
+}
+
+// TestSortRowsMatchesStableSort: the kernel is a stable sort — on one
+// key and on two, with few, many and all-distinct keys, on sorted,
+// reversed and empty input — by comparison with sort.SliceStable.
+func TestSortRowsMatchesStableSort(t *testing.T) {
+	reversed := sortInput(500, 500)
+	sort.Slice(reversed, func(i, j int) bool { return reversed[i][0] > reversed[j][0] })
+	inputs := map[string][]Row{
+		"empty":    nil,
+		"one":      sortInput(1, 1),
+		"constant": sortInput(300, 1),
+		"few":      sortInput(2000, 7),
+		"many":     sortInput(2000, 597),
+		"distinct": sortInput(2000, 1<<40),
+		"reversed": reversed,
+	}
+	for name, in := range inputs {
+		for _, keys := range [][]int{{0}, {0, 1}, {1, 0}, {}} {
+			want := slices.Clone(in)
+			sort.SliceStable(want, func(i, j int) bool { return lessByKeys(want[i], want[j], keys) })
+			got := slices.Clone(in)
+			sortRows(got, keys)
+			for i := range want {
+				if &got[i][0] != &want[i][0] {
+					t.Fatalf("%s keys %v: position %d holds input row %d, the stable sort puts row %d there",
+						name, keys, i, got[i][2], want[i][2])
+				}
+			}
+			// Sorting what is sorted is the identity.
+			sortRows(got, keys)
+			for i := range want {
+				if &got[i][0] != &want[i][0] {
+					t.Fatalf("%s keys %v: re-sorting moved position %d", name, keys, i)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSortRows is the sort kernel on Q8's shape: 8 000 rows with 1,
+// 597 (Q8's distinct o_orderdate values on tpcr-mid) and 8 000 distinct
+// leading keys, on one key column and on two.
+func BenchmarkSortRows(b *testing.B) {
+	const n = 8000
+	for _, distinct := range []int{1, 597, n} {
+		for _, keys := range [][]int{{0}, {0, 1}} {
+			b.Run(fmt.Sprintf("distinct%d/keys%d", distinct, len(keys)), func(b *testing.B) {
+				in := sortInput(n, distinct)
+				if distinct == 1 {
+					// A constant key is sorted input; make the kernel work.
+					in[0][0] = 1
+				}
+				buf := make([]Row, n)
+				for b.Loop() {
+					copy(buf, in)
+					sortRows(buf, keys)
+				}
+				if !SatisfiesOrdering(buf, keys) {
+					b.Fatal("output not sorted")
+				}
+			})
+		}
+	}
+}

@@ -614,7 +614,7 @@ func (x *Exchange) Open() error {
 				if hi > len(d) {
 					hi = len(d)
 				}
-				res := x.runMorsel(d[i*sz : hi])
+				res := x.runMorselRecovered(d[i*sz : hi])
 				if res.err != nil {
 					// First failure aborts the siblings through the
 					// shared Life (they observe it at their next
@@ -633,6 +633,21 @@ func (x *Exchange) Open() error {
 	}
 	x.opened = true
 	return nil
+}
+
+// runMorselRecovered is runMorsel with a panic turned into the morsel's
+// error. A worker is a goroutine of its own, out of reach of the serving
+// layer's recovering handler, so a panic here would otherwise end the
+// process; as an error it aborts the siblings and reaches the consumer
+// like any other failed morsel. runMorsel's deferred Close still runs as
+// the panic unwinds, so the morsel's operators are closed either way.
+func (x *Exchange) runMorselRecovered(rows []Row) (res morselResult) {
+	defer func() {
+		if v := recover(); v != nil {
+			res = morselResult{err: fmt.Errorf("exec: panic in exchange worker: %v", v)}
+		}
+	}()
+	return x.runMorsel(rows)
 }
 
 // runMorsel builds the throwaway spine pipeline over one morsel of
@@ -684,11 +699,10 @@ func (x *Exchange) runMorsel(rows []Row) morselResult {
 		}
 		it = x.wrapMorsel(it, s.st, si == len(x.steps)-1)
 	}
+	defer it.Close() // before Open, so a panic inside Open closes too
 	if err := it.Open(); err != nil {
-		it.Close()
 		return morselResult{err: err}
 	}
-	defer it.Close()
 	out := make([]Row, 0, x.morselHint())
 	for {
 		if x.life.drained() {

@@ -77,7 +77,7 @@ func rowsEqual(a, b []Row) bool {
 	return true
 }
 
-func sortRows(rows []Row) {
+func sortAllColumns(rows []Row) {
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		for k := range a {
@@ -145,9 +145,9 @@ func TestExchangeMergePreservesSerialSequence(t *testing.T) {
 							w.name, dsName, dop, len(got), len(want))
 					}
 				} else {
-					sortRows(got)
+					sortAllColumns(got)
 					sorted := append([]Row{}, want...)
-					sortRows(sorted)
+					sortAllColumns(sorted)
 					if !rowsEqual(got, sorted) {
 						t.Fatalf("%s/%s dop=%d: parallel multiset differs from serial",
 							w.name, dsName, dop)
@@ -262,9 +262,9 @@ func TestExchangeUnionExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortRows(got)
+	sortAllColumns(got)
 	sorted := append([]Row{}, want...)
-	sortRows(sorted)
+	sortAllColumns(sorted)
 	if !rowsEqual(got, sorted) {
 		t.Fatalf("union multiset differs from serial (%d vs %d rows)", len(got), len(want))
 	}

@@ -99,7 +99,9 @@ type OpStats struct {
 	Detail string `json:"detail,omitempty"`
 	// EstRows is the optimizer's output-cardinality estimate.
 	EstRows float64 `json:"estRows"`
-	// Rows counts the rows the operator actually emitted.
+	// Rows counts the rows the operator actually emitted — handed to its
+	// consumer; a timed wrapper may hold up to meterBurstRows more that
+	// the consumer never asked for (see statsIter).
 	Rows int64 `json:"rows"`
 	// TimeNs is cumulative wall time spent in the operator's Open and
 	// Next calls, children included (EXPLAIN ANALYZE convention); 0 when
@@ -190,31 +192,77 @@ func (p *Pipeline) SpillStats() (runs, bytes int64) {
 	return runs, bytes
 }
 
+// The meter's two regimes. An operator's first meterWarmCalls Next calls
+// are timed one clock pair each and buffer nothing, so a short pipeline
+// (a top-10 early-out) runs exactly as if bursts did not exist; from
+// then on the wrapper pulls up to meterBurstRows rows under one clock
+// pair. A clock pair costs about as much as an operator's Next, so
+// timing per row made the meter half of a long pipeline's bill.
+const (
+	meterWarmCalls = 16
+	meterBurstRows = 64
+)
+
+// meterEpoch anchors the meter's clock reads: time.Since of an instant
+// that carries a monotonic reading reads only the monotonic clock, which
+// costs about half of what time.Now does.
+var meterEpoch = time.Now()
+
+// burst is a statsIter's look-ahead: rows[pos:n] were pulled from the
+// operator under one clock pair and are handed out one per Next without
+// reading the clock. ended records that the pull ran into the end of the
+// stream, or into err; either is delivered after the rows before it.
+type burst struct {
+	rows   [meterBurstRows]Row
+	pos, n int
+	ended  bool
+	err    error
+}
+
 // statsIter counts (and optionally times) one operator, and is where
 // every operator's Next observes cancellation: one shared row counter
 // per pipeline, polled every CancelCheckInterval rows — a build loop
 // deep inside a hash join ticks it through its child wrapper just like
 // the root does.
+//
+// TimeNs stays exact inclusive wall time under bursts, not an estimate:
+// every call into the operator happens between one of this wrapper's
+// clock pairs, and a child's burst runs inside its parent's burst (or
+// Open), so a parent's time always covers its children's.
 type statsIter struct {
 	in     Iterator
 	st     *OpStats
 	life   *Life
 	timing bool
+	warm   uint8  // Next calls timed singly so far, up to meterWarmCalls
+	pairs  uint32 // clock pairs read; the meter's tests bound it
+	burst  *burst // allocated by the first call past the warm-up
 }
 
 func (s *statsIter) Open() error {
+	s.warm = 0
+	if s.burst != nil {
+		*s.burst = burst{}
+	}
 	if !s.timing {
 		return s.in.Open()
 	}
-	begin := time.Now()
+	begin := time.Since(meterEpoch)
 	err := s.in.Open()
-	s.st.TimeNs += time.Since(begin).Nanoseconds()
+	s.st.TimeNs += int64(time.Since(meterEpoch) - begin)
+	s.pairs++
 	return err
 }
 
 func (s *statsIter) Next() (Row, bool, error) {
 	if err := s.life.step(); err != nil {
 		return nil, false, err
+	}
+	if b := s.burst; b != nil && b.pos < b.n {
+		row := b.rows[b.pos]
+		b.pos++
+		s.st.Rows++
+		return row, true, nil
 	}
 	if !s.timing {
 		row, ok, err := s.in.Next()
@@ -223,16 +271,59 @@ func (s *statsIter) Next() (Row, bool, error) {
 		}
 		return row, ok, err
 	}
-	begin := time.Now()
-	row, ok, err := s.in.Next()
-	s.st.TimeNs += time.Since(begin).Nanoseconds()
-	if ok {
-		s.st.Rows++
+	if s.warm < meterWarmCalls {
+		s.warm++
+		begin := time.Since(meterEpoch)
+		row, ok, err := s.in.Next()
+		s.st.TimeNs += int64(time.Since(meterEpoch) - begin)
+		s.pairs++
+		if ok {
+			s.st.Rows++
+		}
+		return row, ok, err
 	}
-	return row, ok, err
+	b := s.burst
+	if b == nil {
+		b = new(burst)
+		s.burst = b
+	}
+	if !b.ended {
+		s.pull(b)
+		if b.n > 0 {
+			b.pos = 1
+			s.st.Rows++
+			return b.rows[0], true, nil
+		}
+	}
+	// The burst's terminal event, after every row buffered before it. It
+	// is delivered once; a caller that asks again asks the operator again,
+	// as it always did.
+	err := b.err
+	b.ended, b.err = false, nil
+	return nil, false, err
 }
 
-func (s *statsIter) Close() error { return s.in.Close() }
+// pull refills the burst from the operator under one clock pair.
+func (s *statsIter) pull(b *burst) {
+	b.pos, b.n = 0, 0
+	begin := time.Since(meterEpoch)
+	for b.n < len(b.rows) {
+		row, ok, err := s.in.Next()
+		if err != nil || !ok {
+			b.ended, b.err = true, err
+			break
+		}
+		b.rows[b.n] = row
+		b.n++
+	}
+	s.st.TimeNs += int64(time.Since(meterEpoch) - begin)
+	s.pairs++
+}
+
+func (s *statsIter) Close() error {
+	s.burst = nil
+	return s.in.Close()
+}
 
 // batchStatsIter adds batch passthrough to statsIter when the wrapped
 // operator emits batches: one cancellation poll and one counter update
