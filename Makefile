@@ -44,9 +44,9 @@ race:
 # faults runs the query-lifecycle hardening suite under the race
 # detector: the fault-injection scenario sweep (every operator hung,
 # errored and delayed), the executor's budget/cancellation tests (a
-# panicking exchange worker and the meter's error order and Limit
-# look-ahead among them) and the serving layer's
-# timeout/budget/drain/retry/panic tests, and the
+# panicking exchange worker and the meter's error order, Limit
+# look-ahead and per-wrapper poll bound among them) and the serving
+# layer's timeout/budget/drain/retry/panic tests, and the
 # dataset-resident build tables' lifecycle (single-flight first touch,
 # budget fallback, eviction). CI runs it as its own step so a lifecycle
 # regression is named, not buried.
@@ -54,7 +54,7 @@ faults:
 	$(GO) test -race ./internal/faultinject/ \
 		-run 'TestScenariosAcrossOperators|TestFault|TestHang|TestDelay|TestTracker|TestMatches|TestExtSortMidSpillAbort'
 	$(GO) test -race ./internal/exec/ \
-		-run 'TestAccountant|TestBudget|TestMergeJoinGroupRelease|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestExtSort|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestMeterErrorOrder|TestMeterLimitLookAhead|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryBuildTable|TestResidentBuildFallback'
+		-run 'TestAccountant|TestBudget|TestMergeJoinGroupRelease|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestExtSort|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestMeterErrorOrder|TestMeterLimitLookAhead|TestMeterCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryBuildTable|TestResidentBuildFallback'
 	$(GO) test -race ./internal/server/ \
 		-run 'TestExecuteTimeout|TestExecuteDefaultTimeout|TestTimeoutClamp|TestExecuteBudget|TestGlobalMemBudget|TestExecuteClientCancel|TestDrainAndWait|TestClientRetry|TestRetryBackoff|TestExecuteStreamClientDisconnect|TestExecuteStreamFirstRowBeforeMaterialization|TestStreamNoRetryMidStream|TestStreamTrailerAbortNotRetried|TestEvictVsExecute|TestMemoryAdmission|TestHandlerPanicRecovered'
 	$(GO) test -race ./internal/experiments/ -run 'TestAbort'
@@ -86,7 +86,7 @@ conformance-update:
 # COVER_FLOOR is the pinned combined statement coverage of the executor
 # and its conformance corpus; cover fails when new executor code lands
 # without conformance or unit coverage.
-COVER_FLOOR := 88
+COVER_FLOOR := 90
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./internal/exec/...,./internal/conformance/... \
 		./internal/exec/ ./internal/conformance/

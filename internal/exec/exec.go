@@ -57,11 +57,10 @@ type sizeHinter interface {
 
 // Collect drains it and returns all rows.
 func Collect(it Iterator) ([]Row, error) {
+	defer it.Close() // before Open, so a panic inside Open closes too
 	if err := it.Open(); err != nil {
-		it.Close()
 		return nil, err
 	}
-	defer it.Close()
 	var out []Row
 	if b, ok := it.(batchIterator); ok {
 		if sh, ok := it.(sizeHinter); ok {
@@ -92,6 +91,29 @@ func Collect(it Iterator) ([]Row, error) {
 			return out, nil
 		}
 		out = append(out, row)
+	}
+}
+
+// drainInto opens it, feeds every row to f, and closes it — on success,
+// on every error path, and when it or f panics: the one loop behind every
+// operator that consumes an input whole inside its own Open.
+func drainInto(it Iterator, f func(Row) error) (err error) {
+	defer func() {
+		if cerr := it.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if err := it.Open(); err != nil {
+		return err
+	}
+	for {
+		row, ok, err := it.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := f(row); err != nil {
+			return err
+		}
 	}
 }
 
@@ -188,22 +210,9 @@ type Sort struct {
 
 // Open implements Iterator.
 func (s *Sort) Open() error {
-	if err := s.In.Open(); err != nil {
-		s.In.Close()
-		return err
-	}
 	var rows []Row
-	for {
-		row, ok, err := s.In.Next()
-		if err != nil {
-			s.In.Close()
-			return err
-		}
-		if !ok {
-			break
-		}
+	if err := drainInto(s.In, func(row Row) error {
 		if err := s.Life.holdRow(row); err != nil {
-			s.In.Close()
 			return err
 		}
 		if len(rows) == cap(rows) {
@@ -215,8 +224,8 @@ func (s *Sort) Open() error {
 			rows = grown
 		}
 		rows = append(rows, row)
-	}
-	if err := s.In.Close(); err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
 	sortRows(rows, s.Keys)
@@ -340,14 +349,6 @@ type MergeJoin struct {
 	havePrevRight bool
 	opened        bool
 
-	// seek, when set (morsel segments only), is the right input itself: a
-	// seekable scan over rows materialized and sorted-verified at exchange
-	// setup. The join then skips right rows below the current left key by
-	// binary search instead of streaming past them, and drops the
-	// right-side drain on left exhaustion (the shared materialization
-	// already verified the full right stream).
-	seek *seekScan
-
 	alloc rowAlloc // chunked allocator for output rows
 }
 
@@ -383,14 +384,8 @@ func (m *MergeJoin) nextLeft() (Row, bool, error) {
 	return row, true, nil
 }
 
-// nextRight advances the right lookahead, verifying sortedness. Seek
-// mode skips the verification: the shared materialization (or the
-// maintained index view) it reads from was verified once up front.
+// nextRight advances the right lookahead, verifying sortedness.
 func (m *MergeJoin) nextRight() (Row, bool, error) {
-	if m.seek != nil {
-		row, ok, _ := m.seek.Next()
-		return row, ok, nil
-	}
 	row, ok, err := m.Right.Next()
 	if err != nil || !ok {
 		return nil, false, err
@@ -485,12 +480,6 @@ func (m *MergeJoin) Next() (Row, bool, error) {
 				return nil, false, err
 			}
 			if !ok {
-				if m.seek != nil {
-					// Seek mode: the shared materialization verified the
-					// whole right stream; draining it per morsel would
-					// undo the skip-ahead win.
-					return nil, false, nil
-				}
 				// Left exhausted: drain the right side so its
 				// sortedness check covers the full stream the plan
 				// claimed sorted (mirror of the left drain below).
@@ -507,17 +496,6 @@ func (m *MergeJoin) Next() (Row, bool, error) {
 			m.left = row
 		}
 		lk := m.left[m.LeftKey]
-		if m.seek != nil && (!m.haveGroup || m.groupKey < lk) {
-			// Skip right rows that can never match: the left stream is
-			// non-decreasing, so anything below lk is dead. Discard a
-			// stale lookahead and jump the scan to the first key >= lk.
-			if m.rightNext != nil && m.rightNext[m.RightKey] < lk {
-				m.rightNext = nil
-			}
-			if m.rightNext == nil && !m.rightDone {
-				m.seek.SeekGE(lk)
-			}
-		}
 		for !m.haveGroup || m.groupKey < lk {
 			ok, err := m.buildGroup()
 			if err != nil {
@@ -602,27 +580,15 @@ func (h *HashJoin) Open() error {
 			h.adopted.st.Rows = int64(len(h.adopted.rows))
 		}
 	} else {
-		if err := h.Right.Open(); err != nil {
-			return err
-		}
 		table := make(map[int64][]Row)
-		for {
-			row, ok, err := h.Right.Next()
-			if err != nil {
-				h.Right.Close()
-				return err
-			}
-			if !ok {
-				break
-			}
+		if err := drainInto(h.Right, func(row Row) error {
 			if err := h.Life.holdRow(row); err != nil {
-				h.Right.Close()
 				return err
 			}
 			k := row[h.RightKey]
 			table[k] = append(table[k], row)
-		}
-		if err := h.Right.Close(); err != nil {
+			return nil
+		}); err != nil {
 			return err
 		}
 		h.table = hashView{table: table}
@@ -678,45 +644,22 @@ type NestedLoopJoin struct {
 	ii     int
 	opened bool
 
-	// preloaded, when set (morsel segments only), is the materialized
-	// inner shared across morsel pipelines: Open adopts it instead of
-	// draining Inner (which is then nil); charged once at exchange setup.
-	preloaded []Row
-
 	alloc rowAlloc // chunked allocator for output rows
 }
 
 // Open implements Iterator.
 func (n *NestedLoopJoin) Open() error {
-	if n.preloaded != nil {
-		n.inner = n.preloaded
-	} else {
-		if err := n.Inner.Open(); err != nil {
-			n.Inner.Close()
+	var rows []Row
+	if err := drainInto(n.Inner, func(row Row) error {
+		if err := n.Life.holdRow(row); err != nil {
 			return err
 		}
-		var rows []Row
-		for {
-			row, ok, err := n.Inner.Next()
-			if err != nil {
-				n.Inner.Close()
-				return err
-			}
-			if !ok {
-				break
-			}
-			if err := n.Life.holdRow(row); err != nil {
-				n.Inner.Close()
-				return err
-			}
-			rows = append(rows, row)
-		}
-		if err := n.Inner.Close(); err != nil {
-			return err
-		}
-		n.inner = rows
+		rows = append(rows, row)
+		return nil
+	}); err != nil {
+		return err
 	}
-	n.outer, n.ii = nil, 0
+	n.inner, n.outer, n.ii = rows, nil, 0
 	if err := n.Outer.Open(); err != nil {
 		return err
 	}

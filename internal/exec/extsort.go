@@ -66,28 +66,12 @@ type mergeEntry struct {
 // sort's own Close.
 func (s *ExtSort) Open() error {
 	s.run, s.runBytes, s.runs, s.heap, s.memPos, s.width = nil, 0, nil, nil, 0, 0
-	if err := s.In.Open(); err != nil {
-		s.In.Close()
-		return err
-	}
-	for {
-		row, ok, err := s.In.Next()
-		if err != nil {
-			s.In.Close()
-			return err
-		}
-		if !ok {
-			break
-		}
+	if err := drainInto(s.In, func(row Row) error {
 		if s.width == 0 {
 			s.width = len(row)
 		}
-		if err := s.add(row); err != nil {
-			s.In.Close()
-			return err
-		}
-	}
-	if err := s.In.Close(); err != nil {
+		return s.add(row)
+	}); err != nil {
 		return err
 	}
 	sortRows(s.run, s.Keys)

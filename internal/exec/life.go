@@ -9,11 +9,11 @@ import (
 
 // This file is the query-lifecycle layer of the executor: cancellation,
 // deadlines and resource budgets. Every compiled pipeline carries one
-// Life; the per-operator stats wrappers check it for cancellation once
-// per row batch (CancelCheckInterval rows across the whole pipeline,
-// not per operator, so the hot path pays one counter increment per
-// row), and the materializing operators charge every row they hold
-// against it. A query therefore stops for exactly three reasons: it
+// Life; each per-operator stats wrapper polls it for cancellation once
+// per CancelCheckInterval of its own Next calls (a counter private to
+// the wrapper, so the hot path shares no cache line between operators
+// or workers), and the materializing operators charge every row they
+// hold against it. A query therefore stops for exactly three reasons: it
 // finished, its context was cancelled (client disconnect or deadline),
 // or it hit a budget — and all three release whatever the query held.
 
@@ -30,11 +30,13 @@ var ErrBudgetExceeded = errors.New("exec: query budget exceeded")
 // on (499-style client abort vs 504 deadline).
 var ErrCanceled = errors.New("exec: pipeline canceled")
 
-// CancelCheckInterval is how many rows flow through the pipeline's
-// stats wrappers between context checks. Cancellation latency is
-// bounded by this many Next calls (plus whatever single operator call
-// is in progress); per-row checks would put a ctx.Err() load on the
-// hottest loop in the system.
+// CancelCheckInterval is how many Next calls one stats wrapper serves
+// between context checks: no wrapper hands out more than
+// CancelCheckInterval-1 rows without polling, so cancellation latency is
+// bounded by that many rows of the busiest operator (plus whatever
+// single operator call is in progress); per-row checks would put a
+// ctx.Err() load on the hottest loop in the system. It is the wrap
+// point of statsIter's uint8 call counter and cannot change without it.
 const CancelCheckInterval = 256
 
 // rowOverheadBytes approximates the per-row allocation overhead
@@ -126,14 +128,13 @@ func (a *Accountant) release(n int64) {
 
 // Life is one pipeline execution's lifecycle: the cancellation context,
 // the per-query budget and the (optional) shared accountant. A Life is
-// created at Compile and bound to a context at ExecuteContext. The tick
-// and held counters are atomic: a parallel pipeline's morsel workers
-// all charge their budget use and poll cancellation through the one
-// shared Life, so one worker tripping the budget fails the query (and
-// cancels its siblings) exactly like the serial path would.
+// created at Compile and bound to a context at ExecuteContext. The held
+// counters are atomic: a parallel pipeline's morsel workers all charge
+// their budget use and poll cancellation through the one shared Life,
+// so one worker tripping the budget fails the query (and cancels its
+// siblings) exactly like the serial path would.
 type Life struct {
-	ctx  context.Context
-	tick atomic.Int64
+	ctx context.Context
 
 	// failed, once set, makes every subsequent cancellation poll return
 	// the recorded error: an exchange worker hitting a terminal failure
@@ -173,7 +174,7 @@ func (l *Life) drained() bool {
 
 // abort records a terminal error; the first recorded error wins. Every
 // wrapper polling this Life (all of them, across all workers) starts
-// failing its Next within CancelCheckInterval rows.
+// failing its Next within CancelCheckInterval of its own calls.
 func (l *Life) abort(err error) {
 	if l == nil || err == nil {
 		return
@@ -219,19 +220,6 @@ func (l *Life) ctxErr() error {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
 	return nil
-}
-
-// step is the per-row cancellation check, called by every stats
-// wrapper: one shared counter across the pipeline, a context poll
-// every CancelCheckInterval rows.
-func (l *Life) step() error {
-	if l == nil {
-		return nil
-	}
-	if l.tick.Add(1)%CancelCheckInterval != 0 {
-		return nil
-	}
-	return l.ctxErr()
 }
 
 // hold charges rows/bytes of materialized data against the per-query

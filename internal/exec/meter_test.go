@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // meterChain wraps a scan over rows and depth-1 pass-through filters
@@ -129,6 +131,64 @@ func TestMeterReopenStartsClean(t *testing.T) {
 	}
 	if want := int64(at - 1 + n); it.st.Rows != want {
 		t.Errorf("Rows = %d over both passes, want %d", it.st.Rows, want)
+	}
+}
+
+// TestMeterWrapperLayout: the wrapper's call counter lives in padding the
+// struct already had (a compiled pipeline allocates one wrapper per
+// operator per request), and its type wraps exactly at the poll interval.
+func TestMeterWrapperLayout(t *testing.T) {
+	if got := unsafe.Sizeof(statsIter{}); got != 48 {
+		t.Errorf("statsIter is %d bytes, want 48", got)
+	}
+	var s statsIter
+	s.tick--
+	if int(s.tick)+1 != CancelCheckInterval {
+		t.Errorf("the tick wraps at %d, CancelCheckInterval is %d", int(s.tick)+1, CancelCheckInterval)
+	}
+}
+
+// TestMeterCancelPollBound: a single wrapper, with no other operator's
+// calls to lean on, observes its Life's cancellation within
+// CancelCheckInterval of its own Next calls — wherever its counter stood
+// when the context died, timed or not.
+func TestMeterCancelPollBound(t *testing.T) {
+	for _, timing := range []bool{false, true} {
+		for _, before := range []int{0, 1, 100, CancelCheckInterval - 1, CancelCheckInterval, 1000} {
+			ctx, cancel := context.WithCancel(context.Background())
+			life := &Life{}
+			if err := life.bind(ctx); err != nil {
+				t.Fatal(err)
+			}
+			it := &statsIter{in: NewScan(meterRows(4 * CancelCheckInterval)), st: &OpStats{}, life: life, timing: timing}
+			if err := it.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < before; i++ {
+				if _, ok, err := it.Next(); !ok || err != nil {
+					t.Fatalf("row %d before the cancel: ok=%v, %v", i, ok, err)
+				}
+			}
+			cancel()
+			calls := 0
+			for {
+				calls++
+				_, ok, err := it.Next()
+				if err != nil {
+					if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+						t.Errorf("timing=%v: cancellation surfaced as %v", timing, err)
+					}
+					break
+				}
+				if !ok {
+					t.Fatalf("timing=%v, %d rows before: the stream ended without observing the cancel", timing, before)
+				}
+			}
+			if calls > CancelCheckInterval {
+				t.Errorf("timing=%v, %d rows before: cancel observed after %d calls, want at most %d", timing, before, calls, CancelCheckInterval)
+			}
+			it.Close()
+		}
 	}
 }
 

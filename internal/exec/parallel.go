@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"orderopt/internal/plan"
 	"orderopt/internal/query"
@@ -22,13 +21,15 @@ import (
 //     hooks applied): hash-join build tables, nested-loop inners, and —
 //     new relative to the serial operators — the merge joins' right
 //     inputs, materialized and sortedness-verified up front so workers
-//     can re-read them by binary-search seek instead of re-executing
-//     the subtree per morsel.
-//   - The spine, instantiated per MORSEL: the driving scan's rows are
+//     can re-read them by galloping seek instead of re-executing the
+//     subtree per morsel.
+//   - The spine, evaluated per MORSEL: the driving scan's rows are
 //     split into contiguous morsels pulled off an atomic counter by a
-//     worker pool; each worker builds a throwaway pipeline of cheap
-//     spine operators (filter, probe, merge-with-seek) over its morsel
-//     and the shared state, collects the output, and hands it back.
+//     worker pool; each worker runs its morsel through the fused spine
+//     evaluator (runMorselFused: one nested loop over the shared state)
+//     or, under a fault hook, through a throwaway pipeline of the serial
+//     operators over the same state (runMorsel), collects the output,
+//     and hands it back.
 //
 // Order preservation is the whole point of ExchangeMerge, and it holds
 // by a restriction argument rather than by sorting: every spine join
@@ -193,77 +194,6 @@ func (s *spineStep) materialize(life *Life) error {
 	return bh.flush()
 }
 
-// drainInto opens it, feeds every row to f, and closes it — on success
-// and on every error path.
-func drainInto(it Iterator, f func(Row) error) error {
-	if err := it.Open(); err != nil {
-		it.Close()
-		return err
-	}
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			it.Close()
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := f(row); err != nil {
-			it.Close()
-			return err
-		}
-	}
-	return it.Close()
-}
-
-// seekScan streams a shared, already-sorted row slice with a
-// forward-only cursor that can jump: SeekGE binary-searches the
-// remaining rows for the first key >= k. Each morsel pipeline gets its
-// own seekScan over the one shared slice, so a morsel's merge join
-// touches only the right rows its own key range can match instead of
-// streaming the full input per morsel.
-type seekScan struct {
-	rows []Row
-	key  int
-	pos  int
-}
-
-func (s *seekScan) Open() error { s.pos = 0; return nil }
-
-func (s *seekScan) Next() (Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-func (s *seekScan) Close() error { return nil }
-
-// SeekGE advances (never rewinds) the cursor to the first remaining row
-// with key >= k. Seek keys ascend over a morsel's life, so the target
-// is usually close: gallop (exponential probe) from the cursor, then
-// binary-search the bracketed range — O(log distance) instead of
-// O(log remaining) per seek.
-func (s *seekScan) SeekGE(k int64) {
-	n := len(s.rows)
-	lo, width := s.pos, 1
-	for lo < n && s.rows[lo][s.key] < k {
-		lo += width
-		width <<= 1
-	}
-	hi := lo
-	lo -= width >> 1
-	if hi > n {
-		hi = n
-	}
-	s.pos = lo + sort.Search(hi-lo, func(i int) bool {
-		return s.rows[lo+i][s.key] >= k
-	})
-}
-
 // gallopGE returns the index of the first row in rows[from:] with
 // rows[i][key] >= k, galloping from `from` (keys ascend over a morsel's
 // life, so the target is usually near).
@@ -329,7 +259,6 @@ func (x *Exchange) buildFused() {
 		}
 		x.fused = append(x.fused, f)
 	}
-	x.fusedOn = true
 }
 
 // locatePiece maps a column position in the concatenated schema of the
@@ -466,9 +395,9 @@ func (x *Exchange) runMorselFused(rows []Row) morselResult {
 			return morselResult{err: err}
 		}
 	}
-	atomic.AddInt64(&x.leafSt.Rows, leafRows)
+	foldStats(x.leafSt, leafRows, 0)
 	for i := range x.fused {
-		atomic.AddInt64(&x.fused[i].s.st.Rows, cnt[i])
+		foldStats(x.fused[i].s.st, cnt[i], 0)
 	}
 	x.lastOut.Store(int64(len(out)))
 	var bytes int64
@@ -522,7 +451,6 @@ type Exchange struct {
 	life    *Life
 	hook    IterHook
 	timing  bool
-	st      *OpStats
 	estCard float64      // planner's output estimate, sizes morsel buffers
 	lastOut atomic.Int64 // most recent morsel's actual output size, refines the estimate
 
@@ -531,8 +459,7 @@ type Exchange struct {
 	leafSt      *OpStats
 	steps       []*spineStep // bottom-up along the spine
 	pieceWidths []int        // column width of the driving leaf, then each step's right side
-	fused       []fusedStep  // fused spine evaluator steps (see runMorselFused)
-	fusedOn     bool         // workers use the fused evaluator
+	fused       []fusedStep  // fused spine evaluator steps (see runMorselFused); unused under a hook
 
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -650,40 +577,59 @@ func (x *Exchange) runMorselRecovered(rows []Row) (res morselResult) {
 	return x.runMorsel(rows)
 }
 
-// runMorsel builds the throwaway spine pipeline over one morsel of
-// driving rows, collects its output and charges it against the budget.
+// foldStats adds one morsel's privately counted rows and time to st, the
+// segment's entry every worker shares: the shared cache line is touched
+// once per morsel, and Exchange.Close's wg.Wait orders the adds before
+// any read. TimeNs sums across workers (it can exceed wall clock).
+func foldStats(st *OpStats, rows, timeNs int64) {
+	atomic.AddInt64(&st.Rows, rows)
+	atomic.AddInt64(&st.TimeNs, timeNs)
+}
+
+// runMorsel evaluates one morsel of driving rows, collects its output
+// and charges it against the budget. Under a fault hook the morsel is a
+// throwaway pipeline of the serial path's own operators over the shared
+// state, each under the hook and an ordinary statsIter: injected faults
+// and cancellation polling work inside workers exactly as they do
+// serially. The operators read the shared state through plain scans —
+// O(|right|) per morsel, a price only hooked runs pay — so the merge
+// join re-verifies its right side's order per morsel.
 func (x *Exchange) runMorsel(rows []Row) morselResult {
-	if x.fusedOn {
+	if x.hook == nil {
 		return x.runMorselFused(rows)
 	}
 	if err := x.life.Err(); err != nil {
 		return morselResult{err: err}
 	}
+	local := make([]OpStats, 1+len(x.steps)) // the leaf's, then each step's
+	defer func() {
+		foldStats(x.leafSt, local[0].Rows, local[0].TimeNs)
+		for i, s := range x.steps {
+			foldStats(s.st, local[i+1].Rows, local[i+1].TimeNs)
+		}
+	}()
+	wrap := func(it Iterator, shared, st *OpStats) Iterator {
+		it = x.hook(shared.Op, shared.Detail, it, x.life)
+		return &statsIter{in: it, st: st, life: x.life, timing: x.timing}
+	}
 	it := Iterator(NewScan(rows))
 	if x.filter != nil {
 		it = &Filter{In: it, Pred: x.filter}
 	}
-	it = x.wrapMorsel(it, x.leafSt, len(x.steps) == 0)
+	it = wrap(it, x.leafSt, &local[0])
 	for si, s := range x.steps {
+		// Life stays nil on every join: what it would buffer is a view
+		// into the shared state, charged once at setup.
 		k := s.eqs[s.primary]
 		switch s.op {
 		case plan.MergeJoin:
-			// Life stays nil: the duplicate-key group buffers only views
-			// into the shared materialization, charged once at setup.
-			sk := &seekScan{rows: s.sorted, key: k.r - s.leftLen}
-			it = &MergeJoin{
-				Left: it, Right: sk, seek: sk,
-				LeftKey: k.l, RightKey: sk.key,
-			}
+			it = &MergeJoin{Left: it, Right: NewScan(s.sorted), LeftKey: k.l, RightKey: k.r - s.leftLen}
 		case plan.HashJoin:
-			it = &HashJoin{
-				Left: it, prebuilt: s.hash,
-				LeftKey: k.l, RightKey: k.r - s.leftLen,
-			}
+			it = &HashJoin{Left: it, prebuilt: s.hash, LeftKey: k.l, RightKey: k.r - s.leftLen}
 		default: // NestedLoopJoin
 			eqs, ll := s.eqs, s.leftLen
 			it = &NestedLoopJoin{
-				Outer: it, preloaded: s.inner,
+				Outer: it, Inner: NewScan(s.inner),
 				Pred: func(outer, inner Row) bool {
 					for _, e := range eqs {
 						if outer[e.l] != inner[e.r-ll] {
@@ -697,7 +643,7 @@ func (x *Exchange) runMorsel(rows []Row) morselResult {
 		if len(s.eqs) > 1 && s.op != plan.NestedLoopJoin {
 			it = &Filter{In: it, Pred: residualPred(s.eqs, s.primary)}
 		}
-		it = x.wrapMorsel(it, s.st, si == len(x.steps)-1)
+		it = wrap(it, s.st, &local[si+1])
 	}
 	defer it.Close() // before Open, so a panic inside Open closes too
 	if err := it.Open(); err != nil {
@@ -728,18 +674,6 @@ func (x *Exchange) runMorsel(rows []Row) morselResult {
 		return morselResult{err: err}
 	}
 	return morselResult{rows: out, bytes: bytes}
-}
-
-// wrapMorsel is the morsel-instance counterpart of Runner.wrap: the
-// fault hook interposes per instance (each morsel pipeline is a real
-// pipeline, so injected faults and cancellation polling work inside
-// workers), and the counters update the segment's shared OpStats
-// atomically.
-func (x *Exchange) wrapMorsel(it Iterator, st *OpStats, poll bool) Iterator {
-	if x.hook != nil {
-		it = x.hook(st.Op, st.Detail, it, x.life)
-	}
-	return &atomicStatsIter{in: it, st: st, life: x.life, timing: x.timing, poll: poll}
 }
 
 // SizeHint implements sizeHinter with the planner's output estimate.
@@ -848,74 +782,6 @@ func (x *Exchange) Close() error {
 	return nil
 }
 
-// atomicStatsIter is statsIter for operators instantiated inside morsel
-// workers: many instances across workers update one shared OpStats, so
-// the counters are atomic. Rows are counted locally per instance and
-// flushed at end of stream / Close, so the shared cache line is touched
-// once per morsel rather than once per row; wg.Wait in Exchange.Close
-// orders the flushes before any OpStats read. TimeNs sums time across
-// workers (it can exceed wall clock, like CPU time). Only the topmost
-// wrapper of a morsel pipeline polls the Life (poll): each top-level
-// Next drives a bounded amount of inner work, so one polling level
-// bounds cancellation latency without an atomic tick per level per row.
-type atomicStatsIter struct {
-	in     Iterator
-	st     *OpStats
-	life   *Life
-	timing bool
-	poll   bool
-	rows   int64 // locally counted, flushed to st.Rows
-}
-
-func (s *atomicStatsIter) flush() {
-	if s.rows != 0 {
-		atomic.AddInt64(&s.st.Rows, s.rows)
-		s.rows = 0
-	}
-}
-
-func (s *atomicStatsIter) Open() error {
-	if !s.timing {
-		return s.in.Open()
-	}
-	begin := time.Now()
-	err := s.in.Open()
-	atomic.AddInt64(&s.st.TimeNs, time.Since(begin).Nanoseconds())
-	return err
-}
-
-func (s *atomicStatsIter) Next() (Row, bool, error) {
-	if s.poll {
-		if err := s.life.step(); err != nil {
-			s.flush()
-			return nil, false, err
-		}
-	}
-	if !s.timing {
-		row, ok, err := s.in.Next()
-		if ok {
-			s.rows++
-		} else {
-			s.flush()
-		}
-		return row, ok, err
-	}
-	begin := time.Now()
-	row, ok, err := s.in.Next()
-	atomic.AddInt64(&s.st.TimeNs, time.Since(begin).Nanoseconds())
-	if ok {
-		s.rows++
-	} else {
-		s.flush()
-	}
-	return row, ok, err
-}
-
-func (s *atomicStatsIter) Close() error {
-	s.flush()
-	return s.in.Close()
-}
-
 // buildExchange compiles an exchange node: validate and split the
 // segment, register every segment operator's OpStats in plan preorder
 // (tagged with the effective DOP), and return the Exchange iterator.
@@ -934,7 +800,6 @@ func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats) (Iterator
 		life:    p.Life,
 		hook:    r.Hook,
 		timing:  !r.DisableTiming,
-		st:      st,
 		estCard: n.Card,
 	}
 	schema, err := r.buildSegment(n.Left, p, x)
@@ -951,53 +816,23 @@ func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats) (Iterator
 // (Sort, grouping, a nested exchange) is rejected — the optimizer
 // never emits one inside a segment.
 func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange) ([]query.ColumnRef, error) {
-	g := r.A.Graph
 	switch n.Op {
 	case plan.TableScan, plan.IndexScan:
-		st := &OpStats{Op: n.Op.String(), EstRows: n.Card, DOP: x.dop}
+		leaf, err := r.resolveScan(n)
+		if err != nil {
+			return nil, err
+		}
+		st := &OpStats{Op: n.Op.String(), Detail: leaf.detail, EstRows: n.Card, DOP: x.dop}
 		p.Ops = append(p.Ops, st)
-		rel := &g.Relations[n.Rel]
-		st.Detail = rel.Alias
-		raw, ok := r.Dataset.Tables[rel.Table.Name]
-		if !ok {
-			return nil, fmt.Errorf("exec: no data for table %s", rel.Table.Name)
+		x.driving, x.filter, x.leafSt = leaf.rows, leaf.filter, st
+		if leaf.sortKeys != nil {
+			// No maintained index: the runner sorts the view once and
+			// caches it — the per-execution sort the serial path pays is
+			// hoisted out of morsel partitioning entirely.
+			x.driving = r.sortedIndexView(leaf.key.table, leaf.key.view, leaf.rows, leaf.sortKeys)
 		}
-		schema := make([]query.ColumnRef, len(rel.Table.Columns))
-		for c := range schema {
-			schema[c] = query.ColumnRef{Rel: n.Rel, Col: c}
-		}
-		x.driving = raw
-		if n.Op == plan.IndexScan {
-			ix := rel.Table.Indexes[n.Index]
-			st.Detail = rel.Alias + "/" + ix.Name
-			if sorted, ok := r.Dataset.Views[rel.Table.Name][ix.Name]; ok {
-				x.driving = sorted
-			} else {
-				// No maintained index: the runner sorts the view once
-				// and caches it — the per-execution sort the serial
-				// path pays is hoisted out of morsel partitioning
-				// entirely.
-				keys := make([]int, len(ix.Columns))
-				for i, name := range ix.Columns {
-					keys[i] = rel.Table.ColumnIndex(name)
-				}
-				x.driving = r.sortedIndexView(rel.Table.Name, ix.Name, raw, keys)
-			}
-		}
-		if len(rel.ConstPreds) > 0 {
-			relIdx := n.Rel
-			x.filter = func(row Row) bool {
-				for _, p := range g.Relations[relIdx].ConstPreds {
-					if !p.Matches(row[p.Col.Col]) {
-						return false
-					}
-				}
-				return true
-			}
-		}
-		x.leafSt = st
-		x.pieceWidths = append(x.pieceWidths, len(schema))
-		return schema, nil
+		x.pieceWidths = append(x.pieceWidths, len(leaf.schema))
+		return leaf.schema, nil
 
 	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:
 		st := &OpStats{Op: n.Op.String(), EstRows: n.Card, DOP: x.dop}
@@ -1049,30 +884,10 @@ func (r *Runner) bareScanRows(n *plan.Node) *bareScan {
 	if r.Hook != nil || (n.Op != plan.TableScan && n.Op != plan.IndexScan) {
 		return nil
 	}
-	rel := &r.A.Graph.Relations[n.Rel]
-	if len(rel.ConstPreds) > 0 {
+	leaf, err := r.resolveScan(n)
+	if err != nil || leaf.filter != nil || leaf.sortKeys != nil {
 		return nil
 	}
-	b := &bareScan{
-		key:     buildKey{table: rel.Table.Name},
-		st:      &OpStats{Op: n.Op.String(), Detail: rel.Alias, EstRows: n.Card},
-		leading: -1,
-	}
-	var ok bool
-	if n.Op == plan.TableScan {
-		b.rows, ok = r.Dataset.Tables[rel.Table.Name]
-	} else {
-		ix := rel.Table.Indexes[n.Index]
-		b.key.view, b.leading = ix.Name, rel.Table.ColumnIndex(ix.Columns[0])
-		b.rows, ok = r.Dataset.Views[rel.Table.Name][ix.Name]
-		b.st.Detail = rel.Alias + "/" + ix.Name
-	}
-	if !ok {
-		return nil
-	}
-	b.schema = make([]query.ColumnRef, len(rel.Table.Columns))
-	for c := range b.schema {
-		b.schema[c] = query.ColumnRef{Rel: n.Rel, Col: c}
-	}
-	return b
+	return &bareScan{rows: leaf.rows, key: leaf.key, schema: leaf.schema, leading: leaf.leading,
+		st: &OpStats{Op: n.Op.String(), Detail: leaf.detail, EstRows: n.Card}}
 }

@@ -41,7 +41,10 @@ type Runner struct {
 	// fault-injection seam (see internal/faultinject). It runs inside
 	// the stats wrapper, so injected behavior shows up in the operator
 	// counters like any other work. Inside exchange segments the hook
-	// wraps every morsel instance, so faults fire inside workers too.
+	// wraps every morsel instance, so faults fire inside workers too: a
+	// hooked segment runs each morsel as a pipeline of the serial
+	// operators (Exchange.runMorsel) instead of the fused evaluator, and
+	// adopts no dataset-resident state in place of an operator.
 	Hook IterHook
 	// MaxDOP, when > 0, caps the degree of parallelism of any exchange
 	// in a compiled plan below what the optimizer planned — the
@@ -156,8 +159,8 @@ func (p *Pipeline) Execute() ([]Row, error) {
 
 // ExecuteContext opens the pipeline, drains it and returns all rows,
 // observing ctx: cancellation (client disconnect, deadline) is checked
-// once per CancelCheckInterval rows anywhere in the pipeline and
-// surfaces as an error wrapping ErrCanceled and ctx.Err(). Whatever
+// by every operator's wrapper once per CancelCheckInterval of its rows
+// and surfaces as an error wrapping ErrCanceled and ctx.Err(). Whatever
 // the pipeline charged against its budget is released before return,
 // success or not.
 func (p *Pipeline) ExecuteContext(ctx context.Context) ([]Row, error) {
@@ -220,10 +223,13 @@ type burst struct {
 }
 
 // statsIter counts (and optionally times) one operator, and is where
-// every operator's Next observes cancellation: one shared row counter
-// per pipeline, polled every CancelCheckInterval rows — a build loop
-// deep inside a hash join ticks it through its child wrapper just like
-// the root does.
+// every operator's Next observes cancellation: it counts its own calls
+// and polls the Life each time the count wraps, every
+// CancelCheckInterval-th call — a build loop deep inside a hash join
+// polls through its child's wrapper just like the root does through its
+// own, and no wrapper shares a counter with another. It meters the
+// operators of a composed morsel pipeline too (Exchange.runMorsel), over
+// morsel-private OpStats.
 //
 // TimeNs stays exact inclusive wall time under bursts, not an estimate:
 // every call into the operator happens between one of this wrapper's
@@ -235,6 +241,7 @@ type statsIter struct {
 	life   *Life
 	timing bool
 	warm   uint8  // Next calls timed singly so far, up to meterWarmCalls
+	tick   uint8  // Next calls so far, modulo CancelCheckInterval
 	pairs  uint32 // clock pairs read; the meter's tests bound it
 	burst  *burst // allocated by the first call past the warm-up
 }
@@ -255,8 +262,10 @@ func (s *statsIter) Open() error {
 }
 
 func (s *statsIter) Next() (Row, bool, error) {
-	if err := s.life.step(); err != nil {
-		return nil, false, err
+	if s.tick++; s.tick == 0 {
+		if err := s.life.ctxErr(); err != nil {
+			return nil, false, err
+		}
 	}
 	if b := s.burst; b != nil && b.pos < b.n {
 		row := b.rows[b.pos]
@@ -326,8 +335,8 @@ func (s *statsIter) Close() error {
 }
 
 // batchStatsIter adds batch passthrough to statsIter when the wrapped
-// operator emits batches: one cancellation poll and one counter update
-// per batch instead of per row.
+// operator emits batches: one cancellation poll, one clock pair and one
+// counter update per batch instead of per row.
 type batchStatsIter struct {
 	statsIter
 	b batchIterator
@@ -342,7 +351,7 @@ func (s *batchStatsIter) SizeHint() int {
 }
 
 func (s *batchStatsIter) NextBatch() ([]Row, bool, error) {
-	if err := s.life.step(); err != nil {
+	if err := s.life.ctxErr(); err != nil {
 		return nil, false, err
 	}
 	if !s.timing {
@@ -350,9 +359,9 @@ func (s *batchStatsIter) NextBatch() ([]Row, bool, error) {
 		s.st.Rows += int64(len(batch))
 		return batch, ok, err
 	}
-	begin := time.Now()
+	begin := time.Since(meterEpoch)
 	batch, ok, err := s.b.NextBatch()
-	s.st.TimeNs += time.Since(begin).Nanoseconds()
+	s.st.TimeNs += int64(time.Since(meterEpoch) - begin)
 	s.st.Rows += int64(len(batch))
 	return batch, ok, err
 }
@@ -408,54 +417,83 @@ func (r *Runner) wrap(it Iterator, st *OpStats, p *Pipeline) Iterator {
 	return &si
 }
 
+// scanLeaf is a scan plan node resolved against the dataset, for its
+// three consumers: the serial compiler (build), the exchange's driving
+// leaf (buildSegment) and join adoption (bareScanRows).
+type scanLeaf struct {
+	// rows is what the scan streams — the table, or the maintained view
+	// of the index — unless sortKeys is set: the dataset maintains no
+	// view of the index, rows is the table, and the consumer must sort
+	// it on these columns.
+	rows     []Row
+	sortKeys []int
+	filter   func(Row) bool // the relation's constant predicates; nil without any
+	schema   []query.ColumnRef
+	detail   string
+	key      buildKey // names the stream (Dataset.buildTable; the adopter fills in col)
+	leading  int      // column the stream is sorted on first; -1 for a table scan
+}
+
+// resolveScan resolves scan node n; a table the dataset does not hold is
+// its only error.
+func (r *Runner) resolveScan(n *plan.Node) (scanLeaf, error) {
+	rel := &r.A.Graph.Relations[n.Rel]
+	raw, ok := r.Dataset.Tables[rel.Table.Name]
+	if !ok {
+		return scanLeaf{}, fmt.Errorf("exec: no data for table %s", rel.Table.Name)
+	}
+	leaf := scanLeaf{rows: raw, detail: rel.Alias, key: buildKey{table: rel.Table.Name}, leading: -1}
+	leaf.schema = make([]query.ColumnRef, len(rel.Table.Columns))
+	for c := range leaf.schema {
+		leaf.schema[c] = query.ColumnRef{Rel: n.Rel, Col: c}
+	}
+	if n.Op == plan.IndexScan {
+		ix := rel.Table.Indexes[n.Index]
+		leaf.detail += "/" + ix.Name
+		leaf.key.view, leaf.leading = ix.Name, rel.Table.ColumnIndex(ix.Columns[0])
+		if sorted, ok := r.Dataset.Views[rel.Table.Name][ix.Name]; ok {
+			leaf.rows = sorted
+		} else {
+			leaf.sortKeys = make([]int, len(ix.Columns))
+			for i, name := range ix.Columns {
+				leaf.sortKeys[i] = rel.Table.ColumnIndex(name)
+			}
+		}
+	}
+	if len(rel.ConstPreds) > 0 {
+		leaf.filter = func(row Row) bool {
+			for _, p := range rel.ConstPreds {
+				if !p.Matches(row[p.Col.Col]) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	return leaf, nil
+}
+
 func (r *Runner) build(n *plan.Node, p *Pipeline) (Iterator, []query.ColumnRef, error) {
-	g := r.A.Graph
 	st := &OpStats{Op: n.Op.String(), EstRows: n.Card}
 	p.Ops = append(p.Ops, st)
 	switch n.Op {
 	case plan.TableScan, plan.IndexScan:
-		rel := &g.Relations[n.Rel]
-		st.Detail = rel.Alias
-		raw, ok := r.Dataset.Tables[rel.Table.Name]
-		if !ok {
-			return nil, nil, fmt.Errorf("exec: no data for table %s", rel.Table.Name)
+		leaf, err := r.resolveScan(n)
+		if err != nil {
+			return nil, nil, err
 		}
-		schema := make([]query.ColumnRef, len(rel.Table.Columns))
-		for c := range schema {
-			schema[c] = query.ColumnRef{Rel: n.Rel, Col: c}
+		st.Detail = leaf.detail
+		it := Iterator(NewScan(leaf.rows))
+		if leaf.sortKeys != nil {
+			// No maintained index: simulate the index order by sorting
+			// (costed like a scan by the planner, but the executor has
+			// nothing better without the index).
+			it = &Sort{In: it, Keys: leaf.sortKeys}
 		}
-		var it Iterator
-		if n.Op == plan.IndexScan {
-			ix := rel.Table.Indexes[n.Index]
-			st.Detail = rel.Alias + "/" + ix.Name
-			if sorted, ok := r.Dataset.Views[rel.Table.Name][ix.Name]; ok {
-				// The dataset maintains this index: stream it in order.
-				it = NewScan(sorted)
-			} else {
-				// No maintained index: simulate the index order by
-				// sorting (costed like a scan by the planner, but the
-				// executor has nothing better without the index).
-				keys := make([]int, len(ix.Columns))
-				for i, name := range ix.Columns {
-					keys[i] = rel.Table.ColumnIndex(name)
-				}
-				it = &Sort{In: NewScan(raw), Keys: keys}
-			}
-		} else {
-			it = NewScan(raw)
+		if leaf.filter != nil {
+			it = &Filter{In: it, Pred: leaf.filter}
 		}
-		if len(rel.ConstPreds) > 0 {
-			relIdx := n.Rel
-			it = &Filter{In: it, Pred: func(row Row) bool {
-				for _, p := range g.Relations[relIdx].ConstPreds {
-					if !p.Matches(row[p.Col.Col]) {
-						return false
-					}
-				}
-				return true
-			}}
-		}
-		return r.wrap(it, st, p), schema, nil
+		return r.wrap(it, st, p), leaf.schema, nil
 
 	case plan.Sort:
 		in, schema, err := r.build(n.Left, p)

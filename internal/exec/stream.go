@@ -50,11 +50,10 @@ func (p *Pipeline) StreamContext(ctx context.Context, chunk int, sink func([]Row
 
 func (p *Pipeline) streamRoot(chunk int, sink func([]Row) error) error {
 	root := p.Root
+	defer root.Close() // before Open, so a panic inside Open closes too
 	if err := root.Open(); err != nil {
-		root.Close()
 		return err
 	}
-	defer root.Close()
 
 	buf := make([]Row, 0, chunk)
 	flush := func() error {

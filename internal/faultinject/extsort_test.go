@@ -3,6 +3,7 @@ package faultinject_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -55,11 +56,28 @@ func spillFiles(t *testing.T, dir string) int {
 	return len(names)
 }
 
+// panicAt panics at its at-th row: an operator bug striking inside the
+// Open of whatever is draining it.
+type panicAt struct {
+	exec.Iterator
+	at, n int64
+}
+
+func (p *panicAt) Next() (exec.Row, bool, error) {
+	if p.n++; p.n == p.at {
+		panic("injected operator bug")
+	}
+	return p.Iterator.Next()
+}
+
+var errPanicked = errors.New("pipeline panicked")
+
 // TestExtSortMidSpillAbort aborts a query while its external sort has
 // runs on disk — once by an injected mid-stream error in the join
 // feeding the sort, once by cancelling the context while that join
-// hangs. Either way the abort must propagate, every opened operator
-// must be closed again (Tracker), and the spill directory must drain.
+// hangs, once by a panic in that join unwinding through the sort's Open.
+// Either way the abort must propagate, every opened operator must be
+// closed again (Tracker), and the spill directory must drain.
 func TestExtSortMidSpillAbort(t *testing.T) {
 	// A clean run establishes that the plan spills at this run bound and
 	// how many rows the sort's feeding join emits, so the fault can be
@@ -97,6 +115,7 @@ func TestExtSortMidSpillAbort(t *testing.T) {
 	cases := []struct {
 		name  string
 		fault faultinject.Fault
+		hook  exec.IterHook // instead of fault, when set
 		run   func(p *exec.Pipeline) error
 		want  error
 	}{
@@ -121,13 +140,36 @@ func TestExtSortMidSpillAbort(t *testing.T) {
 			},
 			want: context.Canceled,
 		},
+		{
+			name: "panic",
+			hook: func(op, detail string, it exec.Iterator, life *exec.Life) exec.Iterator {
+				if !faultinject.Matches(target, op, detail) {
+					return it
+				}
+				return &panicAt{Iterator: it, at: at}
+			},
+			run: func(p *exec.Pipeline) (err error) {
+				defer func() {
+					if v := recover(); v != nil {
+						err = fmt.Errorf("%w: %v", errPanicked, v)
+					}
+				}()
+				_, err = p.Execute()
+				return err
+			},
+			want: errPanicked,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			r, res := spillRunner(t, dir)
 			tracker := &faultinject.Tracker{}
-			r.Hook = faultinject.Compose(tracker.Hook(), faultinject.Hook(target, tc.fault))
+			hook := tc.hook
+			if hook == nil {
+				hook = faultinject.Hook(target, tc.fault)
+			}
+			r.Hook = faultinject.Compose(tracker.Hook(), hook)
 			p, err := r.Compile(res.Best)
 			if err != nil {
 				t.Fatal(err)

@@ -381,16 +381,31 @@ func TestRetryBackoffCapped(t *testing.T) {
 	}
 }
 
-// panicIter panics on its third row, once per armed flag: the stand-in
+// panicProbe is shared by one request's panicIters: armed fires one
+// panic, opening counts the operator Opens in progress, and midOpen
+// records whether the panic went off inside one.
+type panicProbe struct {
+	armed, midOpen atomic.Bool
+	opening        atomic.Int64
+}
+
+// panicIter panics on its third row, once per armed probe: the stand-in
 // for an executor bug nobody wrote a test for.
 type panicIter struct {
 	exec.Iterator
-	armed *atomic.Bool
+	probe *panicProbe
 	rows  int
 }
 
+func (p *panicIter) Open() error {
+	p.probe.opening.Add(1)
+	defer p.probe.opening.Add(-1)
+	return p.Iterator.Open()
+}
+
 func (p *panicIter) Next() (exec.Row, bool, error) {
-	if p.rows++; p.rows == 3 && p.armed.CompareAndSwap(true, false) {
+	if p.rows++; p.rows == 3 && p.probe.armed.CompareAndSwap(true, false) {
+		p.probe.midOpen.Store(p.probe.opening.Load() > 0)
 		panic("injected operator bug")
 	}
 	return p.Iterator.Next()
@@ -400,47 +415,63 @@ func (p *panicIter) Next() (exec.Row, bool, error) {
 // pipeline is one request's 500, not the end of the connection or of
 // anything it held — the pin, the admission slot, the reservation, the
 // budget charges and every opened operator are released on the way out,
-// the panic is counted, and the next request is served.
+// the panic is counted, and the next request is served. The streaming
+// plan panics in a Next the handler drives; the blocking one inside the
+// Open of the hash join draining its build side, which must close the
+// input it opened as the panic unwinds.
 func TestHandlerPanicRecovered(t *testing.T) {
-	ds := exec.NewDataset("tpcr-small", "", tpcr.Generate(tpcr.DefaultGenSpec()))
-	ds.BuildIndexes(tpcr.Schema())
-	reg := exec.NewRegistry()
-	reg.Register(ds)
-	var tracker faultinject.Tracker
-	var armed atomic.Bool
-	armed.Store(true)
-	hook := faultinject.Compose(
-		func(op, detail string, it exec.Iterator, life *exec.Life) exec.Iterator {
-			return &panicIter{Iterator: it, armed: &armed}
-		},
-		tracker.Hook())
-	s, c, done := newTestServer(t, Config{Datasets: reg, ExecHook: hook, Workers: 1, MemLimitBytes: 1 << 30})
-	defer done()
+	for _, tc := range []struct {
+		name, sql string
+		midOpen   bool
+	}{
+		{"streaming", joinSQL, false},
+		{"blocking", tpcr.Query8SQL, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := exec.NewDataset("tpcr-small", "", tpcr.Generate(tpcr.DefaultGenSpec()))
+			ds.BuildIndexes(tpcr.Schema())
+			reg := exec.NewRegistry()
+			reg.Register(ds)
+			var tracker faultinject.Tracker
+			var probe panicProbe
+			probe.armed.Store(true)
+			hook := faultinject.Compose(
+				func(op, detail string, it exec.Iterator, life *exec.Life) exec.Iterator {
+					return &panicIter{Iterator: it, probe: &probe}
+				},
+				tracker.Hook())
+			s, c, done := newTestServer(t, Config{Datasets: reg, ExecHook: hook, Workers: 1, MemLimitBytes: 1 << 30})
+			defer done()
 
-	req := ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-small"}
-	status, e, _ := postExecuteRaw(t, c.BaseURL, req)
-	if status != http.StatusInternalServerError || e.Code != "panic" {
-		t.Fatalf("status %d code %q (%s), want 500 panic", status, e.Code, e.Error)
-	}
-	if _, err := c.Execute(req); err != nil {
-		t.Fatalf("request after the panic: %v", err)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Panics != 1 {
-		t.Errorf("panics = %d, want 1", st.Panics)
-	}
-	if st.InFlight != 0 || st.MemUsedBytes != 0 || s.acct.Used() != 0 {
-		t.Errorf("after the panic: inFlight %d, memUsedBytes %d; want both 0", st.InFlight, st.MemUsedBytes)
-	}
-	for _, info := range reg.Info() {
-		if info.Pins != 0 {
-			t.Errorf("dataset %s still holds %d pins", info.Name, info.Pins)
-		}
-	}
-	if tracker.Opened() == 0 || tracker.Leaked() != 0 {
-		t.Errorf("operators: %d opened, %d leaked; want some and none", tracker.Opened(), tracker.Leaked())
+			req := ExecuteRequest{SQL: tc.sql, Dataset: "tpcr-small"}
+			status, e, _ := postExecuteRaw(t, c.BaseURL, req)
+			if status != http.StatusInternalServerError || e.Code != "panic" {
+				t.Fatalf("status %d code %q (%s), want 500 panic", status, e.Code, e.Error)
+			}
+			if got := probe.midOpen.Load(); got != tc.midOpen {
+				t.Errorf("panic inside an operator's Open: %v, want %v", got, tc.midOpen)
+			}
+			if _, err := c.Execute(req); err != nil {
+				t.Fatalf("request after the panic: %v", err)
+			}
+			st, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Panics != 1 {
+				t.Errorf("panics = %d, want 1", st.Panics)
+			}
+			if st.InFlight != 0 || st.MemUsedBytes != 0 || s.acct.Used() != 0 {
+				t.Errorf("after the panic: inFlight %d, memUsedBytes %d; want both 0", st.InFlight, st.MemUsedBytes)
+			}
+			for _, info := range reg.Info() {
+				if info.Pins != 0 {
+					t.Errorf("dataset %s still holds %d pins", info.Name, info.Pins)
+				}
+			}
+			if tracker.Opened() == 0 || tracker.Leaked() != 0 {
+				t.Errorf("operators: %d opened, %d leaked; want some and none", tracker.Opened(), tracker.Leaked())
+			}
+		})
 	}
 }
