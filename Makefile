@@ -44,8 +44,9 @@ race:
 # faults runs the query-lifecycle hardening suite under the race
 # detector: the fault-injection scenario sweep (every operator hung,
 # errored and delayed), the executor's budget/cancellation tests (a
-# panicking exchange worker and the meter's error order, Limit
-# look-ahead and per-wrapper poll bound among them) and the serving
+# panicking exchange worker, a merge join whose right input panics in
+# Open, and the meter's error order, Limit look-ahead and per-wrapper
+# poll bound among them) and the serving
 # layer's timeout/budget/drain/retry/panic tests, and the
 # dataset-resident build tables' lifecycle (single-flight first touch,
 # budget fallback, eviction). CI runs it as its own step so a lifecycle
@@ -54,7 +55,7 @@ faults:
 	$(GO) test -race ./internal/faultinject/ \
 		-run 'TestScenariosAcrossOperators|TestFault|TestHang|TestDelay|TestTracker|TestMatches|TestExtSortMidSpillAbort'
 	$(GO) test -race ./internal/exec/ \
-		-run 'TestAccountant|TestBudget|TestMergeJoinGroupRelease|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestExtSort|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestMeterErrorOrder|TestMeterLimitLookAhead|TestMeterCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryBuildTable|TestResidentBuildFallback'
+		-run 'TestAccountant|TestBudget|TestMergeJoinGroupRelease|TestMergeJoinOpenPanicClosesLeft|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestExtSort|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestMeterErrorOrder|TestMeterLimitLookAhead|TestMeterCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryBuildTable|TestResidentBuildFallback'
 	$(GO) test -race ./internal/server/ \
 		-run 'TestExecuteTimeout|TestExecuteDefaultTimeout|TestTimeoutClamp|TestExecuteBudget|TestGlobalMemBudget|TestExecuteClientCancel|TestDrainAndWait|TestClientRetry|TestRetryBackoff|TestExecuteStreamClientDisconnect|TestExecuteStreamFirstRowBeforeMaterialization|TestStreamNoRetryMidStream|TestStreamTrailerAbortNotRetried|TestEvictVsExecute|TestMemoryAdmission|TestHandlerPanicRecovered'
 	$(GO) test -race ./internal/experiments/ -run 'TestAbort'
@@ -86,7 +87,7 @@ conformance-update:
 # COVER_FLOOR is the pinned combined statement coverage of the executor
 # and its conformance corpus; cover fails when new executor code lands
 # without conformance or unit coverage.
-COVER_FLOOR := 90
+COVER_FLOOR := 91
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./internal/exec/...,./internal/conformance/... \
 		./internal/exec/ ./internal/conformance/
@@ -95,12 +96,15 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzz-smoke runs the SQL round-trip fuzzer briefly on top of its
-# checked-in seed corpus (internal/sqlparse/testdata/fuzz): parse →
-# bind → render → re-bind must never panic and must keep fingerprints
-# stable. CI runs it so the fuzz target cannot rot.
+# fuzz-smoke runs the two fuzz targets briefly on top of their seeds.
+# The SQL round-trip fuzzer (checked-in corpus under
+# internal/sqlparse/testdata/fuzz): parse → bind → render → re-bind must
+# never panic and must keep fingerprints stable. The response writer's:
+# every served body must stay byte for byte what encoding/json prints.
+# CI runs it so the fuzz targets cannot rot.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSQLRoundTrip$$' -fuzztime 10s ./internal/sqlparse/
+	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 10s ./internal/server/
 
 # bench is the repo's one benchmark: the four served workloads
 # BENCHMARK.json declares, each a fresh process of the benchmark/

@@ -354,11 +354,14 @@ type MergeJoin struct {
 
 // Open implements Iterator.
 func (m *MergeJoin) Open() error {
+	// Set before either input opens: whoever called Open also calls
+	// Close, which then closes both inputs however far Open got — an
+	// error from Right.Open or a panic inside it included.
+	m.opened = true
 	if err := m.Left.Open(); err != nil {
 		return err
 	}
 	if err := m.Right.Open(); err != nil {
-		m.Left.Close()
 		return err
 	}
 	m.left, m.group, m.haveGroup, m.gi, m.matching = nil, m.group[:0], false, 0, false
@@ -366,7 +369,6 @@ func (m *MergeJoin) Open() error {
 	m.groupRows, m.groupBytes = 0, 0
 	m.rightNext, m.rightDone = nil, false
 	m.havePrevLeft, m.havePrevRight = false, false
-	m.opened = true
 	return nil
 }
 
@@ -594,11 +596,8 @@ func (h *HashJoin) Open() error {
 		h.table = hashView{table: table}
 	}
 	h.probe, h.bucket, h.bi = nil, nil, 0
-	if err := h.Left.Open(); err != nil {
-		return err
-	}
-	h.opened = true
-	return nil
+	h.opened = true // before Left opens, so Close reaches it if Open does not return
+	return h.Left.Open()
 }
 
 // Next implements Iterator.
@@ -660,11 +659,8 @@ func (n *NestedLoopJoin) Open() error {
 		return err
 	}
 	n.inner, n.outer, n.ii = rows, nil, 0
-	if err := n.Outer.Open(); err != nil {
-		return err
-	}
-	n.opened = true
-	return nil
+	n.opened = true // before Outer opens, so Close reaches it if Open does not return
+	return n.Outer.Open()
 }
 
 // Next implements Iterator.
@@ -1048,10 +1044,10 @@ type GroupHash struct {
 
 // Open implements Iterator.
 func (g *GroupHash) Open() error {
+	g.opened = true // before In opens, so Close reaches it if Open does not return
 	if err := g.In.Open(); err != nil {
 		return err
 	}
-	g.opened = true
 	g.specs = normalizeAggs(g.Aggs, g.Agg, g.AggCol)
 	g.groups = newGroupTable(len(g.Keys))
 	g.pos = 0
@@ -1115,9 +1111,8 @@ type Limit struct {
 // Open implements Iterator.
 func (l *Limit) Open() error {
 	l.n = 0
-	err := l.In.Open()
-	l.opened = err == nil
-	return err
+	l.opened = true // before In opens, so Close reaches it if Open does not return
+	return l.In.Open()
 }
 
 // Next implements Iterator.

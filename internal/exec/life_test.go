@@ -32,6 +32,17 @@ func (c closeCount) Close() error {
 	return c.Iterator.Close()
 }
 
+// openCount counts Open calls through to its input.
+type openCount struct {
+	Iterator
+	opened *atomic.Int64
+}
+
+func (o openCount) Open() error {
+	o.opened.Add(1)
+	return o.Iterator.Open()
+}
+
 // wrapped attaches a stats wrapper — the pipeline's cancellation
 // seam — to it, the way Runner.Compile does.
 func wrapped(p *Pipeline, it Iterator) Iterator {
@@ -165,6 +176,61 @@ func TestMergeJoinGroupRelease(t *testing.T) {
 	}
 	if held := p.Life.HeldBytes(); held != 0 {
 		t.Fatalf("%d bytes still held after success", held)
+	}
+}
+
+// openFault is a scan whose Open panics or fails, as set.
+type openFault struct {
+	Scan
+	panics bool
+}
+
+var errOpenFault = errors.New("open failed")
+
+func (o *openFault) Open() error {
+	if o.panics {
+		panic("injected operator bug")
+	}
+	return errOpenFault
+}
+
+// TestMergeJoinOpenPanicClosesLeft: when the right input's Open panics
+// (or fails) the left input, already open, is closed by the Close the
+// caller of Open owes — through every operator above the join that
+// guards its child's Close with an opened flag, none of which may skip
+// a child whose Open never returned.
+func TestMergeJoinOpenPanicClosesLeft(t *testing.T) {
+	rows := []Row{{1}, {2}}
+	above := map[string]func(Iterator) Iterator{
+		"bare":           func(in Iterator) Iterator { return in },
+		"Limit":          func(in Iterator) Iterator { return &Limit{In: in, N: 1} },
+		"HashJoin":       func(in Iterator) Iterator { return &HashJoin{Left: in, Right: NewScan(rows)} },
+		"NestedLoopJoin": func(in Iterator) Iterator { return &NestedLoopJoin{Outer: in, Inner: NewScan(rows)} },
+		"MergeJoin":      func(in Iterator) Iterator { return &MergeJoin{Left: in, Right: NewScan(rows)} },
+		"GroupHash":      func(in Iterator) Iterator { return &GroupHash{In: in, Keys: []int{0}} },
+		"GroupSorted":    func(in Iterator) Iterator { return &GroupSorted{In: in, Keys: []int{0}} },
+	}
+	for name, wrap := range above {
+		for _, panics := range []bool{true, false} {
+			var opened, closed atomic.Int64
+			left := closeCount{Iterator: openCount{Iterator: NewScan(rows), opened: &opened}, closed: &closed}
+			p := &Pipeline{Life: &Life{}}
+			p.Root = wrapped(p, wrap(wrapped(p, &MergeJoin{Left: left, Right: &openFault{panics: panics}})))
+			func() {
+				defer func() {
+					if v := recover(); (v != nil) != panics {
+						t.Errorf("%s: recovered %v, panics = %v", name, v, panics)
+					}
+				}()
+				if _, err := p.ExecuteContext(context.Background()); !errors.Is(err, errOpenFault) {
+					t.Errorf("%s: pipeline returned %v, want the right input's Open error", name, err)
+				}
+			}()
+			if opened.Load() != 1 || closed.Load() == 0 {
+				t.Errorf("%s (panics = %v): left input opened %d times, closed %d; want opened once and closed",
+					name, panics, opened.Load(), closed.Load())
+			}
+		}
 	}
 }
 

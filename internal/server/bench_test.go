@@ -1,0 +1,88 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"testing"
+
+	"orderopt/internal/exec"
+	"orderopt/internal/optimizer"
+	"orderopt/internal/planner"
+	"orderopt/internal/tpcr"
+)
+
+// In-process handler benchmarks: the four BENCHMARK.json request shapes
+// through ServeHTTP into a discarding writer, against the server the
+// benchmark driver builds (`planserverd -workers 1`). No socket, no
+// client: what is left is decode, plan lookup, compile, execute and
+// encode — the loop to profile a fixed per-request cost with, e.g.
+//
+//	go test -run '^$' -bench BenchmarkHandlerTopK -benchtime 3s -cpuprofile /tmp/topk.prof ./internal/server
+
+// discardWriter is an http.ResponseWriter (and Flusher) that counts the
+// body and drops it.
+type discardWriter struct {
+	header http.Header
+	status int
+	n      int64
+}
+
+func (d *discardWriter) Header() http.Header  { return d.header }
+func (d *discardWriter) WriteHeader(code int) { d.status = code }
+func (d *discardWriter) Flush()               {}
+func (d *discardWriter) Write(b []byte) (int, error) {
+	d.n += int64(len(b))
+	return len(b), nil
+}
+
+func benchHandler(b *testing.B, path string, req any) {
+	cfg := planner.DefaultConfig(tpcr.Schema())
+	cfg.Optimizer = optimizer.DefaultConfig(optimizer.ModeDFSM)
+	cfg.Optimizer.MaxDOP = 1
+	s := New(Config{Planner: planner.New(cfg), Datasets: exec.TPCRLazyRegistry(), MaxTimeout: DefaultMaxTimeout, Workers: 1})
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dw := &discardWriter{header: http.Header{}}
+	serve := func() {
+		r, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.ServeHTTP(dw, r); dw.status != http.StatusOK {
+			b.Fatalf("status %d", dw.status)
+		}
+	}
+	serve() // loads the dataset, fills the planner caches and the build table
+	serve()
+	dw.n = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.ReportMetric(float64(dw.n)/float64(b.N), "bytes_out/op")
+}
+
+const (
+	benchTopKSQL      = "select * from orders, customer where o_custkey = c_custkey order by o_orderkey limit 10"
+	benchOrderflowSQL = "select * from customer, orders, lineitem where l_orderkey = o_orderkey and o_custkey = c_custkey order by o_orderkey"
+)
+
+func BenchmarkHandlerTopK(b *testing.B) {
+	benchHandler(b, "/execute", ExecuteRequest{SQL: benchTopKSQL, Dataset: "tpcr-large"})
+}
+
+func BenchmarkHandlerStream(b *testing.B) {
+	benchHandler(b, "/execute", ExecuteRequest{SQL: benchOrderflowSQL, Dataset: "tpcr-large", Stream: true})
+}
+
+func BenchmarkHandlerQ8(b *testing.B) {
+	benchHandler(b, "/execute", ExecuteRequest{SQL: tpcr.Query8SQL, Dataset: "tpcr-mid"})
+}
+
+func BenchmarkHandlerPlanHit(b *testing.B) {
+	benchHandler(b, "/plan", PlanRequest{SQL: tpcr.Query8SQL})
+}

@@ -1,0 +1,334 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"testing"
+
+	"orderopt/internal/conformance"
+	"orderopt/internal/exec"
+	"orderopt/internal/planner"
+)
+
+// viaJSON is the oracle: v through a json.Encoder, indented as the
+// buffered bodies are or compact as a stream frame is.
+func viaJSON(v any, indent bool) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	if indent {
+		enc.SetIndent("", "  ")
+	}
+	err := enc.Encode(v)
+	return b.Bytes(), err
+}
+
+// checkWriter holds the append writer's output for v to the oracle's:
+// same bytes, or the same refusal.
+func checkWriter(t testing.TB, what string, v any) {
+	t.Helper()
+	var got []byte
+	var err error
+	indent, oracle := false, v
+	switch v := v.(type) {
+	case *ExecuteResponse:
+		got, err = AppendExecuteResponse(nil, v)
+		indent = true
+	case *PlanResponse:
+		got, err = AppendPlanResponse(nil, v)
+		indent = true
+	case *StreamHeader:
+		got, err = AppendStreamHeader(nil, v)
+	case *StreamTrailer:
+		got, err = AppendStreamTrailer(nil, v)
+	case *StreamRows:
+		var rows []exec.Row
+		if v.Rows != nil {
+			rows = make([]exec.Row, len(v.Rows))
+			for i, r := range v.Rows {
+				rows[i] = r
+			}
+		}
+		got = AppendRowsFrame(nil, rows)
+		oracle = &StreamRows{Frame: FrameRows, Rows: v.Rows} // the entry point takes rows, not a frame
+	default:
+		t.Fatalf("%s: no writer for %T", what, v)
+	}
+	want, wantErr := viaJSON(oracle, indent)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("%s: writer error %v, encoding/json %v", what, err, wantErr)
+	}
+	if err == nil && !bytes.Equal(got, want) {
+		t.Fatalf("%s: writer and encoding/json disagree\nwriter: %q\n  json: %q", what, got, want)
+	}
+}
+
+// decodeStrict decodes one wire value into the public type v, refusing
+// members the type does not declare.
+func decodeStrict(t *testing.T, what string, b []byte, v any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("%s: %v\n%s", what, err, b)
+	}
+}
+
+// serve posts body to path in-process and returns the recorded response.
+func serve(t *testing.T, s *Server, path string, body any) *httptest.ResponseRecorder {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+	}
+	return rec
+}
+
+// fill sets every field under v to a non-zero value, so a member the
+// writer forgets — one added to a wire type later, say — shows up as a
+// difference from encoding/json. Pointers recurse depth levels.
+func fill(v reflect.Value, depth int) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Float64:
+		v.SetFloat(1.5)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fill(v.Index(i), depth)
+		}
+	case reflect.Pointer:
+		if depth > 0 {
+			v.Set(reflect.New(v.Type().Elem()))
+			fill(v.Elem(), depth-1)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(v.Field(i), depth)
+		}
+	default:
+		panic("fill: unhandled kind " + v.Kind().String())
+	}
+}
+
+// hardStrings are the SQL texts the string fast path must hand to
+// encoding/json; hardFloats straddle the 'f'/'e' cutoffs.
+var (
+	hardStrings = []string{"", "select 1", "a < b", "a > b", "a & b", `say "x"`, `back\slash`, "tab\there", "line\nbreak",
+		"café", "sep\u2028arator", "sep\u2029", "bad\xffutf8", "\x00\x1f\x7f", "<>&"}
+	hardFloats = []float64{0, math.Copysign(0, -1), 1, -1.5, 1e-7, 1e-6, 9.99e-7, 1e20, 1e21, 1.5e300, 5e-324, math.MaxFloat64,
+		123456.789, 1e-10, -1e-9, math.Inf(1), math.Inf(-1), math.NaN()}
+)
+
+// TestWriterMatchesEncodingJSON: every served body is byte for byte
+// what encoding/json prints for the same public value — over the whole
+// conformance corpus (buffered, streamed at chunk 1, 7 and 4096, and
+// planned) and over a hand-made table of the values a corpus never
+// produces.
+func TestWriterMatchesEncodingJSON(t *testing.T) {
+	t.Run("table", func(t *testing.T) {
+		for _, v := range []any{new(ExecuteResponse), new(PlanResponse), new(StreamHeader), new(StreamTrailer), new(StreamRows)} {
+			name := reflect.TypeOf(v).Elem().Name()
+			checkWriter(t, name+" zero", v)
+			fill(reflect.ValueOf(v).Elem(), 3)
+			checkWriter(t, name+" filled", v)
+		}
+		checkWriter(t, "empty slices", &ExecuteResponse{Columns: []string{}, Rows: [][]int64{}, Operators: []exec.OpStats{}})
+		checkWriter(t, "empty and nil rows", &ExecuteResponse{Rows: [][]int64{{}, nil, {math.MinInt64, math.MaxInt64, 0, -1}}})
+		checkWriter(t, "empty residual and operators", &PlanResponse{Residual: []string{}, Plan: &PlanNode{}})
+		checkWriter(t, "empty trailer operators", &StreamTrailer{Operators: []exec.OpStats{}})
+		checkWriter(t, "rows frame", &StreamRows{Frame: FrameRows, Rows: [][]int64{{}, nil, {math.MinInt64}, {1, 2, 3}}})
+		checkWriter(t, "empty rows frame", &StreamRows{Frame: FrameRows, Rows: [][]int64{}})
+		for _, s := range hardStrings {
+			checkWriter(t, "string "+strconv.Quote(s), &ExecuteResponse{SQL: s, Columns: []string{s}, Plan: &PlanNode{Op: s, SortOrder: s},
+				Operators: []exec.OpStats{{Op: s, Detail: s}}})
+			checkWriter(t, "string "+strconv.Quote(s), &StreamTrailer{Error: s, Code: s})
+		}
+		for _, f := range hardFloats {
+			what := "float " + strconv.FormatFloat(f, 'g', -1, 64)
+			checkWriter(t, what, &PlanResponse{Cost: f})
+			checkWriter(t, what, &ExecuteResponse{Plan: &PlanNode{Left: &PlanNode{Card: f}}})
+			checkWriter(t, what, &StreamHeader{Cost: f})
+			checkWriter(t, what, &StreamTrailer{Operators: []exec.OpStats{{EstRows: f}}})
+		}
+	})
+
+	fixtures, err := conformance.Load("../conformance/testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fixtures) == 0 {
+		t.Fatal("no fixtures found")
+	}
+	for _, f := range fixtures {
+		t.Run(f.Name, func(t *testing.T) {
+			ds, _, err := conformance.Resolve(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cat, err := conformance.Catalog(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := exec.NewRegistry()
+			reg.Register(ds)
+			s := New(Config{Planner: planner.New(planner.DefaultConfig(cat)), Datasets: reg})
+
+			// same checks that the recorded bytes are what encoding/json
+			// prints for the value they decode to, and what the exported
+			// entry point appends for it.
+			same := func(what string, wire []byte, v any, indent bool) {
+				t.Helper()
+				decodeStrict(t, what, wire, v)
+				want, err := viaJSON(v, indent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(wire, want) {
+					t.Fatalf("%s: the server's bytes are not encoding/json's\nserver: %q\n  json: %q", what, wire, want)
+				}
+				checkWriter(t, what, v)
+			}
+
+			rec := serve(t, s, "/plan", PlanRequest{SQL: f.SQL})
+			same("/plan", rec.Body.Bytes(), new(PlanResponse), true)
+
+			rec = serve(t, s, "/execute", ExecuteRequest{SQL: f.SQL, Dataset: f.Dataset, MaxRows: ExecuteRowCap})
+			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+				t.Errorf("buffered body of %d bytes carries Content-Length %q", rec.Body.Len(), cl)
+			}
+			buffered := new(ExecuteResponse)
+			same("buffered /execute", rec.Body.Bytes(), buffered, true)
+			if buffered.RowCount != f.Expect.Rows {
+				t.Fatalf("buffered path returned %d rows, golden expects %d", buffered.RowCount, f.Expect.Rows)
+			}
+
+			for _, chunk := range []int{1, 7, 4096} {
+				rec := serve(t, s, "/execute", ExecuteRequest{SQL: f.SQL, Dataset: f.Dataset, Stream: true, ChunkRows: chunk})
+				lines := bytes.SplitAfter(rec.Body.Bytes(), []byte("\n"))
+				if lines = lines[:len(lines)-1]; len(lines) < 2 { // the body ends in a newline
+
+					t.Fatalf("chunk %d: %d frames, want a header and a trailer at least", chunk, len(lines))
+				}
+				what := "chunk " + strconv.Itoa(chunk)
+				same(what+" header", lines[0], new(StreamHeader), false)
+				var streamed int64
+				for _, l := range lines[1 : len(lines)-1] {
+					fr := new(StreamRows)
+					same(what+" rows frame", l, fr, false)
+					streamed += int64(len(fr.Rows))
+				}
+				tr := new(StreamTrailer)
+				same(what+" trailer", lines[len(lines)-1], tr, false)
+				if tr.Error != "" || tr.RowCount != streamed || streamed != f.Expect.Rows {
+					t.Fatalf("%s: trailer %+v after %d streamed rows, golden expects %d", what, tr, streamed, f.Expect.Rows)
+				}
+			}
+		})
+	}
+}
+
+// FuzzWriterMatchesEncodingJSON drives every entry point with one
+// fuzzed string, float and integer placed in each position of their
+// type, under a plan tree of fuzzed depth.
+func FuzzWriterMatchesEncodingJSON(f *testing.F) {
+	for i, s := range hardStrings {
+		f.Add(s, hardFloats[i%len(hardFloats)], int64(i)-3, uint8(i))
+	}
+	for i, fl := range hardFloats {
+		f.Add("select 1", fl, int64(math.MinInt64)+int64(i), uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, s string, fl float64, n int64, depth uint8) {
+		var tree *PlanNode
+		for i := 0; i < int(depth%8); i++ {
+			node := &PlanNode{Op: s, Cost: fl, Card: -fl, Relation: s, DOP: int(int32(n)), Limit: i, Left: tree}
+			if i%2 == 1 {
+				node.Left, node.Right, node.SortOrder, node.Index = nil, tree, s, s
+			}
+			tree = node
+		}
+		ops := []exec.OpStats{{Op: s, Detail: s, EstRows: fl, Rows: n, TimeNs: -n, DOP: int(int32(n)), Limited: n%2 == 0, Resident: n%3 == 0,
+			SpillRuns: n, SpilledBytes: n}}
+		rows := [][]int64{{n, -n, 0}, {}, {int64(depth)}}
+		checkWriter(t, "ExecuteResponse", &ExecuteResponse{SQL: s, Dataset: s, Source: s, Strategy: s, Cost: fl, Plan: tree,
+			Columns: []string{s, "c"}, RowCount: n, Rows: rows, Truncated: n < 0, RowsSorted: n, PlanNs: n, ExecNs: n, Operators: ops})
+		checkWriter(t, "PlanResponse", &PlanResponse{SQL: s, Source: s, Strategy: s, Cost: fl, PlanNs: n, Residual: []string{s}, Plan: tree})
+		checkWriter(t, "StreamHeader", &StreamHeader{Frame: FrameHeader, SQL: s, Dataset: s, Source: s, Strategy: s, Cost: fl, Plan: tree,
+			Columns: []string{s}, ChunkRows: int(int32(n)), PlanNs: n})
+		checkWriter(t, "StreamRows", &StreamRows{Frame: FrameRows, Rows: rows})
+		checkWriter(t, "StreamTrailer", &StreamTrailer{Frame: FrameTrailer, RowCount: n, RowsSorted: n, ExecNs: n, Operators: ops, Error: s, Code: s})
+	})
+}
+
+// TestWriterAllocs: once its buffer has grown, a rows frame allocates
+// nothing and neither does a buffered top-10 body.
+func TestWriterAllocs(t *testing.T) {
+	rows := make([]exec.Row, 256)
+	for i := range rows {
+		rows[i] = make(exec.Row, 10)
+		for j := range rows[i] {
+			rows[i][j] = int64(i*1000 + j)
+		}
+	}
+	buf := AppendRowsFrame(nil, rows)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendRowsFrame(buf[:0], rows) }); n != 0 {
+		t.Errorf("a steady-state 256 x 10 rows frame allocates %v times, want 0", n)
+	}
+
+	scan := func(rel string) *PlanNode {
+		return &PlanNode{Op: "IndexScan", Cost: 12.5, Card: 15000, Relation: rel, Index: rel + "_pk"}
+	}
+	resp := &ExecuteResponse{
+		SQL:     "select * from orders, customer where o_custkey = c_custkey order by o_orderkey limit 10",
+		Dataset: "tpcr-large", Source: "cachehit", Strategy: "exact", Cost: 1234.5,
+		Plan:    &PlanNode{Op: "Limit", Cost: 1234.5, Card: 10, Limit: 10, Left: &PlanNode{Op: "HashJoin", Left: scan("o"), Right: scan("c")}},
+		Columns: []string{"o.o_orderkey", "o.o_custkey", "c.c_custkey", "c.c_nationkey"}, RowCount: 10, RowsSorted: 0, ExecNs: 41000,
+		Operators: []exec.OpStats{{Op: "Limit", EstRows: 10, Rows: 10, TimeNs: 40000}, {Op: "HashJoin", Detail: "o.o_custkey = c.c_custkey",
+			EstRows: 15000, Rows: 10, TimeNs: 39000, Limited: true}, {Op: "TableScan", Detail: "customer", EstRows: 2000, Rows: 2000, Resident: true}},
+	}
+	for i := 0; i < 10; i++ {
+		resp.Rows = append(resp.Rows, []int64{int64(i), int64(i * 7), int64(i * 7), 3})
+	}
+	buf, err := AppendExecuteResponse(buf[:0], resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWriter(t, "top-10 body", resp)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendExecuteResponse(buf[:0], resp) }); n != 0 {
+		t.Errorf("a buffered top-10 body allocates %v times beyond its buffer, want 0", n)
+	}
+}
+
+// TestWriteJSONEncodesBeforeStatus: a body that cannot be encoded is a
+// 500 carrying an error body, not a 200 cut short — on the writer's
+// branch and on encoding/json's — and a body that can leaves with its
+// Content-Length.
+func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
+	for _, v := range []any{&PlanResponse{Cost: math.Inf(1)}, &ExecuteResponse{Plan: &PlanNode{Card: math.NaN()}}, &HealthResponse{UptimeSec: math.NaN()}} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		var e ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusInternalServerError || e.Error == "" {
+			t.Errorf("%T: status %d, body %q (%v); want a 500 with an error body", v, rec.Code, rec.Body, err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusTeapot, &HealthResponse{Status: "ok"})
+	if cl := rec.Header().Get("Content-Length"); rec.Code != http.StatusTeapot || cl != strconv.Itoa(rec.Body.Len()) || rec.Body.Len() == 0 {
+		t.Errorf("status %d, Content-Length %q on %d bytes", rec.Code, cl, rec.Body.Len())
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -387,24 +388,32 @@ func TestRetryBackoffCapped(t *testing.T) {
 type panicProbe struct {
 	armed, midOpen atomic.Bool
 	opening        atomic.Int64
+	// openOf, when set, moves the panic from any operator's third row
+	// into the Open of the operator whose detail contains it.
+	openOf string
 }
 
 // panicIter panics on its third row, once per armed probe: the stand-in
 // for an executor bug nobody wrote a test for.
 type panicIter struct {
 	exec.Iterator
-	probe *panicProbe
-	rows  int
+	probe  *panicProbe
+	detail string
+	rows   int
 }
 
 func (p *panicIter) Open() error {
 	p.probe.opening.Add(1)
 	defer p.probe.opening.Add(-1)
+	if p.probe.openOf != "" && strings.Contains(p.detail, p.probe.openOf) && p.probe.armed.CompareAndSwap(true, false) {
+		p.probe.midOpen.Store(true)
+		panic("injected operator bug")
+	}
 	return p.Iterator.Open()
 }
 
 func (p *panicIter) Next() (exec.Row, bool, error) {
-	if p.rows++; p.rows == 3 && p.probe.armed.CompareAndSwap(true, false) {
+	if p.rows++; p.rows == 3 && p.probe.openOf == "" && p.probe.armed.CompareAndSwap(true, false) {
 		p.probe.midOpen.Store(p.probe.opening.Load() > 0)
 		panic("injected operator bug")
 	}
@@ -418,14 +427,16 @@ func (p *panicIter) Next() (exec.Row, bool, error) {
 // the panic is counted, and the next request is served. The streaming
 // plan panics in a Next the handler drives; the blocking one inside the
 // Open of the hash join draining its build side, which must close the
-// input it opened as the panic unwinds.
+// input it opened as the panic unwinds; the third in the Open of a merge
+// join's right input, after the left one opened.
 func TestHandlerPanicRecovered(t *testing.T) {
 	for _, tc := range []struct {
-		name, sql string
-		midOpen   bool
+		name, sql, openOf string
+		midOpen           bool
 	}{
-		{"streaming", joinSQL, false},
-		{"blocking", tpcr.Query8SQL, true},
+		{"streaming", joinSQL, "", false},
+		{"blocking", tpcr.Query8SQL, "", true},
+		{"right-open", joinSQL, "lineitem/", true}, // the scan, not the join naming it
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := exec.NewDataset("tpcr-small", "", tpcr.Generate(tpcr.DefaultGenSpec()))
@@ -433,11 +444,11 @@ func TestHandlerPanicRecovered(t *testing.T) {
 			reg := exec.NewRegistry()
 			reg.Register(ds)
 			var tracker faultinject.Tracker
-			var probe panicProbe
+			probe := panicProbe{openOf: tc.openOf}
 			probe.armed.Store(true)
 			hook := faultinject.Compose(
 				func(op, detail string, it exec.Iterator, life *exec.Life) exec.Iterator {
-					return &panicIter{Iterator: it, probe: &probe}
+					return &panicIter{Iterator: it, probe: &probe, detail: detail}
 				},
 				tracker.Hook())
 			s, c, done := newTestServer(t, Config{Datasets: reg, ExecHook: hook, Workers: 1, MemLimitBytes: 1 << 30})

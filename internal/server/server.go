@@ -948,12 +948,34 @@ func planJSON(n *plan.Node, q *planner.PreparedQuery) *PlanNode {
 	return conv(n)
 }
 
+// writeJSON encodes v and only then commits the status: a body that
+// cannot be encoded (a non-finite cost is the one reachable case) is a
+// 500, not a truncated 200, and every body leaves with a Content-Length
+// in one Write. The served bodies go through the append writer
+// (encode.go); the cold ones stay on encoding/json.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	var err error
+	switch v := v.(type) {
+	case *ExecuteResponse:
+		*bp, err = AppendExecuteResponse((*bp)[:0], v)
+	case *PlanResponse:
+		*bp, err = AppendPlanResponse((*bp)[:0], v)
+	default:
+		var b []byte
+		if b, err = json.MarshalIndent(v, "", "  "); err == nil {
+			*bp = append(append((*bp)[:0], b...), '\n') // copied, so the pool keeps its grown buffer
+		}
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client is gone if this fails; nothing to do
+	_, _ = w.Write(*bp) // the client is gone if this fails; nothing to do
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

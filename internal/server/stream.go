@@ -23,7 +23,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -120,12 +119,20 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 		header.PlanNs = c.pd.Result.PlanTime.Nanoseconds()
 	}
 
+	// Every frame is built in one pooled buffer and leaves in one Write;
+	// the header before the status is committed, so failing is still a 500.
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	if *bp, err = AppendStreamHeader((*bp)[:0], header); err != nil {
+		m.record(time.Since(begin), true)
+		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w) // no indent: one line per frame
 	flusher, _ := w.(http.Flusher)
-	writeFrame := func(v any) error {
-		if err := enc.Encode(v); err != nil {
+	writeFrame := func() error {
+		if _, err := w.Write(*bp); err != nil {
 			return err
 		}
 		if flusher != nil {
@@ -133,23 +140,17 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 		}
 		return nil
 	}
-	if err := writeFrame(header); err != nil {
+	if err := writeFrame(); err != nil {
 		m.canceled.Add(1)
 		m.record(time.Since(begin), true)
 		return
 	}
 
-	// The rows frame is reused across chunks; only its Rows slice is
-	// rebuilt per sink call (the row storage itself is the pipeline's).
-	frame := &StreamRows{Frame: FrameRows}
 	var rowCount int64
 	execBegin := time.Now()
 	streamErr := c.pipe.StreamContext(ctx, chunk, func(rows []exec.Row) error {
-		frame.Rows = frame.Rows[:0]
-		for _, r := range rows {
-			frame.Rows = append(frame.Rows, r)
-		}
-		if err := writeFrame(frame); err != nil {
+		*bp = AppendRowsFrame((*bp)[:0], rows)
+		if err := writeFrame(); err != nil {
 			// A failed write means the client is gone; fold it into the
 			// cancellation taxonomy so it classifies (and counts) as 499.
 			return fmt.Errorf("writing rows frame: %w: %w", context.Canceled, err)
@@ -165,13 +166,13 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 		Operators:  c.opsSnapshot(),
 	}
 	if streamErr != nil {
-		_, kind := m.classify(streamErr)
+		_, trailer.Code = m.classify(streamErr)
 		trailer.Error = streamErr.Error()
-		trailer.Code = kind
-		m.record(time.Since(begin), true)
-		_ = writeFrame(trailer) // best effort; the client may be gone
-		return
 	}
-	m.record(time.Since(begin), false)
-	_ = writeFrame(trailer)
+	m.record(time.Since(begin), streamErr != nil)
+	// Best effort: the client may be gone, and a trailer that cannot be
+	// encoded (a non-finite estimate) ends the stream without one.
+	if *bp, err = AppendStreamTrailer((*bp)[:0], trailer); err == nil {
+		_ = writeFrame()
+	}
 }
