@@ -160,6 +160,7 @@ func BenchmarkPrepQ8(b *testing.B) {
 	for _, pruning := range []bool{false, true} {
 		b.Run(fmt.Sprintf("pruning=%v", pruning), func(b *testing.B) {
 			var last experiments.PrepRow
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				row, err := experiments.PrepQ8Variant(pruning, false)
 				if err != nil {

@@ -15,8 +15,9 @@
 package dfsm
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"orderopt/internal/bitset"
@@ -97,34 +98,37 @@ func Convert(n *nfsm.Machine, opt Options) (*Machine, error) {
 	nSym := n.NumSymbols()
 	nFD := n.NumFDSymbols()
 
-	key := func(set []nfsm.StateID) string {
-		var b strings.Builder
-		for _, s := range set {
-			fmt.Fprintf(&b, "%d,", s)
-		}
-		return b.String()
-	}
+	// A state set is keyed by its raw little-endian bytes, built in one
+	// reused buffer: the index[string(kb)] lookup does not allocate, so
+	// only a set seen for the first time costs anything (its key, its
+	// Sets copy, its Trans row).
+	var kb []byte
 	index := make(map[string]StateID)
 	add := func(set []nfsm.StateID) StateID {
-		k := key(set)
-		if id, ok := index[k]; ok {
+		kb = kb[:0]
+		for _, s := range set {
+			kb = binary.LittleEndian.AppendUint32(kb, uint32(s))
+		}
+		if id, ok := index[string(kb)]; ok {
 			return id
 		}
 		id := StateID(len(m.Sets))
-		index[k] = id
-		m.Sets = append(m.Sets, set)
+		index[string(kb)] = id
+		m.Sets = append(m.Sets, slices.Clone(set))
 		m.Trans = append(m.Trans, make([]StateID, nSym))
 		return id
 	}
 
 	start := add([]nfsm.StateID{nfsm.StartState})
+	eps := epsCloser{n: n, stamp: make([]uint32, len(n.States))}
+	var next []nfsm.StateID
 	for cur := start; int(cur) < len(m.Sets); cur++ {
 		if opt.MaxStates > 0 && len(m.Sets) > opt.MaxStates {
 			return nil, fmt.Errorf("dfsm: state limit %d exceeded", opt.MaxStates)
 		}
 		set := m.Sets[cur]
 		for sym := 0; sym < nSym; sym++ {
-			var next []nfsm.StateID
+			next = next[:0]
 			if sym < nFD {
 				// FD-set symbol: every member keeps itself (implicit
 				// self-loop — previously derivable orderings stay
@@ -136,26 +140,16 @@ func Convert(n *nfsm.Machine, opt Options) (*Machine, error) {
 					}
 					next = append(next, n.FDTargets(s, sym)...)
 				}
-			} else {
+			} else if slices.Contains(set, nfsm.StartState) {
 				// Produced symbol (ordering or grouping): only
 				// meaningful from the start state (the ADT
 				// constructor); elsewhere it is the identity, cf.
 				// Figure 10.
-				fromStart := false
-				for _, s := range set {
-					if s == nfsm.StartState {
-						fromStart = true
-						break
-					}
-				}
-				if fromStart {
-					next = []nfsm.StateID{n.StartTargetForSymbol(sym)}
-				} else {
-					next = append(next, set...)
-				}
+				next = append(next, n.StartTargetForSymbol(sym))
+			} else {
+				next = append(next, set...)
 			}
-			closed := epsClose(n, next)
-			m.Trans[cur][sym] = add(closed)
+			m.Trans[cur][sym] = add(eps.close(next))
 		}
 	}
 
@@ -164,26 +158,35 @@ func Convert(n *nfsm.Machine, opt Options) (*Machine, error) {
 	return m, nil
 }
 
-// epsClose expands the set with every state reachable via ε edges
-// (prefix and grouping successors) and returns it sorted, deduplicated.
-func epsClose(n *nfsm.Machine, set []nfsm.StateID) []nfsm.StateID {
-	seen := make(map[nfsm.StateID]bool, len(set))
-	var out []nfsm.StateID
-	var visit func(s nfsm.StateID)
-	visit = func(s nfsm.StateID) {
-		if s == nfsm.NoState || seen[s] {
-			return
+// epsCloser computes ε-closures into one reused buffer.
+type epsCloser struct {
+	n     *nfsm.Machine
+	stamp []uint32 // per NFSM state; == gen: already in out
+	gen   uint32
+	out   []nfsm.StateID
+}
+
+// close expands the set with every state reachable via ε edges (prefix
+// and grouping successors) and returns it sorted, deduplicated. The
+// result is valid until the next call.
+func (c *epsCloser) close(set []nfsm.StateID) []nfsm.StateID {
+	c.gen++
+	c.out = c.out[:0]
+	push := func(s nfsm.StateID) {
+		if s != nfsm.NoState && c.stamp[s] != c.gen {
+			c.stamp[s] = c.gen
+			c.out = append(c.out, s)
 		}
-		seen[s] = true
-		out = append(out, s)
-		visit(n.Eps(s))
-		visit(n.EpsGroup(s))
 	}
 	for _, s := range set {
-		visit(s)
+		push(s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	for i := 0; i < len(c.out); i++ {
+		push(c.n.Eps(c.out[i]))
+		push(c.n.EpsGroup(c.out[i]))
+	}
+	slices.Sort(c.out)
+	return c.out
 }
 
 func (m *Machine) precomputeContains() {

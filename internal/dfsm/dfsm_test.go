@@ -1,6 +1,10 @@
 package dfsm
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -398,4 +402,159 @@ func TestPruningPreservesSemantics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// convertReference is the powerset construction as it stood before the
+// allocation-lean rewrite (fmt-built string keys, a seen-map and a
+// reflective sort per ε-closure): the oracle Convert must match bit for
+// bit. ConvertReference and DiffMachines hand both to the external
+// oracle test, which can import the query packages this one cannot.
+func convertReference(n *nfsm.Machine, opt Options) (*Machine, error) {
+	m := &Machine{N: n, colOf: make(map[order.ID]int), colOfGroup: make(map[order.ID]int)}
+	for _, st := range n.InterestingStates() {
+		if st.Ord == order.EmptyID {
+			continue
+		}
+		if st.Grouping {
+			m.colOfGroup[st.Ord] = len(m.GroupColumns)
+			m.GroupColumns = append(m.GroupColumns, st.Ord)
+			continue
+		}
+		m.colOf[st.Ord] = len(m.Columns)
+		m.Columns = append(m.Columns, st.Ord)
+	}
+
+	nSym := n.NumSymbols()
+	nFD := n.NumFDSymbols()
+
+	key := func(set []nfsm.StateID) string {
+		var b strings.Builder
+		for _, s := range set {
+			fmt.Fprintf(&b, "%d,", s)
+		}
+		return b.String()
+	}
+	index := make(map[string]StateID)
+	add := func(set []nfsm.StateID) StateID {
+		k := key(set)
+		if id, ok := index[k]; ok {
+			return id
+		}
+		id := StateID(len(m.Sets))
+		index[k] = id
+		m.Sets = append(m.Sets, set)
+		m.Trans = append(m.Trans, make([]StateID, nSym))
+		return id
+	}
+
+	start := add([]nfsm.StateID{nfsm.StartState})
+	for cur := start; int(cur) < len(m.Sets); cur++ {
+		if opt.MaxStates > 0 && len(m.Sets) > opt.MaxStates {
+			return nil, fmt.Errorf("dfsm: state limit %d exceeded", opt.MaxStates)
+		}
+		set := m.Sets[cur]
+		for sym := 0; sym < nSym; sym++ {
+			var next []nfsm.StateID
+			if sym < nFD {
+				next = append(next, set...)
+				for _, s := range set {
+					if s == nfsm.StartState {
+						continue
+					}
+					next = append(next, n.FDTargets(s, sym)...)
+				}
+			} else {
+				fromStart := false
+				for _, s := range set {
+					if s == nfsm.StartState {
+						fromStart = true
+						break
+					}
+				}
+				if fromStart {
+					next = []nfsm.StateID{n.StartTargetForSymbol(sym)}
+				} else {
+					next = append(next, set...)
+				}
+			}
+			m.Trans[cur][sym] = add(epsCloseReference(n, next))
+		}
+	}
+
+	m.precomputeContains()
+	m.precomputeSubsumption(opt.MaxSimulationStates)
+	return m, nil
+}
+
+func epsCloseReference(n *nfsm.Machine, set []nfsm.StateID) []nfsm.StateID {
+	seen := make(map[nfsm.StateID]bool, len(set))
+	var out []nfsm.StateID
+	var visit func(s nfsm.StateID)
+	visit = func(s nfsm.StateID) {
+		if s == nfsm.NoState || seen[s] {
+			return
+		}
+		seen[s] = true
+		out = append(out, s)
+		visit(n.Eps(s))
+		visit(n.EpsGroup(s))
+	}
+	for _, s := range set {
+		visit(s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+var ConvertReference = convertReference
+
+// DiffMachines returns the first difference between two machines over
+// one NFSM — state numbering and member sets, the transition table,
+// every contains row, every subsumption row — or "".
+func DiffMachines(got, want *Machine) string {
+	if len(got.Sets) != len(want.Sets) {
+		return fmt.Sprintf("%d states, want %d", len(got.Sets), len(want.Sets))
+	}
+	if !slices.Equal(got.Columns, want.Columns) || !slices.Equal(got.GroupColumns, want.GroupColumns) {
+		return "contains-matrix columns differ"
+	}
+	for s := range want.Sets {
+		switch {
+		case !slices.Equal(got.Sets[s], want.Sets[s]):
+			return fmt.Sprintf("Sets[%d] = %v, want %v", s, got.Sets[s], want.Sets[s])
+		case !slices.Equal(got.Trans[s], want.Trans[s]):
+			return fmt.Sprintf("Trans[%d] = %v, want %v", s, got.Trans[s], want.Trans[s])
+		case !got.contains[s].Equal(want.contains[s]):
+			return fmt.Sprintf("contains[%d] = %v, want %v", s, got.contains[s], want.contains[s])
+		case !got.subsume[s].Equal(want.subsume[s]):
+			return fmt.Sprintf("subsume[%d] = %v, want %v", s, got.subsume[s], want.subsume[s])
+		}
+	}
+	if got.PrecomputedBytes() != want.PrecomputedBytes() {
+		return fmt.Sprintf("PrecomputedBytes %d, want %d", got.PrecomputedBytes(), want.PrecomputedBytes())
+	}
+	return ""
+}
+
+// TestConvertMatchesReferenceRandom holds Convert to the reference on
+// the property tests' generator and on the paper's worked examples.
+func TestConvertMatchesReferenceRandom(t *testing.T) {
+	check := func(name string, got *Machine) {
+		t.Helper()
+		want, err := convertReference(got.N, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := DiffMachines(got, want); d != "" {
+			t.Fatalf("%s: %s", name, d)
+		}
+	}
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 300; trial++ {
+		m, _ := randomMachine(t, rng)
+		check(fmt.Sprintf("trial %d", trial), m)
+	}
+	f := newFixture()
+	check("running example", f.build(t, f.runningExample(), nfsm.NoPruning()))
+	check("running example, pruned", f.build(t, f.runningExample(), nfsm.AllPruning()))
 }

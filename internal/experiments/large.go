@@ -53,8 +53,9 @@ type LargeRow struct {
 	// DFSM, strategy probe, linearization), amortized by the planner's
 	// prepared-statement cache.
 	Prep time.Duration
-	// LinTime is the prepared-path (warm scratch) linearized DP time;
-	// LinCold the first run on cold scratch.
+	// LinTime is the prepared-path linearized DP time (a re-run);
+	// LinCold the statement's first run, on scratch as earlier
+	// statements left it.
 	LinCold  time.Duration
 	LinTime  time.Duration
 	LinPlans float64

@@ -8,8 +8,9 @@
 package nfsm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"orderopt/internal/bitset"
@@ -253,7 +254,7 @@ func (m *Machine) InterestingStates() []State {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b State) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -698,7 +699,7 @@ func (b *builder) setupDeriver() {
 }
 
 func sortStates(s []StateID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 }
 
 // DOT renders the machine as a Graphviz digraph: artificial nodes

@@ -159,17 +159,6 @@ func (p *Prepared) masksJoined(a, b uint64) bool {
 	return false
 }
 
-// newLinearizedDPTable sizes the DP table for the linearized tier: only
-// the O(n²) interval masks are ever populated, so beyond the dense-table
-// range a small pre-sized map replaces the 2^16-hinted one the exact
-// tier uses.
-func newLinearizedDPTable(n int) *dpTable {
-	if n <= denseTableBits {
-		return newDPTable(n, true)
-	}
-	return &dpTable{sparse: make(map[uint64][]*plan.Node, n*(n+3)/2)}
-}
-
 // runLinearized executes the polynomial DP over the linearized
 // sequence: dp over contiguous intervals [i,j], combining every split
 // [i,k] | [k+1,j] that has a crossing join edge. Plans, dominance

@@ -12,7 +12,10 @@
 // compiles the analysis into an immutable Prepared (order framework,
 // cardinality estimates, join-graph bitsets), and Prepared.Run executes
 // the dynamic programming using pooled per-run scratch (node arena, DP
-// table, edge buffers). Run is safe to call from multiple goroutines;
+// table, edge buffer). The scratch pool is process-wide, not
+// per-statement: scratch carries nothing from one run to the next but
+// capacity, so a statement planned for the first time reuses what any
+// earlier statement grew. Run is safe to call from multiple goroutines;
 // Optimize remains the one-shot convenience wrapper.
 package optimizer
 
@@ -150,7 +153,7 @@ type Result struct {
 // Prepared is the immutable product of Prepare: everything about one
 // analyzed query that does not change between optimization runs. It is
 // safe for concurrent use; each Run checks private mutable scratch out
-// of an internal pool.
+// of the package-level pool.
 type Prepared struct {
 	a   *query.Analysis
 	g   *query.Graph
@@ -183,7 +186,11 @@ type Prepared struct {
 	edgeMergeable []bool
 
 	prepTime time.Duration
-	pool     sync.Pool // of *optimizer
+
+	// sims recycles the Simmen baseline frameworks (ModeSimmen only):
+	// the one piece of run state that is per statement, so it cannot
+	// travel with the shared scratch.
+	sims sync.Pool // of *simmen.Framework
 }
 
 // Analysis returns the analysis the query was prepared from.
@@ -214,20 +221,22 @@ func (p *Prepared) Linearization() []int { return p.linSeq }
 // PrepTime returns the one-time preparation cost.
 func (p *Prepared) PrepTime() time.Duration { return p.prepTime }
 
-// optimizer is the per-run mutable scratch: the DP state one run needs,
-// recycled through Prepared.pool so warm runs are allocation-lean.
+// optimizer is the per-run mutable scratch: the DP state one run needs.
+// It belongs to no statement — every Run of every Prepared checks one
+// out of the package-level scratch pool and binds it for the run — so a
+// statement that is new to the process still plans on a warm arena and
+// a warm DP table.
 type optimizer struct {
-	p *Prepared
+	p *Prepared // bound for the run; nil while pooled
 
-	// sim is the Simmen baseline instance (ModeSimmen only). It lives
-	// with the scratch — its reduce cache stays valid across runs of
-	// one Prepared — and owns a cloned interner, because reductions
-	// intern new orderings and the analysis interner is shared.
+	// sim is the Simmen baseline instance (ModeSimmen only), borrowed
+	// from p.sims for the run: its reduce cache and cloned interner are
+	// per-statement state and stay with the Prepared.
 	sim *simmen.Framework
 
 	edgeBuf   []int // scratch for edgesBetween, reused per pair
 	arena     plan.Arena
-	dp        *dpTable
+	dp        dpTable
 	generated int64
 	ccPairs   int64
 
@@ -237,6 +246,13 @@ type optimizer struct {
 	beam int
 }
 
+// scratch recycles optimizers across all statements. There is no size
+// knob: sync.Pool drops idle entries over two GC cycles, which bounds
+// what a one-off 16-relation statement (a 2^16-entry table, a deep
+// arena) leaves behind. Pooled scratch holds no *Prepared, and its
+// arena is cleared, so it pins no analysis or framework.
+var scratch = sync.Pool{New: func() any { return new(optimizer) }}
+
 // dpTable maps a relation-subset mask to its cost-sorted, undominated
 // plan list. The optimized configuration indexes a dense slice directly
 // by mask; beyond denseTableBits relations the 2^n table no longer pays
@@ -244,20 +260,39 @@ type optimizer struct {
 // keeps the seed's unhinted map so the benchmarks compare the full
 // before/after inside one binary.
 type dpTable struct {
-	dense  [][]*plan.Node
+	dense  [][]*plan.Node // this run's 1<<n window of slab; nil while sparse serves
+	slab   [][]*plan.Node // grown to the largest 1<<n seen, lists keep their capacity
 	sparse map[uint64][]*plan.Node
 }
 
 const denseTableBits = 16
 
-func newDPTable(n int, dense bool) *dpTable {
+// reset re-shapes the table in place for a run over n relations and
+// empties every plan list the run can reach, keeping the backing arrays:
+// steady-state runs append into recycled capacity, whichever statement
+// grew it. Lists beyond the current window are neither read nor counted.
+// naive selects the reference configuration's always-fresh unhinted map;
+// hint sizes a first sparse map.
+func (t *dpTable) reset(n int, naive bool, hint int) {
+	t.dense = nil
 	switch {
-	case !dense:
-		return &dpTable{sparse: make(map[uint64][]*plan.Node)}
+	case naive:
+		t.sparse = make(map[uint64][]*plan.Node)
 	case n <= denseTableBits:
-		return &dpTable{dense: make([][]*plan.Node, uint64(1)<<uint(n))}
+		size := 1 << uint(n)
+		if len(t.slab) < size {
+			t.slab = append(t.slab, make([][]*plan.Node, size-len(t.slab))...)
+		}
+		t.dense = t.slab[:size]
+		for i, l := range t.dense {
+			t.dense[i] = l[:0]
+		}
+	case t.sparse == nil:
+		t.sparse = make(map[uint64][]*plan.Node, hint)
 	default:
-		return &dpTable{sparse: make(map[uint64][]*plan.Node, 1<<denseTableBits)}
+		for k, l := range t.sparse {
+			t.sparse[k] = l[:0]
+		}
 	}
 }
 
@@ -276,24 +311,8 @@ func (t *dpTable) set(mask uint64, list []*plan.Node) {
 	}
 }
 
-// reset truncates every plan list in place, keeping the backing arrays:
-// a rerun of the same query refills identical subsets, so steady-state
-// runs append into recycled capacity.
-func (t *dpTable) reset() {
-	if t.dense != nil {
-		for i, l := range t.dense {
-			if l != nil {
-				t.dense[i] = l[:0]
-			}
-		}
-	} else {
-		for k, l := range t.sparse {
-			t.sparse[k] = l[:0]
-		}
-	}
-}
-
-// retained counts plans surviving dominance pruning across all subsets.
+// retained counts plans surviving dominance pruning across the current
+// run's subsets.
 func (t *dpTable) retained() int {
 	total := 0
 	if t.dense != nil {
@@ -338,8 +357,8 @@ func Prepare(a *query.Analysis, cfg Config) (*Prepared, error) {
 		st := fw.Stats()
 		p.stats = &st
 	case ModeSimmen:
-		// The baseline framework is per-scratch (its reduce cache and
-		// counters are mutable); see newScratch.
+		// The baseline framework is mutable (reduce cache, counters):
+		// runs borrow one from p.sims; see bind.
 	default:
 		return nil, fmt.Errorf("optimizer: unknown mode %d", cfg.Mode)
 	}
@@ -379,67 +398,74 @@ func Prepare(a *query.Analysis, cfg Config) (*Prepared, error) {
 		}
 	}
 	p.prepTime = time.Since(start)
-	p.pool.New = func() any { return p.newScratch() }
 	return p, nil
 }
 
-func (p *Prepared) newScratch() *optimizer {
-	o := &optimizer{p: p, edgeBuf: make([]int, 0, len(p.edgeMask))}
-	if p.cfg.Mode == ModeSimmen {
-		o.sim = simmen.New(p.a.Builder.Interner().Clone(), p.a.Builder.Registry(), p.cfg.SimmenCache)
-	}
-	return o
-}
-
-// reset readies recycled scratch for the next run.
-func (o *optimizer) reset() {
+// bind readies checked-out scratch for a run of p. Nothing a previous
+// run — of any statement, finished or panicked — left behind survives
+// it: counters, arena, tier flags and every reachable plan list are
+// reset here, not trusted.
+func (o *optimizer) bind(p *Prepared) {
+	o.p = p
 	o.generated, o.ccPairs = 0, 0
 	o.arena.Reset()
-	o.edgeBuf = o.edgeBuf[:0]
-	if o.sim != nil {
+	o.sim = nil
+	if p.cfg.Mode == ModeSimmen {
+		o.sim, _ = p.sims.Get().(*simmen.Framework)
+		if o.sim == nil {
+			o.sim = simmen.New(p.a.Builder.Interner().Clone(), p.a.Builder.Registry(), p.cfg.SimmenCache)
+		}
 		o.sim.BytesAllocated = 0
 		o.sim.ReduceCalls = 0
 		o.sim.CacheHits = 0
 	}
-	n := len(o.p.g.Relations)
-	o.lin = o.p.strategy == StrategyLinearized
+	n := len(p.g.Relations)
+	o.lin = p.strategy == StrategyLinearized
 	o.beam = 0
-	switch {
-	case o.lin:
-		o.beam = o.p.cfg.LinearizedBeam
+	hint := 1 << denseTableBits
+	if o.lin {
+		o.beam = p.cfg.LinearizedBeam
 		if o.beam == 0 {
 			o.beam = DefaultLinearizedBeam
 		} else if o.beam < 0 {
 			o.beam = 0
 		}
-		if o.dp == nil {
-			o.dp = newLinearizedDPTable(n)
-		} else {
-			o.dp.reset()
-		}
-	case o.p.cfg.Enumerator == EnumNaive:
-		// The reference configuration measures the seed's unhinted map:
-		// always start from a fresh one.
-		o.dp = newDPTable(n, false)
-	case o.dp == nil:
-		o.dp = newDPTable(n, true)
-	default:
-		o.dp.reset()
+		// Only the O(n²) interval masks are ever populated.
+		hint = n * (n + 3) / 2
 	}
+	// The reference configuration measures the seed's unhinted map.
+	o.dp.reset(n, !o.lin && p.cfg.Enumerator == EnumNaive, hint)
+}
+
+// unbind strips the scratch of the statement it served before it goes
+// back to the pool: the arena is cleared (plan nodes carry Simmen
+// annotations), the framework returns to its Prepared.
+func (o *optimizer) unbind() {
+	o.arena.Reset()
+	if o.sim != nil {
+		o.p.sims.Put(o.sim)
+		o.sim = nil
+	}
+	o.p = nil
 }
 
 // Run executes one optimization run on pooled scratch. Safe for
 // concurrent use.
 func (p *Prepared) Run() (*Result, error) {
+	o := scratch.Get().(*optimizer)
+	defer scratch.Put(o)
+	return o.plan(p)
+}
+
+// plan runs p's dynamic programming on o, whatever o served before.
+func (o *optimizer) plan(p *Prepared) (*Result, error) {
 	res := &Result{PrepTime: p.prepTime, Stats: p.stats}
-	// PlanTime covers scratch checkout too: on a cold pool that
-	// includes constructing the scratch (for ModeSimmen, the baseline
-	// framework and its interner clone) — real per-run work that warm
-	// runs amortize away.
+	// PlanTime covers binding too: for ModeSimmen's first run that
+	// includes constructing the baseline framework and its interner
+	// clone — real per-run work that warm runs amortize away.
 	planStart := time.Now()
-	o := p.pool.Get().(*optimizer)
-	defer p.pool.Put(o)
-	o.reset()
+	o.bind(p)
+	defer o.unbind()
 
 	best, err := o.run()
 	if err != nil {

@@ -1,0 +1,83 @@
+package optimizer
+
+import (
+	"testing"
+
+	"orderopt/internal/query"
+	"orderopt/internal/querygen"
+	"orderopt/internal/tpcr"
+)
+
+// TestScratchCarriesNothingAcrossStatements runs statements of different
+// sizes, tiers, modes and table shapes back to back on one scratch — a
+// 10-relation statement first, so everything after it sees stale plan
+// lists beyond its own 1<<n, a dirty arena and whatever tier flags came
+// before — and holds every run to a run of the same Prepared on fresh
+// scratch. The first statement inherits a run that never unbound, as a
+// panic between bind and unbind would leave it.
+func TestScratchCarriesNothingAcrossStatements(t *testing.T) {
+	q8 := func() *query.Analysis {
+		_, g, err := tpcr.Query8Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	naive := DefaultConfig(ModeDFSM)
+	naive.Enumerator = EnumNaive
+	steps := []struct {
+		name string
+		a    *query.Analysis
+		cfg  Config
+	}{
+		{"chain-10", analyzeSpec(t, querygen.Spec{Relations: 10, ExtraEdges: 2, Seed: 3}), DefaultConfig(ModeDFSM)},
+		{"q8", q8(), DefaultConfig(ModeDFSM)},
+		{"chain-3", analyzeSpec(t, querygen.Spec{Relations: 3, Seed: 5}), DefaultConfig(ModeDFSM)},
+		{"clique-18 linearized", analyzeSpec(t, querygen.Spec{Shape: querygen.Clique, Relations: 18, Seed: 7}), DefaultConfig(ModeDFSM)},
+		{"chain-4 simmen", analyzeSpec(t, querygen.Spec{Relations: 4, Seed: 9}), DefaultConfig(ModeSimmen)},
+		{"q8 naive", q8(), naive},
+		{"chain-3 again", analyzeSpec(t, querygen.Spec{Relations: 3, Seed: 5}), DefaultConfig(ModeDFSM)},
+	}
+
+	shared := new(optimizer)
+	abandoned, err := Prepare(analyzeSpec(t, querygen.Spec{Relations: 9, Seed: 11}), DefaultConfig(ModeSimmen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared.bind(abandoned)
+	if _, err := shared.run(); err != nil {
+		t.Fatal(err)
+	}
+	shared.lin, shared.beam = true, 1
+
+	for _, st := range steps {
+		p, err := Prepare(st.a, st.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		got, err := shared.plan(p)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		want, err := new(optimizer).plan(p)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if got.PlansRetained != want.PlansRetained || got.PlansGenerated != want.PlansGenerated ||
+			got.CsgCmpPairs != want.CsgCmpPairs || got.Strategy != want.Strategy {
+			t.Errorf("%s: shared scratch retained/generated/pairs/tier %d/%d/%d/%s, fresh %d/%d/%d/%s", st.name,
+				got.PlansRetained, got.PlansGenerated, got.CsgCmpPairs, got.Strategy,
+				want.PlansRetained, want.PlansGenerated, want.CsgCmpPairs, want.Strategy)
+		}
+		if got.Best.Cost != want.Best.Cost || got.Best.String() != want.Best.String() {
+			t.Errorf("%s: shared scratch plan differs from fresh scratch:\n%s\nvs\n%s", st.name, got.Best, want.Best)
+		}
+		if shared.p != nil || shared.sim != nil {
+			t.Errorf("%s: scratch still bound after the run", st.name)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 package order
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -147,16 +148,11 @@ func (in *Interner) Format(reg *Registry, id ID) string {
 // SortIDs sorts ids by (length, lexicographic attr sequence) for
 // deterministic output; ties cannot occur because IDs are interned.
 func (in *Interner) SortIDs(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := in.seqs[ids[i]], in.seqs[ids[j]]
-		if len(a) != len(b) {
-			return len(a) < len(b)
+	slices.SortFunc(ids, func(x, y ID) int {
+		a, b := in.seqs[x], in.seqs[y]
+		if c := cmp.Compare(len(a), len(b)); c != 0 {
+			return c
 		}
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
+		return slices.Compare(a, b)
 	})
 }

@@ -114,8 +114,9 @@ type Node struct {
 // Arena bump-allocates Nodes in chunks so a plan-generation run costs a
 // handful of allocations instead of one per candidate plan. Nodes handed
 // out remain valid until the next Reset; every chunk is retained, so an
-// arena recycled across optimizer runs (the planner's scratch pool)
+// arena recycled across optimizer runs (the optimizer's scratch pool)
 // reaches a steady state where plan generation allocates nothing.
+// Unused slots are always zero: a reset arena references nothing.
 // The zero value is ready to use.
 type Arena struct {
 	chunks [][]Node
@@ -134,9 +135,7 @@ func (a *Arena) New() *Node {
 		if len(c) < cap(c) {
 			c = c[:len(c)+1]
 			a.chunks[a.active] = c
-			n := &c[len(c)-1]
-			*n = Node{} // chunks survive Reset, so recycled slots are dirty
-			return n
+			return &c[len(c)-1] // zero: fresh from make, or cleared by Reset
 		}
 		a.active++
 	}
@@ -153,12 +152,14 @@ func (a *Arena) New() *Node {
 	return &c[0]
 }
 
-// Reset rewinds the arena for reuse, retaining every chunk. All nodes
-// previously handed out become invalid; callers keeping a plan beyond
-// the reset must Clone it first.
+// Reset rewinds the arena for reuse, retaining every chunk and zeroing
+// the slots that were handed out (one bulk clear per chunk instead of
+// one per New). All nodes previously handed out become invalid; callers
+// keeping a plan beyond the reset must Clone it first.
 func (a *Arena) Reset() {
-	for i := range a.chunks {
-		a.chunks[i] = a.chunks[i][:0]
+	for i, c := range a.chunks {
+		clear(c)
+		a.chunks[i] = c[:0]
 	}
 	a.active = 0
 }

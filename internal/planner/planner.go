@@ -11,10 +11,13 @@
 //     §5.2 interesting-order analysis, and the DFSM compilation — and
 //     caches the immutable PreparedQuery by SQL text. Re-planning a
 //     prepared query only re-runs the dynamic programming.
-//  2. Pooled optimizer scratch. Each PreparedQuery recycles its DP
-//     scratch (plan-node arena, DP table, edge buffers) through a
-//     sync.Pool, so warm-path planning reaches a steady state with
-//     near-zero allocations and scales across GOMAXPROCS.
+//  2. Pooled optimizer scratch. The DP scratch (plan-node arena, DP
+//     table, edge buffer) is recycled through one process-wide
+//     sync.Pool in internal/optimizer, shared by every statement: a
+//     re-planned prepared query reaches a steady state with near-zero
+//     allocations, a statement new to both caches still plans on an
+//     arena some earlier statement grew, and runs scale across
+//     GOMAXPROCS.
 //  3. Plan cache. Queries are fingerprinted canonically (stable hash
 //     over relations, statistics, predicates, edges and required
 //     orders; see query.Fingerprint), and the cheapest plan is cached

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 
@@ -37,17 +38,25 @@ func (d *discardWriter) Write(b []byte) (int, error) {
 }
 
 func benchHandler(b *testing.B, path string, req any) {
-	cfg := planner.DefaultConfig(tpcr.Schema())
-	cfg.Optimizer = optimizer.DefaultConfig(optimizer.ModeDFSM)
-	cfg.Optimizer.MaxDOP = 1
-	s := New(Config{Planner: planner.New(cfg), Datasets: exec.TPCRLazyRegistry(), MaxTimeout: DefaultMaxTimeout, Workers: 1})
 	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Two warm-up requests load the dataset and fill the planner caches
+	// and the build table.
+	benchHandlerSeq(b, path, 2, func(int) []byte { return body })
+}
+
+// benchHandlerSeq serves body(0), body(1), … through one server: warm
+// requests untimed, then b.N timed.
+func benchHandlerSeq(b *testing.B, path string, warm int, body func(i int) []byte) {
+	cfg := planner.DefaultConfig(tpcr.Schema())
+	cfg.Optimizer = optimizer.DefaultConfig(optimizer.ModeDFSM)
+	cfg.Optimizer.MaxDOP = 1
+	s := New(Config{Planner: planner.New(cfg), Datasets: exec.TPCRLazyRegistry(), MaxTimeout: DefaultMaxTimeout, Workers: 1})
 	dw := &discardWriter{header: http.Header{}}
-	serve := func() {
-		r, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	serve := func(i int) {
+		r, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,13 +64,14 @@ func benchHandler(b *testing.B, path string, req any) {
 			b.Fatalf("status %d", dw.status)
 		}
 	}
-	serve() // loads the dataset, fills the planner caches and the build table
-	serve()
+	for i := 0; i < warm; i++ {
+		serve(i)
+	}
 	dw.n = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serve()
+		serve(warm + i)
 	}
 	b.ReportMetric(float64(dw.n)/float64(b.N), "bytes_out/op")
 }
@@ -85,4 +95,19 @@ func BenchmarkHandlerQ8(b *testing.B) {
 
 func BenchmarkHandlerPlanHit(b *testing.B) {
 	benchHandler(b, "/plan", PlanRequest{SQL: tpcr.Query8SQL})
+}
+
+// BenchmarkHandlerPlanNovel is the plan_novel request: Q8 under a limit
+// no earlier request used, so every call parses, analyzes, prepares the
+// DFSM and runs the DP. The 1 500 warm-up requests fill both planner
+// caches, so the timed loop evicts on every insert as a long-lived
+// server does.
+func BenchmarkHandlerPlanNovel(b *testing.B) {
+	benchHandlerSeq(b, "/plan", 1500, func(i int) []byte {
+		body, err := json.Marshal(PlanRequest{SQL: fmt.Sprintf("%s limit %d", tpcr.Query8SQL, i+1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
+	})
 }
