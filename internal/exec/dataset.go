@@ -52,21 +52,20 @@ type buildKey struct {
 	col         int
 }
 
-// hashView is a hash-join build table in one of two forms. A resident
-// one (Dataset.buildTable) is CSR: rows holds the build rows bucket
-// after bucket, in stream order within a bucket, and bucket i is
-// rows[off[i]:off[i+1]], where i is k-min over a packed key domain
-// (keys nil) and k's position in the sorted distinct keys otherwise. A
-// per-execution build is the map it filled (off nil).
+// hashView is a hash-join build table, resident (Dataset.buildTable) or
+// built per execution (buildHash), in one form — CSR: rows holds the
+// build rows bucket after bucket, in stream order within a bucket, and
+// bucket i is rows[off[i]:off[i+1]], where i is k-min over a packed key
+// domain (keys nil) and k's position in the sorted distinct keys
+// otherwise. The zero value holds no rows.
 type hashView struct {
-	table map[int64][]Row
-	keys  []int64
-	min   int64
-	off   []int32
-	rows  []Row
+	keys []int64
+	min  int64
+	off  []int32
+	rows []Row
 }
 
-// slot returns the index of key k's bucket in a CSR view, -1 for none.
+// slot returns the index of key k's bucket, -1 for none.
 func (hv *hashView) slot(k int64) int {
 	if hv.keys != nil {
 		if i, ok := slices.BinarySearch(hv.keys, k); ok {
@@ -80,9 +79,6 @@ func (hv *hashView) slot(k int64) int {
 
 // bucket returns the build rows with key k, in stream order.
 func (hv *hashView) bucket(k int64) []Row {
-	if hv.off == nil {
-		return hv.table[k]
-	}
 	if i := hv.slot(k); i >= 0 {
 		return hv.rows[hv.off[i]:hv.off[i+1]]
 	}
@@ -139,6 +135,37 @@ func newHashView(rows []Row, col int, admit func(bytes int64) bool) *hashView {
 		hv.rows[hv.off[i]] = rows[j]
 	}
 	return hv
+}
+
+// drainPool holds buildHash's drain buffers, process-wide: newHashView
+// copies the row headers out, so the buffer is scratch from one build to
+// the next, whichever query runs it.
+var drainPool = sync.Pool{New: func() any { return new([]Row) }}
+
+// buildHash drains right into the build table a query makes for itself,
+// keyed on column col — the one path behind a hash join's Open and an
+// exchange's shared build side. Every row passes hold (the budget
+// charge) before it is buffered, so an overrun stops the drain where it
+// happens. The buffer goes back to the pool cleared, pinning no row
+// chunk, on every path out — an error or a panic mid-drain included.
+func buildHash(right Iterator, col int, hold func(Row) error) (*hashView, error) {
+	buf := drainPool.Get().(*[]Row)
+	rows := (*buf)[:0]
+	defer func() {
+		clear(rows)
+		*buf = rows[:0]
+		drainPool.Put(buf)
+	}()
+	if err := drainInto(right, func(row Row) error {
+		if err := hold(row); err != nil {
+			return err
+		}
+		rows = append(rows, row)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return newHashView(rows, col, func(int64) bool { return true }), nil
 }
 
 // buildTable returns the resident build table for key over rows (the

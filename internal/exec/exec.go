@@ -23,6 +23,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"orderopt/internal/query"
 )
 
 // Row is one tuple; values are int64 (strings are dictionary-coded by
@@ -316,9 +318,10 @@ func sortRows(rows []Row, keys []int) {
 }
 
 // MergeJoin equi-joins two inputs sorted on their key columns; output
-// rows are left ++ right. Duplicate key groups produce the full cross
-// product with the outer (left) order preserved — the ordering behaviour
-// the plan generator relies on.
+// rows are left ++ right (or the compiler's narrower layout, see
+// joinEmit). Duplicate key groups produce the full cross product with
+// the outer (left) order preserved — the ordering behaviour the plan
+// generator relies on.
 //
 // The join is fully pipelined: it buffers only the current duplicate-key
 // group of the right input (rewound per matching left row) and a
@@ -349,7 +352,7 @@ type MergeJoin struct {
 	havePrevRight bool
 	opened        bool
 
-	alloc rowAlloc // chunked allocator for output rows
+	emit joinEmit
 }
 
 // Open implements Iterator.
@@ -466,10 +469,12 @@ func (m *MergeJoin) holdGroupRow(row Row) error {
 func (m *MergeJoin) Next() (Row, bool, error) {
 	for {
 		if m.matching {
-			if m.gi < len(m.group) {
-				r := m.alloc.concat(m.left, m.group[m.gi])
+			for m.gi < len(m.group) {
+				r, ok := m.emit.row(m.left, m.group[m.gi])
 				m.gi++
-				return r, true, nil
+				if ok {
+					return r, true, nil
+				}
 			}
 			// Cross product for this left row done; fetch the next left
 			// row (it may share the key and rewind the group).
@@ -547,8 +552,8 @@ func (m *MergeJoin) Close() error {
 
 // HashJoin builds a hash table on the right input and probes with the
 // left, preserving the left (probe) order. Only the build side is
-// materialized (into the table directly — the right input is drained
-// and closed during Open); probing streams.
+// materialized (the right input is drained and closed during Open, see
+// buildHash); probing streams.
 type HashJoin struct {
 	Left, Right Iterator
 	LeftKey     int
@@ -557,7 +562,7 @@ type HashJoin struct {
 	// budget as the table is built.
 	Life *Life
 
-	table  hashView
+	table  *hashView
 	probe  Row   // current left row
 	bucket []Row // its matches
 	bi     int
@@ -571,29 +576,22 @@ type HashJoin struct {
 	prebuilt *hashView
 	adopted  *bareScan
 
-	alloc rowAlloc // chunked allocator for output rows
+	emit joinEmit
 }
 
 // Open implements Iterator.
 func (h *HashJoin) Open() error {
 	if h.prebuilt != nil {
-		h.table = *h.prebuilt
+		h.table = h.prebuilt
 		if h.adopted != nil {
 			h.adopted.st.Rows = int64(len(h.adopted.rows))
 		}
 	} else {
-		table := make(map[int64][]Row)
-		if err := drainInto(h.Right, func(row Row) error {
-			if err := h.Life.holdRow(row); err != nil {
-				return err
-			}
-			k := row[h.RightKey]
-			table[k] = append(table[k], row)
-			return nil
-		}); err != nil {
+		table, err := buildHash(h.Right, h.RightKey, h.Life.holdRow)
+		if err != nil {
 			return err
 		}
-		h.table = hashView{table: table}
+		h.table = table
 	}
 	h.probe, h.bucket, h.bi = nil, nil, 0
 	h.opened = true // before Left opens, so Close reaches it if Open does not return
@@ -603,10 +601,12 @@ func (h *HashJoin) Open() error {
 // Next implements Iterator.
 func (h *HashJoin) Next() (Row, bool, error) {
 	for {
-		if h.bi < len(h.bucket) {
-			r := h.alloc.concat(h.probe, h.bucket[h.bi])
+		for h.bi < len(h.bucket) {
+			r, ok := h.emit.row(h.probe, h.bucket[h.bi])
 			h.bi++
-			return r, true, nil
+			if ok {
+				return r, true, nil
+			}
 		}
 		left, ok, err := h.Left.Next()
 		if err != nil || !ok {
@@ -620,7 +620,7 @@ func (h *HashJoin) Next() (Row, bool, error) {
 
 // Close implements Iterator.
 func (h *HashJoin) Close() error {
-	h.table, h.probe, h.bucket = hashView{}, nil, nil
+	h.table, h.probe, h.bucket = nil, nil, nil
 	if h.opened {
 		h.opened = false
 		return h.Left.Close()
@@ -643,7 +643,7 @@ type NestedLoopJoin struct {
 	ii     int
 	opened bool
 
-	alloc rowAlloc // chunked allocator for output rows
+	emit joinEmit
 }
 
 // Open implements Iterator.
@@ -671,7 +671,9 @@ func (n *NestedLoopJoin) Next() (Row, bool, error) {
 				inner := n.inner[n.ii]
 				n.ii++
 				if n.Pred(n.outer, inner) {
-					return n.alloc.concat(n.outer, inner), true, nil
+					if r, ok := n.emit.row(n.outer, inner); ok {
+						return r, true, nil
+					}
 				}
 			}
 		}
@@ -694,11 +696,46 @@ func (n *NestedLoopJoin) Close() error {
 	return nil
 }
 
-// concatRows returns a ++ b in a fresh row.
-func concatRows(a, b Row) Row {
-	out := make(Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
+// joinEq is one equality predicate crossing a join: its columns,
+// oriented to the join's sides, and their positions in the left and the
+// right input's schema.
+type joinEq struct {
+	lc, rc query.ColumnRef
+	l, r   int
+}
+
+// joinEmit is what a join does with a matched (left, right) pair: res
+// lists the equalities its algorithm did not evaluate, checked on the
+// pair before a row is carved; the row is left ++ right, or — narrow
+// set by the compiler's liveness pass, see Runner.build — the live
+// columns of each side at positions resolved at compile. The zero value
+// is a join on its primary predicate alone emitting left ++ right.
+type joinEmit struct {
+	res          []joinEq
+	narrow       bool
+	lcols, rcols []int
+
+	alloc rowAlloc // chunked allocator for output rows
+}
+
+func (e *joinEmit) row(l, r Row) (Row, bool) {
+	for _, q := range e.res {
+		if l[q.l] != r[q.r] {
+			return nil, false
+		}
+	}
+	if !e.narrow {
+		return e.alloc.concat(l, r), true
+	}
+	out := e.alloc.carve(len(e.lcols) + len(e.rcols))
+	for i, c := range e.lcols {
+		out[i] = l[c]
+	}
+	right := out[len(e.lcols):]
+	for i, c := range e.rcols {
+		right[i] = r[c]
+	}
+	return out, true
 }
 
 // rowAlloc chunk sizes (in int64s): chunks start small so short-lived

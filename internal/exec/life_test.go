@@ -92,15 +92,18 @@ func TestAccountantConcurrent(t *testing.T) {
 	}
 }
 
-// TestBudgetHashJoinBuild caps the rows a hash-join build side may
-// materialize: the endless build input must be cut off by the budget
-// during Open, with everything charged released afterwards.
+// TestBudgetHashJoinBuild: a hash join over an endless build side hits
+// the budget inside the drain, not after it — the CSR build charges row
+// by row like the map build did — closes its input, leaves nothing
+// charged after Close, and returns the pooled drain buffer cleared,
+// after an error and after a panic alike.
 func TestBudgetHashJoinBuild(t *testing.T) {
 	acct := NewAccountant(0) // track only
 	p := &Pipeline{Life: &Life{budget: Budget{MaxRows: 1000}, acct: acct}}
+	right := &closeCounter{Iterator: &counter{}}
 	join := &HashJoin{
 		Left:     wrapped(p, &counter{}),
-		Right:    wrapped(p, &counter{}),
+		Right:    right,
 		LeftKey:  0,
 		RightKey: 0,
 		Life:     p.Life,
@@ -110,10 +113,53 @@ func TestBudgetHashJoinBuild(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want budget exceeded", err)
 	}
-	if got := acct.Used(); got != 0 {
-		t.Fatalf("%d bytes still reserved after the pipeline failed", got)
+	if right.pulled != 1001 || right.closed != 1 {
+		t.Errorf("build pulled %d rows and closed its input %d times, want 1001 and 1", right.pulled, right.closed)
+	}
+	if got := acct.Used(); got != 0 || p.Life.HeldBytes() != 0 {
+		t.Fatalf("%d bytes still reserved, %d held after the pipeline failed", got, p.Life.HeldBytes())
+	}
+
+	boom := &closeCounter{Iterator: &counter{}, panicAt: 500}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the build swallowed its input's panic")
+			}
+		}()
+		_, _ = buildHash(boom, 0, func(Row) error { return nil })
+	}()
+	if boom.closed != 1 {
+		t.Errorf("panicking input closed %d times, want 1", boom.closed)
+	}
+	// Whatever buffers the pool hands out next pin no row.
+	for i := 0; i < 4; i++ {
+		buf := drainPool.Get().(*[]Row)
+		defer drainPool.Put(buf)
+		for _, r := range (*buf)[:cap(*buf)] {
+			if r != nil {
+				t.Fatal("a pooled drain buffer still references a row")
+			}
+		}
 	}
 }
+
+// closeCounter counts what a consumer pulls and how often it closes,
+// and panics on the panicAt'th pull when set.
+type closeCounter struct {
+	Iterator
+	pulled, closed, panicAt int
+}
+
+func (c *closeCounter) Next() (Row, bool, error) {
+	c.pulled++
+	if c.pulled == c.panicAt {
+		panic("boom")
+	}
+	return c.Iterator.Next()
+}
+
+func (c *closeCounter) Close() error { c.closed++; return c.Iterator.Close() }
 
 // TestBudgetSort does the same for a sort's input buffer.
 func TestBudgetSort(t *testing.T) {

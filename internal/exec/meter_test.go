@@ -306,3 +306,118 @@ func BenchmarkSortRows(b *testing.B) {
 		}
 	}
 }
+
+// hashBuildInput returns n two-column build rows over n/4 distinct keys
+// (four rows a key, like lineitem under an order), shuffled: dense keys
+// are 0..n/4-1 — newHashView's direct-address form — and sparse keys are
+// those times 1<<20, which takes the sorted-distinct-keys form and a
+// binary search per probe.
+func hashBuildInput(n int, sparse bool) []Row {
+	rng := rand.New(rand.NewSource(int64(n)))
+	slab := make([]int64, 2*n)
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = slab[2*i : 2*i+2 : 2*i+2]
+		rows[i][0] = int64(rng.Intn(n / 4))
+		if sparse {
+			rows[i][0] <<= 20
+		}
+		rows[i][1] = int64(i)
+	}
+	return rows
+}
+
+// BenchmarkHashBuild is the per-execution hash-join build, and a probe
+// of every build key, at Q8's size on tpcr-mid and at 100 000 rows:
+// the CSR table (buildHash) against the map[int64][]Row it replaced, on
+// dense and on sparse keys — build and probe reported apart, so what
+// the one representation costs where it is weakest (sparse keys: a sort
+// to build, a binary search to probe) is a number.
+func BenchmarkHashBuild(b *testing.B) {
+	for _, n := range []int{8000, 100000} {
+		for _, keys := range []string{"dense", "sparse"} {
+			in := hashBuildInput(n, keys == "sparse")
+			name := fmt.Sprintf("rows%d/%s/", n, keys)
+			perRow := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+			}
+			hold := func(Row) error { return nil }
+			b.Run(name+"build/csr", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if hv, err := buildHash(NewScan(in), 0, hold); err != nil || len(hv.rows) != n {
+						b.Fatal(err)
+					}
+				}
+				perRow(b)
+			})
+			b.Run(name+"build/map", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					table := make(map[int64][]Row)
+					if err := drainInto(NewScan(in), func(row Row) error {
+						table[row[0]] = append(table[row[0]], row)
+						return hold(row)
+					}); err != nil || len(table) == 0 {
+						b.Fatal(err)
+					}
+				}
+				perRow(b)
+			})
+			hv, _ := buildHash(NewScan(in), 0, hold)
+			table := make(map[int64][]Row)
+			for _, row := range in {
+				table[row[0]] = append(table[row[0]], row)
+			}
+			found := 0
+			b.Run(name+"probe/csr", func(b *testing.B) {
+				for b.Loop() {
+					found = 0
+					for _, row := range in {
+						found += len(hv.bucket(row[0]))
+					}
+				}
+				perRow(b)
+			})
+			want := found
+			b.Run(name+"probe/map", func(b *testing.B) {
+				for b.Loop() {
+					found = 0
+					for _, row := range in {
+						found += len(table[row[0]])
+					}
+				}
+				perRow(b)
+			})
+			if found != want || found < n {
+				b.Fatalf("probes found %d rows through the map, %d through the CSR table", found, want)
+			}
+		}
+	}
+}
+
+// BenchmarkJoinEmit is a join's per-row emit at the widths of Q8's first
+// join (lineitem ++ part, 9 columns, 2 of them read above) and its last
+// (25 columns, 1 read above): the wide left ++ right against the live
+// layout.
+func BenchmarkJoinEmit(b *testing.B) {
+	const n = 8000
+	for _, c := range []struct{ left, right, live int }{{5, 4, 2}, {22, 3, 1}} {
+		l, r := make(Row, c.left), make(Row, c.right)
+		live := joinEmit{narrow: true, lcols: []int{0, 2}[:c.live]}
+		for name, emit := range map[string]*joinEmit{"wide": {}, "live": &live} {
+			b.Run(fmt.Sprintf("width%d/%s", c.left+c.right, name), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					emit.alloc = rowAlloc{} // one operator's life: 8 000 rows
+					for i := 0; i < n; i++ {
+						if row, ok := emit.row(l, r); !ok || len(row) == 0 {
+							b.Fatal("no row")
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+			})
+		}
+	}
+}

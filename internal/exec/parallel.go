@@ -83,8 +83,7 @@ type spineStep struct {
 	op      plan.Op
 	st      *OpStats
 	right   Iterator // compiled serial right side; drained once at Open
-	leftLen int      // columns arriving from below on the spine
-	eqs     []joinEq
+	eqs     []joinEq // left positions are in the spine's pieces, concatenated
 	primary int
 	est     int // planner's right-side cardinality estimate (presizing)
 
@@ -134,62 +133,48 @@ func (b *bulkHold) flush() error {
 // charging the materialized rows against the query budget (released
 // with the pipeline, like the serial builds).
 func (s *spineStep) materialize(life *Life) error {
-	key := s.eqs[s.primary].r - s.leftLen
+	key := s.eqs[s.primary].r
 	if s.adopted != nil {
 		s.adopted.st.Rows = int64(len(s.adopted.rows))
 		return nil
 	}
 	bh := &bulkHold{life: life}
-	// The estimate only presizes, and is capped like morselHint: a plan
-	// costed against statistics far larger than the data (the SF-1
-	// catalog over the mini datasets) would otherwise allocate, and
-	// fault in, a hundred-megabyte slice per query before its first
-	// row and before any cancellation poll.
-	hint := min(max(s.est, 0), 1<<16)
-	switch s.op {
-	case plan.HashJoin:
-		table := make(map[int64][]Row, hint)
-		if err := drainInto(s.right, func(row Row) error {
-			if err := bh.add(row); err != nil {
+	collect := func(hold func(Row) error) ([]Row, error) {
+		// The estimate only presizes, and is capped like morselHint: a
+		// plan costed against statistics far larger than the data (the
+		// SF-1 catalog over the mini datasets) would otherwise allocate,
+		// and fault in, a hundred-megabyte slice per query before its
+		// first row and before any cancellation poll.
+		rows := make([]Row, 0, min(max(s.est, 0), 1<<16))
+		err := drainInto(s.right, func(row Row) error {
+			if err := hold(row); err != nil {
 				return err
 			}
-			table[row[key]] = append(table[row[key]], row)
+			rows = append(rows, row)
 			return nil
-		}); err != nil {
-			return err
-		}
-		s.hash = &hashView{table: table}
+		})
+		return rows, err
+	}
+	var err error
+	switch s.op {
+	case plan.HashJoin:
+		s.hash, err = buildHash(s.right, key, bh.add)
 	case plan.MergeJoin:
-		rows := make([]Row, 0, hint)
 		var prev int64
 		have := false
-		if err := drainInto(s.right, func(row Row) error {
+		s.sorted, err = collect(func(row Row) error {
 			k := row[key]
 			if have && k < prev {
 				return fmt.Errorf("exec: merge join right input not sorted on column %d", key)
 			}
 			prev, have = k, true
-			if err := bh.add(row); err != nil {
-				return err
-			}
-			rows = append(rows, row)
-			return nil
-		}); err != nil {
-			return err
-		}
-		s.sorted = rows
+			return bh.add(row)
+		})
 	default: // NestedLoopJoin
-		rows := make([]Row, 0, hint)
-		if err := drainInto(s.right, func(row Row) error {
-			if err := bh.add(row); err != nil {
-				return err
-			}
-			rows = append(rows, row)
-			return nil
-		}); err != nil {
-			return err
-		}
-		s.inner = rows
+		s.inner, err = collect(bh.add)
+	}
+	if err != nil {
+		return err
 	}
 	return bh.flush()
 }
@@ -216,7 +201,9 @@ func gallopGE(rows []Row, key, from int, k int64) int {
 
 // fusedEq is one join equality with the left side resolved to a
 // (piece, column) pair — pieces are the driving row plus each step's
-// matched right row, never concatenated until final emission.
+// matched right row, never concatenated until final emission. In the
+// exchange's output layout (Exchange.fusedOut) it is one output column;
+// rcol is unused there.
 type fusedEq struct{ piece, col, rcol int }
 
 // fusedStep is one spine join compiled for the fused evaluator.
@@ -248,16 +235,24 @@ func (x *Exchange) buildFused() {
 		widths := x.pieceWidths[:i+1]
 		k := s.eqs[s.primary]
 		f.keyPiece, f.keyCol = locatePiece(widths, k.l)
-		f.rightKey = k.r - s.leftLen
+		f.rightKey = k.r
 		for ei, e := range s.eqs {
 			pe, ce := locatePiece(widths, e.l)
-			fe := fusedEq{piece: pe, col: ce, rcol: e.r - s.leftLen}
+			fe := fusedEq{piece: pe, col: ce, rcol: e.r}
 			f.all = append(f.all, fe)
 			if ei != s.primary {
 				f.res = append(f.res, fe)
 			}
 		}
 		x.fused = append(x.fused, f)
+	}
+	x.fusedOut = x.fusedOut[:0]
+	for _, c := range x.lastEmit.lcols {
+		pc, cc := locatePiece(x.pieceWidths, c)
+		x.fusedOut = append(x.fusedOut, fusedEq{piece: pc, col: cc})
+	}
+	for _, c := range x.lastEmit.rcols {
+		x.fusedOut = append(x.fusedOut, fusedEq{piece: len(x.steps), col: c})
 	}
 }
 
@@ -310,7 +305,15 @@ func (x *Exchange) runMorselFused(rows []Row) morselResult {
 	var rec func(level int) error
 	rec = func(level int) error {
 		if level == nsteps {
-			out = append(out, al.concatN(pieces, totalW))
+			if !x.lastEmit.narrow {
+				out = append(out, al.concatN(pieces, totalW))
+				return nil
+			}
+			row := al.carve(len(x.fusedOut))
+			for i, c := range x.fusedOut {
+				row[i] = pieces[c.piece][c.col]
+			}
+			out = append(out, row)
 			return nil
 		}
 		f := &x.fused[level]
@@ -459,7 +462,14 @@ type Exchange struct {
 	leafSt      *OpStats
 	steps       []*spineStep // bottom-up along the spine
 	pieceWidths []int        // column width of the driving leaf, then each step's right side
-	fused       []fusedStep  // fused spine evaluator steps (see runMorselFused); unused under a hook
+	// lastEmit is the top spine join's output layout (joinOutput), which
+	// is the exchange's: the composed pipeline's last join emits through
+	// it, the fused evaluator through fusedOut. Nothing is pruned between
+	// steps — the fused evaluator has no intermediate rows, and the
+	// composed pipeline is not what serves traffic.
+	lastEmit joinEmit
+	fused    []fusedStep // fused spine evaluator steps (see runMorselFused); unused under a hook
+	fusedOut []fusedEq   // lastEmit's columns as (piece, column) pairs
 
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -621,27 +631,20 @@ func (x *Exchange) runMorsel(rows []Row) morselResult {
 		// Life stays nil on every join: what it would buffer is a view
 		// into the shared state, charged once at setup.
 		k := s.eqs[s.primary]
+		var emit joinEmit
+		if si == len(x.steps)-1 {
+			emit = x.lastEmit
+		}
+		if s.op != plan.NestedLoopJoin {
+			emit.res = residual(s.eqs, s.primary)
+		}
 		switch s.op {
 		case plan.MergeJoin:
-			it = &MergeJoin{Left: it, Right: NewScan(s.sorted), LeftKey: k.l, RightKey: k.r - s.leftLen}
+			it = &MergeJoin{Left: it, Right: NewScan(s.sorted), LeftKey: k.l, RightKey: k.r, emit: emit}
 		case plan.HashJoin:
-			it = &HashJoin{Left: it, prebuilt: s.hash, LeftKey: k.l, RightKey: k.r - s.leftLen}
+			it = &HashJoin{Left: it, prebuilt: s.hash, LeftKey: k.l, RightKey: k.r, emit: emit}
 		default: // NestedLoopJoin
-			eqs, ll := s.eqs, s.leftLen
-			it = &NestedLoopJoin{
-				Outer: it, Inner: NewScan(s.inner),
-				Pred: func(outer, inner Row) bool {
-					for _, e := range eqs {
-						if outer[e.l] != inner[e.r-ll] {
-							return false
-						}
-					}
-					return true
-				},
-			}
-		}
-		if len(s.eqs) > 1 && s.op != plan.NestedLoopJoin {
-			it = &Filter{In: it, Pred: residualPred(s.eqs, s.primary)}
+			it = &NestedLoopJoin{Outer: it, Inner: NewScan(s.inner), Pred: allEqs(s.eqs), emit: emit}
 		}
 		it = wrap(it, s.st, &local[si+1])
 	}
@@ -785,7 +788,7 @@ func (x *Exchange) Close() error {
 // buildExchange compiles an exchange node: validate and split the
 // segment, register every segment operator's OpStats in plan preorder
 // (tagged with the effective DOP), and return the Exchange iterator.
-func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats) (Iterator, []query.ColumnRef, error) {
+func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats, live liveCols) (Iterator, []query.ColumnRef, error) {
 	dop := n.DOP
 	if r.MaxDOP > 0 && dop > r.MaxDOP {
 		dop = r.MaxDOP
@@ -802,9 +805,13 @@ func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats) (Iterator
 		timing:  !r.DisableTiming,
 		estCard: n.Card,
 	}
-	schema, err := r.buildSegment(n.Left, p, x)
+	schema, err := r.buildSegment(n.Left, p, x, live)
 	if err != nil {
 		return nil, nil, err
+	}
+	if k := len(x.steps); k > 0 {
+		ll := len(schema) - x.pieceWidths[k]
+		schema, x.lastEmit = joinOutput(live, schema[:ll], schema[ll:])
 	}
 	return r.wrap(x, st, p), schema, nil
 }
@@ -814,8 +821,10 @@ func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats) (Iterator
 // ordinary serial subtrees), the driving leaf into the exchange's
 // morsel source. Any operator the restriction argument does not cover
 // (Sort, grouping, a nested exchange) is rejected — the optimizer
-// never emits one inside a segment.
-func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange) ([]query.ColumnRef, error) {
+// never emits one inside a segment. live (see Runner.build) prunes the
+// right-hand subtrees; the schema returned is every piece's, whole and
+// concatenated, and buildExchange prunes the output.
+func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange, live liveCols) ([]query.ColumnRef, error) {
 	switch n.Op {
 	case plan.TableScan, plan.IndexScan:
 		leaf, err := r.resolveScan(n)
@@ -837,23 +846,20 @@ func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange) ([]query.C
 	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:
 		st := &OpStats{Op: n.Op.String(), EstRows: n.Card, DOP: x.dop}
 		p.Ops = append(p.Ops, st)
-		ls, err := r.buildSegment(n.Left, p, x)
+		j, err := r.compileJoin(n, p, st, live, true, func(live liveCols) ([]query.ColumnRef, error) {
+			return r.buildSegment(n.Left, p, x, live)
+		})
 		if err != nil {
 			return nil, err
 		}
-		rt, err := r.joinRight(n, ls, p, true)
-		if err != nil {
-			return nil, err
+		step := &spineStep{op: n.Op, st: st, right: j.it, hash: j.hash, adopted: j.adopted,
+			eqs: j.eqs, primary: j.primary, est: int(n.Right.Card)}
+		if j.adopted != nil && n.Op == plan.MergeJoin {
+			step.sorted = j.adopted.rows
 		}
-		st.Detail = rt.detail
-		step := &spineStep{op: n.Op, st: st, right: rt.it, hash: rt.hash, adopted: rt.adopted,
-			leftLen: len(ls), eqs: rt.eqs, primary: rt.primary, est: int(n.Right.Card)}
-		if rt.adopted != nil && n.Op == plan.MergeJoin {
-			step.sorted = rt.adopted.rows
-		}
-		x.pieceWidths = append(x.pieceWidths, len(rt.schema))
+		x.pieceWidths = append(x.pieceWidths, len(j.schema))
 		x.steps = append(x.steps, step)
-		return append(append([]query.ColumnRef{}, ls...), rt.schema...), nil
+		return append(append([]query.ColumnRef{}, j.ls...), j.schema...), nil
 	}
 	return nil, fmt.Errorf("exec: exchange over non-parallelizable operator %v", n.Op)
 }

@@ -279,7 +279,7 @@ func TestHashViewOneForm(t *testing.T) {
 	d := NewDataset("d", "", nil)
 	packed := []Row{{5, 0}, {7, 1}, {5, 2}, {6, 3}}
 	hv := d.buildTable(buildKey{table: "t"}, packed)
-	if hv.table != nil || hv.keys != nil || hv.min != 5 || len(hv.off) != 4 {
+	if hv.keys != nil || hv.min != 5 || len(hv.off) != 4 {
 		t.Fatalf("packed keys: %+v, want direct-address CSR over 5..7", hv)
 	}
 	if got := hv.bucket(5); len(got) != 2 || got[0][1] != 0 || got[1][1] != 2 {
@@ -297,7 +297,7 @@ func TestHashViewOneForm(t *testing.T) {
 
 	sparse := []Row{{1 << 40, 0}, {1, 1}, {1 << 40, 2}}
 	hv = d.buildTable(buildKey{table: "u"}, sparse)
-	if hv.table != nil || len(hv.keys) != 2 || len(hv.off) != 3 {
+	if len(hv.keys) != 2 || len(hv.off) != 3 {
 		t.Fatalf("sparse keys: %+v, want CSR over 2 sorted keys", hv)
 	}
 	if got := hv.bucket(1 << 40); len(got) != 2 || got[0][1] != 0 || got[1][1] != 2 {

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"orderopt/internal/order"
@@ -392,7 +393,7 @@ func (r *Runner) Compile(n *plan.Node) (*Pipeline, error) {
 		return nil, fmt.Errorf("exec: runner has no dataset (build one with Dataset.Runner)")
 	}
 	p := &Pipeline{Life: &Life{budget: r.Budget, acct: r.Accountant}}
-	it, schema, err := r.build(n, p)
+	it, schema, err := r.build(n, p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +474,44 @@ func (r *Runner) resolveScan(n *plan.Node) (scanLeaf, error) {
 	return leaf, nil
 }
 
-func (r *Runner) build(n *plan.Node, p *Pipeline) (Iterator, []query.ColumnRef, error) {
+// liveCols is the set of columns read above a plan node; nil is every
+// column, which is what a pipeline with no Group* above the node
+// outputs.
+type liveCols []query.ColumnRef
+
+// plus returns l with cols added; every column stays every column.
+func (l liveCols) plus(cols ...query.ColumnRef) liveCols {
+	if l == nil {
+		return nil
+	}
+	out := append(make(liveCols, 0, len(l)+len(cols)), l...)
+	for _, c := range cols {
+		if colPos(out, c) < 0 {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// planRels is the set of relations plan n scans.
+func planRels(n *plan.Node) uint64 {
+	if n == nil {
+		return 0
+	}
+	if n.Op == plan.TableScan || n.Op == plan.IndexScan {
+		return 1 << uint(n.Rel)
+	}
+	return planRels(n.Left) | planRels(n.Right)
+}
+
+// build compiles plan n. live is the compiler's top-down liveness pass:
+// the columns read above n — the group keys and aggregate inputs under a
+// Group*, plus the sort keys under a Sort, plus at every join, for its
+// inputs only, the columns of the predicates crossing it. Only joins act
+// on it (joinOutput): a scan streams the table's own rows, a resident
+// build table holds whole base rows, and the first join above either
+// copies just what is live.
+func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols) (Iterator, []query.ColumnRef, error) {
 	st := &OpStats{Op: n.Op.String(), EstRows: n.Card}
 	p.Ops = append(p.Ops, st)
 	switch n.Op {
@@ -496,11 +534,15 @@ func (r *Runner) build(n *plan.Node, p *Pipeline) (Iterator, []query.ColumnRef, 
 		return r.wrap(it, st, p), leaf.schema, nil
 
 	case plan.Sort:
-		in, schema, err := r.build(n.Left, p)
+		cols, err := r.sortCols(n.SortOrd)
 		if err != nil {
 			return nil, nil, err
 		}
-		keys, detail, err := r.sortKeys(n.SortOrd, schema)
+		in, schema, err := r.build(n.Left, p, r.carried(live, cols, n.Left))
+		if err != nil {
+			return nil, nil, err
+		}
+		keys, detail, err := r.sortKeys(cols, schema)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -513,14 +555,14 @@ func (r *Runner) build(n *plan.Node, p *Pipeline) (Iterator, []query.ColumnRef, 
 		return r.wrap(&Sort{In: in, Keys: keys, Life: p.Life}, st, p), schema, nil
 
 	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:
-		return r.buildJoin(n, p, st)
+		return r.buildJoin(n, p, st, live)
 
 	case plan.ExchangeMerge, plan.ExchangeUnion:
-		return r.buildExchange(n, p, st)
+		return r.buildExchange(n, p, st, live)
 
 	case plan.Limit:
 		start := len(p.Ops)
-		in, schema, err := r.build(n.Left, p)
+		in, schema, err := r.build(n.Left, p, live)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -533,7 +575,16 @@ func (r *Runner) build(n *plan.Node, p *Pipeline) (Iterator, []query.ColumnRef, 
 		return r.wrap(&Limit{In: in, N: int64(n.Limit), Life: p.Life}, st, p), schema, nil
 
 	case plan.GroupSorted, plan.GroupHash, plan.GroupClustered:
-		in, schema, err := r.build(n.Left, p)
+		// The group operators define their output, so what is live above
+		// one does not reach below it.
+		g := r.A.Graph
+		cols := append([]query.ColumnRef{}, g.GroupBy...)
+		for _, a := range g.Aggregates {
+			if a.Fn != query.AggCount {
+				cols = append(cols, a.Col)
+			}
+		}
+		in, schema, err := r.build(n.Left, p, r.carried(liveCols{}, cols, n.Left))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -612,56 +663,57 @@ func (r *Runner) resolveGroup(schema []query.ColumnRef, st *OpStats) ([]int, []A
 	return keys, aggs, outSchema, nil
 }
 
-// joinEq is one equality predicate's column positions in a join's
-// combined (left ++ right) output schema.
-type joinEq struct{ l, r int }
-
-// residualPred checks every predicate in eqs except the skip'th on a
-// combined-schema row — the filter above a join whose algorithm
-// evaluates only the primary predicate.
-func residualPred(eqs []joinEq, skip int) func(Row) bool {
-	return func(row Row) bool {
-		for i, e := range eqs {
-			if i == skip {
+// carried returns live plus the columns cols — what a Sort or Group*
+// over child reads — as child will carry them, for sortKeys and
+// resolveGroup to find through colPosEquiv. That is the column itself
+// (child scans its relation: both consumers sit above the joins that
+// bring it in), except above the whole join tree, where every predicate
+// has been applied: there a column equated to it that is already live
+// stands in, rather than a twin widening every row.
+func (r *Runner) carried(live liveCols, cols []query.ColumnRef, child *plan.Node) liveCols {
+	if live == nil {
+		return nil
+	}
+	whole := planRels(child) == 1<<uint(len(r.A.Graph.Relations))-1
+	out := live
+	for _, c := range cols {
+		if whole && len(out) > 0 && colPos(out, c) < 0 {
+			classes := r.equivClasses()
+			class, ok := classes[c]
+			if ok && slices.ContainsFunc(out, func(m query.ColumnRef) bool {
+				id, ok := classes[m]
+				return ok && id == class
+			}) {
 				continue
 			}
-			if row[e.l] != row[e.r] {
-				return false
-			}
 		}
-		return true
+		out = out.plus(c)
 	}
+	return out
 }
 
-// resolveJoinPreds maps every equality predicate crossing a join's two
-// sides to combined-schema positions. It returns the predicates, the
-// index of the plan's primary predicate (the one the join algorithm
-// evaluates) and its display detail. All predicates must hold on the
-// output; a residual filter enforces the non-primary ones.
-func (r *Runner) resolveJoinPreds(n *plan.Node, ls, rs []query.ColumnRef) ([]joinEq, int, string, error) {
+// joinPreds lists every equality predicate crossing join n, whose
+// inputs scan the relations lrels and rrels, with its columns oriented
+// to the two sides; positions are resolved once the inputs are compiled
+// (resolveEqs). It returns the predicates, the index of the plan's
+// primary predicate (the one the join algorithm evaluates) and its
+// display detail. All predicates must hold on the output: the
+// non-primary ones are the emit's residual (joinEmit.res).
+func (r *Runner) joinPreds(n *plan.Node, lrels, rrels uint64) ([]joinEq, int, string, error) {
 	g := r.A.Graph
-	leftRels := relMask(ls)
-	rightRels := relMask(rs)
-	crossing := g.EdgesBetween(leftRels, rightRels)
 	var eqs []joinEq
 	primary := -1
 	detail := ""
-	for _, e := range crossing {
+	for _, e := range g.EdgesBetween(lrels, rrels) {
 		for pi, pred := range g.Edges[e].Preds {
-			lp, rp := pred.Left, pred.Right
-			lpos := colPos(ls, lp)
-			rpos := colPos(rs, rp)
-			if lpos < 0 { // predicate written the other way round
-				lpos = colPos(ls, rp)
-				rpos = colPos(rs, lp)
+			eq := joinEq{lc: pred.Left, rc: pred.Right}
+			if lrels&(1<<uint(pred.Left.Rel)) == 0 { // predicate written the other way round
+				eq.lc, eq.rc = pred.Right, pred.Left
 			}
-			if lpos < 0 || rpos < 0 {
-				return nil, 0, "", fmt.Errorf("exec: join predicate columns not in schemas")
-			}
-			eqs = append(eqs, joinEq{lpos, len(ls) + rpos})
+			eqs = append(eqs, eq)
 			if e == n.Edge && pi == n.Pred {
 				primary = len(eqs) - 1
-				detail = fmt.Sprintf("%s = %s", g.ColumnName(lp), g.ColumnName(rp))
+				detail = fmt.Sprintf("%s = %s", g.ColumnName(pred.Left), g.ColumnName(pred.Right))
 			}
 		}
 	}
@@ -674,123 +726,204 @@ func (r *Runner) resolveJoinPreds(n *plan.Node, ls, rs []query.ColumnRef) ([]joi
 	return eqs, primary, detail, nil
 }
 
-// rightSide is a join's right input as joinRight compiled it: the
-// resolved predicates, and either the input's iterator or — adopted set
-// — the dataset state standing in for it. An adopted input is a bare
-// scan that never runs; its stats entry is registered in its place, and
-// the join probes hash (a hash join: the dataset's resident build
-// table) or reads adopted.rows (an exchange's merge join: an index view
-// sorted on the merge key by construction).
+// joinLive splits the columns live above a join between its inputs —
+// lrels is what the left one scans — and adds to each side the columns
+// of the crossing predicates, which the join reads and nothing above it
+// need see.
+func joinLive(live liveCols, eqs []joinEq, lrels uint64) (l, r liveCols) {
+	if live == nil {
+		return nil, nil
+	}
+	l, r = liveCols{}, liveCols{}
+	for _, c := range live {
+		if lrels&(1<<uint(c.Rel)) != 0 {
+			l = append(l, c)
+		} else {
+			r = append(r, c)
+		}
+	}
+	for _, e := range eqs {
+		l, r = l.plus(e.lc), r.plus(e.rc)
+	}
+	return l, r
+}
+
+// resolveEqs resolves the predicates' columns to positions in the
+// compiled inputs' schemas.
+func resolveEqs(eqs []joinEq, ls, rs []query.ColumnRef) error {
+	for i := range eqs {
+		e := &eqs[i]
+		if e.l, e.r = colPos(ls, e.lc), colPos(rs, e.rc); e.l < 0 || e.r < 0 {
+			return fmt.Errorf("exec: join predicate columns not in schemas")
+		}
+	}
+	return nil
+}
+
+// residual is a merge or hash join's emit-time check: every crossing
+// predicate but the primary one, which the join algorithm evaluates.
+func residual(eqs []joinEq, primary int) []joinEq {
+	if len(eqs) == 1 {
+		return nil
+	}
+	return slices.Delete(slices.Clone(eqs), primary, primary+1)
+}
+
+// joinOutput returns the output schema of a join over inputs with
+// schemas ls and rs, and its emit layout: the live columns of each side,
+// narrow when that prunes something. A select * pipeline allocates no
+// layout and keeps the two-copy left ++ right.
+func joinOutput(live liveCols, ls, rs []query.ColumnRef) ([]query.ColumnRef, joinEmit) {
+	schema := make([]query.ColumnRef, 0, len(ls)+len(rs))
+	if live == nil {
+		return append(append(schema, ls...), rs...), joinEmit{}
+	}
+	var emit joinEmit
+	for i, c := range ls {
+		if colPos(live, c) >= 0 {
+			emit.lcols, schema = append(emit.lcols, i), append(schema, c)
+		}
+	}
+	for i, c := range rs {
+		if colPos(live, c) >= 0 {
+			emit.rcols, schema = append(emit.rcols, i), append(schema, c)
+		}
+	}
+	emit.narrow = len(schema) < len(ls)+len(rs)
+	return schema, emit
+}
+
+// rightSide is a join's right input as joinRight compiled it: either the
+// input's iterator or — adopted set — the dataset state standing in for
+// it. An adopted input is a bare scan that never runs; its stats entry
+// is registered in its place, and the join probes hash (a hash join: the
+// dataset's resident build table) or reads adopted.rows (an exchange's
+// merge join: an index view sorted on the merge key by construction).
 type rightSide struct {
 	it      Iterator
 	schema  []query.ColumnRef
-	eqs     []joinEq
-	primary int
-	detail  string
 	adopted *bareScan
 	hash    *hashView
 }
 
-// joinRight resolves join n's predicates against its compiled left
-// schema ls and compiles its right input — the one place where both
-// compilers (the exchange's passes inExchange) decide between running
-// the input and adopting dataset state for it. Adopted state is the
-// dataset's memory: the query materializes nothing and is charged
+// joinRight compiles join n's right input, of which the join reads
+// column key (eqs[primary].rc) and live is read above — the one place
+// where both compilers (the exchange's passes inExchange) decide between
+// running the input and adopting dataset state for it. Adopted state is
+// the dataset's memory: the query materializes nothing and is charged
 // nothing. A build table the registry budget has no room for is not
 // adopted; the input is then compiled like any other.
-func (r *Runner) joinRight(n *plan.Node, ls []query.ColumnRef, p *Pipeline, inExchange bool) (rt rightSide, err error) {
+func (r *Runner) joinRight(n *plan.Node, key query.ColumnRef, live liveCols, p *Pipeline, inExchange bool) (rt rightSide, err error) {
 	var bare *bareScan
 	if n.Op == plan.HashJoin || (inExchange && n.Op == plan.MergeJoin) {
 		bare = r.bareScanRows(n.Right)
 	}
 	if bare != nil {
 		rt.schema = bare.schema
-	} else if rt.it, rt.schema, err = r.build(n.Right, p); err != nil {
-		return rt, err
+		bare.key.col = colPos(bare.schema, key)
+		if n.Op == plan.HashJoin {
+			rt.hash = r.Dataset.buildTable(bare.key, bare.rows)
+			bare.st.Resident = rt.hash != nil
+		}
+		if rt.hash != nil || (n.Op == plan.MergeJoin && bare.key.col == bare.leading) {
+			rt.adopted = bare
+			p.Ops = append(p.Ops, bare.st)
+			return rt, nil
+		}
 	}
-	rt.eqs, rt.primary, rt.detail, err = r.resolveJoinPreds(n, ls, rt.schema)
-	if err != nil || bare == nil {
-		return rt, err
-	}
-	bare.key.col = rt.eqs[rt.primary].r - len(ls)
-	if n.Op == plan.HashJoin {
-		rt.hash = r.Dataset.buildTable(bare.key, bare.rows)
-		bare.st.Resident = rt.hash != nil
-	}
-	if rt.hash != nil || (n.Op == plan.MergeJoin && bare.key.col == bare.leading) {
-		rt.adopted = bare
-		p.Ops = append(p.Ops, bare.st)
-		return rt, nil
-	}
-	rt.it, _, err = r.build(n.Right, p)
+	rt.it, rt.schema, err = r.build(n.Right, p, live)
 	return rt, err
 }
 
-func (r *Runner) buildJoin(n *plan.Node, p *Pipeline, st *OpStats) (Iterator, []query.ColumnRef, error) {
-	left, ls, err := r.build(n.Left, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	rt, err := r.joinRight(n, ls, p, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	right, eqs, primary := rt.it, rt.eqs, rt.primary
-	schema := append(append([]query.ColumnRef{}, ls...), rt.schema...)
-	st.Detail = rt.detail
+// compiledJoin is a join with both inputs compiled and its predicates
+// resolved against their schemas.
+type compiledJoin struct {
+	eqs     []joinEq
+	primary int
+	ls      []query.ColumnRef // the left input's schema
+	rightSide
+}
 
+// compileJoin is what the serial and the exchange compiler share of
+// join n: its predicates (and display detail, into st), the live sets
+// of its inputs, the left input — compiled by left, the one thing the
+// two do differently — the right input, and the predicates' positions.
+func (r *Runner) compileJoin(n *plan.Node, p *Pipeline, st *OpStats, live liveCols, inExchange bool,
+	left func(liveCols) ([]query.ColumnRef, error)) (j compiledJoin, err error) {
+	lrels := planRels(n.Left)
+	if j.eqs, j.primary, st.Detail, err = r.joinPreds(n, lrels, planRels(n.Right)); err != nil {
+		return j, err
+	}
+	liveL, liveR := joinLive(live, j.eqs, lrels)
+	if j.ls, err = left(liveL); err != nil {
+		return j, err
+	}
+	if j.rightSide, err = r.joinRight(n, j.eqs[j.primary].rc, liveR, p, inExchange); err != nil {
+		return j, err
+	}
+	return j, resolveEqs(j.eqs, j.ls, j.schema)
+}
+
+func (r *Runner) buildJoin(n *plan.Node, p *Pipeline, st *OpStats, live liveCols) (Iterator, []query.ColumnRef, error) {
+	var left Iterator
+	j, err := r.compileJoin(n, p, st, live, false, func(live liveCols) (ls []query.ColumnRef, err error) {
+		left, ls, err = r.build(n.Left, p, live)
+		return ls, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	schema, emit := joinOutput(live, j.ls, j.schema)
+	key := j.eqs[j.primary]
+
+	var it Iterator
 	switch n.Op {
 	case plan.MergeJoin:
-		it := Iterator(&MergeJoin{
-			Left: left, Right: right,
-			LeftKey:  eqs[primary].l,
-			RightKey: eqs[primary].r - len(ls),
-			Life:     p.Life,
-		})
-		if len(eqs) > 1 {
-			it = &Filter{In: it, Pred: residualPred(eqs, primary)}
-		}
-		return r.wrap(it, st, p), schema, nil
+		emit.res = residual(j.eqs, j.primary)
+		it = &MergeJoin{Left: left, Right: j.it, LeftKey: key.l, RightKey: key.r, Life: p.Life, emit: emit}
 	case plan.HashJoin:
-		it := Iterator(&HashJoin{
-			Left: left, Right: right,
-			LeftKey:  eqs[primary].l,
-			RightKey: eqs[primary].r - len(ls),
-			Life:     p.Life,
-			prebuilt: rt.hash, adopted: rt.adopted,
-		})
-		if len(eqs) > 1 {
-			it = &Filter{In: it, Pred: residualPred(eqs, primary)}
-		}
-		return r.wrap(it, st, p), schema, nil
+		emit.res = residual(j.eqs, j.primary)
+		it = &HashJoin{Left: left, Right: j.it, LeftKey: key.l, RightKey: key.r, Life: p.Life,
+			prebuilt: j.hash, adopted: j.adopted, emit: emit}
 	default: // NestedLoopJoin
-		nl := &NestedLoopJoin{
-			Outer: left, Inner: right, Life: p.Life,
-			Pred: func(outer, inner Row) bool {
-				for _, e := range eqs {
-					if outer[e.l] != inner[e.r-len(ls)] {
-						return false
-					}
-				}
-				return true
-			},
+		it = &NestedLoopJoin{Outer: left, Inner: j.it, Life: p.Life, Pred: allEqs(j.eqs), emit: emit}
+	}
+	return r.wrap(it, st, p), schema, nil
+}
+
+// allEqs is the nested-loop join predicate: every equality holds.
+func allEqs(eqs []joinEq) func(outer, inner Row) bool {
+	return func(outer, inner Row) bool {
+		for _, e := range eqs {
+			if outer[e.l] != inner[e.r] {
+				return false
+			}
 		}
-		return r.wrap(nl, st, p), schema, nil
+		return true
 	}
 }
 
-// sortKeys maps an ordering's attributes to schema positions, resolving
-// columns the schema only carries as equated twins through the join
-// equivalence classes.
-func (r *Runner) sortKeys(ord order.ID, schema []query.ColumnRef) ([]int, string, error) {
+// sortCols maps an ordering's attributes to the columns they name.
+func (r *Runner) sortCols(ord order.ID) ([]query.ColumnRef, error) {
 	seq := r.A.Builder.Interner().Seq(ord)
-	keys := make([]int, 0, len(seq))
-	detail := ""
+	cols := make([]query.ColumnRef, 0, len(seq))
 	for _, at := range seq {
 		c, ok := r.A.ColumnOf(at)
 		if !ok {
-			return nil, "", fmt.Errorf("exec: sort attribute %d has no column", at)
+			return nil, fmt.Errorf("exec: sort attribute %d has no column", at)
 		}
+		cols = append(cols, c)
+	}
+	return cols, nil
+}
+
+// sortKeys maps a sort's columns to schema positions, resolving columns
+// the schema only carries as equated twins through the join equivalence
+// classes.
+func (r *Runner) sortKeys(cols []query.ColumnRef, schema []query.ColumnRef) ([]int, string, error) {
+	keys := make([]int, 0, len(cols))
+	detail := ""
+	for _, c := range cols {
 		pos := r.colPosEquiv(schema, c)
 		if pos < 0 {
 			return nil, "", fmt.Errorf("exec: sort column %s not in schema (nor any equated column)",
@@ -881,16 +1014,6 @@ func (r *Runner) equivClasses() map[query.ColumnRef]int {
 	}
 	r.equiv = classes
 	return classes
-}
-
-func relMask(schema []query.ColumnRef) uint64 {
-	var m uint64
-	for _, c := range schema {
-		if c.Rel >= 0 {
-			m |= 1 << uint(c.Rel)
-		}
-	}
-	return m
 }
 
 // BruteForce evaluates the query graph directly: the filtered cartesian
