@@ -162,7 +162,7 @@ func BenchmarkPrepQ8(b *testing.B) {
 			var last experiments.PrepRow
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				row, err := experiments.PrepQ8Variant(pruning, false)
+				row, err := experiments.PrepQ8Variant(pruning)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,41 +1,23 @@
-// Command experiments regenerates the paper's evaluation tables and
-// figures:
+// Command experiments regenerates the paper's evaluation tables — §6.2
+// (prep), §7 (q8), Figures 13 and 14 (fig13, fig14) — and the runtime
+// comparisons built on them (enum, large, exec, topk, spill, abort),
+// one registered table at a time; -h lists them:
 //
-//	experiments -table prep    # §6.2: preparation on TPC-R Q8
-//	experiments -table q8      # §7:   plan generation for Q8
-//	experiments -table fig13   # Fig. 13: join-graph sweep (time/#plans)
-//	experiments -table fig14   # Fig. 14: memory consumption
-//	experiments -table enum    # DPccp vs naive join enumeration per shape
-//	experiments -table large   # adaptive tier: exact vs linearized DP on
-//	                           # large join graphs (time, plans, cost
-//	                           # ratio where both run)
-//	experiments -table exec    # end-to-end execution: DFSM vs Simmen vs
-//	                           # order-oblivious runtimes, plus the
-//	                           # parallel-scaling column (serial vs the
-//	                           # best DOP up to -workers, checksum-
-//	                           # verified)
-//	experiments -table topk    # LIMIT-k runtime: the order-satisfying
-//	                           # early-out pipeline vs the oblivious
-//	                           # hash + full-sort plan, k in -topk-ks
-//	experiments -table spill   # external-sort contrast: the sort-free
-//	                           # dfsm plan vs the oblivious plan's top
-//	                           # sort under a spill budget (fails unless
-//	                           # only the oblivious plan spills)
-//	experiments -table abort   # saturation/abort: healthy /plan QPS
-//	                           # while fault-injected /execute pipelines
-//	                           # hang until their deadline (make faults
-//	                           # asserts the same workload)
-//	experiments -table all     # the paper's four: prep, q8, fig13, fig14
-//	                           # (the rest are opt-in: clique points run
-//	                           # for seconds)
+//	experiments                        # -table all: prep, q8, fig13, fig14
+//	experiments -table fig13 -sizes 5,6 -extras 0,1 -seeds 2
+//	experiments -table large -shapes chain,clique -sizes 10,20 -seeds 1
+//	experiments -table exec -runs 5 -datasets tpcr-mid
+//	experiments -table abort -duration 400ms
 //
-// The sweep is configurable: -sizes 5,6,7,8,9,10 -extras 0,1,2 -seeds 5,
-// -enumerator dpccp|naive; the enum table via -enum-shapes and
-// -enum-sizes. Served throughput and latency are not measured here:
-// that is the benchmark/ harness (make bench, see benchmark/README.md).
-// Absolute numbers depend on the machine; the shape (who wins, by what
-// factor, how factors grow with query size) is what reproduces the
-// paper. Results are deterministic per seed set.
+// Nine flags are shared by every table, each read by the tables it
+// makes sense for (docs/benchmarks.md has the matrix). A flag left unset
+// means the table's own default, which lives only in the table's Spec.
+// The non-paper tables are opt-in: clique points run for seconds.
+// Served throughput and latency are not measured here: that is the
+// benchmark/ harness (make bench, see benchmark/README.md). Absolute
+// numbers depend on the machine; the shape (who wins, by what factor,
+// how factors grow with query size) is what reproduces the paper.
+// Results are deterministic per seed set.
 package main
 
 import (
@@ -52,197 +34,158 @@ import (
 	"orderopt/internal/querygen"
 )
 
+// options are the parsed shared flags; zero values mean "the table's
+// default".
+type options struct {
+	sizes, extras []int
+	seeds, runs   int
+	shapes        []querygen.Shape
+	enumerator    optimizer.Enumerator
+	datasets      []string
+	duration      time.Duration
+
+	graphs []experiments.GraphRow // fig13 and fig14 share one sweep
+}
+
+// table is one registered experiment: what -h says about it (also the
+// printed title) and how to run it into its formatted output.
+type table struct {
+	name, about string
+	run         func(o *options) (string, error)
+}
+
+var tables = []table{
+	{"prep", "§6.2: preparation step on TPC-R Query 8", func(*options) (string, error) {
+		rows, err := experiments.PrepQ8()
+		return experiments.FormatPrep(rows), err
+	}},
+	{"q8", "§7: plan generation for TPC-R Query 8", func(*options) (string, error) {
+		rows, err := experiments.Q8()
+		return experiments.FormatQ8(rows), err
+	}},
+	{"fig13", "Figure 13: plan generation for different join graphs", func(o *options) (string, error) {
+		rows, err := o.sweep()
+		return experiments.FormatFigure13(rows), err
+	}},
+	{"fig14", "Figure 14: memory consumption", func(o *options) (string, error) {
+		rows, err := o.sweep()
+		return experiments.FormatFigure14(rows), err
+	}},
+	{"enum", "Join enumeration: naive DPsub vs DPccp (DFSM mode)", func(o *options) (string, error) {
+		rows, err := experiments.EnumSweep(experiments.EnumSweepSpec{Shapes: o.shapes, Sizes: o.sizes, Seeds: o.seeds})
+		return experiments.FormatEnum(rows), err
+	}},
+	{"large", "Adaptive large-query planning: exact vs linearized DP", func(o *options) (string, error) {
+		rows, err := experiments.Large(experiments.LargeSpec{Shapes: o.shapes, Sizes: o.sizes, Seeds: o.seeds})
+		return experiments.FormatLarge(rows), err
+	}},
+	{"exec", "End-to-end execution: DFSM vs Simmen vs order-oblivious plans", func(o *options) (string, error) {
+		rows, err := experiments.Exec(experiments.ExecSpec{Datasets: o.datasets, Runs: o.runs})
+		return experiments.FormatExec(rows), err
+	}},
+	{"topk", "Top-k execution: order-satisfying early-out vs hash + full sort", func(o *options) (string, error) {
+		rows, err := experiments.Topk(experiments.TopkSpec{Datasets: o.datasets, Runs: o.runs})
+		return experiments.FormatTopk(rows), err
+	}},
+	{"spill", "External-sort contrast: sort-free dfsm vs oblivious under a spill budget", func(o *options) (string, error) {
+		rows, err := experiments.Spill(experiments.SpillSpec{Datasets: o.datasets, Runs: o.runs})
+		return experiments.FormatSpill(rows), err
+	}},
+	{"abort", "Saturation/abort: healthy planning QPS while faulted pipelines hang and time out", func(o *options) (string, error) {
+		rows, err := experiments.Abort(experiments.AbortSpec{Duration: o.duration})
+		return experiments.FormatAbort(rows), err
+	}},
+}
+
+// paperTables is -table all: the paper's own evaluation.
+var paperTables = []string{"prep", "q8", "fig13", "fig14"}
+
+// sweep runs the Figure 13/14 sweep once per invocation.
+func (o *options) sweep() ([]experiments.GraphRow, error) {
+	if o.graphs == nil {
+		rows, err := experiments.Sweep(experiments.SweepSpec{
+			Sizes: o.sizes, Extras: o.extras, Seeds: o.seeds, Enumerator: o.enumerator,
+		})
+		if err != nil {
+			return nil, err
+		}
+		o.graphs = rows
+	}
+	return o.graphs, nil
+}
+
 func main() {
-	tables := []string{"prep", "q8", "fig13", "fig14", "enum", "large", "exec", "topk", "spill", "abort", "all"}
-	table := flag.String("table", "all", "one of "+strings.Join(tables, ", "))
-	sizes := flag.String("sizes", "5,6,7,8,9,10", "relation counts for the sweep")
-	extras := flag.String("extras", "0,1,2", "extra edges beyond the chain (0→n-1 edges, 1→n, 2→n+1)")
-	seeds := flag.Int("seeds", 5, "queries averaged per configuration")
-	tested := flag.Bool("tested-selections", false, "add the optional O_T selection orders to the Q8 prep input")
-	enumerator := flag.String("enumerator", "dpccp", "join enumeration for the fig13/fig14 sweep: dpccp or naive")
-	enumShapes := flag.String("enum-shapes", "chain,star,cycle,clique,grid", "join-graph shapes for the enum table")
-	enumSizes := flag.String("enum-sizes", "5,6,7", "relation counts for the enum table")
-	enumSeeds := flag.Int("enum-seeds", 1, "queries averaged per enum configuration")
-	abortDuration := flag.Duration("abort-duration", time.Second, "per-phase duration of the abort table")
-	abortVictims := flag.Int("abort-victims", 4, "faulted /execute clients in the abort table")
-	largeShapes := flag.String("large-shapes", "chain,star,cycle,clique,grid", "join-graph shapes for the large table")
-	largeSizes := flag.String("large-sizes", "10,16,20,24,30", "relation counts for the large table")
-	largeSeeds := flag.Int("large-seeds", 3, "queries averaged per large configuration")
-	largeCompareMax := flag.Int("large-compare-max", 10, "largest n on which the exact tier also runs for the cost-ratio column")
-	execDatasets := flag.String("exec-datasets", "tpcr-mid,tpcr-large", "TPC-R datasets for the exec and topk tables")
-	topkKs := flag.String("topk-ks", "1,10,100", "LIMIT values for the topk table")
-	execRuns := flag.Int("exec-runs", 3, "timed executions per exec measurement (minimum reported)")
-	execQueries := flag.Int("exec-queries", 3, "generated grouped queries in the exec table")
-	execRelations := flag.Int("exec-relations", 5, "relations per generated exec query")
-	execRows := flag.Int("exec-rows", 48, "rows per table for generated exec data")
-	workers := flag.Int("workers", 4, "max morsel workers for the exec table's parallel-scaling column (serial vs best DOP up to this; 1 disables)")
-	spillDatasets := flag.String("spill-datasets", "tpcr-large,tpcr-xl", "TPC-R datasets for the spill table (tpcr-xl resolves outside the registry)")
-	spillRuns := flag.Int("spill-runs", 5, "timed executions per spill measurement (minimum reported)")
-	spillBytes := flag.Int64("spill-bytes", 256<<10, "external-sort budget in bytes for the spill table")
+	var o options
+	var names []string
+	for _, t := range tables {
+		names = append(names, t.name)
+	}
+	names = append(names, "all")
+	name := flag.String("table", "all", "table to print: "+strings.Join(names, ", "))
+	flag.Func("sizes", "relation counts (fig13, fig14, enum, large)", parseList(&o.sizes, strconv.Atoi))
+	flag.Func("extras", "extra edges beyond the chain, 0→n-1 edges, 1→n, 2→n+1 (fig13, fig14)", parseList(&o.extras, strconv.Atoi))
+	flag.IntVar(&o.seeds, "seeds", 0, "queries averaged per configuration (fig13, fig14, enum, large)")
+	flag.Func("shapes", "join-graph shapes: chain, star, cycle, clique, grid (enum, large)", parseList(&o.shapes, querygen.ParseShape))
+	flag.Func("enumerator", "join enumeration of the sweep: dpccp or naive (fig13, fig14)", parseEnumerator(&o.enumerator))
+	flag.IntVar(&o.runs, "runs", 0, "timed executions per measurement, minimum reported (exec, topk, spill)")
+	flag.Func("datasets", "TPC-R datasets: tpcr-small, tpcr-mid, tpcr-large, tpcr-xl (exec, topk, spill)", parseList(&o.datasets, func(s string) (string, error) { return s, nil }))
+	flag.DurationVar(&o.duration, "duration", 0, "per-phase duration (abort)")
 	flag.Usage = func() {
-		fmt.Fprintln(flag.CommandLine.Output(),
-			"experiments regenerates the paper's evaluation tables — see README.md and docs/benchmarks.md.")
+		w := flag.CommandLine.Output()
+		fmt.Fprintln(w, "experiments regenerates the paper's evaluation tables — see README.md and docs/benchmarks.md.\n\nTables:")
+		for _, t := range tables {
+			fmt.Fprintf(w, "  %-6s %s\n", t.name, t.about)
+		}
+		fmt.Fprintf(w, "  %-6s the paper's four: %s\n\nFlags (unset: the table's own default):\n", "all", strings.Join(paperTables, ", "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	var sweepEnum optimizer.Enumerator
-	switch *enumerator {
-	case "dpccp":
-		sweepEnum = optimizer.EnumDPccp
-	case "naive":
-		sweepEnum = optimizer.EnumNaive
-	default:
-		die(fmt.Errorf("unknown enumerator %q", *enumerator))
+	run := []string{*name}
+	if *name == "all" {
+		run = paperTables
 	}
-
-	if !slices.Contains(tables, *table) {
-		die(fmt.Errorf("unknown table %q (want one of %s)", *table, strings.Join(tables, ", ")))
-	}
-	runPrep := *table == "prep" || *table == "all"
-	runQ8 := *table == "q8" || *table == "all"
-	runSweep := *table == "fig13" || *table == "fig14" || *table == "all"
-	runEnum := *table == "enum"
-	runLarge := *table == "large"
-	runExec := *table == "exec"
-	runTopk := *table == "topk"
-	runSpill := *table == "spill"
-	runAbort := *table == "abort"
-
-	if runPrep {
-		rows, err := experiments.PrepQ8(*tested)
-		die(err)
-		fmt.Println("=== §6.2: preparation step on TPC-R Query 8 ===")
-		fmt.Print(experiments.FormatPrep(rows))
-		fmt.Println()
-	}
-	if runQ8 {
-		rows, err := experiments.Q8()
-		die(err)
-		fmt.Println("=== §7: plan generation for TPC-R Query 8 ===")
-		fmt.Print(experiments.FormatQ8(rows))
-		fmt.Println()
-	}
-	if runSweep {
-		spec := experiments.SweepSpec{
-			Sizes:      parseInts(*sizes),
-			Extras:     parseInts(*extras),
-			Seeds:      *seeds,
-			Enumerator: sweepEnum,
+	for _, n := range run {
+		i := slices.IndexFunc(tables, func(t table) bool { return t.name == n })
+		if i < 0 {
+			die(fmt.Errorf("unknown table %q (want one of %s)", n, strings.Join(names, ", ")))
 		}
-		rows, err := experiments.Sweep(spec)
+		out, err := tables[i].run(&o)
 		die(err)
-		if *table == "fig13" || *table == "all" {
-			fmt.Println("=== Figure 13: plan generation for different join graphs ===")
-			fmt.Print(experiments.FormatFigure13(rows))
-			fmt.Println()
-		}
-		if *table == "fig14" || *table == "all" {
-			fmt.Println("=== Figure 14: memory consumption ===")
-			fmt.Print(experiments.FormatFigure14(rows))
-		}
-	}
-	if runEnum {
-		var shapes []querygen.Shape
-		for _, name := range strings.Split(*enumShapes, ",") {
-			shape, err := querygen.ParseShape(strings.TrimSpace(name))
-			die(err)
-			shapes = append(shapes, shape)
-		}
-		rows, err := experiments.EnumSweep(experiments.EnumSweepSpec{
-			Shapes: shapes,
-			Sizes:  parseInts(*enumSizes),
-			Seeds:  *enumSeeds,
-		})
-		die(err)
-		fmt.Println("=== Join enumeration: naive DPsub vs DPccp (DFSM mode) ===")
-		fmt.Print(experiments.FormatEnum(rows))
-	}
-	if runLarge {
-		var shapes []querygen.Shape
-		for _, name := range strings.Split(*largeShapes, ",") {
-			shape, err := querygen.ParseShape(strings.TrimSpace(name))
-			die(err)
-			shapes = append(shapes, shape)
-		}
-		rows, err := experiments.Large(experiments.LargeSpec{
-			Shapes:     shapes,
-			Sizes:      parseInts(*largeSizes),
-			Seeds:      *largeSeeds,
-			CompareMax: *largeCompareMax,
-			Mode:       optimizer.ModeDFSM,
-		})
-		die(err)
-		fmt.Println("=== Adaptive large-query planning: exact vs linearized DP ===")
-		fmt.Print(experiments.FormatLarge(rows))
-	}
-	if runExec {
-		rows, err := experiments.Exec(experiments.ExecSpec{
-			Datasets:          splitList(*execDatasets),
-			Runs:              *execRuns,
-			QuerygenQueries:   *execQueries,
-			QuerygenRelations: *execRelations,
-			QuerygenRows:      *execRows,
-			Workers:           *workers,
-		})
-		die(err)
-		fmt.Println("=== End-to-end execution: DFSM vs Simmen vs order-oblivious plans ===")
-		fmt.Print(experiments.FormatExec(rows))
-	}
-	if runTopk {
-		rows, err := experiments.Topk(experiments.TopkSpec{
-			Datasets: splitList(*execDatasets),
-			Ks:       parseInts(*topkKs),
-			Runs:     *execRuns,
-		})
-		die(err)
-		fmt.Println("=== Top-k execution: order-satisfying early-out vs hash + full sort ===")
-		fmt.Print(experiments.FormatTopk(rows))
-	}
-	if runSpill {
-		rows, err := experiments.Spill(experiments.SpillSpec{
-			Datasets:   splitList(*spillDatasets),
-			Runs:       *spillRuns,
-			SpillBytes: *spillBytes,
-		})
-		die(err)
-		fmt.Println("=== External-sort contrast: sort-free dfsm vs oblivious under a spill budget ===")
-		fmt.Print(experiments.FormatSpill(rows))
-	}
-	if runAbort {
-		fmt.Println("=== Saturation/abort: healthy planning QPS while faulted pipelines hang and time out ===")
-		abortRows, err := experiments.Abort(experiments.AbortSpec{
-			Mode:     optimizer.ModeDFSM,
-			Victims:  *abortVictims,
-			Duration: *abortDuration,
-		})
-		die(err)
-		fmt.Print(experiments.FormatAbort(abortRows))
+		fmt.Printf("=== %s ===\n%s\n", tables[i].about, out)
 	}
 }
 
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
+// parseList returns the setter of a comma-separated list option.
+func parseList[T any](dst *[]T, parse func(string) (T, error)) func(string) error {
+	return func(s string) error {
+		*dst = nil
+		for _, part := range strings.Split(s, ",") {
+			if part = strings.TrimSpace(part); part == "" {
+				continue
+			}
+			v, err := parse(part)
+			if err != nil {
+				return err
+			}
+			*dst = append(*dst, v)
 		}
+		return nil
 	}
-	return out
 }
 
-func parseInts(s string) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+func parseEnumerator(dst *optimizer.Enumerator) func(string) error {
+	return func(s string) error {
+		switch s {
+		case "dpccp":
+			*dst = optimizer.EnumDPccp
+		case "naive":
+			*dst = optimizer.EnumNaive
+		default:
+			return fmt.Errorf("unknown enumerator %q (want dpccp or naive)", s)
 		}
-		v, err := strconv.Atoi(part)
-		die(err)
-		out = append(out, v)
+		return nil
 	}
-	return out
 }
 
 func die(err error) {

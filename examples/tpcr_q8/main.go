@@ -27,7 +27,7 @@ func main() {
 		bq.Graph.ColumnName(bq.Graph.GroupBy[0]))
 
 	fmt.Println("=== §6.2: preparation step, with and without pruning ===")
-	prep, err := experiments.PrepQ8(false)
+	prep, err := experiments.PrepQ8()
 	die(err)
 	fmt.Print(experiments.FormatPrep(prep))
 	fmt.Printf("\n(paper, AMD Athlon XP 1800+: NFSM 376→38 nodes, DFSM 80→24 nodes,\n" +

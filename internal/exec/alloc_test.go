@@ -1,40 +1,33 @@
 package exec
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// TestProjectAllocsAmortized pins Project's per-row allocation
-// behavior: output rows are carved from chunked slabs, so a long
-// stream costs one heap allocation per ~2k rows, not one per row.
-func TestProjectAllocsAmortized(t *testing.T) {
-	rows := make([]Row, 256)
-	for i := range rows {
-		rows[i] = Row{int64(i), int64(2 * i), int64(3 * i), int64(4 * i)}
-	}
-	pr := &Project{In: NewScan(rows), Cols: []int{3, 1}}
-	if err := pr.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	avg := testing.AllocsPerRun(4000, func() {
-		row, ok, err := pr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			if err := pr.Close(); err != nil {
-				t.Fatal(err)
+// TestJoinEmitAllocsAmortized pins a join emit's per-row allocation
+// behavior: output rows, left ++ right or the live-column layout, are
+// carved from chunked slabs, so a long stream costs one heap allocation
+// per ~2k rows, not one per row.
+func TestJoinEmitAllocsAmortized(t *testing.T) {
+	l, r := Row{0, 10, 20, 30}, Row{40, 50}
+	live := joinEmit{narrow: true, lcols: []int{3, 1}, rcols: []int{0}}
+	for name, c := range map[string]struct {
+		emit *joinEmit
+		want Row
+	}{
+		"wide": {&joinEmit{}, Row{0, 10, 20, 30, 40, 50}},
+		"live": {&live, Row{30, 10, 40}},
+	} {
+		avg := testing.AllocsPerRun(4000, func() {
+			row, ok := c.emit.row(l, r)
+			if !ok || !slices.Equal(row, c.want) {
+				t.Fatalf("%s: emitted %v, want %v", name, row, c.want)
 			}
-			if err := pr.Open(); err != nil {
-				t.Fatal(err)
-			}
-			return
+		})
+		if avg > 0.1 {
+			t.Fatalf("%s: joinEmit.row averages %.3f allocs/row, want amortized < 0.1", name, avg)
 		}
-		if len(row) != 2 {
-			t.Fatalf("projected width %d", len(row))
-		}
-	})
-	if avg > 0.1 {
-		t.Fatalf("Project.Next averages %.3f allocs/row, want amortized < 0.1", avg)
 	}
 }
 

@@ -169,33 +169,6 @@ func (f *Filter) Next() (Row, bool, error) {
 // Close implements Iterator.
 func (f *Filter) Close() error { return f.In.Close() }
 
-// Project maps each input row through Cols.
-type Project struct {
-	In   Iterator
-	Cols []int
-
-	alloc rowAlloc // chunked allocator for output rows
-}
-
-// Open implements Iterator.
-func (p *Project) Open() error { return p.In.Open() }
-
-// Next implements Iterator.
-func (p *Project) Next() (Row, bool, error) {
-	row, ok, err := p.In.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := p.alloc.carve(len(p.Cols))
-	for i, c := range p.Cols {
-		out[i] = row[c]
-	}
-	return out, true, nil
-}
-
-// Close implements Iterator.
-func (p *Project) Close() error { return p.In.Close() }
-
 // Sort materializes its input and yields it ordered by Keys (ascending,
 // stable). It is the only operator that inherently materializes its
 // whole input — which is exactly why the order-optimization framework
@@ -811,32 +784,23 @@ type Agg uint8
 const (
 	// AggCount counts rows per group.
 	AggCount Agg = iota
-	// AggSum sums the AggCol per group.
+	// AggSum sums the input column per group.
 	AggSum
-	// AggMin keeps the minimum of AggCol per group.
+	// AggMin keeps the minimum of the input column per group.
 	AggMin
-	// AggMax keeps the maximum of AggCol per group.
+	// AggMax keeps the maximum of the input column per group.
 	AggMax
-	// AggAvg averages AggCol per group (integer semantics: sum/count,
-	// truncated toward zero).
+	// AggAvg averages the input column per group (integer semantics:
+	// sum/count, truncated toward zero).
 	AggAvg
 )
 
 // AggSpec is one aggregate of a group operator's output: the function
-// and its input column (ignored for AggCount).
+// and its input column (ignored for AggCount). A group operator with no
+// AggSpec computes the default single count(*).
 type AggSpec struct {
 	Fn  Agg
 	Col int
-}
-
-// normalizeAggs resolves a group operator's aggregate list: the Aggs
-// slice when set, else the legacy single (Agg, AggCol) pair — so
-// existing single-aggregate call sites keep working unchanged.
-func normalizeAggs(aggs []AggSpec, agg Agg, aggCol int) []AggSpec {
-	if len(aggs) > 0 {
-		return aggs
-	}
-	return []AggSpec{{Fn: agg, Col: aggCol}}
 }
 
 // groupAcc is the shared per-group accumulator of the streaming group
@@ -886,9 +850,12 @@ func (g *groupAcc) add(row Row, specs []AggSpec) {
 }
 
 func (g *groupAcc) emit(keys []int, specs []AggSpec) Row {
-	out := make(Row, 0, len(keys)+len(specs))
+	out := make(Row, 0, len(keys)+max(len(specs), 1))
 	for _, k := range keys {
 		out = append(out, g.cur[k])
+	}
+	if len(specs) == 0 {
+		return append(out, g.count) // the default count(*)
 	}
 	for i, s := range specs {
 		switch s.Fn {
@@ -909,16 +876,13 @@ func (g *groupAcc) emit(keys []int, specs []AggSpec) Row {
 // and streams: one accumulator, groups emitted as the stream closes
 // them.
 type GroupSorted struct {
-	In     Iterator
-	Keys   []int
-	Agg    Agg
-	AggCol int
-	// Aggs, when set, lists the aggregates to compute (select-list
-	// order); it overrides the single Agg/AggCol pair.
+	In   Iterator
+	Keys []int
+	// Aggs lists the aggregates to compute (select-list order); empty
+	// means count(*).
 	Aggs []AggSpec
 
 	g      groupAcc
-	specs  []AggSpec
 	opened bool
 	prev   Row // sortedness check
 }
@@ -926,7 +890,6 @@ type GroupSorted struct {
 // Open implements Iterator.
 func (g *GroupSorted) Open() error {
 	g.g, g.prev = groupAcc{}, nil
-	g.specs = normalizeAggs(g.Aggs, g.Agg, g.AggCol)
 	g.opened = true
 	return g.In.Open()
 }
@@ -941,7 +904,7 @@ func (g *GroupSorted) Next() (Row, bool, error) {
 		if !ok {
 			if g.g.started {
 				g.g.started = false
-				return g.g.emit(g.Keys, g.specs), true, nil
+				return g.g.emit(g.Keys, g.Aggs), true, nil
 			}
 			return nil, false, nil
 		}
@@ -950,15 +913,15 @@ func (g *GroupSorted) Next() (Row, bool, error) {
 		}
 		g.prev = row
 		if g.g.started && sameKeys(g.g.cur, row, g.Keys) {
-			g.g.add(row, g.specs)
+			g.g.add(row, g.Aggs)
 			continue
 		}
 		if g.g.started {
-			out := g.g.emit(g.Keys, g.specs)
-			g.g.start(row, g.specs)
+			out := g.g.emit(g.Keys, g.Aggs)
+			g.g.start(row, g.Aggs)
 			return out, true, nil
 		}
-		g.g.start(row, g.specs)
+		g.g.start(row, g.Aggs)
 	}
 }
 
@@ -987,19 +950,16 @@ func (g *GroupSorted) Close() error {
 // and Next returns an error. The seen set uses comparable int64-tuple
 // keys (see key.go), not per-group byte strings.
 type GroupClustered struct {
-	In     Iterator
-	Keys   []int
-	Agg    Agg
-	AggCol int
-	// Aggs, when set, lists the aggregates to compute (select-list
-	// order); it overrides the single Agg/AggCol pair.
+	In   Iterator
+	Keys []int
+	// Aggs lists the aggregates to compute (select-list order); empty
+	// means count(*).
 	Aggs []AggSpec
 	// Life, when set, charges the growing seen set (one entry per
 	// closed group) against the query budget.
 	Life *Life
 
 	g      groupAcc
-	specs  []AggSpec
 	opened bool
 	seen   seenSet
 }
@@ -1007,7 +967,6 @@ type GroupClustered struct {
 // Open implements Iterator.
 func (g *GroupClustered) Open() error {
 	g.g = groupAcc{}
-	g.specs = normalizeAggs(g.Aggs, g.Agg, g.AggCol)
 	g.seen = newSeenSet(len(g.Keys))
 	g.opened = true
 	return g.In.Open()
@@ -1023,12 +982,12 @@ func (g *GroupClustered) Next() (Row, bool, error) {
 		if !ok {
 			if g.g.started {
 				g.g.started = false
-				return g.g.emit(g.Keys, g.specs), true, nil
+				return g.g.emit(g.Keys, g.Aggs), true, nil
 			}
 			return nil, false, nil
 		}
 		if g.g.started && sameKeys(g.g.cur, row, g.Keys) {
-			g.g.add(row, g.specs)
+			g.g.add(row, g.Aggs)
 			continue
 		}
 		if !g.seen.insert(row, g.Keys) {
@@ -1038,11 +997,11 @@ func (g *GroupClustered) Next() (Row, bool, error) {
 			return nil, false, err
 		}
 		if g.g.started {
-			out := g.g.emit(g.Keys, g.specs)
-			g.g.start(row, g.specs)
+			out := g.g.emit(g.Keys, g.Aggs)
+			g.g.start(row, g.Aggs)
 			return out, true, nil
 		}
-		g.g.start(row, g.specs)
+		g.g.start(row, g.Aggs)
 	}
 }
 
@@ -1062,19 +1021,16 @@ func (g *GroupClustered) Close() error {
 // is built directly from the input stream with comparable int64-tuple
 // keys; nothing is materialized besides the per-group accumulators.
 type GroupHash struct {
-	In     Iterator
-	Keys   []int
-	Agg    Agg
-	AggCol int
-	// Aggs, when set, lists the aggregates to compute (select-list
-	// order); it overrides the single Agg/AggCol pair.
+	In   Iterator
+	Keys []int
+	// Aggs lists the aggregates to compute (select-list order); empty
+	// means count(*).
 	Aggs []AggSpec
 	// Life, when set, charges every distinct group's accumulator (which
 	// pins its first input row) against the query budget.
 	Life *Life
 
 	groups groupTable
-	specs  []AggSpec
 	pos    int
 	opened bool
 }
@@ -1085,7 +1041,6 @@ func (g *GroupHash) Open() error {
 	if err := g.In.Open(); err != nil {
 		return err
 	}
-	g.specs = normalizeAggs(g.Aggs, g.Agg, g.AggCol)
 	g.groups = newGroupTable(len(g.Keys))
 	g.pos = 0
 	for {
@@ -1101,9 +1056,9 @@ func (g *GroupHash) Open() error {
 			if err := g.Life.holdRow(row); err != nil {
 				return err
 			}
-			acc.start(row, g.specs)
+			acc.start(row, g.Aggs)
 		} else {
-			acc.add(row, g.specs)
+			acc.add(row, g.Aggs)
 		}
 	}
 }
@@ -1114,7 +1069,7 @@ func (g *GroupHash) Next() (Row, bool, error) {
 	if g.pos >= len(accs) {
 		return nil, false, nil
 	}
-	r := accs[g.pos].emit(g.Keys, g.specs)
+	r := accs[g.pos].emit(g.Keys, g.Aggs)
 	g.pos++
 	return r, true, nil
 }

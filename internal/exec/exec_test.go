@@ -35,17 +35,13 @@ func TestScanAndCollect(t *testing.T) {
 	}
 }
 
-func TestFilterProject(t *testing.T) {
+func TestFilter(t *testing.T) {
 	rows := rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	it := &Project{
-		In:   &Filter{In: NewScan(rows), Pred: func(r Row) bool { return r[0] >= 2 }},
-		Cols: []int{1},
-	}
-	got, err := Collect(it)
+	got, err := Collect(&Filter{In: NewScan(rows), Pred: func(r Row) bool { return r[0] >= 2 }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, rowsOf([]int64{20}, []int64{30})) {
+	if !reflect.DeepEqual(got, rowsOf([]int64{2, 20}, []int64{3, 30})) {
 		t.Errorf("got %v", got)
 	}
 }
@@ -222,7 +218,7 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 	rows := rowsOf(
 		[]int64{1, 5}, []int64{1, 7}, []int64{2, 1}, []int64{3, 2}, []int64{3, 2},
 	)
-	gs, err := Collect(&GroupSorted{In: NewScan(rows), Keys: []int{0}, Agg: AggSum, AggCol: 1})
+	gs, err := Collect(&GroupSorted{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +226,7 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 	if !reflect.DeepEqual(gs, want) {
 		t.Errorf("GroupSorted = %v, want %v", gs, want)
 	}
-	gh, err := Collect(&GroupHash{In: NewScan(rows), Keys: []int{0}, Agg: AggSum, AggCol: 1})
+	gh, err := Collect(&GroupHash{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,14 +237,14 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 
 func TestGroupAggs(t *testing.T) {
 	rows := rowsOf([]int64{1, 5}, []int64{1, 3}, []int64{2, 9})
-	cnt, err := Collect(&GroupSorted{In: NewScan(rows), Keys: []int{0}, Agg: AggCount})
+	cnt, err := Collect(&GroupSorted{In: NewScan(rows), Keys: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cnt, rowsOf([]int64{1, 2}, []int64{2, 1})) {
 		t.Errorf("count = %v", cnt)
 	}
-	min, err := Collect(&GroupSorted{In: NewScan(rows), Keys: []int{0}, Agg: AggMin, AggCol: 1})
+	min, err := Collect(&GroupSorted{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggMin, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +255,7 @@ func TestGroupAggs(t *testing.T) {
 
 func TestGroupSortedRejectsUnsorted(t *testing.T) {
 	rows := rowsOf([]int64{2, 1}, []int64{1, 1})
-	it := &GroupSorted{In: NewScan(rows), Keys: []int{0}, Agg: AggCount}
+	it := &GroupSorted{In: NewScan(rows), Keys: []int{0}}
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +280,7 @@ func TestGroupClustered(t *testing.T) {
 	rows := rowsOf(
 		[]int64{2, 10}, []int64{2, 20}, []int64{1, 5}, []int64{1, 5}, []int64{3, 1},
 	)
-	got, err := Collect(&GroupClustered{In: NewScan(rows), Keys: []int{0}, Agg: AggSum, AggCol: 1})
+	got, err := Collect(&GroupClustered{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +289,7 @@ func TestGroupClustered(t *testing.T) {
 		t.Errorf("GroupClustered = %v, want %v", got, want)
 	}
 	// Sorted grouping would reject this input.
-	gs := &GroupSorted{In: NewScan(rows), Keys: []int{0}, Agg: AggSum, AggCol: 1}
+	gs := &GroupSorted{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}}
 	if err := gs.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +313,7 @@ func TestGroupClustered(t *testing.T) {
 func TestGroupClusteredRejectsNonClustered(t *testing.T) {
 	// Key 1 reappears after key 2 closed it: not clustered.
 	rows := rowsOf([]int64{1, 1}, []int64{2, 1}, []int64{1, 1})
-	it := &GroupClustered{In: NewScan(rows), Keys: []int{0}, Agg: AggCount}
+	it := &GroupClustered{In: NewScan(rows), Keys: []int{0}}
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +341,11 @@ func TestGroupClusteredAgreesWithHash(t *testing.T) {
 				rows = append(rows, Row{int64(k), rng.Int63n(10)})
 			}
 		}
-		gc, err := Collect(&GroupClustered{In: NewScan(rows), Keys: []int{0}, Agg: AggSum, AggCol: 1})
+		gc, err := Collect(&GroupClustered{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gh, err := Collect(&GroupHash{In: NewScan(rows), Keys: []int{0}, Agg: AggSum, AggCol: 1})
+		gh, err := Collect(&GroupHash{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,14 +356,14 @@ func TestGroupClusteredAgreesWithHash(t *testing.T) {
 }
 
 func TestGroupEmptyInput(t *testing.T) {
-	gs, err := Collect(&GroupSorted{In: NewScan(nil), Keys: []int{0}, Agg: AggCount})
+	gs, err := Collect(&GroupSorted{In: NewScan(nil), Keys: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gs) != 0 {
 		t.Errorf("empty input produced groups: %v", gs)
 	}
-	gh, err := Collect(&GroupHash{In: NewScan(nil), Keys: []int{0}, Agg: AggSum, AggCol: 0})
+	gh, err := Collect(&GroupHash{In: NewScan(nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +447,7 @@ func TestJoinsEmptyInputs(t *testing.T) {
 }
 
 func TestGroupClusteredEmptyInput(t *testing.T) {
-	got, err := Collect(&GroupClustered{In: NewScan(nil), Keys: []int{0}, Agg: AggCount})
+	got, err := Collect(&GroupClustered{In: NewScan(nil), Keys: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,14 +507,13 @@ func TestCloseWithoutOpen(t *testing.T) {
 	its := []Iterator{
 		NewScan(rows),
 		&Filter{In: NewScan(rows), Pred: func(Row) bool { return true }},
-		&Project{In: NewScan(rows), Cols: []int{0}},
 		&Sort{In: NewScan(rows), Keys: []int{0}},
 		&MergeJoin{Left: NewScan(rows), Right: NewScan(rows), LeftKey: 0, RightKey: 0},
 		&HashJoin{Left: NewScan(rows), Right: NewScan(rows), LeftKey: 0, RightKey: 0},
 		&NestedLoopJoin{Outer: NewScan(rows), Inner: NewScan(rows), Pred: func(o, i Row) bool { return true }},
-		&GroupSorted{In: NewScan(rows), Keys: []int{0}, Agg: AggCount},
-		&GroupClustered{In: NewScan(rows), Keys: []int{0}, Agg: AggCount},
-		&GroupHash{In: NewScan(rows), Keys: []int{0}, Agg: AggCount},
+		&GroupSorted{In: NewScan(rows), Keys: []int{0}},
+		&GroupClustered{In: NewScan(rows), Keys: []int{0}},
+		&GroupHash{In: NewScan(rows), Keys: []int{0}},
 	}
 	for _, it := range its {
 		if err := it.Close(); err != nil {
@@ -551,7 +546,7 @@ func TestWideGroupingKeys(t *testing.T) {
 		rows = append(rows, Row{k, k + 1, k + 2, k + 3, k + 4, int64(i)})
 	}
 	keys := []int{0, 1, 2, 3, 4}
-	gh, err := Collect(&GroupHash{In: NewScan(rows), Keys: keys, Agg: AggCount})
+	gh, err := Collect(&GroupHash{In: NewScan(rows), Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +562,7 @@ func TestWideGroupingKeys(t *testing.T) {
 	// group is still detected.
 	clustered := append([]Row{}, rows...)
 	sort.SliceStable(clustered, func(i, j int) bool { return clustered[i][0] < clustered[j][0] })
-	gc, err := Collect(&GroupClustered{In: NewScan(clustered), Keys: keys, Agg: AggCount})
+	gc, err := Collect(&GroupClustered{In: NewScan(clustered), Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +570,7 @@ func TestWideGroupingKeys(t *testing.T) {
 		t.Fatal("wide clustered and hash grouping disagree")
 	}
 	bad := append(append([]Row{}, clustered...), clustered[0])
-	if _, err := Collect(&GroupClustered{In: NewScan(bad), Keys: keys, Agg: AggCount}); err == nil {
+	if _, err := Collect(&GroupClustered{In: NewScan(bad), Keys: keys}); err == nil {
 		t.Fatal("reopened wide-key group must fail clustered grouping")
 	}
 }

@@ -183,7 +183,7 @@ func TestLiveColumnsQ8(t *testing.T) {
 	if len(schema) != 25 {
 		t.Fatalf("select * over Q8's joins carries %d columns, want all 25", len(schema))
 	}
-	want, err := Collect(&GroupHash{In: NewScan(wide), Keys: []int{colPos(schema, key)}, Agg: AggCount})
+	want, err := Collect(&GroupHash{In: NewScan(wide), Keys: []int{colPos(schema, key)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestLiveColumnsEquatedTwin(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("no row satisfies both predicates; pick another seed")
 	}
-	want, err := Collect(&GroupHash{In: NewScan(ref), Keys: []int{colPos(refSchema, pred.Left)}, Agg: AggCount})
+	want, err := Collect(&GroupHash{In: NewScan(ref), Keys: []int{colPos(refSchema, pred.Left)}})
 	if err != nil {
 		t.Fatal(err)
 	}

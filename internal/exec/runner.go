@@ -595,11 +595,11 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols) (Iterator, []qu
 		var it Iterator
 		switch n.Op {
 		case plan.GroupSorted:
-			it = &GroupSorted{In: in, Keys: keys, Agg: AggCount, Aggs: aggs}
+			it = &GroupSorted{In: in, Keys: keys, Aggs: aggs}
 		case plan.GroupClustered:
-			it = &GroupClustered{In: in, Keys: keys, Agg: AggCount, Aggs: aggs, Life: p.Life}
+			it = &GroupClustered{In: in, Keys: keys, Aggs: aggs, Life: p.Life}
 		default:
-			it = &GroupHash{In: in, Keys: keys, Agg: AggCount, Aggs: aggs, Life: p.Life}
+			it = &GroupHash{In: in, Keys: keys, Aggs: aggs, Life: p.Life}
 		}
 		return r.wrap(it, st, p), outSchema, nil
 	}

@@ -133,7 +133,7 @@ func TestGroupedPlansProduceCorrectResults(t *testing.T) {
 			for i, c := range g.GroupBy {
 				keys[i] = colPos(refSchema, c)
 			}
-			refGroups, err := Collect(&GroupHash{In: NewScan(ref), Keys: keys, Agg: AggCount})
+			refGroups, err := Collect(&GroupHash{In: NewScan(ref), Keys: keys})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func TestOrderByEquatedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refGroups, err := Collect(&GroupHash{In: NewScan(ref), Keys: []int{colPos(refSchema, pred.Left)}, Agg: AggCount})
+	refGroups, err := Collect(&GroupHash{In: NewScan(ref), Keys: []int{colPos(refSchema, pred.Left)}})
 	if err != nil {
 		t.Fatal(err)
 	}

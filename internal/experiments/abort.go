@@ -35,7 +35,6 @@ import (
 
 // AbortSpec parameterizes the saturation/abort experiment.
 type AbortSpec struct {
-	Mode optimizer.Mode
 	// Workers is the number of healthy closed-loop /plan clients
 	// (default 2×GOMAXPROCS, min 4).
 	Workers int
@@ -117,11 +116,7 @@ func Abort(spec AbortSpec) ([]AbortRow, error) {
 	for _, faulted := range []bool{false, true} {
 		row, err := abortPhase(spec, cat, ds, faulted)
 		if err != nil {
-			phase := "healthy"
-			if faulted {
-				phase = "faulted"
-			}
-			return nil, fmt.Errorf("abort %s phase: %w", phase, err)
+			return nil, fmt.Errorf("abort (faulted=%v): %w", faulted, err)
 		}
 		rows = append(rows, row)
 	}
@@ -136,7 +131,7 @@ func abortPhase(spec AbortSpec, cat *catalog.Catalog, ds *exec.Dataset, faulted 
 		Planner: planner.New(planner.Config{
 			Catalog:   cat,
 			Analyze:   planner.DefaultConfig(cat).Analyze,
-			Optimizer: optimizer.DefaultConfig(spec.Mode),
+			Optimizer: optimizer.DefaultConfig(optimizer.ModeDFSM),
 		}),
 		Datasets: reg,
 	}
@@ -242,7 +237,7 @@ func abortPhase(spec AbortSpec, cat *catalog.Catalog, ds *exec.Dataset, faulted 
 		phase = "faulted"
 	}
 	row := AbortRow{
-		Mode:           optimizer.DefaultConfig(spec.Mode).Mode.String(),
+		Mode:           optimizer.ModeDFSM.String(),
 		Phase:          phase,
 		Faulted:        faulted,
 		Workers:        spec.Workers,

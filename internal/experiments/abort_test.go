@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 	"time"
-
-	"orderopt/internal/optimizer"
 )
 
 // TestAbort runs a scaled-down saturation/abort experiment and checks
@@ -15,7 +13,6 @@ import (
 // its throughput must not collapse relative to the fault-free phase.
 func TestAbort(t *testing.T) {
 	spec := AbortSpec{
-		Mode:      optimizer.ModeDFSM,
 		Workers:   4,
 		Victims:   2,
 		Duration:  400 * time.Millisecond,

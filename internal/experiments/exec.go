@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -58,6 +59,78 @@ func ExecVariants() []ExecVariant {
 	}
 }
 
+// dfsmVsOblivious is the two-sided contrast of the topk and spill
+// tables: the full order framework against the order-oblivious baseline
+// (no merge joins, no index orders — the plan must sort at the top).
+func dfsmVsOblivious() []ExecVariant {
+	all := ExecVariants()
+	return []ExecVariant{all[0], all[2]}
+}
+
+// dataset resolves a dataset name: reg (a TPC-R registry, which loads
+// only the tiers asked for) first, then the million-row tpcr-xl tier,
+// which stays out of the registry so tier-1 tests don't pay its
+// generation time.
+func dataset(reg *exec.Registry, name string) (*exec.Dataset, error) {
+	if ds, ok := reg.Get(name); ok {
+		return ds, nil
+	}
+	if name == "tpcr-xl" {
+		return exec.TPCRXL(), nil
+	}
+	return nil, fmt.Errorf("experiments: unknown TPC-R dataset %q (have %v and tpcr-xl)", name, reg.Names())
+}
+
+// measurement is one variant's run of a graph over a dataset: what the
+// chosen plan is made of, its fastest execution and its first
+// execution's output.
+type measurement struct {
+	planTime, execTime   time.Duration
+	ops                  map[plan.Op]int
+	rows                 []exec.Row
+	schema               []query.ColumnRef
+	rowsSorted           int64
+	spillRuns, spillSize int64
+}
+
+// measure plans g under v and executes the plan runs times over ds with
+// operator clocks off, keeping the minimum time. spillBytes > 0
+// compiles every Sort as an external sort under that budget.
+func measure(g *query.Graph, ds *exec.Dataset, v ExecVariant, runs int, spillBytes int64) (measurement, error) {
+	a, err := query.Analyze(g, v.Analyze)
+	if err != nil {
+		return measurement{}, err
+	}
+	res, err := optimizer.Optimize(a, v.Config)
+	if err != nil {
+		return measurement{}, err
+	}
+	m := measurement{planTime: res.PrepTime + res.PlanTime, ops: res.Best.Ops()}
+	runner := ds.Runner(a)
+	runner.DisableTiming = true // measure the pipeline, not the meter
+	runner.SpillBytes = spillBytes
+	for i := 0; i < max(runs, 1); i++ {
+		p, err := runner.Compile(res.Best)
+		if err != nil {
+			return measurement{}, err
+		}
+		begin := time.Now()
+		out, err := p.Execute()
+		elapsed := time.Since(begin)
+		if err != nil {
+			return measurement{}, err
+		}
+		if i == 0 {
+			m.rows, m.schema, m.rowsSorted = out, p.Schema, p.RowsSorted()
+			m.spillRuns, m.spillSize = p.SpillStats()
+		}
+		if i == 0 || elapsed < m.execTime {
+			m.execTime = elapsed
+		}
+	}
+	return m, nil
+}
+
 // ExecSpec parameterizes the execution experiment.
 type ExecSpec struct {
 	// Datasets names the TPC-R datasets to run Q8 over (default
@@ -76,8 +149,8 @@ type ExecSpec struct {
 	Seed int64
 	// Workers bounds the parallel-scaling measurement: the dfsm variant
 	// is additionally planned and run at every DOP in {2, 4, 8} up to
-	// Workers, the fastest reported per workload (checksum-verified
-	// against the serial result). 0 or 1 skips the measurement.
+	// Workers (default 4), the fastest reported per workload
+	// (checksum-verified against the serial result). 1 skips it.
 	Workers int
 }
 
@@ -96,6 +169,9 @@ func (s *ExecSpec) defaults() {
 	}
 	if s.QuerygenRows == 0 {
 		s.QuerygenRows = 48
+	}
+	if s.Workers == 0 {
+		s.Workers = 4
 	}
 }
 
@@ -146,11 +222,11 @@ type ExecWorkload struct {
 func ExecWorkloads(spec ExecSpec) ([]ExecWorkload, error) {
 	spec.defaults()
 	var out []ExecWorkload
-	reg := exec.TPCRRegistry()
+	reg := exec.TPCRLazyRegistry()
 	for _, name := range spec.Datasets {
-		ds, ok := reg.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown TPC-R dataset %q (have %v)", name, reg.Names())
+		ds, err := dataset(reg, name)
+		if err != nil {
+			return nil, err
 		}
 		_, g, err := tpcr.Query8Graph()
 		if err != nil {
@@ -197,18 +273,18 @@ func Exec(spec ExecSpec) ([]ExecRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	variants := ExecVariants()
 	var rows []ExecRow
 	for _, w := range workloads {
-		var refRows int64
+		var ref ExecRow
 		var refSum int64
-		for vi, v := range ExecVariants() {
-			row, count, sum, err := ExecOne(w.Graph, w.Dataset, v, spec.Runs)
+		for vi, v := range variants {
+			row, sum, err := execOne(w, v, spec.Runs)
 			if err != nil {
 				return nil, fmt.Errorf("exec %s/%s: %w", w.Name, v.Name, err)
 			}
-			row.Workload = w.Name
 			if vi == 0 {
-				refRows, refSum = count, sum
+				ref, refSum = row, sum
 				// Parallel scaling rides on the dfsm row: the same plan
 				// family at increasing DOP, fastest wins. Checksums must
 				// match the serial run — the exchanges may not change the
@@ -219,21 +295,21 @@ func Exec(spec ExecSpec) ([]ExecRow, error) {
 					}
 					pv := v
 					pv.Config.MaxDOP = dop
-					prow, pcount, psum, err := ExecOne(w.Graph, w.Dataset, pv, spec.Runs)
+					prow, psum, err := execOne(w, pv, spec.Runs)
 					if err != nil {
 						return nil, fmt.Errorf("exec %s/%s dop=%d: %w", w.Name, v.Name, dop, err)
 					}
-					if pcount != count || psum != sum {
+					if prow.Rows != row.Rows || psum != sum {
 						return nil, fmt.Errorf("exec %s: dop=%d result (%d rows, checksum %d) differs from serial (%d rows, checksum %d)",
-							w.Name, dop, pcount, psum, count, sum)
+							w.Name, dop, prow.Rows, psum, row.Rows, sum)
 					}
 					if row.ParallelDOP == 0 || prow.ExecTime < row.ParallelTime {
 						row.ParallelTime, row.ParallelDOP = prow.ExecTime, dop
 					}
 				}
-			} else if count != refRows || sum != refSum {
+			} else if row.Rows != ref.Rows || sum != refSum {
 				return nil, fmt.Errorf("exec %s: variant %s result (%d rows, checksum %d) differs from %s (%d rows, checksum %d)",
-					w.Name, v.Name, count, sum, ExecVariants()[0].Name, refRows, refSum)
+					w.Name, v.Name, row.Rows, sum, ref.Variant, ref.Rows, refSum)
 			}
 			rows = append(rows, row)
 		}
@@ -241,87 +317,41 @@ func Exec(spec ExecSpec) ([]ExecRow, error) {
 	return rows, nil
 }
 
-// ExecOne plans the graph under one variant and executes the plan Runs
-// times over the dataset, returning the measurement plus the result
-// cardinality and a value checksum for cross-variant verification.
-func ExecOne(g *query.Graph, ds *exec.Dataset, v ExecVariant, runs int) (ExecRow, int64, int64, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	a, err := query.Analyze(g, v.Analyze)
+// execOne measures one workload under one variant, returning the row
+// and an order-insensitive checksum of the result for cross-variant
+// verification (exec.ChecksumRows, the conformance corpus' notion of
+// "identical result").
+func execOne(w ExecWorkload, v ExecVariant, runs int) (ExecRow, int64, error) {
+	m, err := measure(w.Graph, w.Dataset, v, runs, 0)
 	if err != nil {
-		return ExecRow{}, 0, 0, err
+		return ExecRow{}, 0, err
 	}
-	res, err := optimizer.Optimize(a, v.Config)
-	if err != nil {
-		return ExecRow{}, 0, 0, err
+	out := m.rows
+	if len(w.Graph.GroupBy) == 0 {
+		// Ungrouped results carry variant-dependent column orders
+		// (different join trees): canonicalize before checksumming.
+		out = exec.Canonicalize(out, m.schema, w.Graph)
 	}
-	row := ExecRow{
-		Variant:  v.Name,
-		PlanTime: res.PrepTime + res.PlanTime,
-	}
-	for op, n := range res.Best.Ops() {
-		switch op {
-		case plan.MergeJoin:
-			row.MergeJoins = n
-		case plan.HashJoin:
-			row.HashJoins = n
-		case plan.Sort:
-			row.Sorts = n
-		case plan.GroupHash:
-			row.HashGroups = n
-		case plan.GroupSorted, plan.GroupClustered:
-			row.OrderedGroups += n
-		}
-	}
-	runner := ds.Runner(a)
-	runner.DisableTiming = true // operator clocks off: measure the pipeline, not the meter
-	var sum int64
-	for i := 0; i < runs; i++ {
-		p, err := runner.Compile(res.Best)
-		if err != nil {
-			return ExecRow{}, 0, 0, err
-		}
-		begin := time.Now()
-		out, err := p.Execute()
-		elapsed := time.Since(begin)
-		if err != nil {
-			return ExecRow{}, 0, 0, err
-		}
-		if i == 0 {
-			row.ExecTime = elapsed
-			row.Rows = int64(len(out))
-			row.RowsSorted = p.RowsSorted()
-			if len(g.GroupBy) == 0 {
-				// Ungrouped results carry variant-dependent column
-				// orders (different join trees): canonicalize before
-				// checksumming so variants compare.
-				out = exec.Canonicalize(out, p.Schema, g)
-			}
-			sum = checksumRows(out)
-		} else if elapsed < row.ExecTime {
-			row.ExecTime = elapsed
-		}
-	}
-	return row, row.Rows, sum, nil
+	return ExecRow{
+		Workload:      w.Name,
+		Variant:       v.Name,
+		PlanTime:      m.planTime,
+		ExecTime:      m.execTime,
+		Rows:          int64(len(m.rows)),
+		RowsSorted:    m.rowsSorted,
+		MergeJoins:    m.ops[plan.MergeJoin],
+		HashJoins:     m.ops[plan.HashJoin],
+		Sorts:         m.ops[plan.Sort],
+		HashGroups:    m.ops[plan.GroupHash],
+		OrderedGroups: m.ops[plan.GroupSorted] + m.ops[plan.GroupClustered],
+	}, exec.ChecksumRows(out), nil
 }
-
-// checksumRows is the shared order-insensitive multiset checksum (see
-// exec.ChecksumRows); the conformance corpus uses the same function, so
-// its recorded checksums and the experiment's cross-variant comparisons
-// agree on what "identical result" means.
-func checksumRows(rows []exec.Row) int64 { return exec.ChecksumRows(rows) }
 
 // FormatExec renders the execution table plus the headline speedups
 // (dfsm vs oblivious runtime per workload, and — when the experiment
 // ran the DOP sweep — serial vs best-DOP parallel scaling).
 func FormatExec(rows []ExecRow) string {
-	parallel := false
-	for _, r := range rows {
-		if r.ParallelDOP > 0 {
-			parallel = true
-		}
-	}
+	parallel := slices.ContainsFunc(rows, func(r ExecRow) bool { return r.ParallelDOP > 0 })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s %-10s | %9s %9s |", "workload", "variant", "plan(ms)", "exec(ms)")
 	if parallel {
@@ -343,22 +373,9 @@ func FormatExec(rows []ExecRow) string {
 			r.Rows, r.RowsSorted,
 			r.MergeJoins, r.HashJoins, r.Sorts, r.HashGroups, r.OrderedGroups)
 	}
-	times := map[string]time.Duration{}
-	for _, r := range rows {
-		times[r.Workload+"/"+r.Variant] = r.ExecTime
-	}
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if seen[r.Workload] {
-			continue
-		}
-		seen[r.Workload] = true
-		dfsm, obl := times[r.Workload+"/dfsm"], times[r.Workload+"/oblivious"]
-		if dfsm > 0 && obl > 0 {
-			fmt.Fprintf(&b, "%s: dfsm vs order-oblivious runtime = %.2fx\n",
-				r.Workload, float64(obl)/float64(dfsm))
-		}
-	}
+	writeSpeedups(&b, len(rows), func(i int) (string, string, time.Duration) {
+		return rows[i].Workload, rows[i].Variant, rows[i].ExecTime
+	})
 	for _, r := range rows {
 		if r.ParallelDOP > 0 && r.ExecTime > 0 && r.ParallelTime > 0 {
 			fmt.Fprintf(&b, "%s: parallel scaling serial vs dop=%d = %.2fx\n",
@@ -366,4 +383,26 @@ func FormatExec(rows []ExecRow) string {
 		}
 	}
 	return b.String()
+}
+
+// writeSpeedups writes the headline line "<key>: dfsm vs
+// order-oblivious runtime = N×" for each key of the n measurements
+// (key, variant, time) = at(i) that both variants ran, in first-seen
+// key order.
+func writeSpeedups(b *strings.Builder, n int, at func(i int) (key, variant string, t time.Duration)) {
+	var keys []string
+	times := map[[2]string]time.Duration{}
+	for i := range n {
+		key, variant, t := at(i)
+		if !slices.Contains(keys, key) {
+			keys = append(keys, key)
+		}
+		times[[2]string{key, variant}] = t
+	}
+	for _, key := range keys {
+		dfsm, obl := times[[2]string{key, "dfsm"}], times[[2]string{key, "oblivious"}]
+		if dfsm > 0 && obl > 0 {
+			fmt.Fprintf(b, "%s: dfsm vs order-oblivious runtime = %.2fx\n", key, float64(obl)/float64(dfsm))
+		}
+	}
 }

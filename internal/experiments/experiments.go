@@ -35,12 +35,12 @@ type PrepRow struct {
 }
 
 // PrepQ8 reproduces the §6.2 experiment: the preparation step on the
-// TPC-R Query 8 input, with and without the §5.7 pruning techniques.
-// TestedSelectionOrders mirrors the paper's optional O_T remark.
-func PrepQ8(testedSelections bool) ([2]PrepRow, error) {
+// TPC-R Query 8 input (O_T = ∅, as in the paper's table), with and
+// without the §5.7 pruning techniques.
+func PrepQ8() ([2]PrepRow, error) {
 	var out [2]PrepRow
 	for i, pruning := range []bool{false, true} {
-		row, err := PrepQ8Variant(pruning, testedSelections)
+		row, err := PrepQ8Variant(pruning)
 		if err != nil {
 			return out, err
 		}
@@ -51,14 +51,12 @@ func PrepQ8(testedSelections bool) ([2]PrepRow, error) {
 
 // PrepQ8Variant runs one preparation configuration (used by the
 // benchmarks so each variant is timed in isolation).
-func PrepQ8Variant(pruning, testedSelections bool) (PrepRow, error) {
+func PrepQ8Variant(pruning bool) (PrepRow, error) {
 	_, g, err := tpcr.Query8Graph()
 	if err != nil {
 		return PrepRow{}, err
 	}
-	a, err := query.Analyze(g, query.AnalyzeOptions{
-		TestedSelectionOrders: testedSelections,
-	})
+	a, err := query.Analyze(g, query.AnalyzeOptions{})
 	if err != nil {
 		return PrepRow{}, err
 	}
@@ -129,18 +127,19 @@ func Q8() ([2]ModeRow, error) {
 			Mode:     mode.String(),
 			Time:     total,
 			Plans:    res.PlansGenerated,
-			PerPlan:  perPlan(total, res.PlansGenerated),
+			PerPlan:  time.Duration(ratio(float64(total), float64(res.PlansGenerated))),
 			MemBytes: res.OrderMemBytes,
 		}
 	}
 	return out, nil
 }
 
-func perPlan(t time.Duration, plans int64) time.Duration {
-	if plans == 0 {
+// ratio returns a/b, or 0 where b is 0 (nothing ran).
+func ratio(a, b float64) float64 {
+	if b == 0 {
 		return 0
 	}
-	return time.Duration(int64(t) / plans)
+	return a / b
 }
 
 // FormatQ8 renders the §7 Q8 table.
@@ -179,46 +178,19 @@ type GraphRow struct {
 }
 
 // FactorTime returns how much faster ours is.
-func (r GraphRow) FactorTime() float64 {
-	if r.OursTime == 0 {
-		return 0
-	}
-	return float64(r.SimmenTime) / float64(r.OursTime)
-}
+func (r GraphRow) FactorTime() float64 { return ratio(float64(r.SimmenTime), float64(r.OursTime)) }
 
 // FactorPlans returns the search-space reduction factor.
-func (r GraphRow) FactorPlans() float64 {
-	if r.OursPlans == 0 {
-		return 0
-	}
-	return r.SimmenPlans / r.OursPlans
-}
+func (r GraphRow) FactorPlans() float64 { return ratio(r.SimmenPlans, r.OursPlans) }
 
 // FactorPerPlan returns the per-plan-operator speedup.
-func (r GraphRow) FactorPerPlan() float64 {
-	sp := r.SimmenPerPlan()
-	op := r.OursPerPlan()
-	if op == 0 {
-		return 0
-	}
-	return sp / op
-}
+func (r GraphRow) FactorPerPlan() float64 { return ratio(r.SimmenPerPlan(), r.OursPerPlan()) }
 
 // SimmenPerPlan returns µs per generated plan for the baseline.
-func (r GraphRow) SimmenPerPlan() float64 {
-	if r.SimmenPlans == 0 {
-		return 0
-	}
-	return float64(r.SimmenTime.Nanoseconds()) / 1e3 / r.SimmenPlans
-}
+func (r GraphRow) SimmenPerPlan() float64 { return ratio(us(r.SimmenTime), r.SimmenPlans) }
 
 // OursPerPlan returns µs per generated plan for our algorithm.
-func (r GraphRow) OursPerPlan() float64 {
-	if r.OursPlans == 0 {
-		return 0
-	}
-	return float64(r.OursTime.Nanoseconds()) / 1e3 / r.OursPlans
-}
+func (r GraphRow) OursPerPlan() float64 { return ratio(us(r.OursTime), r.OursPlans) }
 
 // SweepSpec parameterizes the Figure 13/14 sweep.
 type SweepSpec struct {
@@ -247,18 +219,11 @@ func (s *SweepSpec) defaults() {
 // generator.
 func Sweep(spec SweepSpec) ([]GraphRow, error) {
 	spec.defaults()
+	modes := []optimizer.Mode{optimizer.ModeSimmen, optimizer.ModeDFSM}
 	// Warm up both code paths once so allocator/page-fault cold-start
 	// noise does not inflate the first configuration's average.
-	for _, mode := range []optimizer.Mode{optimizer.ModeSimmen, optimizer.ModeDFSM} {
-		_, g, err := querygen.Generate(querygen.Spec{Relations: 3, Seed: 999})
-		if err != nil {
-			return nil, err
-		}
-		a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := optimizer.Optimize(a, optimizer.DefaultConfig(mode)); err != nil {
+	for _, mode := range modes {
+		if _, err := optimizeSpec(querygen.Spec{Relations: 3, Seed: 999}, optimizer.DefaultConfig(mode)); err != nil {
 			return nil, err
 		}
 	}
@@ -267,25 +232,18 @@ func Sweep(spec SweepSpec) ([]GraphRow, error) {
 		for _, n := range spec.Sizes {
 			row := GraphRow{N: n, Extra: extra, Seeds: spec.Seeds}
 			for seed := 0; seed < spec.Seeds; seed++ {
-				_, g, err := querygen.Generate(querygen.Spec{
+				gspec := querygen.Spec{
 					Relations:  n,
 					ExtraEdges: extra,
 					Seed:       int64(seed)*1000 + int64(n)*10 + int64(extra),
-				})
-				if err != nil {
-					return nil, err
 				}
-				for _, mode := range []optimizer.Mode{optimizer.ModeSimmen, optimizer.ModeDFSM} {
-					a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
-					if err != nil {
-						return nil, err
-					}
+				for _, mode := range modes {
 					cfg := optimizer.DefaultConfig(mode)
 					cfg.Enumerator = spec.Enumerator
 					// The sweep measures the exact tier; auto must not
 					// silently switch large points to the linearized DP.
 					cfg.Strategy = optimizer.StrategyExact
-					res, err := optimizer.Optimize(a, cfg)
+					res, err := optimizeSpec(gspec, cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -334,12 +292,7 @@ type EnumRow struct {
 }
 
 // FactorTime returns how much faster DPccp enumeration is end to end.
-func (r EnumRow) FactorTime() float64 {
-	if r.DPccpTime == 0 {
-		return 0
-	}
-	return float64(r.NaiveTime) / float64(r.DPccpTime)
-}
+func (r EnumRow) FactorTime() float64 { return ratio(float64(r.NaiveTime), float64(r.DPccpTime)) }
 
 // EnumSweepSpec parameterizes the enumerator comparison sweep.
 type EnumSweepSpec struct {
@@ -375,25 +328,18 @@ func EnumSweep(spec EnumSweepSpec) ([]EnumRow, error) {
 			row := EnumRow{Shape: shape.String(), N: n, Seeds: spec.Seeds}
 			for seed := 0; seed < spec.Seeds; seed++ {
 				var pairs, plans [2]int64
+				gspec := querygen.Spec{
+					Relations: n,
+					Shape:     shape,
+					Seed:      int64(seed)*1000 + int64(n)*10 + int64(shape),
+				}
 				for i, enum := range []optimizer.Enumerator{optimizer.EnumNaive, optimizer.EnumDPccp} {
-					_, g, err := querygen.Generate(querygen.Spec{
-						Relations: n,
-						Shape:     shape,
-						Seed:      int64(seed)*1000 + int64(n)*10 + int64(shape),
-					})
-					if err != nil {
-						return nil, err
-					}
-					a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
-					if err != nil {
-						return nil, err
-					}
 					cfg := optimizer.DefaultConfig(optimizer.ModeDFSM)
 					cfg.Enumerator = enum
 					// The comparison is between the exact enumerators;
 					// the linearized tier enumerates intervals instead.
 					cfg.Strategy = optimizer.StrategyExact
-					res, err := optimizer.Optimize(a, cfg)
+					res, err := optimizeSpec(gspec, cfg)
 					if err != nil {
 						return nil, err
 					}

@@ -10,7 +10,7 @@ import (
 func TestPrepQ8Shape(t *testing.T) {
 	// The paper's §6.2 table corresponds to O_T = ∅ (the tested
 	// selection orders are mentioned as an optional addition).
-	rows, err := PrepQ8(false)
+	rows, err := PrepQ8()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ type LargeSpec struct {
 	// also runs for the cost-ratio column (default 10; exact cliques
 	// beyond that take seconds to minutes).
 	CompareMax int
-	Mode       optimizer.Mode
 }
 
 func (s *LargeSpec) defaults() {
@@ -83,7 +82,7 @@ func Large(spec LargeSpec) ([]LargeRow, error) {
 					Shape:     shape,
 					Seed:      int64(seed)*1000 + int64(n)*10 + int64(shape),
 				}
-				linCfg := optimizer.DefaultConfig(spec.Mode)
+				linCfg := optimizer.DefaultConfig(optimizer.ModeDFSM)
 				linCfg.Strategy = optimizer.StrategyLinearized
 				prep, err := prepareSpec(gspec, linCfg)
 				if err != nil {
@@ -105,13 +104,9 @@ func Large(spec LargeSpec) ([]LargeRow, error) {
 				if n > spec.CompareMax {
 					continue
 				}
-				exactCfg := optimizer.DefaultConfig(spec.Mode)
+				exactCfg := optimizer.DefaultConfig(optimizer.ModeDFSM)
 				exactCfg.Strategy = optimizer.StrategyExact
-				eprep, err := prepareSpec(gspec, exactCfg)
-				if err != nil {
-					return nil, err
-				}
-				exact, err := eprep.Run()
+				exact, err := optimizeSpec(gspec, exactCfg)
 				if err != nil {
 					return nil, err
 				}
@@ -146,6 +141,15 @@ func prepareSpec(gspec querygen.Spec, cfg optimizer.Config) (*optimizer.Prepared
 		return nil, err
 	}
 	return optimizer.Prepare(a, cfg)
+}
+
+// optimizeSpec plans the generated query once: prepareSpec plus one Run.
+func optimizeSpec(gspec querygen.Spec, cfg optimizer.Config) (*optimizer.Result, error) {
+	p, err := prepareSpec(gspec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run()
 }
 
 // FormatLarge renders the large-query table.

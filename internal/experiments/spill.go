@@ -12,8 +12,7 @@ import (
 	"time"
 
 	"orderopt/internal/exec"
-	"orderopt/internal/optimizer"
-	"orderopt/internal/query"
+	"orderopt/internal/plan"
 	"orderopt/internal/tpcr"
 )
 
@@ -62,19 +61,6 @@ type SpillRow struct {
 	SpilledBytes int64
 }
 
-// spillDataset resolves a dataset name: the standard registry first,
-// then the million-row tpcr-xl tier, which stays out of the registry
-// so tier-1 tests don't pay its generation time.
-func spillDataset(reg *exec.Registry, name string) (*exec.Dataset, error) {
-	if ds, ok := reg.Get(name); ok {
-		return ds, nil
-	}
-	if name == "tpcr-xl" {
-		return exec.TPCRXL(), nil
-	}
-	return nil, fmt.Errorf("experiments: unknown dataset %q", name)
-}
-
 // Spill measures the contrast: the order-flow query per dataset,
 // planned sort-free and order-obliviously, both under the spec's
 // external-sort budget. A dfsm plan that spills, an oblivious plan
@@ -82,13 +68,10 @@ func spillDataset(reg *exec.Registry, name string) (*exec.Dataset, error) {
 // a table entry.
 func Spill(spec SpillSpec) ([]SpillRow, error) {
 	spec.defaults()
-	variants := ExecVariants()
-	dfsm, oblivious := variants[0], variants[2]
-	reg := exec.TPCRRegistry()
-
 	var out []SpillRow
+	reg := exec.TPCRLazyRegistry()
 	for _, name := range spec.Datasets {
-		ds, err := spillDataset(reg, name)
+		ds, err := dataset(reg, name)
 		if err != nil {
 			return nil, err
 		}
@@ -97,14 +80,24 @@ func Spill(spec SpillSpec) ([]SpillRow, error) {
 			return nil, err
 		}
 		ds.ApplyStats(g)
-		free, err := SpillOne("orders/"+name, g, ds, dfsm, spec)
-		if err != nil {
-			return nil, fmt.Errorf("spill %s/dfsm: %w", name, err)
+		var pair [2]SpillRow
+		for i, v := range dfsmVsOblivious() {
+			m, err := measure(g, ds, v, spec.Runs, spec.SpillBytes)
+			if err != nil {
+				return nil, fmt.Errorf("spill %s/%s: %w", name, v.Name, err)
+			}
+			pair[i] = SpillRow{
+				Workload:     "orders/" + name,
+				Variant:      v.Name,
+				ExecTime:     m.execTime,
+				Rows:         int64(len(m.rows)),
+				Checksum:     exec.ChecksumRows(exec.Canonicalize(m.rows, m.schema, g)),
+				Sorts:        m.ops[plan.Sort],
+				SpillRuns:    m.spillRuns,
+				SpilledBytes: m.spillSize,
+			}
 		}
-		sorted, err := SpillOne("orders/"+name, g, ds, oblivious, spec)
-		if err != nil {
-			return nil, fmt.Errorf("spill %s/oblivious: %w", name, err)
-		}
+		free, sorted := pair[0], pair[1]
 		switch {
 		case free.SpillRuns != 0:
 			return nil, fmt.Errorf("spill %s: the dfsm plan spilled %d runs, want a sort-free plan", name, free.SpillRuns)
@@ -114,53 +107,9 @@ func Spill(spec SpillSpec) ([]SpillRow, error) {
 			return nil, fmt.Errorf("spill %s: oblivious result (%d rows, checksum %d) differs from dfsm (%d rows, checksum %d)",
 				name, sorted.Rows, sorted.Checksum, free.Rows, free.Checksum)
 		}
-		out = append(out, free, sorted)
+		out = append(out, pair[:]...)
 	}
 	return out, nil
-}
-
-// SpillOne executes the graph under one planning variant with every
-// Sort compiled as a budgeted external sort, reporting its disk
-// activity alongside the runtime.
-func SpillOne(name string, g *query.Graph, ds *exec.Dataset, v ExecVariant, spec SpillSpec) (SpillRow, error) {
-	row := SpillRow{Workload: name, Variant: v.Name}
-	a, err := query.Analyze(g, v.Analyze)
-	if err != nil {
-		return row, err
-	}
-	res, err := optimizer.Optimize(a, v.Config)
-	if err != nil {
-		return row, err
-	}
-	runner := ds.Runner(a)
-	runner.DisableTiming = true
-	runner.SpillBytes = spec.SpillBytes
-	for i := 0; i < spec.Runs; i++ {
-		p, err := runner.Compile(res.Best)
-		if err != nil {
-			return row, err
-		}
-		begin := time.Now()
-		out, err := p.Execute()
-		elapsed := time.Since(begin)
-		if err != nil {
-			return row, err
-		}
-		if i == 0 {
-			row.ExecTime = elapsed
-			row.Rows = int64(len(out))
-			row.SpillRuns, row.SpilledBytes = p.SpillStats()
-			for _, op := range p.Ops {
-				if op.Op == "Sort" {
-					row.Sorts++
-				}
-			}
-			row.Checksum = exec.ChecksumRows(exec.Canonicalize(out, p.Schema, g))
-		} else if elapsed < row.ExecTime {
-			row.ExecTime = elapsed
-		}
-	}
-	return row, nil
 }
 
 // FormatSpill renders the contrast table.
@@ -171,7 +120,7 @@ func FormatSpill(rows []SpillRow) string {
 		"workload", "variant", "exec(ms)", "rows", "sorts", "spills", "spilled(KiB)")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-18s %-10s | %9.2f %9d %6d %6d %12.1f\n",
-			r.Workload, r.Variant, float64(r.ExecTime)/1e6, r.Rows, r.Sorts, r.SpillRuns, float64(r.SpilledBytes)/1024)
+			r.Workload, r.Variant, ms(r.ExecTime), r.Rows, r.Sorts, r.SpillRuns, float64(r.SpilledBytes)/1024)
 	}
 	return b.String()
 }

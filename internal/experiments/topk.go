@@ -11,14 +11,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"orderopt/internal/exec"
-	"orderopt/internal/optimizer"
 	"orderopt/internal/plan"
-	"orderopt/internal/query"
 	"orderopt/internal/tpcr"
 )
 
@@ -66,45 +64,35 @@ type TopkRow struct {
 	OrderSatisfying bool
 }
 
-// topkVariants is the two-sided comparison: the full order framework
-// against the order-oblivious baseline (no merge joins, no index
-// orders — the plan must sort at the top to know the first k rows).
-func topkVariants() []ExecVariant {
-	all := ExecVariants()
-	return []ExecVariant{all[0], all[2]}
-}
-
 // Topk runs the experiment: every dataset × k × variant, with
 // cross-variant verification that both plans emitted the same ordered
 // key prefix.
 func Topk(spec TopkSpec) ([]TopkRow, error) {
 	spec.defaults()
-	reg := exec.TPCRRegistry()
 	var rows []TopkRow
+	reg := exec.TPCRLazyRegistry()
 	for _, name := range spec.Datasets {
-		ds, ok := reg.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown TPC-R dataset %q (have %v)", name, reg.Names())
+		ds, err := dataset(reg, name)
+		if err != nil {
+			return nil, err
 		}
 		for _, k := range spec.Ks {
 			var refKeys []int64
-			for vi, v := range topkVariants() {
+			for vi, v := range dfsmVsOblivious() {
 				row, keys, err := topkOne(ds, k, v, spec.Runs)
 				if err != nil {
 					return nil, fmt.Errorf("topk %s/k=%d/%s: %w", name, k, v.Name, err)
 				}
 				row.Workload = "orders/" + name
-				row.K = k
 				// The ORDER BY key is not unique (an order joins many
 				// lineitems), so the k-th row is ambiguous within its key
 				// group — but the multiset of emitted keys is not. That is
 				// the cross-variant invariant.
-				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+				slices.Sort(keys)
 				if vi == 0 {
 					refKeys = keys
-				} else if !int64sEqual(keys, refKeys) {
-					return nil, fmt.Errorf("topk %s/k=%d: variant %s emitted a different key prefix than %s",
-						name, k, v.Name, topkVariants()[0].Name)
+				} else if !slices.Equal(keys, refKeys) {
+					return nil, fmt.Errorf("topk %s/k=%d: variant %s emitted a different key prefix than dfsm", name, k, v.Name)
 				}
 				rows = append(rows, row)
 			}
@@ -113,83 +101,44 @@ func Topk(spec TopkSpec) ([]TopkRow, error) {
 	return rows, nil
 }
 
-// topkOne plans the order-flow query with LIMIT k under one variant and
-// executes it, returning the measurement and the emitted ORDER BY keys.
+// topkOne measures the order-flow query with LIMIT k under one variant,
+// returning the row and the emitted ORDER BY keys.
 func topkOne(ds *exec.Dataset, k int, v ExecVariant, runs int) (TopkRow, []int64, error) {
-	if runs < 1 {
-		runs = 1
-	}
 	_, g, err := tpcr.OrderStreamGraph()
 	if err != nil {
 		return TopkRow{}, nil, err
 	}
 	g.Limit, g.HasLimit = k, true
 	ds.ApplyStats(g)
-	a, err := query.Analyze(g, v.Analyze)
+	m, err := measure(g, ds, v, runs, 0)
 	if err != nil {
 		return TopkRow{}, nil, err
 	}
-	res, err := optimizer.Optimize(a, v.Config)
-	if err != nil {
-		return TopkRow{}, nil, err
+	if m.ops[plan.Limit] == 0 {
+		return TopkRow{}, nil, fmt.Errorf("chosen plan has no Limit operator (operators %v)", m.ops)
 	}
-	ops := res.Best.Ops()
-	if ops[plan.Limit] == 0 {
-		return TopkRow{}, nil, fmt.Errorf("chosen plan has no Limit operator:\n%s", res.Best)
+	cols := make([]int, len(g.OrderBy))
+	for ci, c := range g.OrderBy {
+		if cols[ci] = exec.ColPos(m.schema, c); cols[ci] < 0 {
+			return TopkRow{}, nil, fmt.Errorf("ORDER BY column %v missing from output schema", c)
+		}
 	}
-	row := TopkRow{
+	if !exec.SatisfiesOrdering(m.rows, cols) {
+		return TopkRow{}, nil, fmt.Errorf("limited result violates the ORDER BY")
+	}
+	keys := make([]int64, len(m.rows))
+	for ri, r := range m.rows {
+		keys[ri] = r[cols[0]]
+	}
+	return TopkRow{
+		K:               k,
 		Variant:         v.Name,
-		PlanTime:        res.PrepTime + res.PlanTime,
-		OrderSatisfying: ops[plan.Sort] == 0,
-	}
-	runner := ds.Runner(a)
-	runner.DisableTiming = true
-	var keys []int64
-	for i := 0; i < runs; i++ {
-		p, err := runner.Compile(res.Best)
-		if err != nil {
-			return TopkRow{}, nil, err
-		}
-		begin := time.Now()
-		out, err := p.Execute()
-		elapsed := time.Since(begin)
-		if err != nil {
-			return TopkRow{}, nil, err
-		}
-		if i == 0 {
-			row.ExecTime = elapsed
-			row.Rows = int64(len(out))
-			row.RowsSorted = p.RowsSorted()
-			cols := make([]int, len(g.OrderBy))
-			for ci, c := range g.OrderBy {
-				if cols[ci] = exec.ColPos(p.Schema, c); cols[ci] < 0 {
-					return TopkRow{}, nil, fmt.Errorf("ORDER BY column %v missing from output schema", c)
-				}
-			}
-			if !exec.SatisfiesOrdering(out, cols) {
-				return TopkRow{}, nil, fmt.Errorf("limited result violates the ORDER BY")
-			}
-			keys = make([]int64, len(out))
-			for ri, r := range out {
-				keys[ri] = r[cols[0]]
-			}
-		} else if elapsed < row.ExecTime {
-			row.ExecTime = elapsed
-		}
-	}
-	return row, keys, nil
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+		PlanTime:        m.planTime,
+		ExecTime:        m.execTime,
+		Rows:            int64(len(m.rows)),
+		RowsSorted:      m.rowsSorted,
+		OrderSatisfying: m.ops[plan.Sort] == 0,
+	}, keys, nil
 }
 
 // FormatTopk renders the top-k table plus the headline speedups (dfsm
@@ -203,22 +152,8 @@ func FormatTopk(rows []TopkRow) string {
 			r.Workload, r.K, r.Variant, ms(r.PlanTime), ms(r.ExecTime),
 			r.Rows, r.RowsSorted, r.OrderSatisfying)
 	}
-	times := map[string]time.Duration{}
-	for _, r := range rows {
-		times[fmt.Sprintf("%s/%d/%s", r.Workload, r.K, r.Variant)] = r.ExecTime
-	}
-	seen := map[string]bool{}
-	for _, r := range rows {
-		key := fmt.Sprintf("%s/%d", r.Workload, r.K)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		dfsm, obl := times[key+"/dfsm"], times[key+"/oblivious"]
-		if dfsm > 0 && obl > 0 {
-			fmt.Fprintf(&b, "%s k=%d: dfsm vs order-oblivious runtime = %.2fx\n",
-				r.Workload, r.K, float64(obl)/float64(dfsm))
-		}
-	}
+	writeSpeedups(&b, len(rows), func(i int) (string, string, time.Duration) {
+		return fmt.Sprintf("%s k=%d", rows[i].Workload, rows[i].K), rows[i].Variant, rows[i].ExecTime
+	})
 	return b.String()
 }

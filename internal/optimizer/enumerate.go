@@ -87,79 +87,11 @@ func enumerateNaive(n int, adj []uint64, emit func(s1, s2 uint64)) {
 }
 
 // enumerateDPccp emits every csg-cmp pair via the DPccp algorithm.
-// Relations are seeded in descending index order; expansions may only
-// use relations with a higher index than the seed (the forbidden set X),
-// which makes each connected subgraph — and each pair — come out exactly
-// once, smaller unions before larger ones.
 func enumerateDPccp(n int, adj []uint64, emit func(s1, s2 uint64)) {
-	for i := n - 1; i >= 0; i-- {
-		v := uint64(1) << uint(i)
-		emitCsg(adj, v, emit)
-		enumerateCsgRec(adj, v, v|(v-1), emit)
-	}
-}
-
-// enumerateCsgRec extends the connected subgraph s with every non-empty
-// subset of its allowed neighborhood, emitting each extension as a csg
-// and recursing to grow it further.
-func enumerateCsgRec(adj []uint64, s, x uint64, emit func(s1, s2 uint64)) {
-	nb := neighborhood(adj, s) &^ x
-	if nb == 0 {
-		return
-	}
-	for sub := nb & -nb; ; sub = (sub - nb) & nb {
-		emitCsg(adj, s|sub, emit)
-		if sub == nb {
-			break
-		}
-	}
-	for sub := nb & -nb; ; sub = (sub - nb) & nb {
-		enumerateCsgRec(adj, s|sub, x|nb, emit)
-		if sub == nb {
-			break
-		}
-	}
-}
-
-// emitCsg enumerates the complements of the connected subgraph s1: one
-// seed per neighbor relation (descending, each guaranteed a crossing
-// edge), grown by enumerateCmpRec. The forbidden set keeps complements
-// from re-using s1, relations below s1's minimum (those pairs were
-// emitted from the smaller seed), or neighbors still to be seeded.
-func emitCsg(adj []uint64, s1 uint64, emit func(s1, s2 uint64)) {
-	min := s1 & -s1
-	x := s1 | (min - 1)
-	nb := neighborhood(adj, s1) &^ x
-	for m := nb; m != 0; {
-		i := bits.Len64(m) - 1 // highest remaining neighbor
-		v := uint64(1) << uint(i)
-		m &^= v
-		emit(s1, v)
-		// Lower-indexed neighbors stay forbidden: the pairs they seed
-		// are emitted in their own iteration.
-		enumerateCmpRec(adj, s1, v, x|(nb&(v|(v-1))), emit)
-	}
-}
-
-// enumerateCmpRec grows the complement s2 exactly like enumerateCsgRec
-// grows subgraphs; every extension stays adjacent to s1 through s2.
-func enumerateCmpRec(adj []uint64, s1, s2, x uint64, emit func(s1, s2 uint64)) {
-	nb := neighborhood(adj, s2) &^ x
-	if nb == 0 {
-		return
-	}
-	for sub := nb & -nb; ; sub = (sub - nb) & nb {
-		emit(s1, s2|sub)
-		if sub == nb {
-			break
-		}
-	}
-	for sub := nb & -nb; ; sub = (sub - nb) & nb {
-		enumerateCmpRec(adj, s1, s2|sub, x|nb, emit)
-		if sub == nb {
-			break
-		}
-	}
+	walkDPccp(n, adj, func(s1, s2 uint64) bool {
+		emit(s1, s2)
+		return true
+	})
 }
 
 // countPairsUpTo counts the csg-cmp pairs of the join graph by DPccp
@@ -170,35 +102,40 @@ func enumerateCmpRec(adj []uint64, s1, s2, x uint64, emit func(s1, s2 uint64)) {
 // resounding no (a clique's pair count is exponential, but the probe
 // walks only the first limit+1 pairs of it).
 func countPairsUpTo(n int, adj []uint64, limit int64) (count int64, exceeded bool) {
-	c := &pairCounter{adj: adj, limit: limit}
+	exceeded = !walkDPccp(n, adj, func(_, _ uint64) bool {
+		count++
+		return count <= limit
+	})
+	return count, exceeded
+}
+
+// walkDPccp is the DPccp recursion. Relations are seeded in descending
+// index order; expansions may only use relations with a higher index
+// than the seed (the forbidden set X), which makes each connected
+// subgraph — and each pair — come out exactly once, smaller unions
+// before larger ones. emit reports whether to go on; a false return
+// unwinds the whole recursion at once, and walkDPccp reports whether it
+// ran to the end.
+func walkDPccp(n int, adj []uint64, emit func(s1, s2 uint64) bool) bool {
 	for i := n - 1; i >= 0; i-- {
 		v := uint64(1) << uint(i)
-		if !c.emitCsg(v) || !c.csgRec(v, v|(v-1)) {
-			return c.count, true
+		if !emitCsg(adj, v, emit) || !enumerateCsgRec(adj, v, v|(v-1), emit) {
+			return false
 		}
 	}
-	return c.count, false
+	return true
 }
 
-// pairCounter mirrors the DPccp recursion with every step reporting
-// whether the budget still holds; a false return unwinds immediately.
-type pairCounter struct {
-	adj          []uint64
-	limit, count int64
-}
-
-func (c *pairCounter) emit() bool {
-	c.count++
-	return c.count <= c.limit
-}
-
-func (c *pairCounter) csgRec(s, x uint64) bool {
-	nb := neighborhood(c.adj, s) &^ x
+// enumerateCsgRec extends the connected subgraph s with every non-empty
+// subset of its allowed neighborhood, emitting each extension as a csg
+// and recursing to grow it further.
+func enumerateCsgRec(adj []uint64, s, x uint64, emit func(s1, s2 uint64) bool) bool {
+	nb := neighborhood(adj, s) &^ x
 	if nb == 0 {
 		return true
 	}
 	for sub := nb & -nb; ; sub = (sub - nb) & nb {
-		if !c.emitCsg(s | sub) {
+		if !emitCsg(adj, s|sub, emit) {
 			return false
 		}
 		if sub == nb {
@@ -206,7 +143,7 @@ func (c *pairCounter) csgRec(s, x uint64) bool {
 		}
 	}
 	for sub := nb & -nb; ; sub = (sub - nb) & nb {
-		if !c.csgRec(s|sub, x|nb) {
+		if !enumerateCsgRec(adj, s|sub, x|nb, emit) {
 			return false
 		}
 		if sub == nb {
@@ -216,31 +153,37 @@ func (c *pairCounter) csgRec(s, x uint64) bool {
 	return true
 }
 
-func (c *pairCounter) emitCsg(s1 uint64) bool {
+// emitCsg enumerates the complements of the connected subgraph s1: one
+// seed per neighbor relation (descending, each guaranteed a crossing
+// edge), grown by enumerateCmpRec. The forbidden set keeps complements
+// from re-using s1, relations below s1's minimum (those pairs were
+// emitted from the smaller seed), or neighbors still to be seeded.
+func emitCsg(adj []uint64, s1 uint64, emit func(s1, s2 uint64) bool) bool {
 	min := s1 & -s1
 	x := s1 | (min - 1)
-	nb := neighborhood(c.adj, s1) &^ x
+	nb := neighborhood(adj, s1) &^ x
 	for m := nb; m != 0; {
-		i := bits.Len64(m) - 1
+		i := bits.Len64(m) - 1 // highest remaining neighbor
 		v := uint64(1) << uint(i)
 		m &^= v
-		if !c.emit() {
-			return false
-		}
-		if !c.cmpRec(s1, v, x|(nb&(v|(v-1)))) {
+		// Lower-indexed neighbors stay forbidden: the pairs they seed
+		// are emitted in their own iteration.
+		if !emit(s1, v) || !enumerateCmpRec(adj, s1, v, x|(nb&(v|(v-1))), emit) {
 			return false
 		}
 	}
 	return true
 }
 
-func (c *pairCounter) cmpRec(s1, s2, x uint64) bool {
-	nb := neighborhood(c.adj, s2) &^ x
+// enumerateCmpRec grows the complement s2 exactly like enumerateCsgRec
+// grows subgraphs; every extension stays adjacent to s1 through s2.
+func enumerateCmpRec(adj []uint64, s1, s2, x uint64, emit func(s1, s2 uint64) bool) bool {
+	nb := neighborhood(adj, s2) &^ x
 	if nb == 0 {
 		return true
 	}
 	for sub := nb & -nb; ; sub = (sub - nb) & nb {
-		if !c.emit() {
+		if !emit(s1, s2|sub) {
 			return false
 		}
 		if sub == nb {
@@ -248,7 +191,7 @@ func (c *pairCounter) cmpRec(s1, s2, x uint64) bool {
 		}
 	}
 	for sub := nb & -nb; ; sub = (sub - nb) & nb {
-		if !c.cmpRec(s1, s2|sub, x|nb) {
+		if !enumerateCmpRec(adj, s1, s2|sub, x|nb, emit) {
 			return false
 		}
 		if sub == nb {

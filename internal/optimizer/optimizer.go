@@ -256,9 +256,8 @@ var scratch = sync.Pool{New: func() any { return new(optimizer) }}
 // dpTable maps a relation-subset mask to its cost-sorted, undominated
 // plan list. The optimized configuration indexes a dense slice directly
 // by mask; beyond denseTableBits relations the 2^n table no longer pays
-// and a pre-sized map takes over. The naive reference configuration
-// keeps the seed's unhinted map so the benchmarks compare the full
-// before/after inside one binary.
+// and a pre-sized map takes over. Both enumerators plan over the same
+// table: EnumNaive and EnumDPccp differ only in how they enumerate.
 type dpTable struct {
 	dense  [][]*plan.Node // this run's 1<<n window of slab; nil while sparse serves
 	slab   [][]*plan.Node // grown to the largest 1<<n seen, lists keep their capacity
@@ -271,13 +270,10 @@ const denseTableBits = 16
 // empties every plan list the run can reach, keeping the backing arrays:
 // steady-state runs append into recycled capacity, whichever statement
 // grew it. Lists beyond the current window are neither read nor counted.
-// naive selects the reference configuration's always-fresh unhinted map;
 // hint sizes a first sparse map.
-func (t *dpTable) reset(n int, naive bool, hint int) {
+func (t *dpTable) reset(n, hint int) {
 	t.dense = nil
 	switch {
-	case naive:
-		t.sparse = make(map[uint64][]*plan.Node)
 	case n <= denseTableBits:
 		size := 1 << uint(n)
 		if len(t.slab) < size {
@@ -433,8 +429,7 @@ func (o *optimizer) bind(p *Prepared) {
 		// Only the O(n²) interval masks are ever populated.
 		hint = n * (n + 3) / 2
 	}
-	// The reference configuration measures the seed's unhinted map.
-	o.dp.reset(n, !o.lin && p.cfg.Enumerator == EnumNaive, hint)
+	o.dp.reset(n, hint)
 }
 
 // unbind strips the scratch of the statement it served before it goes

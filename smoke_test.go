@@ -61,15 +61,6 @@ func TestPlanserverdFlagSurface(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/planserverd").CombinedOutput(); err != nil {
 		t.Fatalf("building planserverd: %v\n%s", err, out)
 	}
-	names := func(re string, text []byte) []string {
-		var out []string
-		for _, m := range regexp.MustCompile(re).FindAllSubmatch(text, -1) {
-			out = append(out, string(m[1]))
-		}
-		slices.Sort(out)
-		return out
-	}
-
 	help, err := exec.Command(bin, "-h").CombinedOutput()
 	if err != nil {
 		t.Fatalf("planserverd -h: %v\n%s", err, help)
@@ -78,8 +69,8 @@ func TestPlanserverdFlagSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := names(`(?m)^  -([a-z-]+)`, help)
-	want := names("(?m)^\\| `-([a-z-]+)` ", doc)
+	got := submatches(`(?m)^  -([a-z-]+)`, help)
+	want := submatches("(?m)^\\| `-([a-z-]+)` ", doc)
 	if len(got) == 0 || !slices.Equal(got, want) {
 		t.Errorf("planserverd -h flags and the docs/api.md flag table differ:\n  -h:   %v\n  docs: %v", got, want)
 	}
@@ -92,4 +83,90 @@ func TestPlanserverdFlagSurface(t *testing.T) {
 			t.Errorf("planserverd -%s was not rejected (err %v):\n%s", gone, err, out)
 		}
 	}
+}
+
+// TestExperimentsFlagSurface pins cmd/experiments the way
+// TestPlanserverdFlagSurface pins the daemon: the flag names
+// `experiments -h` prints must equal the flag table in
+// docs/benchmarks.md, the per-table flags the nine shared ones replaced
+// must be rejected, and every table -h lists runs once at its smallest
+// size, so no registry entry can rot.
+func TestExperimentsFlagSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the experiments build in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/experiments").CombinedOutput(); err != nil {
+		t.Fatalf("building experiments: %v\n%s", err, out)
+	}
+	help, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("experiments -h: %v\n%s", err, help)
+	}
+	doc, err := os.ReadFile("docs/benchmarks.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := submatches(`(?m)^  -([a-z-]+)`, help)
+	want := submatches("(?m)^\\| `-([a-z-]+)` ", doc)
+	if len(got) != 9 || !slices.Equal(got, want) {
+		t.Errorf("experiments -h flags and the docs/benchmarks.md flag table differ (want 9):\n  -h:   %v\n  docs: %v", got, want)
+	}
+
+	for _, gone := range []string{
+		"tested-selections", "enum-shapes", "enum-sizes", "enum-seeds",
+		"large-shapes", "large-sizes", "large-seeds", "large-compare-max",
+		"exec-datasets", "exec-runs", "exec-queries", "exec-relations", "exec-rows",
+		"topk-ks", "workers", "spill-datasets", "spill-runs", "spill-bytes",
+		"abort-duration", "abort-victims",
+	} {
+		out, err := exec.Command(bin, "-"+gone+"=1", "-h").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined: -"+gone) {
+			t.Errorf("experiments -%s was not rejected (err %v):\n%s", gone, err, out)
+		}
+	}
+	if out, err := exec.Command(bin, "-table", "nope").CombinedOutput(); err == nil || !strings.Contains(string(out), "prep, q8") {
+		t.Errorf("unknown table not rejected with the table list (err %v):\n%s", err, out)
+	}
+
+	smallest := map[string][]string{
+		"prep":  nil,
+		"q8":    nil,
+		"fig13": {"-sizes", "4", "-extras", "0", "-seeds", "1"},
+		"fig14": {"-sizes", "4", "-extras", "0", "-seeds", "1", "-enumerator", "naive"},
+		"enum":  {"-sizes", "4"},
+		"large": {"-sizes", "8", "-seeds", "1", "-shapes", "chain,clique"},
+		"exec":  {"-runs", "1", "-datasets", "tpcr-small"},
+		"topk":  {"-runs", "1", "-datasets", "tpcr-small"},
+		"spill": {"-runs", "1", "-datasets", "tpcr-mid"},
+		"abort": {"-duration", "200ms"},
+	}
+	tables := submatches(`(?m)^  ([a-z0-9]+) `, help)
+	if len(tables) != len(smallest)+1 { // + all
+		t.Errorf("experiments -h lists tables %v, the smoke runs cover %d", tables, len(smallest))
+	}
+	for _, name := range tables {
+		if name == "all" {
+			continue // prep, q8, fig13, fig14 at default sizes: covered above, slow
+		}
+		args, ok := smallest[name]
+		if !ok {
+			t.Errorf("table %s has no smoke invocation", name)
+			continue
+		}
+		out, err := exec.Command(bin, append([]string{"-table", name}, args...)...).CombinedOutput()
+		if err != nil || !strings.HasPrefix(string(out), "=== ") {
+			t.Errorf("experiments -table %s %v: %v\n%s", name, args, err, out)
+		}
+	}
+}
+
+// submatches returns the sorted first submatches of re in text.
+func submatches(re string, text []byte) []string {
+	var out []string
+	for _, m := range regexp.MustCompile(re).FindAllSubmatch(text, -1) {
+		out = append(out, string(m[1]))
+	}
+	slices.Sort(out)
+	return out
 }
