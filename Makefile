@@ -43,7 +43,8 @@ race:
 
 # faults runs the query-lifecycle hardening suite under the race
 # detector: the fault-injection scenario sweep (every operator hung,
-# errored and delayed), the executor's budget/cancellation tests (a
+# errored and delayed, and a sort aborted while draining its input),
+# the executor's budget/cancellation tests (a
 # panicking exchange worker, a merge join whose right input panics in
 # Open, and the meter's error order, Limit look-ahead and per-wrapper
 # poll bound among them) and the serving
@@ -53,9 +54,9 @@ race:
 # regression is named, not buried.
 faults:
 	$(GO) test -race ./internal/faultinject/ \
-		-run 'TestScenariosAcrossOperators|TestFault|TestHang|TestDelay|TestTracker|TestMatches|TestExtSortMidSpillAbort'
+		-run 'TestScenariosAcrossOperators|TestFault|TestHang|TestDelay|TestTracker|TestMatches|TestSortMidDrainAbort'
 	$(GO) test -race ./internal/exec/ \
-		-run 'TestAccountant|TestBudget|TestMergeJoinGroupRelease|TestMergeJoinOpenPanicClosesLeft|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestLiveColumnsExchange|TestExtSort|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestMeterErrorOrder|TestMeterLimitLookAhead|TestMeterCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryBuildTable|TestResidentBuildFallback'
+		-run 'TestAccountant|TestBudget|TestMergeJoinGroupRelease|TestMergeJoinOpenPanicClosesLeft|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestLiveColumnsExchange|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestMeterErrorOrder|TestMeterLimitLookAhead|TestMeterCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryBuildTable|TestResidentBuildFallback'
 	$(GO) test -race ./internal/server/ \
 		-run 'TestExecuteTimeout|TestExecuteDefaultTimeout|TestTimeoutClamp|TestExecuteBudget|TestGlobalMemBudget|TestExecuteClientCancel|TestDrainAndWait|TestClientRetry|TestRetryBackoff|TestExecuteStreamClientDisconnect|TestExecuteStreamFirstRowBeforeMaterialization|TestStreamNoRetryMidStream|TestStreamTrailerAbortNotRetried|TestEvictVsExecute|TestMemoryAdmission|TestHandlerPanicRecovered'
 	$(GO) test -race ./internal/experiments/ -run 'TestAbort'
@@ -118,8 +119,7 @@ bench:
 
 # bench-smoke compiles and runs every Benchmark* function once (no
 # timing) so the paper-table and execution microbenchmarks cannot rot;
-# CI runs it on every push. -short skips the million-row tpcr-xl tier
-# of BenchmarkExecSpill (generating it is not smoke).
+# CI runs it on every push.
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 

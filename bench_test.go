@@ -888,74 +888,6 @@ func BenchmarkExecTopK(b *testing.B) {
 	})
 }
 
-// BenchmarkExecSpill measures the external-sort contrast
-// (experiments -table spill): the order-flow query planned sort-free
-// and order-obliviously under a spill budget, where only the oblivious
-// plan's top sort goes to disk.
-// The million-row tpcr-xl tier stays out of the default registry; this
-// benchmark resolves it directly.
-func BenchmarkExecSpill(b *testing.B) {
-	reg := exec.TPCRRegistry()
-	dataset := func(name string) *exec.Dataset {
-		if ds, ok := reg.Get(name); ok {
-			return ds
-		}
-		return exec.TPCRXL()
-	}
-	datasets := []string{"tpcr-large", "tpcr-xl"}
-	if testing.Short() {
-		// Smoke runs skip the million-row tier: generating it costs
-		// seconds, and the registry datasets exercise the same paths.
-		datasets = datasets[:1]
-	}
-	variants := experiments.ExecVariants()
-	for _, dsName := range datasets {
-		ds := dataset(dsName)
-		for _, v := range []experiments.ExecVariant{variants[0], variants[2]} {
-			b.Run(fmt.Sprintf("orders/%s/%s", dsName, v.Name), func(b *testing.B) {
-				_, g, err := tpcr.OrderStreamGraph()
-				if err != nil {
-					b.Fatal(err)
-				}
-				ds.ApplyStats(g)
-				a, err := query.Analyze(g, v.Analyze)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := optimizer.Optimize(a, v.Config)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runner := ds.Runner(a)
-				runner.DisableTiming = true
-				runner.SpillBytes = 256 << 10
-				var spillRuns, spillBytes int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					p, err := runner.Compile(res.Best)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					if _, err := p.Execute(); err != nil {
-						b.Fatal(err)
-					}
-					spillRuns, spillBytes = p.SpillStats()
-				}
-				if v.Name == "dfsm" && spillRuns != 0 {
-					b.Fatalf("sort-free plan spilled %d runs", spillRuns)
-				}
-				if v.Name == "oblivious" && spillRuns == 0 {
-					b.Fatal("oblivious plan's sort never spilled under a 256 KiB budget")
-				}
-				b.ReportMetric(float64(spillRuns), "spill-runs/op")
-				b.ReportMetric(float64(spillBytes), "spill-bytes/op")
-			})
-		}
-	}
-}
-
 // BenchmarkNaiveClosure contrasts the naive explicit-set representation
 // (§2's "intuitive approach") against the DFSM: the cost of one closure
 // recomputation vs one table lookup.

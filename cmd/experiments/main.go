@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's evaluation tables — §6.2
 // (prep), §7 (q8), Figures 13 and 14 (fig13, fig14) — and the runtime
-// comparisons built on them (enum, large, exec, topk, spill, abort),
+// comparisons built on them (enum, large, exec, topk, abort),
 // one registered table at a time; -h lists them:
 //
 //	experiments                        # -table all: prep, q8, fig13, fig14
@@ -87,10 +87,6 @@ var tables = []table{
 		rows, err := experiments.Topk(experiments.TopkSpec{Datasets: o.datasets, Runs: o.runs})
 		return experiments.FormatTopk(rows), err
 	}},
-	{"spill", "External-sort contrast: sort-free dfsm vs oblivious under a spill budget", func(o *options) (string, error) {
-		rows, err := experiments.Spill(experiments.SpillSpec{Datasets: o.datasets, Runs: o.runs})
-		return experiments.FormatSpill(rows), err
-	}},
 	{"abort", "Saturation/abort: healthy planning QPS while faulted pipelines hang and time out", func(o *options) (string, error) {
 		rows, err := experiments.Abort(experiments.AbortSpec{Duration: o.duration})
 		return experiments.FormatAbort(rows), err
@@ -127,8 +123,8 @@ func main() {
 	flag.IntVar(&o.seeds, "seeds", 0, "queries averaged per configuration (fig13, fig14, enum, large)")
 	flag.Func("shapes", "join-graph shapes: chain, star, cycle, clique, grid (enum, large)", parseList(&o.shapes, querygen.ParseShape))
 	flag.Func("enumerator", "join enumeration of the sweep: dpccp or naive (fig13, fig14)", parseEnumerator(&o.enumerator))
-	flag.IntVar(&o.runs, "runs", 0, "timed executions per measurement, minimum reported (exec, topk, spill)")
-	flag.Func("datasets", "TPC-R datasets: tpcr-small, tpcr-mid, tpcr-large, tpcr-xl (exec, topk, spill)", parseList(&o.datasets, func(s string) (string, error) { return s, nil }))
+	flag.IntVar(&o.runs, "runs", 0, "timed executions per measurement, minimum reported (exec, topk)")
+	flag.Func("datasets", "TPC-R datasets: tpcr-small, tpcr-mid, tpcr-large (exec, topk)", parseList(&o.datasets, func(s string) (string, error) { return s, nil }))
 	flag.DurationVar(&o.duration, "duration", 0, "per-phase duration (abort)")
 	flag.Usage = func() {
 		w := flag.CommandLine.Output()

@@ -4,7 +4,7 @@
 //
 //	planserverd                      # listen on :7432
 //	planserverd -addr :8080 -max-inflight 128
-//	planserverd -no-plan-cache       # every request re-runs the DP
+//	planserverd -plan-cache -1       # every request re-runs the DP
 //	planserverd -no-exec             # planning only, no /execute
 //	planserverd -timeout 2s -mem-budget 268435456
 //	                                 # 2s default deadline, 256 MiB global memory budget

@@ -388,10 +388,8 @@ func buildTPCRDataset(name string, spec tpcr.GenSpec) *Dataset {
 // consistent synthetic databases (every foreign key resolves) at
 // increasing generator sizes, with all schema indexes presorted,
 // loaded eagerly and pinned for the registry's lifetime. The default
-// (first) dataset is the small one. The million-row tpcr-xl tier is
-// deliberately not registered here — tier-1 tests iterate this
-// registry, and generating it takes seconds (see TPCRXL). Serving
-// processes that want bounded memory should prefer TPCRLazyRegistry.
+// (first) dataset is the small one. Serving processes that want
+// bounded memory should prefer TPCRLazyRegistry.
 func TPCRRegistry() *Registry {
 	reg := NewRegistry()
 	for _, size := range tpcrSizes {
@@ -413,29 +411,6 @@ func TPCRLazyRegistry() *Registry {
 			func() (*Dataset, error) { return buildTPCRDataset(size.name, size.spec), nil })
 	}
 	return reg
-}
-
-var (
-	tpcrXLOnce sync.Once
-	tpcrXL     *Dataset
-)
-
-// TPCRXL builds (once; generation and index presorting take seconds at
-// this scale) and returns the tpcr-xl dataset: ≥1M lineitems, the
-// scale where sorts no longer fit in memory and spill (see
-// tpcr.XLGenSpec). Benchmarks and experiments opt into it explicitly;
-// it is excluded from TPCRRegistry so the default test registry stays
-// fast.
-func TPCRXL() *Dataset {
-	tpcrXLOnce.Do(func() {
-		spec := tpcr.XLGenSpec()
-		d := NewDataset("tpcr-xl",
-			fmt.Sprintf("synthetic TPC-R: %d orders, %d lineitems", spec.Orders, spec.LineItems),
-			tpcr.Generate(spec))
-		d.BuildIndexes(tpcr.Schema())
-		tpcrXL = d
-	})
-	return tpcrXL
 }
 
 // QuerygenDataset generates seeded synthetic data for a querygen

@@ -241,8 +241,7 @@ func compareByKeys(a, b Row, keys []int) int {
 }
 
 // sortRows stably sorts rows ascending on the key columns, in place: the
-// one sort kernel behind Sort, ExtSort's runs and the dataset's index
-// views. It sorts 16-byte (first key, position) references rather than
+// one sort kernel behind Sort and the dataset's index views. It sorts 16-byte (first key, position) references rather than
 // the rows — most comparisons are decided by the first key without
 // touching a row — with the position as the last tie-break, which makes
 // the unstable pdqsort stable; the rows are then permuted along the

@@ -255,6 +255,7 @@ func TestMergeJoinOpenPanicClosesLeft(t *testing.T) {
 		"MergeJoin":      func(in Iterator) Iterator { return &MergeJoin{Left: in, Right: NewScan(rows)} },
 		"GroupHash":      func(in Iterator) Iterator { return &GroupHash{In: in, Keys: []int{0}} },
 		"GroupSorted":    func(in Iterator) Iterator { return &GroupSorted{In: in, Keys: []int{0}} },
+		"Sort":           func(in Iterator) Iterator { return &Sort{In: in, Keys: []int{0}} },
 	}
 	for name, wrap := range above {
 		for _, panics := range []bool{true, false} {

@@ -51,13 +51,6 @@ type Runner struct {
 	// in a compiled plan below what the optimizer planned — the
 	// per-request maxDOP clamp of the serving layer.
 	MaxDOP int
-	// SpillBytes, when > 0, compiles every Sort as a spilling external
-	// sort (see ExtSort): in-memory runs are bounded by this many bytes
-	// (and by the query budget), spilled to disk and k-way merged.
-	SpillBytes int64
-	// SpillDir is where external sorts place their run files ("" means
-	// the OS temp directory).
-	SpillDir string
 
 	equiv map[query.ColumnRef]int // lazily built column equivalence classes
 
@@ -126,11 +119,6 @@ type OpStats struct {
 	// join adopted the dataset-resident build table over the relation
 	// (Dataset.buildTable), and Rows is that table's size.
 	Resident bool `json:"resident,omitempty"`
-	// SpillRuns/SpilledBytes report an external sort's disk activity:
-	// how many sorted runs it flushed and their total size (0 when the
-	// sort stayed in memory or the operator isn't a sort).
-	SpillRuns    int64 `json:"spillRuns,omitempty"`
-	SpilledBytes int64 `json:"spilledBytes,omitempty"`
 }
 
 // Pipeline is a compiled plan: the operator tree plus its output schema
@@ -183,17 +171,6 @@ func (p *Pipeline) RowsSorted() int64 {
 		}
 	}
 	return n
-}
-
-// SpillStats sums the external sorts' disk activity across the
-// pipeline: spilled runs and spilled bytes (0/0 when every sort stayed
-// in memory).
-func (p *Pipeline) SpillStats() (runs, bytes int64) {
-	for _, op := range p.Ops {
-		runs += op.SpillRuns
-		bytes += op.SpilledBytes
-	}
-	return runs, bytes
 }
 
 // The meter's two regimes. An operator's first meterWarmCalls Next calls
@@ -547,11 +524,6 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols) (Iterator, []qu
 			return nil, nil, err
 		}
 		st.Detail = detail
-		if r.SpillBytes > 0 {
-			es := &ExtSort{In: in, Keys: keys, Life: p.Life,
-				MaxRunBytes: r.SpillBytes, Dir: r.SpillDir, St: st}
-			return r.wrap(es, st, p), schema, nil
-		}
 		return r.wrap(&Sort{In: in, Keys: keys, Life: p.Life}, st, p), schema, nil
 
 	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:

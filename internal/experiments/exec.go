@@ -59,44 +59,37 @@ func ExecVariants() []ExecVariant {
 	}
 }
 
-// dfsmVsOblivious is the two-sided contrast of the topk and spill
-// tables: the full order framework against the order-oblivious baseline
-// (no merge joins, no index orders — the plan must sort at the top).
+// dfsmVsOblivious is the two-sided contrast of the topk table: the full
+// order framework against the order-oblivious baseline (no merge joins,
+// no index orders — the plan must sort at the top).
 func dfsmVsOblivious() []ExecVariant {
 	all := ExecVariants()
 	return []ExecVariant{all[0], all[2]}
 }
 
-// dataset resolves a dataset name: reg (a TPC-R registry, which loads
-// only the tiers asked for) first, then the million-row tpcr-xl tier,
-// which stays out of the registry so tier-1 tests don't pay its
-// generation time.
+// dataset resolves a dataset name in reg (a TPC-R registry, which loads
+// only the tiers asked for).
 func dataset(reg *exec.Registry, name string) (*exec.Dataset, error) {
 	if ds, ok := reg.Get(name); ok {
 		return ds, nil
 	}
-	if name == "tpcr-xl" {
-		return exec.TPCRXL(), nil
-	}
-	return nil, fmt.Errorf("experiments: unknown TPC-R dataset %q (have %v and tpcr-xl)", name, reg.Names())
+	return nil, fmt.Errorf("experiments: unknown TPC-R dataset %q (have %v)", name, reg.Names())
 }
 
 // measurement is one variant's run of a graph over a dataset: what the
 // chosen plan is made of, its fastest execution and its first
 // execution's output.
 type measurement struct {
-	planTime, execTime   time.Duration
-	ops                  map[plan.Op]int
-	rows                 []exec.Row
-	schema               []query.ColumnRef
-	rowsSorted           int64
-	spillRuns, spillSize int64
+	planTime, execTime time.Duration
+	ops                map[plan.Op]int
+	rows               []exec.Row
+	schema             []query.ColumnRef
+	rowsSorted         int64
 }
 
 // measure plans g under v and executes the plan runs times over ds with
-// operator clocks off, keeping the minimum time. spillBytes > 0
-// compiles every Sort as an external sort under that budget.
-func measure(g *query.Graph, ds *exec.Dataset, v ExecVariant, runs int, spillBytes int64) (measurement, error) {
+// operator clocks off, keeping the minimum time.
+func measure(g *query.Graph, ds *exec.Dataset, v ExecVariant, runs int) (measurement, error) {
 	a, err := query.Analyze(g, v.Analyze)
 	if err != nil {
 		return measurement{}, err
@@ -108,7 +101,6 @@ func measure(g *query.Graph, ds *exec.Dataset, v ExecVariant, runs int, spillByt
 	m := measurement{planTime: res.PrepTime + res.PlanTime, ops: res.Best.Ops()}
 	runner := ds.Runner(a)
 	runner.DisableTiming = true // measure the pipeline, not the meter
-	runner.SpillBytes = spillBytes
 	for i := 0; i < max(runs, 1); i++ {
 		p, err := runner.Compile(res.Best)
 		if err != nil {
@@ -122,7 +114,6 @@ func measure(g *query.Graph, ds *exec.Dataset, v ExecVariant, runs int, spillByt
 		}
 		if i == 0 {
 			m.rows, m.schema, m.rowsSorted = out, p.Schema, p.RowsSorted()
-			m.spillRuns, m.spillSize = p.SpillStats()
 		}
 		if i == 0 || elapsed < m.execTime {
 			m.execTime = elapsed
@@ -322,7 +313,7 @@ func Exec(spec ExecSpec) ([]ExecRow, error) {
 // verification (exec.ChecksumRows, the conformance corpus' notion of
 // "identical result").
 func execOne(w ExecWorkload, v ExecVariant, runs int) (ExecRow, int64, error) {
-	m, err := measure(w.Graph, w.Dataset, v, runs, 0)
+	m, err := measure(w.Graph, w.Dataset, v, runs)
 	if err != nil {
 		return ExecRow{}, 0, err
 	}

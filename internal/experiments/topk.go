@@ -110,7 +110,7 @@ func topkOne(ds *exec.Dataset, k int, v ExecVariant, runs int) (TopkRow, []int64
 	}
 	g.Limit, g.HasLimit = k, true
 	ds.ApplyStats(g)
-	m, err := measure(g, ds, v, runs, 0)
+	m, err := measure(g, ds, v, runs)
 	if err != nil {
 		return TopkRow{}, nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,11 +15,11 @@ import (
 	"orderopt/internal/tpcr"
 )
 
-// spillRunner plans the order-stream query order-obliviously (hash
-// joins only, no index orders), so the plan carries a top Sort, and
-// returns a runner that compiles that Sort as a spilling external sort
-// with a tiny run bound — a handful of rows per run — into dir.
-func spillRunner(t *testing.T, dir string) (*exec.Runner, *optimizer.Result) {
+// sortRunner plans the order-stream query order-obliviously (hash joins
+// only, no index orders), so the plan carries a top Sort that drains the
+// whole join stream in its Open, and returns a runner charging a shared
+// tracking-only accountant.
+func sortRunner(t *testing.T) (*exec.Runner, *optimizer.Result) {
 	t.Helper()
 	reg := exec.TPCRRegistry()
 	ds, ok := reg.Get("tpcr-small")
@@ -43,17 +42,21 @@ func spillRunner(t *testing.T, dir string) (*exec.Runner, *optimizer.Result) {
 		t.Fatal(err)
 	}
 	r := ds.Runner(a)
-	r.SpillBytes, r.SpillDir = 256, dir
+	r.Accountant = exec.NewAccountant(0)
 	return r, res
 }
 
-func spillFiles(t *testing.T, dir string) int {
+// emitted returns the rows the first operator named op whose detail
+// mentions detail emitted.
+func emitted(t *testing.T, p *exec.Pipeline, op, detail string) int64 {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "extsort-*.run"))
-	if err != nil {
-		t.Fatal(err)
+	for _, st := range p.Ops {
+		if st.Op == op && strings.Contains(st.Detail, detail) {
+			return st.Rows
+		}
 	}
-	return len(names)
+	t.Fatalf("no %s operator on %q in the pipeline", op, detail)
+	return 0
 }
 
 // panicAt panics at its at-th row: an operator bug striking inside the
@@ -72,18 +75,38 @@ func (p *panicAt) Next() (exec.Row, bool, error) {
 
 var errPanicked = errors.New("pipeline panicked")
 
-// TestExtSortMidSpillAbort aborts a query while its external sort has
-// runs on disk — once by an injected mid-stream error in the join
+// usedGrowth records how far the shared accountant's reading grew
+// while rows were pulled through it. Wrapping the sort's input, growth
+// past the first pull (the joins' build tables are charged by then) is
+// what the sort held before the abort, so the accountant returning to 0
+// means the sort released it.
+type usedGrowth struct {
+	exec.Iterator
+	acct        *exec.Accountant
+	first, peak int64
+	pulled      bool
+}
+
+func (u *usedGrowth) Next() (exec.Row, bool, error) {
+	n := u.acct.Used()
+	if !u.pulled {
+		u.first, u.pulled = n, true
+	}
+	u.peak = max(u.peak, n)
+	return u.Iterator.Next()
+}
+
+// TestSortMidDrainAbort aborts a query while its Sort is draining its
+// input inside Open — once by an injected mid-stream error in the join
 // feeding the sort, once by cancelling the context while that join
 // hangs, once by a panic in that join unwinding through the sort's Open.
 // Either way the abort must propagate, every opened operator must be
-// closed again (Tracker), and the spill directory must drain.
-func TestExtSortMidSpillAbort(t *testing.T) {
-	// A clean run establishes that the plan spills at this run bound and
-	// how many rows the sort's feeding join emits, so the fault can be
-	// pinned mid-drain.
-	dir := t.TempDir()
-	r, res := spillRunner(t, dir)
+// closed again (Tracker), and every byte the sort held must be released:
+// the pipeline's Life and the shared Accountant both return to 0.
+func TestSortMidDrainAbort(t *testing.T) {
+	// A clean run establishes how many rows the sort's feeding join
+	// emits, so the fault can be pinned mid-drain.
+	r, res := sortRunner(t)
 	p, err := r.Compile(res.Best)
 	if err != nil {
 		t.Fatal(err)
@@ -91,24 +114,16 @@ func TestExtSortMidSpillAbort(t *testing.T) {
 	if _, err := p.Execute(); err != nil {
 		t.Fatal(err)
 	}
-	if runs, _ := p.SpillStats(); runs < 2 {
-		t.Fatalf("clean run spilled %d runs, want several at a 256-byte bound", runs)
-	}
 	// Two hash joins sit under the sort; the lower one drains during the
 	// upper's build, before the sort sees a single row. Pin the fault to
 	// the join directly feeding the sort — the one touching lineitem.
 	const target = "HashJoin:lineitem"
-	var joinRows int64
-	for _, st := range p.Ops {
-		if st.Op == "HashJoin" && strings.Contains(st.Detail, "lineitem") {
-			joinRows = st.Rows
-		}
-	}
+	joinRows := emitted(t, p, "HashJoin", "lineitem")
 	if joinRows < 16 {
 		t.Fatalf("join feeding the sort emitted %d rows, too few to fault mid-stream", joinRows)
 	}
-	if n := spillFiles(t, dir); n != 0 {
-		t.Fatalf("%d spill files left after clean run", n)
+	if sorted := emitted(t, p, "Sort", ""); sorted != joinRows {
+		t.Fatalf("clean run sorted %d rows, want the join's %d", sorted, joinRows)
 	}
 	at := joinRows / 2
 
@@ -162,14 +177,21 @@ func TestExtSortMidSpillAbort(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			r, res := spillRunner(t, dir)
+			r, res := sortRunner(t)
 			tracker := &faultinject.Tracker{}
 			hook := tc.hook
 			if hook == nil {
 				hook = faultinject.Hook(target, tc.fault)
 			}
-			r.Hook = faultinject.Compose(tracker.Hook(), hook)
+			growth := &usedGrowth{acct: r.Accountant}
+			r.Hook = faultinject.Compose(tracker.Hook(), hook,
+				func(op, detail string, it exec.Iterator, _ *exec.Life) exec.Iterator {
+					if !faultinject.Matches(target, op, detail) {
+						return it
+					}
+					growth.Iterator = it
+					return growth
+				})
 			p, err := r.Compile(res.Best)
 			if err != nil {
 				t.Fatal(err)
@@ -178,9 +200,13 @@ func TestExtSortMidSpillAbort(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}
-			// The abort struck mid-drain: runs were already on disk.
-			if runs, _ := p.SpillStats(); runs == 0 {
-				t.Fatal("fault fired before any run spilled — not a mid-spill abort")
+			// The abort struck mid-drain: the sort held consumed join rows
+			// but never finished its Open.
+			if growth.peak <= growth.first {
+				t.Fatal("fault fired before the sort held a row — not a mid-drain abort")
+			}
+			if n := emitted(t, p, "Sort", ""); n != 0 {
+				t.Fatalf("sort emitted %d rows, want 0 after an abort inside its Open", n)
 			}
 			if tracker.Opened() == 0 {
 				t.Fatal("tracker saw no opens")
@@ -188,8 +214,11 @@ func TestExtSortMidSpillAbort(t *testing.T) {
 			if n := tracker.Leaked(); n != 0 {
 				t.Fatalf("%d operators leaked after abort", n)
 			}
-			if n := spillFiles(t, dir); n != 0 {
-				t.Fatalf("%d spill files left after abort", n)
+			if n := p.Life.HeldBytes(); n != 0 {
+				t.Fatalf("pipeline still holds %d bytes after abort", n)
+			}
+			if n := r.Accountant.Used(); n != 0 {
+				t.Fatalf("shared accountant still holds %d bytes after abort", n)
 			}
 		})
 	}

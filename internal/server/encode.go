@@ -224,8 +224,6 @@ func (w *jsonWriter) operators(ops []exec.OpStats) {
 		w.optInt("dop", int64(op.DOP))
 		w.optBool("limited", op.Limited)
 		w.optBool("resident", op.Resident)
-		w.optInt("spillRuns", op.SpillRuns)
-		w.optInt("spilledBytes", op.SpilledBytes)
 		w.close('}')
 	}
 	w.close(']')

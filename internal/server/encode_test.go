@@ -261,8 +261,7 @@ func FuzzWriterMatchesEncodingJSON(f *testing.F) {
 			}
 			tree = node
 		}
-		ops := []exec.OpStats{{Op: s, Detail: s, EstRows: fl, Rows: n, TimeNs: -n, DOP: int(int32(n)), Limited: n%2 == 0, Resident: n%3 == 0,
-			SpillRuns: n, SpilledBytes: n}}
+		ops := []exec.OpStats{{Op: s, Detail: s, EstRows: fl, Rows: n, TimeNs: -n, DOP: int(int32(n)), Limited: n%2 == 0, Resident: n%3 == 0}}
 		rows := [][]int64{{n, -n, 0}, {}, {int64(depth)}}
 		checkWriter(t, "ExecuteResponse", &ExecuteResponse{SQL: s, Dataset: s, Source: s, Strategy: s, Cost: fl, Plan: tree,
 			Columns: []string{s, "c"}, RowCount: n, Rows: rows, Truncated: n < 0, RowsSorted: n, PlanNs: n, ExecNs: n, Operators: ops})

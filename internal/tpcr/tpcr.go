@@ -288,15 +288,6 @@ func (s GenSpec) Scale(f float64) GenSpec {
 	return s
 }
 
-// XLGenSpec is the tpcr-xl generator spec: one million lineitems, the
-// scale where cache behavior and spilling make the sort-vs-avoid
-// trade-off dramatic rather than microbenchmark-sized. Generating and
-// index-presorting it takes seconds, so it stays out of the default
-// test registry (exec.TPCRRegistry) and is built on demand.
-func XLGenSpec() GenSpec {
-	return GenSpec{Parts: 20000, Suppliers: 2000, Customers: 50000, Orders: 150000, LineItems: 1000000, Seed: 4}
-}
-
 // Data holds generated rows keyed by table name; each row is a slice of
 // int64 values aligned with the schema's column order (strings are
 // dictionary-coded small integers, dates are days).

@@ -50,7 +50,8 @@ func TestExamplesAndCLIsRun(t *testing.T) {
 
 // TestPlanserverdFlagSurface pins the daemon's option surface: the flag
 // names `planserverd -h` prints must equal the flag table in
-// docs/api.md, and the four evaluation-device flags that left the
+// docs/api.md, every flag the package comment's usage block shows must
+// be one of them, and the four evaluation-device flags that left the
 // serving binary must be rejected. A new knob fails here instead of
 // drifting past the docs.
 func TestPlanserverdFlagSurface(t *testing.T) {
@@ -74,6 +75,7 @@ func TestPlanserverdFlagSurface(t *testing.T) {
 	if len(got) == 0 || !slices.Equal(got, want) {
 		t.Errorf("planserverd -h flags and the docs/api.md flag table differ:\n  -h:   %v\n  docs: %v", got, want)
 	}
+	checkUsageFlags(t, "planserverd", got)
 
 	for _, gone := range []string{"mode", "enumerator", "strategy", "eager-datasets"} {
 		// -h after the probed flag: were the flag ever defined again,
@@ -88,9 +90,11 @@ func TestPlanserverdFlagSurface(t *testing.T) {
 // TestExperimentsFlagSurface pins cmd/experiments the way
 // TestPlanserverdFlagSurface pins the daemon: the flag names
 // `experiments -h` prints must equal the flag table in
-// docs/benchmarks.md, the per-table flags the nine shared ones replaced
-// must be rejected, and every table -h lists runs once at its smallest
-// size, so no registry entry can rot.
+// docs/benchmarks.md and cover the package comment's usage block, the
+// per-table flags the nine shared ones replaced, the deleted spill table
+// and the deleted million-row dataset tier must be rejected, and every
+// table -h lists runs once at its smallest size, so no registry entry
+// can rot.
 func TestExperimentsFlagSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping the experiments build in -short mode")
@@ -112,6 +116,7 @@ func TestExperimentsFlagSurface(t *testing.T) {
 	if len(got) != 9 || !slices.Equal(got, want) {
 		t.Errorf("experiments -h flags and the docs/benchmarks.md flag table differ (want 9):\n  -h:   %v\n  docs: %v", got, want)
 	}
+	checkUsageFlags(t, "experiments", got)
 
 	for _, gone := range []string{
 		"tested-selections", "enum-shapes", "enum-sizes", "enum-seeds",
@@ -125,8 +130,15 @@ func TestExperimentsFlagSurface(t *testing.T) {
 			t.Errorf("experiments -%s was not rejected (err %v):\n%s", gone, err, out)
 		}
 	}
-	if out, err := exec.Command(bin, "-table", "nope").CombinedOutput(); err == nil || !strings.Contains(string(out), "prep, q8") {
-		t.Errorf("unknown table not rejected with the table list (err %v):\n%s", err, out)
+	for _, name := range []string{"nope", "spill"} {
+		if out, err := exec.Command(bin, "-table", name).CombinedOutput(); err == nil || !strings.Contains(string(out), "prep, q8") {
+			t.Errorf("-table %s not rejected with the table list (err %v):\n%s", name, err, out)
+		}
+	}
+	xl := "tpcr-" + "xl" // the deleted million-row tier
+	if out, err := exec.Command(bin, "-table", "exec", "-datasets", xl, "-runs", "1").CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), xl) || !strings.Contains(string(out), "tpcr-small tpcr-mid tpcr-large") {
+		t.Errorf("-datasets %s not rejected with the known datasets (err %v):\n%s", xl, err, out)
 	}
 
 	smallest := map[string][]string{
@@ -138,7 +150,6 @@ func TestExperimentsFlagSurface(t *testing.T) {
 		"large": {"-sizes", "8", "-seeds", "1", "-shapes", "chain,clique"},
 		"exec":  {"-runs", "1", "-datasets", "tpcr-small"},
 		"topk":  {"-runs", "1", "-datasets", "tpcr-small"},
-		"spill": {"-runs", "1", "-datasets", "tpcr-mid"},
 		"abort": {"-duration", "200ms"},
 	}
 	tables := submatches(`(?m)^  ([a-z0-9]+) `, help)
@@ -157,6 +168,33 @@ func TestExperimentsFlagSurface(t *testing.T) {
 		out, err := exec.Command(bin, append([]string{"-table", name}, args...)...).CombinedOutput()
 		if err != nil || !strings.HasPrefix(string(out), "=== ") {
 			t.Errorf("experiments -table %s %v: %v\n%s", name, args, err, out)
+		}
+	}
+}
+
+// checkUsageFlags fails t unless every flag the usage block of
+// cmd/<cmd>/main.go's package comment passes to cmd (its "//\t<cmd> ..."
+// lines, up to a trailing # comment) is one of the flags -h printed.
+func checkUsageFlags(t *testing.T, cmd string, printed []string) {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("cmd", cmd, "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	var used []string
+	for _, line := range regexp.MustCompile(`(?m)^//\t`+cmd+`\b(.*)$`).FindAllStringSubmatch(doc, -1) {
+		args, _, _ := strings.Cut(line[1], "#")
+		for _, m := range regexp.MustCompile(`(?:^|\s)-([a-z][a-z-]*)`).FindAllStringSubmatch(args, -1) {
+			used = append(used, m[1])
+		}
+	}
+	if len(used) == 0 {
+		t.Fatalf("cmd/%s/main.go: no flags found in the package comment's usage block", cmd)
+	}
+	for _, f := range used {
+		if !slices.Contains(printed, f) {
+			t.Errorf("cmd/%s/main.go usage block shows -%s, which %s -h does not print", cmd, f, cmd)
 		}
 	}
 }
