@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation, one per table/figure:
 //
-//	BenchmarkContains / BenchmarkInfer / BenchmarkProduce
+//	BenchmarkContains / BenchmarkInfer / BenchmarkSubsetOf / BenchmarkProduce
 //	    — the O(1) claims for the hot ADT operations (§5.6), with the
 //	      Ω(n) Simmen baseline alongside for contrast.
 //	BenchmarkPrepQ8
@@ -93,6 +93,25 @@ func BenchmarkInfer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sink = int32(fw.Infer(s, a.EdgeFD[i%len(a.EdgeFD)]))
 	}
+}
+
+// BenchmarkSubsetOf measures the dominance test the DP runs on every
+// plan it offers to a non-empty plan list — its most frequent order
+// operation. The pairs walk a chain of states one edge FD apart.
+func BenchmarkSubsetOf(b *testing.B) {
+	a, fw := q8Framework(b)
+	states := []orderopt.State{fw.Produce(a.EdgeOrders[0][0][0])}
+	for _, h := range a.EdgeFD {
+		states = append(states, fw.Infer(states[len(states)-1], h))
+	}
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fw.SubsetOf(states[i%len(states)], states[(i+1)%len(states)]) {
+			hits++
+		}
+	}
+	sink = int32(hits)
 }
 
 // BenchmarkProduce measures the O(1) ADT constructor.

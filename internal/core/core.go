@@ -245,15 +245,6 @@ func (f *Framework) ProduceGrouping(g order.ID) State {
 	return State(f.dfsm.ProduceGroupingState(g))
 }
 
-// Column resolves an ordering to its contains-matrix column (or -1) so
-// repeated tests can use ContainsColumn.
-func (f *Framework) Column(o order.ID) int { return f.dfsm.Column(o) }
-
-// ContainsColumn is Contains with a pre-resolved column.
-func (f *Framework) ContainsColumn(s State, col int) bool {
-	return f.dfsm.ContainsColumn(dfsm.StateID(s), col)
-}
-
 // SubsetOf reports whether every interesting order available in a is
 // also available in b — the dominance test for plan pruning.
 func (f *Framework) SubsetOf(a, b State) bool {

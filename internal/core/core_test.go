@@ -103,18 +103,26 @@ func TestSubsetOfDominance(t *testing.T) {
 	}
 }
 
+// TestColumnFastPath: Contains resolves an ordering through the dense
+// order-ID index built at Prepare; an ordering interned afterwards lies
+// past that index and is never contained.
 func TestColumnFastPath(t *testing.T) {
 	f, b := runningFramework(t, DefaultOptions())
-	col := f.Column(b.OrderingOf("a", "b", "c"))
-	if col < 0 {
-		t.Fatal("missing column for (a,b,c)")
-	}
 	s := f.Infer(f.Produce(b.OrderingOf("a", "b")), 0)
-	if !f.ContainsColumn(s, col) {
-		t.Error("ContainsColumn disagrees with Contains")
+	if !f.Contains(s, b.OrderingOf("a", "b", "c")) {
+		t.Error("(a,b,c) must be available after b→c")
 	}
-	if f.Column(b.OrderingOf("nope")) != -1 {
-		t.Error("unknown ordering must have column -1")
+	if f.Contains(f.Produce(b.OrderingOf("a", "b")), b.OrderingOf("a", "b", "c")) {
+		t.Error("(a,b,c) must not be available before b→c")
+	}
+	late := b.OrderingOf("nope")
+	if int(late) < f.Interner().Count()-1 {
+		t.Fatalf("ordering interned after Prepare has ID %d, not the newest", late)
+	}
+	for st := StartState; int(st) < f.DFSM().NumStates(); st++ {
+		if f.Contains(st, late) {
+			t.Errorf("state %d contains an ordering interned after Prepare", st)
+		}
 	}
 }
 

@@ -12,15 +12,21 @@
 // member state is the identity ("no new orderings derivable"), matching
 // the paper's Figure 10 where, e.g., produced-order columns of non-start
 // rows map to the row itself.
+//
+// Each table is one row-major slab: the transition table has nSym 4-byte
+// cells per state, the contains and subsumption matrices a fixed number
+// of 64-bit words per state. An order resolves to its contains bit
+// through a dense slice indexed by order.ID, so every hot operation is
+// one index plus one load.
 package dfsm
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
-	"orderopt/internal/bitset"
 	"orderopt/internal/nfsm"
 	"orderopt/internal/order"
 )
@@ -40,30 +46,28 @@ type Machine struct {
 	// it.
 	Sets [][]nfsm.StateID
 
-	// Trans is the total transition table: Trans[state][symbol]. Symbols
-	// are the NFSM's: FD sets first, then produced orders.
-	Trans [][]StateID
-
 	// Columns lists the interesting orders answerable by the contains
 	// matrix (interesting NFSM states, i.e. O_I and their prefixes).
 	Columns []order.ID
-	colOf   map[order.ID]int
-
 	// GroupColumns lists the interesting groupings; their bits sit after
 	// the ordering columns in the contains rows.
 	GroupColumns []order.ID
-	colOfGroup   map[order.ID]int
 
-	// contains[state] has bit i set iff Columns[i] is available in that
-	// state.
-	contains []*bitset.Set
+	// ordBit and groupBit map an ordering or grouping ID to its contains
+	// bit (-1: none). Groupings share the interner with orderings, hence
+	// two slices; IDs past either slice have no bit.
+	ordBit, groupBit []int32
 
-	// subsume[a] has bit b set iff state b dominates state a: a's
-	// available orderings are a subset of b's now and after every
-	// possible symbol sequence (the greatest simulation preorder).
-	// Plan-pruning uses this: it is the future-proof version of the
-	// row-subset test.
-	subsume []*bitset.Set
+	// trans is the total transition table, trans[s*nSym+sym]; symbols are
+	// the NFSM's (FD sets first, then produced orders). contains has words
+	// uint64s per state: bit c of row s is set iff column c is available
+	// in s. subsume has subWords per state: bit b of row a is set iff b
+	// dominates a — a's available orderings are a subset of b's now and
+	// after every possible symbol sequence (the greatest simulation
+	// preorder), the future-proof row-subset test plan pruning needs.
+	trans                 []StateID
+	contains, subsume     []uint64
+	nSym, words, subWords int
 }
 
 // Options configures the conversion.
@@ -79,29 +83,25 @@ type Options struct {
 
 // Convert runs the powerset construction on n.
 func Convert(n *nfsm.Machine, opt Options) (*Machine, error) {
-	m := &Machine{N: n, colOf: make(map[order.ID]int), colOfGroup: make(map[order.ID]int)}
+	nSym, nFD := n.NumSymbols(), n.NumFDSymbols()
+	m := &Machine{N: n, nSym: nSym}
 	for _, st := range n.InterestingStates() {
-		if st.Ord == order.EmptyID {
-			// The empty ordering is trivially satisfied everywhere and
-			// needs no matrix column (Contains special-cases it).
-			continue
-		}
-		if st.Grouping {
-			m.colOfGroup[st.Ord] = len(m.GroupColumns)
+		// The empty ordering is trivially satisfied everywhere and needs
+		// no matrix column (Contains special-cases it).
+		if st.Grouping && st.Ord != order.EmptyID {
 			m.GroupColumns = append(m.GroupColumns, st.Ord)
-			continue
+		} else if st.Ord != order.EmptyID {
+			m.Columns = append(m.Columns, st.Ord)
 		}
-		m.colOf[st.Ord] = len(m.Columns)
-		m.Columns = append(m.Columns, st.Ord)
 	}
-
-	nSym := n.NumSymbols()
-	nFD := n.NumFDSymbols()
+	m.ordBit = bitIndex(m.Columns, 0)
+	m.groupBit = bitIndex(m.GroupColumns, len(m.Columns))
+	m.words = (len(m.Columns) + len(m.GroupColumns) + 63) / 64
 
 	// A state set is keyed by its raw little-endian bytes, built in one
 	// reused buffer: the index[string(kb)] lookup does not allocate, so
 	// only a set seen for the first time costs anything (its key, its
-	// Sets copy, its Trans row).
+	// Sets copy, its transition row).
 	var kb []byte
 	index := make(map[string]StateID)
 	add := func(set []nfsm.StateID) StateID {
@@ -115,7 +115,7 @@ func Convert(n *nfsm.Machine, opt Options) (*Machine, error) {
 		id := StateID(len(m.Sets))
 		index[string(kb)] = id
 		m.Sets = append(m.Sets, slices.Clone(set))
-		m.Trans = append(m.Trans, make([]StateID, nSym))
+		m.trans = append(m.trans, make([]StateID, nSym)...)
 		return id
 	}
 
@@ -149,7 +149,9 @@ func Convert(n *nfsm.Machine, opt Options) (*Machine, error) {
 			} else {
 				next = append(next, set...)
 			}
-			m.Trans[cur][sym] = add(eps.close(next))
+			// add may grow the slab: resolve the target before indexing.
+			to := add(eps.close(next))
+			m.trans[int(cur)*nSym+sym] = to
 		}
 	}
 
@@ -189,26 +191,45 @@ func (c *epsCloser) close(set []nfsm.StateID) []nfsm.StateID {
 	return c.out
 }
 
+// bitIndex maps each ID in cols to base plus its position, and every
+// other ID up to the largest to -1.
+func bitIndex(cols []order.ID, base int) []int32 {
+	size := 0
+	for _, id := range cols {
+		size = max(size, int(id)+1)
+	}
+	idx := slices.Repeat([]int32{-1}, size)
+	for i, id := range cols {
+		idx[id] = int32(base + i)
+	}
+	return idx
+}
+
+// testBit and setBit address bit i of the slab row starting at word off.
+func testBit(slab []uint64, off, i int) bool { return slab[off+i>>6]&(1<<(i&63)) != 0 }
+func setBit(slab []uint64, off, i int)       { slab[off+i>>6] |= 1 << (i & 63) }
+
+// bitOf returns the contains bit idx assigns to id, or -1.
+func bitOf(idx []int32, id order.ID) int {
+	if uint(id) >= uint(len(idx)) {
+		return -1
+	}
+	return int(idx[id])
+}
+
 func (m *Machine) precomputeContains() {
-	m.contains = make([]*bitset.Set, len(m.Sets))
+	m.contains = make([]uint64, len(m.Sets)*m.words)
 	for i, set := range m.Sets {
-		row := bitset.New(len(m.Columns) + len(m.GroupColumns))
 		for _, s := range set {
 			st := m.N.States[s]
-			if st.Kind != nfsm.KindInteresting {
-				continue
-			}
+			idx := m.ordBit
 			if st.Grouping {
-				if col, ok := m.colOfGroup[st.Ord]; ok {
-					row.Add(len(m.Columns) + col)
-				}
-				continue
+				idx = m.groupBit
 			}
-			if col, ok := m.colOf[st.Ord]; ok {
-				row.Add(col)
+			if c := bitOf(idx, st.Ord); c >= 0 && st.Kind == nfsm.KindInteresting {
+				setBit(m.contains, i*m.words, c)
 			}
 		}
-		m.contains[i] = row
 	}
 }
 
@@ -218,51 +239,43 @@ func (m *Machine) precomputeContains() {
 // pruning: if a ⊑ b, then after any sequence of operators the orderings
 // available from a remain a subset of those available from b.
 func (m *Machine) precomputeSubsumption(limit int) {
-	n := len(m.Sets)
-	m.subsume = make([]*bitset.Set, n)
-	if limit > 0 && n > limit {
-		// Degenerate machine: the quadratic simulation would dominate
-		// preparation time. Identity dominance is still sound.
-		for a := 0; a < n; a++ {
-			m.subsume[a] = bitset.FromInts(a)
-		}
-		return
-	}
+	n, w := len(m.Sets), (len(m.Sets)+63)/64
+	m.subWords, m.subsume = w, make([]uint64, n*w)
+	// A degenerate machine starts from identity dominance, which is still
+	// sound and survives refinement: there the quadratic simulation would
+	// dominate preparation.
+	degenerate := limit > 0 && n > limit
 	for a := 0; a < n; a++ {
-		m.subsume[a] = bitset.New(n)
-		for b := 0; b < n; b++ {
-			if m.contains[a].SubsetOf(m.contains[b]) {
-				m.subsume[a].Add(b)
+		setBit(m.subsume, a*w, a)
+		for b := 0; b < n && !degenerate; b++ {
+			if m.RowSubsetOf(StateID(a), StateID(b)) {
+				setBit(m.subsume, a*w, b)
 			}
 		}
 	}
+	// Each round visits only the pairs still in R, the set bits of row a.
 	// Only FD symbols are quantified: produced-order symbols are
 	// constructor entry points from the start state, never transitions
 	// applied to an existing plan's state (sorts re-enter through the
 	// start state and depend only on the plan's FD mask, which is a
 	// function of the relation subset).
-	nSym := m.N.NumFDSymbols()
+	nFD := m.N.NumFDSymbols()
 	for changed := true; changed; {
 		changed = false
 		for a := 0; a < n; a++ {
-			row := m.subsume[a]
-			row.ForEach(func(b int) bool {
-				if a == b {
-					return true
-				}
-				for sym := 0; sym < nSym; sym++ {
-					na, nb := m.Trans[a][sym], m.Trans[b][sym]
-					if na == StateID(a) && nb == StateID(b) {
-						continue
-					}
-					if !m.subsume[na].Contains(int(nb)) {
-						row.Remove(b)
-						changed = true
-						return true
+			row := m.subsume[a*w : (a+1)*w]
+			for i, word := range row {
+				for ; word != 0; word &= word - 1 {
+					b := i*64 + bits.TrailingZeros64(word)
+					for sym := 0; sym < nFD; sym++ {
+						if !m.SubsetOf(m.Step(StateID(a), sym), m.Step(StateID(b), sym)) {
+							row[i] &^= 1 << (b & 63)
+							changed = true
+							break
+						}
 					}
 				}
-				return true
-			})
+			}
 		}
 	}
 }
@@ -272,61 +285,48 @@ func (m *Machine) NumStates() int { return len(m.Sets) }
 
 // Contains reports whether ordering o is available in state s: the O(1)
 // membership test of the LogicalOrderings ADT. Orderings outside the
-// contains matrix are never available; the empty ordering always is.
+// contains matrix — including any interned after Convert — are never
+// available; the empty ordering always is.
 func (m *Machine) Contains(s StateID, o order.ID) bool {
-	if o == order.EmptyID {
-		return true
-	}
-	col, ok := m.colOf[o]
-	return ok && m.contains[s].Contains(col)
+	return o == order.EmptyID || m.has(s, m.ordBit, o)
 }
-
-// Column returns the contains-matrix column of o, or -1. Plan generators
-// can cache the column for repeated tests.
-func (m *Machine) Column(o order.ID) int {
-	if c, ok := m.colOf[o]; ok {
-		return c
-	}
-	return -1
-}
-
-// ContainsColumn is Contains with a pre-resolved column index.
-func (m *Machine) ContainsColumn(s StateID, col int) bool {
-	return m.contains[s].Contains(col)
-}
-
-// Row returns the contains-matrix row of state s (do not modify).
-func (m *Machine) Row(s StateID) *bitset.Set { return m.contains[s] }
 
 // ContainsGrouping reports whether the grouping g (canonical ID from
 // order.GroupingOf) is available in state s: the stream is clustered by
 // those attributes. O(1) bit lookup.
 func (m *Machine) ContainsGrouping(s StateID, g order.ID) bool {
-	col, ok := m.colOfGroup[g]
-	return ok && m.contains[s].Contains(len(m.Columns)+col)
+	return m.has(s, m.groupBit, g)
+}
+
+// has tests the contains bit idx assigns to id in state s's row.
+func (m *Machine) has(s StateID, idx []int32, id order.ID) bool {
+	c := bitOf(idx, id)
+	return c >= 0 && testBit(m.contains, int(s)*m.words, c)
 }
 
 // ProduceGroupingState returns the state after producing grouping g
 // from scratch (e.g. the output of a hash group). Returns Start when g
 // is not a produced grouping.
 func (m *Machine) ProduceGroupingState(g order.ID) StateID {
-	if sym := m.N.ProducedGroupingSymbol(g); sym >= 0 {
-		return m.Trans[Start][sym]
-	}
-	return Start
+	return m.fromStart(m.N.ProducedGroupingSymbol(g))
 }
 
 // Step follows the transition for symbol sym: the O(1) infer operation.
-func (m *Machine) Step(s StateID, sym int) StateID { return m.Trans[s][sym] }
+func (m *Machine) Step(s StateID, sym int) StateID { return m.trans[int(s)*m.nSym+sym] }
 
 // ProduceState returns the state after producing ordering o from scratch
 // (the ADT constructor): one lookup from the start state. Returns Start
 // itself when o is not a produced interesting order.
 func (m *Machine) ProduceState(o order.ID) StateID {
-	if sym := m.N.ProducedSymbol(o); sym >= 0 {
-		return m.Trans[Start][sym]
+	return m.fromStart(m.N.ProducedSymbol(o))
+}
+
+// fromStart follows produced symbol sym from Start; -1 stays there.
+func (m *Machine) fromStart(sym int) StateID {
+	if sym < 0 {
+		return Start
 	}
-	return Start
+	return m.Step(Start, sym)
 }
 
 // SubsetOf reports whether the orderings available in state a are a
@@ -335,14 +335,19 @@ func (m *Machine) ProduceState(o order.ID) StateID {
 // generators use to prune comparable plans; it is future-proof, unlike
 // the plain row comparison (see RowSubsetOf).
 func (m *Machine) SubsetOf(a, b StateID) bool {
-	return m.subsume[a].Contains(int(b))
+	return testBit(m.subsume, int(a)*m.subWords, int(b))
 }
 
 // RowSubsetOf compares only the current contains-matrix rows. It is NOT
 // sound for plan pruning (two states with equal rows can diverge under
 // future FDs); exposed for inspection and ablation experiments.
 func (m *Machine) RowSubsetOf(a, b StateID) bool {
-	return m.contains[a].SubsetOf(m.contains[b])
+	for i, x := range m.contains[int(a)*m.words : int(a+1)*m.words] {
+		if x&^m.contains[int(b)*m.words+i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // PrecomputedBytes returns the memory consumed by the §5.5 tables: 4
@@ -350,14 +355,7 @@ func (m *Machine) RowSubsetOf(a, b StateID) bool {
 // 64-column word per state). This is the "precomputed data" figure of
 // the §6.2 experiment.
 func (m *Machine) PrecomputedBytes() int {
-	bytes := 0
-	for _, row := range m.Trans {
-		bytes += 4 * len(row)
-	}
-	for _, row := range m.contains {
-		bytes += row.Bytes()
-	}
-	return bytes
+	return 4*len(m.trans) + 8*len(m.contains)
 }
 
 // Dump renders the machine like the paper's Figures 8–10: the state
@@ -385,7 +383,7 @@ func (m *Machine) Dump() string {
 		var parts []string
 		for c, o := range m.Columns {
 			v := "0"
-			if m.contains[i].Contains(c) {
+			if testBit(m.contains, i*m.words, c) {
 				v = "1"
 			}
 			parts = append(parts, fmt.Sprintf("%s=%s", n.In.Format(n.Reg, o), v))
@@ -406,7 +404,7 @@ func (m *Machine) Dump() string {
 		}
 		var parts []string
 		for sym := 0; sym < n.NumSymbols(); sym++ {
-			t := m.Trans[i][sym]
+			t := m.Step(StateID(i), sym)
 			tn := fmt.Sprintf("%d", t)
 			if t == Start {
 				tn = "*"

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"orderopt/internal/bitset"
 	"orderopt/internal/nfsm"
 	"orderopt/internal/order"
 )
@@ -279,27 +280,36 @@ func TestSubsetOfAndRow(t *testing.T) {
 	if m.SubsetOf(s1, s2) || m.SubsetOf(s2, s1) {
 		t.Error("states 1 and 2 must be incomparable")
 	}
-	if m.Row(s3).Len() != 3 {
-		t.Errorf("Row(3) has %d bits, want 3", m.Row(s3).Len())
+	for _, o := range [][]string{{"a"}, {"a", "b"}, {"a", "b", "c"}} {
+		if !m.Contains(s3, f.ord(o...)) {
+			t.Errorf("state 3 must contain %v", o)
+		}
 	}
 }
 
+// TestColumnLookups holds Contains to the contains matrix through the
+// dense order-ID index: registered orderings answer by their bit, and
+// orderings the machine never saw — including one interned after
+// Convert, whose ID lies past the index — are unavailable without
+// panicking.
 func TestColumnLookups(t *testing.T) {
 	f := newFixture()
 	m := f.build(t, f.runningExample(), nfsm.AllPruning())
-	col := m.Column(f.ord("a", "b"))
-	if col < 0 {
-		t.Fatal("Column((a,b)) missing")
-	}
 	s2 := m.ProduceState(f.ord("a", "b"))
-	if !m.ContainsColumn(s2, col) {
-		t.Error("ContainsColumn broken")
+	if !m.Contains(s2, f.ord("a", "b")) || m.Contains(s2, f.ord("b")) {
+		t.Error("Contains disagrees with Figure 9's row 2")
 	}
-	if m.Column(f.ord("z", "q")) != -1 {
-		t.Error("unknown ordering must map to column -1")
+	late := f.ord("z", "q")
+	if int(late) < len(m.ordBit) {
+		t.Fatalf("ordering interned after Convert has ID %d inside the %d-entry index", late, len(m.ordBit))
 	}
-	if m.Contains(s2, f.ord("z", "q")) {
-		t.Error("unknown ordering can never be contained")
+	for s := StateID(0); int(s) < m.NumStates(); s++ {
+		if m.Contains(s, late) || m.ContainsGrouping(s, late) {
+			t.Errorf("state %d contains an ordering interned after Convert", s)
+		}
+	}
+	if !m.Contains(Start, order.EmptyID) {
+		t.Error("the empty ordering is available everywhere")
 	}
 }
 
@@ -410,22 +420,17 @@ func TestPruningPreservesSemantics(t *testing.T) {
 // bit. ConvertReference and DiffMachines hand both to the external
 // oracle test, which can import the query packages this one cannot.
 func convertReference(n *nfsm.Machine, opt Options) (*Machine, error) {
-	m := &Machine{N: n, colOf: make(map[order.ID]int), colOfGroup: make(map[order.ID]int)}
+	nSym, nFD := n.NumSymbols(), n.NumFDSymbols()
+	m := &Machine{N: n, nSym: nSym}
 	for _, st := range n.InterestingStates() {
-		if st.Ord == order.EmptyID {
-			continue
-		}
-		if st.Grouping {
-			m.colOfGroup[st.Ord] = len(m.GroupColumns)
+		switch {
+		case st.Ord == order.EmptyID:
+		case st.Grouping:
 			m.GroupColumns = append(m.GroupColumns, st.Ord)
-			continue
+		default:
+			m.Columns = append(m.Columns, st.Ord)
 		}
-		m.colOf[st.Ord] = len(m.Columns)
-		m.Columns = append(m.Columns, st.Ord)
 	}
-
-	nSym := n.NumSymbols()
-	nFD := n.NumFDSymbols()
 
 	key := func(set []nfsm.StateID) string {
 		var b strings.Builder
@@ -443,7 +448,7 @@ func convertReference(n *nfsm.Machine, opt Options) (*Machine, error) {
 		id := StateID(len(m.Sets))
 		index[k] = id
 		m.Sets = append(m.Sets, set)
-		m.Trans = append(m.Trans, make([]StateID, nSym))
+		m.trans = append(m.trans, make([]StateID, nSym)...)
 		return id
 	}
 
@@ -477,13 +482,90 @@ func convertReference(n *nfsm.Machine, opt Options) (*Machine, error) {
 					next = append(next, set...)
 				}
 			}
-			m.Trans[cur][sym] = add(epsCloseReference(n, next))
+			to := add(epsCloseReference(n, next))
+			m.trans[int(cur)*nSym+sym] = to
 		}
 	}
 
-	m.precomputeContains()
-	m.precomputeSubsumption(opt.MaxSimulationStates)
+	referenceTables(m, opt.MaxSimulationStates)
 	return m, nil
+}
+
+// referenceTables computes the contains and subsumption matrices the way
+// they were built before the flat layout — one bitset.Set per row,
+// columns found through order → column maps — and packs the rows into
+// m's slabs, so the oracle holds the slab code to the per-row
+// construction bit for bit. The dense order-ID indexes are rebuilt from
+// those maps, independently of Convert's.
+func referenceTables(m *Machine, limit int) {
+	colOf := map[bool]map[order.ID]int{false: {}, true: {}}
+	for i, o := range m.Columns {
+		colOf[false][o] = i
+	}
+	for i, g := range m.GroupColumns {
+		colOf[true][g] = len(m.Columns) + i
+	}
+	index := func(cols map[order.ID]int) []int32 {
+		var idx []int32
+		for o, c := range cols {
+			for len(idx) <= int(o) {
+				idx = append(idx, -1)
+			}
+			idx[o] = int32(c)
+		}
+		return idx
+	}
+	m.ordBit, m.groupBit = index(colOf[false]), index(colOf[true])
+	m.words = (len(colOf[false]) + len(colOf[true]) + 63) / 64
+	n := len(m.Sets)
+	rows := make([]*bitset.Set, n)
+	for i, set := range m.Sets {
+		rows[i] = bitset.New(len(m.Columns) + len(m.GroupColumns))
+		for _, s := range set {
+			st := m.N.States[s]
+			if c, ok := colOf[st.Grouping][st.Ord]; ok && st.Kind == nfsm.KindInteresting {
+				rows[i].Add(c)
+			}
+		}
+	}
+	sub := make([]*bitset.Set, n)
+	for a := range sub {
+		sub[a] = bitset.FromInts(a)
+		for b := 0; b < n && (limit <= 0 || n <= limit); b++ {
+			if rows[a].SubsetOf(rows[b]) {
+				sub[a].Add(b)
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for a := range sub {
+			sub[a].ForEach(func(b int) bool {
+				for sym := 0; sym < m.N.NumFDSymbols(); sym++ {
+					na, nb := m.Step(StateID(a), sym), m.Step(StateID(b), sym)
+					if (na != StateID(a) || nb != StateID(b)) && !sub[na].Contains(int(nb)) {
+						sub[a].Remove(b)
+						changed = true
+						break
+					}
+				}
+				return true
+			})
+		}
+	}
+	pack := func(rows []*bitset.Set, w int) []uint64 {
+		slab := make([]uint64, len(rows)*w)
+		for i, r := range rows {
+			r.ForEach(func(b int) bool {
+				slab[i*w+b/64] |= 1 << (b % 64)
+				return true
+			})
+		}
+		return slab
+	}
+	m.contains = pack(rows, m.words)
+	m.subWords = (n + 63) / 64
+	m.subsume = pack(sub, m.subWords)
 }
 
 func epsCloseReference(n *nfsm.Machine, set []nfsm.StateID) []nfsm.StateID {
@@ -509,28 +591,29 @@ func epsCloseReference(n *nfsm.Machine, set []nfsm.StateID) []nfsm.StateID {
 var ConvertReference = convertReference
 
 // DiffMachines returns the first difference between two machines over
-// one NFSM — state numbering and member sets, the transition table,
-// every contains row, every subsumption row — or "".
+// one NFSM — state numbering and member sets, the contains-matrix
+// columns and their ID index, and the transition, contains and
+// subsumption slabs word for word — or "".
 func DiffMachines(got, want *Machine) string {
 	if len(got.Sets) != len(want.Sets) {
 		return fmt.Sprintf("%d states, want %d", len(got.Sets), len(want.Sets))
 	}
-	if !slices.Equal(got.Columns, want.Columns) || !slices.Equal(got.GroupColumns, want.GroupColumns) {
-		return "contains-matrix columns differ"
-	}
 	for s := range want.Sets {
-		switch {
-		case !slices.Equal(got.Sets[s], want.Sets[s]):
+		if !slices.Equal(got.Sets[s], want.Sets[s]) {
 			return fmt.Sprintf("Sets[%d] = %v, want %v", s, got.Sets[s], want.Sets[s])
-		case !slices.Equal(got.Trans[s], want.Trans[s]):
-			return fmt.Sprintf("Trans[%d] = %v, want %v", s, got.Trans[s], want.Trans[s])
-		case !got.contains[s].Equal(want.contains[s]):
-			return fmt.Sprintf("contains[%d] = %v, want %v", s, got.contains[s], want.contains[s])
-		case !got.subsume[s].Equal(want.subsume[s]):
-			return fmt.Sprintf("subsume[%d] = %v, want %v", s, got.subsume[s], want.subsume[s])
 		}
 	}
-	if got.PrecomputedBytes() != want.PrecomputedBytes() {
+	switch {
+	case !slices.Equal(got.Columns, want.Columns) || !slices.Equal(got.GroupColumns, want.GroupColumns) ||
+		!slices.Equal(got.ordBit, want.ordBit) || !slices.Equal(got.groupBit, want.groupBit):
+		return "contains-matrix columns differ"
+	case got.nSym != want.nSym || !slices.Equal(got.trans, want.trans):
+		return fmt.Sprintf("trans = %v (%d symbols), want %v (%d)", got.trans, got.nSym, want.trans, want.nSym)
+	case got.words != want.words || !slices.Equal(got.contains, want.contains):
+		return fmt.Sprintf("contains = %x (%d words/row), want %x (%d)", got.contains, got.words, want.contains, want.words)
+	case got.subWords != want.subWords || !slices.Equal(got.subsume, want.subsume):
+		return fmt.Sprintf("subsume = %x (%d words/row), want %x (%d)", got.subsume, got.subWords, want.subsume, want.subWords)
+	case got.PrecomputedBytes() != want.PrecomputedBytes():
 		return fmt.Sprintf("PrecomputedBytes %d, want %d", got.PrecomputedBytes(), want.PrecomputedBytes())
 	}
 	return ""
@@ -557,4 +640,11 @@ func TestConvertMatchesReferenceRandom(t *testing.T) {
 	f := newFixture()
 	check("running example", f.build(t, f.runningExample(), nfsm.NoPruning()))
 	check("running example, pruned", f.build(t, f.runningExample(), nfsm.AllPruning()))
+	// Groupings share the interner with orderings: {a, b} and (a, b) are
+	// one ID with two contains bits.
+	grouped := f.runningExample()
+	ab := order.GroupingOf(f.in, f.reg.Attrs("a", "b"))
+	grouped.ProducedGroupings = []order.ID{ab}
+	grouped.TestedGroupings = []order.ID{ab, order.GroupingOf(f.in, f.reg.Attrs("b", "c"))}
+	check("running example with groupings", f.build(t, grouped, nfsm.NoPruning()))
 }

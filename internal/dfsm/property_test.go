@@ -136,7 +136,7 @@ func TestTransitionsMonotone(t *testing.T) {
 		for s := 0; s < n; s++ {
 			for sym := 0; sym < nFD; sym++ {
 				next := m.Step(StateID(s), sym)
-				if !m.Row(StateID(s)).SubsetOf(m.Row(next)) {
+				if !m.RowSubsetOf(StateID(s), next) {
 					t.Fatalf("trial %d: transition lost orderings: state %d sym %d", trial, s, sym)
 				}
 				// Applying the same FD set twice is idempotent.

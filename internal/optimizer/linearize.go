@@ -18,10 +18,10 @@
 //     the set of relation subsets considered is restricted.
 //
 // Strategy selects the tier; StrategyAuto decides per query at Prepare
-// time: queries with more than AutoMaxExactRelations relations always
-// plan linearized (even on sparse graphs, exact dominance lists grow
-// with the relation and interesting-order count), and within that cap
-// a bounded csg-cmp-pair probe (countPairsUpTo) sends dense graphs —
+// time: queries with more than DefaultAutoMaxExactRelations relations
+// always plan linearized (even on sparse graphs, exact dominance lists
+// grow with the relation and interesting-order count), and within that
+// cap a bounded csg-cmp-pair probe (countPairsUpTo) sends dense graphs —
 // whose pair count explodes long before the cap — to the linearized
 // tier as well.
 package optimizer
@@ -44,8 +44,8 @@ const (
 	StrategyLinearized
 	// StrategyAuto resolves to exact or linearized per query at Prepare
 	// time: exact when the query is within the exact-DP horizon (at most
-	// AutoMaxExactRelations relations and a csg-cmp-pair count within
-	// AutoPairBudget), linearized beyond it.
+	// DefaultAutoMaxExactRelations relations and a csg-cmp-pair count
+	// within DefaultAutoPairBudget), linearized beyond it.
 	StrategyAuto
 )
 
@@ -74,7 +74,7 @@ const (
 )
 
 // DefaultLinearizedBeam bounds the plan list per relation subset in the
-// linearized tier (Config.LinearizedBeam). Dominance pruning alone lets
+// linearized tier. Dominance pruning alone lets
 // lists grow with the interesting-order count, and the linearized DP
 // multiplies list sizes at every split — a small beam keeps large-query
 // planning in the microseconds-to-milliseconds band at a bounded,
@@ -85,18 +85,10 @@ const DefaultLinearizedBeam = 3
 // Prepare time; the decision is cached in the Prepared).
 func (p *Prepared) chooseStrategy() Strategy {
 	n := len(p.g.Relations)
-	max := p.cfg.AutoMaxExactRelations
-	if max == 0 {
-		max = DefaultAutoMaxExactRelations
-	}
-	if n > max {
+	if n > DefaultAutoMaxExactRelations {
 		return StrategyLinearized
 	}
-	budget := p.cfg.AutoPairBudget
-	if budget == 0 {
-		budget = DefaultAutoPairBudget
-	}
-	if _, exceeded := countPairsUpTo(n, p.adj, budget); exceeded {
+	if _, exceeded := countPairsUpTo(n, p.adj, DefaultAutoPairBudget); exceeded {
 		return StrategyLinearized
 	}
 	return StrategyExact

@@ -22,6 +22,7 @@ package optimizer
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,20 +62,6 @@ type Config struct {
 	// value), the linearized heuristic DP, or auto, which resolves per
 	// query at Prepare time (see linearize.go).
 	Strategy Strategy
-	// AutoMaxExactRelations caps the relation count StrategyAuto will
-	// consider for the exact tier (0 means
-	// DefaultAutoMaxExactRelations); beyond it the pair probe is skipped
-	// and the query plans linearized.
-	AutoMaxExactRelations int
-	// AutoPairBudget bounds the csg-cmp-pair probe StrategyAuto runs at
-	// Prepare time (0 means DefaultAutoPairBudget): queries whose pair
-	// count exceeds it plan linearized.
-	AutoPairBudget int64
-	// LinearizedBeam bounds the undominated plans kept per relation
-	// subset in the linearized tier (0 means DefaultLinearizedBeam,
-	// negative unbounded). The exact tier never truncates — dominance
-	// pruning alone keeps its lists exact.
-	LinearizedBeam int
 	// CoreOptions configures preparation in ModeDFSM.
 	CoreOptions core.Options
 	// SimmenCache enables the baseline's reduce cache (the paper's
@@ -175,15 +162,9 @@ type Prepared struct {
 	linSeq   []int    // linearized relation sequence (linearized tier)
 	linPre   []uint64 // linPre[i]: mask of the first i sequence relations
 
-	// edgeOrderCols caches, per edge / side / predicate, the DFSM
-	// contains-matrix column of the predicate's ordering (-1 when the
-	// analysis did not register it), and edgeMergeable whether any
-	// predicate of the edge has a registered side. The merge-join gate
-	// runs once per crossing predicate per plan pair — on dense graphs
-	// millions of times per run — so it must not re-resolve orderings.
-	// Both are nil in ModeSimmen.
-	edgeOrderCols [][2][]int
-	edgeMergeable []bool
+	// mergeable[e]: some predicate side of edge e is a DFSM column, so an
+	// input can hold it (linearized tier under ModeDFSM, else nil).
+	mergeable []bool
 
 	prepTime time.Duration
 
@@ -231,8 +212,10 @@ type optimizer struct {
 
 	// sim is the Simmen baseline instance (ModeSimmen only), borrowed
 	// from p.sims for the run: its reduce cache and cloned interner are
-	// per-statement state and stay with the Prepared.
-	sim *simmen.Framework
+	// per-statement state and stay with the Prepared. anns is the run's
+	// annotation table: under ModeSimmen a plan node's State indexes it.
+	sim  *simmen.Framework
+	anns []*simmen.Annotation
 
 	edgeBuf   []int // scratch for edgesBetween, reused per pair
 	arena     plan.Arena
@@ -240,17 +223,17 @@ type optimizer struct {
 	generated int64
 	ccPairs   int64
 
-	// lin and beam configure the run for the linearized tier: gated
-	// merge-join generation and beam-bounded plan lists (0: unbounded).
-	lin  bool
-	beam int
+	// lin runs the linearized tier: gated merge-join generation and plan
+	// lists bounded to DefaultLinearizedBeam (the exact tier's are not).
+	lin bool
 }
 
 // scratch recycles optimizers across all statements. There is no size
 // knob: sync.Pool drops idle entries over two GC cycles, which bounds
 // what a one-off 16-relation statement (a 2^16-entry table, a deep
 // arena) leaves behind. Pooled scratch holds no *Prepared, and its
-// arena is cleared, so it pins no analysis or framework.
+// arena and annotation table are cleared, so it pins no analysis or
+// framework.
 var scratch = sync.Pool{New: func() any { return new(optimizer) }}
 
 // dpTable maps a relation-subset mask to its cost-sorted, undominated
@@ -362,22 +345,6 @@ func Prepare(a *query.Analysis, cfg Config) (*Prepared, error) {
 	masks := p.g.EdgeMasks() // force the lazy build while still single-threaded
 	p.adj = masks.Adj
 	p.edgeMask = masks.Edge
-	if p.fw != nil {
-		p.edgeOrderCols = make([][2][]int, len(p.g.Edges))
-		p.edgeMergeable = make([]bool, len(p.g.Edges))
-		for e := range p.g.Edges {
-			for side := 0; side < 2; side++ {
-				cols := make([]int, len(a.EdgeOrders[e][side]))
-				for pi, ord := range a.EdgeOrders[e][side] {
-					cols[pi] = p.fw.Column(ord)
-					if cols[pi] >= 0 {
-						p.edgeMergeable[e] = true
-					}
-				}
-				p.edgeOrderCols[e][side] = cols
-			}
-		}
-	}
 	switch cfg.Strategy {
 	case StrategyExact, StrategyLinearized:
 		p.strategy = cfg.Strategy
@@ -392,6 +359,12 @@ func Prepare(a *query.Analysis, cfg Config) (*Prepared, error) {
 		for i, r := range p.linSeq {
 			p.linPre[i+1] = p.linPre[i] | 1<<uint(r)
 		}
+		if p.fw != nil {
+			col := func(o order.ID) bool { return slices.Contains(p.fw.DFSM().Columns, o) }
+			for _, sides := range a.EdgeOrders {
+				p.mergeable = append(p.mergeable, slices.ContainsFunc(sides[0], col) || slices.ContainsFunc(sides[1], col))
+			}
+		}
 	}
 	p.prepTime = time.Since(start)
 	return p, nil
@@ -404,7 +377,7 @@ func Prepare(a *query.Analysis, cfg Config) (*Prepared, error) {
 func (o *optimizer) bind(p *Prepared) {
 	o.p = p
 	o.generated, o.ccPairs = 0, 0
-	o.arena.Reset()
+	o.clearPlans()
 	o.sim = nil
 	if p.cfg.Mode == ModeSimmen {
 		o.sim, _ = p.sims.Get().(*simmen.Framework)
@@ -417,15 +390,8 @@ func (o *optimizer) bind(p *Prepared) {
 	}
 	n := len(p.g.Relations)
 	o.lin = p.strategy == StrategyLinearized
-	o.beam = 0
 	hint := 1 << denseTableBits
 	if o.lin {
-		o.beam = p.cfg.LinearizedBeam
-		if o.beam == 0 {
-			o.beam = DefaultLinearizedBeam
-		} else if o.beam < 0 {
-			o.beam = 0
-		}
 		// Only the O(n²) interval masks are ever populated.
 		hint = n * (n + 3) / 2
 	}
@@ -433,15 +399,23 @@ func (o *optimizer) bind(p *Prepared) {
 }
 
 // unbind strips the scratch of the statement it served before it goes
-// back to the pool: the arena is cleared (plan nodes carry Simmen
-// annotations), the framework returns to its Prepared.
+// back to the pool: the arena and the annotation table are cleared, the
+// framework returns to its Prepared.
 func (o *optimizer) unbind() {
-	o.arena.Reset()
+	o.clearPlans()
 	if o.sim != nil {
 		o.p.sims.Put(o.sim)
 		o.sim = nil
 	}
 	o.p = nil
+}
+
+// clearPlans drops every plan node and Simmen annotation a run made,
+// keeping the capacity.
+func (o *optimizer) clearPlans() {
+	o.arena.Reset()
+	clear(o.anns)
+	o.anns = o.anns[:0]
 }
 
 // Run executes one optimization run on pooled scratch. Safe for
@@ -508,11 +482,7 @@ func (p *Prepared) estimate() {
 		p.relCard[i] = card
 		dist := make([]float64, len(r.Table.Columns))
 		for c := range r.Table.Columns {
-			d := float64(r.Table.Columns[c].Distinct)
-			if d < 1 {
-				d = 1
-			}
-			dist[c] = d
+			dist[c] = max(float64(r.Table.Columns[c].Distinct), 1)
 		}
 		p.colDist[i] = dist
 	}
@@ -520,13 +490,7 @@ func (p *Prepared) estimate() {
 	for e := range p.g.Edges {
 		sel := 1.0
 		for _, pr := range p.g.Edges[e].Preds {
-			dl := p.colDist[pr.Left.Rel][pr.Left.Col]
-			dr := p.colDist[pr.Right.Rel][pr.Right.Col]
-			d := dl
-			if dr > d {
-				d = dr
-			}
-			sel /= d
+			sel /= max(p.colDist[pr.Left.Rel][pr.Left.Col], p.colDist[pr.Right.Rel][pr.Right.Col])
 		}
 		p.edgeSel[e] = sel
 	}
@@ -625,31 +589,18 @@ func (o *optimizer) scanPlan(r, ix int) *plan.Node {
 	if ix < 0 {
 		node.Op = plan.TableScan
 		node.Cost = plan.ScanCost(rows)
-		if o.p.fw != nil {
-			node.State = o.p.fw.Produce(order.EmptyID)
-		} else {
-			node.Ann = o.sim.Produce(order.EmptyID)
-		}
+		node.State = o.produce(order.EmptyID)
 	} else {
 		node.Op = plan.IndexScan
 		node.Index = ix
 		node.Cost = plan.IndexScanCost(rows, t.Indexes[ix].Clustered)
-		ord := o.p.a.IndexOrders[r][ix]
-		if o.p.fw != nil {
-			node.State = o.p.fw.Produce(ord)
-		} else {
-			node.Ann = o.sim.Produce(ord)
-		}
+		node.State = o.produce(o.p.a.IndexOrders[r][ix])
 	}
 	if h := o.p.a.RelFD[r]; h >= 0 {
 		if h < 64 {
 			node.FDMask |= 1 << uint(h)
 		}
-		if o.p.fw != nil {
-			node.State = o.p.fw.Infer(node.State, h)
-		} else {
-			node.Ann = o.sim.Infer(node.Ann, o.p.a.Sets[h])
-		}
+		node.State = o.infer(node.State, h)
 	}
 	o.generated++
 	return node
@@ -667,20 +618,62 @@ func (o *optimizer) applyEdges(n *plan.Node, edges []int) {
 		if h < 64 {
 			n.FDMask |= 1 << uint(h)
 		}
-		if o.p.fw != nil {
-			n.State = o.p.fw.Infer(n.State, h)
-		} else {
-			n.Ann = o.sim.Infer(n.Ann, o.p.a.Sets[h])
-		}
+		n.State = o.infer(n.State, h)
 	}
 }
 
-// contains asks the active framework whether p satisfies ord.
-func (o *optimizer) contains(p *plan.Node, ord order.ID) bool {
+// The five order operations below are the run's route to the order
+// component: one table lookup each under ModeDFSM; under ModeSimmen a
+// State indexes o.anns, and each new state appends an annotation.
+
+// produce is the state of a stream emitting ordering ord from scratch.
+func (o *optimizer) produce(ord order.ID) core.State {
 	if o.p.fw != nil {
-		return o.p.fw.Contains(p.State, ord)
+		return o.p.fw.Produce(ord)
 	}
-	return o.sim.Contains(p.Ann, ord)
+	return o.annotate(o.sim.Produce(ord))
+}
+
+// infer is state s after an operator with FD handle h is applied.
+func (o *optimizer) infer(s core.State, h core.FDHandle) core.State {
+	if o.p.fw != nil {
+		return o.p.fw.Infer(s, h)
+	}
+	return o.annotate(o.sim.Infer(o.anns[s], o.p.a.Sets[h]))
+}
+
+// sort is the state of p's stream after sorting it to ord.
+func (o *optimizer) sort(p *plan.Node, ord order.ID) core.State {
+	if o.p.fw != nil {
+		return o.p.fw.SortMask(ord, p.FDMask)
+	}
+	return o.annotate(o.sim.Sort(o.anns[p.State], ord))
+}
+
+// contains reports whether a stream in state s satisfies ord.
+func (o *optimizer) contains(s core.State, ord order.ID) bool {
+	if o.p.fw != nil {
+		return o.p.fw.Contains(s, ord)
+	}
+	return o.sim.Contains(o.anns[s], ord)
+}
+
+// dominates reports whether a makes b redundant: no more expensive and at
+// least as much order information.
+func (o *optimizer) dominates(a, b *plan.Node) bool {
+	if a.Cost > b.Cost {
+		return false
+	}
+	if o.p.fw != nil {
+		return o.p.fw.SubsetOf(b.State, a.State)
+	}
+	return o.sim.Dominates(o.anns[a.State], o.anns[b.State])
+}
+
+// annotate enters a Simmen annotation into the run's table.
+func (o *optimizer) annotate(a *simmen.Annotation) core.State {
+	o.anns = append(o.anns, a)
+	return core.State(len(o.anns) - 1)
 }
 
 // sortPlan wraps p in a sort to ord (no-op test is the caller's job).
@@ -691,11 +684,7 @@ func (o *optimizer) sortPlan(p *plan.Node, ord order.ID) *plan.Node {
 		Cost: p.Cost + plan.SortCost(p.Card),
 		Card: p.Card, FDMask: p.FDMask,
 	}
-	if o.p.fw != nil {
-		n.State = o.p.fw.SortMask(ord, p.FDMask)
-	} else {
-		n.Ann = o.sim.Sort(p.Ann, ord)
-	}
+	n.State = o.sort(p, ord)
 	o.generated++
 	return n
 }
@@ -705,12 +694,12 @@ func (o *optimizer) sortPlan(p *plan.Node, ord order.ID) *plan.Node {
 // relations in s1; out is the pair's output cardinality estimate.
 func (o *optimizer) emitJoins(mask, s1 uint64, p1, p2 *plan.Node, edges []int, out float64) {
 	join := func(op plan.Op, left, right *plan.Node, opCost float64, edge, pred int) {
-		if o.beam > 0 {
+		if o.lin {
 			// Cost-based fast rejection before any node is built: with a
 			// saturated beam, a candidate no cheaper than the list's last
 			// entry can neither enter nor dominate anything.
-			if list := o.dp.get(mask); len(list) >= o.beam &&
-				left.Cost+right.Cost+opCost >= list[o.beam-1].Cost {
+			if list := o.dp.get(mask); len(list) >= DefaultLinearizedBeam &&
+				left.Cost+right.Cost+opCost >= list[DefaultLinearizedBeam-1].Cost {
 				return
 			}
 		}
@@ -720,13 +709,9 @@ func (o *optimizer) emitJoins(mask, s1 uint64, p1, p2 *plan.Node, edges []int, o
 			Cost:   left.Cost + right.Cost + opCost,
 			Card:   out,
 			FDMask: left.FDMask | right.FDMask,
-		}
-		// All join operators here preserve the outer (left/probe)
-		// input's ordering; the edge equations then widen it.
-		if o.p.fw != nil {
-			n.State = left.State
-		} else {
-			n.Ann = left.Ann
+			// All join operators here preserve the outer (left/probe)
+			// input's ordering; the edge equations then widen it.
+			State: left.State,
 		}
 		o.applyEdges(n, edges)
 		o.generated++
@@ -753,28 +738,17 @@ func (o *optimizer) emitJoins(mask, s1 uint64, p1, p2 *plan.Node, edges []int, o
 	// the no-order-to-exploit case, and an inner-only ordering is picked
 	// up by the mirrored emitJoins call with the inputs swapped.
 	for _, e := range edges {
-		if o.lin && o.p.edgeMergeable != nil && !o.p.edgeMergeable[e] {
-			continue // no side of any predicate is a registered order
+		if o.p.mergeable != nil && !o.p.mergeable[e] {
+			continue // no input holds any side's order
 		}
+		sides := &o.p.a.EdgeOrders[e]
 		for pi, pred := range o.p.g.Edges[e].Preds {
-			lOrd := o.p.a.EdgeOrders[e][0][pi]
-			rOrd := o.p.a.EdgeOrders[e][1][pi]
-			swapped := s1&(1<<uint(pred.Left.Rel)) == 0
+			lOrd, rOrd := sides[0][pi], sides[1][pi]
 			// Align predicate sides with (p1, p2).
-			if swapped {
+			if s1&(1<<uint(pred.Left.Rel)) == 0 {
 				lOrd, rOrd = rOrd, lOrd
 			}
-			var lHas, rHas bool
-			if cols := o.p.edgeOrderCols; cols != nil {
-				lc, rc := cols[e][0][pi], cols[e][1][pi]
-				if swapped {
-					lc, rc = rc, lc
-				}
-				lHas = lc >= 0 && o.p.fw.ContainsColumn(p1.State, lc)
-				rHas = rc >= 0 && o.p.fw.ContainsColumn(p2.State, rc)
-			} else {
-				lHas, rHas = o.contains(p1, lOrd), o.contains(p2, rOrd)
-			}
+			lHas := o.contains(p1.State, lOrd)
 			if o.lin && !lHas {
 				continue
 			}
@@ -782,24 +756,12 @@ func (o *optimizer) emitJoins(mask, s1 uint64, p1, p2 *plan.Node, edges []int, o
 			if !lHas {
 				left = o.sortPlan(left, lOrd)
 			}
-			if !rHas {
+			if !o.contains(p2.State, rOrd) {
 				right = o.sortPlan(right, rOrd)
 			}
 			join(plan.MergeJoin, left, right, plan.MergeJoinCost(left.Card, right.Card, out), e, pi)
 		}
 	}
-}
-
-// dominates reports whether a makes b redundant: no more expensive and at
-// least as much order information.
-func (o *optimizer) dominates(a, b *plan.Node) bool {
-	if a.Cost > b.Cost {
-		return false
-	}
-	if o.p.fw != nil {
-		return o.p.fw.SubsetOf(b.State, a.State)
-	}
-	return o.sim.Dominates(a.Ann, b.Ann)
 }
 
 // addPlan offers a candidate to the subset's plan list with dominance
@@ -810,7 +772,7 @@ func (o *optimizer) dominates(a, b *plan.Node) bool {
 // each list to the beam width, keeping the cheapest plans.
 func (o *optimizer) addPlan(mask uint64, cand *plan.Node) {
 	list := o.dp.get(mask)
-	if o.beam > 0 && len(list) >= o.beam && cand.Cost >= list[o.beam-1].Cost {
+	if o.lin && len(list) >= DefaultLinearizedBeam && cand.Cost >= list[DefaultLinearizedBeam-1].Cost {
 		return // saturated beam: no cheaper than the last kept plan
 	}
 	t := len(list) // insertion point: first entry with cost ≥ cand's
@@ -838,8 +800,8 @@ func (o *optimizer) addPlan(mask uint64, cand *plan.Node) {
 	list = append(list[:w], nil)
 	copy(list[t+1:], list[t:])
 	list[t] = cand
-	if o.beam > 0 && len(list) > o.beam {
-		list = list[:o.beam]
+	if o.lin && len(list) > DefaultLinearizedBeam {
+		list = list[:DefaultLinearizedBeam]
 	}
 	o.dp.set(mask, list)
 }
@@ -880,18 +842,13 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 					Cost:   plan.ExchangeCost(op, spine, shared, p.Card, dop),
 					Card:   p.Card,
 					FDMask: p.FDMask,
+					// ExchangeMerge is order-preserving: workers
+					// reassemble in morsel order, reproducing the
+					// serial row sequence. ExchangeUnion is not.
+					State: p.State,
 				}
-				switch {
-				case op == plan.ExchangeMerge && o.p.fw != nil:
-					// Order-preserving: workers reassemble in morsel
-					// order, reproducing the serial row sequence.
-					n.State = p.State
-				case op == plan.ExchangeMerge:
-					n.Ann = p.Ann
-				case o.p.fw != nil:
-					n.State = o.p.fw.Produce(order.EmptyID)
-				default:
-					n.Ann = o.sim.Produce(order.EmptyID)
+				if op == plan.ExchangeUnion {
+					n.State = o.produce(order.EmptyID)
 				}
 				o.generated++
 				cands = append(cands, n)
@@ -914,7 +871,7 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 			// columns the input already satisfies.
 			matched := false
 			for _, gOrd := range groupOrds {
-				if o.contains(c, gOrd) {
+				if o.contains(c.State, gOrd) {
 					grouped = append(grouped, o.groupNode(c, plan.GroupSorted, gcard))
 					matched = true
 					break
@@ -940,7 +897,7 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 	if o.p.a.OrderByOrd != order.EmptyID {
 		var ordered []*plan.Node
 		for _, c := range cands {
-			if o.contains(c, o.p.a.OrderByOrd) {
+			if o.contains(c.State, o.p.a.OrderByOrd) {
 				ordered = append(ordered, c)
 			} else {
 				ordered = append(ordered, o.sortPlan(c, o.p.a.OrderByOrd))
@@ -965,13 +922,9 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 				Cost:   plan.LimitedCost(c, float64(k)) + plan.LimitCost(float64(k)),
 				Card:   card,
 				FDMask: c.FDMask,
-			}
-			// A k-prefix of the stream keeps every order/grouping/FD
-			// property the stream had.
-			if o.p.fw != nil {
-				n.State = c.State
-			} else {
-				n.Ann = c.Ann
+				// A k-prefix of the stream keeps every order/grouping/FD
+				// property the stream had.
+				State: c.State,
 			}
 			o.generated++
 			limited = append(limited, n)
@@ -1029,32 +982,17 @@ func (o *optimizer) groupNode(in *plan.Node, op plan.Op, card float64) *plan.Nod
 	*n = plan.Node{
 		Op: op, Left: in,
 		Cost: in.Cost + plan.GroupCost(in.Card, streaming),
-		Card: card, FDMask: in.FDMask,
+		Card: card, FDMask: in.FDMask, State: in.State,
 	}
-	switch {
+	// Sorted grouping preserves the input ordering. Clustered and hash
+	// grouping emit one row per group: clustered by the keys (a grouping
+	// the baseline cannot express), unordered.
+	switch g := o.p.a.GroupByGrouping; {
 	case op == plan.GroupSorted:
-		// Sorted grouping preserves the input ordering.
-		if o.p.fw != nil {
-			n.State = in.State
-		} else {
-			n.Ann = in.Ann
-		}
-	case op == plan.GroupClustered && o.p.fw != nil:
-		// Clustered grouping emits one row per group: the output is
-		// clustered by the grouping keys but unordered.
-		n.State = o.p.fw.ProduceGrouping(o.p.a.GroupByGrouping)
+	case o.p.fw != nil && g != order.EmptyID:
+		n.State = o.p.fw.ProduceGrouping(g)
 	default:
-		// Hash grouping destroys the physical ordering (the output is
-		// still clustered by the keys — one row per group).
-		if o.p.fw != nil {
-			if o.p.a.GroupByGrouping != order.EmptyID {
-				n.State = o.p.fw.ProduceGrouping(o.p.a.GroupByGrouping)
-			} else {
-				n.State = o.p.fw.Produce(order.EmptyID)
-			}
-		} else {
-			n.Ann = o.sim.Produce(order.EmptyID)
-		}
+		n.State = o.produce(order.EmptyID)
 	}
 	o.generated++
 	return n

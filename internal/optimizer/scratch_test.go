@@ -1,10 +1,12 @@
 package optimizer
 
 import (
+	"slices"
 	"testing"
 
 	"orderopt/internal/query"
 	"orderopt/internal/querygen"
+	"orderopt/internal/simmen"
 	"orderopt/internal/tpcr"
 )
 
@@ -13,8 +15,9 @@ import (
 // 10-relation statement first, so everything after it sees stale plan
 // lists beyond its own 1<<n, a dirty arena and whatever tier flags came
 // before — and holds every run to a run of the same Prepared on fresh
-// scratch. The first statement inherits a run that never unbound, as a
-// panic between bind and unbind would leave it.
+// scratch, which must leave no Simmen annotation behind. The first
+// statement inherits a run that never unbound, as a panic between bind
+// and unbind would leave it.
 func TestScratchCarriesNothingAcrossStatements(t *testing.T) {
 	q8 := func() *query.Analysis {
 		_, g, err := tpcr.Query8Graph()
@@ -52,7 +55,7 @@ func TestScratchCarriesNothingAcrossStatements(t *testing.T) {
 	if _, err := shared.run(); err != nil {
 		t.Fatal(err)
 	}
-	shared.lin, shared.beam = true, 1
+	shared.lin = true
 
 	for _, st := range steps {
 		p, err := Prepare(st.a, st.cfg)
@@ -78,6 +81,9 @@ func TestScratchCarriesNothingAcrossStatements(t *testing.T) {
 		}
 		if shared.p != nil || shared.sim != nil {
 			t.Errorf("%s: scratch still bound after the run", st.name)
+		}
+		if len(shared.anns) != 0 || slices.ContainsFunc(shared.anns[:cap(shared.anns)], func(a *simmen.Annotation) bool { return a != nil }) {
+			t.Errorf("%s: Simmen annotation table not emptied after the run", st.name)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 // Package plan defines physical query plans — scans, sorts, joins,
 // grouping — together with a Selinger-style cost model. Every plan node
-// carries its order-optimization annotation: a single DFSM state (our
-// framework, 4 bytes) or a Simmen annotation (physical ordering + FD
-// set), so the optimizer can run either component over identical plans.
+// carries its order-optimization state in 4 bytes.
 package plan
 
 import (
@@ -11,7 +9,6 @@ import (
 
 	"orderopt/internal/core"
 	"orderopt/internal/order"
-	"orderopt/internal/simmen"
 )
 
 // Op is a physical operator.
@@ -104,11 +101,11 @@ type Node struct {
 	Cost float64 // cumulative cost
 	Card float64 // output cardinality estimate
 
-	// Order-optimization annotation: exactly one is meaningful,
-	// depending on which framework drives the optimizer.
-	State  core.State         // ours: one DFSM state (O(1) space)
-	Ann    *simmen.Annotation // baseline: ordering + FD set (Ω(n) space)
-	FDMask uint64             // applied FD handles (for sort-state replay)
+	// State is the node's order-optimization state: one DFSM state (O(1)
+	// space). Under the Simmen baseline it instead indexes the optimizer
+	// run's annotation table and means nothing once the run is over.
+	State  core.State
+	FDMask uint64 // applied FD handles (for sort-state replay)
 }
 
 // Arena bump-allocates Nodes in chunks so a plan-generation run costs a

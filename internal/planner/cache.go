@@ -7,15 +7,57 @@ import (
 	"orderopt/internal/plan"
 )
 
-// planCache maps a query fingerprint to its cached best plan. Reads take
-// an RWMutex read lock and perform one map probe plus a canonical-bytes
-// comparison (the collision guard) — no allocation, so the cache-hit
-// path stays flat under concurrency. Writes evict FIFO beyond max.
-type planCache struct {
+// fifo is a bounded map that evicts in insertion order; both planner
+// caches are one. Reads take an RWMutex read lock and perform one map
+// probe — no allocation, so a cache hit stays flat under concurrency.
+type fifo[K comparable, V any] struct {
 	mu    sync.RWMutex
 	max   int
-	m     map[uint64]*cacheEntry
-	order []uint64
+	m     map[K]V
+	order []K
+}
+
+func newFIFO[K comparable, V any](max int) *fifo[K, V] {
+	return &fifo[K, V]{max: max, m: make(map[K]V)}
+}
+
+func (c *fifo[K, V]) get(k K) (V, bool) {
+	c.mu.RLock()
+	v, ok := c.m[k]
+	c.mu.RUnlock()
+	return v, ok
+}
+
+// add stores v under k unless k is already present, evicting the oldest
+// entries beyond max. It returns the value k now maps to and whether
+// that is v: a concurrent writer that got there first keeps its entry.
+func (c *fifo[K, V]) add(k K, v V) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old, ok := c.m[k]; ok {
+		return old, false
+	}
+	for len(c.m) >= c.max && len(c.order) > 0 {
+		delete(c.m, c.order[0])
+		c.order = c.order[1:]
+	}
+	c.m[k] = v
+	c.order = append(c.order, k)
+	return v, true
+}
+
+// Len returns the number of entries.
+func (c *fifo[K, V]) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.m)
+}
+
+// planCache maps a query fingerprint to its cached best plan. A hit
+// is one fifo probe plus a canonical-bytes comparison (the collision
+// guard).
+type planCache struct {
+	*fifo[uint64, *cacheEntry]
 }
 
 type cacheEntry struct {
@@ -31,36 +73,19 @@ type cacheEntry struct {
 }
 
 func newPlanCache(max int) *planCache {
-	return &planCache{max: max, m: make(map[uint64]*cacheEntry)}
+	return &planCache{newFIFO[uint64, *cacheEntry](max)}
 }
 
 func (c *planCache) lookup(fp uint64, canon []byte) (*cacheEntry, bool) {
-	c.mu.RLock()
-	e := c.m[fp]
-	c.mu.RUnlock()
+	e, _ := c.get(fp)
 	if e == nil || !bytes.Equal(e.canon, canon) {
 		return nil, false
 	}
 	return e, true
 }
 
+// store caches best under fp unless a concurrent run cached it first, in
+// which case the incumbent stays.
 func (c *planCache) store(fp uint64, canon []byte, best *plan.Node, cost float64, origin *PreparedQuery) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[fp]; ok {
-		return // a concurrent run cached it first; keep the incumbent
-	}
-	for len(c.m) >= c.max && len(c.order) > 0 {
-		delete(c.m, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.m[fp] = &cacheEntry{canon: canon, best: best, cost: cost, origin: origin}
-	c.order = append(c.order, fp)
-}
-
-// Len returns the number of cached plans.
-func (c *planCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
+	c.add(fp, &cacheEntry{canon: canon, best: best, cost: cost, origin: origin})
 }

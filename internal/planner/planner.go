@@ -32,9 +32,9 @@
 package planner
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"orderopt/internal/catalog"
@@ -113,11 +113,8 @@ type Stats struct {
 type Planner struct {
 	cfg Config
 
-	mu       sync.RWMutex
-	prepared map[string]*PreparedQuery
-	order    []string // FIFO eviction over prepared
-
-	plans *planCache // nil when disabled
+	prepared *fifo[string, *PreparedQuery] // by SQL text; nil when disabled
+	plans    *planCache                    // nil when disabled
 
 	prepares           atomic.Int64
 	preparedHits       atomic.Int64
@@ -131,15 +128,11 @@ type Planner struct {
 // New returns a Planner for cfg.
 func New(cfg Config) *Planner {
 	p := &Planner{cfg: cfg}
-	if cfg.PreparedCacheSize >= 0 {
-		p.prepared = make(map[string]*PreparedQuery)
+	if n := cfg.PreparedCacheSize; n >= 0 {
+		p.prepared = newFIFO[string, *PreparedQuery](cmp.Or(n, DefaultPreparedCacheSize))
 	}
-	if cfg.PlanCacheSize >= 0 {
-		size := cfg.PlanCacheSize
-		if size == 0 {
-			size = DefaultPlanCacheSize
-		}
-		p.plans = newPlanCache(size)
+	if n := cfg.PlanCacheSize; n >= 0 {
+		p.plans = newPlanCache(cmp.Or(n, DefaultPlanCacheSize))
 	}
 	return p
 }
@@ -159,9 +152,7 @@ func (p *Planner) Stats() Stats {
 		s.PlanCacheEntries = p.plans.Len()
 	}
 	if p.prepared != nil {
-		p.mu.RLock()
-		s.PreparedEntries = len(p.prepared)
-		p.mu.RUnlock()
+		s.PreparedEntries = p.prepared.Len()
 	}
 	return s
 }
@@ -253,24 +244,16 @@ func (p *Planner) Prepare(sql string) (*PreparedQuery, error) {
 
 func (p *Planner) prepare(sql string) (q *PreparedQuery, hit bool, err error) {
 	if p.prepared != nil {
-		p.mu.RLock()
-		q = p.prepared[sql]
-		p.mu.RUnlock()
-		if q != nil {
+		if q, ok := p.prepared.get(sql); ok {
 			p.preparedHits.Add(1)
 			return q, true, nil
 		}
 	}
 	q, err = p.prepareSQL(sql)
-	if err != nil {
-		return nil, false, err
+	if err != nil || p.prepared == nil {
+		return q, false, err
 	}
-	if p.prepared == nil {
-		return q, false, nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if exist := p.prepared[sql]; exist != nil {
+	if exist, added := p.prepared.add(sql, q); !added {
 		// A concurrent Prepare won the race; its result is as good.
 		// This call both ran the full pipeline (already counted in
 		// Prepares) and is served from the cache, so it counts in
@@ -279,16 +262,6 @@ func (p *Planner) prepare(sql string) (q *PreparedQuery, hit bool, err error) {
 		p.preparedHits.Add(1)
 		return exist, true, nil
 	}
-	size := p.cfg.PreparedCacheSize
-	if size == 0 {
-		size = DefaultPreparedCacheSize
-	}
-	for len(p.prepared) >= size && len(p.order) > 0 {
-		delete(p.prepared, p.order[0])
-		p.order = p.order[1:]
-	}
-	p.prepared[sql] = q
-	p.order = append(p.order, sql)
 	return q, false, nil
 }
 
