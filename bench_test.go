@@ -42,6 +42,7 @@ import (
 
 	"orderopt"
 	"orderopt/internal/catalog"
+	"orderopt/internal/conformance"
 	"orderopt/internal/exec"
 	"orderopt/internal/experiments"
 	"orderopt/internal/optimizer"
@@ -735,7 +736,7 @@ func BenchmarkExecRuntime(b *testing.B) {
 		if !strings.HasPrefix(w.Name, "q8/") && !strings.HasPrefix(w.Name, "orders/") {
 			continue // generated workloads run via cmd/experiments -table exec
 		}
-		for _, v := range experiments.ExecVariants() {
+		for _, v := range conformance.Idioms() {
 			b.Run(w.Name+"/"+v.Name, func(b *testing.B) {
 				a, err := query.Analyze(w.Graph, v.Analyze)
 				if err != nil {
@@ -833,9 +834,9 @@ func BenchmarkExecParallel(b *testing.B) {
 // picks the early-out pipeline automatically — the benchmark fails if
 // it ever chooses a sorting plan for the dfsm variant.
 func BenchmarkExecTopK(b *testing.B) {
-	reg := exec.TPCRRegistry()
-	variants := experiments.ExecVariants()
-	planTopK := func(b *testing.B, ds *exec.Dataset, k int, v experiments.ExecVariant) (*query.Analysis, *plan.Node) {
+	reg := exec.TPCRLazyRegistry()
+	variants := conformance.Idioms()
+	planTopK := func(b *testing.B, ds *exec.Dataset, k int, v conformance.Idiom) (*query.Analysis, *plan.Node) {
 		_, g, err := tpcr.OrderStreamGraph()
 		if err != nil {
 			b.Fatal(err)
@@ -861,7 +862,7 @@ func BenchmarkExecTopK(b *testing.B) {
 			b.Fatalf("no dataset %s", dsName)
 		}
 		for _, k := range []int{1, 10, 100} {
-			for _, v := range []experiments.ExecVariant{variants[0], variants[2]} {
+			for _, v := range []conformance.Idiom{variants[0], variants[2]} {
 				b.Run(fmt.Sprintf("orders/%s/k=%d/%s", dsName, k, v.Name), func(b *testing.B) {
 					a, best := planTopK(b, ds, k, v)
 					runner := ds.Runner(a)

@@ -85,7 +85,7 @@ func main() {
 	// Act two: plan → compile → execute, with counters.
 	_, g, err := tpcr.OrderStreamGraph()
 	die(err)
-	ds, ok := exec.TPCRRegistry().Get("tpcr-mid")
+	ds, ok := exec.TPCRLazyRegistry().Get("tpcr-mid")
 	if !ok {
 		panic("missing dataset")
 	}

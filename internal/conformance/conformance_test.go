@@ -9,6 +9,7 @@ import (
 	"orderopt/internal/exec"
 	"orderopt/internal/optimizer"
 	"orderopt/internal/plan"
+	"orderopt/internal/planner"
 	"orderopt/internal/query"
 )
 
@@ -78,6 +79,38 @@ func TestMatrixShape(t *testing.T) {
 	}
 	if canonical != 3 {
 		t.Fatalf("matrix has %d canonical cells, want 3 (one per idiom)", canonical)
+	}
+}
+
+// TestCorpusPinsServedPlans: the recorded dfsm plans are the plans the
+// served configuration chooses. planserverd analyzes with
+// planner.DefaultConfig, which tracks no groupings where the dfsm idiom
+// does; every fixture planned with DefaultConfig's analyze and
+// optimizer settings at MaxDOP 1 must still produce its recorded dfsm
+// plan tree.
+func TestCorpusPinsServedPlans(t *testing.T) {
+	fixtures, err := Load("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := planner.DefaultConfig(nil)
+	served.Optimizer.MaxDOP = 1
+	for _, f := range fixtures {
+		_, q, err := Resolve(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := query.Analyze(q.Graph, served.Analyze)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := optimizer.Optimize(a, served.Optimizer)
+		if err != nil {
+			t.Fatalf("fixture %s: %v", f.Name, err)
+		}
+		if got, want := res.Best.String(), f.Expect.Plans["dfsm"]; got != want {
+			t.Errorf("fixture %s: the served configuration plans\n%sthe recorded dfsm plan is\n%s", f.Name, got, want)
+		}
 	}
 }
 
@@ -189,10 +222,8 @@ func TestFixtureRoundTrip(t *testing.T) {
 // and every build side streams per execution — and both pipelines must
 // deliver the same row sequence (the same multiset where an unordered
 // exchange makes the sequence arrival-dependent), sort the same number
-// of rows, and carry one stats entry per plan node. Under the hook an
-// exchange runs its morsels as pipelines of the serial operators, as
-// served through the fused evaluator: the two must also count the same
-// rows on every entry no Limit cuts short.
+// of rows, carry one stats entry per plan node, and count the same rows
+// on every entry no Limit cuts short.
 func TestResidentBuildEquivalence(t *testing.T) {
 	fixtures, err := Load("testdata")
 	if err != nil {

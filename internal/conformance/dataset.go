@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"orderopt/internal/catalog"
 	"orderopt/internal/exec"
@@ -13,19 +12,11 @@ import (
 	"orderopt/internal/tpcr"
 )
 
-// tpcrOnce lazily builds the shared TPC-R dataset registry: the rows
-// and presorted index views are immutable and safe to share across
-// fixtures (statistics are applied to each fixture's own catalog, not
-// to the dataset).
-var (
-	tpcrOnce sync.Once
-	tpcrReg  *exec.Registry
-)
-
-func tpcrRegistry() *exec.Registry {
-	tpcrOnce.Do(func() { tpcrReg = exec.TPCRRegistry() })
-	return tpcrReg
-}
+// tpcrReg is the shared TPC-R dataset registry. Each tier loads on
+// first use; its rows and presorted index views are immutable and safe
+// to share across fixtures (statistics are applied to each fixture's
+// own catalog, not to the dataset).
+var tpcrReg = exec.TPCRLazyRegistry()
 
 // Resolve materializes a fixture's query and data: the SQL is bound
 // against the dataset's catalog (a fresh one per call — planning
@@ -40,7 +31,7 @@ func Resolve(f *Fixture) (*exec.Dataset, *sqlparse.BoundQuery, error) {
 	if strings.HasPrefix(f.Dataset, "gen:") {
 		return resolveGen(f, stmt)
 	}
-	ds, ok := tpcrRegistry().Get(f.Dataset)
+	ds, ok := tpcrReg.Get(f.Dataset)
 	if !ok {
 		return nil, nil, fmt.Errorf("fixture %s: unknown dataset %q", f.Name, f.Dataset)
 	}
@@ -91,8 +82,7 @@ func resolveGen(f *Fixture, stmt *sqlparse.SelectStmt) (*exec.Dataset, *sqlparse
 	}
 	ds := exec.NewDataset(f.Dataset,
 		fmt.Sprintf("conformance synthetic: %d tables × %d rows, seed %d", spec.Relations, rows, seed),
-		querygen.GenerateData(q.Graph, rows, seed+500))
-	ds.BuildIndexes(cat)
+		cat, querygen.GenerateData(q.Graph, rows, seed+500))
 	ds.ApplyStats(q.Graph)
 	return ds, q, nil
 }

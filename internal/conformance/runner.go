@@ -162,7 +162,7 @@ func (r *Runner) Run(f *Fixture) (Expect, error) {
 		}
 		analyses[i] = a
 	}
-	sortKeys, err := orderKeyResolver(g)
+	orderKeys, err := orderKeyResolver(g)
 	if err != nil {
 		return Expect{}, fmt.Errorf("fixture %s: %w", f.Name, err)
 	}
@@ -200,7 +200,7 @@ func (r *Runner) Run(f *Fixture) (Expect, error) {
 		// the rows coming out of the pipeline must physically carry it —
 		// in every cell, parallel ones included.
 		if len(g.OrderBy) > 0 {
-			if err := checkSorted(rows, sortKeys(pipe.Schema)); err != nil {
+			if err := checkSorted(rows, orderKeys(pipe.Schema)); err != nil {
 				return Expect{}, fmt.Errorf("fixture %s cell %s: %w", f.Name, cell, err)
 			}
 		}

@@ -21,7 +21,7 @@ import (
 // (a top Sort feeding GroupSorted) — priced below the merge-join
 // alternative.
 func TestQ8CostCalibration(t *testing.T) {
-	reg := TPCRRegistry()
+	reg := TPCRLazyRegistry()
 	ds, ok := reg.Get("tpcr-large")
 	if !ok {
 		t.Fatal("no dataset tpcr-large")

@@ -15,10 +15,11 @@ import (
 // Dataset is one named, immutable in-memory database the executor can
 // run plans over. Every table is resident exactly once, as one
 // row-major slab built at load (row i is slab[i*w:(i+1)*w]) — the
-// layout the row operators scan. An index the catalog defines is a
-// second []Row in index order: when the table already lies in that
-// order the view aliases the table's rows, otherwise it owns a slab of
-// its own in index order. Datasets must not be mutated after
+// layout the row operators scan. Every index the catalog defines is
+// maintained as a second []Row in index order, the only way an index
+// scan reads: when the table already lies in that order the view
+// aliases the table's rows, otherwise it owns a slab of its own in
+// index order. Datasets must not be mutated after
 // registration — the serving layer executes concurrent requests
 // against them. What a dataset derives from its own rows afterwards
 // (hash-join build tables, see buildTable) is built at most once,
@@ -31,7 +32,7 @@ type Dataset struct {
 	// catalog's column order).
 	Tables map[string][]Row
 	// Views maps table name → index name → the table's rows in index
-	// order (built by BuildIndexes).
+	// order (built by NewDataset).
 	Views map[string]map[string][]Row
 
 	// owner is the registry holding this dataset resident: build tables
@@ -202,16 +203,35 @@ func (d *Dataset) buildTable(key buildKey, rows []Row) *hashView {
 	return hv
 }
 
-// NewDataset copies generated rows into one slab per table. The input
-// rows are not retained.
-func NewDataset(name, desc string, rows map[string][][]int64) *Dataset {
+// NewDataset copies generated rows into one slab per table and builds
+// the presorted view of every index cat defines on those tables (a nil
+// cat defines none). The input rows are not retained.
+func NewDataset(name, desc string, cat *catalog.Catalog, rows map[string][][]int64) *Dataset {
 	d := &Dataset{
 		Name:   name,
 		Desc:   desc,
 		Tables: make(map[string][]Row, len(rows)),
+		Views:  make(map[string]map[string][]Row),
 	}
 	for table, raw := range rows {
-		d.Tables[table] = packRows(raw)
+		base := packRows(raw)
+		d.Tables[table] = base
+		var t *catalog.Table
+		if cat != nil {
+			t, _ = cat.Table(table)
+		}
+		if t == nil || len(t.Indexes) == 0 {
+			continue
+		}
+		byIndex := make(map[string][]Row, len(t.Indexes))
+		for _, ix := range t.Indexes {
+			keys := make([]int, len(ix.Columns))
+			for i, col := range ix.Columns {
+				keys[i] = t.ColumnIndex(col)
+			}
+			byIndex[ix.Name] = sortedView(base, keys)
+		}
+		d.Views[table] = byIndex
 	}
 	return d
 }
@@ -231,27 +251,6 @@ func packRows[R ~[]int64](src []R) []Row {
 		slab = slab[n:]
 	}
 	return rows
-}
-
-// BuildIndexes builds the presorted view of every index the catalog
-// defines. Call it once, before the dataset is shared.
-func (d *Dataset) BuildIndexes(cat *catalog.Catalog) {
-	d.Views = make(map[string]map[string][]Row)
-	for name, base := range d.Tables {
-		t, ok := cat.Table(name)
-		if !ok || len(t.Indexes) == 0 {
-			continue
-		}
-		byIndex := make(map[string][]Row, len(t.Indexes))
-		for _, ix := range t.Indexes {
-			keys := make([]int, len(ix.Columns))
-			for i, col := range ix.Columns {
-				keys[i] = t.ColumnIndex(col)
-			}
-			byIndex[ix.Name] = sortedView(base, keys)
-		}
-		d.Views[name] = byIndex
-	}
 }
 
 // sortedView returns base's rows stably sorted on the key columns. A
@@ -366,7 +365,7 @@ func (d *Dataset) Runner(a *query.Analysis) *Runner {
 }
 
 // tpcrSizes are the generator specs of the standard TPC-R registry
-// tiers, shared by the eager and lazy registry constructors.
+// tiers.
 var tpcrSizes = []struct {
 	name string
 	spec tpcr.GenSpec
@@ -377,37 +376,25 @@ var tpcrSizes = []struct {
 }
 
 func buildTPCRDataset(name string, spec tpcr.GenSpec) *Dataset {
-	d := NewDataset(name,
-		fmt.Sprintf("synthetic TPC-R: %d orders, %d lineitems", spec.Orders, spec.LineItems),
-		tpcr.Generate(spec))
-	d.BuildIndexes(tpcr.Schema())
-	return d
+	return NewDataset(name, tpcrDesc(spec), tpcr.Schema(), tpcr.Generate(spec))
 }
 
-// TPCRRegistry builds the standard TPC-R dataset registry: three
+func tpcrDesc(spec tpcr.GenSpec) string {
+	return fmt.Sprintf("synthetic TPC-R: %d orders, %d lineitems", spec.Orders, spec.LineItems)
+}
+
+// TPCRLazyRegistry builds the standard TPC-R dataset registry: three
 // consistent synthetic databases (every foreign key resolves) at
-// increasing generator sizes, with all schema indexes presorted,
-// loaded eagerly and pinned for the registry's lifetime. The default
-// (first) dataset is the small one. Serving processes that want
-// bounded memory should prefer TPCRLazyRegistry.
-func TPCRRegistry() *Registry {
-	reg := NewRegistry()
-	for _, size := range tpcrSizes {
-		reg.Register(buildTPCRDataset(size.name, size.spec))
-	}
-	return reg
-}
-
-// TPCRLazyRegistry builds the same three-tier TPC-R registry with
-// on-demand loaders: nothing is generated until a query first asks for
-// a tier, and loaded tiers are LRU-evicted under the registry's byte
-// budget (SetBudget). This is the serving-tier registry — a cold
-// process holds no dataset memory.
+// increasing generator sizes, with all schema indexes presorted. The
+// default (first) dataset is the small one. Tiers load on demand:
+// nothing is generated until a query first asks for a tier, and loaded
+// tiers are LRU-evicted under the registry's byte budget (SetBudget) —
+// without one nothing is ever evicted. A cold process holds no dataset
+// memory.
 func TPCRLazyRegistry() *Registry {
 	reg := NewRegistry()
 	for _, size := range tpcrSizes {
-		reg.RegisterLazy(size.name,
-			fmt.Sprintf("synthetic TPC-R: %d orders, %d lineitems", size.spec.Orders, size.spec.LineItems),
+		reg.RegisterLazy(size.name, tpcrDesc(size.spec),
 			func() (*Dataset, error) { return buildTPCRDataset(size.name, size.spec), nil })
 	}
 	return reg
@@ -417,9 +404,7 @@ func TPCRLazyRegistry() *Registry {
 // graph's schema (uniform small-domain values — see
 // querygen.GenerateData) and presorts its index views.
 func QuerygenDataset(name string, cat *catalog.Catalog, g *query.Graph, rowsPerTable int, seed int64) *Dataset {
-	d := NewDataset(name,
+	return NewDataset(name,
 		fmt.Sprintf("querygen synthetic: %d tables × %d rows, seed %d", len(g.Relations), rowsPerTable, seed),
-		querygen.GenerateData(g, rowsPerTable, seed))
-	d.BuildIndexes(cat)
-	return d
+		cat, querygen.GenerateData(g, rowsPerTable, seed))
 }

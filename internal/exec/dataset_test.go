@@ -11,7 +11,7 @@ import (
 )
 
 func TestTPCRRegistry(t *testing.T) {
-	reg := TPCRRegistry()
+	reg := TPCRLazyRegistry()
 	names := reg.Names()
 	if len(names) != 3 || names[0] != "tpcr-small" {
 		t.Fatalf("names = %v", names)
@@ -72,7 +72,7 @@ func TestTPCRRegistry(t *testing.T) {
 }
 
 func TestApplyStats(t *testing.T) {
-	reg := TPCRRegistry()
+	reg := TPCRLazyRegistry()
 	ds, _ := reg.Get("tpcr-small")
 	_, g, err := tpcr.Query8Graph()
 	if err != nil {
@@ -103,7 +103,7 @@ func TestApplyStats(t *testing.T) {
 // and the rows of one table adjacent in one slab.
 func TestTableRowsRoundTrip(t *testing.T) {
 	raw := [][]int64{{1, 10, 100}, {2, 20, 200}, {3, 30, 300}}
-	ds := NewDataset("rt", "round trip", map[string][][]int64{"t": raw, "empty": nil})
+	ds := NewDataset("rt", "round trip", nil, map[string][][]int64{"t": raw, "empty": nil})
 	rows := ds.TableRows("t")
 	got := ds.RawRows()["t"]
 	if len(rows) != len(raw) || len(got) != len(raw) {
@@ -145,8 +145,7 @@ func TestViewsSortedStableShared(t *testing.T) {
 	for i := range raw {
 		raw[i] = []int64{int64((i * 7) % 5), int64(i)}
 	}
-	ds := NewDataset("v", "views", map[string][][]int64{"t": raw})
-	ds.BuildIndexes(cat)
+	ds := NewDataset("v", "views", cat, map[string][][]int64{"t": raw})
 	base := ds.Tables["t"]
 	bySeq, byK := ds.Views["t"]["by_seq"], ds.Views["t"]["by_k"]
 	if &bySeq[0][0] != &base[0][0] {

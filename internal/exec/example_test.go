@@ -18,7 +18,7 @@ func ExampleRunner() {
 	if err != nil {
 		panic(err)
 	}
-	ds, _ := exec.TPCRRegistry().Get("tpcr-small")
+	ds, _ := exec.TPCRLazyRegistry().Get("tpcr-small")
 	ds.ApplyStats(g) // plan against the dataset's real statistics
 
 	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
@@ -51,7 +51,7 @@ func ExampleRunner_Compile() {
 	if err != nil {
 		panic(err)
 	}
-	ds, _ := exec.TPCRRegistry().Get("tpcr-mid")
+	ds, _ := exec.TPCRLazyRegistry().Get("tpcr-mid")
 	ds.ApplyStats(g)
 
 	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})

@@ -144,6 +144,41 @@ func (s *Scan) Next() (Row, bool, error) {
 // Close implements Iterator.
 func (s *Scan) Close() error { return nil }
 
+// runIterator is implemented by the scan operators, which hand out up
+// to len(buf) rows per call instead of one per Next: a Scan straight
+// from its slice, a Filter compacting its input's run into buf. An
+// exchange pulls each morsel's driving scan through it (nextRun), so a
+// morsel's rows reach the fused evaluator without a call per row.
+type runIterator interface {
+	nextRun(buf []Row) ([]Row, error)
+}
+
+// nextRun returns the next run of rows from it, at most len(buf) and
+// none at the end of the stream: a runIterator's own run, otherwise (a
+// hooked scan, say) rows pulled one Next at a time into buf.
+func nextRun(it Iterator, buf []Row) ([]Row, error) {
+	if r, ok := it.(runIterator); ok {
+		return r.nextRun(buf)
+	}
+	for n := range buf {
+		row, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return buf[:n], nil
+		}
+		buf[n] = row
+	}
+	return buf, nil
+}
+
+func (s *Scan) nextRun(buf []Row) ([]Row, error) {
+	run := s.Rows[s.pos:min(s.pos+len(buf), len(s.Rows))]
+	s.pos += len(run)
+	return run, nil
+}
+
 // Filter yields input rows satisfying Pred.
 type Filter struct {
 	In   Iterator
@@ -168,6 +203,26 @@ func (f *Filter) Next() (Row, bool, error) {
 
 // Close implements Iterator.
 func (f *Filter) Close() error { return f.In.Close() }
+
+// nextRun compacts the passing rows of its input's runs into buf, in
+// place when the input's run is buf itself.
+func (f *Filter) nextRun(buf []Row) ([]Row, error) {
+	for {
+		in, err := nextRun(f.In, buf)
+		if err != nil || len(in) == 0 {
+			return nil, err
+		}
+		out := buf[:0]
+		for _, row := range in {
+			if f.Pred(row) {
+				out = append(out, row)
+			}
+		}
+		if len(out) > 0 {
+			return out, nil
+		}
+	}
+}
 
 // Sort materializes its input and yields it ordered by Keys (ascending,
 // stable). It is the only operator that inherently materializes its
@@ -540,24 +595,20 @@ type HashJoin struct {
 	bi     int
 	opened bool
 
-	// prebuilt, when set, is a build table Open adopts instead of
-	// draining Right (which is then nil): the dataset's resident table
-	// over the bare base-relation scan adopted (whose stats entry Open
-	// credits with the table's rows) or, in a morsel pipeline, the one
-	// table the exchange built and charged for all of them.
-	prebuilt *hashView
-	adopted  *bareScan
+	// adopted, when set, is the bare base-relation scan whose
+	// dataset-resident build table (adopted.hash) Open adopts instead of
+	// draining Right, which is then nil; Open credits the scan's stats
+	// entry with the table's rows.
+	adopted *bareScan
 
 	emit joinEmit
 }
 
 // Open implements Iterator.
 func (h *HashJoin) Open() error {
-	if h.prebuilt != nil {
-		h.table = h.prebuilt
-		if h.adopted != nil {
-			h.adopted.st.Rows = int64(len(h.adopted.rows))
-		}
+	if h.adopted != nil {
+		h.table = h.adopted.hash
+		h.adopted.st.Rows = int64(len(h.adopted.rows))
 	} else {
 		table, err := buildHash(h.Right, h.RightKey, h.Life.holdRow)
 		if err != nil {

@@ -46,6 +46,54 @@ func TestFilter(t *testing.T) {
 	}
 }
 
+// rowByRow hides its input's runs: nextRun must pull it one Next at a
+// time, as it does a hooked scan.
+type rowByRow struct{ Iterator }
+
+// TestNextRun: a scan's rows come out in runs of at most len(buf), in
+// order, whether they come straight from a Scan's slice or are pulled
+// one Next at a time, and a Filter over either hands out exactly the
+// passing rows — compacted in place over buf in the second case.
+func TestNextRun(t *testing.T) {
+	var rows []Row
+	for i := range int64(10) {
+		rows = append(rows, Row{i})
+	}
+	even := func(r Row) bool { return r[0]%2 == 0 }
+	for _, tc := range []struct {
+		name string
+		it   Iterator
+		want []Row
+	}{
+		{"scan", NewScan(rows), rows},
+		{"row by row", rowByRow{NewScan(rows)}, rows},
+		{"filtered scan", &Filter{In: NewScan(rows), Pred: even}, rowsOf([]int64{0}, []int64{2}, []int64{4}, []int64{6}, []int64{8})},
+		{"filtered row by row", &Filter{In: rowByRow{NewScan(rows)}, Pred: even}, rowsOf([]int64{0}, []int64{2}, []int64{4}, []int64{6}, []int64{8})},
+	} {
+		if err := tc.it.Open(); err != nil {
+			t.Fatal(err)
+		}
+		var got []Row
+		buf := make([]Row, 3)
+		for {
+			run, err := nextRun(tc.it, buf)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if len(run) == 0 {
+				break
+			}
+			if len(run) > len(buf) {
+				t.Errorf("%s: a run of %d rows from a buffer of %d", tc.name, len(run), len(buf))
+			}
+			got = append(got, run...)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: runs hold %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSortStable(t *testing.T) {
 	rows := rowsOf([]int64{2, 1}, []int64{1, 2}, []int64{2, 0}, []int64{1, 1})
 	got, err := Collect(&Sort{In: NewScan(rows), Keys: []int{0}})

@@ -18,7 +18,7 @@ import (
 )
 
 func TestLimitCloseWithoutExhaustLeaksNothing(t *testing.T) {
-	reg := exec.TPCRRegistry()
+	reg := exec.TPCRLazyRegistry()
 	ds, ok := reg.Get("tpcr-mid")
 	if !ok {
 		t.Fatal("no tpcr-mid dataset")

@@ -40,7 +40,7 @@ func ordersCustomerGraph(t *testing.T) *query.Graph {
 // to it, and an ordinary top-k — asserting each emits exactly the
 // k-prefix of the unlimited ordered result.
 func TestLimitEdgeCases(t *testing.T) {
-	reg := TPCRRegistry()
+	reg := TPCRLazyRegistry()
 	ds, ok := reg.Get("tpcr-small")
 	if !ok {
 		t.Fatal("no tpcr-small dataset")
@@ -164,7 +164,7 @@ func TestLimitMidDuplicateGroupMergeJoin(t *testing.T) {
 	}
 }
 
-// delayIter sleeps once every 64 rows — the knob that makes the
+// delayIter sleeps once every 16 rows — the knob that makes the
 // early-out test below deterministic by keeping morsel workers
 // mid-stream when the limit fills, without paying the platform's
 // per-sleep granularity floor on every row.
@@ -176,7 +176,7 @@ type delayIter struct {
 
 func (d *delayIter) Open() error { d.n = 0; return d.in.Open() }
 func (d *delayIter) Next() (Row, bool, error) {
-	if d.n++; d.n%64 == 0 {
+	if d.n++; d.n%16 == 0 {
 		time.Sleep(d.d)
 	}
 	return d.in.Next()
@@ -193,12 +193,14 @@ func (d *delayIter) Close() error { return d.in.Close() }
 // Exchange workers deliberately run ahead of the consumer (every
 // result channel has capacity for every send), so without the quiesce
 // check a limited run would still process every morsel in full. The
-// hook slows morsel-level join output enough that the limit fills
-// while later morsels are still in flight; the row counters then
-// separate cleanly: ~all rows without cancellation, roughly the first
-// worker round with it.
+// hook slows each morsel's driving scan, inside the worker, enough that
+// the limit fills while later morsels are still in flight; the row
+// counters then separate cleanly: ~all rows without cancellation,
+// roughly the first worker round with it. The run is at DOP 2, where a
+// morsel's filtered driving rows outnumber CancelCheckInterval, so a
+// worker polls the pipeline mid-morsel.
 func TestLimitEarlyOutUnderParallelExchanges(t *testing.T) {
-	reg := TPCRRegistry()
+	reg := TPCRLazyRegistry()
 	ds, ok := reg.Get("tpcr-large")
 	if !ok {
 		t.Fatal("no tpcr-large dataset")
@@ -212,19 +214,24 @@ func TestLimitEarlyOutUnderParallelExchanges(t *testing.T) {
 		t.Fatalf("optimizer chose no exchange at MaxDOP=4:\n%s", best)
 	}
 	if findOp(best, plan.MergeJoin) == nil {
-		t.Fatalf("plan no longer merge-joins; the delay hook needs a new target:\n%s", best)
+		t.Fatalf("plan no longer merge-joins:\n%s", best)
 	}
+	probe, err := ds.Runner(a).Compile(best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driving := drivingScan(t, probe)
 	hook := func(op, detail string, it Iterator, life *Life) Iterator {
-		if op == plan.MergeJoin.String() {
+		if op == driving.Op && detail == driving.Detail {
 			return &delayIter{in: it, d: time.Millisecond}
 		}
 		return it
 	}
 
 	// Reference: the same hooked plan without a limit processes the
-	// full join stream through the morsel-level merge joins.
+	// full join stream through the morsels' merge joins.
 	full := ds.Runner(a)
-	full.MaxDOP = 4
+	full.MaxDOP = 2
 	full.Hook = hook
 	fp, err := full.Compile(best)
 	if err != nil {
@@ -238,7 +245,7 @@ func TestLimitEarlyOutUnderParallelExchanges(t *testing.T) {
 	const k = 10
 	limited := &plan.Node{Op: plan.Limit, Limit: k, Left: best, Card: k}
 	r := ds.Runner(a)
-	r.MaxDOP = 4
+	r.MaxDOP = 2
 	r.Hook = hook
 	p, err := r.Compile(limited)
 	if err != nil {
@@ -277,9 +284,11 @@ func TestLimitEarlyOutUnderParallelExchanges(t *testing.T) {
 		}
 	}
 	// The sibling cancellation: the limited run's morsel joins must stop
-	// well short of the full stream. Workers notice quiescence per
-	// output row, so only the morsels already in flight when the limit
-	// filled (at most one round of workers) keep contributing.
+	// well short of the full stream. Workers poll quiescence before each
+	// morsel and every CancelCheckInterval driving rows, and an abandoned
+	// morsel counts nothing, so only the morsels already past their
+	// first poll when the limit filled (at most one round of workers)
+	// keep contributing.
 	gotJoin := opRows(t, p, plan.MergeJoin)
 	if gotJoin*10 > fullJoin*9 {
 		t.Fatalf("limited run joined %d rows vs %d unlimited — early-out did not stop the sibling workers",
@@ -323,7 +332,7 @@ func topKHot(t *testing.T, ds *Dataset) (*query.Analysis, *plan.Node) {
 // few KiB (the pipeline and its ten result rows), not the hundreds a
 // per-request build of the customer table did.
 func TestTopKHotAllocCeiling(t *testing.T) {
-	ds, ok := TPCRRegistry().Get("tpcr-large")
+	ds, ok := TPCRLazyRegistry().Get("tpcr-large")
 	if !ok {
 		t.Fatal("no tpcr-large dataset")
 	}

@@ -147,7 +147,7 @@ func joinWidths(t *testing.T, r *Runner, g *query.Graph, best *plan.Node) ([]Row
 // out of the top join, where the wide layout carries 9 and 25 — and the
 // result is the wide pipeline's, grouped.
 func TestLiveColumnsQ8(t *testing.T) {
-	ds, _ := TPCRRegistry().Get("tpcr-small")
+	ds, _ := TPCRLazyRegistry().Get("tpcr-small")
 	g := q8Served(t)
 	a, best := planServed(t, g)
 	got, widths := joinWidths(t, ds.Runner(a), g, best)
@@ -192,12 +192,12 @@ func TestLiveColumnsQ8(t *testing.T) {
 	}
 }
 
-// TestLiveColumnsExchange: a grouped query through an exchange — the
-// fused evaluator and, under a hook, the composed morsel pipelines —
+// TestLiveColumnsExchange: a grouped query through an exchange — with
+// and without a hook, which every morsel's driving scan passes through —
 // returns row for row what its serial twin returns, at DOP 2 and 4, and
 // the exchange hands up only the live columns.
 func TestLiveColumnsExchange(t *testing.T) {
-	ds, _ := TPCRRegistry().Get("tpcr-mid")
+	ds, _ := TPCRLazyRegistry().Get("tpcr-mid")
 	grouped := func() (*query.Graph, error) { // order-preserving: ExchangeMerge under GroupSorted
 		_, g, err := tpcr.OrderStreamGraph()
 		if err == nil {
@@ -349,7 +349,7 @@ func TestLiveColumnsEquatedTwin(t *testing.T) {
 // drain buffer, 10.7 MiB when every join concatenated whole rows and
 // built a map. Median of 15, like TestColdPlanAllocBudget.
 func TestQ8ExecAllocBudget(t *testing.T) {
-	ds, _ := TPCRRegistry().Get("tpcr-mid")
+	ds, _ := TPCRLazyRegistry().Get("tpcr-mid")
 	a, best := planServed(t, q8Served(t))
 	run := func() uint64 {
 		var before, after runtime.MemStats

@@ -40,7 +40,7 @@ func servedPlan(t *testing.T, sql string) (*query.Analysis, *plan.Node) {
 
 func tpcrDataset(t *testing.T, name string) *exec.Dataset {
 	t.Helper()
-	ds, ok := exec.TPCRRegistry().Get(name)
+	ds, ok := exec.TPCRLazyRegistry().Get(name)
 	if !ok {
 		t.Fatalf("no dataset %s", name)
 	}
@@ -232,16 +232,25 @@ func (p *panicAt) Next() (exec.Row, bool, error) {
 // and no worker left running.
 func TestExchangeWorkerPanic(t *testing.T) {
 	runner, res := streamPlan(t, 2)
-	spine := res.Best.Left // the exchange's segment root
-	if res.Best.Op != plan.ExchangeMerge || spine == nil {
+	if res.Best.Op != plan.ExchangeMerge {
 		t.Fatalf("stream plan at DOP 2 has no exchange at its root:\n%s", res.Best)
+	}
+	// The driving scan — the one scan an exchange compiles with a DOP —
+	// only ever runs as morsel instances inside workers.
+	var driving *exec.OpStats
+	for _, op := range mustCompile(t, runner, res).Ops {
+		if op.DOP > 0 && strings.HasSuffix(op.Op, "Scan") {
+			driving = op
+		}
+	}
+	if driving == nil {
+		t.Fatal("the exchange registered no driving scan")
 	}
 	tr := &faultinject.Tracker{}
 	acct := exec.NewAccountant(0)
 	runner.Accountant = acct
-	// The segment root only ever runs as morsel instances inside workers.
 	runner.Hook = faultinject.Compose(tr.Hook(), func(op, detail string, it exec.Iterator, life *exec.Life) exec.Iterator {
-		if op != spine.Op.String() {
+		if op != driving.Op || detail != driving.Detail {
 			return it
 		}
 		return &panicAt{Iterator: it, at: 5}

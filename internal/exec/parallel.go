@@ -25,11 +25,13 @@ import (
 //     subtree per morsel.
 //   - The spine, evaluated per MORSEL: the driving scan's rows are
 //     split into contiguous morsels pulled off an atomic counter by a
-//     worker pool; each worker runs its morsel through the fused spine
-//     evaluator (runMorselFused: one nested loop over the shared state)
-//     or, under a fault hook, through a throwaway pipeline of the serial
-//     operators over the same state (runMorsel), collects the output,
-//     and hands it back.
+//     worker pool; each worker streams its morsel through the serial
+//     path's scan (with the relation's filter, under the fault hook when
+//     one is set) into the fused spine evaluator (runMorsel: one nested
+//     loop over the shared state), collects the output, and hands it
+//     back. The spine joins are loop levels of that evaluator, not
+//     operators: a fault hook reaches the driving scan, the shared side
+//     and the exchange itself, never a spine join.
 //
 // Order preservation is the whole point of ExchangeMerge, and it holds
 // by a restriction argument rather than by sorting: every spine join
@@ -65,6 +67,10 @@ const (
 	morselMaxSize = 8192
 )
 
+// morselRunRows is how many driving rows a worker takes from its
+// morsel's scan at once (nextRun).
+const morselRunRows = 64
+
 func morselSize(n, dop int) int {
 	sz := n / (2 * dop)
 	if sz < morselMinSize {
@@ -95,9 +101,9 @@ type spineStep struct {
 	// budget: the state is the dataset's own memory.
 	adopted *bareScan
 
-	// Shared state, filled by materialize at exchange Open (or at
-	// compile when adopted); immutable (and therefore safely shared)
-	// once workers start.
+	// Shared state, filled by materialize at exchange Open (or from
+	// adopted); immutable (and therefore safely shared) once workers
+	// start.
 	hash   *hashView // HashJoin: the one shared build table
 	sorted []Row     // MergeJoin: materialized, verified right input
 	inner  []Row     // NestedLoopJoin: materialized inner
@@ -127,15 +133,16 @@ func (b *bulkHold) flush() error {
 }
 
 // materialize builds the step's shared state. The adopted fast path
-// only records the adopted view's row count (sortedness on the merge
-// key is structural: the key is the index's leading column); the
-// general path runs the compiled right-hand subtree to completion,
+// takes the dataset's state and records its row count (sortedness on
+// the merge key is structural: the key is the index's leading column);
+// the general path runs the compiled right-hand subtree to completion,
 // charging the materialized rows against the query budget (released
 // with the pipeline, like the serial builds).
 func (s *spineStep) materialize(life *Life) error {
 	key := s.eqs[s.primary].r
-	if s.adopted != nil {
-		s.adopted.st.Rows = int64(len(s.adopted.rows))
+	if a := s.adopted; a != nil {
+		s.hash, s.sorted = a.hash, a.rows // the one the step's join reads
+		a.st.Rows = int64(len(a.rows))
 		return nil
 	}
 	bh := &bulkHold{life: life}
@@ -270,17 +277,26 @@ func locatePiece(widths []int, c int) (int, int) {
 	return len(widths) - 1, c
 }
 
-// runMorselFused evaluates one morsel through the whole spine in a
-// single nested loop: per driving row, each step's matches are located
-// directly in the shared state (merge groups by galloping seek, hash
-// buckets by lookup, nested-loop inners by scan) and only the final
-// result row is materialized — one allocation per output row, no
-// intermediate rows, no per-row operator hand-off. Output order is the
-// serial sequence restricted to the morsel, by the same restriction
-// argument as the composed pipeline: match order within a step is
-// fixed by the shared state, and the driving rows ascend.
-func (x *Exchange) runMorselFused(rows []Row) morselResult {
+// runMorsel evaluates one morsel of driving rows through the whole
+// spine in a single nested loop, collects its output and charges it
+// against the budget. The morsel's rows stream through the driving
+// scan (Exchange.scan: the relation's filter, and the fault hook when
+// one is set, so injected faults fire inside the worker), a run of rows
+// at a time (nextRun, into the worker's buf); per driving row, each
+// step's matches are located directly in the shared state
+// (merge groups by galloping seek, hash buckets by lookup, nested-loop
+// inners by scan) and only the final result row is materialized — one
+// allocation per output row, no intermediate rows, no per-row operator
+// hand-off. Output order is the serial sequence restricted to the
+// morsel: match order within a step is fixed by the shared state, and
+// the driving rows ascend.
+func (x *Exchange) runMorsel(rows, buf []Row) morselResult {
 	if err := x.life.Err(); err != nil {
+		return morselResult{err: err}
+	}
+	scan := x.scan(rows)
+	defer scan.Close() // before Open, so a panic inside Open closes too
+	if err := scan.Open(); err != nil {
 		return morselResult{err: err}
 	}
 	out := make([]Row, 0, x.morselHint())
@@ -373,34 +389,43 @@ func (x *Exchange) runMorselFused(rows []Row) morselResult {
 		}
 		return nil
 	}
-	for _, d := range rows {
-		if x.filter != nil && !x.filter(d) {
-			continue
-		}
-		leafRows++
-		if leafRows&(CancelCheckInterval-1) == 0 {
-			if err := x.life.Err(); err != nil {
-				return morselResult{err: err}
-			}
-			if x.life.drained() {
-				// Quiesced mid-morsel: the consumer can never observe
-				// this morsel's output, so abandon it without error (the
-				// collected prefix was not yet budget-charged).
-				return morselResult{}
-			}
-		}
-		if nsteps == 0 {
-			out = append(out, d)
-			continue
-		}
-		pieces[0] = d
-		if err := rec(0); err != nil {
+	for {
+		run, err := nextRun(scan, buf)
+		if err != nil {
 			return morselResult{err: err}
 		}
+		if len(run) == 0 {
+			break
+		}
+		for _, d := range run {
+			leafRows++
+			if leafRows&(CancelCheckInterval-1) == 0 {
+				if err := x.life.Err(); err != nil {
+					return morselResult{err: err}
+				}
+				if x.life.drained() {
+					// Quiesced mid-morsel: the consumer can never observe
+					// this morsel's output, so abandon it without error
+					// (the collected prefix was not yet budget-charged).
+					return morselResult{}
+				}
+			}
+			if nsteps == 0 {
+				out = append(out, d)
+				continue
+			}
+			pieces[0] = d
+			if err := rec(0); err != nil {
+				return morselResult{err: err}
+			}
+		}
 	}
-	foldStats(x.leafSt, leafRows, 0)
+	// The segment's entries are shared by every worker: each is touched
+	// once per morsel, and Exchange.Close's wg.Wait orders the adds
+	// before any read.
+	atomic.AddInt64(&x.leafSt.Rows, leafRows)
 	for i := range x.fused {
-		foldStats(x.fused[i].s.st, cnt[i], 0)
+		atomic.AddInt64(&x.fused[i].s.st.Rows, cnt[i])
 	}
 	x.lastOut.Store(int64(len(out)))
 	var bytes int64
@@ -452,23 +477,20 @@ type Exchange struct {
 	ordered bool
 	dop     int
 	life    *Life
-	hook    IterHook
-	timing  bool
 	estCard float64      // planner's output estimate, sizes morsel buffers
 	lastOut atomic.Int64 // most recent morsel's actual output size, refines the estimate
 
 	driving     []Row
-	filter      func(Row) bool
+	scan        func(morsel []Row) Iterator // the driving scan over one morsel (buildSegment)
 	leafSt      *OpStats
 	steps       []*spineStep // bottom-up along the spine
 	pieceWidths []int        // column width of the driving leaf, then each step's right side
 	// lastEmit is the top spine join's output layout (joinOutput), which
-	// is the exchange's: the composed pipeline's last join emits through
-	// it, the fused evaluator through fusedOut. Nothing is pruned between
-	// steps — the fused evaluator has no intermediate rows, and the
-	// composed pipeline is not what serves traffic.
+	// is the exchange's; the fused evaluator emits it through fusedOut.
+	// Nothing is pruned between steps: the evaluator has no intermediate
+	// rows.
 	lastEmit joinEmit
-	fused    []fusedStep // fused spine evaluator steps (see runMorselFused); unused under a hook
+	fused    []fusedStep // fused spine evaluator steps (see runMorsel)
 	fusedOut []fusedEq   // lastEmit's columns as (piece, column) pairs
 
 	stop     chan struct{}
@@ -497,13 +519,7 @@ func (x *Exchange) Open() error {
 			return err
 		}
 	}
-	// Without a fault hook the workers run the fused spine evaluator —
-	// one nested loop per morsel over the shared state, no intermediate
-	// operator hand-off. With a hook, morsels run as composed operator
-	// pipelines so injected faults interpose per operator.
-	if x.hook == nil {
-		x.buildFused()
-	}
+	x.buildFused()
 	d := x.driving
 	sz := morselSize(len(d), x.dop)
 	nm := (len(d) + sz - 1) / sz
@@ -532,6 +548,7 @@ func (x *Exchange) Open() error {
 			defer x.wg.Done()
 			activeWorkers.Add(1)
 			defer activeWorkers.Add(-1)
+			buf := make([]Row, morselRunRows) // the worker's nextRun buffer
 			for {
 				select {
 				case <-x.stop:
@@ -551,7 +568,7 @@ func (x *Exchange) Open() error {
 				if hi > len(d) {
 					hi = len(d)
 				}
-				res := x.runMorselRecovered(d[i*sz : hi])
+				res := x.runMorselRecovered(d[i*sz:hi], buf)
 				if res.err != nil {
 					// First failure aborts the siblings through the
 					// shared Life (they observe it at their next
@@ -577,106 +594,14 @@ func (x *Exchange) Open() error {
 // layer's recovering handler, so a panic here would otherwise end the
 // process; as an error it aborts the siblings and reaches the consumer
 // like any other failed morsel. runMorsel's deferred Close still runs as
-// the panic unwinds, so the morsel's operators are closed either way.
-func (x *Exchange) runMorselRecovered(rows []Row) (res morselResult) {
+// the panic unwinds, so the morsel's driving scan is closed either way.
+func (x *Exchange) runMorselRecovered(rows, buf []Row) (res morselResult) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = morselResult{err: fmt.Errorf("exec: panic in exchange worker: %v", v)}
 		}
 	}()
-	return x.runMorsel(rows)
-}
-
-// foldStats adds one morsel's privately counted rows and time to st, the
-// segment's entry every worker shares: the shared cache line is touched
-// once per morsel, and Exchange.Close's wg.Wait orders the adds before
-// any read. TimeNs sums across workers (it can exceed wall clock).
-func foldStats(st *OpStats, rows, timeNs int64) {
-	atomic.AddInt64(&st.Rows, rows)
-	atomic.AddInt64(&st.TimeNs, timeNs)
-}
-
-// runMorsel evaluates one morsel of driving rows, collects its output
-// and charges it against the budget. Under a fault hook the morsel is a
-// throwaway pipeline of the serial path's own operators over the shared
-// state, each under the hook and an ordinary statsIter: injected faults
-// and cancellation polling work inside workers exactly as they do
-// serially. The operators read the shared state through plain scans —
-// O(|right|) per morsel, a price only hooked runs pay — so the merge
-// join re-verifies its right side's order per morsel.
-func (x *Exchange) runMorsel(rows []Row) morselResult {
-	if x.hook == nil {
-		return x.runMorselFused(rows)
-	}
-	if err := x.life.Err(); err != nil {
-		return morselResult{err: err}
-	}
-	local := make([]OpStats, 1+len(x.steps)) // the leaf's, then each step's
-	defer func() {
-		foldStats(x.leafSt, local[0].Rows, local[0].TimeNs)
-		for i, s := range x.steps {
-			foldStats(s.st, local[i+1].Rows, local[i+1].TimeNs)
-		}
-	}()
-	wrap := func(it Iterator, shared, st *OpStats) Iterator {
-		it = x.hook(shared.Op, shared.Detail, it, x.life)
-		return &statsIter{in: it, st: st, life: x.life, timing: x.timing}
-	}
-	it := Iterator(NewScan(rows))
-	if x.filter != nil {
-		it = &Filter{In: it, Pred: x.filter}
-	}
-	it = wrap(it, x.leafSt, &local[0])
-	for si, s := range x.steps {
-		// Life stays nil on every join: what it would buffer is a view
-		// into the shared state, charged once at setup.
-		k := s.eqs[s.primary]
-		var emit joinEmit
-		if si == len(x.steps)-1 {
-			emit = x.lastEmit
-		}
-		if s.op != plan.NestedLoopJoin {
-			emit.res = residual(s.eqs, s.primary)
-		}
-		switch s.op {
-		case plan.MergeJoin:
-			it = &MergeJoin{Left: it, Right: NewScan(s.sorted), LeftKey: k.l, RightKey: k.r, emit: emit}
-		case plan.HashJoin:
-			it = &HashJoin{Left: it, prebuilt: s.hash, LeftKey: k.l, RightKey: k.r, emit: emit}
-		default: // NestedLoopJoin
-			it = &NestedLoopJoin{Outer: it, Inner: NewScan(s.inner), Pred: allEqs(s.eqs), emit: emit}
-		}
-		it = wrap(it, s.st, &local[si+1])
-	}
-	defer it.Close() // before Open, so a panic inside Open closes too
-	if err := it.Open(); err != nil {
-		return morselResult{err: err}
-	}
-	out := make([]Row, 0, x.morselHint())
-	for {
-		if x.life.drained() {
-			// Quiesced mid-morsel (see runMorselFused): abandon cleanly.
-			return morselResult{}
-		}
-		row, ok, err := it.Next()
-		if err != nil {
-			return morselResult{err: err}
-		}
-		if !ok {
-			break
-		}
-		out = append(out, row)
-	}
-	x.lastOut.Store(int64(len(out)))
-	var bytes int64
-	if len(out) > 0 {
-		// all output rows of one pipeline have the same width
-		bytes = int64(len(out)) * rowBytes(out[0])
-	}
-	if err := x.life.hold(int64(len(out)), bytes); err != nil {
-		return morselResult{err: err}
-	}
-	return morselResult{rows: out, bytes: bytes}
+	return x.runMorsel(rows, buf)
 }
 
 // SizeHint implements sizeHinter with the planner's output estimate.
@@ -686,62 +611,52 @@ func (x *Exchange) SizeHint() int { return int(x.estCard) }
 // output at once. The batch stays charged against the budget until the
 // following call advances past it, mirroring Next.
 func (x *Exchange) NextBatch() ([]Row, bool, error) {
-	for {
-		if x.ci < len(x.cur) {
-			batch := x.cur[x.ci:]
-			x.ci = len(x.cur)
-			return batch, true, nil
+	for x.ci == len(x.cur) {
+		if ok, err := x.advance(); !ok {
+			return nil, false, err
 		}
-		if x.cur != nil {
-			x.life.release(int64(len(x.cur)), x.curBytes)
-			x.cur, x.curBytes, x.ci = nil, 0, 0
-		}
-		if x.seq >= x.nm {
-			return nil, false, nil
-		}
-		var res morselResult
-		if x.ordered {
-			res = <-x.outs[x.seq]
-		} else {
-			res = <-x.out
-		}
-		x.seq++
-		if res.err != nil {
-			return nil, false, res.err
-		}
-		x.cur, x.curBytes, x.ci = res.rows, res.bytes, 0
 	}
+	batch := x.cur[x.ci:]
+	x.ci = len(x.cur)
+	return batch, true, nil
 }
 
-// Next implements Iterator: emit the buffered morsel, then block for
-// the next one — the seq'th morsel's channel when order-preserving,
-// whatever arrives first when not.
+// Next implements Iterator: emit the buffered morsel's rows one by one.
 func (x *Exchange) Next() (Row, bool, error) {
-	for {
-		if x.ci < len(x.cur) {
-			r := x.cur[x.ci]
-			x.ci++
-			return r, true, nil
+	for x.ci == len(x.cur) {
+		if ok, err := x.advance(); !ok {
+			return nil, false, err
 		}
-		if x.cur != nil {
-			x.life.release(int64(len(x.cur)), x.curBytes)
-			x.cur, x.curBytes, x.ci = nil, 0, 0
-		}
-		if x.seq >= x.nm {
-			return nil, false, nil
-		}
-		var res morselResult
-		if x.ordered {
-			res = <-x.outs[x.seq]
-		} else {
-			res = <-x.out
-		}
-		x.seq++
-		if res.err != nil {
-			return nil, false, res.err
-		}
-		x.cur, x.curBytes, x.ci = res.rows, res.bytes, 0
 	}
+	r := x.cur[x.ci]
+	x.ci++
+	return r, true, nil
+}
+
+// advance releases the buffered morsel's budget charge and blocks for
+// the next one — the seq'th morsel's channel when order-preserving,
+// whatever arrives first when not. It reports false at the end of the
+// stream and on a failed morsel.
+func (x *Exchange) advance() (bool, error) {
+	if x.cur != nil {
+		x.life.release(int64(len(x.cur)), x.curBytes)
+		x.cur, x.curBytes, x.ci = nil, 0, 0
+	}
+	if x.seq >= x.nm {
+		return false, nil
+	}
+	var res morselResult
+	if x.ordered {
+		res = <-x.outs[x.seq]
+	} else {
+		res = <-x.out
+	}
+	x.seq++
+	if res.err != nil {
+		return false, res.err
+	}
+	x.cur, x.curBytes, x.ci = res.rows, res.bytes, 0
+	return true, nil
 }
 
 // Close stops the pool, waits for every worker to exit (the
@@ -801,8 +716,6 @@ func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats, live live
 		ordered: n.Op == plan.ExchangeMerge,
 		dop:     dop,
 		life:    p.Life,
-		hook:    r.Hook,
-		timing:  !r.DisableTiming,
 		estCard: n.Card,
 	}
 	schema, err := r.buildSegment(n.Left, p, x, live)
@@ -833,13 +746,11 @@ func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange, live liveC
 		}
 		st := &OpStats{Op: n.Op.String(), Detail: leaf.detail, EstRows: n.Card, DOP: x.dop}
 		p.Ops = append(p.Ops, st)
-		x.driving, x.filter, x.leafSt = leaf.rows, leaf.filter, st
-		if leaf.sortKeys != nil {
-			// No maintained index: the runner sorts the view once and
-			// caches it — the per-execution sort the serial path pays is
-			// hoisted out of morsel partitioning entirely.
-			x.driving = r.sortedIndexView(leaf.key.table, leaf.key.view, leaf.rows, leaf.sortKeys)
-		}
+		// Each worker scans its morsel the way the serial path scans the
+		// relation, and the hook is offered every morsel's scan.
+		hook := r.Hook
+		x.driving, x.leafSt = leaf.rows, st
+		x.scan = func(morsel []Row) Iterator { return hooked(hook, leaf.iter(morsel), st, p.Life) }
 		x.pieceWidths = append(x.pieceWidths, len(leaf.schema))
 		return leaf.schema, nil
 
@@ -852,11 +763,8 @@ func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange, live liveC
 		if err != nil {
 			return nil, err
 		}
-		step := &spineStep{op: n.Op, st: st, right: j.it, hash: j.hash, adopted: j.adopted,
+		step := &spineStep{op: n.Op, st: st, right: j.it, adopted: j.adopted,
 			eqs: j.eqs, primary: j.primary, est: int(n.Right.Card)}
-		if j.adopted != nil && n.Op == plan.MergeJoin {
-			step.sorted = j.adopted.rows
-		}
 		x.pieceWidths = append(x.pieceWidths, len(j.schema))
 		x.steps = append(x.steps, step)
 		return append(append([]query.ColumnRef{}, j.ls...), j.schema...), nil
@@ -869,29 +777,28 @@ func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange, live liveC
 // (Runner.joinRight): the rows the scan would stream, the name of that
 // stream for Dataset.buildTable (the adopter fills in the key column),
 // the stats entry to register where the compiled scan's would stand,
-// the scan's schema, and the column the stream is sorted on first (an
-// index view's leading key column; -1 for a table scan).
+// the scan's schema, the column the stream is sorted on first (an
+// index view's leading key column; -1 for a table scan), and — for a
+// hash join's build side — the resident build table adopted.
 type bareScan struct {
 	rows    []Row
 	key     buildKey
 	st      *OpStats
 	schema  []query.ColumnRef
 	leading int
+	hash    *hashView
 }
 
 // bareScanRows returns n's bareScan — a table scan's rows, or an index
-// scan's maintained view — and nil for anything else. An index scan
-// without a maintained view is rejected: its serial twin streams
-// through a Sort, and a cached substitute would have to prove order
-// equivalence. So is everything under a fault hook: adoption skips
-// instantiating the subtree, and the hook must be able to wrap every
-// operator.
+// scan's maintained view — and nil for anything else, and for
+// everything under a fault hook: adoption skips instantiating the
+// scan, and the hook must be offered every scan that runs.
 func (r *Runner) bareScanRows(n *plan.Node) *bareScan {
 	if r.Hook != nil || (n.Op != plan.TableScan && n.Op != plan.IndexScan) {
 		return nil
 	}
 	leaf, err := r.resolveScan(n)
-	if err != nil || leaf.filter != nil || leaf.sortKeys != nil {
+	if err != nil || leaf.filter != nil {
 		return nil
 	}
 	return &bareScan{rows: leaf.rows, key: leaf.key, schema: leaf.schema, leading: leaf.leading,

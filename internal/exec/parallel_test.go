@@ -60,6 +60,20 @@ func findOp(n *plan.Node, op plan.Op) *plan.Node {
 	return findOp(n.Right, op)
 }
 
+// drivingScan returns the stats entry of p's exchange driving scan —
+// the one scan an exchange compiles with a DOP, whose instances the
+// hook is offered inside the workers, one per morsel.
+func drivingScan(t *testing.T, p *Pipeline) *OpStats {
+	t.Helper()
+	for _, op := range p.Ops {
+		if op.DOP > 0 && (op.Op == plan.TableScan.String() || op.Op == plan.IndexScan.String()) {
+			return op
+		}
+	}
+	t.Fatal("pipeline has no exchange driving scan")
+	return nil
+}
+
 func rowsEqual(a, b []Row) bool {
 	if len(a) != len(b) {
 		return false
@@ -92,9 +106,12 @@ func sortAllColumns(rows []Row) {
 // TestExchangeMergePreservesSerialSequence is the order-preservation
 // theorem as a test: the plan the optimizer parallelized must produce,
 // at every DOP, row for row the sequence its serial (exchange-stripped)
-// twin produces — no sorting, no reordering, on both workloads.
+// twin produces — no sorting, no reordering, on both workloads. The
+// workers count what the serial operators count: at DOP > 1 every
+// stats entry but the exchange's own reports the rows of the same plan
+// node in the serial pipeline.
 func TestExchangeMergePreservesSerialSequence(t *testing.T) {
-	reg := TPCRRegistry()
+	reg := TPCRLazyRegistry()
 	workloads := []struct {
 		name  string
 		graph func() (*catalog.Catalog, *query.Graph, error)
@@ -123,8 +140,11 @@ func TestExchangeMergePreservesSerialSequence(t *testing.T) {
 			}
 			serialPlan := stripExchanges(best)
 
-			serial := ds.Runner(a)
-			want, _, err := serial.Run(serialPlan)
+			sp, err := ds.Runner(a).Compile(serialPlan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sp.Execute()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,6 +177,27 @@ func TestExchangeMergePreservesSerialSequence(t *testing.T) {
 					t.Fatalf("%s/%s dop=%d: %d bytes still held after execution",
 						w.name, dsName, dop, p.Life.HeldBytes())
 				}
+				if dop == 1 {
+					continue
+				}
+				// Preorder with the exchange's entry dropped is the serial
+				// pipeline's preorder.
+				var ops []*OpStats
+				for _, op := range p.Ops {
+					if op.Op != x.Op.String() {
+						ops = append(ops, op)
+					}
+				}
+				if len(ops) != len(sp.Ops) {
+					t.Fatalf("%s/%s dop=%d: %d stats entries besides the exchange's, serial has %d",
+						w.name, dsName, dop, len(ops), len(sp.Ops))
+				}
+				for i, op := range ops {
+					if s := sp.Ops[i]; op.Op != s.Op || op.Detail != s.Detail || op.Rows != s.Rows {
+						t.Errorf("%s/%s dop=%d: entry %d is %s %s with %d rows, serially %s %s with %d",
+							w.name, dsName, dop, i, op.Op, op.Detail, op.Rows, s.Op, s.Detail, s.Rows)
+					}
+				}
 			}
 		}
 	}
@@ -166,7 +207,7 @@ func TestExchangeMergePreservesSerialSequence(t *testing.T) {
 // orders workload over tpcr-large the DFSM plan parallelizes with an
 // order-preserving ExchangeMerge and still sorts zero rows.
 func TestExchangeMergeAvoidsSorting(t *testing.T) {
-	reg := TPCRRegistry()
+	reg := TPCRLazyRegistry()
 	ds, _ := reg.Get("tpcr-large")
 	_, g, err := tpcr.OrderStreamGraph()
 	if err != nil {
@@ -210,7 +251,7 @@ func TestExchangeMergeAvoidsSorting(t *testing.T) {
 // Life aborts the others, the query fails with ErrBudgetExceeded and
 // everything charged is released.
 func TestExchangeBudgetAbortsSiblings(t *testing.T) {
-	reg := TPCRRegistry()
+	reg := TPCRLazyRegistry()
 	ds, _ := reg.Get("tpcr-large")
 	_, g, err := tpcr.OrderStreamGraph()
 	if err != nil {
@@ -242,7 +283,7 @@ func TestExchangeBudgetAbortsSiblings(t *testing.T) {
 // the serial DFSM orders plan (the optimizer usually prefers the merge
 // exchange when an order is claimed) and checks the multiset result.
 func TestExchangeUnionExecutes(t *testing.T) {
-	reg := TPCRRegistry()
+	reg := TPCRLazyRegistry()
 	ds, _ := reg.Get("tpcr-mid")
 	_, g, err := tpcr.OrderStreamGraph()
 	if err != nil {
@@ -276,7 +317,7 @@ func TestExchangeUnionExecutes(t *testing.T) {
 // stream order either way, of exactly the size it was admitted at, and
 // built once per dataset, view and key column.
 func TestHashViewOneForm(t *testing.T) {
-	d := NewDataset("d", "", nil)
+	d := NewDataset("d", "", nil, nil)
 	packed := []Row{{5, 0}, {7, 1}, {5, 2}, {6, 3}}
 	hv := d.buildTable(buildKey{table: "t"}, packed)
 	if hv.keys != nil || hv.min != 5 || len(hv.off) != 4 {

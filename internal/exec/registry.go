@@ -17,7 +17,8 @@ import (
 // be no way back).
 
 // ErrUnknownDataset is wrapped by Acquire/Get failures for names that
-// were never registered; the serving layer maps it to 400.
+// were never registered; the serving layer maps it to 400, and every
+// other loader failure to 500.
 var ErrUnknownDataset = errors.New("exec: unknown dataset")
 
 // DatasetLoader builds a dataset on demand. Loaders run outside the
@@ -161,7 +162,9 @@ func (r *Registry) residentAdd(delta int64) {
 // release function drops the pin and must be called exactly once, when
 // the query is done reading the dataset. Errors wrap ErrUnknownDataset
 // (no such name) or ErrBudgetExceeded (the load does not fit the
-// registry budget next to what is pinned).
+// registry budget next to what is pinned), or are the loader's own
+// failure — a panicking loader's included; the next Acquire loads
+// again.
 func (r *Registry) Acquire(name string) (*Dataset, func(), error) {
 	r.mu.Lock()
 	if name == "" {
@@ -205,7 +208,7 @@ func (r *Registry) Acquire(name string) (*Dataset, func(), error) {
 		load := e.load
 		r.mu.Unlock()
 
-		ds, err := load()
+		ds, err := runLoader(name, load)
 
 		r.mu.Lock()
 		e.loading = nil
@@ -230,6 +233,19 @@ func (r *Registry) Acquire(name string) (*Dataset, func(), error) {
 		}
 		// Loop back to the resident branch to take the pin.
 	}
+}
+
+// runLoader runs load with a panic turned into its error, so that
+// Acquire always clears the entry's in-flight load and wakes its
+// waiters: a loader that panicked would otherwise leave every later
+// acquirer of the name blocked on a load that never ends.
+func runLoader(name string, load DatasetLoader) (ds *Dataset, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			ds, err = nil, fmt.Errorf("exec: loader for dataset %q panicked: %v", name, v)
+		}
+	}()
+	return load()
 }
 
 // releaseFunc returns the once-guarded pin release for e.

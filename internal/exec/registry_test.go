@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ func tinyDataset(name string, rows int) *Dataset {
 	for i := range raw {
 		raw[i] = []int64{int64(i), int64(i * 2)}
 	}
-	return NewDataset(name, "registry test fixture", map[string][][]int64{"t": raw})
+	return NewDataset(name, "registry test fixture", nil, map[string][][]int64{"t": raw})
 }
 
 // countingLoader wraps a dataset build with an invocation counter.
@@ -262,6 +263,55 @@ func TestRegistryLoaderError(t *testing.T) {
 		t.Fatalf("second acquire after a failed load: %v", err)
 	} else {
 		release()
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("loader ran %d times, want 2", got)
+	}
+}
+
+// TestRegistryLoaderPanic: a loader that panics fails its Acquire with
+// an error naming the panic, and does not wedge the name: the next
+// Acquire runs the loader again instead of waiting forever on the load
+// that died.
+func TestRegistryLoaderPanic(t *testing.T) {
+	var calls atomic.Int64
+	r := NewRegistry()
+	r.RegisterLazy("flaky", "", func() (*Dataset, error) {
+		if calls.Add(1) == 1 {
+			panic("generator bug")
+		}
+		return tinyDataset("flaky", 8), nil
+	})
+	// acquire reports a panic out of Acquire, or a wait past 2 s, as a
+	// test failure of its own.
+	acquire := func() error {
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Errorf("Acquire panicked: %v", v)
+					done <- nil
+				}
+			}()
+			_, release, err := r.Acquire("flaky")
+			if err == nil {
+				release()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(2 * time.Second):
+			t.Fatal("Acquire still blocked after 2s")
+			return nil
+		}
+	}
+	if err := acquire(); err == nil || !strings.Contains(err.Error(), "generator bug") {
+		t.Errorf("first acquire: %v, want an error naming the loader's panic", err)
+	}
+	if err := acquire(); err != nil {
+		t.Errorf("second acquire: %v", err)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Errorf("loader ran %d times, want 2", got)

@@ -23,11 +23,12 @@ var AggColumn = query.ColumnRef{Rel: -1, Col: 0}
 // backend behind the serving layer's /execute endpoint.
 type Runner struct {
 	A *query.Analysis
-	// Dataset is the data source (Dataset.Runner sets it). Where it
-	// maintains a presorted view of an index (BuildIndexes), index scans
-	// stream the view instead of sorting at Open — the executor-level
-	// equivalent of an index existing, which is what makes runtime sort
-	// avoidance measurable.
+	// Dataset is the data source (Dataset.Runner sets it). An index scan
+	// streams the dataset's maintained view of its index (NewDataset
+	// builds one per catalog index) — the executor-level equivalent of an
+	// index existing, which is what makes runtime sort avoidance
+	// measurable. A plan scanning an index the dataset has no view of
+	// does not compile.
 	Dataset *Dataset
 	// DisableTiming turns off per-operator wall-clock accounting (row
 	// counters remain). The benchmark harness disables it so operator
@@ -41,11 +42,12 @@ type Runner struct {
 	// Hook, when set, wraps every operator as it is compiled — the
 	// fault-injection seam (see internal/faultinject). It runs inside
 	// the stats wrapper, so injected behavior shows up in the operator
-	// counters like any other work. Inside exchange segments the hook
-	// wraps every morsel instance, so faults fire inside workers too: a
-	// hooked segment runs each morsel as a pipeline of the serial
-	// operators (Exchange.runMorsel) instead of the fused evaluator, and
-	// adopts no dataset-resident state in place of an operator.
+	// counters like any other work. Inside an exchange segment it wraps
+	// each morsel's driving scan, inside the worker, so faults fire in
+	// workers too; the morsel still runs through the fused evaluator that
+	// serves traffic, whose spine joins are loop levels, not operators,
+	// and are never offered to the hook. A hooked runner adopts no
+	// dataset-resident state in place of a scan.
 	Hook IterHook
 	// MaxDOP, when > 0, caps the degree of parallelism of any exchange
 	// in a compiled plan below what the optimizer planned — the
@@ -53,31 +55,6 @@ type Runner struct {
 	MaxDOP int
 
 	equiv map[query.ColumnRef]int // lazily built column equivalence classes
-
-	// sortedDriving memoizes, per Runner, index orders the parallel tier
-	// had to sort itself (no maintained view), keyed "table/index", so
-	// repeated Compile calls on one Runner (benchmarks, experiments) sort
-	// once. It is not a cross-request cache: the serving layer makes a
-	// Runner per request. Serial index scans never read it: they must
-	// keep paying their per-execution Sort so rows-sorted accounting
-	// stays honest.
-	sortedDriving map[string][]Row
-}
-
-// sortedIndexView returns (memoized per Runner) the rows
-// of a table sorted in the given index order — the parallel tier's
-// driving view when the dataset maintains no view for the index.
-func (r *Runner) sortedIndexView(table, index string, raw []Row, keys []int) []Row {
-	ck := table + "/" + index
-	if rows, ok := r.sortedDriving[ck]; ok {
-		return rows
-	}
-	rows := sortedView(raw, keys)
-	if r.sortedDriving == nil {
-		r.sortedDriving = make(map[string][]Row)
-	}
-	r.sortedDriving[ck] = rows
-	return rows
 }
 
 // IterHook rewrites one compiled operator. op and detail match the
@@ -102,9 +79,9 @@ type OpStats struct {
 	Rows int64 `json:"rows"`
 	// TimeNs is cumulative wall time spent in the operator's Open and
 	// Next calls, children included (EXPLAIN ANALYZE convention); 0 when
-	// the runner's timing is disabled. For operators running inside an
-	// exchange segment it sums time across morsel workers, so it can
-	// exceed wall clock (CPU-time convention).
+	// the runner's timing is disabled, and for the driving scan and
+	// spine joins an exchange's workers evaluate (their time is inside
+	// the exchange's own entry).
 	TimeNs int64 `json:"timeNs"`
 	// DOP is the effective degree of parallelism for exchange operators
 	// and the segment operators running inside their workers; 0 for
@@ -205,9 +182,10 @@ type burst struct {
 // and polls the Life each time the count wraps, every
 // CancelCheckInterval-th call — a build loop deep inside a hash join
 // polls through its child's wrapper just like the root does through its
-// own, and no wrapper shares a counter with another. It meters the
-// operators of a composed morsel pipeline too (Exchange.runMorsel), over
-// morsel-private OpStats.
+// own, and no wrapper shares a counter with another. An exchange's
+// workers run no statsIter: the fused evaluator counts its driving scan
+// and spine joins itself and polls the Life on its own count
+// (Exchange.runMorsel).
 //
 // TimeNs stays exact inclusive wall time under bursts, not an estimate:
 // every call into the operator happens between one of this wrapper's
@@ -383,9 +361,7 @@ func (r *Runner) Compile(n *plan.Node) (*Pipeline, error) {
 // pipeline (preorder position was reserved by build); the fault hook,
 // when configured, interposes under the counters.
 func (r *Runner) wrap(it Iterator, st *OpStats, p *Pipeline) Iterator {
-	if r.Hook != nil {
-		it = r.Hook(st.Op, st.Detail, it, p.Life)
-	}
+	it = hooked(r.Hook, it, st, p.Life)
 	si := statsIter{in: it, st: st, life: p.Life, timing: !r.DisableTiming}
 	// A hooked operator loses the batch path by design: the hook's
 	// wrapper interposes per row, which is what fault injection needs.
@@ -395,25 +371,39 @@ func (r *Runner) wrap(it Iterator, st *OpStats, p *Pipeline) Iterator {
 	return &si
 }
 
+// hooked interposes hook, when set, on operator it, which reports under
+// st.
+func hooked(hook IterHook, it Iterator, st *OpStats, life *Life) Iterator {
+	if hook != nil {
+		it = hook(st.Op, st.Detail, it, life)
+	}
+	return it
+}
+
 // scanLeaf is a scan plan node resolved against the dataset, for its
 // three consumers: the serial compiler (build), the exchange's driving
 // leaf (buildSegment) and join adoption (bareScanRows).
 type scanLeaf struct {
-	// rows is what the scan streams — the table, or the maintained view
-	// of the index — unless sortKeys is set: the dataset maintains no
-	// view of the index, rows is the table, and the consumer must sort
-	// it on these columns.
-	rows     []Row
-	sortKeys []int
-	filter   func(Row) bool // the relation's constant predicates; nil without any
-	schema   []query.ColumnRef
-	detail   string
-	key      buildKey // names the stream (Dataset.buildTable; the adopter fills in col)
-	leading  int      // column the stream is sorted on first; -1 for a table scan
+	rows    []Row          // what the scan streams: the table, or the maintained view of the index
+	filter  func(Row) bool // the relation's constant predicates; nil without any
+	schema  []query.ColumnRef
+	detail  string
+	key     buildKey // names the stream (Dataset.buildTable; the adopter fills in col)
+	leading int      // column the stream is sorted on first; -1 for a table scan
 }
 
-// resolveScan resolves scan node n; a table the dataset does not hold is
-// its only error.
+// iter is the scan operator over rows — the leaf's own, or one morsel
+// of them — with the relation's filter.
+func (l *scanLeaf) iter(rows []Row) Iterator {
+	it := Iterator(NewScan(rows))
+	if l.filter != nil {
+		it = &Filter{In: it, Pred: l.filter}
+	}
+	return it
+}
+
+// resolveScan resolves scan node n; a table, or an index view, the
+// dataset does not hold is its only error.
 func (r *Runner) resolveScan(n *plan.Node) (scanLeaf, error) {
 	rel := &r.A.Graph.Relations[n.Rel]
 	raw, ok := r.Dataset.Tables[rel.Table.Name]
@@ -429,13 +419,8 @@ func (r *Runner) resolveScan(n *plan.Node) (scanLeaf, error) {
 		ix := rel.Table.Indexes[n.Index]
 		leaf.detail += "/" + ix.Name
 		leaf.key.view, leaf.leading = ix.Name, rel.Table.ColumnIndex(ix.Columns[0])
-		if sorted, ok := r.Dataset.Views[rel.Table.Name][ix.Name]; ok {
-			leaf.rows = sorted
-		} else {
-			leaf.sortKeys = make([]int, len(ix.Columns))
-			for i, name := range ix.Columns {
-				leaf.sortKeys[i] = rel.Table.ColumnIndex(name)
-			}
+		if leaf.rows, ok = r.Dataset.Views[rel.Table.Name][ix.Name]; !ok {
+			return scanLeaf{}, fmt.Errorf("exec: no view of index %s on table %s", ix.Name, rel.Table.Name)
 		}
 	}
 	if len(rel.ConstPreds) > 0 {
@@ -498,17 +483,7 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols) (Iterator, []qu
 			return nil, nil, err
 		}
 		st.Detail = leaf.detail
-		it := Iterator(NewScan(leaf.rows))
-		if leaf.sortKeys != nil {
-			// No maintained index: simulate the index order by sorting
-			// (costed like a scan by the planner, but the executor has
-			// nothing better without the index).
-			it = &Sort{In: it, Keys: leaf.sortKeys}
-		}
-		if leaf.filter != nil {
-			it = &Filter{In: it, Pred: leaf.filter}
-		}
-		return r.wrap(it, st, p), leaf.schema, nil
+		return r.wrap(leaf.iter(leaf.rows), st, p), leaf.schema, nil
 
 	case plan.Sort:
 		cols, err := r.sortCols(n.SortOrd)
@@ -519,7 +494,7 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols) (Iterator, []qu
 		if err != nil {
 			return nil, nil, err
 		}
-		keys, detail, err := r.sortKeys(cols, schema)
+		keys, detail, err := r.resolveSort(cols, schema)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -636,7 +611,7 @@ func (r *Runner) resolveGroup(schema []query.ColumnRef, st *OpStats) ([]int, []A
 }
 
 // carried returns live plus the columns cols — what a Sort or Group*
-// over child reads — as child will carry them, for sortKeys and
+// over child reads — as child will carry them, for resolveSort and
 // resolveGroup to find through colPosEquiv. That is the column itself
 // (child scans its relation: both consumers sit above the joins that
 // bring it in), except above the whole join tree, where every predicate
@@ -768,14 +743,14 @@ func joinOutput(live liveCols, ls, rs []query.ColumnRef) ([]query.ColumnRef, joi
 // rightSide is a join's right input as joinRight compiled it: either the
 // input's iterator or — adopted set — the dataset state standing in for
 // it. An adopted input is a bare scan that never runs; its stats entry
-// is registered in its place, and the join probes hash (a hash join: the
-// dataset's resident build table) or reads adopted.rows (an exchange's
-// merge join: an index view sorted on the merge key by construction).
+// is registered in its place, and the join probes adopted.hash (a hash
+// join: the dataset's resident build table) or reads adopted.rows (an
+// exchange's merge join: an index view sorted on the merge key by
+// construction).
 type rightSide struct {
 	it      Iterator
 	schema  []query.ColumnRef
 	adopted *bareScan
-	hash    *hashView
 }
 
 // joinRight compiles join n's right input, of which the join reads
@@ -794,10 +769,10 @@ func (r *Runner) joinRight(n *plan.Node, key query.ColumnRef, live liveCols, p *
 		rt.schema = bare.schema
 		bare.key.col = colPos(bare.schema, key)
 		if n.Op == plan.HashJoin {
-			rt.hash = r.Dataset.buildTable(bare.key, bare.rows)
-			bare.st.Resident = rt.hash != nil
+			bare.hash = r.Dataset.buildTable(bare.key, bare.rows)
+			bare.st.Resident = bare.hash != nil
 		}
-		if rt.hash != nil || (n.Op == plan.MergeJoin && bare.key.col == bare.leading) {
+		if bare.hash != nil || (n.Op == plan.MergeJoin && bare.key.col == bare.leading) {
 			rt.adopted = bare
 			p.Ops = append(p.Ops, bare.st)
 			return rt, nil
@@ -856,7 +831,7 @@ func (r *Runner) buildJoin(n *plan.Node, p *Pipeline, st *OpStats, live liveCols
 	case plan.HashJoin:
 		emit.res = residual(j.eqs, j.primary)
 		it = &HashJoin{Left: left, Right: j.it, LeftKey: key.l, RightKey: key.r, Life: p.Life,
-			prebuilt: j.hash, adopted: j.adopted, emit: emit}
+			adopted: j.adopted, emit: emit}
 	default: // NestedLoopJoin
 		it = &NestedLoopJoin{Outer: left, Inner: j.it, Life: p.Life, Pred: allEqs(j.eqs), emit: emit}
 	}
@@ -889,10 +864,10 @@ func (r *Runner) sortCols(ord order.ID) ([]query.ColumnRef, error) {
 	return cols, nil
 }
 
-// sortKeys maps a sort's columns to schema positions, resolving columns
-// the schema only carries as equated twins through the join equivalence
-// classes.
-func (r *Runner) sortKeys(cols []query.ColumnRef, schema []query.ColumnRef) ([]int, string, error) {
+// resolveSort maps a sort's columns to schema positions, resolving
+// columns the schema only carries as equated twins through the join
+// equivalence classes.
+func (r *Runner) resolveSort(cols []query.ColumnRef, schema []query.ColumnRef) ([]int, string, error) {
 	keys := make([]int, 0, len(cols))
 	detail := ""
 	for _, c := range cols {

@@ -4,17 +4,23 @@ import (
 	"fmt"
 	"testing"
 
+	"orderopt/internal/catalog"
 	"orderopt/internal/optimizer"
 	"orderopt/internal/plan"
 	"orderopt/internal/query"
 	"orderopt/internal/querygen"
 )
 
-// fixtureRunner runs plans for a over hand-rolled row-major data. The
-// dataset gets no BuildIndexes, so index scans take the sort-at-Open
-// fallback these tests pin.
+// fixtureRunner runs plans for a over hand-rolled row-major data, with
+// a view of every index the query's tables define.
 func fixtureRunner(a *query.Analysis, data map[string][][]int64) *Runner {
-	return NewDataset("fixture", "hand-rolled test data", data).Runner(a)
+	cat := catalog.New()
+	for _, rel := range a.Graph.Relations {
+		if _, ok := cat.Table(rel.Table.Name); !ok {
+			cat.MustAdd(rel.Table)
+		}
+	}
+	return NewDataset("fixture", "hand-rolled test data", cat, data).Runner(a)
 }
 
 // TestOptimizedPlansProduceCorrectResults is the system-level check: for
@@ -377,9 +383,9 @@ func TestOrderByEquatedColumn(t *testing.T) {
 	}
 }
 
-// TestRunnerIndexedData: with a dataset-maintained index the index scan
-// streams the presorted view (no runtime sort), and results match the
-// sort-fallback path.
+// TestRunnerIndexedData: an index scan streams the dataset's presorted
+// view — its table's rows in index order, sorting nothing at runtime —
+// and a dataset holding no view of the index does not compile the scan.
 func TestRunnerIndexedData(t *testing.T) {
 	cat, g, err := querygen.Generate(querygen.Spec{
 		Relations: 2, Seed: 9, ColumnsPerTable: 2, SelectionProb: -1,
@@ -405,20 +411,22 @@ func TestRunnerIndexedData(t *testing.T) {
 	ds := QuerygenDataset("t", cat, g, 12, 3)
 	p := &plan.Node{Op: plan.IndexScan, Rel: rel, Index: ix}
 
-	withIndex := ds.Runner(a)
-	rows1, _, err := withIndex.Run(p)
+	pipe, err := ds.Runner(a).Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := fixtureRunner(a, ds.RawRows()) // no BuildIndexes: falls back to sorting
-	rows2, _, err := plain.Run(p)
+	rows1, err := pipe.Execute()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !sameMultiset(rows1, rows2) {
-		t.Fatal("indexed and sort-fallback scans disagree")
 	}
 	t1 := g.Relations[rel].Table
+	if !sameMultiset(rows1, ds.TableRows(t1.Name)) || pipe.RowsSorted() != 0 {
+		t.Fatalf("index scan emitted %d rows sorting %d, want the table's %d sorting none",
+			len(rows1), pipe.RowsSorted(), len(ds.TableRows(t1.Name)))
+	}
+	if _, err := NewDataset("plain", "no catalog, no views", nil, ds.RawRows()).Runner(a).Compile(p); err == nil {
+		t.Fatal("an index scan without a maintained view compiled")
+	}
 	keys := make([]int, len(t1.Indexes[ix].Columns))
 	for i, name := range t1.Indexes[ix].Columns {
 		keys[i] = t1.ColumnIndex(name)

@@ -12,13 +12,23 @@ const DefaultStreamChunk = 256
 // is just a buffered response with extra steps.
 const MaxStreamChunk = 8192
 
+// ClampStreamChunk is the rows-per-sink-call StreamContext uses when
+// asked for chunk: DefaultStreamChunk for chunk <= 0, otherwise chunk
+// capped at MaxStreamChunk.
+func ClampStreamChunk(chunk int) int {
+	if chunk <= 0 {
+		return DefaultStreamChunk
+	}
+	return min(chunk, MaxStreamChunk)
+}
+
 // StreamContext runs the pipeline and hands result rows to sink in
-// pipeline order, at most chunk rows per call (chunk <= 0 selects
-// DefaultStreamChunk). This is the streaming counterpart of
-// ExecuteContext: a sort-free plan's first chunk reaches the sink
-// while the rest of the input is still being joined, whereas an
-// order-oblivious plan's top sort must consume everything before the
-// first chunk appears — the paper's payoff, observable at the wire.
+// pipeline order, at most ClampStreamChunk(chunk) rows per call. This
+// is the streaming counterpart of ExecuteContext: a sort-free plan's
+// first chunk reaches the sink while the rest of the input is still
+// being joined, whereas an order-oblivious plan's top sort must consume
+// everything before the first chunk appears — the paper's payoff,
+// observable at the wire.
 //
 // The rows passed to sink are only valid for the duration of the call
 // for row content ownership purposes; sink must not retain the slice.
@@ -28,12 +38,7 @@ const MaxStreamChunk = 8192
 // charged against its budget is released before return, success or
 // not, exactly like ExecuteContext.
 func (p *Pipeline) StreamContext(ctx context.Context, chunk int, sink func([]Row) error) error {
-	if chunk <= 0 {
-		chunk = DefaultStreamChunk
-	}
-	if chunk > MaxStreamChunk {
-		chunk = MaxStreamChunk
-	}
+	chunk = ClampStreamChunk(chunk)
 	if err := p.Life.bind(ctx); err != nil {
 		return err
 	}

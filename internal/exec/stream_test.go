@@ -27,9 +27,7 @@ import (
 // so streamed results run to thousands of rows (built once; the
 // standard registry tiers are not needed here).
 var streamDataset = sync.OnceValue(func() *exec.Dataset {
-	ds := exec.NewDataset("tpcr-stream", "stream test fixture", tpcr.Generate(tpcr.DefaultGenSpec().Scale(20)))
-	ds.BuildIndexes(tpcr.Schema())
-	return ds
+	return exec.NewDataset("tpcr-stream", "stream test fixture", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec().Scale(20)))
 })
 
 // streamGraph builds orders ⋈ lineitem ordered by o_orderkey with no

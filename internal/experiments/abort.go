@@ -109,8 +109,7 @@ func Abort(spec AbortSpec) ([]AbortRow, error) {
 	// so data volume is irrelevant in the faulted phase and only sets
 	// the healthy phase's execute cost.
 	cat := tpcr.Schema()
-	ds := exec.NewDataset("tpcr-small", "abort experiment fixture", tpcr.Generate(tpcr.DefaultGenSpec()))
-	ds.BuildIndexes(cat)
+	ds := exec.NewDataset("tpcr-small", "abort experiment fixture", cat, tpcr.Generate(tpcr.DefaultGenSpec()))
 
 	var rows []AbortRow
 	for _, faulted := range []bool{false, true} {

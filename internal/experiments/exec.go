@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"orderopt/internal/conformance"
 	"orderopt/internal/exec"
 	"orderopt/internal/optimizer"
 	"orderopt/internal/plan"
@@ -25,46 +26,13 @@ import (
 	"orderopt/internal/tpcr"
 )
 
-// ExecVariant names one planning configuration of the runtime
-// comparison.
-type ExecVariant struct {
-	Name    string
-	Analyze query.AnalyzeOptions
-	Config  optimizer.Config
-}
-
-// ExecVariants returns the experiment's three planning configurations.
-func ExecVariants() []ExecVariant {
-	oblivious := optimizer.DefaultConfig(optimizer.ModeDFSM)
-	oblivious.DisableMergeJoin = true
-	oblivious.DisableOrderedGrouping = true
-	return []ExecVariant{
-		{
-			Name:    "dfsm",
-			Analyze: query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true},
-			Config:  optimizer.DefaultConfig(optimizer.ModeDFSM),
-		},
-		{
-			Name:    "simmen",
-			Analyze: query.AnalyzeOptions{UseIndexes: true},
-			Config:  optimizer.DefaultConfig(optimizer.ModeSimmen),
-		},
-		{
-			Name: "oblivious",
-			// No index orders either: the baseline has no way to obtain
-			// (or exploit) a physical ordering below the final sort.
-			Analyze: query.AnalyzeOptions{},
-			Config:  oblivious,
-		},
-	}
-}
-
 // dfsmVsOblivious is the two-sided contrast of the topk table: the full
 // order framework against the order-oblivious baseline (no merge joins,
-// no index orders — the plan must sort at the top).
-func dfsmVsOblivious() []ExecVariant {
-	all := ExecVariants()
-	return []ExecVariant{all[0], all[2]}
+// no index orders — the plan must sort at the top). The exec table runs
+// all three conformance idioms.
+func dfsmVsOblivious() []conformance.Idiom {
+	all := conformance.Idioms()
+	return []conformance.Idiom{all[0], all[2]}
 }
 
 // dataset resolves a dataset name in reg (a TPC-R registry, which loads
@@ -89,7 +57,7 @@ type measurement struct {
 
 // measure plans g under v and executes the plan runs times over ds with
 // operator clocks off, keeping the minimum time.
-func measure(g *query.Graph, ds *exec.Dataset, v ExecVariant, runs int) (measurement, error) {
+func measure(g *query.Graph, ds *exec.Dataset, v conformance.Idiom, runs int) (measurement, error) {
 	a, err := query.Analyze(g, v.Analyze)
 	if err != nil {
 		return measurement{}, err
@@ -178,9 +146,8 @@ type ExecRow struct {
 	// Rows is the result cardinality; identical across variants of one
 	// workload (verified, together with a value checksum).
 	Rows int64
-	// RowsSorted counts rows that passed through Sort operators —
-	// including the sorts index scans fall back to when the dataset
-	// maintains no presorted view.
+	// RowsSorted counts rows that passed through Sort operators (an
+	// index scan sorts nothing: it streams the dataset's presorted view).
 	RowsSorted int64
 	// MergeJoins / HashJoins / Sorts / HashGroups count the pipeline's
 	// operators by kind (sorted+clustered grouping under OrderedGroups).
@@ -264,7 +231,7 @@ func Exec(spec ExecSpec) ([]ExecRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	variants := ExecVariants()
+	variants := conformance.Idioms()
 	var rows []ExecRow
 	for _, w := range workloads {
 		var ref ExecRow
@@ -312,7 +279,7 @@ func Exec(spec ExecSpec) ([]ExecRow, error) {
 // and an order-insensitive checksum of the result for cross-variant
 // verification (exec.ChecksumRows, the conformance corpus' notion of
 // "identical result").
-func execOne(w ExecWorkload, v ExecVariant, runs int) (ExecRow, int64, error) {
+func execOne(w ExecWorkload, v conformance.Idiom, runs int) (ExecRow, int64, error) {
 	m, err := measure(w.Graph, w.Dataset, v, runs)
 	if err != nil {
 		return ExecRow{}, 0, err

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"orderopt/internal/conformance"
 	"orderopt/internal/exec"
 	"orderopt/internal/plan"
 	"orderopt/internal/tpcr"
@@ -103,7 +104,7 @@ func Topk(spec TopkSpec) ([]TopkRow, error) {
 
 // topkOne measures the order-flow query with LIMIT k under one variant,
 // returning the row and the emitted ORDER BY keys.
-func topkOne(ds *exec.Dataset, k int, v ExecVariant, runs int) (TopkRow, []int64, error) {
+func topkOne(ds *exec.Dataset, k int, v conformance.Idiom, runs int) (TopkRow, []int64, error) {
 	_, g, err := tpcr.OrderStreamGraph()
 	if err != nil {
 		return TopkRow{}, nil, err

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"orderopt/internal/catalog"
+	"orderopt/internal/conformance"
 	"orderopt/internal/exec"
 	"orderopt/internal/faultinject"
 	"orderopt/internal/optimizer"
@@ -16,44 +19,22 @@ import (
 	"orderopt/internal/tpcr"
 )
 
-// variant mirrors the execution experiment's planning configurations:
-// the DFSM pipeline (merge joins, index orders, ordered grouping) and
-// the order-oblivious one (hash joins, hash grouping, top sort), so
-// the fault menu reaches both operator families.
-type variant struct {
-	name    string
-	analyze query.AnalyzeOptions
-	config  optimizer.Config
-}
-
-func variants() []variant {
-	oblivious := optimizer.DefaultConfig(optimizer.ModeDFSM)
-	oblivious.DisableMergeJoin = true
-	oblivious.DisableOrderedGrouping = true
-	parallel := optimizer.DefaultConfig(optimizer.ModeDFSM)
-	parallel.MaxDOP = 4
-	return []variant{
-		{
-			name:    "dfsm",
-			analyze: query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true},
-			config:  optimizer.DefaultConfig(optimizer.ModeDFSM),
-		},
-		{
-			name:    "oblivious",
-			analyze: query.AnalyzeOptions{},
-			config:  oblivious,
-		},
-		{
-			// Parallel plans: the same fault menu must hold when the
-			// faulted operator is a morsel instance inside an exchange
-			// worker (error propagates across the worker boundary, hangs
-			// unblock on cancellation/deadline, nothing leaks) and when
-			// it is the exchange itself.
-			name:    "parallel",
-			analyze: query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true},
-			config:  parallel,
-		},
-	}
+// variants are the sweep's planning configurations, taken from the
+// conformance corpus's idioms: the DFSM pipeline (merge joins, index
+// orders, ordered grouping) and the order-oblivious one (hash joins,
+// hash grouping, top sort), so the fault menu reaches both operator
+// families, and the DFSM one at DOP 4: the same menu must hold when the
+// faulted operator is a morsel's driving scan inside an exchange worker
+// (the error crosses the worker boundary, hangs unblock on
+// cancellation or deadline, nothing leaks) and when it is the exchange
+// itself.
+func variants() []conformance.Idiom {
+	idioms := conformance.Idioms()
+	dfsm, oblivious := idioms[0], idioms[2]
+	parallel := dfsm
+	parallel.Name = "parallel"
+	parallel.Config.MaxDOP = 4
+	return []conformance.Idiom{dfsm, oblivious, parallel}
 }
 
 type workload struct {
@@ -64,15 +45,22 @@ type workload struct {
 }
 
 // workloads plans the TPC-R order-flow query (join + order by) and Q8
-// (join + group by) over tpcr-small under the variant, yielding plans
-// that between them contain scans, sorts, every join kind the variant
-// allows and a grouping operator.
-func workloads(t *testing.T, v variant) []workload {
+// (join + group by) under the variant, yielding plans that between them
+// contain scans, sorts, every join kind the variant allows and a
+// grouping operator. They run over tpcr-small, or tpcr-mid when the
+// variant plans exchanges: there a driving scan spans several morsels,
+// so faults strike concurrent workers, and emits enough rows for every
+// scenario of the menu to apply to it.
+func workloads(t *testing.T, v conformance.Idiom) []workload {
 	t.Helper()
-	reg := exec.TPCRRegistry()
-	ds, ok := reg.Get("tpcr-small")
+	name := "tpcr-small"
+	if v.Config.MaxDOP > 1 {
+		name = "tpcr-mid"
+	}
+	reg := exec.TPCRLazyRegistry()
+	ds, ok := reg.Get(name)
 	if !ok {
-		t.Fatalf("tpcr-small dataset missing (have %v)", reg.Names())
+		t.Fatalf("%s dataset missing (have %v)", name, reg.Names())
 	}
 	var out []workload
 	for _, src := range []struct {
@@ -90,11 +78,11 @@ func workloads(t *testing.T, v variant) []workload {
 		// dataset's: the big-table cost picture yields the merge/hash
 		// pipelines the fault sweep is after, and execution itself is
 		// statistics-independent.
-		a, err := query.Analyze(g, v.analyze)
+		a, err := query.Analyze(g, v.Analyze)
 		if err != nil {
 			t.Fatalf("%s analyze: %v", src.name, err)
 		}
-		res, err := optimizer.Optimize(a, v.config)
+		res, err := optimizer.Optimize(a, v.Config)
 		if err != nil {
 			t.Fatalf("%s optimize: %v", src.name, err)
 		}
@@ -103,67 +91,118 @@ func workloads(t *testing.T, v variant) []workload {
 	return out
 }
 
-// opRows executes the workload cleanly once and returns, per operator
-// name, the max rows any instance emitted and the sum across
-// instances — what decides which fault scenarios can fire at all.
-func opRows(t *testing.T, w workload) (maxRows, sumRows map[string]int64) {
+// target is one fault target of the sweep with what its instances
+// emitted in a clean run: the most any one emitted and their sum.
+type target struct {
+	name, sel        string // subtest label; Matches selector
+	maxRows, sumRows int64
+}
+
+// countRows counts the rows one offered operator instance emits.
+type countRows struct {
+	exec.Iterator
+	n *atomic.Int64
+}
+
+func (c countRows) Next() (exec.Row, bool, error) {
+	row, ok, err := c.Iterator.Next()
+	if ok {
+		c.n.Add(1)
+	}
+	return row, ok, err
+}
+
+// targets executes the workload once under a recording hook — which,
+// being a hook, disables what a hook disables, like the scenarios'
+// own — and returns the operators the hook was actually offered: one
+// target per operator name, and one pinned to each operator offered
+// while the pipeline ran, which is an exchange's driving scan offered
+// per morsel inside a worker ("morsel-<op>").
+func targets(t *testing.T, w workload) []target {
 	t.Helper()
+	type instance struct {
+		op, detail string
+		morsel     bool
+		rows       *atomic.Int64
+	}
+	var (
+		mu        sync.Mutex
+		instances []instance
+		running   atomic.Bool
+	)
 	r := w.ds.Runner(w.a)
+	r.Hook = func(op, detail string, it exec.Iterator, _ *exec.Life) exec.Iterator {
+		in := instance{op: op, detail: detail, morsel: running.Load(), rows: new(atomic.Int64)}
+		mu.Lock()
+		instances = append(instances, in)
+		mu.Unlock()
+		return countRows{it, in.rows}
+	}
 	p, err := r.Compile(w.best)
 	if err != nil {
-		t.Fatalf("baseline compile: %v", err)
+		t.Fatalf("recording compile: %v", err)
 	}
+	running.Store(true)
 	if _, err := p.Execute(); err != nil {
-		t.Fatalf("baseline execute: %v", err)
+		t.Fatalf("recording execute: %v", err)
 	}
-	maxRows, sumRows = map[string]int64{}, map[string]int64{}
-	for _, st := range p.Ops {
-		if st.Rows > maxRows[st.Op] {
-			maxRows[st.Op] = st.Rows
+	var out []target
+	at := map[string]int{}
+	add := func(name, sel string, rows int64) {
+		i, ok := at[name]
+		if !ok {
+			i, at[name] = len(out), len(out)
+			out = append(out, target{name: name, sel: sel})
 		}
-		sumRows[st.Op] += st.Rows
+		out[i].maxRows = max(out[i].maxRows, rows)
+		out[i].sumRows += rows
 	}
-	return maxRows, sumRows
+	for _, in := range instances {
+		add(in.op, in.op, in.rows.Load())
+		if in.morsel {
+			add("morsel-"+in.op, in.op+":"+in.detail, in.rows.Load())
+		}
+	}
+	return out
 }
 
 // applicable reports whether the scenario's fault can fire given what
-// the target operator actually emits: point faults (error, hang) need
+// the target's instances actually emit: point faults (error, hang) need
 // some instance to reach AtRow; a per-row delay only forces a deadline
 // when the matched instances together sleep well past it.
-func applicable(sc faultinject.Scenario, maxRows, sumRows int64) bool {
+func applicable(sc faultinject.Scenario, tg target) bool {
 	at := sc.Fault.AtRow
 	if at <= 0 {
 		at = 1
 	}
 	switch sc.Fault.Kind {
 	case faultinject.ErrorAt, faultinject.HangAt:
-		return maxRows >= at
+		return tg.maxRows >= at
 	case faultinject.Delay:
-		return time.Duration(sumRows)*sc.Fault.Sleep >= 2*sc.Timeout
+		return time.Duration(tg.sumRows)*sc.Fault.Sleep >= 2*sc.Timeout
 	}
 	return false
 }
 
 // TestScenariosAcrossOperators is the harness's mechanical sweep: for
-// every operator kind appearing in the planned pipelines of both
-// variants, every applicable scenario of the standard fault menu must
+// every operator the hook is offered in the planned pipelines of every
+// variant, every applicable scenario of the standard fault menu must
 // produce its declared outcome — the injected error propagates, the
 // deadline or cancellation aborts the hang promptly — and every opened
 // operator must be closed again despite the abort.
 func TestScenariosAcrossOperators(t *testing.T) {
 	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
+		t.Run(v.Name, func(t *testing.T) {
 			covered := map[string]bool{}
 			for _, w := range workloads(t, v) {
-				maxRows, sumRows := opRows(t, w)
-				for op := range maxRows {
-					for _, sc := range faultinject.Scenarios(op) {
-						if !applicable(sc, maxRows[op], sumRows[op]) {
+				for _, tg := range targets(t, w) {
+					for _, sc := range faultinject.Scenarios(tg.sel) {
+						if !applicable(sc, tg) {
 							continue
 						}
-						covered[op] = true
+						covered[tg.name] = true
 						w, sc := w, sc
-						t.Run(fmt.Sprintf("%s/%s/%s", w.name, op, sc.Name), func(t *testing.T) {
+						t.Run(fmt.Sprintf("%s/%s/%s", w.name, tg.name, sc.Name), func(t *testing.T) {
 							// Deadline scenarios assert wall-clock
 							// promptness, so they run serially: the parallel
 							// siblings stay parked in t.Parallel until every
@@ -182,18 +221,18 @@ func TestScenariosAcrossOperators(t *testing.T) {
 					}
 				}
 			}
-			var want []plan.Op
-			switch v.name {
+			var want []string
+			switch v.Name {
 			case "dfsm":
-				want = []plan.Op{plan.IndexScan, plan.MergeJoin}
+				want = []string{"IndexScan", "MergeJoin"}
 			case "oblivious":
-				want = []plan.Op{plan.TableScan, plan.HashJoin, plan.Sort, plan.GroupHash}
+				want = []string{"TableScan", "HashJoin", "Sort", "GroupHash"}
 			case "parallel":
-				want = []plan.Op{plan.ExchangeMerge, plan.MergeJoin}
+				want = []string{"ExchangeMerge", "morsel-IndexScan"}
 			}
-			for _, op := range want {
-				if !covered[op.String()] {
-					t.Errorf("fault sweep never reached %s (covered %v)", op, covered)
+			for _, name := range want {
+				if !covered[name] {
+					t.Errorf("fault sweep never reached %s (covered %v)", name, covered)
 				}
 			}
 		})

@@ -21,7 +21,7 @@ import (
 // tracking-only accountant.
 func sortRunner(t *testing.T) (*exec.Runner, *optimizer.Result) {
 	t.Helper()
-	reg := exec.TPCRRegistry()
+	reg := exec.TPCRLazyRegistry()
 	ds, ok := reg.Get("tpcr-small")
 	if !ok {
 		t.Fatalf("tpcr-small dataset missing (have %v)", reg.Names())

@@ -23,8 +23,7 @@ const joinSQL = "select * from orders, lineitem where o_orderkey = l_orderkey or
 // smallRegistry builds a one-dataset registry (tpcr-small only) so
 // lifecycle tests don't pay for the mid and large generators.
 var smallRegistry = sync.OnceValue(func() *exec.Registry {
-	ds := exec.NewDataset("tpcr-small", "lifecycle test fixture", tpcr.Generate(tpcr.DefaultGenSpec()))
-	ds.BuildIndexes(tpcr.Schema())
+	ds := exec.NewDataset("tpcr-small", "lifecycle test fixture", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec()))
 	reg := exec.NewRegistry()
 	reg.Register(ds)
 	return reg
@@ -439,8 +438,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 		{"right-open", joinSQL, "lineitem/", true}, // the scan, not the join naming it
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ds := exec.NewDataset("tpcr-small", "", tpcr.Generate(tpcr.DefaultGenSpec()))
-			ds.BuildIndexes(tpcr.Schema())
+			ds := exec.NewDataset("tpcr-small", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec()))
 			reg := exec.NewRegistry()
 			reg.Register(ds)
 			var tracker faultinject.Tracker

@@ -643,18 +643,24 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer memRelease()
+	acquired := time.Now()
 	ds, unpin, err := s.datasets.Acquire(req.Dataset)
 	if err != nil {
-		if errors.Is(err, exec.ErrBudgetExceeded) {
+		switch {
+		case errors.Is(err, exec.ErrBudgetExceeded):
 			// The dataset load does not fit next to what is resident and
 			// pinned: shed, like any other memory-admission failure.
 			m.shed.Add(1)
 			m.memShed.Add(1)
 			writeErrorCoded(w, http.StatusTooManyRequests, err.Error(), "budget", nil)
-			return
+		case errors.Is(err, exec.ErrUnknownDataset):
+			reject(http.StatusBadRequest,
+				fmt.Sprintf("unknown dataset %q (have %s)", req.Dataset, strings.Join(s.datasets.Names(), ", ")))
+		default:
+			// The loader failed: the server's fault, not the request's.
+			m.record(time.Since(acquired), true)
+			writeError(w, http.StatusInternalServerError, fmt.Sprintf("loading dataset %q: %v", req.Dataset, err))
 		}
-		reject(http.StatusBadRequest,
-			fmt.Sprintf("unknown dataset %q (have %s)", req.Dataset, strings.Join(s.datasets.Names(), ", ")))
 		return
 	}
 	defer unpin()

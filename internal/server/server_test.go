@@ -376,7 +376,7 @@ func TestStrategyReporting(t *testing.T) {
 
 func newExecServer(t *testing.T) (*Server, *Client, func()) {
 	t.Helper()
-	return newTestServer(t, Config{Datasets: exec.TPCRRegistry()})
+	return newTestServer(t, Config{Datasets: exec.TPCRLazyRegistry()})
 }
 
 func TestExecuteEndpoint(t *testing.T) {
@@ -550,6 +550,31 @@ func TestExecuteErrors(t *testing.T) {
 		t.Error("binding failure must fail")
 	}
 
+	// A dataset whose loader fails — or panics, the first time — is a
+	// 500 naming the cause, not an unknown dataset; the panic does not
+	// wedge the name, and the next request loads it.
+	reg := exec.NewRegistry()
+	reg.RegisterLazy("broken", "", func() (*exec.Dataset, error) { return nil, fmt.Errorf("disk on fire") })
+	panicked := false
+	reg.RegisterLazy("flaky", "", func() (*exec.Dataset, error) {
+		if !panicked {
+			panicked = true
+			panic("generator bug")
+		}
+		return exec.NewDataset("flaky", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec())), nil
+	})
+	_, lc, done3 := newTestServer(t, Config{Datasets: reg})
+	defer done3()
+	for _, tc := range []struct{ dataset, cause string }{{"broken", "disk on fire"}, {"flaky", "generator bug"}} {
+		_, err := lc.Execute(ExecuteRequest{SQL: nationRegionSQL, Dataset: tc.dataset})
+		if se := new(StatusError); !asStatus(err, &se) || se.Code != http.StatusInternalServerError || !strings.Contains(se.Message, tc.cause) {
+			t.Errorf("%s: loader failure answered %v, want a 500 naming %q", tc.dataset, err, tc.cause)
+		}
+	}
+	if _, err := lc.Execute(ExecuteRequest{SQL: nationRegionSQL, Dataset: "flaky"}); err != nil {
+		t.Errorf("flaky after its loader panicked: %v", err)
+	}
+
 	// Without a registry /execute is disabled.
 	_, noExec, done2 := newTestServer(t, Config{})
 	defer done2()
@@ -633,7 +658,7 @@ func TestExecuteParallel(t *testing.T) {
 	cfg.Optimizer.MaxDOP = 4
 	_, c, done := newTestServer(t, Config{
 		Planner:  planner.New(cfg),
-		Datasets: exec.TPCRRegistry(),
+		Datasets: exec.TPCRLazyRegistry(),
 		Workers:  4,
 	})
 	defer done()

@@ -43,9 +43,7 @@ func soakRegistry() (*exec.Registry, []string) {
 		spec.Seed = int64(i + 1)
 		n := name
 		reg.RegisterLazy(n, "soak tier", func() (*exec.Dataset, error) {
-			ds := exec.NewDataset(n, "soak tier", tpcr.Generate(spec))
-			ds.BuildIndexes(tpcr.Schema())
-			return ds, nil
+			return exec.NewDataset(n, "soak tier", tpcr.Schema(), tpcr.Generate(spec)), nil
 		})
 	}
 	return reg, names
@@ -55,8 +53,7 @@ func TestServeSoak(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
 	reg, names := soakRegistry()
-	probe := exec.NewDataset("probe", "sizing probe", tpcr.Generate(tpcr.DefaultGenSpec()))
-	probe.BuildIndexes(tpcr.Schema())                    // size like the real loads, views included
+	probe := exec.NewDataset("probe", "sizing probe", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec()))
 	reg.SetBudget(probe.MemBytes() + probe.MemBytes()/2) // ~1.5 datasets resident
 	tracker := &faultinject.Tracker{}
 	s, c, done := newTestServer(t, Config{

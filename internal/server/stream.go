@@ -75,17 +75,6 @@ type StreamTrailer struct {
 	Code       string         `json:"code,omitempty"`
 }
 
-// clampChunk applies the default and ceiling to a request's chunkRows.
-func clampChunk(n int) int {
-	if n <= 0 {
-		return exec.DefaultStreamChunk
-	}
-	if n > exec.MaxStreamChunk {
-		return exec.MaxStreamChunk
-	}
-	return n
-}
-
 // executeStream answers one admitted, dataset-pinned /execute request
 // in streaming mode. Planning and compilation failures are still plain
 // HTTP errors (nothing has been committed); once the header frame is
@@ -103,7 +92,7 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 		writeErrorCoded(w, code, err.Error(), kind, nil)
 		return
 	}
-	chunk := clampChunk(req.ChunkRows)
+	chunk := exec.ClampStreamChunk(req.ChunkRows)
 	header := &StreamHeader{
 		Frame:     FrameHeader,
 		SQL:       req.SQL,

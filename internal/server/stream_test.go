@@ -28,8 +28,7 @@ import (
 // scaledRegistry builds a single-dataset registry big enough that
 // streamed results run to thousands of rows.
 var scaledRegistry = sync.OnceValue(func() *exec.Registry {
-	ds := exec.NewDataset("tpcr-scaled", "streaming test fixture", tpcr.Generate(tpcr.DefaultGenSpec().Scale(20)))
-	ds.BuildIndexes(tpcr.Schema())
+	ds := exec.NewDataset("tpcr-scaled", "streaming test fixture", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec().Scale(20)))
 	reg := exec.NewRegistry()
 	reg.Register(ds)
 	return reg
@@ -391,14 +390,11 @@ func TestStreamErrorsBeforeHeader(t *testing.T) {
 // and counts it in the memShed metric — and the server stays healthy
 // for requests against datasets that do fit.
 func TestMemoryAdmissionShedsLoad(t *testing.T) {
-	small := exec.NewDataset("fits", "small enough", tpcr.Generate(tpcr.DefaultGenSpec()))
-	small.BuildIndexes(tpcr.Schema())
+	small := exec.NewDataset("fits", "small enough", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec()))
 	reg := exec.NewRegistry()
 	reg.Register(small)
 	reg.RegisterLazy("huge", "never fits", func() (*exec.Dataset, error) {
-		ds := exec.NewDataset("huge", "", tpcr.Generate(tpcr.DefaultGenSpec().Scale(4)))
-		ds.BuildIndexes(tpcr.Schema())
-		return ds, nil
+		return exec.NewDataset("huge", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec().Scale(4))), nil
 	})
 	reg.SetBudget(small.MemBytes() + 1) // sticky dataset fills the budget
 
@@ -463,9 +459,7 @@ func TestRegistryStatsSurface(t *testing.T) {
 	reg := exec.NewRegistry()
 	reg.RegisterLazy("lazy-a", "on demand", func() (*exec.Dataset, error) {
 		calls.Add(1)
-		ds := exec.NewDataset("lazy-a", "", tpcr.Generate(tpcr.DefaultGenSpec()))
-		ds.BuildIndexes(tpcr.Schema())
-		return ds, nil
+		return exec.NewDataset("lazy-a", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec())), nil
 	})
 	_, c, done := newTestServer(t, Config{Datasets: reg})
 	defer done()
@@ -519,9 +513,7 @@ func TestEvictVsExecute(t *testing.T) {
 	const hashSQL = "select * from orders, customer where o_custkey = c_custkey order by o_orderkey"
 	reg := exec.NewRegistry()
 	reg.RegisterLazy("churn", "evicted constantly", func() (*exec.Dataset, error) {
-		ds := exec.NewDataset("churn", "", tpcr.Generate(tpcr.DefaultGenSpec()))
-		ds.BuildIndexes(tpcr.Schema())
-		return ds, nil
+		return exec.NewDataset("churn", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec())), nil
 	})
 	srv, c, done := newTestServer(t, Config{Datasets: reg})
 	defer done()
