@@ -7,9 +7,8 @@
 //	planserverd -plan-cache -1       # every request re-runs the DP
 //	planserverd -no-exec             # planning only, no /execute
 //	planserverd -timeout 2s -mem-budget 268435456
-//	                                 # 2s default deadline, 256 MiB global memory budget
-//	planserverd -registry-budget 67108864
-//	                                 # LRU-evict idle datasets past 64 MiB resident
+//	                                 # 2s default deadline; datasets and pipelines share
+//	                                 # 256 MiB, idle datasets LRU-evicted to stay inside
 //
 //	curl -s localhost:7432/plan -d '{"sql": "select * from nation, region where n_regionkey = r_regionkey order by n_name"}'
 //	curl -s 'localhost:7432/explain?q=select * from orders, customer where o_custkey = c_custkey'
@@ -21,12 +20,13 @@
 // /execute runs the chosen plan over a registered synthetic TPC-R
 // dataset (tpcr-small, tpcr-mid, tpcr-large) through the streaming
 // executor — buffered JSON by default, chunked NDJSON frames with
-// "stream": true. Datasets are generated on first use and LRU-evicted
-// under -registry-budget. Note the planner costs plans against the
-// schema's scale-factor-1 statistics while the datasets are miniatures
-// — /execute demonstrates and validates plans; the runtime experiments
-// (experiments -table exec) plan against restated dataset statistics
-// instead.
+// "stream": true. Datasets are generated on first use and charged to
+// -mem-budget next to the running pipelines; idle ones are LRU-evicted
+// when a load or a build table needs their room. Note the planner
+// costs plans against the schema's scale-factor-1 statistics while the
+// datasets are miniatures — /execute demonstrates and validates plans;
+// the runtime experiments (experiments -table exec) plan against
+// restated dataset statistics instead.
 //
 // The daemon serves one configuration: the DFSM order framework, DPccp
 // enumeration, the auto planning tier. The Simmen baseline, the naive
@@ -79,18 +79,12 @@ func main() {
 		"how long a SIGTERM drain waits for in-flight requests")
 	noExec := flag.Bool("no-exec", false,
 		"disable /execute (skips generating the in-memory TPC-R datasets)")
-	registryBudget := flag.Int64("registry-budget", 0,
-		"resident bytes the on-demand dataset registry may hold before LRU-evicting idle datasets (0 means unlimited)")
-	queryReserve := flag.Int64("query-reserve", 0,
-		"per-query admission reservation against -mem-budget (0 means the server default, negative disables)")
 	timeout := flag.Duration("timeout", 0,
 		"default per-request deadline for requests without timeoutMs (0 means none)")
 	maxTimeout := flag.Duration("max-timeout", server.DefaultMaxTimeout,
 		"clamp on client-supplied timeoutMs and -timeout")
 	memBudget := flag.Int64("mem-budget", 0,
-		"global bytes all concurrent /execute pipelines may materialize before 429 (0 means unlimited)")
-	queryRowsBudget := flag.Int64("query-rows-budget", 0,
-		"rows one /execute pipeline may materialize before 429 (0 means unlimited)")
+		"bytes resident datasets and all concurrent /execute pipelines may hold together: idle datasets are evicted, then requests get 429 (0 means unlimited)")
 	queryMemBudget := flag.Int64("query-mem-budget", 0,
 		"bytes one /execute pipeline may materialize before 429 (0 means unlimited)")
 	workers := flag.Int("workers", 0,
@@ -115,18 +109,16 @@ func main() {
 	var datasets *exec.Registry
 	if !*noExec {
 		datasets = exec.TPCRLazyRegistry()
-		datasets.SetBudget(*registryBudget)
 	}
 	srv := server.New(server.Config{
-		Planner:           planner.New(cfg),
-		MaxInFlight:       *maxInFlight,
-		Datasets:          datasets,
-		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
-		MemLimitBytes:     *memBudget,
-		QueryReserveBytes: *queryReserve,
-		QueryBudget:       exec.Budget{MaxRows: *queryRowsBudget, MaxBytes: *queryMemBudget},
-		Workers:           nw,
+		Planner:        planner.New(cfg),
+		MaxInFlight:    *maxInFlight,
+		Datasets:       datasets,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		MemLimitBytes:  *memBudget,
+		QueryBudget:    exec.Budget{MaxBytes: *queryMemBudget},
+		Workers:        nw,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv,
 		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}

@@ -36,8 +36,8 @@ type Dataset struct {
 	Views map[string]map[string][]Row
 
 	// owner is the registry holding this dataset resident: build tables
-	// are charged to its budget and counted in its stats. A dataset no
-	// registry holds retains them unbounded.
+	// are charged to its accountant and counted in its stats. A dataset
+	// no registry holds retains them unbounded.
 	owner   atomic.Pointer[Registry]
 	mu      sync.Mutex // guards builds, and is held while one is built
 	builds  map[buildKey]*hashView
@@ -388,8 +388,9 @@ func tpcrDesc(spec tpcr.GenSpec) string {
 // increasing generator sizes, with all schema indexes presorted. The
 // default (first) dataset is the small one. Tiers load on demand:
 // nothing is generated until a query first asks for a tier, and loaded
-// tiers are LRU-evicted under the registry's byte budget (SetBudget) —
-// without one nothing is ever evicted. A cold process holds no dataset
+// tiers are LRU-evicted when the accountant the registry charges
+// (SetAccountant) runs out of room — without a limit nothing is ever
+// evicted. A cold process holds no dataset
 // memory.
 func TPCRLazyRegistry() *Registry {
 	reg := NewRegistry()

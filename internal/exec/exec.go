@@ -368,7 +368,6 @@ type MergeJoin struct {
 	haveGroup  bool
 	gi         int  // cross-product cursor within group
 	matching   bool // left's key equals groupKey
-	groupRows  int64
 	groupBytes int64
 
 	rightNext     Row // one-row lookahead into the right input
@@ -395,8 +394,8 @@ func (m *MergeJoin) Open() error {
 		return err
 	}
 	m.left, m.group, m.haveGroup, m.gi, m.matching = nil, m.group[:0], false, 0, false
-	m.Life.release(m.groupRows, m.groupBytes)
-	m.groupRows, m.groupBytes = 0, 0
+	m.Life.release(m.groupBytes)
+	m.groupBytes = 0
 	m.rightNext, m.rightDone = nil, false
 	m.havePrevLeft, m.havePrevRight = false, false
 	return nil
@@ -447,8 +446,8 @@ func (m *MergeJoin) buildGroup() (bool, error) {
 		}
 		m.rightNext = row
 	}
-	m.Life.release(m.groupRows, m.groupBytes)
-	m.groupRows, m.groupBytes = 0, 0
+	m.Life.release(m.groupBytes)
+	m.groupBytes = 0
 	m.group = m.group[:0]
 	m.groupKey = m.rightNext[m.RightKey]
 	if err := m.holdGroupRow(m.rightNext); err != nil {
@@ -487,7 +486,6 @@ func (m *MergeJoin) holdGroupRow(row Row) error {
 	if err := m.Life.holdRow(row); err != nil {
 		return err
 	}
-	m.groupRows++
 	m.groupBytes += rowBytes(row)
 	return nil
 }
@@ -562,8 +560,8 @@ func (m *MergeJoin) Next() (Row, bool, error) {
 
 // Close implements Iterator.
 func (m *MergeJoin) Close() error {
-	m.Life.release(m.groupRows, m.groupBytes)
-	m.groupRows, m.groupBytes = 0, 0
+	m.Life.release(m.groupBytes)
+	m.groupBytes = 0
 	m.group, m.left, m.rightNext = nil, nil, nil
 	m.haveGroup, m.matching = false, false
 	if !m.opened {
@@ -1043,7 +1041,7 @@ func (g *GroupClustered) Next() (Row, bool, error) {
 		if !g.seen.insert(row, g.Keys) {
 			return nil, false, fmt.Errorf("exec: clustered grouping over non-clustered input (group reappeared)")
 		}
-		if err := g.Life.hold(1, int64(len(g.Keys))*8+rowOverheadBytes); err != nil {
+		if err := g.Life.hold(int64(len(g.Keys))*8 + rowOverheadBytes); err != nil {
 			return nil, false, err
 		}
 		if g.g.started {

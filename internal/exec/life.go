@@ -18,10 +18,11 @@ import (
 // or it hit a budget — and all three release whatever the query held.
 
 // ErrBudgetExceeded is the typed error every budget rejection wraps:
-// per-query row or byte budgets and the shared memory accountant all
-// surface through errors.Is(err, ErrBudgetExceeded). The serving layer
-// maps it to 429 — the query was too big for the resources it was
-// admitted under, which is load shedding, not a server fault.
+// the per-query byte budget, the shared memory accountant and a dataset
+// load that does not fit all surface through
+// errors.Is(err, ErrBudgetExceeded). The serving layer maps it to 429 —
+// the query was too big for the resources it was admitted under, which
+// is load shedding, not a server fault.
 var ErrBudgetExceeded = errors.New("exec: query budget exceeded")
 
 // ErrCanceled wraps the context error when a pipeline observes
@@ -49,22 +50,19 @@ func rowBytes(r Row) int64 { return int64(len(r))*8 + rowOverheadBytes }
 
 // Budget bounds what one query may materialize: build-side hash
 // tables, sort inputs, merge-join duplicate groups, nested-loop
-// inners and per-group accumulators all count. Zero fields are
-// unlimited.
+// inners and per-group accumulators all count.
 type Budget struct {
-	// MaxRows caps the rows held in memory at once across the
-	// pipeline's materializing operators.
-	MaxRows int64
-	// MaxBytes caps the approximate bytes those rows occupy.
+	// MaxBytes caps the approximate bytes held in memory at once across
+	// the pipeline's materializing operators; 0 is unlimited.
 	MaxBytes int64
 }
 
-// Accountant is a global memory budget shared by every concurrently
-// executing query (and consulted by the serving layer's admission and
-// health gauges). It is a simple reserve/release counter: queries
-// charge their materialized rows as they hold them and release them
-// when the pipeline closes, so overload degrades into typed
-// ErrBudgetExceeded failures instead of unbounded RSS growth.
+// Accountant is the process's one memory gauge. Resident datasets (and
+// the build tables they retain) charge it through their Registry,
+// running pipelines charge the rows they materialize, and the serving
+// layer's admission reserves a fixed headroom per query — all against
+// one limit, so overload degrades into typed ErrBudgetExceeded failures
+// (or evictions of idle datasets) instead of unbounded RSS growth.
 type Accountant struct {
 	limit int64
 	used  atomic.Int64
@@ -82,7 +80,8 @@ func (a *Accountant) Limit() int64 {
 	return a.limit
 }
 
-// Used returns the bytes currently reserved across all queries.
+// Used returns the bytes currently reserved: resident datasets plus
+// running pipelines plus admission reservations.
 func (a *Accountant) Used() int64 {
 	if a == nil {
 		return 0
@@ -90,20 +89,10 @@ func (a *Accountant) Used() int64 {
 	return a.used.Load()
 }
 
-// Reserve attempts to reserve n bytes against the limit, failing
-// without reserving when it would be exceeded. The serving layer uses
-// it for admission: a fixed per-query reservation is charged before
-// the pipeline runs, so concurrent admissions are bounded by the same
-// gauge the pipelines themselves charge. Pair every successful Reserve
-// with exactly one Release.
-func (a *Accountant) Reserve(n int64) bool { return a.tryReserve(n) }
-
-// Release returns n bytes taken with Reserve.
-func (a *Accountant) Release(n int64) { a.release(n) }
-
-// tryReserve attempts to reserve n bytes, failing without reserving
-// when the limit would be exceeded.
-func (a *Accountant) tryReserve(n int64) bool {
+// Reserve attempts to reserve n bytes, failing without reserving when
+// the limit would be exceeded. A nil accountant reserves everything.
+// Pair every successful Reserve with exactly one Release.
+func (a *Accountant) Reserve(n int64) bool {
 	if a == nil {
 		return true
 	}
@@ -118,8 +107,8 @@ func (a *Accountant) tryReserve(n int64) bool {
 	}
 }
 
-// release returns n reserved bytes.
-func (a *Accountant) release(n int64) {
+// Release returns n bytes taken with Reserve.
+func (a *Accountant) Release(n int64) {
 	if a == nil || n == 0 {
 		return
 	}
@@ -145,7 +134,6 @@ type Life struct {
 
 	budget    Budget
 	acct      *Accountant
-	heldRows  atomic.Int64
 	heldBytes atomic.Int64
 
 	// quiesced is the graceful counterpart of failed: a Limit operator
@@ -194,8 +182,8 @@ func (l *Life) bind(ctx context.Context) error {
 }
 
 // Done exposes the bound context's cancellation channel (nil before
-// bind or without a Life) so blocking wrappers — fault-injected hangs,
-// future exchange operators — can unblock on cancellation.
+// bind or without a Life) so blocking wrappers — fault-injected hangs
+// and delays — can unblock on cancellation.
 func (l *Life) Done() <-chan struct{} {
 	if l == nil || l.ctx == nil {
 		return nil
@@ -222,33 +210,23 @@ func (l *Life) ctxErr() error {
 	return nil
 }
 
-// hold charges rows/bytes of materialized data against the per-query
+// hold charges bytes of materialized data against the per-query
 // budget and the shared accountant. On failure nothing remains charged
 // and the returned error wraps ErrBudgetExceeded. The charge is
 // optimistic (add, check, roll back) so concurrent morsel workers can
 // charge one shared budget without a lock.
-func (l *Life) hold(rows, bytes int64) error {
+func (l *Life) hold(bytes int64) error {
 	if l == nil {
 		return nil
 	}
-	nr := l.heldRows.Add(rows)
-	nb := l.heldBytes.Add(bytes)
-	if l.budget.MaxRows > 0 && nr > l.budget.MaxRows {
-		l.heldRows.Add(-rows)
-		l.heldBytes.Add(-bytes)
-		return fmt.Errorf("%w: %d rows materialized (budget %d)",
-			ErrBudgetExceeded, nr, l.budget.MaxRows)
-	}
-	if l.budget.MaxBytes > 0 && nb > l.budget.MaxBytes {
-		l.heldRows.Add(-rows)
+	if nb := l.heldBytes.Add(bytes); l.budget.MaxBytes > 0 && nb > l.budget.MaxBytes {
 		l.heldBytes.Add(-bytes)
 		return fmt.Errorf("%w: %d bytes materialized (budget %d)",
 			ErrBudgetExceeded, nb, l.budget.MaxBytes)
 	}
-	if !l.acct.tryReserve(bytes) {
-		l.heldRows.Add(-rows)
+	if !l.acct.Reserve(bytes) {
 		l.heldBytes.Add(-bytes)
-		return fmt.Errorf("%w: global memory budget exhausted (%d of %d bytes in use)",
+		return fmt.Errorf("%w: memory limit exhausted (%d of %d bytes in use, resident datasets included)",
 			ErrBudgetExceeded, l.acct.Used(), l.acct.Limit())
 	}
 	return nil
@@ -259,19 +237,18 @@ func (l *Life) holdRow(r Row) error {
 	if l == nil {
 		return nil
 	}
-	return l.hold(1, rowBytes(r))
+	return l.hold(rowBytes(r))
 }
 
-// release returns rows/bytes a materializing operator let go of before
-// the pipeline ended (a merge join discarding the previous duplicate
+// release returns bytes a materializing operator let go of before the
+// pipeline ended (a merge join discarding the previous duplicate
 // group).
-func (l *Life) release(rows, bytes int64) {
+func (l *Life) release(bytes int64) {
 	if l == nil {
 		return
 	}
-	l.heldRows.Add(-rows)
 	l.heldBytes.Add(-bytes)
-	l.acct.release(bytes)
+	l.acct.Release(bytes)
 }
 
 // releaseAll returns everything still charged; pipelines call it when
@@ -280,8 +257,7 @@ func (l *Life) releaseAll() {
 	if l == nil {
 		return
 	}
-	l.acct.release(l.heldBytes.Swap(0))
-	l.heldRows.Store(0)
+	l.acct.Release(l.heldBytes.Swap(0))
 }
 
 // HeldBytes reports the bytes currently charged by this query.

@@ -53,21 +53,21 @@ func wrapped(p *Pipeline, it Iterator) Iterator {
 
 func TestAccountantReserveRelease(t *testing.T) {
 	a := NewAccountant(1000)
-	if !a.tryReserve(600) || !a.tryReserve(400) {
+	if !a.Reserve(600) || !a.Reserve(400) {
 		t.Fatal("reservations within the limit refused")
 	}
-	if a.tryReserve(1) {
+	if a.Reserve(1) {
 		t.Fatal("reservation past the limit granted")
 	}
-	a.release(400)
+	a.Release(400)
 	if got := a.Used(); got != 600 {
 		t.Fatalf("used %d, want 600", got)
 	}
-	if !a.tryReserve(400) {
+	if !a.Reserve(400) {
 		t.Fatal("reservation refused after release")
 	}
 	var untracked *Accountant
-	if !untracked.tryReserve(1 << 40) {
+	if !untracked.Reserve(1 << 40) {
 		t.Fatal("nil accountant must grant everything")
 	}
 }
@@ -80,8 +80,8 @@ func TestAccountantConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				if a.tryReserve(8) {
-					a.release(8)
+				if a.Reserve(8) {
+					a.Release(8)
 				}
 			}
 		}()
@@ -99,7 +99,7 @@ func TestAccountantConcurrent(t *testing.T) {
 // after an error and after a panic alike.
 func TestBudgetHashJoinBuild(t *testing.T) {
 	acct := NewAccountant(0) // track only
-	p := &Pipeline{Life: &Life{budget: Budget{MaxRows: 1000}, acct: acct}}
+	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: 1000 * rowBytes(Row{0, 0})}, acct: acct}}
 	right := &closeCounter{Iterator: &counter{}}
 	join := &HashJoin{
 		Left:     wrapped(p, &counter{}),
@@ -177,7 +177,7 @@ func TestBudgetMergeJoinGroup(t *testing.T) {
 	for i := range dup {
 		dup[i] = Row{7, int64(i)}
 	}
-	p := &Pipeline{Life: &Life{budget: Budget{MaxRows: 1000}}}
+	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: 1000 * rowBytes(Row{0, 0})}}}
 	join := &MergeJoin{
 		Left:     wrapped(p, NewScan([]Row{{7, 0}})),
 		Right:    wrapped(p, NewScan(dup)),
@@ -204,7 +204,7 @@ func TestMergeJoinGroupRelease(t *testing.T) {
 			right = append(right, Row{k, j})
 		}
 	}
-	p := &Pipeline{Life: &Life{budget: Budget{MaxRows: 2 * per}}}
+	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: 2 * per * rowBytes(Row{0, 0})}}}
 	join := &MergeJoin{
 		Left:     wrapped(p, NewScan(left)),
 		Right:    wrapped(p, NewScan(right)),

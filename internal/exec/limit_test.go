@@ -361,7 +361,7 @@ func TestTopKHotAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestResidentBuildFallback: under a registry budget with room for the
+// TestResidentBuildFallback: under a memory limit with room for the
 // dataset and nothing else, the top-10 runs exactly as before — it
 // builds its own table, charged to its own budget, and retains nothing
 // — and the same statement adopts the resident table once there is
@@ -375,9 +375,11 @@ func TestResidentBuildFallback(t *testing.T) {
 	}
 	defer release()
 	base := ds.MemBytes()
-	r.SetBudget(base)
+	r.SetAccountant(NewAccountant(base))
 	a, best := topKHot(t, ds)
 	customers := int64(len(ds.Tables["customer"]))
+	// A per-query budget one customer row short of the whole build side.
+	short := Budget{MaxBytes: (customers - 1) * rowBytes(ds.Tables["customer"][0])}
 	run := func(budget Budget) ([]Row, *Pipeline, error) {
 		runner := ds.Runner(a)
 		runner.Budget = budget
@@ -407,12 +409,12 @@ func TestResidentBuildFallback(t *testing.T) {
 	if r.ResidentBytes() != base || ds.MemBytes() != base {
 		t.Errorf("tight budget retained something: %d resident, want %d", r.ResidentBytes(), base)
 	}
-	if _, _, err := run(Budget{MaxRows: customers - 1}); err == nil {
-		t.Error("a per-query build over the row budget passed")
+	if _, _, err := run(short); err == nil {
+		t.Error("a per-query build over the byte budget passed")
 	}
 
-	r.SetBudget(0)
-	got, p, err := run(Budget{MaxRows: customers - 1})
+	r.SetAccountant(nil)
+	got, p, err := run(short)
 	if err != nil {
 		t.Fatalf("adopted build charged the query: %v", err)
 	}

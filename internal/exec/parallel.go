@@ -127,7 +127,7 @@ func (b *bulkHold) add(r Row) error {
 }
 
 func (b *bulkHold) flush() error {
-	err := b.life.hold(b.pendRows, b.pendBytes)
+	err := b.life.hold(b.pendBytes)
 	b.pendRows, b.pendBytes = 0, 0 // a failed hold charged nothing
 	return err
 }
@@ -432,7 +432,7 @@ func (x *Exchange) runMorsel(rows, buf []Row) morselResult {
 	if len(out) > 0 {
 		bytes = int64(len(out)) * rowBytes(out[0])
 	}
-	if err := x.life.hold(int64(len(out)), bytes); err != nil {
+	if err := x.life.hold(bytes); err != nil {
 		return morselResult{err: err}
 	}
 	return morselResult{rows: out, bytes: bytes}
@@ -639,7 +639,7 @@ func (x *Exchange) Next() (Row, bool, error) {
 // stream and on a failed morsel.
 func (x *Exchange) advance() (bool, error) {
 	if x.cur != nil {
-		x.life.release(int64(len(x.cur)), x.curBytes)
+		x.life.release(x.curBytes)
 		x.cur, x.curBytes, x.ci = nil, 0, 0
 	}
 	if x.seq >= x.nm {
@@ -670,12 +670,12 @@ func (x *Exchange) Close() error {
 	close(x.stop)
 	x.wg.Wait()
 	if x.cur != nil {
-		x.life.release(int64(len(x.cur)), x.curBytes)
+		x.life.release(x.curBytes)
 		x.cur, x.curBytes, x.ci = nil, 0, 0
 	}
 	drain := func(res morselResult) {
 		if res.rows != nil {
-			x.life.release(int64(len(res.rows)), res.bytes)
+			x.life.release(res.bytes)
 		}
 	}
 	if x.ordered {

@@ -9,12 +9,12 @@ import (
 
 // This file is the dataset lifecycle layer: a thread-safe registry
 // whose datasets are loaded on first use, pinned (refcounted) while
-// queries run over them, and LRU-evicted under a resident-byte budget.
-// The serving layer acquires a pin per request, so eviction can never
-// free storage a pipeline is still scanning; an evicted dataset is
-// simply rebuilt by its loader on the next acquire. Eagerly Registered
-// datasets have no loader and are therefore never evicted (there would
-// be no way back).
+// queries run over them, and LRU-evicted when the memory Accountant
+// they charge runs out of room. The serving layer acquires a pin per
+// request, so eviction can never free storage a pipeline is still
+// scanning; an evicted dataset is simply rebuilt by its loader on the
+// next acquire. Eagerly Registered datasets have no loader and are
+// therefore never evicted (there would be no way back).
 
 // ErrUnknownDataset is wrapped by Acquire/Get failures for names that
 // were never registered; the serving layer maps it to 400, and every
@@ -47,16 +47,18 @@ type regEntry struct {
 // default. It is safe for concurrent use: datasets may be registered
 // eagerly (Register — resident for the registry's lifetime) or lazily
 // (RegisterLazy — built by a loader on first Acquire and evictable).
-// With a budget set, loading a dataset evicts least-recently-used
-// unpinned lazy datasets until the newcomer fits; when everything
-// resident is pinned or sticky the load fails with an error wrapping
+// Every resident byte is charged to the registry's Accountant, the one
+// the serving layer's pipelines charge too. When it has a limit,
+// loading a dataset evicts least-recently-used unpinned lazy datasets
+// until the newcomer fits next to everything else charged; when what
+// is resident is pinned or sticky the load fails with an error wrapping
 // ErrBudgetExceeded, which the serving layer sheds as 429.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*regEntry
 	names   []string
-	budget  int64 // resident-byte budget; 0 = unlimited
-	clock   int64 // LRU clock, incremented per acquire
+	acct    *Accountant // charged with every resident byte; nil: unlimited
+	clock   int64       // LRU clock, incremented per acquire
 
 	resident  atomic.Int64 // bytes resident now (gauge)
 	highWater atomic.Int64 // max resident bytes ever observed
@@ -73,28 +75,24 @@ const (
 	buildFallback        // did not fit: the query built its own
 )
 
-// NewRegistry returns an empty registry with no byte budget.
+// NewRegistry returns an empty registry charging no accountant.
 func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*regEntry)}
 }
 
-// SetBudget bounds the resident bytes of loaded datasets; 0 removes
-// the bound. Lowering the budget evicts LRU unpinned datasets
-// immediately (best effort — pinned and sticky datasets stay).
-func (r *Registry) SetBudget(bytes int64) {
+// SetAccountant makes a the gauge the registry's resident bytes
+// charge — the serving layer hands it the accountant its pipelines
+// charge, so one limit bounds both. What is resident moves from the
+// previous accountant to a; when that leaves a over its limit,
+// least-recently-used unpinned datasets are evicted until it fits
+// (best effort — pinned and sticky datasets stay).
+func (r *Registry) SetAccountant(a *Accountant) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.budget = bytes
-	if bytes > 0 {
-		r.evictLRULocked(0)
-	}
-}
-
-// Budget returns the resident-byte budget (0 = unlimited).
-func (r *Registry) Budget() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.budget
+	n := r.resident.Load()
+	r.acct.Release(n)
+	r.acct = a
+	r.chargeLocked(n)
 }
 
 // Register adds d eagerly: resident immediately and for the registry's
@@ -104,15 +102,14 @@ func (r *Registry) Register(d *Dataset) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.entryLocked(d.Name)
-	if e.ds != nil {
-		r.residentAdd(-e.bytes)
-	}
+	r.unloadLocked(e)
 	e.desc = d.Desc
 	e.load = nil
 	e.ds = d
 	e.bytes = d.MemBytes()
 	r.residentAdd(e.bytes)
 	d.owner.Store(r)
+	r.chargeLocked(e.bytes)
 }
 
 // RegisterLazy adds a dataset that load builds on first Acquire. The
@@ -124,13 +121,9 @@ func (r *Registry) RegisterLazy(name, desc string, load DatasetLoader) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.entryLocked(name)
-	if e.ds != nil {
-		r.residentAdd(-e.bytes)
-	}
+	r.unloadLocked(e)
 	e.desc = desc
 	e.load = load
-	e.ds = nil
-	e.bytes = 0
 }
 
 // entryLocked returns the entry for name, creating and ordering it if
@@ -162,9 +155,9 @@ func (r *Registry) residentAdd(delta int64) {
 // release function drops the pin and must be called exactly once, when
 // the query is done reading the dataset. Errors wrap ErrUnknownDataset
 // (no such name) or ErrBudgetExceeded (the load does not fit the
-// registry budget next to what is pinned), or are the loader's own
-// failure — a panicking loader's included; the next Acquire loads
-// again.
+// accountant's limit next to what is pinned and what running pipelines
+// hold), or are the loader's own failure — a panicking loader's
+// included; the next Acquire loads again.
 func (r *Registry) Acquire(name string) (*Dataset, func(), error) {
 	r.mu.Lock()
 	if name == "" {
@@ -217,7 +210,7 @@ func (r *Registry) Acquire(name string) (*Dataset, func(), error) {
 		}
 		if err == nil {
 			bytes := ds.MemBytes()
-			if ferr := r.fitLocked(bytes); ferr != nil {
+			if ferr := r.reserveLocked(bytes); ferr != nil {
 				err = ferr // drop the freshly built dataset; nothing was charged
 			} else {
 				e.ds, e.bytes = ds, bytes
@@ -260,24 +253,13 @@ func (r *Registry) releaseFunc(e *regEntry) func() {
 	}
 }
 
-// fitLocked makes room for need bytes under the budget, evicting LRU
-// unpinned lazy datasets. Caller holds r.mu.
-func (r *Registry) fitLocked(need int64) error {
-	if r.budget <= 0 {
-		return nil
-	}
-	if err := r.evictLRULocked(need); err != nil {
-		return err
-	}
-	return nil
-}
-
-// evictLRULocked evicts least-recently-used unpinned lazy datasets
-// until resident+need fits the budget, or fails with a budget error
-// when what remains is pinned or sticky. Caller holds r.mu and has
-// checked budget > 0.
-func (r *Registry) evictLRULocked(need int64) error {
-	for r.resident.Load()+need > r.budget {
+// reserveLocked reserves need bytes on the accountant, evicting
+// least-recently-used unpinned lazy datasets until the reservation
+// fits; it fails with a budget error, having reserved nothing, when
+// what remains resident is pinned or sticky. Without a limit it never
+// evicts. Caller holds r.mu.
+func (r *Registry) reserveLocked(need int64) error {
+	for !r.acct.Reserve(need) {
 		var victim *regEntry
 		for _, e := range r.entries {
 			if e.ds == nil || e.pins > 0 || e.load == nil {
@@ -288,28 +270,51 @@ func (r *Registry) evictLRULocked(need int64) error {
 			}
 		}
 		if victim == nil {
-			return fmt.Errorf("%w: %d bytes needed, %d of %d resident and pinned or unevictable",
-				ErrBudgetExceeded, need, r.resident.Load(), r.budget)
+			return fmt.Errorf("%w: %d bytes needed, %d of %d in use (%d resident and pinned or unevictable)",
+				ErrBudgetExceeded, need, r.acct.Used(), r.acct.Limit(), r.resident.Load())
 		}
 		r.evictLocked(victim)
 	}
 	return nil
 }
 
+// chargeLocked charges n resident bytes the registry cannot refuse (a
+// sticky registration, residency moving to a new accountant), then
+// evicts idle datasets, best effort, until the accountant is back
+// within its limit. Caller holds r.mu.
+func (r *Registry) chargeLocked(n int64) {
+	if r.acct != nil {
+		r.acct.used.Add(n)
+	}
+	_ = r.reserveLocked(0)
+}
+
+// unloadLocked drops e's resident dataset, if any, and its charge.
+// Caller holds r.mu.
+func (r *Registry) unloadLocked(e *regEntry) {
+	if e.ds == nil {
+		return
+	}
+	r.residentAdd(-e.bytes)
+	r.acct.Release(e.bytes)
+	e.ds, e.bytes = nil, 0
+}
+
 // evictLocked drops victim's resident dataset. Caller holds r.mu.
 func (r *Registry) evictLocked(victim *regEntry) {
-	r.residentAdd(-victim.bytes)
-	victim.ds, victim.bytes = nil, 0
+	r.unloadLocked(victim)
 	r.evictions.Add(1)
 }
 
 // admitDerived charges n more bytes to d's resident entry — state d
 // derived from its own rows, freed and uncharged with it — evicting
 // least-recently-used unpinned datasets for room as a load would. It
-// reports false, with nothing charged or evicted, when d is not this
-// registry's resident copy of its name or the bytes do not fit next to
-// what is pinned or sticky. A nil registry admits everything: nobody
-// budgets a dataset no registry holds.
+// reports false, with nothing charged, when d is not this registry's
+// resident copy of its name or the bytes do not fit next to what is
+// pinned or sticky; nothing is evicted then either, unless running
+// pipelines took the room counted here while the evictions ran. A nil
+// registry admits everything: nobody budgets a dataset no registry
+// holds.
 func (r *Registry) admitDerived(d *Dataset, n int64) bool {
 	if r == nil {
 		return true
@@ -320,8 +325,8 @@ func (r *Registry) admitDerived(d *Dataset, n int64) bool {
 	if e == nil || e.ds != d {
 		return false
 	}
-	if r.budget > 0 {
-		room := r.budget - r.resident.Load()
+	if limit := r.acct.Limit(); limit > 0 {
+		room := limit - r.acct.Used()
 		for _, o := range r.entries {
 			if o != e && o.ds != nil && o.pins == 0 && o.load != nil {
 				room += o.bytes
@@ -330,11 +335,13 @@ func (r *Registry) admitDerived(d *Dataset, n int64) bool {
 		if room < n {
 			return false
 		}
-		// d itself is no victim, pinned by the caller or not; and the
-		// eviction cannot fail: its room was just counted.
-		e.pins++
-		_ = r.evictLRULocked(n)
-		e.pins--
+	}
+	// d itself is no victim, pinned by the caller or not.
+	e.pins++
+	err := r.reserveLocked(n)
+	e.pins--
+	if err != nil {
+		return false
 	}
 	e.bytes += n
 	r.residentAdd(n)
@@ -424,8 +431,7 @@ func (r *Registry) Info() []DatasetInfo {
 }
 
 // ResidentBytes reports the bytes currently resident across loaded
-// datasets — the serving layer's admission reads it next to the
-// Accountant's query gauge.
+// datasets: the part of the accountant's Used that datasets hold.
 func (r *Registry) ResidentBytes() int64 { return r.resident.Load() }
 
 // HighWaterBytes reports the maximum resident bytes ever observed.
@@ -439,7 +445,8 @@ func (r *Registry) Evictions() int64 { return r.evictions.Load() }
 
 // BuildCounts reports how hash joins over bare base-relation scans got
 // their build table: resident already (hits), built and retained
-// (misses), or not fitting the budget and built per query (fallbacks).
+// (misses), or not fitting the memory limit and built per query
+// (fallbacks).
 func (r *Registry) BuildCounts() (hits, misses, fallbacks int64) {
 	return r.builds[buildHit].Load(), r.builds[buildMiss].Load(), r.builds[buildFallback].Load()
 }

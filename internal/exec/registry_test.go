@@ -19,6 +19,14 @@ func tinyDataset(name string, rows int) *Dataset {
 	return NewDataset(name, "registry test fixture", nil, map[string][][]int64{"t": raw})
 }
 
+// limit binds r to a fresh accountant of n bytes, as a server with
+// that memory limit would, and returns it.
+func limit(r *Registry, n int64) *Accountant {
+	a := NewAccountant(n)
+	r.SetAccountant(a)
+	return a
+}
+
 // countingLoader wraps a dataset build with an invocation counter.
 func countingLoader(name string, rows int, calls *atomic.Int64) DatasetLoader {
 	return func() (*Dataset, error) {
@@ -106,7 +114,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 	r.RegisterLazy("c", "", countingLoader("c", 32, &loadsC))
 
 	one := tinyDataset("a", 32).MemBytes()
-	r.SetBudget(2 * one)
+	acct := limit(r, 2*one)
 
 	acquire := func(name string) {
 		t.Helper()
@@ -143,8 +151,8 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if r.Evictions() != 1 {
 		t.Errorf("Evictions() = %d, want 1", r.Evictions())
 	}
-	if r.ResidentBytes() > 2*one {
-		t.Errorf("resident %d bytes over budget %d", r.ResidentBytes(), 2*one)
+	if r.ResidentBytes() > 2*one || acct.Used() != r.ResidentBytes() {
+		t.Errorf("resident %d bytes, accountant %d, budget %d", r.ResidentBytes(), acct.Used(), 2*one)
 	}
 
 	// Re-acquiring b reloads it (and evicts the new LRU, a).
@@ -171,7 +179,7 @@ func TestRegistryPinBlocksEviction(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterLazy("a", "", countingLoader("a", 32, &calls))
 	r.RegisterLazy("b", "", countingLoader("b", 32, &calls))
-	r.SetBudget(tinyDataset("a", 32).MemBytes()) // room for exactly one
+	limit(r, tinyDataset("a", 32).MemBytes()) // room for exactly one
 
 	dsA, releaseA, err := r.Acquire("a")
 	if err != nil {
@@ -205,7 +213,7 @@ func TestRegistryStickyNeverEvicted(t *testing.T) {
 	sticky := tinyDataset("sticky", 32)
 	r.Register(sticky)
 	r.RegisterLazy("lazy", "", countingLoader("lazy", 32, &calls))
-	r.SetBudget(sticky.MemBytes()) // the sticky dataset fills the budget
+	limit(r, sticky.MemBytes()) // the sticky dataset fills the budget
 
 	if r.Evict("sticky") {
 		t.Error("Evict succeeded on a sticky dataset")
@@ -225,17 +233,17 @@ func TestRegistryLoadTooBig(t *testing.T) {
 	var calls atomic.Int64
 	r := NewRegistry()
 	r.RegisterLazy("big", "", countingLoader("big", 64, &calls))
-	r.SetBudget(tinyDataset("big", 64).MemBytes() / 2)
+	acct := limit(r, tinyDataset("big", 64).MemBytes()/2)
 
 	if _, _, err := r.Acquire("big"); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("oversized load: %v, want ErrBudgetExceeded", err)
 	}
-	if got := r.ResidentBytes(); got != 0 {
-		t.Errorf("resident %d bytes after a failed load, want 0", got)
+	if got := r.ResidentBytes(); got != 0 || acct.Used() != 0 {
+		t.Errorf("resident %d bytes, accountant %d after a failed load, want 0", got, acct.Used())
 	}
-	// The failure is not sticky: raising the budget lets the next
+	// The failure is not sticky: lifting the limit lets the next
 	// acquire succeed.
-	r.SetBudget(0)
+	limit(r, 0)
 	if _, release, err := r.Acquire("big"); err != nil {
 		t.Fatalf("acquire after raising the budget: %v", err)
 	} else {
@@ -361,7 +369,7 @@ func TestRegistrySingleLoad(t *testing.T) {
 }
 
 // TestRegistryConcurrentAcquireEvict hammers acquire/release against
-// Evict and SetBudget under -race: the invariant is that a pinned
+// Evict and SetAccountant under -race: the invariant is that a pinned
 // dataset's storage is never freed — every acquirer can read its table
 // through the full pin window — and that pins drain to zero.
 func TestRegistryConcurrentAcquireEvict(t *testing.T) {
@@ -371,7 +379,7 @@ func TestRegistryConcurrentAcquireEvict(t *testing.T) {
 		var c atomic.Int64
 		r.RegisterLazy(name, "", countingLoader(name, 16, &c))
 	}
-	r.SetBudget(2 * tinyDataset("a", 16).MemBytes())
+	limit(r, 2*tinyDataset("a", 16).MemBytes())
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -417,7 +425,7 @@ func TestRegistryConcurrentAcquireEvict(t *testing.T) {
 			}
 			r.Evict(names[i%len(names)])
 			if i%7 == 0 {
-				r.SetBudget(2 * tinyDataset("a", 16).MemBytes())
+				limit(r, 2*tinyDataset("a", 16).MemBytes())
 			}
 		}
 	}()
@@ -466,13 +474,16 @@ func TestRegistryReplaceRegistration(t *testing.T) {
 	}
 }
 
-// TestRegistrySetBudgetEvicts: lowering the budget below the resident
-// set evicts immediately rather than waiting for the next load.
-func TestRegistrySetBudgetEvicts(t *testing.T) {
+// TestRegistrySetAccountantEvicts: binding the registry to an
+// accountant whose limit is below the resident set evicts immediately
+// rather than waiting for the next load, and moves the charge: the old
+// accountant is left with nothing, the new one with what stayed.
+func TestRegistrySetAccountantEvicts(t *testing.T) {
 	var a, b atomic.Int64
 	r := NewRegistry()
 	r.RegisterLazy("a", "", countingLoader("a", 32, &a))
 	r.RegisterLazy("b", "", countingLoader("b", 32, &b))
+	old := limit(r, 0)
 	for _, name := range []string{"a", "b"} {
 		_, release, err := r.Acquire(name)
 		if err != nil {
@@ -481,12 +492,15 @@ func TestRegistrySetBudgetEvicts(t *testing.T) {
 		release()
 	}
 	one := tinyDataset("a", 32).MemBytes()
-	r.SetBudget(one)
-	if got := r.ResidentBytes(); got > one {
-		t.Errorf("resident %d bytes after lowering the budget to %d", got, one)
+	if old.Used() != 2*one {
+		t.Fatalf("accountant carries %d bytes for two resident datasets of %d", old.Used(), one)
+	}
+	acct := limit(r, one)
+	if got := r.ResidentBytes(); got > one || acct.Used() != got || old.Used() != 0 {
+		t.Errorf("resident %d bytes under a %d-byte limit; new accountant %d, old %d", got, one, acct.Used(), old.Used())
 	}
 	if r.Evictions() == 0 {
-		t.Error("SetBudget below residency evicted nothing")
+		t.Error("a limit below residency evicted nothing")
 	}
 }
 
@@ -569,7 +583,7 @@ func TestRegistryBuildTableBudget(t *testing.T) {
 	r.RegisterLazy("a", "", countingLoader("a", rows, &calls))
 	r.RegisterLazy("b", "", countingLoader("b", rows, &calls))
 	base := tinyDataset("a", rows).MemBytes()
-	r.SetBudget(2*base + tinyViewBytes(rows)/2)
+	acct := limit(r, 2*base+tinyViewBytes(rows)/2)
 
 	a, releaseA, err := r.Acquire("a")
 	if err != nil {
@@ -596,8 +610,8 @@ func TestRegistryBuildTableBudget(t *testing.T) {
 	if hv == nil {
 		t.Fatal("build table refused although evicting the idle neighbour makes room")
 	}
-	if r.Evictions() != 1 || r.ResidentBytes() != base+tinyViewBytes(rows) || r.ResidentBytes() > r.Budget() {
-		t.Fatalf("after an admitted table: %d evictions, %d resident of %d budget", r.Evictions(), r.ResidentBytes(), r.Budget())
+	if r.Evictions() != 1 || r.ResidentBytes() != base+tinyViewBytes(rows) || acct.Used() != r.ResidentBytes() {
+		t.Fatalf("after an admitted table: %d evictions, %d resident, accountant %d of %d", r.Evictions(), r.ResidentBytes(), acct.Used(), acct.Limit())
 	}
 	if touch(a) != hv {
 		t.Error("second touch built a second table")
@@ -605,8 +619,8 @@ func TestRegistryBuildTableBudget(t *testing.T) {
 
 	// Evicted with its dataset, rebuilt on the reloaded copy.
 	releaseA()
-	if !r.Evict("a") || r.ResidentBytes() != 0 {
-		t.Fatalf("after evicting a: %d bytes resident, want 0", r.ResidentBytes())
+	if !r.Evict("a") || r.ResidentBytes() != 0 || acct.Used() != 0 {
+		t.Fatalf("after evicting a: %d bytes resident, accountant %d, want 0", r.ResidentBytes(), acct.Used())
 	}
 	if touch(a) != hv || r.ResidentBytes() != 0 {
 		t.Error("the evicted copy must keep serving its table and charge nobody")

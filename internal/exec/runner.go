@@ -34,9 +34,10 @@ type Runner struct {
 	// counters remain). The benchmark harness disables it so operator
 	// timer overhead does not tint the measured runtimes.
 	DisableTiming bool
-	// Budget bounds what each compiled pipeline may materialize (zero
-	// fields are unlimited); Accountant, when set, additionally charges
-	// materialized rows against a memory budget shared across queries.
+	// Budget bounds the bytes each compiled pipeline may materialize
+	// (0 is unlimited); Accountant, when set, additionally charges them
+	// to the process's memory gauge, shared with every other query and
+	// with the resident datasets.
 	Budget     Budget
 	Accountant *Accountant
 	// Hook, when set, wraps every operator as it is compiled — the
@@ -758,7 +759,7 @@ type rightSide struct {
 // where both compilers (the exchange's passes inExchange) decide between
 // running the input and adopting dataset state for it. Adopted state is
 // the dataset's memory: the query materializes nothing and is charged
-// nothing. A build table the registry budget has no room for is not
+// nothing. A build table the memory limit has no room for is not
 // adopted; the input is then compiled like any other.
 func (r *Runner) joinRight(n *plan.Node, key query.ColumnRef, live liveCols, p *Pipeline, inExchange bool) (rt rightSide, err error) {
 	var bare *bareScan

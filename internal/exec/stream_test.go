@@ -240,11 +240,11 @@ func TestStreamBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := ds.Runner(a)
-	runner.Budget = exec.Budget{MaxRows: 64}
+	runner.Budget = exec.Budget{MaxBytes: 4 << 10}
 	p := mustCompile(t, runner, res)
 	streamErr := p.StreamContext(context.Background(), 8, func([]exec.Row) error { return nil })
 	if !errors.Is(streamErr, exec.ErrBudgetExceeded) {
-		t.Fatalf("stream under a tiny row budget returned %v, want ErrBudgetExceeded", streamErr)
+		t.Fatalf("stream under a tiny byte budget returned %v, want ErrBudgetExceeded", streamErr)
 	}
 }
 

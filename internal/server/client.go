@@ -179,9 +179,10 @@ type StatsResponse struct {
 	InFlight    int64   `json:"inFlight"`
 	MaxInFlight int     `json:"maxInFlight"`
 	Draining    bool    `json:"draining"`
-	// MemUsedBytes is the approximate bytes currently materialized by
-	// running pipelines; MemLimitBytes the global budget (0: tracking
-	// only).
+	// MemUsedBytes is the process's one memory gauge, the sum
+	// MemLimitBytes (0: tracking only) is checked against: resident
+	// datasets, bytes materialized by running pipelines and admission
+	// reservations.
 	MemUsedBytes  int64 `json:"memUsedBytes"`
 	MemLimitBytes int64 `json:"memLimitBytes"`
 	// Panics counts handler panics answered with 500 ("code": "panic").
@@ -194,17 +195,16 @@ type StatsResponse struct {
 }
 
 // RegistryStats are the dataset registry's lifecycle gauges: what is
-// resident, the high-water mark, the configured budget and the
-// load/eviction counters. Datasets lists every registered dataset,
-// resident or not. The build counters say how hash joins over bare
-// base-relation scans got their build table: from the dataset's
+// resident (the part of memUsedBytes the datasets hold), the high-water
+// mark and the load/eviction counters. Datasets lists every registered
+// dataset, resident or not. The build counters say how hash joins over
+// bare base-relation scans got their build table: from the dataset's
 // resident one (BuildHits), by building and retaining it (BuildMisses),
-// or — it did not fit the budget — by building their own per query
-// (BuildFallbacks).
+// or — it did not fit the memory limit — by building their own per
+// query (BuildFallbacks).
 type RegistryStats struct {
 	ResidentBytes  int64              `json:"residentBytes"`
 	HighWaterBytes int64              `json:"highWaterBytes"`
-	BudgetBytes    int64              `json:"budgetBytes,omitempty"`
 	Loads          int64              `json:"loads"`
 	Evictions      int64              `json:"evictions"`
 	BuildHits      int64              `json:"buildHits"`
@@ -224,9 +224,8 @@ type HealthResponse struct {
 	MaxInFlight   int     `json:"maxInFlight"`
 	MemUsedBytes  int64   `json:"memUsedBytes"`
 	MemLimitBytes int64   `json:"memLimitBytes"`
-	// RegistryBytes is the dataset registry's resident-set size —
-	// admission sheds when RegistryBytes + MemUsedBytes approaches
-	// MemLimitBytes, so balancers can watch the same sum.
+	// RegistryBytes is the dataset registry's resident-set size, the
+	// part of MemUsedBytes the datasets hold.
 	RegistryBytes int64 `json:"registryBytes"`
 	// Parallel-execution gauges: the scheduler's processor count, the
 	// configured per-query worker cap, and the morsel workers running

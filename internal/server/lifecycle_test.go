@@ -21,7 +21,12 @@ import (
 const joinSQL = "select * from orders, lineitem where o_orderkey = l_orderkey order by o_orderkey"
 
 // smallRegistry builds a one-dataset registry (tpcr-small only) so
-// lifecycle tests don't pay for the mid and large generators.
+// lifecycle tests don't pay for the mid and large generators. It is
+// shared by every test server; server.New moves its resident charge to
+// the new server's accountant (Registry.SetAccountant), so a test that
+// sets a memory limit on it sees the dataset inside that limit. The
+// package's tests do not run in parallel, so no two servers hold it at
+// once.
 var smallRegistry = sync.OnceValue(func() *exec.Registry {
 	ds := exec.NewDataset("tpcr-small", "lifecycle test fixture", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec()))
 	reg := exec.NewRegistry()
@@ -131,12 +136,12 @@ func TestTimeoutClamp(t *testing.T) {
 	}
 }
 
-// TestExecuteBudget: a per-query row budget too small for the join's
-// build side must yield a typed 429 with Retry-After, counted in stats.
+// TestExecuteBudget: a per-query byte budget too small for what the
+// join buffers must yield a typed 429 with Retry-After, counted in stats.
 func TestExecuteBudget(t *testing.T) {
 	_, c, done := newTestServer(t, Config{
 		Datasets:    smallRegistry(),
-		QueryBudget: exec.Budget{MaxRows: 8},
+		QueryBudget: exec.Budget{MaxBytes: 512},
 	})
 	defer done()
 
@@ -165,16 +170,18 @@ func TestExecuteBudget(t *testing.T) {
 	}
 }
 
-// TestGlobalMemBudget: the shared accountant bounds all pipelines and
-// shows up in the health and stats gauges.
+// TestGlobalMemBudget: the shared accountant bounds every pipeline next
+// to the resident datasets and shows up in the health and stats
+// gauges. The limit admits the request (the dataset and one
+// reservation fit) but leaves 1 KiB for the pipeline.
 func TestGlobalMemBudget(t *testing.T) {
-	const limit = 4096
-	_, c, done := newTestServer(t, Config{Datasets: smallRegistry(), MemLimitBytes: limit})
+	reg := smallRegistry()
+	limit := reg.ResidentBytes() + DefaultQueryReserveBytes + 1<<10
+	_, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: limit})
 	defer done()
 
 	// Ordering the join by a non-key column forces a full sort of the
 	// join output — far more than the global budget allows.
-	sortSQL := "select * from orders, lineitem where o_orderkey = l_orderkey order by o_orderdate"
 	status, e, _ := postExecuteRaw(t, c.BaseURL, ExecuteRequest{SQL: sortSQL, Dataset: "tpcr-small"})
 	if status != http.StatusTooManyRequests || e.Code != "budget" {
 		t.Fatalf("status %d code %q, want 429/budget", status, e.Code)
@@ -187,16 +194,76 @@ func TestGlobalMemBudget(t *testing.T) {
 	if h.MemLimitBytes != limit {
 		t.Errorf("healthz memLimitBytes = %d, want %d", h.MemLimitBytes, limit)
 	}
-	if h.MemUsedBytes != 0 {
-		t.Errorf("healthz memUsedBytes = %d after rejection, want 0 (budget released)", h.MemUsedBytes)
+	if h.RegistryBytes == 0 || h.MemUsedBytes != h.RegistryBytes {
+		t.Errorf("healthz memUsedBytes = %d after rejection, want the %d resident bytes (budget released)", h.MemUsedBytes, h.RegistryBytes)
 	}
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.MemLimitBytes != limit || stats.MemUsedBytes != 0 {
-		t.Errorf("stats mem gauges = %d/%d, want 0/%d", stats.MemUsedBytes, stats.MemLimitBytes, limit)
+	if stats.MemLimitBytes != limit || stats.MemUsedBytes != stats.Registry.ResidentBytes {
+		t.Errorf("stats mem gauges = %d/%d, want %d/%d", stats.MemUsedBytes, stats.MemLimitBytes, stats.Registry.ResidentBytes, limit)
 	}
+	if ep := stats.Endpoints["execute"]; ep.BudgetRejected != 1 || ep.MemShed != 0 {
+		t.Errorf("execute budgetRejected = %d, memShed = %d; want 1, 0 (the pipeline, not admission)", ep.BudgetRejected, ep.MemShed)
+	}
+}
+
+// TestMemLimitCoversResidentDatasets: the memory limit bounds resident
+// datasets and running pipelines together. Each case builds its own
+// registry, so what it charges is this server's alone.
+func TestMemLimitCoversResidentDatasets(t *testing.T) {
+	tpcrSmall := func(name string) (*exec.Dataset, error) {
+		return exec.NewDataset(name, "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec())), nil
+	}
+
+	// The sort holds ~22 KiB at its peak. A pipeline that saw only its
+	// own and the other queries' bytes would fit in the 4 KiB left over
+	// the reservation plus the 34 KiB the dataset holds; it does not,
+	// because the dataset is inside the limit too.
+	t.Run("pipeline", func(t *testing.T) {
+		ds, _ := tpcrSmall("tpcr-small")
+		reg := exec.NewRegistry()
+		reg.Register(ds)
+		_, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: ds.MemBytes() + DefaultQueryReserveBytes + 4<<10})
+		defer done()
+		status, e, _ := postExecuteRaw(t, c.BaseURL, ExecuteRequest{SQL: sortSQL, Dataset: "tpcr-small"})
+		if status != http.StatusTooManyRequests || e.Code != "budget" {
+			t.Fatalf("status %d code %q (%s), want 429/budget", status, e.Code, e.Error)
+		}
+	})
+
+	// Room for two idle datasets and one query: a third dataset's load
+	// evicts the least recently used one instead of failing.
+	t.Run("evicts-idle", func(t *testing.T) {
+		reg := exec.NewRegistry()
+		for _, name := range []string{"a", "b", "c"} {
+			reg.RegisterLazy(name, "", func() (*exec.Dataset, error) { return tpcrSmall(name) })
+		}
+		one, _ := tpcrSmall("a")
+		_, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: 2*one.MemBytes() + DefaultQueryReserveBytes + 16<<10})
+		defer done()
+		for _, name := range []string{"a", "b", "a", "c"} { // b is the LRU when c loads
+			if _, err := c.Execute(ExecuteRequest{SQL: joinSQL, Dataset: name}); err != nil {
+				t.Fatalf("execute on %s: %v", name, err)
+			}
+		}
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident := map[string]bool{}
+		for _, info := range stats.Registry.Datasets {
+			resident[info.Name] = info.Resident
+		}
+		if !resident["a"] || resident["b"] || !resident["c"] || stats.Registry.Evictions != 1 {
+			t.Errorf("residency %v after %d evictions, want a and c resident after 1", resident, stats.Registry.Evictions)
+		}
+		if stats.MemUsedBytes != stats.Registry.ResidentBytes || stats.MemUsedBytes > stats.MemLimitBytes {
+			t.Errorf("memUsedBytes %d, resident %d, limit %d; want used = resident <= limit",
+				stats.MemUsedBytes, stats.Registry.ResidentBytes, stats.MemLimitBytes)
+		}
+	})
 }
 
 // TestExecuteClientCancel: when the client goes away mid-pipeline the
@@ -470,8 +537,8 @@ func TestHandlerPanicRecovered(t *testing.T) {
 			if st.Panics != 1 {
 				t.Errorf("panics = %d, want 1", st.Panics)
 			}
-			if st.InFlight != 0 || st.MemUsedBytes != 0 || s.acct.Used() != 0 {
-				t.Errorf("after the panic: inFlight %d, memUsedBytes %d; want both 0", st.InFlight, st.MemUsedBytes)
+			if resident := reg.ResidentBytes(); st.InFlight != 0 || st.MemUsedBytes != resident || s.acct.Used() != resident {
+				t.Errorf("after the panic: inFlight %d, memUsedBytes %d; want 0 and the %d resident bytes", st.InFlight, st.MemUsedBytes, resident)
 			}
 			for _, info := range reg.Info() {
 				if info.Pins != 0 {

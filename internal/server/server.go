@@ -43,10 +43,11 @@
 //     timeoutMs, clamped to Config.MaxTimeout) cancels mid-pipeline;
 //     the client gets a typed 504 with the partial per-operator
 //     counters gathered up to the cut.
-//   - Budgets. Config.QueryBudget bounds what one /execute pipeline
-//     may materialize and Config.MemLimitBytes what all of them may
-//     hold together; exceeding either returns a typed 429
-//     ("code": "budget") instead of growing the process.
+//   - Budgets. Config.QueryBudget bounds the bytes one /execute
+//     pipeline may materialize and Config.MemLimitBytes what resident
+//     datasets and all running pipelines may hold together; exceeding
+//     either returns a typed 429 ("code": "budget") instead of growing
+//     the process.
 //   - Panics. A bug that panics under a handler is that request's 500
 //     ("code": "panic"), counted in /stats; what the request held —
 //     dataset pin, admission slot, reservation, budget charges — is
@@ -113,25 +114,21 @@ type Config struct {
 	// DefaultMaxTimeout when either a default or a client timeout is in
 	// play; negative disables clamping.
 	MaxTimeout time.Duration
-	// QueryBudget bounds what a single /execute pipeline may
-	// materialize (rows/bytes across build-side hash tables, sort
-	// inputs, merge-join groups). Zero fields are unlimited.
+	// QueryBudget bounds the bytes a single /execute pipeline may
+	// materialize across build-side hash tables, sort inputs and
+	// merge-join groups; 0 is unlimited.
 	QueryBudget exec.Budget
-	// MemLimitBytes bounds the bytes all concurrently executing
-	// pipelines may materialize together; 0 tracks without enforcing.
-	// Exceeding it fails the query with a typed budget error (429), not
-	// the process with an OOM. With a limit set, /execute admission is
-	// by memory, not request count: a request is shed up front (429,
-	// Retry-After) when resident datasets plus running pipelines plus
-	// its own reservation would exceed the limit.
+	// MemLimitBytes bounds the process's one memory gauge: the bytes of
+	// the resident datasets (Datasets is handed the server's
+	// accountant) plus what all concurrently executing pipelines
+	// materialize; 0 tracks without enforcing. A dataset load that does
+	// not fit evicts idle datasets first; a pipeline that does not fit
+	// fails with a typed budget error (429), not the process with an
+	// OOM. With a limit set, /execute admission is by memory, not
+	// request count: each request reserves DefaultQueryReserveBytes for
+	// its duration and is shed up front (429, Retry-After) when that
+	// does not fit.
 	MemLimitBytes int64
-	// QueryReserveBytes is the admission reservation each /execute
-	// request charges against MemLimitBytes for its duration — the
-	// headroom a query is assumed to need before its pipeline has
-	// materialized anything. 0 means DefaultQueryReserveBytes; negative
-	// disables the reservation (admission still checks the gauges).
-	// Ignored when MemLimitBytes is 0.
-	QueryReserveBytes int64
 	// ExecHook, when set, wraps every compiled operator — the
 	// fault-injection seam used by the abort experiment and the fault
 	// harness. Leave nil in production.
@@ -148,9 +145,10 @@ type Config struct {
 const DefaultMaxTimeout = 30 * time.Second
 
 // DefaultQueryReserveBytes is the per-query admission reservation when
-// Config.QueryReserveBytes is 0 and a memory limit is set: enough
-// headroom for a modest pipeline's early materialization, small enough
-// not to starve admission under a realistic limit.
+// a memory limit is set: the headroom a query is assumed to need before
+// its pipeline has materialized anything — enough for a modest
+// pipeline's early materialization, small enough not to starve
+// admission under a realistic limit.
 const DefaultQueryReserveBytes = 64 << 10
 
 // Server is the HTTP planning service. It is an http.Handler; all state
@@ -171,7 +169,6 @@ type Server struct {
 	maxTimeout     time.Duration
 	budget         exec.Budget
 	acct           *exec.Accountant
-	queryReserve   int64
 	execHook       exec.IterHook
 	workers        int
 
@@ -275,12 +272,9 @@ func New(cfg Config) *Server {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	reserve := cfg.QueryReserveBytes
-	switch {
-	case reserve == 0:
-		reserve = DefaultQueryReserveBytes
-	case reserve < 0:
-		reserve = 0
+	acct := exec.NewAccountant(cfg.MemLimitBytes)
+	if cfg.Datasets != nil {
+		cfg.Datasets.SetAccountant(acct)
 	}
 	s := &Server{
 		pl:             cfg.Planner,
@@ -291,8 +285,7 @@ func New(cfg Config) *Server {
 		defaultTimeout: cfg.DefaultTimeout,
 		maxTimeout:     maxT,
 		budget:         cfg.QueryBudget,
-		acct:           exec.NewAccountant(cfg.MemLimitBytes),
-		queryReserve:   reserve,
+		acct:           acct,
 		execHook:       cfg.ExecHook,
 		workers:        workers,
 	}
@@ -692,36 +685,26 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 
 // admitMemory is the memory-admission gate of /execute: with a memory
 // limit configured, a request is shed (429, Retry-After, "budget")
-// when resident datasets plus bytes held by running pipelines plus
-// this query's reservation would exceed the limit. The reservation
-// stays charged against the shared accountant until the returned
-// release runs, so concurrent admissions see each other. Without a
-// limit the gate is a no-op — the request-count semaphore remains the
-// only admission bound.
+// when DefaultQueryReserveBytes does not fit the accountant next to
+// the resident datasets and running pipelines it already carries. The
+// reservation stays charged until the returned release runs, so
+// concurrent admissions see each other. Without a limit the gate is a
+// no-op — the request-count semaphore remains the only admission
+// bound.
 func (s *Server) admitMemory(w http.ResponseWriter, m *endpointMetrics) (release func(), ok bool) {
-	limit := s.acct.Limit()
-	if limit <= 0 {
+	if s.acct.Limit() <= 0 {
 		return func() {}, true
 	}
-	shed := func(used int64) {
+	if !s.acct.Reserve(DefaultQueryReserveBytes) {
 		m.shed.Add(1)
 		m.memShed.Add(1)
 		writeErrorCoded(w, http.StatusTooManyRequests,
-			fmt.Sprintf("memory admission: %d bytes resident + in use of %d limit (%d reserve needed)",
-				used, limit, s.queryReserve),
+			fmt.Sprintf("memory admission: %d of %d bytes in use, resident datasets included (%d reserve needed)",
+				s.acct.Used(), s.acct.Limit(), DefaultQueryReserveBytes),
 			"budget", nil)
-	}
-	resident := s.registryBytes()
-	if used := resident + s.acct.Used(); used+s.queryReserve > limit {
-		shed(used)
 		return nil, false
 	}
-	if !s.acct.Reserve(s.queryReserve) {
-		shed(resident + s.acct.Used())
-		return nil, false
-	}
-	reserve := s.queryReserve
-	return func() { s.acct.Release(reserve) }, true
+	return func() { s.acct.Release(DefaultQueryReserveBytes) }, true
 }
 
 // registryBytes reports the dataset registry's resident bytes (0
@@ -871,7 +854,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Registry = &RegistryStats{
 			ResidentBytes:  s.datasets.ResidentBytes(),
 			HighWaterBytes: s.datasets.HighWaterBytes(),
-			BudgetBytes:    s.datasets.Budget(),
 			Loads:          s.datasets.Loads(),
 			Evictions:      s.datasets.Evictions(),
 			Datasets:       s.datasets.Info(),

@@ -3,8 +3,9 @@
 // deadlines) over a cold on-demand registry whose datasets are being
 // evicted underneath the queries, all under admission pressure. The
 // pass condition is not throughput — it is that after the storm drains
-// the server is exactly where it started: zero leaked operators, zero
-// budget bytes charged, zero pins, zero stray goroutines.
+// the server is exactly where it started: zero leaked operators, no
+// bytes charged but the resident datasets', zero pins, zero stray
+// goroutines.
 //
 // The default duration keeps the tier-1 run short; CI's soak target
 // runs the same test for a minute:
@@ -33,8 +34,9 @@ import (
 var soakDuration = flag.Duration("soak", 1500*time.Millisecond,
 	"how long TestServeSoak keeps the mixed workload running")
 
-// soakRegistry builds a three-tier lazy registry with a budget that
-// fits roughly one tier, so loads force evictions throughout the run.
+// soakRegistry builds a three-tier lazy registry; TestServeSoak's
+// memory limit fits roughly one and a half tiers next to the running
+// queries, so loads force evictions throughout the run.
 func soakRegistry() (*exec.Registry, []string) {
 	names := []string{"soak-a", "soak-b", "soak-c"}
 	reg := exec.NewRegistry()
@@ -54,16 +56,20 @@ func TestServeSoak(t *testing.T) {
 
 	reg, names := soakRegistry()
 	probe := exec.NewDataset("probe", "sizing probe", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec()))
-	reg.SetBudget(probe.MemBytes() + probe.MemBytes()/2) // ~1.5 datasets resident
+	// ~1.5 datasets plus four queries' reservations: with a second
+	// dataset resident, fewer queries fit, so loads evict and admission
+	// sheds throughout the storm.
+	limit := probe.MemBytes() + probe.MemBytes()/2 + 4*DefaultQueryReserveBytes
 	tracker := &faultinject.Tracker{}
 	s, c, done := newTestServer(t, Config{
 		Datasets:      reg,
 		ExecHook:      tracker.Hook(),
-		MemLimitBytes: 64 << 20,
+		MemLimitBytes: limit,
 		// Low enough that the sorting query shape trips it (the join
-		// result it buffers is ~200 rows), so budget aborts — buffered
-		// 429s and streaming trailer aborts both — are part of the storm.
-		QueryBudget: exec.Budget{MaxRows: 150},
+		// result it buffers is ~200 rows, ~22 KiB), so budget aborts —
+		// buffered 429s and streaming trailer aborts both — are part of
+		// the storm.
+		QueryBudget: exec.Budget{MaxBytes: 16 << 10},
 		MaxTimeout:  2 * time.Second,
 	})
 	defer done()
@@ -197,23 +203,23 @@ func TestServeSoak(t *testing.T) {
 		completed.Load(), shedCount.Load(), cutCount.Load(), planned.Load(),
 		reg.Loads(), reg.Evictions(), reg.HighWaterBytes())
 
-	// Leak audit: operators, budget bytes, pins, goroutines.
+	// Leak audit: operators, charged bytes, pins, goroutines.
 	if tracker.Opened() == 0 {
 		t.Fatal("tracker saw no operators; the hook seam is broken")
 	}
 	if leaked := tracker.Leaked(); leaked != 0 {
 		t.Errorf("%d operators still open after the soak drained", leaked)
 	}
-	if used := s.acct.Used(); used != 0 {
-		t.Errorf("%d budget bytes still charged after the soak drained", used)
+	if used, resident := s.acct.Used(), reg.ResidentBytes(); used != resident {
+		t.Errorf("%d bytes charged after the soak drained, want the %d resident bytes", used, resident)
 	}
 	for _, info := range reg.Info() {
 		if info.Pins != 0 {
 			t.Errorf("dataset %s still holds %d pins after the soak drained", info.Name, info.Pins)
 		}
 	}
-	if budget := reg.Budget(); reg.ResidentBytes() > budget {
-		t.Errorf("registry resident %d bytes over its %d budget after the soak", reg.ResidentBytes(), budget)
+	if reg.ResidentBytes() > limit {
+		t.Errorf("registry resident %d bytes over the %d limit after the soak", reg.ResidentBytes(), limit)
 	}
 	// Goroutines wind down asynchronously (keep-alive conns, morsel
 	// workers observing aborts); poll with a deadline.

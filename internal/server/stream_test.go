@@ -187,8 +187,9 @@ func TestExecuteStreamFirstRowBeforeMaterialization(t *testing.T) {
 
 // TestExecuteStreamClientDisconnect: a client that walks away
 // mid-stream must count as canceled (the 499 convention), close every
-// operator it opened, and leave zero bytes charged on the shared
-// accountant. Runs under -race in the faults battery.
+// operator it opened, and leave no bytes charged on the shared
+// accountant but the resident dataset's. Runs under -race in the faults
+// battery.
 func TestExecuteStreamClientDisconnect(t *testing.T) {
 	tracker := &faultinject.Tracker{}
 	slow := faultinject.Hook("*", faultinject.Fault{Kind: faultinject.Delay, Sleep: 200 * time.Microsecond})
@@ -239,8 +240,8 @@ func TestExecuteStreamClientDisconnect(t *testing.T) {
 	if leaked := tracker.Leaked(); leaked != 0 {
 		t.Errorf("%d operators still open after the disconnected request drained", leaked)
 	}
-	if used := s.acct.Used(); used != 0 {
-		t.Errorf("%d budget bytes still charged after the disconnected request drained", used)
+	if used, resident := s.acct.Used(), s.datasets.ResidentBytes(); used != resident {
+		t.Errorf("%d bytes charged after the disconnected request drained, want the %d resident bytes", used, resident)
 	}
 }
 
@@ -330,7 +331,7 @@ func TestStreamNoRetryMidStream(t *testing.T) {
 func TestStreamTrailerAbortNotRetried(t *testing.T) {
 	s, _, done := newTestServer(t, Config{
 		Datasets:    smallRegistry(),
-		QueryBudget: exec.Budget{MaxRows: 8},
+		QueryBudget: exec.Budget{MaxBytes: 1 << 10},
 	})
 	defer done()
 	fh := &flakyHandler{fail: 0, status: 0, next: s}
@@ -339,7 +340,7 @@ func TestStreamTrailerAbortNotRetried(t *testing.T) {
 	c := NewClient(ts.URL)
 	c.Retry = &RetryPolicy{MaxRetries: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 
-	// The sort shape buffers, so the tiny row budget trips mid-pipeline
+	// The sort shape buffers, so the tiny byte budget trips mid-pipeline
 	// — after the header frame committed the request.
 	st, err := c.ExecuteStream(ExecuteRequest{SQL: sortSQL, Dataset: "tpcr-small"})
 	if err != nil {
@@ -386,9 +387,9 @@ func TestStreamErrorsBeforeHeader(t *testing.T) {
 }
 
 // TestMemoryAdmissionShedsLoad: a lazy dataset whose load cannot fit
-// the registry budget sheds the request with 429/budget/Retry-After
-// and counts it in the memShed metric — and the server stays healthy
-// for requests against datasets that do fit.
+// the memory limit next to a sticky dataset sheds the request with
+// 429/budget/Retry-After and counts it in the memShed metric — and the
+// server stays healthy for requests against datasets that do fit.
 func TestMemoryAdmissionShedsLoad(t *testing.T) {
 	small := exec.NewDataset("fits", "small enough", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec()))
 	reg := exec.NewRegistry()
@@ -396,9 +397,9 @@ func TestMemoryAdmissionShedsLoad(t *testing.T) {
 	reg.RegisterLazy("huge", "never fits", func() (*exec.Dataset, error) {
 		return exec.NewDataset("huge", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec().Scale(4))), nil
 	})
-	reg.SetBudget(small.MemBytes() + 1) // sticky dataset fills the budget
-
-	_, c, done := newTestServer(t, Config{Datasets: reg})
+	// Room for the sticky dataset, one query's reservation and 16 KiB of
+	// pipeline headroom: the 4x-scaled dataset does not fit next to it.
+	_, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: small.MemBytes() + DefaultQueryReserveBytes + 16<<10})
 	defer done()
 
 	status, e, hdr := postExecuteRaw(t, c.BaseURL, ExecuteRequest{SQL: joinSQL, Dataset: "huge"})
@@ -427,9 +428,8 @@ func TestMemoryAdmissionShedsLoad(t *testing.T) {
 // ones included, before any frame is written.
 func TestMemoryAdmissionReserve(t *testing.T) {
 	_, c, done := newTestServer(t, Config{
-		Datasets:          smallRegistry(),
-		MemLimitBytes:     1 << 10,
-		QueryReserveBytes: 1 << 20,
+		Datasets:      smallRegistry(),
+		MemLimitBytes: DefaultQueryReserveBytes - 1,
 	})
 	defer done()
 
@@ -447,8 +447,8 @@ func TestMemoryAdmissionReserve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.MemUsedBytes != 0 {
-		t.Errorf("memUsedBytes = %d after sheds, want 0 (reservations released)", h.MemUsedBytes)
+	if h.MemUsedBytes != h.RegistryBytes {
+		t.Errorf("memUsedBytes = %d after sheds, want the %d resident bytes (reservations released)", h.MemUsedBytes, h.RegistryBytes)
 	}
 }
 
