@@ -32,8 +32,9 @@ func TestJoinEmitAllocsAmortized(t *testing.T) {
 }
 
 // TestRowAllocRetention: carved rows stay valid and independent after
-// arbitrarily many further carves — chunks are never recycled, so
-// operators may retain emitted rows (hash builds, sort runs).
+// arbitrarily many further carves — with window 0 chunks are never
+// recycled, so operators may retain emitted rows (hash builds, sort
+// runs).
 func TestRowAllocRetention(t *testing.T) {
 	var al rowAlloc
 	const n = 10000
@@ -52,6 +53,61 @@ func TestRowAllocRetention(t *testing.T) {
 	kept[0][0] = -1
 	if kept[1][0] != 1 {
 		t.Fatal("adjacent carved rows alias")
+	}
+}
+
+// TestRowAllocWindow pins the ring: a carved row keeps its values until
+// window more rows have been carved and is reused at exactly that carve;
+// a stream shorter than the window allocates the one 4 KiB chunk an
+// unbounded allocator would; a long stream stops allocating once a
+// chunk holds window rows; and a carve of another width starts a fresh
+// chunk, leaving the rows of the old one alone.
+func TestRowAllocWindow(t *testing.T) {
+	const window, width = 100, 3
+	carve := func(al *rowAlloc, i int) Row {
+		r := al.carve(width)
+		r[0], r[1], r[2] = int64(i), int64(-i), int64(i*7)
+		return r
+	}
+	al := rowAlloc{window: window}
+	var rows []Row
+	for i := 0; i < 20*window; i++ {
+		rows = append(rows, carve(&al, i))
+		for j := max(0, i-window+1); j <= i; j++ {
+			if r := rows[j]; r[0] != int64(j) || r[1] != int64(-j) || r[2] != int64(j*7) {
+				t.Fatalf("after carve %d: row %d, carved %d rows ago, reads %v", i, j, i-j, r)
+			}
+		}
+		if i >= window && rows[i-window][0] != int64(i) {
+			t.Fatalf("carve %d did not reuse the row carved %d rows earlier", i, window)
+		}
+	}
+	if len(al.chunk) != window*width {
+		t.Fatalf("ring chunk holds %d int64s, want %d", len(al.chunk), window*width)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { al.carve(width) }); avg != 0 {
+		t.Fatalf("a full ring allocates %.3f times per carve, want 0", avg)
+	}
+
+	short := rowAlloc{window: 320}
+	for i := 0; i < 10; i++ {
+		carve(&short, i)
+	}
+	if len(short.chunk) != rowAllocChunkMin || short.grow != rowAllocChunkMin {
+		t.Fatalf("10 rows into a 320-row window: chunk %d, grow %d; want one %d-int64 chunk",
+			len(short.chunk), short.grow, rowAllocChunkMin)
+	}
+
+	first := carve(&short, 1)
+	wide := short.carve(width + 1)
+	if len(short.chunk) == rowAllocChunkMin || &wide[0] != &short.chunk[0] {
+		t.Fatal("a carve of a new width did not start a fresh chunk")
+	}
+	for i := 0; i < 2*320; i++ {
+		short.carve(width + 1)
+	}
+	if first[0] != 1 || first[1] != -1 || first[2] != 7 {
+		t.Fatalf("a row of the old width was overwritten by rows of the new one: %v", first)
 	}
 }
 

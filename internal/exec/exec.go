@@ -736,7 +736,7 @@ type joinEmit struct {
 	narrow       bool
 	lcols, rcols []int
 
-	alloc rowAlloc // chunked allocator for output rows
+	alloc rowAlloc // chunked allocator for output rows; a ring under a bounded hold
 }
 
 func (e *joinEmit) row(l, r Row) (Row, bool) {
@@ -770,18 +770,41 @@ const (
 // rowAlloc carves output rows from pointer-free chunks instead of
 // allocating each row separately — join outputs dominate allocation
 // count otherwise, and []int64 chunks cost the garbage collector
-// nothing to scan. Rows stay valid after the allocator is gone; they
-// alias the chunks. Not safe for concurrent use: each operator
-// instance owns its allocator.
+// nothing to scan. Not safe for concurrent use: each operator instance
+// owns its allocator.
+//
+// With window 0 chunks are never recycled: rows stay valid after the
+// allocator is gone, so consumers may keep them (a sort run, a build
+// table, a collected result). With window > 0 the allocator is a ring:
+// a row stays valid until window more rows have been carved, then it is
+// overwritten. Chunks grow as before until one holds window rows, and
+// that one is reused from its start, so a stream shorter than the
+// window allocates exactly what it would unbounded. A ring's chunk
+// holds rows of one width (a join's emit carves no other); a carve of
+// another width starts a fresh chunk. Runner.build sets the window, and
+// StreamContext the root join's.
 type rowAlloc struct {
-	buf  Row
-	grow int // next chunk size
+	buf    Row // the current chunk's uncarved tail
+	chunk  Row // the current chunk, whole; reused when it holds window rows
+	grow   int // next chunk size
+	window int
+	width  int // ring: the width of every row in chunk
 }
 
-// ensure makes the current chunk hold at least n more int64s, starting
-// a fresh (geometrically grown) chunk when it doesn't.
+// ensure makes the current chunk hold at least n more int64s: the
+// ring's chunk rewound when it holds window rows of width n, otherwise
+// a fresh (geometrically grown) chunk.
 func (al *rowAlloc) ensure(n int) {
+	if al.window > 0 && n != al.width {
+		al.width, al.buf, al.chunk = n, nil, nil
+	}
 	if len(al.buf) >= n {
+		return
+	}
+	if al.window > 0 && len(al.chunk) >= al.window*n {
+		// Row i of the next lap overwrites row i of this one, which is
+		// at least window carves old.
+		al.buf = al.chunk
 		return
 	}
 	switch {
@@ -790,11 +813,12 @@ func (al *rowAlloc) ensure(n int) {
 	case al.grow < rowAllocChunkMax:
 		al.grow <<= 1
 	}
-	sz := al.grow
-	if n > sz {
-		sz = n
+	sz := max(al.grow, n)
+	if al.window > 0 {
+		sz = min(sz, al.window*n)
 	}
-	al.buf = make(Row, sz)
+	al.chunk = make(Row, sz)
+	al.buf = al.chunk
 }
 
 // carve returns one blank n-wide slice cut from the current chunk; the

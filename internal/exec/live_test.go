@@ -250,7 +250,7 @@ func TestLiveColumnsExchange(t *testing.T) {
 			// The exchange alone, under the live set the group passes down.
 			r := ds.Runner(a)
 			r.Hook = hook
-			_, schema, err := r.build(xn, &Pipeline{Life: &Life{}}, append(liveCols{}, g.GroupBy...))
+			_, schema, err := r.build(xn, &Pipeline{Life: &Life{}}, append(liveCols{}, g.GroupBy...), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -61,7 +62,9 @@ type Runner struct {
 // IterHook rewrites one compiled operator. op and detail match the
 // OpStats entry the operator reports under; life is the pipeline's
 // lifecycle, whose Done channel lets blocking wrappers unblock on
-// cancellation.
+// cancellation. A hook's wrapper must not keep a row past its next
+// Next: a join's output rows are recycled once its consumer can no
+// longer hold them (see Runner.build).
 type IterHook func(op, detail string, it Iterator, life *Life) Iterator
 
 // OpStats is one operator's execution counters, in pipeline preorder.
@@ -115,6 +118,13 @@ type Pipeline struct {
 	// Life is the pipeline's execution lifecycle: cancellation,
 	// per-query budget and shared memory accounting.
 	Life *Life
+
+	// rootRing is the output allocator of the join at the root (under
+	// any Limits), which compiles unbounded: Collect keeps every row.
+	// StreamContext bounds it to its chunk plus rootSlack, the bursts of
+	// the stats wrappers between that join and the stream (see build).
+	rootRing  *rowAlloc
+	rootSlack int
 }
 
 // Execute opens the pipeline, drains it and returns all rows. It is
@@ -349,7 +359,7 @@ func (r *Runner) Compile(n *plan.Node) (*Pipeline, error) {
 		return nil, fmt.Errorf("exec: runner has no dataset (build one with Dataset.Runner)")
 	}
 	p := &Pipeline{Life: &Life{budget: r.Budget, acct: r.Accountant}}
-	it, schema, err := r.build(n, p, nil)
+	it, schema, err := r.build(n, p, nil, -meterBurstRows)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +484,35 @@ func planRels(n *plan.Node) uint64 {
 // on it (joinOutput): a scan streams the table's own rows, a resident
 // build table holds whole base rows, and the first join above either
 // copies just what is live.
-func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols) (Iterator, []query.ColumnRef, error) {
+//
+// hold is the second top-down value: the most rows of n's output that
+// can still be referenced, by n's consumer or by n's own stats
+// wrapper's burst, when n carves its next row. Only joins act on it,
+// sizing their output ring (rowAlloc.window). 0 is unbounded. A
+// negative hold marks the root's chain, whose consumer only run time
+// knows; -hold counts the bursts between it and that consumer
+// (Pipeline.rootRing). The rules:
+//
+//   - A join's left input gets 1 + meterBurstRows. The join references
+//     one input row (probe, merge-left or outer row) and asks for the
+//     next only when done with it. The input's wrapper refills its burst
+//     only when all of it has been taken, and pulls at most
+//     meterBurstRows rows. At a carve: the join's row, at most
+//     meterBurstRows-1 rows earlier in the pull, and the new row.
+//   - A Limit's input gets the Limit's hold grown by meterBurstRows: the
+//     Limit hands its input's rows on unchanged, so they are held
+//     wherever its own are, plus one partial burst in the input's
+//     wrapper.
+//   - Every other input gets 0. Sort and Group* keep input rows (the
+//     run, g.cur/g.prev); a join's build, right and inner inputs are
+//     materialized; an exchange's subtrees are its shared state.
+//
+// A join emits copies, never its inputs' rows, so the count restarts at
+// each join: at every carve the rows still live are at most the
+// consumer's held rows plus one partial burst per wrapper hop, which is
+// the window. A fault hook sits under a wrapper and keeps no row past
+// its next Next (IterHook), so it holds nothing more.
+func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iterator, []query.ColumnRef, error) {
 	st := &OpStats{Op: n.Op.String(), EstRows: n.Card}
 	p.Ops = append(p.Ops, st)
 	switch n.Op {
@@ -491,7 +529,7 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols) (Iterator, []qu
 		if err != nil {
 			return nil, nil, err
 		}
-		in, schema, err := r.build(n.Left, p, r.carried(live, cols, n.Left))
+		in, schema, err := r.build(n.Left, p, r.carried(live, cols, n.Left), 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -503,14 +541,15 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols) (Iterator, []qu
 		return r.wrap(&Sort{In: in, Keys: keys, Life: p.Life}, st, p), schema, nil
 
 	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:
-		return r.buildJoin(n, p, st, live)
+		return r.buildJoin(n, p, st, live, hold)
 
 	case plan.ExchangeMerge, plan.ExchangeUnion:
 		return r.buildExchange(n, p, st, live)
 
 	case plan.Limit:
 		start := len(p.Ops)
-		in, schema, err := r.build(n.Left, p, live)
+		// One more burst, away from 0 (which stays unbounded).
+		in, schema, err := r.build(n.Left, p, live, hold+cmp.Compare(hold, 0)*meterBurstRows)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -532,7 +571,7 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols) (Iterator, []qu
 				cols = append(cols, a.Col)
 			}
 		}
-		in, schema, err := r.build(n.Left, p, r.carried(liveCols{}, cols, n.Left))
+		in, schema, err := r.build(n.Left, p, r.carried(liveCols{}, cols, n.Left), 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -779,7 +818,7 @@ func (r *Runner) joinRight(n *plan.Node, key query.ColumnRef, live liveCols, p *
 			return rt, nil
 		}
 	}
-	rt.it, rt.schema, err = r.build(n.Right, p, live)
+	rt.it, rt.schema, err = r.build(n.Right, p, live, 0)
 	return rt, err
 }
 
@@ -812,29 +851,37 @@ func (r *Runner) compileJoin(n *plan.Node, p *Pipeline, st *OpStats, live liveCo
 	return j, resolveEqs(j.eqs, j.ls, j.schema)
 }
 
-func (r *Runner) buildJoin(n *plan.Node, p *Pipeline, st *OpStats, live liveCols) (Iterator, []query.ColumnRef, error) {
+func (r *Runner) buildJoin(n *plan.Node, p *Pipeline, st *OpStats, live liveCols, hold int) (Iterator, []query.ColumnRef, error) {
 	var left Iterator
 	j, err := r.compileJoin(n, p, st, live, false, func(live liveCols) (ls []query.ColumnRef, err error) {
-		left, ls, err = r.build(n.Left, p, live)
+		left, ls, err = r.build(n.Left, p, live, 1+meterBurstRows)
 		return ls, err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	schema, emit := joinOutput(live, j.ls, j.schema)
+	emit.alloc.window = max(hold, 0)
 	key := j.eqs[j.primary]
 
 	var it Iterator
+	var out *joinEmit
 	switch n.Op {
 	case plan.MergeJoin:
 		emit.res = residual(j.eqs, j.primary)
-		it = &MergeJoin{Left: left, Right: j.it, LeftKey: key.l, RightKey: key.r, Life: p.Life, emit: emit}
+		mj := &MergeJoin{Left: left, Right: j.it, LeftKey: key.l, RightKey: key.r, Life: p.Life, emit: emit}
+		it, out = mj, &mj.emit
 	case plan.HashJoin:
 		emit.res = residual(j.eqs, j.primary)
-		it = &HashJoin{Left: left, Right: j.it, LeftKey: key.l, RightKey: key.r, Life: p.Life,
+		hj := &HashJoin{Left: left, Right: j.it, LeftKey: key.l, RightKey: key.r, Life: p.Life,
 			adopted: j.adopted, emit: emit}
+		it, out = hj, &hj.emit
 	default: // NestedLoopJoin
-		it = &NestedLoopJoin{Outer: left, Inner: j.it, Life: p.Life, Pred: allEqs(j.eqs), emit: emit}
+		nl := &NestedLoopJoin{Outer: left, Inner: j.it, Life: p.Life, Pred: allEqs(j.eqs), emit: emit}
+		it, out = nl, &nl.emit
+	}
+	if hold < 0 {
+		p.rootRing, p.rootSlack = &out.alloc, -hold
 	}
 	return r.wrap(it, st, p), schema, nil
 }

@@ -30,13 +30,15 @@ func ClampStreamChunk(chunk int) int {
 // everything before the first chunk appears — the paper's payoff,
 // observable at the wire.
 //
-// The rows passed to sink are only valid for the duration of the call
-// for row content ownership purposes; sink must not retain the slice.
-// A sink error (a client that went away, a blocked write) aborts the
-// pipeline via its Life, so producers — including exchange morsel
-// workers — stop within one cancellation poll. Whatever the pipeline
-// charged against its budget is released before return, success or
-// not, exactly like ExecuteContext.
+// The slice passed to sink, and the rows in it, are only valid for the
+// duration of the call: once sink returns, the slice is reused and the
+// rows are overwritten by rows the pipeline carves later (a streamed
+// join's output is a ring of chunk rows plus the stats wrappers'
+// bursts). sink copies what it keeps. A sink error (a client that went
+// away, a blocked write) aborts the pipeline via its Life, so producers
+// — including exchange morsel workers — stop within one cancellation
+// poll. Whatever the pipeline charged against its budget is released
+// before return, success or not, exactly like ExecuteContext.
 func (p *Pipeline) StreamContext(ctx context.Context, chunk int, sink func([]Row) error) error {
 	chunk = ClampStreamChunk(chunk)
 	if err := p.Life.bind(ctx); err != nil {
@@ -56,8 +58,31 @@ func (p *Pipeline) StreamContext(ctx context.Context, chunk int, sink func([]Row
 func (p *Pipeline) streamRoot(chunk int, sink func([]Row) error) error {
 	root := p.Root
 	defer root.Close() // before Open, so a panic inside Open closes too
+	if p.rootRing != nil {
+		// The row loop below holds fewer than chunk rows whenever it asks
+		// for one: it hands a full chunk to sink and forgets it first.
+		p.rootRing.window = chunk + p.rootSlack
+	}
 	if err := root.Open(); err != nil {
 		return err
+	}
+
+	if b, ok := root.(batchIterator); ok {
+		for {
+			batch, ok, err := b.NextBatch()
+			if err != nil || !ok {
+				return err
+			}
+			// The batch stays valid until the next NextBatch, so sink can
+			// read it in place, in <= chunk slices.
+			for len(batch) > 0 {
+				n := min(chunk, len(batch))
+				if err := sink(batch[:n:n]); err != nil {
+					return err
+				}
+				batch = batch[n:]
+			}
+		}
 	}
 
 	buf := make([]Row, 0, chunk)
@@ -69,31 +94,6 @@ func (p *Pipeline) streamRoot(chunk int, sink func([]Row) error) error {
 		buf = buf[:0]
 		return err
 	}
-
-	if b, ok := root.(batchIterator); ok {
-		for {
-			batch, ok, err := b.NextBatch()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			// Forward the whole batch (in <= chunk slices) before pulling
-			// the next one: a batch is only valid until the next NextBatch
-			// call, so nothing of it may linger in buf across that call.
-			for len(batch) > 0 {
-				n := min(chunk, len(batch))
-				buf = append(buf[:0], batch[:n]...)
-				batch = batch[n:]
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
 	for {
 		row, ok, err := root.Next()
 		if err != nil {

@@ -5,20 +5,28 @@
 // exactly the buffered result, a sink failure (client gone) tears the
 // pipeline down without leaks, and — the paper's payoff — a sort-free
 // plan holds no more than a chunk in flight, so a blocked consumer
-// blocks the producer instead of growing a buffer. The test lives in an
-// external package because the leak tracker (faultinject) imports exec.
+// blocks the producer instead of growing a buffer. A fourth follows
+// from the third: a streamed join recycles its output rows, so a stream
+// allocates the same whatever its length, and never recycles a row that
+// is still held. The test lives in an external package because the leak
+// tracker (faultinject) and the corpus (conformance) import exec.
 package exec_test
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"orderopt/internal/conformance"
 	"orderopt/internal/exec"
 	"orderopt/internal/faultinject"
 	"orderopt/internal/optimizer"
+	"orderopt/internal/plan"
 	"orderopt/internal/query"
 	"orderopt/internal/tpcr"
 )
@@ -148,6 +156,138 @@ func assertSameRows(t *testing.T, got, want []exec.Row) {
 				t.Fatalf("row %d col %d: %d, want %d (order or content diverged)", i, j, got[i][j], want[i][j])
 			}
 		}
+	}
+}
+
+// TestStreamRowWindows: a join's output rows are recycled (its ring,
+// see Runner.build) only once nothing can still hold them. Every
+// corpus fixture's serial plans — each idiom's, with and without merge
+// joins and ordered grouping, and each again under a Limit that outlasts
+// several meter bursts — stream at chunk sizes 1, 7, the default and
+// the maximum, with operator timing (and with it the bursts) on and off.
+// Inside every sink call each row is checked against the buffered,
+// untimed result at the same position: a row overwritten while still
+// held reads as corrupt there.
+func TestStreamRowWindows(t *testing.T) {
+	fixtures, err := conformance.Load("../conformance/testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fixtures {
+		t.Run(f.Name, func(t *testing.T) {
+			t.Parallel()
+			ds, q, err := conformance.Resolve(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, cell := range conformance.Matrix() {
+				if cell.Strategy != optimizer.StrategyExact || cell.DOP != 1 {
+					continue
+				}
+				a, err := query.Analyze(q.Graph, conformance.Idioms()[cell.Idiom].Analyze)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := optimizer.Optimize(a, cell.Config())
+				if err != nil {
+					t.Fatalf("cell %s: %v", cell, err)
+				}
+				if !seen[res.Best.String()] {
+					seen[res.Best.String()] = true
+					checkStreamWindows(t, cell.String(), ds, a, res.Best)
+				}
+			}
+		})
+	}
+}
+
+// checkStreamWindows streams best, and best under a Limit, as
+// TestStreamRowWindows describes.
+func checkStreamWindows(t *testing.T, name string, ds *exec.Dataset, a *query.Analysis, best *plan.Node) {
+	t.Helper()
+	_, ref := runMetered(t, ds, a, best, false)
+	k := min(16+3*64, len(ref)*2/3) // past the warm-up and three bursts, when there are rows for it
+	limited := &plan.Node{Op: plan.Limit, Left: best, Limit: k, Card: float64(k)}
+	for _, c := range []struct {
+		n    *plan.Node
+		want []exec.Row
+	}{{best, ref}, {limited, ref[:k]}} {
+		for _, timing := range []bool{false, true} {
+			for _, chunk := range []int{1, 7, exec.DefaultStreamChunk, exec.MaxStreamChunk} {
+				r := ds.Runner(a)
+				r.DisableTiming = !timing
+				p, err := r.Compile(c.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pos := 0
+				err = p.StreamContext(context.Background(), chunk, func(rows []exec.Row) error {
+					for _, row := range rows {
+						if pos >= len(c.want) || !slices.Equal(row, c.want[pos]) {
+							return fmt.Errorf("row %d reads %v, not the buffered result's", pos, row)
+						}
+						pos++
+					}
+					return nil
+				})
+				if err == nil && pos != len(c.want) {
+					err = fmt.Errorf("streamed %d rows, buffered %d", pos, len(c.want))
+				}
+				if err != nil {
+					t.Fatalf("%s limit=%v timing=%v chunk=%d: %v\n%s", name, c.n == limited, timing, chunk, err, c.n)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamAllocFlat: what a streamed sort-free pipeline allocates does
+// not grow with its result. The served order-flow plan (customer ⋈
+// orders ⋈ lineitem by o_orderkey, zero rows sorted) streams over two
+// datasets, the second with 4× the rows of the first, and one run's
+// allocation on each must agree within a fixed slack: every join output
+// row lives in a ring bounded by the chunk, not in chunks that grow with
+// the stream (which cost 80 bytes per result row here).
+func TestStreamAllocFlat(t *testing.T) {
+	const slack = 64 << 10
+	a, best := servedPlan(t, orderflowSQL)
+	var rows [2]int64
+	var bytes [2]int64
+	for i, ds := range []*exec.Dataset{
+		streamDataset(),
+		exec.NewDataset("tpcr-stream-4x", "stream test fixture, 4x", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec().Scale(80))),
+	} {
+		run := func() (int64, int64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			p, err := ds.Runner(a).Compile(best)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n int64
+			if err := p.StreamContext(context.Background(), 0, func(b []exec.Row) error {
+				n += int64(len(b))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if sorted := p.RowsSorted(); sorted != 0 {
+				t.Fatalf("the order-flow plan sorted %d rows", sorted)
+			}
+			return n, int64(after.TotalAlloc - before.TotalAlloc)
+		}
+		run() // adopts (builds) the dataset's resident customer table
+		rows[i], bytes[i] = run()
+	}
+	t.Logf("%d rows: %d bytes; %d rows: %d bytes", rows[0], bytes[0], rows[1], bytes[1])
+	if rows[1] < 3*rows[0] {
+		t.Fatalf("results of %d and %d rows: the 4x dataset no longer multiplies the result", rows[0], rows[1])
+	}
+	if d := bytes[1] - bytes[0]; d > slack || d < -slack {
+		t.Errorf("streaming %d rows allocated %d bytes, %d rows %d bytes: the difference is over %d",
+			rows[0], bytes[0], rows[1], bytes[1], slack)
 	}
 }
 
