@@ -97,6 +97,26 @@ func BenchmarkHandlerPlanHit(b *testing.B) {
 	benchHandler(b, "/plan", PlanRequest{SQL: tpcr.Query8SQL})
 }
 
+// BenchmarkAppendRowsFrame is the rows frame writer alone on a 256 x 10
+// frame: repeating as the order-flow stream does (six columns constant
+// over runs of seven rows), and with every value distinct, where the
+// memo never pays.
+func BenchmarkAppendRowsFrame(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		rows []exec.Row
+	}{{"repeating", orderFlowRows(256, 7)}, {"distinct", orderFlowRows(256, 1)}} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := AppendRowsFrame(nil, c.rows)
+			b.SetBytes(int64(len(buf)))
+			for b.Loop() {
+				buf = AppendRowsFrame(buf[:0], c.rows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.rows)), "ns/row")
+		})
+	}
+}
+
 // BenchmarkHandlerPlanNovel is the plan_novel request: Q8 under a limit
 // no earlier request used, so every call parses, analyzes, prepares the
 // DFSM and runs the DP. The 1 500 warm-up requests fill both planner

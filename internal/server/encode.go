@@ -12,6 +12,8 @@ package server
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -86,8 +88,61 @@ func (w *jsonWriter) finish() ([]byte, error) {
 	return append(w.buf, '\n'), w.err
 }
 
-func (w *jsonWriter) null()       { w.buf = append(w.buf, "null"...) }
-func (w *jsonWriter) int(n int64) { w.buf = strconv.AppendInt(w.buf, n, 10) }
+func (w *jsonWriter) null() { w.buf = append(w.buf, "null"...) }
+
+func (w *jsonWriter) int(n int64) {
+	w.buf = slices.Grow(w.buf, maxIntLen)
+	w.buf = w.buf[:putInt(w.buf[:cap(w.buf)], len(w.buf), n)]
+}
+
+// maxIntLen is the longest decimal int64, len("-9223372036854775808").
+const maxIntLen = 20
+
+// digitPairs holds "00" through "99", so a formatter writes two digits
+// per division.
+const digitPairs = "0001020304050607080910111213141516171819" +
+	"2021222324252627282930313233343536373839" +
+	"4041424344454647484950515253545556575859" +
+	"6061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// pow10 is 10^i for every i an int64's magnitude can reach.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// putInt writes n in decimal at b[i:], which must have room for
+// maxIntLen bytes, and returns the index after its last digit. The
+// digits are counted first and written in place, last pair first.
+func putInt(b []byte, i int, n int64) int {
+	u := uint64(n)
+	if n < 0 {
+		b[i] = '-'
+		i++
+		u = -u
+	}
+	// floor(log10(2) * bit length) undercounts by at most one; u|1 has
+	// u's digit count and at least one digit.
+	v := u | 1
+	d := bits.Len64(v) * 1233 >> 12
+	if v >= pow10[d] {
+		d++
+	}
+	end := i + d
+	j := end
+	for u >= 100 {
+		q := u / 100
+		r := (u - q*100) * 2
+		j -= 2
+		b[j], b[j+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		b[i], b[i+1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[i] = byte('0' + u)
+	}
+	return end
+}
 
 // str copies s between quotes when every byte is one encoding/json
 // leaves alone, and hands anything else (quotes, backslashes, control
@@ -159,9 +214,9 @@ func (w *jsonWriter) strs(ss []string) {
 	w.close(']')
 }
 
-// appendRows writes a result-row array from either spelling of a row:
-// the buffered body's [][]int64 or the stream sink's []exec.Row.
-func appendRows[R ~[]int64](w *jsonWriter, rows []R) {
+// rows writes the buffered body's result rows; a stream frame's go
+// through appendCompactRows.
+func (w *jsonWriter) rows(rows [][]int64) {
 	if rows == nil {
 		w.null()
 		return
@@ -249,8 +304,7 @@ func AppendExecuteResponse(dst []byte, r *ExecuteResponse) ([]byte, error) {
 	w.open('{')
 	w.planned(r.SQL, r.Dataset, r.Source, r.Strategy, r.Cost, r.Plan, r.Columns)
 	w.key("rowCount").int(r.RowCount)
-	w.key("rows")
-	appendRows(&w, r.Rows)
+	w.key("rows").rows(r.Rows)
 	w.optBool("truncated", r.Truncated)
 	w.key("rowsSorted").int(r.RowsSorted)
 	w.optInt("planNs", r.PlanNs)
@@ -291,13 +345,83 @@ func AppendStreamHeader(dst []byte, h *StreamHeader) ([]byte, error) {
 // AppendRowsFrame appends the line encoding/json prints for
 // StreamRows{Frame: FrameRows, Rows: rows}, straight from the pipeline.
 func AppendRowsFrame(dst []byte, rows []exec.Row) []byte {
-	w := jsonWriter{buf: dst}
-	w.open('{')
-	w.key("frame").str(FrameRows)
-	w.key("rows")
-	appendRows(&w, rows)
-	w.close('}')
-	return append(w.buf, '\n')
+	dst = append(dst, `{"frame":"`+FrameRows+`","rows":`...)
+	return append(appendCompactRows(dst, rows), '}', '\n')
+}
+
+// memoCells is the widest row whose memo lives on the stack.
+const memoCells = 32
+
+// cell memoizes one column of the row above: its value and the span
+// b[start:end] its digits were written to.
+type cell struct {
+	v          int64
+	start, end int
+}
+
+// appendCompactRows appends rows in encoding/json's compact form. A
+// value equal to the one above it is not formatted again: each run of
+// such columns is one copy of the row above's bytes, commas included.
+// The memo compares values only, so how a stream is ordered changes how
+// often it pays, never the bytes written. It lives for one call and is
+// dropped at a nil row and at a change of width.
+func appendCompactRows(b []byte, rows []exec.Row) []byte {
+	if rows == nil {
+		return append(b, "null"...)
+	}
+	var stack [memoCells]cell
+	memo := stack[:0]
+	b = append(b, '[')
+	for i, r := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if r == nil {
+			b = append(b, "null"...)
+			memo = memo[:0]
+			continue
+		}
+		above := len(memo) == len(r)
+		if !above {
+			if cap(memo) < len(r) {
+				memo = make([]cell, len(r))
+			}
+			memo = memo[:len(r)]
+		}
+		// Room for the row's worst case once, then every byte by index.
+		p := len(b)
+		b = slices.Grow(b, 2+len(r)*(maxIntLen+1))
+		o := b[:cap(b)]
+		o[p] = '['
+		p++
+		for j := 0; j < len(r); {
+			if j > 0 {
+				o[p] = ','
+				p++
+			}
+			if above && r[j] == memo[j].v {
+				k := j + 1
+				for k < len(r) && r[k] == memo[k].v {
+					k++
+				}
+				s, e := memo[j].start, memo[k-1].end
+				for c := j; c < k; c++ {
+					memo[c].start += p - s
+					memo[c].end += p - s
+				}
+				p += copy(o[p:], o[s:e])
+				j = k
+				continue
+			}
+			memo[j].v, memo[j].start = r[j], p
+			p = putInt(o, p, r[j])
+			memo[j].end = p
+			j++
+		}
+		o[p] = ']'
+		b = o[:p+1]
+	}
+	return append(b, ']')
 }
 
 // AppendStreamTrailer appends t as one compact NDJSON line.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -46,14 +48,7 @@ func checkWriter(t testing.TB, what string, v any) {
 	case *StreamTrailer:
 		got, err = AppendStreamTrailer(nil, v)
 	case *StreamRows:
-		var rows []exec.Row
-		if v.Rows != nil {
-			rows = make([]exec.Row, len(v.Rows))
-			for i, r := range v.Rows {
-				rows[i] = r
-			}
-		}
-		got = AppendRowsFrame(nil, rows)
+		got = AppendRowsFrame(nil, execRows(v.Rows))
 		oracle = &StreamRows{Frame: FrameRows, Rows: v.Rows} // the entry point takes rows, not a frame
 	default:
 		t.Fatalf("%s: no writer for %T", what, v)
@@ -65,6 +60,18 @@ func checkWriter(t testing.TB, what string, v any) {
 	if err == nil && !bytes.Equal(got, want) {
 		t.Fatalf("%s: writer and encoding/json disagree\nwriter: %q\n  json: %q", what, got, want)
 	}
+}
+
+// execRows is rows as the stream sink hands them over.
+func execRows(rows [][]int64) []exec.Row {
+	if rows == nil {
+		return nil
+	}
+	out := make([]exec.Row, len(rows))
+	for i, r := range rows {
+		out[i] = r
+	}
+	return out
 }
 
 // decodeStrict decodes one wire value into the public type v, refusing
@@ -262,7 +269,8 @@ func FuzzWriterMatchesEncodingJSON(f *testing.F) {
 			tree = node
 		}
 		ops := []exec.OpStats{{Op: s, Detail: s, EstRows: fl, Rows: n, TimeNs: -n, DOP: int(int32(n)), Limited: n%2 == 0, Resident: n%3 == 0}}
-		rows := [][]int64{{n, -n, 0}, {}, {int64(depth)}}
+		d := int64(depth)
+		rows := [][]int64{{n, -n, 0}, {n, -n, 0}, {n, d, 0}, {d, -n, 0}, {}, {d}, {d}, nil, {d}}
 		checkWriter(t, "ExecuteResponse", &ExecuteResponse{SQL: s, Dataset: s, Source: s, Strategy: s, Cost: fl, Plan: tree,
 			Columns: []string{s, "c"}, RowCount: n, Rows: rows, Truncated: n < 0, RowsSorted: n, PlanNs: n, ExecNs: n, Operators: ops})
 		checkWriter(t, "PlanResponse", &PlanResponse{SQL: s, Source: s, Strategy: s, Cost: fl, PlanNs: n, Residual: []string{s}, Plan: tree})
@@ -273,19 +281,134 @@ func FuzzWriterMatchesEncodingJSON(f *testing.F) {
 	})
 }
 
-// TestWriterAllocs: once its buffer has grown, a rows frame allocates
-// nothing and neither does a buffered top-10 body.
-func TestWriterAllocs(t *testing.T) {
-	rows := make([]exec.Row, 256)
+// TestRowsFrameMatchesEncodingJSON: a rows frame is encoding/json's
+// bytes however its values repeat down a column — runs equal to the row
+// above at the start, middle and end of a row and across all of it, a
+// run broken in the middle, nil rows, ragged widths up to one past the
+// memo's stack array, and every integer whose digit count is an edge.
+// The seeded frames are appended into one reused buffer, each opening
+// with the previous frame's last row, so a memo that outlived its frame
+// would copy bytes the new frame has overwritten.
+func TestRowsFrameMatchesEncodingJSON(t *testing.T) {
+	check := func(what string, dst []byte, rows [][]int64) []byte {
+		t.Helper()
+		got := AppendRowsFrame(dst, execRows(rows))
+		want, err := viaJSON(&StreamRows{Frame: FrameRows, Rows: rows}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:len(dst)], dst) || !bytes.Equal(got[len(dst):], want) {
+			t.Fatalf("%s: writer and encoding/json disagree\nwriter: %q\n  json: %q", what, got[len(dst):], want)
+		}
+		return got
+	}
+
+	edges := []int64{0, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
+	for i, p := 0, int64(1); i < 19; i, p = i+1, p*10 {
+		edges = append(edges, p, -p, p-1, 1-p, p+1, -p-1)
+	}
+	wide := make([]int64, memoCells+1)
+	for j := range wide {
+		wide[j] = edges[j%len(edges)]
+	}
+	wideBroken := slices.Clone(wide)
+	wideBroken[memoCells/2] = 42
+	for _, c := range []struct {
+		what string
+		rows [][]int64
+	}{
+		{"run at the start", [][]int64{{1, 22, 333, 4444}, {1, 22, 9, 9}}},
+		{"run in the middle", [][]int64{{1, 22, 333, 4444}, {9, 22, 333, 9}}},
+		{"run at the end", [][]int64{{1, 22, 333, 4444}, {9, 9, 333, 4444}}},
+		{"whole row", [][]int64{{1, 22, 333, 4444}, {1, 22, 333, 4444}, {1, 22, 333, 4444}}},
+		{"run broken in the middle", [][]int64{{1, 22, 333, 4444, 5}, {1, 22, -7, 4444, 5}, {1, 22, -7, 4444, 5}}},
+		{"run after a value changed length", [][]int64{{5, 10, 7}, {12345, 10, 7}, {-1, 10, 7}, {-1, 10, 70000}}},
+		{"nil rows", [][]int64{{1, 2}, nil, {1, 2}, {1, 2}, nil, nil, {1, 2}}},
+		{"ragged widths", [][]int64{{1, 2, 3}, {1, 2}, {1, 2, 3}, {}, {}, {1}, {1, 2, 3}}},
+		{"edges repeated", [][]int64{edges, edges, slices.Clone(edges)}},
+		{"wider than the stack memo", [][]int64{wide, wide, wideBroken, wide, {1}, wide}},
+		{"nil frame", nil},
+		{"empty frame", [][]int64{}},
+	} {
+		check(c.what, []byte("prefix "), c.rows)
+	}
+
+	rng := rand.New(rand.NewSource(31))
+	widths := []int{0, 1, 3, 10, memoCells, memoCells + 1}
+	value := func() int64 {
+		if rng.Intn(3) == 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		return rng.Int63n(2000) - 1000
+	}
+	var buf []byte
+	var prev []int64
+	for f := 0; f < 3000; f++ {
+		rows := make([][]int64, rng.Intn(16))
+		width := len(prev)
+		if prev == nil || rng.Intn(4) == 0 {
+			width = widths[rng.Intn(len(widths))]
+		}
+		for i := range rows {
+			switch rng.Intn(10) {
+			case 0:
+				prev = nil
+				continue
+			case 1:
+				width = widths[rng.Intn(len(widths))]
+			}
+			r := make([]int64, width)
+			for j := range r {
+				if j < len(prev) && rng.Intn(4) != 0 {
+					r[j] = prev[j]
+				} else {
+					r[j] = value()
+				}
+			}
+			if i == 0 && len(prev) == width {
+				copy(r, prev) // the last row of the frame before
+			}
+			rows[i], prev = r, r
+		}
+		if f%2 == 0 {
+			buf = buf[:0]
+		}
+		buf = check("seeded frame "+strconv.Itoa(f), buf, rows)
+	}
+}
+
+// orderFlowRows is n rows of the order-flow stream's shape: ten
+// columns, the first six constant over runs of run rows (one order's
+// lineitems), the last four distinct. Run 1 makes every value distinct
+// from the one above it.
+func orderFlowRows(n, run int) []exec.Row {
+	rows := make([]exec.Row, n)
 	for i := range rows {
 		rows[i] = make(exec.Row, 10)
 		for j := range rows[i] {
-			rows[i][j] = int64(i*1000 + j)
+			if j < 6 {
+				rows[i][j] = int64(i/run*7919 + j*104729)
+			} else {
+				rows[i][j] = int64(i*1000 + j)
+			}
 		}
 	}
-	buf := AppendRowsFrame(nil, rows)
-	if n := testing.AllocsPerRun(100, func() { buf = AppendRowsFrame(buf[:0], rows) }); n != 0 {
-		t.Errorf("a steady-state 256 x 10 rows frame allocates %v times, want 0", n)
+	return rows
+}
+
+// TestWriterAllocs: once its buffer has grown, a rows frame allocates
+// nothing — all distinct, or repeating as the order-flow stream does —
+// and neither does a buffered top-10 body.
+func TestWriterAllocs(t *testing.T) {
+	var buf []byte
+	for _, c := range []struct {
+		what string
+		rows []exec.Row
+	}{{"distinct", orderFlowRows(256, 1)}, {"order-flow", orderFlowRows(256, 7)}} {
+		buf = AppendRowsFrame(buf[:0], c.rows)
+		if n := testing.AllocsPerRun(100, func() { buf = AppendRowsFrame(buf[:0], c.rows) }); n != 0 {
+			t.Errorf("a steady-state 256 x 10 %s rows frame allocates %v times, want 0", c.what, n)
+		}
 	}
 
 	scan := func(rel string) *PlanNode {
