@@ -41,7 +41,6 @@ import (
 	"testing"
 
 	"orderopt"
-	"orderopt/internal/catalog"
 	"orderopt/internal/conformance"
 	"orderopt/internal/exec"
 	"orderopt/internal/experiments"
@@ -482,77 +481,6 @@ func BenchmarkAblationSimmenCache(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGroupings compares the three ways to plan GROUP BY
-// (a, b) over an input ordered on a permutation of the grouping columns:
-// plain (sort), permutation enumeration (n! interesting orders), and the
-// grouping extension (one grouping node).
-func BenchmarkAblationGroupings(b *testing.B) {
-	variants := []struct {
-		name string
-		opt  query.AnalyzeOptions
-	}{
-		{"plain", query.AnalyzeOptions{UseIndexes: true}},
-		{"permutations", query.AnalyzeOptions{UseIndexes: true, GroupByPermutations: true}},
-		{"groupings", query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			var cost float64
-			var states int
-			for i := 0; i < b.N; i++ {
-				g := permutedGroupByGraph(b)
-				a, err := query.Analyze(g, v.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := optimizer.Optimize(a, optimizer.DefaultConfig(optimizer.ModeDFSM))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = res.Best.Cost
-				states = res.Stats.DFSMStates
-			}
-			b.ReportMetric(cost, "plan-cost")
-			b.ReportMetric(float64(states), "dfsm-nodes")
-		})
-	}
-}
-
-// permutedGroupByGraph: GROUP BY (a, b) over a table whose clustered
-// index delivers (b, a) — the permutation/grouping variants can exploit
-// the index order, the plain variant must sort.
-func permutedGroupByGraph(b *testing.B) *query.Graph {
-	b.Helper()
-	c := catalog.New()
-	c.MustAdd(&catalog.Table{
-		Name: "t1",
-		Columns: []catalog.Column{
-			{Name: "a", Type: catalog.Int, Distinct: 100},
-			{Name: "b", Type: catalog.Int, Distinct: 100},
-			{Name: "j", Type: catalog.Int, Distinct: 1000},
-		},
-		Rows: 100000,
-		Indexes: []catalog.Index{
-			{Name: "t1_ba", Columns: []string{"b", "a"}, Clustered: true},
-		},
-	})
-	c.MustAdd(&catalog.Table{
-		Name:    "t2",
-		Columns: []catalog.Column{{Name: "j", Type: catalog.Int, Distinct: 1000}},
-		Rows:    1000,
-	})
-	t1, _ := c.Table("t1")
-	t2, _ := c.Table("t2")
-	g := &query.Graph{}
-	r1 := g.AddRelation("t1", t1)
-	r2 := g.AddRelation("t2", t2)
-	if err := g.AddJoin(query.ColumnRef{Rel: r1, Col: 2}, query.ColumnRef{Rel: r2, Col: 0}); err != nil {
-		b.Fatal(err)
-	}
-	g.GroupBy = []query.ColumnRef{{Rel: r1, Col: 0}, {Rel: r1, Col: 1}}
-	return g
-}
-
 // BenchmarkPlannerThroughput measures the planner layer on TPC-R Q8 at
 // its three amortization levels — cold (full pipeline per plan),
 // prepared (prepared statement, DP re-run on pooled scratch) and
@@ -791,7 +719,7 @@ func BenchmarkExecParallel(b *testing.B) {
 		if !strings.HasPrefix(w.Name, "q8/") && !strings.HasPrefix(w.Name, "orders/") {
 			continue
 		}
-		a, err := query.Analyze(w.Graph, query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true})
+		a, err := query.Analyze(w.Graph, query.AnalyzeOptions{UseIndexes: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,12 +20,10 @@
 // framework behind prepared statements and a plan cache, and
 // server.Client's Example plans over HTTP (all run under go test).
 //
-// Beyond the paper, the machine also tracks groupings (the authors'
-// follow-up extension): Builder.AddTestedGrouping registers an attribute
-// set, every ordering ε-implies the grouping over its attributes, and
-// Framework.ContainsGrouping answers "is the stream clustered by these
-// attributes?" in O(1) — all a group-by operator needs, subsuming all
-// n! permutations of the grouping columns with a single state.
+// The machine tracks orderings only, as the paper does: a GROUP BY
+// registers its column sequence as one produced interesting order, so a
+// stream sorted on it groups without a sort. The authors' follow-up
+// work on groupings (VLDB 2004) is not implemented; DESIGN.md says why.
 //
 // The subpackages build a complete test bed — and a service-shaped
 // planning stack — around the framework:

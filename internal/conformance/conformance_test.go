@@ -83,11 +83,11 @@ func TestMatrixShape(t *testing.T) {
 }
 
 // TestCorpusPinsServedPlans: the recorded dfsm plans are the plans the
-// served configuration chooses. planserverd analyzes with
-// planner.DefaultConfig, which tracks no groupings where the dfsm idiom
-// does; every fixture planned with DefaultConfig's analyze and
-// optimizer settings at MaxDOP 1 must still produce its recorded dfsm
-// plan tree.
+// served configuration chooses. The dfsm idiom is planner.DefaultConfig,
+// but its golden plan is recorded in the canonical cell, which forces
+// the exact strategy; planserverd runs the auto strategy. Every fixture
+// planned with DefaultConfig as served (auto, at MaxDOP 1) must still
+// produce its recorded dfsm plan tree.
 func TestCorpusPinsServedPlans(t *testing.T) {
 	fixtures, err := Load("testdata")
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"orderopt/internal/exec"
 	"orderopt/internal/optimizer"
+	"orderopt/internal/planner"
 	"orderopt/internal/query"
 )
 
@@ -19,18 +20,20 @@ type Idiom struct {
 }
 
 // Idioms returns the three order-reasoning idioms: the paper's DFSM
-// framework, the Simmen-style baseline, and an order-oblivious planner
-// (no index orders, no merge joins, no ordered grouping — hash
-// everything and sort at the very top).
+// framework as planserverd serves it (planner.DefaultConfig's analysis
+// and optimizer settings), the Simmen-style baseline, and an
+// order-oblivious planner (no index orders, no merge joins, no ordered
+// grouping — hash everything and sort at the very top).
 func Idioms() []Idiom {
+	served := planner.DefaultConfig(nil)
 	oblivious := optimizer.DefaultConfig(optimizer.ModeDFSM)
 	oblivious.DisableMergeJoin = true
 	oblivious.DisableOrderedGrouping = true
 	return []Idiom{
 		{
 			Name:    "dfsm",
-			Analyze: query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true},
-			Config:  optimizer.DefaultConfig(optimizer.ModeDFSM),
+			Analyze: served.Analyze,
+			Config:  served.Optimizer,
 		},
 		{
 			Name:    "simmen",

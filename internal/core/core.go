@@ -53,13 +53,11 @@ func DefaultOptions() Options {
 // orders — produced (O_P) and tested-only (O_T) — and one FD set per
 // algebraic operator.
 type Builder struct {
-	reg           *order.Registry
-	in            *order.Interner
-	produced      []order.ID
-	tested        []order.ID
-	producedGroup []order.ID
-	testedGroup   []order.ID
-	fdSets        []order.FDSet
+	reg      *order.Registry
+	in       *order.Interner
+	produced []order.ID
+	tested   []order.ID
+	fdSets   []order.FDSet
 }
 
 // NewBuilder returns an empty builder with fresh attribute and ordering
@@ -92,26 +90,6 @@ func (b *Builder) AddProduced(o order.ID) { b.produced = append(b.produced, o) }
 // AddTested registers o as a tested-only interesting order (O_T): it is
 // required by some operator or the query but never produced directly.
 func (b *Builder) AddTested(o order.ID) { b.tested = append(b.tested, o) }
-
-// Grouping interns the grouping (attribute set) over attrs and returns
-// its canonical ID. Groupings extend the framework the way the authors'
-// follow-up work does: a stream satisfies a grouping when equal values
-// are adjacent (clustered), which is all a group-by operator needs.
-func (b *Builder) Grouping(attrs ...order.Attr) order.ID {
-	return order.GroupingOf(b.in, attrs)
-}
-
-// AddProducedGrouping registers g as a produced grouping (hash grouping
-// emits its keys clustered).
-func (b *Builder) AddProducedGrouping(g order.ID) {
-	b.producedGroup = append(b.producedGroup, g)
-}
-
-// AddTestedGrouping registers g as a tested grouping (clustered group
-// operators test for it).
-func (b *Builder) AddTestedGrouping(g order.ID) {
-	b.testedGroup = append(b.testedGroup, g)
-}
 
 // AddFDSet registers the FD set one algebraic operator induces and
 // returns the handle the operator later passes to Infer.
@@ -158,14 +136,12 @@ type Framework struct {
 func (b *Builder) Prepare(opt Options) (*Framework, error) {
 	begin := time.Now()
 	n, err := nfsm.Build(nfsm.Input{
-		Reg:               b.reg,
-		In:                b.in,
-		Produced:          b.produced,
-		Tested:            b.tested,
-		ProducedGroupings: b.producedGroup,
-		TestedGroupings:   b.testedGroup,
-		FDSets:            b.fdSets,
-		IncludeEmpty:      opt.TrackEmptyOrdering,
+		Reg:          b.reg,
+		In:           b.in,
+		Produced:     b.produced,
+		Tested:       b.tested,
+		FDSets:       b.fdSets,
+		IncludeEmpty: opt.TrackEmptyOrdering,
 	}, opt.Pruning)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -231,18 +207,6 @@ func (f *Framework) Infer(s State, h FDHandle) State {
 // satisfy ordering o? One bit lookup.
 func (f *Framework) Contains(s State, o order.ID) bool {
 	return f.dfsm.Contains(dfsm.StateID(s), o)
-}
-
-// ContainsGrouping reports whether the plan's stream is clustered by the
-// grouping g (canonical ID from Builder.Grouping). One bit lookup.
-func (f *Framework) ContainsGrouping(s State, g order.ID) bool {
-	return f.dfsm.ContainsGrouping(dfsm.StateID(s), g)
-}
-
-// ProduceGrouping is the constructor for operators that emit clustered
-// streams (hash grouping): the state after producing grouping g.
-func (f *Framework) ProduceGrouping(g order.ID) State {
-	return State(f.dfsm.ProduceGroupingState(g))
 }
 
 // SubsetOf reports whether every interesting order available in a is

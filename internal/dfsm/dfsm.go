@@ -49,14 +49,10 @@ type Machine struct {
 	// Columns lists the interesting orders answerable by the contains
 	// matrix (interesting NFSM states, i.e. O_I and their prefixes).
 	Columns []order.ID
-	// GroupColumns lists the interesting groupings; their bits sit after
-	// the ordering columns in the contains rows.
-	GroupColumns []order.ID
 
-	// ordBit and groupBit map an ordering or grouping ID to its contains
-	// bit (-1: none). Groupings share the interner with orderings, hence
-	// two slices; IDs past either slice have no bit.
-	ordBit, groupBit []int32
+	// ordBit maps an ordering ID to its contains bit (-1: none); IDs past
+	// the slice have no bit.
+	ordBit []int32
 
 	// trans is the total transition table, trans[s*nSym+sym]; symbols are
 	// the NFSM's (FD sets first, then produced orders). contains has words
@@ -88,15 +84,12 @@ func Convert(n *nfsm.Machine, opt Options) (*Machine, error) {
 	for _, st := range n.InterestingStates() {
 		// The empty ordering is trivially satisfied everywhere and needs
 		// no matrix column (Contains special-cases it).
-		if st.Grouping && st.Ord != order.EmptyID {
-			m.GroupColumns = append(m.GroupColumns, st.Ord)
-		} else if st.Ord != order.EmptyID {
+		if st.Ord != order.EmptyID {
 			m.Columns = append(m.Columns, st.Ord)
 		}
 	}
-	m.ordBit = bitIndex(m.Columns, 0)
-	m.groupBit = bitIndex(m.GroupColumns, len(m.Columns))
-	m.words = (len(m.Columns) + len(m.GroupColumns) + 63) / 64
+	m.ordBit = bitIndex(m.Columns)
+	m.words = (len(m.Columns) + 63) / 64
 
 	// A state set is keyed by its raw little-endian bytes, built in one
 	// reused buffer: the index[string(kb)] lookup does not allocate, so
@@ -141,10 +134,9 @@ func Convert(n *nfsm.Machine, opt Options) (*Machine, error) {
 					next = append(next, n.FDTargets(s, sym)...)
 				}
 			} else if slices.Contains(set, nfsm.StartState) {
-				// Produced symbol (ordering or grouping): only
-				// meaningful from the start state (the ADT
-				// constructor); elsewhere it is the identity, cf.
-				// Figure 10.
+				// Produced symbol: only meaningful from the start
+				// state (the ADT constructor); elsewhere it is the
+				// identity, cf. Figure 10.
 				next = append(next, n.StartTargetForSymbol(sym))
 			} else {
 				next = append(next, set...)
@@ -168,9 +160,9 @@ type epsCloser struct {
 	out   []nfsm.StateID
 }
 
-// close expands the set with every state reachable via ε edges (prefix
-// and grouping successors) and returns it sorted, deduplicated. The
-// result is valid until the next call.
+// close expands the set with every state reachable via ε edges and
+// returns it sorted, deduplicated. The result is valid until the next
+// call.
 func (c *epsCloser) close(set []nfsm.StateID) []nfsm.StateID {
 	c.gen++
 	c.out = c.out[:0]
@@ -185,22 +177,21 @@ func (c *epsCloser) close(set []nfsm.StateID) []nfsm.StateID {
 	}
 	for i := 0; i < len(c.out); i++ {
 		push(c.n.Eps(c.out[i]))
-		push(c.n.EpsGroup(c.out[i]))
 	}
 	slices.Sort(c.out)
 	return c.out
 }
 
-// bitIndex maps each ID in cols to base plus its position, and every
-// other ID up to the largest to -1.
-func bitIndex(cols []order.ID, base int) []int32 {
+// bitIndex maps each ID in cols to its position, and every other ID up
+// to the largest to -1.
+func bitIndex(cols []order.ID) []int32 {
 	size := 0
 	for _, id := range cols {
 		size = max(size, int(id)+1)
 	}
 	idx := slices.Repeat([]int32{-1}, size)
 	for i, id := range cols {
-		idx[id] = int32(base + i)
+		idx[id] = int32(i)
 	}
 	return idx
 }
@@ -209,12 +200,12 @@ func bitIndex(cols []order.ID, base int) []int32 {
 func testBit(slab []uint64, off, i int) bool { return slab[off+i>>6]&(1<<(i&63)) != 0 }
 func setBit(slab []uint64, off, i int)       { slab[off+i>>6] |= 1 << (i & 63) }
 
-// bitOf returns the contains bit idx assigns to id, or -1.
-func bitOf(idx []int32, id order.ID) int {
-	if uint(id) >= uint(len(idx)) {
+// bitOf returns the contains bit of ordering id, or -1.
+func (m *Machine) bitOf(id order.ID) int {
+	if uint(id) >= uint(len(m.ordBit)) {
 		return -1
 	}
-	return int(idx[id])
+	return int(m.ordBit[id])
 }
 
 func (m *Machine) precomputeContains() {
@@ -222,11 +213,7 @@ func (m *Machine) precomputeContains() {
 	for i, set := range m.Sets {
 		for _, s := range set {
 			st := m.N.States[s]
-			idx := m.ordBit
-			if st.Grouping {
-				idx = m.groupBit
-			}
-			if c := bitOf(idx, st.Ord); c >= 0 && st.Kind == nfsm.KindInteresting {
+			if c := m.bitOf(st.Ord); c >= 0 && st.Kind == nfsm.KindInteresting {
 				setBit(m.contains, i*m.words, c)
 			}
 		}
@@ -288,27 +275,13 @@ func (m *Machine) NumStates() int { return len(m.Sets) }
 // contains matrix — including any interned after Convert — are never
 // available; the empty ordering always is.
 func (m *Machine) Contains(s StateID, o order.ID) bool {
-	return o == order.EmptyID || m.has(s, m.ordBit, o)
+	return o == order.EmptyID || m.has(s, o)
 }
 
-// ContainsGrouping reports whether the grouping g (canonical ID from
-// order.GroupingOf) is available in state s: the stream is clustered by
-// those attributes. O(1) bit lookup.
-func (m *Machine) ContainsGrouping(s StateID, g order.ID) bool {
-	return m.has(s, m.groupBit, g)
-}
-
-// has tests the contains bit idx assigns to id in state s's row.
-func (m *Machine) has(s StateID, idx []int32, id order.ID) bool {
-	c := bitOf(idx, id)
+// has tests ordering o's contains bit in state s's row.
+func (m *Machine) has(s StateID, o order.ID) bool {
+	c := m.bitOf(o)
 	return c >= 0 && testBit(m.contains, int(s)*m.words, c)
-}
-
-// ProduceGroupingState returns the state after producing grouping g
-// from scratch (e.g. the output of a hash group). Returns Start when g
-// is not a produced grouping.
-func (m *Machine) ProduceGroupingState(g order.ID) StateID {
-	return m.fromStart(m.N.ProducedGroupingSymbol(g))
 }
 
 // Step follows the transition for symbol sym: the O(1) infer operation.
@@ -318,11 +291,7 @@ func (m *Machine) Step(s StateID, sym int) StateID { return m.trans[int(s)*m.nSy
 // (the ADT constructor): one lookup from the start state. Returns Start
 // itself when o is not a produced interesting order.
 func (m *Machine) ProduceState(o order.ID) StateID {
-	return m.fromStart(m.N.ProducedSymbol(o))
-}
-
-// fromStart follows produced symbol sym from Start; -1 stays there.
-func (m *Machine) fromStart(sym int) StateID {
+	sym := m.N.ProducedSymbol(o)
 	if sym < 0 {
 		return Start
 	}

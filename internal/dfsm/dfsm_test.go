@@ -304,7 +304,7 @@ func TestColumnLookups(t *testing.T) {
 		t.Fatalf("ordering interned after Convert has ID %d inside the %d-entry index", late, len(m.ordBit))
 	}
 	for s := StateID(0); int(s) < m.NumStates(); s++ {
-		if m.Contains(s, late) || m.ContainsGrouping(s, late) {
+		if m.Contains(s, late) {
 			t.Errorf("state %d contains an ordering interned after Convert", s)
 		}
 	}
@@ -423,11 +423,7 @@ func convertReference(n *nfsm.Machine, opt Options) (*Machine, error) {
 	nSym, nFD := n.NumSymbols(), n.NumFDSymbols()
 	m := &Machine{N: n, nSym: nSym}
 	for _, st := range n.InterestingStates() {
-		switch {
-		case st.Ord == order.EmptyID:
-		case st.Grouping:
-			m.GroupColumns = append(m.GroupColumns, st.Ord)
-		default:
+		if st.Ord != order.EmptyID {
 			m.Columns = append(m.Columns, st.Ord)
 		}
 	}
@@ -495,35 +491,27 @@ func convertReference(n *nfsm.Machine, opt Options) (*Machine, error) {
 // they were built before the flat layout — one bitset.Set per row,
 // columns found through order → column maps — and packs the rows into
 // m's slabs, so the oracle holds the slab code to the per-row
-// construction bit for bit. The dense order-ID indexes are rebuilt from
-// those maps, independently of Convert's.
+// construction bit for bit. The dense order-ID index is rebuilt from
+// that map, independently of Convert's.
 func referenceTables(m *Machine, limit int) {
-	colOf := map[bool]map[order.ID]int{false: {}, true: {}}
+	colOf := map[order.ID]int{}
 	for i, o := range m.Columns {
-		colOf[false][o] = i
+		colOf[o] = i
 	}
-	for i, g := range m.GroupColumns {
-		colOf[true][g] = len(m.Columns) + i
-	}
-	index := func(cols map[order.ID]int) []int32 {
-		var idx []int32
-		for o, c := range cols {
-			for len(idx) <= int(o) {
-				idx = append(idx, -1)
-			}
-			idx[o] = int32(c)
+	for o, c := range colOf {
+		for len(m.ordBit) <= int(o) {
+			m.ordBit = append(m.ordBit, -1)
 		}
-		return idx
+		m.ordBit[o] = int32(c)
 	}
-	m.ordBit, m.groupBit = index(colOf[false]), index(colOf[true])
-	m.words = (len(colOf[false]) + len(colOf[true]) + 63) / 64
+	m.words = (len(colOf) + 63) / 64
 	n := len(m.Sets)
 	rows := make([]*bitset.Set, n)
 	for i, set := range m.Sets {
-		rows[i] = bitset.New(len(m.Columns) + len(m.GroupColumns))
+		rows[i] = bitset.New(len(m.Columns))
 		for _, s := range set {
 			st := m.N.States[s]
-			if c, ok := colOf[st.Grouping][st.Ord]; ok && st.Kind == nfsm.KindInteresting {
+			if c, ok := colOf[st.Ord]; ok && st.Kind == nfsm.KindInteresting {
 				rows[i].Add(c)
 			}
 		}
@@ -579,7 +567,6 @@ func epsCloseReference(n *nfsm.Machine, set []nfsm.StateID) []nfsm.StateID {
 		seen[s] = true
 		out = append(out, s)
 		visit(n.Eps(s))
-		visit(n.EpsGroup(s))
 	}
 	for _, s := range set {
 		visit(s)
@@ -604,8 +591,7 @@ func DiffMachines(got, want *Machine) string {
 		}
 	}
 	switch {
-	case !slices.Equal(got.Columns, want.Columns) || !slices.Equal(got.GroupColumns, want.GroupColumns) ||
-		!slices.Equal(got.ordBit, want.ordBit) || !slices.Equal(got.groupBit, want.groupBit):
+	case !slices.Equal(got.Columns, want.Columns) || !slices.Equal(got.ordBit, want.ordBit):
 		return "contains-matrix columns differ"
 	case got.nSym != want.nSym || !slices.Equal(got.trans, want.trans):
 		return fmt.Sprintf("trans = %v (%d symbols), want %v (%d)", got.trans, got.nSym, want.trans, want.nSym)
@@ -640,11 +626,4 @@ func TestConvertMatchesReferenceRandom(t *testing.T) {
 	f := newFixture()
 	check("running example", f.build(t, f.runningExample(), nfsm.NoPruning()))
 	check("running example, pruned", f.build(t, f.runningExample(), nfsm.AllPruning()))
-	// Groupings share the interner with orderings: {a, b} and (a, b) are
-	// one ID with two contains bits.
-	grouped := f.runningExample()
-	ab := order.GroupingOf(f.in, f.reg.Attrs("a", "b"))
-	grouped.ProducedGroupings = []order.ID{ab}
-	grouped.TestedGroupings = []order.ID{ab, order.GroupingOf(f.in, f.reg.Attrs("b", "c"))}
-	check("running example with groupings", f.build(t, grouped, nfsm.NoPruning()))
 }

@@ -31,7 +31,7 @@ func TestQ8CostCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.ApplyStats(g)
-	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true})
+	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

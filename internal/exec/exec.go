@@ -14,9 +14,9 @@
 // closes them. Only Sort (by nature) and the build/inner sides of
 // hash/nested-loop joins materialize. The order guard rails remain:
 // merge joins and sorted grouping verify their input ordering while
-// streaming, clustered grouping verifies that no group reopens — an
-// unsound ordering claim by the planner surfaces as an execution error,
-// not a wrong result. See docs/execution.md for the operator matrix.
+// streaming — an unsound ordering claim by the planner surfaces as an
+// execution error, not a wrong result. See docs/execution.md for the
+// operator matrix.
 package exec
 
 import (
@@ -1008,78 +1008,6 @@ func sameKeys(a, b Row, keys []int) bool {
 
 // Close implements Iterator.
 func (g *GroupSorted) Close() error {
-	if g.opened {
-		g.opened = false
-		return g.In.Close()
-	}
-	return nil
-}
-
-// GroupClustered groups a stream whose equal grouping values are
-// adjacent (clustered) without requiring sortedness — the grouping
-// extension's streaming operator. It validates the clustering: if a
-// key group reappears after being closed, the input was not clustered
-// and Next returns an error. The seen set uses comparable int64-tuple
-// keys (see key.go), not per-group byte strings.
-type GroupClustered struct {
-	In   Iterator
-	Keys []int
-	// Aggs lists the aggregates to compute (select-list order); empty
-	// means count(*).
-	Aggs []AggSpec
-	// Life, when set, charges the growing seen set (one entry per
-	// closed group) against the query budget.
-	Life *Life
-
-	g      groupAcc
-	opened bool
-	seen   seenSet
-}
-
-// Open implements Iterator.
-func (g *GroupClustered) Open() error {
-	g.g = groupAcc{}
-	g.seen = newSeenSet(len(g.Keys))
-	g.opened = true
-	return g.In.Open()
-}
-
-// Next implements Iterator.
-func (g *GroupClustered) Next() (Row, bool, error) {
-	for {
-		row, ok, err := g.In.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			if g.g.started {
-				g.g.started = false
-				return g.g.emit(g.Keys, g.Aggs), true, nil
-			}
-			return nil, false, nil
-		}
-		if g.g.started && sameKeys(g.g.cur, row, g.Keys) {
-			g.g.add(row, g.Aggs)
-			continue
-		}
-		if !g.seen.insert(row, g.Keys) {
-			return nil, false, fmt.Errorf("exec: clustered grouping over non-clustered input (group reappeared)")
-		}
-		if err := g.Life.hold(int64(len(g.Keys))*8 + rowOverheadBytes); err != nil {
-			return nil, false, err
-		}
-		if g.g.started {
-			out := g.g.emit(g.Keys, g.Aggs)
-			g.g.start(row, g.Aggs)
-			return out, true, nil
-		}
-		g.g.start(row, g.Aggs)
-	}
-}
-
-// Close implements Iterator.
-func (g *GroupClustered) Close() error {
-	g.seen = seenSet{}
 	if g.opened {
 		g.opened = false
 		return g.In.Close()

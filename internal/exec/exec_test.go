@@ -321,88 +321,6 @@ func TestGroupSortedRejectsUnsorted(t *testing.T) {
 	}
 }
 
-// Clustered grouping accepts clustered-but-unsorted input and rejects
-// non-clustered input.
-func TestGroupClustered(t *testing.T) {
-	// Clustered by col0 (equal keys adjacent) but NOT sorted: 2,2,1,1,3.
-	rows := rowsOf(
-		[]int64{2, 10}, []int64{2, 20}, []int64{1, 5}, []int64{1, 5}, []int64{3, 1},
-	)
-	got, err := Collect(&GroupClustered{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rowsOf([]int64{2, 30}, []int64{1, 10}, []int64{3, 1})
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("GroupClustered = %v, want %v", got, want)
-	}
-	// Sorted grouping would reject this input.
-	gs := &GroupSorted{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}}
-	if err := gs.Open(); err != nil {
-		t.Fatal(err)
-	}
-	failed := false
-	for {
-		_, ok, err := gs.Next()
-		if err != nil {
-			failed = true
-			break
-		}
-		if !ok {
-			break
-		}
-	}
-	gs.Close()
-	if !failed {
-		t.Error("GroupSorted accepted unsorted input")
-	}
-}
-
-func TestGroupClusteredRejectsNonClustered(t *testing.T) {
-	// Key 1 reappears after key 2 closed it: not clustered.
-	rows := rowsOf([]int64{1, 1}, []int64{2, 1}, []int64{1, 1})
-	it := &GroupClustered{In: NewScan(rows), Keys: []int{0}}
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var err error
-	for err == nil {
-		_, ok, e := it.Next()
-		err = e
-		if !ok && e == nil {
-			break
-		}
-	}
-	if err == nil {
-		t.Error("non-clustered input must fail clustered grouping")
-	}
-}
-
-func TestGroupClusteredAgreesWithHash(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 40; trial++ {
-		// Build a clustered stream: groups in random order, random sizes.
-		var rows []Row
-		for _, k := range rng.Perm(5) {
-			for i := 0; i < rng.Intn(4); i++ {
-				rows = append(rows, Row{int64(k), rng.Int63n(10)})
-			}
-		}
-		gc, err := Collect(&GroupClustered{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gh, err := Collect(&GroupHash{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameMultiset(gc, gh) {
-			t.Fatalf("trial %d: clustered and hash grouping disagree", trial)
-		}
-	}
-}
-
 func TestGroupEmptyInput(t *testing.T) {
 	gs, err := Collect(&GroupSorted{In: NewScan(nil), Keys: []int{0}})
 	if err != nil {
@@ -494,16 +412,6 @@ func TestJoinsEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestGroupClusteredEmptyInput(t *testing.T) {
-	got, err := Collect(&GroupClustered{In: NewScan(nil), Keys: []int{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("empty input produced clustered groups: %v", got)
-	}
-}
-
 // TestMergeJoinDuplicateCrossProducts stresses the streaming join's
 // group buffering: multiple duplicate-key groups on both sides, cross
 // products complete, outer order preserved, and rows outside any group
@@ -560,7 +468,6 @@ func TestCloseWithoutOpen(t *testing.T) {
 		&HashJoin{Left: NewScan(rows), Right: NewScan(rows), LeftKey: 0, RightKey: 0},
 		&NestedLoopJoin{Outer: NewScan(rows), Inner: NewScan(rows), Pred: func(o, i Row) bool { return true }},
 		&GroupSorted{In: NewScan(rows), Keys: []int{0}},
-		&GroupClustered{In: NewScan(rows), Keys: []int{0}},
 		&GroupHash{In: NewScan(rows), Keys: []int{0}},
 	}
 	for _, it := range its {
@@ -606,20 +513,15 @@ func TestWideGroupingKeys(t *testing.T) {
 			t.Fatalf("wide group count = %v", g)
 		}
 	}
-	// Clustered over a clustered wide-key stream works, and a reopened
-	// group is still detected.
-	clustered := append([]Row{}, rows...)
-	sort.SliceStable(clustered, func(i, j int) bool { return clustered[i][0] < clustered[j][0] })
-	gc, err := Collect(&GroupClustered{In: NewScan(clustered), Keys: keys})
+	// Sorted grouping over the same stream sorted on the keys agrees.
+	sorted := append([]Row{}, rows...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i][0] < sorted[j][0] })
+	gs, err := Collect(&GroupSorted{In: NewScan(sorted), Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameMultiset(gc, gh) {
-		t.Fatal("wide clustered and hash grouping disagree")
-	}
-	bad := append(append([]Row{}, clustered...), clustered[0])
-	if _, err := Collect(&GroupClustered{In: NewScan(bad), Keys: keys}); err == nil {
-		t.Fatal("reopened wide-key group must fail clustered grouping")
+	if !sameMultiset(gs, gh) {
+		t.Fatal("wide sorted and hash grouping disagree")
 	}
 }
 

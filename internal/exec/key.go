@@ -1,14 +1,12 @@
 package exec
 
-// Comparable grouping keys for the hash-based operators. Grouping keys
-// of up to tupleKeyWidth columns are packed into a fixed-size int64
-// tuple and used directly as map keys — no per-row byte-string
-// allocation, no encoding ambiguity. Wider keys (rare: querygen emits
-// at most two grouping columns, TPC-R Q8 one) fall back to a second
-// map keyed by a wide slice compared element-wise via an equality scan
-// over collision lists, keeping correctness exact rather than hoping a
-// hash never collides — the clustered-grouping seen set is a guard
-// rail, so false positives/negatives are not acceptable.
+// Comparable grouping keys for hash grouping. Grouping keys of up to
+// tupleKeyWidth columns are packed into a fixed-size int64 tuple and
+// used directly as map keys — no per-row byte-string allocation, no
+// encoding ambiguity. Wider keys (rare: querygen emits at most two
+// grouping columns, TPC-R Q8 one) fall back to a second map keyed by a
+// reduced tuple whose collision lists are compared element-wise,
+// keeping correctness exact rather than hoping a hash never collides.
 
 // tupleKeyWidth is the number of key columns the packed representation
 // covers.
@@ -30,21 +28,8 @@ func makeTupleKey(row Row, cols []int) tupleKey {
 	return k
 }
 
-// wideBucket holds the key values of wide (> tupleKeyWidth columns)
-// entries sharing a reduced tupleKey; lookups scan it element-wise.
-type wideBucket [][]int64
-
-func (b wideBucket) index(vals []int64) int {
-	for i, have := range b {
-		if equalVals(have, vals) {
-			return i
-		}
-	}
-	return -1
-}
-
-// equalVals is the exact wide-key comparison both the seen set and the
-// group table use (same-length slices by construction).
+// equalVals is the exact wide-key comparison of the group table
+// (same-length slices by construction).
 func equalVals(a, b []int64) bool {
 	for i := range b {
 		if a[i] != b[i] {
@@ -75,41 +60,6 @@ func wideReduce(vals []int64) tupleKey {
 	}
 	k.v[tupleKeyWidth-1] = h
 	return k
-}
-
-// seenSet is the clustered-grouping guard rail: a set of grouping keys
-// already closed. insert reports false when the key was already
-// present.
-type seenSet struct {
-	narrow map[tupleKey]struct{}
-	wide   map[tupleKey]wideBucket // len(cols) > tupleKeyWidth only
-}
-
-func newSeenSet(nCols int) seenSet {
-	s := seenSet{narrow: make(map[tupleKey]struct{})}
-	if nCols > tupleKeyWidth {
-		s.wide = make(map[tupleKey]wideBucket)
-	}
-	return s
-}
-
-func (s *seenSet) insert(row Row, cols []int) bool {
-	if s.wide == nil {
-		k := makeTupleKey(row, cols)
-		if _, dup := s.narrow[k]; dup {
-			return false
-		}
-		s.narrow[k] = struct{}{}
-		return true
-	}
-	vals := wideVals(row, cols)
-	k := wideReduce(vals)
-	b := s.wide[k]
-	if b.index(vals) >= 0 {
-		return false
-	}
-	s.wide[k] = append(b, vals)
-	return true
 }
 
 // groupTable maps grouping keys to accumulators, preserving insertion

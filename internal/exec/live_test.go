@@ -75,7 +75,7 @@ func liveAbove(g *query.Graph, rels uint64) int {
 // is what gives Q8 the hash-join plan q8_repeat executes.
 func planServed(t *testing.T, g *query.Graph) (*query.Analysis, *plan.Node) {
 	t.Helper()
-	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true})
+	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestLiveColumnsEquatedTwin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true})
+	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestLiveColumnsEquatedTwin(t *testing.T) {
 				if w := *widths[st.Op+" "+st.Detail]; w != 1 {
 					t.Errorf("%s emits %d columns, want one of the equated pair\n%s", st.Op, w, res.Best)
 				}
-			case "Sort", "GroupSorted", "GroupHash", "GroupClustered":
+			case "Sort", "GroupSorted", "GroupHash":
 			default:
 				if i == 0 {
 					t.Fatalf("unexpected root %s", st.Op)

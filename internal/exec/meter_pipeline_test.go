@@ -28,14 +28,11 @@ import (
 // catalog, DFSM, auto tier, DOP 1.
 func servedPlan(t *testing.T, sql string) (*query.Analysis, *plan.Node) {
 	t.Helper()
-	pd, q, err := planner.New(planner.DefaultConfig(tpcr.Schema())).PlanQueryContext(context.Background(), sql)
+	pd, _, err := planner.New(planner.DefaultConfig(tpcr.Schema())).PlanQueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pd.Origin != nil {
-		q = pd.Origin
-	}
-	return q.Analysis(), pd.Best
+	return pd.Origin.Analysis(), pd.Best
 }
 
 func tpcrDataset(t *testing.T, name string) *exec.Dataset {

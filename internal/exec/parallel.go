@@ -41,8 +41,8 @@ import (
 // workers because the state is shared and immutable). A morsel's output
 // is therefore exactly the serial segment's output restricted to that
 // morsel's driving rows, and concatenating worker outputs in morsel
-// order reproduces the serial row sequence row for row. Every ordering,
-// grouping and FD property the child plan claims survives — with zero
+// order reproduces the serial row sequence row for row. Every ordering
+// and FD property the child plan claims survives — with zero
 // sorting, which is what keeps rows-sorted/op at 0 for the DFSM plans.
 // The same argument is why Sort and Group operators are excluded from
 // the spine: Sort(morsel) is not Sort(all) restricted to the morsel.

@@ -17,7 +17,7 @@ import (
 func planParallel(t *testing.T, ds *Dataset, g *query.Graph, maxDOP int) (*query.Analysis, *plan.Node) {
 	t.Helper()
 	ds.ApplyStats(g)
-	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true})
+	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

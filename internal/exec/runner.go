@@ -561,7 +561,7 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 		st.Detail = fmt.Sprintf("k=%d", n.Limit)
 		return r.wrap(&Limit{In: in, N: int64(n.Limit), Life: p.Life}, st, p), schema, nil
 
-	case plan.GroupSorted, plan.GroupHash, plan.GroupClustered:
+	case plan.GroupSorted, plan.GroupHash:
 		// The group operators define their output, so what is live above
 		// one does not reach below it.
 		g := r.A.Graph
@@ -579,16 +579,10 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 		if err != nil {
 			return nil, nil, err
 		}
-		var it Iterator
-		switch n.Op {
-		case plan.GroupSorted:
-			it = &GroupSorted{In: in, Keys: keys, Aggs: aggs}
-		case plan.GroupClustered:
-			it = &GroupClustered{In: in, Keys: keys, Aggs: aggs, Life: p.Life}
-		default:
-			it = &GroupHash{In: in, Keys: keys, Aggs: aggs, Life: p.Life}
+		if n.Op == plan.GroupSorted {
+			return r.wrap(&GroupSorted{In: in, Keys: keys, Aggs: aggs}, st, p), outSchema, nil
 		}
-		return r.wrap(it, st, p), outSchema, nil
+		return r.wrap(&GroupHash{In: in, Keys: keys, Aggs: aggs, Life: p.Life}, st, p), outSchema, nil
 	}
 	return nil, nil, fmt.Errorf("exec: unsupported plan operator %v", n.Op)
 }

@@ -97,10 +97,9 @@ func TestOptimizedPlansProduceCorrectResults(t *testing.T) {
 }
 
 // TestGroupedPlansProduceCorrectResults extends the system-level check
-// to GROUP BY queries with the grouping extension enabled: the chosen
-// plan (which may use clustered grouping) must produce exactly the
-// groups brute-force evaluation implies, and the clustered-group
-// operator's runtime validation must never fire.
+// to GROUP BY queries: the chosen plan (sorted or hash grouping) must
+// produce exactly the groups brute-force evaluation implies, and the
+// sorted-group operator's runtime validation must never fire.
 func TestGroupedPlansProduceCorrectResults(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		for seed := int64(0); seed < 10; seed++ {
@@ -113,10 +112,7 @@ func TestGroupedPlansProduceCorrectResults(t *testing.T) {
 			}
 			data := querygen.GenerateData(g, 6, seed+300)
 
-			a, err := query.Analyze(g, query.AnalyzeOptions{
-				UseIndexes:     true,
-				TrackGroupings: true,
-			})
+			a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +344,7 @@ func TestOrderByEquatedColumn(t *testing.T) {
 	g.OrderBy = []query.ColumnRef{pred.Right} // the equated twin
 	data := querygen.GenerateData(g, 10, 7)
 
-	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true})
+	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

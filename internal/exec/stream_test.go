@@ -69,7 +69,7 @@ func streamPlan(t *testing.T, dop int) (*exec.Runner, *optimizer.Result) {
 	ds := streamDataset()
 	g := streamGraph(t)
 	ds.ApplyStats(g)
-	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true})
+	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestStreamBudget(t *testing.T) {
 	orders, _ := c.Table("orders")
 	g.OrderBy = []query.ColumnRef{{Rel: 0, Col: orders.ColumnIndex("o_orderdate")}}
 	ds.ApplyStats(g)
-	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true, TrackGroupings: true})
+	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ type ExecRow struct {
 	// index scan sorts nothing: it streams the dataset's presorted view).
 	RowsSorted int64
 	// MergeJoins / HashJoins / Sorts / HashGroups count the pipeline's
-	// operators by kind (sorted+clustered grouping under OrderedGroups).
+	// operators by kind (sorted grouping under OrderedGroups).
 	MergeJoins    int
 	HashJoins     int
 	Sorts         int
@@ -301,7 +301,7 @@ func execOne(w ExecWorkload, v conformance.Idiom, runs int) (ExecRow, int64, err
 		HashJoins:     m.ops[plan.HashJoin],
 		Sorts:         m.ops[plan.Sort],
 		HashGroups:    m.ops[plan.GroupHash],
-		OrderedGroups: m.ops[plan.GroupSorted] + m.ops[plan.GroupClustered],
+		OrderedGroups: m.ops[plan.GroupSorted],
 	}, exec.ChecksumRows(out), nil
 }
 

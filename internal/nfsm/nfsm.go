@@ -44,14 +44,9 @@ const (
 // State is one NFSM node.
 type State struct {
 	ID       StateID
-	Ord      order.ID // the ordering/grouping this state represents (not q0)
+	Ord      order.ID // the ordering this state represents (not q0)
 	Kind     Kind
 	Produced bool // ∈ O_P: reachable from q0 via an artificial edge
-	// Grouping marks states that stand for groupings (attribute sets
-	// whose equal values are adjacent — clustered, not sorted). The Ord
-	// field then holds the canonical sorted attribute sequence. This is
-	// the follow-up work's extension of the framework.
-	Grouping bool
 }
 
 // Input is the outcome of the paper's step 1 ("determine the input"):
@@ -69,12 +64,6 @@ type Input struct {
 	// can then derive (x) from an unordered stream after a selection
 	// x = const.
 	IncludeEmpty bool
-	// ProducedGroupings / TestedGroupings extend the machine with
-	// grouping states (canonical IDs from order.GroupingOf). Hash
-	// grouping produces a clustering; sort-based grouping merely tests
-	// for one.
-	ProducedGroupings []order.ID
-	TestedGroupings   []order.ID
 }
 
 // Options switches the §5.7 pruning techniques individually so their
@@ -129,26 +118,20 @@ type Machine struct {
 	In  *order.Interner
 
 	// Symbols: FD-set symbols first (0..len(FDSets)-1), then one
-	// produced symbol per entry of Produced (orderings and groupings).
+	// produced symbol per entry of Produced.
 	FDSets   []order.FDSet
 	Produced []order.ID
-	// ProducedGrouping[i] marks Produced[i] as a grouping entry.
-	ProducedGrouping []bool
 
 	// FDSymbol maps the caller's original FD-set index to its symbol, or
 	// -1 when the whole set was pruned (identity transition).
 	FDSymbol []int
 
-	States   []State
-	eps      []StateID // per state: prefix ε successor or NoState
-	epsGroup []StateID // per state: ε to the state's attr-set grouping
-	out      [][]StateID
+	States []State
+	eps    []StateID // per state: prefix ε successor or NoState
+	out    [][]StateID
 
-	start      map[order.ID]StateID // produced ordering → entry state
-	startGroup map[order.ID]StateID // produced grouping → entry state
-
-	byOrd   map[order.ID]StateID
-	byGroup map[order.ID]StateID
+	start map[order.ID]StateID // produced ordering → entry state
+	byOrd map[order.ID]StateID
 
 	// Stats filled during construction.
 	PrunedFDs    int // individual dependencies removed in step 2b
@@ -169,10 +152,6 @@ func (m *Machine) NumSymbols() int { return len(m.FDSets) + len(m.Produced) }
 // Eps returns the prefix ε successor of s, or NoState.
 func (m *Machine) Eps(s StateID) StateID { return m.eps[s] }
 
-// EpsGroup returns the grouping ε successor of s (an ordering state
-// implies the grouping over its attributes), or NoState.
-func (m *Machine) EpsGroup(s StateID) StateID { return m.epsGroup[s] }
-
 // FDTargets returns the states reachable from s via one edge labelled
 // with FD symbol sym (the implicit self-loop not included).
 func (m *Machine) FDTargets(s StateID, sym int) []StateID {
@@ -188,23 +167,11 @@ func (m *Machine) StartTarget(o order.ID) StateID {
 	return NoState
 }
 
-// StartGroupTarget returns the entry state for a produced grouping.
-func (m *Machine) StartGroupTarget(g order.ID) StateID {
-	if t, ok := m.startGroup[g]; ok {
-		return t
-	}
-	return NoState
-}
-
-// StartTargetForSymbol resolves a produced symbol (ordering or grouping)
-// to its entry state.
+// StartTargetForSymbol resolves a produced symbol to its entry state.
 func (m *Machine) StartTargetForSymbol(sym int) StateID {
 	i := sym - len(m.FDSets)
 	if i < 0 || i >= len(m.Produced) {
 		return NoState
-	}
-	if m.ProducedGrouping[i] {
-		return m.StartGroupTarget(m.Produced[i])
 	}
 	return m.StartTarget(m.Produced[i])
 }
@@ -217,30 +184,10 @@ func (m *Machine) StateOf(o order.ID) StateID {
 	return NoState
 }
 
-// GroupStateOf returns the state representing grouping g, or NoState.
-func (m *Machine) GroupStateOf(g order.ID) StateID {
-	if s, ok := m.byGroup[g]; ok {
-		return s
-	}
-	return NoState
-}
-
 // ProducedSymbol returns the symbol index of a produced ordering, or -1.
 func (m *Machine) ProducedSymbol(o order.ID) int {
-	for i, p := range m.Produced {
-		if p == o && !m.ProducedGrouping[i] {
-			return len(m.FDSets) + i
-		}
-	}
-	return -1
-}
-
-// ProducedGroupingSymbol returns the symbol of a produced grouping, or -1.
-func (m *Machine) ProducedGroupingSymbol(g order.ID) int {
-	for i, p := range m.Produced {
-		if p == g && m.ProducedGrouping[i] {
-			return len(m.FDSets) + i
-		}
+	if i := slices.Index(m.Produced, o); i >= 0 {
+		return len(m.FDSets) + i
 	}
 	return -1
 }
@@ -277,30 +224,7 @@ type builder struct {
 	fdSymbol    []int         // original index → symbol or -1
 	deriver     *order.Deriver
 
-	groupInteresting []order.ID
-	groupProducedSet map[order.ID]bool
-
 	prunedFDs int
-}
-
-// groupDeriver builds the grouping derivation engine, with viability
-// pruning when the prefix heuristic is enabled.
-func (b *builder) groupDeriver() *order.GroupDeriver {
-	d := &order.GroupDeriver{In: b.input.In}
-	if b.opt.PrefixViability && len(b.groupInteresting) > 0 {
-		reps := order.EquivClasses(b.input.Reg.Len(), b.fdSets)
-		d.Viability = order.NewGroupingViability(b.input.In, b.groupInteresting, reps)
-	}
-	return d
-}
-
-func (b *builder) producedGroupList() []order.ID {
-	out := make([]order.ID, 0, len(b.groupProducedSet))
-	for g := range b.groupProducedSet {
-		out = append(out, g)
-	}
-	b.input.In.SortIDs(out)
-	return out
 }
 
 func (b *builder) build() (*Machine, error) {
@@ -311,15 +235,13 @@ func (b *builder) build() (*Machine, error) {
 	b.setupDeriver()
 
 	m := &Machine{
-		Reg:        b.input.Reg,
-		In:         b.input.In,
-		FDSets:     b.fdSets,
-		FDSymbol:   b.fdSymbol,
-		start:      make(map[order.ID]StateID),
-		startGroup: make(map[order.ID]StateID),
-		byOrd:      make(map[order.ID]StateID),
-		byGroup:    make(map[order.ID]StateID),
-		PrunedFDs:  b.prunedFDs,
+		Reg:       b.input.Reg,
+		In:        b.input.In,
+		FDSets:    b.fdSets,
+		FDSymbol:  b.fdSymbol,
+		start:     make(map[order.ID]StateID),
+		byOrd:     make(map[order.ID]StateID),
+		PrunedFDs: b.prunedFDs,
 	}
 
 	// Step 2a: nodes = pruned closure Ω(O_I, F), plus q0. With the
@@ -361,80 +283,14 @@ func (b *builder) build() (*Machine, error) {
 		m.byOrd[o] = id
 	}
 
-	// Grouping states (the follow-up work's extension): interesting
-	// groupings, the attr-set groupings implied by ordering nodes, and
-	// everything FD-derivable from them.
-	groupDeriver := b.groupDeriver()
-	var groupSeed []order.ID
-	groupSeed = append(groupSeed, b.groupInteresting...)
-	if len(b.groupInteresting) > 0 {
-		for _, o := range nodes {
-			attrs := b.input.In.Seq(o)
-			if groupDeriver.Viability != nil && !groupDeriver.Viability.Viable(attrs) {
-				continue
-			}
-			groupSeed = append(groupSeed, order.GroupingOf(b.input.In, attrs))
-		}
-	}
-	groupInterestingSet := make(map[order.ID]bool, len(b.groupInteresting))
-	for _, g := range b.groupInteresting {
-		groupInterestingSet[g] = true
-	}
-	for _, g := range groupDeriver.Closure(groupSeed, allFDs) {
-		if _, ok := m.byGroup[g]; ok {
-			continue
-		}
-		kind := KindArtificial
-		if groupInterestingSet[g] {
-			kind = KindInteresting
-		}
-		id := StateID(len(m.States))
-		m.States = append(m.States, State{
-			ID: id, Ord: g, Kind: kind, Produced: b.groupProducedSet[g], Grouping: true,
-		})
-		m.byGroup[g] = id
-	}
-
 	// Step 2c: edges. ε to the immediate prefix; FD-set edges to every
 	// ordering derivable under that set (closure, §2's ⊢ relation),
 	// excluding the ε-closure of the source (implicit).
 	nFD := len(b.fdSets)
 	m.eps = make([]StateID, len(m.States))
-	m.epsGroup = make([]StateID, len(m.States))
 	m.out = make([][]StateID, len(m.States)*nFD)
 	m.eps[StartState] = NoState
-	m.epsGroup[StartState] = NoState
 	for _, st := range m.States[1:] {
-		m.epsGroup[st.ID] = NoState
-		if st.Grouping {
-			// Grouping states: no ε successors; FD edges by the
-			// grouping derivation rules.
-			m.eps[st.ID] = NoState
-			for sym, set := range b.fdSets {
-				var targets []StateID
-				for _, t := range groupDeriver.Closure([]order.ID{st.Ord}, set.FDs) {
-					if t == st.Ord {
-						continue
-					}
-					ts, ok := m.byGroup[t]
-					if !ok {
-						return nil, fmt.Errorf("nfsm: derived grouping %s missing from node set",
-							b.input.In.Format(b.input.Reg, t))
-					}
-					targets = append(targets, ts)
-				}
-				sortStates(targets)
-				m.out[int(st.ID)*nFD+sym] = targets
-			}
-			continue
-		}
-		if st.ID != emptyState && len(b.groupInteresting) > 0 {
-			// An ordering implies the grouping over its attributes.
-			g := order.GroupingOf(b.input.In, b.input.In.Seq(st.Ord))
-			if gs, ok := m.byGroup[g]; ok {
-				m.epsGroup[st.ID] = gs
-			}
-		}
 		if st.ID == emptyState {
 			// The empty ordering's FD edges derive orderings from an
 			// unordered stream (constants only can apply).
@@ -494,18 +350,11 @@ func (b *builder) build() (*Machine, error) {
 	// empty ordering when enabled: table scans enter there).
 	if b.input.IncludeEmpty {
 		m.Produced = append(m.Produced, order.EmptyID)
-		m.ProducedGrouping = append(m.ProducedGrouping, false)
 		m.start[order.EmptyID] = m.byOrd[order.EmptyID]
 	}
 	for _, o := range b.producedList() {
 		m.Produced = append(m.Produced, o)
-		m.ProducedGrouping = append(m.ProducedGrouping, false)
 		m.start[o] = m.byOrd[o]
-	}
-	for _, g := range b.producedGroupList() {
-		m.Produced = append(m.Produced, g)
-		m.ProducedGrouping = append(m.ProducedGrouping, true)
-		m.startGroup[g] = m.byGroup[g]
 	}
 
 	if b.opt.DropInertSymbols {
@@ -561,36 +410,7 @@ func (b *builder) determineInput() error {
 			return err
 		}
 	}
-	// Groupings: canonicalize and deduplicate.
-	b.groupProducedSet = make(map[order.ID]bool)
-	seenGroup := make(map[order.ID]bool)
-	addGroup := func(g order.ID, produced bool) error {
-		if g == order.EmptyID {
-			return fmt.Errorf("nfsm: the empty grouping cannot be interesting")
-		}
-		canon := order.GroupingOf(b.input.In, b.input.In.Seq(g))
-		if produced {
-			b.groupProducedSet[canon] = true
-		}
-		if !seenGroup[canon] {
-			seenGroup[canon] = true
-			b.groupInteresting = append(b.groupInteresting, canon)
-		}
-		return nil
-	}
-	for _, g := range b.input.ProducedGroupings {
-		if err := addGroup(g, true); err != nil {
-			return err
-		}
-	}
-	for _, g := range b.input.TestedGroupings {
-		if err := addGroup(g, false); err != nil {
-			return err
-		}
-	}
-	b.input.In.SortIDs(b.groupInteresting)
-
-	if len(b.interesting) == 0 && len(b.groupInteresting) == 0 {
+	if len(b.interesting) == 0 {
 		return fmt.Errorf("nfsm: no interesting orders")
 	}
 	b.input.In.SortIDs(b.interesting)
@@ -624,11 +444,6 @@ func (b *builder) pruneFDs() {
 	relevant := bitset.New(b.input.Reg.Len())
 	for _, o := range b.interesting {
 		for _, a := range b.input.In.Seq(o) {
-			relevant.Add(int(a))
-		}
-	}
-	for _, g := range b.groupInteresting {
-		for _, a := range b.input.In.Seq(g) {
 			relevant.Add(int(a))
 		}
 	}
@@ -677,23 +492,13 @@ func (b *builder) setupDeriver() {
 	maxEff := 0
 	if b.opt.PrefixViability || b.opt.LengthCutoff {
 		reps = order.EquivClasses(b.input.Reg.Len(), b.fdSets)
-	}
-	mkIndex := func() *order.PrefixIndex {
 		ix := order.NewPrefixIndex(b.input.In, b.interesting, reps)
-		// Interesting groupings keep orderings alive too: their
-		// prefix attribute sets can contribute groupings via ε.
-		ix.AddGroupings(b.input.In, b.groupInteresting)
-		return ix
-	}
-	if b.opt.PrefixViability {
-		index = mkIndex()
-	}
-	if b.opt.LengthCutoff {
-		ix := index
-		if ix == nil {
-			ix = mkIndex()
+		if b.opt.PrefixViability {
+			index = ix
 		}
-		maxEff = ix.MaxLen()
+		if b.opt.LengthCutoff {
+			maxEff = ix.MaxLen()
+		}
 	}
 	b.deriver = &order.Deriver{In: b.input.In, Reps: reps, Index: index, MaxLen: maxEff}
 }

@@ -322,3 +322,46 @@ func TestProducedOrderDeterministic(t *testing.T) {
 			f.in.Format(f.reg, m.Produced[0]), f.in.Format(f.reg, m.Produced[1]))
 	}
 }
+
+func TestDOTOutput(t *testing.T) {
+	f := newFixture()
+	m, err := Build(f.runningExample(), AllPruning())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dot := m.DOT()
+	for _, want := range []string{"digraph nfsm", "q0 ->", "ε", "{b → c}"} {
+		if !strings.Contains(dot, want) {
+			t.Errorf("DOT missing %q", want)
+		}
+	}
+}
+
+func TestMachineAccessors(t *testing.T) {
+	f := newFixture()
+	m, err := Build(f.runningExample(), AllPruning())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumStates() != 5 {
+		t.Errorf("NumStates = %d", m.NumStates())
+	}
+	if m.NumSymbols() != 3 {
+		t.Errorf("NumSymbols = %d", m.NumSymbols())
+	}
+	if got := len(m.InterestingStates()); got != 4 {
+		t.Errorf("InterestingStates = %d, want 4", got)
+	}
+	if m.StartTargetForSymbol(0) != NoState {
+		t.Error("FD symbol must have no start target")
+	}
+	if m.StartTargetForSymbol(99) != NoState {
+		t.Error("out-of-range symbol must have no start target")
+	}
+	if sym := m.ProducedSymbol(f.ord("a", "b")); m.StartTargetForSymbol(sym) != m.StateOf(f.ord("a", "b")) {
+		t.Error("produced symbol must start at its ordering's state")
+	}
+	if m.ProducedSymbol(f.ord("a", "b", "c")) != -1 {
+		t.Error("tested-only ordering must have no produced symbol")
+	}
+}

@@ -63,9 +63,6 @@ func (r *reducer) normalize() {
 		if e := m.eps[st.ID]; e != NoState {
 			m.eps[st.ID] = r.resolve(e)
 		}
-		if e := m.epsGroup[st.ID]; e != NoState {
-			m.epsGroup[st.ID] = r.resolve(e)
-		}
 		for sym := 0; sym < nFD; sym++ {
 			idx := int(st.ID)*nFD + sym
 			targets := m.out[idx]
@@ -99,40 +96,27 @@ func (r *reducer) mergeOnce() bool {
 
 	block := make([]int, len(m.States))
 	nBlocks := 0
-	artBlock, artGroupBlock := -1, -1
+	artBlock := -1
 	for _, st := range m.States {
 		if !r.alive(st.ID) {
 			block[st.ID] = -1
 			continue
 		}
-		switch {
-		case st.Kind == KindArtificial && st.Grouping:
-			if artGroupBlock < 0 {
-				artGroupBlock = nBlocks
-				nBlocks++
-			}
-			block[st.ID] = artGroupBlock
-		case st.Kind == KindArtificial:
-			if artBlock < 0 {
-				artBlock = nBlocks
-				nBlocks++
-			}
-			block[st.ID] = artBlock
-		default:
+		if st.Kind != KindArtificial {
 			block[st.ID] = nBlocks
 			nBlocks++
+			continue
 		}
+		if artBlock < 0 {
+			artBlock = nBlocks
+			nBlocks++
+		}
+		block[st.ID] = artBlock
 	}
 
 	sig := func(s StateID) string {
 		var b strings.Builder
 		if e := m.eps[s]; e == NoState {
-			b.WriteString("-")
-		} else {
-			b.WriteString(strconv.Itoa(block[e]))
-		}
-		b.WriteByte('/')
-		if e := m.epsGroup[s]; e == NoState {
 			b.WriteString("-")
 		} else {
 			b.WriteString(strconv.Itoa(block[e]))
@@ -188,11 +172,7 @@ func (r *reducer) mergeOnce() bool {
 		}
 		if rep, ok := reps[block[st.ID]]; ok {
 			r.redirect[st.ID] = rep
-			if st.Grouping {
-				m.byGroup[st.Ord] = rep
-			} else {
-				m.byOrd[st.Ord] = rep
-			}
+			m.byOrd[st.Ord] = rep
 			m.MergedNodes++
 			changed = true
 		} else {
@@ -218,12 +198,6 @@ func sortInts(xs []int) {
 // ε-closure of s or an FD-edge target (same symbol) of a prefix.
 func (r *reducer) prunable(s StateID) bool {
 	m := r.m
-	// An ordering state carrying a grouping ε edge contributes that
-	// grouping to every DFSM state containing it; redirecting to the
-	// prefix would lose it (the prefix's grouping is smaller). Keep it.
-	if m.epsGroup[s] != NoState {
-		return false
-	}
 	nFD := len(m.FDSets)
 	inEps := map[StateID]bool{s: true}
 	var chain []StateID
@@ -265,11 +239,7 @@ func (r *reducer) pruneOnce() bool {
 		}
 		if r.prunable(st.ID) {
 			r.redirect[st.ID] = r.m.eps[st.ID] // may be NoState
-			if st.Grouping {
-				delete(r.m.byGroup, st.Ord)
-			} else {
-				delete(r.m.byOrd, st.Ord)
-			}
+			delete(r.m.byOrd, st.Ord)
 			r.m.PrunedNodes++
 			changed = true
 			r.normalize()
@@ -307,7 +277,6 @@ func (r *reducer) compact() {
 	}
 
 	eps := make([]StateID, len(states))
-	epsGroup := make([]StateID, len(states))
 	out := make([][]StateID, len(states)*nFD)
 	for _, st := range m.States {
 		if !r.alive(st.ID) {
@@ -315,7 +284,6 @@ func (r *reducer) compact() {
 		}
 		nid := remap[st.ID]
 		eps[nid] = mapped(m.eps[st.ID])
-		epsGroup[nid] = mapped(m.epsGroup[st.ID])
 		for sym := 0; sym < nFD; sym++ {
 			targets := m.out[int(st.ID)*nFD+sym]
 			nt := make([]StateID, 0, len(targets))
@@ -334,18 +302,10 @@ func (r *reducer) compact() {
 			byOrd[o] = ms
 		}
 	}
-	byGroup := make(map[order.ID]StateID, len(m.byGroup))
-	for g, s := range m.byGroup {
-		if ms := mapped(s); ms != NoState {
-			byGroup[g] = ms
-		}
-	}
 	m.States = states
 	m.eps = eps
-	m.epsGroup = epsGroup
 	m.out = out
 	m.byOrd = byOrd
-	m.byGroup = byGroup
 }
 
 // dropInertSymbols removes FD-set symbols whose edges never leave any

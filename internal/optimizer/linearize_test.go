@@ -36,7 +36,7 @@ func validatePlan(t *testing.T, g *query.Graph, n *plan.Node) uint64 {
 			t.Fatalf("scan of relation %d out of range", n.Rel)
 		}
 		return 1 << uint(n.Rel)
-	case plan.Sort, plan.GroupSorted, plan.GroupHash, plan.GroupClustered:
+	case plan.Sort, plan.GroupSorted, plan.GroupHash:
 		return validatePlan(t, g, n.Left)
 	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:
 		lm := validatePlan(t, g, n.Left)

@@ -78,9 +78,9 @@ type Config struct {
 	// compare against: hash/NL joins only, grouping by hashing, one
 	// sort at the very top for the ORDER BY.
 	DisableMergeJoin bool
-	// DisableOrderedGrouping removes the sorted- and clustered-grouping
-	// candidates: GROUP BY always plans as hash grouping (the
-	// order-oblivious baseline's other half).
+	// DisableOrderedGrouping removes the sorted-grouping candidates:
+	// GROUP BY always plans as hash grouping (the order-oblivious
+	// baseline's other half).
 	DisableOrderedGrouping bool
 	// MaxDOP, when > 1, adds parallel candidates to the final plans:
 	// every parallelizable full-set plan is also considered wrapped in
@@ -855,41 +855,19 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 			}
 		}
 	}
-	if o.p.a.GroupByOrd != order.EmptyID {
-		groupOrds := o.p.a.GroupByOrds
-		if len(groupOrds) == 0 {
-			groupOrds = []order.ID{o.p.a.GroupByOrd}
-		}
+	if gOrd := o.p.a.GroupByOrd; gOrd != order.EmptyID {
 		var grouped []*plan.Node
 		gcard := o.groupCard(p.Card)
 		for _, c := range cands {
-			if o.p.cfg.DisableOrderedGrouping {
+			switch {
+			case o.p.cfg.DisableOrderedGrouping:
 				grouped = append(grouped, o.groupNode(c, plan.GroupHash, gcard))
-				continue
-			}
-			// Sorted grouping works on any permutation of the grouping
-			// columns the input already satisfies.
-			matched := false
-			for _, gOrd := range groupOrds {
-				if o.contains(c.State, gOrd) {
-					grouped = append(grouped, o.groupNode(c, plan.GroupSorted, gcard))
-					matched = true
-					break
-				}
-			}
-			// Clustered grouping (grouping extension): the stream need
-			// only have equal grouping values adjacent.
-			if !matched && o.p.fw != nil && o.p.a.GroupByGrouping != order.EmptyID &&
-				o.p.fw.ContainsGrouping(c.State, o.p.a.GroupByGrouping) {
-				grouped = append(grouped, o.groupNode(c, plan.GroupClustered, gcard))
-				matched = true
-			}
-			if !matched {
-				for _, gOrd := range groupOrds {
-					srt := o.sortPlan(c, gOrd)
-					grouped = append(grouped, o.groupNode(srt, plan.GroupSorted, gcard))
-				}
-				grouped = append(grouped, o.groupNode(c, plan.GroupHash, gcard))
+			case o.contains(c.State, gOrd):
+				grouped = append(grouped, o.groupNode(c, plan.GroupSorted, gcard))
+			default:
+				grouped = append(grouped,
+					o.groupNode(o.sortPlan(c, gOrd), plan.GroupSorted, gcard),
+					o.groupNode(c, plan.GroupHash, gcard))
 			}
 		}
 		cands = grouped
@@ -922,8 +900,8 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 				Cost:   plan.LimitedCost(c, float64(k)) + plan.LimitCost(float64(k)),
 				Card:   card,
 				FDMask: c.FDMask,
-				// A k-prefix of the stream keeps every order/grouping/FD
-				// property the stream had.
+				// A k-prefix of the stream keeps every order/FD property
+				// the stream had.
 				State: c.State,
 			}
 			o.generated++
@@ -977,21 +955,16 @@ func (o *optimizer) groupCard(in float64) float64 {
 }
 
 func (o *optimizer) groupNode(in *plan.Node, op plan.Op, card float64) *plan.Node {
-	streaming := op == plan.GroupSorted || op == plan.GroupClustered
+	sorted := op == plan.GroupSorted
 	n := o.arena.New()
 	*n = plan.Node{
 		Op: op, Left: in,
-		Cost: in.Cost + plan.GroupCost(in.Card, streaming),
+		Cost: in.Cost + plan.GroupCost(in.Card, sorted),
 		Card: card, FDMask: in.FDMask, State: in.State,
 	}
-	// Sorted grouping preserves the input ordering. Clustered and hash
-	// grouping emit one row per group: clustered by the keys (a grouping
-	// the baseline cannot express), unordered.
-	switch g := o.p.a.GroupByGrouping; {
-	case op == plan.GroupSorted:
-	case o.p.fw != nil && g != order.EmptyID:
-		n.State = o.p.fw.ProduceGrouping(g)
-	default:
+	// Sorted grouping preserves the input ordering; hash grouping emits
+	// its groups unordered.
+	if !sorted {
 		n.State = o.produce(order.EmptyID)
 	}
 	o.generated++

@@ -74,11 +74,6 @@ type PrefixIndex struct {
 	reps   []Attr
 	maxRaw map[string]int // rep-dedup prefix key → longest matching order raw length
 	max    int            // longest interesting order (raw length)
-
-	// Interesting groupings also keep orderings alive: an ordering whose
-	// prefix attribute set is contained in an interesting grouping can
-	// contribute that grouping through an ε edge.
-	groupCanons [][]Attr
 }
 
 // NewPrefixIndex builds the index over the interesting orders.
@@ -100,44 +95,15 @@ func NewPrefixIndex(in *Interner, interesting []ID, reps []Attr) *PrefixIndex {
 	return idx
 }
 
-// AddGroupings registers interesting groupings: prefixes whose attribute
-// set fits inside one stay viable (and the length budget grows to the
-// grouping's size).
-func (ix *PrefixIndex) AddGroupings(in *Interner, groupings []ID) {
-	for _, g := range groupings {
-		canon := repSet(in.Seq(g), ix.reps)
-		ix.groupCanons = append(ix.groupCanons, canon)
-		if len(canon) > ix.max {
-			ix.max = len(canon)
-		}
-	}
-}
-
 // Viable reports whether the prefix can still contribute: its rep-dedup
-// form is a prefix of an interesting order, or its attribute set is
-// contained in an interesting grouping. longest is the raw length worth
-// keeping.
+// form is a prefix of an interesting order. longest is the raw length
+// worth keeping.
 func (ix *PrefixIndex) Viable(seq []Attr) (longest int, ok bool) {
-	canon := repDedup(seq, ix.reps)
-	if l, hit := ix.maxRaw[seqKey(canon)]; hit {
-		longest, ok = l, true
-	}
-	if len(ix.groupCanons) > 0 {
-		set := repSet(seq, ix.reps)
-		for _, gc := range ix.groupCanons {
-			if len(set) <= len(gc) && subsetSorted(set, gc) {
-				if len(gc) > longest {
-					longest = len(gc)
-				}
-				ok = true
-			}
-		}
-	}
+	longest, ok = ix.maxRaw[seqKey(repDedup(seq, ix.reps))]
 	return longest, ok
 }
 
-// MaxLen returns the raw length budget: the longest interesting order or
-// largest interesting grouping.
+// MaxLen returns the raw length budget: the longest interesting order.
 func (ix *PrefixIndex) MaxLen() int { return ix.max }
 
 // Deriver evaluates the derivation relation o ⊢_f o' of §2 and the

@@ -34,9 +34,10 @@ const (
 	GroupSorted
 	// GroupHash groups by hashing (destroys ordering).
 	GroupHash
-	// GroupClustered groups a stream that is clustered (equal grouping
-	// values adjacent) but not necessarily sorted — the grouping
-	// extension's streaming operator, as cheap as sorted grouping.
+	// GroupClustered is retired: no planner emits it and the executor
+	// rejects it. It keeps its value and name only because the benchmark
+	// module's per-operator metrics still list it
+	// (exec.op.GroupClustered_ms).
 	GroupClustered
 	// ExchangeMerge runs its child pipeline morsel-parallel across DOP
 	// workers and reassembles the worker outputs in morsel order —
@@ -392,7 +393,7 @@ func LimitedCost(n *Node, k float64) float64 {
 		own := n.Cost - n.Left.Cost - n.Right.Cost
 		return n.Right.Cost + own*frac +
 			LimitedCost(n.Left, n.Left.Card*frac)
-	case GroupSorted, GroupClustered:
+	case GroupSorted:
 		own := n.Cost - n.Left.Cost
 		return own*frac + LimitedCost(n.Left, n.Left.Card*frac)
 	case ExchangeMerge, ExchangeUnion:

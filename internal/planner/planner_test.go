@@ -39,6 +39,9 @@ func TestPlanSources(t *testing.T) {
 	if first.Result == nil {
 		t.Errorf("cold plan carries no Result")
 	}
+	if first.Origin == nil {
+		t.Errorf("cold plan carries no Origin")
+	}
 	second, err := p.Plan(testQueries[0])
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +51,9 @@ func TestPlanSources(t *testing.T) {
 	}
 	if second.Result != nil {
 		t.Errorf("cache hit carries a Result")
+	}
+	if second.Origin != first.Origin {
+		t.Errorf("cache hit Origin %p, want the cold run's %p", second.Origin, first.Origin)
 	}
 	if second.Cost != first.Cost {
 		t.Errorf("cache hit cost %v != cold cost %v", second.Cost, first.Cost)
@@ -77,6 +83,9 @@ func TestPlanSources(t *testing.T) {
 		}
 		if warm.Source != SourcePrepared {
 			t.Errorf("warm plan: source %v, want prepared", warm.Source)
+		}
+		if warm.Origin == nil {
+			t.Errorf("prepared plan carries no Origin")
 		}
 		if warm.Cost != cold.Cost || warm.Best.String() != cold.Best.String() {
 			t.Errorf("warm run diverged from cold run")

@@ -22,41 +22,23 @@ type AnalyzeOptions struct {
 	// from the scan onward, so a stream sorted on a key is sorted on
 	// any extension — extra merge-join opportunities.
 	KeyFDs bool
-	// GroupByPermutations registers every permutation of the GROUP BY
-	// columns as a produced interesting order (grouping is insensitive
-	// to the column sequence, so a sorted group can exploit whichever
-	// permutation the input happens to satisfy). Capped at four
-	// columns (24 permutations).
-	GroupByPermutations bool
-	// TrackGroupings registers the GROUP BY attribute set as an
-	// interesting grouping (tested by clustered grouping, produced by
-	// hash grouping). One grouping node subsumes all n! permutations:
-	// any ordering over the grouping columns implies the grouping via
-	// an ε edge. This is the follow-up work's extension.
-	TrackGroupings bool
-	// MaxEdgeOrders caps how many join-equality predicates register
-	// their column orderings as produced interesting orders: 0 means
-	// DefaultMaxEdgeOrders, negative means unlimited. NFSM/DFSM
-	// preparation is worst-case exponential in the interesting-order
-	// count, so the dense join graphs of the adaptive large-query tier
-	// (a clique-20 carries 190 predicates) would explode preparation
-	// without a cap. Capped predicates keep their FD sets — join-time
-	// order inference stays exact — but merge joins on them sort both
-	// inputs instead of exploiting pre-existing orderings. Two further
-	// structural rules apply unless unlimited: predicates touching a
-	// relation with more than maxEdgeOrderDegree incident predicates
-	// never register (hub and clique concentration is what degenerates
-	// the DFSM powerset — equations between the hub's orders reach
-	// everything), and index orders beyond the maxProducedOrders budget
-	// are skipped the same way. Queries within the paper's sizes (every
-	// shape the experiments sweep) stay under all caps and are analyzed
-	// exactly as before.
-	MaxEdgeOrders int
 }
 
-// DefaultMaxEdgeOrders is the default cap on join predicates registered
-// as produced interesting orders (see AnalyzeOptions.MaxEdgeOrders).
-const DefaultMaxEdgeOrders = 16
+// maxEdgeOrders caps how many join-equality predicates register their
+// column orderings as produced interesting orders. NFSM/DFSM preparation
+// is worst-case exponential in the interesting-order count, so the dense
+// join graphs of the adaptive large-query tier (a clique-20 carries 190
+// predicates) would explode preparation without a cap. Capped predicates
+// keep their FD sets — join-time order inference stays exact — but merge
+// joins on them sort both inputs instead of exploiting pre-existing
+// orderings. Two further structural rules apply: predicates touching a
+// relation with more than maxEdgeOrderDegree incident predicates never
+// register (hub and clique concentration is what degenerates the DFSM
+// powerset — equations between the hub's orders reach everything), and
+// index orders beyond the maxProducedOrders budget are skipped the same
+// way. Queries within the paper's sizes (every shape the experiments
+// sweep) stay under all caps.
+const maxEdgeOrders = 16
 
 // maxEdgeOrderDegree excludes relations with more incident join
 // predicates than this from edge-order and edge-FD registration: their
@@ -110,12 +92,6 @@ type Analysis struct {
 	// and ORDER BY clauses (EmptyID when absent).
 	GroupByOrd order.ID
 	OrderByOrd order.ID
-	// GroupByOrds lists every registered grouping ordering (just the
-	// listed sequence, or all permutations with GroupByPermutations).
-	GroupByOrds []order.ID
-	// GroupByGrouping is the canonical grouping over the GROUP BY
-	// columns (EmptyID unless TrackGroupings is on).
-	GroupByGrouping order.ID
 
 	attrOf map[ColumnRef]order.Attr
 	colOf  map[order.Attr]ColumnRef
@@ -184,20 +160,8 @@ func Analyze(g *Graph, opt AnalyzeOptions) (*Analysis, error) {
 	// respects the edge-order caps: beyond them the orderings are still
 	// interned (EdgeOrders stays complete, merge joins remain possible)
 	// but not registered as produced, so they never enter the NFSM.
-	capTotal := opt.MaxEdgeOrders
-	capDegree := maxEdgeOrderDegree
 	producedBudget := maxProducedOrders
 	fdBudget := maxEdgeFDSets
-	switch {
-	case capTotal < 0:
-		const unlimited = int(^uint(0) >> 2)
-		capTotal = unlimited
-		capDegree = unlimited
-		producedBudget = unlimited
-		fdBudget = unlimited
-	case capTotal == 0:
-		capTotal = DefaultMaxEdgeOrders
-	}
 	degree := make([]int, len(g.Relations))
 	for e := range g.Edges {
 		for _, p := range g.Edges[e].Preds {
@@ -209,7 +173,7 @@ func Analyze(g *Graph, opt AnalyzeOptions) (*Analysis, error) {
 	a.EdgeOrders = make([][2][]order.ID, len(g.Edges))
 	for e := range g.Edges {
 		ea, eb := g.Edges[e].Rels()
-		lowDegree := degree[ea] <= capDegree && degree[eb] <= capDegree
+		lowDegree := degree[ea] <= maxEdgeOrderDegree && degree[eb] <= maxEdgeOrderDegree
 		var fds []order.FD
 		var lefts, rights []order.ID
 		for _, p := range g.Edges[e].Preds {
@@ -217,7 +181,7 @@ func Analyze(g *Graph, opt AnalyzeOptions) (*Analysis, error) {
 			fds = append(fds, order.NewEquation(l, r))
 			lo := a.Builder.Ordering(l)
 			ro := a.Builder.Ordering(r)
-			if lowDegree && registered < capTotal {
+			if lowDegree && registered < maxEdgeOrders {
 				a.Builder.AddProduced(lo)
 				a.Builder.AddProduced(ro)
 				registered++
@@ -279,26 +243,6 @@ func Analyze(g *Graph, opt AnalyzeOptions) (*Analysis, error) {
 	if len(g.GroupBy) > 0 {
 		a.GroupByOrd = a.Ordering(g.GroupBy...)
 		a.Builder.AddProduced(a.GroupByOrd)
-		a.GroupByOrds = []order.ID{a.GroupByOrd}
-		if opt.GroupByPermutations && len(g.GroupBy) >= 2 && len(g.GroupBy) <= 4 {
-			for _, perm := range permutations(g.GroupBy) {
-				o := a.Ordering(perm...)
-				if o == a.GroupByOrd {
-					continue
-				}
-				a.Builder.AddProduced(o)
-				a.GroupByOrds = append(a.GroupByOrds, o)
-			}
-		}
-		if opt.TrackGroupings {
-			attrs := make([]order.Attr, 0, len(g.GroupBy))
-			for _, c := range g.GroupBy {
-				attrs = append(attrs, a.Attr(c))
-			}
-			a.GroupByGrouping = a.Builder.Grouping(attrs...)
-			a.Builder.AddTestedGrouping(a.GroupByGrouping)
-			a.Builder.AddProducedGrouping(a.GroupByGrouping)
-		}
 	}
 	if len(g.OrderBy) > 0 {
 		a.OrderByOrd = a.Ordering(g.OrderBy...)
@@ -356,29 +300,6 @@ func Analyze(g *Graph, opt AnalyzeOptions) (*Analysis, error) {
 		return nil, ErrNoInterestingOrders
 	}
 	return a, nil
-}
-
-// permutations enumerates all orderings of refs (Heap's algorithm).
-func permutations(refs []ColumnRef) [][]ColumnRef {
-	var out [][]ColumnRef
-	cur := append([]ColumnRef(nil), refs...)
-	var gen func(k int)
-	gen = func(k int) {
-		if k == 1 {
-			out = append(out, append([]ColumnRef(nil), cur...))
-			return
-		}
-		for i := 0; i < k; i++ {
-			gen(k - 1)
-			if k%2 == 0 {
-				cur[i], cur[k-1] = cur[k-1], cur[i]
-			} else {
-				cur[0], cur[k-1] = cur[k-1], cur[0]
-			}
-		}
-	}
-	gen(len(cur))
-	return out
 }
 
 // ErrNoInterestingOrders is returned by Analyze when the query has no

@@ -441,53 +441,6 @@ func TestColumnOfReverseLookup(t *testing.T) {
 	}
 }
 
-func TestGroupByPermutationsGenerated(t *testing.T) {
-	c := catalog.New()
-	c.MustAdd(&catalog.Table{
-		Name: "t",
-		Columns: []catalog.Column{
-			{Name: "a"}, {Name: "b"}, {Name: "c"},
-			{Name: "d"}, {Name: "e"}, {Name: "j"},
-		},
-		Rows: 100,
-	})
-	c.MustAdd(&catalog.Table{
-		Name:    "u",
-		Columns: []catalog.Column{{Name: "j"}},
-		Rows:    10,
-	})
-	tab, _ := c.Table("t")
-	u, _ := c.Table("u")
-	mk := func(nGroup int) *Graph {
-		g := &Graph{}
-		r := g.AddRelation("t", tab)
-		r2 := g.AddRelation("u", u)
-		if err := g.AddJoin(ColumnRef{r, 5}, ColumnRef{r2, 0}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < nGroup; i++ {
-			g.GroupBy = append(g.GroupBy, ColumnRef{Rel: r, Col: i})
-		}
-		return g
-	}
-	// Three columns → 3! = 6 permutations.
-	a, err := Analyze(mk(3), AnalyzeOptions{GroupByPermutations: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.GroupByOrds) != 6 {
-		t.Errorf("GroupByOrds = %d, want 6", len(a.GroupByOrds))
-	}
-	// Five columns exceed the cap: only the listed sequence.
-	a2, err := Analyze(mk(5), AnalyzeOptions{GroupByPermutations: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a2.GroupByOrds) != 1 {
-		t.Errorf("GroupByOrds = %d, want 1 (cap at 4 columns)", len(a2.GroupByOrds))
-	}
-}
-
 func TestConstPredMatches(t *testing.T) {
 	eq := ConstPred{Kind: EqConst, Literal: 5, HasLiteral: true}
 	if !eq.Matches(5) || eq.Matches(4) {

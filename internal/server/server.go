@@ -11,7 +11,7 @@
 //	POST /plan     {"sql": "select ..."} → plan tree + cost + source
 //	               (cold | prepared | cachehit); GET /plan?q=... works too
 //	POST /explain  same request → rendered physical plan and the
-//	               order/grouping properties of the chosen plan
+//	               order properties of the chosen plan
 //	POST /execute  {"sql": ..., "dataset": ..., "maxRows": ...} → the
 //	               query planned AND executed over a registered dataset:
 //	               result rows (truncated to maxRows), row counts,
@@ -537,9 +537,9 @@ func (s *Server) planResponse(ctx context.Context, sql string) (any, int, error)
 	resp := &PlanResponse{
 		SQL:      sql,
 		Source:   pd.Source.String(),
-		Strategy: origin(pd, q).Prepared().Strategy().String(),
+		Strategy: pd.Origin.Prepared().Strategy().String(),
 		Cost:     pd.Cost,
-		Plan:     planJSON(pd.Best, origin(pd, q)),
+		Plan:     planJSON(pd.Best, pd.Origin),
 	}
 	if pd.Result != nil {
 		resp.PlanNs = pd.Result.PlanTime.Nanoseconds()
@@ -551,7 +551,7 @@ func (s *Server) planResponse(ctx context.Context, sql string) (any, int, error)
 }
 
 func (s *Server) explainResponse(ctx context.Context, sql string) (any, int, error) {
-	pd, q, err := s.pl.PlanQueryContext(ctx, sql)
+	pd, err := s.pl.PlanContext(ctx, sql)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -562,7 +562,7 @@ func (s *Server) explainResponse(ctx context.Context, sql string) (any, int, err
 	// tree: on a plan-cache hit from a differently spelled statement,
 	// the requesting query's interner numbers orderings differently
 	// and would render wrong names and verdicts.
-	org := origin(pd, q)
+	org := pd.Origin
 	a := org.Analysis()
 	g := org.Prepared().Graph()
 	reg, in := a.Builder.Registry(), a.Builder.Interner()
@@ -728,11 +728,11 @@ type compiled struct {
 // pipeline over ds, applying the server's budgets, hook and worker cap
 // plus the request's maxDOP.
 func (s *Server) compileRequest(ctx context.Context, req ExecuteRequest, ds *exec.Dataset) (*compiled, int, error) {
-	pd, q, err := s.pl.PlanQueryContext(ctx, req.SQL)
+	pd, err := s.pl.PlanContext(ctx, req.SQL)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	org := origin(pd, q)
+	org := pd.Origin
 	runner := ds.Runner(org.Analysis())
 	runner.Budget = s.budget
 	runner.Accountant = s.acct
@@ -793,7 +793,7 @@ func (s *Server) executeResponse(ctx context.Context, req ExecuteRequest, ds *ex
 	if err != nil {
 		// Partial counters for the error path; the classifier decides
 		// whether this was a lifecycle cut (timeout/cancel/budget) or a
-		// guard-rail failure (unsorted merge input, reopened group —
+		// guard-rail failure (unsorted merge or sorted-group input —
 		// the planner emitted an unsound plan, a server bug).
 		return nil, c.opsSnapshot(), http.StatusInternalServerError, fmt.Errorf("executing plan: %w", err)
 	}
@@ -883,16 +883,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, resp)
-}
-
-// origin returns the prepared query the plan's order annotations must
-// be decoded with (see planner.Planned.Origin); q is the fallback for
-// planners with the plan cache disabled on entries predating tracking.
-func origin(pd planner.Planned, q *planner.PreparedQuery) *planner.PreparedQuery {
-	if pd.Origin != nil {
-		return pd.Origin
-	}
-	return q
 }
 
 // planJSON converts a physical plan into its wire tree, resolving

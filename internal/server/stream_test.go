@@ -588,7 +588,7 @@ func TestEvictVsExecute(t *testing.T) {
 	// At rest the resident copy accounts for every byte, its build table
 	// included, and all of it leaves with an eviction; the next acquire
 	// reloads, and the next hash join over it rebuilds.
-	pd, q, err := srv.Planner().PlanQueryContext(context.Background(), hashSQL)
+	pd, err := srv.Planner().PlanContext(context.Background(), hashSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +598,7 @@ func TestEvictVsExecute(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer unpin()
-		pipe, err := ds.Runner(origin(pd, q).Analysis()).Compile(pd.Best)
+		pipe, err := ds.Runner(pd.Origin.Analysis()).Compile(pd.Best)
 		if err != nil {
 			t.Fatal(err)
 		}
