@@ -44,11 +44,13 @@ race:
 # faults runs the query-lifecycle hardening suite under the race
 # detector: the fault-injection scenario sweep (every operator hung,
 # errored and delayed, and a sort aborted while draining its input),
-# the executor's budget/cancellation tests (a
+# the executor's budget/cancellation tests (the lease bounds on the
+# shared accountant, a
 # panicking exchange worker, a merge join whose right input panics in
 # Open, and the meter's error order, Limit look-ahead and per-wrapper
 # poll bound among them) and the serving
-# layer's timeout/budget/drain/retry/panic tests, the limit early-out
+# layer's timeout/budget/drain/retry/panic tests (the admission reserve
+# handed to the pipeline as its first lease among them), the limit early-out
 # across exchange workers, a panicking dataset loader, the
 # dataset-resident build tables' lifecycle (single-flight first touch,
 # budget fallback, eviction), the one memory limit covering resident
@@ -60,9 +62,9 @@ faults:
 	$(GO) test -race ./internal/faultinject/ \
 		-run 'TestScenariosAcrossOperators|TestFault|TestHang|TestDelay|TestTracker|TestMatches|TestSortMidDrainAbort'
 	$(GO) test -race ./internal/exec/ \
-		-run 'TestAccountant|TestBudget|TestMergeJoinGroupRelease|TestMergeJoinOpenPanicClosesLeft|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestLiveColumnsExchange|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestStreamRowWindows|TestMeterErrorOrder|TestMeterLimitLookAhead|TestMeterCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryLoaderPanic|TestLimitEarlyOutUnderParallelExchanges|TestRegistryBuildTable|TestResidentBuildFallback'
+		-run 'TestAccountant|TestLeaseBounds|TestBudget|TestMergeJoinGroupRelease|TestMergeJoinOpenPanicClosesLeft|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestLiveColumnsExchange|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestStreamRowWindows|TestMeterErrorOrder|TestMeterLimitLookAhead|TestMeterCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryLoaderPanic|TestLimitEarlyOutUnderParallelExchanges|TestRegistryBuildTable|TestResidentBuildFallback'
 	$(GO) test -race ./internal/server/ \
-		-run 'TestExecuteTimeout|TestExecuteDefaultTimeout|TestTimeoutClamp|TestExecuteBudget|TestGlobalMemBudget|TestExecuteClientCancel|TestDrainAndWait|TestClientRetry|TestRetryBackoff|TestExecuteStreamClientDisconnect|TestExecuteStreamFirstRowBeforeMaterialization|TestStreamNoRetryMidStream|TestStreamTrailerAbortNotRetried|TestEvictVsExecute|TestMemoryAdmission|TestMemLimitCoversResidentDatasets|TestHandlerPanicRecovered'
+		-run 'TestExecuteTimeout|TestExecuteDefaultTimeout|TestTimeoutClamp|TestExecuteBudget|TestGlobalMemBudget|TestExecuteClientCancel|TestDrainAndWait|TestClientRetry|TestRetryBackoff|TestExecuteStreamClientDisconnect|TestExecuteStreamFirstRowBeforeMaterialization|TestStreamNoRetryMidStream|TestStreamTrailerAbortNotRetried|TestEvictVsExecute|TestMemoryAdmission|TestAdmissionReserveIsFirstLease|TestMemLimitCoversResidentDatasets|TestHandlerPanicRecovered'
 	$(GO) test -race ./internal/experiments/ -run 'TestAbort'
 
 # serve-soak is the lifecycle endurance run: a minute of mixed
@@ -101,15 +103,18 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzz-smoke runs the two fuzz targets briefly on top of their seeds.
+# fuzz-smoke runs the three fuzz targets briefly on top of their seeds.
 # The SQL round-trip fuzzer (checked-in corpus under
 # internal/sqlparse/testdata/fuzz): parse → bind → render → re-bind must
 # never panic and must keep fingerprints stable. The response writer's:
 # every served body must stay byte for byte what encoding/json prints.
+# The sort kernel's: sortRows must put any rows, on dense, sparse and
+# overflowing key spans, into the permutation a stable sort gives.
 # CI runs it so the fuzz targets cannot rot.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSQLRoundTrip$$' -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzSortRows$$' -fuzztime 10s ./internal/exec/
 
 # bench is the repo's one benchmark: the four served workloads
 # BENCHMARK.json declares, each a fresh process of the benchmark/

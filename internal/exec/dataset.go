@@ -55,27 +55,11 @@ type buildKey struct {
 
 // hashView is a hash-join build table, resident (Dataset.buildTable) or
 // built per execution (buildHash), in one form — CSR: rows holds the
-// build rows bucket after bucket, in stream order within a bucket, and
-// bucket i is rows[off[i]:off[i+1]], where i is k-min over a packed key
-// domain (keys nil) and k's position in the sorted distinct keys
-// otherwise. The zero value holds no rows.
+// build rows bucket after bucket, in stream order within a bucket (the
+// counting sort's output, see buckets). The zero value holds no rows.
 type hashView struct {
-	keys []int64
-	min  int64
-	off  []int32
+	buckets
 	rows []Row
-}
-
-// slot returns the index of key k's bucket, -1 for none.
-func (hv *hashView) slot(k int64) int {
-	if hv.keys != nil {
-		if i, ok := slices.BinarySearch(hv.keys, k); ok {
-			return i
-		}
-	} else if i := k - hv.min; i >= 0 && i < int64(len(hv.off))-1 {
-		return int(i)
-	}
-	return -1
 }
 
 // bucket returns the build rows with key k, in stream order.
@@ -86,59 +70,49 @@ func (hv *hashView) bucket(k int64) []Row {
 	return nil
 }
 
-// newHashView builds the CSR table over rows keyed on column col:
-// direct-address when the observed key span is within 4x the row count,
-// sorted distinct keys otherwise. Its size is known before anything
-// lasting is allocated — 4 bytes per bucket boundary, 8 per sorted key,
-// one 24-byte row header per row — and admit decides on it; a refusal
-// returns nil.
-func newHashView(rows []Row, col int, admit func(bytes int64) bool) *hashView {
-	hv := &hashView{}
-	n, max := int64(len(rows)), int64(-1) // no rows: no buckets
-	for i, row := range rows {
-		if k := row[col]; i == 0 {
-			hv.min, max = k, k
-		} else if k < hv.min {
-			hv.min = k
-		} else if k > max {
-			max = k
+// build fills hv with the CSR table over rows keyed on column col,
+// reusing whatever arrays hv already has: direct-address when the key
+// span is dense (keySpan), sorted distinct keys otherwise. Its size is
+// known before anything lasting is allocated — 4 bytes per bucket
+// boundary, 8 per sorted key, one 24-byte row header per row — and
+// admit decides on it; a refusal reports false and fills nothing.
+func (hv *hashView) build(rows []Row, col int, admit func(bytes int64) bool) bool {
+	n := int64(len(rows))
+	lo, buckets, dense := keySpan(rows, col)
+	keys := hv.keys[:0]
+	if !dense {
+		keys = slices.Grow(keys, len(rows))
+		for _, row := range rows {
+			keys = append(keys, row[col])
 		}
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		buckets = int64(len(keys))
 	}
-	buckets := max - hv.min + 1
-	if n > 0 && (buckets <= 0 || buckets > 4*n+16) {
-		hv.keys = make([]int64, n)
-		for i, row := range rows {
-			hv.keys[i] = row[col]
-		}
-		slices.Sort(hv.keys)
-		hv.keys = slices.Clip(slices.Compact(hv.keys))
-		buckets = int64(len(hv.keys))
+	if !admit(4*(buckets+1) + 8*int64(len(keys)) + 24*n) {
+		return false
 	}
-	if !admit(4*(buckets+1) + 8*int64(len(hv.keys)) + 24*n) {
-		return nil
-	}
-	// Counting sort, scattered back to front so that equal keys keep
-	// their stream order: off[i] counts bucket i, then is its end, and is
-	// walked down to its start as the rows land.
-	hv.off = make([]int32, buckets+1)
-	for _, row := range rows {
-		hv.off[hv.slot(row[col])]++
-	}
-	var sum int32
-	for i, c := range hv.off {
-		sum += c
-		hv.off[i] = sum
-	}
-	hv.rows = make([]Row, n)
-	for j := n - 1; j >= 0; j-- {
-		i := hv.slot(rows[j][col])
-		hv.off[i]--
-		hv.rows[hv.off[i]] = rows[j]
-	}
-	return hv
+	hv.keys, hv.min, hv.off = keys, lo, zeroedOffsets(hv.off, int(buckets)+1)
+	hv.rows = slices.Grow(hv.rows[:0], len(rows))[:n]
+	hv.scatter(hv.rows, rows, col)
+	return true
 }
 
-// drainPool holds buildHash's drain buffers, process-wide: newHashView
+// hashPool recycles the arrays of the build tables queries make for
+// themselves (buildHash): recycle puts a table back cleared of its row
+// headers when the join that built it closes. Resident tables own
+// their memory.
+var hashPool = sync.Pool{New: func() any { return new(hashView) }}
+
+// recycle returns a per-execution build table to hashPool; hv must not
+// be read afterwards.
+func (hv *hashView) recycle() {
+	clear(hv.rows)
+	hv.rows, hv.keys, hv.off = hv.rows[:0], hv.keys[:0], hv.off[:0]
+	hashPool.Put(hv)
+}
+
+// drainPool holds buildHash's drain buffers, process-wide: the build
 // copies the row headers out, so the buffer is scratch from one build to
 // the next, whichever query runs it.
 var drainPool = sync.Pool{New: func() any { return new([]Row) }}
@@ -149,6 +123,7 @@ var drainPool = sync.Pool{New: func() any { return new([]Row) }}
 // charge) before it is buffered, so an overrun stops the drain where it
 // happens. The buffer goes back to the pool cleared, pinning no row
 // chunk, on every path out — an error or a panic mid-drain included.
+// The table comes from hashPool; its owner recycles it when done.
 func buildHash(right Iterator, col int, hold func(Row) error) (*hashView, error) {
 	buf := drainPool.Get().(*[]Row)
 	rows := (*buf)[:0]
@@ -166,7 +141,9 @@ func buildHash(right Iterator, col int, hold func(Row) error) (*hashView, error)
 	}); err != nil {
 		return nil, err
 	}
-	return newHashView(rows, col, func(int64) bool { return true }), nil
+	hv := hashPool.Get().(*hashView)
+	hv.build(rows, col, func(int64) bool { return true })
+	return hv, nil
 }
 
 // buildTable returns the resident build table for key over rows (the
@@ -185,11 +162,11 @@ func (d *Dataset) buildTable(key buildKey, rows []Row) *hashView {
 		return hv
 	}
 	var size int64
-	hv := newHashView(rows, key.col, func(bytes int64) bool {
+	hv := new(hashView)
+	if !hv.build(rows, key.col, func(bytes int64) bool {
 		size = bytes
 		return reg.admitDerived(d, bytes)
-	})
-	if hv == nil {
+	}) {
 		reg.countBuild(buildFallback)
 		return nil
 	}
@@ -256,13 +233,15 @@ func packRows[R ~[]int64](src []R) []Row {
 // sortedView returns base's rows stably sorted on the key columns. A
 // table already in key order is its own view (the stable sort would
 // be the identity); any other order gets a slab of its own, so an
-// index scan reads memory front to back like a table scan does.
+// index scan reads memory front to back like a table scan does. The
+// sort's scratch is its own, not pooled: a dataset's memory is what it
+// allocates at load.
 func sortedView(base []Row, keys []int) []Row {
 	if SatisfiesOrdering(base, keys) {
 		return base
 	}
 	sorted := append(make([]Row, 0, len(base)), base...)
-	sortRows(sorted, keys)
+	sortRows(sorted, keys, nil)
 	return packRows(sorted)
 }
 

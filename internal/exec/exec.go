@@ -23,6 +23,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"orderopt/internal/query"
 )
@@ -228,38 +229,52 @@ func (f *Filter) nextRun(buf []Row) ([]Row, error) {
 // stable). It is the only operator that inherently materializes its
 // whole input — which is exactly why the order-optimization framework
 // exists to avoid it. With a Life attached, every buffered row is
-// charged against the query's budget as it arrives.
+// charged against the query's budget as it arrives. Its run buffer and
+// sort scratch come from sortPool and go back, cleared, at Close.
 type Sort struct {
 	In   Iterator
 	Keys []int
 	Life *Life
 
+	bufs *sortBufs
 	rows []Row
 	pos  int
 }
 
+// sortBufs are one Sort's recycled arrays: the run it drains its input
+// into, and the counting sort's scratch.
+type sortBufs struct {
+	run []Row
+	sortScratch
+}
+
+var sortPool = sync.Pool{New: func() any { return new(sortBufs) }}
+
 // Open implements Iterator.
 func (s *Sort) Open() error {
-	var rows []Row
+	if s.bufs == nil {
+		s.bufs = sortPool.Get().(*sortBufs)
+	}
+	b := s.bufs
+	b.run = b.run[:0]
 	if err := drainInto(s.In, func(row Row) error {
 		if err := s.Life.holdRow(row); err != nil {
 			return err
 		}
-		if len(rows) == cap(rows) {
+		if len(b.run) == cap(b.run) {
 			// Double exactly: append's 1.25x steps allocate about four
-			// times the final run on the way to it, which is what pays
-			// for sortRows' references.
-			grown := make([]Row, len(rows), max(2*cap(rows), 64))
-			copy(grown, rows)
-			rows = grown
+			// times the final run on the way to it.
+			grown := make([]Row, len(b.run), max(2*cap(b.run), 64))
+			copy(grown, b.run)
+			b.run = grown
 		}
-		rows = append(rows, row)
+		b.run = append(b.run, row)
 		return nil
 	}); err != nil {
 		return err
 	}
-	sortRows(rows, s.Keys)
-	s.rows = rows
+	sortRows(b.run, s.Keys, &b.sortScratch)
+	s.rows = b.run
 	s.pos = 0
 	return nil
 }
@@ -274,8 +289,18 @@ func (s *Sort) Next() (Row, bool, error) {
 	return r, true, nil
 }
 
-// Close implements Iterator.
-func (s *Sort) Close() error { s.rows = nil; return nil }
+// Close implements Iterator: the run goes back to sortPool pinning no
+// row.
+func (s *Sort) Close() error {
+	if b := s.bufs; b != nil {
+		clear(b.run) // sortRows clears tmp as soon as it is done with it
+		b.run, b.tmp = b.run[:0], b.tmp[:0]
+		sortPool.Put(b)
+		s.bufs = nil
+	}
+	s.rows = nil
+	return nil
+}
 
 func lessByKeys(a, b Row, keys []int) bool {
 	for _, k := range keys {
@@ -295,16 +320,133 @@ func compareByKeys(a, b Row, keys []int) int {
 	return 0
 }
 
+// buckets maps int64 keys to consecutive buckets and holds the bucket
+// boundaries: bucket i is [off[i], off[i+1]), and a key's bucket is
+// k-min over a dense key domain (keys empty) or k's position among the
+// sorted distinct keys. It is the index of the one stable counting sort
+// (scatter), which orders both Sort's runs and every hash-join build
+// table.
+type buckets struct {
+	keys []int64
+	min  int64
+	off  []int32
+}
+
+// slot returns the index of key k's bucket, -1 for none.
+func (b *buckets) slot(k int64) int {
+	if len(b.keys) > 0 {
+		if i, ok := slices.BinarySearch(b.keys, k); ok {
+			return i
+		}
+	} else if i := k - b.min; i >= 0 && i < int64(len(b.off))-1 {
+		return int(i)
+	}
+	return -1
+}
+
+// keySpan returns the smallest key on column col and the bucket count
+// of the direct-address domain from it to the largest, and whether that
+// domain is dense: at most 4n+16 buckets for n rows (a span that
+// overflows int64 is not). No rows is dense, with no buckets.
+func keySpan(rows []Row, col int) (lo, buckets int64, dense bool) {
+	if len(rows) == 0 {
+		return 0, 0, true
+	}
+	lo = rows[0][col]
+	hi := lo
+	for _, row := range rows[1:] {
+		if k := row[col]; k < lo {
+			lo = k
+		} else if k > hi {
+			hi = k
+		}
+	}
+	buckets = hi - lo + 1
+	return lo, buckets, buckets > 0 && buckets <= 4*int64(len(rows))+16
+}
+
+// scatter is the one stable counting sort: it writes src into dst (of
+// the same length) bucket after bucket by their key on column col,
+// equal keys in src order. b.off must come zeroed, one entry per bucket
+// plus one; it leaves holding each bucket's start, and off[len-1] = n.
+func (b *buckets) scatter(dst, src []Row, col int) {
+	for _, row := range src {
+		b.off[b.slot(row[col])]++
+	}
+	var sum int32
+	for i, c := range b.off {
+		sum += c
+		b.off[i] = sum
+	}
+	// Back to front, so equal keys keep their order: off[i] is bucket
+	// i's end and is walked down to its start as the rows land.
+	for j := len(src) - 1; j >= 0; j-- {
+		i := b.slot(src[j][col])
+		b.off[i]--
+		dst[b.off[i]] = src[j]
+	}
+}
+
+// zeroedOffsets returns off resized to n zeroed bucket boundaries,
+// reusing its array when it is large enough.
+func zeroedOffsets(off []int32, n int) []int32 {
+	off = slices.Grow(off[:0], n)[:n]
+	clear(off)
+	return off
+}
+
+// sortScratch is the arrays sortRows scatters through; a nil one is
+// allocated per call.
+type sortScratch struct {
+	tmp []Row
+	off []int32
+}
+
 // sortRows stably sorts rows ascending on the key columns, in place: the
-// one sort kernel behind Sort and the dataset's index views. It sorts 16-byte (first key, position) references rather than
-// the rows — most comparisons are decided by the first key without
-// touching a row — with the position as the last tie-break, which makes
-// the unstable pdqsort stable; the rows are then permuted along the
-// references' cycles.
-func sortRows(rows []Row, keys []int) {
+// one sort kernel behind Sort and the dataset's index views. A dense
+// leading key (keySpan) is counting-sorted — the scatter shared with
+// the hash build — and each run of equal leading keys is then sorted on
+// the remaining keys the same way, which keeps the whole sort stable. A
+// sparse one falls back to pdqsort over 16-byte (first key, position)
+// references rather than the rows — most comparisons are decided by the
+// first key without touching a row — with the position as the last
+// tie-break, which makes the unstable pdqsort stable; the rows are then
+// permuted along the references' cycles. Either way the result is the
+// one permutation a stable sort gives.
+func sortRows(rows []Row, keys []int, sc *sortScratch) {
 	if len(keys) == 0 || SatisfiesOrdering(rows, keys) {
 		return
 	}
+	col := keys[0]
+	lo, n, dense := keySpan(rows, col)
+	if !dense {
+		sortRefs(rows, keys)
+		return
+	}
+	if sc == nil {
+		sc = &sortScratch{}
+	}
+	b := buckets{min: lo, off: zeroedOffsets(sc.off, int(n)+1)}
+	sc.tmp = append(sc.tmp[:0], rows...)
+	b.scatter(rows, sc.tmp, col)
+	clear(sc.tmp)
+	sc.off = b.off
+	if rest := keys[1:]; len(rest) > 0 {
+		for i := 0; i < len(rows); {
+			j := i + 1
+			for j < len(rows) && rows[j][col] == rows[i][col] {
+				j++
+			}
+			if j-i > 1 {
+				sortRows(rows[i:j], rest, sc)
+			}
+			i = j
+		}
+	}
+}
+
+// sortRefs is sortRows' pdqsort for a sparse leading key.
+func sortRefs(rows []Row, keys []int) {
 	type ref struct {
 		key int64
 		idx int
@@ -639,8 +781,12 @@ func (h *HashJoin) Next() (Row, bool, error) {
 	}
 }
 
-// Close implements Iterator.
+// Close implements Iterator: a table built for this execution goes
+// back to hashPool.
 func (h *HashJoin) Close() error {
+	if h.table != nil && h.adopted == nil {
+		h.table.recycle()
+	}
 	h.table, h.probe, h.bucket = nil, nil, nil
 	if h.opened {
 		h.opened = false

@@ -59,8 +59,9 @@ type Budget struct {
 
 // Accountant is the process's one memory gauge. Resident datasets (and
 // the build tables they retain) charge it through their Registry,
-// running pipelines charge the rows they materialize, and the serving
-// layer's admission reserves a fixed headroom per query — all against
+// running pipelines charge the rows they materialize (in leases, see
+// Life.hold), and the serving layer's admission reserve is each query's
+// first lease (Pipeline.AdoptLease) — all against
 // one limit, so overload degrades into typed ErrBudgetExceeded failures
 // (or evictions of idle datasets) instead of unbounded RSS growth.
 type Accountant struct {
@@ -135,6 +136,9 @@ type Life struct {
 	budget    Budget
 	acct      *Accountant
 	heldBytes atomic.Int64
+	// lease is what the query has reserved on acct, a step at a time
+	// (see extend): it covers heldBytes whenever a hold has succeeded.
+	lease atomic.Int64
 
 	// quiesced is the graceful counterpart of failed: a Limit operator
 	// that has emitted its k rows sets it so background producers
@@ -210,26 +214,72 @@ func (l *Life) ctxErr() error {
 	return nil
 }
 
+// A query's charges reach the shared Accountant in leases, not per row:
+// hold checks the exact per-query budget against heldBytes and touches
+// the accountant only when heldBytes passes what the query has already
+// reserved there. Each new lease is the size of the lease so far —
+// doubling it — between leaseMinBytes and leaseMaxBytes; when that step
+// does not fit, the exact shortfall is reserved instead, so a query
+// that fits the limit byte for byte still runs. release lowers only
+// heldBytes, and releaseAll returns the whole lease. A running query
+// therefore reserves at most its high-water mark of held bytes plus one
+// step, never more than leaseMaxBytes over it.
+const (
+	leaseMinBytes = 64 << 10
+	leaseMaxBytes = 4 << 20
+)
+
 // hold charges bytes of materialized data against the per-query
-// budget and the shared accountant. On failure nothing remains charged
-// and the returned error wraps ErrBudgetExceeded. The charge is
-// optimistic (add, check, roll back) so concurrent morsel workers can
-// charge one shared budget without a lock.
+// budget and, through the query's lease, the shared accountant. On
+// failure nothing remains charged and the returned error wraps
+// ErrBudgetExceeded. The charge is optimistic (add, check, roll back)
+// so concurrent morsel workers can charge one shared budget without a
+// lock; inside the lease that is the whole cost.
 func (l *Life) hold(bytes int64) error {
 	if l == nil {
 		return nil
 	}
-	if nb := l.heldBytes.Add(bytes); l.budget.MaxBytes > 0 && nb > l.budget.MaxBytes {
+	nb := l.heldBytes.Add(bytes)
+	if l.budget.MaxBytes > 0 && nb > l.budget.MaxBytes {
 		l.heldBytes.Add(-bytes)
 		return fmt.Errorf("%w: %d bytes materialized (budget %d)",
 			ErrBudgetExceeded, nb, l.budget.MaxBytes)
 	}
-	if !l.acct.Reserve(bytes) {
+	if nb <= l.lease.Load() || l.acct == nil {
+		return nil
+	}
+	if err := l.extend(); err != nil {
 		l.heldBytes.Add(-bytes)
-		return fmt.Errorf("%w: memory limit exhausted (%d of %d bytes in use, resident datasets included)",
-			ErrBudgetExceeded, l.acct.Used(), l.acct.Limit())
+		return err
 	}
 	return nil
+}
+
+// extend grows the lease to cover heldBytes: by one step, or by the
+// exact shortfall when the step does not fit next to everything else
+// the accountant carries. Concurrent extends (morsel workers) race on
+// the lease: the loser returns its reservation and looks again, and
+// finds the shortfall covered or smaller.
+func (l *Life) extend() error {
+	for {
+		lease := l.lease.Load()
+		short := l.heldBytes.Load() - lease
+		if short <= 0 {
+			return nil
+		}
+		step := max(min(max(lease, leaseMinBytes), leaseMaxBytes), short)
+		if !l.acct.Reserve(step) {
+			if step == short || !l.acct.Reserve(short) {
+				return fmt.Errorf("%w: memory limit exhausted (%d of %d bytes in use, resident datasets included)",
+					ErrBudgetExceeded, l.acct.Used(), l.acct.Limit())
+			}
+			step = short
+		}
+		if l.lease.CompareAndSwap(lease, lease+step) {
+			return nil
+		}
+		l.acct.Release(step)
+	}
 }
 
 // holdRow charges one materialized row.
@@ -242,22 +292,23 @@ func (l *Life) holdRow(r Row) error {
 
 // release returns bytes a materializing operator let go of before the
 // pipeline ended (a merge join discarding the previous duplicate
-// group).
+// group). The lease stays: the next hold reuses it.
 func (l *Life) release(bytes int64) {
 	if l == nil {
 		return
 	}
 	l.heldBytes.Add(-bytes)
-	l.acct.Release(bytes)
 }
 
-// releaseAll returns everything still charged; pipelines call it when
-// execution finishes (normally or not).
+// releaseAll returns everything still charged, the whole lease
+// included; pipelines call it when execution finishes (normally or
+// not), when nothing charges any more.
 func (l *Life) releaseAll() {
 	if l == nil {
 		return
 	}
-	l.acct.Release(l.heldBytes.Swap(0))
+	l.heldBytes.Store(0)
+	l.acct.Release(l.lease.Swap(0))
 }
 
 // HeldBytes reports the bytes currently charged by this query.

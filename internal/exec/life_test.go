@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -367,5 +368,232 @@ func TestExecuteContextDeadPipeline(t *testing.T) {
 	}
 	if p.Ops[0].Rows != 0 {
 		t.Fatal("pipeline ran under a context that was dead on arrival")
+	}
+}
+
+// leaseWatch passes rows through and checks, before each, the lease
+// bounds of the Life it watches: the lease covers what is held, goes
+// over the high-water mark of held bytes by at most one step — a step
+// being at most what the query held so far, and never over
+// leaseMaxBytes — and the accountant stays within its limit.
+type leaseWatch struct {
+	Iterator
+	t    *testing.T
+	life *Life
+	peak int64
+}
+
+func (w *leaseWatch) Next() (Row, bool, error) {
+	held, lease := w.life.HeldBytes(), w.life.lease.Load()
+	w.peak = max(w.peak, held)
+	if step := min(max(w.peak, leaseMinBytes), leaseMaxBytes); lease < held || lease-w.peak > step {
+		w.t.Errorf("lease %d with %d bytes held (peak %d): want it to cover them and exceed the peak by at most %d",
+			lease, held, w.peak, step)
+	}
+	if a := w.life.acct; a.Limit() > 0 && a.Used() > a.Limit() {
+		w.t.Errorf("accountant at %d bytes over its %d limit", a.Used(), a.Limit())
+	}
+	return w.Iterator.Next()
+}
+
+// leasedSort is a pipeline sorting n two-column rows (rowBytes 64 each)
+// under a Life charging acct, its input watched by leaseWatch. fail,
+// when positive, makes the input fail after that many rows.
+func leasedSort(t *testing.T, acct *Accountant, n, fail int) (*Pipeline, *leaseWatch) {
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{int64(i % 1000), int64(i)}
+	}
+	p := &Pipeline{Life: &Life{acct: acct}}
+	var in Iterator = NewScan(rows)
+	if fail > 0 {
+		in = &failAfter{Iterator: in, n: fail}
+	}
+	w := &leaseWatch{Iterator: in, t: t, life: p.Life}
+	p.Root = &Sort{In: w, Keys: []int{0}, Life: p.Life}
+	return p, w
+}
+
+// failAfter fails its n+1'th pull.
+type failAfter struct {
+	Iterator
+	n int
+}
+
+var errFailAfter = errors.New("input failed")
+
+func (f *failAfter) Next() (Row, bool, error) {
+	if f.n--; f.n < 0 {
+		return nil, false, errFailAfter
+	}
+	return f.Iterator.Next()
+}
+
+// TestLeaseBounds pins how a query charges the shared accountant
+// (Life.hold): in leases that never take it past its limit; a query
+// that materializes exactly up to the limit still runs — the step that
+// does not fit falls back to the exact shortfall — with or without the
+// admission reserve adopted as its first lease, and one byte less
+// fails; a running query reserves at most one step over its high-water
+// mark of held bytes (leaseWatch), up to the 4 MiB cap, also when many
+// goroutines charge one Life at once; and once every pipeline has
+// ended, on success, on a failed input, on a dead context and on the
+// budget, the accountant holds exactly the resident bytes again.
+func TestLeaseBounds(t *testing.T) {
+	const resident = 1 << 20
+	per := rowBytes(Row{0, 0})
+	withResident := func(limit int64) *Accountant {
+		a := NewAccountant(limit)
+		if !a.Reserve(resident) {
+			t.Fatal("resident bytes do not fit")
+		}
+		return a
+	}
+	settled := func(what string, a *Accountant) {
+		t.Helper()
+		if a.Used() != resident {
+			t.Fatalf("%s: accountant at %d bytes, want the %d resident", what, a.Used(), resident)
+		}
+	}
+
+	// Past the cap: 6.4 MB held in steps of at most 4 MiB.
+	acct := withResident(0)
+	p, w := leasedSort(t, acct, 100_000, 0)
+	if _, err := p.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	if w.peak < leaseMaxBytes {
+		t.Fatalf("peak %d bytes held, want past the %d cap", w.peak, leaseMaxBytes)
+	}
+	settled("after a large sort", acct)
+
+	const n = 5000 // 320 000 bytes: steps of 64, 64 and 128 KiB, then the exact rest
+	for _, adopt := range []bool{false, true} {
+		for _, slack := range []int64{0, -1} {
+			acct := withResident(resident + n*per + slack)
+			p, _ := leasedSort(t, acct, n, 0)
+			if adopt {
+				if !acct.Reserve(leaseMinBytes) {
+					t.Fatal("admission reserve does not fit")
+				}
+				p.AdoptLease(leaseMinBytes)
+			}
+			_, err := p.Execute()
+			if fits := slack == 0; fits != (err == nil) || !fits && !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatalf("adopt=%v, limit %+d bytes from the exact fit: %v", adopt, slack, err)
+			}
+			settled(fmt.Sprintf("adopt=%v slack=%d", adopt, slack), acct)
+		}
+	}
+
+	acct = withResident(0)
+	p, _ = leasedSort(t, acct, n, n/2)
+	if _, err := p.Execute(); !errors.Is(err, errFailAfter) {
+		t.Fatalf("got %v, want the input's failure", err)
+	}
+	settled("after a failed input", acct)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p, _ = leasedSort(t, acct, n, 0)
+	acct.Reserve(leaseMinBytes)
+	p.AdoptLease(leaseMinBytes)
+	if _, err := p.ExecuteContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want canceled", err)
+	}
+	settled("after a pipeline that never opened", acct)
+
+	// Concurrent queries of ~1 MiB each against 3 MiB: every one either
+	// runs or fails on the budget, and none takes the accountant past
+	// its limit.
+	acct = withResident(resident + 3<<20)
+	var wg sync.WaitGroup
+	var ran, refused atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				p, _ := leasedSort(t, acct, 16_000, 0)
+				switch _, err := p.Execute(); {
+				case err == nil:
+					ran.Add(1)
+				case errors.Is(err, ErrBudgetExceeded):
+					refused.Add(1)
+				default:
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ran.Load() == 0 {
+		t.Errorf("no query ran (%d refused)", refused.Load())
+	}
+	settled("after concurrent queries", acct)
+
+	// One Life charged from many goroutines, as morsel workers charge
+	// their query's: extends race, and the lease still covers exactly
+	// what the successful holds left charged, within one step.
+	acct = withResident(resident + 3<<20)
+	life := &Life{acct: acct}
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if err := life.hold(1 << 10); err != nil && !errors.Is(err, ErrBudgetExceeded) {
+					t.Error(err)
+				}
+				if acct.Used() > acct.Limit() {
+					t.Errorf("accountant at %d bytes over its %d limit", acct.Used(), acct.Limit())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	held, lease := life.HeldBytes(), life.lease.Load()
+	if held == 0 || lease < held || lease-held > min(max(held, leaseMinBytes), leaseMaxBytes) || acct.Used() != resident+lease {
+		t.Errorf("shared Life: %d held, lease %d, accountant %d over %d resident", held, lease, acct.Used(), resident)
+	}
+	life.releaseAll()
+	settled("after a shared Life's releaseAll", acct)
+}
+
+// TestPooledBuffersPinNoRow: a Sort's run and sort scratch and a hash
+// join's per-execution build table go back to their pools at Close
+// cleared of row headers, like buildHash's drain buffer
+// (TestBudgetHashJoinBuild), so no pooled array keeps a finished
+// query's rows alive.
+func TestPooledBuffersPinNoRow(t *testing.T) {
+	pinsNone := func(what string, rows []Row) {
+		t.Helper()
+		for _, r := range rows[:cap(rows)] {
+			if r != nil {
+				t.Fatalf("a pooled %s still references a row", what)
+			}
+		}
+	}
+	rows := sortInput(2000, 597)
+	recycled := 0
+	for i := 0; i < 8; i++ {
+		if _, err := Collect(&Sort{In: NewScan(rows), Keys: []int{0, 1}}); err != nil {
+			t.Fatal(err)
+		}
+		join := &HashJoin{Left: NewScan(rows[:10]), Right: NewScan(rows), LeftKey: 0, RightKey: 0}
+		if out, err := Collect(join); err != nil || len(out) == 0 {
+			t.Fatalf("%d rows, %v", len(out), err)
+		}
+		b := sortPool.Get().(*sortBufs)
+		pinsNone("sort run", b.run)
+		pinsNone("sort scratch", b.tmp)
+		hv := hashPool.Get().(*hashView)
+		pinsNone("build table", hv.rows)
+		if cap(b.run) > 0 && cap(hv.rows) > 0 {
+			recycled++
+		}
+	}
+	if recycled == 0 {
+		t.Error("Close never returned the Sort's run and the join's table to their pools")
 	}
 }

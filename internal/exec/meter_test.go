@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
-	"sort"
 	"testing"
 	"unsafe"
 )
@@ -227,89 +225,9 @@ func BenchmarkMeter(b *testing.B) {
 	}
 }
 
-// sortInput returns n three-column rows: column 0 has the given number
-// of distinct values, column 1 two, column 2 is the row's position (so
-// stability is checkable), shuffled by a fixed seed.
-func sortInput(n, distinct int) []Row {
-	rng := rand.New(rand.NewSource(int64(n)*31 + int64(distinct)))
-	slab := make([]int64, 3*n)
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = slab[3*i : 3*i+3 : 3*i+3]
-		rows[i][0] = int64(rng.Intn(distinct))
-		rows[i][1] = int64(rng.Intn(2))
-		rows[i][2] = int64(i)
-	}
-	return rows
-}
-
-// TestSortRowsMatchesStableSort: the kernel is a stable sort — on one
-// key and on two, with few, many and all-distinct keys, on sorted,
-// reversed and empty input — by comparison with sort.SliceStable.
-func TestSortRowsMatchesStableSort(t *testing.T) {
-	reversed := sortInput(500, 500)
-	sort.Slice(reversed, func(i, j int) bool { return reversed[i][0] > reversed[j][0] })
-	inputs := map[string][]Row{
-		"empty":    nil,
-		"one":      sortInput(1, 1),
-		"constant": sortInput(300, 1),
-		"few":      sortInput(2000, 7),
-		"many":     sortInput(2000, 597),
-		"distinct": sortInput(2000, 1<<40),
-		"reversed": reversed,
-	}
-	for name, in := range inputs {
-		for _, keys := range [][]int{{0}, {0, 1}, {1, 0}, {}} {
-			want := slices.Clone(in)
-			sort.SliceStable(want, func(i, j int) bool { return lessByKeys(want[i], want[j], keys) })
-			got := slices.Clone(in)
-			sortRows(got, keys)
-			for i := range want {
-				if &got[i][0] != &want[i][0] {
-					t.Fatalf("%s keys %v: position %d holds input row %d, the stable sort puts row %d there",
-						name, keys, i, got[i][2], want[i][2])
-				}
-			}
-			// Sorting what is sorted is the identity.
-			sortRows(got, keys)
-			for i := range want {
-				if &got[i][0] != &want[i][0] {
-					t.Fatalf("%s keys %v: re-sorting moved position %d", name, keys, i)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkSortRows is the sort kernel on Q8's shape: 8 000 rows with 1,
-// 597 (Q8's distinct o_orderdate values on tpcr-mid) and 8 000 distinct
-// leading keys, on one key column and on two.
-func BenchmarkSortRows(b *testing.B) {
-	const n = 8000
-	for _, distinct := range []int{1, 597, n} {
-		for _, keys := range [][]int{{0}, {0, 1}} {
-			b.Run(fmt.Sprintf("distinct%d/keys%d", distinct, len(keys)), func(b *testing.B) {
-				in := sortInput(n, distinct)
-				if distinct == 1 {
-					// A constant key is sorted input; make the kernel work.
-					in[0][0] = 1
-				}
-				buf := make([]Row, n)
-				for b.Loop() {
-					copy(buf, in)
-					sortRows(buf, keys)
-				}
-				if !SatisfiesOrdering(buf, keys) {
-					b.Fatal("output not sorted")
-				}
-			})
-		}
-	}
-}
-
 // hashBuildInput returns n two-column build rows over n/4 distinct keys
 // (four rows a key, like lineitem under an order), shuffled: dense keys
-// are 0..n/4-1 — newHashView's direct-address form — and sparse keys are
+// are 0..n/4-1 — hashView.build's direct-address form — and sparse keys are
 // those times 1<<20, which takes the sorted-distinct-keys form and a
 // binary search per probe.
 func hashBuildInput(n int, sparse bool) []Row {
@@ -345,9 +263,11 @@ func BenchmarkHashBuild(b *testing.B) {
 			b.Run(name+"build/csr", func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if hv, err := buildHash(NewScan(in), 0, hold); err != nil || len(hv.rows) != n {
+					hv, err := buildHash(NewScan(in), 0, hold)
+					if err != nil || len(hv.rows) != n {
 						b.Fatal(err)
 					}
+					hv.recycle() // as the join that built it does at Close
 				}
 				perRow(b)
 			})

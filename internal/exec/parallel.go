@@ -109,29 +109,6 @@ type spineStep struct {
 	inner  []Row     // NestedLoopJoin: materialized inner
 }
 
-// bulkHold batches budget charges during shared-side materialization:
-// one Life.hold per batch instead of two atomics per row.
-type bulkHold struct {
-	life      *Life
-	pendRows  int64
-	pendBytes int64
-}
-
-func (b *bulkHold) add(r Row) error {
-	b.pendRows++
-	b.pendBytes += rowBytes(r)
-	if b.pendRows >= 1024 {
-		return b.flush()
-	}
-	return nil
-}
-
-func (b *bulkHold) flush() error {
-	err := b.life.hold(b.pendBytes)
-	b.pendRows, b.pendBytes = 0, 0 // a failed hold charged nothing
-	return err
-}
-
 // materialize builds the step's shared state. The adopted fast path
 // takes the dataset's state and records its row count (sortedness on
 // the merge key is structural: the key is the index's leading column);
@@ -145,7 +122,6 @@ func (s *spineStep) materialize(life *Life) error {
 		a.st.Rows = int64(len(a.rows))
 		return nil
 	}
-	bh := &bulkHold{life: life}
 	collect := func(hold func(Row) error) ([]Row, error) {
 		// The estimate only presizes, and is capped like morselHint: a
 		// plan costed against statistics far larger than the data (the
@@ -165,7 +141,7 @@ func (s *spineStep) materialize(life *Life) error {
 	var err error
 	switch s.op {
 	case plan.HashJoin:
-		s.hash, err = buildHash(s.right, key, bh.add)
+		s.hash, err = buildHash(s.right, key, life.holdRow)
 	case plan.MergeJoin:
 		var prev int64
 		have := false
@@ -175,15 +151,12 @@ func (s *spineStep) materialize(life *Life) error {
 				return fmt.Errorf("exec: merge join right input not sorted on column %d", key)
 			}
 			prev, have = k, true
-			return bh.add(row)
+			return life.holdRow(row)
 		})
 	default: // NestedLoopJoin
-		s.inner, err = collect(bh.add)
+		s.inner, err = collect(life.holdRow)
 	}
-	if err != nil {
-		return err
-	}
-	return bh.flush()
+	return err
 }
 
 // gallopGE returns the index of the first row in rows[from:] with
@@ -660,15 +633,18 @@ func (x *Exchange) advance() (bool, error) {
 }
 
 // Close stops the pool, waits for every worker to exit (the
-// happens-before edge that makes the shared OpStats safe to read), and
-// releases whatever buffered morsel output the consumer never took.
+// happens-before edge that makes the shared OpStats safe to read),
+// recycles the build tables Open made, and releases whatever buffered
+// morsel output the consumer never took.
 func (x *Exchange) Close() error {
 	if !x.opened {
+		x.recycleBuilds() // an Open that failed after a build
 		return nil
 	}
 	x.opened = false
 	close(x.stop)
 	x.wg.Wait()
+	x.recycleBuilds()
 	if x.cur != nil {
 		x.life.release(x.curBytes)
 		x.cur, x.curBytes, x.ci = nil, 0, 0
@@ -698,6 +674,17 @@ func (x *Exchange) Close() error {
 		}
 	}
 	return nil
+}
+
+// recycleBuilds returns the hash tables materialize built for this
+// execution to hashPool; an adopted table is the dataset's own.
+func (x *Exchange) recycleBuilds() {
+	for _, s := range x.steps {
+		if s.hash != nil && s.adopted == nil {
+			s.hash.recycle()
+		}
+		s.hash = nil
+	}
 }
 
 // buildExchange compiles an exchange node: validate and split the

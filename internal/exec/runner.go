@@ -141,12 +141,19 @@ func (p *Pipeline) Execute() ([]Row, error) {
 // the pipeline charged against its budget is released before return,
 // success or not.
 func (p *Pipeline) ExecuteContext(ctx context.Context) ([]Row, error) {
+	defer p.Life.releaseAll()
 	if err := p.Life.bind(ctx); err != nil {
 		return nil, err
 	}
-	defer p.Life.releaseAll()
 	return Collect(p.Root)
 }
+
+// AdoptLease hands the pipeline n bytes its caller already reserved on
+// the runner's Accountant — the serving layer's admission reserve — as
+// its first lease, instead of reserving them a second time. The
+// ExecuteContext or StreamContext call that must follow releases them
+// with the rest of the lease, on every path; the caller must not.
+func (p *Pipeline) AdoptLease(n int64) { p.Life.lease.Add(n) }
 
 // RowsSorted sums the rows that passed through Sort operators — the
 // benchmark's "how much sorting did this plan actually do" number (a

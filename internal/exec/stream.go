@@ -41,10 +41,10 @@ func ClampStreamChunk(chunk int) int {
 // before return, success or not, exactly like ExecuteContext.
 func (p *Pipeline) StreamContext(ctx context.Context, chunk int, sink func([]Row) error) error {
 	chunk = ClampStreamChunk(chunk)
+	defer p.Life.releaseAll()
 	if err := p.Life.bind(ctx); err != nil {
 		return err
 	}
-	defer p.Life.releaseAll()
 	err := p.streamRoot(chunk, sink)
 	if err != nil {
 		// Make producers (exchange workers mid-morsel) observe the

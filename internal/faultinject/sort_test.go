@@ -75,20 +75,21 @@ func (p *panicAt) Next() (exec.Row, bool, error) {
 
 var errPanicked = errors.New("pipeline panicked")
 
-// usedGrowth records how far the shared accountant's reading grew
-// while rows were pulled through it. Wrapping the sort's input, growth
-// past the first pull (the joins' build tables are charged by then) is
-// what the sort held before the abort, so the accountant returning to 0
-// means the sort released it.
-type usedGrowth struct {
+// heldGrowth records how far the pipeline's held bytes grew while rows
+// were pulled through it. Wrapping the sort's input, growth past the
+// first pull (the joins' build tables are charged by then) is what the
+// sort held before the abort, so the held bytes and the accountant
+// returning to 0 means the sort released it. It reads the hook's Life,
+// not the shared accountant: the accountant moves a lease at a time.
+type heldGrowth struct {
 	exec.Iterator
-	acct        *exec.Accountant
+	life        *exec.Life
 	first, peak int64
 	pulled      bool
 }
 
-func (u *usedGrowth) Next() (exec.Row, bool, error) {
-	n := u.acct.Used()
+func (u *heldGrowth) Next() (exec.Row, bool, error) {
+	n := u.life.HeldBytes()
 	if !u.pulled {
 		u.first, u.pulled = n, true
 	}
@@ -183,13 +184,13 @@ func TestSortMidDrainAbort(t *testing.T) {
 			if hook == nil {
 				hook = faultinject.Hook(target, tc.fault)
 			}
-			growth := &usedGrowth{acct: r.Accountant}
+			growth := &heldGrowth{}
 			r.Hook = faultinject.Compose(tracker.Hook(), hook,
-				func(op, detail string, it exec.Iterator, _ *exec.Life) exec.Iterator {
+				func(op, detail string, it exec.Iterator, life *exec.Life) exec.Iterator {
 					if !faultinject.Matches(target, op, detail) {
 						return it
 					}
-					growth.Iterator = it
+					growth.Iterator, growth.life = it, life
 					return growth
 				})
 			p, err := r.Compile(res.Best)

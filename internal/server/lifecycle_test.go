@@ -170,19 +170,30 @@ func TestExecuteBudget(t *testing.T) {
 	}
 }
 
+// sortDataset is tpcr-small at four times its size: sortSQL's sort of
+// the join output holds ≈ 88 KiB there, more than the admission reserve
+// a pipeline starts its lease from, so a limit that admits the request
+// can still be too small for its pipeline. On tpcr-small the whole sort
+// (≈ 22 KiB) fits inside the reserve.
+func sortDataset(name string) *exec.Dataset {
+	return exec.NewDataset(name, "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec().Scale(4)))
+}
+
 // TestGlobalMemBudget: the shared accountant bounds every pipeline next
 // to the resident datasets and shows up in the health and stats
 // gauges. The limit admits the request (the dataset and one
-// reservation fit) but leaves 1 KiB for the pipeline.
+// reservation fit) but leaves the pipeline only that reservation, which
+// it adopts as its first lease, and 1 KiB more.
 func TestGlobalMemBudget(t *testing.T) {
-	reg := smallRegistry()
+	reg := exec.NewRegistry()
+	reg.Register(sortDataset("tpcr-small4"))
 	limit := reg.ResidentBytes() + DefaultQueryReserveBytes + 1<<10
 	_, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: limit})
 	defer done()
 
 	// Ordering the join by a non-key column forces a full sort of the
 	// join output — far more than the global budget allows.
-	status, e, _ := postExecuteRaw(t, c.BaseURL, ExecuteRequest{SQL: sortSQL, Dataset: "tpcr-small"})
+	status, e, _ := postExecuteRaw(t, c.BaseURL, ExecuteRequest{SQL: sortSQL, Dataset: "tpcr-small4"})
 	if status != http.StatusTooManyRequests || e.Code != "budget" {
 		t.Fatalf("status %d code %q, want 429/budget", status, e.Code)
 	}
@@ -217,17 +228,17 @@ func TestMemLimitCoversResidentDatasets(t *testing.T) {
 		return exec.NewDataset(name, "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec())), nil
 	}
 
-	// The sort holds ~22 KiB at its peak. A pipeline that saw only its
-	// own and the other queries' bytes would fit in the 4 KiB left over
-	// the reservation plus the 34 KiB the dataset holds; it does not,
-	// because the dataset is inside the limit too.
+	// The sort holds ~88 KiB at its peak. A pipeline that saw only its
+	// own and the other queries' bytes would fit in the reservation it
+	// adopts and the 4 KiB left over it, plus the ~132 KiB the dataset
+	// holds; it does not, because the dataset is inside the limit too.
 	t.Run("pipeline", func(t *testing.T) {
-		ds, _ := tpcrSmall("tpcr-small")
+		ds := sortDataset("tpcr-small4")
 		reg := exec.NewRegistry()
 		reg.Register(ds)
 		_, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: ds.MemBytes() + DefaultQueryReserveBytes + 4<<10})
 		defer done()
-		status, e, _ := postExecuteRaw(t, c.BaseURL, ExecuteRequest{SQL: sortSQL, Dataset: "tpcr-small"})
+		status, e, _ := postExecuteRaw(t, c.BaseURL, ExecuteRequest{SQL: sortSQL, Dataset: "tpcr-small4"})
 		if status != http.StatusTooManyRequests || e.Code != "budget" {
 			t.Fatalf("status %d code %q (%s), want 429/budget", status, e.Code, e.Error)
 		}

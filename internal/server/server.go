@@ -125,9 +125,9 @@ type Config struct {
 	// not fit evicts idle datasets first; a pipeline that does not fit
 	// fails with a typed budget error (429), not the process with an
 	// OOM. With a limit set, /execute admission is by memory, not
-	// request count: each request reserves DefaultQueryReserveBytes for
-	// its duration and is shed up front (429, Retry-After) when that
-	// does not fit.
+	// request count: each request reserves DefaultQueryReserveBytes,
+	// which its pipeline adopts as its first lease, and is shed up front
+	// (429, Retry-After) when that does not fit.
 	MemLimitBytes int64
 	// ExecHook, when set, wraps every compiled operator — the
 	// fault-injection seam used by the abort experiment and the fault
@@ -148,7 +148,8 @@ const DefaultMaxTimeout = 30 * time.Second
 // a memory limit is set: the headroom a query is assumed to need before
 // its pipeline has materialized anything — enough for a modest
 // pipeline's early materialization, small enough not to starve
-// admission under a realistic limit.
+// admission under a realistic limit. The pipeline spends it as its
+// first lease (exec.Pipeline.AdoptLease) rather than reserving again.
 const DefaultQueryReserveBytes = 64 << 10
 
 // Server is the HTTP planning service. It is an http.Handler; all state
@@ -631,11 +632,11 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	memRelease, ok := s.admitMemory(w, m)
-	if !ok {
+	var grant memGrant
+	if !s.admitMemory(w, m, &grant) {
 		return
 	}
-	defer memRelease()
+	defer grant.release()
 	acquired := time.Now()
 	ds, unpin, err := s.datasets.Acquire(req.Dataset)
 	if err != nil {
@@ -661,12 +662,12 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	if req.Stream {
-		s.executeStream(ctx, w, req, ds)
+		s.executeStream(ctx, w, req, ds, &grant)
 		return
 	}
 
 	begin := time.Now()
-	resp, ops, code, err := s.executeResponse(ctx, req, ds)
+	resp, ops, code, err := s.executeResponse(ctx, req, ds, &grant)
 	if err != nil {
 		m.record(time.Since(begin), true)
 		lcCode, kind := m.classify(err)
@@ -687,13 +688,14 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 // limit configured, a request is shed (429, Retry-After, "budget")
 // when DefaultQueryReserveBytes does not fit the accountant next to
 // the resident datasets and running pipelines it already carries. The
-// reservation stays charged until the returned release runs, so
+// reservation, recorded in g, stays charged until the request's
+// pipeline adopts it as its first lease or g is released, so
 // concurrent admissions see each other. Without a limit the gate is a
 // no-op — the request-count semaphore remains the only admission
 // bound.
-func (s *Server) admitMemory(w http.ResponseWriter, m *endpointMetrics) (release func(), ok bool) {
+func (s *Server) admitMemory(w http.ResponseWriter, m *endpointMetrics, g *memGrant) bool {
 	if s.acct.Limit() <= 0 {
-		return func() {}, true
+		return true
 	}
 	if !s.acct.Reserve(DefaultQueryReserveBytes) {
 		m.shed.Add(1)
@@ -702,9 +704,33 @@ func (s *Server) admitMemory(w http.ResponseWriter, m *endpointMetrics) (release
 			fmt.Sprintf("memory admission: %d of %d bytes in use, resident datasets included (%d reserve needed)",
 				s.acct.Used(), s.acct.Limit(), DefaultQueryReserveBytes),
 			"budget", nil)
-		return nil, false
+		return false
 	}
-	return func() { s.acct.Release(DefaultQueryReserveBytes) }, true
+	*g = memGrant{acct: s.acct, n: DefaultQueryReserveBytes}
+	return true
+}
+
+// memGrant is one request's admission reservation on the accountant.
+// It is released exactly once: handed to the request's pipeline as its
+// first lease just before the pipeline runs (the pipeline releases it
+// when it ends), or by release on every path that never gets that far
+// — a compile failure, an unknown dataset, a header that fails to
+// encode.
+type memGrant struct {
+	acct *exec.Accountant
+	n    int64
+}
+
+// handOver makes the reservation p's first lease; p must run next.
+func (g *memGrant) handOver(p *exec.Pipeline) {
+	p.AdoptLease(g.n)
+	g.n = 0
+}
+
+// release returns a reservation no pipeline adopted.
+func (g *memGrant) release() {
+	g.acct.Release(g.n)
+	g.n = 0
 }
 
 // registryBytes reports the dataset registry's resident bytes (0
@@ -782,13 +808,14 @@ func (c *compiled) opsSnapshot() []exec.OpStats {
 	return ops
 }
 
-func (s *Server) executeResponse(ctx context.Context, req ExecuteRequest, ds *exec.Dataset) (*ExecuteResponse, []exec.OpStats, int, error) {
+func (s *Server) executeResponse(ctx context.Context, req ExecuteRequest, ds *exec.Dataset, g *memGrant) (*ExecuteResponse, []exec.OpStats, int, error) {
 	c, code, err := s.compileRequest(ctx, req, ds)
 	if err != nil {
 		return nil, nil, code, err
 	}
 	pipe := c.pipe
 	execBegin := time.Now()
+	g.handOver(pipe)
 	rows, err := pipe.ExecuteContext(ctx)
 	if err != nil {
 		// Partial counters for the error path; the classifier decides

@@ -79,7 +79,7 @@ type StreamTrailer struct {
 // in streaming mode. Planning and compilation failures are still plain
 // HTTP errors (nothing has been committed); once the header frame is
 // written, the status is 200 and any later failure rides the trailer.
-func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req ExecuteRequest, ds *exec.Dataset) {
+func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req ExecuteRequest, ds *exec.Dataset, g *memGrant) {
 	m := &s.executeMetrics
 	begin := time.Now()
 	c, code, err := s.compileRequest(ctx, req, ds)
@@ -137,6 +137,7 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 
 	var rowCount int64
 	execBegin := time.Now()
+	g.handOver(c.pipe)
 	streamErr := c.pipe.StreamContext(ctx, chunk, func(rows []exec.Row) error {
 		*bp = AppendRowsFrame((*bp)[:0], rows)
 		if err := writeFrame(); err != nil {

@@ -452,6 +452,44 @@ func TestMemoryAdmissionReserve(t *testing.T) {
 	}
 }
 
+// TestAdmissionReserveIsFirstLease: the admission reserve is the
+// pipeline's first lease, charged once. Under a limit that fits exactly
+// the resident dataset and one reserve, a sort holding less than the
+// reserve (sortSQL on tpcr-small: ≈ 22 KiB) runs, buffered and
+// streamed; a request that fails before its pipeline runs (a statement
+// that does not plan) gives the reserve back itself. Either way the
+// gauge ends at the resident bytes.
+func TestAdmissionReserveIsFirstLease(t *testing.T) {
+	reg := exec.NewRegistry()
+	reg.Register(exec.NewDataset("tpcr-small", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec())))
+	s, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: reg.ResidentBytes() + DefaultQueryReserveBytes})
+	defer done()
+	settled := func(what string) {
+		t.Helper()
+		if used, resident := s.acct.Used(), reg.ResidentBytes(); used != resident {
+			t.Fatalf("%s: accountant at %d bytes, want the %d resident", what, used, resident)
+		}
+	}
+	req := ExecuteRequest{SQL: sortSQL, Dataset: "tpcr-small"}
+	if _, err := c.Execute(req); err != nil {
+		t.Fatalf("a sort smaller than the reserve: %v", err)
+	}
+	settled("after a buffered execute")
+	st, err := c.ExecuteStream(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Collect(); err != nil {
+		t.Fatalf("streamed: %v", err)
+	}
+	st.Close()
+	settled("after a streamed execute")
+	if status, _, _ := postExecuteRaw(t, c.BaseURL, ExecuteRequest{SQL: "select nothing from nowhere", Dataset: "tpcr-small"}); status != http.StatusBadRequest {
+		t.Fatalf("status %d for a statement that does not plan, want 400", status)
+	}
+	settled("after a request whose pipeline never ran")
+}
+
 // TestRegistryStatsSurface: /stats and /healthz expose the registry's
 // lifecycle gauges.
 func TestRegistryStatsSurface(t *testing.T) {
