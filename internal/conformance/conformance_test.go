@@ -296,3 +296,28 @@ func TestResidentBuildEquivalence(t *testing.T) {
 		t.Error("no cell adopted a resident build table; the corpus no longer exercises the path")
 	}
 }
+
+// TestPoisonedChunks runs the corpus with the executor's chunk pools
+// poisoning every chunk they get back, and requires the recorded
+// expectations, which are the unpoisoned results: no cell reads a row
+// after its pipeline recycled the chunk the row was carved from.
+func TestPoisonedChunks(t *testing.T) {
+	fixtures, err := Load("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec.PoisonRecycledChunks.Store(true)
+	t.Cleanup(func() { exec.PoisonRecycledChunks.Store(false) })
+	for _, f := range fixtures {
+		t.Run(f.Name, func(t *testing.T) {
+			t.Parallel()
+			got, err := (&Runner{}).Run(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diffs := Diff(f.Expect, got); len(diffs) > 0 {
+				t.Errorf("fixture %s with poisoned chunks:\n%s", f.Name, FormatDiff(diffs))
+			}
+		})
+	}
+}

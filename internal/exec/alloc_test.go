@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -130,4 +132,57 @@ func TestScanNextDoesNotAllocate(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("Scan.Next averages %.3f allocs/row, want 0", avg)
 	}
+}
+
+// TestQ8ExecAllocBudget bounds what one warmed Q8 execution on tpcr-mid
+// allocates, compile included: ≈ 87 KiB once the joins feeding the
+// builds and the Sort carve from pooled chunks (Life.arena); ≈ 1 MiB
+// when each execution allocated those chunks afresh, 2.4 MiB with the
+// Sort run and build tables unpooled too, 10.7 MiB when every join
+// concatenated whole rows and built a map. The least of 15 runs is held
+// under 256 KiB, since a GC empties the pools and the run after it
+// allocates its chunks again — where the pools keep what they are
+// handed: under the race detector sync.Pool drops a random quarter of
+// them, and only the median's 4 MiB bound applies.
+func TestQ8ExecAllocBudget(t *testing.T) {
+	ds, _ := TPCRLazyRegistry().Get("tpcr-mid")
+	a, best := planServed(t, q8Served(t))
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rows, _, err := ds.Runner(a).Run(best)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(rows) == 0 {
+			t.Fatalf("%d rows, %v", len(rows), err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // warm-up: the resident build tables, the pools
+	runs := make([]uint64, 15)
+	for i := range runs {
+		runs[i] = run()
+	}
+	slices.Sort(runs)
+	least, median := runs[0], runs[len(runs)/2]
+	t.Logf("one Q8 execution allocates %d KiB (least of %d; median %d, most %d)",
+		least>>10, len(runs), median>>10, runs[len(runs)-1]>>10)
+	if median >= 4<<20 {
+		t.Errorf("one Q8 execution allocates %d KiB (median), want under 4 MiB", median>>10)
+	}
+	if poolsKeep() && least >= 256<<10 {
+		t.Errorf("one Q8 execution allocates %d KiB, want under 256", least>>10)
+	}
+}
+
+// poolsKeep reports whether a sync.Pool hands back what it was given,
+// which the race detector's runtime does not always do.
+func poolsKeep() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		if p.Put(x); p.Get() != x {
+			return false
+		}
+	}
+	return true
 }

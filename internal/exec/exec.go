@@ -22,8 +22,10 @@ package exec
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"orderopt/internal/query"
 )
@@ -913,28 +915,40 @@ const (
 	rowAllocChunkMax = 262144 // 2 MiB
 )
 
+// chunkPools[c] holds idle *rowChunks of rowAllocChunkMin<<c int64s,
+// not zeroed: carve's caller fills every column.
+var chunkPools [10]sync.Pool // rowAllocChunkMin<<9 == rowAllocChunkMax
+
+type rowChunk struct{ buf Row }
+
+// PoisonRecycledChunks makes recycle overwrite every chunk it hands back,
+// so a test sees any row read after its pipeline recycled it.
+var PoisonRecycledChunks atomic.Bool
+
 // rowAlloc carves output rows from pointer-free chunks instead of
 // allocating each row separately — join outputs dominate allocation
 // count otherwise, and []int64 chunks cost the garbage collector
 // nothing to scan. Not safe for concurrent use: each operator instance
 // owns its allocator.
 //
-// With window 0 chunks are never recycled: rows stay valid after the
-// allocator is gone, so consumers may keep them (a sort run, a build
-// table, a collected result). With window > 0 the allocator is a ring:
-// a row stays valid until window more rows have been carved, then it is
-// overwritten. Chunks grow as before until one holds window rows, and
-// that one is reused from its start, so a stream shorter than the
-// window allocates exactly what it would unbounded. A ring's chunk
-// holds rows of one width (a join's emit carves no other); a carve of
-// another width starts a fresh chunk. Runner.build sets the window, and
-// StreamContext the root join's.
+// With window 0 rows stay valid until a pooled allocator is recycled,
+// so consumers may keep them (a sort run, a build table, a collected
+// result). With window > 0 the allocator is a ring: a row stays valid
+// until window more rows have been carved, then it is overwritten.
+// Chunks grow as before until one holds window rows, and that one is
+// reused from its start, so a stream shorter than the window allocates
+// exactly what it would unbounded. A ring's chunk holds rows of one
+// width (a join's emit carves no other); a carve of another width
+// starts a fresh chunk. Runner.build sets window and pooled, and
+// StreamContext the root join's window.
 type rowAlloc struct {
-	buf    Row // the current chunk's uncarved tail
 	chunk  Row // the current chunk, whole; reused when it holds window rows
+	off    int // chunk[:off] is carved: an offset, so a carve stores no pointer
 	grow   int // next chunk size
 	window int
-	width  int // ring: the width of every row in chunk
+	width  int         // ring: the width of every row in chunk
+	pooled bool        // chunks come from chunkPools, and go back at Life.releaseAll
+	taken  []*rowChunk // pooled: the chunks to hand back
 }
 
 // ensure makes the current chunk hold at least n more int64s: the
@@ -942,15 +956,15 @@ type rowAlloc struct {
 // a fresh (geometrically grown) chunk.
 func (al *rowAlloc) ensure(n int) {
 	if al.window > 0 && n != al.width {
-		al.width, al.buf, al.chunk = n, nil, nil
+		al.width, al.chunk, al.off = n, nil, 0
 	}
-	if len(al.buf) >= n {
+	if len(al.chunk)-al.off >= n {
 		return
 	}
+	al.off = 0
 	if al.window > 0 && len(al.chunk) >= al.window*n {
 		// Row i of the next lap overwrites row i of this one, which is
 		// at least window carves old.
-		al.buf = al.chunk
 		return
 	}
 	switch {
@@ -963,16 +977,38 @@ func (al *rowAlloc) ensure(n int) {
 	if al.window > 0 {
 		sz = min(sz, al.window*n)
 	}
+	if c := max(bits.Len(uint(sz-1))-bits.Len(rowAllocChunkMin-1), 0); al.pooled && c < len(chunkPools) {
+		ch, _ := chunkPools[c].Get().(*rowChunk)
+		if ch == nil {
+			ch = &rowChunk{buf: make(Row, rowAllocChunkMin<<c)}
+		}
+		al.taken = append(al.taken, ch)
+		al.chunk = ch.buf[:sz]
+		return
+	}
 	al.chunk = make(Row, sz)
-	al.buf = al.chunk
+}
+
+// recycle hands the chunks back and starts the allocator over.
+func (al *rowAlloc) recycle() {
+	for _, ch := range al.taken {
+		if PoisonRecycledChunks.Load() {
+			for i := range ch.buf {
+				ch.buf[i] = -0x0badc0de0badc0de
+			}
+		}
+		chunkPools[bits.Len(uint(len(ch.buf)))-bits.Len(rowAllocChunkMin)].Put(ch)
+	}
+	clear(al.taken)
+	*al = rowAlloc{window: al.window, pooled: true, taken: al.taken[:0]}
 }
 
 // carve returns one blank n-wide slice cut from the current chunk; the
 // caller fills every column.
 func (al *rowAlloc) carve(n int) Row {
 	al.ensure(n)
-	out := al.buf[:n:n]
-	al.buf = al.buf[n:]
+	out := al.chunk[al.off : al.off+n : al.off+n]
+	al.off += n
 	return out
 }
 
@@ -1092,7 +1128,7 @@ func (g *groupAcc) emit(keys []int, specs []AggSpec) Row {
 // the key values followed by the aggregate. It exploits (and preserves)
 // the input ordering — the operator order optimization economizes for —
 // and streams: one accumulator, groups emitted as the stream closes
-// them.
+// them. It keeps no input row.
 type GroupSorted struct {
 	In   Iterator
 	Keys []int
@@ -1100,14 +1136,13 @@ type GroupSorted struct {
 	// means count(*).
 	Aggs []AggSpec
 
-	g      groupAcc
+	g      groupAcc // g.cur is a copy of the group's first row
 	opened bool
-	prev   Row // sortedness check
 }
 
 // Open implements Iterator.
 func (g *GroupSorted) Open() error {
-	g.g, g.prev = groupAcc{}, nil
+	g.g = groupAcc{}
 	g.opened = true
 	return g.In.Open()
 }
@@ -1126,30 +1161,22 @@ func (g *GroupSorted) Next() (Row, bool, error) {
 			}
 			return nil, false, nil
 		}
-		if g.prev != nil && lessByKeys(row, g.prev, g.Keys) {
-			return nil, false, fmt.Errorf("exec: sorted grouping over unsorted input")
-		}
-		g.prev = row
-		if g.g.started && sameKeys(g.g.cur, row, g.Keys) {
-			g.g.add(row, g.Aggs)
-			continue
-		}
+		var out Row
 		if g.g.started {
-			out := g.g.emit(g.Keys, g.Aggs)
-			g.g.start(row, g.Aggs)
+			switch c := compareByKeys(row, g.g.cur, g.Keys); {
+			case c < 0:
+				return nil, false, fmt.Errorf("exec: sorted grouping over unsorted input")
+			case c == 0:
+				g.g.add(row, g.Aggs)
+				continue
+			}
+			out = g.g.emit(g.Keys, g.Aggs)
+		}
+		g.g.start(append(g.g.cur[:0], row...), g.Aggs) // the last group's copy, reused
+		if out != nil {
 			return out, true, nil
 		}
-		g.g.start(row, g.Aggs)
 	}
-}
-
-func sameKeys(a, b Row, keys []int) bool {
-	for _, k := range keys {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // Close implements Iterator.

@@ -139,6 +139,7 @@ type Life struct {
 	// lease is what the query has reserved on acct, a step at a time
 	// (see extend): it covers heldBytes whenever a hold has succeeded.
 	lease atomic.Int64
+	arena []*rowAlloc // the pooled row allocators, recycled by releaseAll
 
 	// quiesced is the graceful counterpart of failed: a Limit operator
 	// that has emitted its k rows sets it so background producers
@@ -300,15 +301,18 @@ func (l *Life) release(bytes int64) {
 	l.heldBytes.Add(-bytes)
 }
 
-// releaseAll returns everything still charged, the whole lease
-// included; pipelines call it when execution finishes (normally or
-// not), when nothing charges any more.
+// releaseAll returns everything still charged, the whole lease and the
+// arena's chunks included; pipelines call it when execution finishes
+// (normally or not), when nothing charges or reads a pooled row.
 func (l *Life) releaseAll() {
 	if l == nil {
 		return
 	}
 	l.heldBytes.Store(0)
 	l.acct.Release(l.lease.Swap(0))
+	for _, al := range l.arena {
+		al.recycle()
+	}
 }
 
 // HeldBytes reports the bytes currently charged by this query.

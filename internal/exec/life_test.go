@@ -564,7 +564,9 @@ func TestLeaseBounds(t *testing.T) {
 // join's per-execution build table go back to their pools at Close
 // cleared of row headers, like buildHash's drain buffer
 // (TestBudgetHashJoinBuild), so no pooled array keeps a finished
-// query's rows alive.
+// query's rows alive; and the arena's bookkeeping, each pooled
+// allocator's list of the chunks it took, is cleared at releaseAll, so
+// a finished pipeline references no chunk the pools hand out again.
 func TestPooledBuffersPinNoRow(t *testing.T) {
 	pinsNone := func(what string, rows []Row) {
 		t.Helper()
@@ -595,5 +597,26 @@ func TestPooledBuffersPinNoRow(t *testing.T) {
 	}
 	if recycled == 0 {
 		t.Error("Close never returned the Sort's run and the join's table to their pools")
+	}
+
+	a, top := mergeRightJoin(t)
+	p, err := tpcrScaled(1).Runner(a).Compile(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	took := 0
+	for _, al := range p.Life.arena {
+		for _, ch := range al.taken[:cap(al.taken)] {
+			if ch != nil {
+				t.Fatal("the arena's bookkeeping still references a chunk after releaseAll")
+			}
+		}
+		took += cap(al.taken)
+	}
+	if took == 0 {
+		t.Error("the pipeline's arena never took a chunk")
 	}
 }

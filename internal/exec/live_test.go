@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"runtime"
 	"slices"
 	"testing"
 
@@ -341,36 +340,5 @@ func TestLiveColumnsEquatedTwin(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestQ8ExecAllocBudget bounds what one warmed Q8 execution on tpcr-mid
-// allocates: 2.4 MiB with live-column emit and CSR builds from a pooled
-// drain buffer, 10.7 MiB when every join concatenated whole rows and
-// built a map. Median of 15, like TestColdPlanAllocBudget.
-func TestQ8ExecAllocBudget(t *testing.T) {
-	ds, _ := TPCRLazyRegistry().Get("tpcr-mid")
-	a, best := planServed(t, q8Served(t))
-	run := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		rows, _, err := ds.Runner(a).Run(best)
-		runtime.ReadMemStats(&after)
-		if err != nil || len(rows) == 0 {
-			t.Fatalf("%d rows, %v", len(rows), err)
-		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	run() // warm-up: the resident build tables, the pooled drain buffer
-	runs := make([]uint64, 15)
-	for i := range runs {
-		runs[i] = run()
-	}
-	slices.Sort(runs)
-	median := runs[len(runs)/2]
-	t.Logf("one Q8 execution allocates %d KiB (median of %d; min %d, max %d)",
-		median>>10, len(runs), runs[0]>>10, runs[len(runs)-1]>>10)
-	if median >= 4<<20 {
-		t.Errorf("one Q8 execution allocates %d KiB, want under 4 MiB", median>>10)
 	}
 }

@@ -138,14 +138,21 @@ func (p *Pipeline) Execute() ([]Row, error) {
 // observing ctx: cancellation (client disconnect, deadline) is checked
 // by every operator's wrapper once per CancelCheckInterval of its rows
 // and surfaces as an error wrapping ErrCanceled and ctx.Err(). Whatever
-// the pipeline charged against its budget is released before return,
-// success or not.
+// the pipeline charged, and its pooled chunks, are released before
+// return, success or not; rows from those chunks are copied out first.
 func (p *Pipeline) ExecuteContext(ctx context.Context) ([]Row, error) {
 	defer p.Life.releaseAll()
 	if err := p.Life.bind(ctx); err != nil {
 		return nil, err
 	}
-	return Collect(p.Root)
+	rows, err := Collect(p.Root)
+	if len(p.Life.arena) > 0 {
+		slab := slices.Concat(rows...)
+		for i, r := range rows {
+			rows[i], slab = slab[:len(r):len(r)], slab[len(r):]
+		}
+	}
+	return rows, err
 }
 
 // AdoptLease hands the pipeline n bytes its caller already reserved on
@@ -484,6 +491,8 @@ func planRels(n *plan.Node) uint64 {
 	return planRels(n.Left) | planRels(n.Right)
 }
 
+const holdReleased = 1 << 31 // and up; see build
+
 // build compiles plan n. live is the compiler's top-down liveness pass:
 // the columns read above n — the group keys and aggregate inputs under a
 // Group*, plus the sort keys under a Sort, plus at every join, for its
@@ -495,24 +504,31 @@ func planRels(n *plan.Node) uint64 {
 // hold is the second top-down value: the most rows of n's output that
 // can still be referenced, by n's consumer or by n's own stats
 // wrapper's burst, when n carves its next row. Only joins act on it,
-// sizing their output ring (rowAlloc.window). 0 is unbounded. A
-// negative hold marks the root's chain, whose consumer only run time
-// knows; -hold counts the bursts between it and that consumer
-// (Pipeline.rootRing). The rules:
+// sizing their output ring (rowAlloc.window). 0 is unbounded, rows kept
+// until the pipeline ends; holdReleased and up (a Limit adds to it) is
+// unbounded with rows let go before that. A negative hold marks the
+// root's chain, whose consumer only run time knows; -hold counts the
+// bursts between it and that consumer (Pipeline.rootRing). The rules:
 //
-//   - A join's left input gets 1 + meterBurstRows. The join references
-//     one input row (probe, merge-left or outer row) and asks for the
+//   - A join's left input and GroupSorted's get 1 + meterBurstRows. The
+//     consumer references one input row (probe, merge-left or outer
+//     row; GroupSorted copies a group's first row) and asks for the
 //     next only when done with it. The input's wrapper refills its burst
 //     only when all of it has been taken, and pulls at most
-//     meterBurstRows rows. At a carve: the join's row, at most
+//     meterBurstRows rows. At a carve: the consumer's row, at most
 //     meterBurstRows-1 rows earlier in the pull, and the new row.
 //   - A Limit's input gets the Limit's hold grown by meterBurstRows: the
 //     Limit hands its input's rows on unchanged, so they are held
 //     wherever its own are, plus one partial burst in the input's
 //     wrapper.
-//   - Every other input gets 0. Sort and Group* keep input rows (the
-//     run, g.cur/g.prev); a join's build, right and inner inputs are
-//     materialized; an exchange's subtrees are its shared state.
+//   - A merge join's right input and GroupHash's get holdReleased: the
+//     join drops each duplicate group, GroupHash all but groups' first
+//     rows. Their joins carve owned chunks the collector frees as rows die.
+//   - Every other input gets 0. Sort keeps its run; a hash join's build
+//     and a nested-loop join's inner are materialized; an exchange's
+//     subtrees are its shared state. Joins under these, the root chain
+//     and the rings are pooled (rowAlloc): their rows are dead at
+//     Life.releaseAll and not before. Morsel allocators stay owned.
 //
 // A join emits copies, never its inputs' rows, so the count restarts at
 // each join: at every carve the rows still live are at most the
@@ -578,7 +594,11 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 				cols = append(cols, a.Col)
 			}
 		}
-		in, schema, err := r.build(n.Left, p, r.carried(liveCols{}, cols, n.Left), 0)
+		inHold := holdReleased
+		if n.Op == plan.GroupSorted {
+			inHold = 1 + meterBurstRows
+		}
+		in, schema, err := r.build(n.Left, p, r.carried(liveCols{}, cols, n.Left), inHold)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -819,7 +839,11 @@ func (r *Runner) joinRight(n *plan.Node, key query.ColumnRef, live liveCols, p *
 			return rt, nil
 		}
 	}
-	rt.it, rt.schema, err = r.build(n.Right, p, live, 0)
+	hold := 0
+	if n.Op == plan.MergeJoin && !inExchange {
+		hold = holdReleased
+	}
+	rt.it, rt.schema, err = r.build(n.Right, p, live, hold)
 	return rt, err
 }
 
@@ -862,7 +886,9 @@ func (r *Runner) buildJoin(n *plan.Node, p *Pipeline, st *OpStats, live liveCols
 		return nil, nil, err
 	}
 	schema, emit := joinOutput(live, j.ls, j.schema)
-	emit.alloc.window = max(hold, 0)
+	if hold < holdReleased {
+		emit.alloc.window, emit.alloc.pooled = max(hold, 0), true
+	}
 	key := j.eqs[j.primary]
 
 	var it Iterator
@@ -883,6 +909,9 @@ func (r *Runner) buildJoin(n *plan.Node, p *Pipeline, st *OpStats, live liveCols
 	}
 	if hold < 0 {
 		p.rootRing, p.rootSlack = &out.alloc, -hold
+	}
+	if out.alloc.pooled {
+		p.Life.arena = append(p.Life.arena, &out.alloc)
 	}
 	return r.wrap(it, st, p), schema, nil
 }
