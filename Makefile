@@ -59,17 +59,18 @@ race:
 # four chunk sizes, timed and untimed), pooled row chunks handed back on
 # every way a pipeline ends and never read once recycled (the corpus and
 # the Q8, order-flow and top-k handlers with every returned chunk
-# poisoned). CI runs it as its own step so a lifecycle
-# regression is named, not buried.
+# poisoned), and fault isolation: healthy /plan clients keep their
+# throughput while every hung /execute pipeline ends as a prompt 504.
+# CI runs it as its own step so a lifecycle regression is named, not
+# buried.
 faults:
 	$(GO) test -race ./internal/faultinject/ \
 		-run 'TestScenariosAcrossOperators|TestFault|TestHang|TestDelay|TestTracker|TestMatches|TestSortMidDrainAbort'
 	$(GO) test -race ./internal/exec/ \
 		-run 'TestAccountant|TestLeaseBounds|TestBudget|TestMergeJoinGroupRelease|TestMergeJoinOpenPanicClosesLeft|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestLiveColumnsExchange|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestStreamRowWindows|TestMeterErrorOrder|TestMeterLimitLookAhead|TestMeterCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryLoaderPanic|TestLimitEarlyOutUnderParallelExchanges|TestRegistryBuildTable|TestResidentBuildFallback|TestArenaRetention|TestExecuteRowsOwned'
 	$(GO) test -race ./internal/server/ \
-		-run 'TestExecuteTimeout|TestExecuteDefaultTimeout|TestTimeoutClamp|TestExecuteBudget|TestGlobalMemBudget|TestExecuteClientCancel|TestDrainAndWait|TestClientRetry|TestRetryBackoff|TestExecuteStreamClientDisconnect|TestExecuteStreamFirstRowBeforeMaterialization|TestStreamNoRetryMidStream|TestStreamTrailerAbortNotRetried|TestEvictVsExecute|TestMemoryAdmission|TestAdmissionReserveIsFirstLease|TestMemLimitCoversResidentDatasets|TestHandlerPanicRecovered|TestPoisonedChunks'
+		-run 'TestExecuteTimeout|TestExecuteDefaultTimeout|TestTimeoutClamp|TestExecuteBudget|TestGlobalMemBudget|TestExecuteClientCancel|TestDrainAndWait|TestClientRetry|TestRetryBackoff|TestExecuteStreamClientDisconnect|TestExecuteStreamFirstRowBeforeMaterialization|TestStreamNoRetryMidStream|TestStreamTrailerAbortNotRetried|TestEvictVsExecute|TestMemoryAdmission|TestAdmissionReserveIsFirstLease|TestMemLimitCoversResidentDatasets|TestHandlerPanicRecovered|TestPoisonedChunks|TestFaultIsolation'
 	$(GO) test -race ./internal/conformance/ -run 'TestPoisonedChunks'
-	$(GO) test -race ./internal/experiments/ -run 'TestAbort'
 
 # serve-soak is the lifecycle endurance run: a minute of mixed
 # plan/execute/stream/disconnect traffic under the race detector, over

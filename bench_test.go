@@ -563,12 +563,11 @@ func BenchmarkPlannerThroughput(b *testing.B) {
 
 // BenchmarkLargeQuery measures the adaptive planning tier on join
 // graphs around and beyond the exact-DP horizon, on the prepared path
-// (Prepare once, Run per iteration — the serving layer's steady state;
-// experiments -table large prints the same comparison). Points
-// within the horizon run under both strategies, and the linearized run
-// reports its cost ratio against the exact optimum; the large points
-// run linearized only — the exact DP would take minutes to forever,
-// which is the tier's reason to exist.
+// (Prepare once, Run per iteration — the serving layer's steady state).
+// Points within the horizon run under both strategies, and the
+// linearized run reports its cost ratio against the exact optimum; the
+// large points run linearized only — the exact DP would take minutes
+// to forever, which is the tier's reason to exist.
 func BenchmarkLargeQuery(b *testing.B) {
 	points := []struct {
 		shape querygen.Shape
@@ -700,8 +699,7 @@ func BenchmarkExecRuntime(b *testing.B) {
 // BenchmarkExecParallel measures morsel-parallel scaling: the TPC-R
 // execution workloads planned with the DFSM framework at MaxDOP 1, 2,
 // 4 and 8 (dop=1 is the serial plan — no exchange — and the baseline
-// to divide by; experiments -table exec prints the serial-vs-best-DOP
-// column). The parallel plans run the join spine through an
+// to divide by). The parallel plans run the join spine through an
 // order-preserving ExchangeMerge, so rows-sorted/op stays 0 on the
 // orders workload at every DOP.
 func BenchmarkExecParallel(b *testing.B) {

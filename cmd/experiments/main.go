@@ -1,23 +1,22 @@
 // Command experiments regenerates the paper's evaluation tables — §6.2
 // (prep), §7 (q8), Figures 13 and 14 (fig13, fig14) — and the runtime
-// comparisons built on them (enum, large, exec, topk, abort),
-// one registered table at a time; -h lists them:
+// claim built on them, the rows sorted and the time an order-aware plan
+// saves at execution (exec, topk), one registered table at a time; -h
+// lists them:
 //
 //	experiments                        # -table all: prep, q8, fig13, fig14
-//	experiments -table fig13 -sizes 5,6 -extras 0,1 -seeds 2
-//	experiments -table large -shapes chain,clique -sizes 10,20 -seeds 1
+//	experiments -table fig13 -sizes 5,6 -extras 0,1 -seeds 2 -enumerator naive
 //	experiments -table exec -runs 5 -datasets tpcr-mid
-//	experiments -table abort -duration 400ms
 //
-// Nine flags are shared by every table, each read by the tables it
+// Seven flags are shared by every table, each read by the tables it
 // makes sense for (docs/benchmarks.md has the matrix). A flag left unset
 // means the table's own default, which lives only in the table's Spec.
-// The non-paper tables are opt-in: clique points run for seconds.
 // Served throughput and latency are not measured here: that is the
-// benchmark/ harness (make bench, see benchmark/README.md). Absolute
-// numbers depend on the machine; the shape (who wins, by what factor,
-// how factors grow with query size) is what reproduces the paper.
-// Results are deterministic per seed set.
+// benchmark/ harness (make bench, see benchmark/README.md); the
+// planner's and the executor's own timings are the root Benchmark*
+// functions. Absolute numbers depend on the machine; the shape (who
+// wins, by what factor, how factors grow with query size) is what
+// reproduces the paper. Results are deterministic per seed set.
 package main
 
 import (
@@ -27,11 +26,9 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"orderopt/internal/experiments"
 	"orderopt/internal/optimizer"
-	"orderopt/internal/querygen"
 )
 
 // options are the parsed shared flags; zero values mean "the table's
@@ -39,10 +36,8 @@ import (
 type options struct {
 	sizes, extras []int
 	seeds, runs   int
-	shapes        []querygen.Shape
 	enumerator    optimizer.Enumerator
 	datasets      []string
-	duration      time.Duration
 
 	graphs []experiments.GraphRow // fig13 and fig14 share one sweep
 }
@@ -71,14 +66,6 @@ var tables = []table{
 		rows, err := o.sweep()
 		return experiments.FormatFigure14(rows), err
 	}},
-	{"enum", "Join enumeration: naive DPsub vs DPccp (DFSM mode)", func(o *options) (string, error) {
-		rows, err := experiments.EnumSweep(experiments.EnumSweepSpec{Shapes: o.shapes, Sizes: o.sizes, Seeds: o.seeds})
-		return experiments.FormatEnum(rows), err
-	}},
-	{"large", "Adaptive large-query planning: exact vs linearized DP", func(o *options) (string, error) {
-		rows, err := experiments.Large(experiments.LargeSpec{Shapes: o.shapes, Sizes: o.sizes, Seeds: o.seeds})
-		return experiments.FormatLarge(rows), err
-	}},
 	{"exec", "End-to-end execution: DFSM vs Simmen vs order-oblivious plans", func(o *options) (string, error) {
 		rows, err := experiments.Exec(experiments.ExecSpec{Datasets: o.datasets, Runs: o.runs})
 		return experiments.FormatExec(rows), err
@@ -86,10 +73,6 @@ var tables = []table{
 	{"topk", "Top-k execution: order-satisfying early-out vs hash + full sort", func(o *options) (string, error) {
 		rows, err := experiments.Topk(experiments.TopkSpec{Datasets: o.datasets, Runs: o.runs})
 		return experiments.FormatTopk(rows), err
-	}},
-	{"abort", "Saturation/abort: healthy planning QPS while faulted pipelines hang and time out", func(o *options) (string, error) {
-		rows, err := experiments.Abort(experiments.AbortSpec{Duration: o.duration})
-		return experiments.FormatAbort(rows), err
 	}},
 }
 
@@ -118,14 +101,12 @@ func main() {
 	}
 	names = append(names, "all")
 	name := flag.String("table", "all", "table to print: "+strings.Join(names, ", "))
-	flag.Func("sizes", "relation counts (fig13, fig14, enum, large)", parseList(&o.sizes, strconv.Atoi))
+	flag.Func("sizes", "relation counts (fig13, fig14)", parseList(&o.sizes, strconv.Atoi))
 	flag.Func("extras", "extra edges beyond the chain, 0→n-1 edges, 1→n, 2→n+1 (fig13, fig14)", parseList(&o.extras, strconv.Atoi))
-	flag.IntVar(&o.seeds, "seeds", 0, "queries averaged per configuration (fig13, fig14, enum, large)")
-	flag.Func("shapes", "join-graph shapes: chain, star, cycle, clique, grid (enum, large)", parseList(&o.shapes, querygen.ParseShape))
+	flag.IntVar(&o.seeds, "seeds", 0, "queries averaged per configuration (fig13, fig14)")
 	flag.Func("enumerator", "join enumeration of the sweep: dpccp or naive (fig13, fig14)", parseEnumerator(&o.enumerator))
 	flag.IntVar(&o.runs, "runs", 0, "timed executions per measurement, minimum reported (exec, topk)")
 	flag.Func("datasets", "TPC-R datasets: tpcr-small, tpcr-mid, tpcr-large (exec, topk)", parseList(&o.datasets, func(s string) (string, error) { return s, nil }))
-	flag.DurationVar(&o.duration, "duration", 0, "per-phase duration (abort)")
 	flag.Usage = func() {
 		w := flag.CommandLine.Output()
 		fmt.Fprintln(w, "experiments regenerates the paper's evaluation tables — see README.md and docs/benchmarks.md.\n\nTables:")

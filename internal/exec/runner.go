@@ -162,14 +162,16 @@ func (p *Pipeline) ExecuteContext(ctx context.Context) ([]Row, error) {
 // with the rest of the lease, on every path; the caller must not.
 func (p *Pipeline) AdoptLease(n int64) { p.Life.lease.Add(n) }
 
-// RowsSorted sums the rows that passed through Sort operators — the
-// benchmark's "how much sorting did this plan actually do" number (a
-// sort emits every row it consumed).
+// RowsSorted sums the rows Sort operators consumed — the benchmark's
+// "how much sorting did this plan actually do" number. A Sort drains
+// its whole input even when a Limit above it stops after k rows, so
+// each Sort counts its input's rows: its child, the next entry in
+// preorder.
 func (p *Pipeline) RowsSorted() int64 {
 	var n int64
-	for _, op := range p.Ops {
+	for i, op := range p.Ops {
 		if op.Op == plan.Sort.String() {
-			n += op.Rows
+			n += p.Ops[i+1].Rows
 		}
 	}
 	return n

@@ -252,6 +252,49 @@ func TestRunnerErrors(t *testing.T) {
 	}
 }
 
+// TestRowsSortedUnderLimit: a Sort under a Limit drains its whole
+// input, so RowsSorted counts the N rows it sorted, not the k it
+// emitted.
+func TestRowsSortedUnderLimit(t *testing.T) {
+	_, g, err := querygen.Generate(querygen.Spec{
+		Relations: 1, Seed: 3, ColumnsPerTable: 2, SelectionProb: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := query.Analyze(g, query.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, k = 300, 10
+	data := querygen.GenerateData(g, n, 1)
+	p := &plan.Node{
+		Op: plan.Limit, Limit: k,
+		Left: &plan.Node{
+			Op: plan.Sort, SortOrd: a.Ordering(query.ColumnRef{Rel: 0, Col: 1}),
+			Left: &plan.Node{Op: plan.TableScan, Rel: 0},
+		},
+	}
+	for _, timed := range []bool{true, false} {
+		runner := fixtureRunner(a, data)
+		runner.DisableTiming = !timed
+		pipe, err := runner.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := pipe.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != k {
+			t.Fatalf("timed=%v: %d rows, want %d", timed, len(rows), k)
+		}
+		if got := pipe.RowsSorted(); got != n {
+			t.Errorf("timed=%v: RowsSorted = %d, want the sort's whole input %d", timed, got, n)
+		}
+	}
+}
+
 // TestPipelineStats: the compiled pipeline reports per-operator row
 // counts and (when enabled) wall time, and RowsSorted totals the sort
 // traffic.

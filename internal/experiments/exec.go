@@ -106,11 +106,6 @@ type ExecSpec struct {
 	QuerygenRows      int
 	// Seed offsets workload generation.
 	Seed int64
-	// Workers bounds the parallel-scaling measurement: the dfsm variant
-	// is additionally planned and run at every DOP in {2, 4, 8} up to
-	// Workers (default 4), the fastest reported per workload
-	// (checksum-verified against the serial result). 1 skips it.
-	Workers int
 }
 
 func (s *ExecSpec) defaults() {
@@ -129,9 +124,6 @@ func (s *ExecSpec) defaults() {
 	if s.QuerygenRows == 0 {
 		s.QuerygenRows = 48
 	}
-	if s.Workers == 0 {
-		s.Workers = 4
-	}
 }
 
 // ExecRow is one (workload, variant) measurement.
@@ -146,8 +138,8 @@ type ExecRow struct {
 	// Rows is the result cardinality; identical across variants of one
 	// workload (verified, together with a value checksum).
 	Rows int64
-	// RowsSorted counts rows that passed through Sort operators (an
-	// index scan sorts nothing: it streams the dataset's presorted view).
+	// RowsSorted counts the rows Sort operators consumed (an index scan
+	// sorts nothing: it streams the dataset's presorted view).
 	RowsSorted int64
 	// MergeJoins / HashJoins / Sorts / HashGroups count the pipeline's
 	// operators by kind (sorted grouping under OrderedGroups).
@@ -156,14 +148,6 @@ type ExecRow struct {
 	Sorts         int
 	HashGroups    int
 	OrderedGroups int
-
-	// ParallelTime / ParallelDOP report the morsel-parallel scaling
-	// measurement (dfsm rows only, when ExecSpec.Workers > 1): the best
-	// pipeline wall time over the DOP sweep and the DOP that achieved
-	// it. The parallel result is checksum-verified against the serial
-	// one before it is reported.
-	ParallelTime time.Duration
-	ParallelDOP  int
 }
 
 // ExecWorkload is one query + dataset the variants all run; shared by
@@ -243,28 +227,6 @@ func Exec(spec ExecSpec) ([]ExecRow, error) {
 			}
 			if vi == 0 {
 				ref, refSum = row, sum
-				// Parallel scaling rides on the dfsm row: the same plan
-				// family at increasing DOP, fastest wins. Checksums must
-				// match the serial run — the exchanges may not change the
-				// result, only the wall clock.
-				for _, dop := range []int{2, 4, 8} {
-					if dop > spec.Workers {
-						break
-					}
-					pv := v
-					pv.Config.MaxDOP = dop
-					prow, psum, err := execOne(w, pv, spec.Runs)
-					if err != nil {
-						return nil, fmt.Errorf("exec %s/%s dop=%d: %w", w.Name, v.Name, dop, err)
-					}
-					if prow.Rows != row.Rows || psum != sum {
-						return nil, fmt.Errorf("exec %s: dop=%d result (%d rows, checksum %d) differs from serial (%d rows, checksum %d)",
-							w.Name, dop, prow.Rows, psum, row.Rows, sum)
-					}
-					if row.ParallelDOP == 0 || prow.ExecTime < row.ParallelTime {
-						row.ParallelTime, row.ParallelDOP = prow.ExecTime, dop
-					}
-				}
 			} else if row.Rows != ref.Rows || sum != refSum {
 				return nil, fmt.Errorf("exec %s: variant %s result (%d rows, checksum %d) differs from %s (%d rows, checksum %d)",
 					w.Name, v.Name, row.Rows, sum, ref.Variant, ref.Rows, refSum)
@@ -306,40 +268,19 @@ func execOne(w ExecWorkload, v conformance.Idiom, runs int) (ExecRow, int64, err
 }
 
 // FormatExec renders the execution table plus the headline speedups
-// (dfsm vs oblivious runtime per workload, and — when the experiment
-// ran the DOP sweep — serial vs best-DOP parallel scaling).
+// (dfsm vs oblivious runtime per workload).
 func FormatExec(rows []ExecRow) string {
-	parallel := slices.ContainsFunc(rows, func(r ExecRow) bool { return r.ParallelDOP > 0 })
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %-10s | %9s %9s |", "workload", "variant", "plan(ms)", "exec(ms)")
-	if parallel {
-		fmt.Fprintf(&b, " %8s %3s |", "par(ms)", "dop")
-	}
-	fmt.Fprintf(&b, " %8s %10s | %2s %2s %2s %2s %2s\n",
-		"rows", "rows-sorted", "mj", "hj", "so", "gh", "go")
+	fmt.Fprintf(&b, "%-16s %-10s | %9s %9s | %8s %10s | %2s %2s %2s %2s %2s\n",
+		"workload", "variant", "plan(ms)", "exec(ms)", "rows", "rows-sorted", "mj", "hj", "so", "gh", "go")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %-10s | %9.2f %9.2f |",
-			r.Workload, r.Variant, ms(r.PlanTime), ms(r.ExecTime))
-		if parallel {
-			if r.ParallelDOP > 0 {
-				fmt.Fprintf(&b, " %8.2f %3d |", ms(r.ParallelTime), r.ParallelDOP)
-			} else {
-				fmt.Fprintf(&b, " %8s %3s |", "-", "-")
-			}
-		}
-		fmt.Fprintf(&b, " %8d %10d | %2d %2d %2d %2d %2d\n",
-			r.Rows, r.RowsSorted,
+		fmt.Fprintf(&b, "%-16s %-10s | %9.2f %9.2f | %8d %10d | %2d %2d %2d %2d %2d\n",
+			r.Workload, r.Variant, ms(r.PlanTime), ms(r.ExecTime), r.Rows, r.RowsSorted,
 			r.MergeJoins, r.HashJoins, r.Sorts, r.HashGroups, r.OrderedGroups)
 	}
 	writeSpeedups(&b, len(rows), func(i int) (string, string, time.Duration) {
 		return rows[i].Workload, rows[i].Variant, rows[i].ExecTime
 	})
-	for _, r := range rows {
-		if r.ParallelDOP > 0 && r.ExecTime > 0 && r.ParallelTime > 0 {
-			fmt.Fprintf(&b, "%s: parallel scaling serial vs dop=%d = %.2fx\n",
-				r.Workload, r.ParallelDOP, float64(r.ExecTime)/float64(r.ParallelTime))
-		}
-	}
 	return b.String()
 }
 

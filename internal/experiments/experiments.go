@@ -274,112 +274,18 @@ func Sweep(spec SweepSpec) ([]GraphRow, error) {
 	return rows, nil
 }
 
-// EnumRow is one configuration of the enumerator comparison: the same
-// plan generator (DFSM order framework) run with the naive DPsub
-// enumeration and with DPccp, averaged over seeds.
-type EnumRow struct {
-	Shape string
-	N     int
-	Seeds int
-
-	NaiveTime time.Duration
-	DPccpTime time.Duration
-	// Pairs is the csg-cmp pair count (identical for both enumerators —
-	// checked during the sweep).
-	Pairs float64
-	// Plans is the number of plan operators generated (also identical).
-	Plans float64
-}
-
-// FactorTime returns how much faster DPccp enumeration is end to end.
-func (r EnumRow) FactorTime() float64 { return ratio(float64(r.NaiveTime), float64(r.DPccpTime)) }
-
-// EnumSweepSpec parameterizes the enumerator comparison sweep.
-type EnumSweepSpec struct {
-	Shapes []querygen.Shape // default: all shapes
-	Sizes  []int            // default 5,6,7 (clique-7 is the heavy point)
-	Seeds  int              // queries averaged per configuration (default 1)
-}
-
-func (s *EnumSweepSpec) defaults() {
-	if len(s.Shapes) == 0 {
-		s.Shapes = querygen.Shapes()
+// optimizeSpec generates the query gspec describes and plans it once
+// under cfg.
+func optimizeSpec(gspec querygen.Spec, cfg optimizer.Config) (*optimizer.Result, error) {
+	_, g, err := querygen.Generate(gspec)
+	if err != nil {
+		return nil, err
 	}
-	if len(s.Sizes) == 0 {
-		s.Sizes = []int{5, 6, 7}
+	a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
+	if err != nil {
+		return nil, err
 	}
-	if s.Seeds == 0 {
-		s.Seeds = 1
-	}
-}
-
-// EnumSweep compares the two join enumerators inside the identical plan
-// generator across join-graph shapes. Clique extra edges are skipped
-// (there is no room) and the pair/plan counts of both enumerators are
-// verified to match before a row is reported.
-func EnumSweep(spec EnumSweepSpec) ([]EnumRow, error) {
-	spec.defaults()
-	var rows []EnumRow
-	for _, shape := range spec.Shapes {
-		for _, n := range spec.Sizes {
-			if shape == querygen.Cycle && n < 3 {
-				continue
-			}
-			row := EnumRow{Shape: shape.String(), N: n, Seeds: spec.Seeds}
-			for seed := 0; seed < spec.Seeds; seed++ {
-				var pairs, plans [2]int64
-				gspec := querygen.Spec{
-					Relations: n,
-					Shape:     shape,
-					Seed:      int64(seed)*1000 + int64(n)*10 + int64(shape),
-				}
-				for i, enum := range []optimizer.Enumerator{optimizer.EnumNaive, optimizer.EnumDPccp} {
-					cfg := optimizer.DefaultConfig(optimizer.ModeDFSM)
-					cfg.Enumerator = enum
-					// The comparison is between the exact enumerators;
-					// the linearized tier enumerates intervals instead.
-					cfg.Strategy = optimizer.StrategyExact
-					res, err := optimizeSpec(gspec, cfg)
-					if err != nil {
-						return nil, err
-					}
-					pairs[i] = res.CsgCmpPairs
-					plans[i] = res.PlansGenerated
-					if enum == optimizer.EnumNaive {
-						row.NaiveTime += res.PlanTime
-					} else {
-						row.DPccpTime += res.PlanTime
-					}
-				}
-				if pairs[0] != pairs[1] || plans[0] != plans[1] {
-					return nil, fmt.Errorf("experiments: enumerators disagree on %s n=%d seed=%d: pairs %d/%d plans %d/%d",
-						shape, n, seed, pairs[0], pairs[1], plans[0], plans[1])
-				}
-				row.Pairs += float64(pairs[1])
-				row.Plans += float64(plans[1])
-			}
-			div := time.Duration(spec.Seeds)
-			row.NaiveTime /= div
-			row.DPccpTime /= div
-			row.Pairs /= float64(spec.Seeds)
-			row.Plans /= float64(spec.Seeds)
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// FormatEnum renders the enumerator comparison.
-func FormatEnum(rows []EnumRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-7s %3s | %10s %10s %7s | %10s %10s\n",
-		"shape", "n", "naive(ms)", "dpccp(ms)", "%t", "ccpairs", "#plans")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %3d | %10.2f %10.2f %7.2f | %10.0f %10.0f\n",
-			r.Shape, r.N, ms(r.NaiveTime), ms(r.DPccpTime), r.FactorTime(),
-			r.Pairs, r.Plans)
-	}
-	return b.String()
+	return optimizer.Optimize(a, cfg)
 }
 
 func edgeLabel(extra int) string {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"orderopt/internal/querygen"
 )
 
 func TestPrepQ8Shape(t *testing.T) {
@@ -92,34 +90,6 @@ func TestSweepSmall(t *testing.T) {
 	f14 := FormatFigure14(rows)
 	if !strings.Contains(f14, "DFSM") {
 		t.Error("FormatFigure14 missing DFSM column")
-	}
-}
-
-func TestEnumSweepSmall(t *testing.T) {
-	rows, err := EnumSweep(EnumSweepSpec{
-		Shapes: querygen.Shapes(),
-		Sizes:  []int{4, 5},
-		Seeds:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 * len(querygen.Shapes()); len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
-	}
-	for _, r := range rows {
-		if r.Pairs <= 0 || r.Plans <= 0 {
-			t.Errorf("%s n=%d: zero pairs or plans", r.Shape, r.N)
-		}
-		if r.NaiveTime <= 0 || r.DPccpTime <= 0 {
-			t.Errorf("%s n=%d: missing timings", r.Shape, r.N)
-		}
-	}
-	out := FormatEnum(rows)
-	for _, want := range []string{"naive", "dpccp", "ccpairs", "clique"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatEnum missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -17,11 +17,13 @@ var goldenSweep = SweepSpec{Sizes: []int{5, 6, 7}, Extras: []int{0, 1, 2}, Seeds
 
 // TestPaperTablesGolden pins the deterministic columns of the paper
 // tables — §6.2 state counts and precomputed bytes, §7 plan counts and
-// memory per mode, Figure 13/14 plans and KB over goldenSweep — against
-// testdata/paper_tables.golden, so a change to the NFSM, the DFSM or
-// the plan generator that moves any of them fails here instead of being
-// compared by hand. Timing columns are left out. Re-record an
-// intentional change with -update and review the diff.
+// memory per mode, Figure 13/14 plans and KB over goldenSweep — and of
+// the runtime claim, the exec and topk tables' rows, rows sorted and
+// plan shape at their Spec defaults, against
+// testdata/paper_tables.golden, so a change to the NFSM, the DFSM, the
+// plan generator or the executor that moves any of them fails here
+// instead of being compared by hand. Timing columns are left out.
+// Re-record an intentional change with -update and review the diff.
 func TestPaperTablesGolden(t *testing.T) {
 	var b strings.Builder
 	prep, err := PrepQ8()
@@ -49,6 +51,24 @@ func TestPaperTablesGolden(t *testing.T) {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "sweep n=%d edges=%s simmen_plans=%g simmen_kb=%g ours_plans=%g ours_kb=%g dfsm_kb=%g\n",
 			r.N, edgeLabel(r.Extra), r.SimmenPlans, r.SimmenMemKB, r.OursPlans, r.OursMemKB, r.DFSMKB)
+	}
+	execRows, err := Exec(ExecSpec{Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintln(&b, "# exec: default workloads, every variant; result rows, rows sorted, operator counts")
+	for _, r := range execRows {
+		fmt.Fprintf(&b, "exec workload=%s variant=%s rows=%d rows_sorted=%d mj=%d hj=%d so=%d gh=%d go=%d\n",
+			r.Workload, r.Variant, r.Rows, r.RowsSorted, r.MergeJoins, r.HashJoins, r.Sorts, r.HashGroups, r.OrderedGroups)
+	}
+	topkRows, err := Topk(TopkSpec{Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintln(&b, "# topk: default datasets and ks, dfsm vs oblivious; emitted rows, rows sorted, sort-free plan")
+	for _, r := range topkRows {
+		fmt.Fprintf(&b, "topk workload=%s k=%d variant=%s rows=%d rows_sorted=%d order_satisfying=%v\n",
+			r.Workload, r.K, r.Variant, r.Rows, r.RowsSorted, r.OrderSatisfying)
 	}
 
 	path := filepath.Join("testdata", "paper_tables.golden")

@@ -55,8 +55,8 @@ type TopkRow struct {
 	PlanTime time.Duration
 	ExecTime time.Duration
 	// Rows is the emitted cardinality (min(k, result size)); RowsSorted
-	// how many rows passed through Sort operators — the full join for
-	// the oblivious plan, 0 when the pipeline satisfies the order.
+	// how many rows Sort operators consumed — the full join for the
+	// oblivious plan, 0 when the pipeline satisfies the order.
 	Rows       int64
 	RowsSorted int64
 	// OrderSatisfying reports a sort-free chosen plan: the limit-aware

@@ -309,7 +309,7 @@ func crossCheckSeeds(full int64) []int64 {
 // TestEnumeratorsAgreeOnOptimalCost runs the full optimizer under both
 // enumerators on randomized graphs of every shape and demands identical
 // best-plan costs — the paper's "same optimal plan" sanity check applied
-// to the enumeration dimension. Cases share nothing, so they run in
+// to the enumeration dimension — and identical pair and plan counts. Cases share nothing, so they run in
 // parallel.
 func TestEnumeratorsAgreeOnOptimalCost(t *testing.T) {
 	for _, mode := range []Mode{ModeDFSM, ModeSimmen} {
@@ -321,7 +321,7 @@ func TestEnumeratorsAgreeOnOptimalCost(t *testing.T) {
 						t.Run(name, func(t *testing.T) {
 							t.Parallel()
 							costs := map[Enumerator]float64{}
-							pairs := map[Enumerator]int64{}
+							pairs, plans := map[Enumerator]int64{}, map[Enumerator]int64{}
 							for _, enum := range []Enumerator{EnumNaive, EnumDPccp} {
 								g := genGraph(t, shape, n, extra, seed)
 								a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
@@ -336,14 +336,15 @@ func TestEnumeratorsAgreeOnOptimalCost(t *testing.T) {
 								}
 								costs[enum] = res.Best.Cost
 								pairs[enum] = res.CsgCmpPairs
+								plans[enum] = res.PlansGenerated
 							}
 							if math.Abs(costs[EnumNaive]-costs[EnumDPccp]) > 1e-6*math.Max(costs[EnumNaive], 1) {
 								t.Errorf("optimal costs differ: naive %.3f vs dpccp %.3f",
 									costs[EnumNaive], costs[EnumDPccp])
 							}
-							if pairs[EnumNaive] != pairs[EnumDPccp] {
-								t.Errorf("pair counts differ: naive %d vs dpccp %d",
-									pairs[EnumNaive], pairs[EnumDPccp])
+							if pairs[EnumNaive] != pairs[EnumDPccp] || plans[EnumNaive] != plans[EnumDPccp] {
+								t.Errorf("pair or plan counts differ: naive %d/%d vs dpccp %d/%d",
+									pairs[EnumNaive], plans[EnumNaive], pairs[EnumDPccp], plans[EnumDPccp])
 							}
 						})
 					}

@@ -199,9 +199,6 @@ func (p *Prepared) Strategy() Strategy { return p.strategy }
 // exact tier runs). It must not be mutated.
 func (p *Prepared) Linearization() []int { return p.linSeq }
 
-// PrepTime returns the one-time preparation cost.
-func (p *Prepared) PrepTime() time.Duration { return p.prepTime }
-
 // optimizer is the per-run mutable scratch: the DP state one run needs.
 // It belongs to no statement — every Run of every Prepared checks one
 // out of the package-level scratch pool and binds it for the run — so a

@@ -51,23 +51,6 @@ func (s Shape) String() string {
 	}
 }
 
-// ParseShape maps a shape name to its Shape.
-func ParseShape(name string) (Shape, error) {
-	switch name {
-	case "chain":
-		return Chain, nil
-	case "star":
-		return Star, nil
-	case "cycle":
-		return Cycle, nil
-	case "clique":
-		return Clique, nil
-	case "grid":
-		return Grid, nil
-	}
-	return Chain, fmt.Errorf("querygen: unknown shape %q", name)
-}
-
 // Shapes lists all topologies (for sweeps and cross-check tests).
 func Shapes() []Shape { return []Shape{Chain, Star, Cycle, Clique, Grid} }
 

@@ -98,16 +98,6 @@ func TestGenerateShapes(t *testing.T) {
 	if len(g.Edges) != 7 {
 		t.Errorf("star+2: edges = %d, want 7", len(g.Edges))
 	}
-	// Round-trip the shape names.
-	for _, shape := range Shapes() {
-		parsed, err := ParseShape(shape.String())
-		if err != nil || parsed != shape {
-			t.Errorf("ParseShape(%q) = %v, %v", shape.String(), parsed, err)
-		}
-	}
-	if _, err := ParseShape("torus"); err == nil {
-		t.Error("unknown shape must fail")
-	}
 }
 
 func shapeEdges(s Shape, n int) int {

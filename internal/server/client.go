@@ -133,8 +133,8 @@ type ExecuteResponse struct {
 	RowCount  int64     `json:"rowCount"`
 	Rows      [][]int64 `json:"rows"`
 	Truncated bool      `json:"truncated,omitempty"`
-	// RowsSorted totals the rows that passed through Sort operators —
-	// the runtime price of ordering this plan did (not avoid).
+	// RowsSorted totals the rows Sort operators consumed — the runtime
+	// price of ordering this plan did (not avoid).
 	RowsSorted int64 `json:"rowsSorted"`
 	// PlanNs is the dynamic-programming time (0 on plan-cache hits);
 	// ExecNs the pipeline execution wall time.

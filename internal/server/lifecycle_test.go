@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -133,6 +134,116 @@ func TestTimeoutClamp(t *testing.T) {
 	}
 	if elapsed := time.Since(begin); elapsed > 5*time.Second {
 		t.Errorf("clamp ignored: 504 took %v", elapsed)
+	}
+}
+
+// TestFaultIsolation: a server full of hung, aborted pipelines still
+// serves the traffic that is not broken. The same load runs twice, 4
+// closed-loop /plan clients and 2 /execute victims under a 25 ms
+// deadline, first with working pipelines, then with every victim
+// pipeline wedged on its first row. In the faulted phase every victim
+// must end as a prompt typed 504, not a stuck connection or another
+// error; planning must see no errors, and its throughput must not
+// collapse against the fault-free phase (asserted loosely: CI noise).
+func TestFaultIsolation(t *testing.T) {
+	const (
+		workers, victims = 4, 2
+		phase            = 400 * time.Millisecond
+		timeoutMs        = 25
+	)
+	type outcome struct {
+		planQPS, victimMeanMs            float64
+		planErrs, victimReqs             int64
+		victimOK, victim504, victimOther int64
+	}
+	run := func(hook exec.IterHook) outcome {
+		_, c, done := newTestServer(t, Config{Datasets: smallRegistry(), ExecHook: hook})
+		defer done()
+		tr := &http.Transport{MaxIdleConnsPerHost: workers + victims}
+		defer tr.CloseIdleConnections()
+		c.HTTPClient = &http.Client{Transport: tr}
+		// Warm the plan cache: planning measures the serving path, not
+		// the first DP.
+		if _, err := c.Plan(tpcr.Query8SQL); err != nil {
+			t.Fatal(err)
+		}
+
+		var planned, planErrs, reqs, ok, timeouts, other, victimNs atomic.Int64
+		ctx, cancel := context.WithTimeout(context.Background(), phase)
+		defer cancel()
+		var wg sync.WaitGroup
+		start := time.Now()
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ctx.Err() == nil {
+					_, err := c.PlanContext(ctx, tpcr.Query8SQL)
+					switch {
+					case err == nil:
+						planned.Add(1)
+					case IsShed(err), ctx.Err() != nil: // shed, or cut when the phase ended
+					default:
+						planErrs.Add(1)
+					}
+				}
+			}()
+		}
+		for range victims {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req := ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-small", MaxRows: 1, TimeoutMs: timeoutMs}
+				for ctx.Err() == nil {
+					begin := time.Now()
+					_, err := c.ExecuteContext(ctx, req)
+					var se *StatusError
+					switch {
+					case err == nil:
+						ok.Add(1)
+					case errors.As(err, &se) && se.Code == http.StatusGatewayTimeout:
+						timeouts.Add(1)
+					case ctx.Err() != nil: // cut when the phase ended: not counted
+						continue
+					default:
+						other.Add(1)
+					}
+					reqs.Add(1)
+					victimNs.Add(time.Since(begin).Nanoseconds())
+				}
+			}()
+		}
+		wg.Wait()
+		o := outcome{
+			planQPS:  float64(planned.Load()) / time.Since(start).Seconds(),
+			planErrs: planErrs.Load(), victimReqs: reqs.Load(),
+			victimOK: ok.Load(), victim504: timeouts.Load(), victimOther: other.Load(),
+		}
+		if o.victimReqs > 0 {
+			o.victimMeanMs = float64(victimNs.Load()) / float64(o.victimReqs) / 1e6
+		}
+		return o
+	}
+
+	healthy, faulted := run(nil), run(hangHook())
+	for name, o := range map[string]outcome{"healthy": healthy, "faulted": faulted} {
+		if o.planErrs != 0 {
+			t.Errorf("%s: %d planning errors", name, o.planErrs)
+		}
+		if o.planQPS <= 0 || o.victimReqs <= 0 {
+			t.Errorf("%s: no planning throughput or no victim requests: %+v", name, o)
+		}
+	}
+	if faulted.victim504 == 0 || faulted.victimOK != 0 || faulted.victimOther != 0 {
+		t.Errorf("faulted: victims must all end as 504s, got %d 504, %d ok, %d other",
+			faulted.victim504, faulted.victimOK, faulted.victimOther)
+	}
+	// Hangs are released by the deadline, not at some multiple of it.
+	if lim := float64(timeoutMs) + 100; faulted.victimMeanMs > lim {
+		t.Errorf("faulted: victim mean latency %.1fms past the %dms deadline", faulted.victimMeanMs, timeoutMs)
+	}
+	if faulted.planQPS < 0.2*healthy.planQPS {
+		t.Errorf("planning collapsed under faults: %.0f qps vs %.0f fault-free", faulted.planQPS, healthy.planQPS)
 	}
 }
 

@@ -93,8 +93,9 @@ func TestPlanserverdFlagSurface(t *testing.T) {
 // TestPlanserverdFlagSurface pins the daemon: the flag names
 // `experiments -h` prints must equal the flag table in
 // docs/benchmarks.md and cover the package comment's usage block, the
-// per-table flags the nine shared ones replaced, the deleted spill table
-// and the deleted million-row dataset tier must be rejected, and every
+// per-table flags the seven shared ones replaced, the flags and tables
+// of the deleted spill, abort, large and enum tables and the deleted
+// million-row dataset tier must be rejected, and every
 // table -h lists runs once at its smallest size, so no registry entry
 // can rot.
 func TestExperimentsFlagSurface(t *testing.T) {
@@ -115,8 +116,8 @@ func TestExperimentsFlagSurface(t *testing.T) {
 	}
 	got := submatches(`(?m)^  -([a-z-]+)`, help)
 	want := submatches("(?m)^\\| `-([a-z-]+)` ", doc)
-	if len(got) != 9 || !slices.Equal(got, want) {
-		t.Errorf("experiments -h flags and the docs/benchmarks.md flag table differ (want 9):\n  -h:   %v\n  docs: %v", got, want)
+	if len(got) != 7 || !slices.Equal(got, want) {
+		t.Errorf("experiments -h flags and the docs/benchmarks.md flag table differ (want 7):\n  -h:   %v\n  docs: %v", got, want)
 	}
 	checkUsageFlags(t, "experiments", got)
 
@@ -125,14 +126,14 @@ func TestExperimentsFlagSurface(t *testing.T) {
 		"large-shapes", "large-sizes", "large-seeds", "large-compare-max",
 		"exec-datasets", "exec-runs", "exec-queries", "exec-relations", "exec-rows",
 		"topk-ks", "workers", "spill-datasets", "spill-runs", "spill-bytes",
-		"abort-duration", "abort-victims",
+		"abort-duration", "abort-victims", "shapes", "duration",
 	} {
 		out, err := exec.Command(bin, "-"+gone+"=1", "-h").CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: -"+gone) {
 			t.Errorf("experiments -%s was not rejected (err %v):\n%s", gone, err, out)
 		}
 	}
-	for _, name := range []string{"nope", "spill"} {
+	for _, name := range []string{"nope", "spill", "abort", "large", "enum"} {
 		if out, err := exec.Command(bin, "-table", name).CombinedOutput(); err == nil || !strings.Contains(string(out), "prep, q8") {
 			t.Errorf("-table %s not rejected with the table list (err %v):\n%s", name, err, out)
 		}
@@ -148,11 +149,8 @@ func TestExperimentsFlagSurface(t *testing.T) {
 		"q8":    nil,
 		"fig13": {"-sizes", "4", "-extras", "0", "-seeds", "1"},
 		"fig14": {"-sizes", "4", "-extras", "0", "-seeds", "1", "-enumerator", "naive"},
-		"enum":  {"-sizes", "4"},
-		"large": {"-sizes", "8", "-seeds", "1", "-shapes", "chain,clique"},
 		"exec":  {"-runs", "1", "-datasets", "tpcr-small"},
 		"topk":  {"-runs", "1", "-datasets", "tpcr-small"},
-		"abort": {"-duration", "200ms"},
 	}
 	tables := submatches(`(?m)^  ([a-z0-9]+) `, help)
 	if len(tables) != len(smallest)+1 { // + all
