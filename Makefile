@@ -34,12 +34,15 @@ test:
 # is exercised by many goroutines through shared caches and pools —
 # and then the optimizer's randomized cross-checks over their full seed
 # sweep (tier-1 runs one seed per point; see -exhaustive in
-# internal/optimizer/enumerate_test.go). The sweep adds seeds, not
-# goroutines, and runs without the detector: its shadow memory on the
-# 26M-plan grid-12 exact DP is 16 GB.
+# internal/optimizer/enumerate_test.go): linearized vs exact tier, naive
+# vs DPccp enumerator, and DFSM vs Simmen order framework, whose merge
+# joins read sort states from the per-pair table and sort at each use
+# respectively. The sweep adds seeds, not goroutines, and runs without
+# the detector: its shadow memory on the 26M-plan grid-12 exact DP is
+# 16 GB.
 race:
 	$(GO) test -race ./...
-	$(GO) test ./internal/optimizer/ -run 'TestLinearizedCrossCheck|TestEnumeratorsAgreeOnOptimalCost' -args -exhaustive
+	$(GO) test ./internal/optimizer/ -run 'TestLinearizedCrossCheck|TestEnumeratorsAgreeOnOptimalCost|TestModesAgreeOnOptimalCost' -args -exhaustive
 
 # faults runs the query-lifecycle hardening suite under the race
 # detector: the fault-injection scenario sweep (every operator hung,

@@ -60,6 +60,8 @@
 //	                     deadlines, row/memory budgets), dataset
 //	                     registry; also the harness validating
 //	                     ordering claims on real tuple streams
+//	internal/freelist    process-wide free lists for recycled buffers,
+//	                     shared by every P and aged by the collector
 //	internal/faultinject fault-injection harness: operators made slow,
 //	                     broken or hung on purpose, Open/Close leak
 //	                     tracking, declarative failure scenarios

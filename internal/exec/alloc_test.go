@@ -2,8 +2,8 @@ package exec
 
 import (
 	"runtime"
+	"runtime/debug"
 	"slices"
-	"sync"
 	"testing"
 )
 
@@ -169,20 +169,39 @@ func TestQ8ExecAllocBudget(t *testing.T) {
 	if median >= 4<<20 {
 		t.Errorf("one Q8 execution allocates %d KiB (median), want under 4 MiB", median>>10)
 	}
-	if poolsKeep() && least >= 256<<10 {
+	if least >= 256<<10 {
 		t.Errorf("one Q8 execution allocates %d KiB, want under 256", least>>10)
 	}
 }
 
-// poolsKeep reports whether a sync.Pool hands back what it was given,
-// which the race detector's runtime does not always do.
-func poolsKeep() bool {
-	var p sync.Pool
-	for i := 0; i < 64; i++ {
-		x := new(int)
-		if p.Put(x); p.Get() != x {
-			return false
+// TestPooledAllocIndependentOfGC: what a Q8 execution allocates does
+// not depend on how often the collector runs. Its sort runs, build
+// tables, drain buffer and row chunks are recycled through shared free
+// lists, which any P can take from and which keep an object through a
+// cycle. Per-P pools (sync.Pool) would not do: a Get cannot see what
+// was Put on another P, so each GC that coincides with the goroutine
+// changing Ps costs a fresh copy of every buffer.
+func TestPooledAllocIndependentOfGC(t *testing.T) {
+	ds, _ := TPCRLazyRegistry().Get("tpcr-mid")
+	a, best := planServed(t, q8Served(t))
+	perRun := func(n int) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if rows, _, err := ds.Runner(a).Run(best); err != nil || len(rows) == 0 {
+				t.Fatalf("%d rows, %v", len(rows), err)
+			}
 		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 	}
-	return true
+	perRun(4) // warm-up: the resident build tables, the lists
+	calm := perRun(100)
+	defer debug.SetGCPercent(debug.SetGCPercent(5))
+	busy := perRun(100)
+	t.Logf("one Q8 execution allocates %.1f KiB, %.1f KiB with a GC every few", calm/1024, busy/1024)
+	if busy > calm*1.05 {
+		t.Errorf("a Q8 execution allocates %.1f KiB under frequent GC, %.1f KiB otherwise: recycled buffers are lost to collections", busy/1024, calm/1024)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"orderopt/internal/catalog"
+	"orderopt/internal/freelist"
 	"orderopt/internal/query"
 	"orderopt/internal/querygen"
 	"orderopt/internal/tpcr"
@@ -102,7 +103,7 @@ func (hv *hashView) build(rows []Row, col int, admit func(bytes int64) bool) boo
 // themselves (buildHash): recycle puts a table back cleared of its row
 // headers when the join that built it closes. Resident tables own
 // their memory.
-var hashPool = sync.Pool{New: func() any { return new(hashView) }}
+var hashPool freelist.List[hashView]
 
 // recycle returns a per-execution build table to hashPool; hv must not
 // be read afterwards.
@@ -115,7 +116,7 @@ func (hv *hashView) recycle() {
 // drainPool holds buildHash's drain buffers, process-wide: the build
 // copies the row headers out, so the buffer is scratch from one build to
 // the next, whichever query runs it.
-var drainPool = sync.Pool{New: func() any { return new([]Row) }}
+var drainPool freelist.List[[]Row]
 
 // buildHash drains right into the build table a query makes for itself,
 // keyed on column col — the one path behind a hash join's Open and an
@@ -125,7 +126,7 @@ var drainPool = sync.Pool{New: func() any { return new([]Row) }}
 // chunk, on every path out — an error or a panic mid-drain included.
 // The table comes from hashPool; its owner recycles it when done.
 func buildHash(right Iterator, col int, hold func(Row) error) (*hashView, error) {
-	buf := drainPool.Get().(*[]Row)
+	buf := drainPool.Get()
 	rows := (*buf)[:0]
 	defer func() {
 		clear(rows)
@@ -141,7 +142,7 @@ func buildHash(right Iterator, col int, hold func(Row) error) (*hashView, error)
 	}); err != nil {
 		return nil, err
 	}
-	hv := hashPool.Get().(*hashView)
+	hv := hashPool.Get()
 	hv.build(rows, col, func(int64) bool { return true })
 	return hv, nil
 }

@@ -24,9 +24,9 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
 
+	"orderopt/internal/freelist"
 	"orderopt/internal/query"
 )
 
@@ -250,12 +250,12 @@ type sortBufs struct {
 	sortScratch
 }
 
-var sortPool = sync.Pool{New: func() any { return new(sortBufs) }}
+var sortPool freelist.List[sortBufs]
 
 // Open implements Iterator.
 func (s *Sort) Open() error {
 	if s.bufs == nil {
-		s.bufs = sortPool.Get().(*sortBufs)
+		s.bufs = sortPool.Get()
 	}
 	b := s.bufs
 	b.run = b.run[:0]
@@ -917,7 +917,7 @@ const (
 
 // chunkPools[c] holds idle *rowChunks of rowAllocChunkMin<<c int64s,
 // not zeroed: carve's caller fills every column.
-var chunkPools [10]sync.Pool // rowAllocChunkMin<<9 == rowAllocChunkMax
+var chunkPools [10]freelist.List[rowChunk] // rowAllocChunkMin<<9 == rowAllocChunkMax
 
 type rowChunk struct{ buf Row }
 
@@ -978,9 +978,9 @@ func (al *rowAlloc) ensure(n int) {
 		sz = min(sz, al.window*n)
 	}
 	if c := max(bits.Len(uint(sz-1))-bits.Len(rowAllocChunkMin-1), 0); al.pooled && c < len(chunkPools) {
-		ch, _ := chunkPools[c].Get().(*rowChunk)
-		if ch == nil {
-			ch = &rowChunk{buf: make(Row, rowAllocChunkMin<<c)}
+		ch := chunkPools[c].Get()
+		if ch.buf == nil {
+			ch.buf = make(Row, rowAllocChunkMin<<c)
 		}
 		al.taken = append(al.taken, ch)
 		al.chunk = ch.buf[:sz]

@@ -135,7 +135,7 @@ func TestBudgetHashJoinBuild(t *testing.T) {
 	}
 	// Whatever buffers the pool hands out next pin no row.
 	for i := 0; i < 4; i++ {
-		buf := drainPool.Get().(*[]Row)
+		buf := drainPool.Get()
 		defer drainPool.Put(buf)
 		for _, r := range (*buf)[:cap(*buf)] {
 			if r != nil {
@@ -586,10 +586,10 @@ func TestPooledBuffersPinNoRow(t *testing.T) {
 		if out, err := Collect(join); err != nil || len(out) == 0 {
 			t.Fatalf("%d rows, %v", len(out), err)
 		}
-		b := sortPool.Get().(*sortBufs)
+		b := sortPool.Get()
 		pinsNone("sort run", b.run)
 		pinsNone("sort scratch", b.tmp)
-		hv := hashPool.Get().(*hashView)
+		hv := hashPool.Get()
 		pinsNone("build table", hv.rows)
 		if cap(b.run) > 0 && cap(hv.rows) > 0 {
 			recycled++

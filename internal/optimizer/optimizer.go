@@ -109,8 +109,10 @@ type Result struct {
 	// arena: it stays valid after the scratch is recycled.
 	Best *plan.Node
 
-	// PlansGenerated counts every plan operator constructed (the
-	// paper's "#Plans": "the time to introduce one plan operator").
+	// PlansGenerated counts every plan operator priced (the paper's
+	// "#Plans": "the time to introduce one plan operator"), whether or
+	// not it enters a plan list; a Sort under a merge-join candidate
+	// counts once per candidate it serves.
 	PlansGenerated int64
 	// PlansRetained counts plans surviving dominance pruning.
 	PlansRetained int
@@ -219,6 +221,13 @@ type optimizer struct {
 	dp        dpTable
 	generated int64
 	ccPairs   int64
+	nodes     int // arena nodes handed out this run
+
+	// preds and sorts are joinLists' per-pair merge table, reused across
+	// pairs: the pair's merge predicates, and per side every input plan's
+	// standing for each of them (row-major, one row per plan).
+	preds []mergePred
+	sorts [2][]sortEntry
 
 	// lin runs the linearized tier: gated merge-join generation and plan
 	// lists bounded to DefaultLinearizedBeam (the exact tier's are not).
@@ -373,7 +382,7 @@ func Prepare(a *query.Analysis, cfg Config) (*Prepared, error) {
 // reset here, not trusted.
 func (o *optimizer) bind(p *Prepared) {
 	o.p = p
-	o.generated, o.ccPairs = 0, 0
+	o.generated, o.ccPairs, o.nodes = 0, 0, 0
 	o.clearPlans()
 	o.sim = nil
 	if p.cfg.Mode == ModeSimmen {
@@ -534,9 +543,9 @@ func (o *optimizer) run() (*plan.Node, error) {
 func (o *optimizer) basePlans(n int) {
 	for r := 0; r < n; r++ {
 		mask := uint64(1) << uint(r)
-		o.addPlan(mask, o.scanPlan(r, -1))
+		o.scanPlan(mask, r, -1)
 		for ix := range o.p.a.IndexOrders[r] {
-			o.addPlan(mask, o.scanPlan(r, ix))
+			o.scanPlan(mask, r, ix)
 		}
 	}
 }
@@ -547,20 +556,103 @@ func (o *optimizer) joinPair(s1, s2 uint64) {
 	o.joinLists(s1, s2, o.edgesBetween(s1, s2))
 }
 
+// mergePred is one equality predicate of a csg-cmp pair a merge join
+// can run on: ord[k] is the order side k's input must deliver (side 0
+// covers s1, side 1 s2).
+type mergePred struct {
+	edge, pred int
+	ord        [2]order.ID
+}
+
+// sortEntry is one input plan's standing for one merge predicate:
+// whether it already delivers its side's order, and if not, its cost
+// once sorted and, under ModeDFSM, the state the sort leaves.
+type sortEntry struct {
+	has   bool
+	cost  float64
+	state core.State
+}
+
+// pairJoin is what emitJoins reads about a csg-cmp pair: the union
+// mask, the crossing edges, the output cardinality, and the FD mask the
+// edges add. All of it depends on the pair, not on the plans joined.
+type pairJoin struct {
+	mask   uint64
+	edges  []int
+	out    float64
+	fdMask uint64
+}
+
 // joinLists joins every plan combination of the disjoint subsets s1 and
 // s2 in both directions (each join operator here preserves its outer
-// ordering); both inputs already have their final plan lists. The
-// output cardinality depends only on the union mask, so it is estimated
-// once per pair, not once per plan combination.
+// ordering); both inputs already have their final plan lists. Whatever
+// depends on the pair alone — the output cardinality, the edges' FD
+// mask, the merge predicates — is computed once per pair, and what
+// depends on one input plan — whether it holds a merge predicate's
+// order, and what sorting it costs — once per plan, not once per plan
+// combination and direction.
 func (o *optimizer) joinLists(s1, s2 uint64, edges []int) {
-	mask := s1 | s2
-	out := o.p.maskCard(mask)
-	for _, p1 := range o.dp.get(s1) {
-		for _, p2 := range o.dp.get(s2) {
-			o.emitJoins(mask, s1, p1, p2, edges, out)
-			o.emitJoins(mask, s2, p2, p1, edges, out)
+	pj := pairJoin{mask: s1 | s2, edges: edges, out: o.p.maskCard(s1 | s2)}
+	for _, e := range edges {
+		if h := o.p.a.EdgeFD[e]; h >= 0 && h < 64 {
+			pj.fdMask |= 1 << uint(h)
 		}
 	}
+	l1, l2 := o.dp.get(s1), o.dp.get(s2)
+	o.mergePreds(s1, edges)
+	t1, t2 := o.sortTable(0, l1), o.sortTable(1, l2)
+	np := len(o.preds)
+	for i, p1 := range l1 {
+		r1 := t1[i*np : (i+1)*np]
+		for j, p2 := range l2 {
+			r2 := t2[j*np : (j+1)*np]
+			o.emitJoins(&pj, 0, p1, p2, r1, r2)
+			o.emitJoins(&pj, 1, p2, p1, r2, r1)
+		}
+	}
+}
+
+// mergePreds collects the pair's merge predicates into o.preds, each
+// predicate's orders aligned with the pair's sides. The linearized tier
+// skips edges no input can hold an order of (Prepared.mergeable).
+func (o *optimizer) mergePreds(s1 uint64, edges []int) {
+	o.preds = o.preds[:0]
+	if o.p.cfg.DisableMergeJoin {
+		return
+	}
+	for _, e := range edges {
+		if o.p.mergeable != nil && !o.p.mergeable[e] {
+			continue
+		}
+		sides := &o.p.a.EdgeOrders[e]
+		for pi, pred := range o.p.g.Edges[e].Preds {
+			ord := [2]order.ID{sides[0][pi], sides[1][pi]}
+			if s1&(1<<uint(pred.Left.Rel)) == 0 {
+				ord[0], ord[1] = ord[1], ord[0]
+			}
+			o.preds = append(o.preds, mergePred{edge: e, pred: pi, ord: ord})
+		}
+	}
+}
+
+// sortTable fills side k's rows of the per-pair merge table for the
+// plans in list. Under ModeSimmen the state is left out: the baseline
+// sorts at each use (see sortedState).
+func (o *optimizer) sortTable(k int, list []*plan.Node) []sortEntry {
+	t := o.sorts[k][:0]
+	for _, p := range list {
+		sorted := p.Cost + plan.SortCost(p.Card)
+		for i := range o.preds {
+			ord := o.preds[i].ord[k]
+			e := sortEntry{has: o.contains(p.State, ord), cost: sorted}
+			if !e.has && o.p.fw != nil {
+				e.state = o.p.fw.SortMask(ord, p.FDMask)
+			}
+			t = append(t, e)
+		}
+	}
+	o.sorts[k] = t
+	return t
 }
 
 // edgesBetween collects the edges crossing the disjoint masks s1, s2
@@ -576,47 +668,47 @@ func (o *optimizer) edgesBetween(s1, s2 uint64) []int {
 	return out
 }
 
-// scanPlan builds a table scan (ix < 0) or index scan plan for relation r
-// and applies the relation's selection FDs.
-func (o *optimizer) scanPlan(r, ix int) *plan.Node {
+// scanPlan prices a table scan (ix < 0) or index scan plan for
+// relation r, applies the relation's selection FDs, and offers it to
+// dp[mask].
+func (o *optimizer) scanPlan(mask uint64, r, ix int) {
 	t := o.p.g.Relations[r].Table
 	rows := float64(t.Rows)
-	node := o.arena.New()
-	*node = plan.Node{Rel: r, Card: o.p.relCard[r]}
+	scan := plan.Node{Rel: r, Card: o.p.relCard[r]}
 	if ix < 0 {
-		node.Op = plan.TableScan
-		node.Cost = plan.ScanCost(rows)
-		node.State = o.produce(order.EmptyID)
+		scan.Op = plan.TableScan
+		scan.Cost = plan.ScanCost(rows)
+		scan.State = o.produce(order.EmptyID)
 	} else {
-		node.Op = plan.IndexScan
-		node.Index = ix
-		node.Cost = plan.IndexScanCost(rows, t.Indexes[ix].Clustered)
-		node.State = o.produce(o.p.a.IndexOrders[r][ix])
+		scan.Op = plan.IndexScan
+		scan.Index = ix
+		scan.Cost = plan.IndexScanCost(rows, t.Indexes[ix].Clustered)
+		scan.State = o.produce(o.p.a.IndexOrders[r][ix])
 	}
 	if h := o.p.a.RelFD[r]; h >= 0 {
 		if h < 64 {
-			node.FDMask |= 1 << uint(h)
+			scan.FDMask |= 1 << uint(h)
 		}
-		node.State = o.infer(node.State, h)
+		scan.State = o.infer(scan.State, h)
 	}
 	o.generated++
-	return node
+	if at, ok := o.admit(mask, scan.Cost, scan.State); ok {
+		n := o.node()
+		*n = scan
+		o.insert(mask, at, n)
+	}
 }
 
 // applyEdges applies the FD sets of the given join edges to a state.
-// Handles ≥ 64 do not fit the sort-replay mask and are only inferred
-// here (see Prepare).
-func (o *optimizer) applyEdges(n *plan.Node, edges []int) {
+// Handles ≥ 64 do not fit the sort-replay mask (pairJoin.fdMask leaves
+// them out) and are only inferred here (see Prepare).
+func (o *optimizer) applyEdges(s core.State, edges []int) core.State {
 	for _, e := range edges {
-		h := o.p.a.EdgeFD[e]
-		if h < 0 {
-			continue // edge beyond the analysis FD caps: no inference
+		if h := o.p.a.EdgeFD[e]; h >= 0 { // < 0: edge beyond the analysis FD caps
+			s = o.infer(s, h)
 		}
-		if h < 64 {
-			n.FDMask |= 1 << uint(h)
-		}
-		n.State = o.infer(n.State, h)
 	}
+	return s
 }
 
 // The five order operations below are the run's route to the order
@@ -655,16 +747,14 @@ func (o *optimizer) contains(s core.State, ord order.ID) bool {
 	return o.sim.Contains(o.anns[s], ord)
 }
 
-// dominates reports whether a makes b redundant: no more expensive and at
-// least as much order information.
-func (o *optimizer) dominates(a, b *plan.Node) bool {
-	if a.Cost > b.Cost {
-		return false
-	}
+// covers reports whether state a carries at least the order information
+// of state b. A plan no more expensive than another whose state it
+// covers makes that other plan redundant (see admit).
+func (o *optimizer) covers(a, b core.State) bool {
 	if o.p.fw != nil {
-		return o.p.fw.SubsetOf(b.State, a.State)
+		return o.p.fw.SubsetOf(b, a)
 	}
-	return o.sim.Dominates(o.anns[a.State], o.anns[b.State])
+	return o.sim.Dominates(o.anns[a], o.anns[b])
 }
 
 // annotate enters a Simmen annotation into the run's table.
@@ -673,57 +763,59 @@ func (o *optimizer) annotate(a *simmen.Annotation) core.State {
 	return core.State(len(o.anns) - 1)
 }
 
+// sortedState is p's state once sorted to ord, e being p's entry for
+// ord in the per-pair merge table. Under ModeSimmen the baseline sorts at
+// each use: its memory column counts every annotation a sort makes.
+func (o *optimizer) sortedState(p *plan.Node, ord order.ID, e *sortEntry) core.State {
+	if o.p.fw != nil {
+		return e.state
+	}
+	return o.sort(p, ord)
+}
+
 // sortPlan wraps p in a sort to ord (no-op test is the caller's job).
 func (o *optimizer) sortPlan(p *plan.Node, ord order.ID) *plan.Node {
-	n := o.arena.New()
-	*n = plan.Node{
-		Op: plan.Sort, Left: p, SortOrd: ord,
-		Cost: p.Cost + plan.SortCost(p.Card),
-		Card: p.Card, FDMask: p.FDMask,
-	}
-	n.State = o.sort(p, ord)
 	o.generated++
+	return o.sortNode(p, ord, p.Cost+plan.SortCost(p.Card), o.sort(p, ord))
+}
+
+// sortNode builds the Sort of p to ord, already priced.
+func (o *optimizer) sortNode(p *plan.Node, ord order.ID, cost float64, s core.State) *plan.Node {
+	n := o.node()
+	*n = plan.Node{Op: plan.Sort, Left: p, SortOrd: ord, Cost: cost, Card: p.Card, FDMask: p.FDMask, State: s}
 	return n
 }
 
-// emitJoins generates the join candidates for (p1 ⋈ p2) over edges and
-// offers them to dp[mask]. p1 is the outer/left input covering the
-// relations in s1; out is the pair's output cardinality estimate.
-func (o *optimizer) emitJoins(mask, s1 uint64, p1, p2 *plan.Node, edges []int, out float64) {
-	join := func(op plan.Op, left, right *plan.Node, opCost float64, edge, pred int) {
-		if o.lin {
-			// Cost-based fast rejection before any node is built: with a
-			// saturated beam, a candidate no cheaper than the list's last
-			// entry can neither enter nor dominate anything.
-			if list := o.dp.get(mask); len(list) >= DefaultLinearizedBeam &&
-				left.Cost+right.Cost+opCost >= list[DefaultLinearizedBeam-1].Cost {
-				return
-			}
-		}
-		n := o.arena.New()
-		*n = plan.Node{
-			Op: op, Left: left, Right: right, Edge: edge, Pred: pred,
-			Cost:   left.Cost + right.Cost + opCost,
-			Card:   out,
-			FDMask: left.FDMask | right.FDMask,
-			// All join operators here preserve the outer (left/probe)
-			// input's ordering; the edge equations then widen it.
-			State: left.State,
-		}
-		o.applyEdges(n, edges)
-		o.generated++
-		o.addPlan(mask, n)
-	}
+// node hands out an arena node; only admitted candidates and the final
+// plans get one.
+func (o *optimizer) node() *plan.Node {
+	o.nodes++
+	return o.arena.New()
+}
 
+// joinInput is one input of a join candidate as priced: the input plan
+// and, when a merge join must sort it first, the order it sorts to. cost
+// and state are what the join reads: the plan's own, or the sorted
+// stream's.
+type joinInput struct {
+	p     *plan.Node
+	sort  bool
+	ord   order.ID
+	cost  float64
+	state core.State
+}
+
+// emitJoins prices the join candidates for (p1 ⋈ p2) and offers them to
+// dp[pj.mask]. p1 is the outer/left input, from side k of the pair; r1
+// and r2 are p1's and p2's rows of the per-pair merge table.
+func (o *optimizer) emitJoins(pj *pairJoin, k int, p1, p2 *plan.Node, r1, r2 []sortEntry) {
+	l := joinInput{p: p1, cost: p1.Cost, state: p1.State}
+	r := joinInput{p: p2, cost: p2.Cost, state: p2.State}
 	if !o.p.cfg.DisableNLJoin {
-		join(plan.NestedLoopJoin, p1, p2, plan.NestedLoopCost(p1.Card, p2.Card, out), edges[0], 0)
+		o.join(pj, plan.NestedLoopJoin, &l, &r, plan.NestedLoopCost(p1.Card, p2.Card, pj.out), pj.edges[0], 0)
 	}
 	if !o.p.cfg.DisableHashJoin {
-		join(plan.HashJoin, p1, p2, plan.HashJoinCost(p1.Card, p2.Card, out), edges[0], 0)
-	}
-
-	if o.p.cfg.DisableMergeJoin {
-		return
+		o.join(pj, plan.HashJoin, &l, &r, plan.HashJoinCost(p1.Card, p2.Card, pj.out), pj.edges[0], 0)
 	}
 
 	// Merge joins: one candidate per equality predicate, sorting inputs
@@ -734,62 +826,106 @@ func (o *optimizer) emitJoins(mask, s1 uint64, p1, p2 *plan.Node, edges []int, o
 	// would dominate the runtime while hash and nested-loop joins cover
 	// the no-order-to-exploit case, and an inner-only ordering is picked
 	// up by the mirrored emitJoins call with the inputs swapped.
-	for _, e := range edges {
-		if o.p.mergeable != nil && !o.p.mergeable[e] {
-			continue // no input holds any side's order
+	for i := range o.preds {
+		if o.lin && !r1[i].has {
+			continue
 		}
-		sides := &o.p.a.EdgeOrders[e]
-		for pi, pred := range o.p.g.Edges[e].Preds {
-			lOrd, rOrd := sides[0][pi], sides[1][pi]
-			// Align predicate sides with (p1, p2).
-			if s1&(1<<uint(pred.Left.Rel)) == 0 {
-				lOrd, rOrd = rOrd, lOrd
-			}
-			lHas := o.contains(p1.State, lOrd)
-			if o.lin && !lHas {
-				continue
-			}
-			left, right := p1, p2
-			if !lHas {
-				left = o.sortPlan(left, lOrd)
-			}
-			if !o.contains(p2.State, rOrd) {
-				right = o.sortPlan(right, rOrd)
-			}
-			join(plan.MergeJoin, left, right, plan.MergeJoinCost(left.Card, right.Card, out), e, pi)
-		}
+		mp := &o.preds[i]
+		l, r := o.mergeInput(p1, mp.ord[k], &r1[i]), o.mergeInput(p2, mp.ord[1-k], &r2[i])
+		o.join(pj, plan.MergeJoin, &l, &r, plan.MergeJoinCost(p1.Card, p2.Card, pj.out), mp.edge, mp.pred)
 	}
 }
 
-// addPlan offers a candidate to the subset's plan list with dominance
-// pruning. Lists are kept sorted by cost: only the prefix of entries no
-// more expensive than the candidate can dominate it (scanning stops at
-// the first costlier entry), and only the tail from the first equal-cost
-// entry can be dominated by it. The linearized tier additionally bounds
-// each list to the beam width, keeping the cheapest plans.
-func (o *optimizer) addPlan(mask uint64, cand *plan.Node) {
-	list := o.dp.get(mask)
-	if o.lin && len(list) >= DefaultLinearizedBeam && cand.Cost >= list[DefaultLinearizedBeam-1].Cost {
-		return // saturated beam: no cheaper than the last kept plan
+// mergeInput is p as a merge-join input that needs order ord, e being
+// p's entry for ord in the per-pair merge table: p itself when it holds
+// the order, else p sorted to it — a Sort priced, and counted, for this
+// candidate.
+func (o *optimizer) mergeInput(p *plan.Node, ord order.ID, e *sortEntry) joinInput {
+	if e.has {
+		return joinInput{p: p, cost: p.Cost, state: p.State}
 	}
-	t := len(list) // insertion point: first entry with cost ≥ cand's
+	o.generated++
+	return joinInput{p: p, sort: true, ord: ord, cost: e.cost, state: o.sortedState(p, ord, e)}
+}
+
+// join prices the candidate l ⋈ r and builds it — its Sorts included —
+// only if dp[pj.mask] admits it.
+func (o *optimizer) join(pj *pairJoin, op plan.Op, l, r *joinInput, opCost float64, edge, pred int) {
+	cost := l.cost + r.cost + opCost
+	if o.lin {
+		// Cost-based fast rejection before any state is inferred: with a
+		// saturated beam, a candidate no cheaper than the list's last
+		// entry can neither enter nor dominate anything.
+		if list := o.dp.get(pj.mask); len(list) >= DefaultLinearizedBeam && cost >= list[DefaultLinearizedBeam-1].Cost {
+			return
+		}
+	}
+	// All join operators here preserve the outer (left/probe) input's
+	// ordering; the edge equations then widen it.
+	state := o.applyEdges(l.state, pj.edges)
+	o.generated++
+	at, ok := o.admit(pj.mask, cost, state)
+	if !ok {
+		return
+	}
+	left, right := o.input(l), o.input(r)
+	n := o.node()
+	*n = plan.Node{
+		Op: op, Left: left, Right: right, Edge: edge, Pred: pred,
+		Cost: cost, Card: pj.out, State: state,
+		FDMask: left.FDMask | right.FDMask | pj.fdMask,
+	}
+	o.insert(pj.mask, at, n)
+}
+
+// input builds an admitted candidate's input: the plan itself, or its
+// Sort.
+func (o *optimizer) input(in *joinInput) *plan.Node {
+	if !in.sort {
+		return in.p
+	}
+	return o.sortNode(in.p, in.ord, in.cost, in.state)
+}
+
+// admit is the dominance pre-check for a candidate of the given cost and
+// state offered to dp[mask]: it reports the candidate's insertion point,
+// or false when the list rejects it. Lists are kept sorted by cost, so
+// only the prefix of entries no more expensive than the candidate can
+// dominate it (scanning stops at the first costlier entry), and only
+// the tail from the first equal-cost entry can be dominated by it (see
+// insert); position settles the cost half of dominance. The linearized
+// tier additionally bounds each list to the beam width, keeping the
+// cheapest plans.
+func (o *optimizer) admit(mask uint64, cost float64, state core.State) (int, bool) {
+	list := o.dp.get(mask)
+	if o.lin && len(list) >= DefaultLinearizedBeam && cost >= list[DefaultLinearizedBeam-1].Cost {
+		return 0, false // saturated beam: no cheaper than the last kept plan
+	}
+	t := len(list) // insertion point: first entry with cost ≥ the candidate's
 	for i, q := range list {
-		if q.Cost >= cand.Cost {
+		if q.Cost >= cost {
 			t = i
 			break
 		}
-		if o.dominates(q, cand) {
-			return
+		if o.covers(q.State, state) {
+			return 0, false
 		}
 	}
-	for i := t; i < len(list) && list[i].Cost == cand.Cost; i++ {
-		if o.dominates(list[i], cand) {
-			return
+	for i := t; i < len(list) && list[i].Cost == cost; i++ {
+		if o.covers(list[i].State, state) {
+			return 0, false
 		}
 	}
+	return t, true
+}
+
+// insert enters an admitted plan into dp[mask] at the insertion point
+// admit reported, dropping the entries from there on that it dominates.
+func (o *optimizer) insert(mask uint64, t int, cand *plan.Node) {
+	list := o.dp.get(mask)
 	w := t
 	for i := t; i < len(list); i++ {
-		if !o.dominates(cand, list[i]) {
+		if !o.covers(cand.State, list[i].State) {
 			list[w] = list[i]
 			w++
 		}
@@ -833,7 +969,7 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 		if spine, ok := parallelSpineCost(p); ok {
 			shared := p.Cost - spine
 			for _, op := range [...]plan.Op{plan.ExchangeMerge, plan.ExchangeUnion} {
-				n := o.arena.New()
+				n := o.node()
 				*n = plan.Node{
 					Op: op, Left: p, DOP: dop,
 					Cost:   plan.ExchangeCost(op, spine, shared, p.Card, dop),
@@ -887,7 +1023,7 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 		// (pays everything below the Sort) automatically.
 		limited := make([]*plan.Node, 0, len(cands))
 		for _, c := range cands {
-			n := o.arena.New()
+			n := o.node()
 			card := float64(k)
 			if c.Card < card {
 				card = c.Card
@@ -953,7 +1089,7 @@ func (o *optimizer) groupCard(in float64) float64 {
 
 func (o *optimizer) groupNode(in *plan.Node, op plan.Op, card float64) *plan.Node {
 	sorted := op == plan.GroupSorted
-	n := o.arena.New()
+	n := o.node()
 	*n = plan.Node{
 		Op: op, Left: in,
 		Cost: in.Cost + plan.GroupCost(in.Card, sorted),

@@ -5,6 +5,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"orderopt/internal/core"
@@ -416,16 +417,14 @@ func LimitedCost(n *Node, k float64) float64 {
 	}
 }
 
+// log2 is the sort cost's log₂: exact at powers of two, linear on the
+// mantissa in between. For x ≥ 2, x = frac·2^exp with frac in [0.5, 1)
+// gives exp-1 levels plus the mantissa 2·frac in [1, 2); below 2 it is
+// x-1. +Inf stays +Inf.
 func log2(x float64) float64 {
-	// Avoid importing math for one function the optimizer calls in a
-	// loop: a 5-term iteration of the natural log is plenty accurate
-	// for cost estimation... but clarity wins: use the bit trick via
-	// float64 conversion instead.
-	n := 0.0
-	for x >= 2 {
-		x /= 2
-		n++
+	if x < 2 {
+		return x - 1
 	}
-	// Linear interpolation on the mantissa in [1,2).
-	return n + (x - 1)
+	frac, exp := math.Frexp(x)
+	return float64(exp-1) + (2*frac - 1)
 }

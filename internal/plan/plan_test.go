@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -137,6 +138,47 @@ func TestLog2Approximation(t *testing.T) {
 		if math.Abs(got-want) > 0.09*want+0.1 {
 			t.Errorf("log2(%v) = %v, want ≈ %v", x, got, want)
 		}
+	}
+}
+
+// halvingLog2 is the loop log2 replaced: halve down to [1, 2), counting
+// the halvings, then interpolate on the mantissa.
+func halvingLog2(x float64) float64 {
+	n := 0.0
+	for x >= 2 {
+		x /= 2
+		n++
+	}
+	return n + (x - 1)
+}
+
+// TestLog2MatchesHalving: halving a float64 ≥ 2 is exact, so the Frexp
+// form must agree with the loop to the bit — on every power of two from
+// 2^1 to 2^60, on each one's neighbours, and on seeded values from
+// below 1 to 2^60.
+func TestLog2MatchesHalving(t *testing.T) {
+	check := func(x float64) {
+		if got, want := log2(x), halvingLog2(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("log2(%v) = %v, the halving loop gives %v", x, got, want)
+		}
+	}
+	for e := 1; e <= 60; e++ {
+		x := math.Ldexp(1, e)
+		check(x)
+		check(math.Nextafter(x, 0))
+		check(math.Nextafter(x, math.Inf(1)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		check(math.Ldexp(rng.Float64()+0.5, rng.Intn(61)))
+	}
+}
+
+// TestSortCostInf: an infinite cardinality prices an infinite sort. The
+// halving loop never returned on it (+Inf / 2 is +Inf).
+func TestSortCostInf(t *testing.T) {
+	if got := SortCost(math.Inf(1)); !math.IsInf(got, 1) {
+		t.Errorf("SortCost(+Inf) = %v, want +Inf", got)
 	}
 }
 

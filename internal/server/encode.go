@@ -15,15 +15,16 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 
 	"orderopt/internal/exec"
+	"orderopt/internal/freelist"
 )
 
 // bufPool recycles response buffers across requests; a buffer grows to
-// the largest body it carried and the pool drops idle ones at GC.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+// the largest body it carried and the list drops idle ones over two GC
+// cycles.
+var bufPool freelist.List[[]byte]
 
 // jsonWriter appends one JSON value to buf, laid out as a json.Encoder
 // with SetIndent("", "  ") does when indent is set, compactly otherwise.

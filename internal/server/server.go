@@ -959,7 +959,7 @@ func planJSON(n *plan.Node, q *planner.PreparedQuery) *PlanNode {
 // in one Write. The served bodies go through the append writer
 // (encode.go); the cold ones stay on encoding/json.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	bp := bufPool.Get().(*[]byte)
+	bp := bufPool.Get()
 	defer bufPool.Put(bp)
 	var err error
 	switch v := v.(type) {

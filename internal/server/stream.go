@@ -110,7 +110,7 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 
 	// Every frame is built in one pooled buffer and leaves in one Write;
 	// the header before the status is committed, so failing is still a 500.
-	bp := bufPool.Get().(*[]byte)
+	bp := bufPool.Get()
 	defer bufPool.Put(bp)
 	if *bp, err = AppendStreamHeader((*bp)[:0], header); err != nil {
 		m.record(time.Since(begin), true)

@@ -46,14 +46,41 @@ func (t Token) String() string {
 	}
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "AS": true, "AND": true, "OR": true, "NOT": true,
-	"BETWEEN": true, "LIKE": true, "IN": true, "CASE": true, "WHEN": true,
-	"THEN": true, "ELSE": true, "END": true, "EXTRACT": true, "DATE": true,
-	"ASC": true, "DESC": true, "IS": true, "NULL": true, "DISTINCT": true,
-	"HAVING": true, "EXISTS": true, "ON": true, "JOIN": true, "INNER": true,
-	"LIMIT": true,
+// keywords maps each reserved keyword to itself: a token's Text is the
+// table's string, so lexing a keyword allocates nothing.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "AS", "AND", "OR",
+		"NOT", "BETWEEN", "LIKE", "IN", "CASE", "WHEN", "THEN", "ELSE", "END",
+		"EXTRACT", "DATE", "ASC", "DESC", "IS", "NULL", "DISTINCT", "HAVING",
+		"EXISTS", "ON", "JOIN", "INNER", "LIMIT",
+	} {
+		m[k] = k
+	}
+	return m
+}()
+
+// maxKeyword is the longest keyword's length: a longer word is an
+// identifier without a lookup.
+const maxKeyword = len("DISTINCT")
+
+// keyword returns word's canonical keyword, if it is one. Identifiers
+// are ASCII, so upper-casing into a stack buffer is exact.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeyword {
+		return "", false
+	}
+	var buf [maxKeyword]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	k, ok := keywords[string(buf[:len(word)])]
+	return k, ok
 }
 
 // LexError reports a lexing failure with its position.
@@ -67,8 +94,11 @@ func (e *LexError) Error() string {
 }
 
 // Lex tokenizes the input. Comments (-- to end of line) are skipped.
+// Token texts slice the input wherever they can (every token but a
+// string literal with an escaped quote, and keywords, which come from
+// the keyword table), so a statement costs one token slice.
 func Lex(input string) ([]Token, error) {
-	var toks []Token
+	toks := make([]Token, 0, tokenBound(input))
 	i := 0
 	n := len(input)
 	for i < n {
@@ -93,12 +123,11 @@ func Lex(input string) ([]Token, error) {
 		case c == '\'':
 			start := i
 			i++
-			var sb strings.Builder
-			closed := false
+			escaped, closed := false, false
 			for i < n {
 				if input[i] == '\'' {
 					if i+1 < n && input[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
+						escaped = true
 						i += 2
 						continue
 					}
@@ -106,22 +135,24 @@ func Lex(input string) ([]Token, error) {
 					i++
 					break
 				}
-				sb.WriteByte(input[i])
 				i++
 			}
 			if !closed {
 				return nil, &LexError{start, "unterminated string literal"}
 			}
-			toks = append(toks, Token{TokString, sb.String(), start})
+			text := input[start+1 : i-1]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			toks = append(toks, Token{TokString, text, start})
 		case isIdentStart(c):
 			start := i
 			for i < n && isIdentPart(input[i]) {
 				i++
 			}
 			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, Token{TokKeyword, upper, start})
+			if k, ok := keyword(word); ok {
+				toks = append(toks, Token{TokKeyword, k, start})
 			} else {
 				toks = append(toks, Token{TokIdent, word, start})
 			}
@@ -139,7 +170,7 @@ func Lex(input string) ([]Token, error) {
 			}
 			switch c {
 			case '(', ')', ',', '.', ';', '=', '<', '>', '+', '-', '*', '/':
-				toks = append(toks, Token{TokOp, string(c), start})
+				toks = append(toks, Token{TokOp, input[i : i+1], start})
 				i++
 			default:
 				return nil, &LexError{start, fmt.Sprintf("unexpected character %q", c)}
@@ -148,6 +179,24 @@ func Lex(input string) ([]Token, error) {
 	}
 	toks = append(toks, Token{TokEOF, "", n})
 	return toks, nil
+}
+
+// tokenBound estimates Lex's token count from above in one pass: every
+// token starts at a non-blank byte that does not continue a word (a run
+// of identifier bytes), plus the end-of-input token. Only words that
+// follow a number directly ("1a") start inside a run; the slice then
+// grows as usual.
+func tokenBound(input string) int {
+	n := 1
+	for i := 0; i < len(input); i++ {
+		switch c := input[i]; {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+		case i > 0 && isIdentPart(c) && isIdentPart(input[i-1]):
+		default:
+			n++
+		}
+	}
+	return n
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
