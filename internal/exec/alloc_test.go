@@ -22,8 +22,8 @@ func TestJoinEmitAllocsAmortized(t *testing.T) {
 		"live": {&live, Row{30, 10, 40}},
 	} {
 		avg := testing.AllocsPerRun(4000, func() {
-			row, ok := c.emit.row(l, r)
-			if !ok || !slices.Equal(row, c.want) {
+			row, ok, err := c.emit.row(l, r)
+			if !ok || err != nil || !slices.Equal(row, c.want) {
 				t.Fatalf("%s: emitted %v, want %v", name, row, c.want)
 			}
 		})
@@ -42,7 +42,7 @@ func TestRowAllocRetention(t *testing.T) {
 	const n = 10000
 	kept := make([]Row, n)
 	for i := 0; i < n; i++ {
-		r := al.carve(3)
+		r, _ := al.carve(3)
 		r[0], r[1], r[2] = int64(i), int64(i+1), int64(i+2)
 		kept[i] = r
 	}
@@ -67,7 +67,7 @@ func TestRowAllocRetention(t *testing.T) {
 func TestRowAllocWindow(t *testing.T) {
 	const window, width = 100, 3
 	carve := func(al *rowAlloc, i int) Row {
-		r := al.carve(width)
+		r, _ := al.carve(width)
 		r[0], r[1], r[2] = int64(i), int64(-i), int64(i*7)
 		return r
 	}
@@ -101,7 +101,7 @@ func TestRowAllocWindow(t *testing.T) {
 	}
 
 	first := carve(&short, 1)
-	wide := short.carve(width + 1)
+	wide, _ := short.carve(width + 1)
 	if len(short.chunk) == rowAllocChunkMin || &wide[0] != &short.chunk[0] {
 		t.Fatal("a carve of a new width did not start a fresh chunk")
 	}

@@ -120,30 +120,32 @@ var drainPool freelist.List[[]Row]
 
 // buildHash drains right into the build table a query makes for itself,
 // keyed on column col — the one path behind a hash join's Open and an
-// exchange's shared build side. Every row passes hold (the budget
-// charge) before it is buffered, so an overrun stops the drain where it
-// happens. The buffer goes back to the pool cleared, pinning no row
-// chunk, on every path out — an error or a panic mid-drain included.
-// The table comes from hashPool; its owner recycles it when done.
-func buildHash(right Iterator, col int, hold func(Row) error) (*hashView, error) {
+// exchange's shared build side. life is charged for the drain buffer as
+// it doubles (rowBuf), so an overrun stops the drain where it happens,
+// and for the table's arrays before they are filled. The buffer goes
+// back to the pool cleared, pinning no row chunk, on every path out —
+// an error or a panic mid-drain included. The table comes from
+// hashPool; its owner recycles it when done.
+func buildHash(right Iterator, col int, life *Life) (*hashView, error) {
 	buf := drainPool.Get()
-	rows := (*buf)[:0]
+	rows := rowBuf{rows: (*buf)[:0]}
 	defer func() {
-		clear(rows)
-		*buf = rows[:0]
+		clear(rows.rows)
+		*buf = rows.rows[:0]
 		drainPool.Put(buf)
 	}()
-	if err := drainInto(right, func(row Row) error {
-		if err := hold(row); err != nil {
-			return err
-		}
-		rows = append(rows, row)
-		return nil
-	}); err != nil {
+	if err := drainInto(right, func(row Row) error { return rows.append(life, row) }); err != nil {
 		return nil, err
 	}
 	hv := hashPool.Get()
-	hv.build(rows, col, func(int64) bool { return true })
+	var err error
+	if !hv.build(rows.rows, col, func(bytes int64) bool {
+		err = life.hold(bytes)
+		return err == nil
+	}) {
+		hv.recycle()
+		return nil, err
+	}
 	return hv, nil
 }
 

@@ -230,9 +230,9 @@ func (f *Filter) nextRun(buf []Row) ([]Row, error) {
 // Sort materializes its input and yields it ordered by Keys (ascending,
 // stable). It is the only operator that inherently materializes its
 // whole input — which is exactly why the order-optimization framework
-// exists to avoid it. With a Life attached, every buffered row is
-// charged against the query's budget as it arrives. Its run buffer and
-// sort scratch come from sortPool and go back, cleared, at Close.
+// exists to avoid it. Its run is a rowBuf, charged to the Life as it
+// doubles. Its run buffer and sort scratch come from sortPool and go
+// back, cleared, at Close.
 type Sort struct {
 	In   Iterator
 	Keys []int
@@ -258,21 +258,10 @@ func (s *Sort) Open() error {
 		s.bufs = sortPool.Get()
 	}
 	b := s.bufs
-	b.run = b.run[:0]
-	if err := drainInto(s.In, func(row Row) error {
-		if err := s.Life.holdRow(row); err != nil {
-			return err
-		}
-		if len(b.run) == cap(b.run) {
-			// Double exactly: append's 1.25x steps allocate about four
-			// times the final run on the way to it.
-			grown := make([]Row, len(b.run), max(2*cap(b.run), 64))
-			copy(grown, b.run)
-			b.run = grown
-		}
-		b.run = append(b.run, row)
-		return nil
-	}); err != nil {
+	run := rowBuf{rows: b.run[:0]}
+	err := drainInto(s.In, func(row Row) error { return run.append(s.Life, row) })
+	b.run = run.rows // for Close to clear, however far the drain got
+	if err != nil {
 		return err
 	}
 	sortRows(b.run, s.Keys, &b.sortScratch)
@@ -502,17 +491,17 @@ type MergeJoin struct {
 	Left, Right Iterator
 	LeftKey     int
 	RightKey    int
-	// Life, when set, charges the buffered duplicate-key group against
-	// the query budget (released as the group is replaced).
+	// Life, when set, is charged for the group buffer as it doubles
+	// (rowBuf), which every group reuses, and for each chunk the output
+	// rows are carved from.
 	Life *Life
 
-	left       Row   // current left row, nil when a new one is needed
-	group      []Row // current right duplicate-key group
-	groupKey   int64
-	haveGroup  bool
-	gi         int  // cross-product cursor within group
-	matching   bool // left's key equals groupKey
-	groupBytes int64
+	left      Row    // current left row, nil when a new one is needed
+	group     rowBuf // current right duplicate-key group
+	groupKey  int64
+	haveGroup bool
+	gi        int  // cross-product cursor within group
+	matching  bool // left's key equals groupKey
 
 	rightNext     Row // one-row lookahead into the right input
 	rightDone     bool
@@ -531,15 +520,14 @@ func (m *MergeJoin) Open() error {
 	// Close, which then closes both inputs however far Open got — an
 	// error from Right.Open or a panic inside it included.
 	m.opened = true
+	m.emit.alloc.life = m.Life
 	if err := m.Left.Open(); err != nil {
 		return err
 	}
 	if err := m.Right.Open(); err != nil {
 		return err
 	}
-	m.left, m.group, m.haveGroup, m.gi, m.matching = nil, m.group[:0], false, 0, false
-	m.Life.release(m.groupBytes)
-	m.groupBytes = 0
+	m.left, m.group.rows, m.haveGroup, m.gi, m.matching = nil, m.group.rows[:0], false, 0, false
 	m.rightNext, m.rightDone = nil, false
 	m.havePrevLeft, m.havePrevRight = false, false
 	return nil
@@ -590,14 +578,11 @@ func (m *MergeJoin) buildGroup() (bool, error) {
 		}
 		m.rightNext = row
 	}
-	m.Life.release(m.groupBytes)
-	m.groupBytes = 0
-	m.group = m.group[:0]
+	m.group.rows = m.group.rows[:0]
 	m.groupKey = m.rightNext[m.RightKey]
-	if err := m.holdGroupRow(m.rightNext); err != nil {
+	if err := m.group.append(m.Life, m.rightNext); err != nil {
 		return false, err
 	}
-	m.group = append(m.group, m.rightNext)
 	m.rightNext = nil
 	for {
 		row, ok, err := m.nextRight()
@@ -612,37 +597,23 @@ func (m *MergeJoin) buildGroup() (bool, error) {
 			m.rightNext = row
 			break
 		}
-		if err := m.holdGroupRow(row); err != nil {
+		if err := m.group.append(m.Life, row); err != nil {
 			return false, err
 		}
-		m.group = append(m.group, row)
 	}
 	m.haveGroup = true
 	return true, nil
-}
-
-// holdGroupRow charges one buffered group row against the budget,
-// tracking the group's total so it can be released when replaced.
-func (m *MergeJoin) holdGroupRow(row Row) error {
-	if m.Life == nil {
-		return nil
-	}
-	if err := m.Life.holdRow(row); err != nil {
-		return err
-	}
-	m.groupBytes += rowBytes(row)
-	return nil
 }
 
 // Next implements Iterator.
 func (m *MergeJoin) Next() (Row, bool, error) {
 	for {
 		if m.matching {
-			for m.gi < len(m.group) {
-				r, ok := m.emit.row(m.left, m.group[m.gi])
+			for m.gi < len(m.group.rows) {
+				r, ok, err := m.emit.row(m.left, m.group.rows[m.gi])
 				m.gi++
-				if ok {
-					return r, true, nil
+				if ok || err != nil {
+					return r, ok, err
 				}
 			}
 			// Cross product for this left row done; fetch the next left
@@ -704,9 +675,7 @@ func (m *MergeJoin) Next() (Row, bool, error) {
 
 // Close implements Iterator.
 func (m *MergeJoin) Close() error {
-	m.Life.release(m.groupBytes)
-	m.groupBytes = 0
-	m.group, m.left, m.rightNext = nil, nil, nil
+	m.group, m.left, m.rightNext = rowBuf{}, nil, nil
 	m.haveGroup, m.matching = false, false
 	if !m.opened {
 		return nil
@@ -727,8 +696,8 @@ type HashJoin struct {
 	Left, Right Iterator
 	LeftKey     int
 	RightKey    int
-	// Life, when set, charges every build-side row against the query
-	// budget as the table is built.
+	// Life, when set, is charged for the build (buildHash) and for each
+	// chunk the output rows are carved from.
 	Life *Life
 
 	table  *hashView
@@ -748,11 +717,12 @@ type HashJoin struct {
 
 // Open implements Iterator.
 func (h *HashJoin) Open() error {
+	h.emit.alloc.life = h.Life
 	if h.adopted != nil {
 		h.table = h.adopted.hash
 		h.adopted.st.Rows = int64(len(h.adopted.rows))
 	} else {
-		table, err := buildHash(h.Right, h.RightKey, h.Life.holdRow)
+		table, err := buildHash(h.Right, h.RightKey, h.Life)
 		if err != nil {
 			return err
 		}
@@ -767,10 +737,10 @@ func (h *HashJoin) Open() error {
 func (h *HashJoin) Next() (Row, bool, error) {
 	for {
 		for h.bi < len(h.bucket) {
-			r, ok := h.emit.row(h.probe, h.bucket[h.bi])
+			r, ok, err := h.emit.row(h.probe, h.bucket[h.bi])
 			h.bi++
-			if ok {
-				return r, true, nil
+			if ok || err != nil {
+				return r, ok, err
 			}
 		}
 		left, ok, err := h.Left.Next()
@@ -803,8 +773,8 @@ func (h *HashJoin) Close() error {
 type NestedLoopJoin struct {
 	Outer, Inner Iterator
 	Pred         func(outer, inner Row) bool
-	// Life, when set, charges the materialized inner input against the
-	// query budget.
+	// Life, when set, is charged for the inner's buffer as it doubles
+	// (rowBuf) and for each chunk the output rows are carved from.
 	Life *Life
 
 	inner  []Row
@@ -817,17 +787,12 @@ type NestedLoopJoin struct {
 
 // Open implements Iterator.
 func (n *NestedLoopJoin) Open() error {
-	var rows []Row
-	if err := drainInto(n.Inner, func(row Row) error {
-		if err := n.Life.holdRow(row); err != nil {
-			return err
-		}
-		rows = append(rows, row)
-		return nil
-	}); err != nil {
+	n.emit.alloc.life = n.Life
+	var inner rowBuf
+	if err := drainInto(n.Inner, func(row Row) error { return inner.append(n.Life, row) }); err != nil {
 		return err
 	}
-	n.inner, n.outer, n.ii = rows, nil, 0
+	n.inner, n.outer, n.ii = inner.rows, nil, 0
 	n.opened = true // before Outer opens, so Close reaches it if Open does not return
 	return n.Outer.Open()
 }
@@ -840,8 +805,8 @@ func (n *NestedLoopJoin) Next() (Row, bool, error) {
 				inner := n.inner[n.ii]
 				n.ii++
 				if n.Pred(n.outer, inner) {
-					if r, ok := n.emit.row(n.outer, inner); ok {
-						return r, true, nil
+					if r, ok, err := n.emit.row(n.outer, inner); ok || err != nil {
+						return r, ok, err
 					}
 				}
 			}
@@ -878,7 +843,8 @@ type joinEq struct {
 // pair before a row is carved; the row is left ++ right, or — narrow
 // set by the compiler's liveness pass, see Runner.build — the live
 // columns of each side at positions resolved at compile. The zero value
-// is a join on its primary predicate alone emitting left ++ right.
+// is a join on its primary predicate alone emitting left ++ right. A
+// chunk the budget refuses fails the pair with ErrBudgetExceeded.
 type joinEmit struct {
 	res          []joinEq
 	narrow       bool
@@ -887,16 +853,20 @@ type joinEmit struct {
 	alloc rowAlloc // chunked allocator for output rows; a ring under a bounded hold
 }
 
-func (e *joinEmit) row(l, r Row) (Row, bool) {
+func (e *joinEmit) row(l, r Row) (Row, bool, error) {
 	for _, q := range e.res {
 		if l[q.l] != r[q.r] {
-			return nil, false
+			return nil, false, nil
 		}
 	}
 	if !e.narrow {
-		return e.alloc.concat(l, r), true
+		out, err := e.alloc.concat(l, r)
+		return out, err == nil, err
 	}
-	out := e.alloc.carve(len(e.lcols) + len(e.rcols))
+	out, err := e.alloc.carve(len(e.lcols) + len(e.rcols))
+	if err != nil {
+		return nil, false, err
+	}
 	for i, c := range e.lcols {
 		out[i] = l[c]
 	}
@@ -904,7 +874,7 @@ func (e *joinEmit) row(l, r Row) (Row, bool) {
 	for i, c := range e.rcols {
 		right[i] = r[c]
 	}
-	return out, true
+	return out, true, nil
 }
 
 // rowAlloc chunk sizes (in int64s): chunks start small so short-lived
@@ -939,8 +909,8 @@ var PoisonRecycledChunks atomic.Bool
 // reused from its start, so a stream shorter than the window allocates
 // exactly what it would unbounded. A ring's chunk holds rows of one
 // width (a join's emit carves no other); a carve of another width
-// starts a fresh chunk. Runner.build sets window and pooled, and
-// StreamContext the root join's window.
+// starts a fresh chunk. Runner.build sets window and pooled, the join's
+// Open life, and StreamContext the root join's window.
 type rowAlloc struct {
 	chunk  Row // the current chunk, whole; reused when it holds window rows
 	off    int // chunk[:off] is carved: an offset, so a carve stores no pointer
@@ -949,44 +919,56 @@ type rowAlloc struct {
 	width  int         // ring: the width of every row in chunk
 	pooled bool        // chunks come from chunkPools, and go back at Life.releaseAll
 	taken  []*rowChunk // pooled: the chunks to hand back
+	life   *Life       // charged for each chunk as it is taken
+	took   int64       // the bytes of every chunk taken, charged or not
 }
 
 // ensure makes the current chunk hold at least n more int64s: the
 // ring's chunk rewound when it holds window rows of width n, otherwise
-// a fresh (geometrically grown) chunk.
-func (al *rowAlloc) ensure(n int) {
+// a fresh (geometrically grown) chunk, charged to life whole — a pooled
+// one at its size class. A chunk life refuses is not taken.
+func (al *rowAlloc) ensure(n int) error {
 	if al.window > 0 && n != al.width {
 		al.width, al.chunk, al.off = n, nil, 0
 	}
 	if len(al.chunk)-al.off >= n {
-		return
+		return nil
 	}
-	al.off = 0
 	if al.window > 0 && len(al.chunk) >= al.window*n {
 		// Row i of the next lap overwrites row i of this one, which is
 		// at least window carves old.
-		return
+		al.off = 0
+		return nil
 	}
-	switch {
-	case al.grow == 0:
-		al.grow = rowAllocChunkMin
-	case al.grow < rowAllocChunkMax:
-		al.grow <<= 1
+	grow := rowAllocChunkMin
+	if al.grow > 0 {
+		grow = min(2*al.grow, rowAllocChunkMax)
 	}
-	sz := max(al.grow, n)
+	sz := max(grow, n)
 	if al.window > 0 {
 		sz = min(sz, al.window*n)
 	}
-	if c := max(bits.Len(uint(sz-1))-bits.Len(rowAllocChunkMin-1), 0); al.pooled && c < len(chunkPools) {
-		ch := chunkPools[c].Get()
-		if ch.buf == nil {
-			ch.buf = make(Row, rowAllocChunkMin<<c)
-		}
-		al.taken = append(al.taken, ch)
-		al.chunk = ch.buf[:sz]
-		return
+	c := max(bits.Len(uint(sz-1))-bits.Len(rowAllocChunkMin-1), 0)
+	pooled := al.pooled && c < len(chunkPools)
+	bytes := 8 * int64(sz)
+	if pooled {
+		bytes = 8 * int64(rowAllocChunkMin<<c)
 	}
-	al.chunk = make(Row, sz)
+	if err := al.life.hold(bytes); err != nil {
+		return err
+	}
+	al.grow, al.off, al.took = grow, 0, al.took+bytes
+	if !pooled {
+		al.chunk = make(Row, sz)
+		return nil
+	}
+	ch := chunkPools[c].Get()
+	if ch.buf == nil {
+		ch.buf = make(Row, rowAllocChunkMin<<c)
+	}
+	al.taken = append(al.taken, ch)
+	al.chunk = ch.buf[:sz]
+	return nil
 }
 
 // recycle hands the chunks back and starts the allocator over.
@@ -1000,36 +982,44 @@ func (al *rowAlloc) recycle() {
 		chunkPools[bits.Len(uint(len(ch.buf)))-bits.Len(rowAllocChunkMin)].Put(ch)
 	}
 	clear(al.taken)
-	*al = rowAlloc{window: al.window, pooled: true, taken: al.taken[:0]}
+	*al = rowAlloc{window: al.window, pooled: true, taken: al.taken[:0], life: al.life}
 }
 
 // carve returns one blank n-wide slice cut from the current chunk; the
-// caller fills every column.
-func (al *rowAlloc) carve(n int) Row {
-	al.ensure(n)
+// caller fills every column. Its error is ensure's.
+func (al *rowAlloc) carve(n int) (Row, error) {
+	if err := al.ensure(n); err != nil {
+		return nil, err
+	}
 	out := al.chunk[al.off : al.off+n : al.off+n]
 	al.off += n
-	return out
+	return out, nil
 }
 
 // concat returns a ++ b carved from the current chunk.
-func (al *rowAlloc) concat(a, b Row) Row {
-	out := al.carve(len(a) + len(b))
+func (al *rowAlloc) concat(a, b Row) (Row, error) {
+	out, err := al.carve(len(a) + len(b))
+	if err != nil {
+		return nil, err
+	}
 	copy(out, a)
 	copy(out[len(a):], b)
-	return out
+	return out, nil
 }
 
 // concatN returns pieces[0] ++ ... ++ pieces[len-1] (total width n)
 // carved from the current chunk.
-func (al *rowAlloc) concatN(pieces []Row, n int) Row {
-	out := al.carve(n)
+func (al *rowAlloc) concatN(pieces []Row, n int) (Row, error) {
+	out, err := al.carve(n)
+	if err != nil {
+		return nil, err
+	}
 	o := 0
 	for _, p := range pieces {
 		copy(out[o:], p)
 		o += len(p)
 	}
-	return out
+	return out, nil
 }
 
 // Agg selects the aggregate computed by the group operators.
@@ -1199,13 +1189,15 @@ type GroupHash struct {
 	// Aggs lists the aggregates to compute (select-list order); empty
 	// means count(*).
 	Aggs []AggSpec
-	// Life, when set, charges every distinct group's accumulator (which
-	// pins its first input row) against the query budget.
+	// Life, when set, is charged for the group table as its group count
+	// doubles. An accumulator pins its group's first input row, whose
+	// chunk its input's join charged.
 	Life *Life
 
-	groups groupTable
-	pos    int
-	opened bool
+	groups  groupTable
+	charged int // the group count charged so far
+	pos     int
+	opened  bool
 }
 
 // Open implements Iterator.
@@ -1215,7 +1207,7 @@ func (g *GroupHash) Open() error {
 		return err
 	}
 	g.groups = newGroupTable(len(g.Keys))
-	g.pos = 0
+	g.charged, g.pos = 0, 0
 	for {
 		row, ok, err := g.In.Next()
 		if err != nil {
@@ -1226,8 +1218,10 @@ func (g *GroupHash) Open() error {
 		}
 		acc, fresh := g.groups.lookup(row, g.Keys)
 		if fresh {
-			if err := g.Life.holdRow(row); err != nil {
-				return err
+			if len(g.groups.order) > g.charged {
+				if err := double(g.Life, &g.charged, groupSlotBytes+8*int64(len(g.Aggs))); err != nil {
+					return err
+				}
 			}
 			acc.start(row, g.Aggs)
 		} else {

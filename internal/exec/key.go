@@ -1,5 +1,7 @@
 package exec
 
+import "unsafe"
+
 // Comparable grouping keys for hash grouping. Grouping keys of up to
 // tupleKeyWidth columns are packed into a fixed-size int64 tuple and
 // used directly as map keys — no per-row byte-string allocation, no
@@ -61,6 +63,11 @@ func wideReduce(vals []int64) tupleKey {
 	k.v[tupleKeyWidth-1] = h
 	return k
 }
+
+// groupSlotBytes is what one group takes from a groupTable besides its
+// aggregates' values: its accumulator, its place in order, and its map
+// entry's key and pointer.
+const groupSlotBytes = int64(unsafe.Sizeof(groupAcc{}) + unsafe.Sizeof(tupleKey{}) + 2*unsafe.Sizeof(&groupAcc{}))
 
 // groupTable maps grouping keys to accumulators, preserving insertion
 // order for deterministic emission.

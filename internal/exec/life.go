@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // This file is the query-lifecycle layer of the executor: cancellation,
@@ -12,10 +13,11 @@ import (
 // Life; each per-operator stats wrapper polls it for cancellation once
 // per CancelCheckInterval of its own Next calls (a counter private to
 // the wrapper, so the hot path shares no cache line between operators
-// or workers), and the materializing operators charge every row they
-// hold against it. A query therefore stops for exactly three reasons: it
-// finished, its context was cancelled (client disconnect or deadline),
-// or it hit a budget — and all three release whatever the query held.
+// or workers), and the query is charged on it for the row memory it
+// takes, when it takes it (see Life.hold). A query therefore stops for
+// exactly three reasons: it finished, its context was cancelled (client
+// disconnect or deadline), or it hit a budget — and all three release
+// whatever the query held.
 
 // ErrBudgetExceeded is the typed error every budget rejection wraps:
 // the per-query byte budget, the shared memory accountant and a dataset
@@ -40,30 +42,22 @@ var ErrCanceled = errors.New("exec: pipeline canceled")
 // point of statsIter's uint8 call counter and cannot change without it.
 const CancelCheckInterval = 256
 
-// rowOverheadBytes approximates the per-row allocation overhead
-// (slice header + allocator rounding) charged on top of the 8 bytes
-// per column when a row is materialized.
-const rowOverheadBytes = 48
-
-// rowBytes is the accounting size of a materialized row.
-func rowBytes(r Row) int64 { return int64(len(r))*8 + rowOverheadBytes }
-
-// Budget bounds what one query may materialize: build-side hash
-// tables, sort inputs, merge-join duplicate groups, nested-loop
-// inners and per-group accumulators all count.
+// Budget bounds the row memory one query may take: the chunks its
+// joins carve rows from, and the row-header arrays, build tables and
+// group tables of its materializing operators.
 type Budget struct {
-	// MaxBytes caps the approximate bytes held in memory at once across
-	// the pipeline's materializing operators; 0 is unlimited.
+	// MaxBytes caps the bytes the pipeline has taken and not yet given
+	// back; 0 is unlimited.
 	MaxBytes int64
 }
 
 // Accountant is the process's one memory gauge. Resident datasets (and
 // the build tables they retain) charge it through their Registry,
-// running pipelines charge the rows they materialize (in leases, see
-// Life.hold), and the serving layer's admission reserve is each query's
-// first lease (Pipeline.AdoptLease) — all against
-// one limit, so overload degrades into typed ErrBudgetExceeded failures
-// (or evictions of idle datasets) instead of unbounded RSS growth.
+// running pipelines charge the row memory they take (Life.hold), and
+// the serving layer's admission reserve covers each query's first bytes
+// (Pipeline.AdoptLease) — all against one limit, so overload degrades
+// into typed ErrBudgetExceeded failures (or evictions of idle datasets)
+// instead of unbounded RSS growth.
 type Accountant struct {
 	limit int64
 	used  atomic.Int64
@@ -136,10 +130,11 @@ type Life struct {
 	budget    Budget
 	acct      *Accountant
 	heldBytes atomic.Int64
-	// lease is what the query has reserved on acct, a step at a time
-	// (see extend): it covers heldBytes whenever a hold has succeeded.
-	lease atomic.Int64
-	arena []*rowAlloc // the pooled row allocators, recycled by releaseAll
+	// reserve is what the caller reserved on acct for the query before
+	// it ran (Pipeline.AdoptLease); acct carries max(heldBytes, reserve)
+	// for the query whenever no hold or release is under way.
+	reserve int64
+	arena   []*rowAlloc // the pooled row allocators, recycled by releaseAll
 
 	// quiesced is the graceful counterpart of failed: a Limit operator
 	// that has emitted its k rows sets it so background producers
@@ -215,101 +210,63 @@ func (l *Life) ctxErr() error {
 	return nil
 }
 
-// A query's charges reach the shared Accountant in leases, not per row:
-// hold checks the exact per-query budget against heldBytes and touches
-// the accountant only when heldBytes passes what the query has already
-// reserved there. Each new lease is the size of the lease so far —
-// doubling it — between leaseMinBytes and leaseMaxBytes; when that step
-// does not fit, the exact shortfall is reserved instead, so a query
-// that fits the limit byte for byte still runs. release lowers only
-// heldBytes, and releaseAll returns the whole lease. A running query
-// therefore reserves at most its high-water mark of held bytes plus one
-// step, never more than leaseMaxBytes over it.
-const (
-	leaseMinBytes = 64 << 10
-	leaseMaxBytes = 4 << 20
-)
+// The one charging rule: a query is charged for row memory when it
+// takes it — each chunk a join's rowAlloc takes, each doubling of a
+// row-header buffer (rowBuf), a per-execution build table's arrays,
+// GroupHash's table as it doubles and each exchange morsel's output —
+// and everything comes back at releaseAll, except a consumed morsel,
+// which the exchange releases as it goes. None of these is per row, so
+// hold can afford to keep the accountant exact: a query reserves there
+// what it holds beyond the reserve it adopted.
 
-// hold charges bytes of materialized data against the per-query
-// budget and, through the query's lease, the shared accountant. On
-// failure nothing remains charged and the returned error wraps
-// ErrBudgetExceeded. The charge is optimistic (add, check, roll back)
-// so concurrent morsel workers can charge one shared budget without a
-// lock; inside the lease that is the whole cost.
+// hold charges bytes against the per-query budget and the shared
+// accountant. On failure nothing is charged and the returned error
+// wraps ErrBudgetExceeded. Morsel workers charge one Life concurrently:
+// the accountant is reserved first and heldBytes moved by
+// compare-and-swap, and a loser gives its reservation back and retries.
 func (l *Life) hold(bytes int64) error {
 	if l == nil {
 		return nil
 	}
-	nb := l.heldBytes.Add(bytes)
-	if l.budget.MaxBytes > 0 && nb > l.budget.MaxBytes {
-		l.heldBytes.Add(-bytes)
-		return fmt.Errorf("%w: %d bytes materialized (budget %d)",
-			ErrBudgetExceeded, nb, l.budget.MaxBytes)
-	}
-	if nb <= l.lease.Load() || l.acct == nil {
-		return nil
-	}
-	if err := l.extend(); err != nil {
-		l.heldBytes.Add(-bytes)
-		return err
-	}
-	return nil
-}
-
-// extend grows the lease to cover heldBytes: by one step, or by the
-// exact shortfall when the step does not fit next to everything else
-// the accountant carries. Concurrent extends (morsel workers) race on
-// the lease: the loser returns its reservation and looks again, and
-// finds the shortfall covered or smaller.
-func (l *Life) extend() error {
 	for {
-		lease := l.lease.Load()
-		short := l.heldBytes.Load() - lease
-		if short <= 0 {
+		held := l.heldBytes.Load()
+		nb := held + bytes
+		if l.budget.MaxBytes > 0 && nb > l.budget.MaxBytes {
+			return fmt.Errorf("%w: %d bytes taken (budget %d)",
+				ErrBudgetExceeded, nb, l.budget.MaxBytes)
+		}
+		short := max(nb, l.reserve) - max(held, l.reserve)
+		if short > 0 && !l.acct.Reserve(short) {
+			return fmt.Errorf("%w: memory limit exhausted (%d of %d bytes in use, resident datasets included)",
+				ErrBudgetExceeded, l.acct.Used(), l.acct.Limit())
+		}
+		if l.heldBytes.CompareAndSwap(held, nb) {
 			return nil
 		}
-		step := max(min(max(lease, leaseMinBytes), leaseMaxBytes), short)
-		if !l.acct.Reserve(step) {
-			if step == short || !l.acct.Reserve(short) {
-				return fmt.Errorf("%w: memory limit exhausted (%d of %d bytes in use, resident datasets included)",
-					ErrBudgetExceeded, l.acct.Used(), l.acct.Limit())
-			}
-			step = short
-		}
-		if l.lease.CompareAndSwap(lease, lease+step) {
-			return nil
-		}
-		l.acct.Release(step)
+		l.acct.Release(short)
 	}
 }
 
-// holdRow charges one materialized row.
-func (l *Life) holdRow(r Row) error {
-	if l == nil {
-		return nil
-	}
-	return l.hold(rowBytes(r))
-}
-
-// release returns bytes a materializing operator let go of before the
-// pipeline ended (a merge join discarding the previous duplicate
-// group). The lease stays: the next hold reuses it.
+// release returns bytes charged for an exchange morsel its consumer is
+// done with, to the budget and to the accountant.
 func (l *Life) release(bytes int64) {
 	if l == nil {
 		return
 	}
-	l.heldBytes.Add(-bytes)
+	held := l.heldBytes.Add(-bytes)
+	l.acct.Release(max(held+bytes, l.reserve) - max(held, l.reserve))
 }
 
-// releaseAll returns everything still charged, the whole lease and the
-// arena's chunks included; pipelines call it when execution finishes
-// (normally or not), when nothing charges or reads a pooled row.
+// releaseAll returns everything still charged, the adopted reserve and
+// the arena's chunks included; pipelines call it when execution
+// finishes (normally or not), when nothing charges or reads a pooled
+// row.
 func (l *Life) releaseAll() {
 	if l == nil {
 		return
 	}
-	l.heldBytes.Store(0)
-	l.acct.Release(l.lease.Swap(0))
+	l.acct.Release(max(l.heldBytes.Swap(0), l.reserve))
+	l.reserve = 0
 	for _, al := range l.arena {
 		al.recycle()
 	}
@@ -321,4 +278,49 @@ func (l *Life) HeldBytes() int64 {
 		return 0
 	}
 	return l.heldBytes.Load()
+}
+
+// rowBufMin is the capacity a charged buffer takes first.
+const rowBufMin = 8
+
+// rowHeaderBytes is the size of one Row slice header.
+const rowHeaderBytes = int64(unsafe.Sizeof(Row(nil)))
+
+// rowBuf is a row-header buffer charged for each doubling of its
+// capacity, rowBufMin first: the one helper behind every buffer of
+// kept rows. It charges the capacity the buffer would have grown to
+// from empty, whatever a recycled array brings, so a query's charge
+// does not depend on what the pools hold; a short array is grown to
+// match.
+type rowBuf struct {
+	rows    []Row
+	charged int // the capacity charged so far
+}
+
+// append adds row, first charging l for the doubling it needs when the
+// charged capacity is full; on failure nothing is added.
+func (b *rowBuf) append(l *Life, row Row) error {
+	if len(b.rows) == b.charged {
+		if err := double(l, &b.charged, rowHeaderBytes); err != nil {
+			return err
+		}
+		if cap(b.rows) < b.charged {
+			grown := make([]Row, len(b.rows), b.charged)
+			copy(grown, b.rows)
+			b.rows = grown
+		}
+	}
+	b.rows = append(b.rows, row)
+	return nil
+}
+
+// double charges l for the array a full buffer of charged capacity *c,
+// elem bytes an element, doubles into, and records the new capacity.
+func double(l *Life, c *int, elem int64) error {
+	next := max(2**c, rowBufMin)
+	if err := l.hold(int64(next) * elem); err != nil {
+		return err
+	}
+	*c = next
+	return nil
 }

@@ -3,11 +3,15 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"orderopt/internal/catalog"
+	"orderopt/internal/plan"
+	"orderopt/internal/query"
+	"orderopt/internal/tpcr"
 )
 
 // counter is an endless sorted source: row n is {n, n}. Pipelines over
@@ -93,14 +97,28 @@ func TestAccountantConcurrent(t *testing.T) {
 	}
 }
 
+// rowBufBytes is what a rowBuf holding n rows has been charged: each
+// doubling of its capacity, from rowBufMin up to the first that holds n.
+func rowBufBytes(n int) int64 {
+	var b int64
+	for c := rowBufMin; n > 0; c *= 2 {
+		b += int64(c) * rowHeaderBytes
+		if c >= n {
+			break
+		}
+	}
+	return b
+}
+
 // TestBudgetHashJoinBuild: a hash join over an endless build side hits
-// the budget inside the drain, not after it — the CSR build charges row
-// by row like the map build did — closes its input, leaves nothing
-// charged after Close, and returns the pooled drain buffer cleared,
-// after an error and after a panic alike.
+// the budget inside the drain, not after it — the drain buffer is
+// charged as it doubles, so a budget of 1,024 rows' buffer refuses the
+// 1,025th row — closes its input, leaves nothing charged after Close,
+// and returns the pooled drain buffer cleared, after an error and after
+// a panic alike.
 func TestBudgetHashJoinBuild(t *testing.T) {
 	acct := NewAccountant(0) // track only
-	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: 1000 * rowBytes(Row{0, 0})}, acct: acct}}
+	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: rowBufBytes(1024)}, acct: acct}}
 	right := &closeCounter{Iterator: &counter{}}
 	join := &HashJoin{
 		Left:     wrapped(p, &counter{}),
@@ -114,8 +132,8 @@ func TestBudgetHashJoinBuild(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want budget exceeded", err)
 	}
-	if right.pulled != 1001 || right.closed != 1 {
-		t.Errorf("build pulled %d rows and closed its input %d times, want 1001 and 1", right.pulled, right.closed)
+	if right.pulled != 1025 || right.closed != 1 {
+		t.Errorf("build pulled %d rows and closed its input %d times, want 1025 and 1", right.pulled, right.closed)
 	}
 	if got := acct.Used(); got != 0 || p.Life.HeldBytes() != 0 {
 		t.Fatalf("%d bytes still reserved, %d held after the pipeline failed", got, p.Life.HeldBytes())
@@ -128,7 +146,7 @@ func TestBudgetHashJoinBuild(t *testing.T) {
 				t.Error("the build swallowed its input's panic")
 			}
 		}()
-		_, _ = buildHash(boom, 0, func(Row) error { return nil })
+		_, _ = buildHash(boom, 0, nil)
 	}()
 	if boom.closed != 1 {
 		t.Errorf("panicking input closed %d times, want 1", boom.closed)
@@ -178,7 +196,7 @@ func TestBudgetMergeJoinGroup(t *testing.T) {
 	for i := range dup {
 		dup[i] = Row{7, int64(i)}
 	}
-	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: 1000 * rowBytes(Row{0, 0})}}}
+	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: rowBufBytes(1000)}}}
 	join := &MergeJoin{
 		Left:     wrapped(p, NewScan([]Row{{7, 0}})),
 		Right:    wrapped(p, NewScan(dup)),
@@ -194,8 +212,9 @@ func TestBudgetMergeJoinGroup(t *testing.T) {
 
 // TestMergeJoinGroupRelease is the flip side: many small duplicate
 // groups must stream through a budget that could never hold them all
-// at once, because the join releases each group's charge before
-// buffering the next.
+// at once, because every group reuses the one buffer, charged once.
+// The budget is that buffer and the chunks of 512 to 4,096 int64s the
+// join's 2,000 three-column output rows are carved from.
 func TestMergeJoinGroupRelease(t *testing.T) {
 	const groups, per = 500, 4
 	var left, right []Row
@@ -205,7 +224,7 @@ func TestMergeJoinGroupRelease(t *testing.T) {
 			right = append(right, Row{k, j})
 		}
 	}
-	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: 2 * per * rowBytes(Row{0, 0})}}}
+	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: rowBufBytes(2*per) + 8*(512+1024+2048+4096)}}}
 	join := &MergeJoin{
 		Left:     wrapped(p, NewScan(left)),
 		Right:    wrapped(p, NewScan(right)),
@@ -371,193 +390,253 @@ func TestExecuteContextDeadPipeline(t *testing.T) {
 	}
 }
 
-// leaseWatch passes rows through and checks, before each, the lease
-// bounds of the Life it watches: the lease covers what is held, goes
-// over the high-water mark of held bytes by at most one step — a step
-// being at most what the query held so far, and never over
-// leaseMaxBytes — and the accountant stays within its limit.
-type leaseWatch struct {
-	Iterator
-	t    *testing.T
-	life *Life
-	peak int64
-}
-
-func (w *leaseWatch) Next() (Row, bool, error) {
-	held, lease := w.life.HeldBytes(), w.life.lease.Load()
-	w.peak = max(w.peak, held)
-	if step := min(max(w.peak, leaseMinBytes), leaseMaxBytes); lease < held || lease-w.peak > step {
-		w.t.Errorf("lease %d with %d bytes held (peak %d): want it to cover them and exceed the peak by at most %d",
-			lease, held, w.peak, step)
-	}
-	if a := w.life.acct; a.Limit() > 0 && a.Used() > a.Limit() {
-		w.t.Errorf("accountant at %d bytes over its %d limit", a.Used(), a.Limit())
-	}
-	return w.Iterator.Next()
-}
-
-// leasedSort is a pipeline sorting n two-column rows (rowBytes 64 each)
-// under a Life charging acct, its input watched by leaseWatch. fail,
-// when positive, makes the input fail after that many rows.
-func leasedSort(t *testing.T, acct *Accountant, n, fail int) (*Pipeline, *leaseWatch) {
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = Row{int64(i % 1000), int64(i)}
-	}
-	p := &Pipeline{Life: &Life{acct: acct}}
-	var in Iterator = NewScan(rows)
-	if fail > 0 {
-		in = &failAfter{Iterator: in, n: fail}
-	}
-	w := &leaseWatch{Iterator: in, t: t, life: p.Life}
-	p.Root = &Sort{In: w, Keys: []int{0}, Life: p.Life}
-	return p, w
-}
-
-// failAfter fails its n+1'th pull.
-type failAfter struct {
-	Iterator
-	n int
-}
-
 var errFailAfter = errors.New("input failed")
 
-func (f *failAfter) Next() (Row, bool, error) {
-	if f.n--; f.n < 0 {
-		return nil, false, errFailAfter
-	}
-	return f.Iterator.Next()
+const (
+	topKSQL      = "select * from orders, customer where o_custkey = c_custkey order by o_orderkey limit 10"
+	orderFlowSQL = "select * from customer, orders, lineitem where l_orderkey = o_orderkey and o_custkey = c_custkey order by o_orderkey"
+)
+
+// mirror is one query run under the charging rule's identity: the
+// accountant, which carries nothing else, holds max(HeldBytes, reserve)
+// for the query at every Next of every operator (mirrorOp). It records
+// the most the query held and counts the Nexts, and stops the query at
+// the stop'th: with errFailAfter, or through cancel when that is set.
+type mirror struct {
+	t                 *testing.T
+	what              string
+	reserve           int64
+	acct              *Accountant
+	life              *Life
+	peak, nexts, stop int64
+	cancel            context.CancelFunc
 }
 
-// TestLeaseBounds pins how a query charges the shared accountant
-// (Life.hold): in leases that never take it past its limit; a query
-// that materializes exactly up to the limit still runs — the step that
-// does not fit falls back to the exact shortfall — with or without the
-// admission reserve adopted as its first lease, and one byte less
-// fails; a running query reserves at most one step over its high-water
-// mark of held bytes (leaseWatch), up to the 4 MiB cap, also when many
-// goroutines charge one Life at once; and once every pipeline has
-// ended, on success, on a failed input, on a dead context and on the
-// budget, the accountant holds exactly the resident bytes again.
-func TestLeaseBounds(t *testing.T) {
-	const resident = 1 << 20
-	per := rowBytes(Row{0, 0})
-	withResident := func(limit int64) *Accountant {
-		a := NewAccountant(limit)
-		if !a.Reserve(resident) {
-			t.Fatal("resident bytes do not fit")
-		}
-		return a
-	}
-	settled := func(what string, a *Accountant) {
-		t.Helper()
-		if a.Used() != resident {
-			t.Fatalf("%s: accountant at %d bytes, want the %d resident", what, a.Used(), resident)
-		}
-	}
+type mirrorOp struct {
+	Iterator
+	m *mirror
+}
 
-	// Past the cap: 6.4 MB held in steps of at most 4 MiB.
-	acct := withResident(0)
-	p, w := leasedSort(t, acct, 100_000, 0)
-	if _, err := p.Execute(); err != nil {
-		t.Fatal(err)
+func (o mirrorOp) Next() (Row, bool, error) {
+	m := o.m
+	m.check()
+	m.peak = max(m.peak, m.life.HeldBytes())
+	if m.nexts++; m.nexts == m.stop {
+		if m.cancel == nil {
+			return nil, false, errFailAfter
+		}
+		m.cancel()
 	}
-	if w.peak < leaseMaxBytes {
-		t.Fatalf("peak %d bytes held, want past the %d cap", w.peak, leaseMaxBytes)
-	}
-	settled("after a large sort", acct)
+	return o.Iterator.Next()
+}
 
-	const n = 5000 // 320 000 bytes: steps of 64, 64 and 128 KiB, then the exact rest
-	for _, adopt := range []bool{false, true} {
-		for _, slack := range []int64{0, -1} {
-			acct := withResident(resident + n*per + slack)
-			p, _ := leasedSort(t, acct, n, 0)
-			if adopt {
-				if !acct.Reserve(leaseMinBytes) {
-					t.Fatal("admission reserve does not fit")
-				}
-				p.AdoptLease(leaseMinBytes)
+func (m *mirror) check() {
+	if used, held := m.acct.Used(), m.life.HeldBytes(); used != max(held, m.reserve) {
+		m.t.Fatalf("%s: the accountant carries %d bytes for %d held over a %d reserve", m.what, used, held, m.reserve)
+	}
+}
+
+// mirrorEnd checks the identity when its input's stream has ended: an
+// exchange's workers have all charged, and are quiet, by then.
+type mirrorEnd struct {
+	Iterator
+	m *mirror
+}
+
+func (e mirrorEnd) Next() (Row, bool, error) {
+	row, ok, err := e.Iterator.Next()
+	if !ok && err == nil {
+		e.m.check()
+	}
+	return row, ok, err
+}
+
+// run executes best over ds as m's query under a fresh accountant of
+// the given limit, checked at every Next (hooked) or at the end of the
+// stream, and checks that the accountant and the Life both read 0 once
+// the pipeline has ended.
+func (m *mirror) run(ctx context.Context, ds *Dataset, a *query.Analysis, best *plan.Node, budget, limit int64, hooked bool) error {
+	m.t.Helper()
+	m.acct = NewAccountant(limit)
+	r := ds.Runner(a)
+	r.Budget.MaxBytes, r.Accountant, r.MaxDOP = budget, m.acct, 2
+	if hooked {
+		r.Hook = func(_, _ string, it Iterator, _ *Life) Iterator { return mirrorOp{it, m} }
+	}
+	p, err := r.Compile(best)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	m.life = p.Life
+	if !hooked {
+		p.Root = mirrorEnd{p.Root, m}
+	}
+	if m.reserve > 0 {
+		if !m.acct.Reserve(m.reserve) {
+			m.t.Fatal("the reserve does not fit")
+		}
+		p.AdoptLease(m.reserve)
+	}
+	_, err = p.ExecuteContext(ctx)
+	if used, held := m.acct.Used(), p.Life.HeldBytes(); used != 0 || held != 0 {
+		m.t.Errorf("%s: %d bytes reserved, %d held after the pipeline ended (%v)", m.what, used, held, err)
+	}
+	return err
+}
+
+// TestAccountantMirrorsCharge pins how a query charges the shared
+// accountant (Life.hold): at every Next of every operator of the Q8,
+// order-flow and top-k pipelines the accountant carries exactly
+// max(HeldBytes, reserve) — with no reserve, with an adopted one, and
+// under a per-query budget or a memory limit that trips — and after
+// every way a pipeline ends (success, a budget or limit trip, a failed
+// input, a cancelled or dead context) both read 0. At DOP 2 the
+// exchange's workers charge while the consumer runs, so the identity is
+// checked where they are quiet: at the end of the stream, and after it;
+// and eight goroutines charging one Life, as workers do, leave it exact.
+func TestAccountantMirrorsCharge(t *testing.T) {
+	const reserve = 64 << 10
+	reg := TPCRLazyRegistry()
+	bg := context.Background()
+	for _, w := range []struct{ name, sql, dataset string }{
+		{"q8", tpcr.Query8SQL, "tpcr-mid"},
+		{"orderflow", orderFlowSQL, "tpcr-large"},
+		{"topk", topKSQL, "tpcr-large"},
+	} {
+		ds, _ := reg.Get(w.dataset)
+		a, best := planServed(t, sqlGraph(t, w.sql))
+		m := func(what string, reserve int64) *mirror {
+			return &mirror{t: t, what: w.name + ", " + what, reserve: reserve}
+		}
+		ends := func(what string, got, want error) {
+			t.Helper()
+			if !errors.Is(got, want) {
+				t.Errorf("%s, %s: %v, want %v", w.name, what, got, want)
 			}
-			_, err := p.Execute()
-			if fits := slack == 0; fits != (err == nil) || !fits && !errors.Is(err, ErrBudgetExceeded) {
-				t.Fatalf("adopt=%v, limit %+d bytes from the exact fit: %v", adopt, slack, err)
-			}
-			settled(fmt.Sprintf("adopt=%v slack=%d", adopt, slack), acct)
+		}
+		ok := m("no reserve", 0)
+		ends("no reserve", ok.run(bg, ds, a, best, 0, 0, true), nil)
+		if ok.peak == 0 {
+			t.Fatalf("%s charged nothing", w.name)
+		}
+		half := ok.peak / 2
+		ends("adopted reserve", m("adopted reserve", reserve).run(bg, ds, a, best, 0, 0, true), nil)
+		ends("budget", m("budget", 0).run(bg, ds, a, best, half, 0, true), ErrBudgetExceeded)
+		ends("budget, adopted reserve", m("budget, adopted reserve", reserve).run(bg, ds, a, best, half, 0, true), ErrBudgetExceeded)
+		ends("limit", m("limit", 0).run(bg, ds, a, best, 0, half, true), ErrBudgetExceeded)
+		failing := m("failed input", 0)
+		failing.stop = ok.nexts / 2
+		ends("failed input", failing.run(bg, ds, a, best, 0, 0, true), errFailAfter)
+		ctx, cancel := context.WithCancel(bg)
+		canceling := m("cancelled", reserve)
+		canceling.stop, canceling.cancel = ok.nexts/2, cancel
+		ends("cancelled", canceling.run(ctx, ds, a, best, 0, 0, true), context.Canceled)
+		ends("dead context", m("dead context", reserve).run(ctx, ds, a, best, 0, 0, true), context.Canceled)
+	}
+
+	for _, w := range []struct {
+		name, dataset string
+		graph         func() (*catalog.Catalog, *query.Graph, error)
+	}{
+		{"q8 at DOP 2", "tpcr-mid", tpcr.Query8Graph},
+		{"orderflow at DOP 2", "tpcr-large", tpcr.OrderStreamGraph},
+	} {
+		ds, _ := reg.Get(w.dataset)
+		_, g, err := w.graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, best := planParallel(t, ds, g, 2)
+		if findOp(best, plan.ExchangeMerge) == nil && findOp(best, plan.ExchangeUnion) == nil {
+			t.Fatalf("%s: no exchange in the plan:\n%s", w.name, best)
+		}
+		ok := &mirror{t: t, what: w.name}
+		if err := ok.run(bg, ds, a, best, 0, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := (&mirror{t: t, what: w.name + ", adopted reserve", reserve: reserve}).run(bg, ds, a, best, 0, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		tight := &mirror{t: t, what: w.name + ", budget"}
+		if err := tight.run(bg, ds, a, best, 1<<10, 0, false); !errors.Is(err, ErrBudgetExceeded) {
+			t.Errorf("%s under a 1 KiB budget: %v, want ErrBudgetExceeded", w.name, err)
 		}
 	}
 
-	acct = withResident(0)
-	p, _ = leasedSort(t, acct, n, n/2)
-	if _, err := p.Execute(); !errors.Is(err, errFailAfter) {
-		t.Fatalf("got %v, want the input's failure", err)
-	}
-	settled("after a failed input", acct)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p, _ = leasedSort(t, acct, n, 0)
-	acct.Reserve(leaseMinBytes)
-	p.AdoptLease(leaseMinBytes)
-	if _, err := p.ExecuteContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want canceled", err)
-	}
-	settled("after a pipeline that never opened", acct)
-
-	// Concurrent queries of ~1 MiB each against 3 MiB: every one either
-	// runs or fails on the budget, and none takes the accountant past
-	// its limit.
-	acct = withResident(resident + 3<<20)
+	acct := NewAccountant(reserve + 1<<20)
+	acct.Reserve(reserve)
+	life := &Life{acct: acct, reserve: reserve}
 	var wg sync.WaitGroup
-	var ran, refused atomic.Int64
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				p, _ := leasedSort(t, acct, 16_000, 0)
-				switch _, err := p.Execute(); {
-				case err == nil:
-					ran.Add(1)
-				case errors.Is(err, ErrBudgetExceeded):
-					refused.Add(1)
-				default:
-					t.Error(err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if ran.Load() == 0 {
-		t.Errorf("no query ran (%d refused)", refused.Load())
-	}
-	settled("after concurrent queries", acct)
-
-	// One Life charged from many goroutines, as morsel workers charge
-	// their query's: extends race, and the lease still covers exactly
-	// what the successful holds left charged, within one step.
-	acct = withResident(resident + 3<<20)
-	life := &Life{acct: acct}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				if err := life.hold(1 << 10); err != nil && !errors.Is(err, ErrBudgetExceeded) {
-					t.Error(err)
-				}
-				if acct.Used() > acct.Limit() {
-					t.Errorf("accountant at %d bytes over its %d limit", acct.Used(), acct.Limit())
+				if err := life.hold(1 << 10); err != nil {
+					if !errors.Is(err, ErrBudgetExceeded) {
+						t.Error(err)
+					}
+				} else if i%2 == 1 {
+					life.release(1 << 10)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	held, lease := life.HeldBytes(), life.lease.Load()
-	if held == 0 || lease < held || lease-held > min(max(held, leaseMinBytes), leaseMaxBytes) || acct.Used() != resident+lease {
-		t.Errorf("shared Life: %d held, lease %d, accountant %d over %d resident", held, lease, acct.Used(), resident)
+	if used, held := acct.Used(), life.HeldBytes(); held == 0 || used != max(held, reserve) {
+		t.Errorf("one Life charged from 8 goroutines: the accountant carries %d bytes for %d held over a %d reserve", used, held, reserve)
 	}
 	life.releaseAll()
-	settled("after a shared Life's releaseAll", acct)
+	if acct.Used() != 0 {
+		t.Errorf("%d bytes reserved after releaseAll", acct.Used())
+	}
+}
+
+// TestChargeIsAllocation pins what the rule charges. A Sort over 1,000
+// two-column scan rows is charged its run's doublings alone, 8 to 1,024
+// row headers: 2,040 × 24 = 48,960 bytes, the rows being the scan's.
+// Over a hash join of those rows with a 100-row build keyed 0..99 it is
+// charged besides the build's drain buffer (8 to 128 headers, 5,952
+// bytes) and dense table (101 bucket bounds and 100 headers, 2,804
+// bytes), and the chunks its 1,000 four-column rows were carved from:
+// 512, 1,024, 2,048 and 4,096 int64s, 61,440 bytes. That is 119,156 in
+// all. GroupHash over the scan rows' 100 keys is charged its table's
+// doublings, 8 to 128 groups of groupSlotBytes (120) each: 29,760.
+func TestChargeIsAllocation(t *testing.T) {
+	rows := make([]Row, 1000)
+	for i := range rows {
+		rows[i] = Row{int64(i % 100), int64(i)}
+	}
+	build := rows[:100]
+	for _, c := range []struct {
+		name string
+		op   func(*Life) Iterator
+		want int64
+	}{
+		{"a Sort over a scan", func(l *Life) Iterator {
+			return &Sort{In: NewScan(rows), Keys: []int{1}, Life: l}
+		}, 48_960},
+		{"a Sort over a hash join", func(l *Life) Iterator {
+			join := &HashJoin{Left: NewScan(rows), Right: NewScan(build), Life: l}
+			return &Sort{In: join, Keys: []int{1}, Life: l}
+		}, 119_156},
+		{"GroupHash over a scan", func(l *Life) Iterator {
+			return &GroupHash{In: NewScan(rows), Keys: []int{0}, Life: l}
+		}, 29_760},
+	} {
+		life := &Life{}
+		op := c.op(life)
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if got := life.HeldBytes(); got != c.want {
+			t.Errorf("%s holds %d bytes, want %d", c.name, got, c.want)
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		life.releaseAll()
+	}
 }
 
 // TestPooledBuffersPinNoRow: a Sort's run and sort scratch and a hash

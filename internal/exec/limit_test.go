@@ -378,8 +378,8 @@ func TestResidentBuildFallback(t *testing.T) {
 	r.SetAccountant(NewAccountant(base))
 	a, best := topKHot(t, ds)
 	customers := int64(len(ds.Tables["customer"]))
-	// A per-query budget one customer row short of the whole build side.
-	short := Budget{MaxBytes: (customers - 1) * rowBytes(ds.Tables["customer"][0])}
+	// A per-query budget one byte short of the build's drain buffer.
+	short := Budget{MaxBytes: rowBufBytes(int(customers)) - 1}
 	run := func(budget Budget) ([]Row, *Pipeline, error) {
 		runner := ds.Runner(a)
 		runner.Budget = budget

@@ -89,9 +89,12 @@ func planServed(t *testing.T, g *query.Graph) (*query.Analysis, *plan.Node) {
 // reach the graph without dictionary codes, so — unlike Query8Graph's —
 // its constant predicates pass every row: all of lineitem flows through
 // every join.
-func q8Served(t *testing.T) *query.Graph {
+func q8Served(t *testing.T) *query.Graph { return sqlGraph(t, tpcr.Query8SQL) }
+
+// sqlGraph parses and binds sql against the TPC-R schema.
+func sqlGraph(t *testing.T, sql string) *query.Graph {
 	t.Helper()
-	stmt, err := sqlparse.Parse(tpcr.Query8SQL)
+	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}

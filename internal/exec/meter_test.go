@@ -259,11 +259,10 @@ func BenchmarkHashBuild(b *testing.B) {
 			perRow := func(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
 			}
-			hold := func(Row) error { return nil }
 			b.Run(name+"build/csr", func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					hv, err := buildHash(NewScan(in), 0, hold)
+					hv, err := buildHash(NewScan(in), 0, nil)
 					if err != nil || len(hv.rows) != n {
 						b.Fatal(err)
 					}
@@ -277,14 +276,14 @@ func BenchmarkHashBuild(b *testing.B) {
 					table := make(map[int64][]Row)
 					if err := drainInto(NewScan(in), func(row Row) error {
 						table[row[0]] = append(table[row[0]], row)
-						return hold(row)
+						return nil
 					}); err != nil || len(table) == 0 {
 						b.Fatal(err)
 					}
 				}
 				perRow(b)
 			})
-			hv, _ := buildHash(NewScan(in), 0, hold)
+			hv, _ := buildHash(NewScan(in), 0, nil)
 			table := make(map[int64][]Row)
 			for _, row := range in {
 				table[row[0]] = append(table[row[0]], row)
@@ -331,7 +330,7 @@ func BenchmarkJoinEmit(b *testing.B) {
 				for b.Loop() {
 					emit.alloc = rowAlloc{} // one operator's life: 8 000 rows
 					for i := 0; i < n; i++ {
-						if row, ok := emit.row(l, r); !ok || len(row) == 0 {
+						if row, ok, _ := emit.row(l, r); !ok || len(row) == 0 {
 							b.Fatal("no row")
 						}
 					}

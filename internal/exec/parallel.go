@@ -91,7 +91,6 @@ type spineStep struct {
 	right   Iterator // compiled serial right side; drained once at Open
 	eqs     []joinEq // left positions are in the spine's pieces, concatenated
 	primary int
-	est     int // planner's right-side cardinality estimate (presizing)
 
 	// adopted is set for a right side adopted at compile time instead of
 	// streamed per execution (Runner.joinRight): a merge join over a
@@ -112,9 +111,9 @@ type spineStep struct {
 // materialize builds the step's shared state. The adopted fast path
 // takes the dataset's state and records its row count (sortedness on
 // the merge key is structural: the key is the index's leading column);
-// the general path runs the compiled right-hand subtree to completion,
-// charging the materialized rows against the query budget (released
-// with the pipeline, like the serial builds).
+// the general path runs the compiled right-hand subtree to completion
+// into a rowBuf (or buildHash), charged like the serial builds and
+// released with the pipeline.
 func (s *spineStep) materialize(life *Life) error {
 	key := s.eqs[s.primary].r
 	if a := s.adopted; a != nil {
@@ -122,39 +121,22 @@ func (s *spineStep) materialize(life *Life) error {
 		a.st.Rows = int64(len(a.rows))
 		return nil
 	}
-	collect := func(hold func(Row) error) ([]Row, error) {
-		// The estimate only presizes, and is capped like morselHint: a
-		// plan costed against statistics far larger than the data (the
-		// SF-1 catalog over the mini datasets) would otherwise allocate,
-		// and fault in, a hundred-megabyte slice per query before its
-		// first row and before any cancellation poll.
-		rows := make([]Row, 0, min(max(s.est, 0), 1<<16))
-		err := drainInto(s.right, func(row Row) error {
-			if err := hold(row); err != nil {
-				return err
-			}
-			rows = append(rows, row)
-			return nil
-		})
-		return rows, err
+	if s.op == plan.HashJoin {
+		var err error
+		s.hash, err = buildHash(s.right, key, life)
+		return err
 	}
-	var err error
-	switch s.op {
-	case plan.HashJoin:
-		s.hash, err = buildHash(s.right, key, life.holdRow)
-	case plan.MergeJoin:
-		var prev int64
-		have := false
-		s.sorted, err = collect(func(row Row) error {
-			k := row[key]
-			if have && k < prev {
-				return fmt.Errorf("exec: merge join right input not sorted on column %d", key)
-			}
-			prev, have = k, true
-			return life.holdRow(row)
-		})
-	default: // NestedLoopJoin
-		s.inner, err = collect(life.holdRow)
+	var rows rowBuf
+	err := drainInto(s.right, func(row Row) error {
+		if n := len(rows.rows); s.op == plan.MergeJoin && n > 0 && row[key] < rows.rows[n-1][key] {
+			return fmt.Errorf("exec: merge join right input not sorted on column %d", key)
+		}
+		return rows.append(life, row)
+	})
+	if s.op == plan.MergeJoin {
+		s.sorted = rows.rows
+	} else {
+		s.inner = rows.rows
 	}
 	return err
 }
@@ -251,8 +233,9 @@ func locatePiece(widths []int, c int) (int, int) {
 }
 
 // runMorsel evaluates one morsel of driving rows through the whole
-// spine in a single nested loop, collects its output and charges it
-// against the budget. The morsel's rows stream through the driving
+// spine in a single nested loop, collects its output and charges what
+// that took — the output's row headers and its allocator's chunks —
+// against the budget, once. The morsel's rows stream through the driving
 // scan (Exchange.scan: the relation's filter, and the fault hook when
 // one is set, so injected faults fire inside the worker), a run of rows
 // at a time (nextRun, into the worker's buf); per driving row, each
@@ -295,10 +278,17 @@ func (x *Exchange) runMorsel(rows, buf []Row) morselResult {
 	rec = func(level int) error {
 		if level == nsteps {
 			if !x.lastEmit.narrow {
-				out = append(out, al.concatN(pieces, totalW))
+				row, err := al.concatN(pieces, totalW)
+				if err != nil {
+					return err
+				}
+				out = append(out, row)
 				return nil
 			}
-			row := al.carve(len(x.fusedOut))
+			row, err := al.carve(len(x.fusedOut))
+			if err != nil {
+				return err
+			}
 			for i, c := range x.fusedOut {
 				row[i] = pieces[c.piece][c.col]
 			}
@@ -401,10 +391,7 @@ func (x *Exchange) runMorsel(rows, buf []Row) morselResult {
 		atomic.AddInt64(&x.fused[i].s.st.Rows, cnt[i])
 	}
 	x.lastOut.Store(int64(len(out)))
-	var bytes int64
-	if len(out) > 0 {
-		bytes = int64(len(out)) * rowBytes(out[0])
-	}
+	bytes := int64(cap(out))*rowHeaderBytes + al.took
 	if err := x.life.hold(bytes); err != nil {
 		return morselResult{err: err}
 	}
@@ -751,7 +738,7 @@ func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange, live liveC
 			return nil, err
 		}
 		step := &spineStep{op: n.Op, st: st, right: j.it, adopted: j.adopted,
-			eqs: j.eqs, primary: j.primary, est: int(n.Right.Card)}
+			eqs: j.eqs, primary: j.primary}
 		x.pieceWidths = append(x.pieceWidths, len(j.schema))
 		x.steps = append(x.steps, step)
 		return append(append([]query.ColumnRef{}, j.ls...), j.schema...), nil

@@ -156,11 +156,12 @@ func (p *Pipeline) ExecuteContext(ctx context.Context) ([]Row, error) {
 }
 
 // AdoptLease hands the pipeline n bytes its caller already reserved on
-// the runner's Accountant — the serving layer's admission reserve — as
-// its first lease, instead of reserving them a second time. The
-// ExecuteContext or StreamContext call that must follow releases them
-// with the rest of the lease, on every path; the caller must not.
-func (p *Pipeline) AdoptLease(n int64) { p.Life.lease.Add(n) }
+// the runner's Accountant — the serving layer's admission reserve —
+// which then cover the first n bytes the pipeline takes, instead of
+// being reserved a second time. The ExecuteContext or StreamContext
+// call that must follow releases them with the rest of its charge, on
+// every path; the caller must not.
+func (p *Pipeline) AdoptLease(n int64) { p.Life.reserve += n }
 
 // RowsSorted sums the rows Sort operators consumed — the benchmark's
 // "how much sorting did this plan actually do" number. A Sort drains
@@ -525,7 +526,8 @@ const holdReleased = 1 << 31 // and up; see build
 //     wrapper.
 //   - A merge join's right input and GroupHash's get holdReleased: the
 //     join drops each duplicate group, GroupHash all but groups' first
-//     rows. Their joins carve owned chunks the collector frees as rows die.
+//     rows. Their joins carve owned chunks the collector frees as rows
+//     die; like every chunk, each stays charged until the pipeline ends.
 //   - Every other input gets 0. Sort keeps its run; a hash join's build
 //     and a nested-loop join's inner are materialized; an exchange's
 //     subtrees are its shared state. Joins under these, the root chain

@@ -80,7 +80,7 @@ var errPanicked = errors.New("pipeline panicked")
 // first pull (the joins' build tables are charged by then) is what the
 // sort held before the abort, so the held bytes and the accountant
 // returning to 0 means the sort released it. It reads the hook's Life,
-// not the shared accountant: the accountant moves a lease at a time.
+// the query's own charge, not the accountant it shares.
 type heldGrowth struct {
 	exec.Iterator
 	life        *exec.Life

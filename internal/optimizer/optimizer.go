@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"orderopt/internal/core"
+	"orderopt/internal/freelist"
 	"orderopt/internal/order"
 	"orderopt/internal/plan"
 	"orderopt/internal/query"
@@ -172,7 +173,10 @@ type Prepared struct {
 
 	// sims recycles the Simmen baseline frameworks (ModeSimmen only):
 	// the one piece of run state that is per statement, so it cannot
-	// travel with the shared scratch.
+	// travel with the shared scratch. It is a sync.Pool, not a
+	// freelist.List: a List registers itself with the GC ticker forever
+	// on its first Put, so one per statement would pin every statement
+	// a process ever prepared.
 	sims sync.Pool // of *simmen.Framework
 }
 
@@ -235,12 +239,12 @@ type optimizer struct {
 }
 
 // scratch recycles optimizers across all statements. There is no size
-// knob: sync.Pool drops idle entries over two GC cycles, which bounds
-// what a one-off 16-relation statement (a 2^16-entry table, a deep
-// arena) leaves behind. Pooled scratch holds no *Prepared, and its
-// arena and annotation table are cleared, so it pins no analysis or
-// framework.
-var scratch = sync.Pool{New: func() any { return new(optimizer) }}
+// knob: the list drops what stayed idle through a GC cycle at the next,
+// which bounds what a one-off 16-relation statement (a 2^16-entry
+// table, a deep arena) leaves behind. Pooled scratch holds no
+// *Prepared, and its arena and annotation table are cleared, so it pins
+// no analysis or framework.
+var scratch freelist.List[optimizer]
 
 // dpTable maps a relation-subset mask to its cost-sorted, undominated
 // plan list. The optimized configuration indexes a dense slice directly
@@ -427,7 +431,7 @@ func (o *optimizer) clearPlans() {
 // Run executes one optimization run on pooled scratch. Safe for
 // concurrent use.
 func (p *Prepared) Run() (*Result, error) {
-	o := scratch.Get().(*optimizer)
+	o := scratch.Get()
 	defer scratch.Put(o)
 	return o.plan(p)
 }

@@ -13,7 +13,7 @@
 //     prepared query only re-runs the dynamic programming.
 //  2. Pooled optimizer scratch. The DP scratch (plan-node arena, DP
 //     table, edge buffer) is recycled through one process-wide
-//     sync.Pool in internal/optimizer, shared by every statement: a
+//     freelist.List in internal/optimizer, shared by every statement: a
 //     re-planned prepared query reaches a steady state with near-zero
 //     allocations, a statement new to both caches still plans on an
 //     arena some earlier statement grew, and runs scale across

@@ -181,7 +181,7 @@ type StatsResponse struct {
 	Draining    bool    `json:"draining"`
 	// MemUsedBytes is the process's one memory gauge, the sum
 	// MemLimitBytes (0: tracking only) is checked against: resident
-	// datasets, bytes materialized by running pipelines and admission
+	// datasets, row memory allocated by running pipelines and admission
 	// reservations.
 	MemUsedBytes  int64 `json:"memUsedBytes"`
 	MemLimitBytes int64 `json:"memLimitBytes"`

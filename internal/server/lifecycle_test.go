@@ -281,11 +281,12 @@ func TestExecuteBudget(t *testing.T) {
 	}
 }
 
-// sortDataset is tpcr-small at four times its size: sortSQL's sort of
-// the join output holds ≈ 88 KiB there, more than the admission reserve
-// a pipeline starts its lease from, so a limit that admits the request
-// can still be too small for its pipeline. On tpcr-small the whole sort
-// (≈ 22 KiB) fits inside the reserve.
+// sortDataset is tpcr-small at four times its size: sortSQL's join
+// output and sort run take ≈ 108 KiB there (serially planned: 110,976
+// bytes of chunks and row headers), more than the admission reserve
+// that covers a pipeline's first bytes, so a limit that admits the
+// request can still be too small for its pipeline. On tpcr-small the
+// whole sort (41,344 bytes) fits inside the reserve.
 func sortDataset(name string) *exec.Dataset {
 	return exec.NewDataset(name, "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec().Scale(4)))
 }
@@ -294,7 +295,7 @@ func sortDataset(name string) *exec.Dataset {
 // to the resident datasets and shows up in the health and stats
 // gauges. The limit admits the request (the dataset and one
 // reservation fit) but leaves the pipeline only that reservation, which
-// it adopts as its first lease, and 1 KiB more.
+// it adopts for its first bytes, and 1 KiB more.
 func TestGlobalMemBudget(t *testing.T) {
 	reg := exec.NewRegistry()
 	reg.Register(sortDataset("tpcr-small4"))

@@ -43,8 +43,8 @@
 //     timeoutMs, clamped to Config.MaxTimeout) cancels mid-pipeline;
 //     the client gets a typed 504 with the partial per-operator
 //     counters gathered up to the cut.
-//   - Budgets. Config.QueryBudget bounds the bytes one /execute
-//     pipeline may materialize and Config.MemLimitBytes what resident
+//   - Budgets. Config.QueryBudget bounds the row memory one /execute
+//     pipeline may allocate and Config.MemLimitBytes what resident
 //     datasets and all running pipelines may hold together; exceeding
 //     either returns a typed 429 ("code": "budget") instead of growing
 //     the process.
@@ -114,23 +114,24 @@ type Config struct {
 	// DefaultMaxTimeout when either a default or a client timeout is in
 	// play; negative disables clamping.
 	MaxTimeout time.Duration
-	// QueryBudget bounds the bytes a single /execute pipeline may
-	// materialize across build-side hash tables, sort inputs and
-	// merge-join groups; 0 is unlimited.
+	// QueryBudget bounds the row memory a single /execute pipeline may
+	// allocate: its joins' output chunks and the row-header arrays,
+	// build tables and group tables of its materializing operators; 0
+	// is unlimited.
 	QueryBudget exec.Budget
 	// MemLimitBytes bounds the process's one memory gauge: the bytes of
 	// the resident datasets (Datasets is handed the server's
-	// accountant) plus what all concurrently executing pipelines
-	// materialize; 0 tracks without enforcing. A dataset load that does
+	// accountant) plus the row memory all concurrently executing
+	// pipelines allocate; 0 tracks without enforcing. A dataset load that does
 	// not fit evicts idle datasets first; a pipeline that does not fit
 	// fails with a typed budget error (429), not the process with an
 	// OOM. With a limit set, /execute admission is by memory, not
 	// request count: each request reserves DefaultQueryReserveBytes,
-	// which its pipeline adopts as its first lease, and is shed up front
+	// which covers its pipeline's first bytes, and is shed up front
 	// (429, Retry-After) when that does not fit.
 	MemLimitBytes int64
 	// ExecHook, when set, wraps every compiled operator — the
-	// fault-injection seam used by the abort experiment and the fault
+	// fault-injection seam used by TestFaultIsolation and the fault
 	// harness. Leave nil in production.
 	ExecHook exec.IterHook
 	// Workers caps the morsel workers any single /execute pipeline may
@@ -146,10 +147,10 @@ const DefaultMaxTimeout = 30 * time.Second
 
 // DefaultQueryReserveBytes is the per-query admission reservation when
 // a memory limit is set: the headroom a query is assumed to need before
-// its pipeline has materialized anything — enough for a modest
-// pipeline's early materialization, small enough not to starve
-// admission under a realistic limit. The pipeline spends it as its
-// first lease (exec.Pipeline.AdoptLease) rather than reserving again.
+// its pipeline has allocated anything — enough for a modest pipeline's
+// first chunks and buffers, small enough not to starve admission under
+// a realistic limit. The pipeline adopts it (exec.Pipeline.AdoptLease)
+// for its first bytes rather than reserving again.
 const DefaultQueryReserveBytes = 64 << 10
 
 // Server is the HTTP planning service. It is an http.Handler; all state
@@ -504,8 +505,10 @@ func requestSQL(w http.ResponseWriter, r *http.Request, m *endpointMetrics) (str
 		if code, err := decodeBody(w, r, &req); err != nil {
 			return fail(code, err.Error())
 		}
-		sql = req.SQL
-		timeoutMs = req.TimeoutMs
+		sql, timeoutMs = req.SQL, req.TimeoutMs
+		if timeoutMs < 0 {
+			return fail(http.StatusBadRequest, fmt.Sprintf("invalid timeoutMs: %d", timeoutMs))
+		}
 	default:
 		return fail(http.StatusMethodNotAllowed, "use GET ?q=... or POST {\"sql\": ...}")
 	}
@@ -623,6 +626,10 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusBadRequest, "empty sql")
 		return
 	}
+	if req.TimeoutMs < 0 {
+		reject(http.StatusBadRequest, fmt.Sprintf("invalid timeoutMs: %d", req.TimeoutMs))
+		return
+	}
 	if s.datasets == nil {
 		reject(http.StatusNotFound, "no datasets registered (execution disabled)")
 		return
@@ -689,7 +696,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 // when DefaultQueryReserveBytes does not fit the accountant next to
 // the resident datasets and running pipelines it already carries. The
 // reservation, recorded in g, stays charged until the request's
-// pipeline adopts it as its first lease or g is released, so
+// pipeline adopts it or g is released, so
 // concurrent admissions see each other. Without a limit the gate is a
 // no-op — the request-count semaphore remains the only admission
 // bound.
@@ -711,8 +718,8 @@ func (s *Server) admitMemory(w http.ResponseWriter, m *endpointMetrics, g *memGr
 }
 
 // memGrant is one request's admission reservation on the accountant.
-// It is released exactly once: handed to the request's pipeline as its
-// first lease just before the pipeline runs (the pipeline releases it
+// It is released exactly once: handed to the request's pipeline just
+// before the pipeline runs (the pipeline releases it
 // when it ends), or by release on every path that never gets that far
 // — a compile failure, an unknown dataset, a header that fails to
 // encode.
@@ -721,7 +728,7 @@ type memGrant struct {
 	n    int64
 }
 
-// handOver makes the reservation p's first lease; p must run next.
+// handOver makes the reservation cover p's first bytes; p must run next.
 func (g *memGrant) handOver(p *exec.Pipeline) {
 	p.AdoptLease(g.n)
 	g.n = 0

@@ -66,9 +66,12 @@ func TestServeSoak(t *testing.T) {
 		ExecHook:      tracker.Hook(),
 		MemLimitBytes: limit,
 		// Low enough that the sorting query shape trips it (the join
-		// result it buffers is ~200 rows, ~22 KiB), so budget aborts —
-		// buffered 429s and streaming trailer aborts both — are part of
-		// the storm.
+		// result it sorts is ~200 rows: 41,344 bytes of chunks and row
+		// headers, planned serially), and so does the plain join when
+		// buffered (29,248 bytes of chunks for its ~200 result rows),
+		// while the grouping query (11,840) and a streamed join's ring
+		// fit, so budget aborts — buffered 429s and streaming trailer
+		// aborts both — are part of the storm.
 		QueryBudget: exec.Budget{MaxBytes: 16 << 10},
 		MaxTimeout:  2 * time.Second,
 	})

@@ -452,10 +452,10 @@ func TestMemoryAdmissionReserve(t *testing.T) {
 	}
 }
 
-// TestAdmissionReserveIsFirstLease: the admission reserve is the
-// pipeline's first lease, charged once. Under a limit that fits exactly
-// the resident dataset and one reserve, a sort holding less than the
-// reserve (sortSQL on tpcr-small: ≈ 22 KiB) runs, buffered and
+// TestAdmissionReserveIsFirstLease: the admission reserve covers the
+// pipeline's first bytes, charged once. Under a limit that fits exactly
+// the resident dataset and one reserve, a sort taking less than the
+// reserve (sortSQL on tpcr-small: 41,344 bytes) runs, buffered and
 // streamed; a request that fails before its pipeline runs (a statement
 // that does not plan) gives the reserve back itself. Either way the
 // gauge ends at the resident bytes.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"os"
 	"reflect"
 	"regexp"
@@ -117,5 +118,50 @@ func TestOversizedBody(t *testing.T) {
 	}
 	if _, err := c.Execute(ExecuteRequest{SQL: nationRegionSQL}); err != nil {
 		t.Errorf("normal /execute after the oversized ones: %v", err)
+	}
+}
+
+// TestNegativeTimeout: a negative timeoutMs in a POST body is a 400 on
+// every endpoint that takes one, counted as rejected, as it is in
+// GET /plan's query string; 0 still means "not set".
+func TestNegativeTimeout(t *testing.T) {
+	_, c, done := newExecServer(t)
+	defer done()
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/plan", `{"sql": "` + nationRegionSQL + `", "timeoutMs": -1}`, http.StatusBadRequest},
+		{"/explain", `{"sql": "` + nationRegionSQL + `", "timeoutMs": -1}`, http.StatusBadRequest},
+		{"/execute", `{"sql": "` + nationRegionSQL + `", "timeoutMs": -1}`, http.StatusBadRequest},
+		{"/plan", `{"sql": "` + nationRegionSQL + `", "timeoutMs": 0}`, http.StatusOK},
+		{"/explain", `{"sql": "` + nationRegionSQL + `", "timeoutMs": 0}`, http.StatusOK},
+		{"/execute", `{"sql": "` + nationRegionSQL + `", "timeoutMs": 0}`, http.StatusOK},
+	} {
+		res, err := http.Post(c.BaseURL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		res.Body.Close()
+		if res.StatusCode != tc.want {
+			t.Errorf("POST %s %s: status %d, want %d", tc.path, tc.body, res.StatusCode, tc.want)
+		}
+	}
+	res, err := http.Get(c.BaseURL + "/plan?timeoutMs=-1&q=" + url.QueryEscape(nationRegionSQL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusBadRequest {
+		t.Errorf("GET /plan?timeoutMs=-1: status %d, want 400", res.StatusCode)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ep, want := range map[string]int64{"plan": 2, "explain": 1, "execute": 1} {
+		if got := st.Endpoints[ep].Rejected; got != want {
+			t.Errorf("/stats %s: rejected=%d, want %d", ep, got, want)
+		}
 	}
 }
