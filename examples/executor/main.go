@@ -14,6 +14,7 @@ import (
 	"orderopt"
 	"orderopt/internal/exec"
 	"orderopt/internal/optimizer"
+	"orderopt/internal/plan"
 	"orderopt/internal/query"
 	"orderopt/internal/tpcr"
 )
@@ -72,10 +73,8 @@ func main() {
 	// Stage 3: merge join with lineitem sorted on l_orderkey.
 	sortedLineitem, err := exec.Collect(&exec.Sort{In: exec.NewScan(toRows(data["lineitem"])), Keys: []int{0}})
 	die(err)
-	joined, err := exec.Collect(&exec.MergeJoin{
-		Left: exec.NewScan(filtered), Right: exec.NewScan(sortedLineitem),
-		LeftKey: 0, RightKey: 0,
-	})
+	joined, err := exec.Collect(exec.NewJoin(plan.MergeJoin,
+		exec.NewScan(filtered), exec.NewScan(sortedLineitem), 0, 0, nil))
 	die(err)
 	state = fw.Infer(state, joinFD)
 	verify(fw, b, state, joined, colOf, "MergeJoin(o_orderkey = l_orderkey)")

@@ -7,28 +7,28 @@ import (
 	"testing"
 )
 
-// TestJoinEmitAllocsAmortized pins a join emit's per-row allocation
-// behavior: output rows, left ++ right or the live-column layout, are
-// carved from chunked slabs, so a long stream costs one heap allocation
-// per ~2k rows, not one per row.
+// TestJoinEmitAllocsAmortized pins a spine's per-row allocation
+// behavior: output rows, its pieces concatenated or the live-column
+// layout, are carved from chunked slabs, so a long stream costs one heap
+// allocation per ~2k rows, not one per row.
 func TestJoinEmitAllocsAmortized(t *testing.T) {
-	l, r := Row{0, 10, 20, 30}, Row{40, 50}
-	live := joinEmit{narrow: true, lcols: []int{3, 1}, rcols: []int{0}}
+	pieces := []Row{{0, 10, 20, 30}, {40, 50}}
 	for name, c := range map[string]struct {
-		emit *joinEmit
+		out  []fusedEq
 		want Row
 	}{
-		"wide": {&joinEmit{}, Row{0, 10, 20, 30, 40, 50}},
-		"live": {&live, Row{30, 10, 40}},
+		"wide": {nil, Row{0, 10, 20, 30, 40, 50}},
+		"live": {[]fusedEq{{piece: 0, col: 3}, {piece: 0, col: 1}, {piece: 1, col: 0}}, Row{30, 10, 40}},
 	} {
+		cur := cursor{spine: spine{fusedOut: c.out}, pieces: pieces}
 		avg := testing.AllocsPerRun(4000, func() {
-			row, ok, err := c.emit.row(l, r)
+			row, ok, err := cur.emit()
 			if !ok || err != nil || !slices.Equal(row, c.want) {
 				t.Fatalf("%s: emitted %v, want %v", name, row, c.want)
 			}
 		})
 		if avg > 0.1 {
-			t.Fatalf("%s: joinEmit.row averages %.3f allocs/row, want amortized < 0.1", name, avg)
+			t.Fatalf("%s: a spine's emit averages %.3f allocs/row, want amortized < 0.1", name, avg)
 		}
 	}
 }

@@ -119,8 +119,8 @@ func (hv *hashView) recycle() {
 var drainPool freelist.List[[]Row]
 
 // buildHash drains right into the build table a query makes for itself,
-// keyed on column col — the one path behind a hash join's Open and an
-// exchange's shared build side. life is charged for the drain buffer as
+// keyed on column col — the one path behind every hash join's build
+// (spineLevel.materialize), serial or an exchange's shared side. life is charged for the drain buffer as
 // it doubles (rowBuf), so an overrun stops the drain where it happens,
 // and for the table's arrays before they are filled. The buffer goes
 // back to the pool cleared, pinning no row chunk, on every path out —

@@ -1,4 +1,4 @@
-// Package exec is a streaming Volcano-style execution engine over
+// Package exec is a streaming, pull-based execution engine over
 // in-memory tables: scans, filters, sorts, merge/hash/nested-loop joins
 // and grouping. It started as the repo's validation harness — the
 // property tests run real tuple streams through operator pipelines and
@@ -8,15 +8,17 @@
 // /execute endpoint and the runtime sort-avoidance benchmark
 // (BenchmarkExecRuntime).
 //
-// Operators are pipelined: a merge join buffers only the current
-// duplicate-key group of its right input, a hash join materializes only
-// its build side, and the grouping operators emit groups as the stream
-// closes them. Only Sort (by nature) and the build/inner sides of
-// hash/nested-loop joins materialize. The order guard rails remain:
-// merge joins and sorted grouping verify their input ordering while
-// streaming — an unsound ordering claim by the planner surfaces as an
-// execution error, not a wrong result. See docs/execution.md for the
-// operator matrix.
+// Operators are iterators, except joins: every left-deep chain of joins
+// runs as one cursor over its driving input (spine.go), which builds a
+// row only for the chain's output. Everything is pipelined: a merge
+// join buffers only the current duplicate-key group of its right input,
+// a hash join materializes only its build side, and the grouping
+// operators emit groups as the stream closes them. Only Sort (by
+// nature) and the build/inner sides of hash/nested-loop joins
+// materialize. The order guard rails remain: merge joins and sorted
+// grouping verify their input ordering while streaming — an unsound
+// ordering claim by the planner surfaces as an execution error, not a
+// wrong result. See docs/execution.md for the operator matrix.
 package exec
 
 import (
@@ -34,7 +36,7 @@ import (
 // the data generators, dates are day numbers).
 type Row []int64
 
-// Iterator is the Volcano operator interface.
+// Iterator is the operator interface: Open, a Next per row, Close.
 type Iterator interface {
 	// Open prepares the iterator; it must be called before Next.
 	Open() error
@@ -46,20 +48,6 @@ type Iterator interface {
 	Close() error
 }
 
-// batchIterator is implemented by operators that can hand out many
-// rows at once (the exchange operators): Collect and the root stats
-// wrapper then skip the per-row Next hand-off. A batch is only valid
-// until the next NextBatch call.
-type batchIterator interface {
-	NextBatch() ([]Row, bool, error)
-}
-
-// sizeHinter optionally accompanies batchIterator: an estimate of the
-// total row count, letting Collect presize its result buffer.
-type sizeHinter interface {
-	SizeHint() int
-}
-
 // Collect drains it and returns all rows.
 func Collect(it Iterator) ([]Row, error) {
 	defer it.Close() // before Open, so a panic inside Open closes too
@@ -67,26 +55,6 @@ func Collect(it Iterator) ([]Row, error) {
 		return nil, err
 	}
 	var out []Row
-	if b, ok := it.(batchIterator); ok {
-		if sh, ok := it.(sizeHinter); ok {
-			if h := sh.SizeHint(); h > 0 && h <= 1<<22 {
-				// Headroom over the estimate: a hint even 1% short would
-				// otherwise double-and-copy the nearly full buffer on the
-				// last few batches.
-				out = make([]Row, 0, h+h/8+64)
-			}
-		}
-		for {
-			batch, ok, err := b.NextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return out, nil
-			}
-			out = append(out, batch...)
-		}
-	}
 	for {
 		row, ok, err := it.Next()
 		if err != nil {
@@ -151,7 +119,7 @@ func (s *Scan) Close() error { return nil }
 // to len(buf) rows per call instead of one per Next: a Scan straight
 // from its slice, a Filter compacting its input's run into buf. An
 // exchange pulls each morsel's driving scan through it (nextRun), so a
-// morsel's rows reach the fused evaluator without a call per row.
+// morsel's rows reach the spine's cursor without a call per row.
 type runIterator interface {
 	nextRun(buf []Row) ([]Row, error)
 }
@@ -477,404 +445,10 @@ func sortRefs(rows []Row, keys []int) {
 	}
 }
 
-// MergeJoin equi-joins two inputs sorted on their key columns; output
-// rows are left ++ right (or the compiler's narrower layout, see
-// joinEmit). Duplicate key groups produce the full cross product with
-// the outer (left) order preserved — the ordering behaviour the plan
-// generator relies on.
-//
-// The join is fully pipelined: it buffers only the current duplicate-key
-// group of the right input (rewound per matching left row) and a
-// one-row lookahead; both inputs are verified to be sorted as they
-// stream, so an unsorted input fails at the Next that observes it.
-type MergeJoin struct {
-	Left, Right Iterator
-	LeftKey     int
-	RightKey    int
-	// Life, when set, is charged for the group buffer as it doubles
-	// (rowBuf), which every group reuses, and for each chunk the output
-	// rows are carved from.
-	Life *Life
-
-	left      Row    // current left row, nil when a new one is needed
-	group     rowBuf // current right duplicate-key group
-	groupKey  int64
-	haveGroup bool
-	gi        int  // cross-product cursor within group
-	matching  bool // left's key equals groupKey
-
-	rightNext     Row // one-row lookahead into the right input
-	rightDone     bool
-	prevLeftKey   int64
-	havePrevLeft  bool
-	prevRightKey  int64
-	havePrevRight bool
-	opened        bool
-
-	emit joinEmit
-}
-
-// Open implements Iterator.
-func (m *MergeJoin) Open() error {
-	// Set before either input opens: whoever called Open also calls
-	// Close, which then closes both inputs however far Open got — an
-	// error from Right.Open or a panic inside it included.
-	m.opened = true
-	m.emit.alloc.life = m.Life
-	if err := m.Left.Open(); err != nil {
-		return err
-	}
-	if err := m.Right.Open(); err != nil {
-		return err
-	}
-	m.left, m.group.rows, m.haveGroup, m.gi, m.matching = nil, m.group.rows[:0], false, 0, false
-	m.rightNext, m.rightDone = nil, false
-	m.havePrevLeft, m.havePrevRight = false, false
-	return nil
-}
-
-// nextLeft advances the left input, verifying sortedness on the fly.
-func (m *MergeJoin) nextLeft() (Row, bool, error) {
-	row, ok, err := m.Left.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	k := row[m.LeftKey]
-	if m.havePrevLeft && k < m.prevLeftKey {
-		return nil, false, fmt.Errorf("exec: merge join left input not sorted on column %d", m.LeftKey)
-	}
-	m.prevLeftKey, m.havePrevLeft = k, true
-	return row, true, nil
-}
-
-// nextRight advances the right lookahead, verifying sortedness.
-func (m *MergeJoin) nextRight() (Row, bool, error) {
-	row, ok, err := m.Right.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	k := row[m.RightKey]
-	if m.havePrevRight && k < m.prevRightKey {
-		return nil, false, fmt.Errorf("exec: merge join right input not sorted on column %d", m.RightKey)
-	}
-	m.prevRightKey, m.havePrevRight = k, true
-	return row, true, nil
-}
-
-// buildGroup loads the next duplicate-key group from the right input
-// into m.group. It reports false when the right input is exhausted.
-func (m *MergeJoin) buildGroup() (bool, error) {
-	if m.rightNext == nil {
-		if m.rightDone {
-			return false, nil
-		}
-		row, ok, err := m.nextRight()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			m.rightDone = true
-			return false, nil
-		}
-		m.rightNext = row
-	}
-	m.group.rows = m.group.rows[:0]
-	m.groupKey = m.rightNext[m.RightKey]
-	if err := m.group.append(m.Life, m.rightNext); err != nil {
-		return false, err
-	}
-	m.rightNext = nil
-	for {
-		row, ok, err := m.nextRight()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			m.rightDone = true
-			break
-		}
-		if row[m.RightKey] != m.groupKey {
-			m.rightNext = row
-			break
-		}
-		if err := m.group.append(m.Life, row); err != nil {
-			return false, err
-		}
-	}
-	m.haveGroup = true
-	return true, nil
-}
-
-// Next implements Iterator.
-func (m *MergeJoin) Next() (Row, bool, error) {
-	for {
-		if m.matching {
-			for m.gi < len(m.group.rows) {
-				r, ok, err := m.emit.row(m.left, m.group.rows[m.gi])
-				m.gi++
-				if ok || err != nil {
-					return r, ok, err
-				}
-			}
-			// Cross product for this left row done; fetch the next left
-			// row (it may share the key and rewind the group).
-			m.matching = false
-			m.left = nil
-		}
-		if m.left == nil {
-			row, ok, err := m.nextLeft()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				// Left exhausted: drain the right side so its
-				// sortedness check covers the full stream the plan
-				// claimed sorted (mirror of the left drain below).
-				for {
-					_, ok, err := m.nextRight()
-					if err != nil {
-						return nil, false, err
-					}
-					if !ok {
-						return nil, false, nil
-					}
-				}
-			}
-			m.left = row
-		}
-		lk := m.left[m.LeftKey]
-		for !m.haveGroup || m.groupKey < lk {
-			ok, err := m.buildGroup()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				// Right exhausted: no left row can match anymore, but
-				// keep draining the left side so its sortedness check
-				// still covers the full stream the plan claimed sorted.
-				for {
-					_, ok, err := m.nextLeft()
-					if err != nil {
-						return nil, false, err
-					}
-					if !ok {
-						return nil, false, nil
-					}
-				}
-			}
-		}
-		if m.groupKey == lk {
-			m.gi = 0
-			m.matching = true
-			continue
-		}
-		// groupKey > lk: this left row has no partner.
-		m.left = nil
-	}
-}
-
-// Close implements Iterator.
-func (m *MergeJoin) Close() error {
-	m.group, m.left, m.rightNext = rowBuf{}, nil, nil
-	m.haveGroup, m.matching = false, false
-	if !m.opened {
-		return nil
-	}
-	m.opened = false
-	err := m.Left.Close()
-	if err2 := m.Right.Close(); err == nil {
-		err = err2
-	}
-	return err
-}
-
-// HashJoin builds a hash table on the right input and probes with the
-// left, preserving the left (probe) order. Only the build side is
-// materialized (the right input is drained and closed during Open, see
-// buildHash); probing streams.
-type HashJoin struct {
-	Left, Right Iterator
-	LeftKey     int
-	RightKey    int
-	// Life, when set, is charged for the build (buildHash) and for each
-	// chunk the output rows are carved from.
-	Life *Life
-
-	table  *hashView
-	probe  Row   // current left row
-	bucket []Row // its matches
-	bi     int
-	opened bool
-
-	// adopted, when set, is the bare base-relation scan whose
-	// dataset-resident build table (adopted.hash) Open adopts instead of
-	// draining Right, which is then nil; Open credits the scan's stats
-	// entry with the table's rows.
-	adopted *bareScan
-
-	emit joinEmit
-}
-
-// Open implements Iterator.
-func (h *HashJoin) Open() error {
-	h.emit.alloc.life = h.Life
-	if h.adopted != nil {
-		h.table = h.adopted.hash
-		h.adopted.st.Rows = int64(len(h.adopted.rows))
-	} else {
-		table, err := buildHash(h.Right, h.RightKey, h.Life)
-		if err != nil {
-			return err
-		}
-		h.table = table
-	}
-	h.probe, h.bucket, h.bi = nil, nil, 0
-	h.opened = true // before Left opens, so Close reaches it if Open does not return
-	return h.Left.Open()
-}
-
-// Next implements Iterator.
-func (h *HashJoin) Next() (Row, bool, error) {
-	for {
-		for h.bi < len(h.bucket) {
-			r, ok, err := h.emit.row(h.probe, h.bucket[h.bi])
-			h.bi++
-			if ok || err != nil {
-				return r, ok, err
-			}
-		}
-		left, ok, err := h.Left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		h.probe = left
-		h.bucket = h.table.bucket(left[h.LeftKey])
-		h.bi = 0
-	}
-}
-
-// Close implements Iterator: a table built for this execution goes
-// back to hashPool.
-func (h *HashJoin) Close() error {
-	if h.table != nil && h.adopted == nil {
-		h.table.recycle()
-	}
-	h.table, h.probe, h.bucket = nil, nil, nil
-	if h.opened {
-		h.opened = false
-		return h.Left.Close()
-	}
-	return nil
-}
-
-// NestedLoopJoin materializes the inner input and scans it per outer
-// row, joining on an arbitrary predicate over (outer, inner). Matches
-// are emitted lazily as the inner scan advances.
-type NestedLoopJoin struct {
-	Outer, Inner Iterator
-	Pred         func(outer, inner Row) bool
-	// Life, when set, is charged for the inner's buffer as it doubles
-	// (rowBuf) and for each chunk the output rows are carved from.
-	Life *Life
-
-	inner  []Row
-	outer  Row
-	ii     int
-	opened bool
-
-	emit joinEmit
-}
-
-// Open implements Iterator.
-func (n *NestedLoopJoin) Open() error {
-	n.emit.alloc.life = n.Life
-	var inner rowBuf
-	if err := drainInto(n.Inner, func(row Row) error { return inner.append(n.Life, row) }); err != nil {
-		return err
-	}
-	n.inner, n.outer, n.ii = inner.rows, nil, 0
-	n.opened = true // before Outer opens, so Close reaches it if Open does not return
-	return n.Outer.Open()
-}
-
-// Next implements Iterator.
-func (n *NestedLoopJoin) Next() (Row, bool, error) {
-	for {
-		if n.outer != nil {
-			for n.ii < len(n.inner) {
-				inner := n.inner[n.ii]
-				n.ii++
-				if n.Pred(n.outer, inner) {
-					if r, ok, err := n.emit.row(n.outer, inner); ok || err != nil {
-						return r, ok, err
-					}
-				}
-			}
-		}
-		outer, ok, err := n.Outer.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		n.outer = outer
-		n.ii = 0
-	}
-}
-
-// Close implements Iterator.
-func (n *NestedLoopJoin) Close() error {
-	n.inner, n.outer = nil, nil
-	if n.opened {
-		n.opened = false
-		return n.Outer.Close()
-	}
-	return nil
-}
-
-// joinEq is one equality predicate crossing a join: its columns,
-// oriented to the join's sides, and their positions in the left and the
-// right input's schema.
+// joinEq is one equality predicate crossing a join, its columns oriented
+// to the join's sides.
 type joinEq struct {
 	lc, rc query.ColumnRef
-	l, r   int
-}
-
-// joinEmit is what a join does with a matched (left, right) pair: res
-// lists the equalities its algorithm did not evaluate, checked on the
-// pair before a row is carved; the row is left ++ right, or — narrow
-// set by the compiler's liveness pass, see Runner.build — the live
-// columns of each side at positions resolved at compile. The zero value
-// is a join on its primary predicate alone emitting left ++ right. A
-// chunk the budget refuses fails the pair with ErrBudgetExceeded.
-type joinEmit struct {
-	res          []joinEq
-	narrow       bool
-	lcols, rcols []int
-
-	alloc rowAlloc // chunked allocator for output rows; a ring under a bounded hold
-}
-
-func (e *joinEmit) row(l, r Row) (Row, bool, error) {
-	for _, q := range e.res {
-		if l[q.l] != r[q.r] {
-			return nil, false, nil
-		}
-	}
-	if !e.narrow {
-		out, err := e.alloc.concat(l, r)
-		return out, err == nil, err
-	}
-	out, err := e.alloc.carve(len(e.lcols) + len(e.rcols))
-	if err != nil {
-		return nil, false, err
-	}
-	for i, c := range e.lcols {
-		out[i] = l[c]
-	}
-	right := out[len(e.lcols):]
-	for i, c := range e.rcols {
-		right[i] = r[c]
-	}
-	return out, true, nil
 }
 
 // rowAlloc chunk sizes (in int64s): chunks start small so short-lived
@@ -908,15 +482,15 @@ var PoisonRecycledChunks atomic.Bool
 // Chunks grow as before until one holds window rows, and that one is
 // reused from its start, so a stream shorter than the window allocates
 // exactly what it would unbounded. A ring's chunk holds rows of one
-// width (a join's emit carves no other); a carve of another width
-// starts a fresh chunk. Runner.build sets window and pooled, the join's
-// Open life, and StreamContext the root join's window.
+// width (a spine emits no other); a carve of another width starts a
+// fresh chunk. Runner.build sets window, pooled and life, and
+// StreamContext the root spine's window.
 type rowAlloc struct {
 	chunk  Row // the current chunk, whole; reused when it holds window rows
 	off    int // chunk[:off] is carved: an offset, so a carve stores no pointer
 	grow   int // next chunk size
 	window int
-	width  int         // ring: the width of every row in chunk
+	width  int32       // ring: the width of every row in chunk
 	pooled bool        // chunks come from chunkPools, and go back at Life.releaseAll
 	taken  []*rowChunk // pooled: the chunks to hand back
 	life   *Life       // charged for each chunk as it is taken
@@ -928,8 +502,8 @@ type rowAlloc struct {
 // a fresh (geometrically grown) chunk, charged to life whole — a pooled
 // one at its size class. A chunk life refuses is not taken.
 func (al *rowAlloc) ensure(n int) error {
-	if al.window > 0 && n != al.width {
-		al.width, al.chunk, al.off = n, nil, 0
+	if al.window > 0 && int32(n) != al.width {
+		al.width, al.chunk, al.off = int32(n), nil, 0
 	}
 	if len(al.chunk)-al.off >= n {
 		return nil
@@ -993,17 +567,6 @@ func (al *rowAlloc) carve(n int) (Row, error) {
 	}
 	out := al.chunk[al.off : al.off+n : al.off+n]
 	al.off += n
-	return out, nil
-}
-
-// concat returns a ++ b carved from the current chunk.
-func (al *rowAlloc) concat(a, b Row) (Row, error) {
-	out, err := al.carve(len(a) + len(b))
-	if err != nil {
-		return nil, err
-	}
-	copy(out, a)
-	copy(out[len(a):], b)
 	return out, nil
 }
 

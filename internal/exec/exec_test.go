@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"orderopt/internal/plan"
 )
 
 func rowsOf(vals ...[]int64) []Row {
@@ -112,10 +114,7 @@ func TestSortStable(t *testing.T) {
 func TestMergeJoinBasics(t *testing.T) {
 	left := rowsOf([]int64{1, 100}, []int64{2, 200}, []int64{2, 201}, []int64{4, 400})
 	right := rowsOf([]int64{1, -1}, []int64{2, -2}, []int64{3, -3})
-	mj := &MergeJoin{
-		Left: NewScan(left), Right: NewScan(right),
-		LeftKey: 0, RightKey: 0,
-	}
+	mj := NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil)
 	got, err := Collect(mj)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +134,7 @@ func TestMergeJoinBasics(t *testing.T) {
 func TestMergeJoinDuplicateGroups(t *testing.T) {
 	left := rowsOf([]int64{1, 0}, []int64{1, 1})
 	right := rowsOf([]int64{1, 7}, []int64{1, 8})
-	got, err := Collect(&MergeJoin{Left: NewScan(left), Right: NewScan(right), LeftKey: 0, RightKey: 0})
+	got, err := Collect(NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +153,12 @@ func TestMergeJoinRejectsUnsorted(t *testing.T) {
 	// surfaces it), not at Open.
 	left := rowsOf([]int64{2}, []int64{1})
 	right := rowsOf([]int64{1})
-	mj := &MergeJoin{Left: NewScan(left), Right: NewScan(right), LeftKey: 0, RightKey: 0}
+	mj := NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil)
 	if _, err := Collect(mj); err == nil {
 		t.Error("unsorted merge join input must be rejected")
 	}
 	right2 := rowsOf([]int64{5}, []int64{1})
-	mj2 := &MergeJoin{Left: NewScan(rowsOf([]int64{1}, []int64{5})), Right: NewScan(right2), LeftKey: 0, RightKey: 0}
+	mj2 := NewJoin(plan.MergeJoin, NewScan(rowsOf([]int64{1}, []int64{5})), NewScan(right2), 0, 0, nil)
 	if _, err := Collect(mj2); err == nil {
 		t.Error("unsorted right input must be rejected")
 	}
@@ -168,7 +167,7 @@ func TestMergeJoinRejectsUnsorted(t *testing.T) {
 func TestHashJoinPreservesProbeOrder(t *testing.T) {
 	left := rowsOf([]int64{3}, []int64{1}, []int64{2}, []int64{1})
 	right := rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	got, err := Collect(&HashJoin{Left: NewScan(left), Right: NewScan(right), LeftKey: 0, RightKey: 0})
+	got, err := Collect(NewJoin(plan.HashJoin, NewScan(left), NewScan(right), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,16 +181,13 @@ func TestHashJoinPreservesProbeOrder(t *testing.T) {
 }
 
 func TestNestedLoopJoin(t *testing.T) {
-	outer := rowsOf([]int64{1}, []int64{2})
+	outer := rowsOf([]int64{1, 10}, []int64{2, 20})
 	inner := rowsOf([]int64{10}, []int64{20})
-	got, err := Collect(&NestedLoopJoin{
-		Outer: NewScan(outer), Inner: NewScan(inner),
-		Pred: func(o, i Row) bool { return o[0]*10 == i[0] },
-	})
+	got, err := Collect(NewJoin(plan.NestedLoopJoin, NewScan(outer), NewScan(inner), 1, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rowsOf([]int64{1, 10}, []int64{2, 20})
+	want := rowsOf([]int64{1, 10, 10}, []int64{2, 20, 20})
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v", got)
 	}
@@ -214,18 +210,15 @@ func TestJoinsAgree(t *testing.T) {
 		sortedRight := append([]Row{}, right...)
 		sort.SliceStable(sortedRight, func(i, j int) bool { return sortedRight[i][0] < sortedRight[j][0] })
 
-		mj, err := Collect(&MergeJoin{Left: NewScan(sortedLeft), Right: NewScan(sortedRight), LeftKey: 0, RightKey: 0})
+		mj, err := Collect(NewJoin(plan.MergeJoin, NewScan(sortedLeft), NewScan(sortedRight), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hj, err := Collect(&HashJoin{Left: NewScan(left), Right: NewScan(right), LeftKey: 0, RightKey: 0})
+		hj, err := Collect(NewJoin(plan.HashJoin, NewScan(left), NewScan(right), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nl, err := Collect(&NestedLoopJoin{
-			Outer: NewScan(left), Inner: NewScan(right),
-			Pred: func(o, i Row) bool { return o[0] == i[0] },
-		})
+		nl, err := Collect(NewJoin(plan.NestedLoopJoin, NewScan(left), NewScan(right), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,14 +375,13 @@ func TestJoinsEmptyInputs(t *testing.T) {
 		it   func(left, right []Row) Iterator
 	}{
 		{"merge", func(l, r []Row) Iterator {
-			return &MergeJoin{Left: NewScan(l), Right: NewScan(r), LeftKey: 0, RightKey: 0}
+			return NewJoin(plan.MergeJoin, NewScan(l), NewScan(r), 0, 0, nil)
 		}},
 		{"hash", func(l, r []Row) Iterator {
-			return &HashJoin{Left: NewScan(l), Right: NewScan(r), LeftKey: 0, RightKey: 0}
+			return NewJoin(plan.HashJoin, NewScan(l), NewScan(r), 0, 0, nil)
 		}},
 		{"nl", func(l, r []Row) Iterator {
-			return &NestedLoopJoin{Outer: NewScan(l), Inner: NewScan(r),
-				Pred: func(o, i Row) bool { return o[0] == i[0] }}
+			return NewJoin(plan.NestedLoopJoin, NewScan(l), NewScan(r), 0, 0, nil)
 		}},
 	}
 	for _, c := range cases {
@@ -429,7 +421,7 @@ func TestMergeJoinDuplicateCrossProducts(t *testing.T) {
 		[]int64{3, 103},
 		[]int64{4, 104}, []int64{4, 105}, []int64{4, 106}, // key 4 ×3
 	)
-	got, err := Collect(&MergeJoin{Left: NewScan(left), Right: NewScan(right), LeftKey: 0, RightKey: 0})
+	got, err := Collect(NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +439,7 @@ func TestMergeJoinDuplicateCrossProducts(t *testing.T) {
 		}
 	}
 	// Result agrees with a hash join over the same inputs.
-	hj, err := Collect(&HashJoin{Left: NewScan(left), Right: NewScan(right), LeftKey: 0, RightKey: 0})
+	hj, err := Collect(NewJoin(plan.HashJoin, NewScan(left), NewScan(right), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,9 +456,9 @@ func TestCloseWithoutOpen(t *testing.T) {
 		NewScan(rows),
 		&Filter{In: NewScan(rows), Pred: func(Row) bool { return true }},
 		&Sort{In: NewScan(rows), Keys: []int{0}},
-		&MergeJoin{Left: NewScan(rows), Right: NewScan(rows), LeftKey: 0, RightKey: 0},
-		&HashJoin{Left: NewScan(rows), Right: NewScan(rows), LeftKey: 0, RightKey: 0},
-		&NestedLoopJoin{Outer: NewScan(rows), Inner: NewScan(rows), Pred: func(o, i Row) bool { return true }},
+		NewJoin(plan.MergeJoin, NewScan(rows), NewScan(rows), 0, 0, nil),
+		NewJoin(plan.HashJoin, NewScan(rows), NewScan(rows), 0, 0, nil),
+		NewJoin(plan.NestedLoopJoin, NewScan(rows), NewScan(rows), 0, 0, nil),
 		&GroupSorted{In: NewScan(rows), Keys: []int{0}},
 		&GroupHash{In: NewScan(rows), Keys: []int{0}},
 	}
@@ -476,7 +468,7 @@ func TestCloseWithoutOpen(t *testing.T) {
 		}
 	}
 	// And Open → Close → (re)Open → full drain still works.
-	mj := &MergeJoin{Left: NewScan(rows), Right: NewScan(rows), LeftKey: 0, RightKey: 0}
+	mj := NewJoin(plan.MergeJoin, NewScan(rows), NewScan(rows), 0, 0, nil)
 	if err := mj.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +522,7 @@ func TestWideGroupingKeys(t *testing.T) {
 func TestMergeJoinDrainChecksSortedness(t *testing.T) {
 	left := rowsOf([]int64{1}, []int64{5}, []int64{3}) // unsorted after matches end
 	right := rowsOf([]int64{1})
-	if _, err := Collect(&MergeJoin{Left: NewScan(left), Right: NewScan(right), LeftKey: 0, RightKey: 0}); err == nil {
+	if _, err := Collect(NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil)); err == nil {
 		t.Fatal("unsorted left tail must be rejected")
 	}
 }
@@ -540,7 +532,7 @@ func TestMergeJoinDrainChecksSortedness(t *testing.T) {
 func TestMergeJoinRightTailSortedness(t *testing.T) {
 	left := rowsOf([]int64{1})
 	right := rowsOf([]int64{1}, []int64{3}, []int64{2}) // unsorted beyond the last match
-	if _, err := Collect(&MergeJoin{Left: NewScan(left), Right: NewScan(right), LeftKey: 0, RightKey: 0}); err == nil {
+	if _, err := Collect(NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil)); err == nil {
 		t.Fatal("unsorted right tail must be rejected")
 	}
 }

@@ -211,7 +211,7 @@ func (l *Life) ctxErr() error {
 }
 
 // The one charging rule: a query is charged for row memory when it
-// takes it — each chunk a join's rowAlloc takes, each doubling of a
+// takes it — each chunk a spine's rowAlloc takes, each doubling of a
 // row-header buffer (rowBuf), a per-execution build table's arrays,
 // GroupHash's table as it doubles and each exchange morsel's output —
 // and everything comes back at releaseAll, except a consumed morsel,

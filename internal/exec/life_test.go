@@ -120,13 +120,7 @@ func TestBudgetHashJoinBuild(t *testing.T) {
 	acct := NewAccountant(0) // track only
 	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: rowBufBytes(1024)}, acct: acct}}
 	right := &closeCounter{Iterator: &counter{}}
-	join := &HashJoin{
-		Left:     wrapped(p, &counter{}),
-		Right:    right,
-		LeftKey:  0,
-		RightKey: 0,
-		Life:     p.Life,
-	}
+	join := NewJoin(plan.HashJoin, wrapped(p, &counter{}), right, 0, 0, p.Life)
 	p.Root = wrapped(p, join)
 	_, err := p.ExecuteContext(context.Background())
 	if !errors.Is(err, ErrBudgetExceeded) {
@@ -197,13 +191,7 @@ func TestBudgetMergeJoinGroup(t *testing.T) {
 		dup[i] = Row{7, int64(i)}
 	}
 	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: rowBufBytes(1000)}}}
-	join := &MergeJoin{
-		Left:     wrapped(p, NewScan([]Row{{7, 0}})),
-		Right:    wrapped(p, NewScan(dup)),
-		LeftKey:  0,
-		RightKey: 0,
-		Life:     p.Life,
-	}
+	join := NewJoin(plan.MergeJoin, wrapped(p, NewScan([]Row{{7, 0}})), wrapped(p, NewScan(dup)), 0, 0, p.Life)
 	p.Root = wrapped(p, join)
 	if _, err := p.ExecuteContext(context.Background()); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want budget exceeded", err)
@@ -225,13 +213,7 @@ func TestMergeJoinGroupRelease(t *testing.T) {
 		}
 	}
 	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: rowBufBytes(2*per) + 8*(512+1024+2048+4096)}}}
-	join := &MergeJoin{
-		Left:     wrapped(p, NewScan(left)),
-		Right:    wrapped(p, NewScan(right)),
-		LeftKey:  0,
-		RightKey: 0,
-		Life:     p.Life,
-	}
+	join := NewJoin(plan.MergeJoin, wrapped(p, NewScan(left)), wrapped(p, NewScan(right)), 0, 0, p.Life)
 	p.Root = wrapped(p, join)
 	out, err := p.ExecuteContext(context.Background())
 	if err != nil {
@@ -270,9 +252,9 @@ func TestMergeJoinOpenPanicClosesLeft(t *testing.T) {
 	above := map[string]func(Iterator) Iterator{
 		"bare":           func(in Iterator) Iterator { return in },
 		"Limit":          func(in Iterator) Iterator { return &Limit{In: in, N: 1} },
-		"HashJoin":       func(in Iterator) Iterator { return &HashJoin{Left: in, Right: NewScan(rows)} },
-		"NestedLoopJoin": func(in Iterator) Iterator { return &NestedLoopJoin{Outer: in, Inner: NewScan(rows)} },
-		"MergeJoin":      func(in Iterator) Iterator { return &MergeJoin{Left: in, Right: NewScan(rows)} },
+		"HashJoin":       func(in Iterator) Iterator { return NewJoin(plan.HashJoin, in, NewScan(rows), 0, 0, nil) },
+		"NestedLoopJoin": func(in Iterator) Iterator { return NewJoin(plan.NestedLoopJoin, in, NewScan(rows), 0, 0, nil) },
+		"MergeJoin":      func(in Iterator) Iterator { return NewJoin(plan.MergeJoin, in, NewScan(rows), 0, 0, nil) },
 		"GroupHash":      func(in Iterator) Iterator { return &GroupHash{In: in, Keys: []int{0}} },
 		"GroupSorted":    func(in Iterator) Iterator { return &GroupSorted{In: in, Keys: []int{0}} },
 		"Sort":           func(in Iterator) Iterator { return &Sort{In: in, Keys: []int{0}} },
@@ -282,7 +264,7 @@ func TestMergeJoinOpenPanicClosesLeft(t *testing.T) {
 			var opened, closed atomic.Int64
 			left := closeCount{Iterator: openCount{Iterator: NewScan(rows), opened: &opened}, closed: &closed}
 			p := &Pipeline{Life: &Life{}}
-			p.Root = wrapped(p, wrap(wrapped(p, &MergeJoin{Left: left, Right: &openFault{panics: panics}})))
+			p.Root = wrapped(p, wrap(wrapped(p, NewJoin(plan.MergeJoin, left, &openFault{panics: panics}, 0, 0, nil))))
 			func() {
 				defer func() {
 					if v := recover(); (v != nil) != panics {
@@ -350,13 +332,7 @@ func TestCancelDuringExecute(t *testing.T) {
 func TestDeadlineMidMergeJoin(t *testing.T) {
 	var closed atomic.Int64
 	p := &Pipeline{Life: &Life{}}
-	join := &MergeJoin{
-		Left:     closeCount{wrapped(p, &counter{}), &closed},
-		Right:    closeCount{wrapped(p, &counter{}), &closed},
-		LeftKey:  0,
-		RightKey: 0,
-		Life:     p.Life,
-	}
+	join := NewJoin(plan.MergeJoin, closeCount{wrapped(p, &counter{}), &closed}, closeCount{wrapped(p, &counter{}), &closed}, 0, 0, p.Life)
 	p.Root = wrapped(p, &Filter{In: wrapped(p, join), Pred: func(Row) bool { return false }})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -617,7 +593,7 @@ func TestChargeIsAllocation(t *testing.T) {
 			return &Sort{In: NewScan(rows), Keys: []int{1}, Life: l}
 		}, 48_960},
 		{"a Sort over a hash join", func(l *Life) Iterator {
-			join := &HashJoin{Left: NewScan(rows), Right: NewScan(build), Life: l}
+			join := NewJoin(plan.HashJoin, NewScan(rows), NewScan(build), 0, 0, l)
 			return &Sort{In: join, Keys: []int{1}, Life: l}
 		}, 119_156},
 		{"GroupHash over a scan", func(l *Life) Iterator {
@@ -661,7 +637,7 @@ func TestPooledBuffersPinNoRow(t *testing.T) {
 		if _, err := Collect(&Sort{In: NewScan(rows), Keys: []int{0, 1}}); err != nil {
 			t.Fatal(err)
 		}
-		join := &HashJoin{Left: NewScan(rows[:10]), Right: NewScan(rows), LeftKey: 0, RightKey: 0}
+		join := NewJoin(plan.HashJoin, NewScan(rows[:10]), NewScan(rows), 0, 0, nil)
 		if out, err := Collect(join); err != nil || len(out) == 0 {
 			t.Fatalf("%d rows, %v", len(out), err)
 		}

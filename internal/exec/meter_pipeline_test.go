@@ -65,7 +65,9 @@ func runMetered(t *testing.T, ds *exec.Dataset, a *query.Analysis, best *plan.No
 // children's; every operator's Rows equal to the untimed run's, except
 // that under a Limit an operator may have been asked for up to
 // meterBurstRows rows more than its consumer took, per wrapper between
-// it and the Limit.
+// it and the Limit. A join below the top of its spine (the left child of
+// a join) has no wrapper: it reports 0 ns, and its children's time is
+// inside its spine's top join's.
 func checkMeter(t *testing.T, name string, ds *exec.Dataset, a *query.Analysis, best *plan.Node) (timed, untimed *exec.Pipeline) {
 	t.Helper()
 	const burst = 64 // exec.meterBurstRows
@@ -77,8 +79,11 @@ func checkMeter(t *testing.T, name string, ds *exec.Dataset, a *query.Analysis, 
 	next := 0
 	// walk returns the node's inclusive time; ahead is how far the
 	// node's Rows may run ahead of the untimed run's.
-	var walk func(n *plan.Node, ahead int64) int64
-	walk = func(n *plan.Node, ahead int64) int64 {
+	isJoin := func(n *plan.Node) bool {
+		return n.Op == plan.MergeJoin || n.Op == plan.HashJoin || n.Op == plan.NestedLoopJoin
+	}
+	var walk func(n *plan.Node, ahead int64, lower bool) int64
+	walk = func(n *plan.Node, ahead int64, lower bool) int64 {
 		st, ref := timed.Ops[next], untimed.Ops[next]
 		next++
 		if d := st.Rows - ref.Rows; d < 0 || d > ahead {
@@ -95,8 +100,14 @@ func checkMeter(t *testing.T, name string, ds *exec.Dataset, a *query.Analysis, 
 		var children int64
 		for _, c := range []*plan.Node{n.Left, n.Right} {
 			if c != nil {
-				children += walk(c, below)
+				children += walk(c, below, isJoin(n) && c == n.Left && isJoin(c))
 			}
+		}
+		if lower {
+			if st.TimeNs != 0 {
+				t.Errorf("%s: %s %s, below the top of its spine, reports %d ns", name, st.Op, st.Detail, st.TimeNs)
+			}
+			return children
 		}
 		if st.TimeNs < children {
 			t.Errorf("%s: %s %s took %d ns, its children %d ns: self time is negative",
@@ -107,7 +118,7 @@ func checkMeter(t *testing.T, name string, ds *exec.Dataset, a *query.Analysis, 
 		}
 		return st.TimeNs
 	}
-	if total := walk(best, 0); total <= 0 {
+	if total := walk(best, 0, false); total <= 0 {
 		t.Errorf("%s: root reports %d ns with timing on", name, total)
 	}
 	if next != len(timed.Ops) {

@@ -315,22 +315,22 @@ func BenchmarkHashBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinEmit is a join's per-row emit at the widths of Q8's first
-// join (lineitem ++ part, 9 columns, 2 of them read above) and its last
-// (25 columns, 1 read above): the wide left ++ right against the live
-// layout.
+// BenchmarkJoinEmit is a spine's per-row emit at the widths of Q8's
+// first join (lineitem ++ part, 9 columns, 2 of them read above) and its
+// last (25 columns, 1 read above): the pieces concatenated whole against
+// the live layout.
 func BenchmarkJoinEmit(b *testing.B) {
 	const n = 8000
 	for _, c := range []struct{ left, right, live int }{{5, 4, 2}, {22, 3, 1}} {
-		l, r := make(Row, c.left), make(Row, c.right)
-		live := joinEmit{narrow: true, lcols: []int{0, 2}[:c.live]}
-		for name, emit := range map[string]*joinEmit{"wide": {}, "live": &live} {
+		pieces := []Row{make(Row, c.left), make(Row, c.right)}
+		live := []fusedEq{{piece: 0, col: 0}, {piece: 0, col: 2}}[:c.live]
+		for name, out := range map[string][]fusedEq{"wide": nil, "live": live} {
 			b.Run(fmt.Sprintf("width%d/%s", c.left+c.right, name), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					emit.alloc = rowAlloc{} // one operator's life: 8 000 rows
+					cur := cursor{spine: spine{fusedOut: out}, pieces: pieces} // one spine's life: 8 000 rows
 					for i := 0; i < n; i++ {
-						if row, ok, _ := emit.row(l, r); !ok || len(row) == 0 {
+						if row, ok, _ := cur.emit(); !ok || len(row) == 0 {
 							b.Fatal("no row")
 						}
 					}

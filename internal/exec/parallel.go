@@ -11,41 +11,39 @@ import (
 )
 
 // This file is the morsel-driven parallel execution tier. An exchange
-// plan node (plan.ExchangeMerge / plan.ExchangeUnion) covers a
-// "segment": the left spine of joins from the exchange down to a single
-// driving scan, with every right-hand join input hanging off the spine.
-// Compilation splits the segment in two:
+// plan node (plan.ExchangeMerge / plan.ExchangeUnion) covers a spine of
+// joins over a single driving scan (spine.go), or the scan alone.
+// Compilation splits it in two:
 //
 //   - Shared state, executed ONCE at exchange Open through the ordinary
 //     serial wrappers (stats counted once, cancellation polled, fault
-//     hooks applied): hash-join build tables, nested-loop inners, and —
-//     new relative to the serial operators — the merge joins' right
-//     inputs, materialized and sortedness-verified up front so workers
-//     can re-read them by galloping seek instead of re-executing the
-//     subtree per morsel.
-//   - The spine, evaluated per MORSEL: the driving scan's rows are
-//     split into contiguous morsels pulled off an atomic counter by a
-//     worker pool; each worker streams its morsel through the serial
-//     path's scan (with the relation's filter, under the fault hook when
-//     one is set) into the fused spine evaluator (runMorsel: one nested
-//     loop over the shared state), collects the output, and hands it
-//     back. The spine joins are loop levels of that evaluator, not
-//     operators: a fault hook reaches the driving scan, the shared side
-//     and the exchange itself, never a spine join.
+//     hooks applied): each level's right-hand state (materialize) — hash
+//     build tables, nested-loop inners, and merge joins' right inputs,
+//     materialized and sortedness-verified up front where no index view
+//     is adopted, so workers read them by galloping seek instead of
+//     streaming the subtree per morsel.
+//   - The spine, run per MORSEL: the driving scan's rows are split into
+//     contiguous morsels pulled off an atomic counter by a worker pool;
+//     each worker streams its morsel through the serial path's scan
+//     (with the relation's filter, under the fault hook when one is set)
+//     into a cursor of the spine (runMorsel), the same cursor a serial
+//     plan runs, collects the output, and hands it back. A fault hook
+//     reaches the driving scan, the shared side and the exchange itself,
+//     never a spine join.
 //
 // Order preservation is the whole point of ExchangeMerge, and it holds
-// by a restriction argument rather than by sorting: every spine join
-// preserves its outer (left) order and emits, per outer row, a match
-// sequence fully determined by the shared right-side state (merge group
-// order, hash bucket order, nested-loop inner order — identical across
-// workers because the state is shared and immutable). A morsel's output
-// is therefore exactly the serial segment's output restricted to that
+// by a restriction argument rather than by sorting: every spine level
+// preserves its left order and emits, per left row, a match sequence
+// fully determined by the shared right-side state (merge group order,
+// hash bucket order, nested-loop inner order — identical across workers
+// because the state is shared and immutable). A morsel's output is
+// therefore exactly the serial spine's output restricted to that
 // morsel's driving rows, and concatenating worker outputs in morsel
 // order reproduces the serial row sequence row for row. Every ordering
-// and FD property the child plan claims survives — with zero
-// sorting, which is what keeps rows-sorted/op at 0 for the DFSM plans.
-// The same argument is why Sort and Group operators are excluded from
-// the spine: Sort(morsel) is not Sort(all) restricted to the morsel.
+// and FD property the child plan claims survives — with zero sorting,
+// which is what keeps rows-sorted/op at 0 for the DFSM plans. The same
+// argument is why Sort and Group operators are excluded from the spine:
+// Sort(morsel) is not Sort(all) restricted to the morsel.
 //
 // ExchangeUnion skips the morsel-order reassembly and emits results in
 // arrival order — cheaper (no head-of-line blocking), order-destroying,
@@ -82,65 +80,6 @@ func morselSize(n, dop int) int {
 	return sz
 }
 
-// spineStep is one join on the parallelized spine: its resolved
-// predicates, its compiled right-hand input (run once), and the shared
-// state workers probe.
-type spineStep struct {
-	op      plan.Op
-	st      *OpStats
-	right   Iterator // compiled serial right side; drained once at Open
-	eqs     []joinEq // left positions are in the spine's pieces, concatenated
-	primary int
-
-	// adopted is set for a right side adopted at compile time instead of
-	// streamed per execution (Runner.joinRight): a merge join over a
-	// maintained index view whose leading column is the merge key, or a
-	// hash join whose build side is a bare base-relation scan. Open
-	// neither streams nor re-verifies the subtree, and charges no
-	// budget: the state is the dataset's own memory.
-	adopted *bareScan
-
-	// Shared state, filled by materialize at exchange Open (or from
-	// adopted); immutable (and therefore safely shared) once workers
-	// start.
-	hash   *hashView // HashJoin: the one shared build table
-	sorted []Row     // MergeJoin: materialized, verified right input
-	inner  []Row     // NestedLoopJoin: materialized inner
-}
-
-// materialize builds the step's shared state. The adopted fast path
-// takes the dataset's state and records its row count (sortedness on
-// the merge key is structural: the key is the index's leading column);
-// the general path runs the compiled right-hand subtree to completion
-// into a rowBuf (or buildHash), charged like the serial builds and
-// released with the pipeline.
-func (s *spineStep) materialize(life *Life) error {
-	key := s.eqs[s.primary].r
-	if a := s.adopted; a != nil {
-		s.hash, s.sorted = a.hash, a.rows // the one the step's join reads
-		a.st.Rows = int64(len(a.rows))
-		return nil
-	}
-	if s.op == plan.HashJoin {
-		var err error
-		s.hash, err = buildHash(s.right, key, life)
-		return err
-	}
-	var rows rowBuf
-	err := drainInto(s.right, func(row Row) error {
-		if n := len(rows.rows); s.op == plan.MergeJoin && n > 0 && row[key] < rows.rows[n-1][key] {
-			return fmt.Errorf("exec: merge join right input not sorted on column %d", key)
-		}
-		return rows.append(life, row)
-	})
-	if s.op == plan.MergeJoin {
-		s.sorted = rows.rows
-	} else {
-		s.inner = rows.rows
-	}
-	return err
-}
-
 // gallopGE returns the index of the first row in rows[from:] with
 // rows[i][key] >= k, galloping from `from` (keys ascend over a morsel's
 // life, so the target is usually near).
@@ -161,241 +100,84 @@ func gallopGE(rows []Row, key, from int, k int64) int {
 	})
 }
 
-// fusedEq is one join equality with the left side resolved to a
-// (piece, column) pair — pieces are the driving row plus each step's
-// matched right row, never concatenated until final emission. In the
-// exchange's output layout (Exchange.fusedOut) it is one output column;
-// rcol is unused there.
-type fusedEq struct{ piece, col, rcol int }
-
-// fusedStep is one spine join compiled for the fused evaluator.
-type fusedStep struct {
-	op               plan.Op
-	s                *spineStep
-	keyPiece, keyCol int       // primary equality, left side
-	rightKey         int       // primary equality, column in the right piece
-	res              []fusedEq // non-primary equalities (merge/hash residual)
-	all              []fusedEq // every equality (nested-loop predicate)
-}
-
-func (f *fusedStep) resOK(pieces []Row, r Row) bool {
-	for _, e := range f.res {
-		if pieces[e.piece][e.col] != r[e.rcol] {
-			return false
-		}
-	}
-	return true
-}
-
-// buildFused lowers the spine steps into the fused evaluator's form:
-// every column reference resolved to a (piece, column) pair against
-// the piece widths recorded at compile time.
-func (x *Exchange) buildFused() {
-	x.fused = make([]fusedStep, 0, len(x.steps))
-	for i, s := range x.steps {
-		f := fusedStep{op: s.op, s: s}
-		widths := x.pieceWidths[:i+1]
-		k := s.eqs[s.primary]
-		f.keyPiece, f.keyCol = locatePiece(widths, k.l)
-		f.rightKey = k.r
-		for ei, e := range s.eqs {
-			pe, ce := locatePiece(widths, e.l)
-			fe := fusedEq{piece: pe, col: ce, rcol: e.r}
-			f.all = append(f.all, fe)
-			if ei != s.primary {
-				f.res = append(f.res, fe)
-			}
-		}
-		x.fused = append(x.fused, f)
-	}
-	x.fusedOut = x.fusedOut[:0]
-	for _, c := range x.lastEmit.lcols {
-		pc, cc := locatePiece(x.pieceWidths, c)
-		x.fusedOut = append(x.fusedOut, fusedEq{piece: pc, col: cc})
-	}
-	for _, c := range x.lastEmit.rcols {
-		x.fusedOut = append(x.fusedOut, fusedEq{piece: len(x.steps), col: c})
-	}
-}
-
-// locatePiece maps a column position in the concatenated schema of the
-// given pieces to (piece index, column within piece).
-func locatePiece(widths []int, c int) (int, int) {
-	for j, w := range widths {
-		if c < w {
-			return j, c
-		}
-		c -= w
-	}
-	// unreachable for well-formed plans: the resolver only yields
-	// columns inside the combined schema
-	return len(widths) - 1, c
-}
-
-// runMorsel evaluates one morsel of driving rows through the whole
-// spine in a single nested loop, collects its output and charges what
-// that took — the output's row headers and its allocator's chunks —
-// against the budget, once. The morsel's rows stream through the driving
-// scan (Exchange.scan: the relation's filter, and the fault hook when
-// one is set, so injected faults fire inside the worker), a run of rows
-// at a time (nextRun, into the worker's buf); per driving row, each
-// step's matches are located directly in the shared state
-// (merge groups by galloping seek, hash buckets by lookup, nested-loop
-// inners by scan) and only the final result row is materialized — one
-// allocation per output row, no intermediate rows, no per-row operator
-// hand-off. Output order is the serial sequence restricted to the
-// morsel: match order within a step is fixed by the shared state, and
+// runMorsel runs one morsel of driving rows through a cursor of the
+// spine, collects its output and charges what that took — the output's
+// row headers and its allocator's chunks — against the budget, once. The
+// morsel's rows stream through the driving scan (Exchange.scan: the
+// relation's filter, and the fault hook when one is set, so injected
+// faults fire inside the worker), a run of rows at a time into the
+// worker's buf. Output order is the serial sequence restricted to the
+// morsel: match order within a level is fixed by the shared state, and
 // the driving rows ascend.
 func (x *Exchange) runMorsel(rows, buf []Row) morselResult {
 	if err := x.life.Err(); err != nil {
 		return morselResult{err: err}
 	}
-	scan := x.scan(rows)
+	scan := &morselScan{Iterator: x.scan(rows), life: x.life, buf: buf}
+	c := x.sp.newCursor(scan)
 	defer scan.Close() // before Open, so a panic inside Open closes too
 	if err := scan.Open(); err != nil {
 		return morselResult{err: err}
 	}
 	out := make([]Row, 0, x.morselHint())
-	var al rowAlloc
-	nsteps := len(x.fused)
-	totalW := 0
-	for _, w := range x.pieceWidths {
-		totalW += w
-	}
-	pieces := make([]Row, nsteps+1)
-	// merge cursors, one per step: the current duplicate-key group
-	// [gs, ge) and a forward-only seek frontier, like the serial merge
-	// join's group buffer but as a window into the shared slice.
-	type mcur struct {
-		gs, ge int
-		key    int64
-		have   bool
-	}
-	curs := make([]mcur, nsteps)
-	cnt := make([]int64, nsteps)
-	var leafRows int64
-	var rec func(level int) error
-	rec = func(level int) error {
-		if level == nsteps {
-			if !x.lastEmit.narrow {
-				row, err := al.concatN(pieces, totalW)
-				if err != nil {
-					return err
-				}
-				out = append(out, row)
-				return nil
-			}
-			row, err := al.carve(len(x.fusedOut))
-			if err != nil {
-				return err
-			}
-			for i, c := range x.fusedOut {
-				row[i] = pieces[c.piece][c.col]
-			}
-			out = append(out, row)
-			return nil
-		}
-		f := &x.fused[level]
-		switch f.op {
-		case plan.MergeJoin:
-			lk := pieces[f.keyPiece][f.keyCol]
-			c := &curs[level]
-			if !c.have || c.key != lk {
-				if c.have && lk < c.key {
-					return fmt.Errorf("exec: merge join left input not sorted (key %d after %d)", lk, c.key)
-				}
-				sorted := f.s.sorted
-				gs := gallopGE(sorted, f.rightKey, c.ge, lk)
-				ge := gs
-				for ge < len(sorted) && sorted[ge][f.rightKey] == lk {
-					ge++
-				}
-				c.gs, c.ge, c.key, c.have = gs, ge, lk, true
-			}
-			sorted := f.s.sorted
-			for i := c.gs; i < c.ge; i++ {
-				r := sorted[i]
-				if len(f.res) > 0 && !f.resOK(pieces, r) {
-					continue
-				}
-				pieces[level+1] = r
-				cnt[level]++
-				if err := rec(level + 1); err != nil {
-					return err
-				}
-			}
-		case plan.HashJoin:
-			for _, r := range f.s.hash.bucket(pieces[f.keyPiece][f.keyCol]) {
-				if len(f.res) > 0 && !f.resOK(pieces, r) {
-					continue
-				}
-				pieces[level+1] = r
-				cnt[level]++
-				if err := rec(level + 1); err != nil {
-					return err
-				}
-			}
-		default: // NestedLoopJoin
-		inner:
-			for _, r := range f.s.inner {
-				for _, e := range f.all {
-					if pieces[e.piece][e.col] != r[e.rcol] {
-						continue inner
-					}
-				}
-				pieces[level+1] = r
-				cnt[level]++
-				if err := rec(level + 1); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
 	for {
-		run, err := nextRun(scan, buf)
+		row, ok, err := c.Next()
 		if err != nil {
 			return morselResult{err: err}
 		}
-		if len(run) == 0 {
+		if !ok {
 			break
 		}
-		for _, d := range run {
-			leafRows++
-			if leafRows&(CancelCheckInterval-1) == 0 {
-				if err := x.life.Err(); err != nil {
-					return morselResult{err: err}
-				}
-				if x.life.drained() {
-					// Quiesced mid-morsel: the consumer can never observe
-					// this morsel's output, so abandon it without error
-					// (the collected prefix was not yet budget-charged).
-					return morselResult{}
-				}
-			}
-			if nsteps == 0 {
-				out = append(out, d)
-				continue
-			}
-			pieces[0] = d
-			if err := rec(0); err != nil {
-				return morselResult{err: err}
-			}
-		}
+		out = append(out, row)
 	}
-	// The segment's entries are shared by every worker: each is touched
+	if x.life.drained() {
+		// Quiesced: the consumer can never observe this morsel's output,
+		// so abandon it without error (it was not yet budget-charged).
+		return morselResult{}
+	}
+	// The spine's entries are shared by every worker: each is touched
 	// once per morsel, and Exchange.Close's wg.Wait orders the adds
 	// before any read.
-	atomic.AddInt64(&x.leafSt.Rows, leafRows)
-	for i := range x.fused {
-		atomic.AddInt64(&x.fused[i].s.st.Rows, cnt[i])
+	atomic.AddInt64(&x.leafSt.Rows, scan.n)
+	c.flush()
+	if top := len(x.sp.levels) - 1; top >= 0 {
+		atomic.AddInt64(&x.sp.levels[top].st.Rows, int64(len(out)))
 	}
 	x.lastOut.Store(int64(len(out)))
-	bytes := int64(cap(out))*rowHeaderBytes + al.took
+	bytes := int64(cap(out))*rowHeaderBytes + c.alloc.took
 	if err := x.life.hold(bytes); err != nil {
 		return morselResult{err: err}
 	}
 	return morselResult{rows: out, bytes: bytes}
+}
+
+// morselScan is a morsel's driving scan as its cursor reads it: a run of
+// rows at a time (nextRun, into the worker's buf), counted, with the Life
+// polled every CancelCheckInterval rows. A dead Life fails the morsel; a
+// quiesced one ends it, since no row past that can be observed.
+type morselScan struct {
+	Iterator
+	life     *Life
+	buf, run []Row
+	n        int64 // rows handed out
+}
+
+func (m *morselScan) Next() (Row, bool, error) {
+	if len(m.run) == 0 {
+		run, err := nextRun(m.Iterator, m.buf)
+		if err != nil || len(run) == 0 {
+			return nil, false, err
+		}
+		m.run = run
+	}
+	if m.n++; m.n&(CancelCheckInterval-1) == 0 {
+		if err := m.life.Err(); err != nil || m.life.drained() {
+			return nil, false, err
+		}
+	}
+	row := m.run[0]
+	m.run = m.run[1:]
+	return row, true, nil
 }
 
 // morselHint estimates one morsel's output size from the planner's
@@ -429,7 +211,7 @@ type morselResult struct {
 	err   error
 }
 
-// Exchange executes a compiled segment morsel-parallel. ordered selects
+// Exchange runs a compiled spine over a scan morsel-parallel. ordered selects
 // ExchangeMerge semantics (reassemble worker outputs in morsel order —
 // order-preserving) over ExchangeUnion (arrival order). One Exchange is
 // single-use, like the pipeline holding it.
@@ -440,18 +222,10 @@ type Exchange struct {
 	estCard float64      // planner's output estimate, sizes morsel buffers
 	lastOut atomic.Int64 // most recent morsel's actual output size, refines the estimate
 
-	driving     []Row
-	scan        func(morsel []Row) Iterator // the driving scan over one morsel (buildSegment)
-	leafSt      *OpStats
-	steps       []*spineStep // bottom-up along the spine
-	pieceWidths []int        // column width of the driving leaf, then each step's right side
-	// lastEmit is the top spine join's output layout (joinOutput), which
-	// is the exchange's; the fused evaluator emits it through fusedOut.
-	// Nothing is pruned between steps: the evaluator has no intermediate
-	// rows.
-	lastEmit joinEmit
-	fused    []fusedStep // fused spine evaluator steps (see runMorsel)
-	fusedOut []fusedEq   // lastEmit's columns as (piece, column) pairs
+	driving []Row
+	scan    func(morsel []Row) Iterator // the driving scan over one morsel (buildExchange)
+	leafSt  *OpStats
+	sp      spine // the joins over the driving scan; no levels for a bare scan
 
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -474,12 +248,11 @@ func (x *Exchange) Open() error {
 	if err := x.life.Err(); err != nil {
 		return err
 	}
-	for _, s := range x.steps {
-		if err := s.materialize(x.life); err != nil {
+	for k := range x.sp.levels {
+		if err := x.sp.levels[k].materialize(x.life); err != nil {
 			return err
 		}
 	}
-	x.buildFused()
 	d := x.driving
 	sz := morselSize(len(d), x.dop)
 	nm := (len(d) + sz - 1) / sz
@@ -564,23 +337,6 @@ func (x *Exchange) runMorselRecovered(rows, buf []Row) (res morselResult) {
 	return x.runMorsel(rows, buf)
 }
 
-// SizeHint implements sizeHinter with the planner's output estimate.
-func (x *Exchange) SizeHint() int { return int(x.estCard) }
-
-// NextBatch implements batchIterator: hand out each morsel's whole
-// output at once. The batch stays charged against the budget until the
-// following call advances past it, mirroring Next.
-func (x *Exchange) NextBatch() ([]Row, bool, error) {
-	for x.ci == len(x.cur) {
-		if ok, err := x.advance(); !ok {
-			return nil, false, err
-		}
-	}
-	batch := x.cur[x.ci:]
-	x.ci = len(x.cur)
-	return batch, true, nil
-}
-
 // Next implements Iterator: emit the buffered morsel's rows one by one.
 func (x *Exchange) Next() (Row, bool, error) {
 	for x.ci == len(x.cur) {
@@ -625,13 +381,13 @@ func (x *Exchange) advance() (bool, error) {
 // morsel output the consumer never took.
 func (x *Exchange) Close() error {
 	if !x.opened {
-		x.recycleBuilds() // an Open that failed after a build
+		x.release() // an Open that failed after a build
 		return nil
 	}
 	x.opened = false
 	close(x.stop)
 	x.wg.Wait()
-	x.recycleBuilds()
+	x.release()
 	if x.cur != nil {
 		x.life.release(x.curBytes)
 		x.cur, x.curBytes, x.ci = nil, 0, 0
@@ -663,28 +419,25 @@ func (x *Exchange) Close() error {
 	return nil
 }
 
-// recycleBuilds returns the hash tables materialize built for this
-// execution to hashPool; an adopted table is the dataset's own.
-func (x *Exchange) recycleBuilds() {
-	for _, s := range x.steps {
-		if s.hash != nil && s.adopted == nil {
-			s.hash.recycle()
-		}
-		s.hash = nil
+// release drops the levels' shared state.
+func (x *Exchange) release() {
+	for k := range x.sp.levels {
+		x.sp.levels[k].release()
 	}
 }
 
-// buildExchange compiles an exchange node: validate and split the
-// segment, register every segment operator's OpStats in plan preorder
-// (tagged with the effective DOP), and return the Exchange iterator.
+// buildExchange compiles an exchange node: its child, a spine of joins
+// over a scan or the scan alone, every operator's OpStats registered in
+// plan preorder (tagged with the effective DOP), and the Exchange
+// iterator. A driving input other than a scan is rejected: the
+// restriction argument does not cover it, and the optimizer never plans
+// one.
 func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats, live liveCols) (Iterator, []query.ColumnRef, error) {
 	dop := n.DOP
 	if r.MaxDOP > 0 && dop > r.MaxDOP {
 		dop = r.MaxDOP
 	}
-	if dop < 1 {
-		dop = 1
-	}
+	dop = max(dop, 1)
 	st.DOP = dop
 	x := &Exchange{
 		ordered: n.Op == plan.ExchangeMerge,
@@ -692,89 +445,35 @@ func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats, live live
 		life:    p.Life,
 		estCard: n.Card,
 	}
-	schema, err := r.buildSegment(n.Left, p, x, live)
-	if err != nil {
-		return nil, nil, err
-	}
-	if k := len(x.steps); k > 0 {
-		ll := len(schema) - x.pieceWidths[k]
-		schema, x.lastEmit = joinOutput(live, schema[:ll], schema[ll:])
-	}
-	return r.wrap(x, st, p), schema, nil
-}
-
-// buildSegment compiles the exchange's child: the join spine is
-// resolved into spineSteps (their right-hand inputs compiled as
-// ordinary serial subtrees), the driving leaf into the exchange's
-// morsel source. Any operator the restriction argument does not cover
-// (Sort, grouping, a nested exchange) is rejected — the optimizer
-// never emits one inside a segment. live (see Runner.build) prunes the
-// right-hand subtrees; the schema returned is every piece's, whole and
-// concatenated, and buildExchange prunes the output.
-func (r *Runner) buildSegment(n *plan.Node, p *Pipeline, x *Exchange, live liveCols) ([]query.ColumnRef, error) {
-	switch n.Op {
-	case plan.TableScan, plan.IndexScan:
+	drive := func(n *plan.Node, _ liveCols) ([]query.ColumnRef, error) {
+		if n.Op != plan.TableScan && n.Op != plan.IndexScan {
+			return nil, fmt.Errorf("exec: exchange over non-parallelizable operator %v", n.Op)
+		}
 		leaf, err := r.resolveScan(n)
 		if err != nil {
 			return nil, err
 		}
-		st := &OpStats{Op: n.Op.String(), Detail: leaf.detail, EstRows: n.Card, DOP: x.dop}
+		st := &OpStats{Op: n.Op.String(), Detail: leaf.detail, EstRows: n.Card, DOP: dop}
 		p.Ops = append(p.Ops, st)
 		// Each worker scans its morsel the way the serial path scans the
 		// relation, and the hook is offered every morsel's scan.
 		hook := r.Hook
 		x.driving, x.leafSt = leaf.rows, st
 		x.scan = func(morsel []Row) Iterator { return hooked(hook, leaf.iter(morsel), st, p.Life) }
-		x.pieceWidths = append(x.pieceWidths, len(leaf.schema))
 		return leaf.schema, nil
-
-	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:
-		st := &OpStats{Op: n.Op.String(), EstRows: n.Card, DOP: x.dop}
-		p.Ops = append(p.Ops, st)
-		j, err := r.compileJoin(n, p, st, live, true, func(live liveCols) ([]query.ColumnRef, error) {
-			return r.buildSegment(n.Left, p, x, live)
-		})
-		if err != nil {
-			return nil, err
-		}
-		step := &spineStep{op: n.Op, st: st, right: j.it, adopted: j.adopted,
-			eqs: j.eqs, primary: j.primary}
-		x.pieceWidths = append(x.pieceWidths, len(j.schema))
-		x.steps = append(x.steps, step)
-		return append(append([]query.ColumnRef{}, j.ls...), j.schema...), nil
 	}
-	return nil, fmt.Errorf("exec: exchange over non-parallelizable operator %v", n.Op)
-}
-
-// bareScan describes a plan node that is a bare, unfiltered scan of a
-// base relation, which a join may adopt instead of compiling
-// (Runner.joinRight): the rows the scan would stream, the name of that
-// stream for Dataset.buildTable (the adopter fills in the key column),
-// the stats entry to register where the compiled scan's would stand,
-// the scan's schema, the column the stream is sorted on first (an
-// index view's leading key column; -1 for a table scan), and — for a
-// hash join's build side — the resident build table adopted.
-type bareScan struct {
-	rows    []Row
-	key     buildKey
-	st      *OpStats
-	schema  []query.ColumnRef
-	leading int
-	hash    *hashView
-}
-
-// bareScanRows returns n's bareScan — a table scan's rows, or an index
-// scan's maintained view — and nil for anything else, and for
-// everything under a fault hook: adoption skips instantiating the
-// scan, and the hook must be offered every scan that runs.
-func (r *Runner) bareScanRows(n *plan.Node) *bareScan {
-	if r.Hook != nil || (n.Op != plan.TableScan && n.Op != plan.IndexScan) {
-		return nil
+	child := n.Left
+	var schema []query.ColumnRef
+	var err error
+	if isJoin(child.Op) {
+		cst := &OpStats{Op: child.Op.String(), EstRows: child.Card, DOP: dop}
+		p.Ops = append(p.Ops, cst)
+		schema, err = r.buildSpine(child, p, cst, live, &x.sp, dop, drive)
+	} else {
+		schema, err = drive(child, live)
 	}
-	leaf, err := r.resolveScan(n)
-	if err != nil || leaf.filter != nil {
-		return nil
+	if err != nil {
+		return nil, nil, err
 	}
-	return &bareScan{rows: leaf.rows, key: leaf.key, schema: leaf.schema, leading: leaf.leading,
-		st: &OpStats{Op: n.Op.String(), Detail: leaf.detail, EstRows: n.Card}}
+	return r.wrap(x, st, p), schema, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"orderopt/internal/core"
 	"orderopt/internal/order"
+	"orderopt/internal/plan"
 )
 
 // TestFrameworkClaimsHoldPhysically is the end-to-end soundness check:
@@ -134,10 +135,7 @@ func TestFrameworkClaimsHoldPhysically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		joined, err := Collect(&MergeJoin{
-			Left: NewScan(filtered), Right: NewScan(uSorted),
-			LeftKey: 0, RightKey: 0,
-		})
+		joined, err := Collect(NewJoin(plan.MergeJoin, NewScan(filtered), NewScan(uSorted), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

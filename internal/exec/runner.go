@@ -32,8 +32,9 @@ type Runner struct {
 	// does not compile.
 	Dataset *Dataset
 	// DisableTiming turns off per-operator wall-clock accounting (row
-	// counters remain). The benchmark harness disables it so operator
-	// timer overhead does not tint the measured runtimes.
+	// counters remain). cmd/experiments and the conformance runner
+	// disable it so operator timer overhead does not tint what they
+	// measure and compare; the serving layer keeps it on.
 	DisableTiming bool
 	// Budget bounds the bytes each compiled pipeline may materialize
 	// (0 is unlimited); Accountant, when set, additionally charges them
@@ -44,12 +45,12 @@ type Runner struct {
 	// Hook, when set, wraps every operator as it is compiled — the
 	// fault-injection seam (see internal/faultinject). It runs inside
 	// the stats wrapper, so injected behavior shows up in the operator
-	// counters like any other work. Inside an exchange segment it wraps
-	// each morsel's driving scan, inside the worker, so faults fire in
-	// workers too; the morsel still runs through the fused evaluator that
-	// serves traffic, whose spine joins are loop levels, not operators,
-	// and are never offered to the hook. A hooked runner adopts no
-	// dataset-resident state in place of a scan.
+	// counters like any other work. A spine of joins is one operator,
+	// offered under its top join's op and detail; the joins below the
+	// top are levels of its cursor and are never offered, serial or not.
+	// Under an exchange the hook wraps each morsel's driving scan, inside
+	// the worker, so faults fire in workers too. A hooked runner adopts
+	// no dataset-resident state in place of a scan.
 	Hook IterHook
 	// MaxDOP, when > 0, caps the degree of parallelism of any exchange
 	// in a compiled plan below what the optimizer planned — the
@@ -59,12 +60,13 @@ type Runner struct {
 	equiv map[query.ColumnRef]int // lazily built column equivalence classes
 }
 
-// IterHook rewrites one compiled operator. op and detail match the
-// OpStats entry the operator reports under; life is the pipeline's
-// lifecycle, whose Done channel lets blocking wrappers unblock on
-// cancellation. A hook's wrapper must not keep a row past its next
-// Next: a join's output rows are recycled once its consumer can no
-// longer hold them (see Runner.build).
+// IterHook rewrites one compiled operator: a scan, a Sort, a grouping,
+// a Limit, an exchange, or a spine of joins, offered as its top join. op
+// and detail match the OpStats entry the operator reports under; life is
+// the pipeline's lifecycle, whose Done channel lets blocking wrappers
+// unblock on cancellation. A hook's wrapper must not keep a row past its
+// next Next: a spine's output rows are recycled once its consumer can
+// no longer hold them (see Runner.build).
 type IterHook func(op, detail string, it Iterator, life *Life) Iterator
 
 // OpStats is one operator's execution counters, in pipeline preorder.
@@ -83,22 +85,25 @@ type OpStats struct {
 	Rows int64 `json:"rows"`
 	// TimeNs is cumulative wall time spent in the operator's Open and
 	// Next calls, children included (EXPLAIN ANALYZE convention); 0 when
-	// the runner's timing is disabled, and for the driving scan and
-	// spine joins an exchange's workers evaluate (their time is inside
-	// the exchange's own entry).
+	// the runner's timing is disabled, for a join below the top of its
+	// spine (its time is inside the top join's entry), and for what an
+	// exchange's workers run (inside the exchange's entry).
 	TimeNs int64 `json:"timeNs"`
 	// DOP is the effective degree of parallelism for exchange operators
-	// and the segment operators running inside their workers; 0 for
-	// serial operators.
+	// and the operators running inside their workers; 0 for serial
+	// operators.
 	DOP int `json:"dop,omitempty"`
 	// Limited marks operators running under a Limit: EstRows is the
 	// optimizer's pre-limit estimate of the full stream, so Rows can
 	// legitimately stop far short of it once the limit quiesces the
 	// pipeline. Without the marker that gap reads as a misestimate.
 	Limited bool `json:"limited,omitempty"`
-	// Resident marks a hash join's build-side scan that never ran: the
-	// join adopted the dataset-resident build table over the relation
-	// (Dataset.buildTable), and Rows is that table's size.
+	// Resident marks a join's right-side scan that never ran: the join
+	// adopted dataset state in its place (Runner.joinRight). A hash
+	// join's is the resident build table over the relation
+	// (Dataset.buildTable), and Rows is that table's size; a merge
+	// join's is the index view sorted on its key, and Rows is what the
+	// join read of it.
 	Resident bool `json:"resident,omitempty"`
 }
 
@@ -119,10 +124,10 @@ type Pipeline struct {
 	// per-query budget and shared memory accounting.
 	Life *Life
 
-	// rootRing is the output allocator of the join at the root (under
+	// rootRing is the output allocator of the spine at the root (under
 	// any Limits), which compiles unbounded: Collect keeps every row.
 	// StreamContext bounds it to its chunk plus rootSlack, the bursts of
-	// the stats wrappers between that join and the stream (see build).
+	// the stats wrappers between that spine and the stream (see build).
 	rootRing  *rowAlloc
 	rootSlack int
 }
@@ -210,10 +215,11 @@ type burst struct {
 // and polls the Life each time the count wraps, every
 // CancelCheckInterval-th call — a build loop deep inside a hash join
 // polls through its child's wrapper just like the root does through its
-// own, and no wrapper shares a counter with another. An exchange's
-// workers run no statsIter: the fused evaluator counts its driving scan
-// and spine joins itself and polls the Life on its own count
-// (Exchange.runMorsel).
+// own, and no wrapper shares a counter with another. A spine has one,
+// under its top join's entry; its cursor counts the levels below. An
+// exchange's workers run no statsIter: each morsel's cursor counts its
+// levels, and its morselScan the driving rows, polling the Life on its
+// own count (Exchange.runMorsel).
 //
 // TimeNs stays exact inclusive wall time under bursts, not an estimate:
 // every call into the operator happens between one of this wrapper's
@@ -318,38 +324,6 @@ func (s *statsIter) Close() error {
 	return s.in.Close()
 }
 
-// batchStatsIter adds batch passthrough to statsIter when the wrapped
-// operator emits batches: one cancellation poll, one clock pair and one
-// counter update per batch instead of per row.
-type batchStatsIter struct {
-	statsIter
-	b batchIterator
-}
-
-// SizeHint forwards the wrapped operator's estimate, when it has one.
-func (s *batchStatsIter) SizeHint() int {
-	if sh, ok := s.b.(sizeHinter); ok {
-		return sh.SizeHint()
-	}
-	return 0
-}
-
-func (s *batchStatsIter) NextBatch() ([]Row, bool, error) {
-	if err := s.life.ctxErr(); err != nil {
-		return nil, false, err
-	}
-	if !s.timing {
-		batch, ok, err := s.b.NextBatch()
-		s.st.Rows += int64(len(batch))
-		return batch, ok, err
-	}
-	begin := time.Since(meterEpoch)
-	batch, ok, err := s.b.NextBatch()
-	s.st.TimeNs += int64(time.Since(meterEpoch) - begin)
-	s.st.Rows += int64(len(batch))
-	return batch, ok, err
-}
-
 // Run compiles and executes the plan, returning its rows together with
 // the output schema (one entry per column, identifying the source
 // relation/column; AggColumn for the aggregate of group pipelines).
@@ -389,14 +363,7 @@ func (r *Runner) Compile(n *plan.Node) (*Pipeline, error) {
 // pipeline (preorder position was reserved by build); the fault hook,
 // when configured, interposes under the counters.
 func (r *Runner) wrap(it Iterator, st *OpStats, p *Pipeline) Iterator {
-	it = hooked(r.Hook, it, st, p.Life)
-	si := statsIter{in: it, st: st, life: p.Life, timing: !r.DisableTiming}
-	// A hooked operator loses the batch path by design: the hook's
-	// wrapper interposes per row, which is what fault injection needs.
-	if b, ok := it.(batchIterator); ok {
-		return &batchStatsIter{statsIter: si, b: b}
-	}
-	return &si
+	return &statsIter{in: hooked(r.Hook, it, st, p.Life), st: st, life: p.Life, timing: !r.DisableTiming}
 }
 
 // hooked interposes hook, when set, on operator it, which reports under
@@ -410,7 +377,7 @@ func hooked(hook IterHook, it Iterator, st *OpStats, life *Life) Iterator {
 
 // scanLeaf is a scan plan node resolved against the dataset, for its
 // three consumers: the serial compiler (build), the exchange's driving
-// leaf (buildSegment) and join adoption (bareScanRows).
+// leaf (buildExchange) and join adoption (joinRight).
 type scanLeaf struct {
 	rows    []Row          // what the scan streams: the table, or the maintained view of the index
 	filter  func(Row) bool // the relation's constant predicates; nil without any
@@ -499,23 +466,23 @@ const holdReleased = 1 << 31 // and up; see build
 // build compiles plan n. live is the compiler's top-down liveness pass:
 // the columns read above n — the group keys and aggregate inputs under a
 // Group*, plus the sort keys under a Sort, plus at every join, for its
-// inputs only, the columns of the predicates crossing it. Only joins act
-// on it (joinOutput): a scan streams the table's own rows, a resident
-// build table holds whole base rows, and the first join above either
-// copies just what is live.
+// inputs only, the columns of the predicates crossing it. Only spines
+// act on it (buildSpine): a scan streams the table's own rows, a
+// resident build table holds whole base rows, and a spine copies into
+// its output row just what is live.
 //
 // hold is the second top-down value: the most rows of n's output that
 // can still be referenced, by n's consumer or by n's own stats
-// wrapper's burst, when n carves its next row. Only joins act on it,
+// wrapper's burst, when n carves its next row. Only spines act on it,
 // sizing their output ring (rowAlloc.window). 0 is unbounded, rows kept
 // until the pipeline ends; holdReleased and up (a Limit adds to it) is
 // unbounded with rows let go before that. A negative hold marks the
 // root's chain, whose consumer only run time knows; -hold counts the
 // bursts between it and that consumer (Pipeline.rootRing). The rules:
 //
-//   - A join's left input and GroupSorted's get 1 + meterBurstRows. The
-//     consumer references one input row (probe, merge-left or outer
-//     row; GroupSorted copies a group's first row) and asks for the
+//   - A spine's driving input and GroupSorted's get 1 + meterBurstRows.
+//     The consumer references one input row (the spine's driving row;
+//     GroupSorted copies a group's first row) and asks for the
 //     next only when done with it. The input's wrapper refills its burst
 //     only when all of it has been taken, and pulls at most
 //     meterBurstRows rows. At a carve: the consumer's row, at most
@@ -524,18 +491,19 @@ const holdReleased = 1 << 31 // and up; see build
 //     Limit hands its input's rows on unchanged, so they are held
 //     wherever its own are, plus one partial burst in the input's
 //     wrapper.
-//   - A merge join's right input and GroupHash's get holdReleased: the
-//     join drops each duplicate group, GroupHash all but groups' first
-//     rows. Their joins carve owned chunks the collector frees as rows
-//     die; like every chunk, each stays charged until the pipeline ends.
+//   - A streamed merge join's right input and GroupHash's get
+//     holdReleased: the join drops each duplicate group, GroupHash all
+//     but groups' first rows. Their spines carve owned chunks the
+//     collector frees as rows die; like every chunk, each stays charged
+//     until the pipeline ends.
 //   - Every other input gets 0. Sort keeps its run; a hash join's build
 //     and a nested-loop join's inner are materialized; an exchange's
-//     subtrees are its shared state. Joins under these, the root chain
-//     and the rings are pooled (rowAlloc): their rows are dead at
+//     right inputs are its shared state. Spines under these, the root
+//     chain and the rings are pooled (rowAlloc): their rows are dead at
 //     Life.releaseAll and not before. Morsel allocators stay owned.
 //
-// A join emits copies, never its inputs' rows, so the count restarts at
-// each join: at every carve the rows still live are at most the
+// A spine emits copies, never its inputs' rows, so the count restarts
+// at each spine: at every carve the rows still live are at most the
 // consumer's held rows plus one partial burst per wrapper hop, which is
 // the window. A fault hook sits under a wrapper and keeps no row past
 // its next Next (IterHook), so it holds nothing more.
@@ -568,7 +536,24 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 		return r.wrap(&Sort{In: in, Keys: keys, Life: p.Life}, st, p), schema, nil
 
 	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:
-		return r.buildJoin(n, p, st, live, hold)
+		var in Iterator
+		var sp spine
+		schema, err := r.buildSpine(n, p, st, live, &sp, 0, func(n *plan.Node, live liveCols) (schema []query.ColumnRef, err error) {
+			in, schema, err = r.build(n, p, live, 1+meterBurstRows)
+			return schema, err
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		s := newSpineIter(in, p.Life, sp)
+		if hold < holdReleased {
+			s.alloc.window, s.alloc.pooled = max(hold, 0), true
+			p.Life.arena = append(p.Life.arena, &s.alloc)
+		}
+		if hold < 0 {
+			p.rootRing, p.rootSlack = &s.alloc, -hold
+		}
+		return r.wrap(s, st, p), schema, nil
 
 	case plan.ExchangeMerge, plan.ExchangeUnion:
 		return r.buildExchange(n, p, st, live)
@@ -706,11 +691,11 @@ func (r *Runner) carried(live liveCols, cols []query.ColumnRef, child *plan.Node
 
 // joinPreds lists every equality predicate crossing join n, whose
 // inputs scan the relations lrels and rrels, with its columns oriented
-// to the two sides; positions are resolved once the inputs are compiled
-// (resolveEqs). It returns the predicates, the index of the plan's
+// to the two sides; buildSpine resolves them to pieces once the inputs
+// are compiled. It returns the predicates, the index of the plan's
 // primary predicate (the one the join algorithm evaluates) and its
 // display detail. All predicates must hold on the output: the
-// non-primary ones are the emit's residual (joinEmit.res).
+// non-primary ones are the level's check (spineLevel.check).
 func (r *Runner) joinPreds(n *plan.Node, lrels, rrels uint64) ([]joinEq, int, string, error) {
 	g := r.A.Graph
 	var eqs []joinEq
@@ -758,178 +743,6 @@ func joinLive(live liveCols, eqs []joinEq, lrels uint64) (l, r liveCols) {
 		l, r = l.plus(e.lc), r.plus(e.rc)
 	}
 	return l, r
-}
-
-// resolveEqs resolves the predicates' columns to positions in the
-// compiled inputs' schemas.
-func resolveEqs(eqs []joinEq, ls, rs []query.ColumnRef) error {
-	for i := range eqs {
-		e := &eqs[i]
-		if e.l, e.r = colPos(ls, e.lc), colPos(rs, e.rc); e.l < 0 || e.r < 0 {
-			return fmt.Errorf("exec: join predicate columns not in schemas")
-		}
-	}
-	return nil
-}
-
-// residual is a merge or hash join's emit-time check: every crossing
-// predicate but the primary one, which the join algorithm evaluates.
-func residual(eqs []joinEq, primary int) []joinEq {
-	if len(eqs) == 1 {
-		return nil
-	}
-	return slices.Delete(slices.Clone(eqs), primary, primary+1)
-}
-
-// joinOutput returns the output schema of a join over inputs with
-// schemas ls and rs, and its emit layout: the live columns of each side,
-// narrow when that prunes something. A select * pipeline allocates no
-// layout and keeps the two-copy left ++ right.
-func joinOutput(live liveCols, ls, rs []query.ColumnRef) ([]query.ColumnRef, joinEmit) {
-	schema := make([]query.ColumnRef, 0, len(ls)+len(rs))
-	if live == nil {
-		return append(append(schema, ls...), rs...), joinEmit{}
-	}
-	var emit joinEmit
-	for i, c := range ls {
-		if colPos(live, c) >= 0 {
-			emit.lcols, schema = append(emit.lcols, i), append(schema, c)
-		}
-	}
-	for i, c := range rs {
-		if colPos(live, c) >= 0 {
-			emit.rcols, schema = append(emit.rcols, i), append(schema, c)
-		}
-	}
-	emit.narrow = len(schema) < len(ls)+len(rs)
-	return schema, emit
-}
-
-// rightSide is a join's right input as joinRight compiled it: either the
-// input's iterator or — adopted set — the dataset state standing in for
-// it. An adopted input is a bare scan that never runs; its stats entry
-// is registered in its place, and the join probes adopted.hash (a hash
-// join: the dataset's resident build table) or reads adopted.rows (an
-// exchange's merge join: an index view sorted on the merge key by
-// construction).
-type rightSide struct {
-	it      Iterator
-	schema  []query.ColumnRef
-	adopted *bareScan
-}
-
-// joinRight compiles join n's right input, of which the join reads
-// column key (eqs[primary].rc) and live is read above — the one place
-// where both compilers (the exchange's passes inExchange) decide between
-// running the input and adopting dataset state for it. Adopted state is
-// the dataset's memory: the query materializes nothing and is charged
-// nothing. A build table the memory limit has no room for is not
-// adopted; the input is then compiled like any other.
-func (r *Runner) joinRight(n *plan.Node, key query.ColumnRef, live liveCols, p *Pipeline, inExchange bool) (rt rightSide, err error) {
-	var bare *bareScan
-	if n.Op == plan.HashJoin || (inExchange && n.Op == plan.MergeJoin) {
-		bare = r.bareScanRows(n.Right)
-	}
-	if bare != nil {
-		rt.schema = bare.schema
-		bare.key.col = colPos(bare.schema, key)
-		if n.Op == plan.HashJoin {
-			bare.hash = r.Dataset.buildTable(bare.key, bare.rows)
-			bare.st.Resident = bare.hash != nil
-		}
-		if bare.hash != nil || (n.Op == plan.MergeJoin && bare.key.col == bare.leading) {
-			rt.adopted = bare
-			p.Ops = append(p.Ops, bare.st)
-			return rt, nil
-		}
-	}
-	hold := 0
-	if n.Op == plan.MergeJoin && !inExchange {
-		hold = holdReleased
-	}
-	rt.it, rt.schema, err = r.build(n.Right, p, live, hold)
-	return rt, err
-}
-
-// compiledJoin is a join with both inputs compiled and its predicates
-// resolved against their schemas.
-type compiledJoin struct {
-	eqs     []joinEq
-	primary int
-	ls      []query.ColumnRef // the left input's schema
-	rightSide
-}
-
-// compileJoin is what the serial and the exchange compiler share of
-// join n: its predicates (and display detail, into st), the live sets
-// of its inputs, the left input — compiled by left, the one thing the
-// two do differently — the right input, and the predicates' positions.
-func (r *Runner) compileJoin(n *plan.Node, p *Pipeline, st *OpStats, live liveCols, inExchange bool,
-	left func(liveCols) ([]query.ColumnRef, error)) (j compiledJoin, err error) {
-	lrels := planRels(n.Left)
-	if j.eqs, j.primary, st.Detail, err = r.joinPreds(n, lrels, planRels(n.Right)); err != nil {
-		return j, err
-	}
-	liveL, liveR := joinLive(live, j.eqs, lrels)
-	if j.ls, err = left(liveL); err != nil {
-		return j, err
-	}
-	if j.rightSide, err = r.joinRight(n, j.eqs[j.primary].rc, liveR, p, inExchange); err != nil {
-		return j, err
-	}
-	return j, resolveEqs(j.eqs, j.ls, j.schema)
-}
-
-func (r *Runner) buildJoin(n *plan.Node, p *Pipeline, st *OpStats, live liveCols, hold int) (Iterator, []query.ColumnRef, error) {
-	var left Iterator
-	j, err := r.compileJoin(n, p, st, live, false, func(live liveCols) (ls []query.ColumnRef, err error) {
-		left, ls, err = r.build(n.Left, p, live, 1+meterBurstRows)
-		return ls, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	schema, emit := joinOutput(live, j.ls, j.schema)
-	if hold < holdReleased {
-		emit.alloc.window, emit.alloc.pooled = max(hold, 0), true
-	}
-	key := j.eqs[j.primary]
-
-	var it Iterator
-	var out *joinEmit
-	switch n.Op {
-	case plan.MergeJoin:
-		emit.res = residual(j.eqs, j.primary)
-		mj := &MergeJoin{Left: left, Right: j.it, LeftKey: key.l, RightKey: key.r, Life: p.Life, emit: emit}
-		it, out = mj, &mj.emit
-	case plan.HashJoin:
-		emit.res = residual(j.eqs, j.primary)
-		hj := &HashJoin{Left: left, Right: j.it, LeftKey: key.l, RightKey: key.r, Life: p.Life,
-			adopted: j.adopted, emit: emit}
-		it, out = hj, &hj.emit
-	default: // NestedLoopJoin
-		nl := &NestedLoopJoin{Outer: left, Inner: j.it, Life: p.Life, Pred: allEqs(j.eqs), emit: emit}
-		it, out = nl, &nl.emit
-	}
-	if hold < 0 {
-		p.rootRing, p.rootSlack = &out.alloc, -hold
-	}
-	if out.alloc.pooled {
-		p.Life.arena = append(p.Life.arena, &out.alloc)
-	}
-	return r.wrap(it, st, p), schema, nil
-}
-
-// allEqs is the nested-loop join predicate: every equality holds.
-func allEqs(eqs []joinEq) func(outer, inner Row) bool {
-	return func(outer, inner Row) bool {
-		for _, e := range eqs {
-			if outer[e.l] != inner[e.r] {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // sortCols maps an ordering's attributes to the columns they name.

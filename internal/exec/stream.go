@@ -33,7 +33,7 @@ func ClampStreamChunk(chunk int) int {
 // The slice passed to sink, and the rows in it, are only valid for the
 // duration of the call: once sink returns, the slice is reused and the
 // rows are overwritten by rows the pipeline carves later (a streamed
-// join's output is a ring of chunk rows plus the stats wrappers'
+// join spine's output is a ring of chunk rows plus the stats wrappers'
 // bursts). sink copies what it keeps. A sink error (a client that went
 // away, a blocked write) aborts the pipeline via its Life, so producers
 // — including exchange morsel workers — stop within one cancellation
@@ -65,24 +65,6 @@ func (p *Pipeline) streamRoot(chunk int, sink func([]Row) error) error {
 	}
 	if err := root.Open(); err != nil {
 		return err
-	}
-
-	if b, ok := root.(batchIterator); ok {
-		for {
-			batch, ok, err := b.NextBatch()
-			if err != nil || !ok {
-				return err
-			}
-			// The batch stays valid until the next NextBatch, so sink can
-			// read it in place, in <= chunk slices.
-			for len(batch) > 0 {
-				n := min(chunk, len(batch))
-				if err := sink(batch[:n:n]); err != nil {
-					return err
-				}
-				batch = batch[n:]
-			}
-		}
 	}
 
 	buf := make([]Row, 0, chunk)

@@ -119,6 +119,25 @@ func TestPlanErrors(t *testing.T) {
 	}
 }
 
+// TestNonMonotoneExtractRejected: ordering or grouping by a month or a
+// day extracted from a date is a 400 on every planning endpoint, naming
+// the expression, not a plan that orders by the date.
+func TestNonMonotoneExtractRejected(t *testing.T) {
+	_, c, done := newExecServer(t)
+	defer done()
+
+	sql := "select * from orders order by extract(month from o_orderdate)"
+	_, planErr := c.Plan(sql)
+	_, explainErr := c.Explain(sql)
+	_, execErr := c.Execute(ExecuteRequest{SQL: sql})
+	for endpoint, err := range map[string]error{"/plan": planErr, "/explain": explainErr, "/execute": execErr} {
+		var se *StatusError
+		if !asStatus(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, "EXTRACT(MONTH FROM o_orderdate)") {
+			t.Errorf("%s: got %v, want a 400 naming EXTRACT(MONTH FROM o_orderdate)", endpoint, err)
+		}
+	}
+}
+
 func asStatus(err error, se **StatusError) bool {
 	s, ok := err.(*StatusError)
 	if ok {

@@ -267,9 +267,12 @@ func (b *binder) orderColumn(e Expr) (query.ColumnRef, error) {
 	case *ColumnRef:
 		return b.resolve(x)
 	case *ExtractExpr:
-		// EXTRACT(YEAR/MONTH/DAY FROM d) is monotone in d for YEAR and
-		// order-compatible for grouping in all cases: a stream sorted
-		// by d has equal extract values adjacent.
+		// EXTRACT(YEAR FROM d) is monotone in d, so d carries its order.
+		// MONTH and DAY wrap around within d's order: rows ordered by d
+		// are not ordered by month, and equal months are not adjacent.
+		if x.Field != "YEAR" {
+			return query.ColumnRef{}, fmt.Errorf("cannot map expression %s to an order-carrying column: %s is not monotone in its argument", e, x.Field)
+		}
 		return b.orderColumn(x.From)
 	default:
 		return query.ColumnRef{}, fmt.Errorf("cannot map expression %s to an order-carrying column", e)

@@ -270,6 +270,8 @@ func TestBindErrors(t *testing.T) {
 		{"select * from persons order by zzz.a", "unknown relation"},
 		{"select * from persons, jobs order by persons.id", "not connected"},
 		{"select * from persons group by id + 1", "cannot map expression"},
+		{"select * from persons order by extract(month from id)", "EXTRACT(MONTH FROM id)"},
+		{"select * from persons group by extract(day from id)", "EXTRACT(DAY FROM id)"},
 		{"select * from (select id from persons group by id) as s", "not supported"},
 	}
 	for _, tc := range cases {
