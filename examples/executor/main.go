@@ -56,25 +56,22 @@ func main() {
 	colOf := map[orderopt.Attr]int{oKey: 0, cust: 1, lKey: 3}
 
 	// Stage 1: sort orders by o_orderkey.
-	sortedOrders, err := exec.Collect(&exec.Sort{In: exec.NewScan(toRows(data["orders"])), Keys: []int{0}})
+	sortedOrders, err := exec.Collect(&exec.Sort{In: exec.NewScan(toRows(data["orders"]), nil), Keys: []int{0}})
 	die(err)
 	state := fw.Produce(ordOKey)
 	verify(fw, b, state, sortedOrders, colOf, "Sort(orders.o_orderkey)")
 
 	// Stage 2: filter o_custkey = 3 (constant FD).
-	filtered, err := exec.Collect(&exec.Filter{
-		In:   exec.NewScan(sortedOrders),
-		Pred: func(r exec.Row) bool { return r[1] == 3 },
-	})
+	filtered, err := exec.Collect(exec.NewScan(sortedOrders, func(r exec.Row) bool { return r[1] == 3 }))
 	die(err)
 	state = fw.Infer(state, custFD)
 	verify(fw, b, state, filtered, colOf, "Select(o_custkey = 3)")
 
 	// Stage 3: merge join with lineitem sorted on l_orderkey.
-	sortedLineitem, err := exec.Collect(&exec.Sort{In: exec.NewScan(toRows(data["lineitem"])), Keys: []int{0}})
+	sortedLineitem, err := exec.Collect(&exec.Sort{In: exec.NewScan(toRows(data["lineitem"]), nil), Keys: []int{0}})
 	die(err)
 	joined, err := exec.Collect(exec.NewJoin(plan.MergeJoin,
-		exec.NewScan(filtered), exec.NewScan(sortedLineitem), 0, 0, nil))
+		exec.NewScan(filtered, nil), exec.NewScan(sortedLineitem, nil), 0, 0, nil))
 	die(err)
 	state = fw.Infer(state, joinFD)
 	verify(fw, b, state, joined, colOf, "MergeJoin(o_orderkey = l_orderkey)")

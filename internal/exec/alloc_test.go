@@ -120,7 +120,7 @@ func TestScanNextDoesNotAllocate(t *testing.T) {
 	for i := range rows {
 		rows[i] = Row{int64(i)}
 	}
-	s := NewScan(rows)
+	s := NewScan(rows, nil).(*scan)
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}

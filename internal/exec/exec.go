@@ -1,11 +1,12 @@
 // Package exec is a streaming, pull-based execution engine over
-// in-memory tables: scans, filters, sorts, merge/hash/nested-loop joins
-// and grouping. It started as the repo's validation harness — the
-// property tests run real tuple streams through operator pipelines and
-// check that every logical ordering the DFSM framework claims (and
-// every functional dependency it consumed) physically holds — and has
-// grown into the measured execution backend behind the serving layer's
-// /execute endpoint and the runtime sort-avoidance benchmark
+// in-memory tables: scans (which apply their relation's constant
+// predicates), sorts, merge/hash/nested-loop joins and grouping. It
+// started as the repo's validation harness — the property tests run
+// real tuple streams through operator pipelines and check that every
+// logical ordering the DFSM framework claims (and every functional
+// dependency it consumed) physically holds — and has grown into the
+// measured execution backend behind the serving layer's /execute
+// endpoint and the runtime sort-avoidance benchmark
 // (BenchmarkExecRuntime).
 //
 // Operators are iterators, except joins: every left-deep chain of joins
@@ -19,6 +20,12 @@
 // grouping verify their input ordering while streaming — an unsound
 // ordering claim by the planner surfaces as an execution error, not a
 // wrong result. See docs/execution.md for the operator matrix.
+//
+// Each operator reports its rows into its own OpStats entry. A scan
+// counts itself and polls cancellation where rows start; every other
+// operator (a spine, under its top join) runs under a stats wrapper
+// (statsIter) that counts, times and polls for it. A scan's time is
+// inside its consumer's.
 package exec
 
 import (
@@ -90,109 +97,58 @@ func drainInto(it Iterator, f func(Row) error) (err error) {
 	}
 }
 
-// Scan yields the given rows.
-type Scan struct {
-	Rows []Row
+// scan is the one scan operator, serial and per exchange morsel: it
+// streams rows (a table, an index's maintained view, or one morsel of
+// either) and hands out those pred keeps (the relation's constant
+// predicates; nil keeps every row). It is its own meter: it counts the
+// rows it hands out and adds them to st at Close, in one atomic add
+// since an exchange's morsel scans share the entry, and reports no time
+// of its own, which is inside its consumer's entry. It polls life every
+// CancelCheckInterval rows it reads, kept or not: a dead Life fails the
+// scan, and a quiesced one ends it, since no row past that point can be
+// observed.
+type scan struct {
+	rows []Row
+	pred func(Row) bool
+	st   *OpStats
+	life *Life
 	pos  int
+	n    int64 // rows handed out since the last Close
 }
 
-// NewScan returns a scan over rows.
-func NewScan(rows []Row) *Scan { return &Scan{Rows: rows} }
-
-// Open implements Iterator.
-func (s *Scan) Open() error { s.pos = 0; return nil }
-
-// Next implements Iterator.
-func (s *Scan) Next() (Row, bool, error) {
-	if s.pos >= len(s.Rows) {
-		return nil, false, nil
-	}
-	r := s.Rows[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-// Close implements Iterator.
-func (s *Scan) Close() error { return nil }
-
-// runIterator is implemented by the scan operators, which hand out up
-// to len(buf) rows per call instead of one per Next: a Scan straight
-// from its slice, a Filter compacting its input's run into buf. An
-// exchange pulls each morsel's driving scan through it (nextRun), so a
-// morsel's rows reach the spine's cursor without a call per row.
-type runIterator interface {
-	nextRun(buf []Row) ([]Row, error)
-}
-
-// nextRun returns the next run of rows from it, at most len(buf) and
-// none at the end of the stream: a runIterator's own run, otherwise (a
-// hooked scan, say) rows pulled one Next at a time into buf.
-func nextRun(it Iterator, buf []Row) ([]Row, error) {
-	if r, ok := it.(runIterator); ok {
-		return r.nextRun(buf)
-	}
-	for n := range buf {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return buf[:n], nil
-		}
-		buf[n] = row
-	}
-	return buf, nil
-}
-
-func (s *Scan) nextRun(buf []Row) ([]Row, error) {
-	run := s.Rows[s.pos:min(s.pos+len(buf), len(s.Rows))]
-	s.pos += len(run)
-	return run, nil
-}
-
-// Filter yields input rows satisfying Pred.
-type Filter struct {
-	In   Iterator
-	Pred func(Row) bool
+// NewScan returns a scan over rows that hands out the rows pred keeps;
+// a nil pred keeps every row.
+func NewScan(rows []Row, pred func(Row) bool) Iterator {
+	return &scan{rows: rows, pred: pred}
 }
 
 // Open implements Iterator.
-func (f *Filter) Open() error { return f.In.Open() }
+func (s *scan) Open() error { s.pos = 0; return nil }
 
 // Next implements Iterator.
-func (f *Filter) Next() (Row, bool, error) {
-	for {
-		row, ok, err := f.In.Next()
-		if err != nil || !ok {
-			return nil, false, err
+func (s *scan) Next() (Row, bool, error) {
+	for s.pos < len(s.rows) {
+		row := s.rows[s.pos]
+		if s.pos++; s.pos&(CancelCheckInterval-1) == 0 {
+			if err := s.life.Err(); err != nil || s.life.drained() {
+				return nil, false, err
+			}
 		}
-		if f.Pred(row) {
+		if s.pred == nil || s.pred(row) {
+			s.n++
 			return row, true, nil
 		}
 	}
+	return nil, false, nil
 }
 
 // Close implements Iterator.
-func (f *Filter) Close() error { return f.In.Close() }
-
-// nextRun compacts the passing rows of its input's runs into buf, in
-// place when the input's run is buf itself.
-func (f *Filter) nextRun(buf []Row) ([]Row, error) {
-	for {
-		in, err := nextRun(f.In, buf)
-		if err != nil || len(in) == 0 {
-			return nil, err
-		}
-		out := buf[:0]
-		for _, row := range in {
-			if f.Pred(row) {
-				out = append(out, row)
-			}
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
+func (s *scan) Close() error {
+	if s.st != nil {
+		atomic.AddInt64(&s.st.Rows, s.n)
 	}
+	s.n = 0
+	return nil
 }
 
 // Sort materializes its input and yields it ordered by Keys (ascending,

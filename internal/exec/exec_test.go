@@ -20,7 +20,7 @@ func rowsOf(vals ...[]int64) []Row {
 
 func TestScanAndCollect(t *testing.T) {
 	rows := rowsOf([]int64{1, 2}, []int64{3, 4})
-	got, err := Collect(NewScan(rows))
+	got, err := Collect(NewScan(rows, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestScanAndCollect(t *testing.T) {
 		t.Errorf("Collect = %v", got)
 	}
 	// Re-open yields the same rows.
-	got2, err := Collect(NewScan(rows))
+	got2, err := Collect(NewScan(rows, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestScanAndCollect(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	rows := rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	got, err := Collect(&Filter{In: NewScan(rows), Pred: func(r Row) bool { return r[0] >= 2 }})
+	got, err := Collect(NewScan(rows, func(r Row) bool { return r[0] >= 2 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,57 +48,9 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-// rowByRow hides its input's runs: nextRun must pull it one Next at a
-// time, as it does a hooked scan.
-type rowByRow struct{ Iterator }
-
-// TestNextRun: a scan's rows come out in runs of at most len(buf), in
-// order, whether they come straight from a Scan's slice or are pulled
-// one Next at a time, and a Filter over either hands out exactly the
-// passing rows — compacted in place over buf in the second case.
-func TestNextRun(t *testing.T) {
-	var rows []Row
-	for i := range int64(10) {
-		rows = append(rows, Row{i})
-	}
-	even := func(r Row) bool { return r[0]%2 == 0 }
-	for _, tc := range []struct {
-		name string
-		it   Iterator
-		want []Row
-	}{
-		{"scan", NewScan(rows), rows},
-		{"row by row", rowByRow{NewScan(rows)}, rows},
-		{"filtered scan", &Filter{In: NewScan(rows), Pred: even}, rowsOf([]int64{0}, []int64{2}, []int64{4}, []int64{6}, []int64{8})},
-		{"filtered row by row", &Filter{In: rowByRow{NewScan(rows)}, Pred: even}, rowsOf([]int64{0}, []int64{2}, []int64{4}, []int64{6}, []int64{8})},
-	} {
-		if err := tc.it.Open(); err != nil {
-			t.Fatal(err)
-		}
-		var got []Row
-		buf := make([]Row, 3)
-		for {
-			run, err := nextRun(tc.it, buf)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			if len(run) == 0 {
-				break
-			}
-			if len(run) > len(buf) {
-				t.Errorf("%s: a run of %d rows from a buffer of %d", tc.name, len(run), len(buf))
-			}
-			got = append(got, run...)
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: runs hold %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 func TestSortStable(t *testing.T) {
 	rows := rowsOf([]int64{2, 1}, []int64{1, 2}, []int64{2, 0}, []int64{1, 1})
-	got, err := Collect(&Sort{In: NewScan(rows), Keys: []int{0}})
+	got, err := Collect(&Sort{In: NewScan(rows, nil), Keys: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +66,7 @@ func TestSortStable(t *testing.T) {
 func TestMergeJoinBasics(t *testing.T) {
 	left := rowsOf([]int64{1, 100}, []int64{2, 200}, []int64{2, 201}, []int64{4, 400})
 	right := rowsOf([]int64{1, -1}, []int64{2, -2}, []int64{3, -3})
-	mj := NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil)
+	mj := NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil)
 	got, err := Collect(mj)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +86,7 @@ func TestMergeJoinBasics(t *testing.T) {
 func TestMergeJoinDuplicateGroups(t *testing.T) {
 	left := rowsOf([]int64{1, 0}, []int64{1, 1})
 	right := rowsOf([]int64{1, 7}, []int64{1, 8})
-	got, err := Collect(NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil))
+	got, err := Collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +105,12 @@ func TestMergeJoinRejectsUnsorted(t *testing.T) {
 	// surfaces it), not at Open.
 	left := rowsOf([]int64{2}, []int64{1})
 	right := rowsOf([]int64{1})
-	mj := NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil)
+	mj := NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil)
 	if _, err := Collect(mj); err == nil {
 		t.Error("unsorted merge join input must be rejected")
 	}
 	right2 := rowsOf([]int64{5}, []int64{1})
-	mj2 := NewJoin(plan.MergeJoin, NewScan(rowsOf([]int64{1}, []int64{5})), NewScan(right2), 0, 0, nil)
+	mj2 := NewJoin(plan.MergeJoin, NewScan(rowsOf([]int64{1}, []int64{5}), nil), NewScan(right2, nil), 0, 0, nil)
 	if _, err := Collect(mj2); err == nil {
 		t.Error("unsorted right input must be rejected")
 	}
@@ -167,7 +119,7 @@ func TestMergeJoinRejectsUnsorted(t *testing.T) {
 func TestHashJoinPreservesProbeOrder(t *testing.T) {
 	left := rowsOf([]int64{3}, []int64{1}, []int64{2}, []int64{1})
 	right := rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	got, err := Collect(NewJoin(plan.HashJoin, NewScan(left), NewScan(right), 0, 0, nil))
+	got, err := Collect(NewJoin(plan.HashJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +135,7 @@ func TestHashJoinPreservesProbeOrder(t *testing.T) {
 func TestNestedLoopJoin(t *testing.T) {
 	outer := rowsOf([]int64{1, 10}, []int64{2, 20})
 	inner := rowsOf([]int64{10}, []int64{20})
-	got, err := Collect(NewJoin(plan.NestedLoopJoin, NewScan(outer), NewScan(inner), 1, 0, nil))
+	got, err := Collect(NewJoin(plan.NestedLoopJoin, NewScan(outer, nil), NewScan(inner, nil), 1, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,15 +162,15 @@ func TestJoinsAgree(t *testing.T) {
 		sortedRight := append([]Row{}, right...)
 		sort.SliceStable(sortedRight, func(i, j int) bool { return sortedRight[i][0] < sortedRight[j][0] })
 
-		mj, err := Collect(NewJoin(plan.MergeJoin, NewScan(sortedLeft), NewScan(sortedRight), 0, 0, nil))
+		mj, err := Collect(NewJoin(plan.MergeJoin, NewScan(sortedLeft, nil), NewScan(sortedRight, nil), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hj, err := Collect(NewJoin(plan.HashJoin, NewScan(left), NewScan(right), 0, 0, nil))
+		hj, err := Collect(NewJoin(plan.HashJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nl, err := Collect(NewJoin(plan.NestedLoopJoin, NewScan(left), NewScan(right), 0, 0, nil))
+		nl, err := Collect(NewJoin(plan.NestedLoopJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +211,7 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 	rows := rowsOf(
 		[]int64{1, 5}, []int64{1, 7}, []int64{2, 1}, []int64{3, 2}, []int64{3, 2},
 	)
-	gs, err := Collect(&GroupSorted{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
+	gs, err := Collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +219,7 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 	if !reflect.DeepEqual(gs, want) {
 		t.Errorf("GroupSorted = %v, want %v", gs, want)
 	}
-	gh, err := Collect(&GroupHash{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
+	gh, err := Collect(&GroupHash{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,14 +230,14 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 
 func TestGroupAggs(t *testing.T) {
 	rows := rowsOf([]int64{1, 5}, []int64{1, 3}, []int64{2, 9})
-	cnt, err := Collect(&GroupSorted{In: NewScan(rows), Keys: []int{0}})
+	cnt, err := Collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cnt, rowsOf([]int64{1, 2}, []int64{2, 1})) {
 		t.Errorf("count = %v", cnt)
 	}
-	min, err := Collect(&GroupSorted{In: NewScan(rows), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggMin, Col: 1}}})
+	min, err := Collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggMin, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +248,7 @@ func TestGroupAggs(t *testing.T) {
 
 func TestGroupSortedRejectsUnsorted(t *testing.T) {
 	rows := rowsOf([]int64{2, 1}, []int64{1, 1})
-	it := &GroupSorted{In: NewScan(rows), Keys: []int{0}}
+	it := &GroupSorted{In: NewScan(rows, nil), Keys: []int{0}}
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,14 +267,14 @@ func TestGroupSortedRejectsUnsorted(t *testing.T) {
 }
 
 func TestGroupEmptyInput(t *testing.T) {
-	gs, err := Collect(&GroupSorted{In: NewScan(nil), Keys: []int{0}})
+	gs, err := Collect(&GroupSorted{In: NewScan(nil, nil), Keys: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gs) != 0 {
 		t.Errorf("empty input produced groups: %v", gs)
 	}
-	gh, err := Collect(&GroupHash{In: NewScan(nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 0}}})
+	gh, err := Collect(&GroupHash{In: NewScan(nil, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +307,7 @@ func TestQuickSortProperties(t *testing.T) {
 		for i, v := range vals {
 			rows[i] = Row{v % 10, int64(i)}
 		}
-		out, err := Collect(&Sort{In: NewScan(rows), Keys: []int{0}})
+		out, err := Collect(&Sort{In: NewScan(rows, nil), Keys: []int{0}})
 		if err != nil {
 			return false
 		}
@@ -375,13 +327,13 @@ func TestJoinsEmptyInputs(t *testing.T) {
 		it   func(left, right []Row) Iterator
 	}{
 		{"merge", func(l, r []Row) Iterator {
-			return NewJoin(plan.MergeJoin, NewScan(l), NewScan(r), 0, 0, nil)
+			return NewJoin(plan.MergeJoin, NewScan(l, nil), NewScan(r, nil), 0, 0, nil)
 		}},
 		{"hash", func(l, r []Row) Iterator {
-			return NewJoin(plan.HashJoin, NewScan(l), NewScan(r), 0, 0, nil)
+			return NewJoin(plan.HashJoin, NewScan(l, nil), NewScan(r, nil), 0, 0, nil)
 		}},
 		{"nl", func(l, r []Row) Iterator {
-			return NewJoin(plan.NestedLoopJoin, NewScan(l), NewScan(r), 0, 0, nil)
+			return NewJoin(plan.NestedLoopJoin, NewScan(l, nil), NewScan(r, nil), 0, 0, nil)
 		}},
 	}
 	for _, c := range cases {
@@ -421,7 +373,7 @@ func TestMergeJoinDuplicateCrossProducts(t *testing.T) {
 		[]int64{3, 103},
 		[]int64{4, 104}, []int64{4, 105}, []int64{4, 106}, // key 4 ×3
 	)
-	got, err := Collect(NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil))
+	got, err := Collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +391,7 @@ func TestMergeJoinDuplicateCrossProducts(t *testing.T) {
 		}
 	}
 	// Result agrees with a hash join over the same inputs.
-	hj, err := Collect(NewJoin(plan.HashJoin, NewScan(left), NewScan(right), 0, 0, nil))
+	hj, err := Collect(NewJoin(plan.HashJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,14 +405,14 @@ func TestMergeJoinDuplicateCrossProducts(t *testing.T) {
 func TestCloseWithoutOpen(t *testing.T) {
 	rows := rowsOf([]int64{1, 2})
 	its := []Iterator{
-		NewScan(rows),
-		&Filter{In: NewScan(rows), Pred: func(Row) bool { return true }},
-		&Sort{In: NewScan(rows), Keys: []int{0}},
-		NewJoin(plan.MergeJoin, NewScan(rows), NewScan(rows), 0, 0, nil),
-		NewJoin(plan.HashJoin, NewScan(rows), NewScan(rows), 0, 0, nil),
-		NewJoin(plan.NestedLoopJoin, NewScan(rows), NewScan(rows), 0, 0, nil),
-		&GroupSorted{In: NewScan(rows), Keys: []int{0}},
-		&GroupHash{In: NewScan(rows), Keys: []int{0}},
+		NewScan(rows, nil),
+		NewScan(rows, func(Row) bool { return true }),
+		&Sort{In: NewScan(rows, nil), Keys: []int{0}},
+		NewJoin(plan.MergeJoin, NewScan(rows, nil), NewScan(rows, nil), 0, 0, nil),
+		NewJoin(plan.HashJoin, NewScan(rows, nil), NewScan(rows, nil), 0, 0, nil),
+		NewJoin(plan.NestedLoopJoin, NewScan(rows, nil), NewScan(rows, nil), 0, 0, nil),
+		&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}},
+		&GroupHash{In: NewScan(rows, nil), Keys: []int{0}},
 	}
 	for _, it := range its {
 		if err := it.Close(); err != nil {
@@ -468,7 +420,7 @@ func TestCloseWithoutOpen(t *testing.T) {
 		}
 	}
 	// And Open → Close → (re)Open → full drain still works.
-	mj := NewJoin(plan.MergeJoin, NewScan(rows), NewScan(rows), 0, 0, nil)
+	mj := NewJoin(plan.MergeJoin, NewScan(rows, nil), NewScan(rows, nil), 0, 0, nil)
 	if err := mj.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +445,7 @@ func TestWideGroupingKeys(t *testing.T) {
 		rows = append(rows, Row{k, k + 1, k + 2, k + 3, k + 4, int64(i)})
 	}
 	keys := []int{0, 1, 2, 3, 4}
-	gh, err := Collect(&GroupHash{In: NewScan(rows), Keys: keys})
+	gh, err := Collect(&GroupHash{In: NewScan(rows, nil), Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +460,7 @@ func TestWideGroupingKeys(t *testing.T) {
 	// Sorted grouping over the same stream sorted on the keys agrees.
 	sorted := append([]Row{}, rows...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i][0] < sorted[j][0] })
-	gs, err := Collect(&GroupSorted{In: NewScan(sorted), Keys: keys})
+	gs, err := Collect(&GroupSorted{In: NewScan(sorted, nil), Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +474,7 @@ func TestWideGroupingKeys(t *testing.T) {
 func TestMergeJoinDrainChecksSortedness(t *testing.T) {
 	left := rowsOf([]int64{1}, []int64{5}, []int64{3}) // unsorted after matches end
 	right := rowsOf([]int64{1})
-	if _, err := Collect(NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil)); err == nil {
+	if _, err := Collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil)); err == nil {
 		t.Fatal("unsorted left tail must be rejected")
 	}
 }
@@ -532,7 +484,7 @@ func TestMergeJoinDrainChecksSortedness(t *testing.T) {
 func TestMergeJoinRightTailSortedness(t *testing.T) {
 	left := rowsOf([]int64{1})
 	right := rowsOf([]int64{1}, []int64{3}, []int64{2}) // unsorted beyond the last match
-	if _, err := Collect(NewJoin(plan.MergeJoin, NewScan(left), NewScan(right), 0, 0, nil)); err == nil {
+	if _, err := Collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil)); err == nil {
 		t.Fatal("unsorted right tail must be rejected")
 	}
 }

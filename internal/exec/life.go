@@ -10,14 +10,15 @@ import (
 
 // This file is the query-lifecycle layer of the executor: cancellation,
 // deadlines and resource budgets. Every compiled pipeline carries one
-// Life; each per-operator stats wrapper polls it for cancellation once
-// per CancelCheckInterval of its own Next calls (a counter private to
-// the wrapper, so the hot path shares no cache line between operators
-// or workers), and the query is charged on it for the row memory it
-// takes, when it takes it (see Life.hold). A query therefore stops for
-// exactly three reasons: it finished, its context was cancelled (client
-// disconnect or deadline), or it hit a budget — and all three release
-// whatever the query held.
+// Life; each scan polls it for cancellation once per
+// CancelCheckInterval rows it reads, and each other operator's stats
+// wrapper once per CancelCheckInterval of its own Next calls (counters
+// private to the scan or wrapper, so the hot path shares no cache line
+// between operators or workers), and the query is charged on it for the
+// row memory it takes, when it takes it (see Life.hold). A query
+// therefore stops for exactly three reasons: it finished, its context
+// was cancelled (client disconnect or deadline), or it hit a budget —
+// and all three release whatever the query held.
 
 // ErrBudgetExceeded is the typed error every budget rejection wraps:
 // the per-query byte budget, the shared memory accountant and a dataset
@@ -33,13 +34,15 @@ var ErrBudgetExceeded = errors.New("exec: query budget exceeded")
 // on (499-style client abort vs 504 deadline).
 var ErrCanceled = errors.New("exec: pipeline canceled")
 
-// CancelCheckInterval is how many Next calls one stats wrapper serves
-// between context checks: no wrapper hands out more than
-// CancelCheckInterval-1 rows without polling, so cancellation latency is
-// bounded by that many rows of the busiest operator (plus whatever
-// single operator call is in progress); per-row checks would put a
-// ctx.Err() load on the hottest loop in the system. It is the wrap
-// point of statsIter's uint8 call counter and cannot change without it.
+// CancelCheckInterval is how many rows one scan reads, and how many
+// Next calls one stats wrapper serves, between context checks: no scan
+// reads and no wrapper hands out more than CancelCheckInterval-1 rows
+// without polling, so cancellation latency is bounded by that many rows
+// of the busiest operator (plus whatever single operator call is in
+// progress), even under a predicate that keeps no row; per-row checks
+// would put a ctx.Err() load on the hottest loop in the system. It is
+// the wrap point of statsIter's uint8 call counter and cannot change
+// without it.
 const CancelCheckInterval = 256
 
 // Budget bounds the row memory one query may take: the chunks its

@@ -37,6 +37,17 @@ func (c closeCount) Close() error {
 	return c.Iterator.Close()
 }
 
+// dropAll drains its input and hands out none of it.
+type dropAll struct{ Iterator }
+
+func (d dropAll) Next() (Row, bool, error) {
+	for {
+		if _, ok, err := d.Iterator.Next(); err != nil || !ok {
+			return nil, false, err
+		}
+	}
+}
+
 // openCount counts Open calls through to its input.
 type openCount struct {
 	Iterator
@@ -191,7 +202,7 @@ func TestBudgetMergeJoinGroup(t *testing.T) {
 		dup[i] = Row{7, int64(i)}
 	}
 	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: rowBufBytes(1000)}}}
-	join := NewJoin(plan.MergeJoin, wrapped(p, NewScan([]Row{{7, 0}})), wrapped(p, NewScan(dup)), 0, 0, p.Life)
+	join := NewJoin(plan.MergeJoin, wrapped(p, NewScan([]Row{{7, 0}}, nil)), wrapped(p, NewScan(dup, nil)), 0, 0, p.Life)
 	p.Root = wrapped(p, join)
 	if _, err := p.ExecuteContext(context.Background()); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want budget exceeded", err)
@@ -213,7 +224,7 @@ func TestMergeJoinGroupRelease(t *testing.T) {
 		}
 	}
 	p := &Pipeline{Life: &Life{budget: Budget{MaxBytes: rowBufBytes(2*per) + 8*(512+1024+2048+4096)}}}
-	join := NewJoin(plan.MergeJoin, wrapped(p, NewScan(left)), wrapped(p, NewScan(right)), 0, 0, p.Life)
+	join := NewJoin(plan.MergeJoin, wrapped(p, NewScan(left, nil)), wrapped(p, NewScan(right, nil)), 0, 0, p.Life)
 	p.Root = wrapped(p, join)
 	out, err := p.ExecuteContext(context.Background())
 	if err != nil {
@@ -229,7 +240,7 @@ func TestMergeJoinGroupRelease(t *testing.T) {
 
 // openFault is a scan whose Open panics or fails, as set.
 type openFault struct {
-	Scan
+	scan
 	panics bool
 }
 
@@ -252,9 +263,9 @@ func TestMergeJoinOpenPanicClosesLeft(t *testing.T) {
 	above := map[string]func(Iterator) Iterator{
 		"bare":           func(in Iterator) Iterator { return in },
 		"Limit":          func(in Iterator) Iterator { return &Limit{In: in, N: 1} },
-		"HashJoin":       func(in Iterator) Iterator { return NewJoin(plan.HashJoin, in, NewScan(rows), 0, 0, nil) },
-		"NestedLoopJoin": func(in Iterator) Iterator { return NewJoin(plan.NestedLoopJoin, in, NewScan(rows), 0, 0, nil) },
-		"MergeJoin":      func(in Iterator) Iterator { return NewJoin(plan.MergeJoin, in, NewScan(rows), 0, 0, nil) },
+		"HashJoin":       func(in Iterator) Iterator { return NewJoin(plan.HashJoin, in, NewScan(rows, nil), 0, 0, nil) },
+		"NestedLoopJoin": func(in Iterator) Iterator { return NewJoin(plan.NestedLoopJoin, in, NewScan(rows, nil), 0, 0, nil) },
+		"MergeJoin":      func(in Iterator) Iterator { return NewJoin(plan.MergeJoin, in, NewScan(rows, nil), 0, 0, nil) },
 		"GroupHash":      func(in Iterator) Iterator { return &GroupHash{In: in, Keys: []int{0}} },
 		"GroupSorted":    func(in Iterator) Iterator { return &GroupSorted{In: in, Keys: []int{0}} },
 		"Sort":           func(in Iterator) Iterator { return &Sort{In: in, Keys: []int{0}} },
@@ -262,7 +273,7 @@ func TestMergeJoinOpenPanicClosesLeft(t *testing.T) {
 	for name, wrap := range above {
 		for _, panics := range []bool{true, false} {
 			var opened, closed atomic.Int64
-			left := closeCount{Iterator: openCount{Iterator: NewScan(rows), opened: &opened}, closed: &closed}
+			left := closeCount{Iterator: openCount{Iterator: NewScan(rows, nil), opened: &opened}, closed: &closed}
 			p := &Pipeline{Life: &Life{}}
 			p.Root = wrapped(p, wrap(wrapped(p, NewJoin(plan.MergeJoin, left, &openFault{panics: panics}, 0, 0, nil))))
 			func() {
@@ -295,12 +306,9 @@ func TestCancelDuringExecute(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			p := &Pipeline{Life: &Life{acct: acct}}
-			// Filter drops every row so Collect accumulates nothing;
+			// dropAll drops every row so Collect accumulates nothing;
 			// the stats wrapper under it still ticks the lifecycle.
-			p.Root = wrapped(p, &Filter{
-				In:   wrapped(p, &counter{}),
-				Pred: func(Row) bool { return false },
-			})
+			p.Root = wrapped(p, dropAll{wrapped(p, &counter{})})
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(5 * time.Millisecond)
@@ -333,7 +341,7 @@ func TestDeadlineMidMergeJoin(t *testing.T) {
 	var closed atomic.Int64
 	p := &Pipeline{Life: &Life{}}
 	join := NewJoin(plan.MergeJoin, closeCount{wrapped(p, &counter{}), &closed}, closeCount{wrapped(p, &counter{}), &closed}, 0, 0, p.Life)
-	p.Root = wrapped(p, &Filter{In: wrapped(p, join), Pred: func(Row) bool { return false }})
+	p.Root = wrapped(p, dropAll{wrapped(p, join)})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	begin := time.Now()
@@ -590,14 +598,14 @@ func TestChargeIsAllocation(t *testing.T) {
 		want int64
 	}{
 		{"a Sort over a scan", func(l *Life) Iterator {
-			return &Sort{In: NewScan(rows), Keys: []int{1}, Life: l}
+			return &Sort{In: NewScan(rows, nil), Keys: []int{1}, Life: l}
 		}, 48_960},
 		{"a Sort over a hash join", func(l *Life) Iterator {
-			join := NewJoin(plan.HashJoin, NewScan(rows), NewScan(build), 0, 0, l)
+			join := NewJoin(plan.HashJoin, NewScan(rows, nil), NewScan(build, nil), 0, 0, l)
 			return &Sort{In: join, Keys: []int{1}, Life: l}
 		}, 119_156},
 		{"GroupHash over a scan", func(l *Life) Iterator {
-			return &GroupHash{In: NewScan(rows), Keys: []int{0}, Life: l}
+			return &GroupHash{In: NewScan(rows, nil), Keys: []int{0}, Life: l}
 		}, 29_760},
 	} {
 		life := &Life{}
@@ -634,10 +642,10 @@ func TestPooledBuffersPinNoRow(t *testing.T) {
 	rows := sortInput(2000, 597)
 	recycled := 0
 	for i := 0; i < 8; i++ {
-		if _, err := Collect(&Sort{In: NewScan(rows), Keys: []int{0, 1}}); err != nil {
+		if _, err := Collect(&Sort{In: NewScan(rows, nil), Keys: []int{0, 1}}); err != nil {
 			t.Fatal(err)
 		}
-		join := NewJoin(plan.HashJoin, NewScan(rows[:10]), NewScan(rows), 0, 0, nil)
+		join := NewJoin(plan.HashJoin, NewScan(rows[:10], nil), NewScan(rows, nil), 0, 0, nil)
 		if out, err := Collect(join); err != nil || len(out) == 0 {
 			t.Fatalf("%d rows, %v", len(out), err)
 		}
@@ -673,5 +681,39 @@ func TestPooledBuffersPinNoRow(t *testing.T) {
 	}
 	if took == 0 {
 		t.Error("the pipeline's arena never took a chunk")
+	}
+}
+
+// TestScanCancelPollBound: a scan polls its Life every
+// CancelCheckInterval rows it reads, kept or not, so a predicate that
+// rejects every row cannot hide a cancellation from it; and a quiesced
+// Life ends it at its next poll, without an error.
+func TestScanCancelPollBound(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	life := &Life{}
+	if err := life.bind(ctx); err != nil {
+		t.Fatal(err)
+	}
+	read := 0
+	rejectAll := func(Row) bool {
+		if read++; read == 1 {
+			cancel()
+		}
+		return false
+	}
+	_, err := Collect(&scan{rows: meterRows(100_000), pred: rejectAll, life: life})
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("scan returned %v after %d rows, want the cancellation", err, read)
+	}
+	if read > CancelCheckInterval {
+		t.Errorf("cancel observed %d rows in, want at most %d", read, CancelCheckInterval)
+	}
+
+	quiet := &Life{}
+	quiet.quiesce()
+	rows, err := Collect(&scan{rows: meterRows(1000), life: quiet})
+	if err != nil || len(rows) != CancelCheckInterval-1 {
+		t.Errorf("a quiesced scan handed out %d rows and %v, want %d and no error", len(rows), err, CancelCheckInterval-1)
 	}
 }

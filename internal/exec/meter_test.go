@@ -9,15 +9,19 @@ import (
 	"unsafe"
 )
 
-// meterChain wraps a scan over rows and depth-1 pass-through filters
-// above it, each in its own stats wrapper — the shape of a compiled
-// pipeline with the operators' own work taken out, so what is left is
-// the hand-off and the meter.
+// pass hands on its input's rows: an operator with its own work taken
+// out.
+type pass struct{ Iterator }
+
+// meterChain wraps a scan over rows and depth-1 pass operators above
+// it, each in its own stats wrapper — the shape of a compiled pipeline
+// with the operators' own work taken out, so what is left is the
+// hand-off and the meter.
 func meterChain(rows []Row, depth int, timing bool) Iterator {
-	it := Iterator(NewScan(rows))
+	it := NewScan(rows, nil)
 	for d := 0; d < depth; d++ {
 		if d > 0 {
-			it = &Filter{In: it, Pred: func(Row) bool { return true }}
+			it = pass{it}
 		}
 		it = &statsIter{in: it, st: &OpStats{}, life: &Life{}, timing: timing}
 	}
@@ -99,7 +103,7 @@ func (f *failOnce) Next() (Row, bool, error) {
 // position — survives into the second.
 func TestMeterReopenStartsClean(t *testing.T) {
 	const n, at = 1000, 101
-	it := &statsIter{in: &failOnce{Iterator: NewScan(meterRows(n)), at: at}, st: &OpStats{}, life: &Life{}, timing: true}
+	it := &statsIter{in: &failOnce{Iterator: NewScan(meterRows(n), nil), at: at}, st: &OpStats{}, life: &Life{}, timing: true}
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +162,7 @@ func TestMeterCancelPollBound(t *testing.T) {
 			if err := life.bind(ctx); err != nil {
 				t.Fatal(err)
 			}
-			it := &statsIter{in: NewScan(meterRows(4 * CancelCheckInterval)), st: &OpStats{}, life: life, timing: timing}
+			it := &statsIter{in: NewScan(meterRows(4*CancelCheckInterval), nil), st: &OpStats{}, life: life, timing: timing}
 			if err := it.Open(); err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +266,7 @@ func BenchmarkHashBuild(b *testing.B) {
 			b.Run(name+"build/csr", func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					hv, err := buildHash(NewScan(in), 0, nil)
+					hv, err := buildHash(NewScan(in, nil), 0, nil)
 					if err != nil || len(hv.rows) != n {
 						b.Fatal(err)
 					}
@@ -274,7 +278,7 @@ func BenchmarkHashBuild(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
 					table := make(map[int64][]Row)
-					if err := drainInto(NewScan(in), func(row Row) error {
+					if err := drainInto(NewScan(in, nil), func(row Row) error {
 						table[row[0]] = append(table[row[0]], row)
 						return nil
 					}); err != nil || len(table) == 0 {
@@ -283,7 +287,7 @@ func BenchmarkHashBuild(b *testing.B) {
 				}
 				perRow(b)
 			})
-			hv, _ := buildHash(NewScan(in), 0, nil)
+			hv, _ := buildHash(NewScan(in, nil), 0, nil)
 			table := make(map[int64][]Row)
 			for _, row := range in {
 				table[row[0]] = append(table[row[0]], row)

@@ -25,8 +25,8 @@ import (
 //   - The spine, run per MORSEL: the driving scan's rows are split into
 //     contiguous morsels pulled off an atomic counter by a worker pool;
 //     each worker streams its morsel through the serial path's scan
-//     (with the relation's filter, under the fault hook when one is set)
-//     into a cursor of the spine (runMorsel), the same cursor a serial
+//     (with the relation's predicates, under the fault hook when one is
+//     set) into a cursor of the spine (runMorsel), the same cursor a serial
 //     plan runs, collects the output, and hands it back. A fault hook
 //     reaches the driving scan, the shared side and the exchange itself,
 //     never a spine join.
@@ -65,10 +65,6 @@ const (
 	morselMaxSize = 8192
 )
 
-// morselRunRows is how many driving rows a worker takes from its
-// morsel's scan at once (nextRun).
-const morselRunRows = 64
-
 func morselSize(n, dop int) int {
 	sz := n / (2 * dop)
 	if sz < morselMinSize {
@@ -103,20 +99,22 @@ func gallopGE(rows []Row, key, from int, k int64) int {
 // runMorsel runs one morsel of driving rows through a cursor of the
 // spine, collects its output and charges what that took — the output's
 // row headers and its allocator's chunks — against the budget, once. The
-// morsel's rows stream through the driving scan (Exchange.scan: the
-// relation's filter, and the fault hook when one is set, so injected
-// faults fire inside the worker), a run of rows at a time into the
-// worker's buf. Output order is the serial sequence restricted to the
-// morsel: match order within a level is fixed by the shared state, and
-// the driving rows ascend.
-func (x *Exchange) runMorsel(rows, buf []Row) morselResult {
+// morsel's rows stream through a copy of the driving scan (the relation's
+// predicates, and the fault hook when one is set, so injected faults fire
+// inside the worker), which counts them into the scan's shared entry at
+// Close. Output order is the serial sequence restricted to the morsel:
+// match order within a level is fixed by the shared state, and the
+// driving rows ascend.
+func (x *Exchange) runMorsel(rows []Row) morselResult {
 	if err := x.life.Err(); err != nil {
 		return morselResult{err: err}
 	}
-	scan := &morselScan{Iterator: x.scan(rows), life: x.life, buf: buf}
-	c := x.sp.newCursor(scan)
-	defer scan.Close() // before Open, so a panic inside Open closes too
-	if err := scan.Open(); err != nil {
+	s := x.leaf
+	s.rows = rows
+	in := hooked(x.hook, &s, s.st, x.life)
+	c := x.sp.newCursor(in)
+	defer in.Close() // before Open, so a panic inside Open closes too
+	if err := in.Open(); err != nil {
 		return morselResult{err: err}
 	}
 	out := make([]Row, 0, x.morselHint())
@@ -138,7 +136,6 @@ func (x *Exchange) runMorsel(rows, buf []Row) morselResult {
 	// The spine's entries are shared by every worker: each is touched
 	// once per morsel, and Exchange.Close's wg.Wait orders the adds
 	// before any read.
-	atomic.AddInt64(&x.leafSt.Rows, scan.n)
 	c.flush()
 	if top := len(x.sp.levels) - 1; top >= 0 {
 		atomic.AddInt64(&x.sp.levels[top].st.Rows, int64(len(out)))
@@ -149,35 +146,6 @@ func (x *Exchange) runMorsel(rows, buf []Row) morselResult {
 		return morselResult{err: err}
 	}
 	return morselResult{rows: out, bytes: bytes}
-}
-
-// morselScan is a morsel's driving scan as its cursor reads it: a run of
-// rows at a time (nextRun, into the worker's buf), counted, with the Life
-// polled every CancelCheckInterval rows. A dead Life fails the morsel; a
-// quiesced one ends it, since no row past that can be observed.
-type morselScan struct {
-	Iterator
-	life     *Life
-	buf, run []Row
-	n        int64 // rows handed out
-}
-
-func (m *morselScan) Next() (Row, bool, error) {
-	if len(m.run) == 0 {
-		run, err := nextRun(m.Iterator, m.buf)
-		if err != nil || len(run) == 0 {
-			return nil, false, err
-		}
-		m.run = run
-	}
-	if m.n++; m.n&(CancelCheckInterval-1) == 0 {
-		if err := m.life.Err(); err != nil || m.life.drained() {
-			return nil, false, err
-		}
-	}
-	row := m.run[0]
-	m.run = m.run[1:]
-	return row, true, nil
 }
 
 // morselHint estimates one morsel's output size from the planner's
@@ -222,10 +190,9 @@ type Exchange struct {
 	estCard float64      // planner's output estimate, sizes morsel buffers
 	lastOut atomic.Int64 // most recent morsel's actual output size, refines the estimate
 
-	driving []Row
-	scan    func(morsel []Row) Iterator // the driving scan over one morsel (buildExchange)
-	leafSt  *OpStats
-	sp      spine // the joins over the driving scan; no levels for a bare scan
+	leaf scan     // the driving scan over every driving row; each morsel runs a copy over its own
+	hook IterHook // offered each morsel's scan
+	sp   spine    // the joins over the driving scan; no levels for a bare scan
 
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -253,7 +220,7 @@ func (x *Exchange) Open() error {
 			return err
 		}
 	}
-	d := x.driving
+	d := x.leaf.rows
 	sz := morselSize(len(d), x.dop)
 	nm := (len(d) + sz - 1) / sz
 	workers := x.dop
@@ -281,7 +248,6 @@ func (x *Exchange) Open() error {
 			defer x.wg.Done()
 			activeWorkers.Add(1)
 			defer activeWorkers.Add(-1)
-			buf := make([]Row, morselRunRows) // the worker's nextRun buffer
 			for {
 				select {
 				case <-x.stop:
@@ -301,7 +267,7 @@ func (x *Exchange) Open() error {
 				if hi > len(d) {
 					hi = len(d)
 				}
-				res := x.runMorselRecovered(d[i*sz:hi], buf)
+				res := x.runMorselRecovered(d[i*sz : hi])
 				if res.err != nil {
 					// First failure aborts the siblings through the
 					// shared Life (they observe it at their next
@@ -328,13 +294,13 @@ func (x *Exchange) Open() error {
 // process; as an error it aborts the siblings and reaches the consumer
 // like any other failed morsel. runMorsel's deferred Close still runs as
 // the panic unwinds, so the morsel's driving scan is closed either way.
-func (x *Exchange) runMorselRecovered(rows, buf []Row) (res morselResult) {
+func (x *Exchange) runMorselRecovered(rows []Row) (res morselResult) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = morselResult{err: fmt.Errorf("exec: panic in exchange worker: %v", v)}
 		}
 	}()
-	return x.runMorsel(rows, buf)
+	return x.runMorsel(rows)
 }
 
 // Next implements Iterator: emit the buffered morsel's rows one by one.
@@ -457,9 +423,8 @@ func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats, live live
 		p.Ops = append(p.Ops, st)
 		// Each worker scans its morsel the way the serial path scans the
 		// relation, and the hook is offered every morsel's scan.
-		hook := r.Hook
-		x.driving, x.leafSt = leaf.rows, st
-		x.scan = func(morsel []Row) Iterator { return hooked(hook, leaf.iter(morsel), st, p.Life) }
+		x.leaf, x.hook = leaf.scan, r.Hook
+		x.leaf.st, x.leaf.life = st, p.Life
 		return leaf.schema, nil
 	}
 	child := n.Left

@@ -45,9 +45,11 @@ type Runner struct {
 	// Hook, when set, wraps every operator as it is compiled — the
 	// fault-injection seam (see internal/faultinject). It runs inside
 	// the stats wrapper, so injected behavior shows up in the operator
-	// counters like any other work. A spine of joins is one operator,
-	// offered under its top join's op and detail; the joins below the
-	// top are levels of its cursor and are never offered, serial or not.
+	// counters like any other work; a scan has no wrapper, and the hook
+	// wraps the scan itself, which counts what it hands the hook. A
+	// spine of joins is one operator, offered under its top join's op
+	// and detail; the joins below the top are levels of its cursor and
+	// are never offered, serial or not.
 	// Under an exchange the hook wraps each morsel's driving scan, inside
 	// the worker, so faults fire in workers too. A hooked runner adopts
 	// no dataset-resident state in place of a scan.
@@ -62,7 +64,8 @@ type Runner struct {
 
 // IterHook rewrites one compiled operator: a scan, a Sort, a grouping,
 // a Limit, an exchange, or a spine of joins, offered as its top join. op
-// and detail match the OpStats entry the operator reports under; life is
+// and detail match the OpStats entry the operator reports under (a
+// scan's, serial or one morsel's, is the entry it counts into); life is
 // the pipeline's lifecycle, whose Done channel lets blocking wrappers
 // unblock on cancellation. A hook's wrapper must not keep a row past its
 // next Next: a spine's output rows are recycled once its consumer can
@@ -85,9 +88,11 @@ type OpStats struct {
 	Rows int64 `json:"rows"`
 	// TimeNs is cumulative wall time spent in the operator's Open and
 	// Next calls, children included (EXPLAIN ANALYZE convention); 0 when
-	// the runner's timing is disabled, for a join below the top of its
-	// spine (its time is inside the top join's entry), and for what an
-	// exchange's workers run (inside the exchange's entry).
+	// the runner's timing is disabled, for a scan (its time is inside its
+	// consumer's entry; a plan that is a bare scan has none to be
+	// inside), for a join below the top of its spine (inside the top
+	// join's entry), and for what an exchange's workers run (inside the
+	// exchange's entry).
 	TimeNs int64 `json:"timeNs"`
 	// DOP is the effective degree of parallelism for exchange operators
 	// and the operators running inside their workers; 0 for serial
@@ -141,7 +146,8 @@ func (p *Pipeline) Execute() ([]Row, error) {
 
 // ExecuteContext opens the pipeline, drains it and returns all rows,
 // observing ctx: cancellation (client disconnect, deadline) is checked
-// by every operator's wrapper once per CancelCheckInterval of its rows
+// by every scan once per CancelCheckInterval rows it reads and by every
+// other operator's wrapper once per CancelCheckInterval of its rows,
 // and surfaces as an error wrapping ErrCanceled and ctx.Err(). Whatever
 // the pipeline charged, and its pooled chunks, are released before
 // return, success or not; rows from those chunks are copied out first.
@@ -216,10 +222,10 @@ type burst struct {
 // CancelCheckInterval-th call — a build loop deep inside a hash join
 // polls through its child's wrapper just like the root does through its
 // own, and no wrapper shares a counter with another. A spine has one,
-// under its top join's entry; its cursor counts the levels below. An
-// exchange's workers run no statsIter: each morsel's cursor counts its
-// levels, and its morselScan the driving rows, polling the Life on its
-// own count (Exchange.runMorsel).
+// under its top join's entry; its cursor counts the levels below. A scan
+// has none: it counts its rows and polls the Life itself (scan), and so
+// an exchange's workers run no statsIter either — each morsel's cursor
+// counts its levels, and its scan the driving rows (Exchange.runMorsel).
 //
 // TimeNs stays exact inclusive wall time under bursts, not an estimate:
 // every call into the operator happens between one of this wrapper's
@@ -359,9 +365,9 @@ func (r *Runner) Compile(n *plan.Node) (*Pipeline, error) {
 	return p, nil
 }
 
-// wrap attaches counters for node n around it and registers them on the
-// pipeline (preorder position was reserved by build); the fault hook,
-// when configured, interposes under the counters.
+// wrap attaches the counters st, registered on the pipeline by build,
+// around operator it; the fault hook, when configured, interposes under
+// them.
 func (r *Runner) wrap(it Iterator, st *OpStats, p *Pipeline) Iterator {
 	return &statsIter{in: hooked(r.Hook, it, st, p.Life), st: st, life: p.Life, timing: !r.DisableTiming}
 }
@@ -375,26 +381,17 @@ func hooked(hook IterHook, it Iterator, st *OpStats, life *Life) Iterator {
 	return it
 }
 
-// scanLeaf is a scan plan node resolved against the dataset, for its
-// three consumers: the serial compiler (build), the exchange's driving
-// leaf (buildExchange) and join adoption (joinRight).
+// scanLeaf is a scan plan node resolved against the dataset: its scan
+// over the table, or the maintained view of the index, with the
+// relation's constant predicates. It has three consumers: the serial
+// compiler (build), the exchange, which runs the scan over each morsel
+// (buildExchange), and join adoption (joinRight).
 type scanLeaf struct {
-	rows    []Row          // what the scan streams: the table, or the maintained view of the index
-	filter  func(Row) bool // the relation's constant predicates; nil without any
+	scan
 	schema  []query.ColumnRef
 	detail  string
 	key     buildKey // names the stream (Dataset.buildTable; the adopter fills in col)
 	leading int      // column the stream is sorted on first; -1 for a table scan
-}
-
-// iter is the scan operator over rows — the leaf's own, or one morsel
-// of them — with the relation's filter.
-func (l *scanLeaf) iter(rows []Row) Iterator {
-	it := Iterator(NewScan(rows))
-	if l.filter != nil {
-		it = &Filter{In: it, Pred: l.filter}
-	}
-	return it
 }
 
 // resolveScan resolves scan node n; a table, or an index view, the
@@ -405,7 +402,7 @@ func (r *Runner) resolveScan(n *plan.Node) (scanLeaf, error) {
 	if !ok {
 		return scanLeaf{}, fmt.Errorf("exec: no data for table %s", rel.Table.Name)
 	}
-	leaf := scanLeaf{rows: raw, detail: rel.Alias, key: buildKey{table: rel.Table.Name}, leading: -1}
+	leaf := scanLeaf{scan: scan{rows: raw}, detail: rel.Alias, key: buildKey{table: rel.Table.Name}, leading: -1}
 	leaf.schema = make([]query.ColumnRef, len(rel.Table.Columns))
 	for c := range leaf.schema {
 		leaf.schema[c] = query.ColumnRef{Rel: n.Rel, Col: c}
@@ -419,7 +416,7 @@ func (r *Runner) resolveScan(n *plan.Node) (scanLeaf, error) {
 		}
 	}
 	if len(rel.ConstPreds) > 0 {
-		leaf.filter = func(row Row) bool {
+		leaf.pred = func(row Row) bool {
 			for _, p := range rel.ConstPreds {
 				if !p.Matches(row[p.Col.Col]) {
 					return false
@@ -505,8 +502,8 @@ const holdReleased = 1 << 31 // and up; see build
 // A spine emits copies, never its inputs' rows, so the count restarts
 // at each spine: at every carve the rows still live are at most the
 // consumer's held rows plus one partial burst per wrapper hop, which is
-// the window. A fault hook sits under a wrapper and keeps no row past
-// its next Next (IterHook), so it holds nothing more.
+// the window. A fault hook keeps no row past its next Next (IterHook), so
+// it holds nothing more.
 func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iterator, []query.ColumnRef, error) {
 	st := &OpStats{Op: n.Op.String(), EstRows: n.Card}
 	p.Ops = append(p.Ops, st)
@@ -517,7 +514,9 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 			return nil, nil, err
 		}
 		st.Detail = leaf.detail
-		return r.wrap(leaf.iter(leaf.rows), st, p), leaf.schema, nil
+		s := leaf.scan
+		s.st, s.life = st, p.Life
+		return hooked(r.Hook, &s, st, p.Life), leaf.schema, nil
 
 	case plan.Sort:
 		cols, err := r.sortCols(n.SortOrd)

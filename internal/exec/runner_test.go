@@ -135,7 +135,7 @@ func TestGroupedPlansProduceCorrectResults(t *testing.T) {
 			for i, c := range g.GroupBy {
 				keys[i] = colPos(refSchema, c)
 			}
-			refGroups, err := Collect(&GroupHash{In: NewScan(ref), Keys: keys})
+			refGroups, err := Collect(&GroupHash{In: NewScan(ref, nil), Keys: keys})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,8 +296,8 @@ func TestRowsSortedUnderLimit(t *testing.T) {
 }
 
 // TestPipelineStats: the compiled pipeline reports per-operator row
-// counts and (when enabled) wall time, and RowsSorted totals the sort
-// traffic.
+// counts and (when enabled) wall time, except for the scans, whose time
+// is their consumers', and RowsSorted totals the sort traffic.
 func TestPipelineStats(t *testing.T) {
 	_, g, err := querygen.Generate(querygen.Spec{
 		Relations: 2, ExtraEdges: 0, Seed: 3, ColumnsPerTable: 2, SelectionProb: -1,
@@ -343,10 +343,11 @@ func TestPipelineStats(t *testing.T) {
 		t.Errorf("RowsSorted = %d, want 16", got)
 	}
 	for _, op := range pipe.Ops {
-		if op.Op == "TableScan" && op.Rows != 8 {
-			t.Errorf("scan rows = %+v", op)
-		}
-		if op.TimeNs == 0 && op.Rows > 0 {
+		if op.Op == "TableScan" {
+			if op.Rows != 8 || op.TimeNs != 0 {
+				t.Errorf("scan stats = %+v, want 8 rows and 0 ns", op)
+			}
+		} else if op.TimeNs == 0 && op.Rows > 0 {
 			t.Errorf("timing enabled but %s has TimeNs 0", op.Op)
 		}
 	}
@@ -413,7 +414,7 @@ func TestOrderByEquatedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refGroups, err := Collect(&GroupHash{In: NewScan(ref), Keys: []int{colPos(refSchema, pred.Left)}})
+	refGroups, err := Collect(&GroupHash{In: NewScan(ref, nil), Keys: []int{colPos(refSchema, pred.Left)}})
 	if err != nil {
 		t.Fatal(err)
 	}

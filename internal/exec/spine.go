@@ -218,8 +218,8 @@ type levelCursor struct {
 // on each match, and emits a row when the top level matches. Each level
 // below the top counts its rows; the top's are its consumer's to count,
 // and flush adds the others to their stats entries. A cursor polls no
-// Life: its driving input's wrapper and its own consumer's do, and an
-// exchange's morselScan.
+// Life: its driving scan, or its driving input's wrapper, and its own
+// consumer's do.
 type cursor struct {
 	spine
 	in     Iterator
@@ -575,7 +575,7 @@ func locate(pieces [][]query.ColumnRef, c query.ColumnRef) fusedEq {
 func (r *Runner) joinRight(n *plan.Node, l *spineLevel, key query.ColumnRef, live liveCols, p *Pipeline, stream bool) ([]query.ColumnRef, error) {
 	if s := n.Right; r.Hook == nil && n.Op != plan.NestedLoopJoin && (s.Op == plan.TableScan || s.Op == plan.IndexScan) {
 		leaf, err := r.resolveScan(s)
-		if err == nil && leaf.filter == nil {
+		if err == nil && leaf.pred == nil {
 			leaf.key.col = colPos(leaf.schema, key)
 			adopt := leaf.leading >= 0 && leaf.key.col == leaf.leading
 			if n.Op == plan.HashJoin {

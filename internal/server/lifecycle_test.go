@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -50,7 +51,10 @@ func postExecuteRaw(t *testing.T, url string, req ExecuteRequest) (int, ErrorRes
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := http.Post(url+"/execute", "application/json", bytes.NewReader(body))
+	// Bounded, so a request that never ends fails its test instead of
+	// hanging it.
+	client := &http.Client{Timeout: 30 * time.Second}
+	res, err := client.Post(url+"/execute", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +120,9 @@ func TestExecuteDefaultTimeout(t *testing.T) {
 }
 
 // TestTimeoutClamp: a client asking for more than MaxTimeout gets the
-// clamp, not the ask — the wedged pipeline must still 504 quickly.
+// clamp, not the ask — the wedged pipeline must still 504 quickly, also
+// when the ask in nanoseconds overflows int64 (to a negative deadline,
+// which is none, or to a wrapped tiny one).
 func TestTimeoutClamp(t *testing.T) {
 	_, c, done := newTestServer(t, Config{
 		Datasets:   smallRegistry(),
@@ -125,15 +131,17 @@ func TestTimeoutClamp(t *testing.T) {
 	})
 	defer done()
 
-	begin := time.Now()
-	status, e, _ := postExecuteRaw(t, c.BaseURL, ExecuteRequest{
-		SQL: joinSQL, Dataset: "tpcr-small", TimeoutMs: 60_000,
-	})
-	if status != http.StatusGatewayTimeout || e.Code != "timeout" {
-		t.Fatalf("status %d code %q, want 504/timeout", status, e.Code)
-	}
-	if elapsed := time.Since(begin); elapsed > 5*time.Second {
-		t.Errorf("clamp ignored: 504 took %v", elapsed)
+	for _, timeoutMs := range []int{60_000, 9223372036855, 18446744073710, math.MaxInt64} {
+		begin := time.Now()
+		status, e, _ := postExecuteRaw(t, c.BaseURL, ExecuteRequest{
+			SQL: joinSQL, Dataset: "tpcr-small", TimeoutMs: timeoutMs,
+		})
+		if status != http.StatusGatewayTimeout || e.Code != "timeout" {
+			t.Errorf("timeoutMs %d: status %d code %q, want 504/timeout", timeoutMs, status, e.Code)
+		}
+		if elapsed := time.Since(begin); elapsed > 5*time.Second {
+			t.Errorf("timeoutMs %d: clamp ignored: 504 took %v", timeoutMs, elapsed)
+		}
 	}
 }
 

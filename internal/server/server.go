@@ -64,6 +64,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -448,7 +450,9 @@ func (s *Server) admit(w http.ResponseWriter, m *endpointMetrics) (release func(
 func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
 	d := s.defaultTimeout
 	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
+		// Saturate in milliseconds first: a product past MaxInt64
+		// nanoseconds wraps, to a negative deadline (none) or a tiny one.
+		d = time.Duration(min(int64(timeoutMs), math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 	}
 	if s.maxTimeout > 0 && d > s.maxTimeout {
 		d = s.maxTimeout
@@ -466,9 +470,19 @@ const maxRequestBytes = 1 << 20
 
 // decodeBody decodes the JSON request body into v, reading at most
 // maxRequestBytes of it. On failure it returns the status to answer
-// with: 413 for an oversized body, 400 for a malformed one.
+// with: 413 for an oversized body, 400 for a malformed one — including
+// one with anything but whitespace after its JSON value, which
+// json.Unmarshal would refuse too.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:

@@ -137,6 +137,13 @@ func TestNegativeTimeout(t *testing.T) {
 		{"/plan", `{"sql": "` + nationRegionSQL + `", "timeoutMs": 0}`, http.StatusOK},
 		{"/explain", `{"sql": "` + nationRegionSQL + `", "timeoutMs": 0}`, http.StatusOK},
 		{"/execute", `{"sql": "` + nationRegionSQL + `", "timeoutMs": 0}`, http.StatusOK},
+		// Anything but whitespace after the JSON value is malformed.
+		{"/plan", `{"sql": "` + nationRegionSQL + `"} garbage`, http.StatusBadRequest},
+		{"/explain", `{"sql": "` + nationRegionSQL + `"} {}`, http.StatusBadRequest},
+		{"/execute", `{"sql": "` + nationRegionSQL + `"} 1`, http.StatusBadRequest},
+		{"/plan", `{"sql": "` + nationRegionSQL + `"}` + " \n\t", http.StatusOK},
+		{"/explain", `{"sql": "` + nationRegionSQL + `"}` + " \n\t", http.StatusOK},
+		{"/execute", `{"sql": "` + nationRegionSQL + `"}` + " \n\t", http.StatusOK},
 	} {
 		res, err := http.Post(c.BaseURL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -159,7 +166,7 @@ func TestNegativeTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ep, want := range map[string]int64{"plan": 2, "explain": 1, "execute": 1} {
+	for ep, want := range map[string]int64{"plan": 3, "explain": 2, "execute": 2} {
 		if got := st.Endpoints[ep].Rejected; got != want {
 			t.Errorf("/stats %s: rejected=%d, want %d", ep, got, want)
 		}
