@@ -49,11 +49,12 @@ race:
 # errored and delayed, and a sort aborted while draining its input),
 # the executor's budget/cancellation tests (a panicking exchange
 # worker, a merge join whose right input panics in Open, and the
-# meter's error order, Limit look-ahead and per-wrapper poll bound, and
-# a scan's poll bound under a predicate that keeps no row,
-# among them) and the serving layer's timeout/budget/drain/retry/panic
-# tests (the admission reserve handed to the pipeline as its first
-# lease among them), the limit early-out across exchange workers, a
+# meter's error order and Limit look-ahead, a scan's poll bound under a
+# predicate that keeps no row and a spine cursor's under a join's
+# fan-out, among them) and the serving layer's timeout/budget/drain/
+# retry/panic tests (the admission reserve handed to the pipeline as its
+# first lease, and a buffered response holding only the rows it returns
+# under a 1 MiB query budget, among them), the limit early-out across exchange workers, a
 # panicking dataset loader, the dataset-resident build tables'
 # lifecycle (single-flight first touch, budget fallback, eviction), the
 # one memory limit covering resident datasets and running pipelines
@@ -69,8 +70,8 @@ race:
 # alternative no test matches (a test renamed or deleted) would
 # otherwise drop out of the suite without a word.
 FAULTS_FAULTINJECT := TestScenariosAcrossOperators|TestFault|TestHang|TestDelay|TestTracker|TestMatches|TestSortMidDrainAbort
-FAULTS_EXEC := TestAccountant|TestBudget|TestMergeJoinGroupRelease|TestMergeJoinOpenPanicClosesLeft|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestLiveColumnsExchange|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestStreamRowWindows|TestMeterErrorOrder|TestMeterLimitLookAhead|TestMeterCancelPollBound|TestScanCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryLoaderPanic|TestLimitEarlyOutUnderParallelExchanges|TestRegistryBuildTable|TestResidentBuildFallback|TestArenaRetention|TestExecuteRowsOwned
-FAULTS_SERVER := TestExecuteTimeout|TestExecuteDefaultTimeout|TestTimeoutClamp|TestExecuteBudget|TestGlobalMemBudget|TestExecuteClientCancel|TestDrainAndWait|TestClientRetry|TestRetryBackoff|TestExecuteStreamClientDisconnect|TestExecuteStreamFirstRowBeforeMaterialization|TestStreamNoRetryMidStream|TestStreamTrailerAbortNotRetried|TestEvictVsExecute|TestMemoryAdmission|TestAdmissionReserveIsFirstLease|TestMemLimitCoversResidentDatasets|TestHandlerPanicRecovered|TestPoisonedChunks|TestFaultIsolation
+FAULTS_EXEC := TestAccountant|TestBudget|TestMergeJoinGroupRelease|TestMergeJoinOpenPanicClosesLeft|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestLiveColumnsExchange|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestStreamRowWindows|TestMeterErrorOrder|TestMeterLimitLookAhead|TestCursorCancelPollBound|TestScanCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryLoaderPanic|TestLimitEarlyOutUnderParallelExchanges|TestRegistryBuildTable|TestResidentBuildFallback|TestArenaRetention|TestExecuteRowsOwned
+FAULTS_SERVER := TestExecuteTimeout|TestExecuteDefaultTimeout|TestTimeoutClamp|TestExecuteBudget|TestExecuteBufferedHoldsOnlyWhatItReturns|TestGlobalMemBudget|TestExecuteClientCancel|TestDrainAndWait|TestClientRetry|TestRetryBackoff|TestExecuteStreamClientDisconnect|TestExecuteStreamFirstRowBeforeMaterialization|TestStreamNoRetryMidStream|TestStreamTrailerAbortNotRetried|TestEvictVsExecute|TestMemoryAdmission|TestAdmissionReserveIsFirstLease|TestMemLimitCoversResidentDatasets|TestHandlerPanicRecovered|TestPoisonedChunks|TestFaultIsolation
 FAULTS_CONFORMANCE := TestPoisonedChunks
 
 faults: faults-list

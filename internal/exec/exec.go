@@ -21,11 +21,11 @@
 // ordering claim by the planner surfaces as an execution error, not a
 // wrong result. See docs/execution.md for the operator matrix.
 //
-// Each operator reports its rows into its own OpStats entry. A scan
-// counts itself and polls cancellation where rows start; every other
-// operator (a spine, under its top join) runs under a stats wrapper
-// (statsIter) that counts, times and polls for it. A scan's time is
-// inside its consumer's.
+// Each operator counts the rows it hands out into its own OpStats entry
+// (countRows), and cancellation is polled where rows start: the scans,
+// the spines' cursors and the root's chunk loop. A timing runner puts
+// every other operator (a spine, under its top join) under a stats
+// wrapper that only times it (statsIter).
 package exec
 
 import (
@@ -56,27 +56,16 @@ type Iterator interface {
 }
 
 // Collect drains it and returns all rows.
-func Collect(it Iterator) ([]Row, error) {
-	defer it.Close() // before Open, so a panic inside Open closes too
-	if err := it.Open(); err != nil {
+func Collect(it Iterator) (out []Row, err error) {
+	if err := drainInto(it, func(row Row) error { out = append(out, row); return nil }); err != nil {
 		return nil, err
 	}
-	var out []Row
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, row)
-	}
+	return out, nil
 }
 
 // drainInto opens it, feeds every row to f, and closes it — on success,
-// on every error path, and when it or f panics: the one loop behind every
-// operator that consumes an input whole inside its own Open.
+// on every error path, and when it or f panics: the one loop behind
+// Collect and every operator that consumes an input whole in its Open.
 func drainInto(it Iterator, f func(Row) error) (err error) {
 	defer func() {
 		if cerr := it.Close(); err == nil {
@@ -97,13 +86,22 @@ func drainInto(it Iterator, f func(Row) error) (err error) {
 	}
 }
 
+// countRows is the one counting rule: every operator counts the rows it
+// hands out and, at Close, adds them to its stats entry st, when it has
+// one, in one atomic add, since an exchange's morsel scans and spine
+// levels share their entries between workers.
+func countRows(st *OpStats, n int64) {
+	if st != nil {
+		atomic.AddInt64(&st.Rows, n)
+	}
+}
+
 // scan is the one scan operator, serial and per exchange morsel: it
 // streams rows (a table, an index's maintained view, or one morsel of
 // either) and hands out those pred keeps (the relation's constant
-// predicates; nil keeps every row). It is its own meter: it counts the
-// rows it hands out and adds them to st at Close, in one atomic add
-// since an exchange's morsel scans share the entry, and reports no time
-// of its own, which is inside its consumer's entry. It polls life every
+// predicates; nil keeps every row). It counts the rows it hands out
+// (countRows) and reports no time of its own, which is inside its
+// consumer's entry. It polls life every
 // CancelCheckInterval rows it reads, kept or not: a dead Life fails the
 // scan, and a quiesced one ends it, since no row past that point can be
 // observed.
@@ -144,9 +142,7 @@ func (s *scan) Next() (Row, bool, error) {
 
 // Close implements Iterator.
 func (s *scan) Close() error {
-	if s.st != nil {
-		atomic.AddInt64(&s.st.Rows, s.n)
-	}
+	countRows(s.st, s.n)
 	s.n = 0
 	return nil
 }
@@ -162,6 +158,7 @@ type Sort struct {
 	Keys []int
 	Life *Life
 
+	st   *OpStats // counted into at Close, when set
 	bufs *sortBufs
 	rows []Row
 	pos  int
@@ -190,7 +187,6 @@ func (s *Sort) Open() error {
 	}
 	sortRows(b.run, s.Keys, &b.sortScratch)
 	s.rows = b.run
-	s.pos = 0
 	return nil
 }
 
@@ -208,6 +204,8 @@ func (s *Sort) Next() (Row, bool, error) {
 // row.
 func (s *Sort) Close() error {
 	if b := s.bufs; b != nil {
+		countRows(s.st, int64(s.pos))
+		s.pos = 0
 		clear(b.run) // sortRows clears tmp as soon as it is done with it
 		b.run, b.tmp = b.run[:0], b.tmp[:0]
 		sortPool.Put(b)
@@ -645,13 +643,15 @@ type GroupSorted struct {
 	// means count(*).
 	Aggs []AggSpec
 
+	st     *OpStats // counted into at Close, when set
+	n      int64    // groups handed out since the last Close
 	g      groupAcc // g.cur is a copy of the group's first row
 	opened bool
 }
 
 // Open implements Iterator.
 func (g *GroupSorted) Open() error {
-	g.g = groupAcc{}
+	g.g, g.n = groupAcc{}, 0
 	g.opened = true
 	return g.In.Open()
 }
@@ -666,6 +666,7 @@ func (g *GroupSorted) Next() (Row, bool, error) {
 		if !ok {
 			if g.g.started {
 				g.g.started = false
+				g.n++
 				return g.g.emit(g.Keys, g.Aggs), true, nil
 			}
 			return nil, false, nil
@@ -683,6 +684,7 @@ func (g *GroupSorted) Next() (Row, bool, error) {
 		}
 		g.g.start(append(g.g.cur[:0], row...), g.Aggs) // the last group's copy, reused
 		if out != nil {
+			g.n++
 			return out, true, nil
 		}
 	}
@@ -692,6 +694,7 @@ func (g *GroupSorted) Next() (Row, bool, error) {
 func (g *GroupSorted) Close() error {
 	if g.opened {
 		g.opened = false
+		countRows(g.st, g.n)
 		return g.In.Close()
 	}
 	return nil
@@ -713,6 +716,7 @@ type GroupHash struct {
 	// chunk its input's join charged.
 	Life *Life
 
+	st      *OpStats // counted into at Close, when set
 	groups  groupTable
 	charged int // the group count charged so far
 	pos     int
@@ -722,11 +726,11 @@ type GroupHash struct {
 // Open implements Iterator.
 func (g *GroupHash) Open() error {
 	g.opened = true // before In opens, so Close reaches it if Open does not return
+	g.groups = newGroupTable(len(g.Keys))
+	g.charged, g.pos = 0, 0
 	if err := g.In.Open(); err != nil {
 		return err
 	}
-	g.groups = newGroupTable(len(g.Keys))
-	g.charged, g.pos = 0, 0
 	for {
 		row, ok, err := g.In.Next()
 		if err != nil {
@@ -765,6 +769,7 @@ func (g *GroupHash) Close() error {
 	g.groups = groupTable{}
 	if g.opened {
 		g.opened = false
+		countRows(g.st, int64(g.pos))
 		return g.In.Close()
 	}
 	return nil
@@ -782,6 +787,7 @@ type Limit struct {
 	// Life, when set, is quiesced once the limit is reached.
 	Life *Life
 
+	st     *OpStats // counted into at Close, when set
 	n      int64
 	opened bool
 }
@@ -816,6 +822,7 @@ func (l *Limit) Close() error {
 		return nil
 	}
 	l.opened = false
+	countRows(l.st, l.n)
 	return l.In.Close()
 }
 

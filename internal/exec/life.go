@@ -10,12 +10,11 @@ import (
 
 // This file is the query-lifecycle layer of the executor: cancellation,
 // deadlines and resource budgets. Every compiled pipeline carries one
-// Life; each scan polls it for cancellation once per
-// CancelCheckInterval rows it reads, and each other operator's stats
-// wrapper once per CancelCheckInterval of its own Next calls (counters
-// private to the scan or wrapper, so the hot path shares no cache line
-// between operators or workers), and the query is charged on it for the
-// row memory it takes, when it takes it (see Life.hold). A query
+// Life, polled for cancellation where rows start, every
+// CancelCheckInterval rows: by each scan, each spine's cursor and the
+// root's chunk loop (counters private to each, so the hot path shares no
+// cache line between operators or workers). The query is charged on it
+// for the row memory it takes, when it takes it (see Life.hold). A query
 // therefore stops for exactly three reasons: it finished, its context
 // was cancelled (client disconnect or deadline), or it hit a budget —
 // and all three release whatever the query held.
@@ -34,15 +33,15 @@ var ErrBudgetExceeded = errors.New("exec: query budget exceeded")
 // on (499-style client abort vs 504 deadline).
 var ErrCanceled = errors.New("exec: pipeline canceled")
 
-// CancelCheckInterval is how many rows one scan reads, and how many
-// Next calls one stats wrapper serves, between context checks: no scan
-// reads and no wrapper hands out more than CancelCheckInterval-1 rows
-// without polling, so cancellation latency is bounded by that many rows
-// of the busiest operator (plus whatever single operator call is in
-// progress), even under a predicate that keeps no row; per-row checks
-// would put a ctx.Err() load on the hottest loop in the system. It is
-// the wrap point of statsIter's uint8 call counter and cannot change
-// without it.
+// CancelCheckInterval is how many rows one scan reads, one spine's
+// cursor emits and the root's chunk loop takes between context checks:
+// none of them goes more than CancelCheckInterval-1 rows without
+// polling, so cancellation latency is bounded by that many rows of the
+// busiest of them (plus whatever single operator call is in progress),
+// even under a predicate that keeps no row or a join that fans one row
+// out into thousands; per-row checks would put a ctx.Err() load on the
+// hottest loop in the system. The counters test it as a mask, so it
+// must stay a power of two.
 const CancelCheckInterval = 256
 
 // Budget bounds the row memory one query may take: the chunks its
@@ -115,7 +114,7 @@ func (a *Accountant) Release(n int64) {
 
 // Life is one pipeline execution's lifecycle: the cancellation context,
 // the per-query budget and the (optional) shared accountant. A Life is
-// created at Compile and bound to a context at ExecuteContext. The held
+// created at Compile and bound to a context at StreamContext. The held
 // counters are atomic: a parallel pipeline's morsel workers all charge
 // their budget use and poll cancellation through the one shared Life,
 // so one worker tripping the budget fails the query (and cancels its
@@ -164,8 +163,8 @@ func (l *Life) drained() bool {
 }
 
 // abort records a terminal error; the first recorded error wins. Every
-// wrapper polling this Life (all of them, across all workers) starts
-// failing its Next within CancelCheckInterval of its own calls.
+// scan and cursor polling this Life, across all workers, and the root
+// loop fail within CancelCheckInterval of their rows.
 func (l *Life) abort(err error) {
 	if l == nil || err == nil {
 		return
@@ -181,7 +180,7 @@ func (l *Life) bind(ctx context.Context) error {
 		return nil
 	}
 	l.ctx = ctx
-	return l.ctxErr()
+	return l.Err()
 }
 
 // Done exposes the bound context's cancellation channel (nil before
@@ -194,10 +193,9 @@ func (l *Life) Done() <-chan struct{} {
 	return l.ctx.Done()
 }
 
-// Err reports the cancellation error, wrapped in ErrCanceled, or nil.
-func (l *Life) Err() error { return l.ctxErr() }
-
-func (l *Life) ctxErr() error {
+// Err reports the first error abort recorded, else the context's error
+// wrapped in ErrCanceled, or nil.
+func (l *Life) Err() error {
 	if l == nil {
 		return nil
 	}

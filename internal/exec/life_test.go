@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,12 +60,42 @@ func (o openCount) Open() error {
 	return o.Iterator.Open()
 }
 
-// wrapped attaches a stats wrapper — the pipeline's cancellation
-// seam — to it, the way Runner.Compile does.
+// source makes an operator of these tests a stand-in for a scan, where
+// rows start: it counts the rows it hands out into st at Close and polls
+// life every CancelCheckInterval of them.
+type source struct {
+	Iterator
+	st   *OpStats
+	life *Life
+	n    int64
+}
+
+func (s *source) Next() (Row, bool, error) {
+	if s.n&(CancelCheckInterval-1) == 0 {
+		if err := s.life.Err(); err != nil {
+			return nil, false, err
+		}
+	}
+	row, ok, err := s.Iterator.Next()
+	if ok {
+		s.n++
+	}
+	return row, ok, err
+}
+
+func (s *source) Close() error {
+	countRows(s.st, s.n)
+	s.n = 0
+	return s.Iterator.Close()
+}
+
+// wrapped compiles it the way a timing Runner.Compile compiles an
+// operator, under a stats wrapper, as a source: the endless inputs of
+// these tests (counter) play the scans, which poll the Life.
 func wrapped(p *Pipeline, it Iterator) Iterator {
 	st := &OpStats{}
 	p.Ops = append(p.Ops, st)
-	return &statsIter{in: it, st: st, life: p.Life, timing: true}
+	return &statsIter{in: &source{Iterator: it, st: st, life: p.Life}, st: st}
 }
 
 func TestAccountantReserveRelease(t *testing.T) {
@@ -716,4 +747,91 @@ func TestScanCancelPollBound(t *testing.T) {
 	if err != nil || len(rows) != CancelCheckInterval-1 {
 		t.Errorf("a quiesced scan handed out %d rows and %v, want %d and no error", len(rows), err, CancelCheckInterval-1)
 	}
+}
+
+// TestCursorCancelPollBound: a join's fan-out makes rows no scan reads,
+// so a spine's cursor polls its Life every CancelCheckInterval rows it
+// emits. One driving row fans out into 4·CancelCheckInterval matches,
+// through a hash bucket and through a nested-loop inner, after an
+// earlier driving row left the cursor's count at before; the context
+// dies as that row leaves its scan. No stats wrapper is compiled, and at
+// DOP 2 the fan-out runs in an exchange worker, ahead of the root loop.
+func TestCursorCancelPollBound(t *testing.T) {
+	cat := catalog.New()
+	for _, name := range []string{"d", "f"} {
+		cat.MustAdd(&catalog.Table{Name: name,
+			Columns: []catalog.Column{{Name: name + "_k", Type: catalog.Int}, {Name: name + "_v", Type: catalog.Int}}})
+	}
+	td, _ := cat.Table("d")
+	tf, _ := cat.Table("f")
+	g := &query.Graph{}
+	rd, rf := g.AddRelation("d", td), g.AddRelation("f", tf)
+	if err := g.AddJoin(query.ColumnRef{Rel: rd, Col: 0}, query.ColumnRef{Rel: rf, Col: 0}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := query.Analyze(g, query.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fanOut = 4 * CancelCheckInterval
+	for _, op := range []plan.Op{plan.HashJoin, plan.NestedLoopJoin} {
+		for _, dop := range []int{1, 2} {
+			for _, before := range []int{0, 1, 100, CancelCheckInterval - 1, CancelCheckInterval, 1000} {
+				name := fmt.Sprintf("%v/dop%d/before%d", op, dop, before)
+				data := map[string][][]int64{"d": {{1, 0}, {2, 0}}}
+				for j := 0; j < before+fanOut; j++ {
+					k := int64(1)
+					if j >= before {
+						k = 2
+					}
+					data["f"] = append(data["f"], []int64{k, int64(j)})
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				r := NewDataset("fan", "fan-out fixture", cat, data).Runner(a)
+				r.DisableTiming, r.MaxDOP = true, dop
+				r.Hook = func(op, detail string, it Iterator, _ *Life) Iterator {
+					if detail != "d" {
+						return it
+					}
+					return &cancelOnKey{Iterator: it, key: 2, cancel: cancel}
+				}
+				best := &plan.Node{Op: op,
+					Left: &plan.Node{Op: plan.TableScan, Rel: rd}, Right: &plan.Node{Op: plan.TableScan, Rel: rf}}
+				if dop > 1 {
+					best = &plan.Node{Op: plan.ExchangeUnion, DOP: dop, Left: best}
+				}
+				p, err := r.Compile(best)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = p.ExecuteContext(ctx)
+				cancel()
+				if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: pipeline returned %v, want the cancellation", name, err)
+				}
+				join := p.Ops[len(p.Ops)-3]
+				if join.Op != op.String() {
+					t.Fatalf("%s: entry %+v is not the join's", name, join)
+				}
+				if after := join.Rows - int64(before); after > CancelCheckInterval {
+					t.Errorf("%s: the join emitted %d rows after the cancel, want at most %d", name, after, CancelCheckInterval)
+				}
+			}
+		}
+	}
+}
+
+// cancelOnKey cancels as it hands out a row whose column 0 is key.
+type cancelOnKey struct {
+	Iterator
+	key    int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnKey) Next() (Row, bool, error) {
+	row, ok, err := c.Iterator.Next()
+	if ok && row[0] == c.key {
+		c.cancel()
+	}
+	return row, ok, err
 }

@@ -63,13 +63,12 @@ func runMetered(t *testing.T, ds *exec.Dataset, a *query.Analysis, best *plan.No
 // checkMeter runs best timed and untimed and checks what the meter
 // promises: identical rows; every operator's TimeNs covering its
 // children's; every operator's Rows equal to the untimed run's, except
-// that under a Limit an operator may have been asked for up to
-// meterBurstRows rows more than its consumer took, per wrapper above it
-// up to the Limit — a scan, which counts the rows it hands out and has no
-// wrapper of its own, by the bursts of its consumers' wrappers only. A
-// scan and a join below the top of its spine (the left child of a join)
-// report 0 ns: their time is inside their consumer's, and a plan that is
-// a bare scan reports none.
+// that under a Limit an operator counts the rows its consumer took, and
+// a timed consumer may have taken up to meterBurstRows rows more than it
+// handed on, per wrapper above the operator up to the Limit. A scan and
+// a join below the top of its spine (the left child of a join) report
+// 0 ns: their time is inside their consumer's, and a plan that is a bare
+// scan reports none.
 func checkMeter(t *testing.T, name string, ds *exec.Dataset, a *query.Analysis, best *plan.Node) (timed, untimed *exec.Pipeline) {
 	t.Helper()
 	const burst = 64 // exec.meterBurstRows
@@ -180,19 +179,24 @@ func TestMeterConformanceCorpus(t *testing.T) {
 }
 
 // TestMeterLimitLookAhead: a top-10 never leaves the warm-up, so every
-// upstream counter is what it was before bursts existed; a top-1000
-// stops each operator at most one burst per wrapper past where the
-// untimed run stops it (checkMeter's allowance), and well short of its
-// input.
+// upstream counter is what it was before bursts existed; past it (17,
+// 100, 1000) the operator directly under the Limit still reports
+// exactly k rows, its wrapper taking back what it pulled ahead, while
+// each operator below stops at most one burst per wrapper past where
+// the untimed run stops it (checkMeter's allowance), and well short of
+// its input.
 func TestMeterLimitLookAhead(t *testing.T) {
 	ds := tpcrDataset(t, "tpcr-large")
-	for _, k := range []int{10, 1000} {
+	for _, k := range []int{10, 17, 100, 1000} {
 		sql := fmt.Sprintf("select * from orders, lineitem where l_orderkey = o_orderkey order by o_orderkey limit %d", k)
 		a, best := servedPlan(t, sql)
 		if best.Op != plan.Limit || best.Ops()[plan.Sort] != 0 {
 			t.Fatalf("limit %d is no longer a sort-free pipeline under a Limit:\n%s", k, best)
 		}
 		timed, untimed := checkMeter(t, fmt.Sprintf("limit %d", k), ds, a, best)
+		if under := timed.Ops[1]; under.Rows != int64(k) {
+			t.Errorf("limit %d: %s %s, under the Limit, reports %d rows", k, under.Op, under.Detail, under.Rows)
+		}
 		for i, st := range timed.Ops {
 			if k == 10 && st.Rows != untimed.Ops[i].Rows {
 				t.Errorf("limit 10: %s %s emitted %d rows, %d before bursts", st.Op, st.Detail, st.Rows, untimed.Ops[i].Rows)
@@ -223,8 +227,10 @@ func TestMeterErrorOrder(t *testing.T) {
 	if delivered != 100 {
 		t.Errorf("the consumer saw %d rows before the error at row 101, want 100", delivered)
 	}
-	if root := p.Ops[0]; root.Rows != 100 {
-		t.Errorf("root counted %d rows, want 100", root.Rows)
+	// The root counts what it handed the fault: the 101st row too, which
+	// the fault turned into the error.
+	if root := p.Ops[0]; root.Rows != 101 {
+		t.Errorf("root counted %d rows, want 101", root.Rows)
 	}
 }
 

@@ -1,29 +1,35 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"orderopt/internal/plan"
+	"orderopt/internal/query"
 )
 
 // pass hands on its input's rows: an operator with its own work taken
 // out.
 type pass struct{ Iterator }
 
-// meterChain wraps a scan over rows and depth-1 pass operators above
-// it, each in its own stats wrapper — the shape of a compiled pipeline
-// with the operators' own work taken out, so what is left is the
-// hand-off and the meter.
+// meterChain is a scan over rows and depth-1 pass operators above it,
+// each under its own stats wrapper when timing — the shape of a compiled
+// pipeline with the operators' own work taken out, so what is left is
+// the hand-off and the meter. Untimed, as under DisableTiming, there is
+// no wrapper. The scan counts into its wrapper's entry.
 func meterChain(rows []Row, depth int, timing bool) Iterator {
-	it := NewScan(rows, nil)
+	st := &OpStats{}
+	var it Iterator = &scan{rows: rows, st: st}
 	for d := 0; d < depth; d++ {
 		if d > 0 {
-			it = pass{it}
+			it, st = pass{it}, &OpStats{}
 		}
-		it = &statsIter{in: it, st: &OpStats{}, life: &Life{}, timing: timing}
+		if timing {
+			it = &statsIter{in: it, st: st}
+		}
 	}
 	return it
 }
@@ -39,8 +45,7 @@ func meterRows(n int) []Row {
 }
 
 // TestMeterClockPairs: past the warm-up, a stats wrapper reads the clock
-// once per burst, not once per row, and still counts every row it hands
-// out.
+// once per burst, not once per row, and hands every row out in order.
 func TestMeterClockPairs(t *testing.T) {
 	const n = 10_000
 	it := meterChain(meterRows(n), 1, true).(*statsIter)
@@ -103,7 +108,8 @@ func (f *failOnce) Next() (Row, bool, error) {
 // position — survives into the second.
 func TestMeterReopenStartsClean(t *testing.T) {
 	const n, at = 1000, 101
-	it := &statsIter{in: &failOnce{Iterator: NewScan(meterRows(n), nil), at: at}, st: &OpStats{}, life: &Life{}, timing: true}
+	st := &OpStats{}
+	it := &statsIter{in: &failOnce{Iterator: &scan{rows: meterRows(n), st: st}, at: at}, st: st}
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,67 +142,76 @@ func TestMeterReopenStartsClean(t *testing.T) {
 	}
 }
 
-// TestMeterWrapperLayout: the wrapper's call counter lives in padding the
-// struct already had (a compiled pipeline allocates one wrapper per
-// operator per request), and its type wraps exactly at the poll interval.
+// TestMeterWrapperLayout: the wrapper holds its input, its entry, its
+// warm-up and clock-pair counts and its burst, and nothing else (a
+// compiled pipeline allocates one wrapper per timed operator per
+// request).
 func TestMeterWrapperLayout(t *testing.T) {
-	if got := unsafe.Sizeof(statsIter{}); got != 48 {
-		t.Errorf("statsIter is %d bytes, want 48", got)
-	}
-	var s statsIter
-	s.tick--
-	if int(s.tick)+1 != CancelCheckInterval {
-		t.Errorf("the tick wraps at %d, CancelCheckInterval is %d", int(s.tick)+1, CancelCheckInterval)
+	if got := unsafe.Sizeof(statsIter{}); got != 40 {
+		t.Errorf("statsIter is %d bytes, want 40", got)
 	}
 }
 
-// TestMeterCancelPollBound: a single wrapper, with no other operator's
-// calls to lean on, observes its Life's cancellation within
-// CancelCheckInterval of its own Next calls — wherever its counter stood
-// when the context died, timed or not.
-func TestMeterCancelPollBound(t *testing.T) {
-	for _, timing := range []bool{false, true} {
-		for _, before := range []int{0, 1, 100, CancelCheckInterval - 1, CancelCheckInterval, 1000} {
-			ctx, cancel := context.WithCancel(context.Background())
-			life := &Life{}
-			if err := life.bind(ctx); err != nil {
+// wrappers counts the stats wrappers in the operator tree under it.
+func wrappers(it Iterator) int {
+	levels := func(sp spine) (n int) {
+		for _, l := range sp.levels {
+			if l.right != nil {
+				n += wrappers(l.right)
+			}
+		}
+		return n
+	}
+	switch o := it.(type) {
+	case *statsIter:
+		return 1 + wrappers(o.in)
+	case *Sort:
+		return wrappers(o.In)
+	case *Limit:
+		return wrappers(o.In)
+	case *GroupSorted:
+		return wrappers(o.In)
+	case *GroupHash:
+		return wrappers(o.In)
+	case *spineIter:
+		return wrappers(o.in) + levels(o.spine)
+	case *Exchange:
+		return levels(o.sp)
+	}
+	return 0
+}
+
+// TestUntimedCompilesNoWrapper: a runner with timing disabled compiles
+// no stats wrapper anywhere, serial or under an exchange; a timing one
+// does.
+func TestUntimedCompilesNoWrapper(t *testing.T) {
+	ds, _ := TPCRLazyRegistry().Get("tpcr-mid")
+	plans := map[string]func() (*query.Analysis, *plan.Node){
+		"q8":   func() (*query.Analysis, *plan.Node) { return planServed(t, q8Served(t)) },
+		"topk": func() (*query.Analysis, *plan.Node) { return planServed(t, sqlGraph(t, topKSQL)) },
+		"orderflow-dop4": func() (*query.Analysis, *plan.Node) {
+			return planParallel(t, ds, sqlGraph(t, orderFlowSQL), 4)
+		},
+	}
+	for name, planned := range plans {
+		a, best := planned()
+		for _, timing := range []bool{false, true} {
+			r := ds.Runner(a)
+			r.DisableTiming = !timing
+			p, err := r.Compile(best)
+			if err != nil {
 				t.Fatal(err)
 			}
-			it := &statsIter{in: NewScan(meterRows(4*CancelCheckInterval), nil), st: &OpStats{}, life: life, timing: timing}
-			if err := it.Open(); err != nil {
-				t.Fatal(err)
+			if n := wrappers(p.Root); (n > 0) != timing {
+				t.Errorf("%s, timing %v: %d stats wrappers compiled", name, timing, n)
 			}
-			for i := 0; i < before; i++ {
-				if _, ok, err := it.Next(); !ok || err != nil {
-					t.Fatalf("row %d before the cancel: ok=%v, %v", i, ok, err)
-				}
-			}
-			cancel()
-			calls := 0
-			for {
-				calls++
-				_, ok, err := it.Next()
-				if err != nil {
-					if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-						t.Errorf("timing=%v: cancellation surfaced as %v", timing, err)
-					}
-					break
-				}
-				if !ok {
-					t.Fatalf("timing=%v, %d rows before: the stream ended without observing the cancel", timing, before)
-				}
-			}
-			if calls > CancelCheckInterval {
-				t.Errorf("timing=%v, %d rows before: cancel observed after %d calls, want at most %d", timing, before, calls, CancelCheckInterval)
-			}
-			it.Close()
 		}
 	}
 }
 
 // BenchmarkMeter is the meter's own bill: a pass-through chain of
-// depth 1, 3 and 5 over 40 000 rows with operator timing on and off.
-// The on/off ratio at depth 5 is the number docs/benchmarks.md records.
+// depth 1, 3 and 5 over 40 000 rows with operator timing on and off
+// (no wrapper at all).
 func BenchmarkMeter(b *testing.B) {
 	rows := meterRows(40_000)
 	for _, depth := range []int{1, 3, 5} {

@@ -16,7 +16,7 @@ import (
 // Compilation splits it in two:
 //
 //   - Shared state, executed ONCE at exchange Open through the ordinary
-//     serial wrappers (stats counted once, cancellation polled, fault
+//     serial operators (stats counted once, cancellation polled, fault
 //     hooks applied): each level's right-hand state (materialize) — hash
 //     build tables, nested-loop inners, and merge joins' right inputs,
 //     materialized and sortedness-verified up front where no index view
@@ -101,18 +101,30 @@ func gallopGE(rows []Row, key, from int, k int64) int {
 // row headers and its allocator's chunks — against the budget, once. The
 // morsel's rows stream through a copy of the driving scan (the relation's
 // predicates, and the fault hook when one is set, so injected faults fire
-// inside the worker), which counts them into the scan's shared entry at
-// Close. Output order is the serial sequence restricted to the morsel:
-// match order within a level is fixed by the shared state, and the
-// driving rows ascend.
-func (x *Exchange) runMorsel(rows []Row) morselResult {
+// inside the worker). The scan and the cursor's levels count into their
+// shared entries when the morsel ends, however it ends. Output order is
+// the serial sequence restricted to the morsel: match order within a
+// level is fixed by the shared state, and the driving rows ascend.
+//
+// A panic becomes the morsel's error: a worker is out of reach of the
+// serving layer's recovering handler, and as an error the panic aborts
+// the siblings like any other failed morsel instead of the process.
+func (x *Exchange) runMorsel(rows []Row) (res morselResult) {
+	defer func() {
+		if v := recover(); v != nil {
+			res = morselResult{err: fmt.Errorf("exec: panic in exchange worker: %v", v)}
+		}
+	}()
 	if err := x.life.Err(); err != nil {
 		return morselResult{err: err}
 	}
 	s := x.leaf
 	s.rows = rows
 	in := hooked(x.hook, &s, s.st, x.life)
-	c := x.sp.newCursor(in)
+	c := x.sp.newCursor(in, x.life)
+	// The entries are shared by every worker; Exchange.Close's wg.Wait
+	// orders the adds before any read.
+	defer c.flush()
 	defer in.Close() // before Open, so a panic inside Open closes too
 	if err := in.Open(); err != nil {
 		return morselResult{err: err}
@@ -132,13 +144,6 @@ func (x *Exchange) runMorsel(rows []Row) morselResult {
 		// Quiesced: the consumer can never observe this morsel's output,
 		// so abandon it without error (it was not yet budget-charged).
 		return morselResult{}
-	}
-	// The spine's entries are shared by every worker: each is touched
-	// once per morsel, and Exchange.Close's wg.Wait orders the adds
-	// before any read.
-	c.flush()
-	if top := len(x.sp.levels) - 1; top >= 0 {
-		atomic.AddInt64(&x.sp.levels[top].st.Rows, int64(len(out)))
 	}
 	x.lastOut.Store(int64(len(out)))
 	bytes := int64(cap(out))*rowHeaderBytes + c.alloc.took
@@ -187,6 +192,7 @@ type Exchange struct {
 	ordered bool
 	dop     int
 	life    *Life
+	st      *OpStats     // counted into at Close
 	estCard float64      // planner's output estimate, sizes morsel buffers
 	lastOut atomic.Int64 // most recent morsel's actual output size, refines the estimate
 
@@ -203,6 +209,7 @@ type Exchange struct {
 	cur      []Row
 	curBytes int64
 	ci       int
+	n        int64 // rows handed out since the last Close
 	opened   bool
 }
 
@@ -228,7 +235,7 @@ func (x *Exchange) Open() error {
 		workers = nm
 	}
 	x.nm = nm
-	x.seq, x.cur, x.curBytes, x.ci = 0, nil, 0, 0
+	x.seq, x.cur, x.curBytes, x.ci, x.n = 0, nil, 0, 0, 0
 	x.stop = make(chan struct{})
 	if x.ordered {
 		x.outs = make([]chan morselResult, nm)
@@ -267,7 +274,7 @@ func (x *Exchange) Open() error {
 				if hi > len(d) {
 					hi = len(d)
 				}
-				res := x.runMorselRecovered(d[i*sz : hi])
+				res := x.runMorsel(d[i*sz : hi])
 				if res.err != nil {
 					// First failure aborts the siblings through the
 					// shared Life (they observe it at their next
@@ -288,21 +295,6 @@ func (x *Exchange) Open() error {
 	return nil
 }
 
-// runMorselRecovered is runMorsel with a panic turned into the morsel's
-// error. A worker is a goroutine of its own, out of reach of the serving
-// layer's recovering handler, so a panic here would otherwise end the
-// process; as an error it aborts the siblings and reaches the consumer
-// like any other failed morsel. runMorsel's deferred Close still runs as
-// the panic unwinds, so the morsel's driving scan is closed either way.
-func (x *Exchange) runMorselRecovered(rows []Row) (res morselResult) {
-	defer func() {
-		if v := recover(); v != nil {
-			res = morselResult{err: fmt.Errorf("exec: panic in exchange worker: %v", v)}
-		}
-	}()
-	return x.runMorsel(rows)
-}
-
 // Next implements Iterator: emit the buffered morsel's rows one by one.
 func (x *Exchange) Next() (Row, bool, error) {
 	for x.ci == len(x.cur) {
@@ -312,6 +304,7 @@ func (x *Exchange) Next() (Row, bool, error) {
 	}
 	r := x.cur[x.ci]
 	x.ci++
+	x.n++
 	return r, true, nil
 }
 
@@ -351,6 +344,7 @@ func (x *Exchange) Close() error {
 		return nil
 	}
 	x.opened = false
+	countRows(x.st, x.n)
 	close(x.stop)
 	x.wg.Wait()
 	x.release()
@@ -409,6 +403,7 @@ func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats, live live
 		ordered: n.Op == plan.ExchangeMerge,
 		dop:     dop,
 		life:    p.Life,
+		st:      st,
 		estCard: n.Card,
 	}
 	drive := func(n *plan.Node, _ liveCols) ([]query.ColumnRef, error) {

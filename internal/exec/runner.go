@@ -31,10 +31,10 @@ type Runner struct {
 	// measurable. A plan scanning an index the dataset has no view of
 	// does not compile.
 	Dataset *Dataset
-	// DisableTiming turns off per-operator wall-clock accounting (row
-	// counters remain). cmd/experiments and the conformance runner
-	// disable it so operator timer overhead does not tint what they
-	// measure and compare; the serving layer keeps it on.
+	// DisableTiming compiles no stats wrapper: no per-operator wall-clock
+	// accounting (row counters remain). cmd/experiments and the
+	// conformance runner disable it so operator timer overhead does not
+	// tint what they measure and compare; the serving layer keeps it on.
 	DisableTiming bool
 	// Budget bounds the bytes each compiled pipeline may materialize
 	// (0 is unlimited); Accountant, when set, additionally charges them
@@ -44,12 +44,11 @@ type Runner struct {
 	Accountant *Accountant
 	// Hook, when set, wraps every operator as it is compiled — the
 	// fault-injection seam (see internal/faultinject). It runs inside
-	// the stats wrapper, so injected behavior shows up in the operator
-	// counters like any other work; a scan has no wrapper, and the hook
-	// wraps the scan itself, which counts what it hands the hook. A
-	// spine of joins is one operator, offered under its top join's op
-	// and detail; the joins below the top are levels of its cursor and
-	// are never offered, serial or not.
+	// the stats wrapper, so injected delays show up in the operator's
+	// time like any other work; the operator counts what it hands the
+	// hook. A spine of joins is one operator, offered under its top
+	// join's op and detail; the joins below the top are levels of its
+	// cursor and are never offered, serial or not.
 	// Under an exchange the hook wraps each morsel's driving scan, inside
 	// the worker, so faults fire in workers too. A hooked runner adopts
 	// no dataset-resident state in place of a scan.
@@ -82,9 +81,9 @@ type OpStats struct {
 	Detail string `json:"detail,omitempty"`
 	// EstRows is the optimizer's output-cardinality estimate.
 	EstRows float64 `json:"estRows"`
-	// Rows counts the rows the operator actually emitted — handed to its
-	// consumer; a timed wrapper may hold up to meterBurstRows more that
-	// the consumer never asked for (see statsIter).
+	// Rows counts the rows the operator emitted — handed to its consumer
+	// — exactly, under a Limit too: a stats wrapper takes back the rows
+	// it pulled ahead and never handed on (see statsIter).
 	Rows int64 `json:"rows"`
 	// TimeNs is cumulative wall time spent in the operator's Open and
 	// Next calls, children included (EXPLAIN ANALYZE convention); 0 when
@@ -116,7 +115,7 @@ type OpStats struct {
 // and per-operator counters. A pipeline is single-use per Execute call
 // and not safe for concurrent use; compile one per execution.
 type Pipeline struct {
-	// Root is the top operator (already wrapped in counters).
+	// Root is the top operator (under its stats wrapper, when timed).
 	Root Iterator
 	// Schema describes Root's output columns; group pipelines emit the
 	// grouping columns followed by one Rel -1 column per aggregate
@@ -144,26 +143,26 @@ func (p *Pipeline) Execute() ([]Row, error) {
 	return p.ExecuteContext(context.Background())
 }
 
-// ExecuteContext opens the pipeline, drains it and returns all rows,
-// observing ctx: cancellation (client disconnect, deadline) is checked
-// by every scan once per CancelCheckInterval rows it reads and by every
-// other operator's wrapper once per CancelCheckInterval of its rows,
-// and surfaces as an error wrapping ErrCanceled and ctx.Err(). Whatever
-// the pipeline charged, and its pooled chunks, are released before
-// return, success or not; rows from those chunks are copied out first.
-func (p *Pipeline) ExecuteContext(ctx context.Context) ([]Row, error) {
-	defer p.Life.releaseAll()
-	if err := p.Life.bind(ctx); err != nil {
+// ExecuteContext is StreamContext with a sink that collects every row,
+// observing ctx the same way. When the pipeline carves rows from pooled
+// chunks (its Life has an arena), which StreamContext recycles before it
+// returns, the sink copies each chunk of rows into a slab of its own.
+func (p *Pipeline) ExecuteContext(ctx context.Context) (out []Row, err error) {
+	err = p.StreamContext(ctx, DefaultStreamChunk, func(rows []Row) error {
+		if len(p.Life.arena) == 0 {
+			out = append(out, rows...)
+			return nil
+		}
+		slab := slices.Concat(rows...)
+		for _, r := range rows {
+			out, slab = append(out, slab[:len(r):len(r)]), slab[len(r):]
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	rows, err := Collect(p.Root)
-	if len(p.Life.arena) > 0 {
-		slab := slices.Concat(rows...)
-		for i, r := range rows {
-			rows[i], slab = slab[:len(r):len(r)], slab[len(r):]
-		}
-	}
-	return rows, err
+	return out, nil
 }
 
 // AdoptLease hands the pipeline n bytes its caller already reserved on
@@ -216,39 +215,30 @@ type burst struct {
 	err    error
 }
 
-// statsIter counts (and optionally times) one operator, and is where
-// every operator's Next observes cancellation: it counts its own calls
-// and polls the Life each time the count wraps, every
-// CancelCheckInterval-th call — a build loop deep inside a hash join
-// polls through its child's wrapper just like the root does through its
-// own, and no wrapper shares a counter with another. A spine has one,
-// under its top join's entry; its cursor counts the levels below. A scan
-// has none: it counts its rows and polls the Life itself (scan), and so
-// an exchange's workers run no statsIter either — each morsel's cursor
-// counts its levels, and its scan the driving rows (Exchange.runMorsel).
+// statsIter times one operator, and does nothing else: the operator
+// counts its own rows and the scans, the cursors and the root loop poll
+// for cancellation. Only a timing runner compiles one, over every
+// operator but a scan (Runner.wrap): a spine has one, under its top
+// join's entry, and an exchange's workers run none.
 //
 // TimeNs stays exact inclusive wall time under bursts, not an estimate:
 // every call into the operator happens between one of this wrapper's
 // clock pairs, and a child's burst runs inside its parent's burst (or
-// Open), so a parent's time always covers its children's.
+// Open), so a parent's time always covers its children's. The operator
+// has counted the rows of a burst as it handed them over; Close takes
+// back those never handed on, so Rows stays exact under a Limit.
 type statsIter struct {
-	in     Iterator
-	st     *OpStats
-	life   *Life
-	timing bool
-	warm   uint8  // Next calls timed singly so far, up to meterWarmCalls
-	tick   uint8  // Next calls so far, modulo CancelCheckInterval
-	pairs  uint32 // clock pairs read; the meter's tests bound it
-	burst  *burst // allocated by the first call past the warm-up
+	in    Iterator
+	st    *OpStats
+	warm  uint8  // Next calls timed singly so far, up to meterWarmCalls
+	pairs uint32 // clock pairs read; the meter's tests bound it
+	burst *burst // allocated by the first call past the warm-up
 }
 
 func (s *statsIter) Open() error {
 	s.warm = 0
 	if s.burst != nil {
 		*s.burst = burst{}
-	}
-	if !s.timing {
-		return s.in.Open()
 	}
 	begin := time.Since(meterEpoch)
 	err := s.in.Open()
@@ -258,23 +248,10 @@ func (s *statsIter) Open() error {
 }
 
 func (s *statsIter) Next() (Row, bool, error) {
-	if s.tick++; s.tick == 0 {
-		if err := s.life.ctxErr(); err != nil {
-			return nil, false, err
-		}
-	}
 	if b := s.burst; b != nil && b.pos < b.n {
 		row := b.rows[b.pos]
 		b.pos++
-		s.st.Rows++
 		return row, true, nil
-	}
-	if !s.timing {
-		row, ok, err := s.in.Next()
-		if ok {
-			s.st.Rows++
-		}
-		return row, ok, err
 	}
 	if s.warm < meterWarmCalls {
 		s.warm++
@@ -282,9 +259,6 @@ func (s *statsIter) Next() (Row, bool, error) {
 		row, ok, err := s.in.Next()
 		s.st.TimeNs += int64(time.Since(meterEpoch) - begin)
 		s.pairs++
-		if ok {
-			s.st.Rows++
-		}
 		return row, ok, err
 	}
 	b := s.burst
@@ -296,7 +270,6 @@ func (s *statsIter) Next() (Row, bool, error) {
 		s.pull(b)
 		if b.n > 0 {
 			b.pos = 1
-			s.st.Rows++
 			return b.rows[0], true, nil
 		}
 	}
@@ -326,7 +299,10 @@ func (s *statsIter) pull(b *burst) {
 }
 
 func (s *statsIter) Close() error {
-	s.burst = nil
+	if b := s.burst; b != nil {
+		countRows(s.st, int64(b.pos-b.n))
+		s.burst = nil
+	}
 	return s.in.Close()
 }
 
@@ -365,11 +341,15 @@ func (r *Runner) Compile(n *plan.Node) (*Pipeline, error) {
 	return p, nil
 }
 
-// wrap attaches the counters st, registered on the pipeline by build,
-// around operator it; the fault hook, when configured, interposes under
-// them.
+// wrap attaches the timer of st, registered on the pipeline by build,
+// around operator it, unless timing is disabled; the fault hook, when
+// configured, interposes under it.
 func (r *Runner) wrap(it Iterator, st *OpStats, p *Pipeline) Iterator {
-	return &statsIter{in: hooked(r.Hook, it, st, p.Life), st: st, life: p.Life, timing: !r.DisableTiming}
+	it = hooked(r.Hook, it, st, p.Life)
+	if r.DisableTiming {
+		return it
+	}
+	return &statsIter{in: it, st: st}
 }
 
 // hooked interposes hook, when set, on operator it, which reports under
@@ -532,7 +512,7 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 			return nil, nil, err
 		}
 		st.Detail = detail
-		return r.wrap(&Sort{In: in, Keys: keys, Life: p.Life}, st, p), schema, nil
+		return r.wrap(&Sort{In: in, Keys: keys, Life: p.Life, st: st}, st, p), schema, nil
 
 	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:
 		var in Iterator
@@ -570,7 +550,7 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 			o.Limited = true
 		}
 		st.Detail = fmt.Sprintf("k=%d", n.Limit)
-		return r.wrap(&Limit{In: in, N: int64(n.Limit), Life: p.Life}, st, p), schema, nil
+		return r.wrap(&Limit{In: in, N: int64(n.Limit), Life: p.Life, st: st}, st, p), schema, nil
 
 	case plan.GroupSorted, plan.GroupHash:
 		// The group operators define their output, so what is live above
@@ -595,9 +575,9 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 			return nil, nil, err
 		}
 		if n.Op == plan.GroupSorted {
-			return r.wrap(&GroupSorted{In: in, Keys: keys, Aggs: aggs}, st, p), outSchema, nil
+			return r.wrap(&GroupSorted{In: in, Keys: keys, Aggs: aggs, st: st}, st, p), outSchema, nil
 		}
-		return r.wrap(&GroupHash{In: in, Keys: keys, Aggs: aggs, Life: p.Life}, st, p), outSchema, nil
+		return r.wrap(&GroupHash{In: in, Keys: keys, Aggs: aggs, Life: p.Life, st: st}, st, p), outSchema, nil
 	}
 	return nil, nil, fmt.Errorf("exec: unsupported plan operator %v", n.Op)
 }

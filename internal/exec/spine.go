@@ -216,22 +216,22 @@ type levelCursor struct {
 // it last matched at: it advances that level's candidates, steps down a
 // level when they run out and up one (starting it for the new left row)
 // on each match, and emits a row when the top level matches. Each level
-// below the top counts its rows; the top's are its consumer's to count,
-// and flush adds the others to their stats entries. A cursor polls no
-// Life: its driving scan, or its driving input's wrapper, and its own
-// consumer's do.
+// counts its rows, and flush adds them to their stats entries. Fan-out
+// makes rows no scan reads, so the cursor polls life every
+// CancelCheckInterval rows it emits, as a scan polls the rows it reads.
 type cursor struct {
 	spine
 	in     Iterator
+	life   *Life
 	alloc  rowAlloc
 	pieces []Row
 	at     []levelCursor
 	depth  int // the level Next resumes at; -1 pulls a driving row
 }
 
-// newCursor returns a cursor of sp over in.
-func (sp *spine) newCursor(in Iterator) cursor {
-	return cursor{spine: *sp, in: in, depth: -1,
+// newCursor returns a cursor of sp over in, polling life.
+func (sp *spine) newCursor(in Iterator, life *Life) cursor {
+	return cursor{spine: *sp, in: in, life: life, depth: -1,
 		pieces: make([]Row, len(sp.levels)+1), at: make([]levelCursor, len(sp.levels))}
 }
 
@@ -266,11 +266,16 @@ func (c *cursor) Next() (Row, bool, error) {
 			continue
 		}
 		pieces[k+1] = r
-		if k == top {
+		if at.rows++; k == top {
+			// The first row and every CancelCheckInterval-th after it.
+			if at.rows&(CancelCheckInterval-1) == 1 {
+				if err := c.life.Err(); err != nil || c.life.drained() {
+					return nil, false, err
+				}
+			}
 			c.depth = k
 			return c.emit()
 		}
-		at.rows++
 		k++
 		if err := c.start(k); err != nil {
 			return nil, false, err
@@ -363,13 +368,13 @@ func (c *cursor) drain() error {
 	return nil
 }
 
-// flush adds the rows each level below the top emitted to its stats
-// entry, and raises an adopted view's entry to what the level read of
-// it; an exchange's workers share the entries.
+// flush adds the rows each level emitted to its stats entry, and raises
+// an adopted view's entry to what the level read of it; an exchange's
+// workers share the entries.
 func (c *cursor) flush() {
 	for k := range c.at {
 		l, at := &c.levels[k], &c.at[k]
-		atomic.AddInt64(&l.st.Rows, at.rows)
+		countRows(l.st, at.rows)
 		if l.resident != nil && l.hash == nil {
 			for n := int64(at.read); ; {
 				cur := atomic.LoadInt64(&l.resident.Rows)
@@ -383,16 +388,16 @@ func (c *cursor) flush() {
 }
 
 // spineIter runs a spine serially: one cursor over the driving input,
-// under the top join's stats entry, which is the spine's one wrapper and
-// the one part of it a fault hook is offered. Its allocator's Life is
-// the one charged for what the levels materialize.
+// under the top join's stats entry, which is the one part of the spine a
+// fault hook is offered. Its Life is the one charged for its output
+// chunks and for what the levels materialize.
 type spineIter struct {
 	cursor
 	opened bool
 }
 
 func newSpineIter(in Iterator, life *Life, sp spine) *spineIter {
-	s := &spineIter{cursor: sp.newCursor(in)}
+	s := &spineIter{cursor: sp.newCursor(in, life)}
 	s.alloc.life = life
 	return s
 }
@@ -428,7 +433,7 @@ func (s *spineIter) open(k int) error {
 		return s.in.Open()
 	}
 	l := &s.levels[k]
-	if err := l.materialize(s.alloc.life); err != nil {
+	if err := l.materialize(s.life); err != nil {
 		return err
 	}
 	if err := s.open(k - 1); err != nil {

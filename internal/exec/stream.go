@@ -1,6 +1,10 @@
 package exec
 
-import "context"
+import (
+	"context"
+
+	"orderopt/internal/freelist"
+)
 
 // DefaultStreamChunk is the rows-per-sink-call used when the caller
 // does not pick a chunk size: large enough to amortize the per-chunk
@@ -22,13 +26,19 @@ func ClampStreamChunk(chunk int) int {
 	return min(chunk, MaxStreamChunk)
 }
 
+// chunkBufs holds StreamContext's chunk buffers of DefaultStreamChunk
+// rows, cleared. A larger one is left to the collector: a pooled buffer
+// lives on for a GC cycle or two, and MaxStreamChunk rows are 192 KiB.
+var chunkBufs freelist.List[[]Row]
+
 // StreamContext runs the pipeline and hands result rows to sink in
-// pipeline order, at most ClampStreamChunk(chunk) rows per call. This
-// is the streaming counterpart of ExecuteContext: a sort-free plan's
-// first chunk reaches the sink while the rest of the input is still
-// being joined, whereas an order-oblivious plan's top sort must consume
-// everything before the first chunk appears — the paper's payoff,
-// observable at the wire.
+// pipeline order, at most ClampStreamChunk(chunk) rows per call: the one
+// drain, behind ExecuteContext too. A sort-free plan's first chunk
+// reaches the sink while the rest of the input is still being joined,
+// whereas an order-oblivious plan's top sort must consume everything
+// before the first chunk appears — the paper's payoff, observable at
+// the wire. Cancellation (client disconnect, deadline), polled where
+// rows start, surfaces as an error wrapping ErrCanceled and ctx.Err().
 //
 // The slice passed to sink, and the rows in it, are only valid for the
 // duration of the call: once sink returns, the slice is reused and the
@@ -37,27 +47,32 @@ func ClampStreamChunk(chunk int) int {
 // bursts). sink copies what it keeps. A sink error (a client that went
 // away, a blocked write) aborts the pipeline via its Life, so producers
 // — including exchange morsel workers — stop within one cancellation
-// poll. Whatever the pipeline charged against its budget is released
-// before return, success or not, exactly like ExecuteContext.
-func (p *Pipeline) StreamContext(ctx context.Context, chunk int, sink func([]Row) error) error {
+// poll. Whatever the pipeline charged against its budget, and its pooled
+// chunks, are released before return, success or not.
+func (p *Pipeline) StreamContext(ctx context.Context, chunk int, sink func([]Row) error) (err error) {
 	chunk = ClampStreamChunk(chunk)
 	defer p.Life.releaseAll()
 	if err := p.Life.bind(ctx); err != nil {
 		return err
 	}
-	err := p.streamRoot(chunk, sink)
-	if err != nil {
-		// Make producers (exchange workers mid-morsel) observe the
-		// failure even when it originated in the sink rather than the
-		// pipeline itself.
-		p.Life.abort(err)
-	}
-	return err
-}
-
-func (p *Pipeline) streamRoot(chunk int, sink func([]Row) error) error {
+	// Producers (exchange workers mid-morsel) observe a failure this way
+	// even when it originated in the sink rather than the pipeline.
+	defer func() { p.Life.abort(err) }()
 	root := p.Root
 	defer root.Close() // before Open, so a panic inside Open closes too
+	// The buffer is taken before Open, as the operators take theirs, so
+	// a long Open does not age it out of the list.
+	bp := chunkBufs.Get()
+	if cap(*bp) < chunk {
+		*bp = make([]Row, 0, max(chunk, DefaultStreamChunk))
+	}
+	buf := (*bp)[:0]
+	defer func() {
+		clear(buf[:chunk])
+		if cap(buf) == DefaultStreamChunk {
+			chunkBufs.Put(bp)
+		}
+	}()
 	if p.rootRing != nil {
 		// The row loop below holds fewer than chunk rows whenever it asks
 		// for one: it hands a full chunk to sink and forgets it first.
@@ -66,30 +81,27 @@ func (p *Pipeline) streamRoot(chunk int, sink func([]Row) error) error {
 	if err := root.Open(); err != nil {
 		return err
 	}
-
-	buf := make([]Row, 0, chunk)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
+	for n := 0; ; n++ {
+		if n&(CancelCheckInterval-1) == 0 {
+			if err := p.Life.Err(); err != nil {
+				return err
+			}
 		}
-		err := sink(buf)
-		buf = buf[:0]
-		return err
-	}
-	for {
 		row, ok, err := root.Next()
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
+		if ok {
+			buf = append(buf, row)
 		}
-		buf = append(buf, row)
-		if len(buf) == chunk {
-			if err := flush(); err != nil {
+		if len(buf) == chunk || !ok && len(buf) > 0 {
+			if err := sink(buf); err != nil {
 				return err
 			}
+			buf = buf[:0]
+		}
+		if !ok {
+			return nil
 		}
 	}
-	return flush()
 }

@@ -104,19 +104,37 @@ func collectStream(t *testing.T, p *exec.Pipeline, chunk int) (rows []exec.Row, 
 	return rows, maxChunk
 }
 
+// collectRoot is the stream tests' reference, independent of the drain
+// they test: Collect over a freshly compiled pipeline's Root, whose root
+// ring is unbounded and whose chunks are never recycled.
+func collectRoot(t *testing.T, r *exec.Runner, n *plan.Node) []exec.Row {
+	t.Helper()
+	p, err := r.Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.Collect(p.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 // TestStreamMatchesExecute: across chunk sizes, serial and parallel,
-// the streamed row sequence is exactly the buffered result — same
-// rows, same order.
+// the streamed row sequence, and Execute's result, are exactly what the
+// pipeline's root hands out — same rows, same order.
 func TestStreamMatchesExecute(t *testing.T) {
 	for _, dop := range []int{1, 4} {
 		runner, res := streamPlan(t, dop)
-		ref, err := mustCompile(t, runner, res).Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := collectRoot(t, runner, res.Best)
 		if len(ref) == 0 {
 			t.Fatal("reference result is empty; the workload shrank under the test")
 		}
+		rows, err := mustCompile(t, runner, res).Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRows(t, rows, ref)
 		for _, chunk := range []int{1, 7, 4096} {
 			rows, maxChunk := collectStream(t, mustCompile(t, runner, res), chunk)
 			if maxChunk > chunk {
@@ -165,9 +183,9 @@ func assertSameRows(t *testing.T, got, want []exec.Row) {
 // joins and ordered grouping, and each again under a Limit that outlasts
 // several meter bursts — stream at chunk sizes 1, 7, the default and
 // the maximum, with operator timing (and with it the bursts) on and off.
-// Inside every sink call each row is checked against the buffered,
-// untimed result at the same position: a row overwritten while still
-// held reads as corrupt there.
+// Inside every sink call each row is checked against the untimed root's
+// collected rows (collectRoot) at the same position: a row overwritten
+// while still held reads as corrupt there.
 func TestStreamRowWindows(t *testing.T) {
 	fixtures, err := conformance.Load("../conformance/testdata")
 	if err != nil {
@@ -206,7 +224,9 @@ func TestStreamRowWindows(t *testing.T) {
 // TestStreamRowWindows describes.
 func checkStreamWindows(t *testing.T, name string, ds *exec.Dataset, a *query.Analysis, best *plan.Node) {
 	t.Helper()
-	_, ref := runMetered(t, ds, a, best, false)
+	r := ds.Runner(a)
+	r.DisableTiming = true
+	ref := collectRoot(t, r, best)
 	k := min(16+3*64, len(ref)*2/3) // past the warm-up and three bursts, when there are rows for it
 	limited := &plan.Node{Op: plan.Limit, Left: best, Limit: k, Card: float64(k)}
 	for _, c := range []struct {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,8 @@ import (
 
 	"orderopt/internal/exec"
 	"orderopt/internal/faultinject"
+	"orderopt/internal/optimizer"
+	"orderopt/internal/planner"
 	"orderopt/internal/tpcr"
 )
 
@@ -286,6 +289,40 @@ func TestExecuteBudget(t *testing.T) {
 	_, err = c.Execute(ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-small"})
 	if !IsRetryable(err) {
 		t.Errorf("budget rejection not retryable: %v", err)
+	}
+}
+
+// TestExecuteBufferedHoldsOnlyWhatItReturns: a buffered /execute holds
+// the rows it returns, not the whole result. The order-flow statement's
+// 40,000 rows on tpcr-large are served under a 1 MiB query budget with
+// the same rows and operator counters as without one.
+func TestExecuteBufferedHoldsOnlyWhatItReturns(t *testing.T) {
+	req := ExecuteRequest{SQL: benchOrderflowSQL, Dataset: "tpcr-large"}
+	var resps [2]ExecuteResponse
+	for i, budget := range []int64{0, 1 << 20} {
+		cfg := planner.DefaultConfig(tpcr.Schema())
+		cfg.Optimizer = optimizer.DefaultConfig(optimizer.ModeDFSM)
+		cfg.Optimizer.MaxDOP = 1
+		s := New(Config{Planner: planner.New(cfg), Datasets: exec.TPCRLazyRegistry(), Workers: 1,
+			QueryBudget: exec.Budget{MaxBytes: budget}})
+		if err := json.Unmarshal(serve(t, s, "/execute", req).Body.Bytes(), &resps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	free, budgeted := resps[0], resps[1]
+	if budgeted.RowCount != 40_000 || !budgeted.Truncated {
+		t.Errorf("rowCount %d (truncated %v), want 40000, truncated", budgeted.RowCount, budgeted.Truncated)
+	}
+	if len(budgeted.Rows) != DefaultExecuteMaxRows || !reflect.DeepEqual(budgeted.Rows, free.Rows) {
+		t.Errorf("budgeted rows %v, unbudgeted %v", budgeted.Rows, free.Rows)
+	}
+	for _, r := range []*ExecuteResponse{&free, &budgeted} {
+		for i := range r.Operators {
+			r.Operators[i].TimeNs = 0
+		}
+	}
+	if !reflect.DeepEqual(budgeted.Operators, free.Operators) {
+		t.Errorf("budgeted operators %+v, unbudgeted %+v", budgeted.Operators, free.Operators)
 	}
 }
 

@@ -68,6 +68,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -834,25 +835,9 @@ func (s *Server) executeResponse(ctx context.Context, req ExecuteRequest, ds *ex
 	if err != nil {
 		return nil, nil, code, err
 	}
-	pipe := c.pipe
-	execBegin := time.Now()
-	g.handOver(pipe)
-	rows, err := pipe.ExecuteContext(ctx)
-	if err != nil {
-		// Partial counters for the error path; the classifier decides
-		// whether this was a lifecycle cut (timeout/cancel/budget) or a
-		// guard-rail failure (unsorted merge or sorted-group input —
-		// the planner emitted an unsound plan, a server bug).
-		return nil, c.opsSnapshot(), http.StatusInternalServerError, fmt.Errorf("executing plan: %w", err)
-	}
-	execNs := time.Since(execBegin).Nanoseconds()
-
-	maxRows := req.MaxRows
+	maxRows := min(req.MaxRows, ExecuteRowCap)
 	if maxRows <= 0 {
 		maxRows = DefaultExecuteMaxRows
-	}
-	if maxRows > ExecuteRowCap {
-		maxRows = ExecuteRowCap
 	}
 	resp := &ExecuteResponse{
 		SQL:      req.SQL,
@@ -862,21 +847,36 @@ func (s *Server) executeResponse(ctx context.Context, req ExecuteRequest, ds *ex
 		Cost:     c.pd.Cost,
 		Plan:     planJSON(c.pd.Best, c.org),
 		Columns:  c.columnNames(),
-		RowCount: int64(len(rows)),
-		ExecNs:   execNs,
+		Rows:     [][]int64{},
 	}
 	if c.pd.Result != nil {
 		resp.PlanNs = c.pd.Result.PlanTime.Nanoseconds()
 	}
-	out := rows
-	if len(out) > maxRows {
-		out = out[:maxRows]
-		resp.Truncated = true
+	pipe := c.pipe
+	execBegin := time.Now()
+	g.handOver(pipe)
+	// With maxRows as the chunk, the first chunk is every row returned:
+	// the sink copies it into one slab and only counts the rest.
+	err = pipe.StreamContext(ctx, maxRows, func(chunk []exec.Row) error {
+		if resp.RowCount == 0 {
+			slab := slices.Concat(chunk...)
+			resp.Rows = make([][]int64, len(chunk))
+			for i, r := range chunk {
+				resp.Rows[i], slab = slab[:len(r):len(r)], slab[len(r):]
+			}
+		}
+		resp.RowCount += int64(len(chunk))
+		return nil
+	})
+	if err != nil {
+		// Partial counters for the error path; the classifier decides
+		// whether this was a lifecycle cut (timeout/cancel/budget) or a
+		// guard-rail failure (unsorted merge or sorted-group input —
+		// the planner emitted an unsound plan, a server bug).
+		return nil, c.opsSnapshot(), http.StatusInternalServerError, fmt.Errorf("executing plan: %w", err)
 	}
-	resp.Rows = make([][]int64, len(out))
-	for i, row := range out {
-		resp.Rows[i] = row
-	}
+	resp.ExecNs = time.Since(execBegin).Nanoseconds()
+	resp.Truncated = resp.RowCount > int64(maxRows)
 	resp.RowsSorted = pipe.RowsSorted()
 	resp.Operators = c.opsSnapshot()
 	return resp, nil, 0, nil
