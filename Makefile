@@ -62,7 +62,8 @@ race:
 # consumer holds them (the corpus streamed at four chunk sizes, timed
 # and untimed), pooled row chunks handed back on every way a pipeline
 # ends and never read once recycled (the corpus and the Q8, order-flow
-# and top-k handlers with every returned chunk poisoned), and fault
+# and top-k handlers, timed under analyze and not, with every returned
+# chunk poisoned), and fault
 # isolation: healthy /plan clients keep their throughput while every
 # hung /execute pipeline ends as a prompt 504. CI runs it as its own
 # step so a lifecycle regression is named, not buried. faults-list runs

@@ -5,6 +5,9 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
+	"time"
+
+	"orderopt/internal/freelist"
 )
 
 // TestJoinEmitAllocsAmortized pins a spine's per-row allocation
@@ -181,12 +184,18 @@ func TestQ8ExecAllocBudget(t *testing.T) {
 // cycle. Per-P pools (sync.Pool) would not do: a Get cannot see what
 // was Put on another P, so each GC that coincides with the goroutine
 // changing Ps costs a fresh copy of every buffer.
+//
+// The measured runs force no collection. A runtime.GC issued while a
+// cycle runs waits for that one and then runs its own, so the lists can
+// age twice between two executions and drop every buffer a warm
+// execution left them; the refill, about 1.4 MiB, would then be charged
+// to the runs measured next. Lowering GOGC starts a cycle at once, so
+// each regime is warmed up before it is measured.
 func TestPooledAllocIndependentOfGC(t *testing.T) {
 	ds, _ := TPCRLazyRegistry().Get("tpcr-mid")
 	a, best := planServed(t, q8Served(t))
 	perRun := func(n int) float64 {
 		var before, after runtime.MemStats
-		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for i := 0; i < n; i++ {
 			if rows, _, err := ds.Runner(a).Run(best); err != nil || len(rows) == 0 {
@@ -199,9 +208,30 @@ func TestPooledAllocIndependentOfGC(t *testing.T) {
 	perRun(4) // warm-up: the resident build tables, the lists
 	calm := perRun(100)
 	defer debug.SetGCPercent(debug.SetGCPercent(5))
+	perRun(4)
 	busy := perRun(100)
 	t.Logf("one Q8 execution allocates %.1f KiB, %.1f KiB with a GC every few", calm/1024, busy/1024)
 	if busy > calm*1.05 {
 		t.Errorf("a Q8 execution allocates %.1f KiB under frequent GC, %.1f KiB otherwise: recycled buffers are lost to collections", busy/1024, calm/1024)
 	}
+}
+
+// settledHeap reads the memory statistics once the free lists hold
+// nothing idle: it collects until they have aged twice, which drops
+// everything they held, and once more to free it. Otherwise an
+// object an earlier test left in a list is on the heap in one reading
+// and gone in the next.
+func settledHeap(t *testing.T, m *runtime.MemStats) {
+	t.Helper()
+	start := freelist.Cycles()
+	deadline := time.Now().Add(10 * time.Second)
+	for freelist.Cycles() < start+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d free-list cycles in 10 s of forced collections", freelist.Cycles()-start)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(m)
 }

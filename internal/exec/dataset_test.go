@@ -171,10 +171,7 @@ func TestViewsSortedStableShared(t *testing.T) {
 func TestMemBytesMatchesHeap(t *testing.T) {
 	spec := tpcrSizes[1]
 	var before, after runtime.MemStats
-	heap := func(m *runtime.MemStats) {
-		runtime.GC()
-		runtime.ReadMemStats(m)
-	}
+	heap := func(m *runtime.MemStats) { settledHeap(t, m) }
 	check := func(what string, got int64) {
 		t.Helper()
 		grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)

@@ -34,7 +34,8 @@ type Runner struct {
 	// DisableTiming compiles no stats wrapper: no per-operator wall-clock
 	// accounting (row counters remain). cmd/experiments and the
 	// conformance runner disable it so operator timer overhead does not
-	// tint what they measure and compare; the serving layer keeps it on.
+	// tint what they measure and compare; the serving layer disables it
+	// unless a request sets analyze.
 	DisableTiming bool
 	// Budget bounds the bytes each compiled pipeline may materialize
 	// (0 is unlimited); Accountant, when set, additionally charges them

@@ -89,6 +89,12 @@ var (
 	cycles atomic.Uint64
 )
 
+// Cycles reports how many GC cycles the lists have aged through. Two
+// more, with no Put in between, leave every list empty: a measurement
+// of the live heap waits for them, so that it does not count idle
+// objects a later cycle drops.
+func Cycles() uint64 { return cycles.Load() }
+
 func track(l ager) {
 	listsMu.Lock()
 	lists = append(lists, l)

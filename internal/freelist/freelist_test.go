@@ -53,11 +53,11 @@ func TestCollectorAgesLists(t *testing.T) {
 	var l List[int]
 	x := new(int)
 	l.Put(x)
-	start := cycles.Load()
+	start := Cycles()
 	deadline := time.Now().Add(10 * time.Second)
-	for cycles.Load() < start+2 {
+	for Cycles() < start+2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d cycles aged in 10 s of forced collections", cycles.Load()-start)
+			t.Fatalf("%d cycles aged in 10 s of forced collections", Cycles()-start)
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)

@@ -93,6 +93,12 @@ func BenchmarkHandlerQ8(b *testing.B) {
 	benchHandler(b, "/execute", ExecuteRequest{SQL: tpcr.Query8SQL, Dataset: "tpcr-mid"})
 }
 
+// BenchmarkHandlerQ8Analyze is BenchmarkHandlerQ8 with analyze set:
+// the difference between the two is what timing every operator costs.
+func BenchmarkHandlerQ8Analyze(b *testing.B) {
+	benchHandler(b, "/execute", ExecuteRequest{SQL: tpcr.Query8SQL, Dataset: "tpcr-mid", Analyze: true})
+}
+
 func BenchmarkHandlerPlanHit(b *testing.B) {
 	benchHandler(b, "/plan", PlanRequest{SQL: tpcr.Query8SQL})
 }

@@ -113,6 +113,10 @@ type ExecuteRequest struct {
 	// exec.DefaultStreamChunk, ceiling exec.MaxStreamChunk). Ignored
 	// unless Stream is set.
 	ChunkRows int `json:"chunkRows,omitempty"`
+	// Analyze times every operator, as EXPLAIN ANALYZE does: each
+	// operator's TimeNs is its inclusive wall time. Without it no
+	// operator is timed and every TimeNs is 0; rows are exact either way.
+	Analyze bool `json:"analyze,omitempty"`
 }
 
 // ExecuteResponse is the result of /execute: the plan (as /plan reports
@@ -245,7 +249,8 @@ type ErrorResponse struct {
 	Code string `json:"code,omitempty"`
 	// Operators carries the partial per-operator counters of an
 	// /execute pipeline that was cut short, so a timed-out client can
-	// still see where the time went.
+	// still see how far it got (and, under Analyze, where the time
+	// went).
 	Operators []exec.OpStats `json:"operators,omitempty"`
 }
 

@@ -29,8 +29,11 @@ var update = flag.Bool("update", false, "re-record testdata/served_operators.gol
 // JSON object per operator in plan preorder, so a change to what the
 // executor counts, marks or adopts shows up line by line in the golden's
 // diff. Each statement is served twice and the second response recorded:
-// the first one builds the dataset's resident state. Re-record an
-// intentional change with -update and review the diff.
+// the first one builds the dataset's resident state. Each is served
+// without and with analyze, which must report the same lines: timeNs 0
+// on every operator without it, and above 0 under it on every operator
+// that has a stats wrapper. Re-record an intentional change with
+// -update and review the diff.
 func TestServedOperatorsGolden(t *testing.T) {
 	cfg := planner.DefaultConfig(tpcr.Schema())
 	cfg.Optimizer = optimizer.DefaultConfig(optimizer.ModeDFSM)
@@ -46,19 +49,33 @@ func TestServedOperatorsGolden(t *testing.T) {
 		{"orderflow-stream", ExecuteRequest{SQL: benchOrderflowSQL, Dataset: "tpcr-large", Stream: true}},
 		{"topk", ExecuteRequest{SQL: benchTopKSQL, Dataset: "tpcr-large"}},
 	} {
-		var ops []exec.OpStats
-		for range 2 {
-			ops = servedOperators(t, s, c.req)
-		}
-		fmt.Fprintf(&b, "# %s on %s\n", c.name, c.req.Dataset)
-		for _, op := range ops {
-			op.TimeNs = 0
-			line, err := json.Marshal(op)
-			if err != nil {
-				t.Fatal(err)
+		var lines [2]string
+		for i, analyze := range []bool{false, true} {
+			req := c.req
+			req.Analyze = analyze
+			var ops []exec.OpStats
+			for range 2 {
+				ops = servedOperators(t, s, req)
 			}
-			fmt.Fprintf(&b, "%s\n", line)
+			var l strings.Builder
+			for j, op := range ops {
+				switch {
+				case !analyze && op.TimeNs != 0, analyze && metered(ops, j) && op.TimeNs <= 0:
+					t.Errorf("%s (analyze %v): %s %q reports timeNs %d", c.name, analyze, op.Op, op.Detail, op.TimeNs)
+				}
+				op.TimeNs = 0
+				line, err := json.Marshal(op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&l, "%s\n", line)
+			}
+			lines[i] = l.String()
 		}
+		if lines[1] != lines[0] {
+			t.Errorf("%s: analyze changed the operators\n--- without\n%s--- with\n%s", c.name, lines[0], lines[1])
+		}
+		fmt.Fprintf(&b, "# %s on %s\n%s", c.name, c.req.Dataset, lines[0])
 	}
 
 	path := filepath.Join("testdata", "served_operators.golden")
@@ -78,6 +95,21 @@ func TestServedOperatorsGolden(t *testing.T) {
 	if got := b.String(); got != string(want) {
 		t.Errorf("served operators differ from %s (re-record with -update if intended)\n--- want\n%s--- got\n%s", path, want, got)
 	}
+}
+
+// metered reports whether operator i of a serial plan's operators, in
+// preorder, has a stats wrapper under analyze: a sort, a grouping, a
+// Limit, or the top join of a spine — a join that is not the driving
+// input (the first child) of a join just before it.
+func metered(ops []exec.OpStats, i int) bool {
+	isJoin := func(op string) bool { return strings.HasSuffix(op, "Join") }
+	switch op := ops[i].Op; {
+	case op == "Sort", op == "Limit", strings.HasPrefix(op, "Group"):
+		return true
+	case isJoin(op):
+		return i == 0 || !isJoin(ops[i-1].Op)
+	}
+	return false
 }
 
 // servedOperators serves req through s in process and returns the

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"slices"
 	"testing"
 
@@ -17,7 +18,9 @@ import (
 // every chunk they get back, and requires the rows of the unpoisoned
 // run: no row a response carries is read after its pipeline recycled
 // the chunk it was carved from. Each poisoned request is served twice,
-// so the second one carves from chunks the first one handed back.
+// so the second one carves from chunks the first one handed back. Each
+// is served without and with analyze: the stats wrappers' bursts, which
+// only analyze compiles, are what the join rings' burst slack is for.
 func TestPoisonedChunks(t *testing.T) {
 	cfg := planner.DefaultConfig(tpcr.Schema())
 	cfg.Optimizer = optimizer.DefaultConfig(optimizer.ModeDFSM)
@@ -28,6 +31,10 @@ func TestPoisonedChunks(t *testing.T) {
 		"orderflow":          {SQL: benchOrderflowSQL, Dataset: "tpcr-large", MaxRows: ExecuteRowCap},
 		"orderflow streamed": {SQL: benchOrderflowSQL, Dataset: "tpcr-large", Stream: true},
 		"topk":               {SQL: benchTopKSQL, Dataset: "tpcr-large"},
+	}
+	for name, req := range maps.Clone(reqs) {
+		req.Analyze = true
+		reqs[name+" analyzed"] = req
 	}
 	// rows is what a response says of the result: a buffered body's row
 	// count and rows, a stream's rows frames.

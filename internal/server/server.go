@@ -698,7 +698,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		}
 		// Lifecycle failures (timeout, cancel, budget) return the
 		// partial per-operator counters gathered up to the cut, so a
-		// timed-out client still learns where the time went.
+		// timed-out client still learns how far each operator got (and,
+		// under analyze, where the time went).
 		writeErrorCoded(w, code, err.Error(), kind, ops)
 		return
 	}
@@ -774,7 +775,9 @@ type compiled struct {
 
 // compileRequest plans req.SQL and compiles the chosen plan into a
 // pipeline over ds, applying the server's budgets, hook and worker cap
-// plus the request's maxDOP.
+// plus the request's maxDOP. Operators are timed only under the
+// request's analyze: a served pipeline otherwise compiles no stats
+// wrapper.
 func (s *Server) compileRequest(ctx context.Context, req ExecuteRequest, ds *exec.Dataset) (*compiled, int, error) {
 	pd, err := s.pl.PlanContext(ctx, req.SQL)
 	if err != nil {
@@ -785,6 +788,7 @@ func (s *Server) compileRequest(ctx context.Context, req ExecuteRequest, ds *exe
 	runner.Budget = s.budget
 	runner.Accountant = s.acct
 	runner.Hook = s.execHook
+	runner.DisableTiming = !req.Analyze
 	runner.MaxDOP = s.workers
 	if req.MaxDOP > 0 && req.MaxDOP < runner.MaxDOP {
 		runner.MaxDOP = req.MaxDOP
