@@ -131,17 +131,22 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzz-smoke runs the three fuzz targets briefly on top of their seeds.
+# fuzz-smoke runs the four fuzz targets briefly on top of their seeds.
 # The SQL round-trip fuzzer (checked-in corpus under
 # internal/sqlparse/testdata/fuzz): parse → bind → render → re-bind must
 # never panic and must keep fingerprints stable. The response writer's:
 # every served body must stay byte for byte what encoding/json prints.
+# The rows frame writer's: frames of fuzzed repeats of the row above,
+# ragged widths, nil rows and edge integers must stay encoding/json's
+# bytes too; its byte-slice inputs take the default minimizer most of
+# ten seconds, so it minimizes for 100 runs and spends the rest fuzzing.
 # The sort kernel's: sortRows must put any rows, on dense, sparse and
 # overflowing key spans, into the permutation a stable sort gives.
 # CI runs it so the fuzz targets cannot rot.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSQLRoundTrip$$' -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowsFrameMatchesEncodingJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSortRows$$' -fuzztime 10s ./internal/exec/
 
 # bench is the repo's one benchmark: the four served workloads

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"orderopt/internal/exec"
@@ -50,10 +51,7 @@ func benchHandler(b *testing.B, path string, req any) {
 // benchHandlerSeq serves body(0), body(1), … through one server: warm
 // requests untimed, then b.N timed.
 func benchHandlerSeq(b *testing.B, path string, warm int, body func(i int) []byte) {
-	cfg := planner.DefaultConfig(tpcr.Schema())
-	cfg.Optimizer = optimizer.DefaultConfig(optimizer.ModeDFSM)
-	cfg.Optimizer.MaxDOP = 1
-	s := New(Config{Planner: planner.New(cfg), Datasets: exec.TPCRLazyRegistry(), MaxTimeout: DefaultMaxTimeout, Workers: 1})
+	s := benchServer()
 	dw := &discardWriter{header: http.Header{}}
 	serve := func(i int) {
 		r, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body(i)))
@@ -74,6 +72,14 @@ func benchHandlerSeq(b *testing.B, path string, warm int, body func(i int) []byt
 		serve(warm + i)
 	}
 	b.ReportMetric(float64(dw.n)/float64(b.N), "bytes_out/op")
+}
+
+// benchServer is the server the benchmark driver builds.
+func benchServer() *Server {
+	cfg := planner.DefaultConfig(tpcr.Schema())
+	cfg.Optimizer = optimizer.DefaultConfig(optimizer.ModeDFSM)
+	cfg.Optimizer.MaxDOP = 1
+	return New(Config{Planner: planner.New(cfg), Datasets: exec.TPCRLazyRegistry(), MaxTimeout: DefaultMaxTimeout, Workers: 1})
 }
 
 const (
@@ -103,24 +109,51 @@ func BenchmarkHandlerPlanHit(b *testing.B) {
 	benchHandler(b, "/plan", PlanRequest{SQL: tpcr.Query8SQL})
 }
 
-// BenchmarkAppendRowsFrame is the rows frame writer alone on a 256 x 10
+// BenchmarkAppendRowsFrame is the rows frame writer alone on a 256-row
 // frame: repeating as the order-flow stream does (six columns constant
-// over runs of seven rows), and with every value distinct, where the
-// memo never pays.
+// over runs of seven rows), with every value distinct, where the memo
+// never pays, and served — the first frame of the order-flow stream on
+// tpcr-large as the handler serves it, whose values are shorter than
+// the synthetic cases'.
 func BenchmarkAppendRowsFrame(b *testing.B) {
 	for _, c := range []struct {
 		name string
-		rows []exec.Row
-	}{{"repeating", orderFlowRows(256, 7)}, {"distinct", orderFlowRows(256, 1)}} {
+		rows func(b *testing.B) []exec.Row
+	}{
+		{"repeating", func(*testing.B) []exec.Row { return orderFlowRows(256, 7) }},
+		{"distinct", func(*testing.B) []exec.Row { return orderFlowRows(256, 1) }},
+		{"served", func(b *testing.B) []exec.Row { return servedOrderFlowRows(b, 256) }},
+	} {
 		b.Run(c.name, func(b *testing.B) {
-			buf := AppendRowsFrame(nil, c.rows)
+			rows := c.rows(b)
+			buf := AppendRowsFrame(nil, rows)
 			b.SetBytes(int64(len(buf)))
 			for b.Loop() {
-				buf = AppendRowsFrame(buf[:0], c.rows)
+				buf = AppendRowsFrame(buf[:0], rows)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.rows)), "ns/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
 		})
 	}
+}
+
+// servedOrderFlowRows is the order-flow stream's first frame of n rows,
+// served by benchServer and decoded from the wire.
+func servedOrderFlowRows(b *testing.B, n int) []exec.Row {
+	body, err := json.Marshal(ExecuteRequest{SQL: benchOrderflowSQL, Dataset: "tpcr-large", Stream: true, ChunkRows: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	benchServer().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/execute", bytes.NewReader(body)))
+	lines := bytes.SplitN(rec.Body.Bytes(), []byte("\n"), 3) // header, first rows frame, the rest
+	var fr StreamRows
+	if rec.Code != http.StatusOK || len(lines) < 3 {
+		b.Fatalf("status %d, body %.200q", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(lines[1], &fr); err != nil || fr.Frame != FrameRows || len(fr.Rows) != n {
+		b.Fatalf("first frame %.200q: %v", lines[1], err)
+	}
+	return execRows(fr.Rows)
 }
 
 // BenchmarkHandlerPlanNovel is the plan_novel request: Q8 under a limit

@@ -10,6 +10,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/bits"
@@ -99,21 +100,24 @@ func (w *jsonWriter) int(n int64) {
 // maxIntLen is the longest decimal int64, len("-9223372036854775808").
 const maxIntLen = 20
 
-// digitPairs holds "00" through "99", so a formatter writes two digits
-// per division.
-const digitPairs = "0001020304050607080910111213141516171819" +
-	"2021222324252627282930313233343536373839" +
-	"4041424344454647484950515253545556575859" +
-	"6061626364656667686970717273747576777879" +
-	"8081828384858687888990919293949596979899"
-
-// pow10 is 10^i for every i an int64's magnitude can reach.
-var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+// digitQuads[n] is n's four zero-padded digits, the first in the low
+// byte, so one little-endian store writes them in order.
+var digitQuads = func() (t [10000]uint32) {
+	for n := range t {
+		for k, d := 0, n; k < 4; k, d = k+1, d/10 {
+			t[n] |= uint32('0'+d%10) << (8 * (3 - k))
+		}
+	}
+	return t
+}()
 
 // putInt writes n in decimal at b[i:], which must have room for
-// maxIntLen bytes, and returns the index after its last digit. The
-// digits are counted first and written in place, last pair first.
+// maxIntLen bytes, and returns the index after its last digit. A
+// magnitude below 10^8 is one 8-byte store of its zero-padded digits,
+// shifted past the leading zeros; a larger one is the digits of its
+// quotient by 10^8 followed by eight more. A store reaches up to seven
+// bytes past the digits it means; the next store or the maxIntLen room
+// absorbs them.
 func putInt(b []byte, i int, n int64) int {
 	u := uint64(n)
 	if n < 0 {
@@ -121,28 +125,24 @@ func putInt(b []byte, i int, n int64) int {
 		i++
 		u = -u
 	}
-	// floor(log10(2) * bit length) undercounts by at most one; u|1 has
-	// u's digit count and at least one digit.
-	v := u | 1
-	d := bits.Len64(v) * 1233 >> 12
-	if v >= pow10[d] {
-		d++
+	if u >= 1e8 {
+		i = putInt(b, i, int64(u/1e8)) // below 10^12, so not negative
+		binary.LittleEndian.PutUint64(b[i:], digits8(u%1e8))
+		return i + 8
 	}
-	end := i + d
-	j := end
-	for u >= 100 {
-		q := u / 100
-		r := (u - q*100) * 2
-		j -= 2
-		b[j], b[j+1] = digitPairs[r], digitPairs[r+1]
-		u = q
-	}
-	if u >= 10 {
-		b[i], b[i+1] = digitPairs[2*u], digitPairs[2*u+1]
-	} else {
-		b[i] = byte('0' + u)
-	}
-	return end
+	v := digits8(u)
+	// The leading zeros are the low bytes that XOR '0' clears; bit 56
+	// stops the count at seven, so 0 keeps its one digit.
+	z := bits.TrailingZeros64(v^0x3030303030303030|1<<56) / 8
+	binary.LittleEndian.PutUint64(b[i:], v>>(8*z))
+	return i + 8 - z
+}
+
+// digits8 is u's eight zero-padded digits, u < 10^8, the first in the
+// low byte.
+func digits8(u uint64) uint64 {
+	hi := u / 1e4
+	return uint64(digitQuads[hi]) | uint64(digitQuads[u-hi*1e4])<<32
 }
 
 // str copies s between quotes when every byte is one encoding/json
@@ -350,28 +350,29 @@ func AppendRowsFrame(dst []byte, rows []exec.Row) []byte {
 	return append(appendCompactRows(dst, rows), '}', '\n')
 }
 
-// memoCells is the widest row whose memo lives on the stack.
+// memoCells is how many leading columns of the row above the memo
+// tracks; columns past it are always formatted.
 const memoCells = 32
 
-// cell memoizes one column of the row above: its value and the span
-// b[start:end] its digits were written to.
-type cell struct {
-	v          int64
-	start, end int
-}
-
-// appendCompactRows appends rows in encoding/json's compact form. A
-// value equal to the one above it is not formatted again: each run of
-// such columns is one copy of the row above's bytes, commas included.
-// The memo compares values only, so how a stream is ordered changes how
-// often it pays, never the bytes written. It lives for one call and is
-// dropped at a nil row and at a change of width.
+// appendCompactRows appends rows in encoding/json's compact form. The
+// longest prefix of a row's columns that equals the row above, when
+// both have the same width, is not formatted again: it is one copy of
+// the row above's bytes from its '[' on, commas included. In a
+// left-deep join spine the driving row and the build rows it determines
+// come first, so the columns constant over a fan-out group are such a
+// prefix. The memo compares values only, so how a stream is ordered
+// changes how often it pays, never the bytes written. It lives for one
+// call.
 func appendCompactRows(b []byte, rows []exec.Row) []byte {
 	if rows == nil {
 		return append(b, "null"...)
 	}
-	var stack [memoCells]cell
-	memo := stack[:0]
+	// ends[j] is where the row above's column j ends, counted from its
+	// '['; a copied prefix keeps these offsets, so only the columns
+	// formatted anew record theirs.
+	var ends [memoCells]int32
+	var above exec.Row
+	start := 0 // the row above's '['
 	b = append(b, '[')
 	for i, r := range rows {
 		if i > 0 {
@@ -379,45 +380,34 @@ func appendCompactRows(b []byte, rows []exec.Row) []byte {
 		}
 		if r == nil {
 			b = append(b, "null"...)
-			memo = memo[:0]
+			above = nil
 			continue
 		}
-		above := len(memo) == len(r)
-		if !above {
-			if cap(memo) < len(r) {
-				memo = make([]cell, len(r))
+		k := 0
+		if len(above) == len(r) {
+			for n := min(len(r), memoCells); k < n && r[k] == above[k]; k++ {
 			}
-			memo = memo[:len(r)]
 		}
 		// Room for the row's worst case once, then every byte by index.
 		p := len(b)
 		b = slices.Grow(b, 2+len(r)*(maxIntLen+1))
 		o := b[:cap(b)]
 		o[p] = '['
-		p++
-		for j := 0; j < len(r); {
+		n := 1
+		if k > 0 {
+			n = copy(o[p:], o[start:start+int(ends[k-1])])
+		}
+		start, above = p, r
+		p += n
+		for j := k; j < len(r); j++ {
 			if j > 0 {
 				o[p] = ','
 				p++
 			}
-			if above && r[j] == memo[j].v {
-				k := j + 1
-				for k < len(r) && r[k] == memo[k].v {
-					k++
-				}
-				s, e := memo[j].start, memo[k-1].end
-				for c := j; c < k; c++ {
-					memo[c].start += p - s
-					memo[c].end += p - s
-				}
-				p += copy(o[p:], o[s:e])
-				j = k
-				continue
-			}
-			memo[j].v, memo[j].start = r[j], p
 			p = putInt(o, p, r[j])
-			memo[j].end = p
-			j++
+			if j < memoCells {
+				ends[j] = int32(p - start)
+			}
 		}
 		o[p] = ']'
 		b = o[:p+1]

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -281,35 +282,73 @@ func FuzzWriterMatchesEncodingJSON(f *testing.F) {
 	})
 }
 
-// TestRowsFrameMatchesEncodingJSON: a rows frame is encoding/json's
-// bytes however its values repeat down a column — runs equal to the row
-// above at the start, middle and end of a row and across all of it, a
-// run broken in the middle, nil rows, ragged widths up to one past the
-// memo's stack array, and every integer whose digit count is an edge.
-// The seeded frames are appended into one reused buffer, each opening
-// with the previous frame's last row, so a memo that outlived its frame
-// would copy bytes the new frame has overwritten.
-func TestRowsFrameMatchesEncodingJSON(t *testing.T) {
-	check := func(what string, dst []byte, rows [][]int64) []byte {
-		t.Helper()
-		got := AppendRowsFrame(dst, execRows(rows))
-		want, err := viaJSON(&StreamRows{Frame: FrameRows, Rows: rows}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got[:len(dst)], dst) || !bytes.Equal(got[len(dst):], want) {
-			t.Fatalf("%s: writer and encoding/json disagree\nwriter: %q\n  json: %q", what, got[len(dst):], want)
-		}
-		return got
-	}
-
+// intEdges are the integers whose digit count is an edge: each side of
+// every power of ten, and both ends of int64.
+var intEdges = func() []int64 {
 	edges := []int64{0, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
 	for i, p := 0, int64(1); i < 19; i, p = i+1, p*10 {
 		edges = append(edges, p, -p, p-1, 1-p, p+1, -p-1)
 	}
+	return edges
+}()
+
+// checkRowsFrame appends the rows frame for rows to dst and holds it to
+// encoding/json's line, dst left as it was; it returns the result.
+func checkRowsFrame(t testing.TB, what string, dst []byte, rows [][]int64) []byte {
+	t.Helper()
+	got := AppendRowsFrame(dst, execRows(rows))
+	want, err := viaJSON(&StreamRows{Frame: FrameRows, Rows: rows}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:len(dst)], dst) || !bytes.Equal(got[len(dst):], want) {
+		t.Fatalf("%s: writer and encoding/json disagree\nwriter: %q\n  json: %q", what, got[len(dst):], want)
+	}
+	return got
+}
+
+// TestPutIntMatchesStrconv: putInt writes strconv's digits for every n
+// in [-10^5, 10^6] and at every digit-count edge, and stores nothing
+// before b[i] or at and past b[i+maxIntLen] — the table path's wide
+// stores stay inside the room the contract reserves.
+func TestPutIntMatchesStrconv(t *testing.T) {
+	const i, sentinel = 3, 0xa5
+	b := make([]byte, i+maxIntLen+8)
+	check := func(n int64) {
+		for k := range b {
+			b[k] = sentinel
+		}
+		end := putInt(b, i, n)
+		if got, want := string(b[i:end]), strconv.FormatInt(n, 10); got != want {
+			t.Fatalf("putInt(%d) wrote %q, strconv %q", n, got, want)
+		}
+		for k, c := range b {
+			if (k < i || k >= i+maxIntLen) && c != sentinel {
+				t.Fatalf("putInt(%d) stored %#x at b[i%+d], outside its room", n, c, k-i)
+			}
+		}
+	}
+	for n := int64(-1e5); n <= 1e6; n++ {
+		check(n)
+	}
+	for _, n := range intEdges {
+		check(n)
+	}
+}
+
+// TestRowsFrameMatchesEncodingJSON: a rows frame is encoding/json's
+// bytes however its values repeat down a column — runs equal to the row
+// above at the start, middle and end of a row and across all of it, a
+// run broken in the middle, nil rows, ragged widths up to one past the
+// memoCells columns the memo tracks, and every integer whose digit
+// count is an edge.
+// The seeded frames are appended into one reused buffer, each opening
+// with the previous frame's last row, so a memo that outlived its frame
+// would copy bytes the new frame has overwritten.
+func TestRowsFrameMatchesEncodingJSON(t *testing.T) {
 	wide := make([]int64, memoCells+1)
 	for j := range wide {
-		wide[j] = edges[j%len(edges)]
+		wide[j] = intEdges[j%len(intEdges)]
 	}
 	wideBroken := slices.Clone(wide)
 	wideBroken[memoCells/2] = 42
@@ -325,19 +364,19 @@ func TestRowsFrameMatchesEncodingJSON(t *testing.T) {
 		{"run after a value changed length", [][]int64{{5, 10, 7}, {12345, 10, 7}, {-1, 10, 7}, {-1, 10, 70000}}},
 		{"nil rows", [][]int64{{1, 2}, nil, {1, 2}, {1, 2}, nil, nil, {1, 2}}},
 		{"ragged widths", [][]int64{{1, 2, 3}, {1, 2}, {1, 2, 3}, {}, {}, {1}, {1, 2, 3}}},
-		{"edges repeated", [][]int64{edges, edges, slices.Clone(edges)}},
-		{"wider than the stack memo", [][]int64{wide, wide, wideBroken, wide, {1}, wide}},
+		{"edges repeated", [][]int64{intEdges, intEdges, slices.Clone(intEdges)}},
+		{"wider than the memo", [][]int64{wide, wide, wideBroken, wide, {1}, wide}},
 		{"nil frame", nil},
 		{"empty frame", [][]int64{}},
 	} {
-		check(c.what, []byte("prefix "), c.rows)
+		checkRowsFrame(t, c.what, []byte("prefix "), c.rows)
 	}
 
 	rng := rand.New(rand.NewSource(31))
 	widths := []int{0, 1, 3, 10, memoCells, memoCells + 1}
 	value := func() int64 {
 		if rng.Intn(3) == 0 {
-			return edges[rng.Intn(len(edges))]
+			return intEdges[rng.Intn(len(intEdges))]
 		}
 		return rng.Int63n(2000) - 1000
 	}
@@ -373,8 +412,63 @@ func TestRowsFrameMatchesEncodingJSON(t *testing.T) {
 		if f%2 == 0 {
 			buf = buf[:0]
 		}
-		buf = check("seeded frame "+strconv.Itoa(f), buf, rows)
+		buf = checkRowsFrame(t, "seeded frame "+strconv.Itoa(f), buf, rows)
 	}
+}
+
+// FuzzRowsFrameMatchesEncodingJSON reads fuzzed bytes as a frame of at
+// most 16 rows and holds its line to encoding/json's. Per row a control
+// byte picks a nil row, the width of the row above or a new one (up to
+// eight past memoCells), and how many leading columns repeat the row
+// above; each further column is an edge integer, the value above it, a
+// small integer or eight raw bytes.
+func FuzzRowsFrameMatchesEncodingJSON(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 3, 1, 2, 3, 5 << 2, 0, 2, 4, 4, 4, 4})
+	f.Add([]byte{2, 10, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 0xff, 1, 0xff, 0, 1, 2 << 2, 4, 3, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{2, memoCells + 2, 0, 4, 8, 12, 0xfd, 1, 0x7d, 2, 1, 9, 0xfd})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			c := data[0]
+			data = data[1:]
+			return c
+		}
+		var rows [][]int64
+		var above []int64
+		for len(data) > 0 && len(rows) < 16 {
+			c := next()
+			if c%4 == 0 {
+				rows, above = append(rows, nil), nil
+				continue
+			}
+			width := len(above)
+			if c%4 == 2 || above == nil {
+				width = int(next()) % (memoCells + 9)
+			}
+			r := make([]int64, width)
+			for j := range r {
+				switch v := next(); {
+				case j < len(above) && (j < int(c>>2) || v%4 == 1):
+					r[j] = above[j]
+				case v%4 == 0:
+					r[j] = intEdges[int(v>>2)%len(intEdges)]
+				case v%4 == 2:
+					r[j] = int64(int8(next()))
+				default:
+					var raw [8]byte
+					for k := range raw {
+						raw[k] = next()
+					}
+					r[j] = int64(binary.LittleEndian.Uint64(raw[:]))
+				}
+			}
+			rows, above = append(rows, r), r
+		}
+		checkRowsFrame(t, "fuzzed frame", []byte("prefix "), rows)
+	})
 }
 
 // orderFlowRows is n rows of the order-flow stream's shape: ten
@@ -396,18 +490,35 @@ func orderFlowRows(n, run int) []exec.Row {
 	return rows
 }
 
+// wideRows is n rows of width columns, whole rows repeating over runs
+// of run rows.
+func wideRows(n, width, run int) []exec.Row {
+	rows := make([]exec.Row, n)
+	for i := range rows {
+		rows[i] = make(exec.Row, width)
+		for j := range rows[i] {
+			rows[i][j] = int64(i/run*width + j)
+		}
+	}
+	return rows
+}
+
 // TestWriterAllocs: once its buffer has grown, a rows frame allocates
-// nothing — all distinct, or repeating as the order-flow stream does —
-// and neither does a buffered top-10 body.
+// nothing — all distinct, or repeating as the order-flow stream does,
+// and as wide as 40 columns, past the memo's memoCells — and neither
+// does a buffered top-10 body.
 func TestWriterAllocs(t *testing.T) {
 	var buf []byte
 	for _, c := range []struct {
 		what string
 		rows []exec.Row
-	}{{"distinct", orderFlowRows(256, 1)}, {"order-flow", orderFlowRows(256, 7)}} {
+	}{
+		{"256 x 10 distinct", orderFlowRows(256, 1)}, {"256 x 10 order-flow", orderFlowRows(256, 7)},
+		{"256 x 40 distinct", wideRows(256, 40, 1)}, {"256 x 40 repeating", wideRows(256, 40, 7)},
+	} {
 		buf = AppendRowsFrame(buf[:0], c.rows)
 		if n := testing.AllocsPerRun(100, func() { buf = AppendRowsFrame(buf[:0], c.rows) }); n != 0 {
-			t.Errorf("a steady-state 256 x 10 %s rows frame allocates %v times, want 0", c.what, n)
+			t.Errorf("a steady-state %s rows frame allocates %v times, want 0", c.what, n)
 		}
 	}
 
