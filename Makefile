@@ -138,16 +138,18 @@ cover:
 # every served body must stay byte for byte what encoding/json prints.
 # The rows frame writer's: frames of fuzzed repeats of the row above,
 # ragged widths, nil rows and edge integers must stay encoding/json's
-# bytes too; its byte-slice inputs take the default minimizer most of
-# ten seconds, so it minimizes for 100 runs and spends the rest fuzzing.
-# The sort kernel's: sortRows must put any rows, on dense, sparse and
-# overflowing key spans, into the permutation a stable sort gives.
-# CI runs it so the fuzz targets cannot rot.
+# bytes too. The sort kernel's: sortRows must put any rows, on dense,
+# sparse and overflowing key spans, into the permutation a stable sort
+# gives. Go minimizes each new interesting input for up to 60 s by
+# default, which ate each target's ten seconds (all four sat at 0
+# execs/sec a few seconds in), so every target minimizes for 100 runs
+# and spends the rest fuzzing. CI runs it so the fuzz targets cannot
+# rot.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzSQLRoundTrip$$' -fuzztime 10s ./internal/sqlparse/
-	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzSQLRoundTrip$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/sqlparse/
+	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowsFrameMatchesEncodingJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server/
-	$(GO) test -run '^$$' -fuzz '^FuzzSortRows$$' -fuzztime 10s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzSortRows$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/exec/
 
 # bench is the repo's one benchmark: the four served workloads
 # BENCHMARK.json declares, each a fresh process of the benchmark/

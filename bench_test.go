@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 
 	"orderopt"
@@ -701,7 +702,9 @@ func BenchmarkExecRuntime(b *testing.B) {
 // 4 and 8 (dop=1 is the serial plan — no exchange — and the baseline
 // to divide by). The parallel plans run the join spine through an
 // order-preserving ExchangeMerge, so rows-sorted/op stays 0 on the
-// orders workload at every DOP.
+// orders workload at every DOP. cpu-ns/op is the process's user +
+// system CPU per execution next to the wall clock's ns/op: what a
+// request costs the machine at each DOP, not only how soon it ends.
 func BenchmarkExecParallel(b *testing.B) {
 	// A heap ballast pins the GC cycle rate so every DOP (including the
 	// dop=1 serial baseline) is measured under the same GC regime —
@@ -733,6 +736,7 @@ func BenchmarkExecParallel(b *testing.B) {
 				runner.DisableTiming = true
 				var rows, sorted int64
 				b.ResetTimer()
+				cpu := processCPU(b)
 				for i := 0; i < b.N; i++ {
 					p, err := runner.Compile(res.Best)
 					if err != nil {
@@ -745,11 +749,22 @@ func BenchmarkExecParallel(b *testing.B) {
 					rows = int64(len(out))
 					sorted = p.RowsSorted()
 				}
+				b.ReportMetric(float64(processCPU(b)-cpu)/float64(b.N), "cpu-ns/op")
 				b.ReportMetric(float64(rows), "result-rows")
 				b.ReportMetric(float64(sorted), "rows-sorted/op")
 			})
 		}
 	}
+}
+
+// processCPU is the user + system CPU time the process has used so far,
+// in nanoseconds.
+func processCPU(b *testing.B) int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return ru.Utime.Nano() + ru.Stime.Nano()
 }
 
 // BenchmarkExecTopK measures LIMIT-k execution on the order-flow query:

@@ -77,8 +77,7 @@ func main() {
 		"prepared-statement cache entries (negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second,
 		"how long a SIGTERM drain waits for in-flight requests")
-	noExec := flag.Bool("no-exec", false,
-		"disable /execute (skips generating the in-memory TPC-R datasets)")
+	noExec := flag.Bool("no-exec", false, "disable /execute")
 	timeout := flag.Duration("timeout", 0,
 		"default per-request deadline for requests without timeoutMs (0 means none)")
 	maxTimeout := flag.Duration("max-timeout", server.DefaultMaxTimeout,

@@ -562,7 +562,7 @@ func TestAccountantMirrorsCharge(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, best := planParallel(t, ds, g, 2)
-		if findOp(best, plan.ExchangeMerge) == nil && findOp(best, plan.ExchangeUnion) == nil {
+		if findOp(best, plan.ExchangeMerge) == nil {
 			t.Fatalf("%s: no exchange in the plan:\n%s", w.name, best)
 		}
 		ok := &mirror{t: t, what: w.name}
@@ -798,7 +798,7 @@ func TestCursorCancelPollBound(t *testing.T) {
 				best := &plan.Node{Op: op,
 					Left: &plan.Node{Op: plan.TableScan, Rel: rd}, Right: &plan.Node{Op: plan.TableScan, Rel: rf}}
 				if dop > 1 {
-					best = &plan.Node{Op: plan.ExchangeUnion, DOP: dop, Left: best}
+					best = &plan.Node{Op: plan.ExchangeMerge, DOP: dop, Left: best}
 				}
 				p, err := r.Compile(best)
 				if err != nil {

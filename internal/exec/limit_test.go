@@ -210,7 +210,7 @@ func TestLimitEarlyOutUnderParallelExchanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, best := planParallel(t, ds, g, 4)
-	if findOp(best, plan.ExchangeMerge) == nil && findOp(best, plan.ExchangeUnion) == nil {
+	if findOp(best, plan.ExchangeMerge) == nil {
 		t.Fatalf("optimizer chose no exchange at MaxDOP=4:\n%s", best)
 	}
 	if findOp(best, plan.MergeJoin) == nil {

@@ -221,9 +221,6 @@ func TestLiveColumnsExchange(t *testing.T) {
 		}
 		a, best := planParallel(t, ds, g, 4)
 		xn := findOp(best, plan.ExchangeMerge)
-		if xn == nil {
-			xn = findOp(best, plan.ExchangeUnion)
-		}
 		if xn == nil || findOp(xn, plan.HashJoin) == nil && findOp(xn, plan.MergeJoin) == nil {
 			t.Fatalf("%s: no exchange over a join at MaxDOP=4:\n%s", name, best)
 		}

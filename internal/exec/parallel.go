@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the morsel-driven parallel execution tier. An exchange
-// plan node (plan.ExchangeMerge / plan.ExchangeUnion) covers a spine of
-// joins over a single driving scan (spine.go), or the scan alone.
+// plan node (plan.ExchangeMerge) covers a spine of joins over a single
+// driving scan (spine.go), or the scan alone.
 // Compilation splits it in two:
 //
 //   - Shared state, executed ONCE at exchange Open through the ordinary
@@ -31,7 +31,7 @@ import (
 //     reaches the driving scan, the shared side and the exchange itself,
 //     never a spine join.
 //
-// Order preservation is the whole point of ExchangeMerge, and it holds
+// Order preservation is the whole point of the exchange, and it holds
 // by a restriction argument rather than by sorting: every spine level
 // preserves its left order and emits, per left row, a match sequence
 // fully determined by the shared right-side state (merge group order,
@@ -39,15 +39,11 @@ import (
 // because the state is shared and immutable). A morsel's output is
 // therefore exactly the serial spine's output restricted to that
 // morsel's driving rows, and concatenating worker outputs in morsel
-// order reproduces the serial row sequence row for row. Every ordering
-// and FD property the child plan claims survives — with zero sorting,
-// which is what keeps rows-sorted/op at 0 for the DFSM plans. The same
-// argument is why Sort and Group operators are excluded from the spine:
-// Sort(morsel) is not Sort(all) restricted to the morsel.
-//
-// ExchangeUnion skips the morsel-order reassembly and emits results in
-// arrival order — cheaper (no head-of-line blocking), order-destroying,
-// for pipelines whose consumer claims no order.
+// order reproduces the serial row sequence row for row, at any DOP.
+// Every ordering and FD property the child plan claims survives — with
+// zero sorting, which is what keeps rows-sorted/op at 0 for the DFSM
+// plans. The same argument is why Sort and Group operators are excluded
+// from the spine: Sort(morsel) is not Sort(all) restricted to the morsel.
 
 // activeWorkers counts morsel workers currently running across all
 // exchanges in the process — the serving layer's /healthz gauge.
@@ -184,12 +180,11 @@ type morselResult struct {
 	err   error
 }
 
-// Exchange runs a compiled spine over a scan morsel-parallel. ordered selects
-// ExchangeMerge semantics (reassemble worker outputs in morsel order —
-// order-preserving) over ExchangeUnion (arrival order). One Exchange is
-// single-use, like the pipeline holding it.
+// Exchange runs a compiled spine over a scan morsel-parallel and
+// reassembles the worker outputs in morsel order, so its output is the
+// serial spine's row sequence. One Exchange is single-use, like the
+// pipeline holding it.
 type Exchange struct {
-	ordered bool
 	dop     int
 	life    *Life
 	st      *OpStats     // counted into at Close
@@ -202,8 +197,7 @@ type Exchange struct {
 
 	stop     chan struct{}
 	wg       sync.WaitGroup
-	outs     []chan morselResult // ordered: one per morsel, cap 1 (sends never block)
-	out      chan morselResult   // unordered: cap = morsel count
+	outs     []chan morselResult // one per morsel, cap 1 (sends never block)
 	nm       int                 // morsel count
 	seq      int                 // morsels consumed
 	cur      []Row
@@ -237,13 +231,9 @@ func (x *Exchange) Open() error {
 	x.nm = nm
 	x.seq, x.cur, x.curBytes, x.ci, x.n = 0, nil, 0, 0, 0
 	x.stop = make(chan struct{})
-	if x.ordered {
-		x.outs = make([]chan morselResult, nm)
-		for i := range x.outs {
-			x.outs[i] = make(chan morselResult, 1)
-		}
-	} else {
-		x.out = make(chan morselResult, nm)
+	x.outs = make([]chan morselResult, nm)
+	for i := range x.outs {
+		x.outs[i] = make(chan morselResult, 1)
 	}
 	// Every result channel has capacity for every send, so workers
 	// never block handing a morsel back — the consumer may be gone
@@ -283,11 +273,7 @@ func (x *Exchange) Open() error {
 					// blocks on a morsel nobody will deliver.
 					x.life.abort(res.err)
 				}
-				if x.ordered {
-					x.outs[i] <- res
-				} else {
-					x.out <- res
-				}
+				x.outs[i] <- res
 			}
 		}()
 	}
@@ -308,9 +294,8 @@ func (x *Exchange) Next() (Row, bool, error) {
 	return r, true, nil
 }
 
-// advance releases the buffered morsel's budget charge and blocks for
-// the next one — the seq'th morsel's channel when order-preserving,
-// whatever arrives first when not. It reports false at the end of the
+// advance releases the buffered morsel's budget charge and blocks on
+// the seq'th morsel's channel. It reports false at the end of the
 // stream and on a failed morsel.
 func (x *Exchange) advance() (bool, error) {
 	if x.cur != nil {
@@ -320,12 +305,7 @@ func (x *Exchange) advance() (bool, error) {
 	if x.seq >= x.nm {
 		return false, nil
 	}
-	var res morselResult
-	if x.ordered {
-		res = <-x.outs[x.seq]
-	} else {
-		res = <-x.out
-	}
+	res := <-x.outs[x.seq]
 	x.seq++
 	if res.err != nil {
 		return false, res.err
@@ -352,28 +332,13 @@ func (x *Exchange) Close() error {
 		x.life.release(x.curBytes)
 		x.cur, x.curBytes, x.ci = nil, 0, 0
 	}
-	drain := func(res morselResult) {
-		if res.rows != nil {
-			x.life.release(res.bytes)
-		}
-	}
-	if x.ordered {
-		for i := x.seq; i < x.nm; i++ {
-			select {
-			case res := <-x.outs[i]:
-				drain(res)
-			default:
+	for i := x.seq; i < x.nm; i++ {
+		select {
+		case res := <-x.outs[i]:
+			if res.rows != nil {
+				x.life.release(res.bytes)
 			}
-		}
-	} else if x.out != nil {
-		for {
-			select {
-			case res := <-x.out:
-				drain(res)
-				continue
-			default:
-			}
-			break
+		default:
 		}
 	}
 	return nil
@@ -400,7 +365,6 @@ func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats, live live
 	dop = max(dop, 1)
 	st.DOP = dop
 	x := &Exchange{
-		ordered: n.Op == plan.ExchangeMerge,
 		dop:     dop,
 		life:    p.Life,
 		st:      st,

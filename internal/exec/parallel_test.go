@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"sort"
 	"testing"
 
 	"orderopt/internal/catalog"
@@ -37,7 +36,7 @@ func stripExchanges(n *plan.Node) *plan.Node {
 	if n == nil {
 		return nil
 	}
-	if n.Op == plan.ExchangeMerge || n.Op == plan.ExchangeUnion {
+	if n.Op == plan.ExchangeMerge {
 		return stripExchanges(n.Left)
 	}
 	c := &plan.Node{}
@@ -91,18 +90,6 @@ func rowsEqual(a, b []Row) bool {
 	return true
 }
 
-func sortAllColumns(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-}
-
 // TestExchangeMergePreservesSerialSequence is the order-preservation
 // theorem as a test: the plan the optimizer parallelized must produce,
 // at every DOP, row for row the sequence its serial (exchange-stripped)
@@ -130,11 +117,7 @@ func TestExchangeMergePreservesSerialSequence(t *testing.T) {
 				t.Fatal(err)
 			}
 			a, best := planParallel(t, ds, g, 4)
-			x := findOp(best, plan.ExchangeMerge)
-			if x == nil {
-				x = findOp(best, plan.ExchangeUnion)
-			}
-			if x == nil {
+			if findOp(best, plan.ExchangeMerge) == nil {
 				t.Fatalf("%s/%s: optimizer chose no exchange at MaxDOP=4:\n%s",
 					w.name, dsName, best)
 			}
@@ -159,19 +142,9 @@ func TestExchangeMergePreservesSerialSequence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s dop=%d: %v", w.name, dsName, dop, err)
 				}
-				if x.Op == plan.ExchangeMerge {
-					if !rowsEqual(got, want) {
-						t.Fatalf("%s/%s dop=%d: parallel row sequence differs from serial (%d vs %d rows)",
-							w.name, dsName, dop, len(got), len(want))
-					}
-				} else {
-					sortAllColumns(got)
-					sorted := append([]Row{}, want...)
-					sortAllColumns(sorted)
-					if !rowsEqual(got, sorted) {
-						t.Fatalf("%s/%s dop=%d: parallel multiset differs from serial",
-							w.name, dsName, dop)
-					}
+				if !rowsEqual(got, want) {
+					t.Fatalf("%s/%s dop=%d: parallel row sequence differs from serial (%d vs %d rows)",
+						w.name, dsName, dop, len(got), len(want))
 				}
 				if p.Life.HeldBytes() != 0 {
 					t.Fatalf("%s/%s dop=%d: %d bytes still held after execution",
@@ -184,7 +157,7 @@ func TestExchangeMergePreservesSerialSequence(t *testing.T) {
 				// pipeline's preorder.
 				var ops []*OpStats
 				for _, op := range p.Ops {
-					if op.Op != x.Op.String() {
+					if op.Op != plan.ExchangeMerge.String() {
 						ops = append(ops, op)
 					}
 				}
@@ -276,38 +249,6 @@ func TestExchangeBudgetAbortsSiblings(t *testing.T) {
 	}
 	if got := p.Life.HeldBytes(); got != 0 {
 		t.Fatalf("life still holds %d bytes", got)
-	}
-}
-
-// TestExchangeUnionExecutes compiles a hand-built ExchangeUnion over
-// the serial DFSM orders plan (the optimizer usually prefers the merge
-// exchange when an order is claimed) and checks the multiset result.
-func TestExchangeUnionExecutes(t *testing.T) {
-	reg := TPCRLazyRegistry()
-	ds, _ := reg.Get("tpcr-mid")
-	_, g, err := tpcr.OrderStreamGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, best := planParallel(t, ds, g, 4)
-	serialPlan := stripExchanges(best)
-	union := &plan.Node{Op: plan.ExchangeUnion, Left: serialPlan, DOP: 4, Card: serialPlan.Card}
-
-	serial := ds.Runner(a)
-	want, _, err := serial.Run(serialPlan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := ds.Runner(a)
-	got, _, err := r.Run(union)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortAllColumns(got)
-	sorted := append([]Row{}, want...)
-	sortAllColumns(sorted)
-	if !rowsEqual(got, sorted) {
-		t.Fatalf("union multiset differs from serial (%d vs %d rows)", len(got), len(want))
 	}
 }
 

@@ -535,7 +535,7 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 		}
 		return r.wrap(s, st, p), schema, nil
 
-	case plan.ExchangeMerge, plan.ExchangeUnion:
+	case plan.ExchangeMerge:
 		return r.buildExchange(n, p, st, live)
 
 	case plan.Limit:

@@ -85,10 +85,10 @@ type Config struct {
 	DisableOrderedGrouping bool
 	// MaxDOP, when > 1, adds parallel candidates to the final plans:
 	// every parallelizable full-set plan is also considered wrapped in
-	// an order-preserving ExchangeMerge and an order-destroying
-	// ExchangeUnion at this degree of parallelism, priced by
-	// plan.ExchangeCost — so "parallel + merge" competes with "serial +
-	// order-preserved" on cost, per pipeline. 0 or 1 plans serial only.
+	// an order-preserving ExchangeMerge at this degree of parallelism,
+	// priced by plan.ExchangeCost and carrying its child's state — so
+	// "parallel" competes with "serial" on cost, per pipeline, with the
+	// same orders either way. 0 or 1 plans serial only.
 	MaxDOP int
 }
 
@@ -971,25 +971,18 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 	// morsel segment would break the order-restriction argument).
 	if dop := o.p.cfg.MaxDOP; dop > 1 {
 		if spine, ok := parallelSpineCost(p); ok {
-			shared := p.Cost - spine
-			for _, op := range [...]plan.Op{plan.ExchangeMerge, plan.ExchangeUnion} {
-				n := o.node()
-				*n = plan.Node{
-					Op: op, Left: p, DOP: dop,
-					Cost:   plan.ExchangeCost(op, spine, shared, p.Card, dop),
-					Card:   p.Card,
-					FDMask: p.FDMask,
-					// ExchangeMerge is order-preserving: workers
-					// reassemble in morsel order, reproducing the
-					// serial row sequence. ExchangeUnion is not.
-					State: p.State,
-				}
-				if op == plan.ExchangeUnion {
-					n.State = o.produce(order.EmptyID)
-				}
-				o.generated++
-				cands = append(cands, n)
+			n := o.node()
+			*n = plan.Node{
+				Op: plan.ExchangeMerge, Left: p, DOP: dop,
+				Cost:   plan.ExchangeCost(spine, p.Cost-spine, p.Card, dop),
+				Card:   p.Card,
+				FDMask: p.FDMask,
+				// The exchange is order-preserving: workers reassemble
+				// in morsel order, reproducing the serial row sequence.
+				State: p.State,
 			}
+			o.generated++
+			cands = append(cands, n)
 		}
 	}
 	if gOrd := o.p.a.GroupByOrd; gOrd != order.EmptyID {

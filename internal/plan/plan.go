@@ -45,10 +45,6 @@ const (
 	// order-preserving: the output is row-for-row the serial child's
 	// stream, so every ordering the child claims survives the exchange.
 	ExchangeMerge
-	// ExchangeUnion runs its child morsel-parallel and emits worker
-	// outputs in arrival order — cheaper than ExchangeMerge (no
-	// head-of-line blocking) but order-destroying.
-	ExchangeUnion
 	// Limit emits the first Limit rows of its input and stops pulling —
 	// top-k early-out. Order-neutral: it passes its child's properties
 	// through (a prefix of an ordered stream keeps the order).
@@ -77,8 +73,6 @@ func (o Op) String() string {
 		return "GroupClustered"
 	case ExchangeMerge:
 		return "ExchangeMerge"
-	case ExchangeUnion:
-		return "ExchangeUnion"
 	case Limit:
 		return "Limit"
 	default:
@@ -207,7 +201,7 @@ func (n *Node) format(b *strings.Builder, depth int) {
 		}
 	case MergeJoin, HashJoin, NestedLoopJoin:
 		fmt.Fprintf(b, " edge=%d", n.Edge)
-	case ExchangeMerge, ExchangeUnion:
+	case ExchangeMerge:
 		fmt.Fprintf(b, " dop=%d", n.DOP)
 	case Limit:
 		fmt.Fprintf(b, " k=%d", n.Limit)
@@ -267,17 +261,15 @@ const (
 	COutTuple   = 0.1  // per output tuple materialized
 )
 
-// Parallel cost constants (exchange operators). The efficiency factor
+// Parallel cost constants (the exchange). The efficiency factor
 // discounts the ideal DOP-fold speedup for dispatch overhead and skew;
-// per-tuple exchange costs price moving rows between workers and the
-// consumer, with a premium for ordered (head-of-line blocking)
-// reassembly; per-worker setup prices goroutine spawn plus the morsel
-// pipeline compile.
+// the per-tuple cost prices moving rows from the workers to the
+// consumer in morsel order (head-of-line blocking included); per-worker
+// setup prices goroutine spawn plus the morsel pipeline compile.
 const (
-	CParallelEff      = 0.7   // fraction of ideal speedup per added worker
-	CExchTuple        = 0.05  // per tuple through an exchange
-	CExchMergePremium = 0.05  // extra per tuple for order-preserving reassembly
-	CWorkerSetup      = 500.0 // per worker: spawn + per-morsel pipeline setup
+	CParallelEff = 0.7   // fraction of ideal speedup per added worker
+	CExchTuple   = 0.1   // per tuple through an exchange, reassembled in morsel order
+	CWorkerSetup = 500.0 // per worker: spawn + per-morsel pipeline setup
 )
 
 // ScanCost is the cost of a sequential scan over rows tuples.
@@ -321,18 +313,13 @@ func NestedLoopCost(cardOuter, cardInner, cardOut float64) float64 {
 // merge advances) divided by the efficiency-discounted speedup, plus
 // the shared work executed once at exchange setup (hash builds, merge
 // right-side materialization, nested-loop inners), plus per-tuple
-// exchange transfer and per-worker setup. op selects the
-// order-preserving premium (ExchangeMerge) or not (ExchangeUnion).
-func ExchangeCost(op Op, spineCost, sharedCost, card float64, dop int) float64 {
+// exchange transfer and per-worker setup.
+func ExchangeCost(spineCost, sharedCost, card float64, dop int) float64 {
 	if dop < 1 {
 		dop = 1
 	}
 	speedup := 1 + CParallelEff*float64(dop-1)
-	perTuple := CExchTuple
-	if op == ExchangeMerge {
-		perTuple += CExchMergePremium
-	}
-	return sharedCost + spineCost/speedup + card*perTuple + float64(dop)*CWorkerSetup
+	return sharedCost + spineCost/speedup + card*CExchTuple + float64(dop)*CWorkerSetup
 }
 
 // GroupCost is the cost of grouping card tuples: hash grouping pays
@@ -397,7 +384,7 @@ func LimitedCost(n *Node, k float64) float64 {
 	case GroupSorted:
 		own := n.Cost - n.Left.Cost
 		return own*frac + LimitedCost(n.Left, n.Left.Card*frac)
-	case ExchangeMerge, ExchangeUnion:
+	case ExchangeMerge:
 		// Worker setup happens regardless; the parallel work itself winds
 		// down once the consumer's limit quiesces the pipeline.
 		setup := float64(n.DOP) * CWorkerSetup

@@ -35,8 +35,8 @@ type PlanNode struct {
 	Index    string `json:"index,omitempty"`
 	// SortOrder is the target ordering of a Sort, e.g. "(n.n_name)".
 	SortOrder string `json:"sortOrder,omitempty"`
-	// DOP is the planned degree of parallelism of an exchange operator
-	// (ExchangeMerge/ExchangeUnion); 0 on serial operators.
+	// DOP is the planned degree of parallelism of the exchange
+	// (ExchangeMerge); 0 on serial operators.
 	DOP int `json:"dop,omitempty"`
 	// Limit is the row cap of a Limit operator; 0 elsewhere.
 	Limit int       `json:"limit,omitempty"`

@@ -539,7 +539,7 @@ func hasExchange(n *plan.Node) bool {
 	if n == nil {
 		return false
 	}
-	if n.Op == plan.ExchangeMerge || n.Op == plan.ExchangeUnion {
+	if n.Op == plan.ExchangeMerge {
 		return true
 	}
 	return hasExchange(n.Left) || hasExchange(n.Right)
@@ -966,7 +966,7 @@ func planJSON(n *plan.Node, q *planner.PreparedQuery) *PlanNode {
 			}
 		case plan.Sort:
 			out.SortOrder = in.Format(reg, n.SortOrd)
-		case plan.ExchangeMerge, plan.ExchangeUnion:
+		case plan.ExchangeMerge:
 			out.DOP = n.DOP
 		case plan.Limit:
 			out.Limit = n.Limit

@@ -685,7 +685,7 @@ func TestExecuteParallel(t *testing.T) {
 	sql := "select * from orders, customer where o_custkey = c_custkey order by o_orderkey"
 	exchangeDOP := func(resp *ExecuteResponse) int {
 		for _, op := range resp.Operators {
-			if op.Op == "ExchangeMerge" || op.Op == "ExchangeUnion" {
+			if op.Op == "ExchangeMerge" {
 				return op.DOP
 			}
 		}
@@ -702,7 +702,7 @@ func TestExecuteParallel(t *testing.T) {
 		if n == nil {
 			return
 		}
-		if n.Op == "ExchangeMerge" || n.Op == "ExchangeUnion" {
+		if n.Op == "ExchangeMerge" {
 			planDOP = n.DOP
 		}
 		walk(n.Left)

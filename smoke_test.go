@@ -22,9 +22,7 @@ func TestExamplesAndCLIsRun(t *testing.T) {
 		args []string
 		want string // substring expected in the output
 	}{
-		{"quickstart", []string{"run", "./examples/quickstart"}, "contains (a, b, c) = true"},
 		{"simplequery", []string{"run", "./examples/simplequery"}, "DFSM: 6 states"},
-		{"tpcr_q8", []string{"run", "./examples/tpcr_q8"}, "with pruning"},
 		{"executor", []string{"run", "./examples/executor"}, "physically satisfied"},
 		{"orderopt-running", []string{"run", "./cmd/orderopt", "-example", "running", "-pruning"}, "DFSM: 4 states"},
 		{"orderopt-intro-dot", []string{"run", "./cmd/orderopt", "-example", "intro", "-dot"}, "digraph nfsm"},
