@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: check build vet fmt staticcheck test race faults faults-list serve-soak conformance conformance-update cover fuzz-smoke bench bench-smoke examples
+.PHONY: check build vet fmt staticcheck test race serve-soak conformance conformance-update cover fuzz-smoke bench bench-smoke examples
 
 check: build vet fmt staticcheck test conformance
 
@@ -44,63 +44,12 @@ race:
 	$(GO) test -race ./...
 	$(GO) test ./internal/optimizer/ -run 'TestLinearizedCrossCheck|TestEnumeratorsAgreeOnOptimalCost|TestModesAgreeOnOptimalCost' -args -exhaustive
 
-# faults runs the query-lifecycle hardening suite under the race
-# detector: the fault-injection scenario sweep (every operator hung,
-# errored and delayed, and a sort aborted while draining its input),
-# the executor's budget/cancellation tests (a panicking exchange
-# worker, a merge join whose right input panics in Open, and the
-# meter's error order and Limit look-ahead, a scan's poll bound under a
-# predicate that keeps no row and a spine cursor's under a join's
-# fan-out, among them) and the serving layer's timeout/budget/drain/
-# retry/panic tests (the admission reserve handed to the pipeline as its
-# first lease, and a buffered response holding only the rows it returns
-# under a 1 MiB query budget, among them), the limit early-out across exchange workers, a
-# panicking dataset loader, the dataset-resident build tables'
-# lifecycle (single-flight first touch, budget fallback, eviction), the
-# one memory limit covering resident datasets and running pipelines
-# together, and streamed join rows that are recycled only once no
-# consumer holds them (the corpus streamed at four chunk sizes, timed
-# and untimed), pooled row chunks handed back on every way a pipeline
-# ends and never read once recycled (the corpus and the Q8, order-flow
-# and top-k handlers, timed under analyze and not, with every returned
-# chunk poisoned), and fault
-# isolation: healthy /plan clients keep their throughput while every
-# hung /execute pipeline ends as a prompt 504. CI runs it as its own
-# step so a lifecycle regression is named, not buried. faults-list runs
-# first: each FAULTS_* pattern is a -run alternation, and an
-# alternative no test matches (a test renamed or deleted) would
-# otherwise drop out of the suite without a word.
-FAULTS_FAULTINJECT := TestScenariosAcrossOperators|TestFault|TestHang|TestDelay|TestTracker|TestMatches|TestSortMidDrainAbort
-FAULTS_EXEC := TestAccountant|TestBudget|TestMergeJoinGroupRelease|TestMergeJoinOpenPanicClosesLeft|TestCancelDuringExecute|TestDeadlineMidMergeJoin|TestExecuteContextDeadPipeline|TestExchange|TestLiveColumnsExchange|TestStreamSinkErrorAborts|TestStreamCancelMidStream|TestStreamBlockedSinkBuffersNothing|TestStreamRowWindows|TestMeterErrorOrder|TestMeterLimitLookAhead|TestCursorCancelPollBound|TestScanCancelPollBound|TestMeterWrapperLayout|TestRegistryConcurrentAcquireEvict|TestRegistryPinBlocksEviction|TestRegistrySingleLoad|TestRegistryLoaderPanic|TestLimitEarlyOutUnderParallelExchanges|TestRegistryBuildTable|TestResidentBuildFallback|TestArenaRetention|TestExecuteRowsOwned
-FAULTS_SERVER := TestExecuteTimeout|TestExecuteDefaultTimeout|TestTimeoutClamp|TestExecuteBudget|TestExecuteBufferedHoldsOnlyWhatItReturns|TestGlobalMemBudget|TestExecuteClientCancel|TestDrainAndWait|TestClientRetry|TestRetryBackoff|TestExecuteStreamClientDisconnect|TestExecuteStreamFirstRowBeforeMaterialization|TestStreamNoRetryMidStream|TestStreamTrailerAbortNotRetried|TestEvictVsExecute|TestMemoryAdmission|TestAdmissionReserveIsFirstLease|TestMemLimitCoversResidentDatasets|TestHandlerPanicRecovered|TestPoisonedChunks|TestFaultIsolation
-FAULTS_CONFORMANCE := TestPoisonedChunks
-
-faults: faults-list
-	$(GO) test -race ./internal/faultinject/ -run '$(FAULTS_FAULTINJECT)'
-	$(GO) test -race ./internal/exec/ -run '$(FAULTS_EXEC)'
-	$(GO) test -race ./internal/server/ -run '$(FAULTS_SERVER)'
-	$(GO) test -race ./internal/conformance/ -run '$(FAULTS_CONFORMANCE)'
-
-# faults-list fails unless every alternative of every FAULTS_* pattern
-# matches at least one test of its package (go test -list).
-faults-list:
-	@check() { \
-		tests="$$($(GO) test -list '.*' "$$1" | grep '^Test')"; \
-		for alt in $$(echo "$$2" | tr '|' ' '); do \
-			echo "$$tests" | grep -Eq "$$alt" || { echo "faults: -run alternative $$alt matches no test in $$1"; exit 1; }; \
-		done; \
-	}; \
-	check ./internal/faultinject/ '$(FAULTS_FAULTINJECT)'; \
-	check ./internal/exec/ '$(FAULTS_EXEC)'; \
-	check ./internal/server/ '$(FAULTS_SERVER)'; \
-	check ./internal/conformance/ '$(FAULTS_CONFORMANCE)'
-
 # serve-soak is the lifecycle endurance run: a minute of mixed
 # plan/execute/stream/disconnect traffic under the race detector, over
 # an on-demand registry being evicted underneath the queries, ending
 # with a leak audit (operators, budget bytes, pins, goroutines). The
 # tier-1 suite runs the same test at 1.5s; this target is the long soak
-# CI runs alongside `faults`.
+# CI runs after `make race`.
 serve-soak:
 	$(GO) test -race ./internal/server/ -run 'TestServeSoak' -count=1 -timeout 5m -args -soak=60s
 

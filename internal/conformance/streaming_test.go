@@ -36,7 +36,7 @@ func TestStreamingConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := exec.NewRegistry()
-			reg.Register(ds)
+			reg.RegisterLazy(ds.Name, ds.Desc, func() (*exec.Dataset, error) { return ds, nil })
 			srv := server.New(server.Config{
 				Planner:  planner.New(planner.DefaultConfig(cat)),
 				Datasets: reg,

@@ -295,13 +295,6 @@ func (d *Dataset) TotalRows() int64 {
 	return n
 }
 
-// TableRows returns one table's rows (nil when the table does not
-// exist) — the brute-force reference evaluator and tests read datasets
-// through it.
-func (d *Dataset) TableRows(name string) []Row {
-	return d.Tables[name]
-}
-
 // RawRows returns the dataset in the row-major map layout the
 // brute-force evaluator consumes.
 func (d *Dataset) RawRows() map[string][][]int64 {

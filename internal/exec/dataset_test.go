@@ -98,13 +98,13 @@ func TestApplyStats(t *testing.T) {
 	}
 }
 
-// TestTableRowsRoundTrip pins storage-once: row-major in, the same
-// values out through TableRows and RawRows, the input not retained,
-// and the rows of one table adjacent in one slab.
-func TestTableRowsRoundTrip(t *testing.T) {
+// TestDatasetRoundTrip pins storage-once: row-major in, the same
+// values out through Tables and RawRows, the input not retained, and
+// the rows of one table adjacent in one slab.
+func TestDatasetRoundTrip(t *testing.T) {
 	raw := [][]int64{{1, 10, 100}, {2, 20, 200}, {3, 30, 300}}
 	ds := NewDataset("rt", "round trip", nil, map[string][][]int64{"t": raw, "empty": nil})
-	rows := ds.TableRows("t")
+	rows := ds.Tables["t"]
 	got := ds.RawRows()["t"]
 	if len(rows) != len(raw) || len(got) != len(raw) {
 		t.Fatalf("rows = %d, raw rows = %d, want %d", len(rows), len(got), len(raw))
@@ -123,11 +123,11 @@ func TestTableRowsRoundTrip(t *testing.T) {
 	if rows[0][0] != 1 {
 		t.Fatal("dataset aliases the generator's rows")
 	}
-	if ds.TableRows("missing") != nil {
-		t.Fatal("missing table must return nil")
+	if ds.Tables["missing"] != nil {
+		t.Fatal("missing table must be nil")
 	}
-	if len(ds.TableRows("empty")) != 0 || ds.TotalRows() != 3 {
-		t.Fatalf("empty table: %d rows, total %d", len(ds.TableRows("empty")), ds.TotalRows())
+	if len(ds.Tables["empty"]) != 0 || ds.TotalRows() != 3 {
+		t.Fatalf("empty table: %d rows, total %d", len(ds.Tables["empty"]), ds.TotalRows())
 	}
 }
 

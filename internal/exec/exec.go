@@ -539,28 +539,11 @@ func (al *rowAlloc) concatN(pieces []Row, n int) (Row, error) {
 	return out, nil
 }
 
-// Agg selects the aggregate computed by the group operators.
-type Agg uint8
-
-const (
-	// AggCount counts rows per group.
-	AggCount Agg = iota
-	// AggSum sums the input column per group.
-	AggSum
-	// AggMin keeps the minimum of the input column per group.
-	AggMin
-	// AggMax keeps the maximum of the input column per group.
-	AggMax
-	// AggAvg averages the input column per group (integer semantics:
-	// sum/count, truncated toward zero).
-	AggAvg
-)
-
 // AggSpec is one aggregate of a group operator's output: the function
-// and its input column (ignored for AggCount). A group operator with no
-// AggSpec computes the default single count(*).
+// and its input column (ignored for query.AggCount). A group operator
+// with no AggSpec computes the default single count(*).
 type AggSpec struct {
-	Fn  Agg
+	Fn  query.AggFn
 	Col int
 }
 
@@ -584,7 +567,7 @@ func (g *groupAcc) start(row Row, specs []AggSpec) {
 		g.accs = g.accs[:len(specs)]
 	}
 	for i, s := range specs {
-		if s.Fn == AggCount {
+		if s.Fn == query.AggCount {
 			g.accs[i] = 0
 		} else {
 			g.accs[i] = row[s.Col]
@@ -596,13 +579,13 @@ func (g *groupAcc) add(row Row, specs []AggSpec) {
 	g.count++
 	for i, s := range specs {
 		switch s.Fn {
-		case AggSum, AggAvg:
+		case query.AggSum, query.AggAvg:
 			g.accs[i] += row[s.Col]
-		case AggMin:
+		case query.AggMin:
 			if v := row[s.Col]; v < g.accs[i] {
 				g.accs[i] = v
 			}
-		case AggMax:
+		case query.AggMax:
 			if v := row[s.Col]; v > g.accs[i] {
 				g.accs[i] = v
 			}
@@ -620,9 +603,9 @@ func (g *groupAcc) emit(keys []int, specs []AggSpec) Row {
 	}
 	for i, s := range specs {
 		switch s.Fn {
-		case AggCount:
+		case query.AggCount:
 			out = append(out, g.count)
-		case AggAvg:
+		case query.AggAvg:
 			out = append(out, g.accs[i]/g.count)
 		default:
 			out = append(out, g.accs[i])

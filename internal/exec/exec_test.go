@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"orderopt/internal/plan"
+	"orderopt/internal/query"
 )
 
 func rowsOf(vals ...[]int64) []Row {
@@ -211,7 +212,7 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 	rows := rowsOf(
 		[]int64{1, 5}, []int64{1, 7}, []int64{2, 1}, []int64{3, 2}, []int64{3, 2},
 	)
-	gs, err := Collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
+	gs, err := Collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 	if !reflect.DeepEqual(gs, want) {
 		t.Errorf("GroupSorted = %v, want %v", gs, want)
 	}
-	gh, err := Collect(&GroupHash{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 1}}})
+	gh, err := Collect(&GroupHash{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestGroupAggs(t *testing.T) {
 	if !reflect.DeepEqual(cnt, rowsOf([]int64{1, 2}, []int64{2, 1})) {
 		t.Errorf("count = %v", cnt)
 	}
-	min, err := Collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggMin, Col: 1}}})
+	min, err := Collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggMin, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestGroupEmptyInput(t *testing.T) {
 	if len(gs) != 0 {
 		t.Errorf("empty input produced groups: %v", gs)
 	}
-	gh, err := Collect(&GroupHash{In: NewScan(nil, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: AggSum, Col: 0}}})
+	gh, err := Collect(&GroupHash{In: NewScan(nil, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggSum, Col: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,7 @@ import (
 // they charge runs out of room. The serving layer acquires a pin per
 // request, so eviction can never free storage a pipeline is still
 // scanning; an evicted dataset is simply rebuilt by its loader on the
-// next acquire. Eagerly Registered datasets have no loader and are
-// therefore never evicted (there would be no way back).
+// next acquire.
 
 // ErrUnknownDataset is wrapped by Acquire/Get failures for names that
 // were never registered; the serving layer maps it to 400, and every
@@ -31,7 +30,7 @@ type DatasetLoader func() (*Dataset, error)
 type regEntry struct {
 	name string
 	desc string
-	load DatasetLoader // nil for sticky (eagerly registered) entries
+	load DatasetLoader
 
 	ds      *Dataset // non-nil while resident
 	bytes   int64    // MemBytes() of ds while resident
@@ -44,14 +43,13 @@ type regEntry struct {
 }
 
 // Registry is a named set of datasets; the first registered one is the
-// default. It is safe for concurrent use: datasets may be registered
-// eagerly (Register — resident for the registry's lifetime) or lazily
-// (RegisterLazy — built by a loader on first Acquire and evictable).
+// default. It is safe for concurrent use: every dataset is registered
+// with a loader (RegisterLazy), built on first Acquire and evictable.
 // Every resident byte is charged to the registry's Accountant, the one
 // the serving layer's pipelines charge too. When it has a limit,
-// loading a dataset evicts least-recently-used unpinned lazy datasets
-// until the newcomer fits next to everything else charged; when what
-// is resident is pinned or sticky the load fails with an error wrapping
+// loading a dataset evicts least-recently-used unpinned datasets until
+// the newcomer fits next to everything else charged; when what is
+// resident is pinned the load fails with an error wrapping
 // ErrBudgetExceeded, which the serving layer sheds as 429.
 type Registry struct {
 	mu      sync.Mutex
@@ -85,31 +83,17 @@ func NewRegistry() *Registry {
 // charge, so one limit bounds both. What is resident moves from the
 // previous accountant to a; when that leaves a over its limit,
 // least-recently-used unpinned datasets are evicted until it fits
-// (best effort — pinned and sticky datasets stay).
+// (best effort — pinned datasets stay).
 func (r *Registry) SetAccountant(a *Accountant) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.resident.Load()
 	r.acct.Release(n)
 	r.acct = a
-	r.chargeLocked(n)
-}
-
-// Register adds d eagerly: resident immediately and for the registry's
-// lifetime (no loader, so never evicted). A dataset with the same name
-// is replaced.
-func (r *Registry) Register(d *Dataset) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.entryLocked(d.Name)
-	r.unloadLocked(e)
-	e.desc = d.Desc
-	e.load = nil
-	e.ds = d
-	e.bytes = d.MemBytes()
-	r.residentAdd(e.bytes)
-	d.owner.Store(r)
-	r.chargeLocked(e.bytes)
+	if a != nil {
+		a.used.Add(n)
+	}
+	_ = r.reserveLocked(0)
 }
 
 // RegisterLazy adds a dataset that load builds on first Acquire. The
@@ -149,9 +133,9 @@ func (r *Registry) residentAdd(delta int64) {
 }
 
 // Acquire returns the named dataset pinned against eviction; the empty
-// name selects the default (first registered). Lazy datasets are
-// loaded on first use — concurrent acquirers of a loading dataset wait
-// for the one in-flight load rather than loading twice. The returned
+// name selects the default (first registered). Datasets are loaded on
+// first use — concurrent acquirers of a loading dataset wait for the
+// one in-flight load rather than loading twice. The returned
 // release function drops the pin and must be called exactly once, when
 // the query is done reading the dataset. Errors wrap ErrUnknownDataset
 // (no such name) or ErrBudgetExceeded (the load does not fit the
@@ -189,12 +173,6 @@ func (r *Registry) Acquire(name string) (*Dataset, func(), error) {
 			<-ch
 			r.mu.Lock()
 			continue
-		}
-		if e.load == nil {
-			// A sticky entry with no dataset cannot happen via the public
-			// API; treat it as unknown rather than panic.
-			r.mu.Unlock()
-			return nil, nil, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 		}
 		ch := make(chan struct{})
 		e.loading = ch
@@ -254,15 +232,15 @@ func (r *Registry) releaseFunc(e *regEntry) func() {
 }
 
 // reserveLocked reserves need bytes on the accountant, evicting
-// least-recently-used unpinned lazy datasets until the reservation
-// fits; it fails with a budget error, having reserved nothing, when
-// what remains resident is pinned or sticky. Without a limit it never
-// evicts. Caller holds r.mu.
+// least-recently-used unpinned datasets until the reservation fits; it
+// fails with a budget error, having reserved nothing, when what remains
+// resident is pinned. Without a limit it never evicts. Caller holds
+// r.mu.
 func (r *Registry) reserveLocked(need int64) error {
 	for !r.acct.Reserve(need) {
 		var victim *regEntry
 		for _, e := range r.entries {
-			if e.ds == nil || e.pins > 0 || e.load == nil {
+			if e.ds == nil || e.pins > 0 {
 				continue
 			}
 			if victim == nil || e.lastUse < victim.lastUse {
@@ -270,23 +248,12 @@ func (r *Registry) reserveLocked(need int64) error {
 			}
 		}
 		if victim == nil {
-			return fmt.Errorf("%w: %d bytes needed, %d of %d in use (%d resident and pinned or unevictable)",
+			return fmt.Errorf("%w: %d bytes needed, %d of %d in use (%d resident and pinned)",
 				ErrBudgetExceeded, need, r.acct.Used(), r.acct.Limit(), r.resident.Load())
 		}
 		r.evictLocked(victim)
 	}
 	return nil
-}
-
-// chargeLocked charges n resident bytes the registry cannot refuse (a
-// sticky registration, residency moving to a new accountant), then
-// evicts idle datasets, best effort, until the accountant is back
-// within its limit. Caller holds r.mu.
-func (r *Registry) chargeLocked(n int64) {
-	if r.acct != nil {
-		r.acct.used.Add(n)
-	}
-	_ = r.reserveLocked(0)
 }
 
 // unloadLocked drops e's resident dataset, if any, and its charge.
@@ -311,8 +278,8 @@ func (r *Registry) evictLocked(victim *regEntry) {
 // least-recently-used unpinned datasets for room as a load would. It
 // reports false, with nothing charged, when d is not this registry's
 // resident copy of its name or the bytes do not fit next to what is
-// pinned or sticky; nothing is evicted then either, unless running
-// pipelines took the room counted here while the evictions ran. A nil
+// pinned; nothing is evicted then either, unless running pipelines
+// took the room counted here while the evictions ran. A nil
 // registry admits everything: nobody budgets a dataset no registry
 // holds.
 func (r *Registry) admitDerived(d *Dataset, n int64) bool {
@@ -328,7 +295,7 @@ func (r *Registry) admitDerived(d *Dataset, n int64) bool {
 	if limit := r.acct.Limit(); limit > 0 {
 		room := limit - r.acct.Used()
 		for _, o := range r.entries {
-			if o != e && o.ds != nil && o.pins == 0 && o.load != nil {
+			if o != e && o.ds != nil && o.pins == 0 {
 				room += o.bytes
 			}
 		}
@@ -354,22 +321,22 @@ func (r *Registry) countBuild(outcome int) {
 	}
 }
 
-// Evict drops the named dataset's resident copy if it is loaded,
-// unpinned and reloadable, reporting whether anything was evicted.
+// Evict drops the named dataset's resident copy if it is loaded and
+// unpinned, reporting whether anything was evicted.
 // In-flight queries that acquired the dataset before the call keep
 // their (still valid) reference; the next Acquire reloads.
 func (r *Registry) Evict(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[name]
-	if !ok || e.ds == nil || e.pins > 0 || e.load == nil {
+	if !ok || e.ds == nil || e.pins > 0 {
 		return false
 	}
 	r.evictLocked(e)
 	return true
 }
 
-// Get returns the named dataset (loading it if lazy and absent); the
+// Get returns the named dataset (loading it if absent); the
 // empty name selects the default (first registered). It takes no pin —
 // callers that execute against the dataset while eviction may run
 // concurrently should use Acquire. Load failures report as not-found.
@@ -392,13 +359,12 @@ func (r *Registry) Names() []string {
 
 // DatasetInfo describes one registry entry for stats endpoints.
 type DatasetInfo struct {
-	Name      string `json:"name"`
-	Desc      string `json:"desc,omitempty"`
-	Resident  bool   `json:"resident"`
-	Evictable bool   `json:"evictable"`
-	Bytes     int64  `json:"bytes,omitempty"`
-	Rows      int64  `json:"rows,omitempty"`
-	Pins      int    `json:"pins,omitempty"`
+	Name     string `json:"name"`
+	Desc     string `json:"desc,omitempty"`
+	Resident bool   `json:"resident"`
+	Bytes    int64  `json:"bytes,omitempty"`
+	Rows     int64  `json:"rows,omitempty"`
+	Pins     int    `json:"pins,omitempty"`
 	// DerivedBytes is the part of Bytes held by the BuildTables hash-join
 	// build tables the dataset has derived from its rows so far.
 	DerivedBytes int64 `json:"derivedBytes,omitempty"`
@@ -413,12 +379,11 @@ func (r *Registry) Info() []DatasetInfo {
 	for _, name := range r.names {
 		e := r.entries[name]
 		info := DatasetInfo{
-			Name:      name,
-			Desc:      e.desc,
-			Resident:  e.ds != nil,
-			Evictable: e.load != nil,
-			Bytes:     e.bytes,
-			Pins:      e.pins,
+			Name:     name,
+			Desc:     e.desc,
+			Resident: e.ds != nil,
+			Bytes:    e.bytes,
+			Pins:     e.pins,
 		}
 		if e.ds != nil {
 			info.Rows = e.ds.TotalRows()

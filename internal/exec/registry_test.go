@@ -27,6 +27,16 @@ func limit(r *Registry, n int64) *Accountant {
 	return a
 }
 
+// loaded registers d under its name with a loader returning it, and
+// loads it.
+func loaded(t *testing.T, r *Registry, d *Dataset) {
+	t.Helper()
+	r.RegisterLazy(d.Name, d.Desc, func() (*Dataset, error) { return d, nil })
+	if _, ok := r.Get(d.Name); !ok {
+		t.Fatalf("loading %s failed", d.Name)
+	}
+}
+
 // countingLoader wraps a dataset build with an invocation counter.
 func countingLoader(name string, rows int, calls *atomic.Int64) DatasetLoader {
 	return func() (*Dataset, error) {
@@ -50,8 +60,8 @@ func TestRegistryLazyLoad(t *testing.T) {
 		t.Fatalf("resident %d bytes before any acquire, want 0", got)
 	}
 	info := r.Info()
-	if len(info) != 1 || info[0].Resident || !info[0].Evictable {
-		t.Fatalf("pre-load info = %+v, want non-resident evictable entry", info)
+	if len(info) != 1 || info[0].Resident {
+		t.Fatalf("pre-load info = %+v, want a non-resident entry", info)
 	}
 
 	ds, release, err := r.Acquire("a")
@@ -94,7 +104,7 @@ func TestRegistryUnknown(t *testing.T) {
 	if _, _, err := r.Acquire(""); !errors.Is(err, ErrUnknownDataset) {
 		t.Errorf("empty registry Acquire: %v, want ErrUnknownDataset", err)
 	}
-	r.Register(tinyDataset("a", 4))
+	r.RegisterLazy("a", "", countingLoader("a", 4, new(atomic.Int64)))
 	if _, _, err := r.Acquire("nope"); !errors.Is(err, ErrUnknownDataset) {
 		t.Errorf("unknown name Acquire: %v, want ErrUnknownDataset", err)
 	}
@@ -201,28 +211,6 @@ func TestRegistryPinBlocksEviction(t *testing.T) {
 		t.Fatalf("loading b after the pin released: %v", err)
 	} else {
 		releaseB()
-	}
-}
-
-// TestRegistryStickyNeverEvicted: eagerly Registered datasets have no
-// loader and are never evicted, even under pressure; lazy loads that
-// cannot fit next to them fail with a budget error.
-func TestRegistryStickyNeverEvicted(t *testing.T) {
-	var calls atomic.Int64
-	r := NewRegistry()
-	sticky := tinyDataset("sticky", 32)
-	r.Register(sticky)
-	r.RegisterLazy("lazy", "", countingLoader("lazy", 32, &calls))
-	limit(r, sticky.MemBytes()) // the sticky dataset fills the budget
-
-	if r.Evict("sticky") {
-		t.Error("Evict succeeded on a sticky dataset")
-	}
-	if _, _, err := r.Acquire("lazy"); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("lazy load next to a budget-filling sticky dataset: %v, want ErrBudgetExceeded", err)
-	}
-	if ds, ok := r.Get("sticky"); !ok || ds != sticky {
-		t.Error("sticky dataset not retrievable after the failed lazy load")
 	}
 }
 
@@ -447,19 +435,18 @@ func TestRegistryConcurrentAcquireEvict(t *testing.T) {
 	}
 }
 
-// TestRegistryReplaceRegistration: re-registering a name (lazy over
-// eager and back) replaces the entry and releases the old residency.
+// TestRegistryReplaceRegistration: re-registering a name replaces the
+// entry and releases the old registration's residency.
 func TestRegistryReplaceRegistration(t *testing.T) {
 	r := NewRegistry()
-	r.Register(tinyDataset("a", 16))
-	before := r.ResidentBytes()
-	if before == 0 {
-		t.Fatal("eager registration holds no bytes")
+	loaded(t, r, tinyDataset("a", 16))
+	if r.ResidentBytes() == 0 {
+		t.Fatal("a loaded dataset holds no bytes")
 	}
 	var calls atomic.Int64
-	r.RegisterLazy("a", "now lazy", countingLoader("a", 8, &calls))
+	r.RegisterLazy("a", "replaced", countingLoader("a", 8, &calls))
 	if got := r.ResidentBytes(); got != 0 {
-		t.Errorf("resident %d bytes after replacing the eager entry, want 0", got)
+		t.Errorf("resident %d bytes after replacing the loaded entry, want 0", got)
 	}
 	ds, release, err := r.Acquire("a")
 	if err != nil {
@@ -508,13 +495,13 @@ func TestRegistrySetAccountantEvicts(t *testing.T) {
 // so /stats can show them.
 func TestRegistryInfoRows(t *testing.T) {
 	r := NewRegistry()
-	r.Register(tinyDataset("a", 5))
+	loaded(t, r, tinyDataset("a", 5))
 	info := r.Info()
 	if len(info) != 1 {
 		t.Fatalf("%d info entries, want 1", len(info))
 	}
-	if info[0].Rows != 5 || !info[0].Resident || info[0].Evictable {
-		t.Errorf("info = %+v, want 5 resident unevictable rows", info[0])
+	if info[0].Rows != 5 || !info[0].Resident {
+		t.Errorf("info = %+v, want 5 resident rows", info[0])
 	}
 	if info[0].Bytes != tinyDataset("a", 5).MemBytes() {
 		t.Errorf("info bytes = %d, want MemBytes", info[0].Bytes)
@@ -532,7 +519,7 @@ func tinyViewBytes(rows int) int64 { return 4*int64(rows+1) + 24*int64(rows) }
 func TestRegistryBuildTableSingleFlight(t *testing.T) {
 	const rows = 4096
 	r := NewRegistry()
-	r.Register(tinyDataset("a", rows))
+	r.RegisterLazy("a", "", countingLoader("a", rows, new(atomic.Int64)))
 	ds, release, err := r.Acquire("a")
 	if err != nil {
 		t.Fatal(err)

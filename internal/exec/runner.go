@@ -608,21 +608,7 @@ func (r *Runner) resolveGroup(schema []query.ColumnRef, st *OpStats) ([]int, []A
 	}
 	var aggs []AggSpec
 	for i, a := range g.Aggregates {
-		spec := AggSpec{}
-		switch a.Fn {
-		case query.AggCount:
-			spec.Fn = AggCount
-		case query.AggSum:
-			spec.Fn = AggSum
-		case query.AggAvg:
-			spec.Fn = AggAvg
-		case query.AggMin:
-			spec.Fn = AggMin
-		case query.AggMax:
-			spec.Fn = AggMax
-		default:
-			return nil, nil, nil, fmt.Errorf("exec: unsupported aggregate function %v", a.Fn)
-		}
+		spec := AggSpec{Fn: a.Fn}
 		if a.Fn != query.AggCount {
 			pos := r.colPosEquiv(schema, a.Col)
 			if pos < 0 {

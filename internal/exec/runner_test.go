@@ -460,9 +460,9 @@ func TestRunnerIndexedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	t1 := g.Relations[rel].Table
-	if !sameMultiset(rows1, ds.TableRows(t1.Name)) || pipe.RowsSorted() != 0 {
+	if !sameMultiset(rows1, ds.Tables[t1.Name]) || pipe.RowsSorted() != 0 {
 		t.Fatalf("index scan emitted %d rows sorting %d, want the table's %d sorting none",
-			len(rows1), pipe.RowsSorted(), len(ds.TableRows(t1.Name)))
+			len(rows1), pipe.RowsSorted(), len(ds.Tables[t1.Name]))
 	}
 	if _, err := NewDataset("plain", "no catalog, no views", nil, ds.RawRows()).Runner(a).Compile(p); err == nil {
 		t.Fatal("an index scan without a maintained view compiled")

@@ -317,20 +317,15 @@ func (p *Planner) prepareGraph(g *query.Graph) (*PreparedQuery, error) {
 // Plan plans sql end to end: prepared-statement cache, then plan cache,
 // then dynamic programming on pooled scratch.
 func (p *Planner) Plan(sql string) (Planned, error) {
-	pd, _, err := p.PlanQuery(sql)
+	pd, _, err := p.PlanQueryContext(context.Background(), sql)
 	return pd, err
 }
 
-// PlanQuery is Plan returning the prepared statement the plan came from
-// as well, for callers that need the bound graph, analysis or framework
-// next to the result — the serving layer renders relation aliases and
-// order properties from it.
-func (p *Planner) PlanQuery(sql string) (Planned, *PreparedQuery, error) {
-	return p.PlanQueryContext(context.Background(), sql)
-}
-
-// PlanQueryContext is PlanQuery observing ctx. Planning is CPU-bound
-// and runs in well-understood phases (parse/bind/analyze, DFSM
+// PlanQueryContext is Plan observing ctx and returning the prepared
+// statement the plan came from as well, for callers that need the bound
+// graph, analysis or framework next to the result — the serving layer
+// renders relation aliases and order properties from it. Planning is
+// CPU-bound and runs in well-understood phases (parse/bind/analyze, DFSM
 // preparation, dynamic programming), so cancellation is checked at the
 // phase boundaries rather than inside the DP's inner loops: a request
 // whose deadline expires — or whose client disconnects — before or
@@ -364,15 +359,6 @@ func (p *Planner) PlanContext(ctx context.Context, sql string) (Planned, error) 
 
 // Plan plans the prepared query: plan cache first, then the DP.
 func (q *PreparedQuery) Plan() (Planned, error) {
-	return q.plan(SourcePrepared)
-}
-
-// PlanContext is Plan observing ctx: an already-dead context returns
-// ctx.Err() instead of running the DP.
-func (q *PreparedQuery) PlanContext(ctx context.Context) (Planned, error) {
-	if err := ctx.Err(); err != nil {
-		return Planned{}, err
-	}
 	return q.plan(SourcePrepared)
 }
 

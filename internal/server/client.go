@@ -6,10 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/url"
-	"time"
 
 	"orderopt/internal/exec"
 	"orderopt/internal/planner"
@@ -254,8 +252,9 @@ type ErrorResponse struct {
 	Operators []exec.OpStats `json:"operators,omitempty"`
 }
 
-// StatusError is a non-2xx response decoded into an error. The load
-// generator matches on Code to count shed requests.
+// StatusError is a non-2xx response decoded into an error. The server
+// sends a 429 (shed, budget) or 503 (draining) with Retry-After; the
+// client returns it once, and whether to retry is the caller's call.
 type StatusError struct {
 	Code int
 	// Kind is the body's lifecycle classification ("timeout",
@@ -274,66 +273,11 @@ func IsShed(err error) bool {
 	return errors.As(err, &se) && se.Code == http.StatusTooManyRequests
 }
 
-// IsRetryable reports whether err is a response worth retrying with
-// backoff: 429 (admission shed or budget rejection — load-dependent,
-// both may succeed once concurrent work drains) or 503 (this replica
-// is draining; a load balancer will route the retry elsewhere).
-func IsRetryable(err error) bool {
-	var se *StatusError
-	if !errors.As(err, &se) {
-		return false
-	}
-	return se.Code == http.StatusTooManyRequests || se.Code == http.StatusServiceUnavailable
-}
-
-// RetryPolicy makes a Client retry requests the server turned away
-// under load (see IsRetryable) with capped exponential backoff and
-// equal jitter. Retrying is opt-in: the zero Client never retries.
-// Backoff sleeps honor the caller's context — a cancelled context
-// aborts the wait and returns its error.
-type RetryPolicy struct {
-	// MaxRetries is how many times a retryable failure is retried
-	// after the initial attempt.
-	MaxRetries int
-	// BaseDelay seeds the exponential backoff (doubled per attempt);
-	// MaxDelay caps it. Each sleep is jittered uniformly over
-	// [backoff/2, backoff] so synchronized clients spread out.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
-
-// DefaultRetryPolicy suits loopback and same-datacenter callers:
-// 3 retries starting at 10ms, capped at 500ms.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{MaxRetries: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 500 * time.Millisecond}
-}
-
-// backoff returns the jittered sleep before retry attempt (0-based).
-func (p *RetryPolicy) backoff(attempt int) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = 500 * time.Millisecond
-	}
-	d := base << uint(attempt)
-	if d <= 0 || d > max { // <= 0: shift overflow
-		d = max
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
-
 // Client calls a planning server. The zero HTTPClient means
 // http.DefaultClient; Client is safe for concurrent use.
 type Client struct {
 	BaseURL    string
 	HTTPClient *http.Client
-	// Retry, when set, retries shed (429) and draining (503) responses
-	// with capped exponential backoff + jitter. Nil never retries.
-	Retry *RetryPolicy
 }
 
 // NewClient returns a Client for the server at base (e.g.
@@ -347,8 +291,7 @@ func (c *Client) Plan(sql string) (*PlanResponse, error) {
 	return c.PlanContext(context.Background(), sql)
 }
 
-// PlanContext plans sql on the server under ctx (which also bounds any
-// retry backoff).
+// PlanContext plans sql on the server under ctx.
 func (c *Client) PlanContext(ctx context.Context, sql string) (*PlanResponse, error) {
 	var resp PlanResponse
 	if err := c.postJSON(ctx, "/plan", PlanRequest{SQL: sql}, &resp); err != nil {
@@ -419,44 +362,28 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// postJSON posts body to path and decodes the response, retrying
-// retryable failures per c.Retry.
-func (c *Client) postJSON(ctx context.Context, path string, reqBody, out any) error {
+// post sends reqBody to path as JSON, once.
+func (c *Client) post(ctx context.Context, path string, reqBody any) (*http.Response, error) {
 	body, err := json.Marshal(reqBody)
+	if err != nil {
+		return nil, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return c.httpClient().Do(req)
+}
+
+// postJSON posts reqBody to path and decodes the response; a non-200 is
+// a *StatusError.
+func (c *Client) postJSON(ctx context.Context, path string, reqBody, out any) error {
+	res, err := c.post(ctx, path, reqBody)
 	if err != nil {
 		return err
 	}
-	return c.withRetry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		res, err := c.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		return decode(res, out)
-	})
-}
-
-// withRetry runs fn, retrying per c.Retry while the failure is
-// retryable and ctx is alive.
-func (c *Client) withRetry(ctx context.Context, fn func() error) error {
-	pol := c.Retry
-	for attempt := 0; ; attempt++ {
-		err := fn()
-		if err == nil || pol == nil || attempt >= pol.MaxRetries || !IsRetryable(err) {
-			return err
-		}
-		t := time.NewTimer(pol.backoff(attempt))
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		}
-	}
+	return decode(res, out)
 }
 
 func (c *Client) get(path string, out any) error {

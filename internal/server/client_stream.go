@@ -1,13 +1,6 @@
 // Client side of streaming /execute: ExecuteStream issues the request
-// and returns an iterator over the NDJSON frames.
-//
-// Retry discipline: a streaming request may be retried only while it
-// is being established — a 429 (shed, budget) or 503 (draining) is an
-// HTTP status carrying no frames, so re-issuing it can never replay
-// rows. The moment the header frame has been decoded the request is
-// committed: mid-stream failures (connection cut, pipeline error in
-// the trailer) surface as terminal errors from Next, never as a
-// silent re-execution that would duplicate already-consumed rows.
+// and returns an iterator over the NDJSON frames. A stream is never
+// re-issued.
 
 package server
 
@@ -16,16 +9,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"orderopt/internal/exec"
 )
 
 // StreamAbort is a pipeline failure reported mid-stream (in the
 // trailer): the rows already consumed are a valid prefix of the
-// result, and the query was NOT retried — re-running a partially
+// result, and the query was not re-run — re-running a partially
 // consumed stream is the caller's decision. Deliberately not a
-// StatusError, so IsRetryable is false even for budget aborts.
+// StatusError: the request was admitted and rows were sent.
 type StreamAbort struct {
 	// Kind is the lifecycle classification ("timeout", "canceled",
 	// "budget"), empty for ordinary failures.
@@ -77,49 +69,28 @@ func (c *Client) ExecuteStream(req ExecuteRequest) (*ExecuteStream, error) {
 }
 
 // ExecuteStreamContext starts a streaming execution of req under ctx:
-// cancelling ctx aborts the stream and the server-side pipeline.
-// Establishment failures (non-200 status) are retried per c.Retry when
-// retryable; once a header frame has been received no retry ever
-// happens (see the file comment). The returned stream must be Closed.
+// cancelling ctx aborts the stream and the server-side pipeline. A
+// non-200 status is a *StatusError. The returned stream must be Closed.
 func (c *Client) ExecuteStreamContext(ctx context.Context, req ExecuteRequest) (*ExecuteStream, error) {
 	req.Stream = true
-	body, err := json.Marshal(req)
+	res, err := c.post(ctx, "/execute", req)
 	if err != nil {
 		return nil, err
 	}
-	var stream *ExecuteStream
-	err = c.withRetry(ctx, func() error {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/execute", strings.NewReader(string(body)))
-		if err != nil {
-			return err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		res, err := c.httpClient().Do(hreq)
-		if err != nil {
-			return err
-		}
-		if res.StatusCode != http.StatusOK {
-			// decode closes the body and yields a StatusError — the only
-			// error class withRetry will re-issue the request for.
-			return decode(res, nil)
-		}
-		dec := json.NewDecoder(res.Body)
-		var h StreamHeader
-		if err := dec.Decode(&h); err != nil {
-			res.Body.Close()
-			return fmt.Errorf("server: decoding stream header: %w", err)
-		}
-		if h.Frame != FrameHeader {
-			res.Body.Close()
-			return fmt.Errorf("server: stream began with %q frame, want %q", h.Frame, FrameHeader)
-		}
-		stream = &ExecuteStream{header: &h, body: res.Body, dec: dec}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	if res.StatusCode != http.StatusOK {
+		return nil, decode(res, nil) // closes the body
 	}
-	return stream, nil
+	dec := json.NewDecoder(res.Body)
+	var h StreamHeader
+	if err := dec.Decode(&h); err != nil {
+		res.Body.Close()
+		return nil, fmt.Errorf("server: decoding stream header: %w", err)
+	}
+	if h.Frame != FrameHeader {
+		res.Body.Close()
+		return nil, fmt.Errorf("server: stream began with %q frame, want %q", h.Frame, FrameHeader)
+	}
+	return &ExecuteStream{header: &h, body: res.Body, dec: dec}, nil
 }
 
 // Header returns the header frame (plan, columns, chunk size).

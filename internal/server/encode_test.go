@@ -192,9 +192,7 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg := exec.NewRegistry()
-			reg.Register(ds)
-			s := New(Config{Planner: planner.New(planner.DefaultConfig(cat)), Datasets: reg})
+			s := New(Config{Planner: planner.New(planner.DefaultConfig(cat)), Datasets: preloaded(ds)})
 
 			// same checks that the recorded bytes are what encoding/json
 			// prints for the value they decode to, and what the exported

@@ -5,10 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -33,11 +31,19 @@ const joinSQL = "select * from orders, lineitem where o_orderkey = l_orderkey or
 // package's tests do not run in parallel, so no two servers hold it at
 // once.
 var smallRegistry = sync.OnceValue(func() *exec.Registry {
-	ds := exec.NewDataset("tpcr-small", "lifecycle test fixture", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec()))
-	reg := exec.NewRegistry()
-	reg.Register(ds)
-	return reg
+	return preloaded(exec.NewDataset("tpcr-small", "lifecycle test fixture", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec())))
 })
+
+// preloaded returns a registry whose loaders return the given datasets,
+// each loaded already.
+func preloaded(datasets ...*exec.Dataset) *exec.Registry {
+	reg := exec.NewRegistry()
+	for _, ds := range datasets {
+		reg.RegisterLazy(ds.Name, ds.Desc, func() (*exec.Dataset, error) { return ds, nil })
+		_, _ = reg.Get(ds.Name) // cannot fail: the loader returns ds and nothing limits memory yet
+	}
+	return reg
+}
 
 // hangHook wedges every pipeline on its first row; only cancellation
 // releases it.
@@ -285,10 +291,11 @@ func TestExecuteBudget(t *testing.T) {
 	if got := stats.Endpoints["execute"].BudgetRejected; got != 1 {
 		t.Errorf("execute budgetRejected = %d, want 1", got)
 	}
-	// The client-side classification agrees.
+	// The client returns the rejection once, typed.
 	_, err = c.Execute(ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-small"})
-	if !IsRetryable(err) {
-		t.Errorf("budget rejection not retryable: %v", err)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.Kind != "budget" {
+		t.Errorf("budget rejection surfaced as %v, want a 429 budget StatusError", err)
 	}
 }
 
@@ -342,8 +349,7 @@ func sortDataset(name string) *exec.Dataset {
 // reservation fit) but leaves the pipeline only that reservation, which
 // it adopts for its first bytes, and 1 KiB more.
 func TestGlobalMemBudget(t *testing.T) {
-	reg := exec.NewRegistry()
-	reg.Register(sortDataset("tpcr-small4"))
+	reg := preloaded(sortDataset("tpcr-small4"))
 	limit := reg.ResidentBytes() + DefaultQueryReserveBytes + 1<<10
 	_, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: limit})
 	defer done()
@@ -391,8 +397,7 @@ func TestMemLimitCoversResidentDatasets(t *testing.T) {
 	// holds; it does not, because the dataset is inside the limit too.
 	t.Run("pipeline", func(t *testing.T) {
 		ds := sortDataset("tpcr-small4")
-		reg := exec.NewRegistry()
-		reg.Register(ds)
+		reg := preloaded(ds)
 		_, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: ds.MemBytes() + DefaultQueryReserveBytes + 4<<10})
 		defer done()
 		status, e, _ := postExecuteRaw(t, c.BaseURL, ExecuteRequest{SQL: sortSQL, Dataset: "tpcr-small4"})
@@ -505,117 +510,6 @@ func TestDrainAndWait(t *testing.T) {
 	}
 }
 
-// flakyHandler fails the first n requests with status, then delegates.
-type flakyHandler struct {
-	n      atomic.Int64
-	fail   int64
-	status int
-	next   http.Handler
-	hits   atomic.Int64
-}
-
-func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f.hits.Add(1)
-	if f.n.Add(1) <= f.fail {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(f.status)
-		fmt.Fprintf(w, `{"error": "synthetic overload"}`)
-		return
-	}
-	f.next.ServeHTTP(w, r)
-}
-
-// TestClientRetryFlaky: the retry policy must absorb transient 429/503
-// responses and give up on anything else.
-func TestClientRetryFlaky(t *testing.T) {
-	s, _, done := newTestServer(t, Config{})
-	defer done()
-
-	for _, status := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
-		fh := &flakyHandler{fail: 2, status: status, next: s}
-		ts := httptest.NewServer(fh)
-		c := NewClient(ts.URL)
-		c.Retry = &RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-		if _, err := c.Plan(tpcr.Query8SQL); err != nil {
-			t.Errorf("status %d: retries did not absorb the flake: %v", status, err)
-		}
-		if got := fh.hits.Load(); got != 3 {
-			t.Errorf("status %d: %d attempts, want 3", status, got)
-		}
-		ts.Close()
-	}
-
-	// Retries exhausted: MaxRetries+1 attempts, then the typed error.
-	fh := &flakyHandler{fail: 100, status: http.StatusTooManyRequests, next: s}
-	ts := httptest.NewServer(fh)
-	defer ts.Close()
-	c := NewClient(ts.URL)
-	c.Retry = &RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-	_, err := c.Plan(tpcr.Query8SQL)
-	if !IsShed(err) {
-		t.Errorf("exhausted retries: got %v, want 429", err)
-	}
-	if got := fh.hits.Load(); got != 3 {
-		t.Errorf("exhausted retries: %d attempts, want 3", got)
-	}
-}
-
-// TestClientRetryNotRetryable: a 400 must not be retried.
-func TestClientRetryNotRetryable(t *testing.T) {
-	s, _, done := newTestServer(t, Config{})
-	defer done()
-	fh := &flakyHandler{fail: 0, status: 0, next: s}
-	ts := httptest.NewServer(fh)
-	defer ts.Close()
-	c := NewClient(ts.URL)
-	c.Retry = DefaultRetryPolicy()
-	if _, err := c.Plan("select garbage"); err == nil {
-		t.Fatal("bad SQL succeeded")
-	}
-	if got := fh.hits.Load(); got != 1 {
-		t.Errorf("%d attempts on a non-retryable error, want 1", got)
-	}
-}
-
-// TestClientRetryHonorsContext: cancellation during backoff returns
-// promptly instead of sleeping out the schedule.
-func TestClientRetryHonorsContext(t *testing.T) {
-	s, _, done := newTestServer(t, Config{})
-	defer done()
-	fh := &flakyHandler{fail: 100, status: http.StatusTooManyRequests, next: s}
-	ts := httptest.NewServer(fh)
-	defer ts.Close()
-	c := NewClient(ts.URL)
-	c.Retry = &RetryPolicy{MaxRetries: 5, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	begin := time.Now()
-	_, err := c.PlanContext(ctx, tpcr.Query8SQL)
-	if err == nil {
-		t.Fatal("flaky plan succeeded")
-	}
-	if elapsed := time.Since(begin); elapsed > 5*time.Second {
-		t.Errorf("backoff ignored cancellation: returned after %v", elapsed)
-	}
-}
-
-// TestRetryBackoffCapped: the schedule grows exponentially from
-// BaseDelay and never exceeds MaxDelay.
-func TestRetryBackoffCapped(t *testing.T) {
-	p := &RetryPolicy{MaxRetries: 10, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
-	for attempt := 0; attempt < 10; attempt++ {
-		for i := 0; i < 50; i++ {
-			d := p.backoff(attempt)
-			if d < 0 || d > p.MaxDelay {
-				t.Fatalf("backoff(%d) = %v outside [0, %v]", attempt, d, p.MaxDelay)
-			}
-			if attempt == 0 && d < p.BaseDelay/2 {
-				t.Fatalf("backoff(0) = %v below half the base delay", d)
-			}
-		}
-	}
-}
-
 // panicProbe is shared by one request's panicIters: armed fires one
 // panic, opening counts the operator Opens in progress, and midOpen
 // records whether the panic went off inside one.
@@ -673,9 +567,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 		{"right-open", joinSQL, "lineitem/", true}, // the scan, not the join naming it
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ds := exec.NewDataset("tpcr-small", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec()))
-			reg := exec.NewRegistry()
-			reg.Register(ds)
+			reg := preloaded(exec.NewDataset("tpcr-small", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec())))
 			var tracker faultinject.Tracker
 			probe := panicProbe{openOf: tc.openOf}
 			probe.armed.Store(true)

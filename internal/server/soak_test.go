@@ -76,7 +76,6 @@ func TestServeSoak(t *testing.T) {
 		MaxTimeout:  2 * time.Second,
 	})
 	defer done()
-	c.Retry = nil // sheds and deadline cuts are expected outcomes here
 
 	queries := []string{
 		joinSQL,

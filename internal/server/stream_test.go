@@ -1,7 +1,7 @@
 // The streaming /execute battery: wire protocol (header/rows/trailer),
 // equivalence with the buffered path, the first-row-before-full-
 // materialization property the paper's sort-free plans buy, client
-// disconnect teardown, establishment-only retries, and the memory
+// disconnect teardown, streams that are never re-issued, and the memory
 // admission + registry eviction seams.
 package server
 
@@ -28,10 +28,7 @@ import (
 // scaledRegistry builds a single-dataset registry big enough that
 // streamed results run to thousands of rows.
 var scaledRegistry = sync.OnceValue(func() *exec.Registry {
-	ds := exec.NewDataset("tpcr-scaled", "streaming test fixture", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec().Scale(20)))
-	reg := exec.NewRegistry()
-	reg.Register(ds)
-	return reg
+	return preloaded(exec.NewDataset("tpcr-scaled", "streaming test fixture", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec().Scale(20))))
 })
 
 // sortSQL orders the join by a non-key column, forcing a full sort of
@@ -245,35 +242,6 @@ func TestExecuteStreamClientDisconnect(t *testing.T) {
 	}
 }
 
-// TestStreamRetryEstablishment: 429/503 during establishment carry no
-// frames, so the client's retry policy must absorb them — the stream
-// that finally establishes yields the full result exactly once.
-func TestStreamRetryEstablishment(t *testing.T) {
-	s, _, done := newTestServer(t, Config{Datasets: smallRegistry()})
-	defer done()
-	fh := &flakyHandler{fail: 2, status: http.StatusTooManyRequests, next: s}
-	ts := httptest.NewServer(fh)
-	defer ts.Close()
-	c := NewClient(ts.URL)
-	c.Retry = &RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-
-	st, err := c.ExecuteStream(ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-small"})
-	if err != nil {
-		t.Fatalf("retries did not absorb the establishment flake: %v", err)
-	}
-	defer st.Close()
-	rows, err := st.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fh.hits.Load(); got != 3 {
-		t.Errorf("%d attempts, want 3 (two shed, one served)", got)
-	}
-	if tr := st.Trailer(); tr == nil || tr.RowCount != int64(len(rows)) {
-		t.Errorf("retried stream delivered %d rows, trailer %+v", len(rows), tr)
-	}
-}
-
 // TestStreamNoRetryMidStream: once the header frame is on the wire the
 // request is committed — a connection cut before the trailer is a
 // terminal error after exactly one attempt, never a silent re-issue
@@ -304,7 +272,6 @@ func TestStreamNoRetryMidStream(t *testing.T) {
 	defer cut.Close()
 
 	c := NewClient(cut.URL)
-	c.Retry = &RetryPolicy{MaxRetries: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	st, err := c.ExecuteStream(ExecuteRequest{SQL: joinSQL, Dataset: "x"})
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +284,9 @@ func TestStreamNoRetryMidStream(t *testing.T) {
 	if len(rows) != 2 {
 		t.Errorf("consumed %d rows before the cut, want 2", len(rows))
 	}
-	if IsRetryable(err) {
-		t.Errorf("mid-stream cut classified retryable: %v", err)
+	var se *StatusError
+	if errors.As(err, &se) {
+		t.Errorf("mid-stream cut surfaced as a status: %v", err)
 	}
 	if got := hits.Load(); got != 1 {
 		t.Errorf("%d attempts for a mid-stream cut, want exactly 1", got)
@@ -327,18 +295,20 @@ func TestStreamNoRetryMidStream(t *testing.T) {
 
 // TestStreamTrailerAbortNotRetried: a pipeline failure reported in the
 // trailer (here: a query budget) surfaces as a StreamAbort with the
-// lifecycle code, is not retryable, and cost exactly one attempt.
+// lifecycle code, not as a status, and cost exactly one attempt.
 func TestStreamTrailerAbortNotRetried(t *testing.T) {
 	s, _, done := newTestServer(t, Config{
 		Datasets:    smallRegistry(),
 		QueryBudget: exec.Budget{MaxBytes: 1 << 10},
 	})
 	defer done()
-	fh := &flakyHandler{fail: 0, status: 0, next: s}
-	ts := httptest.NewServer(fh)
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		s.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 	c := NewClient(ts.URL)
-	c.Retry = &RetryPolicy{MaxRetries: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 
 	// The sort shape buffers, so the tiny byte budget trips mid-pipeline
 	// — after the header frame committed the request.
@@ -355,10 +325,11 @@ func TestStreamTrailerAbortNotRetried(t *testing.T) {
 	if abort.Kind != "budget" {
 		t.Errorf("abort kind %q, want budget", abort.Kind)
 	}
-	if IsRetryable(err) {
-		t.Error("trailer abort classified retryable")
+	var se *StatusError
+	if errors.As(err, &se) {
+		t.Errorf("trailer abort surfaced as a status: %v", err)
 	}
-	if got := fh.hits.Load(); got != 1 {
+	if got := hits.Load(); got != 1 {
 		t.Errorf("%d attempts for a trailer abort, want exactly 1", got)
 	}
 	if tr := st.Trailer(); tr == nil || tr.Code != "budget" {
@@ -386,19 +357,18 @@ func TestStreamErrorsBeforeHeader(t *testing.T) {
 	}
 }
 
-// TestMemoryAdmissionShedsLoad: a lazy dataset whose load cannot fit
-// the memory limit next to a sticky dataset sheds the request with
-// 429/budget/Retry-After and counts it in the memShed metric — and the
-// server stays healthy for requests against datasets that do fit.
+// TestMemoryAdmissionShedsLoad: a dataset whose load cannot fit the
+// memory limit sheds the request with 429/budget/Retry-After and counts
+// it in the memShed metric — and the server stays healthy for requests
+// against datasets that do fit.
 func TestMemoryAdmissionShedsLoad(t *testing.T) {
 	small := exec.NewDataset("fits", "small enough", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec()))
-	reg := exec.NewRegistry()
-	reg.Register(small)
+	reg := preloaded(small)
 	reg.RegisterLazy("huge", "never fits", func() (*exec.Dataset, error) {
 		return exec.NewDataset("huge", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec().Scale(4))), nil
 	})
-	// Room for the sticky dataset, one query's reservation and 16 KiB of
-	// pipeline headroom: the 4x-scaled dataset does not fit next to it.
+	// Room for the small dataset, one query's reservation and 16 KiB of
+	// pipeline headroom: the 4x-scaled dataset does not fit in it.
 	_, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: small.MemBytes() + DefaultQueryReserveBytes + 16<<10})
 	defer done()
 
@@ -417,9 +387,9 @@ func TestMemoryAdmissionShedsLoad(t *testing.T) {
 	if ep.MemShed != 1 || ep.Shed < 1 {
 		t.Errorf("memShed = %d shed = %d after a load shed, want 1/>=1", ep.MemShed, ep.Shed)
 	}
-	// The resident dataset still serves.
+	// The small dataset still serves.
 	if _, err := c.Execute(ExecuteRequest{SQL: joinSQL, Dataset: "fits"}); err != nil {
-		t.Errorf("resident dataset failed after the shed: %v", err)
+		t.Errorf("small dataset failed after the shed: %v", err)
 	}
 }
 
@@ -460,8 +430,7 @@ func TestMemoryAdmissionReserve(t *testing.T) {
 // that does not plan) gives the reserve back itself. Either way the
 // gauge ends at the resident bytes.
 func TestAdmissionReserveIsFirstLease(t *testing.T) {
-	reg := exec.NewRegistry()
-	reg.Register(exec.NewDataset("tpcr-small", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec())))
+	reg := preloaded(exec.NewDataset("tpcr-small", "", tpcr.Schema(), tpcr.Generate(tpcr.DefaultGenSpec())))
 	s, c, done := newTestServer(t, Config{Datasets: reg, MemLimitBytes: reg.ResidentBytes() + DefaultQueryReserveBytes})
 	defer done()
 	settled := func(what string) {
