@@ -80,7 +80,7 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzz-smoke runs the four fuzz targets briefly on top of their seeds.
+# fuzz-smoke runs the five fuzz targets briefly on top of their seeds.
 # The SQL round-trip fuzzer (checked-in corpus under
 # internal/sqlparse/testdata/fuzz): parse → bind → render → re-bind must
 # never panic and must keep fingerprints stable. The response writer's:
@@ -89,16 +89,19 @@ cover:
 # ragged widths, nil rows and edge integers must stay encoding/json's
 # bytes too. The sort kernel's: sortRows must put any rows, on dense,
 # sparse and overflowing key spans, into the permutation a stable sort
-# gives. Go minimizes each new interesting input for up to 60 s by
-# default, which ate each target's ten seconds (all four sat at 0
-# execs/sec a few seconds in), so every target minimizes for 100 runs
-# and spends the rest fuzzing. CI runs it so the fuzz targets cannot
+# gives. The request decoder's: any body, padded past the 1 MiB limit or
+# not, must decode to what encoding/json decodes it to, or be refused
+# with the status encoding/json's refusal got. Go minimizes each new
+# interesting input for up to 60 s by default, which ate each target's
+# ten seconds (the first four sat at 0 execs/sec a few seconds in), so
+# every target minimizes for 100 runs and spends the rest fuzzing. CI runs it so the fuzz targets cannot
 # rot.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSQLRoundTrip$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowsFrameMatchesEncodingJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSortRows$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequestMatchesEncodingJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server/
 
 # bench is the repo's one benchmark: the four served workloads
 # BENCHMARK.json declares, each a fresh process of the benchmark/

@@ -255,7 +255,7 @@ func TestLiveColumnsExchange(t *testing.T) {
 			// The exchange alone, under the live set the group passes down.
 			r := ds.Runner(a)
 			r.Hook = hook
-			_, schema, err := r.build(xn, &Pipeline{Life: &Life{}}, append(liveCols{}, g.GroupBy...), 0)
+			_, schema, err := r.shape(xn, &Shape{}, append(liveCols{}, g.GroupBy...), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

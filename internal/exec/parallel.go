@@ -351,53 +351,53 @@ func (x *Exchange) release() {
 	}
 }
 
-// buildExchange compiles an exchange node: its child, a spine of joins
-// over a scan or the scan alone, every operator's OpStats registered in
-// plan preorder (tagged with the effective DOP), and the Exchange
-// iterator. A driving input other than a scan is rejected: the
+// shapeExchange compiles exchange node n into o: its child, a spine of
+// joins over a scan or the scan alone, every operator's entry registered
+// in plan preorder. A driving input other than a scan is rejected: the
 // restriction argument does not cover it, and the optimizer never plans
 // one.
-func (r *Runner) buildExchange(n *plan.Node, p *Pipeline, st *OpStats, live liveCols) (Iterator, []query.ColumnRef, error) {
-	dop := n.DOP
-	if r.MaxDOP > 0 && dop > r.MaxDOP {
-		dop = r.MaxDOP
-	}
-	dop = max(dop, 1)
-	st.DOP = dop
-	x := &Exchange{
-		dop:     dop,
-		life:    p.Life,
-		st:      st,
-		estCard: n.Card,
-	}
+func (r *Runner) shapeExchange(n *plan.Node, s *Shape, o *opShape, live liveCols) ([]query.ColumnRef, error) {
+	o.dop, o.dops, o.spine = n.DOP, []int{o.st}, &spineShape{}
 	drive := func(n *plan.Node, _ liveCols) ([]query.ColumnRef, error) {
 		if n.Op != plan.TableScan && n.Op != plan.IndexScan {
 			return nil, fmt.Errorf("exec: exchange over non-parallelizable operator %v", n.Op)
 		}
-		leaf, err := r.resolveScan(n)
-		if err != nil {
-			return nil, err
-		}
-		st := &OpStats{Op: n.Op.String(), Detail: leaf.detail, EstRows: n.Card, DOP: dop}
-		p.Ops = append(p.Ops, st)
-		// Each worker scans its morsel the way the serial path scans the
-		// relation, and the hook is offered every morsel's scan.
-		x.leaf, x.hook = leaf.scan, r.Hook
-		x.leaf.st, x.leaf.life = st, p.Life
-		return leaf.schema, nil
+		o.in = &opShape{op: n.Op, st: s.entry(n)}
+		o.in.leaf = r.shapeScan(n, &s.ops[o.in.st])
+		o.dops = append(o.dops, o.in.st)
+		return o.in.leaf.schema, nil
 	}
 	child := n.Left
-	var schema []query.ColumnRef
-	var err error
-	if isJoin(child.Op) {
-		cst := &OpStats{Op: child.Op.String(), EstRows: child.Card, DOP: dop}
-		p.Ops = append(p.Ops, cst)
-		schema, err = r.buildSpine(child, p, cst, live, &x.sp, dop, drive)
-	} else {
-		schema, err = drive(child, live)
+	if !isJoin(child.Op) {
+		return drive(child, live)
 	}
+	cst := s.entry(child)
+	o.dops = append(o.dops, cst)
+	return r.shapeSpine(child, s, cst, live, o.spine, &o.dops, drive)
+}
+
+// buildExchange compiles exchange o: every entry it covers tagged with
+// the effective DOP, the spine's levels, and the Exchange iterator. Each
+// worker scans its morsel the way the serial path scans the relation,
+// and the hook is offered every morsel's scan.
+func (r *Runner) buildExchange(o *opShape, p *Pipeline) (Iterator, error) {
+	dop := o.dop
+	if r.MaxDOP > 0 && dop > r.MaxDOP {
+		dop = r.MaxDOP
+	}
+	dop = max(dop, 1)
+	for _, i := range o.dops {
+		p.Ops[i].DOP = dop
+	}
+	st := p.Ops[o.st]
+	x := &Exchange{dop: dop, life: p.Life, st: st, estCard: st.EstRows, hook: r.Hook}
+	err := r.buildSpine(o.spine, p, &x.sp, func() error {
+		rows, err := r.rows(o.in.leaf)
+		x.leaf = scan{rows: rows, pred: o.in.leaf.pred, st: p.Ops[o.in.st], life: p.Life}
+		return err
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return r.wrap(x, st, p), schema, nil
+	return r.wrap(x, st, p), nil
 }

@@ -232,11 +232,24 @@ func (r *Registry) releaseFunc(e *regEntry) func() {
 }
 
 // reserveLocked reserves need bytes on the accountant, evicting
-// least-recently-used unpinned datasets until the reservation fits; it
+// least-recently-used unpinned datasets until the reservation fits. It
 // fails with a budget error, having reserved nothing, when what remains
-// resident is pinned. Without a limit it never evicts. Caller holds
-// r.mu.
+// resident is pinned — before evicting anything when even evicting
+// every unpinned dataset would leave too little room, so a load or a
+// build table that can never fit costs no resident dataset. Without a
+// limit it never evicts. Caller holds r.mu.
 func (r *Registry) reserveLocked(need int64) error {
+	if limit := r.acct.Limit(); limit > 0 {
+		room := limit - r.acct.Used()
+		for _, e := range r.entries {
+			if e.ds != nil && e.pins == 0 {
+				room += e.bytes
+			}
+		}
+		if room < need {
+			return r.overBudgetLocked(need)
+		}
+	}
 	for !r.acct.Reserve(need) {
 		var victim *regEntry
 		for _, e := range r.entries {
@@ -248,12 +261,16 @@ func (r *Registry) reserveLocked(need int64) error {
 			}
 		}
 		if victim == nil {
-			return fmt.Errorf("%w: %d bytes needed, %d of %d in use (%d resident and pinned)",
-				ErrBudgetExceeded, need, r.acct.Used(), r.acct.Limit(), r.resident.Load())
+			return r.overBudgetLocked(need)
 		}
 		r.evictLocked(victim)
 	}
 	return nil
+}
+
+func (r *Registry) overBudgetLocked(need int64) error {
+	return fmt.Errorf("%w: %d bytes needed, %d of %d in use (%d resident and pinned)",
+		ErrBudgetExceeded, need, r.acct.Used(), r.acct.Limit(), r.resident.Load())
 }
 
 // unloadLocked drops e's resident dataset, if any, and its charge.
@@ -275,13 +292,11 @@ func (r *Registry) evictLocked(victim *regEntry) {
 
 // admitDerived charges n more bytes to d's resident entry — state d
 // derived from its own rows, freed and uncharged with it — evicting
-// least-recently-used unpinned datasets for room as a load would. It
-// reports false, with nothing charged, when d is not this registry's
-// resident copy of its name or the bytes do not fit next to what is
-// pinned; nothing is evicted then either, unless running pipelines
-// took the room counted here while the evictions ran. A nil
-// registry admits everything: nobody budgets a dataset no registry
-// holds.
+// least-recently-used unpinned datasets for room as a load would
+// (reserveLocked). It reports false, with nothing charged, when d is not
+// this registry's resident copy of its name or the bytes do not fit next
+// to what is pinned. A nil registry admits everything: nobody budgets a
+// dataset no registry holds.
 func (r *Registry) admitDerived(d *Dataset, n int64) bool {
 	if r == nil {
 		return true
@@ -291,17 +306,6 @@ func (r *Registry) admitDerived(d *Dataset, n int64) bool {
 	e := r.entries[d.Name]
 	if e == nil || e.ds != d {
 		return false
-	}
-	if limit := r.acct.Limit(); limit > 0 {
-		room := limit - r.acct.Used()
-		for _, o := range r.entries {
-			if o != e && o.ds != nil && o.pins == 0 {
-				room += o.bytes
-			}
-		}
-		if room < n {
-			return false
-		}
 	}
 	// d itself is no victim, pinned by the caller or not.
 	e.pins++

@@ -239,6 +239,27 @@ func TestRegistryLoadTooBig(t *testing.T) {
 	}
 }
 
+// TestRegistryLoadTooBigEvictsNothing: a load that could not fit even
+// with every idle dataset evicted is refused before any is: the idle
+// dataset stays resident.
+func TestRegistryLoadTooBigEvictsNothing(t *testing.T) {
+	r := NewRegistry()
+	a := tinyDataset("a", 32)
+	limit(r, a.MemBytes())
+	loaded(t, r, a)
+	r.RegisterLazy("big", "", countingLoader("big", 4096, new(atomic.Int64)))
+
+	if _, _, err := r.Acquire("big"); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("oversized load: %v, want ErrBudgetExceeded", err)
+	}
+	if n := r.Evictions(); n != 0 {
+		t.Errorf("the refused load evicted %d datasets, want none", n)
+	}
+	if got, ok := r.Get("a"); !ok || got != a || r.Loads() != 1 {
+		t.Errorf("a is no longer the resident copy (ok %v, %d loads)", ok, r.Loads())
+	}
+}
+
 // TestRegistryLoaderError: loader failures propagate to every waiting
 // acquirer and leave the entry loadable again.
 func TestRegistryLoaderError(t *testing.T) {

@@ -69,7 +69,7 @@ type Runner struct {
 // the pipeline's lifecycle, whose Done channel lets blocking wrappers
 // unblock on cancellation. A hook's wrapper must not keep a row past its
 // next Next: a spine's output rows are recycled once its consumer can
-// no longer hold them (see Runner.build).
+// no longer hold them (see Runner.shape).
 type IterHook func(op, detail string, it Iterator, life *Life) Iterator
 
 // OpStats is one operator's execution counters, in pipeline preorder.
@@ -132,7 +132,7 @@ type Pipeline struct {
 	// rootRing is the output allocator of the spine at the root (under
 	// any Limits), which compiles unbounded: Collect keeps every row.
 	// StreamContext bounds it to its chunk plus rootSlack, the bursts of
-	// the stats wrappers between that spine and the stream (see build).
+	// the stats wrappers between that spine and the stream (see shape).
 	rootRing  *rowAlloc
 	rootSlack int
 }
@@ -327,18 +327,87 @@ func (r *Runner) Run(n *plan.Node) ([]Row, []query.ColumnRef, error) {
 // all three join operators with residual predicates, and the group
 // operators with sorts above them — ORDER BY columns are resolved
 // through join-equivalence classes, so ordering by a column the plan
-// only carries as an equated twin (or grouping by one) works.
+// only carries as an equated twin (or grouping by one) works. It is
+// Shape followed by CompileShape.
 func (r *Runner) Compile(n *plan.Node) (*Pipeline, error) {
+	s, err := r.Shape(n)
+	if err != nil {
+		return nil, err
+	}
+	return r.CompileShape(s)
+}
+
+// Shape is a plan compiled as far as the plan and its query decide:
+// every operator's stats entry and detail, scan schemas, join
+// predicates resolved to spine pieces, output layouts, and sort and
+// group keys. The rest is left to CompileShape: the rows a dataset
+// holds, the resident state a join adopts, the effective degree of
+// parallelism, the fault hook, timing and all operator state. A Shape
+// is immutable, so the pipelines compiled from it, concurrently or not,
+// share it.
+type Shape struct {
+	a      *query.Analysis
+	root   *opShape
+	ops    []OpStats // every operator's entry in plan preorder, rows and time zero
+	schema []query.ColumnRef
+}
+
+// opShape is one operator of a Shape.
+type opShape struct {
+	op    plan.Op
+	st    int       // its entry in Shape.ops
+	in    *opShape  // Sort, Limit, the groups: their input; a spine: its driving input; an exchange: its driving scan
+	keys  []int     // Sort, the groups
+	aggs  []AggSpec // the groups
+	limit int64
+	leaf  *leafShape  // a scan
+	spine *spineShape // a spine; an exchange over one (no levels over a bare scan)
+	hold  int         // a spine: its consumer's hold (see shape)
+	dop   int         // an exchange: the planned degree of parallelism
+	dops  []int       // an exchange: the entries that report its effective DOP
+}
+
+// leafShape is a scan resolved against its relation: the stream it
+// reads, the relation's constant predicates and its schema. The stream's
+// rows are the dataset's (Runner.rows).
+type leafShape struct {
+	pred    func(Row) bool
+	schema  []query.ColumnRef
+	key     buildKey // names the stream (Dataset.buildTable; an adopter fills in col)
+	leading int      // column the stream is sorted on first; -1 for a table scan
+}
+
+// Shape compiles plan n as far as the plan and the runner's query decide.
+func (r *Runner) Shape(n *plan.Node) (*Shape, error) {
+	s := &Shape{a: r.A}
+	root, schema, err := r.shape(n, s, nil, -meterBurstRows)
+	if err != nil {
+		return nil, err
+	}
+	s.root, s.schema = root, schema
+	return s, nil
+}
+
+// CompileShape compiles a pipeline from s, a Shape built for the
+// runner's query, over the runner's dataset.
+func (r *Runner) CompileShape(s *Shape) (*Pipeline, error) {
 	if r.Dataset == nil {
 		return nil, fmt.Errorf("exec: runner has no dataset (build one with Dataset.Runner)")
 	}
-	p := &Pipeline{Life: &Life{budget: r.Budget, acct: r.Accountant}}
-	it, schema, err := r.build(n, p, nil, -meterBurstRows)
+	if s.a != r.A {
+		return nil, fmt.Errorf("exec: shape compiled for another query")
+	}
+	p := &Pipeline{Life: &Life{budget: r.Budget, acct: r.Accountant}, Schema: s.schema}
+	stats := slices.Clone(s.ops)
+	p.Ops = make([]*OpStats, len(stats))
+	for i := range stats {
+		p.Ops[i] = &stats[i]
+	}
+	it, err := r.build(s.root, p)
 	if err != nil {
 		return nil, err
 	}
 	p.Root = it
-	p.Schema = schema
 	return p, nil
 }
 
@@ -362,39 +431,21 @@ func hooked(hook IterHook, it Iterator, st *OpStats, life *Life) Iterator {
 	return it
 }
 
-// scanLeaf is a scan plan node resolved against the dataset: its scan
-// over the table, or the maintained view of the index, with the
-// relation's constant predicates. It has three consumers: the serial
-// compiler (build), the exchange, which runs the scan over each morsel
-// (buildExchange), and join adoption (joinRight).
-type scanLeaf struct {
-	scan
-	schema  []query.ColumnRef
-	detail  string
-	key     buildKey // names the stream (Dataset.buildTable; the adopter fills in col)
-	leading int      // column the stream is sorted on first; -1 for a table scan
-}
-
-// resolveScan resolves scan node n; a table, or an index view, the
-// dataset does not hold is its only error.
-func (r *Runner) resolveScan(n *plan.Node) (scanLeaf, error) {
+// shapeScan resolves scan node n against its relation and sets its
+// entry's detail. It has three consumers: the serial compiler, the
+// exchange, which runs the scan over each morsel, and join adoption.
+func (r *Runner) shapeScan(n *plan.Node, st *OpStats) *leafShape {
 	rel := &r.A.Graph.Relations[n.Rel]
-	raw, ok := r.Dataset.Tables[rel.Table.Name]
-	if !ok {
-		return scanLeaf{}, fmt.Errorf("exec: no data for table %s", rel.Table.Name)
-	}
-	leaf := scanLeaf{scan: scan{rows: raw}, detail: rel.Alias, key: buildKey{table: rel.Table.Name}, leading: -1}
+	leaf := &leafShape{key: buildKey{table: rel.Table.Name}, leading: -1}
+	st.Detail = rel.Alias
 	leaf.schema = make([]query.ColumnRef, len(rel.Table.Columns))
 	for c := range leaf.schema {
 		leaf.schema[c] = query.ColumnRef{Rel: n.Rel, Col: c}
 	}
 	if n.Op == plan.IndexScan {
 		ix := rel.Table.Indexes[n.Index]
-		leaf.detail += "/" + ix.Name
+		st.Detail += "/" + ix.Name
 		leaf.key.view, leaf.leading = ix.Name, rel.Table.ColumnIndex(ix.Columns[0])
-		if leaf.rows, ok = r.Dataset.Views[rel.Table.Name][ix.Name]; !ok {
-			return scanLeaf{}, fmt.Errorf("exec: no view of index %s on table %s", ix.Name, rel.Table.Name)
-		}
 	}
 	if len(rel.ConstPreds) > 0 {
 		leaf.pred = func(row Row) bool {
@@ -406,7 +457,24 @@ func (r *Runner) resolveScan(n *plan.Node) (scanLeaf, error) {
 			return true
 		}
 	}
-	return leaf, nil
+	return leaf
+}
+
+// rows returns the rows leaf streams: the dataset's table, or its view
+// of the index. A table, or a view, the dataset does not hold is the
+// only error.
+func (r *Runner) rows(leaf *leafShape) ([]Row, error) {
+	k := leaf.key
+	rows, ok := r.Dataset.Tables[k.table]
+	if !ok {
+		return nil, fmt.Errorf("exec: no data for table %s", k.table)
+	}
+	if k.view != "" {
+		if rows, ok = r.Dataset.Views[k.table][k.view]; !ok {
+			return nil, fmt.Errorf("exec: no view of index %s on table %s", k.view, k.table)
+		}
+	}
+	return rows, nil
 }
 
 // liveCols is the set of columns read above a plan node; nil is every
@@ -439,15 +507,22 @@ func planRels(n *plan.Node) uint64 {
 	return planRels(n.Left) | planRels(n.Right)
 }
 
-const holdReleased = 1 << 31 // and up; see build
+const holdReleased = 1 << 31 // and up; see shape
 
-// build compiles plan n. live is the compiler's top-down liveness pass:
-// the columns read above n — the group keys and aggregate inputs under a
-// Group*, plus the sort keys under a Sort, plus at every join, for its
-// inputs only, the columns of the predicates crossing it. Only spines
-// act on it (buildSpine): a scan streams the table's own rows, a
-// resident build table holds whole base rows, and a spine copies into
-// its output row just what is live.
+// entry registers plan node n's stats entry on s, in plan preorder, and
+// returns its index.
+func (s *Shape) entry(n *plan.Node) int {
+	s.ops = append(s.ops, OpStats{Op: n.Op.String(), EstRows: n.Card})
+	return len(s.ops) - 1
+}
+
+// shape compiles plan n into s as far as the plan decides. live is the
+// compiler's top-down liveness pass: the columns read above n — the
+// group keys and aggregate inputs under a Group*, plus the sort keys
+// under a Sort, plus at every join, for its inputs only, the columns of
+// the predicates crossing it. Only spines act on it (shapeSpine): a scan
+// streams the table's own rows, a resident build table holds whole base
+// rows, and a spine copies into its output row just what is live.
 //
 // hold is the second top-down value: the most rows of n's output that
 // can still be referenced, by n's consumer or by n's own stats
@@ -485,26 +560,19 @@ const holdReleased = 1 << 31 // and up; see build
 // consumer's held rows plus one partial burst per wrapper hop, which is
 // the window. A fault hook keeps no row past its next Next (IterHook), so
 // it holds nothing more.
-func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iterator, []query.ColumnRef, error) {
-	st := &OpStats{Op: n.Op.String(), EstRows: n.Card}
-	p.Ops = append(p.Ops, st)
+func (r *Runner) shape(n *plan.Node, s *Shape, live liveCols, hold int) (*opShape, []query.ColumnRef, error) {
+	o := &opShape{op: n.Op, st: s.entry(n)}
 	switch n.Op {
 	case plan.TableScan, plan.IndexScan:
-		leaf, err := r.resolveScan(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.Detail = leaf.detail
-		s := leaf.scan
-		s.st, s.life = st, p.Life
-		return hooked(r.Hook, &s, st, p.Life), leaf.schema, nil
+		o.leaf = r.shapeScan(n, &s.ops[o.st])
+		return o, o.leaf.schema, nil
 
 	case plan.Sort:
 		cols, err := r.sortCols(n.SortOrd)
 		if err != nil {
 			return nil, nil, err
 		}
-		in, schema, err := r.build(n.Left, p, r.carried(live, cols, n.Left), 0)
+		in, schema, err := r.shape(n.Left, s, r.carried(live, cols, n.Left), 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -512,46 +580,43 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 		if err != nil {
 			return nil, nil, err
 		}
-		st.Detail = detail
-		return r.wrap(&Sort{In: in, Keys: keys, Life: p.Life, st: st}, st, p), schema, nil
+		s.ops[o.st].Detail = detail
+		o.in, o.keys = in, keys
+		return o, schema, nil
 
 	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:
-		var in Iterator
-		var sp spine
-		schema, err := r.buildSpine(n, p, st, live, &sp, 0, func(n *plan.Node, live liveCols) (schema []query.ColumnRef, err error) {
-			in, schema, err = r.build(n, p, live, 1+meterBurstRows)
+		o.hold, o.spine = hold, &spineShape{}
+		schema, err := r.shapeSpine(n, s, o.st, live, o.spine, nil, func(n *plan.Node, live liveCols) (schema []query.ColumnRef, err error) {
+			o.in, schema, err = r.shape(n, s, live, 1+meterBurstRows)
 			return schema, err
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		s := newSpineIter(in, p.Life, sp)
-		if hold < holdReleased {
-			s.alloc.window, s.alloc.pooled = max(hold, 0), true
-			p.Life.arena = append(p.Life.arena, &s.alloc)
-		}
-		if hold < 0 {
-			p.rootRing, p.rootSlack = &s.alloc, -hold
-		}
-		return r.wrap(s, st, p), schema, nil
+		return o, schema, nil
 
 	case plan.ExchangeMerge:
-		return r.buildExchange(n, p, st, live)
+		schema, err := r.shapeExchange(n, s, o, live)
+		if err != nil {
+			return nil, nil, err
+		}
+		return o, schema, nil
 
 	case plan.Limit:
-		start := len(p.Ops)
+		start := len(s.ops)
 		// One more burst, away from 0 (which stays unbounded).
-		in, schema, err := r.build(n.Left, p, live, hold+cmp.Compare(hold, 0)*meterBurstRows)
+		in, schema, err := r.shape(n.Left, s, live, hold+cmp.Compare(hold, 0)*meterBurstRows)
 		if err != nil {
 			return nil, nil, err
 		}
 		// Everything below a Limit runs under early-out: flag it so the
 		// stats reader knows EstRows is the pre-limit estimate.
-		for _, o := range p.Ops[start:] {
-			o.Limited = true
+		for i := range s.ops[start:] {
+			s.ops[start+i].Limited = true
 		}
-		st.Detail = fmt.Sprintf("k=%d", n.Limit)
-		return r.wrap(&Limit{In: in, N: int64(n.Limit), Life: p.Life, st: st}, st, p), schema, nil
+		s.ops[o.st].Detail = fmt.Sprintf("k=%d", n.Limit)
+		o.in, o.limit = in, int64(n.Limit)
+		return o, schema, nil
 
 	case plan.GroupSorted, plan.GroupHash:
 		// The group operators define their output, so what is live above
@@ -567,20 +632,72 @@ func (r *Runner) build(n *plan.Node, p *Pipeline, live liveCols, hold int) (Iter
 		if n.Op == plan.GroupSorted {
 			inHold = 1 + meterBurstRows
 		}
-		in, schema, err := r.build(n.Left, p, r.carried(liveCols{}, cols, n.Left), inHold)
+		in, schema, err := r.shape(n.Left, s, r.carried(liveCols{}, cols, n.Left), inHold)
 		if err != nil {
 			return nil, nil, err
 		}
-		keys, aggs, outSchema, err := r.resolveGroup(schema, st)
+		keys, aggs, outSchema, err := r.resolveGroup(schema, &s.ops[o.st])
 		if err != nil {
 			return nil, nil, err
 		}
-		if n.Op == plan.GroupSorted {
-			return r.wrap(&GroupSorted{In: in, Keys: keys, Aggs: aggs, st: st}, st, p), outSchema, nil
-		}
-		return r.wrap(&GroupHash{In: in, Keys: keys, Aggs: aggs, Life: p.Life, st: st}, st, p), outSchema, nil
+		o.in, o.keys, o.aggs = in, keys, aggs
+		return o, outSchema, nil
 	}
 	return nil, nil, fmt.Errorf("exec: unsupported plan operator %v", n.Op)
+}
+
+// build compiles operator o of a shape into the pipeline: the dataset's
+// rows, adopted state, and the operators themselves.
+func (r *Runner) build(o *opShape, p *Pipeline) (Iterator, error) {
+	st := p.Ops[o.st]
+	switch o.op {
+	case plan.TableScan, plan.IndexScan:
+		rows, err := r.rows(o.leaf)
+		if err != nil {
+			return nil, err
+		}
+		return hooked(r.Hook, &scan{rows: rows, pred: o.leaf.pred, st: st, life: p.Life}, st, p.Life), nil
+
+	case plan.MergeJoin, plan.HashJoin, plan.NestedLoopJoin:
+		var in Iterator
+		var sp spine
+		err := r.buildSpine(o.spine, p, &sp, func() (err error) {
+			in, err = r.build(o.in, p)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		s := newSpineIter(in, p.Life, sp)
+		if o.hold < holdReleased {
+			s.alloc.window, s.alloc.pooled = max(o.hold, 0), true
+			p.Life.arena = append(p.Life.arena, &s.alloc)
+		}
+		if o.hold < 0 {
+			p.rootRing, p.rootSlack = &s.alloc, -o.hold
+		}
+		return r.wrap(s, st, p), nil
+
+	case plan.ExchangeMerge:
+		return r.buildExchange(o, p)
+	}
+
+	in, err := r.build(o.in, p)
+	if err != nil {
+		return nil, err
+	}
+	var it Iterator
+	switch o.op {
+	case plan.Sort:
+		it = &Sort{In: in, Keys: o.keys, Life: p.Life, st: st}
+	case plan.Limit:
+		it = &Limit{In: in, N: o.limit, Life: p.Life, st: st}
+	case plan.GroupSorted:
+		it = &GroupSorted{In: in, Keys: o.keys, Aggs: o.aggs, st: st}
+	default:
+		it = &GroupHash{In: in, Keys: o.keys, Aggs: o.aggs, Life: p.Life, st: st}
+	}
+	return r.wrap(it, st, p), nil
 }
 
 // resolveGroup resolves the query's GROUP BY columns and aggregate
@@ -657,7 +774,7 @@ func (r *Runner) carried(live liveCols, cols []query.ColumnRef, child *plan.Node
 
 // joinPreds lists every equality predicate crossing join n, whose
 // inputs scan the relations lrels and rrels, with its columns oriented
-// to the two sides; buildSpine resolves them to pieces once the inputs
+// to the two sides; shapeSpine resolves them to pieces once the inputs
 // are compiled. It returns the predicates, the index of the plan's
 // primary predicate (the one the join algorithm evaluates) and its
 // display detail. All predicates must hold on the output: the

@@ -39,7 +39,7 @@ type fusedEq struct{ piece, col, rcol int32 }
 type spine struct {
 	levels []spineLevel
 	// fusedOut lists the output columns as (piece, column) pairs, the
-	// live columns of each piece under a Group* (see Runner.build); nil
+	// live columns of each piece under a Group* (see Runner.shape); nil
 	// emits every piece whole, concatenated.
 	fusedOut []fusedEq
 }
@@ -472,27 +472,54 @@ func isJoin(op plan.Op) bool {
 	return op == plan.MergeJoin || op == plan.HashJoin || op == plan.NestedLoopJoin
 }
 
-// buildSpine compiles the spine whose top join is n, with st its stats
-// entry, into sp and returns its output schema. Each lower join's entry
-// is registered in plan preorder, with dop (0 for a serial spine, whose
-// merge joins stream their right inputs). drive compiles the driving
-// input, the way its compiler does, and returns its schema.
-func (r *Runner) buildSpine(n *plan.Node, p *Pipeline, st *OpStats, live liveCols, sp *spine, dop int,
+// spineShape is a spine as its Shape keeps it: the levels bottom-up and
+// the output layout of the top join (spine.fusedOut).
+type spineShape struct {
+	levels   []levelShape
+	fusedOut []fusedEq
+}
+
+// levelShape is one join of a spineShape.
+type levelShape struct {
+	op    plan.Op
+	st    int // its entry in Shape.ops
+	key   fusedEq
+	check []fusedEq
+	right *opShape // the right input, compiled unless adopt is taken
+	// adopt is right's scan when the level may adopt dataset state in its
+	// place (Runner.joinRight): a bare, unfiltered scan under a hash join,
+	// or an index scan led by the join key under a merge join. col is the
+	// join key's column in it.
+	adopt *leafShape
+	col   int
+	// stream marks a serial merge join, which streams a right input it
+	// does not adopt.
+	stream bool
+}
+
+// shapeSpine compiles the spine whose top join is n, with entry st, into
+// sp and returns its output schema. Each lower join's entry is
+// registered in plan preorder; dops, when set (an exchange's spine),
+// collects them. drive compiles the driving input, the way its compiler
+// does, and returns its schema.
+func (r *Runner) shapeSpine(n *plan.Node, s *Shape, st int, live liveCols, sp *spineShape, dops *[]int,
 	drive func(n *plan.Node, live liveCols) ([]query.ColumnRef, error)) ([]query.ColumnRef, error) {
 	var buf [8][]query.ColumnRef
 	pieces := buf[:0] // each piece's schema
-	var level func(n *plan.Node, st *OpStats, live liveCols) error
-	level = func(n *plan.Node, st *OpStats, live liveCols) error {
+	var level func(n *plan.Node, st int, live liveCols) error
+	level = func(n *plan.Node, st int, live liveCols) error {
 		lrels := planRels(n.Left)
 		eqs, primary, detail, err := r.joinPreds(n, lrels, planRels(n.Right))
 		if err != nil {
 			return err
 		}
-		st.Detail = detail
+		s.ops[st].Detail = detail
 		liveL, liveR := joinLive(live, eqs, lrels)
 		if left := n.Left; isJoin(left.Op) {
-			lst := &OpStats{Op: left.Op.String(), EstRows: left.Card, DOP: dop}
-			p.Ops = append(p.Ops, lst)
+			lst := s.entry(left)
+			if dops != nil {
+				*dops = append(*dops, lst)
+			}
 			err = level(left, lst, liveL)
 		} else {
 			var ls []query.ColumnRef
@@ -502,8 +529,8 @@ func (r *Runner) buildSpine(n *plan.Node, p *Pipeline, st *OpStats, live liveCol
 		if err != nil {
 			return err
 		}
-		l := spineLevel{op: n.Op, st: st}
-		rs, err := r.joinRight(n, &l, eqs[primary].rc, liveR, p, dop == 0)
+		l := levelShape{op: n.Op, st: st, stream: n.Op == plan.MergeJoin && dops == nil}
+		rs, err := r.shapeRight(n, &l, eqs[primary].rc, liveR, s)
 		if err != nil {
 			return err
 		}
@@ -519,9 +546,6 @@ func (r *Runner) buildSpine(n *plan.Node, p *Pipeline, st *OpStats, live liveCol
 			if i != primary || n.Op == plan.NestedLoopJoin {
 				l.check = append(l.check, f)
 			}
-		}
-		if n.Op == plan.MergeJoin && l.resident == nil && dop == 0 {
-			l.stream = &mergeStream{right: l.right, col: int(l.key.rcol), life: p.Life}
 		}
 		pieces = append(pieces, rs)
 		sp.levels = append(sp.levels, l)
@@ -555,6 +579,49 @@ func (r *Runner) buildSpine(n *plan.Node, p *Pipeline, st *OpStats, live liveCol
 	return schema, nil
 }
 
+// shapeRight compiles join n's right input into level l and returns its
+// schema; the join reads column key of it, and live is read above. A
+// streamed merge join's right input releases each group its join is
+// done with.
+func (r *Runner) shapeRight(n *plan.Node, l *levelShape, key query.ColumnRef, live liveCols, s *Shape) ([]query.ColumnRef, error) {
+	hold := 0
+	if l.stream {
+		hold = holdReleased
+	}
+	right, schema, err := r.shape(n.Right, s, live, hold)
+	if err != nil {
+		return nil, err
+	}
+	l.right = right
+	if leaf := right.leaf; leaf != nil && n.Op != plan.NestedLoopJoin && leaf.pred == nil {
+		l.col = colPos(leaf.schema, key)
+		if n.Op == plan.HashJoin || leaf.leading >= 0 && l.col == leaf.leading {
+			l.adopt = leaf
+		}
+	}
+	return schema, nil
+}
+
+// buildSpine compiles spine shape sh into sp, its driving input (drive)
+// first and then each level's right input, bottom-up.
+func (r *Runner) buildSpine(sh *spineShape, p *Pipeline, sp *spine, drive func() error) error {
+	if err := drive(); err != nil {
+		return err
+	}
+	sp.levels, sp.fusedOut = make([]spineLevel, len(sh.levels)), sh.fusedOut
+	for k := range sh.levels {
+		ls, l := &sh.levels[k], &sp.levels[k]
+		*l = spineLevel{op: ls.op, st: p.Ops[ls.st], key: ls.key, check: ls.check}
+		if err := r.joinRight(ls, l, p); err != nil {
+			return err
+		}
+		if ls.stream && l.resident == nil {
+			l.stream = &mergeStream{right: l.right, col: int(l.key.rcol), life: p.Life}
+		}
+	}
+	return nil
+}
+
 // locate returns column c's (piece, column) pair among the pieces'
 // schemas, piece -1 when no piece carries it.
 func locate(pieces [][]query.ColumnRef, c query.ColumnRef) fusedEq {
@@ -566,42 +633,35 @@ func locate(pieces [][]query.ColumnRef, c query.ColumnRef) fusedEq {
 	return fusedEq{piece: -1}
 }
 
-// joinRight compiles join n's right input into level l and returns its
-// schema; the join reads column key of it, and live is read above.
-// Both compilers adopt dataset state for a bare, unfiltered scan by one
-// rule: a hash join adopts the resident build table over it, a merge
-// join the index view sorted on its key. The scan never runs: its stats
-// entry, marked resident, is registered in its place. Adopted state is
-// the dataset's memory: the query materializes nothing and is charged
-// nothing. Nothing is adopted under a fault hook, which must be offered
-// every scan that runs, nor a build table the memory limit has no room
-// for; such an input is compiled like any other, and a streamed merge
-// join's (stream) releases each group its join is done with.
-func (r *Runner) joinRight(n *plan.Node, l *spineLevel, key query.ColumnRef, live liveCols, p *Pipeline, stream bool) ([]query.ColumnRef, error) {
-	if s := n.Right; r.Hook == nil && n.Op != plan.NestedLoopJoin && (s.Op == plan.TableScan || s.Op == plan.IndexScan) {
-		leaf, err := r.resolveScan(s)
-		if err == nil && leaf.pred == nil {
-			leaf.key.col = colPos(leaf.schema, key)
-			adopt := leaf.leading >= 0 && leaf.key.col == leaf.leading
-			if n.Op == plan.HashJoin {
-				l.hash = r.Dataset.buildTable(leaf.key, leaf.rows)
+// joinRight compiles level ls's right input into l. Both compilers
+// adopt dataset state for a bare, unfiltered scan by one rule: a hash
+// join adopts the resident build table over it, a merge join the index
+// view sorted on its key. The scan never runs: its stats entry, marked
+// resident, stands for the adopted state. Adopted state is the dataset's
+// memory: the query materializes nothing and is charged nothing. Nothing
+// is adopted under a fault hook, which must be offered every scan that
+// runs, nor a build table the memory limit has no room for; such an
+// input is compiled like any other.
+func (r *Runner) joinRight(ls *levelShape, l *spineLevel, p *Pipeline) error {
+	if a := ls.adopt; a != nil && r.Hook == nil {
+		if rows, err := r.rows(a); err == nil {
+			adopt := true
+			if ls.op == plan.HashJoin {
+				key := a.key
+				key.col = ls.col
+				l.hash = r.Dataset.buildTable(key, rows)
 				adopt = l.hash != nil
-			} else if adopt {
-				l.rows = leaf.rows
+			} else {
+				l.rows = rows
 			}
 			if adopt {
-				l.resident = &OpStats{Op: s.Op.String(), Detail: leaf.detail, EstRows: s.Card, Resident: true}
-				p.Ops = append(p.Ops, l.resident)
-				return leaf.schema, nil
+				l.resident = p.Ops[ls.right.st]
+				l.resident.Resident = true
+				return nil
 			}
 		}
 	}
-	hold := 0
-	if n.Op == plan.MergeJoin && stream {
-		hold = holdReleased
-	}
-	var schema []query.ColumnRef
 	var err error
-	l.right, schema, err = r.build(n.Right, p, live, hold)
-	return schema, err
+	l.right, err = r.build(ls.right, p)
+	return err
 }

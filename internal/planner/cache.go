@@ -3,6 +3,7 @@ package planner
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 
 	"orderopt/internal/plan"
 )
@@ -70,6 +71,46 @@ type cacheEntry struct {
 	// queries spelled differently get permuted handle spaces, so
 	// consumers decoding the plan must decode through origin.
 	origin *PreparedQuery
+	// memo holds what consumers derive from best alone (Planned.Memo),
+	// each slot written once; it goes when the entry is evicted.
+	memo [memoSlots]atomic.Pointer[any]
+}
+
+// A MemoSlot names one value derived from a cached plan alone and kept
+// on its plan-cache entry (Planned.Memo).
+type MemoSlot uint8
+
+const (
+	// MemoShape is the executor's compiled shape of the plan.
+	MemoShape MemoSlot = iota
+	// MemoBlock is the serving layer's encoded plan block.
+	MemoBlock
+	memoSlots
+)
+
+// Memo returns the value build derives from pd.Best under slot. When pd
+// came from the plan cache, or was stored there by this call, the first
+// value built is kept on the cache entry and every later Planned of that
+// entry returns it without calling build; concurrent first builders
+// agree on one. Otherwise, and when build fails, nothing is kept. What
+// build returns must depend on pd.Best and pd.Origin alone, and must not
+// be modified afterwards.
+func (pd Planned) Memo(slot MemoSlot, build func() (any, error)) (any, error) {
+	e := pd.entry
+	if e == nil {
+		return build()
+	}
+	if v := e.memo[slot].Load(); v != nil {
+		return *v, nil
+	}
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	if e.memo[slot].CompareAndSwap(nil, &v) {
+		return v, nil
+	}
+	return *e.memo[slot].Load(), nil
 }
 
 func newPlanCache(max int) *planCache {
@@ -85,7 +126,11 @@ func (c *planCache) lookup(fp uint64, canon []byte) (*cacheEntry, bool) {
 }
 
 // store caches best under fp unless a concurrent run cached it first, in
-// which case the incumbent stays.
-func (c *planCache) store(fp uint64, canon []byte, best *plan.Node, cost float64, origin *PreparedQuery) {
-	c.add(fp, &cacheEntry{canon: canon, best: best, cost: cost, origin: origin})
+// which case the incumbent stays and store returns nil.
+func (c *planCache) store(fp uint64, canon []byte, best *plan.Node, cost float64, origin *PreparedQuery) *cacheEntry {
+	e := &cacheEntry{canon: canon, best: best, cost: cost, origin: origin}
+	if _, added := c.add(fp, e); !added {
+		return nil
+	}
+	return e
 }

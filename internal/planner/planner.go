@@ -202,6 +202,8 @@ type Planned struct {
 	// query that originally ran the DP; otherwise it is the planned
 	// query itself.
 	Origin *PreparedQuery
+
+	entry *cacheEntry // the plan-cache entry holding Best; nil when none does
 }
 
 // PreparedQuery is an immutable prepared statement: the bound graph, the
@@ -368,7 +370,7 @@ func (q *PreparedQuery) plan(src Source) (Planned, error) {
 	if p.plans != nil {
 		if e, ok := p.plans.lookup(q.fp, q.canon); ok {
 			p.planCacheHits.Add(1)
-			return Planned{Best: e.best, Cost: e.cost, Source: SourceCacheHit, Origin: e.origin}, nil
+			return Planned{Best: e.best, Cost: e.cost, Source: SourceCacheHit, Origin: e.origin, entry: e}, nil
 		}
 	}
 	res, err := q.prep.Run()
@@ -381,8 +383,9 @@ func (q *PreparedQuery) plan(src Source) (Planned, error) {
 	} else {
 		p.planRunsExact.Add(1)
 	}
+	var e *cacheEntry
 	if p.plans != nil {
-		p.plans.store(q.fp, q.canon, res.Best, res.Best.Cost, q)
+		e = p.plans.store(q.fp, q.canon, res.Best, res.Best.Cost, q)
 	}
-	return Planned{Best: res.Best, Cost: res.Best.Cost, Source: src, Result: res, Origin: q}, nil
+	return Planned{Best: res.Best, Cost: res.Best.Cost, Source: src, Result: res, Origin: q, entry: e}, nil
 }

@@ -145,6 +145,8 @@ type ExecuteResponse struct {
 	// Operators reports per-operator row/time counters in plan
 	// preorder.
 	Operators []exec.OpStats `json:"operators"`
+
+	block *planBlock // the plan's members, encoded; set by the server
 }
 
 // EndpointStats are one endpoint's served-traffic counters. Requests

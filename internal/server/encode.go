@@ -10,6 +10,7 @@
 package server
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"math"
@@ -262,19 +263,29 @@ func (w *jsonWriter) planNode(n *PlanNode) {
 	w.close('}')
 }
 
-func (w *jsonWriter) operators(ops []exec.OpStats) {
+// operators writes ops; heads, when it holds an entry per operator, is
+// each one's opening as planBlock keeps it, copied in place of writing
+// its op, detail and estRows.
+func (w *jsonWriter) operators(ops []exec.OpStats, heads [][]byte) {
 	if ops == nil {
 		w.null()
 		return
+	}
+	if len(heads) != len(ops) {
+		heads = nil
 	}
 	w.open('[')
 	for i := range ops {
 		op := &ops[i]
 		w.elem()
-		w.open('{')
-		w.key("op").str(op.Op)
-		w.optStr("detail", op.Detail)
-		w.key("estRows").float(op.EstRows)
+		if heads != nil {
+			w.buf = append(w.buf, heads[i]...)
+			w.depth++
+			w.first = false
+		} else {
+			w.open('{')
+			w.opHead(op)
+		}
 		w.key("rows").int(op.Rows)
 		w.key("timeNs").int(op.TimeNs)
 		w.optInt("dop", int64(op.DOP))
@@ -285,32 +296,105 @@ func (w *jsonWriter) operators(ops []exec.OpStats) {
 	w.close(']')
 }
 
-// planned writes the members an ExecuteResponse and a StreamHeader
-// share, in their shared order.
-func (w *jsonWriter) planned(sql, dataset, source, strategy string, cost float64, plan *PlanNode, columns []string) {
+// opHead writes the members of an operator's object that its plan
+// decides.
+func (w *jsonWriter) opHead(op *exec.OpStats) {
+	w.key("op").str(op.Op)
+	w.optStr("detail", op.Detail)
+	w.key("estRows").float(op.EstRows)
+}
+
+// requested writes the members an ExecuteResponse and a StreamHeader
+// take from the request, in their shared order.
+func (w *jsonWriter) requested(sql, dataset, source string) {
 	w.key("sql").str(sql)
 	w.key("dataset").str(dataset)
 	w.key("source").str(source)
+}
+
+// planned writes the members an ExecuteResponse and a StreamHeader take
+// from the plan, in their shared order, after the requested ones.
+func (w *jsonWriter) planned(strategy string, cost float64, plan *PlanNode, columns []string) {
 	w.key("strategy").str(strategy)
 	w.key("cost").float(cost)
 	w.key("plan").planNode(plan)
 	w.key("columns").strs(columns)
 }
 
+// copyBlock appends members a writer in the same state encoded ahead of
+// time, with the error that encoding met.
+func (w *jsonWriter) copyBlock(b []byte, err error) {
+	w.buf = append(w.buf, b...)
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+// planBlock is what an /execute response holds that its cached plan
+// alone decides: the members strategy, cost, plan and columns, and each
+// operator's op, detail and estRows. The server builds one per
+// plan-cache entry, on the entry's first /execute (planner.Planned.Memo),
+// and every response served from the entry copies its bytes, which are
+// the ones the writer writes for the public fields the server fills
+// from the block too.
+type planBlock struct {
+	strategy string
+	cost     float64
+	plan     *PlanNode
+	columns  []string
+
+	// body and header are the plan's members as the buffered body and the
+	// stream header write them, from the comma before "strategy".
+	body, header []byte
+	// heads are the buffered body's operator objects, each through its
+	// estRows.
+	heads [][]byte
+	err   error // encoding/json's, for a non-finite cost or estimate
+}
+
+func newPlanBlock(strategy string, cost float64, plan *PlanNode, columns []string, ops []*exec.OpStats) *planBlock {
+	b := &planBlock{strategy: strategy, cost: cost, plan: plan, columns: columns}
+	// Depth 1, past the request's members: where the writer stands when
+	// it reaches "strategy".
+	w := jsonWriter{indent: true, depth: 1}
+	w.planned(strategy, cost, plan, columns)
+	c := jsonWriter{depth: 1}
+	c.planned(strategy, cost, plan, columns)
+	b.body, b.header, b.err = w.buf, c.buf, cmp.Or(w.err, c.err)
+	b.heads = make([][]byte, len(ops))
+	for i, op := range ops {
+		// Depth 2 is the operators array's, as the body nests it.
+		h := jsonWriter{indent: true, depth: 2}
+		h.open('{')
+		h.opHead(op)
+		b.heads[i], b.err = h.buf, cmp.Or(b.err, h.err)
+	}
+	return b
+}
+
 // AppendExecuteResponse appends r as the buffered /execute body: what a
 // json.Encoder with SetIndent("", "  ") writes for it, newline included.
-// The error is encoding/json's for a non-finite cost or estimate.
+// The error is encoding/json's for a non-finite cost or estimate. A
+// response the server built copies its plan's members from the plan's
+// block instead of writing them.
 func AppendExecuteResponse(dst []byte, r *ExecuteResponse) ([]byte, error) {
 	w := jsonWriter{buf: dst, indent: true}
 	w.open('{')
-	w.planned(r.SQL, r.Dataset, r.Source, r.Strategy, r.Cost, r.Plan, r.Columns)
+	w.requested(r.SQL, r.Dataset, r.Source)
+	var heads [][]byte
+	if b := r.block; b != nil {
+		w.copyBlock(b.body, b.err)
+		heads = b.heads
+	} else {
+		w.planned(r.Strategy, r.Cost, r.Plan, r.Columns)
+	}
 	w.key("rowCount").int(r.RowCount)
 	w.key("rows").rows(r.Rows)
 	w.optBool("truncated", r.Truncated)
 	w.key("rowsSorted").int(r.RowsSorted)
 	w.optInt("planNs", r.PlanNs)
 	w.key("execNs").int(r.ExecNs)
-	w.key("operators").operators(r.Operators)
+	w.key("operators").operators(r.Operators, heads)
 	return w.finish()
 }
 
@@ -332,12 +416,18 @@ func AppendPlanResponse(dst []byte, r *PlanResponse) ([]byte, error) {
 }
 
 // AppendStreamHeader appends h as one compact NDJSON line; h.Frame is
-// written as given.
+// written as given, and the plan's members copied from its block when
+// the server built h.
 func AppendStreamHeader(dst []byte, h *StreamHeader) ([]byte, error) {
 	w := jsonWriter{buf: dst}
 	w.open('{')
 	w.key("frame").str(h.Frame)
-	w.planned(h.SQL, h.Dataset, h.Source, h.Strategy, h.Cost, h.Plan, h.Columns)
+	w.requested(h.SQL, h.Dataset, h.Source)
+	if b := h.block; b != nil {
+		w.copyBlock(b.header, b.err)
+	} else {
+		w.planned(h.Strategy, h.Cost, h.Plan, h.Columns)
+	}
 	w.key("chunkRows").int(int64(h.ChunkRows))
 	w.optInt("planNs", h.PlanNs)
 	return w.finish()
@@ -424,7 +514,7 @@ func AppendStreamTrailer(dst []byte, t *StreamTrailer) ([]byte, error) {
 	w.key("rowsSorted").int(t.RowsSorted)
 	w.key("execNs").int(t.ExecNs)
 	if len(t.Operators) > 0 {
-		w.key("operators").operators(t.Operators)
+		w.key("operators").operators(t.Operators, nil)
 	}
 	w.optStr("error", t.Error)
 	w.optStr("code", t.Code)

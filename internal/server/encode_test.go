@@ -126,6 +126,9 @@ func fill(v reflect.Value, depth int) {
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				continue // not on the wire
+			}
 			fill(v.Field(i), depth)
 		}
 	default:

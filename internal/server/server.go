@@ -64,7 +64,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -78,6 +77,7 @@ import (
 	"orderopt/internal/exec"
 	"orderopt/internal/plan"
 	"orderopt/internal/planner"
+	"orderopt/internal/query"
 )
 
 // DefaultMaxInFlight bounds concurrent planning requests when
@@ -184,6 +184,9 @@ type Server struct {
 	// admitted, when set, runs while an admission slot is held —
 	// the shedding tests park requests in it deterministically.
 	admitted func()
+	// built, when set, runs each time /execute builds a value it keeps
+	// on a plan-cache entry — the hit tests count them.
+	built func(planner.MemoSlot)
 }
 
 // endpointMetrics aggregates one endpoint's counters. Latency is
@@ -464,37 +467,6 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 	return context.WithTimeout(r.Context(), d)
 }
 
-// maxRequestBytes bounds a request body: the largest statement the
-// binder accepts (64 relations) is a few KiB, so 1 MiB never refuses a
-// real query and a client cannot make the decoder buffer more.
-const maxRequestBytes = 1 << 20
-
-// decodeBody decodes the JSON request body into v, reading at most
-// maxRequestBytes of it. On failure it returns the status to answer
-// with: 413 for an oversized body, 400 for a malformed one — including
-// one with anything but whitespace after its JSON value, which
-// json.Unmarshal would refuse too.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	err := dec.Decode(v)
-	if err == nil {
-		if _, err = dec.Token(); err == io.EOF {
-			err = nil
-		} else if err == nil {
-			err = errors.New("data after the JSON value")
-		}
-	}
-	var tooBig *http.MaxBytesError
-	switch {
-	case err == nil:
-		return 0, nil
-	case errors.As(err, &tooBig):
-		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxRequestBytes)
-	default:
-		return http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err)
-	}
-}
-
 // requestSQL extracts the statement (and optional timeoutMs) from a
 // GET ?q=...&timeoutMs=... or a POST JSON body.
 func requestSQL(w http.ResponseWriter, r *http.Request, m *endpointMetrics) (string, int, bool) {
@@ -768,16 +740,19 @@ func (s *Server) registryBytes() int64 {
 // compiled is one planned-and-compiled /execute request, shared by the
 // buffered and streaming response paths.
 type compiled struct {
-	pd   planner.Planned
-	org  *planner.PreparedQuery
-	pipe *exec.Pipeline
+	pd    planner.Planned
+	pipe  *exec.Pipeline
+	block *planBlock
 }
 
 // compileRequest plans req.SQL and compiles the chosen plan into a
 // pipeline over ds, applying the server's budgets, hook and worker cap
 // plus the request's maxDOP. Operators are timed only under the
 // request's analyze: a served pipeline otherwise compiles no stats
-// wrapper.
+// wrapper. What the plan alone decides — the pipeline's shape and the
+// response's plan block — is built on the plan-cache entry's first
+// /execute and kept on the entry (planner.Planned.Memo); every later
+// hit compiles from the shape and copies the block.
 func (s *Server) compileRequest(ctx context.Context, req ExecuteRequest, ds *exec.Dataset) (*compiled, int, error) {
 	pd, err := s.pl.PlanContext(ctx, req.SQL)
 	if err != nil {
@@ -796,21 +771,39 @@ func (s *Server) compileRequest(ctx context.Context, req ExecuteRequest, ds *exe
 	if hasExchange(pd.Best) {
 		s.executeMetrics.parallel.Add(1)
 	}
-	pipe, err := runner.Compile(pd.Best)
+	shape, err := pd.Memo(planner.MemoShape, func() (any, error) {
+		s.noteBuilt(planner.MemoShape)
+		return runner.Shape(pd.Best)
+	})
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	pipe, err := runner.CompileShape(shape.(*exec.Shape))
 	if err != nil {
 		// The plan is valid but the dataset cannot serve it (e.g. a
 		// table without data): the client picked the wrong dataset.
 		return nil, http.StatusBadRequest, err
 	}
-	return &compiled{pd: pd, org: org, pipe: pipe}, 0, nil
+	block, _ := pd.Memo(planner.MemoBlock, func() (any, error) {
+		s.noteBuilt(planner.MemoBlock)
+		return newPlanBlock(org.Prepared().Strategy().String(), pd.Cost, planJSON(pd.Best, org),
+			columnNames(org, pipe.Schema), pipe.Ops), nil
+	})
+	return &compiled{pd: pd, pipe: pipe, block: block.(*planBlock)}, 0, nil
 }
 
-// columnNames resolves the pipeline's output schema to wire column
-// names through the prepared query that produced the plan.
-func (c *compiled) columnNames() []string {
-	g := c.org.Prepared().Graph()
-	out := make([]string, 0, len(c.pipe.Schema))
-	for _, cr := range c.pipe.Schema {
+func (s *Server) noteBuilt(slot planner.MemoSlot) {
+	if s.built != nil {
+		s.built(slot)
+	}
+}
+
+// columnNames resolves a pipeline's output schema to wire column names
+// through the prepared query that produced its plan.
+func columnNames(org *planner.PreparedQuery, schema []query.ColumnRef) []string {
+	g := org.Prepared().Graph()
+	out := make([]string, 0, len(schema))
+	for _, cr := range schema {
 		switch {
 		case cr.Rel >= 0:
 			out = append(out, g.ColumnName(cr))
@@ -843,15 +836,17 @@ func (s *Server) executeResponse(ctx context.Context, req ExecuteRequest, ds *ex
 	if maxRows <= 0 {
 		maxRows = DefaultExecuteMaxRows
 	}
+	b := c.block
 	resp := &ExecuteResponse{
 		SQL:      req.SQL,
 		Dataset:  ds.Name,
 		Source:   c.pd.Source.String(),
-		Strategy: c.org.Prepared().Strategy().String(),
-		Cost:     c.pd.Cost,
-		Plan:     planJSON(c.pd.Best, c.org),
-		Columns:  c.columnNames(),
+		Strategy: b.strategy,
+		Cost:     b.cost,
+		Plan:     b.plan,
+		Columns:  b.columns,
 		Rows:     [][]int64{},
+		block:    b,
 	}
 	if c.pd.Result != nil {
 		resp.PlanNs = c.pd.Result.PlanTime.Nanoseconds()

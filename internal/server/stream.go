@@ -53,6 +53,8 @@ type StreamHeader struct {
 	// request's chunkRows clamped to [1, MaxStreamChunk], defaulted).
 	ChunkRows int   `json:"chunkRows"`
 	PlanNs    int64 `json:"planNs,omitempty"`
+
+	block *planBlock // the plan's members, encoded; set by the server
 }
 
 // StreamRows is one chunk of result rows, in pipeline order.
@@ -93,16 +95,18 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 		return
 	}
 	chunk := exec.ClampStreamChunk(req.ChunkRows)
+	b := c.block
 	header := &StreamHeader{
 		Frame:     FrameHeader,
 		SQL:       req.SQL,
 		Dataset:   ds.Name,
 		Source:    c.pd.Source.String(),
-		Strategy:  c.org.Prepared().Strategy().String(),
-		Cost:      c.pd.Cost,
-		Plan:      planJSON(c.pd.Best, c.org),
-		Columns:   c.columnNames(),
+		Strategy:  b.strategy,
+		Cost:      b.cost,
+		Plan:      b.plan,
+		Columns:   b.columns,
 		ChunkRows: chunk,
+		block:     b,
 	}
 	if c.pd.Result != nil {
 		header.PlanNs = c.pd.Result.PlanTime.Nanoseconds()

@@ -387,6 +387,11 @@ func TestMemoryAdmissionShedsLoad(t *testing.T) {
 	if ep.MemShed != 1 || ep.Shed < 1 {
 		t.Errorf("memShed = %d shed = %d after a load shed, want 1/>=1", ep.MemShed, ep.Shed)
 	}
+	// The load that can never fit evicted nothing for it.
+	if stats.Registry.Evictions != 0 || stats.Registry.Loads != 1 {
+		t.Errorf("registry evictions %d, loads %d after the shed, want 0/1: the refused load evicted \"fits\"",
+			stats.Registry.Evictions, stats.Registry.Loads)
+	}
 	// The small dataset still serves.
 	if _, err := c.Execute(ExecuteRequest{SQL: joinSQL, Dataset: "fits"}); err != nil {
 		t.Errorf("small dataset failed after the shed: %v", err)
