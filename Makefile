@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: check build vet fmt staticcheck test race serve-soak conformance conformance-update cover fuzz-smoke bench bench-smoke examples
+.PHONY: check build vet fmt staticcheck test race serve-soak conformance conformance-update cover fuzz-smoke bench bench-smoke
 
 check: build vet fmt staticcheck test conformance
 
@@ -118,10 +118,3 @@ bench:
 # CI runs it on every push.
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
-
-# examples builds and runs every example binary, so the runnable
-# documentation cannot rot; CI runs it on every push.
-examples:
-	$(GO) build ./examples/...
-	@set -e; for d in examples/*/; do \
-		echo "go run ./$$d"; $(GO) run "./$$d" >/dev/null; done

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"orderopt/internal/exec"
@@ -49,9 +50,12 @@ func benchHandler(b *testing.B, path string, req any) {
 }
 
 // benchHandlerSeq serves body(0), body(1), … through one server: warm
-// requests untimed, then b.N timed.
+// requests untimed, then b.N timed. Each b.N round gets a fresh server
+// and planner over the benchmark's one registry: body restarts at 0
+// every round, and a fresh plan cache keeps BenchmarkHandlerPlanNovel's
+// limits novel.
 func benchHandlerSeq(b *testing.B, path string, warm int, body func(i int) []byte) {
-	s := benchServer()
+	s := benchServer(b)
 	dw := &discardWriter{header: http.Header{}}
 	serve := func(i int) {
 		r, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body(i)))
@@ -74,12 +78,19 @@ func benchHandlerSeq(b *testing.B, path string, warm int, body func(i int) []byt
 	b.ReportMetric(float64(dw.n)/float64(b.N), "bytes_out/op")
 }
 
-// benchServer is the server the benchmark driver builds.
-func benchServer() *Server {
+// benchRegistries holds one lazily loaded TPC-R registry per benchmark
+// name: a benchmark generates its datasets once, not once per b.N round,
+// so they stay out of its CPU profile.
+var benchRegistries sync.Map
+
+// benchServer is the server the benchmark driver builds, with a fresh
+// planner over b's registry.
+func benchServer(b *testing.B) *Server {
 	cfg := planner.DefaultConfig(tpcr.Schema())
 	cfg.Optimizer = optimizer.DefaultConfig(optimizer.ModeDFSM)
 	cfg.Optimizer.MaxDOP = 1
-	return New(Config{Planner: planner.New(cfg), Datasets: exec.TPCRLazyRegistry(), MaxTimeout: DefaultMaxTimeout, Workers: 1})
+	reg, _ := benchRegistries.LoadOrStore(b.Name(), exec.TPCRLazyRegistry())
+	return New(Config{Planner: planner.New(cfg), Datasets: reg.(*exec.Registry), MaxTimeout: DefaultMaxTimeout, Workers: 1})
 }
 
 const (
@@ -144,7 +155,7 @@ func servedOrderFlowRows(b *testing.B, n int) []exec.Row {
 		b.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	benchServer().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/execute", bytes.NewReader(body)))
+	benchServer(b).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/execute", bytes.NewReader(body)))
 	lines := bytes.SplitN(rec.Body.Bytes(), []byte("\n"), 3) // header, first rows frame, the rest
 	var fr StreamRows
 	if rec.Code != http.StatusOK || len(lines) < 3 {
@@ -169,4 +180,39 @@ func BenchmarkHandlerPlanNovel(b *testing.B) {
 		}
 		return body
 	})
+}
+
+// BenchmarkDecodeRequest decodes the four BENCHMARK.json workloads'
+// request bodies as the benchmark client renders them (json.Marshal of
+// the request; plan_novel's statement carries a limit).
+func BenchmarkDecodeRequest(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		req  any
+	}{
+		{"plan_novel", PlanRequest{SQL: tpcr.Query8SQL + " limit 123457"}},
+		{"topk_hot", ExecuteRequest{SQL: benchTopKSQL, Dataset: "tpcr-large"}},
+		{"q8_repeat", ExecuteRequest{SQL: tpcr.Query8SQL, Dataset: "tpcr-mid"}},
+		{"stream_orderflow", ExecuteRequest{SQL: benchOrderflowSQL, Dataset: "tpcr-large", Stream: true}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			body, err := json.Marshal(c.req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var plan PlanRequest
+			var exe ExecuteRequest
+			v := any(&exe)
+			if _, ok := c.req.(PlanRequest); ok {
+				v = &plan
+			}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if code, err := decodeRequest(body, false, v); code != 0 {
+					b.Fatalf("%d %v", code, err)
+				}
+			}
+		})
+	}
 }

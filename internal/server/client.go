@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -267,12 +266,6 @@ type StatusError struct {
 
 func (e *StatusError) Error() string {
 	return fmt.Sprintf("server: %d %s: %s", e.Code, http.StatusText(e.Code), e.Message)
-}
-
-// IsShed reports whether err is a 429 admission rejection.
-func IsShed(err error) bool {
-	var se *StatusError
-	return errors.As(err, &se) && se.Code == http.StatusTooManyRequests
 }
 
 // Client calls a planning server. The zero HTTPClient means

@@ -1,35 +1,25 @@
 // Request decoding: the /plan, /explain and /execute bodies are read
-// into a pooled buffer and decoded by hand. The request types are a
-// closed set of string, int and bool members, so decoding is one pass
-// of a JSON scanner that stores each known member and validates and
-// skips everything else. It accepts what encoding/json's Decoder
-// accepted behind http.MaxBytesReader, decodes it to the same value,
-// and refuses the rest with the same status —
-// FuzzDecodeRequestMatchesEncodingJSON holds it to that:
-//
-//   - member names match as bytes.EqualFold matches them, so "ſql" is
-//     sql and "chunKRows" (a Kelvin sign) is chunkRows;
-//   - the last of duplicate members wins, null leaves a member as it
-//     was, and unknown members are skipped;
-//   - an int member takes only an integer literal in range and a bool
-//     member only true or false (anything else is a 400), and a string
-//     decodes as encoding/json decodes it: invalid UTF-8 and unpaired
-//     surrogates become U+FFFD;
-//   - anything but whitespace after the value is a 400;
-//   - a body longer than maxRequestBytes is a 413 unless its first
-//     maxRequestBytes bytes already make it a 400.
+// into a pooled buffer. A plain body — one object whose members are all
+// request fields, the body json.Marshal writes for a client — is decoded
+// by hand in one pass. Every other body goes to encoding/json's Decoder,
+// which reads it through a reader that fails as http.MaxBytesReader
+// fails past maxRequestBytes: that decoder alone says what an unusual
+// body means, and which status refuses a bad one.
+// FuzzDecodeRequestMatchesEncodingJSON holds both paths to the Decoder
+// behind http.MaxBytesReader.
 
 package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"slices"
-	"unicode"
-	"unicode/utf16"
+	"strconv"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -37,10 +27,6 @@ import (
 // binder accepts (64 relations) is a few KiB, so 1 MiB never refuses a
 // real query and a client cannot make the server buffer more.
 const maxRequestBytes = 1 << 20
-
-// maxDepth is encoding/json's nesting limit: a value nested deeper is
-// a syntax error.
-const maxDepth = 10000
 
 // decodeBody decodes the JSON request body into v, a *PlanRequest or an
 // *ExecuteRequest, reading at most maxRequestBytes of it. On failure it
@@ -100,480 +86,253 @@ func decodeRequest(data []byte, too bool, v any) (int, error) {
 	default:
 		panic(fmt.Sprintf("server: no request decoder for %T", v))
 	}
-	d := reqDecoder{data: data, too: too}
-	err := d.top(ms)
+	if !too && decodePlain(data, ms) {
+		return 0, nil
+	}
+	// The members decodePlain stored before it gave up are stored again,
+	// to the same values, as the Decoder meets them.
+	var body io.Reader = bytes.NewReader(data)
+	if too {
+		body = io.MultiReader(body, pastLimit{})
+	}
+	dec := json.NewDecoder(body)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:
 		return 0, nil
-	case err == errIncomplete && too:
+	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxRequestBytes)
-	case err == errIncomplete:
-		return http.StatusBadRequest, errors.New("invalid request body: unexpected end of JSON input")
 	default:
 		return http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err)
 	}
 }
 
-// errIncomplete is the scanner running out of data in the middle of a
-// value, or where one must start.
-var errIncomplete = errors.New("incomplete")
+// pastLimit is a body's bytes past maxRequestBytes: every read fails as
+// http.MaxBytesReader's fails there.
+type pastLimit struct{}
 
-// reqDecoder scans one request body. Its methods return errIncomplete
-// only where every byte up to the end of data was valid so far: a
-// byte that no continuation could make valid is reported as a syntax
-// error at once, which is what decides between 400 and 413.
-type reqDecoder struct {
-	data  []byte
-	too   bool // the body went on past data
-	pos   int
-	depth int
-	// typeErr is the first member whose value has the wrong type; like
-	// encoding/json the decoder reports it only once the whole value has
-	// scanned.
-	typeErr error
+func (pastLimit) Read([]byte) (int, error) {
+	return 0, &http.MaxBytesError{Limit: maxRequestBytes}
 }
 
-func (d *reqDecoder) syntax(what string) error {
-	if d.pos >= len(d.data) {
-		return errIncomplete
+// decodePlain decodes data into ms when it is one object, between JSON
+// whitespace, whose members ms all name: exactly, or as bytes.EqualFold
+// matches names. A value is null, which leaves its field as it was, or
+// one of its field's type: a string with no surrogate escape in valid
+// UTF-8, an integer literal in range, true or false. decodePlain
+// reports false, perhaps having stored some members, on any other body.
+func decodePlain(data []byte, ms []member) bool {
+	s := scanner{b: data}
+	if !s.next('{') {
+		return false
 	}
-	return fmt.Errorf("invalid character %q %s (offset %d)", d.data[d.pos], what, d.pos)
-}
-
-// top decodes the body's one value into ms and checks what follows it.
-func (d *reqDecoder) top(ms []member) error {
-	d.ws()
-	if d.pos >= len(d.data) {
-		return errIncomplete
-	}
-	switch c := d.data[d.pos]; c {
-	case '{':
-		if err := d.object(ms); err != nil {
-			return err
-		}
-	default:
-		if err := d.value(nil); err != nil {
-			return err
-		}
-		// A scalar ends only where something follows it, or the body does.
-		if d.pos == len(d.data) && d.too {
-			return errIncomplete
-		}
-		if c != 'n' && d.typeErr == nil {
-			d.typeErr = errors.New("the request is not a JSON object")
-		}
-	}
-	if d.typeErr != nil {
-		return d.typeErr
-	}
-	d.ws()
-	if d.pos == len(d.data) {
-		if d.too {
-			return errIncomplete
-		}
-		return nil
-	}
-	// encoding/json reads a second scalar to its end before it refuses it,
-	// so one that runs to the end of data is a 413 there too.
-	end := d.pos
-	switch c := d.data[d.pos]; {
-	case c == '"' || c == '-' || c >= '0' && c <= '9' || c == 't' || c == 'f' || c == 'n':
-		err := d.value(nil)
-		if d.too && (err == errIncomplete || err == nil && d.pos == len(d.data)) {
-			return errIncomplete
-		}
-	}
-	d.pos = end
-	return fmt.Errorf("invalid character %q after the JSON value (offset %d)", d.data[end], end)
-}
-
-func (d *reqDecoder) ws() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
-	}
-}
-
-// object scans the object at pos, storing the members ms names; a nil ms
-// skips every member.
-func (d *reqDecoder) object(ms []member) error {
-	if err := d.open(); err != nil {
-		return err
-	}
-	d.ws()
-	if d.pos < len(d.data) && d.data[d.pos] == '}' {
-		d.pos++
-		d.depth--
-		return nil
-	}
-	for {
-		if d.pos >= len(d.data) || d.data[d.pos] != '"' {
-			return d.syntax("looking for the beginning of an object key")
-		}
-		key, err := d.str(ms != nil)
-		if err != nil {
-			return err
-		}
-		var m *member
-		for i := range ms {
-			if bytes.EqualFold(key, []byte(ms[i].name)) {
-				m = &ms[i]
+	if !s.next('}') {
+		for {
+			m := s.name(ms)
+			if m == nil || !s.next(':') || !s.value(m) {
+				return false
+			}
+			if s.next('}') {
 				break
 			}
+			if !s.next(',') {
+				return false
+			}
 		}
-		d.ws()
-		if d.pos >= len(d.data) || d.data[d.pos] != ':' {
-			return d.syntax("after an object key")
-		}
-		d.pos++
-		if err := d.value(m); err != nil {
-			return err
-		}
-		d.ws()
-		if d.pos >= len(d.data) {
-			return errIncomplete
-		}
-		switch d.data[d.pos] {
-		case ',':
-			d.pos++
-			d.ws()
-		case '}':
-			d.pos++
-			d.depth--
-			return nil
-		default:
-			return d.syntax("after an object member")
-		}
+	}
+	s.ws()
+	return s.i == len(s.b)
+}
+
+// scanner reads b from i on.
+type scanner struct {
+	b []byte
+	i int
+}
+
+func (s *scanner) ws() {
+	for s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t' || s.b[s.i] == '\n' || s.b[s.i] == '\r') {
+		s.i++
 	}
 }
 
-// array scans the array at pos.
-func (d *reqDecoder) array() error {
-	if err := d.open(); err != nil {
-		return err
+// next skips whitespace and then c, reporting whether c was there.
+func (s *scanner) next(c byte) bool {
+	s.ws()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
 	}
-	d.ws()
-	if d.pos < len(d.data) && d.data[d.pos] == ']' {
-		d.pos++
-		d.depth--
+	return false
+}
+
+// literal skips lit, reporting whether it was there.
+func (s *scanner) literal(lit string) bool {
+	if len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
+		return false
+	}
+	s.i += len(lit)
+	return true
+}
+
+// name scans a member name and returns the member of ms it names, nil
+// for any other. No request field's name holds a backslash, a control
+// byte or invalid UTF-8, so a name with an escape or either of those
+// matches none, and its body is left to encoding/json.
+func (s *scanner) name(ms []member) *member {
+	if !s.next('"') {
 		return nil
 	}
-	for {
-		if err := d.value(nil); err != nil {
-			return err
-		}
-		d.ws()
-		if d.pos >= len(d.data) {
-			return errIncomplete
-		}
-		switch d.data[d.pos] {
-		case ',':
-			d.pos++
-		case ']':
-			d.pos++
-			d.depth--
-			return nil
-		default:
-			return d.syntax("after an array element")
+	n := bytes.IndexByte(s.b[s.i:], '"')
+	if n < 0 {
+		return nil
+	}
+	key := s.b[s.i : s.i+n]
+	s.i += n + 1
+	for i := range ms {
+		if string(key) == ms[i].name {
+			return &ms[i]
 		}
 	}
-}
-
-// open enters the object or array at pos.
-func (d *reqDecoder) open() error {
-	if d.depth++; d.depth > maxDepth {
-		return d.syntax("past the maximum nesting depth")
+	for i := range ms {
+		if bytes.EqualFold(key, []byte(ms[i].name)) {
+			return &ms[i]
+		}
 	}
-	d.pos++
 	return nil
 }
 
-// value scans the value at pos (after any whitespace) into m's field, or
-// skips it when m is nil. A null leaves the field as it was; a value of
-// another type than the field's is a type error.
-func (d *reqDecoder) value(m *member) error {
-	d.ws()
-	if d.pos >= len(d.data) {
-		return errIncomplete
-	}
-	c := d.data[d.pos]
-	kind := "" // of a value m cannot hold
+// value scans the value of m, after whitespace, and stores it.
+func (s *scanner) value(m *member) bool {
+	s.ws()
 	switch {
-	case c == '{':
-		kind = "an object"
-		if err := d.object(nil); err != nil {
-			return err
+	case s.literal("null"):
+	case m.str != nil:
+		str, ok := s.str()
+		if !ok {
+			return false
 		}
-	case c == '[':
-		kind = "an array"
-		if err := d.array(); err != nil {
-			return err
-		}
-	case c == '"':
-		s, err := d.str(m != nil && m.str != nil)
-		if err != nil {
-			return err
-		}
-		if m != nil && m.str != nil {
-			*m.str = string(s)
-		} else {
-			kind = "a string"
-		}
-	case c == 't' || c == 'f':
-		lit := "false"
-		if c == 't' {
-			lit = "true"
-		}
-		if err := d.literal(lit); err != nil {
-			return err
-		}
-		if m != nil && m.flag != nil {
-			*m.flag = c == 't'
-		} else {
-			kind = "a bool"
-		}
-	case c == 'n':
-		return d.literal("null")
-	case c == '-' || c >= '0' && c <= '9':
-		start := d.pos
-		if err := d.number(); err != nil {
-			return err
-		}
-		if m == nil {
-			return nil
-		}
-		if n, ok := parseInt(d.data[start:d.pos]); m.num != nil && ok {
-			*m.num = n
-		} else {
-			kind = "the number " + string(d.data[start:d.pos])
-		}
+		*m.str = str
+	case m.num != nil:
+		return s.integer(m.num)
+	case s.literal("true"):
+		*m.flag = true
+	case s.literal("false"):
+		*m.flag = false
 	default:
-		return d.syntax("looking for the beginning of a value")
+		return false
 	}
-	if m != nil && kind != "" && d.typeErr == nil {
-		d.typeErr = fmt.Errorf("%s cannot be the value of %q", kind, m.name)
-	}
-	return nil
+	return true
 }
 
-// literal scans lit at pos.
-func (d *reqDecoder) literal(lit string) error {
-	for i := 0; i < len(lit); i++ {
-		if d.pos >= len(d.data) || d.data[d.pos] != lit[i] {
-			return d.syntax("in literal " + lit)
-		}
-		d.pos++
+// integer scans an integer literal that fits an int into n. What follows
+// the digits is the caller's to check, so a fraction or an exponent
+// fails there.
+func (s *scanner) integer(n *int) bool {
+	start := s.i
+	if s.i < len(s.b) && s.b[s.i] == '-' {
+		s.i++
 	}
-	return nil
+	digits := s.i
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		s.i++
+	}
+	if s.i == digits || s.b[digits] == '0' && s.i > digits+1 {
+		return false // no digits, or a leading zero
+	}
+	v, err := strconv.ParseInt(string(s.b[start:s.i]), 10, 64)
+	if err != nil {
+		return false
+	}
+	*n = int(v)
+	return true
 }
 
-// number scans the number at pos: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *reqDecoder) number() error {
-	if d.data[d.pos] == '-' {
-		d.pos++
+// str scans a string and returns its value: a copy of its bytes when it
+// holds no escape, else its unescaped value, built in one allocation.
+func (s *scanner) str() (string, bool) {
+	if !s.next('"') {
+		return "", false
 	}
-	if d.pos >= len(d.data) {
-		return errIncomplete
-	}
-	switch c := d.data[d.pos]; {
-	case c == '0':
-		d.pos++
-	case c >= '1' && c <= '9':
-		d.digits()
-	default:
-		return d.syntax("in numeric literal")
-	}
-	if d.pos < len(d.data) && d.data[d.pos] == '.' {
-		d.pos++
-		if err := d.someDigits(); err != nil {
-			return err
-		}
-	}
-	if d.pos < len(d.data) && (d.data[d.pos] == 'e' || d.data[d.pos] == 'E') {
-		d.pos++
-		if d.pos < len(d.data) && (d.data[d.pos] == '+' || d.data[d.pos] == '-') {
-			d.pos++
-		}
-		if err := d.someDigits(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *reqDecoder) digits() {
-	for d.pos < len(d.data) && d.data[d.pos] >= '0' && d.data[d.pos] <= '9' {
-		d.pos++
-	}
-}
-
-// someDigits scans one digit or more.
-func (d *reqDecoder) someDigits() error {
-	if d.pos >= len(d.data) || d.data[d.pos] < '0' || d.data[d.pos] > '9' {
-		return d.syntax("in numeric literal")
-	}
-	d.digits()
-	return nil
-}
-
-// parseInt is strconv.ParseInt(b, 10, 64) over a valid JSON number,
-// which encoding/json requires of an int member's value.
-func parseInt(b []byte) (int, bool) {
-	neg := b[0] == '-'
-	if neg {
-		b = b[1:]
-	}
-	var u uint64
-	for _, c := range b {
-		if c < '0' || c > '9' || u > (1<<63)/10 {
-			return 0, false // a fraction, an exponent, or too many digits
-		}
-		u = u*10 + uint64(c-'0')
-	}
-	switch {
-	case neg && u <= 1<<63:
-		return int(-u), true
-	case !neg && u < 1<<63:
-		return int(u), true
-	}
-	return 0, false
-}
-
-// str scans the string at pos and, when keep is set, returns its
-// decoded bytes: a slice of data when the string holds no escape and no
-// invalid UTF-8, a fresh slice otherwise.
-func (d *reqDecoder) str(keep bool) ([]byte, error) {
-	start := d.pos + 1
-	plain := true
-	for i := start; ; {
-		if i >= len(d.data) {
-			return nil, errIncomplete
-		}
-		switch c := d.data[i]; {
+	b, start, plain := s.b, s.i, true
+	for i := start; i < len(b); {
+		switch c := b[i]; {
 		case c == '"':
-			d.pos = i + 1
-			if !keep || plain {
-				return d.data[start:i], nil
+			s.i = i + 1
+			if plain {
+				return string(b[start:i]), true
 			}
-			return unquote(d.data[start:i]), nil
+			return unescape(b[start:i]), true
 		case c == '\\':
+			if i+1 >= len(b) {
+				return "", false
+			}
 			plain = false
-			i++
-			if i >= len(d.data) {
-				return nil, errIncomplete
-			}
-			switch d.data[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				i++
-			case 'u':
-				i++
-				for k := 0; k < 4; k, i = k+1, i+1 {
-					if i >= len(d.data) {
-						return nil, errIncomplete
-					}
-					if unhex(d.data[i]) < 0 {
-						d.pos = i
-						return nil, d.syntax("in \\u hexadecimal character escape")
-					}
+			if b[i+1] != 'u' {
+				if strings.IndexByte(escapes, b[i+1]) < 0 {
+					return "", false
 				}
-			default:
-				d.pos = i
-				return nil, d.syntax("in string escape code")
+				i += 2
+				continue
 			}
+			if r, ok := hexRune(b[i+2:]); !ok || 0xd800 <= r && r < 0xe000 {
+				return "", false // a surrogate, or not four hex digits
+			}
+			i += 6
 		case c < ' ':
-			d.pos = i
-			return nil, d.syntax("in string literal")
+			return "", false
 		case c < utf8.RuneSelf:
 			i++
 		default:
-			r, n := utf8.DecodeRune(d.data[i:])
-			plain = plain && !(r == utf8.RuneError && n == 1)
-			i += n
-		}
-	}
-}
-
-// unquote decodes the body of a valid JSON string literal that holds an
-// escape or invalid UTF-8, as encoding/json decodes it.
-func unquote(s []byte) []byte {
-	b := make([]byte, 0, len(s)+2*utf8.UTFMax)
-	for i := 0; i < len(s); {
-		switch c := s[i]; {
-		case c == '\\':
-			e := s[i+1]
-			i += 2
-			switch e {
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				r := hex4(s[i:])
-				i += 4
-				if utf16.IsSurrogate(r) {
-					// The pair's second half, when one follows, or U+FFFD.
-					r2 := rune(-1)
-					if i+6 <= len(s) && s[i] == '\\' && s[i+1] == 'u' {
-						r2 = hex4(s[i+2:])
-					}
-					if dec := utf16.DecodeRune(r, r2); dec != unicode.ReplacementChar {
-						r = dec
-						i += 6
-					} else {
-						r = unicode.ReplacementChar
-					}
-				}
-				b = utf8.AppendRune(b, r)
-			default: // '"', '\\', '/'
-				b = append(b, e)
+			r, n := utf8.DecodeRune(b[i:])
+			if r == utf8.RuneError && n == 1 {
+				return "", false
 			}
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			i++
-		default:
-			r, n := utf8.DecodeRune(s[i:])
-			b = utf8.AppendRune(b, r)
 			i += n
 		}
 	}
-	return b
+	return "", false
 }
 
-// hex4 is the value of the four hexadecimal digits b starts with, -1
-// when it does not start with four.
-func hex4(b []byte) rune {
-	if len(b) < 4 {
-		return -1
-	}
-	var r rune
-	for _, c := range b[:4] {
-		h := unhex(c)
-		if h < 0 {
-			return -1
+// unescape is the value of raw, the inside of a string str has checked.
+func unescape(raw []byte) string {
+	var b strings.Builder
+	b.Grow(len(raw))
+	for {
+		i := bytes.IndexByte(raw, '\\')
+		if i < 0 {
+			b.Write(raw)
+			return b.String()
 		}
-		r = r<<4 | h
+		b.Write(raw[:i])
+		if raw[i+1] == 'u' {
+			r, _ := hexRune(raw[i+2:])
+			b.WriteRune(r)
+			raw = raw[i+6:]
+		} else {
+			b.WriteByte(escaped[strings.IndexByte(escapes, raw[i+1])])
+			raw = raw[i+2:]
+		}
 	}
-	return r
 }
 
-func unhex(c byte) rune {
-	switch {
-	case c >= '0' && c <= '9':
-		return rune(c - '0')
-	case c >= 'a' && c <= 'f':
-		return rune(c - 'a' + 10)
-	case c >= 'A' && c <= 'F':
-		return rune(c - 'A' + 10)
+// escapes are the letters of JSON's short escapes, \" to \t, and
+// escaped the bytes they stand for.
+const escapes, escaped = `"\/bfnrt`, "\"\\/\b\f\n\r\t"
+
+// hexRune is the rune of the four hexadecimal digits b starts with.
+func hexRune(b []byte) (rune, bool) {
+	if len(b) < 4 {
+		return 0, false
 	}
-	return -1
+	r, err := strconv.ParseUint(string(b[:4]), 16, 32)
+	return rune(r), err == nil
 }

@@ -196,10 +196,11 @@ func TestFaultIsolation(t *testing.T) {
 				defer wg.Done()
 				for ctx.Err() == nil {
 					_, err := c.PlanContext(ctx, tpcr.Query8SQL)
+					var se *StatusError
 					switch {
 					case err == nil:
 						planned.Add(1)
-					case IsShed(err), ctx.Err() != nil: // shed, or cut when the phase ended
+					case errors.As(err, &se) && se.Code == http.StatusTooManyRequests, ctx.Err() != nil: // shed, or cut when the phase ended
 					default:
 						planErrs.Add(1)
 					}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -317,7 +318,8 @@ func TestShedding(t *testing.T) {
 	s.admitted = nil
 
 	_, err := c.Plan(nationRegionSQL)
-	if !IsShed(err) {
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("second request: got %v, want a 429 shed", err)
 	}
 	close(release)

@@ -415,7 +415,8 @@ func TestMemoryAdmissionReserve(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("admission shed without Retry-After")
 	}
-	if _, err := c.ExecuteStream(ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-small"}); !IsShed(err) {
+	var se *StatusError
+	if _, err := c.ExecuteStream(ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-small"}); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Errorf("streaming request under admission pressure: %v, want a 429", err)
 	}
 	h, err := c.Health()
