@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"orderopt/internal/exec"
@@ -104,6 +107,75 @@ func BenchmarkHandlerTopK(b *testing.B) {
 
 func BenchmarkHandlerStream(b *testing.B) {
 	benchHandler(b, "/execute", ExecuteRequest{SQL: benchOrderflowSQL, Dataset: "tpcr-large", Stream: true})
+}
+
+// BenchmarkHandlerStreamWire is BenchmarkHandlerStream over a loopback
+// socket: an httptest.Server in front of the handler and a client that
+// reads the body raw. The server's listener counts its socket writes,
+// the cost that BenchmarkHandlerStream's discardWriter leaves out;
+// bytes_out/op is the body as the client reads it, so it equals
+// BenchmarkHandlerStream's. Allocations include the client's.
+func BenchmarkHandlerStreamWire(b *testing.B) {
+	body, err := json.Marshal(ExecuteRequest{SQL: benchOrderflowSQL, Dataset: "tpcr-large", Stream: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(benchServer(b))
+	ln := &countingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	defer ts.Close()
+	client := ts.Client()
+	var n int64
+	serve := func() {
+		res, err := client.Post(ts.URL+"/execute", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		if err != nil || res.StatusCode != http.StatusOK {
+			b.Fatalf("status %d: %v", res.StatusCode, err)
+		}
+		n += m
+	}
+	// Two warm-up requests load the dataset, fill the planner caches and
+	// the build table, and open the connection the timed ones reuse.
+	serve()
+	serve()
+	n = 0
+	ln.writes.Store(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.ReportMetric(float64(ln.writes.Load())/float64(b.N), "writes/op")
+	b.ReportMetric(float64(n)/float64(b.N), "bytes_out/op")
+}
+
+// countingListener counts the writes to every connection it accepts.
+type countingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, writes: &l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
 }
 
 func BenchmarkHandlerQ8(b *testing.B) {

@@ -5,12 +5,20 @@
 //	{"frame":"rows", "rows":[[...],[...]]}   (repeated, pipeline order)
 //	{"frame":"trailer", ...counters, optional error...}
 //
-// — flushed as produced, so a sort-free plan's first rows reach the
+// — sent as produced, so a sort-free plan's first rows reach the
 // client while the pipeline is still joining the rest of its input; an
 // order-oblivious plan cannot send its first frame until the top sort
 // has consumed everything. That wire-visible difference is the paper's
 // payoff at serving scale, and the streaming conformance and
 // first-row tests pin it.
+//
+// The header, the first rows frame and the trailer are written and
+// flushed at once. A later rows frame is batched with the ones after
+// it: it leaves, whole and unchanged, when maxPendingBytes are pending
+// or maxFrameDelay after the oldest pending frame was produced,
+// whichever comes first. Under net/http every flush is three socket
+// writes (the chunk's size line, its body, its CRLF), so a stream that
+// flushes frame by frame spends much of its time writing to the socket.
 //
 // The HTTP status is committed (200) with the header frame, before the
 // pipeline has run; failures after that point are reported in the
@@ -25,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"orderopt/internal/exec"
@@ -112,8 +121,8 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 		header.PlanNs = c.pd.Result.PlanTime.Nanoseconds()
 	}
 
-	// Every frame is built in one pooled buffer and leaves in one Write;
-	// the header before the status is committed, so failing is still a 500.
+	// Every frame is built in one pooled buffer; the header before the
+	// status is committed, so failing is still a 500.
 	bp := bufPool.Get()
 	defer bufPool.Put(bp)
 	if *bp, err = AppendStreamHeader((*bp)[:0], header); err != nil {
@@ -123,17 +132,9 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	writeFrame := func() error {
-		if _, err := w.Write(*bp); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-	if err := writeFrame(); err != nil {
+	fw := newFrameWriter(w, bp)
+	defer fw.close(nil) // before bp goes back to the pool
+	if err := fw.flush(); err != nil {
 		m.canceled.Add(1)
 		m.record(time.Since(begin), true)
 		return
@@ -143,8 +144,7 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 	execBegin := time.Now()
 	g.handOver(c.pipe)
 	streamErr := c.pipe.StreamContext(ctx, chunk, func(rows []exec.Row) error {
-		*bp = AppendRowsFrame((*bp)[:0], rows)
-		if err := writeFrame(); err != nil {
+		if err := fw.rows(rows); err != nil {
 			// A failed write means the client is gone; fold it into the
 			// cancellation taxonomy so it classifies (and counts) as 499.
 			return fmt.Errorf("writing rows frame: %w: %w", context.Canceled, err)
@@ -164,9 +164,121 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 		trailer.Error = streamErr.Error()
 	}
 	m.record(time.Since(begin), streamErr != nil)
-	// Best effort: the client may be gone, and a trailer that cannot be
-	// encoded (a non-finite estimate) ends the stream without one.
-	if *bp, err = AppendStreamTrailer((*bp)[:0], trailer); err == nil {
-		_ = writeFrame()
+	fw.close(trailer)
+}
+
+// A rows frame after the first waits in the frame writer's buffer until
+// maxPendingBytes are pending or maxFrameDelay has passed since the
+// oldest pending frame was produced.
+const (
+	maxPendingBytes = 64 << 10
+	maxFrameDelay   = time.Millisecond
+)
+
+// frameWriter sends a stream's frames to w in batches. The handler
+// appends frames; a timer flushes what has waited maxFrameDelay from
+// its own goroutine. mu serializes the two over w and buf, and once
+// close has run the timer touches neither: w belongs to net/http again
+// and buf to the pool.
+//
+// A failed write is kept and returned by every later call. The timer's
+// failure reaches the pipeline through the next rows call, or sooner
+// through the request context, which net/http cancels when a write to
+// the connection fails.
+type frameWriter struct {
+	mu      sync.Mutex
+	w       http.ResponseWriter
+	flusher http.Flusher
+	buf     *[]byte     // the frames not yet written
+	timer   *time.Timer // armed whenever buf goes from empty to pending
+	frames  int         // rows frames appended
+	err     error
+	closed  bool
+}
+
+func newFrameWriter(w http.ResponseWriter, buf *[]byte) *frameWriter {
+	f := &frameWriter{w: w, buf: buf}
+	f.flusher, _ = w.(http.Flusher)
+	return f
+}
+
+// flush writes and flushes whatever is pending: the header frame the
+// caller left in buf.
+func (f *frameWriter) flush() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.flushLocked()
+}
+
+// rows appends one rows frame. The first is flushed at once, so the
+// client sees the first rows as early as the pipeline produces them.
+func (f *frameWriter) rows(rows []exec.Row) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil {
+		return f.err
 	}
+	pending := len(*f.buf)
+	*f.buf = AppendRowsFrame(*f.buf, rows)
+	f.frames++
+	switch {
+	case f.frames == 1 || len(*f.buf) >= maxPendingBytes:
+		return f.flushLocked()
+	case pending == 0:
+		if f.timer == nil {
+			f.timer = time.AfterFunc(maxFrameDelay, f.onTimer)
+		} else {
+			f.timer.Reset(maxFrameDelay)
+		}
+	}
+	return nil
+}
+
+// onTimer flushes the frames that have waited maxFrameDelay. A callback
+// that was already running when rows flushed and refilled buf flushes
+// the new frames early, never late.
+func (f *frameWriter) onTimer() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.closed && len(*f.buf) > 0 {
+		_ = f.flushLocked() // kept in f.err for the next rows call
+	}
+}
+
+// close stops the timer and hands w and buf back. With a trailer it
+// first sends whatever is pending and the trailer, in one write; a
+// trailer that cannot be encoded (a non-finite estimate) ends the
+// stream without one. Without a trailer, pending frames are dropped.
+// Only the first call does anything.
+func (f *frameWriter) close(t *StreamTrailer) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return
+	}
+	f.closed = true
+	if f.timer != nil {
+		f.timer.Stop()
+	}
+	if t == nil || f.err != nil {
+		return
+	}
+	if b, err := AppendStreamTrailer(*f.buf, t); err == nil {
+		*f.buf = b
+	}
+	if len(*f.buf) > 0 {
+		_ = f.flushLocked() // best effort: the client may be gone
+	}
+}
+
+func (f *frameWriter) flushLocked() error {
+	if f.err != nil {
+		return f.err
+	}
+	_, f.err = f.w.Write(*f.buf)
+	*f.buf = (*f.buf)[:0]
+	if f.err == nil && f.flusher != nil {
+		f.flusher.Flush()
+	}
+	return f.err
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,6 +23,7 @@ import (
 
 	"orderopt/internal/exec"
 	"orderopt/internal/faultinject"
+	"orderopt/internal/planner"
 	"orderopt/internal/tpcr"
 )
 
@@ -36,12 +38,79 @@ var scaledRegistry = sync.OnceValue(func() *exec.Registry {
 // first row until everything is materialized.
 const sortSQL = "select * from orders, lineitem where o_orderkey = l_orderkey order by o_orderdate"
 
+// frameWatch is a ResponseWriter that fails its test when a streamed
+// body is written after the handler returned, or in a write that does
+// not end on a frame boundary.
+type frameWatch struct {
+	http.ResponseWriter
+	t        *testing.T
+	returned atomic.Bool
+}
+
+func (w *frameWatch) Write(b []byte) (int, error) {
+	if w.returned.Load() {
+		w.t.Errorf("%d bytes written after the handler returned", len(b))
+	}
+	if w.Header().Get("Content-Type") == "application/x-ndjson" && len(b) > 0 && b[len(b)-1] != '\n' {
+		w.t.Errorf("a write of %d bytes ends inside a frame", len(b))
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *frameWatch) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// newWatchedServer is newTestServer with every response written
+// through a frameWatch.
+func newWatchedServer(t *testing.T, cfg Config) (*Server, *Client, func()) {
+	t.Helper()
+	if cfg.Planner == nil {
+		cfg.Planner = planner.New(planner.DefaultConfig(tpcr.Schema()))
+	}
+	s := New(cfg)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fw := &frameWatch{ResponseWriter: w, t: t}
+		defer fw.returned.Store(true)
+		s.ServeHTTP(fw, r)
+	}))
+	return s, NewClient(ts.URL), ts.Close
+}
+
+// executorRows runs sql on reg's dataset straight through the executor,
+// with no server, hook or stream in between: the rows a stream of it
+// must frame, in order.
+func executorRows(t *testing.T, reg *exec.Registry, dataset, sql string) []exec.Row {
+	t.Helper()
+	pd, err := planner.New(planner.DefaultConfig(tpcr.Schema())).PlanContext(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, unpin, err := reg.Acquire(dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unpin()
+	pipe, err := ds.Runner(pd.Origin.Analysis()).Compile(pd.Best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := pipe.ExecuteContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 // TestExecuteStreamMatchesBuffered: for every chunk size the streamed
 // row sequence must be exactly the buffered response's rows — same
 // rows, same order — with a coherent header and trailer around them.
+// Between the header and the trailer the body is byte for byte the
+// executor's rows cut into chunkRows-row frames by AppendRowsFrame, and
+// no write splits a frame, not even one over maxPendingBytes: batching
+// frames changes when they are written, never what.
 func TestExecuteStreamMatchesBuffered(t *testing.T) {
-	_, c, done := newTestServer(t, Config{Datasets: scaledRegistry()})
+	_, c, done := newWatchedServer(t, Config{Datasets: scaledRegistry()})
 	defer done()
+	want := executorRows(t, scaledRegistry(), "tpcr-scaled", joinSQL)
 
 	// The buffered path caps its response at ExecuteRowCap rows; the
 	// streamed result must agree with that prefix row-for-row and with
@@ -56,7 +125,24 @@ func TestExecuteStreamMatchesBuffered(t *testing.T) {
 			buffered.RowCount, len(buffered.Rows))
 	}
 
-	for _, chunk := range []int{1, 7, 4096} {
+	for _, chunk := range []int{1, 7, 256, 4096, exec.MaxStreamChunk} {
+		var frames []byte
+		for lo := 0; lo < len(want); lo += chunk {
+			frames = AppendRowsFrame(frames, want[lo:min(lo+chunk, len(want))])
+		}
+		if chunk == exec.MaxStreamChunk && len(frames) <= maxPendingBytes {
+			t.Fatalf("fixture too small: its one %d-row frame is %d bytes, not over the %d-byte batch", len(want), len(frames), maxPendingBytes)
+		}
+		body := postStreamRaw(t, c.BaseURL, ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-scaled", Stream: true, ChunkRows: chunk})
+		header, rest, _ := bytes.Cut(body, []byte("\n"))
+		trailer := rest[bytes.LastIndexByte(rest[:len(rest)-1], '\n')+1:]
+		if !bytes.HasPrefix(header, []byte(`{"frame":"header"`)) || !bytes.HasPrefix(trailer, []byte(`{"frame":"trailer"`)) {
+			t.Fatalf("chunk %d: body does not run header ... trailer: %.100q ... %.100q", chunk, header, trailer)
+		}
+		if got := rest[:len(rest)-len(trailer)]; !bytes.Equal(got, frames) {
+			t.Fatalf("chunk %d: %d bytes of rows frames, want the %d bytes AppendRowsFrame writes", chunk, len(got), len(frames))
+		}
+
 		st, err := c.ExecuteStream(ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-scaled", ChunkRows: chunk})
 		if err != nil {
 			t.Fatalf("chunk %d: %v", chunk, err)
@@ -240,6 +326,149 @@ func TestExecuteStreamClientDisconnect(t *testing.T) {
 	if used, resident := s.acct.Used(), s.datasets.ResidentBytes(); used != resident {
 		t.Errorf("%d bytes charged after the disconnected request drained, want the %d resident bytes", used, resident)
 	}
+}
+
+// postStreamRaw posts a streaming request and returns its body as sent.
+func postStreamRaw(t *testing.T, url string, req ExecuteRequest) []byte {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := http.Post(url+"/execute", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	b, err := io.ReadAll(res.Body)
+	if err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %v", res.StatusCode, err)
+	}
+	return b
+}
+
+// rowsBeforeStall returns how many of rows (joinSQL's, ordered by
+// o_orderkey) the pipeline produces before a Delay from row at of the
+// driving orders scan: that scan reads orders in key order from key 0,
+// so its at-th row is key at-1, and rows of smaller keys come first.
+func rowsBeforeStall(rows []exec.Row, at int64) int {
+	n := 0
+	for n < len(rows) && rows[n][0] < at-1 {
+		n++
+	}
+	return n
+}
+
+// TestStreamPendingFrameBounded: a rows frame that waits behind the
+// first for more frames to batch with waits at most maxFrameDelay. The
+// driving orders scan sleeps before every row from some row on, far
+// longer than the bound, so the frames produced before that stall reach
+// the client within a quarter of one sleep only if a timer flushes
+// them. The first rows frame, when the second needs a row from past the
+// stall, must arrive before the second is produced.
+func TestStreamPendingFrameBounded(t *testing.T) {
+	const sleep = 4 * time.Second // per row; long enough that -race on 2 vCPUs keeps well inside a quarter
+	rows := executorRows(t, scaledRegistry(), "tpcr-scaled", joinSQL)
+	first := rows[0][0] + 2 // stall on the order after the first one joined
+	pending := first
+	for rowsBeforeStall(rows, pending) < 16 {
+		pending++
+	}
+	for _, tc := range []struct {
+		name  string
+		at    int64 // the scan's first delayed row
+		chunk int
+	}{
+		{"first frame", first, rowsBeforeStall(rows, first)},
+		{"pending frames", pending, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c, done := newTestServer(t, Config{
+				Datasets: scaledRegistry(),
+				ExecHook: faultinject.Hook("IndexScan:orders", faultinject.Fault{Kind: faultinject.Delay, AtRow: tc.at, Sleep: sleep}),
+			})
+			defer done()
+			ctx, cancel := context.WithTimeout(context.Background(), sleep/4)
+			defer cancel()
+			st, err := c.ExecuteStreamContext(ctx, ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-scaled", ChunkRows: tc.chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close() // disconnects; the stalled scan observes the cancellation
+			want := rowsBeforeStall(rows, tc.at)
+			for got := 0; got < want; got++ {
+				if _, ok, err := st.Next(); !ok {
+					t.Fatalf("%d of the %d rows produced before the stall reached the client within %v (err %v)", got, want, sleep/4, err)
+				}
+			}
+		})
+	}
+}
+
+// TestStreamDisconnectWithPendingFrames: a client that leaves while rows
+// frames wait to be batched and the pipeline sleeps in a stalled scan
+// is counted as canceled; every operator closes, every charged byte
+// comes back, and nothing is written after the handler returns, by the
+// batch timer least of all.
+func TestStreamDisconnectWithPendingFrames(t *testing.T) {
+	rows := executorRows(t, scaledRegistry(), "tpcr-scaled", joinSQL)
+	at := rows[0][0] + 2
+	for rowsBeforeStall(rows, at) < 64 {
+		at++
+	}
+	tracker := &faultinject.Tracker{}
+	stall := faultinject.Hook("IndexScan:orders", faultinject.Fault{Kind: faultinject.Delay, AtRow: at, Sleep: time.Minute})
+	s, c, done := newWatchedServer(t, Config{
+		Datasets:      scaledRegistry(),
+		ExecHook:      faultinject.Compose(tracker.Hook(), stall),
+		MemLimitBytes: 256 << 20,
+	})
+	defer done()
+
+	const rounds = 3
+	for round := int64(1); round <= rounds; round++ {
+		st, err := c.ExecuteStream(ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-scaled", ChunkRows: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first frame left at once; the 63 or more produced right
+		// after it wait for the timer when the client goes.
+		if _, ok, err := st.Next(); !ok {
+			t.Fatalf("round %d: no first row: %v", round, err)
+		}
+		st.Close()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			stats, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Endpoints["execute"].Canceled >= round {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: canceled counter never incremented after the disconnect: %+v", round, stats.Endpoints["execute"])
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.DrainAndWait(ctx); err != nil {
+		t.Fatalf("drain after the disconnects: %v", err)
+	}
+	if tracker.Opened() == 0 {
+		t.Fatal("tracker saw no operators; the hook seam is broken")
+	}
+	if leaked := tracker.Leaked(); leaked != 0 {
+		t.Errorf("%d operators still open after the disconnected requests drained", leaked)
+	}
+	if used, resident := s.acct.Used(), s.datasets.ResidentBytes(); used != resident {
+		t.Errorf("%d bytes charged after the disconnected requests drained, want the %d resident bytes", used, resident)
+	}
+	// A timer that outlived its handler would fire within maxFrameDelay;
+	// give it ten, then frameWatch has seen every write there will be.
+	time.Sleep(10 * maxFrameDelay)
 }
 
 // TestStreamNoRetryMidStream: once the header frame is on the wire the
