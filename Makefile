@@ -80,14 +80,17 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzz-smoke runs the five fuzz targets briefly on top of their seeds.
+# fuzz-smoke runs the six fuzz targets briefly on top of their seeds.
 # The SQL round-trip fuzzer (checked-in corpus under
 # internal/sqlparse/testdata/fuzz): parse → bind → render → re-bind must
 # never panic and must keep fingerprints stable. The response writer's:
 # every served body must stay byte for byte what encoding/json prints.
 # The rows frame writer's: frames of fuzzed repeats of the row above,
 # ragged widths, nil rows and edge integers must stay encoding/json's
-# bytes too. The sort kernel's: sortRows must put any rows, on dense,
+# bytes too. The piece encoder's: the same rows cut into one to four
+# pieces, each row claiming the pieces it repeats from the row above as
+# a join spine does, must be the rows frame writer's bytes. The sort
+# kernel's: sortRows must put any rows, on dense,
 # sparse and overflowing key spans, into the permutation a stable sort
 # gives. The request decoder's: any body, padded past the 1 MiB limit or
 # not, must decode to what encoding/json decodes it to, or be refused
@@ -100,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSQLRoundTrip$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowsFrameMatchesEncodingJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzPiecesFrameMatchesRowsFrame$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSortRows$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequestMatchesEncodingJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server/
 

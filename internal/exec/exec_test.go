@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -178,6 +181,138 @@ func TestJoinsAgree(t *testing.T) {
 		if !sameMultiset(mj, hj) || !sameMultiset(hj, nl) {
 			t.Fatalf("trial %d: joins disagree: mj=%d hj=%d nl=%d rows", trial, len(mj), len(hj), len(nl))
 		}
+	}
+}
+
+// pieceRecorder is a RowSink that keeps each row it is handed, its
+// pieces concatenated, and fails a row when a piece below low is not the
+// same slice (same first element, same length) as in the row before.
+type pieceRecorder struct {
+	rows  []Row
+	prev  []Row // the row before's pieces, compared by address only
+	multi int   // rows handed as more than one piece
+	cuts  int
+}
+
+func (r *pieceRecorder) Row(pieces []Row, low int) error {
+	if len(r.rows) == 0 && low != 0 {
+		return fmt.Errorf("the first row says its %d lowest pieces are the row before's", low)
+	}
+	for j, p := range pieces[:low] {
+		if q := r.prev[j]; len(p) != len(q) || len(p) > 0 && &p[0] != &q[0] {
+			return fmt.Errorf("row %d: piece %d is below low %d but not the row before's", len(r.rows), j, low)
+		}
+	}
+	r.prev = append(r.prev[:0], pieces...)
+	if len(pieces) > 1 {
+		r.multi++
+	}
+	r.rows = append(r.rows, slices.Concat(pieces...))
+	return nil
+}
+
+func (r *pieceRecorder) Cut() error {
+	r.cuts++
+	return nil
+}
+
+// randomSpine returns a builder of one random spine over seeded rows:
+// up to four levels, each a hash join, a merge join over sorted rows, a
+// streamed merge join or a nested-loop join, whose right rows give each
+// left row anywhere from no match to many. A merge level keys on the
+// driving row's first column, which ascends; the others on any column
+// of any piece below them.
+func randomSpine(rng *rand.Rand) func(life *Life) *spineIter {
+	drive := make([]Row, rng.Intn(40))
+	var top int64
+	for i := range drive {
+		top += rng.Int63n(3)
+		drive[i] = Row{top, rng.Int63n(8)}
+	}
+	type level struct {
+		op     plan.Op
+		stream bool
+		key    fusedEq
+		rows   []Row
+	}
+	widths := []int{2}
+	levels := make([]level, 1+rng.Intn(4))
+	for k := range levels {
+		l := &levels[k]
+		l.op = []plan.Op{plan.HashJoin, plan.MergeJoin, plan.MergeJoin, plan.NestedLoopJoin}[rng.Intn(4)]
+		l.stream = l.op == plan.MergeJoin && rng.Intn(2) == 0
+		width := 1 + rng.Intn(3)
+		l.key.rcol = int32(rng.Intn(width))
+		domain := top + 2
+		if l.op != plan.MergeJoin {
+			l.key.piece = int32(rng.Intn(len(widths)))
+			l.key.col = int32(rng.Intn(widths[l.key.piece]))
+			domain = 8
+		}
+		l.rows = make([]Row, rng.Intn(len(drive)+2))
+		for i := range l.rows {
+			l.rows[i] = make(Row, width)
+			for j := range l.rows[i] {
+				l.rows[i][j] = rng.Int63n(8)
+			}
+			l.rows[i][l.key.rcol] = rng.Int63n(domain)
+		}
+		if l.op == plan.MergeJoin {
+			sort.SliceStable(l.rows, func(i, j int) bool { return l.rows[i][l.key.rcol] < l.rows[j][l.key.rcol] })
+		}
+		widths = append(widths, width)
+	}
+	return func(life *Life) *spineIter {
+		var sp spine
+		for _, l := range levels {
+			right := NewScan(l.rows, nil)
+			sl := spineLevel{op: l.op, st: &OpStats{}, right: right, key: l.key}
+			if l.op == plan.NestedLoopJoin {
+				sl.check = []fusedEq{l.key}
+			}
+			if l.stream {
+				sl.stream = &mergeStream{right: right, col: int(l.key.rcol), life: life}
+			}
+			sp.levels = append(sp.levels, sl)
+		}
+		return newSpineIter(NewScan(drive, nil), life, sp)
+	}
+}
+
+// TestSpinePiecesMatchNext: a spine at the root of StreamPieces hands
+// its sink each output row as its pieces, and the pieces concatenated
+// are the rows Next builds, row for row; every piece below the low it
+// reports is the very slice of the row before; and a cut follows every
+// chunk rows and the last.
+func TestSpinePiecesMatchNext(t *testing.T) {
+	const chunk = 7
+	multi := 0
+	for seed := int64(0); seed < 400; seed++ {
+		build := randomSpine(rand.New(rand.NewSource(seed)))
+		want, err := Collect(build(&Life{}))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		life := &Life{}
+		var rec pieceRecorder
+		if err := (&Pipeline{Root: build(life), Life: life}).StreamPieces(context.Background(), chunk, &rec); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(rec.rows) != len(want) {
+			t.Fatalf("seed %d: %d rows as pieces, %d from Next", seed, len(rec.rows), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(rec.rows[i], want[i]) {
+				t.Fatalf("seed %d: row %d is %v as pieces, %v from Next", seed, i, rec.rows[i], want[i])
+			}
+		}
+		if n := (len(want) + chunk - 1) / chunk; rec.cuts != n {
+			t.Fatalf("seed %d: %d cuts over %d rows, want %d", seed, rec.cuts, len(want), n)
+		}
+		multi += rec.multi
+	}
+	if multi == 0 {
+		t.Fatal("no row reached the sink as more than one piece")
 	}
 }
 

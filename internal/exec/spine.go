@@ -17,9 +17,12 @@ import (
 // merge group) and hands each on as a piece; the pieces are the driving
 // row and each level's matched right row. Only the spine's output row is
 // built, from the pieces, when the top level matches: no intermediate
-// join row exists. A serial plan runs one cursor per spine (spineIter,
-// under the top join's stats entry); an exchange's workers run one per
-// morsel over the same compiled levels (Exchange.runMorsel).
+// join row exists. A spine at the root of a stream builds not even that:
+// it hands the stream's sink its pieces, and which of them are the rows
+// of the row before (Pipeline.StreamPieces). A serial plan runs one
+// cursor per spine (spineIter, under the top join's stats entry); an
+// exchange's workers run one per morsel over the same compiled levels
+// (Exchange.runMorsel).
 //
 // Every level preserves its left order: per left row its matches come in
 // the order of its right-hand state. A spine's output is therefore its
@@ -227,6 +230,7 @@ type cursor struct {
 	pieces []Row
 	at     []levelCursor
 	depth  int // the level Next resumes at; -1 pulls a driving row
+	low    int // the pieces below it are the row before's
 }
 
 // newCursor returns a cursor of sp over in, polling life.
@@ -235,13 +239,21 @@ func (sp *spine) newCursor(in Iterator, life *Life) cursor {
 		pieces: make([]Row, len(sp.levels)+1), at: make([]levelCursor, len(sp.levels))}
 }
 
-// Next returns the spine's next output row. When the driving input ends,
-// every streamed merge level drains its right input, so its sortedness
-// check covers the whole stream the plan claimed sorted.
-func (c *cursor) Next() (Row, bool, error) {
+// Next returns the spine's next output row.
+func (c *cursor) Next() (Row, bool, error) { return c.advance(true) }
+
+// advance sets pieces to the spine's next output row and low to the
+// lowest piece it wrote, and returns the row built from the pieces when
+// build is set. When the driving input ends, every streamed merge level
+// drains its right input, so its sortedness check covers the whole
+// stream the plan claimed sorted.
+func (c *cursor) advance(build bool) (Row, bool, error) {
 	levels, pieces := c.levels, c.pieces
 	top := len(levels) - 1
-	k := c.depth
+	// A level's match writes the piece above it, and only after a descent
+	// is a level lower than the last one matched; so low is the lowest
+	// level descended to, plus one.
+	k, low := c.depth, top+1
 	for {
 		if k < 0 {
 			d, ok, err := c.in.Next()
@@ -251,10 +263,10 @@ func (c *cursor) Next() (Row, bool, error) {
 				}
 				return nil, false, err
 			}
-			if top < 0 {
+			if pieces[0], k, low = d, 0, 0; top < 0 {
+				c.low = 0
 				return d, true, nil
 			}
-			pieces[0], k = d, 0
 			if err := c.start(k); err != nil {
 				return nil, false, err
 			}
@@ -263,6 +275,7 @@ func (c *cursor) Next() (Row, bool, error) {
 		r := at.match(pieces, levels[k].check)
 		if r == nil {
 			k--
+			low = min(low, k+1)
 			continue
 		}
 		pieces[k+1] = r
@@ -273,8 +286,10 @@ func (c *cursor) Next() (Row, bool, error) {
 					return nil, false, err
 				}
 			}
-			c.depth = k
-			return c.emit()
+			if c.depth, c.low = k, low; build {
+				return c.emit()
+			}
+			return nil, true, nil
 		}
 		k++
 		if err := c.start(k); err != nil {

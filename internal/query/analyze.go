@@ -303,8 +303,10 @@ func Analyze(g *Graph, opt AnalyzeOptions) (*Analysis, error) {
 }
 
 // ErrNoInterestingOrders is returned by Analyze when the query has no
-// joins, grouping, ordering or exploitable selections — order
-// optimization is a no-op and the caller can plan without a framework.
+// joins, grouping, ordering or exploitable selections, so there is no
+// order to optimize. No caller plans such a query another way: the
+// planner returns the error, and the server answers the statement with
+// a 400.
 var ErrNoInterestingOrders = fmt.Errorf("query: no interesting orders (no joins, group by or order by)")
 
 func hasTested(a *Analysis) bool {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,7 +198,9 @@ func BenchmarkHandlerPlanHit(b *testing.B) {
 // over runs of seven rows), with every value distinct, where the memo
 // never pays, and served — the first frame of the order-flow stream on
 // tpcr-large as the handler serves it, whose values are shorter than
-// the synthetic cases'.
+// the synthetic cases'. served-pieces is that frame as the spine hands
+// it to the stream: each row as its orders, customer and lineitem
+// pieces, and low the pieces repeated from the row above.
 func BenchmarkAppendRowsFrame(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -205,23 +208,40 @@ func BenchmarkAppendRowsFrame(b *testing.B) {
 	}{
 		{"repeating", func(*testing.B) []exec.Row { return orderFlowRows(256, 7) }},
 		{"distinct", func(*testing.B) []exec.Row { return orderFlowRows(256, 1) }},
-		{"served", func(b *testing.B) []exec.Row { return servedOrderFlowRows(b, 256) }},
+		{"served", func(b *testing.B) []exec.Row { rows, _ := servedOrderFlowRows(b, 256); return rows }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			rows := c.rows(b)
-			buf := AppendRowsFrame(nil, rows)
-			b.SetBytes(int64(len(buf)))
-			for b.Loop() {
-				buf = AppendRowsFrame(buf[:0], rows)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+			benchFrame(b, len(rows), func(dst []byte) []byte { return AppendRowsFrame(dst, rows) })
 		})
 	}
+	b.Run("served-pieces", func(b *testing.B) {
+		pieces, lows := spinePieces(servedOrderFlowRows(b, 256))
+		var f rowsFrame
+		benchFrame(b, len(pieces), func(dst []byte) []byte {
+			dst = f.begin(dst)
+			for i, p := range pieces {
+				dst = f.row(dst, p, lows[i])
+			}
+			return f.end(dst)
+		})
+	})
+}
+
+// benchFrame times appending one frame of n rows.
+func benchFrame(b *testing.B, n int, frame func(dst []byte) []byte) {
+	buf := frame(nil)
+	b.SetBytes(int64(len(buf)))
+	for b.Loop() {
+		buf = frame(buf[:0])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
 
 // servedOrderFlowRows is the order-flow stream's first frame of n rows,
-// served by benchServer and decoded from the wire.
-func servedOrderFlowRows(b *testing.B, n int) []exec.Row {
+// served by benchServer and decoded from the wire, and the widths of its
+// pieces but the last: the runs of columns of one relation.
+func servedOrderFlowRows(b *testing.B, n int) ([]exec.Row, []int) {
 	body, err := json.Marshal(ExecuteRequest{SQL: benchOrderflowSQL, Dataset: "tpcr-large", Stream: true, ChunkRows: n})
 	if err != nil {
 		b.Fatal(err)
@@ -229,14 +249,24 @@ func servedOrderFlowRows(b *testing.B, n int) []exec.Row {
 	rec := httptest.NewRecorder()
 	benchServer(b).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/execute", bytes.NewReader(body)))
 	lines := bytes.SplitN(rec.Body.Bytes(), []byte("\n"), 3) // header, first rows frame, the rest
+	var h StreamHeader
 	var fr StreamRows
 	if rec.Code != http.StatusOK || len(lines) < 3 {
 		b.Fatalf("status %d, body %.200q", rec.Code, rec.Body)
 	}
+	if err := json.Unmarshal(lines[0], &h); err != nil {
+		b.Fatal(err)
+	}
 	if err := json.Unmarshal(lines[1], &fr); err != nil || fr.Frame != FrameRows || len(fr.Rows) != n {
 		b.Fatalf("first frame %.200q: %v", lines[1], err)
 	}
-	return execRows(fr.Rows)
+	var widths []int
+	for i, start := 1, 0; i < len(h.Columns); i++ {
+		if rel, _, _ := strings.Cut(h.Columns[i], "."); !strings.HasPrefix(h.Columns[i-1], rel+".") {
+			widths, start = append(widths, i-start), i
+		}
+	}
+	return execRows(fr.Rows), widths
 }
 
 // BenchmarkHandlerPlanNovel is the plan_novel request: Q8 under a limit

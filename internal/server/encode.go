@@ -114,17 +114,20 @@ var digitQuads = func() (t [10000]uint32) {
 
 // putInt writes n in decimal at b[i:], which must have room for
 // maxIntLen bytes, and returns the index after its last digit. A
-// magnitude below 10^8 is one 8-byte store of its zero-padded digits,
-// shifted past the leading zeros; a larger one is the digits of its
-// quotient by 10^8 followed by eight more. A store reaches up to seven
-// bytes past the digits it means; the next store or the maxIntLen room
-// absorbs them.
+// magnitude below 10^4 is one 4-byte store of its zero-padded digits,
+// shifted past the leading zeros, and one below 10^8 one 8-byte store;
+// a larger one is the digits of its quotient by 10^8 followed by eight
+// more. A store reaches up to seven bytes past the digits it means; the
+// next store or the maxIntLen room absorbs them.
 func putInt(b []byte, i int, n int64) int {
 	u := uint64(n)
 	if n < 0 {
 		b[i] = '-'
 		i++
 		u = -u
+	}
+	if u < 1e4 {
+		return put4(b, i, u)
 	}
 	if u >= 1e8 {
 		i = putInt(b, i, int64(u/1e8)) // below 10^12, so not negative
@@ -137,6 +140,15 @@ func putInt(b []byte, i int, n int64) int {
 	z := bits.TrailingZeros64(v^0x3030303030303030|1<<56) / 8
 	binary.LittleEndian.PutUint64(b[i:], v>>(8*z))
 	return i + 8 - z
+}
+
+// put4 is putInt of u < 10^4: its zero-padded digits in one 4-byte
+// store, shifted past the leading zeros as putInt's 8-byte one is.
+func put4(b []byte, i int, u uint64) int {
+	v := digitQuads[u]
+	z := bits.TrailingZeros32(v^0x30303030|1<<24) / 8
+	binary.LittleEndian.PutUint32(b[i:], v>>(8*z))
+	return i + 4 - z
 }
 
 // digits8 is u's eight zero-padded digits, u < 10^8, the first in the
@@ -217,7 +229,7 @@ func (w *jsonWriter) strs(ss []string) {
 }
 
 // rows writes the buffered body's result rows; a stream frame's go
-// through appendCompactRows.
+// through rowsFrame.
 func (w *jsonWriter) rows(rows [][]int64) {
 	if rows == nil {
 		w.null()
@@ -436,73 +448,104 @@ func AppendStreamHeader(dst []byte, h *StreamHeader) ([]byte, error) {
 // AppendRowsFrame appends the line encoding/json prints for
 // StreamRows{Frame: FrameRows, Rows: rows}, straight from the pipeline.
 func AppendRowsFrame(dst []byte, rows []exec.Row) []byte {
-	dst = append(dst, `{"frame":"`+FrameRows+`","rows":`...)
-	return append(appendCompactRows(dst, rows), '}', '\n')
+	if rows == nil {
+		return append(dst, `{"frame":"`+FrameRows+`","rows":null}`+"\n"...)
+	}
+	var f rowsFrame
+	dst = f.begin(dst)
+	for _, r := range rows {
+		dst = f.row(dst, []exec.Row{r}, 0)
+	}
+	return f.end(dst)
 }
 
 // memoCells is how many leading columns of the row above the memo
 // tracks; columns past it are always formatted.
 const memoCells = 32
 
-// appendCompactRows appends rows in encoding/json's compact form. The
-// longest prefix of a row's columns that equals the row above, when
-// both have the same width, is not formatted again: it is one copy of
-// the row above's bytes from its '[' on, commas included. In a
-// left-deep join spine the driving row and the build rows it determines
-// come first, so the columns constant over a fan-out group are such a
-// prefix. The memo compares values only, so how a stream is ordered
-// changes how often it pays, never the bytes written. It lives for one
-// call.
-func appendCompactRows(b []byte, rows []exec.Row) []byte {
-	if rows == nil {
+// rowsFrame appends a rows frame a row at a time, each row handed as the
+// pieces that concatenated are the row. The prefix of columns equal to
+// the row above (same width) is one copy of that row's bytes from its
+// '[', commas included: the pieces below low by the caller's word, then
+// the columns equal to the frame's copy of the row above's values. A
+// left-deep spine puts the columns constant over a fan-out first. The
+// state lives for one frame, as a frame buffer is reused.
+type rowsFrame struct {
+	above [memoCells]int64 // the row above's first memoCells values
+	ends  [memoCells]int32 // where they end, counted from its '[', which a copy keeps
+	start int              // the row above's '[' in the buffer; -1: nothing to copy
+	width int              // the row above's width
+	rows  int              // rows appended
+}
+
+func (f *rowsFrame) begin(b []byte) []byte {
+	f.start, f.rows = -1, 0
+	return append(b, `{"frame":"`+FrameRows+`","rows":[`...)
+}
+
+func (f *rowsFrame) end(b []byte) []byte { return append(b, "]}\n"...) }
+
+// row appends the row that pieces concatenated are; the pieces below
+// low are those of the row above, and one nil piece is a nil row.
+func (f *rowsFrame) row(b []byte, pieces []exec.Row, low int) []byte {
+	if f.rows++; f.rows > 1 {
+		b = append(b, ',')
+	}
+	if len(pieces) == 1 && pieces[0] == nil {
+		f.start = -1
 		return append(b, "null"...)
 	}
-	// ends[j] is where the row above's column j ends, counted from its
-	// '['; a copied prefix keeps these offsets, so only the columns
-	// formatted anew record theirs.
-	var ends [memoCells]int32
-	var above exec.Row
-	start := 0 // the row above's '['
-	b = append(b, '[')
-	for i, r := range rows {
-		if i > 0 {
-			b = append(b, ',')
+	width := 0
+	for _, p := range pieces {
+		width += len(p)
+	}
+	// Column k, the first not copied, is pieces[pi][off].
+	k, pi, off := 0, 0, 0
+	if f.start >= 0 && width == f.width {
+		for ; pi < low && k+len(pieces[pi]) <= memoCells; pi++ {
+			k += len(pieces[pi])
 		}
-		if r == nil {
-			b = append(b, "null"...)
-			above = nil
-			continue
-		}
-		k := 0
-		if len(above) == len(r) {
-			for n := min(len(r), memoCells); k < n && r[k] == above[k]; k++ {
+		for n := min(width, memoCells); pi < len(pieces) && k < n; pi, off = pi+1, 0 {
+			p, above := pieces[pi], f.above[k:n]
+			for off < len(p) && off < len(above) && p[off] == above[off] {
+				off++
+			}
+			if k += off; off < len(p) {
+				break
 			}
 		}
-		// Room for the row's worst case once, then every byte by index.
-		p := len(b)
-		b = slices.Grow(b, 2+len(r)*(maxIntLen+1))
-		o := b[:cap(b)]
-		o[p] = '['
-		n := 1
-		if k > 0 {
-			n = copy(o[p:], o[start:start+int(ends[k-1])])
-		}
-		start, above = p, r
-		p += n
-		for j := k; j < len(r); j++ {
+	}
+	// Room for the row's worst case once, then every byte by index.
+	p := len(b)
+	b = slices.Grow(b, 2+width*(maxIntLen+1))
+	o := b[:cap(b)]
+	o[p] = '['
+	n := 1
+	if k > 0 {
+		n = copy(o[p:], o[f.start:f.start+int(f.ends[k-1])])
+	}
+	start := p
+	f.start, f.width = p, width
+	p += n
+	for j := k; pi < len(pieces); pi, off = pi+1, 0 {
+		for _, v := range pieces[pi][off:] {
 			if j > 0 {
 				o[p] = ','
 				p++
 			}
-			p = putInt(o, p, r[j])
-			if j < memoCells {
-				ends[j] = int32(p - start)
+			if uint64(v) < 1e4 {
+				p = put4(o, p, uint64(v))
+			} else {
+				p = putInt(o, p, v)
 			}
+			if j < memoCells {
+				f.above[j], f.ends[j] = v, int32(p-start)
+			}
+			j++
 		}
-		o[p] = ']'
-		b = o[:p+1]
 	}
-	return append(b, ']')
+	o[p] = ']'
+	return o[:p+1]
 }
 
 // AppendStreamTrailer appends t as one compact NDJSON line.

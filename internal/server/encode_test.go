@@ -418,58 +418,128 @@ func TestRowsFrameMatchesEncodingJSON(t *testing.T) {
 }
 
 // FuzzRowsFrameMatchesEncodingJSON reads fuzzed bytes as a frame of at
-// most 16 rows and holds its line to encoding/json's. Per row a control
-// byte picks a nil row, the width of the row above or a new one (up to
-// eight past memoCells), and how many leading columns repeat the row
-// above; each further column is an edge integer, the value above it, a
-// small integer or eight raw bytes.
+// most 16 rows (fuzzedRows) and holds its line to encoding/json's.
 func FuzzRowsFrameMatchesEncodingJSON(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{2, 3, 1, 2, 3, 5 << 2, 0, 2, 4, 4, 4, 4})
-	f.Add([]byte{2, 10, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 0xff, 1, 0xff, 0, 1, 2 << 2, 4, 3, 1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{2, memoCells + 2, 0, 4, 8, 12, 0xfd, 1, 0x7d, 2, 1, 9, 0xfd})
+	for _, data := range fuzzedRowsSeeds {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			c := data[0]
-			data = data[1:]
-			return c
-		}
-		var rows [][]int64
-		var above []int64
-		for len(data) > 0 && len(rows) < 16 {
-			c := next()
-			if c%4 == 0 {
-				rows, above = append(rows, nil), nil
-				continue
-			}
-			width := len(above)
-			if c%4 == 2 || above == nil {
-				width = int(next()) % (memoCells + 9)
-			}
-			r := make([]int64, width)
-			for j := range r {
-				switch v := next(); {
-				case j < len(above) && (j < int(c>>2) || v%4 == 1):
-					r[j] = above[j]
-				case v%4 == 0:
-					r[j] = intEdges[int(v>>2)%len(intEdges)]
-				case v%4 == 2:
-					r[j] = int64(int8(next()))
-				default:
-					var raw [8]byte
-					for k := range raw {
-						raw[k] = next()
-					}
-					r[j] = int64(binary.LittleEndian.Uint64(raw[:]))
-				}
-			}
-			rows, above = append(rows, r), r
-		}
-		checkRowsFrame(t, "fuzzed frame", []byte("prefix "), rows)
+		checkRowsFrame(t, "fuzzed frame", []byte("prefix "), fuzzedRows(data))
 	})
+}
+
+var fuzzedRowsSeeds = [][]byte{
+	{},
+	{2, 3, 1, 2, 3, 5 << 2, 0, 2, 4, 4, 4, 4},
+	{2, 10, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 0xff, 1, 0xff, 0, 1, 2 << 2, 4, 3, 1, 2, 3, 4, 5, 6, 7, 8},
+	{2, memoCells + 2, 0, 4, 8, 12, 0xfd, 1, 0x7d, 2, 1, 9, 0xfd},
+}
+
+// fuzzedRows reads data as at most 16 rows. Per row a control byte picks
+// a nil row, the width of the row above or a new one (up to eight past
+// memoCells), and how many leading columns repeat the row above; each
+// further column is an edge integer, the value above it, a small
+// integer or eight raw bytes.
+func fuzzedRows(data []byte) [][]int64 {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		c := data[0]
+		data = data[1:]
+		return c
+	}
+	var rows [][]int64
+	var above []int64
+	for len(data) > 0 && len(rows) < 16 {
+		c := next()
+		if c%4 == 0 {
+			rows, above = append(rows, nil), nil
+			continue
+		}
+		width := len(above)
+		if c%4 == 2 || above == nil {
+			width = int(next()) % (memoCells + 9)
+		}
+		r := make([]int64, width)
+		for j := range r {
+			switch v := next(); {
+			case j < len(above) && (j < int(c>>2) || v%4 == 1):
+				r[j] = above[j]
+			case v%4 == 0:
+				r[j] = intEdges[int(v>>2)%len(intEdges)]
+			case v%4 == 2:
+				r[j] = int64(int8(next()))
+			default:
+				var raw [8]byte
+				for k := range raw {
+					raw[k] = next()
+				}
+				r[j] = int64(binary.LittleEndian.Uint64(raw[:]))
+			}
+		}
+		rows, above = append(rows, r), r
+	}
+	return rows
+}
+
+// FuzzPiecesFrameMatchesRowsFrame cuts the rows of a fuzzed frame
+// (fuzzedRows) into one to four pieces at fuzzed columns, hands them to
+// a rowsFrame as a spine would (spinePieces), each claiming at most as
+// many pieces of the row above as it repeats, and holds the frame to
+// AppendRowsFrame over the whole rows, which is held to encoding/json.
+func FuzzPiecesFrameMatchesRowsFrame(f *testing.F) {
+	for i, data := range fuzzedRowsSeeds {
+		f.Add(data, uint64(i)*0x0102030405060708)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {
+		rows := fuzzedRows(data)
+		if rows == nil {
+			return // a stream cuts no frame of no rows
+		}
+		want := checkRowsFrame(t, "fuzzed frame", nil, rows)
+		widths := make([]int, cuts%4)
+		for i := range widths {
+			widths[i] = int(cuts>>(8*i+8)) % (memoCells + 9)
+		}
+		pieces, lows := spinePieces(execRows(rows), widths)
+		var fr rowsFrame
+		got := fr.begin(nil)
+		for i, p := range pieces {
+			got = fr.row(got, p, min(lows[i], int(cuts>>(32+i%32))%8))
+		}
+		if got = fr.end(got); !bytes.Equal(got, want) {
+			t.Fatalf("pieces of widths %v, lows %v: the frame and AppendRowsFrame disagree\npieces: %q\n  rows: %q", widths, lows, got, want)
+		}
+	})
+}
+
+// spinePieces cuts each row into pieces of the given widths and the rest
+// of the row, as a spine hands them to its sink. The leading pieces whose
+// values equal the row above's, cut the same way, are that row's slices,
+// and low counts them; a nil row is one nil piece with low 0.
+func spinePieces(rows []exec.Row, widths []int) (pieces [][]exec.Row, lows []int) {
+	var above []exec.Row
+	for _, r := range rows {
+		if r == nil {
+			pieces, lows, above = append(pieces, []exec.Row{nil}), append(lows, 0), nil
+			continue
+		}
+		p := make([]exec.Row, 0, len(widths)+1)
+		rest := r
+		for _, w := range widths {
+			w = min(w, len(rest))
+			p, rest = append(p, rest[:w:w]), rest[w:]
+		}
+		p = append(p, rest)
+		low := 0
+		for len(above) == len(p) && low < len(p) && slices.Equal(p[low], above[low]) {
+			p[low] = above[low]
+			low++
+		}
+		pieces, lows, above = append(pieces, p), append(lows, low), p
+	}
+	return pieces, lows
 }
 
 // orderFlowRows is n rows of the order-flow stream's shape: ten

@@ -12,6 +12,11 @@
 // payoff at serving scale, and the streaming conformance and
 // first-row tests pin it.
 //
+// Rows reach the frame one at a time (exec.Pipeline.StreamPieces), and
+// a bare join spine at the root hands each on as its pieces, saying
+// which are the row above's: it never builds the row, and the frame
+// copies those columns' bytes. The bytes are AppendRowsFrame's.
+//
 // The header, the first rows frame and the trailer are written and
 // flushed at once. A later rows frame is batched with the ones after
 // it: it leaves, whole and unchanged, when maxPendingBytes are pending
@@ -37,6 +42,7 @@ import (
 	"time"
 
 	"orderopt/internal/exec"
+	"orderopt/internal/freelist"
 )
 
 // Frame discriminators of the streaming /execute protocol.
@@ -140,21 +146,12 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 		return
 	}
 
-	var rowCount int64
 	execBegin := time.Now()
 	g.handOver(c.pipe)
-	streamErr := c.pipe.StreamContext(ctx, chunk, func(rows []exec.Row) error {
-		if err := fw.rows(rows); err != nil {
-			// A failed write means the client is gone; fold it into the
-			// cancellation taxonomy so it classifies (and counts) as 499.
-			return fmt.Errorf("writing rows frame: %w: %w", context.Canceled, err)
-		}
-		rowCount += int64(len(rows))
-		return nil
-	})
+	streamErr := c.pipe.StreamPieces(ctx, chunk, fw)
 	trailer := &StreamTrailer{
 		Frame:      FrameTrailer,
-		RowCount:   rowCount,
+		RowCount:   fw.open.rows,
 		RowsSorted: c.pipe.RowsSorted(),
 		ExecNs:     time.Since(execBegin).Nanoseconds(),
 		Operators:  c.opsSnapshot(),
@@ -175,21 +172,34 @@ const (
 	maxFrameDelay   = time.Millisecond
 )
 
-// frameWriter sends a stream's frames to w in batches. The handler
-// appends frames; a timer flushes what has waited maxFrameDelay from
-// its own goroutine. mu serializes the two over w and buf, and once
-// close has run the timer touches neither: w belongs to net/http again
-// and buf to the pool.
+// openFrames holds the frames streams append rows to (openFrame).
+var openFrames freelist.List[openFrame]
+
+// openFrame is the frame a stream appends rows to, and the rows of the
+// frames it ended.
+type openFrame struct {
+	b    []byte
+	enc  rowsFrame
+	rows int64
+}
+
+// frameWriter sends a stream's frames to w in batches: it is the
+// pipeline's exec.RowSink. The handler appends rows to the open frame,
+// its own, and each cut adds the frame to buf; a timer flushes what has
+// waited maxFrameDelay from its own goroutine. mu serializes the two
+// over w and buf, and once close has run the timer touches neither: w
+// belongs to net/http again and buf to the pool.
 //
-// A failed write is kept and returned by every later call. The timer's
-// failure reaches the pipeline through the next rows call, or sooner
-// through the request context, which net/http cancels when a write to
-// the connection fails.
+// A failed write is kept and returned by every later cut. The timer's
+// failure reaches the pipeline through the next cut, or sooner through
+// the request context, which net/http cancels when a write to the
+// connection fails.
 type frameWriter struct {
 	mu      sync.Mutex
 	w       http.ResponseWriter
 	flusher http.Flusher
-	buf     *[]byte     // the frames not yet written
+	buf     *[]byte // the frames not yet written
+	open    *openFrame
 	timer   *time.Timer // armed whenever buf goes from empty to pending
 	frames  int         // rows frames appended
 	err     error
@@ -197,7 +207,8 @@ type frameWriter struct {
 }
 
 func newFrameWriter(w http.ResponseWriter, buf *[]byte) *frameWriter {
-	f := &frameWriter{w: w, buf: buf}
+	f := &frameWriter{w: w, buf: buf, open: openFrames.Get()}
+	f.open.rows, f.open.b = 0, f.open.enc.begin(f.open.b[:0])
 	f.flusher, _ = w.(http.Flusher)
 	return f
 }
@@ -210,16 +221,34 @@ func (f *frameWriter) flush() error {
 	return f.flushLocked()
 }
 
-// rows appends one rows frame. The first is flushed at once, so the
+// Row appends a row to the open frame.
+func (f *frameWriter) Row(pieces []exec.Row, low int) error {
+	f.open.b = f.open.enc.row(f.open.b, pieces, low)
+	return nil
+}
+
+// Cut adds the open frame to buf and opens the next. A failed write
+// means the client is gone: it counts as a cancellation, a 499.
+func (f *frameWriter) Cut() error {
+	o := f.open
+	if err := f.add(o.enc.end(o.b)); err != nil {
+		return fmt.Errorf("writing rows frame: %w: %w", context.Canceled, err)
+	}
+	o.rows += int64(o.enc.rows)
+	o.b = o.enc.begin(o.b[:0])
+	return nil
+}
+
+// add appends a rows frame to buf. The first is flushed at once, so the
 // client sees the first rows as early as the pipeline produces them.
-func (f *frameWriter) rows(rows []exec.Row) error {
+func (f *frameWriter) add(frame []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.err != nil {
 		return f.err
 	}
 	pending := len(*f.buf)
-	*f.buf = AppendRowsFrame(*f.buf, rows)
+	*f.buf = append(*f.buf, frame...)
 	f.frames++
 	switch {
 	case f.frames == 1 || len(*f.buf) >= maxPendingBytes:
@@ -235,20 +264,20 @@ func (f *frameWriter) rows(rows []exec.Row) error {
 }
 
 // onTimer flushes the frames that have waited maxFrameDelay. A callback
-// that was already running when rows flushed and refilled buf flushes
+// that was already running when a cut flushed and refilled buf flushes
 // the new frames early, never late.
 func (f *frameWriter) onTimer() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.closed && len(*f.buf) > 0 {
-		_ = f.flushLocked() // kept in f.err for the next rows call
+		_ = f.flushLocked() // kept in f.err for the next cut
 	}
 }
 
-// close stops the timer and hands w and buf back. With a trailer it
-// first sends whatever is pending and the trailer, in one write; a
-// trailer that cannot be encoded (a non-finite estimate) ends the
-// stream without one. Without a trailer, pending frames are dropped.
+// close stops the timer and hands w, buf and the open frame back. With
+// a trailer it first sends whatever is pending and the trailer, in one
+// write; a trailer that cannot be encoded (a non-finite estimate) ends
+// the stream without one. Without a trailer, pending frames are dropped.
 // Only the first call does anything.
 func (f *frameWriter) close(t *StreamTrailer) {
 	f.mu.Lock()
@@ -257,6 +286,7 @@ func (f *frameWriter) close(t *StreamTrailer) {
 		return
 	}
 	f.closed = true
+	openFrames.Put(f.open)
 	if f.timer != nil {
 		f.timer.Stop()
 	}
