@@ -22,8 +22,12 @@ var planSpaceMaxClique = map[Mode]int{ModeDFSM: 6, ModeSimmen: 5}
 // plans retained, the csg-cmp pairs, the tier that ran and the best
 // plan (its cost to the last bit, its tree verbatim). Cliques stop at
 // planSpaceMaxClique: a DFSM clique-7 prices 2.9M plans and a Simmen
-// clique-6 takes seconds. Clique-18 adds the linearized tier. A change to how candidates are priced, pruned or
-// built that moves any count or any chosen plan fails here. Re-record an
+// clique-6 takes seconds. Clique-18 adds the linearized tier. The last
+// two lines are the statement plan_novel serves (servedQ8SQL through
+// sqlparse), exact tier, under both frameworks, with their order memory
+// (the Simmen column counts every annotation made). A change to how
+// candidates are priced, pruned or built that moves any count or any
+// chosen plan fails here. Re-record an
 // intentional change with -update and review the diff.
 func TestPlanSpaceGolden(t *testing.T) {
 	t.Parallel()
@@ -53,11 +57,20 @@ func TestPlanSpaceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s-%d seed %d %s: %v", pt.shape, pt.n, seed, mode, err)
 				}
-				fmt.Fprintf(&b, "%s n=%d seed=%d mode=%s generated=%d retained=%d pairs=%d strategy=%s cost=%v plan=%q\n",
-					pt.shape, pt.n, seed, mode, res.PlansGenerated, res.PlansRetained, res.CsgCmpPairs,
-					res.Strategy, res.Best.Cost, res.Best.String())
+				fmt.Fprintf(&b, "%s n=%d seed=%d mode=%s ", pt.shape, pt.n, seed, mode)
+				writePlanSpace(&b, res)
 			}
 		}
+	}
+	for _, mode := range []Mode{ModeDFSM, ModeSimmen} {
+		cfg := DefaultConfig(mode)
+		cfg.Strategy = StrategyExact
+		res, err := Optimize(servedQ8(t, servedQ8SQL), cfg)
+		if err != nil {
+			t.Fatalf("served Q8 %s: %v", mode, err)
+		}
+		fmt.Fprintf(&b, "served-q8 mode=%s mem=%d ", mode, res.OrderMemBytes)
+		writePlanSpace(&b, res)
 	}
 
 	path := filepath.Join("testdata", "plan_space.golden")
@@ -77,4 +90,11 @@ func TestPlanSpaceGolden(t *testing.T) {
 	if got := b.String(); got != string(want) {
 		t.Errorf("plan space differs from %s (re-record with -update if intended)\n--- want\n%s--- got\n%s", path, want, got)
 	}
+}
+
+// writePlanSpace ends a plan-space golden line: the counts, the tier and
+// the best plan.
+func writePlanSpace(b *strings.Builder, res *Result) {
+	fmt.Fprintf(b, "generated=%d retained=%d pairs=%d strategy=%s cost=%v plan=%q\n",
+		res.PlansGenerated, res.PlansRetained, res.CsgCmpPairs, res.Strategy, res.Best.Cost, res.Best.String())
 }
