@@ -215,6 +215,12 @@ func (f *Framework) SubsetOf(a, b State) bool {
 	return f.dfsm.SubsetOf(dfsm.StateID(a), dfsm.StateID(b))
 }
 
+// SupersetRow returns the states that cover s as one bit row: bit b is
+// set iff SubsetOf(s, b). See dfsm.Machine.SupersetRow.
+func (f *Framework) SupersetRow(s State) []uint64 {
+	return f.dfsm.SupersetRow(dfsm.StateID(s))
+}
+
 // Sort returns the state of a plan whose stream was just sorted to the
 // produced ordering o while the FD sets in held already hold: the start
 // transition for o followed by replaying the held FD sets to fixpoint

@@ -307,6 +307,14 @@ func (m *Machine) SubsetOf(a, b StateID) bool {
 	return testBit(m.subsume, int(a)*m.subWords, int(b))
 }
 
+// SupersetRow returns state a's row of the subsumption matrix: bit b
+// (word b/64, bit b%64) is set iff SubsetOf(a, b). A plan pruner loads
+// it once per candidate and tests one bit per plan it compares against.
+// Callers must not modify it.
+func (m *Machine) SupersetRow(a StateID) []uint64 {
+	return m.subsume[int(a)*m.subWords : int(a+1)*m.subWords]
+}
+
 // RowSubsetOf compares only the current contains-matrix rows. It is NOT
 // sound for plan pruning (two states with equal rows can diverge under
 // future FDs); exposed for inspection and ablation experiments.

@@ -227,11 +227,14 @@ type optimizer struct {
 	ccPairs   int64
 	nodes     int // arena nodes handed out this run
 
-	// preds and sorts are joinLists' per-pair merge table, reused across
-	// pairs: the pair's merge predicates, and per side every input plan's
-	// standing for each of them (row-major, one row per plan).
+	// preds and sorts are joinLists' per-pair table, reused across pairs:
+	// the pair's merge predicates, and per side one row per input plan —
+	// the plan as it is, then its standing for each predicate.
 	preds []mergePred
 	sorts [2][]sortEntry
+
+	// floor is the current emitJoins call's same-state floor (see offer).
+	floor []offered
 
 	// lin runs the linearized tier: gated merge-join generation and plan
 	// lists bounded to DefaultLinearizedBeam (the exact tier's are not).
@@ -568,13 +571,23 @@ type mergePred struct {
 	ord        [2]order.ID
 }
 
-// sortEntry is one input plan's standing for one merge predicate:
-// whether it already delivers its side's order, and if not, its cost
-// once sorted and, under ModeDFSM, the state the sort leaves.
+// sortEntry is one input plan's standing in the per-pair table, as it
+// is (a row's first entry, has always set) or for one merge predicate:
+// whether it already delivers its side's order, and the cost and state
+// of the input a join reads (sorted when it does not; under ModeSimmen
+// the sorted state is left to mergeInput). Under ModeDFSM, joined is the
+// state of a join with this input outer: the pair's edges applied.
 type sortEntry struct {
-	has   bool
-	cost  float64
+	has    bool
+	cost   float64
+	state  core.State
+	joined core.State
+}
+
+// offered is one entry of the same-state floor.
+type offered struct {
 	state core.State
+	cost  float64
 }
 
 // pairJoin is what emitJoins reads about a csg-cmp pair: the union
@@ -593,8 +606,8 @@ type pairJoin struct {
 // depends on the pair alone — the output cardinality, the edges' FD
 // mask, the merge predicates — is computed once per pair, and what
 // depends on one input plan — whether it holds a merge predicate's
-// order, and what sorting it costs — once per plan, not once per plan
-// combination and direction.
+// order, what sorting it costs, and the state a join with it outer ends
+// in — once per plan, not once per plan combination and direction.
 func (o *optimizer) joinLists(s1, s2 uint64, edges []int) {
 	pj := pairJoin{mask: s1 | s2, edges: edges, out: o.p.maskCard(s1 | s2)}
 	for _, e := range edges {
@@ -604,8 +617,8 @@ func (o *optimizer) joinLists(s1, s2 uint64, edges []int) {
 	}
 	l1, l2 := o.dp.get(s1), o.dp.get(s2)
 	o.mergePreds(s1, edges)
-	t1, t2 := o.sortTable(0, l1), o.sortTable(1, l2)
-	np := len(o.preds)
+	t1, t2 := o.sortTable(0, l1, edges), o.sortTable(1, l2, edges)
+	np := len(o.preds) + 1
 	for i, p1 := range l1 {
 		r1 := t1[i*np : (i+1)*np]
 		for j, p2 := range l2 {
@@ -639,18 +652,27 @@ func (o *optimizer) mergePreds(s1 uint64, edges []int) {
 	}
 }
 
-// sortTable fills side k's rows of the per-pair merge table for the
-// plans in list. Under ModeSimmen the state is left out: the baseline
-// sorts at each use (see sortedState).
-func (o *optimizer) sortTable(k int, list []*plan.Node) []sortEntry {
+// sortTable fills side k's rows of the per-pair table for the plans in
+// list. Under ModeSimmen the sorted and joined states are left out: the
+// baseline sorts and infers at each use (see mergeInput and join),
+// because its memory column counts every annotation either makes.
+func (o *optimizer) sortTable(k int, list []*plan.Node, edges []int) []sortEntry {
 	t := o.sorts[k][:0]
 	for _, p := range list {
-		sorted := p.Cost + plan.SortCost(p.Card)
+		asIs := sortEntry{has: true, cost: p.Cost, state: p.State}
+		if o.p.fw != nil {
+			asIs.joined = o.applyEdges(p.State, edges)
+		}
+		t = append(t, asIs)
 		for i := range o.preds {
 			ord := o.preds[i].ord[k]
-			e := sortEntry{has: o.contains(p.State, ord), cost: sorted}
-			if !e.has && o.p.fw != nil {
-				e.state = o.p.fw.SortMask(ord, p.FDMask)
+			e := asIs
+			if !o.contains(p.State, ord) {
+				e = sortEntry{cost: p.Cost + plan.SortCost(p.Card)}
+				if o.p.fw != nil {
+					e.state = o.p.fw.SortMask(ord, p.FDMask)
+					e.joined = o.applyEdges(e.state, edges)
+				}
 			}
 			t = append(t, e)
 		}
@@ -767,16 +789,6 @@ func (o *optimizer) annotate(a *simmen.Annotation) core.State {
 	return core.State(len(o.anns) - 1)
 }
 
-// sortedState is p's state once sorted to ord, e being p's entry for
-// ord in the per-pair merge table. Under ModeSimmen the baseline sorts at
-// each use: its memory column counts every annotation a sort makes.
-func (o *optimizer) sortedState(p *plan.Node, ord order.ID, e *sortEntry) core.State {
-	if o.p.fw != nil {
-		return e.state
-	}
-	return o.sort(p, ord)
-}
-
 // sortPlan wraps p in a sort to ord (no-op test is the caller's job).
 func (o *optimizer) sortPlan(p *plan.Node, ord order.ID) *plan.Node {
 	o.generated++
@@ -797,24 +809,24 @@ func (o *optimizer) node() *plan.Node {
 	return o.arena.New()
 }
 
-// joinInput is one input of a join candidate as priced: the input plan
-// and, when a merge join must sort it first, the order it sorts to. cost
-// and state are what the join reads: the plan's own, or the sorted
-// stream's.
+// joinInput is one input of a join candidate as priced: the input plan,
+// its entry in the per-pair table, the order a merge join sorts it to,
+// and the state the join reads (the plan's own, or the sorted stream's).
 type joinInput struct {
 	p     *plan.Node
-	sort  bool
+	e     *sortEntry
 	ord   order.ID
-	cost  float64
 	state core.State
 }
 
 // emitJoins prices the join candidates for (p1 ⋈ p2) and offers them to
 // dp[pj.mask]. p1 is the outer/left input, from side k of the pair; r1
-// and r2 are p1's and p2's rows of the per-pair merge table.
+// and r2 are p1's and p2's rows of the per-pair table.
 func (o *optimizer) emitJoins(pj *pairJoin, k int, p1, p2 *plan.Node, r1, r2 []sortEntry) {
-	l := joinInput{p: p1, cost: p1.Cost, state: p1.State}
-	r := joinInput{p: p2, cost: p2.Cost, state: p2.State}
+	o.floor = o.floor[:0]
+	var l, r joinInput
+	o.mergeInput(&l, p1, order.EmptyID, &r1[0])
+	o.mergeInput(&r, p2, order.EmptyID, &r2[0])
 	if !o.p.cfg.DisableNLJoin {
 		o.join(pj, plan.NestedLoopJoin, &l, &r, plan.NestedLoopCost(p1.Card, p2.Card, pj.out), pj.edges[0], 0)
 	}
@@ -831,31 +843,34 @@ func (o *optimizer) emitJoins(pj *pairJoin, k int, p1, p2 *plan.Node, r1, r2 []s
 	// the no-order-to-exploit case, and an inner-only ordering is picked
 	// up by the mirrored emitJoins call with the inputs swapped.
 	for i := range o.preds {
-		if o.lin && !r1[i].has {
+		if o.lin && !r1[i+1].has {
 			continue
 		}
 		mp := &o.preds[i]
-		l, r := o.mergeInput(p1, mp.ord[k], &r1[i]), o.mergeInput(p2, mp.ord[1-k], &r2[i])
+		o.mergeInput(&l, p1, mp.ord[k], &r1[i+1])
+		o.mergeInput(&r, p2, mp.ord[1-k], &r2[i+1])
 		o.join(pj, plan.MergeJoin, &l, &r, plan.MergeJoinCost(p1.Card, p2.Card, pj.out), mp.edge, mp.pred)
 	}
 }
 
-// mergeInput is p as a merge-join input that needs order ord, e being
-// p's entry for ord in the per-pair merge table: p itself when it holds
-// the order, else p sorted to it — a Sort priced, and counted, for this
-// candidate.
-func (o *optimizer) mergeInput(p *plan.Node, ord order.ID, e *sortEntry) joinInput {
-	if e.has {
-		return joinInput{p: p, cost: p.Cost, state: p.State}
+// mergeInput fills in with p as a join input that needs order ord (none
+// for NL and hash joins), e being p's entry for ord in the per-pair
+// table: p itself when it holds the order, else p sorted to it — a Sort
+// priced, and counted, for this candidate.
+func (o *optimizer) mergeInput(in *joinInput, p *plan.Node, ord order.ID, e *sortEntry) {
+	in.p, in.e, in.ord, in.state = p, e, ord, e.state
+	if !e.has {
+		o.generated++
+		if o.p.fw == nil {
+			in.state = o.sort(p, ord)
+		}
 	}
-	o.generated++
-	return joinInput{p: p, sort: true, ord: ord, cost: e.cost, state: o.sortedState(p, ord, e)}
 }
 
 // join prices the candidate l ⋈ r and builds it — its Sorts included —
 // only if dp[pj.mask] admits it.
 func (o *optimizer) join(pj *pairJoin, op plan.Op, l, r *joinInput, opCost float64, edge, pred int) {
-	cost := l.cost + r.cost + opCost
+	cost := l.e.cost + r.e.cost + opCost
 	if o.lin {
 		// Cost-based fast rejection before any state is inferred: with a
 		// saturated beam, a candidate no cheaper than the list's last
@@ -865,10 +880,14 @@ func (o *optimizer) join(pj *pairJoin, op plan.Op, l, r *joinInput, opCost float
 		}
 	}
 	// All join operators here preserve the outer (left/probe) input's
-	// ordering; the edge equations then widen it.
-	state := o.applyEdges(l.state, pj.edges)
+	// ordering; the edge equations then widen it. Under ModeDFSM the
+	// per-pair table already did (sortEntry.joined).
+	state := l.e.joined
+	if o.p.fw == nil {
+		state = o.applyEdges(l.state, pj.edges)
+	}
 	o.generated++
-	at, ok := o.admit(pj.mask, cost, state)
+	at, ok := o.offer(pj.mask, cost, state)
 	if !ok {
 		return
 	}
@@ -885,25 +904,48 @@ func (o *optimizer) join(pj *pairJoin, op plan.Op, l, r *joinInput, opCost float
 // input builds an admitted candidate's input: the plan itself, or its
 // Sort.
 func (o *optimizer) input(in *joinInput) *plan.Node {
-	if !in.sort {
+	if in.e.has {
 		return in.p
 	}
-	return o.sortNode(in.p, in.ord, in.cost, in.state)
+	return o.sortNode(in.p, in.ord, in.e.cost, in.state)
+}
+
+// offer is admit behind the same-state floor of one emitJoins call: a
+// candidate whose state an earlier one reached at no higher cost cannot
+// be admitted, since dp[mask] still holds a plan at least as cheap that
+// covers it (the earlier one, or what rejected or dropped it). Exact
+// tier only: the linearized beam drops plans nothing covers.
+func (o *optimizer) offer(mask uint64, cost float64, state core.State) (int, bool) {
+	if !o.lin {
+		i := slices.IndexFunc(o.floor, func(f offered) bool { return f.state == state })
+		switch {
+		case i < 0:
+			o.floor = append(o.floor, offered{state, cost})
+		case cost >= o.floor[i].cost:
+			return 0, false
+		default:
+			o.floor[i].cost = cost
+		}
+	}
+	return o.admit(mask, cost, state)
 }
 
 // admit is the dominance pre-check for a candidate of the given cost and
-// state offered to dp[mask]: it reports the candidate's insertion point,
-// or false when the list rejects it. Lists are kept sorted by cost, so
-// only the prefix of entries no more expensive than the candidate can
-// dominate it (scanning stops at the first costlier entry), and only
-// the tail from the first equal-cost entry can be dominated by it (see
-// insert); position settles the cost half of dominance. The linearized
-// tier additionally bounds each list to the beam width, keeping the
-// cheapest plans.
+// state offered to dp[mask]: its insertion point, or false when the list
+// rejects it. Lists are kept sorted by cost, so only entries no costlier
+// than the candidate can dominate it (the scan stops at the first
+// costlier one), and only those from the first equal-cost one on can be
+// dominated by it (see insert). Under ModeDFSM each costs one bit of the
+// state's superset row, loaded once. The linearized tier also bounds
+// each list to the beam, keeping the cheapest plans.
 func (o *optimizer) admit(mask uint64, cost float64, state core.State) (int, bool) {
 	list := o.dp.get(mask)
 	if o.lin && len(list) >= DefaultLinearizedBeam && cost >= list[DefaultLinearizedBeam-1].Cost {
 		return 0, false // saturated beam: no cheaper than the last kept plan
+	}
+	var row []uint64
+	if o.p.fw != nil {
+		row = o.p.fw.SupersetRow(state)
 	}
 	t := len(list) // insertion point: first entry with cost ≥ the candidate's
 	for i, q := range list {
@@ -911,16 +953,25 @@ func (o *optimizer) admit(mask uint64, cost float64, state core.State) (int, boo
 			t = i
 			break
 		}
-		if o.covers(q.State, state) {
+		if o.coveredBy(row, q.State, state) {
 			return 0, false
 		}
 	}
 	for i := t; i < len(list) && list[i].Cost == cost; i++ {
-		if o.covers(list[i].State, state) {
+		if o.coveredBy(row, list[i].State, state) {
 			return 0, false
 		}
 	}
 	return t, true
+}
+
+// coveredBy is covers(q, s), row being s's superset row under ModeDFSM
+// (nil under ModeSimmen).
+func (o *optimizer) coveredBy(row []uint64, q, s core.State) bool {
+	if row != nil {
+		return row[q>>6]&(1<<(q&63)) != 0
+	}
+	return o.covers(q, s)
 }
 
 // insert enters an admitted plan into dp[mask] at the insertion point

@@ -2,8 +2,12 @@ package optimizer
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"orderopt/internal/core"
+	"orderopt/internal/plan"
 	"orderopt/internal/query"
 	"orderopt/internal/sqlparse"
 	"orderopt/internal/tpcr"
@@ -86,4 +90,79 @@ func BenchmarkServedQ8(b *testing.B) {
 		b.StopTimer()
 		report(b, p)
 	})
+}
+
+// TestOfferMatchesReference holds admit's superset row and offer's
+// same-state floor to the dominance check they replace, written with
+// SubsetOf: on the served Q8 framework, seeded plan lists receive seeded
+// runs of candidates, each run one emitJoins call (the floor starts
+// empty, states repeat, costs tie). Every candidate must get the
+// reference's verdict and insertion point; admitted ones are inserted,
+// so later candidates meet lists the run itself changed.
+func TestOfferMatchesReference(t *testing.T) {
+	p, err := Prepare(servedQ8(t, servedQ8SQL), DefaultConfig(ModeDFSM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := p.Framework()
+	nStates := fw.DFSM().NumStates()
+	reference := func(list []*plan.Node, cost float64, state core.State) (int, bool) {
+		t := len(list)
+		for i, q := range list {
+			if q.Cost >= cost {
+				t = i
+				break
+			}
+			if fw.SubsetOf(state, q.State) {
+				return 0, false
+			}
+		}
+		for i := t; i < len(list) && list[i].Cost == cost; i++ {
+			if fw.SubsetOf(state, list[i].State) {
+				return 0, false
+			}
+		}
+		return t, true
+	}
+
+	o := new(optimizer)
+	o.bind(p)
+	defer o.unbind()
+	const mask = 1
+	offers, admitted, floored := 0, 0, 0
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		o.dp.set(mask, nil)
+		pool := make([]core.State, 1+rng.Intn(4))
+		for i := range pool {
+			pool[i] = core.State(rng.Intn(nStates))
+		}
+		for run := 0; run < 4; run++ {
+			o.floor = o.floor[:0]
+			for c := 0; c < 1+rng.Intn(8); c++ {
+				cost, state := float64(rng.Intn(8)), pool[rng.Intn(len(pool))]
+				wantAt, wantOK := reference(o.dp.get(mask), cost, state)
+				rowAt, rowOK := o.admit(mask, cost, state)
+				if i := slices.IndexFunc(o.floor, func(f offered) bool { return f.state == state }); i >= 0 && cost >= o.floor[i].cost {
+					floored++
+				}
+				at, ok := o.offer(mask, cost, state)
+				if at != wantAt || ok != wantOK || rowAt != wantAt || rowOK != wantOK {
+					t.Fatalf("seed %d: offer(cost %v, state %d) = %d, %v and admit %d, %v; reference %d, %v",
+						seed, cost, state, at, ok, rowAt, rowOK, wantAt, wantOK)
+				}
+				offers++
+				if ok {
+					admitted++
+					n := o.node()
+					*n = plan.Node{Cost: cost, State: state}
+					o.insert(mask, at, n)
+				}
+			}
+		}
+	}
+	if admitted == 0 || admitted == offers || floored == 0 {
+		t.Fatalf("%d of %d offers admitted, %d stopped by the floor: the cases exercise nothing", admitted, offers, floored)
+	}
+	t.Logf("%d offers, %d admitted, %d stopped by the floor", offers, admitted, floored)
 }

@@ -1,5 +1,7 @@
 package order
 
+import "slices"
+
 // EquivClasses computes, for every attribute, the representative of its
 // equivalence class under all equations occurring in the given FD sets
 // (union-find; the smallest attribute id of a class is its
@@ -42,13 +44,12 @@ func EquivClasses(nAttrs int, sets []FDSet) []Attr {
 	return reps
 }
 
-// repDedup maps seq through reps and keeps only the first occurrence of
-// each representative. The result is the canonical form the prefix
-// heuristic reasons about: under a = b, (a, b, c) and (a, c) describe the
-// same ordering constraint.
-func repDedup(seq []Attr, reps []Attr) []Attr {
-	out := make([]Attr, 0, len(seq))
-	seen := make(map[Attr]bool, len(seq))
+// repDedup maps seq through reps and appends to out only the first
+// occurrence of each representative; out may be seq[:0]. The result is
+// the canonical form the prefix heuristic reasons about: under a = b,
+// (a, b, c) and (a, c) describe the same ordering constraint. With nil
+// reps it only drops repeated attributes, keeping the first of each.
+func repDedup(out, seq, reps []Attr) []Attr {
 	for _, a := range seq {
 		r := a
 		if reps != nil && int(a) < len(reps) {
@@ -57,8 +58,7 @@ func repDedup(seq []Attr, reps []Attr) []Attr {
 			// themselves.
 			r = reps[a]
 		}
-		if !seen[r] {
-			seen[r] = true
+		if !slices.Contains(out, r) {
 			out = append(out, r)
 		}
 	}
@@ -84,9 +84,9 @@ func NewPrefixIndex(in *Interner, interesting []ID, reps []Attr) *PrefixIndex {
 		if raw > idx.max {
 			idx.max = raw
 		}
-		canon := repDedup(in.Seq(id), reps)
+		canon := repDedup(nil, in.Seq(id), reps)
 		for n := 0; n <= len(canon); n++ {
-			k := seqKey(canon[:n])
+			k := string(appendSeqKey(nil, canon[:n]))
 			if raw > idx.maxRaw[k] {
 				idx.maxRaw[k] = raw
 			}
@@ -99,7 +99,8 @@ func NewPrefixIndex(in *Interner, interesting []ID, reps []Attr) *PrefixIndex {
 // form is a prefix of an interesting order. longest is the raw length
 // worth keeping.
 func (ix *PrefixIndex) Viable(seq []Attr) (longest int, ok bool) {
-	longest, ok = ix.maxRaw[seqKey(repDedup(seq, ix.reps))]
+	canon := repDedup(make([]Attr, 0, 16), seq, ix.reps)
+	longest, ok = ix.maxRaw[string(appendSeqKey(make([]byte, 0, 64), canon))]
 	return longest, ok
 }
 
@@ -125,14 +126,15 @@ type Deriver struct {
 	// dependencies can be cut off after the maximum length of
 	// interesting orders"). 0 disables the cutoff.
 	MaxLen int
-}
 
-func insertAt(seq []Attr, p int, a Attr) []Attr {
-	out := make([]Attr, 0, len(seq)+1)
-	out = append(out, seq[:p]...)
-	out = append(out, a)
-	out = append(out, seq[p:]...)
-	return out
+	// Scratch: stamp[id] == gen marks a member of the closure under way,
+	// members is that closure so far (and its queue), derived one step's
+	// output, seq a candidate ordering.
+	stamp   []uint32
+	gen     uint32
+	members []ID
+	derived []ID
+	seq     []Attr
 }
 
 // contains reports whether a occurs in seq and returns its index.
@@ -159,7 +161,8 @@ func (d *Deriver) insertions(seq []Attr, dep Attr, start int, out []ID) []ID {
 		if d.MaxLen > 0 && p >= d.MaxLen {
 			break
 		}
-		cand := insertAt(seq, p, dep)
+		cand := append(append(append(d.seq[:0], seq[:p]...), dep), seq[p:]...)
+		d.seq = cand
 		cap := len(cand)
 		if d.Index != nil {
 			longest, ok := d.Index.Viable(cand[:p+1])
@@ -184,9 +187,11 @@ func (d *Deriver) insertions(seq []Attr, dep Attr, start int, out []ID) []ID {
 // Derive returns the orderings derivable from o by a single application
 // of fd (o itself excluded). This is the one-step relation the closure
 // iterates; see §2 for the three cases.
-func (d *Deriver) Derive(o ID, fd FD) []ID {
+func (d *Deriver) Derive(o ID, fd FD) []ID { return d.derive(o, fd, nil) }
+
+// derive appends Derive(o, fd) to out, which must be empty.
+func (d *Deriver) derive(o ID, fd FD, out []ID) []ID {
 	seq := d.In.Seq(o)
-	var out []ID
 	switch fd.Kind {
 	case KindFD:
 		// X → y: insert y anywhere after all of X has occurred.
@@ -222,11 +227,10 @@ func (d *Deriver) Derive(o ID, fd FD) []ID {
 				// Replace a by b; if b already occurs the result has a
 				// duplicate and only the first occurrence is kept (the
 				// orderings are equivalent).
-				repl := make([]Attr, len(seq))
-				copy(repl, seq)
+				repl := append(d.seq[:0], seq...)
+				d.seq = repl
 				repl[i] = b
-				repl = dedupKeepFirst(repl)
-				if id := d.In.Intern(repl); id != o {
+				if id := d.In.Intern(repDedup(repl[:0], repl, nil)); id != o {
 					out = append(out, id)
 				}
 			}
@@ -235,26 +239,12 @@ func (d *Deriver) Derive(o ID, fd FD) []ID {
 	return dedupIDs(out, o)
 }
 
-// dedupKeepFirst removes repeated attributes, keeping the first
-// occurrence of each; the result describes the same ordering constraint.
-func dedupKeepFirst(seq []Attr) []Attr {
-	out := seq[:0]
-	seen := make(map[Attr]bool, len(seq))
-	for _, a := range seq {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
+// dedupIDs removes repeated IDs and exclude in place, keeping the first
+// occurrence of each.
 func dedupIDs(ids []ID, exclude ID) []ID {
-	seen := map[ID]bool{exclude: true}
 	out := ids[:0]
 	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
+		if id != exclude && !slices.Contains(out, id) {
 			out = append(out, id)
 		}
 	}
@@ -265,38 +255,41 @@ func dedupIDs(ids []ID, exclude ID) []ID {
 // derivable from seed by any number of FD applications (§2), subject to
 // the Deriver's pruning heuristics. The result contains the seed, all
 // derived orderings and all their non-empty prefixes, sorted
-// deterministically.
+// deterministically. The result is the call's only allocation once the
+// Deriver's scratch has grown.
 func (d *Deriver) Closure(seed []ID, fds []FD) []ID {
-	inSet := make(map[ID]bool)
-	var queue []ID
-	var add func(id ID)
-	add = func(id ID) {
-		if id == EmptyID || inSet[id] {
-			return
-		}
-		inSet[id] = true
-		queue = append(queue, id)
-		// Prefix closure: every prefix of a member is a member.
-		add(d.In.Prefix(id))
-	}
+	d.gen++
+	d.members = d.members[:0]
 	for _, id := range seed {
-		add(id)
+		d.add(id)
 	}
-	for len(queue) > 0 {
-		o := queue[0]
-		queue = queue[1:]
+	for i := 0; i < len(d.members); i++ {
+		o := d.members[i]
 		for _, fd := range fds {
-			for _, n := range d.Derive(o, fd) {
-				add(n)
+			d.derived = d.derive(o, fd, d.derived[:0])
+			for _, n := range d.derived {
+				d.add(n)
 			}
 		}
 	}
-	out := make([]ID, 0, len(inSet))
-	for id := range inSet {
-		out = append(out, id)
-	}
+	out := slices.Clone(d.members)
 	d.In.SortIDs(out)
 	return out
+}
+
+// add enters id into the closure under way, and with it every prefix
+// (prefix closure: every prefix of a member is a member).
+func (d *Deriver) add(id ID) {
+	for ; id != EmptyID; id = d.In.Prefix(id) {
+		if int(id) >= len(d.stamp) {
+			d.stamp = append(d.stamp, make([]uint32, int(id)+1-len(d.stamp))...)
+		}
+		if d.stamp[id] == d.gen {
+			return
+		}
+		d.stamp[id] = d.gen
+		d.members = append(d.members, id)
+	}
 }
 
 // FDsOf flattens a list of FD sets into a deduplicated FD list.

@@ -446,7 +446,7 @@ func TestEquivClassesAndRepDedup(t *testing.T) {
 	if reps[d] != d {
 		t.Fatalf("d should be its own representative: %v", reps)
 	}
-	got := repDedup([]Attr{b, d, c, a}, reps)
+	got := repDedup(nil, []Attr{b, d, c, a}, reps)
 	if !reflect.DeepEqual(got, []Attr{reps[b], d}) {
 		t.Fatalf("repDedup = %v", got)
 	}
@@ -530,5 +530,46 @@ func TestFDsOfDedups(t *testing.T) {
 	fds := FDsOf(sets)
 	if len(fds) != 2 {
 		t.Fatalf("FDsOf = %d FDs, want 2", len(fds))
+	}
+}
+
+// TestInterningAllocs pins the interning paths every derivation step of
+// nfsm.Build runs: looking up an ordering that is already interned
+// allocates nothing (its key is built on the stack), and a warm Closure
+// — one whose Deriver already grew its scratch — allocates only its
+// result slice.
+func TestInterningAllocs(t *testing.T) {
+	s := newSpace()
+	id := s.reg.Attr("id")
+	jobid := s.reg.Attr("jobid")
+	name := s.reg.Attr("name")
+	sets := []FDSet{NewFDSet(NewEquation(id, jobid))}
+	reps := EquivClasses(s.reg.Len(), sets)
+	seed := []ID{s.ord("id"), s.ord("jobid"), s.ord("id", "name"), s.ord("salary")}
+	idx := NewPrefixIndex(s.in, seed, reps)
+	d := &Deriver{In: s.in, Reps: reps, Index: idx, MaxLen: idx.MaxLen()}
+	fds := FDsOf(sets)
+	want := d.Closure(seed, fds)
+
+	seq := []Attr{id, name}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Intern of an interned ordering", func() { s.in.Intern(seq) }},
+		{"Lookup", func() { s.in.Lookup(seq) }},
+		{"Lookup of an unknown ordering", func() { s.in.Lookup([]Attr{name, id}) }},
+		{"PrefixIndex.Viable", func() { idx.Viable([]Attr{id, jobid, name}) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
+			t.Errorf("%s: %.0f allocations, want 0", c.name, allocs)
+		}
+	}
+	var got []ID
+	if allocs := testing.AllocsPerRun(100, func() { got = d.Closure(seed, fds) }); allocs != 1 {
+		t.Errorf("warm Closure: %.0f allocations, want 1 (its result)", allocs)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("warm Closure = %v, first call %v", got, want)
 	}
 }

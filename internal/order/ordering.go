@@ -2,9 +2,9 @@ package order
 
 import (
 	"cmp"
+	"encoding/binary"
 	"slices"
 	"strconv"
-	"strings"
 )
 
 // ID is the interned handle of a logical ordering. Equal orderings always
@@ -30,18 +30,18 @@ type Interner struct {
 func NewInterner() *Interner {
 	in := &Interner{ids: make(map[string]ID)}
 	in.seqs = append(in.seqs, nil) // EmptyID
-	in.ids[seqKey(nil)] = EmptyID
+	in.ids[""] = EmptyID
 	return in
 }
 
-func seqKey(seq []Attr) string {
-	var b strings.Builder
-	b.Grow(len(seq) * 3)
+// appendSeqKey appends seq's map key to b: each attribute as a uvarint,
+// prefix-free, so distinct sequences get distinct keys. Built in a stack
+// buffer, a key costs an allocation only when it enters the map.
+func appendSeqKey(b []byte, seq []Attr) []byte {
 	for _, a := range seq {
-		b.WriteString(strconv.Itoa(int(a)))
-		b.WriteByte(',')
+		b = binary.AppendUvarint(b, uint64(uint32(a)))
 	}
-	return b.String()
+	return b
 }
 
 // Intern returns the ID for seq, registering it on first use. The
@@ -50,22 +50,20 @@ func seqKey(seq []Attr) string {
 // one with the duplicate dropped and the framework keeps orderings in
 // that normal form.
 func (in *Interner) Intern(seq []Attr) ID {
-	key := seqKey(seq)
-	if id, ok := in.ids[key]; ok {
+	key := appendSeqKey(make([]byte, 0, 64), seq)
+	if id, ok := in.ids[string(key)]; ok {
 		return id
 	}
-	seen := make(map[Attr]bool, len(seq))
-	for _, a := range seq {
-		if seen[a] {
+	for i, a := range seq {
+		if slices.Contains(seq[:i], a) {
 			panic("order: Intern called with duplicate attribute " + strconv.Itoa(int(a)))
 		}
-		seen[a] = true
 	}
 	cp := make([]Attr, len(seq))
 	copy(cp, seq)
 	id := ID(len(in.seqs))
 	in.seqs = append(in.seqs, cp)
-	in.ids[key] = id
+	in.ids[string(key)] = id
 	return id
 }
 
@@ -88,7 +86,7 @@ func (in *Interner) Clone() *Interner {
 
 // Lookup returns the ID of seq if it was interned, else InvalidID.
 func (in *Interner) Lookup(seq []Attr) ID {
-	if id, ok := in.ids[seqKey(seq)]; ok {
+	if id, ok := in.ids[string(appendSeqKey(make([]byte, 0, 64), seq))]; ok {
 		return id
 	}
 	return InvalidID
