@@ -458,30 +458,6 @@ func BenchmarkAblationDominance(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSimmenCache shows the effect of the reduce cache the
-// paper added when tuning the baseline.
-func BenchmarkAblationSimmenCache(b *testing.B) {
-	for _, cached := range []bool{true, false} {
-		b.Run(fmt.Sprintf("cache=%v", cached), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, g, err := querygen.Generate(querygen.Spec{Relations: 6, ExtraEdges: 1, Seed: 5})
-				if err != nil {
-					b.Fatal(err)
-				}
-				a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := optimizer.DefaultConfig(optimizer.ModeSimmen)
-				cfg.SimmenCache = cached
-				if _, err := optimizer.Optimize(a, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPlannerThroughput measures the planner layer on TPC-R Q8 at
 // its three amortization levels — cold (full pipeline per plan),
 // prepared (prepared statement, DP re-run on pooled scratch) and

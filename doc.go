@@ -67,10 +67,8 @@
 //	                     tracking, declarative failure scenarios
 //	internal/{querygen,tpcr,catalog}   workloads: random join graphs
 //	                     (chain/star/cycle/clique/grid) and TPC-R
-//	internal/experiments §6.2/§7 tables, sweeps, the end-to-end
-//	                     execution comparisons and the saturation/abort
-//	                     workload
-//	cmd/orderopt         inspect-and-plan CLI (state machines, plans)
+//	internal/experiments §6.2/§7 tables, sweeps and the end-to-end
+//	                     execution comparisons (exec, topk)
 //	cmd/experiments      the paper's tables
 //	cmd/planserverd      the planning + execution daemon (TPC-R schema)
 //	benchmark/           the gated served benchmark (BENCHMARK.json; a

@@ -507,46 +507,8 @@ func sortStates(s []StateID) {
 	slices.Sort(s)
 }
 
-// DOT renders the machine as a Graphviz digraph: artificial nodes
-// dashed, ε edges dotted, FD edges labelled with their dependency sets.
-func (m *Machine) DOT() string {
-	var b strings.Builder
-	b.WriteString("digraph nfsm {\n  rankdir=LR;\n  q0 [shape=point];\n")
-	name := func(s StateID) string {
-		if s == StartState {
-			return "q0"
-		}
-		return fmt.Sprintf("%q", m.In.Format(m.Reg, m.States[s].Ord))
-	}
-	for _, st := range m.States {
-		if st.Kind == KindArtificial {
-			fmt.Fprintf(&b, "  %s [style=dashed];\n", name(st.ID))
-		}
-	}
-	for _, o := range m.Produced {
-		fmt.Fprintf(&b, "  q0 -> %s [label=%q];\n",
-			name(m.StartTarget(o)), m.In.Format(m.Reg, o))
-	}
-	for _, st := range m.States {
-		if st.Kind == KindStart {
-			continue
-		}
-		if e := m.Eps(st.ID); e != NoState {
-			fmt.Fprintf(&b, "  %s -> %s [label=\"ε\", style=dotted];\n", name(st.ID), name(e))
-		}
-		for sym := range m.FDSets {
-			for _, t := range m.FDTargets(st.ID, sym) {
-				fmt.Fprintf(&b, "  %s -> %s [label=%q];\n",
-					name(st.ID), name(t), m.FDSets[sym].Format(m.Reg))
-			}
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
-// Dump renders the machine in a readable textual form (used by the
-// orderopt CLI and golden tests).
+// Dump renders the machine in a readable textual form (used in test
+// failure messages).
 func (m *Machine) Dump() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "NFSM: %d states, %d FD symbols, %d produced symbols\n",

@@ -323,20 +323,6 @@ func TestProducedOrderDeterministic(t *testing.T) {
 	}
 }
 
-func TestDOTOutput(t *testing.T) {
-	f := newFixture()
-	m, err := Build(f.runningExample(), AllPruning())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dot := m.DOT()
-	for _, want := range []string{"digraph nfsm", "q0 ->", "ε", "{b → c}"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q", want)
-		}
-	}
-}
-
 func TestMachineAccessors(t *testing.T) {
 	f := newFixture()
 	m, err := Build(f.runningExample(), AllPruning())

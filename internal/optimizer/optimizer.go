@@ -65,9 +65,6 @@ type Config struct {
 	Strategy Strategy
 	// CoreOptions configures preparation in ModeDFSM.
 	CoreOptions core.Options
-	// SimmenCache enables the baseline's reduce cache (the paper's
-	// tuned configuration).
-	SimmenCache bool
 	// DisableHashJoin removes hash joins from the search space (orders
 	// matter more without them).
 	DisableHashJoin bool
@@ -94,13 +91,13 @@ type Config struct {
 
 // DefaultConfig returns the configuration used by the experiments: all
 // join operators enabled, full pruning, empty-ordering tracking on,
-// Simmen cache on, adaptive strategy selection (exact within the
-// exact-DP horizon, linearized beyond it).
+// adaptive strategy selection (exact within the exact-DP horizon,
+// linearized beyond it).
 func DefaultConfig(m Mode) Config {
 	co := core.DefaultOptions()
 	co.TrackEmptyOrdering = true
 	co.MaxSimulationStates = 512
-	return Config{Mode: m, CoreOptions: co, SimmenCache: true, Strategy: StrategyAuto}
+	return Config{Mode: m, CoreOptions: co, Strategy: StrategyAuto}
 }
 
 // Result is the outcome of one optimization run, carrying the counters
@@ -395,7 +392,8 @@ func (o *optimizer) bind(p *Prepared) {
 	if p.cfg.Mode == ModeSimmen {
 		o.sim, _ = p.sims.Get().(*simmen.Framework)
 		if o.sim == nil {
-			o.sim = simmen.New(p.a.Builder.Interner().Clone(), p.a.Builder.Registry(), p.cfg.SimmenCache)
+			// The reduce cache is on: the paper's tuned baseline.
+			o.sim = simmen.New(p.a.Builder.Interner().Clone(), p.a.Builder.Registry(), true)
 		}
 		o.sim.BytesAllocated = 0
 		o.sim.ReduceCalls = 0

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"orderopt/internal/catalog"
+	"orderopt/internal/core"
+	"orderopt/internal/nfsm"
 	"orderopt/internal/query"
 	"orderopt/internal/tpcr"
 )
@@ -205,6 +207,31 @@ func TestBindSimpleQuery(t *testing.T) {
 	}
 	if len(bq.Residual) != 0 {
 		t.Errorf("unexpected residual predicates: %v", bq.Residual)
+	}
+	// The bound graph prepares Figures 11–12's machines (unpruned, as
+	// the paper draws them). Figure 11's tested order (salary) comes
+	// from the range predicate, registered only with
+	// TestedSelectionOrders: q0 plus 11 orderings with it, 10 without;
+	// 6 DFSM states either way.
+	for _, tc := range []struct {
+		opt        query.AnalyzeOptions
+		nfsm, dfsm int
+	}{
+		{query.AnalyzeOptions{TestedSelectionOrders: true}, 12, 6},
+		{query.AnalyzeOptions{}, 11, 6},
+	} {
+		a, err := query.Analyze(g, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw, err := a.Prepare(core.Options{Pruning: nfsm.NoPruning()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := fw.Stats(); st.NFSMStates != tc.nfsm || st.DFSMStates != tc.dfsm {
+			t.Errorf("%+v: prepared NFSM %d / DFSM %d states, want %d / %d",
+				tc.opt, st.NFSMStates, st.DFSMStates, tc.nfsm, tc.dfsm)
+		}
 	}
 }
 

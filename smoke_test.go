@@ -10,42 +10,6 @@ import (
 	"testing"
 )
 
-// TestExamplesAndCLIsRun builds and runs every example and CLI once so
-// they cannot bit-rot. Skipped with -short (each invocation compiles a
-// binary).
-func TestExamplesAndCLIsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping example/CLI smoke runs in -short mode")
-	}
-	cases := []struct {
-		name string
-		args []string
-		want string // substring expected in the output
-	}{
-		{"simplequery", []string{"run", "./examples/simplequery"}, "DFSM: 6 states"},
-		{"executor", []string{"run", "./examples/executor"}, "physically satisfied"},
-		{"orderopt-running", []string{"run", "./cmd/orderopt", "-example", "running", "-pruning"}, "DFSM: 4 states"},
-		{"orderopt-intro-dot", []string{"run", "./cmd/orderopt", "-example", "intro", "-dot"}, "digraph nfsm"},
-		{"orderopt-simple", []string{"run", "./cmd/orderopt", "-example", "simple"}, "NFSM: 12 states"},
-		{"experiments-prep", []string{"run", "./cmd/experiments", "-table", "prep"}, "NFSM size"},
-		{"orderopt-sql", []string{"run", "./cmd/orderopt", "-sql",
-			"select * from nation n1, region where n1.n_regionkey = r_regionkey order by r_regionkey"},
-			"best plan"},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			out, err := exec.Command("go", tc.args...).CombinedOutput()
-			if err != nil {
-				t.Fatalf("%v failed: %v\n%s", tc.args, err, out)
-			}
-			if !strings.Contains(string(out), tc.want) {
-				t.Errorf("output of %v missing %q:\n%s", tc.args, tc.want, out)
-			}
-		})
-	}
-}
-
 // TestPlanserverdFlagSurface pins the daemon's option surface: the flag
 // names `planserverd -h` prints must equal the flag table in
 // docs/api.md, every flag the package comment's usage block shows must
