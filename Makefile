@@ -35,14 +35,15 @@ test:
 # and then the optimizer's randomized cross-checks over their full seed
 # sweep (tier-1 runs one seed per point; see -exhaustive in
 # internal/optimizer/enumerate_test.go): linearized vs exact tier, naive
-# vs DPccp enumerator, and DFSM vs Simmen order framework, whose merge
+# vs DPccp enumerator, DFSM vs Simmen order framework, whose merge
 # joins read sort states from the per-pair table and sort at each use
-# respectively. The sweep adds seeds, not goroutines, and runs without
+# respectively, and the exact DFSM DP with and without its inner
+# pruning. The sweep adds seeds, not goroutines, and runs without
 # the detector: its shadow memory on the 26M-plan grid-12 exact DP is
 # 16 GB.
 race:
 	$(GO) test -race ./...
-	$(GO) test ./internal/optimizer/ -run 'TestLinearizedCrossCheck|TestEnumeratorsAgreeOnOptimalCost|TestModesAgreeOnOptimalCost' -args -exhaustive
+	$(GO) test ./internal/optimizer/ -run 'TestLinearizedCrossCheck|TestEnumeratorsAgreeOnOptimalCost|TestModesAgreeOnOptimalCost|TestInnerPruningMatchesFullDP' -args -exhaustive
 
 # serve-soak is the lifecycle endurance run: a minute of mixed
 # plan/execute/stream/disconnect traffic under the race detector, over

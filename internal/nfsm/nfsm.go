@@ -297,7 +297,7 @@ func (b *builder) build() (*Machine, error) {
 			m.eps[st.ID] = NoState
 			for sym, set := range b.fdSets {
 				var targets []StateID
-				for _, t := range b.deriver.Closure(b.emptyDerivations(set.FDs), set.FDs) {
+				for _, t := range b.deriver.ClosureView(b.emptyDerivations(set.FDs), set.FDs) {
 					ts, ok := m.byOrd[t]
 					if !ok {
 						return nil, fmt.Errorf("nfsm: empty-derived ordering %s missing from node set",
@@ -325,7 +325,7 @@ func (b *builder) build() (*Machine, error) {
 		}
 		for sym, set := range b.fdSets {
 			var targets []StateID
-			for _, t := range b.deriver.Closure([]order.ID{st.Ord}, set.FDs) {
+			for _, t := range b.deriver.ClosureView([]order.ID{st.Ord}, set.FDs) {
 				if inEps[t] {
 					continue
 				}

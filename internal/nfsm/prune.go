@@ -1,8 +1,7 @@
 package nfsm
 
 import (
-	"strconv"
-	"strings"
+	"slices"
 
 	"orderopt/internal/order"
 )
@@ -18,7 +17,14 @@ import (
 // Interesting nodes and q0 are never touched, so plan generation is
 // unaffected (§5.7: artificial nodes are invisible outside the NFSM).
 func reduceArtificial(m *Machine, opt Options) {
-	r := &reducer{m: m, redirect: make([]StateID, len(m.States))}
+	n := len(m.States)
+	sigLen := n * (2 + len(m.FDSets)) // an upper bound: normalize only drops targets
+	for _, ts := range m.out {
+		sigLen += len(ts)
+	}
+	buf := make([]int32, 4*n+sigLen)
+	r := &reducer{m: m, redirect: make([]StateID, n), block: buf[:n], next: buf[n : 2*n],
+		lo: buf[2*n : 3*n], hi: buf[3*n : 4*n], sigs: buf[4*n : 4*n], byKey: make([]StateID, 0, n)}
 	for i := range r.redirect {
 		r.redirect[i] = StateID(i)
 	}
@@ -40,6 +46,14 @@ func reduceArtificial(m *Machine, opt Options) {
 type reducer struct {
 	m        *Machine
 	redirect []StateID // per state: itself (alive), another state, or NoState
+
+	// mergeOnce's scratch, per state and reused across rounds and calls:
+	// its block in the current and the next round, and its signature,
+	// sigs[lo[s]:hi[s]]; byKey lists the alive states to sort by it.
+	block, next []int32
+	lo, hi      []int32
+	sigs        []int32
+	byKey       []StateID
 }
 
 func (r *reducer) resolve(s StateID) StateID {
@@ -65,19 +79,14 @@ func (r *reducer) normalize() {
 		}
 		for sym := 0; sym < nFD; sym++ {
 			idx := int(st.ID)*nFD + sym
-			targets := m.out[idx]
-			kept := targets[:0]
-			seen := map[StateID]bool{st.ID: true}
-			for _, t := range targets {
-				t = r.resolve(t)
-				if t == NoState || seen[t] {
-					continue
+			kept := m.out[idx][:0]
+			for _, t := range m.out[idx] {
+				if t = r.resolve(t); t != NoState && t != st.ID {
+					kept = append(kept, t)
 				}
-				seen[t] = true
-				kept = append(kept, t)
 			}
 			sortStates(kept)
-			m.out[idx] = kept
+			m.out[idx] = slices.Compact(kept)
 		}
 	}
 }
@@ -94,9 +103,9 @@ func (r *reducer) mergeOnce() bool {
 	m := r.m
 	nFD := len(m.FDSets)
 
-	block := make([]int, len(m.States))
-	nBlocks := 0
-	artBlock := -1
+	block, next := r.block, r.next
+	nBlocks := int32(0)
+	artBlock := int32(-1)
 	for _, st := range m.States {
 		if !r.alive(st.ID) {
 			block[st.ID] = -1
@@ -114,83 +123,74 @@ func (r *reducer) mergeOnce() bool {
 		block[st.ID] = artBlock
 	}
 
-	sig := func(s StateID) string {
-		var b strings.Builder
-		if e := m.eps[s]; e == NoState {
-			b.WriteString("-")
-		} else {
-			b.WriteString(strconv.Itoa(block[e]))
-		}
-		for sym := 0; sym < nFD; sym++ {
-			b.WriteByte('|')
-			seen := map[int]bool{}
-			var blocks []int
-			for _, t := range m.out[int(s)*nFD+sym] {
-				if bt := block[t]; !seen[bt] {
-					seen[bt] = true
-					blocks = append(blocks, bt)
-				}
-			}
-			sortInts(blocks)
-			for _, bt := range blocks {
-				b.WriteString(strconv.Itoa(bt))
-				b.WriteByte(',')
-			}
-		}
-		return b.String()
-	}
-
+	// A state's key is its block, its ε successor's (-1 for none), then
+	// per symbol the sorted distinct blocks of its targets closed by -2.
+	// States with equal keys share a block in the next round.
+	key := func(s StateID) []int32 { return r.sigs[r.lo[s]:r.hi[s]] }
 	for {
-		next := make(map[string]int)
-		newBlock := make([]int, len(block))
-		n := 0
+		r.sigs, r.byKey = r.sigs[:0], r.byKey[:0]
 		for _, st := range m.States {
-			if !r.alive(st.ID) {
-				newBlock[st.ID] = -1
+			s := st.ID
+			if !r.alive(s) {
+				next[s] = -1
 				continue
 			}
-			key := strconv.Itoa(block[st.ID]) + "#" + sig(st.ID)
-			id, ok := next[key]
-			if !ok {
-				id = n
-				n++
-				next[key] = id
+			e := int32(-1)
+			if m.eps[s] != NoState {
+				e = block[m.eps[s]]
 			}
-			newBlock[st.ID] = id
+			r.lo[s] = int32(len(r.sigs))
+			r.sigs = append(r.sigs, block[s], e)
+			for sym := 0; sym < nFD; sym++ {
+				k := len(r.sigs)
+				for _, t := range m.out[int(s)*nFD+sym] {
+					r.sigs = append(r.sigs, block[t])
+				}
+				slices.Sort(r.sigs[k:])
+				r.sigs = append(r.sigs[:k+len(slices.Compact(r.sigs[k:]))], -2)
+			}
+			r.hi[s] = int32(len(r.sigs))
+			r.byKey = append(r.byKey, s)
+		}
+		slices.SortFunc(r.byKey, func(a, b StateID) int { return slices.Compare(key(a), key(b)) })
+		n := int32(0)
+		for i, s := range r.byKey {
+			if i > 0 && !slices.Equal(key(s), key(r.byKey[i-1])) {
+				n++
+			}
+			next[s] = n
+		}
+		if len(r.byKey) > 0 {
+			n++
 		}
 		if n == nBlocks {
 			break
 		}
-		block, nBlocks = newBlock, n
+		block, next, nBlocks = next, block, n
 	}
 
-	reps := make(map[int]StateID)
+	first := next[:nBlocks] // per block: its first artificial state, or -1
+	for i := range first {
+		first[i] = -1
+	}
 	changed := false
 	for _, st := range m.States {
 		if st.Kind != KindArtificial || !r.alive(st.ID) {
 			continue
 		}
-		if rep, ok := reps[block[st.ID]]; ok {
-			r.redirect[st.ID] = rep
-			m.byOrd[st.Ord] = rep
+		if rep := first[block[st.ID]]; rep >= 0 {
+			r.redirect[st.ID] = StateID(rep)
+			m.byOrd[st.Ord] = StateID(rep)
 			m.MergedNodes++
 			changed = true
 		} else {
-			reps[block[st.ID]] = st.ID
+			first[block[st.ID]] = int32(st.ID)
 		}
 	}
 	if changed {
 		r.normalize()
 	}
 	return changed
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // prunable reports whether the artificial state s derives nothing its

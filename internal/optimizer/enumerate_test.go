@@ -279,9 +279,10 @@ func TestDPccpEmitsInDPOrder(t *testing.T) {
 	}
 }
 
-// exhaustive widens the two randomized cross-checks
-// (TestEnumeratorsAgreeOnOptimalCost, TestLinearizedCrossCheck) from one
-// seed per point to their full seed sweep. The default run keeps every
+// exhaustive widens the randomized cross-checks
+// (TestEnumeratorsAgreeOnOptimalCost, TestLinearizedCrossCheck,
+// TestInnerPruningMatchesFullDP) from their default seeds to their full
+// seed sweep. The default run keeps every
 // mode, shape, size and extra-edge point so tier-1 stays in seconds;
 // `make race` runs the sweep — without -race, which is for the default
 // run: the detector's shadow memory on a grid-12 exact DP (26M plans)

@@ -21,6 +21,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -107,10 +108,11 @@ type Result struct {
 	// arena: it stays valid after the scratch is recycled.
 	Best *plan.Node
 
-	// PlansGenerated counts every plan operator priced (the paper's
+	// PlansGenerated counts every plan operator generated (the paper's
 	// "#Plans": "the time to introduce one plan operator"), whether or
 	// not it enters a plan list; a Sort under a merge-join candidate
-	// counts once per candidate it serves.
+	// counts once per candidate it serves. A join candidate that can
+	// only be rejected counts without being priced (sortEntry.lead).
 	PlansGenerated int64
 	// PlansRetained counts plans surviving dominance pruning.
 	PlansRetained int
@@ -222,7 +224,8 @@ type optimizer struct {
 	dp        dpTable
 	generated int64
 	ccPairs   int64
-	nodes     int // arena nodes handed out this run
+	nodes     int   // arena nodes handed out this run
+	priced    int64 // join candidates priced and offered (see prune)
 
 	// preds and sorts are joinLists' per-pair table, reused across pairs:
 	// the pair's merge predicates, and per side one row per input plan —
@@ -232,10 +235,16 @@ type optimizer struct {
 
 	// floor is the current emitJoins call's same-state floor (see offer).
 	floor []offered
+	// final holds finishOne's candidates.
+	final []*plan.Node
 
 	// lin runs the linearized tier: gated merge-join generation and plan
 	// lists bounded to DefaultLinearizedBeam (the exact tier's are not).
 	lin bool
+	// prune skips the join candidates of inner plans that are not
+	// leading in their sortTable column (see sortEntry.lead): ModeDFSM's
+	// exact tier only.
+	prune bool
 }
 
 // scratch recycles optimizers across all statements. There is no size
@@ -386,7 +395,7 @@ func Prepare(a *query.Analysis, cfg Config) (*Prepared, error) {
 // reset here, not trusted.
 func (o *optimizer) bind(p *Prepared) {
 	o.p = p
-	o.generated, o.ccPairs, o.nodes = 0, 0, 0
+	o.generated, o.ccPairs, o.nodes, o.priced = 0, 0, 0, 0
 	o.clearPlans()
 	o.sim = nil
 	if p.cfg.Mode == ModeSimmen {
@@ -401,6 +410,7 @@ func (o *optimizer) bind(p *Prepared) {
 	}
 	n := len(p.g.Relations)
 	o.lin = p.strategy == StrategyLinearized
+	o.prune = p.fw != nil && !o.lin
 	hint := 1 << denseTableBits
 	if o.lin {
 		// Only the O(n²) interval masks are ever populated.
@@ -575,11 +585,20 @@ type mergePred struct {
 // of the input a join reads (sorted when it does not; under ModeSimmen
 // the sorted state is left to mergeInput). Under ModeDFSM, joined is the
 // state of a join with this input outer: the pair's edges applied.
+//
+// lead is set when the entry is strictly cheaper than every earlier
+// row's in its column (always, when the run does not prune). A join
+// candidate's state is its outer's joined state, and its cost is outer +
+// inner + an operator cost that depends only on the masks' cards, equal
+// for every plan of a mask. So with a non-leading inner it repeats the
+// state of a candidate an earlier inner gave the same outer and operator,
+// at no lower cost; dp[mask] already holds a plan that costs no more and
+// covers it.
 type sortEntry struct {
-	has    bool
-	cost   float64
-	state  core.State
-	joined core.State
+	has, lead bool
+	cost      float64
+	state     core.State
+	joined    core.State
 }
 
 // offered is one entry of the same-state floor.
@@ -600,7 +619,8 @@ type pairJoin struct {
 
 // joinLists joins every plan combination of the disjoint subsets s1 and
 // s2 in both directions (each join operator here preserves its outer
-// ordering); both inputs already have their final plan lists. Whatever
+// ordering), pricing only those sortEntry.lead lets through; both inputs
+// already have their final plan lists. Whatever
 // depends on the pair alone — the output cardinality, the edges' FD
 // mask, the merge predicates — is computed once per pair, and what
 // depends on one input plan — whether it holds a merge predicate's
@@ -651,7 +671,7 @@ func (o *optimizer) mergePreds(s1 uint64, edges []int) {
 }
 
 // sortTable fills side k's rows of the per-pair table for the plans in
-// list. Under ModeSimmen the sorted and joined states are left out: the
+// list and marks each column's leading entries. Under ModeSimmen the sorted and joined states are left out: the
 // baseline sorts and infers at each use (see mergeInput and join),
 // because its memory column counts every annotation either makes.
 func (o *optimizer) sortTable(k int, list []*plan.Node, edges []int) []sortEntry {
@@ -673,6 +693,14 @@ func (o *optimizer) sortTable(k int, list []*plan.Node, edges []int) []sortEntry
 				}
 			}
 			t = append(t, e)
+		}
+	}
+	np := len(o.preds) + 1
+	for c := range np {
+		least := math.Inf(1)
+		for i := c; i < len(t); i += np {
+			t[i].lead = !o.prune || t[i].cost < least
+			least = min(least, t[i].cost)
 		}
 	}
 	o.sorts[k] = t
@@ -868,6 +896,11 @@ func (o *optimizer) mergeInput(in *joinInput, p *plan.Node, ord order.ID, e *sor
 // join prices the candidate l ⋈ r and builds it — its Sorts included —
 // only if dp[pj.mask] admits it.
 func (o *optimizer) join(pj *pairJoin, op plan.Op, l, r *joinInput, opCost float64, edge, pred int) {
+	if !r.e.lead {
+		o.generated++ // counted, but admit would reject it: see sortEntry
+		return
+	}
+	o.priced++
 	cost := l.e.cost + r.e.cost + opCost
 	if o.lin {
 		// Cost-based fast rejection before any state is inferred: with a
@@ -1012,8 +1045,10 @@ func (o *optimizer) finish(full uint64) (*plan.Node, error) {
 	return best, nil
 }
 
+// finishOne returns p's final plans in o.final (valid until the next
+// call); each stage rewrites the list in place.
 func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
-	cands := []*plan.Node{p}
+	cands := append(o.final[:0], p)
 	// Exchange candidates go under the grouping/ordering finishing:
 	// parallelism covers the join pipeline, and any Sort or Group the
 	// query still needs lands above the exchange (a Sort inside a
@@ -1035,40 +1070,35 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 		}
 	}
 	if gOrd := o.p.a.GroupByOrd; gOrd != order.EmptyID {
-		var grouped []*plan.Node
 		gcard := o.groupCard(p.Card)
-		for _, c := range cands {
+		in := len(cands)
+		for _, c := range cands[:in] {
 			switch {
 			case o.p.cfg.DisableOrderedGrouping:
-				grouped = append(grouped, o.groupNode(c, plan.GroupHash, gcard))
+				cands = append(cands, o.groupNode(c, plan.GroupHash, gcard))
 			case o.contains(c.State, gOrd):
-				grouped = append(grouped, o.groupNode(c, plan.GroupSorted, gcard))
+				cands = append(cands, o.groupNode(c, plan.GroupSorted, gcard))
 			default:
-				grouped = append(grouped,
+				cands = append(cands,
 					o.groupNode(o.sortPlan(c, gOrd), plan.GroupSorted, gcard),
 					o.groupNode(c, plan.GroupHash, gcard))
 			}
 		}
-		cands = grouped
+		cands = cands[:copy(cands, cands[in:])]
 	}
-	if o.p.a.OrderByOrd != order.EmptyID {
-		var ordered []*plan.Node
-		for _, c := range cands {
-			if o.contains(c.State, o.p.a.OrderByOrd) {
-				ordered = append(ordered, c)
-			} else {
-				ordered = append(ordered, o.sortPlan(c, o.p.a.OrderByOrd))
+	if ord := o.p.a.OrderByOrd; ord != order.EmptyID {
+		for i, c := range cands {
+			if !o.contains(c.State, ord) {
+				cands[i] = o.sortPlan(c, ord)
 			}
 		}
-		cands = ordered
 	}
 	if k := o.p.a.Graph.Limit; o.p.a.Graph.Limited() {
 		// Top-k: every candidate is re-priced for producing only k rows
 		// (plan.LimitedCost) — this is where an order-satisfying pipeline
 		// (streaming top, nearly fully discounted) beats a full-sort plan
 		// (pays everything below the Sort) automatically.
-		limited := make([]*plan.Node, 0, len(cands))
-		for _, c := range cands {
+		for i, c := range cands {
 			n := o.node()
 			card := float64(k)
 			if c.Card < card {
@@ -1084,10 +1114,10 @@ func (o *optimizer) finishOne(p *plan.Node) []*plan.Node {
 				State: c.State,
 			}
 			o.generated++
-			limited = append(limited, n)
+			cands[i] = n
 		}
-		cands = limited
 	}
+	o.final = cands
 	return cands
 }
 

@@ -43,7 +43,8 @@ func servedQ8(tb testing.TB, sql string) *query.Analysis {
 // DFSM, tables — and the estimates) and run (the DP on warm pooled
 // scratch). Binding and analysis happen outside the timer, once per
 // op for prepare (an Analysis is single-use per framework). Both report
-// the candidates priced and the arena nodes written per run.
+// per run the candidates counted (PlansGenerated), the join candidates
+// priced (those sortEntry.lead lets through) and the arena nodes written.
 //
 //	go test -run '^$' -bench BenchmarkServedQ8 -benchmem ./internal/optimizer
 func BenchmarkServedQ8(b *testing.B) {
@@ -55,6 +56,7 @@ func BenchmarkServedQ8(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.PlansGenerated), "candidates/op")
+		b.ReportMetric(float64(o.priced), "priced/op")
 		b.ReportMetric(float64(o.nodes), "arena-nodes/op")
 	}
 	b.Run("prepare", func(b *testing.B) {

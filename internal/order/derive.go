@@ -258,6 +258,15 @@ func dedupIDs(ids []ID, exclude ID) []ID {
 // deterministically. The result is the call's only allocation once the
 // Deriver's scratch has grown.
 func (d *Deriver) Closure(seed []ID, fds []FD) []ID {
+	out := slices.Clone(d.ClosureView(seed, fds))
+	d.In.SortIDs(out)
+	return out
+}
+
+// ClosureView is Closure's members in discovery order, in the Deriver's
+// own buffer: valid until its next call, and no allocation once its
+// scratch has grown.
+func (d *Deriver) ClosureView(seed []ID, fds []FD) []ID {
 	d.gen++
 	d.members = d.members[:0]
 	for _, id := range seed {
@@ -272,9 +281,7 @@ func (d *Deriver) Closure(seed []ID, fds []FD) []ID {
 			}
 		}
 	}
-	out := slices.Clone(d.members)
-	d.In.SortIDs(out)
-	return out
+	return d.members
 }
 
 // add enters id into the closure under way, and with it every prefix

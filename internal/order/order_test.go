@@ -2,6 +2,7 @@ package order
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -571,5 +572,13 @@ func TestInterningAllocs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("warm Closure = %v, first call %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { got = d.ClosureView(seed, fds) }); allocs != 0 {
+		t.Errorf("warm ClosureView: %.0f allocations, want 0", allocs)
+	}
+	got = slices.Clone(got)
+	s.in.SortIDs(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ClosureView sorted = %v, Closure %v", got, want)
 	}
 }
