@@ -15,7 +15,7 @@
 //	    — design-choice ablations called out in DESIGN.md.
 //	BenchmarkPlannerThroughput
 //	    — the planner layer on Q8: cold pipeline vs prepared statements
-//	      vs plan-cache hits, serial and parallel.
+//	      vs stored-plan hits, serial and parallel.
 //	BenchmarkLargeQuery
 //	    — the adaptive tier: exact vs linearized DP around the exact
 //	      horizon (with cost-ratio metrics), linearized-only beyond it.
@@ -461,45 +461,53 @@ func BenchmarkAblationDominance(b *testing.B) {
 // BenchmarkPlannerThroughput measures the planner layer on TPC-R Q8 at
 // its three amortization levels — cold (full pipeline per plan),
 // prepared (prepared statement, DP re-run on pooled scratch) and
-// cachehit (fingerprinted plan cache) — serially and across
-// GOMAXPROCS. Every result is checked against the cold best-plan cost,
-// and the cache-hit path should report near-zero allocations.
+// cachehit (the plan stored on the prepared statement) — serially and
+// across GOMAXPROCS. Every result is checked against the cold best-plan
+// cost, and the cache-hit path should report near-zero allocations.
 func BenchmarkPlannerThroughput(b *testing.B) {
 	sql := tpcr.Query8SQL
-	ref, err := planner.New(planner.DefaultConfig(tpcr.Schema())).Plan(sql)
+	cfg := planner.DefaultConfig(tpcr.Schema())
+	ref, err := planner.New(cfg).Plan(sql)
 	if err != nil {
 		b.Fatal(err)
 	}
-
-	noCacheCfg := planner.DefaultConfig(tpcr.Schema())
-	noCacheCfg.PlanCacheSize = -1
+	prepare := func(b *testing.B) *planner.PreparedQuery {
+		q, err := planner.New(cfg).Prepare(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return q
+	}
 
 	paths := []struct {
 		name  string
-		setup func(b *testing.B) func() (planner.Planned, error)
+		setup func(b *testing.B) func() (float64, error)
 	}{
-		{"cold", func(b *testing.B) func() (planner.Planned, error) {
-			return func() (planner.Planned, error) {
-				return planner.New(noCacheCfg).Plan(sql)
+		{"cold", func(b *testing.B) func() (float64, error) {
+			return func() (float64, error) {
+				pd, err := planner.New(cfg).Plan(sql)
+				return pd.Cost, err
 			}
 		}},
-		{"prepared", func(b *testing.B) func() (planner.Planned, error) {
-			q, err := planner.New(noCacheCfg).Prepare(sql)
-			if err != nil {
-				b.Fatal(err)
+		{"prepared", func(b *testing.B) func() (float64, error) {
+			prep := prepare(b).Prepared()
+			return func() (float64, error) {
+				res, err := prep.Run()
+				if err != nil {
+					return 0, err
+				}
+				return res.Best.Cost, nil
 			}
-			return q.Plan
 		}},
-		{"cachehit", func(b *testing.B) func() (planner.Planned, error) {
-			p := planner.New(planner.DefaultConfig(tpcr.Schema()))
-			q, err := p.Prepare(sql)
-			if err != nil {
+		{"cachehit", func(b *testing.B) func() (float64, error) {
+			q := prepare(b)
+			if _, err := q.Plan(); err != nil { // store the statement's plan
 				b.Fatal(err)
 			}
-			if _, err := q.Plan(); err != nil { // warm the plan cache
-				b.Fatal(err)
+			return func() (float64, error) {
+				pd, err := q.Plan()
+				return pd.Cost, err
 			}
-			return q.Plan
 		}},
 	}
 	for _, path := range paths {
@@ -508,12 +516,12 @@ func BenchmarkPlannerThroughput(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := fn()
+				cost, err := fn()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Cost != ref.Cost {
-					b.Fatalf("cost %v, cold reference %v", res.Cost, ref.Cost)
+				if cost != ref.Cost {
+					b.Fatalf("cost %v, cold reference %v", cost, ref.Cost)
 				}
 			}
 		})
@@ -523,13 +531,13 @@ func BenchmarkPlannerThroughput(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					res, err := fn()
+					cost, err := fn()
 					if err != nil {
 						b.Error(err)
 						return
 					}
-					if res.Cost != ref.Cost {
-						b.Errorf("cost %v, cold reference %v", res.Cost, ref.Cost)
+					if cost != ref.Cost {
+						b.Errorf("cost %v, cold reference %v", cost, ref.Cost)
 						return
 					}
 				}

@@ -54,8 +54,8 @@ var tables = []table{
 		rows, err := experiments.PrepQ8()
 		return experiments.FormatPrep(rows), err
 	}},
-	{"q8", "§7: plan generation for TPC-R Query 8", func(*options) (string, error) {
-		rows, err := experiments.Q8()
+	{"q8", "§7: plan generation for TPC-R Query 8", func(o *options) (string, error) {
+		rows, err := experiments.Q8(o.runs)
 		return experiments.FormatQ8(rows), err
 	}},
 	{"fig13", "Figure 13: plan generation for different join graphs", func(o *options) (string, error) {
@@ -105,7 +105,7 @@ func main() {
 	flag.Func("extras", "extra edges beyond the chain, 0→n-1 edges, 1→n, 2→n+1 (fig13, fig14)", parseList(&o.extras, strconv.Atoi))
 	flag.IntVar(&o.seeds, "seeds", 0, "queries averaged per configuration (fig13, fig14)")
 	flag.Func("enumerator", "join enumeration of the sweep: dpccp or naive (fig13, fig14)", parseEnumerator(&o.enumerator))
-	flag.IntVar(&o.runs, "runs", 0, "timed executions per measurement, minimum reported (exec, topk)")
+	flag.IntVar(&o.runs, "runs", 0, "timed executions per measurement, minimum reported (q8, exec, topk)")
 	flag.Func("datasets", "TPC-R datasets: tpcr-small, tpcr-mid, tpcr-large (exec, topk)", parseList(&o.datasets, func(s string) (string, error) { return s, nil }))
 	flag.Usage = func() {
 		w := flag.CommandLine.Output()

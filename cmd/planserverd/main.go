@@ -4,7 +4,7 @@
 //
 //	planserverd                      # listen on :7432
 //	planserverd -addr :8080 -max-inflight 128
-//	planserverd -plan-cache -1       # every request re-runs the DP
+//	planserverd -prepared-cache -1   # every request prepares and plans cold
 //	planserverd -no-exec             # planning only, no /execute
 //	planserverd -timeout 2s -mem-budget 268435456
 //	                                 # 2s default deadline; datasets and pipelines share
@@ -71,10 +71,8 @@ func main() {
 	addr := flag.String("addr", ":7432", "listen address")
 	maxInFlight := flag.Int("max-inflight", server.DefaultMaxInFlight,
 		"max concurrent planning requests before 429 shedding (negative disables)")
-	planCache := flag.Int("plan-cache", planner.DefaultPlanCacheSize,
-		"plan cache entries (negative disables)")
 	preparedCache := flag.Int("prepared-cache", planner.DefaultPreparedCacheSize,
-		"prepared-statement cache entries (negative disables)")
+		"prepared-statement cache entries, each keeping its statement's plan (negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second,
 		"how long a SIGTERM drain waits for in-flight requests")
 	noExec := flag.Bool("no-exec", false, "disable /execute")
@@ -102,7 +100,6 @@ func main() {
 
 	cfg := planner.DefaultConfig(tpcr.Schema())
 	cfg.Optimizer.MaxDOP = nw
-	cfg.PlanCacheSize = *planCache
 	cfg.PreparedCacheSize = *preparedCache
 
 	var datasets *exec.Registry

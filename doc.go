@@ -17,7 +17,7 @@
 // then drive plan generation with constant-time Produce / Infer /
 // Contains lookups. The package Example is the runnable version of the
 // paper's §5.6 walkthrough; planner.Planner's Examples show the same
-// framework behind prepared statements and a plan cache, and
+// framework behind prepared statements that keep their plans, and
 // server.Client's Example plans over HTTP (all run under go test).
 //
 // The machine tracks orderings only, as the paper does: a GROUP BY
@@ -34,9 +34,9 @@
 //	                     shedding, per-request deadlines, resource
 //	                     budgets, graceful drain that waits for
 //	                     running pipelines
-//	internal/planner     reentrant planning pipeline: prepared
-//	                     statements, fingerprinted concurrent plan
-//	                     cache, pooled optimizer scratch
+//	internal/planner     reentrant planning pipeline: a concurrent
+//	                     prepared-statement cache, each statement
+//	                     keeping its plan, pooled optimizer scratch
 //	internal/optimizer   bottom-up DP plan generator, split into an
 //	                     immutable Prepared and pooled per-run scratch;
 //	                     pluggable order component, join enumeration
@@ -47,7 +47,7 @@
 //	internal/plan        physical operators, cost model, resettable
 //	                     node arena, plan cloning
 //	internal/query       join graph, §5.2 analysis, canonical
-//	                     fingerprinting for plan caching
+//	                     fingerprinting
 //	internal/simmen      the Simmen/Shekita/Malkemus baseline (an
 //	                     oracle for tests and the paper tables, not a
 //	                     serving option)

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strings"
 
 	"orderopt/internal/nfsm"
 	"orderopt/internal/order"
@@ -333,62 +332,4 @@ func (m *Machine) RowSubsetOf(a, b StateID) bool {
 // the §6.2 experiment.
 func (m *Machine) PrecomputedBytes() int {
 	return 4*len(m.trans) + 8*len(m.contains)
-}
-
-// Dump renders the machine like the paper's Figures 8–10: the state
-// sets, the contains matrix and the transition table.
-func (m *Machine) Dump() string {
-	n := m.N
-	var b strings.Builder
-	fmt.Fprintf(&b, "DFSM: %d states, %d symbols\n", len(m.Sets), n.NumSymbols())
-	for i, set := range m.Sets {
-		if StateID(i) == Start {
-			b.WriteString("  *: {q0}\n")
-			continue
-		}
-		var parts []string
-		for _, s := range set {
-			parts = append(parts, n.In.Format(n.Reg, n.States[s].Ord))
-		}
-		fmt.Fprintf(&b, "  %d: {%s}\n", i, strings.Join(parts, ", "))
-	}
-	b.WriteString("contains matrix:\n")
-	for i := range m.Sets {
-		if StateID(i) == Start {
-			continue
-		}
-		var parts []string
-		for c, o := range m.Columns {
-			v := "0"
-			if testBit(m.contains, i*m.words, c) {
-				v = "1"
-			}
-			parts = append(parts, fmt.Sprintf("%s=%s", n.In.Format(n.Reg, o), v))
-		}
-		fmt.Fprintf(&b, "  %d: %s\n", i, strings.Join(parts, " "))
-	}
-	b.WriteString("transition table:\n")
-	symName := func(sym int) string {
-		if sym < n.NumFDSymbols() {
-			return n.FDSets[sym].Format(n.Reg)
-		}
-		return n.In.Format(n.Reg, n.Produced[sym-n.NumFDSymbols()])
-	}
-	for i := range m.Sets {
-		name := fmt.Sprintf("%d", i)
-		if StateID(i) == Start {
-			name = "*"
-		}
-		var parts []string
-		for sym := 0; sym < n.NumSymbols(); sym++ {
-			t := m.Step(StateID(i), sym)
-			tn := fmt.Sprintf("%d", t)
-			if t == Start {
-				tn = "*"
-			}
-			parts = append(parts, fmt.Sprintf("%s→%s", symName(sym), tn))
-		}
-		fmt.Fprintf(&b, "  %s: %s\n", name, strings.Join(parts, "  "))
-	}
-	return b.String()
 }

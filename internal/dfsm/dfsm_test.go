@@ -73,7 +73,7 @@ func TestFigure8(t *testing.T) {
 	f := newFixture()
 	m := f.build(t, f.runningExample(), nfsm.AllPruning())
 	if m.NumStates() != 4 {
-		t.Fatalf("DFSM states = %d, want 4\n%s", m.NumStates(), m.Dump())
+		t.Fatalf("DFSM states = %d (NFSM %d), want 4", m.NumStates(), m.N.NumStates())
 	}
 	wantSets := []map[string]bool{
 		{"q0": true},
@@ -186,11 +186,11 @@ func TestFigure1And2(t *testing.T) {
 	m := f.build(t, input, nfsm.NoPruning())
 	// NFSM: q0 + 6 ordering nodes (a),(a,b),(a,b,c),(a,b,d),(a,b,c,d),(a,b,d,c).
 	if got := m.N.NumStates(); got != 7 {
-		t.Fatalf("NFSM states = %d, want 7\n%s", got, m.N.Dump())
+		t.Fatalf("NFSM states = %d, want 7", got)
 	}
 	// DFSM: *, {a,ab,abc}, {a,ab,abc,abd,abcd,abdc} (Figure 2).
 	if m.NumStates() != 3 {
-		t.Fatalf("DFSM states = %d, want 3\n%s", m.NumStates(), m.Dump())
+		t.Fatalf("DFSM states = %d (NFSM %d), want 3", m.NumStates(), m.N.NumStates())
 	}
 	s1 := m.ProduceState(f.ord("a", "b", "c"))
 	got1 := f.setStrings(m, s1)
@@ -224,7 +224,7 @@ func TestFigure12(t *testing.T) {
 	// States: *, {(id)}, {(jobid)}, {(id),(id,name)}, the 4-ordering
 	// equation state and the 10-ordering equation state.
 	if m.NumStates() != 6 {
-		t.Fatalf("DFSM states = %d, want 6\n%s", m.NumStates(), m.Dump())
+		t.Fatalf("DFSM states = %d (NFSM %d), want 6", m.NumStates(), m.N.NumStates())
 	}
 	sID := m.ProduceState(f.ord("id"))
 	sJob := m.ProduceState(f.ord("jobid"))
@@ -346,17 +346,6 @@ func TestMaxStatesLimit(t *testing.T) {
 	}
 	if _, err := Convert(n, Options{MaxStates: 2}); err == nil {
 		t.Error("Convert with MaxStates=2 should fail for a 4-state DFSM")
-	}
-}
-
-func TestDumpMentionsEverything(t *testing.T) {
-	f := newFixture()
-	m := f.build(t, f.runningExample(), nfsm.AllPruning())
-	d := m.Dump()
-	for _, want := range []string{"DFSM: 4 states", "contains matrix", "transition table", "{b → c}"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("Dump missing %q", want)
-		}
 	}
 }
 

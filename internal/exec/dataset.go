@@ -295,20 +295,6 @@ func (d *Dataset) TotalRows() int64 {
 	return n
 }
 
-// RawRows returns the dataset in the row-major map layout the
-// brute-force evaluator consumes.
-func (d *Dataset) RawRows() map[string][][]int64 {
-	out := make(map[string][][]int64, len(d.Tables))
-	for name, rows := range d.Tables {
-		raw := make([][]int64, len(rows))
-		for i, r := range rows {
-			raw[i] = r
-		}
-		out[name] = raw
-	}
-	return out
-}
-
 // MemBytes is the dataset's resident size: per stored row its values
 // plus one slice header, over every table and every view that owns
 // its rows (a view aliasing its table adds nothing), plus the build

@@ -99,20 +99,19 @@ func TestApplyStats(t *testing.T) {
 }
 
 // TestDatasetRoundTrip pins storage-once: row-major in, the same
-// values out through Tables and RawRows, the input not retained, and
+// values out through Tables, the input not retained, and
 // the rows of one table adjacent in one slab.
 func TestDatasetRoundTrip(t *testing.T) {
 	raw := [][]int64{{1, 10, 100}, {2, 20, 200}, {3, 30, 300}}
 	ds := NewDataset("rt", "round trip", nil, map[string][][]int64{"t": raw, "empty": nil})
 	rows := ds.Tables["t"]
-	got := ds.RawRows()["t"]
-	if len(rows) != len(raw) || len(got) != len(raw) {
-		t.Fatalf("rows = %d, raw rows = %d, want %d", len(rows), len(got), len(raw))
+	if len(rows) != len(raw) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(raw))
 	}
 	for i, r := range raw {
 		for c, v := range r {
-			if rows[i][c] != v || got[i][c] != v {
-				t.Fatalf("[%d][%d] = %d / %d, want %d", i, c, rows[i][c], got[i][c], v)
+			if rows[i][c] != v {
+				t.Fatalf("[%d][%d] = %d, want %d", i, c, rows[i][c], v)
 			}
 		}
 		if i > 0 && uintptr(unsafe.Pointer(&rows[i][0]))-uintptr(unsafe.Pointer(&rows[i-1][0])) != 8*uintptr(len(r)) {

@@ -55,8 +55,8 @@ type Iterator interface {
 	Close() error
 }
 
-// Collect drains it and returns all rows.
-func Collect(it Iterator) (out []Row, err error) {
+// collect drains it and returns all rows.
+func collect(it Iterator) (out []Row, err error) {
 	if err := drainInto(it, func(row Row) error { out = append(out, row); return nil }); err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func Collect(it Iterator) (out []Row, err error) {
 
 // drainInto opens it, feeds every row to f, and closes it — on success,
 // on every error path, and when it or f panics: the one loop behind
-// Collect and every operator that consumes an input whole in its Open.
+// collect and every operator that consumes an input whole in its Open.
 func drainInto(it Iterator, f func(Row) error) (err error) {
 	defer func() {
 		if cerr := it.Close(); err == nil {

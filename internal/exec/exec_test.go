@@ -24,26 +24,26 @@ func rowsOf(vals ...[]int64) []Row {
 
 func TestScanAndCollect(t *testing.T) {
 	rows := rowsOf([]int64{1, 2}, []int64{3, 4})
-	got, err := Collect(NewScan(rows, nil))
+	got, err := collect(NewScan(rows, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, rows) {
-		t.Errorf("Collect = %v", got)
+		t.Errorf("collect = %v", got)
 	}
 	// Re-open yields the same rows.
-	got2, err := Collect(NewScan(rows, nil))
+	got2, err := collect(NewScan(rows, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got2) != 2 {
-		t.Error("second Collect broken")
+		t.Error("second collect broken")
 	}
 }
 
 func TestFilter(t *testing.T) {
 	rows := rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	got, err := Collect(NewScan(rows, func(r Row) bool { return r[0] >= 2 }))
+	got, err := collect(NewScan(rows, func(r Row) bool { return r[0] >= 2 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFilter(t *testing.T) {
 
 func TestSortStable(t *testing.T) {
 	rows := rowsOf([]int64{2, 1}, []int64{1, 2}, []int64{2, 0}, []int64{1, 1})
-	got, err := Collect(&Sort{In: NewScan(rows, nil), Keys: []int{0}})
+	got, err := collect(&Sort{In: NewScan(rows, nil), Keys: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestMergeJoinBasics(t *testing.T) {
 	left := rowsOf([]int64{1, 100}, []int64{2, 200}, []int64{2, 201}, []int64{4, 400})
 	right := rowsOf([]int64{1, -1}, []int64{2, -2}, []int64{3, -3})
 	mj := NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil)
-	got, err := Collect(mj)
+	got, err := collect(mj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestMergeJoinBasics(t *testing.T) {
 func TestMergeJoinDuplicateGroups(t *testing.T) {
 	left := rowsOf([]int64{1, 0}, []int64{1, 1})
 	right := rowsOf([]int64{1, 7}, []int64{1, 8})
-	got, err := Collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
+	got, err := collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,17 +105,17 @@ func TestMergeJoinDuplicateGroups(t *testing.T) {
 
 func TestMergeJoinRejectsUnsorted(t *testing.T) {
 	// The streaming join verifies sortedness as it reads, so the guard
-	// rail fires at the Next that observes the violation (Collect
+	// rail fires at the Next that observes the violation (collect
 	// surfaces it), not at Open.
 	left := rowsOf([]int64{2}, []int64{1})
 	right := rowsOf([]int64{1})
 	mj := NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil)
-	if _, err := Collect(mj); err == nil {
+	if _, err := collect(mj); err == nil {
 		t.Error("unsorted merge join input must be rejected")
 	}
 	right2 := rowsOf([]int64{5}, []int64{1})
 	mj2 := NewJoin(plan.MergeJoin, NewScan(rowsOf([]int64{1}, []int64{5}), nil), NewScan(right2, nil), 0, 0, nil)
-	if _, err := Collect(mj2); err == nil {
+	if _, err := collect(mj2); err == nil {
 		t.Error("unsorted right input must be rejected")
 	}
 }
@@ -123,7 +123,7 @@ func TestMergeJoinRejectsUnsorted(t *testing.T) {
 func TestHashJoinPreservesProbeOrder(t *testing.T) {
 	left := rowsOf([]int64{3}, []int64{1}, []int64{2}, []int64{1})
 	right := rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	got, err := Collect(NewJoin(plan.HashJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
+	got, err := collect(NewJoin(plan.HashJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestHashJoinPreservesProbeOrder(t *testing.T) {
 func TestNestedLoopJoin(t *testing.T) {
 	outer := rowsOf([]int64{1, 10}, []int64{2, 20})
 	inner := rowsOf([]int64{10}, []int64{20})
-	got, err := Collect(NewJoin(plan.NestedLoopJoin, NewScan(outer, nil), NewScan(inner, nil), 1, 0, nil))
+	got, err := collect(NewJoin(plan.NestedLoopJoin, NewScan(outer, nil), NewScan(inner, nil), 1, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,15 +166,15 @@ func TestJoinsAgree(t *testing.T) {
 		sortedRight := append([]Row{}, right...)
 		sort.SliceStable(sortedRight, func(i, j int) bool { return sortedRight[i][0] < sortedRight[j][0] })
 
-		mj, err := Collect(NewJoin(plan.MergeJoin, NewScan(sortedLeft, nil), NewScan(sortedRight, nil), 0, 0, nil))
+		mj, err := collect(NewJoin(plan.MergeJoin, NewScan(sortedLeft, nil), NewScan(sortedRight, nil), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hj, err := Collect(NewJoin(plan.HashJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
+		hj, err := collect(NewJoin(plan.HashJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nl, err := Collect(NewJoin(plan.NestedLoopJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
+		nl, err := collect(NewJoin(plan.NestedLoopJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestSpinePiecesMatchNext(t *testing.T) {
 	multi := 0
 	for seed := int64(0); seed < 400; seed++ {
 		build := randomSpine(rand.New(rand.NewSource(seed)))
-		want, err := Collect(build(&Life{}))
+		want, err := collect(build(&Life{}))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -347,7 +347,7 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 	rows := rowsOf(
 		[]int64{1, 5}, []int64{1, 7}, []int64{2, 1}, []int64{3, 2}, []int64{3, 2},
 	)
-	gs, err := Collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggSum, Col: 1}}})
+	gs, err := collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 	if !reflect.DeepEqual(gs, want) {
 		t.Errorf("GroupSorted = %v, want %v", gs, want)
 	}
-	gh, err := Collect(&GroupHash{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggSum, Col: 1}}})
+	gh, err := collect(&GroupHash{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,14 +366,14 @@ func TestGroupSortedAndHashAgree(t *testing.T) {
 
 func TestGroupAggs(t *testing.T) {
 	rows := rowsOf([]int64{1, 5}, []int64{1, 3}, []int64{2, 9})
-	cnt, err := Collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}})
+	cnt, err := collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cnt, rowsOf([]int64{1, 2}, []int64{2, 1})) {
 		t.Errorf("count = %v", cnt)
 	}
-	min, err := Collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggMin, Col: 1}}})
+	min, err := collect(&GroupSorted{In: NewScan(rows, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggMin, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,14 +403,14 @@ func TestGroupSortedRejectsUnsorted(t *testing.T) {
 }
 
 func TestGroupEmptyInput(t *testing.T) {
-	gs, err := Collect(&GroupSorted{In: NewScan(nil, nil), Keys: []int{0}})
+	gs, err := collect(&GroupSorted{In: NewScan(nil, nil), Keys: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gs) != 0 {
 		t.Errorf("empty input produced groups: %v", gs)
 	}
-	gh, err := Collect(&GroupHash{In: NewScan(nil, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggSum, Col: 0}}})
+	gh, err := collect(&GroupHash{In: NewScan(nil, nil), Keys: []int{0}, Aggs: []AggSpec{{Fn: query.AggSum, Col: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestQuickSortProperties(t *testing.T) {
 		for i, v := range vals {
 			rows[i] = Row{v % 10, int64(i)}
 		}
-		out, err := Collect(&Sort{In: NewScan(rows, nil), Keys: []int{0}})
+		out, err := collect(&Sort{In: NewScan(rows, nil), Keys: []int{0}})
 		if err != nil {
 			return false
 		}
@@ -481,7 +481,7 @@ func TestJoinsEmptyInputs(t *testing.T) {
 			{"right-empty", some, nil},
 			{"both-empty", nil, nil},
 		} {
-			got, err := Collect(c.it(sides.left, sides.right))
+			got, err := collect(c.it(sides.left, sides.right))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.name, sides.name, err)
 			}
@@ -509,7 +509,7 @@ func TestMergeJoinDuplicateCrossProducts(t *testing.T) {
 		[]int64{3, 103},
 		[]int64{4, 104}, []int64{4, 105}, []int64{4, 106}, // key 4 ×3
 	)
-	got, err := Collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
+	got, err := collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestMergeJoinDuplicateCrossProducts(t *testing.T) {
 		}
 	}
 	// Result agrees with a hash join over the same inputs.
-	hj, err := Collect(NewJoin(plan.HashJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
+	hj, err := collect(NewJoin(plan.HashJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +563,7 @@ func TestCloseWithoutOpen(t *testing.T) {
 	if err := mj.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(mj)
+	got, err := collect(mj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestWideGroupingKeys(t *testing.T) {
 		rows = append(rows, Row{k, k + 1, k + 2, k + 3, k + 4, int64(i)})
 	}
 	keys := []int{0, 1, 2, 3, 4}
-	gh, err := Collect(&GroupHash{In: NewScan(rows, nil), Keys: keys})
+	gh, err := collect(&GroupHash{In: NewScan(rows, nil), Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +596,7 @@ func TestWideGroupingKeys(t *testing.T) {
 	// Sorted grouping over the same stream sorted on the keys agrees.
 	sorted := append([]Row{}, rows...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i][0] < sorted[j][0] })
-	gs, err := Collect(&GroupSorted{In: NewScan(sorted, nil), Keys: keys})
+	gs, err := collect(&GroupSorted{In: NewScan(sorted, nil), Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestWideGroupingKeys(t *testing.T) {
 func TestMergeJoinDrainChecksSortedness(t *testing.T) {
 	left := rowsOf([]int64{1}, []int64{5}, []int64{3}) // unsorted after matches end
 	right := rowsOf([]int64{1})
-	if _, err := Collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil)); err == nil {
+	if _, err := collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil)); err == nil {
 		t.Fatal("unsorted left tail must be rejected")
 	}
 }
@@ -620,7 +620,7 @@ func TestMergeJoinDrainChecksSortedness(t *testing.T) {
 func TestMergeJoinRightTailSortedness(t *testing.T) {
 	left := rowsOf([]int64{1})
 	right := rowsOf([]int64{1}, []int64{3}, []int64{2}) // unsorted beyond the last match
-	if _, err := Collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil)); err == nil {
+	if _, err := collect(NewJoin(plan.MergeJoin, NewScan(left, nil), NewScan(right, nil), 0, 0, nil)); err == nil {
 		t.Fatal("unsorted right tail must be rejected")
 	}
 }

@@ -337,7 +337,7 @@ func TestCancelDuringExecute(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			p := &Pipeline{Life: &Life{acct: acct}}
-			// dropAll drops every row so Collect accumulates nothing;
+			// dropAll drops every row so collect accumulates nothing;
 			// the stats wrapper under it still ticks the lifecycle.
 			p.Root = wrapped(p, dropAll{wrapped(p, &counter{})})
 			ctx, cancel := context.WithCancel(context.Background())
@@ -673,11 +673,11 @@ func TestPooledBuffersPinNoRow(t *testing.T) {
 	rows := sortInput(2000, 597)
 	recycled := 0
 	for i := 0; i < 8; i++ {
-		if _, err := Collect(&Sort{In: NewScan(rows, nil), Keys: []int{0, 1}}); err != nil {
+		if _, err := collect(&Sort{In: NewScan(rows, nil), Keys: []int{0, 1}}); err != nil {
 			t.Fatal(err)
 		}
 		join := NewJoin(plan.HashJoin, NewScan(rows[:10], nil), NewScan(rows, nil), 0, 0, nil)
-		if out, err := Collect(join); err != nil || len(out) == 0 {
+		if out, err := collect(join); err != nil || len(out) == 0 {
 			t.Fatalf("%d rows, %v", len(out), err)
 		}
 		b := sortPool.Get()
@@ -733,7 +733,7 @@ func TestScanCancelPollBound(t *testing.T) {
 		}
 		return false
 	}
-	_, err := Collect(&scan{rows: meterRows(100_000), pred: rejectAll, life: life})
+	_, err := collect(&scan{rows: meterRows(100_000), pred: rejectAll, life: life})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("scan returned %v after %d rows, want the cancellation", err, read)
 	}
@@ -743,7 +743,7 @@ func TestScanCancelPollBound(t *testing.T) {
 
 	quiet := &Life{}
 	quiet.quiesce()
-	rows, err := Collect(&scan{rows: meterRows(1000), life: quiet})
+	rows, err := collect(&scan{rows: meterRows(1000), life: quiet})
 	if err != nil || len(rows) != CancelCheckInterval-1 {
 		t.Errorf("a quiesced scan handed out %d rows and %v, want %d and no error", len(rows), err, CancelCheckInterval-1)
 	}

@@ -191,7 +191,7 @@ func TestLiveColumnsQ8(t *testing.T) {
 	if len(schema) != 25 {
 		t.Fatalf("select * over Q8's joins carries %d columns, want all 25", len(schema))
 	}
-	want, err := Collect(&GroupHash{In: NewScan(wide, nil), Keys: []int{colPos(schema, key)}})
+	want, err := collect(&GroupHash{In: NewScan(wide, nil), Keys: []int{colPos(schema, key)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestLiveColumnsEquatedTwin(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("no row satisfies both predicates; pick another seed")
 	}
-	want, err := Collect(&GroupHash{In: NewScan(ref, nil), Keys: []int{colPos(refSchema, pred.Left)}})
+	want, err := collect(&GroupHash{In: NewScan(ref, nil), Keys: []int{colPos(refSchema, pred.Left)}})
 	if err != nil {
 		t.Fatal(err)
 	}

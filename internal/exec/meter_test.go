@@ -49,7 +49,7 @@ func meterRows(n int) []Row {
 func TestMeterClockPairs(t *testing.T) {
 	const n = 10_000
 	it := meterChain(meterRows(n), 1, true).(*statsIter)
-	out, err := Collect(it)
+	out, err := collect(it)
 	if err != nil || len(out) != n {
 		t.Fatalf("collected %d rows, error %v; want %d", len(out), err, n)
 	}
@@ -77,7 +77,7 @@ func TestMeterClockPairs(t *testing.T) {
 // warm-up never allocates the burst buffer — the top-k pipelines' case.
 func TestMeterShortStreamAllocatesNothing(t *testing.T) {
 	it := meterChain(meterRows(meterWarmCalls-1), 1, true).(*statsIter)
-	if out, err := Collect(it); err != nil || len(out) != meterWarmCalls-1 {
+	if out, err := collect(it); err != nil || len(out) != meterWarmCalls-1 {
 		t.Fatalf("collected %d rows, error %v", len(out), err)
 	}
 	if it.burst != nil {
@@ -128,7 +128,7 @@ func TestMeterReopenStartsClean(t *testing.T) {
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Collect(it)
+	out, err := collect(it)
 	if err != nil || len(out) != n {
 		t.Fatalf("second pass collected %d rows, error %v; want %d and none", len(out), err, n)
 	}

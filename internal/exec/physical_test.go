@@ -111,7 +111,7 @@ func TestFrameworkClaimsHoldPhysically(t *testing.T) {
 		}
 
 		// Stage 1: sort T by (a).
-		sorted, err := Collect(&Sort{In: NewScan(tRows, nil), Keys: []int{0}})
+		sorted, err := collect(&Sort{In: NewScan(tRows, nil), Keys: []int{0}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestFrameworkClaimsHoldPhysically(t *testing.T) {
 		check("infer a→b", state, sorted)
 
 		// Stage 3: filter x = 1 (constant FD).
-		filtered, err := Collect(NewScan(sorted, func(r Row) bool { return r[2] == 1 }))
+		filtered, err := collect(NewScan(sorted, func(r Row) bool { return r[2] == 1 }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +131,11 @@ func TestFrameworkClaimsHoldPhysically(t *testing.T) {
 		check("filter x=const", state, filtered)
 
 		// Stage 4: merge join T.a = U.k (equation), outer order preserved.
-		uSorted, err := Collect(&Sort{In: NewScan(uRows, nil), Keys: []int{0}})
+		uSorted, err := collect(&Sort{In: NewScan(uRows, nil), Keys: []int{0}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		joined, err := Collect(NewJoin(plan.MergeJoin, NewScan(filtered, nil), NewScan(uSorted, nil), 0, 0, nil))
+		joined, err := collect(NewJoin(plan.MergeJoin, NewScan(filtered, nil), NewScan(uSorted, nil), 0, 0, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestFrameworkClaimsHoldPhysically(t *testing.T) {
 
 		// Stage 5: a fresh table scan (empty ordering) plus the filter:
 		// the constant column ordering must hold physically.
-		unsorted, err := Collect(NewScan(tRows, func(r Row) bool { return r[2] == 1 }))
+		unsorted, err := collect(NewScan(tRows, func(r Row) bool { return r[2] == 1 }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestSortMaskClaimsHoldPhysically(t *testing.T) {
 	if !fw.Contains(state, oAB) {
 		t.Fatal("Sort with held FD must claim (a, b)")
 	}
-	sorted, err := Collect(&Sort{In: NewScan(rows, nil), Keys: []int{0}})
+	sorted, err := collect(&Sort{In: NewScan(rows, nil), Keys: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,8 @@ type Pipeline struct {
 	Life *Life
 
 	// rootRing is the output allocator of the spine at the root (under
-	// any Limits), which compiles unbounded: Collect keeps every row.
+	// any Limits), which compiles unbounded: draining Root keeps every
+	// row.
 	// StreamContext bounds it to its chunk plus rootSlack, the bursts of
 	// the stats wrappers between that spine and the stream (see shape).
 	rootRing  *rowAlloc

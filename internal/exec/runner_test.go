@@ -135,7 +135,7 @@ func TestGroupedPlansProduceCorrectResults(t *testing.T) {
 			for i, c := range g.GroupBy {
 				keys[i] = colPos(refSchema, c)
 			}
-			refGroups, err := Collect(&GroupHash{In: NewScan(ref, nil), Keys: keys})
+			refGroups, err := collect(&GroupHash{In: NewScan(ref, nil), Keys: keys})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -414,7 +414,7 @@ func TestOrderByEquatedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refGroups, err := Collect(&GroupHash{In: NewScan(ref, nil), Keys: []int{colPos(refSchema, pred.Left)}})
+	refGroups, err := collect(&GroupHash{In: NewScan(ref, nil), Keys: []int{colPos(refSchema, pred.Left)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,13 @@ func TestRunnerIndexedData(t *testing.T) {
 		t.Fatalf("index scan emitted %d rows sorting %d, want the table's %d sorting none",
 			len(rows1), pipe.RowsSorted(), len(ds.Tables[t1.Name]))
 	}
-	if _, err := NewDataset("plain", "no catalog, no views", nil, ds.RawRows()).Runner(a).Compile(p); err == nil {
+	raw := map[string][][]int64{}
+	for name, rows := range ds.Tables {
+		for _, r := range rows {
+			raw[name] = append(raw[name], r)
+		}
+	}
+	if _, err := NewDataset("plain", "no catalog, no views", nil, raw).Runner(a).Compile(p); err == nil {
 		t.Fatal("an index scan without a maintained view compiled")
 	}
 	keys := make([]int, len(t1.Indexes[ix].Columns))

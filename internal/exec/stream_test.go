@@ -105,19 +105,28 @@ func collectStream(t *testing.T, p *exec.Pipeline, chunk int) (rows []exec.Row, 
 }
 
 // collectRoot is the stream tests' reference, independent of the drain
-// they test: Collect over a freshly compiled pipeline's Root, whose root
-// ring is unbounded and whose chunks are never recycled.
-func collectRoot(t *testing.T, r *exec.Runner, n *plan.Node) []exec.Row {
+// they test: a freshly compiled pipeline's Root drained by hand, whose
+// root ring is unbounded and whose chunks are never recycled.
+func collectRoot(t *testing.T, r *exec.Runner, n *plan.Node) (rows []exec.Row) {
 	t.Helper()
 	p, err := r.Compile(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Collect(p.Root)
-	if err != nil {
+	defer p.Root.Close()
+	if err := p.Root.Open(); err != nil {
 		t.Fatal(err)
 	}
-	return rows
+	for {
+		row, ok, err := p.Root.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return rows
+		}
+		rows = append(rows, row)
+	}
 }
 
 // TestStreamMatchesExecute: across chunk sizes, serial and parallel,

@@ -105,8 +105,14 @@ type ModeRow struct {
 }
 
 // Q8 reproduces the §7 TPC-R Query 8 experiment: the identical plan
-// generator run with Simmen's algorithm and with ours.
-func Q8() ([2]ModeRow, error) {
+// generator run with Simmen's algorithm and with ours. Each of runs
+// (3 when runs <= 0) prepares and optimizes the query afresh; a mode's
+// time is its fastest run, so a change to planning is not lost in one
+// run's noise.
+func Q8(runs int) ([2]ModeRow, error) {
+	if runs <= 0 {
+		runs = 3
+	}
 	var out [2]ModeRow
 	modes := []optimizer.Mode{optimizer.ModeSimmen, optimizer.ModeDFSM}
 	for i, mode := range modes {
@@ -118,17 +124,22 @@ func Q8() ([2]ModeRow, error) {
 		if err != nil {
 			return out, err
 		}
-		res, err := optimizer.Optimize(a, optimizer.DefaultConfig(mode))
-		if err != nil {
-			return out, err
-		}
-		total := res.PrepTime + res.PlanTime
-		out[i] = ModeRow{
-			Mode:     mode.String(),
-			Time:     total,
-			Plans:    res.PlansGenerated,
-			PerPlan:  time.Duration(ratio(float64(total), float64(res.PlansGenerated))),
-			MemBytes: res.OrderMemBytes,
+		for run := 0; run < runs; run++ {
+			res, err := optimizer.Optimize(a, optimizer.DefaultConfig(mode))
+			if err != nil {
+				return out, err
+			}
+			total := res.PrepTime + res.PlanTime
+			if run > 0 && total >= out[i].Time {
+				continue
+			}
+			out[i] = ModeRow{
+				Mode:     mode.String(),
+				Time:     total,
+				Plans:    res.PlansGenerated,
+				PerPlan:  time.Duration(ratio(float64(total), float64(res.PlansGenerated))),
+				MemBytes: res.OrderMemBytes,
+			}
 		}
 	}
 	return out, nil

@@ -35,7 +35,7 @@ func TestPrepQ8Shape(t *testing.T) {
 }
 
 func TestQ8Shape(t *testing.T) {
-	rows, err := Q8()
+	rows, err := Q8(1)
 	if err != nil {
 		t.Fatal(err)
 	}

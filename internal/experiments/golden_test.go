@@ -34,7 +34,7 @@ func TestPaperTablesGolden(t *testing.T) {
 	for _, r := range prep {
 		fmt.Fprintf(&b, "prep pruning=%v nfsm=%d dfsm=%d bytes=%d\n", r.Pruning, r.NFSMSize, r.DFSMSize, r.Bytes)
 	}
-	q8, err := Q8()
+	q8, err := Q8(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 
 	"orderopt/internal/bitset"
 	"orderopt/internal/order"
@@ -505,41 +504,4 @@ func (b *builder) setupDeriver() {
 
 func sortStates(s []StateID) {
 	slices.Sort(s)
-}
-
-// Dump renders the machine in a readable textual form (used in test
-// failure messages).
-func (m *Machine) Dump() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "NFSM: %d states, %d FD symbols, %d produced symbols\n",
-		len(m.States), len(m.FDSets), len(m.Produced))
-	for _, st := range m.States {
-		switch st.Kind {
-		case KindStart:
-			sb.WriteString("  q0 (start)\n")
-			for _, o := range m.Produced {
-				fmt.Fprintf(&sb, "    --[%s]--> %s\n",
-					m.In.Format(m.Reg, o), m.In.Format(m.Reg, o))
-			}
-		default:
-			tag := ""
-			if st.Kind == KindArtificial {
-				tag = " (artificial)"
-			}
-			if st.Produced {
-				tag += " (produced)"
-			}
-			fmt.Fprintf(&sb, "  %s%s\n", m.In.Format(m.Reg, st.Ord), tag)
-			if e := m.eps[st.ID]; e != NoState {
-				fmt.Fprintf(&sb, "    --ε--> %s\n", m.In.Format(m.Reg, m.States[e].Ord))
-			}
-			for sym := range m.FDSets {
-				for _, t := range m.FDTargets(st.ID, sym) {
-					fmt.Fprintf(&sb, "    --%s--> %s\n",
-						m.FDSets[sym].Format(m.Reg), m.In.Format(m.Reg, m.States[t].Ord))
-				}
-			}
-		}
-	}
-	return sb.String()
 }

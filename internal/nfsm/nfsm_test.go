@@ -1,7 +1,6 @@
 package nfsm
 
 import (
-	"strings"
 	"testing"
 
 	"orderopt/internal/order"
@@ -219,7 +218,7 @@ func TestMergeArtificialNodes(t *testing.T) {
 	// (a,x) and (a,y) behave identically (both only extend with the
 	// other attribute and ε to (a)) — they must merge.
 	if m.MergedNodes == 0 {
-		t.Errorf("expected merged artificial nodes, got %d\n%s", m.MergedNodes, m.Dump())
+		t.Errorf("expected merged artificial nodes, got %d (%d states)", m.MergedNodes, len(m.States))
 	}
 }
 
@@ -297,12 +296,6 @@ func TestProducedSymbolAndDump(t *testing.T) {
 	}
 	if m.ProducedSymbol(f.ord("a", "b", "c")) != -1 {
 		t.Error("tested-only order must have no produced symbol")
-	}
-	d := m.Dump()
-	for _, want := range []string{"q0 (start)", "(a, b, c)", "--ε-->", "{b → c}"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("Dump missing %q:\n%s", want, d)
-		}
 	}
 }
 

@@ -280,7 +280,7 @@ func TestLinearizationShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := prep.Linearization()
+		seq := prep.linSeq
 		if len(seq) != 12 {
 			t.Fatalf("%s: sequence has %d relations", shape, len(seq))
 		}

@@ -200,10 +200,6 @@ func (p *Prepared) Framework() *core.Framework { return p.fw }
 // query at Prepare time.
 func (p *Prepared) Strategy() Strategy { return p.strategy }
 
-// Linearization returns the linearized relation sequence (nil when the
-// exact tier runs). It must not be mutated.
-func (p *Prepared) Linearization() []int { return p.linSeq }
-
 // optimizer is the per-run mutable scratch: the DP state one run needs.
 // It belongs to no statement — every Run of every Prepared checks one
 // out of the package-level scratch pool and binds it for the run — so a

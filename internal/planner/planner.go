@@ -1,34 +1,27 @@
 // Package planner owns the end-to-end query-planning pipeline —
 // SQL → parse → bind → analyze → optimize → plan — behind a reentrant,
 // goroutine-safe Planner, the service-shaped layer the one-shot
-// optimizer.Optimize entry point lacks. Three levels of amortization
-// stack up, mirroring the prepared-statement / plan-cache design of
-// production optimizers (the Selinger lineage the paper's §7 test bed
-// imitates):
+// optimizer.Optimize entry point lacks. Two levels of amortization
+// stack up, mirroring the prepared-statement design of production
+// optimizers (the Selinger lineage the paper's §7 test bed imitates):
 //
 //  1. Prepared statements. Prepare(sql) runs the pipeline's per-query
 //     preparation once — parsing, binding against the catalog, the
 //     §5.2 interesting-order analysis, and the DFSM compilation — and
-//     caches the immutable PreparedQuery by SQL text. Re-planning a
-//     prepared query only re-runs the dynamic programming.
+//     caches the immutable PreparedQuery by SQL text. The statement's
+//     first Plan runs the dynamic programming and stores the best plan
+//     on the statement; every later Plan returns it without running
+//     the DP at all. The plan's order annotations are handles into the
+//     statement's own interner and DFSM, so a plan is never shared
+//     between statements, not even between two spellings of one query.
 //  2. Pooled optimizer scratch. The DP scratch (plan-node arena, DP
 //     table, edge buffer) is recycled through one process-wide
 //     freelist.List in internal/optimizer, shared by every statement: a
-//     re-planned prepared query reaches a steady state with near-zero
-//     allocations, a statement new to both caches still plans on an
-//     arena some earlier statement grew, and runs scale across
-//     GOMAXPROCS.
-//  3. Plan cache. Queries are fingerprinted canonically (stable hash
-//     over relations, statistics, predicates, edges and required
-//     orders; see query.Fingerprint), and the cheapest plan is cached
-//     under the fingerprint: semantically identical queries — even
-//     spelled differently — return the cached best plan without
-//     running the DP at all. Entries carry the canonical encoding so a
-//     64-bit collision cannot surface a wrong plan.
+//     statement new to the cache still plans on an arena some earlier
+//     statement grew, and runs scale across GOMAXPROCS.
 //
-// One Planner carries one Config; the plan cache never mixes plans from
-// different analyze/optimizer configurations, which is why the
-// fingerprint alone is a sufficient key.
+// One Planner carries one Config, so every plan it keeps was made under
+// the same analyze/optimizer configuration.
 package planner
 
 import (
@@ -44,18 +37,13 @@ import (
 	"orderopt/internal/sqlparse"
 )
 
-// Default cache capacities (entries). Both caches evict FIFO: the
-// workloads this repo serves are steady sets of repeated queries, where
-// recency tracking buys nothing over insertion order.
-const (
-	DefaultPlanCacheSize     = 1024
-	DefaultPreparedCacheSize = 256
-)
+// DefaultPreparedCacheSize is the prepared-statement cache's default
+// capacity (statements).
+const DefaultPreparedCacheSize = 256
 
 // Config fixes a Planner's pipeline: the catalog SQL binds against, the
 // analysis options, and the plan-generator configuration. All queries
-// planned through one Planner share it, so cached plans are always
-// comparable.
+// planned through one Planner share it.
 type Config struct {
 	// Catalog resolves table names during binding. Required for the
 	// SQL entry points; PrepareGraph works without it.
@@ -64,12 +52,10 @@ type Config struct {
 	Analyze query.AnalyzeOptions
 	// Optimizer tunes the plan generator (mode, enumerator, operators).
 	Optimizer optimizer.Config
-	// PlanCacheSize bounds the fingerprinted plan cache: 0 means
-	// DefaultPlanCacheSize, negative disables plan caching.
-	PlanCacheSize int
-	// PreparedCacheSize bounds the SQL-text prepared-statement cache:
-	// 0 means DefaultPreparedCacheSize, negative disables it (every
-	// Prepare runs the full pipeline).
+	// PreparedCacheSize bounds the SQL-text prepared-statement cache,
+	// and with it the plans kept: 0 means DefaultPreparedCacheSize,
+	// negative disables it (every Prepare runs the full pipeline, so
+	// every Planner.Plan runs the DP).
 	PreparedCacheSize int
 }
 
@@ -91,8 +77,8 @@ type Stats struct {
 	Prepares     int64
 	PreparedHits int64
 	// PlanCalls counts Plan invocations, split into PlanCacheHits
-	// (served from the plan cache) and PlanRuns (dynamic programming
-	// executed).
+	// (served from the statement's stored plan) and PlanRuns (dynamic
+	// programming executed).
 	PlanCalls     int64
 	PlanCacheHits int64
 	PlanRuns      int64
@@ -101,9 +87,10 @@ type Stats struct {
 	// auto strategy decides once, at Prepare time).
 	PlanRunsExact      int64
 	PlanRunsLinearized int64
-	// PlanCacheEntries and PreparedEntries are the caches' current
-	// occupancy (not monotone counters) — the serving layer's /stats
-	// endpoint reports them next to the hit counters.
+	// PreparedEntries is the number of cached statements and
+	// PlanCacheEntries the number of those that hold a plan (gauges,
+	// not monotone counters) — the serving layer's /stats endpoint
+	// reports them next to the hit counters.
 	PlanCacheEntries int
 	PreparedEntries  int
 }
@@ -113,8 +100,7 @@ type Stats struct {
 type Planner struct {
 	cfg Config
 
-	prepared *fifo[string, *PreparedQuery] // by SQL text; nil when disabled
-	plans    *planCache                    // nil when disabled
+	prepared *statements // by SQL text; nil when disabled
 
 	prepares           atomic.Int64
 	preparedHits       atomic.Int64
@@ -129,10 +115,7 @@ type Planner struct {
 func New(cfg Config) *Planner {
 	p := &Planner{cfg: cfg}
 	if n := cfg.PreparedCacheSize; n >= 0 {
-		p.prepared = newFIFO[string, *PreparedQuery](cmp.Or(n, DefaultPreparedCacheSize))
-	}
-	if n := cfg.PlanCacheSize; n >= 0 {
-		p.plans = newPlanCache(cmp.Or(n, DefaultPlanCacheSize))
+		p.prepared = newStatements(cmp.Or(n, DefaultPreparedCacheSize))
 	}
 	return p
 }
@@ -148,11 +131,8 @@ func (p *Planner) Stats() Stats {
 		PlanRunsExact:      p.planRunsExact.Load(),
 		PlanRunsLinearized: p.planRunsLinearized.Load(),
 	}
-	if p.plans != nil {
-		s.PlanCacheEntries = p.plans.Len()
-	}
 	if p.prepared != nil {
-		s.PreparedEntries = p.prepared.Len()
+		s.PreparedEntries, s.PlanCacheEntries = p.prepared.counts()
 	}
 	return s
 }
@@ -164,10 +144,11 @@ const (
 	// SourceCold: this call ran the full pipeline (parse, bind,
 	// analyze, DFSM preparation) and the dynamic programming.
 	SourceCold Source = iota
-	// SourcePrepared: a cached PreparedQuery re-ran the dynamic
-	// programming on pooled scratch.
+	// SourcePrepared: a PreparedQuery that held no plan yet ran the
+	// dynamic programming on pooled scratch.
 	SourcePrepared
-	// SourceCacheHit: the best plan came straight from the plan cache.
+	// SourceCacheHit: the best plan was the one stored on the
+	// PreparedQuery.
 	SourceCacheHit
 )
 
@@ -183,40 +164,36 @@ func (s Source) String() string {
 }
 
 // Planned is the outcome of one Plan call. Best is immutable and shared
-// (cache hits return the same nodes to every caller); it must not be
+// (every Plan of a statement returns the same nodes); it must not be
 // modified.
 type Planned struct {
 	Best   *plan.Node
 	Cost   float64
 	Source Source
 	// Result carries the optimization counters when the DP ran; nil on
-	// cache hits.
+	// cache hits. A run that lost the race to store the statement's
+	// plan keeps its Result, but Best is the stored plan, of equal cost.
 	Result *optimizer.Result
-	// Origin is the prepared query whose optimizer run produced Best.
-	// Best's order annotations (plan.Node.State, plan.Node.SortOrd) are
-	// handles into Origin's interner and DFSM — and fingerprint-equal
-	// queries spelled differently get permuted handle spaces — so
-	// anything decoding the tree (rendering sort orders, asking the
-	// framework about the root state) must go through Origin, not
-	// through the query that was planned. On cache hits Origin is the
-	// query that originally ran the DP; otherwise it is the planned
-	// query itself.
+	// Origin is the prepared query that was planned. Best's order
+	// annotations (plan.Node.State, plan.Node.SortOrd) are handles into
+	// its interner and DFSM.
 	Origin *PreparedQuery
-
-	entry *cacheEntry // the plan-cache entry holding Best; nil when none does
 }
 
 // PreparedQuery is an immutable prepared statement: the bound graph, the
-// interesting-order analysis, and the prepared optimizer inputs. It is
-// safe for concurrent Plan calls.
+// interesting-order analysis, and the prepared optimizer inputs — plus
+// its best plan, stored by the first Plan call that finishes, and what
+// consumers derive from that plan (Planned.Memo). It is safe for
+// concurrent Plan calls.
 type PreparedQuery struct {
 	pl       *Planner
 	sql      string // "" when prepared from a graph
 	residual []sqlparse.Expr
 	analysis *query.Analysis
 	prep     *optimizer.Prepared
-	fp       uint64
-	canon    []byte
+
+	best atomic.Pointer[plan.Node] // written once
+	memo [memoSlots]atomic.Pointer[any]
 }
 
 // SQL returns the statement text ("" when prepared from a graph).
@@ -232,10 +209,6 @@ func (q *PreparedQuery) Analysis() *query.Analysis { return q.analysis }
 // Prepared returns the prepared optimizer inputs (framework statistics,
 // preparation time).
 func (q *PreparedQuery) Prepared() *optimizer.Prepared { return q.prep }
-
-// Fingerprint returns the query's canonical fingerprint — the plan-cache
-// key.
-func (q *PreparedQuery) Fingerprint() uint64 { return q.fp }
 
 // Prepare runs the pipeline's preparation for sql, serving repeated
 // statements from the prepared cache.
@@ -290,8 +263,8 @@ func (p *Planner) prepareSQL(sql string) (*PreparedQuery, error) {
 
 // PrepareGraph prepares an already-built join graph (generated
 // workloads, tests). The graph must not be mutated afterwards; the
-// resulting PreparedQuery is not entered into the SQL-text cache, but
-// its plans share the planner's plan cache via the fingerprint.
+// resulting PreparedQuery is not entered into the SQL-text cache, and
+// its plan is kept only on it.
 func (p *Planner) PrepareGraph(g *query.Graph) (*PreparedQuery, error) {
 	return p.prepareGraph(g)
 }
@@ -306,18 +279,11 @@ func (p *Planner) prepareGraph(g *query.Graph) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	canon := g.AppendCanonical(nil)
-	return &PreparedQuery{
-		pl:       p,
-		analysis: a,
-		prep:     prep,
-		fp:       query.CanonicalFingerprint(canon),
-		canon:    canon,
-	}, nil
+	return &PreparedQuery{pl: p, analysis: a, prep: prep}, nil
 }
 
-// Plan plans sql end to end: prepared-statement cache, then plan cache,
-// then dynamic programming on pooled scratch.
+// Plan plans sql end to end: prepared-statement cache and the
+// statement's stored plan, then dynamic programming on pooled scratch.
 func (p *Planner) Plan(sql string) (Planned, error) {
 	pd, _, err := p.PlanQueryContext(context.Background(), sql)
 	return pd, err
@@ -359,7 +325,8 @@ func (p *Planner) PlanContext(ctx context.Context, sql string) (Planned, error) 
 	return pd, err
 }
 
-// Plan plans the prepared query: plan cache first, then the DP.
+// Plan plans the prepared query: its stored plan if it has one, else
+// the DP.
 func (q *PreparedQuery) Plan() (Planned, error) {
 	return q.plan(SourcePrepared)
 }
@@ -367,11 +334,9 @@ func (q *PreparedQuery) Plan() (Planned, error) {
 func (q *PreparedQuery) plan(src Source) (Planned, error) {
 	p := q.pl
 	p.planCalls.Add(1)
-	if p.plans != nil {
-		if e, ok := p.plans.lookup(q.fp, q.canon); ok {
-			p.planCacheHits.Add(1)
-			return Planned{Best: e.best, Cost: e.cost, Source: SourceCacheHit, Origin: e.origin, entry: e}, nil
-		}
+	if best := q.best.Load(); best != nil {
+		p.planCacheHits.Add(1)
+		return Planned{Best: best, Cost: best.Cost, Source: SourceCacheHit, Origin: q}, nil
 	}
 	res, err := q.prep.Run()
 	if err != nil {
@@ -383,9 +348,49 @@ func (q *PreparedQuery) plan(src Source) (Planned, error) {
 	} else {
 		p.planRunsExact.Add(1)
 	}
-	var e *cacheEntry
-	if p.plans != nil {
-		e = p.plans.store(q.fp, q.canon, res.Best, res.Best.Cost, q)
+	// The first run to finish stores its plan; a run that lost the race
+	// answers with the stored one, so whatever Memo keeps on q belongs to
+	// the plan every caller sees.
+	best := res.Best
+	if !q.best.CompareAndSwap(nil, best) {
+		best = q.best.Load()
 	}
-	return Planned{Best: res.Best, Cost: res.Best.Cost, Source: src, Result: res, Origin: q, entry: e}, nil
+	return Planned{Best: best, Cost: best.Cost, Source: src, Result: res, Origin: q}, nil
+}
+
+// A MemoSlot names one value derived from a statement's plan alone and
+// kept on the statement (Planned.Memo).
+type MemoSlot uint8
+
+const (
+	// MemoShape is the executor's compiled shape of the plan.
+	MemoShape MemoSlot = iota
+	// MemoBlock is the serving layer's encoded plan block.
+	MemoBlock
+	memoSlots
+)
+
+// Memo returns the value build derives from pd.Best under slot. The
+// first value built is kept on pd.Origin, the statement whose stored
+// plan pd.Best is, and every later Planned of that statement returns it
+// without calling build; concurrent first builders agree on one. When
+// pd has no Origin, and when build fails, nothing is kept. What build
+// returns must depend on pd.Best and pd.Origin alone, and must not be
+// modified afterwards.
+func (pd Planned) Memo(slot MemoSlot, build func() (any, error)) (any, error) {
+	q := pd.Origin
+	if q == nil {
+		return build()
+	}
+	if v := q.memo[slot].Load(); v != nil {
+		return *v, nil
+	}
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	if q.memo[slot].CompareAndSwap(nil, &v) {
+		return v, nil
+	}
+	return *q.memo[slot].Load(), nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"orderopt/internal/optimizer"
+	"orderopt/internal/plan"
 	"orderopt/internal/query"
 	"orderopt/internal/querygen"
 	"orderopt/internal/tpcr"
@@ -25,8 +26,9 @@ func newTestPlanner(t testing.TB, mode optimizer.Mode) *Planner {
 	return New(cfg)
 }
 
-// TestPlanSources walks one query through the three paths: cold, plan
-// cache hit, and (with the plan cache disabled) prepared re-runs.
+// TestPlanSources walks one query through the three paths: cold, the
+// statement's stored plan, and a statement prepared by an earlier call
+// that had not planned it yet.
 func TestPlanSources(t *testing.T) {
 	p := newTestPlanner(t, optimizer.ModeDFSM)
 	first, err := p.Plan(testQueries[0])
@@ -67,28 +69,36 @@ func TestPlanSources(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 prepare, 1 prepared hit, 1 cache hit, 1 run", st)
 	}
 
-	// Plan cache off: repeated calls re-run the DP on the prepared
-	// statement and must reproduce the cold plan exactly.
-	cfg := DefaultConfig(tpcr.Schema())
-	cfg.PlanCacheSize = -1
-	pc := New(cfg)
-	cold, err := pc.Plan(testQueries[0])
+	// A statement Prepare cached without planning it: the first Plan
+	// re-runs only the DP and stores its plan, the next one hits it.
+	pc := newTestPlanner(t, optimizer.ModeDFSM)
+	q, err := pc.Prepare(testQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for _, want := range []Source{SourcePrepared, SourceCacheHit} {
 		warm, err := pc.Plan(testQueries[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.Source != SourcePrepared {
-			t.Errorf("warm plan: source %v, want prepared", warm.Source)
+		if warm.Source != want {
+			t.Errorf("warm plan: source %v, want %v", warm.Source, want)
 		}
-		if warm.Origin == nil {
-			t.Errorf("prepared plan carries no Origin")
+		if warm.Origin != q {
+			t.Errorf("warm plan Origin %p, want the prepared statement %p", warm.Origin, q)
 		}
-		if warm.Cost != cold.Cost || warm.Best.String() != cold.Best.String() {
+		if warm.Cost != first.Cost || warm.Best.String() != first.Best.String() {
 			t.Errorf("warm run diverged from cold run")
+		}
+	}
+	// Re-running the DP on the statement reproduces the cold plan exactly.
+	for i := 0; i < 3; i++ {
+		res, err := q.Prepared().Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Best.Cost != first.Cost || res.Best.String() != first.Best.String() {
+			t.Errorf("re-run %d diverged from cold run", i)
 		}
 	}
 }
@@ -127,9 +137,10 @@ func TestPlanMatchesOneShotOptimizer(t *testing.T) {
 
 // TestParallelPlanThroughOnePlanner is the concurrency contract: many
 // goroutines plan a mixed workload through one shared Planner (so the
-// prepared cache, the plan cache, and the scratch pools are all
-// contended) and every result must be identical to the serial cold
-// reference. Run with -race.
+// prepared cache, the statements' stored plans, and the scratch pools
+// are all contended; with the cache off every call plans cold) and
+// every result must be identical to the serial cold reference. Run
+// with -race.
 func TestParallelPlanThroughOnePlanner(t *testing.T) {
 	const goroutines = 12
 	const iters = 8
@@ -139,7 +150,7 @@ func TestParallelPlanThroughOnePlanner(t *testing.T) {
 				cfg := DefaultConfig(tpcr.Schema())
 				cfg.Optimizer = optimizer.DefaultConfig(mode)
 				if !cache {
-					cfg.PlanCacheSize = -1
+					cfg.PreparedCacheSize = -1
 				}
 				p := New(cfg)
 
@@ -191,10 +202,11 @@ func TestParallelPlanThroughOnePlanner(t *testing.T) {
 					t.Errorf("plan calls %d, want %d", st.PlanCalls, goroutines*iters)
 				}
 				if cache && st.PlanCacheHits == 0 {
-					t.Errorf("no plan-cache hits across %d calls", st.PlanCalls)
+					t.Errorf("no stored-plan hits across %d calls", st.PlanCalls)
 				}
-				if !cache && st.PlanCacheHits != 0 {
-					t.Errorf("plan-cache hits with the cache disabled")
+				if !cache && (st.PlanCacheHits != 0 || st.PlanRuns != st.PlanCalls) {
+					t.Errorf("%d stored-plan hits and %d DP runs of %d calls with the cache disabled, want 0 and all",
+						st.PlanCacheHits, st.PlanRuns, st.PlanCalls)
 				}
 			})
 		}
@@ -202,8 +214,9 @@ func TestParallelPlanThroughOnePlanner(t *testing.T) {
 }
 
 // TestParallelPreparedGraph drives one PreparedQuery (built from a
-// generated graph) from many goroutines with the plan cache disabled,
-// forcing concurrent DP runs through the scratch pool.
+// generated graph) from many goroutines: they race to plan it first and
+// must all answer with the one plan stored, then re-run its DP
+// concurrently through the scratch pool.
 func TestParallelPreparedGraph(t *testing.T) {
 	for _, mode := range []optimizer.Mode{optimizer.ModeDFSM, optimizer.ModeSimmen} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -212,16 +225,19 @@ func TestParallelPreparedGraph(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := Config{
-				Analyze:       query.AnalyzeOptions{UseIndexes: true},
-				Optimizer:     optimizer.DefaultConfig(mode),
-				PlanCacheSize: -1,
+				Analyze:   query.AnalyzeOptions{UseIndexes: true},
+				Optimizer: optimizer.DefaultConfig(mode),
 			}
 			p := New(cfg)
-			q, err := p.PrepareGraph(g)
+			ref, err := New(cfg).PrepareGraph(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := q.Plan()
+			want, err := ref.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := p.PrepareGraph(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,18 +245,25 @@ func TestParallelPreparedGraph(t *testing.T) {
 			const goroutines = 8
 			var wg sync.WaitGroup
 			errs := make(chan error, goroutines)
+			firsts := make([]*plan.Node, goroutines)
 			for i := 0; i < goroutines; i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					first, err := q.Plan()
+					if err != nil {
+						errs <- err
+						return
+					}
+					firsts[i] = first.Best
 					for j := 0; j < 4; j++ {
-						res, err := q.Plan()
+						res, err := q.Prepared().Run()
 						if err != nil {
 							errs <- err
 							return
 						}
-						if res.Cost != ref.Cost || res.Best.String() != ref.Best.String() {
-							errs <- fmt.Errorf("parallel run diverged: cost %v vs %v", res.Cost, ref.Cost)
+						if res.Best.Cost != want.Cost || res.Best.String() != want.Best.String() {
+							errs <- fmt.Errorf("parallel run diverged: cost %v vs %v", res.Best.Cost, want.Cost)
 							return
 						}
 					}
@@ -250,6 +273,18 @@ func TestParallelPreparedGraph(t *testing.T) {
 			close(errs)
 			for err := range errs {
 				t.Error(err)
+			}
+			stored, err := q.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stored.Source != SourceCacheHit || stored.Best.String() != want.Best.String() {
+				t.Errorf("after the race: source %v, plan\n%s\nwant a cache hit of\n%s", stored.Source, stored.Best, want.Best)
+			}
+			for i, best := range firsts {
+				if best != nil && best != stored.Best {
+					t.Errorf("goroutine %d answered its first Plan with another tree than the stored one", i)
+				}
 			}
 		})
 	}
@@ -300,29 +335,6 @@ func TestConcurrentPrepareSharedGraph(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSharedAcrossSpellings: two different SQL spellings of the
-// same query share one plan-cache entry through the canonical
-// fingerprint.
-func TestPlanCacheSharedAcrossSpellings(t *testing.T) {
-	p := newTestPlanner(t, optimizer.ModeDFSM)
-	a := "select * from orders, lineitem where o_orderkey = l_orderkey order by o_orderkey"
-	b := "select * from orders, lineitem where l_orderkey = o_orderkey order by o_orderkey"
-	ra, err := p.Plan(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := p.Plan(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Source != SourceCacheHit {
-		t.Errorf("different spelling missed the plan cache (source %v)", rb.Source)
-	}
-	if ra.Cost != rb.Cost {
-		t.Errorf("costs differ across spellings: %v vs %v", ra.Cost, rb.Cost)
-	}
-}
-
 // TestPreparedCacheIdentity: repeated Prepare returns the same
 // PreparedQuery instance.
 func TestPreparedCacheIdentity(t *testing.T) {
@@ -340,57 +352,43 @@ func TestPreparedCacheIdentity(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEviction: a bounded cache stays bounded and keeps
-// returning correct plans after eviction.
+// TestPlanCacheEviction: the statement cache stays bounded, an evicted
+// statement takes its plan with it — its next Plan is cold again — and
+// every plan stays correct through the churn.
 func TestPlanCacheEviction(t *testing.T) {
-	cfg := Config{
-		Analyze:       query.AnalyzeOptions{UseIndexes: true},
-		Optimizer:     optimizer.DefaultConfig(optimizer.ModeDFSM),
-		PlanCacheSize: 2,
-	}
+	cfg := DefaultConfig(tpcr.Schema())
+	cfg.PreparedCacheSize = 2
 	p := New(cfg)
-	var prepared []*PreparedQuery
+	sql := func(k int) string { return fmt.Sprintf("%s limit %d", testQueries[0], k) }
 	var costs []float64
-	for seed := int64(0); seed < 5; seed++ {
-		_, g, err := querygen.Generate(querygen.Spec{Relations: 5, Seed: seed})
+	for k := 1; k <= 5; k++ {
+		pd, err := p.Plan(sql(k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := p.PrepareGraph(g)
+		costs = append(costs, pd.Cost)
+	}
+	if st := p.Stats(); st.PreparedEntries != 2 || st.PlanCacheEntries != 2 {
+		t.Errorf("after 5 statements: %d cached, %d with a plan; want 2 and 2 (cap 2)", st.PreparedEntries, st.PlanCacheEntries)
+	}
+	for k := 1; k <= 5; k++ {
+		pd, err := p.Plan(sql(k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := q.Plan()
-		if err != nil {
-			t.Fatal(err)
+		if pd.Source != SourceCold {
+			t.Errorf("limit %d: source %v after eviction churn, want cold", k, pd.Source)
 		}
-		prepared = append(prepared, q)
-		costs = append(costs, res.Cost)
-	}
-	if got := p.plans.Len(); got > 2 {
-		t.Errorf("plan cache grew to %d entries, cap 2", got)
-	}
-	for i, q := range prepared {
-		res, err := q.Plan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cost != costs[i] {
-			t.Errorf("query %d: cost %v after eviction churn, want %v", i, res.Cost, costs[i])
+		if pd.Cost != costs[k-1] {
+			t.Errorf("limit %d: cost %v after eviction churn, want %v", k, pd.Cost, costs[k-1])
 		}
 	}
-}
-
-// TestPlanCacheCollisionGuard: a fingerprint hit with a different
-// canonical encoding must miss instead of returning a wrong plan.
-func TestPlanCacheCollisionGuard(t *testing.T) {
-	c := newPlanCache(8)
-	c.store(7, []byte("canon-a"), nil, 1, nil)
-	if _, ok := c.lookup(7, []byte("canon-b")); ok {
-		t.Errorf("colliding fingerprint with different canonical bytes hit the cache")
+	// A statement that is cached but not yet planned holds no plan.
+	if _, err := p.Prepare(sql(6)); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.lookup(7, []byte("canon-a")); !ok {
-		t.Errorf("exact canonical match missed")
+	if st := p.Stats(); st.PreparedEntries != 2 || st.PlanCacheEntries != 1 {
+		t.Errorf("after an unplanned Prepare: %d cached, %d with a plan; want 2 and 1", st.PreparedEntries, st.PlanCacheEntries)
 	}
 }
 
@@ -419,8 +417,8 @@ func TestNoCatalog(t *testing.T) {
 
 // TestPerStrategyStats: the planner splits its DP-run counter by the
 // planning tier the optimizer's auto strategy resolved to, and large
-// graphs plan through the same prepared/plan-cache machinery as small
-// ones.
+// graphs plan and keep their plan through the same prepared-statement
+// machinery as small ones.
 func TestPerStrategyStats(t *testing.T) {
 	p := newTestPlanner(t, optimizer.ModeDFSM)
 
@@ -457,7 +455,7 @@ func TestPerStrategyStats(t *testing.T) {
 		t.Fatalf("after clique-20: exact %d linearized %d, want 1/1", st.PlanRunsExact, st.PlanRunsLinearized)
 	}
 
-	// Replanning the same graph hits the plan cache, not the DP.
+	// Replanning the same statement returns its stored plan, not the DP.
 	again, err := q.Plan()
 	if err != nil {
 		t.Fatal(err)

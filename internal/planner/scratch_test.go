@@ -16,14 +16,14 @@ import (
 // process, so statements of different sizes, tiers and order frameworks
 // trade the same arenas and tables. Goroutines interleave Q8, a
 // two-relation top-k, an exact chain-12, a linearized clique-15 and —
-// through a second planner — the Simmen baseline, with both planner caches
+// through a second planner — the Simmen baseline, with the statement cache
 // off so every call prepares and runs the DP; every plan must equal its
 // serial cold reference in cost and tree. Run with -race.
 func TestSharedScratchAcrossStatements(t *testing.T) {
 	cfg := func(mode optimizer.Mode) Config {
 		c := DefaultConfig(tpcr.Schema())
 		c.Optimizer = optimizer.DefaultConfig(mode)
-		c.PlanCacheSize, c.PreparedCacheSize = -1, -1
+		c.PreparedCacheSize = -1
 		return c
 	}
 	dfsm, simmen := New(cfg(optimizer.ModeDFSM)), New(cfg(optimizer.ModeSimmen))
@@ -108,7 +108,7 @@ func TestSharedScratchAcrossStatements(t *testing.T) {
 }
 
 // TestColdPlanAllocBudget: once the process has planned anything of its
-// size, a statement new to both caches — Q8 under a limit never seen
+// size, a statement new to the cache — Q8 under a limit never seen
 // before, the plan_novel request — allocates what preparation and the
 // winner's clone cost, not a DP arena: under 256 KiB, where a
 // per-statement scratch pool cost 2 MiB. The median over runs ignores

@@ -7,8 +7,9 @@ import (
 	"orderopt/internal/catalog"
 )
 
-// Fingerprinting gives every join graph a canonical identity so a plan
-// cache can recognize repeated queries without comparing structures: two
+// Fingerprinting gives every join graph a canonical identity, so two
+// graphs can be compared without comparing structures (the SQL round-trip
+// fuzz target checks that printed SQL binds to the same graph): two
 // graphs that are semantically identical for the plan generator — same
 // relations over the same table statistics, same predicates, same
 // required orders — hash identically even when their edges or predicates
@@ -19,7 +20,7 @@ import (
 // BY columns.
 
 // Fingerprint returns the canonical 64-bit FNV-1a hash of the graph.
-// Callers caching plans under the fingerprint should keep the canonical
+// Callers keying anything by the fingerprint should keep the canonical
 // encoding (AppendCanonical) alongside to rule out hash collisions.
 func (g *Graph) Fingerprint() uint64 {
 	return CanonicalFingerprint(g.AppendCanonical(nil))

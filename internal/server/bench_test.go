@@ -56,7 +56,7 @@ func benchHandler(b *testing.B, path string, req any) {
 // benchHandlerSeq serves body(0), body(1), … through one server: warm
 // requests untimed, then b.N timed. Each b.N round gets a fresh server
 // and planner over the benchmark's one registry: body restarts at 0
-// every round, and a fresh plan cache keeps BenchmarkHandlerPlanNovel's
+// every round, and a fresh statement cache keeps BenchmarkHandlerPlanNovel's
 // limits novel.
 func benchHandlerSeq(b *testing.B, path string, warm int, body func(i int) []byte) {
 	s := benchServer(b)

@@ -49,7 +49,7 @@ type PlanResponse struct {
 	// (exhaustive DP) or linearized (the adaptive large-query tier).
 	Strategy string  `json:"strategy"`
 	Cost     float64 `json:"cost"`
-	// PlanNs is the dynamic-programming time; 0 on plan-cache hits
+	// PlanNs is the dynamic-programming time; 0 on cache hits
 	// (no DP ran).
 	PlanNs   int64     `json:"planNs,omitempty"`
 	Residual []string  `json:"residual,omitempty"`
@@ -137,7 +137,7 @@ type ExecuteResponse struct {
 	// RowsSorted totals the rows Sort operators consumed — the runtime
 	// price of ordering this plan did (not avoid).
 	RowsSorted int64 `json:"rowsSorted"`
-	// PlanNs is the dynamic-programming time (0 on plan-cache hits);
+	// PlanNs is the dynamic-programming time (0 on cache hits);
 	// ExecNs the pipeline execution wall time.
 	PlanNs int64 `json:"planNs,omitempty"`
 	ExecNs int64 `json:"execNs"`

@@ -345,8 +345,9 @@ func (w *jsonWriter) copyBlock(b []byte, err error) {
 // planBlock is what an /execute response holds that its cached plan
 // alone decides: the members strategy, cost, plan and columns, and each
 // operator's op, detail and estRows. The server builds one per
-// plan-cache entry, on the entry's first /execute (planner.Planned.Memo),
-// and every response served from the entry copies its bytes, which are
+// prepared statement, on the statement's first /execute
+// (planner.Planned.Memo), and every response served from the statement's
+// plan copies its bytes, which are
 // the ones the writer writes for the public fields the server fills
 // from the block too.
 type planBlock struct {

@@ -11,7 +11,8 @@ import (
 
 // ExampleClient is the serving layer's round trip: stand up the HTTP
 // planning service over a reentrant planner, plan a statement through
-// the client, and watch the second request come out of the plan cache.
+// the client, and watch the second request return the plan the prepared
+// statement kept.
 // cmd/planserverd wires the same Server into a daemon with admission
 // control and graceful drain.
 func ExampleClient() {

@@ -10,16 +10,17 @@ import (
 	"weak"
 
 	"orderopt/internal/exec"
+	"orderopt/internal/plan"
 	"orderopt/internal/planner"
 	"orderopt/internal/tpcr"
 )
 
-// hitServer is a server over tpcr-small whose plan cache holds
-// planCacheSize entries, with the builds of what /execute keeps on a
-// plan-cache entry counted per slot.
-func hitServer(planCacheSize int) (*Server, *planner.Planner, *[2]atomic.Int64) {
+// hitServer is a server over tpcr-small whose statement cache holds
+// cacheSize statements, with the builds of what /execute keeps on a
+// statement counted per slot.
+func hitServer(cacheSize int) (*Server, *planner.Planner, *[2]atomic.Int64) {
 	cfg := planner.DefaultConfig(tpcr.Schema())
-	cfg.PlanCacheSize = planCacheSize
+	cfg.PreparedCacheSize = cacheSize
 	pl := planner.New(cfg)
 	s := New(Config{Planner: pl, Datasets: exec.TPCRLazyRegistry()})
 	var builds [2]atomic.Int64
@@ -27,39 +28,37 @@ func hitServer(planCacheSize int) (*Server, *planner.Planner, *[2]atomic.Int64) 
 	return s, pl, &builds
 }
 
-// kept returns the plan block and shape the plan cache keeps for sql,
-// failing the test if the entry has none.
+// kept returns the plan block and shape the statement sql keeps with
+// its plan, failing the test if it has none.
 func kept(t *testing.T, pl *planner.Planner, sql string) (*planBlock, *exec.Shape) {
 	t.Helper()
 	pd, err := pl.Plan(sql)
 	if err != nil || pd.Source != planner.SourceCacheHit {
-		t.Fatalf("%s: %v, source %v; want a plan-cache hit", sql, err, pd.Source)
+		t.Fatalf("%s: %v, source %v; want a stored-plan hit", sql, err, pd.Source)
 	}
 	none := func() (any, error) { return nil, errors.New("not kept") }
 	b, err := pd.Memo(planner.MemoBlock, none)
 	if err != nil {
-		t.Fatalf("%s: no plan block on the cache entry", sql)
+		t.Fatalf("%s: no plan block on the statement", sql)
 	}
 	sh, err := pd.Memo(planner.MemoShape, none)
 	if err != nil {
-		t.Fatalf("%s: no shape on the cache entry", sql)
+		t.Fatalf("%s: no shape on the statement", sql)
 	}
 	return b.(*planBlock), sh.(*exec.Shape)
 }
 
-// TestExecuteHitReusesBlockAndShape: a second /execute of a statement,
-// and one of a fingerprint-equal respelling, compile from the shape and
-// copy the plan block the first /execute built on the plan-cache entry,
-// each built once; the body is the one AppendExecuteResponse writes for
-// the fully populated response, buffered and streamed alike.
+// TestExecuteHitReusesBlockAndShape: later /executes of a statement
+// compile from the shape and copy the plan block the first /execute
+// built on the statement, each built once; the body is the one
+// AppendExecuteResponse writes for the fully populated response,
+// buffered and streamed alike.
 func TestExecuteHitReusesBlockAndShape(t *testing.T) {
 	s, pl, builds := hitServer(0)
-	spellA := "select * from customer, nation, region " +
+	sql := "select * from customer, nation, region " +
 		"where n_regionkey = r_regionkey and c_nationkey = n_nationkey order by n_name"
-	spellB := "select * from customer, nation, region " +
-		"where c_nationkey = n_nationkey and n_regionkey = r_regionkey order by n_name"
 
-	if _, err := pl.Plan(spellA); err != nil { // /plan builds neither
+	if _, err := pl.Plan(sql); err != nil { // /plan builds neither
 		t.Fatal(err)
 	}
 	if b, sh := builds[planner.MemoBlock].Load(), builds[planner.MemoShape].Load(); b != 0 || sh != 0 {
@@ -67,7 +66,7 @@ func TestExecuteHitReusesBlockAndShape(t *testing.T) {
 	}
 	var first *planBlock
 	var firstShape *exec.Shape
-	for i, sql := range []string{spellA, spellA, spellB} {
+	for i := range 3 {
 		for _, stream := range []bool{false, true} {
 			rec := serve(t, s, "/execute", ExecuteRequest{SQL: sql, Dataset: "tpcr-small", Stream: stream})
 			b, sh := kept(t, pl, sql)
@@ -114,25 +113,38 @@ func decodeAppend[T any](t *testing.T, wire []byte, v *T, appendFn func([]byte, 
 	return b
 }
 
-// TestEvictedEntryTakesBlockAndShape: with a one-entry plan cache, an
-// evicted plan's block and shape go with its entry — nothing else keeps
-// them — and the statement's next /execute builds them again.
+// TestEvictedEntryTakesBlockAndShape: with a one-statement cache, an
+// evicted statement's plan, block and shape go with it — nothing else
+// keeps them — and the statement's next /execute plans cold and builds
+// them again.
 func TestEvictedEntryTakesBlockAndShape(t *testing.T) {
 	s, pl, builds := hitServer(1)
 	a := "select * from orders, customer where o_custkey = c_custkey order by o_orderkey limit 10"
 	other := "select * from nation, region where n_regionkey = r_regionkey"
 	serve(t, s, "/execute", ExecuteRequest{SQL: a, Dataset: "tpcr-small"})
-	wb, ws := func() (weak.Pointer[planBlock], weak.Pointer[exec.Shape]) {
+	wb, ws, wp := func() (weak.Pointer[planBlock], weak.Pointer[exec.Shape], weak.Pointer[plan.Node]) {
 		b, sh := kept(t, pl, a)
-		return weak.Make(b), weak.Make(sh)
+		pd, err := pl.Plan(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(b), weak.Make(sh), weak.Make(pd.Best)
 	}()
-	serve(t, s, "/execute", ExecuteRequest{SQL: other, Dataset: "tpcr-small"}) // evicts a's entry
+	serve(t, s, "/execute", ExecuteRequest{SQL: other, Dataset: "tpcr-small"}) // evicts a
 	runtime.GC()
-	if wb.Value() != nil || ws.Value() != nil {
-		t.Errorf("an evicted entry's block (%v) or shape (%v) is still reachable", wb.Value() != nil, ws.Value() != nil)
+	if wb.Value() != nil || ws.Value() != nil || wp.Value() != nil {
+		t.Errorf("an evicted statement's block (%v), shape (%v) or plan (%v) is still reachable",
+			wb.Value() != nil, ws.Value() != nil, wp.Value() != nil)
 	}
-	serve(t, s, "/execute", ExecuteRequest{SQL: a, Dataset: "tpcr-small"})
+	var resp ExecuteResponse
+	rec := serve(t, s, "/execute", ExecuteRequest{SQL: a, Dataset: "tpcr-small"})
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Source != "cold" {
+		t.Errorf("an evicted statement's next /execute: source %q, want cold", resp.Source)
+	}
 	if b, sh := builds[planner.MemoBlock].Load(), builds[planner.MemoShape].Load(); b != 3 || sh != 3 {
-		t.Errorf("three plans through a one-entry cache built %d blocks and %d shapes, want three each", b, sh)
+		t.Errorf("three plans through a one-statement cache built %d blocks and %d shapes, want three each", b, sh)
 	}
 }

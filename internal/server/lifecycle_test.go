@@ -179,7 +179,7 @@ func TestFaultIsolation(t *testing.T) {
 		tr := &http.Transport{MaxIdleConnsPerHost: workers + victims}
 		defer tr.CloseIdleConnections()
 		c.HTTPClient = &http.Client{Transport: tr}
-		// Warm the plan cache: planning measures the serving path, not
+		// Store the statement's plan: planning measures the serving path, not
 		// the first DP.
 		if _, err := c.Plan(tpcr.Query8SQL); err != nil {
 			t.Fatal(err)

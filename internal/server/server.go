@@ -3,8 +3,8 @@
 // traffic-serving system the ROADMAP asks for. The paper's framework
 // earns its O(1) order-property operations in exactly this setting: a
 // planning loop answering a sustained stream of queries, where the
-// prepared-statement and plan caches convert repeated statements into
-// sub-microsecond lookups.
+// prepared-statement cache, each statement keeping its own plan, converts
+// repeated statements into sub-microsecond lookups.
 //
 // Endpoints:
 //
@@ -185,7 +185,7 @@ type Server struct {
 	// the shedding tests park requests in it deterministically.
 	admitted func()
 	// built, when set, runs each time /execute builds a value it keeps
-	// on a plan-cache entry — the hit tests count them.
+	// on a prepared statement — the hit tests count them.
 	built func(planner.MemoSlot)
 }
 
@@ -528,9 +528,9 @@ func (s *Server) planResponse(ctx context.Context, sql string) (any, int, error)
 	resp := &PlanResponse{
 		SQL:      sql,
 		Source:   pd.Source.String(),
-		Strategy: pd.Origin.Prepared().Strategy().String(),
+		Strategy: q.Prepared().Strategy().String(),
 		Cost:     pd.Cost,
-		Plan:     planJSON(pd.Best, pd.Origin),
+		Plan:     planJSON(pd.Best, q),
 	}
 	if pd.Result != nil {
 		resp.PlanNs = pd.Result.PlanTime.Nanoseconds()
@@ -549,10 +549,6 @@ func (s *Server) explainResponse(ctx context.Context, sql string) (any, int, err
 	if hasExchange(pd.Best) {
 		s.explainMetrics.parallel.Add(1)
 	}
-	// Decode everything through the query whose DP run produced the
-	// tree: on a plan-cache hit from a differently spelled statement,
-	// the requesting query's interner numbers orderings differently
-	// and would render wrong names and verdicts.
 	org := pd.Origin
 	a := org.Analysis()
 	g := org.Prepared().Graph()
@@ -750,9 +746,9 @@ type compiled struct {
 // plus the request's maxDOP. Operators are timed only under the
 // request's analyze: a served pipeline otherwise compiles no stats
 // wrapper. What the plan alone decides — the pipeline's shape and the
-// response's plan block — is built on the plan-cache entry's first
-// /execute and kept on the entry (planner.Planned.Memo); every later
-// hit compiles from the shape and copies the block.
+// response's plan block — is built on the statement's first /execute
+// and kept on the statement with its plan (planner.Planned.Memo); every
+// later hit compiles from the shape and copies the block.
 func (s *Server) compileRequest(ctx context.Context, req ExecuteRequest, ds *exec.Dataset) (*compiled, int, error) {
 	pd, err := s.pl.PlanContext(ctx, req.SQL)
 	if err != nil {
@@ -934,7 +930,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // planJSON converts a physical plan into its wire tree, resolving
 // relation and index names and sort orderings through the prepared
-// query whose optimizer run produced the tree.
+// query that was planned.
 func planJSON(n *plan.Node, q *planner.PreparedQuery) *PlanNode {
 	if n == nil {
 		return nil

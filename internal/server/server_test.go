@@ -220,7 +220,7 @@ func TestConcurrentPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Planner.PlanCacheHits == 0 {
-		t.Error("no plan-cache hits across the concurrent run")
+		t.Error("no stored-plan hits across the concurrent run")
 	}
 	ep := stats.Endpoints["plan"]
 	if ep.Requests != goroutines*perG {
@@ -230,18 +230,18 @@ func TestConcurrentPlans(t *testing.T) {
 		t.Errorf("unexpected errors/shed: %+v", ep)
 	}
 	if stats.Planner.PlanCacheEntries == 0 {
-		t.Error("stats report an empty plan cache after serving")
+		t.Error("stats report no planned statement after serving")
 	}
 }
 
-// TestCacheHitAcrossSpellings plans two spellings of one query (the
-// WHERE conjuncts swapped). They share a canonical fingerprint, so the
-// second is served from the plan cache — but its own interner numbers
-// orderings differently than the query that ran the DP, so the server
-// must decode the cached tree through the origin query. Before that
-// fix, the cache hit rendered wrong Sort labels and a wrong ORDER BY
-// verdict.
-func TestCacheHitAcrossSpellings(t *testing.T) {
+// TestSpellingsKeepTheirOwnPlans plans two spellings of one query (the
+// WHERE conjuncts swapped). A plan's order annotations are handles into
+// its own statement's interner, so each spelling plans cold once and
+// then hits its own stored plan; both render the same Sort labels and
+// the satisfied ORDER BY verdict. (While plans were shared by a
+// canonical fingerprint, a respelled hit decoded through the wrong
+// statement rendered wrong Sort labels and a wrong verdict.)
+func TestSpellingsKeepTheirOwnPlans(t *testing.T) {
 	_, c, done := newTestServer(t, Config{})
 	defer done()
 
@@ -250,17 +250,6 @@ func TestCacheHitAcrossSpellings(t *testing.T) {
 	spellB := "select * from customer, nation, region " +
 		"where c_nationkey = n_nationkey and n_regionkey = r_regionkey order by n_name"
 
-	ra, err := c.Plan(spellA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := c.Plan(spellB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Source != "cachehit" {
-		t.Fatalf("second spelling source = %q, want cachehit (fingerprints should match)", rb.Source)
-	}
 	var sorts func(n *PlanNode) []string
 	sorts = func(n *PlanNode) []string {
 		if n == nil {
@@ -273,26 +262,45 @@ func TestCacheHitAcrossSpellings(t *testing.T) {
 		out = append(out, sorts(n.Left)...)
 		return append(out, sorts(n.Right)...)
 	}
-	sa, sb := sorts(ra.Plan), sorts(rb.Plan)
-	if len(sa) == 0 {
-		t.Fatal("expected at least one Sort in the plan")
+	var want []string
+	for _, sql := range []string{spellA, spellB} {
+		for i, source := range []string{"cold", "cachehit"} {
+			r, err := c.Plan(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Source != source {
+				t.Errorf("%s, plan %d: source %q, want %q", sql, i, r.Source, source)
+			}
+			got := sorts(r.Plan)
+			if want == nil {
+				want = got
+			}
+			if len(got) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s, plan %d: sort orders %v, want %v", sql, i, got, want)
+			}
+		}
+		e, err := c.Explain(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Source != "cachehit" {
+			t.Errorf("%s: explain source %q, want cachehit", sql, e.Source)
+		}
+		if !strings.Contains(e.OrderBy, "n_name") {
+			t.Errorf("%s: explain orderBy %q, want the n_name requirement", sql, e.OrderBy)
+		}
+		if e.OrderBySatisfied == nil || !*e.OrderBySatisfied {
+			t.Errorf("%s: explain verdict %v, want satisfied", sql, e.OrderBySatisfied)
+		}
 	}
-	if fmt.Sprint(sa) != fmt.Sprint(sb) {
-		t.Errorf("cache hit renders different sort orders: %v vs %v", sa, sb)
-	}
-
-	eb, err := c.Explain(spellB)
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eb.Source != "cachehit" {
-		t.Errorf("explain source = %q, want cachehit", eb.Source)
-	}
-	if !strings.Contains(eb.OrderBy, "n_name") {
-		t.Errorf("cache-hit explain orderBy = %q, want the n_name requirement", eb.OrderBy)
-	}
-	if eb.OrderBySatisfied == nil || !*eb.OrderBySatisfied {
-		t.Errorf("cache-hit explain verdict = %v, want satisfied", eb.OrderBySatisfied)
+	if p := st.Planner; p.PlanRuns != 2 || p.PlanCacheHits != 4 || p.PlanCacheEntries != 2 {
+		t.Errorf("planner stats: %d DP runs, %d hits, %d statements with a plan; want 2, 4, 2",
+			p.PlanRuns, p.PlanCacheHits, p.PlanCacheEntries)
 	}
 }
 
@@ -618,7 +626,7 @@ func TestExecuteDraining(t *testing.T) {
 
 // TestExecuteConcurrent hammers one server with parallel /execute
 // requests over multiple datasets — shared immutable datasets, the
-// plan cache, and per-request pipelines must all be race-free (run
+// statement cache, and per-request pipelines must all be race-free (run
 // under -race via make race).
 func TestExecuteConcurrent(t *testing.T) {
 	_, c, done := newExecServer(t)

@@ -13,10 +13,10 @@ import (
 // TestPlanserverdFlagSurface pins the daemon's option surface: the flag
 // names `planserverd -h` prints must equal the flag table in
 // docs/api.md, every flag the package comment's usage block shows must
-// be one of them, and there are eleven. The four evaluation-device
-// flags that left the serving binary and the three memory knobs that
-// -mem-budget replaced must be rejected. A new knob fails here instead
-// of drifting past the docs.
+// be one of them, and there are ten. The four evaluation-device flags
+// that left the serving binary, the three memory knobs that -mem-budget
+// replaced and -plan-cache (plans are kept on prepared statements) must
+// be rejected. A new knob fails here instead of drifting past the docs.
 func TestPlanserverdFlagSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping the planserverd build in -short mode")
@@ -35,13 +35,13 @@ func TestPlanserverdFlagSurface(t *testing.T) {
 	}
 	got := submatches(`(?m)^  -([a-z-]+)`, help)
 	want := submatches("(?m)^\\| `-([a-z-]+)` ", doc)
-	if len(got) != 11 || !slices.Equal(got, want) {
-		t.Errorf("planserverd -h flags and the docs/api.md flag table differ (want 11):\n  -h:   %v\n  docs: %v", got, want)
+	if len(got) != 10 || !slices.Equal(got, want) {
+		t.Errorf("planserverd -h flags and the docs/api.md flag table differ (want 10):\n  -h:   %v\n  docs: %v", got, want)
 	}
 	checkUsageFlags(t, "planserverd", got)
 
 	for _, gone := range []string{"mode", "enumerator", "strategy", "eager-datasets",
-		"registry-budget", "query-reserve", "query-rows-budget"} {
+		"registry-budget", "query-reserve", "query-rows-budget", "plan-cache"} {
 		// -h after the probed flag: were the flag ever defined again,
 		// the run prints help and exits 0 instead of starting to serve.
 		out, err := exec.Command(bin, "-"+gone+"=x", "-h").CombinedOutput()
