@@ -234,14 +234,14 @@ func TestConcurrentPlans(t *testing.T) {
 	}
 }
 
-// TestSpellingsKeepTheirOwnPlans plans two spellings of one query (the
+// TestCacheHitAcrossSpellings plans two spellings of one query (the
 // WHERE conjuncts swapped). A plan's order annotations are handles into
 // its own statement's interner, so each spelling plans cold once and
 // then hits its own stored plan; both render the same Sort labels and
 // the satisfied ORDER BY verdict. (While plans were shared by a
 // canonical fingerprint, a respelled hit decoded through the wrong
 // statement rendered wrong Sort labels and a wrong verdict.)
-func TestSpellingsKeepTheirOwnPlans(t *testing.T) {
+func TestCacheHitAcrossSpellings(t *testing.T) {
 	_, c, done := newTestServer(t, Config{})
 	defer done()
 
