@@ -111,8 +111,8 @@ type Result struct {
 	// PlansGenerated counts every plan operator generated (the paper's
 	// "#Plans": "the time to introduce one plan operator"), whether or
 	// not it enters a plan list; a Sort under a merge-join candidate
-	// counts once per candidate it serves. A join candidate that can
-	// only be rejected counts without being priced (sortEntry.lead).
+	// counts once per candidate it serves. Join candidates are counted
+	// per csg-cmp pair (count), priced or not (sortEntry).
 	PlansGenerated int64
 	// PlansRetained counts plans surviving dominance pruning.
 	PlansRetained int
@@ -228,8 +228,13 @@ type optimizer struct {
 	// the plan as it is, then its standing for each predicate.
 	preds []mergePred
 	sorts [2][]sortEntry
+	// rows and has summarize each side's table: per row its use, per
+	// column the rows that hold its order as is.
+	rows [2][]rowUse
+	has  [2][]int
 
-	// floor is the current emitJoins call's same-state floor (see offer).
+	// floor is the same-state floor of an emitJoins call (see offer) or
+	// of a sortTable column (sortEntry.live).
 	floor []offered
 	// final holds finishOne's candidates.
 	final []*plan.Node
@@ -237,8 +242,8 @@ type optimizer struct {
 	// lin runs the linearized tier: gated merge-join generation and plan
 	// lists bounded to DefaultLinearizedBeam (the exact tier's are not).
 	lin bool
-	// prune skips the join candidates of inner plans that are not
-	// leading in their sortTable column (see sortEntry.lead): ModeDFSM's
+	// prune skips the join candidates of inner entries that are not
+	// lead and outer entries that are not live (see sortEntry): ModeDFSM's
 	// exact tier only.
 	prune bool
 }
@@ -575,27 +580,32 @@ type mergePred struct {
 	ord        [2]order.ID
 }
 
-// sortEntry is one input plan's standing in the per-pair table, as it
-// is (a row's first entry, has always set) or for one merge predicate:
+// sortEntry is input plan p's standing in the per-pair table, as it is
+// (a row's first entry, has always set) or for one merge predicate:
 // whether it already delivers its side's order, and the cost and state
-// of the input a join reads (sorted when it does not; under ModeSimmen
-// the sorted state is left to mergeInput). Under ModeDFSM, joined is the
-// state of a join with this input outer: the pair's edges applied.
+// of the input a join reads (sorted to ord when it does not; under
+// ModeSimmen the sorted state is left to join). Under ModeDFSM, joined
+// is the state of a join with this input outer: the pair's edges applied.
 //
-// lead is set when the entry is strictly cheaper than every earlier
-// row's in its column (always, when the run does not prune). A join
-// candidate's state is its outer's joined state, and its cost is outer +
-// inner + an operator cost that depends only on the masks' cards, equal
-// for every plan of a mask. So with a non-leading inner it repeats the
-// state of a candidate an earlier inner gave the same outer and operator,
-// at no lower cost; dp[mask] already holds a plan that costs no more and
-// covers it.
+// A join candidate's state is its outer's joined state, and its cost is
+// outer + inner + an operator cost equal for every plan of a mask. So it
+// repeats, at no lower cost, the state of a candidate offered before it
+// (dp[mask] already holds a plan that costs no more and covers it) when
+// its inner entry is not lead — strictly cheaper than every earlier
+// row's in its column — or its outer entry is not live: an earlier row
+// of its column reached the same joined state at no higher cost. Both
+// are always set when the run does not prune.
 type sortEntry struct {
-	has, lead bool
-	cost      float64
-	state     core.State
-	joined    core.State
+	p               *plan.Node
+	has, lead, live bool
+	ord             order.ID
+	cost            float64
+	state, joined   core.State
 }
+
+// rowUse is what a row of the per-pair table can be: an inner (some entry
+// leads) or an outer (some is live and, if linearized, holds its order).
+type rowUse struct{ inner, outer bool }
 
 // offered is one entry of the same-state floor.
 type offered struct {
@@ -615,13 +625,13 @@ type pairJoin struct {
 
 // joinLists joins every plan combination of the disjoint subsets s1 and
 // s2 in both directions (each join operator here preserves its outer
-// ordering), pricing only those sortEntry.lead lets through; both inputs
-// already have their final plan lists. Whatever
+// ordering), pricing only those of a live outer and a leading inner
+// entry; both inputs already have their final plan lists. Whatever
 // depends on the pair alone — the output cardinality, the edges' FD
 // mask, the merge predicates — is computed once per pair, and what
 // depends on one input plan — whether it holds a merge predicate's
 // order, what sorting it costs, and the state a join with it outer ends
-// in — once per plan, not once per plan combination and direction.
+// in — once per plan (a sort once per column), not per plan combination.
 func (o *optimizer) joinLists(s1, s2 uint64, edges []int) {
 	pj := pairJoin{mask: s1 | s2, edges: edges, out: o.p.maskCard(s1 | s2)}
 	for _, e := range edges {
@@ -632,13 +642,19 @@ func (o *optimizer) joinLists(s1, s2 uint64, edges []int) {
 	l1, l2 := o.dp.get(s1), o.dp.get(s2)
 	o.mergePreds(s1, edges)
 	t1, t2 := o.sortTable(0, l1, edges), o.sortTable(1, l2, edges)
+	o.count([2]int{len(l1), len(l2)})
 	np := len(o.preds) + 1
-	for i, p1 := range l1 {
+	u1, u2 := o.rows[0], o.rows[1]
+	for i := range l1 {
 		r1 := t1[i*np : (i+1)*np]
-		for j, p2 := range l2 {
+		for j := range l2 {
 			r2 := t2[j*np : (j+1)*np]
-			o.emitJoins(&pj, 0, p1, p2, r1, r2)
-			o.emitJoins(&pj, 1, p2, p1, r2, r1)
+			if u1[i].outer && u2[j].inner {
+				o.emitJoins(&pj, r1, r2)
+			}
+			if u2[j].outer && u1[i].inner {
+				o.emitJoins(&pj, r2, r1)
+			}
 		}
 	}
 }
@@ -667,40 +683,79 @@ func (o *optimizer) mergePreds(s1 uint64, edges []int) {
 }
 
 // sortTable fills side k's rows of the per-pair table for the plans in
-// list and marks each column's leading entries. Under ModeSimmen the sorted and joined states are left out: the
-// baseline sorts and infers at each use (see mergeInput and join),
-// because its memory column counts every annotation either makes.
+// list, with o.rows[k] and o.has[k]. Every plan of a mask has the same
+// card and FD mask (TestSortTableMatchesPerPlan), so a column's sorted
+// entries share the state, joined state and Sort cost of its first one.
+// Under ModeSimmen the sorted and joined states are left out: the
+// baseline sorts and infers at each use (see join), because its memory
+// column counts every annotation either makes.
 func (o *optimizer) sortTable(k int, list []*plan.Node, edges []int) []sortEntry {
-	t := o.sorts[k][:0]
-	for _, p := range list {
-		asIs := sortEntry{has: true, cost: p.Cost, state: p.State}
-		if o.p.fw != nil {
-			asIs.joined = o.applyEdges(p.State, edges)
-		}
-		t = append(t, asIs)
-		for i := range o.preds {
-			ord := o.preds[i].ord[k]
-			e := asIs
-			if !o.contains(p.State, ord) {
-				e = sortEntry{cost: p.Cost + plan.SortCost(p.Card)}
+	np := len(o.preds) + 1
+	t := slices.Grow(o.sorts[k][:0], len(list)*np)[:len(list)*np]
+	o.rows[k] = slices.Grow(o.rows[k][:0], len(list))[:len(list)]
+	clear(o.rows[k])
+	o.has[k] = o.has[k][:0]
+	for c := range np {
+		var sorted *sortEntry
+		least, has, sortCost := math.Inf(1), 0, 0.0
+		o.floor = o.floor[:0]
+		for i, p := range list {
+			e := &t[i*np+c]
+			switch {
+			case c == 0:
+				*e = sortEntry{p: p, has: true, cost: p.Cost, state: p.State}
 				if o.p.fw != nil {
-					e.state = o.p.fw.SortMask(ord, p.FDMask)
+					e.joined = o.applyEdges(p.State, edges)
+				}
+				has++
+			case o.contains(p.State, o.preds[c-1].ord[k]):
+				*e = t[i*np]
+				has++
+			case sorted == nil:
+				sortCost = plan.SortCost(p.Card)
+				*e = sortEntry{p: p, cost: p.Cost + sortCost, ord: o.preds[c-1].ord[k]}
+				if o.p.fw != nil {
+					e.state = o.p.fw.SortMask(e.ord, p.FDMask)
 					e.joined = o.applyEdges(e.state, edges)
 				}
+				sorted = e
+			default:
+				*e = *sorted
+				e.p, e.cost = p, p.Cost+sortCost
 			}
-			t = append(t, e)
+			e.lead = !o.prune || e.cost < least
+			e.live = !o.prune || !o.floored(e.joined, e.cost)
+			least = min(least, e.cost)
+			u := &o.rows[k][i]
+			u.inner = u.inner || e.lead
+			u.outer = u.outer || e.live && (e.has || !o.lin)
 		}
-	}
-	np := len(o.preds) + 1
-	for c := range np {
-		least := math.Inf(1)
-		for i := c; i < len(t); i += np {
-			t[i].lead = !o.prune || t[i].cost < least
-			least = min(least, t[i].cost)
-		}
+		o.has[k] = append(o.has[k], has)
 	}
 	o.sorts[k] = t
 	return t
+}
+
+// count adds the pair's join candidates and their Sorts to
+// PlansGenerated, n being the sides' plan counts: per column and
+// direction, each outer row meets every inner row (NL and hash joins in
+// column 0, a merge join in each other) and a sorted input adds a Sort
+// per row it meets. The linearized tier's outers hold the order.
+func (o *optimizer) count(n [2]int) {
+	for _, off := range [...]bool{o.p.cfg.DisableNLJoin, o.p.cfg.DisableHashJoin} {
+		if !off {
+			o.generated += int64(2 * n[0] * n[1])
+		}
+	}
+	for c := 1; c <= len(o.preds); c++ {
+		for k := range 2 {
+			outer, has, inner := n[k], o.has[k][c], n[1-k]
+			if o.lin {
+				outer = has
+			}
+			o.generated += int64(outer*(2*inner-o.has[1-k][c]) + (outer-has)*inner)
+		}
+	}
 }
 
 // edgesBetween collects the edges crossing the disjoint masks s1, s2
@@ -831,29 +886,19 @@ func (o *optimizer) node() *plan.Node {
 	return o.arena.New()
 }
 
-// joinInput is one input of a join candidate as priced: the input plan,
-// its entry in the per-pair table, the order a merge join sorts it to,
-// and the state the join reads (the plan's own, or the sorted stream's).
-type joinInput struct {
-	p     *plan.Node
-	e     *sortEntry
-	ord   order.ID
-	state core.State
-}
-
-// emitJoins prices the join candidates for (p1 ⋈ p2) and offers them to
-// dp[pj.mask]. p1 is the outer/left input, from side k of the pair; r1
-// and r2 are p1's and p2's rows of the per-pair table.
-func (o *optimizer) emitJoins(pj *pairJoin, k int, p1, p2 *plan.Node, r1, r2 []sortEntry) {
+// emitJoins prices the join candidates of the per-pair table's rows r1
+// (the outer/left input) and r2 whose outer entry is live and inner
+// entry leads, and offers them to dp[pj.mask].
+func (o *optimizer) emitJoins(pj *pairJoin, r1, r2 []sortEntry) {
 	o.floor = o.floor[:0]
-	var l, r joinInput
-	o.mergeInput(&l, p1, order.EmptyID, &r1[0])
-	o.mergeInput(&r, p2, order.EmptyID, &r2[0])
-	if !o.p.cfg.DisableNLJoin {
-		o.join(pj, plan.NestedLoopJoin, &l, &r, plan.NestedLoopCost(p1.Card, p2.Card, pj.out), pj.edges[0], 0)
-	}
-	if !o.p.cfg.DisableHashJoin {
-		o.join(pj, plan.HashJoin, &l, &r, plan.HashJoinCost(p1.Card, p2.Card, pj.out), pj.edges[0], 0)
+	c1, c2 := r1[0].p.Card, r2[0].p.Card
+	if r1[0].live && r2[0].lead {
+		if !o.p.cfg.DisableNLJoin {
+			o.join(pj, plan.NestedLoopJoin, &r1[0], &r2[0], plan.NestedLoopCost(c1, c2, pj.out), pj.edges[0], 0)
+		}
+		if !o.p.cfg.DisableHashJoin {
+			o.join(pj, plan.HashJoin, &r1[0], &r2[0], plan.HashJoinCost(c1, c2, pj.out), pj.edges[0], 0)
+		}
 	}
 
 	// Merge joins: one candidate per equality predicate, sorting inputs
@@ -865,55 +910,43 @@ func (o *optimizer) emitJoins(pj *pairJoin, k int, p1, p2 *plan.Node, r1, r2 []s
 	// the no-order-to-exploit case, and an inner-only ordering is picked
 	// up by the mirrored emitJoins call with the inputs swapped.
 	for i := range o.preds {
-		if o.lin && !r1[i+1].has {
+		l, r := &r1[i+1], &r2[i+1]
+		if !l.live || !r.lead || o.lin && !l.has {
 			continue
 		}
 		mp := &o.preds[i]
-		o.mergeInput(&l, p1, mp.ord[k], &r1[i+1])
-		o.mergeInput(&r, p2, mp.ord[1-k], &r2[i+1])
-		o.join(pj, plan.MergeJoin, &l, &r, plan.MergeJoinCost(p1.Card, p2.Card, pj.out), mp.edge, mp.pred)
-	}
-}
-
-// mergeInput fills in with p as a join input that needs order ord (none
-// for NL and hash joins), e being p's entry for ord in the per-pair
-// table: p itself when it holds the order, else p sorted to it — a Sort
-// priced, and counted, for this candidate.
-func (o *optimizer) mergeInput(in *joinInput, p *plan.Node, ord order.ID, e *sortEntry) {
-	in.p, in.e, in.ord, in.state = p, e, ord, e.state
-	if !e.has {
-		o.generated++
-		if o.p.fw == nil {
-			in.state = o.sort(p, ord)
-		}
+		o.join(pj, plan.MergeJoin, l, r, plan.MergeJoinCost(c1, c2, pj.out), mp.edge, mp.pred)
 	}
 }
 
 // join prices the candidate l ⋈ r and builds it — its Sorts included —
-// only if dp[pj.mask] admits it.
-func (o *optimizer) join(pj *pairJoin, op plan.Op, l, r *joinInput, opCost float64, edge, pred int) {
-	if !r.e.lead {
-		o.generated++ // counted, but admit would reject it: see sortEntry
-		return
+// only if dp[pj.mask] admits it. ModeSimmen sorts an input at each use
+// (see sortTable).
+func (o *optimizer) join(pj *pairJoin, op plan.Op, l, r *sortEntry, opCost float64, edge, pred int) {
+	for _, in := range [2]*sortEntry{l, r} {
+		if !in.has && o.p.fw == nil {
+			in.state = o.sort(in.p, in.ord)
+		}
 	}
 	o.priced++
-	cost := l.e.cost + r.e.cost + opCost
+	cost := l.cost + r.cost + opCost
 	if o.lin {
 		// Cost-based fast rejection before any state is inferred: with a
 		// saturated beam, a candidate no cheaper than the list's last
-		// entry can neither enter nor dominate anything.
+		// entry can neither enter nor dominate anything. PlansGenerated
+		// leaves it out, so this takes back count's.
 		if list := o.dp.get(pj.mask); len(list) >= DefaultLinearizedBeam && cost >= list[DefaultLinearizedBeam-1].Cost {
+			o.generated--
 			return
 		}
 	}
 	// All join operators here preserve the outer (left/probe) input's
 	// ordering; the edge equations then widen it. Under ModeDFSM the
 	// per-pair table already did (sortEntry.joined).
-	state := l.e.joined
+	state := l.joined
 	if o.p.fw == nil {
 		state = o.applyEdges(l.state, pj.edges)
 	}
-	o.generated++
 	at, ok := o.offer(pj.mask, cost, state)
 	if !ok {
 		return
@@ -930,11 +963,11 @@ func (o *optimizer) join(pj *pairJoin, op plan.Op, l, r *joinInput, opCost float
 
 // input builds an admitted candidate's input: the plan itself, or its
 // Sort.
-func (o *optimizer) input(in *joinInput) *plan.Node {
-	if in.e.has {
+func (o *optimizer) input(in *sortEntry) *plan.Node {
+	if in.has {
 		return in.p
 	}
-	return o.sortNode(in.p, in.ord, in.e.cost, in.state)
+	return o.sortNode(in.p, in.ord, in.cost, in.state)
 }
 
 // offer is admit behind the same-state floor of one emitJoins call: a
@@ -943,18 +976,24 @@ func (o *optimizer) input(in *joinInput) *plan.Node {
 // covers it (the earlier one, or what rejected or dropped it). Exact
 // tier only: the linearized beam drops plans nothing covers.
 func (o *optimizer) offer(mask uint64, cost float64, state core.State) (int, bool) {
-	if !o.lin {
-		i := slices.IndexFunc(o.floor, func(f offered) bool { return f.state == state })
-		switch {
-		case i < 0:
-			o.floor = append(o.floor, offered{state, cost})
-		case cost >= o.floor[i].cost:
-			return 0, false
-		default:
-			o.floor[i].cost = cost
-		}
+	if !o.lin && o.floored(state, cost) {
+		return 0, false
 	}
 	return o.admit(mask, cost, state)
+}
+
+// floored reports whether o.floor holds state at no higher cost, and
+// enters or lowers the state's floor otherwise.
+func (o *optimizer) floored(state core.State, cost float64) bool {
+	i := slices.IndexFunc(o.floor, func(f offered) bool { return f.state == state })
+	if i < 0 {
+		o.floor = append(o.floor, offered{state, cost})
+		return false
+	}
+	f := &o.floor[i]
+	floored := cost >= f.cost
+	f.cost = min(f.cost, cost)
+	return floored
 }
 
 // admit is the dominance pre-check for a candidate of the given cost and

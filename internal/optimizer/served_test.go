@@ -44,7 +44,8 @@ func servedQ8(tb testing.TB, sql string) *query.Analysis {
 // scratch). Binding and analysis happen outside the timer, once per
 // op for prepare (an Analysis is single-use per framework). Both report
 // per run the candidates counted (PlansGenerated), the join candidates
-// priced (those sortEntry.lead lets through) and the arena nodes written.
+// priced (those of a leading inner and a live outer entry: sortEntry.lead
+// and sortEntry.live) and the arena nodes written.
 //
 //	go test -run '^$' -bench BenchmarkServedQ8 -benchmem ./internal/optimizer
 func BenchmarkServedQ8(b *testing.B) {
