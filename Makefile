@@ -37,12 +37,12 @@ test:
 # internal/optimizer/enumerate_test.go): linearized vs exact tier, naive
 # vs DPccp enumerator, DFSM vs Simmen order framework, whose merge
 # joins read sort states from the per-pair table and sort at each use
-# respectively, and the exact DFSM DP as it runs (non-leading inners
-# and non-live outers skipped, one sort state per column, candidates
-# counted per pair by arithmetic) against the same DP visiting, pricing
-# and counting every candidate one by one. The sweep adds seeds, not
-# goroutines, and runs without the detector: its shadow memory on the
-# 26M-plan grid-12 exact DP is 16 GB.
+# respectively, and the DFSM DP of both tiers as it runs (non-leading
+# inners and non-live outers skipped, one sort state per column,
+# candidates counted per pair by arithmetic) against the same DP
+# visiting, pricing and counting every candidate one by one. The sweep
+# adds seeds, not goroutines, and runs without the detector: its shadow
+# memory on the 26M-plan grid-12 exact DP is 16 GB.
 race:
 	$(GO) test -race ./...
 	$(GO) test ./internal/optimizer/ -run 'TestLinearizedCrossCheck|TestEnumeratorsAgreeOnOptimalCost|TestModesAgreeOnOptimalCost|TestInnerPruningMatchesFullDP' -args -exhaustive

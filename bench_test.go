@@ -35,6 +35,7 @@
 package orderopt_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -327,7 +328,7 @@ func BenchmarkEnumerateOnly(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			adj := g.AdjacencyMasks()
+			adj := g.EdgeMasks().Adj
 			b.Run(fmt.Sprintf("%s/%s-%d", enum, shape, n), func(b *testing.B) {
 				b.ReportAllocs()
 				var pairs int64
@@ -467,16 +468,10 @@ func BenchmarkAblationDominance(b *testing.B) {
 func BenchmarkPlannerThroughput(b *testing.B) {
 	sql := tpcr.Query8SQL
 	cfg := planner.DefaultConfig(tpcr.Schema())
-	ref, err := planner.New(cfg).Plan(sql)
+	ctx := context.Background()
+	ref, err := planner.New(cfg).PlanContext(ctx, sql)
 	if err != nil {
 		b.Fatal(err)
-	}
-	prepare := func(b *testing.B) *planner.PreparedQuery {
-		q, err := planner.New(cfg).Prepare(sql)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return q
 	}
 
 	paths := []struct {
@@ -485,12 +480,16 @@ func BenchmarkPlannerThroughput(b *testing.B) {
 	}{
 		{"cold", func(b *testing.B) func() (float64, error) {
 			return func() (float64, error) {
-				pd, err := planner.New(cfg).Plan(sql)
+				pd, err := planner.New(cfg).PlanContext(ctx, sql)
 				return pd.Cost, err
 			}
 		}},
 		{"prepared", func(b *testing.B) func() (float64, error) {
-			prep := prepare(b).Prepared()
+			_, q, err := planner.New(cfg).PlanQueryContext(ctx, sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prep := q.Prepared()
 			return func() (float64, error) {
 				res, err := prep.Run()
 				if err != nil {
@@ -500,12 +499,12 @@ func BenchmarkPlannerThroughput(b *testing.B) {
 			}
 		}},
 		{"cachehit", func(b *testing.B) func() (float64, error) {
-			q := prepare(b)
-			if _, err := q.Plan(); err != nil { // store the statement's plan
+			pl := planner.New(cfg)
+			if _, err := pl.PlanContext(ctx, sql); err != nil { // store the statement's plan
 				b.Fatal(err)
 			}
 			return func() (float64, error) {
-				pd, err := q.Plan()
+				pd, err := pl.PlanContext(ctx, sql)
 				return pd.Cost, err
 			}
 		}},

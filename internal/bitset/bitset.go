@@ -25,15 +25,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// FromInts returns a set containing exactly the given bit indices.
-func FromInts(xs ...int) *Set {
-	s := &Set{}
-	for _, x := range xs {
-		s.Add(x)
-	}
-	return s
-}
-
 func (s *Set) grow(word int) {
 	for len(s.words) <= word {
 		s.words = append(s.words, 0)
@@ -48,17 +39,6 @@ func (s *Set) Add(i int) {
 	w := i / wordBits
 	s.grow(w)
 	s.words[w] |= 1 << (uint(i) % wordBits)
-}
-
-// Remove clears bit i. Removing an absent bit is a no-op.
-func (s *Set) Remove(i int) {
-	if i < 0 {
-		panic("bitset: negative index")
-	}
-	w := i / wordBits
-	if w < len(s.words) {
-		s.words[w] &^= 1 << (uint(i) % wordBits)
-	}
 }
 
 // Contains reports whether bit i is set.
@@ -79,48 +59,11 @@ func (s *Set) Len() int {
 	return n
 }
 
-// Empty reports whether no bit is set.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
-	return c
-}
-
 // UnionWith adds every element of t to s.
 func (s *Set) UnionWith(t *Set) {
 	s.grow(len(t.words) - 1)
 	for i, w := range t.words {
 		s.words[i] |= w
-	}
-}
-
-// IntersectWith removes from s every element not in t.
-func (s *Set) IntersectWith(t *Set) {
-	for i := range s.words {
-		if i < len(t.words) {
-			s.words[i] &= t.words[i]
-		} else {
-			s.words[i] = 0
-		}
-	}
-}
-
-// DifferenceWith removes every element of t from s.
-func (s *Set) DifferenceWith(t *Set) {
-	for i := range s.words {
-		if i < len(t.words) {
-			s.words[i] &^= t.words[i]
-		}
 	}
 }
 
@@ -138,41 +81,6 @@ func (s *Set) SubsetOf(t *Set) bool {
 	return true
 }
 
-// Equal reports whether s and t contain exactly the same elements.
-func (s *Set) Equal(t *Set) bool {
-	n := len(s.words)
-	if len(t.words) > n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		var sw, tw uint64
-		if i < len(s.words) {
-			sw = s.words[i]
-		}
-		if i < len(t.words) {
-			tw = t.words[i]
-		}
-		if sw != tw {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersects reports whether s and t share at least one element.
-func (s *Set) Intersects(t *Set) bool {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // ForEach calls fn for every set bit in ascending order. If fn returns
 // false the iteration stops.
 func (s *Set) ForEach(fn func(i int) bool) {
@@ -185,16 +93,6 @@ func (s *Set) ForEach(fn func(i int) bool) {
 			w &^= 1 << uint(b)
 		}
 	}
-}
-
-// Elems returns the set bits in ascending order.
-func (s *Set) Elems() []int {
-	out := make([]int, 0, s.Len())
-	s.ForEach(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
 }
 
 // Min returns the smallest element and true, or 0 and false if empty.

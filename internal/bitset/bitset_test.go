@@ -10,7 +10,7 @@ import (
 
 func TestZeroValue(t *testing.T) {
 	var s Set
-	if !s.Empty() || s.Len() != 0 {
+	if s.Len() != 0 {
 		t.Fatalf("zero value not empty: %v", &s)
 	}
 	if s.Contains(0) || s.Contains(1000) {
@@ -33,13 +33,8 @@ func TestAddRemoveContains(t *testing.T) {
 	if got := s.Len(); got != 8 {
 		t.Fatalf("Len = %d, want 8", got)
 	}
-	s.Remove(64)
-	if s.Contains(64) {
-		t.Error("Contains(64) after Remove")
-	}
-	s.Remove(99999) // no-op beyond capacity
-	if got := s.Len(); got != 7 {
-		t.Fatalf("Len = %d, want 7", got)
+	if s.Contains(99999) || s.Contains(2) {
+		t.Error("Contains reports a bit never added")
 	}
 }
 
@@ -53,54 +48,32 @@ func TestNegativeIndexPanics(t *testing.T) {
 }
 
 func TestContainsNegative(t *testing.T) {
-	if FromInts(1, 2).Contains(-3) {
+	if fromInts(1, 2).Contains(-3) {
 		t.Fatal("Contains(-3) = true")
 	}
 }
 
 func TestSetAlgebra(t *testing.T) {
-	a := FromInts(1, 5, 70)
-	b := FromInts(5, 6, 200)
+	a := fromInts(1, 5, 70)
+	b := fromInts(5, 6, 200)
 
-	u := a.Clone()
+	u := fromInts(1, 5, 70)
 	u.UnionWith(b)
-	if got, want := u.Elems(), []int{1, 5, 6, 70, 200}; !reflect.DeepEqual(got, want) {
+	if got, want := elems(u), []int{1, 5, 6, 70, 200}; !reflect.DeepEqual(got, want) {
 		t.Errorf("union = %v, want %v", got, want)
 	}
-
-	i := a.Clone()
-	i.IntersectWith(b)
-	if got, want := i.Elems(), []int{5}; !reflect.DeepEqual(got, want) {
-		t.Errorf("intersection = %v, want %v", got, want)
-	}
-
-	d := a.Clone()
-	d.DifferenceWith(b)
-	if got, want := d.Elems(), []int{1, 70}; !reflect.DeepEqual(got, want) {
-		t.Errorf("difference = %v, want %v", got, want)
-	}
-
-	if !i.SubsetOf(a) || !i.SubsetOf(b) {
-		t.Error("intersection not subset of operands")
+	if !a.SubsetOf(u) || !b.SubsetOf(u) || !fromInts(5).SubsetOf(a) {
+		t.Error("operands not subsets of their union")
 	}
 	if a.SubsetOf(b) {
 		t.Error("a ⊆ b should be false")
-	}
-	if !a.Intersects(b) {
-		t.Error("a and b should intersect")
-	}
-	if a.Intersects(FromInts(999)) {
-		t.Error("a should not intersect {999}")
 	}
 }
 
 func TestEqualIgnoresCapacity(t *testing.T) {
 	a := New(1024)
 	a.Add(3)
-	b := FromInts(3)
-	if !a.Equal(b) || !b.Equal(a) {
-		t.Error("sets with different capacity but same elements must be Equal")
-	}
+	b := fromInts(3)
 	if a.Key() != b.Key() {
 		t.Errorf("Key mismatch: %q vs %q", a.Key(), b.Key())
 	}
@@ -110,13 +83,13 @@ func TestMin(t *testing.T) {
 	if _, ok := New(0).Min(); ok {
 		t.Error("Min of empty set reported ok")
 	}
-	if m, ok := FromInts(130, 7, 500).Min(); !ok || m != 7 {
+	if m, ok := fromInts(130, 7, 500).Min(); !ok || m != 7 {
 		t.Errorf("Min = %d,%v, want 7,true", m, ok)
 	}
 }
 
 func TestForEachEarlyStop(t *testing.T) {
-	s := FromInts(1, 2, 3, 4)
+	s := fromInts(1, 2, 3, 4)
 	n := 0
 	s.ForEach(func(int) bool {
 		n++
@@ -128,7 +101,7 @@ func TestForEachEarlyStop(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	if got := FromInts(2, 9).String(); got != "{2, 9}" {
+	if got := fromInts(2, 9).String(); got != "{2, 9}" {
 		t.Errorf("String = %q", got)
 	}
 	if got := New(0).String(); got != "{}" {
@@ -144,6 +117,23 @@ func TestBytes(t *testing.T) {
 	}
 }
 
+func fromInts(xs ...int) *Set {
+	s := &Set{}
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s
+}
+
+func elems(s *Set) []int {
+	var out []int
+	s.ForEach(func(i int) bool {
+		out = append(out, i)
+		return true
+	})
+	return out
+}
+
 // fromElems builds a Set from a random element list (property helper).
 func fromElems(xs []uint16) *Set {
 	s := &Set{}
@@ -155,12 +145,10 @@ func fromElems(xs []uint16) *Set {
 
 func TestQuickUnionCommutative(t *testing.T) {
 	f := func(xs, ys []uint16) bool {
-		a, b := fromElems(xs), fromElems(ys)
-		u1 := a.Clone()
-		u1.UnionWith(b)
-		u2 := b.Clone()
-		u2.UnionWith(a)
-		return u1.Equal(u2) && u1.Key() == u2.Key()
+		u1, u2 := fromElems(xs), fromElems(ys)
+		u1.UnionWith(fromElems(ys))
+		u2.UnionWith(fromElems(xs))
+		return u1.Key() == u2.Key()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -170,24 +158,16 @@ func TestQuickUnionCommutative(t *testing.T) {
 func TestQuickDeMorgan(t *testing.T) {
 	// |A ∪ B| = |A| + |B| - |A ∩ B|
 	f := func(xs, ys []uint16) bool {
-		a, b := fromElems(xs), fromElems(ys)
-		u := a.Clone()
+		a, b, u := fromElems(xs), fromElems(ys), fromElems(xs)
 		u.UnionWith(b)
-		i := a.Clone()
-		i.IntersectWith(b)
-		return u.Len() == a.Len()+b.Len()-i.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickDifferenceDisjoint(t *testing.T) {
-	f := func(xs, ys []uint16) bool {
-		a, b := fromElems(xs), fromElems(ys)
-		d := a.Clone()
-		d.DifferenceWith(b)
-		return !d.Intersects(b) && d.SubsetOf(a)
+		both := 0
+		a.ForEach(func(i int) bool {
+			if b.Contains(i) {
+				both++
+			}
+			return true
+		})
+		return u.Len() == a.Len()+b.Len()-both
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -197,7 +177,7 @@ func TestQuickDifferenceDisjoint(t *testing.T) {
 func TestQuickElemsSortedUnique(t *testing.T) {
 	f := func(xs []uint16) bool {
 		s := fromElems(xs)
-		es := s.Elems()
+		es := elems(s)
 		if !sort.IntsAreSorted(es) {
 			return false
 		}
@@ -221,14 +201,11 @@ func TestQuickAgainstMap(t *testing.T) {
 	model := map[int]bool{}
 	for step := 0; step < 20000; step++ {
 		x := rng.Intn(300)
-		switch rng.Intn(3) {
+		switch rng.Intn(2) {
 		case 0:
 			s.Add(x)
 			model[x] = true
 		case 1:
-			s.Remove(x)
-			delete(model, x)
-		case 2:
 			if s.Contains(x) != model[x] {
 				t.Fatalf("step %d: Contains(%d) = %v, model %v", step, x, s.Contains(x), model[x])
 			}

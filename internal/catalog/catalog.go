@@ -6,7 +6,6 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Type is a column type. The executor only needs ordered comparison, so
@@ -82,14 +81,6 @@ func (t *Table) ColumnIndex(name string) int {
 		return i
 	}
 	return -1
-}
-
-// Column returns the named column, or nil.
-func (t *Table) Column(name string) *Column {
-	if i := t.ColumnIndex(name); i >= 0 {
-		return &t.Columns[i]
-	}
-	return nil
 }
 
 // validate checks internal consistency.
@@ -174,18 +165,4 @@ func (c *Catalog) MustAdd(t *Table) {
 func (c *Catalog) Table(name string) (*Table, bool) {
 	t, ok := c.tables[name]
 	return t, ok
-}
-
-// Tables returns all tables sorted by name.
-func (c *Catalog) Tables() []*Table {
-	names := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Table, len(names))
-	for i, n := range names {
-		out[i] = c.tables[n]
-	}
-	return out
 }

@@ -31,11 +31,8 @@ func TestAddAndLookup(t *testing.T) {
 	if tab.ColumnIndex("nope") != -1 {
 		t.Error("unknown column should be -1")
 	}
-	if col := tab.Column("name"); col == nil || col.Type != String {
-		t.Error("Column(name) broken")
-	}
-	if tab.Column("nope") != nil {
-		t.Error("Column(nope) should be nil")
+	if tab.Columns[tab.ColumnIndex("name")].Type != String {
+		t.Error("ColumnIndex(name) broken")
 	}
 	if _, ok := c.Table("ghost"); ok {
 		t.Error("ghost table found")
@@ -90,17 +87,6 @@ func TestDistinctClamped(t *testing.T) {
 	}
 	if tab.Columns[1].Distinct != 100 {
 		t.Errorf("distinct not clamped to row count: %d", tab.Columns[1].Distinct)
-	}
-}
-
-func TestTablesSorted(t *testing.T) {
-	c := New()
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		c.MustAdd(&Table{Name: n, Columns: []Column{{Name: "a"}}, Rows: 1})
-	}
-	ts := c.Tables()
-	if len(ts) != 3 || ts[0].Name != "alpha" || ts[1].Name != "mid" || ts[2].Name != "zeta" {
-		t.Errorf("Tables() not sorted: %v", []string{ts[0].Name, ts[1].Name, ts[2].Name})
 	}
 }
 

@@ -507,7 +507,8 @@ func referenceTables(m *Machine, limit int) {
 	}
 	sub := make([]*bitset.Set, n)
 	for a := range sub {
-		sub[a] = bitset.FromInts(a)
+		sub[a] = bitset.New(n)
+		sub[a].Add(a)
 		for b := 0; b < n && (limit <= 0 || n <= limit); b++ {
 			if rows[a].SubsetOf(rows[b]) {
 				sub[a].Add(b)
@@ -517,17 +518,19 @@ func referenceTables(m *Machine, limit int) {
 	for changed := true; changed; {
 		changed = false
 		for a := range sub {
+			kept := bitset.New(n)
 			sub[a].ForEach(func(b int) bool {
 				for sym := 0; sym < m.N.NumFDSymbols(); sym++ {
 					na, nb := m.Step(StateID(a), sym), m.Step(StateID(b), sym)
 					if (na != StateID(a) || nb != StateID(b)) && !sub[na].Contains(int(nb)) {
-						sub[a].Remove(b)
 						changed = true
-						break
+						return true
 					}
 				}
+				kept.Add(b)
 				return true
 			})
+			sub[a] = kept
 		}
 	}
 	pack := func(rows []*bitset.Set, w int) []uint64 {

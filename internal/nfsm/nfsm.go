@@ -175,14 +175,6 @@ func (m *Machine) StartTargetForSymbol(sym int) StateID {
 	return m.StartTarget(m.Produced[i])
 }
 
-// StateOf returns the state representing ordering o, or NoState.
-func (m *Machine) StateOf(o order.ID) StateID {
-	if s, ok := m.byOrd[o]; ok {
-		return s
-	}
-	return NoState
-}
-
 // ProducedSymbol returns the symbol index of a produced ordering, or -1.
 func (m *Machine) ProducedSymbol(o order.ID) int {
 	if i := slices.Index(m.Produced, o); i >= 0 {

@@ -21,6 +21,14 @@ func (f *fixture) ord(names ...string) order.ID {
 	return f.in.Intern(f.reg.Attrs(names...))
 }
 
+// stateOf returns the state representing ordering o, or NoState.
+func stateOf(m *Machine, o order.ID) StateID {
+	if s, ok := m.byOrd[o]; ok {
+		return s
+	}
+	return NoState
+}
+
 func (f *fixture) runningExample() Input {
 	b := f.reg.Attr("b")
 	c := f.reg.Attr("c")
@@ -78,20 +86,20 @@ func TestFigures4To7FullPruning(t *testing.T) {
 		t.Errorf("PrunedFDs = %d, want 1", m.PrunedFDs)
 	}
 	// The only FD edge is (a,b) --{b→c}--> (a,b,c).
-	ab := m.StateOf(f.ord("a", "b"))
-	abc := m.StateOf(f.ord("a", "b", "c"))
+	ab := stateOf(m, f.ord("a", "b"))
+	abc := stateOf(m, f.ord("a", "b", "c"))
 	targets := m.FDTargets(ab, 0)
 	if len(targets) != 1 || targets[0] != abc {
 		t.Errorf("FDTargets((a,b), {b→c}) = %v, want [%d]", targets, abc)
 	}
-	if n := len(m.FDTargets(m.StateOf(f.ord("b")), 0)); n != 0 {
+	if n := len(m.FDTargets(stateOf(m, f.ord("b")), 0)); n != 0 {
 		t.Errorf("(b) should have no {b→c} edge after pruning, got %d targets", n)
 	}
 	// ε edges: (a,b,c) → (a,b) → (a).
 	if m.Eps(abc) != ab {
 		t.Error("ε((a,b,c)) ≠ (a,b)")
 	}
-	if m.Eps(ab) != m.StateOf(f.ord("a")) {
+	if m.Eps(ab) != stateOf(m, f.ord("a")) {
 		t.Error("ε((a,b)) ≠ (a)")
 	}
 	// Start edges exist for the produced orders only.
@@ -173,8 +181,8 @@ func TestFigure11(t *testing.T) {
 	}
 	// The equation edge (id) → (jobid) must exist: a = b is stronger than
 	// the FD pair (paper, §6.1).
-	idState := m.StateOf(f.ord("id"))
-	jobidState := m.StateOf(f.ord("jobid"))
+	idState := stateOf(m, f.ord("id"))
+	jobidState := stateOf(m, f.ord("jobid"))
 	found := false
 	for _, tgt := range m.FDTargets(idState, 0) {
 		if tgt == jobidState {
@@ -185,7 +193,7 @@ func TestFigure11(t *testing.T) {
 		t.Error("missing replacement edge (id) --id=jobid--> (jobid)")
 	}
 	// (salary) exists but has no start edge.
-	if m.StateOf(f.ord("salary")) == NoState {
+	if stateOf(m, f.ord("salary")) == NoState {
 		t.Error("(salary) state missing")
 	}
 	if m.StartTarget(f.ord("salary")) != NoState {
@@ -337,7 +345,7 @@ func TestMachineAccessors(t *testing.T) {
 	if m.StartTargetForSymbol(99) != NoState {
 		t.Error("out-of-range symbol must have no start target")
 	}
-	if sym := m.ProducedSymbol(f.ord("a", "b")); m.StartTargetForSymbol(sym) != m.StateOf(f.ord("a", "b")) {
+	if sym := m.ProducedSymbol(f.ord("a", "b")); m.StartTargetForSymbol(sym) != stateOf(m, f.ord("a", "b")) {
 		t.Error("produced symbol must start at its ordering's state")
 	}
 	if m.ProducedSymbol(f.ord("a", "b", "c")) != -1 {

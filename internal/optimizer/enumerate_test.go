@@ -91,7 +91,7 @@ func TestEnumeratorsAgreeOnPairs(t *testing.T) {
 			for _, extra := range extrasFor(shape, n) {
 				for seed := int64(0); seed < 3; seed++ {
 					g := genGraph(t, shape, n, extra, seed)
-					adj := g.AdjacencyMasks()
+					adj := g.EdgeMasks().Adj
 					naive, dpccp := pairSet{}, pairSet{}
 					enumerateNaive(n, adj, naive.add)
 					enumerateDPccp(n, adj, dpccp.add)
@@ -119,7 +119,7 @@ func TestDPccpEmitsNoDuplicates(t *testing.T) {
 		sizes := enumSizes(shape)
 		n := sizes[len(sizes)-1]
 		g := genGraph(t, shape, n, 0, 1)
-		adj := g.AdjacencyMasks()
+		adj := g.EdgeMasks().Adj
 		seen := pairSet{}
 		var emitted int
 		enumerateDPccp(n, adj, func(s1, s2 uint64) {
@@ -140,7 +140,7 @@ func TestDPccpPairCounts(t *testing.T) {
 		for _, shape := range []querygen.Shape{querygen.Chain, querygen.Clique} {
 			g := genGraph(t, shape, n, 0, 0)
 			var got int
-			enumerateDPccp(n, g.AdjacencyMasks(), func(_, _ uint64) { got++ })
+			enumerateDPccp(n, g.EdgeMasks().Adj, func(_, _ uint64) { got++ })
 			want := (n*n*n - n) / 6
 			if shape == querygen.Clique {
 				want = (intPow(3, n) - 2*intPow(2, n) + 1) / 2
@@ -175,7 +175,7 @@ func TestGridPairCounts(t *testing.T) {
 	}
 	for _, n := range []int{4, 6, 8, 9, 12} {
 		g := genGraph(t, querygen.Grid, n, 0, 0)
-		adj := g.AdjacencyMasks()
+		adj := g.EdgeMasks().Adj
 		var naive, dpccp int
 		enumerateNaive(n, adj, func(_, _ uint64) { naive++ })
 		enumerateDPccp(n, adj, func(_, _ uint64) { dpccp++ })
@@ -190,7 +190,7 @@ func TestGridPairCounts(t *testing.T) {
 	// 1×7 grid is the chain: (n³−n)/6 pairs.
 	g := genGraph(t, querygen.Grid, 7, 0, 0)
 	var got int
-	enumerateDPccp(7, g.AdjacencyMasks(), func(_, _ uint64) { got++ })
+	enumerateDPccp(7, g.EdgeMasks().Adj, func(_, _ uint64) { got++ })
 	if want := (7*7*7 - 7) / 6; got != want {
 		t.Errorf("1×7 grid: %d pairs, chain closed form %d", got, want)
 	}
@@ -254,7 +254,7 @@ func TestDPccpEmitsInDPOrder(t *testing.T) {
 				continue
 			}
 			g := genGraph(t, shape, n, 0, 2)
-			adj := g.AdjacencyMasks()
+			adj := g.EdgeMasks().Adj
 			// remaining[mask] counts the pairs that still must be joined
 			// before dp[mask] is final.
 			remaining := map[uint64]int{}

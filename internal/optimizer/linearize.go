@@ -158,10 +158,47 @@ func (p *Prepared) masksJoined(a, b uint64) bool {
 // exact tier, so the produced plan carries exactly the same order
 // reasoning — only the join-order space is restricted.
 func (o *optimizer) runLinearized() (*plan.Node, error) {
-	pre := o.p.linPre // pre[i] = mask of the first i sequence relations
 	n := len(o.p.linSeq)
 	o.basePlans(n)
+	o.walkIntervals(o.joinLists)
+	full := o.p.linPre[n]
+	if len(o.dp.get(full)) == 0 {
+		return nil, fmt.Errorf("optimizer: no linearized plan for relation set %b", full)
+	}
+	return o.finish(full)
+}
+
+// walkIntervals counts and calls join for every split of an interval of
+// the sequence into two intervals that hold plans and share an edge,
+// shorter intervals first. Once an interval is finished the beam bounds
+// its plan list to DefaultLinearizedBeam, keeping the cheapest plans:
+// nothing is dropped while an interval is being built, so the same-state
+// floor and the pruning hold as in the exact tier. The base plans'
+// intervals are bounded first.
+func (o *optimizer) walkIntervals(join func(s1, s2 uint64, edges []int)) {
+	pre := o.p.linPre // pre[i] = mask of the first i sequence relations
+	n := len(o.p.linSeq)
 	iv := func(i, j int) uint64 { return pre[j+1] &^ pre[i] }
+	beam := func(mask uint64) {
+		l := o.dp.get(mask)
+		if len(l) <= DefaultLinearizedBeam {
+			return
+		}
+		// A tie at the cut goes to the plans admitted first, which
+		// insert put last among their equal-cost run.
+		cut := l[DefaultLinearizedBeam-1].Cost
+		start, end := DefaultLinearizedBeam-1, DefaultLinearizedBeam
+		for start > 0 && l[start-1].Cost == cut {
+			start--
+		}
+		for end < len(l) && l[end].Cost == cut {
+			end++
+		}
+		o.dp.set(mask, append(l[:start], l[end-DefaultLinearizedBeam+start:end]...))
+	}
+	for i := range n {
+		beam(iv(i, i))
+	}
 	for length := 2; length <= n; length++ {
 		for i := 0; i+length <= n; i++ {
 			j := i + length - 1
@@ -178,13 +215,9 @@ func (o *optimizer) runLinearized() (*plan.Node, error) {
 					continue
 				}
 				o.ccPairs++
-				o.joinLists(s1, s2, edges)
+				join(s1, s2, edges)
 			}
+			beam(iv(i, j))
 		}
 	}
-	full := pre[n]
-	if len(o.dp.get(full)) == 0 {
-		return nil, fmt.Errorf("optimizer: no linearized plan for relation set %b", full)
-	}
-	return o.finish(full)
 }

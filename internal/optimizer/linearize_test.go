@@ -226,7 +226,7 @@ func TestCountPairsUpTo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adj := g.AdjacencyMasks()
+		adj := g.EdgeMasks().Adj
 		var want int64
 		EnumeratePairs(EnumDPccp, 9, adj, func(_, _ uint64) { want++ })
 		got, exceeded := countPairsUpTo(9, adj, want+1)

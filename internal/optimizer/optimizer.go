@@ -55,10 +55,10 @@ func (m Mode) String() string {
 // Config tunes the plan generator.
 type Config struct {
 	Mode Mode
-	// Enumerator selects the join-pair enumeration algorithm (the zero
-	// value is EnumDPccp paired with the dense DP table; EnumNaive keeps
-	// the reference DPsub path over the seed's map-backed table). The
-	// linearized tier enumerates intervals instead and ignores it.
+	// Enumerator selects the join-pair enumeration algorithm: the zero
+	// value is EnumDPccp, EnumNaive the reference DPsub enumeration. Both
+	// plan over the same dpTable. The linearized tier enumerates
+	// intervals instead and ignores it.
 	Enumerator Enumerator
 	// Strategy selects the planning tier: the exhaustive DP (the zero
 	// value), the linearized heuristic DP, or auto, which resolves per
@@ -179,14 +179,8 @@ type Prepared struct {
 	sims sync.Pool // of *simmen.Framework
 }
 
-// Analysis returns the analysis the query was prepared from.
-func (p *Prepared) Analysis() *query.Analysis { return p.a }
-
 // Graph returns the prepared join graph. It must not be mutated.
 func (p *Prepared) Graph() *query.Graph { return p.g }
-
-// Config returns the plan-generator configuration.
-func (p *Prepared) Config() Config { return p.cfg }
 
 // Stats returns the framework preparation statistics (nil in
 // ModeSimmen).
@@ -239,12 +233,13 @@ type optimizer struct {
 	// final holds finishOne's candidates.
 	final []*plan.Node
 
-	// lin runs the linearized tier: gated merge-join generation and plan
-	// lists bounded to DefaultLinearizedBeam (the exact tier's are not).
+	// lin runs the linearized tier: gated merge-join generation, and
+	// walkIntervals bounds each finished interval's plan list to
+	// DefaultLinearizedBeam (the exact tier's are not bounded).
 	lin bool
 	// prune skips the join candidates of inner entries that are not
-	// lead and outer entries that are not live (see sortEntry): ModeDFSM's
-	// exact tier only.
+	// lead and outer entries that are not live (see sortEntry): ModeDFSM
+	// only.
 	prune bool
 }
 
@@ -411,7 +406,7 @@ func (o *optimizer) bind(p *Prepared) {
 	}
 	n := len(p.g.Relations)
 	o.lin = p.strategy == StrategyLinearized
-	o.prune = p.fw != nil && !o.lin
+	o.prune = p.fw != nil
 	hint := 1 << denseTableBits
 	if o.lin {
 		// Only the O(n²) interval masks are ever populated.
@@ -593,8 +588,10 @@ type mergePred struct {
 // (dp[mask] already holds a plan that costs no more and covers it) when
 // its inner entry is not lead — strictly cheaper than every earlier
 // row's in its column — or its outer entry is not live: an earlier row
-// of its column reached the same joined state at no higher cost. Both
-// are always set when the run does not prune.
+// of its column reached the same joined state at no higher cost, as an
+// outer (the linearized tier's sorted entries, which its merge gate
+// keeps from being outers, are never live). Both are otherwise always
+// set when the run does not prune.
 type sortEntry struct {
 	p               *plan.Node
 	has, lead, live bool
@@ -604,7 +601,7 @@ type sortEntry struct {
 }
 
 // rowUse is what a row of the per-pair table can be: an inner (some entry
-// leads) or an outer (some is live and, if linearized, holds its order).
+// leads) or an outer (some is live).
 type rowUse struct{ inner, outer bool }
 
 // offered is one entry of the same-state floor.
@@ -724,11 +721,11 @@ func (o *optimizer) sortTable(k int, list []*plan.Node, edges []int) []sortEntry
 				e.p, e.cost = p, p.Cost+sortCost
 			}
 			e.lead = !o.prune || e.cost < least
-			e.live = !o.prune || !o.floored(e.joined, e.cost)
+			e.live = (e.has || !o.lin) && (!o.prune || !o.floored(e.joined, e.cost))
 			least = min(least, e.cost)
 			u := &o.rows[k][i]
 			u.inner = u.inner || e.lead
-			u.outer = u.outer || e.live && (e.has || !o.lin)
+			u.outer = u.outer || e.live
 		}
 		o.has[k] = append(o.has[k], has)
 	}
@@ -930,16 +927,6 @@ func (o *optimizer) join(pj *pairJoin, op plan.Op, l, r *sortEntry, opCost float
 	}
 	o.priced++
 	cost := l.cost + r.cost + opCost
-	if o.lin {
-		// Cost-based fast rejection before any state is inferred: with a
-		// saturated beam, a candidate no cheaper than the list's last
-		// entry can neither enter nor dominate anything. PlansGenerated
-		// leaves it out, so this takes back count's.
-		if list := o.dp.get(pj.mask); len(list) >= DefaultLinearizedBeam && cost >= list[DefaultLinearizedBeam-1].Cost {
-			o.generated--
-			return
-		}
-	}
 	// All join operators here preserve the outer (left/probe) input's
 	// ordering; the edge equations then widen it. Under ModeDFSM the
 	// per-pair table already did (sortEntry.joined).
@@ -973,10 +960,9 @@ func (o *optimizer) input(in *sortEntry) *plan.Node {
 // offer is admit behind the same-state floor of one emitJoins call: a
 // candidate whose state an earlier one reached at no higher cost cannot
 // be admitted, since dp[mask] still holds a plan at least as cheap that
-// covers it (the earlier one, or what rejected or dropped it). Exact
-// tier only: the linearized beam drops plans nothing covers.
+// covers it (the earlier one, or what rejected or dropped it).
 func (o *optimizer) offer(mask uint64, cost float64, state core.State) (int, bool) {
-	if !o.lin && o.floored(state, cost) {
+	if o.floored(state, cost) {
 		return 0, false
 	}
 	return o.admit(mask, cost, state)
@@ -1002,13 +988,9 @@ func (o *optimizer) floored(state core.State, cost float64) bool {
 // than the candidate can dominate it (the scan stops at the first
 // costlier one), and only those from the first equal-cost one on can be
 // dominated by it (see insert). Under ModeDFSM each costs one bit of the
-// state's superset row, loaded once. The linearized tier also bounds
-// each list to the beam, keeping the cheapest plans.
+// state's superset row, loaded once.
 func (o *optimizer) admit(mask uint64, cost float64, state core.State) (int, bool) {
 	list := o.dp.get(mask)
-	if o.lin && len(list) >= DefaultLinearizedBeam && cost >= list[DefaultLinearizedBeam-1].Cost {
-		return 0, false // saturated beam: no cheaper than the last kept plan
-	}
 	var row []uint64
 	if o.p.fw != nil {
 		row = o.p.fw.SupersetRow(state)
@@ -1054,9 +1036,6 @@ func (o *optimizer) insert(mask uint64, t int, cand *plan.Node) {
 	list = append(list[:w], nil)
 	copy(list[t+1:], list[t:])
 	list[t] = cand
-	if o.lin && len(list) > DefaultLinearizedBeam {
-		list = list[:DefaultLinearizedBeam]
-	}
 	o.dp.set(mask, list)
 }
 

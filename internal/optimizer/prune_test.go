@@ -31,8 +31,8 @@ func outcome(o *optimizer) dpOutcome {
 }
 
 // runPruned runs p's DP on fresh scratch as Run does: inner and outer
-// pruning on under ModeDFSM's exact tier, shared sort states, candidates
-// counted per pair by count.
+// pruning on under ModeDFSM, shared sort states, candidates counted per
+// pair by count.
 func runPruned(t *testing.T, p *Prepared) dpOutcome {
 	t.Helper()
 	o := new(optimizer)
@@ -44,11 +44,13 @@ func runPruned(t *testing.T, p *Prepared) dpOutcome {
 	return outcome(o)
 }
 
-// runFull runs p's exact-tier DP with all three parts of the pruning
-// off: the per-pair table is built plan by plan (referenceTable, every
-// entry lead and live), so every candidate is visited and priced, and
+// runFull runs p's DP with all three parts of the pruning off: the
+// per-pair table is built plan by plan (referenceTable, every entry lead
+// and live), so every candidate is visited and priced, and
 // PlansGenerated counts each candidate and each Sort under it one by one
-// as its emitJoins call is visited.
+// as its emitJoins call is visited. The linearized tier walks the
+// intervals and bounds them as its run does, and visits no merge join
+// whose outer input does not hold the order, as count counts none.
 func runFull(t *testing.T, p *Prepared) dpOutcome {
 	t.Helper()
 	o := new(optimizer)
@@ -65,6 +67,9 @@ func runFull(t *testing.T, p *Prepared) dpOutcome {
 		}
 		sorts := int64(0)
 		for c := 1; c < len(r1); c++ {
+			if o.lin && !r1[c].has {
+				continue
+			}
 			joins++
 			for _, e := range []sortEntry{r1[c], r2[c]} {
 				if !e.has {
@@ -79,9 +84,7 @@ func runFull(t *testing.T, p *Prepared) dpOutcome {
 		}
 		o.generated += joins + sorts
 	}
-	EnumeratePairs(p.cfg.Enumerator, n, p.adj, func(s1, s2 uint64) {
-		o.ccPairs++
-		edges := o.edgesBetween(s1, s2)
+	pair := func(s1, s2 uint64, edges []int) {
 		pj := pairJoin{mask: s1 | s2, edges: edges, out: p.maskCard(s1 | s2)}
 		for _, e := range edges {
 			if h := p.a.EdgeFD[e]; h >= 0 && h < 64 {
@@ -99,7 +102,15 @@ func runFull(t *testing.T, p *Prepared) dpOutcome {
 				visit(&pj, r2, r1)
 			}
 		}
-	})
+	}
+	if o.lin {
+		o.walkIntervals(pair)
+	} else {
+		EnumeratePairs(p.cfg.Enumerator, n, p.adj, func(s1, s2 uint64) {
+			o.ccPairs++
+			pair(s1, s2, o.edgesBetween(s1, s2))
+		})
+	}
 	if _, err := o.finish(uint64(1)<<uint(n) - 1); err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +147,14 @@ func referenceTable(o *optimizer, k int, list []*plan.Node, edges []int) []sortE
 // TestInnerPruningMatchesFullDP holds the pruning to the DP that visits
 // and prices every candidate and counts them one by one (runFull): on
 // seeded querygen graphs of five shapes at 3–8 relations (cliques to 6),
-// with indexes, under ModeDFSM's exact tier, every mask's final list
-// (cost, state, plan) and the generated, retained and arena-node counts
-// must be identical to the run's with the skip of non-leading inners and
-// non-live outers (sortEntry), shared column sort states and arithmetic
-// counts, and the run must price fewer candidates. Seed 0 also runs
-// without nested-loop joins, so the operator count is not always two.
-// -exhaustive widens the seeds from 3 to 12.
+// with indexes, under ModeDFSM's exact and linearized tiers (the latter's
+// subtests end in _lin), every mask's final list (cost, state, plan) and
+// the generated, retained and arena-node counts must be identical to the
+// run's with the skip of non-leading inners and non-live outers
+// (sortEntry), shared column sort states and arithmetic counts, and the
+// run must price fewer candidates. Seed 0 also runs without nested-loop
+// joins, so the operator count is not always two. -exhaustive widens the
+// seeds from 3 to 12.
 func TestInnerPruningMatchesFullDP(t *testing.T) {
 	seeds := 3
 	if *exhaustive {
@@ -154,19 +166,25 @@ func TestInnerPruningMatchesFullDP(t *testing.T) {
 				continue
 			}
 			for seed := range int64(seeds) {
-				for _, noNL := range []bool{false, true} {
-					if noNL && seed != 0 {
+				for _, v := range []struct {
+					noNL     bool
+					strategy Strategy
+				}{{false, StrategyExact}, {true, StrategyExact}, {false, StrategyLinearized}} {
+					if v.noNL && seed != 0 {
 						continue
 					}
 					name := fmt.Sprintf("%s/n%d_s%d", shape, n, seed)
-					if noNL {
+					if v.noNL {
 						name += "_nonl"
+					}
+					if v.strategy == StrategyLinearized {
+						name += "_lin"
 					}
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						cfg := DefaultConfig(ModeDFSM)
-						cfg.Strategy = StrategyExact
-						cfg.DisableNLJoin = noNL
+						cfg.Strategy = v.strategy
+						cfg.DisableNLJoin = v.noNL
 						a := analyzeSpec(t, querygen.Spec{Shape: shape, Relations: n, Seed: seed, WithGroupBy: seed%2 == 1})
 						p, err := Prepare(a, cfg)
 						if err != nil {

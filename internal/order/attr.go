@@ -19,9 +19,6 @@ import (
 // in bitsets and orderings compare cheaply.
 type Attr int32
 
-// NoAttr is the invalid attribute.
-const NoAttr Attr = -1
-
 // Registry maps attribute names to dense Attr ids. The zero value is not
 // usable; create one with NewRegistry.
 type Registry struct {
@@ -43,12 +40,6 @@ func (r *Registry) Attr(name string) Attr {
 	r.names = append(r.names, name)
 	r.ids[name] = id
 	return id
-}
-
-// Lookup returns the id for name without creating it.
-func (r *Registry) Lookup(name string) (Attr, bool) {
-	id, ok := r.ids[name]
-	return id, ok
 }
 
 // Name returns the name of a. It panics on unknown attributes.

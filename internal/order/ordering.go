@@ -16,9 +16,6 @@ type ID int32
 // EmptyID is the handle of the empty ordering (satisfied by any stream).
 const EmptyID ID = 0
 
-// InvalidID is returned for lookups that fail.
-const InvalidID ID = -1
-
 // Interner deduplicates orderings and hands out dense IDs. The zero value
 // is not usable; create one with NewInterner.
 type Interner struct {
@@ -84,19 +81,8 @@ func (in *Interner) Clone() *Interner {
 	return cp
 }
 
-// Lookup returns the ID of seq if it was interned, else InvalidID.
-func (in *Interner) Lookup(seq []Attr) ID {
-	if id, ok := in.ids[string(appendSeqKey(make([]byte, 0, 64), seq))]; ok {
-		return id
-	}
-	return InvalidID
-}
-
 // Seq returns the attribute sequence of id. Callers must not modify it.
 func (in *Interner) Seq(id ID) []Attr { return in.seqs[id] }
-
-// Len returns the length of ordering id.
-func (in *Interner) Len(id ID) int { return len(in.seqs[id]) }
 
 // Count returns the number of interned orderings (including the empty one).
 func (in *Interner) Count() int { return len(in.seqs) }

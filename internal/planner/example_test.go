@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"context"
 	"fmt"
 
 	"orderopt/internal/planner"
@@ -10,18 +11,18 @@ import (
 const exampleSQL = "select * from nation, region " +
 	"where n_regionkey = r_regionkey order by n_name"
 
-// ExamplePlanner_Plan shows the planner's amortization from the
-// outside: the first Plan of a statement runs the full pipeline (cold)
-// and stores the best plan on the prepared statement; the second returns
-// it — same cost, no dynamic programming.
-func ExamplePlanner_Plan() {
+// ExamplePlanner_PlanContext shows the planner's amortization from the
+// outside: the first plan call of a statement runs the full pipeline
+// (cold) and stores the best plan on the prepared statement; the second
+// returns it — same cost, no dynamic programming.
+func ExamplePlanner_PlanContext() {
 	pl := planner.New(planner.DefaultConfig(tpcr.Schema()))
 
-	first, err := pl.Plan(exampleSQL)
+	first, err := pl.PlanContext(context.Background(), exampleSQL)
 	if err != nil {
 		panic(err)
 	}
-	second, err := pl.Plan(exampleSQL)
+	second, err := pl.PlanContext(context.Background(), exampleSQL)
 	if err != nil {
 		panic(err)
 	}
@@ -34,24 +35,19 @@ func ExamplePlanner_Plan() {
 	// same cost: true
 }
 
-// ExamplePlanner_Prepare isolates the prepared-statement level: parsing,
-// binding, analysis and DFSM compilation happen once in Prepare. The
-// statement's first Plan runs only the dynamic programming, on pooled
-// scratch (source "prepared"), and stores its plan, which the second
-// Plan returns; the prepared optimizer inputs re-run the DP to the same
-// cost.
-func ExamplePlanner_Prepare() {
+// ExamplePlanner_PlanQueryContext isolates the prepared-statement level:
+// parsing, binding, analysis and DFSM compilation happen once, in the
+// statement's first plan call, and a later call of the same text answers
+// from the same PreparedQuery. The statement's prepared optimizer inputs
+// re-run only the dynamic programming, to the same cost.
+func ExamplePlanner_PlanQueryContext() {
 	pl := planner.New(planner.DefaultConfig(tpcr.Schema()))
 
-	q, err := pl.Prepare(exampleSQL)
+	a, q, err := pl.PlanQueryContext(context.Background(), exampleSQL)
 	if err != nil {
 		panic(err)
 	}
-	a, err := q.Plan()
-	if err != nil {
-		panic(err)
-	}
-	b, err := q.Plan()
+	b, again, err := pl.PlanQueryContext(context.Background(), exampleSQL)
 	if err != nil {
 		panic(err)
 	}
@@ -60,8 +56,10 @@ func ExamplePlanner_Prepare() {
 		panic(err)
 	}
 	fmt.Println("source:", a.Source, b.Source)
+	fmt.Println("same statement:", q == again)
 	fmt.Println("deterministic:", a.Cost == rerun.Best.Cost)
 	// Output:
-	// source: prepared cachehit
+	// source: cold cachehit
+	// same statement: true
 	// deterministic: true
 }

@@ -5,13 +5,13 @@
 // stack up, mirroring the prepared-statement design of production
 // optimizers (the Selinger lineage the paper's §7 test bed imitates):
 //
-//  1. Prepared statements. Prepare(sql) runs the pipeline's per-query
-//     preparation once — parsing, binding against the catalog, the
-//     §5.2 interesting-order analysis, and the DFSM compilation — and
-//     caches the immutable PreparedQuery by SQL text. The statement's
-//     first Plan runs the dynamic programming and stores the best plan
-//     on the statement; every later Plan returns it without running
-//     the DP at all. The plan's order annotations are handles into the
+//  1. Prepared statements. The first PlanContext of a statement runs
+//     the pipeline's per-query preparation once — parsing, binding
+//     against the catalog, the §5.2 interesting-order analysis, and the
+//     DFSM compilation — and caches the immutable PreparedQuery by SQL
+//     text. It then runs the dynamic programming and stores the best
+//     plan on the statement; every later PlanContext returns it without
+//     running the DP at all. The plan's order annotations are handles into the
 //     statement's own interner and DFSM, so a plan is never shared
 //     between statements, not even between two spellings of one query.
 //  2. Pooled optimizer scratch. The DP scratch (plan-node arena, DP
@@ -45,8 +45,7 @@ const DefaultPreparedCacheSize = 256
 // analysis options, and the plan-generator configuration. All queries
 // planned through one Planner share it.
 type Config struct {
-	// Catalog resolves table names during binding. Required for the
-	// SQL entry points; PrepareGraph works without it.
+	// Catalog resolves table names during binding. Required.
 	Catalog *catalog.Catalog
 	// Analyze tunes the §5.2 interesting-order analysis.
 	Analyze query.AnalyzeOptions
@@ -54,8 +53,8 @@ type Config struct {
 	Optimizer optimizer.Config
 	// PreparedCacheSize bounds the SQL-text prepared-statement cache,
 	// and with it the plans kept: 0 means DefaultPreparedCacheSize,
-	// negative disables it (every Prepare runs the full pipeline, so
-	// every Planner.Plan runs the DP).
+	// negative disables it (every plan call runs the full pipeline and
+	// the DP).
 	PreparedCacheSize int
 }
 
@@ -71,12 +70,12 @@ func DefaultConfig(cat *catalog.Catalog) Config {
 
 // Stats is a snapshot of a Planner's counters.
 type Stats struct {
-	// Prepares counts full pipeline runs (prepared-cache misses plus
-	// graph preparations); PreparedHits counts Prepare/Plan calls
-	// served from the prepared-statement cache.
+	// Prepares counts full pipeline runs (prepared-cache misses);
+	// PreparedHits counts plan calls served from the prepared-statement
+	// cache.
 	Prepares     int64
 	PreparedHits int64
-	// PlanCalls counts Plan invocations, split into PlanCacheHits
+	// PlanCalls counts plan calls, split into PlanCacheHits
 	// (served from the statement's stored plan) and PlanRuns (dynamic
 	// programming executed).
 	PlanCalls     int64
@@ -84,7 +83,7 @@ type Stats struct {
 	PlanRuns      int64
 	// PlanRunsExact and PlanRunsLinearized split PlanRuns by the
 	// planning tier the prepared query resolved to (the optimizer's
-	// auto strategy decides once, at Prepare time).
+	// auto strategy decides once, at preparation).
 	PlanRunsExact      int64
 	PlanRunsLinearized int64
 	// PreparedEntries is the number of cached statements and
@@ -163,8 +162,8 @@ func (s Source) String() string {
 	}
 }
 
-// Planned is the outcome of one Plan call. Best is immutable and shared
-// (every Plan of a statement returns the same nodes); it must not be
+// Planned is the outcome of one plan call. Best is immutable and shared
+// (every plan call of a statement returns the same nodes); it must not be
 // modified.
 type Planned struct {
 	Best   *plan.Node
@@ -182,12 +181,11 @@ type Planned struct {
 
 // PreparedQuery is an immutable prepared statement: the bound graph, the
 // interesting-order analysis, and the prepared optimizer inputs — plus
-// its best plan, stored by the first Plan call that finishes, and what
+// its best plan, stored by the first plan call that finishes, and what
 // consumers derive from that plan (Planned.Memo). It is safe for
-// concurrent Plan calls.
+// concurrent plan calls.
 type PreparedQuery struct {
 	pl       *Planner
-	sql      string // "" when prepared from a graph
 	residual []sqlparse.Expr
 	analysis *query.Analysis
 	prep     *optimizer.Prepared
@@ -195,9 +193,6 @@ type PreparedQuery struct {
 	best atomic.Pointer[plan.Node] // written once
 	memo [memoSlots]atomic.Pointer[any]
 }
-
-// SQL returns the statement text ("" when prepared from a graph).
-func (q *PreparedQuery) SQL() string { return q.sql }
 
 // Residual lists bound WHERE conjuncts the plan generator treats as
 // generic filters (no FDs, no interesting orders).
@@ -209,13 +204,6 @@ func (q *PreparedQuery) Analysis() *query.Analysis { return q.analysis }
 // Prepared returns the prepared optimizer inputs (framework statistics,
 // preparation time).
 func (q *PreparedQuery) Prepared() *optimizer.Prepared { return q.prep }
-
-// Prepare runs the pipeline's preparation for sql, serving repeated
-// statements from the prepared cache.
-func (p *Planner) Prepare(sql string) (*PreparedQuery, error) {
-	q, _, err := p.prepare(sql)
-	return q, err
-}
 
 func (p *Planner) prepare(sql string) (q *PreparedQuery, hit bool, err error) {
 	if p.prepared != nil {
@@ -229,7 +217,7 @@ func (p *Planner) prepare(sql string) (q *PreparedQuery, hit bool, err error) {
 		return q, false, err
 	}
 	if exist, added := p.prepared.add(sql, q); !added {
-		// A concurrent Prepare won the race; its result is as good.
+		// A concurrent preparation won the race; its result is as good.
 		// This call both ran the full pipeline (already counted in
 		// Prepares) and is served from the cache, so it counts in
 		// PreparedHits too — the counters record work done and cache
@@ -256,17 +244,8 @@ func (p *Planner) prepareSQL(sql string) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	q.sql = sql
 	q.residual = bq.Residual
 	return q, nil
-}
-
-// PrepareGraph prepares an already-built join graph (generated
-// workloads, tests). The graph must not be mutated afterwards; the
-// resulting PreparedQuery is not entered into the SQL-text cache, and
-// its plan is kept only on it.
-func (p *Planner) PrepareGraph(g *query.Graph) (*PreparedQuery, error) {
-	return p.prepareGraph(g)
 }
 
 func (p *Planner) prepareGraph(g *query.Graph) (*PreparedQuery, error) {
@@ -282,17 +261,12 @@ func (p *Planner) prepareGraph(g *query.Graph) (*PreparedQuery, error) {
 	return &PreparedQuery{pl: p, analysis: a, prep: prep}, nil
 }
 
-// Plan plans sql end to end: prepared-statement cache and the
-// statement's stored plan, then dynamic programming on pooled scratch.
-func (p *Planner) Plan(sql string) (Planned, error) {
-	pd, _, err := p.PlanQueryContext(context.Background(), sql)
-	return pd, err
-}
-
-// PlanQueryContext is Plan observing ctx and returning the prepared
-// statement the plan came from as well, for callers that need the bound
-// graph, analysis or framework next to the result — the serving layer
-// renders relation aliases and order properties from it. Planning is
+// PlanQueryContext plans sql end to end — prepared-statement cache and
+// the statement's stored plan, then dynamic programming on pooled
+// scratch — and returns the prepared statement the plan came from as
+// well, for callers that need the bound graph, analysis or framework
+// next to the result: the serving layer renders relation aliases and
+// order properties from it. Planning is
 // CPU-bound and runs in well-understood phases (parse/bind/analyze, DFSM
 // preparation, dynamic programming), so cancellation is checked at the
 // phase boundaries rather than inside the DP's inner loops: a request
@@ -318,19 +292,14 @@ func (p *Planner) PlanQueryContext(ctx context.Context, sql string) (Planned, *P
 	return pd, q, err
 }
 
-// PlanContext is Plan observing ctx at the phase boundaries (see
-// PlanQueryContext).
+// PlanContext is PlanQueryContext without the prepared statement.
 func (p *Planner) PlanContext(ctx context.Context, sql string) (Planned, error) {
 	pd, _, err := p.PlanQueryContext(ctx, sql)
 	return pd, err
 }
 
-// Plan plans the prepared query: its stored plan if it has one, else
+// plan plans the prepared query: its stored plan if it has one, else
 // the DP.
-func (q *PreparedQuery) Plan() (Planned, error) {
-	return q.plan(SourcePrepared)
-}
-
 func (q *PreparedQuery) plan(src Source) (Planned, error) {
 	p := q.pl
 	p.planCalls.Add(1)

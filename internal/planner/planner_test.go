@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func newTestPlanner(t testing.TB, mode optimizer.Mode) *Planner {
 // that had not planned it yet.
 func TestPlanSources(t *testing.T) {
 	p := newTestPlanner(t, optimizer.ModeDFSM)
-	first, err := p.Plan(testQueries[0])
+	first, err := p.PlanContext(context.Background(), testQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestPlanSources(t *testing.T) {
 	if first.Origin == nil {
 		t.Errorf("cold plan carries no Origin")
 	}
-	second, err := p.Plan(testQueries[0])
+	second, err := p.PlanContext(context.Background(), testQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +70,16 @@ func TestPlanSources(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 prepare, 1 prepared hit, 1 cache hit, 1 run", st)
 	}
 
-	// A statement Prepare cached without planning it: the first Plan
-	// re-runs only the DP and stores its plan, the next one hits it.
+	// A statement cached by an earlier call that has not planned it yet:
+	// the first plan call runs only the DP and stores its plan, the next
+	// one hits it.
 	pc := newTestPlanner(t, optimizer.ModeDFSM)
-	q, err := pc.Prepare(testQueries[0])
+	q, _, err := pc.prepare(testQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []Source{SourcePrepared, SourceCacheHit} {
-		warm, err := pc.Plan(testQueries[0])
+		warm, err := pc.PlanContext(context.Background(), testQueries[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,13 +111,9 @@ func TestPlanMatchesOneShotOptimizer(t *testing.T) {
 	for _, mode := range []optimizer.Mode{optimizer.ModeDFSM, optimizer.ModeSimmen} {
 		p := newTestPlanner(t, mode)
 		for _, sql := range testQueries {
-			got, err := p.Plan(sql)
+			got, q, err := p.PlanQueryContext(context.Background(), sql)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
-			}
-			q, err := p.Prepare(sql)
-			if err != nil {
-				t.Fatal(err)
 			}
 			a, err := query.Analyze(q.Analysis().Graph, p.cfg.Analyze)
 			if err != nil {
@@ -159,7 +157,7 @@ func TestParallelPlanThroughOnePlanner(t *testing.T) {
 				wantCost := make(map[string]float64, len(testQueries))
 				for _, sql := range testQueries {
 					ref := New(cfg)
-					res, err := ref.Plan(sql)
+					res, err := ref.PlanContext(context.Background(), sql)
 					if err != nil {
 						t.Fatalf("%s: %v", sql, err)
 					}
@@ -175,7 +173,7 @@ func TestParallelPlanThroughOnePlanner(t *testing.T) {
 						defer wg.Done()
 						for i := 0; i < iters; i++ {
 							sql := testQueries[(g+i)%len(testQueries)]
-							res, err := p.Plan(sql)
+							res, err := p.PlanContext(context.Background(), sql)
 							if err != nil {
 								errs <- fmt.Errorf("%s: %w", sql, err)
 								return
@@ -229,15 +227,15 @@ func TestParallelPreparedGraph(t *testing.T) {
 				Optimizer: optimizer.DefaultConfig(mode),
 			}
 			p := New(cfg)
-			ref, err := New(cfg).PrepareGraph(g)
+			ref, err := New(cfg).prepareGraph(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.Plan()
+			want, err := ref.plan(SourcePrepared)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q, err := p.PrepareGraph(g)
+			q, err := p.prepareGraph(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +248,7 @@ func TestParallelPreparedGraph(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					first, err := q.Plan()
+					first, err := q.plan(SourcePrepared)
 					if err != nil {
 						errs <- err
 						return
@@ -274,7 +272,7 @@ func TestParallelPreparedGraph(t *testing.T) {
 			for err := range errs {
 				t.Error(err)
 			}
-			stored, err := q.Plan()
+			stored, err := q.plan(SourcePrepared)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +288,7 @@ func TestParallelPreparedGraph(t *testing.T) {
 	}
 }
 
-// TestConcurrentPrepareSharedGraph: concurrent PrepareGraph calls on
+// TestConcurrentPrepareSharedGraph: concurrent preparations of
 // one shared, freshly generated graph (lazy EdgeMasks not yet built)
 // must be race-free and agree on the plan. Run with -race.
 func TestConcurrentPrepareSharedGraph(t *testing.T) {
@@ -311,12 +309,12 @@ func TestConcurrentPrepareSharedGraph(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q, err := p.PrepareGraph(g)
+			q, err := p.prepareGraph(g)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			res, err := q.Plan()
+			res, err := q.plan(SourcePrepared)
 			if err != nil {
 				errs[i] = err
 				return
@@ -335,20 +333,20 @@ func TestConcurrentPrepareSharedGraph(t *testing.T) {
 	}
 }
 
-// TestPreparedCacheIdentity: repeated Prepare returns the same
-// PreparedQuery instance.
+// TestPreparedCacheIdentity: planning a statement again answers from
+// the same PreparedQuery instance.
 func TestPreparedCacheIdentity(t *testing.T) {
 	p := newTestPlanner(t, optimizer.ModeDFSM)
-	q1, err := p.Prepare(testQueries[0])
+	_, q1, err := p.PlanQueryContext(context.Background(), testQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := p.Prepare(testQueries[0])
+	_, q2, err := p.PlanQueryContext(context.Background(), testQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q1 != q2 {
-		t.Errorf("repeated Prepare returned a different instance")
+		t.Errorf("planning the statement again returned a different instance")
 	}
 }
 
@@ -362,7 +360,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	sql := func(k int) string { return fmt.Sprintf("%s limit %d", testQueries[0], k) }
 	var costs []float64
 	for k := 1; k <= 5; k++ {
-		pd, err := p.Plan(sql(k))
+		pd, err := p.PlanContext(context.Background(), sql(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +370,7 @@ func TestPlanCacheEviction(t *testing.T) {
 		t.Errorf("after 5 statements: %d cached, %d with a plan; want 2 and 2 (cap 2)", st.PreparedEntries, st.PlanCacheEntries)
 	}
 	for k := 1; k <= 5; k++ {
-		pd, err := p.Plan(sql(k))
+		pd, err := p.PlanContext(context.Background(), sql(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,34 +382,22 @@ func TestPlanCacheEviction(t *testing.T) {
 		}
 	}
 	// A statement that is cached but not yet planned holds no plan.
-	if _, err := p.Prepare(sql(6)); err != nil {
+	if _, _, err := p.prepare(sql(6)); err != nil {
 		t.Fatal(err)
 	}
 	if st := p.Stats(); st.PreparedEntries != 2 || st.PlanCacheEntries != 1 {
-		t.Errorf("after an unplanned Prepare: %d cached, %d with a plan; want 2 and 1", st.PreparedEntries, st.PlanCacheEntries)
+		t.Errorf("after an unplanned prepare: %d cached, %d with a plan; want 2 and 1", st.PreparedEntries, st.PlanCacheEntries)
 	}
 }
 
-// TestNoCatalog: SQL planning without a catalog fails cleanly;
-// graph planning still works.
+// TestNoCatalog: SQL planning without a catalog fails cleanly.
 func TestNoCatalog(t *testing.T) {
 	p := New(Config{
 		Analyze:   query.AnalyzeOptions{UseIndexes: true},
 		Optimizer: optimizer.DefaultConfig(optimizer.ModeDFSM),
 	})
-	if _, err := p.Plan("select * from t"); err == nil {
+	if _, err := p.PlanContext(context.Background(), "select * from t"); err == nil {
 		t.Errorf("SQL planning without a catalog succeeded")
-	}
-	_, g, err := querygen.Generate(querygen.Spec{Relations: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := p.PrepareGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Plan(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -423,7 +409,7 @@ func TestPerStrategyStats(t *testing.T) {
 	p := newTestPlanner(t, optimizer.ModeDFSM)
 
 	// Q8 (8 relations) resolves to the exact tier under auto.
-	if _, err := p.Plan(tpcr.Query8SQL); err != nil {
+	if _, err := p.PlanContext(context.Background(), tpcr.Query8SQL); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -436,14 +422,14 @@ func TestPerStrategyStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := p.PrepareGraph(g)
+	q, err := p.prepareGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := q.Prepared().Strategy(); got != optimizer.StrategyLinearized {
 		t.Fatalf("clique-20 resolved to %s, want linearized", got)
 	}
-	first, err := q.Plan()
+	first, err := q.plan(SourcePrepared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +442,7 @@ func TestPerStrategyStats(t *testing.T) {
 	}
 
 	// Replanning the same statement returns its stored plan, not the DP.
-	again, err := q.Plan()
+	again, err := q.plan(SourcePrepared)
 	if err != nil {
 		t.Fatal(err)
 	}

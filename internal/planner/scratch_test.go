@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -34,7 +35,7 @@ func TestSharedScratchAcrossStatements(t *testing.T) {
 		plan func(*Planner) (Planned, error)
 	}
 	sql := func(text string) func(*Planner) (Planned, error) {
-		return func(p *Planner) (Planned, error) { return p.Plan(text) }
+		return func(p *Planner) (Planned, error) { return p.PlanContext(context.Background(), text) }
 	}
 	gen := func(spec querygen.Spec) func(*Planner) (Planned, error) {
 		_, g, err := querygen.Generate(spec)
@@ -42,11 +43,11 @@ func TestSharedScratchAcrossStatements(t *testing.T) {
 			t.Fatal(err)
 		}
 		return func(p *Planner) (Planned, error) {
-			q, err := p.PrepareGraph(g)
+			q, err := p.prepareGraph(g)
 			if err != nil {
 				return Planned{}, err
 			}
-			return q.Plan()
+			return q.plan(SourcePrepared)
 		}
 	}
 	jobs := []job{
@@ -121,7 +122,7 @@ func TestColdPlanAllocBudget(t *testing.T) {
 		k++
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		pd, err := p.Plan(fmt.Sprintf("%s limit %d", tpcr.Query8SQL, k))
+		pd, err := p.PlanContext(context.Background(), fmt.Sprintf("%s limit %d", tpcr.Query8SQL, k))
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -19,16 +19,10 @@ import (
 // predicates with their selectivities, join edges, GROUP BY and ORDER
 // BY columns.
 
-// Fingerprint returns the canonical 64-bit FNV-1a hash of the graph.
-// Callers keying anything by the fingerprint should keep the canonical
-// encoding (AppendCanonical) alongside to rule out hash collisions.
-func (g *Graph) Fingerprint() uint64 {
-	return CanonicalFingerprint(g.AppendCanonical(nil))
-}
-
-// CanonicalFingerprint hashes an AppendCanonical encoding — the same
-// function Fingerprint applies, exported so callers already holding
-// the canonical bytes derive the identical key without re-encoding.
+// CanonicalFingerprint returns the canonical 64-bit FNV-1a hash of a
+// graph's AppendCanonical encoding. Callers keying anything by the
+// fingerprint should keep the encoding alongside to rule out hash
+// collisions.
 func CanonicalFingerprint(canon []byte) uint64 {
 	return fnv1a(canon)
 }

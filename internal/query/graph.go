@@ -291,12 +291,6 @@ func (g *Graph) ColumnName(c ColumnRef) string {
 	return r.Alias + "." + r.Table.Columns[c.Col].Name
 }
 
-// AdjacencyMasks returns, per relation, the bitmask of relations joined
-// to it. Plan generation requires ≤ 64 relations.
-func (g *Graph) AdjacencyMasks() []uint64 {
-	return g.EdgeMasks().Adj
-}
-
 // Connected reports whether the relations in mask form a connected
 // subgraph.
 func (g *Graph) Connected(mask uint64) bool {

@@ -320,8 +320,8 @@ func TestOrderingDedupsEquivalentRefs(t *testing.T) {
 	}
 	// The same column twice must not panic the interner.
 	o := a.Ordering(ColumnRef{0, 2}, ColumnRef{0, 2})
-	if a.Builder.Interner().Len(o) != 1 {
-		t.Errorf("duplicate refs should dedup, got len %d", a.Builder.Interner().Len(o))
+	if len(a.Builder.Interner().Seq(o)) != 1 {
+		t.Errorf("duplicate refs should dedup, got len %d", len(a.Builder.Interner().Seq(o)))
 	}
 }
 

@@ -145,7 +145,7 @@ func TestGridShape(t *testing.T) {
 			t.Errorf("grid n=%d: %v", n, err)
 		}
 		if r > 1 {
-			adj := g.AdjacencyMasks()
+			adj := g.EdgeMasks().Adj
 			for i, m := range adj {
 				deg := 0
 				for x := m; x != 0; x &= x - 1 {

@@ -295,21 +295,6 @@ func (c *Client) PlanContext(ctx context.Context, sql string) (*PlanResponse, er
 	return &resp, nil
 }
 
-// Explain plans sql and returns the rendered plan and its order
-// properties.
-func (c *Client) Explain(sql string) (*ExplainResponse, error) {
-	return c.ExplainContext(context.Background(), sql)
-}
-
-// ExplainContext is Explain under ctx.
-func (c *Client) ExplainContext(ctx context.Context, sql string) (*ExplainResponse, error) {
-	var resp ExplainResponse
-	if err := c.postJSON(ctx, "/explain", PlanRequest{SQL: sql}, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Execute plans req.SQL and runs the plan over the named dataset.
 func (c *Client) Execute(req ExecuteRequest) (*ExecuteResponse, error) {
 	return c.ExecuteContext(context.Background(), req)
@@ -331,21 +316,6 @@ func (c *Client) Stats() (*StatsResponse, error) {
 	var resp StatsResponse
 	if err := c.get("/stats", &resp); err != nil {
 		return nil, err
-	}
-	return &resp, nil
-}
-
-// Health fetches /healthz. Both "ok" (200) and "draining" (503) decode
-// into a response; other failures return an error.
-func (c *Client) Health() (*HealthResponse, error) {
-	res, err := c.httpClient().Get(c.BaseURL + "/healthz")
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	var resp HealthResponse
-	if err := json.NewDecoder(res.Body).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("server: decoding /healthz: %w", err)
 	}
 	return &resp, nil
 }

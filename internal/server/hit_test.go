@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"runtime"
@@ -32,7 +33,7 @@ func hitServer(cacheSize int) (*Server, *planner.Planner, *[2]atomic.Int64) {
 // its plan, failing the test if it has none.
 func kept(t *testing.T, pl *planner.Planner, sql string) (*planBlock, *exec.Shape) {
 	t.Helper()
-	pd, err := pl.Plan(sql)
+	pd, err := pl.PlanContext(context.Background(), sql)
 	if err != nil || pd.Source != planner.SourceCacheHit {
 		t.Fatalf("%s: %v, source %v; want a stored-plan hit", sql, err, pd.Source)
 	}
@@ -58,7 +59,7 @@ func TestExecuteHitReusesBlockAndShape(t *testing.T) {
 	sql := "select * from customer, nation, region " +
 		"where n_regionkey = r_regionkey and c_nationkey = n_nationkey order by n_name"
 
-	if _, err := pl.Plan(sql); err != nil { // /plan builds neither
+	if _, err := pl.PlanContext(context.Background(), sql); err != nil { // /plan builds neither
 		t.Fatal(err)
 	}
 	if b, sh := builds[planner.MemoBlock].Load(), builds[planner.MemoShape].Load(); b != 0 || sh != 0 {
@@ -124,7 +125,7 @@ func TestEvictedEntryTakesBlockAndShape(t *testing.T) {
 	serve(t, s, "/execute", ExecuteRequest{SQL: a, Dataset: "tpcr-small"})
 	wb, ws, wp := func() (weak.Pointer[planBlock], weak.Pointer[exec.Shape], weak.Pointer[plan.Node]) {
 		b, sh := kept(t, pl, a)
-		pd, err := pl.Plan(a)
+		pd, err := pl.PlanContext(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -362,10 +362,7 @@ func TestGlobalMemBudget(t *testing.T) {
 		t.Fatalf("status %d code %q, want 429/budget", status, e.Code)
 	}
 
-	h, err := c.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := health(t, c)
 	if h.MemLimitBytes != limit {
 		t.Errorf("healthz memLimitBytes = %d, want %d", h.MemLimitBytes, limit)
 	}
@@ -499,10 +496,7 @@ func TestDrainAndWait(t *testing.T) {
 		t.Fatal("DrainAndWait returned with the request still in flight")
 	}
 
-	h, err := c.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := health(t, c)
 	if !h.Draining || h.Status != "draining" {
 		t.Errorf("healthz after drain: %+v", h)
 	}

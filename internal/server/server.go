@@ -366,9 +366,6 @@ func (s *Server) DrainAndWait(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Planner returns the planner the server serves.
 func (s *Server) Planner() *planner.Planner { return s.pl }
 

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +30,31 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client, func()) {
 	s := New(cfg)
 	ts := httptest.NewServer(s)
 	return s, NewClient(ts.URL), ts.Close
+}
+
+// explain GETs /explain?q=sql; a non-200 is a *StatusError.
+func explain(c *Client, sql string) (*ExplainResponse, error) {
+	res, err := c.httpClient().Get(c.BaseURL + "/explain?q=" + url.QueryEscape(sql))
+	if err != nil {
+		return nil, err
+	}
+	var resp ExplainResponse
+	return &resp, decode(res, &resp)
+}
+
+// health GETs /healthz, decoding "ok" (200) and "draining" (503) alike.
+func health(t *testing.T, c *Client) *HealthResponse {
+	t.Helper()
+	res, err := c.httpClient().Get(c.BaseURL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var h HealthResponse
+	if err := json.NewDecoder(res.Body).Decode(&h); err != nil {
+		t.Fatalf("decoding /healthz: %v", err)
+	}
+	return &h
 }
 
 func TestPlanEndpoint(t *testing.T) {
@@ -129,7 +157,7 @@ func TestNonMonotoneExtractRejected(t *testing.T) {
 
 	sql := "select * from orders order by extract(month from o_orderdate)"
 	_, planErr := c.Plan(sql)
-	_, explainErr := c.Explain(sql)
+	_, explainErr := explain(c, sql)
 	_, execErr := c.Execute(ExecuteRequest{SQL: sql})
 	for endpoint, err := range map[string]error{"/plan": planErr, "/explain": explainErr, "/execute": execErr} {
 		var se *StatusError
@@ -151,7 +179,7 @@ func TestExplainEndpoint(t *testing.T) {
 	_, c, done := newTestServer(t, Config{})
 	defer done()
 
-	resp, err := c.Explain(nationRegionSQL)
+	resp, err := explain(c, nationRegionSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +208,7 @@ func TestConcurrentPlans(t *testing.T) {
 	want := map[string]float64{}
 	ref := planner.New(planner.DefaultConfig(tpcr.Schema()))
 	for _, q := range queries {
-		pd, err := ref.Plan(q)
+		pd, err := ref.PlanContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +308,7 @@ func TestCacheHitAcrossSpellings(t *testing.T) {
 				t.Errorf("%s, plan %d: sort orders %v, want %v", sql, i, got, want)
 			}
 		}
-		e, err := c.Explain(sql)
+		e, err := explain(c, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,18 +376,15 @@ func TestDrain(t *testing.T) {
 	s, c, done := newTestServer(t, Config{})
 	defer done()
 
-	if h, err := c.Health(); err != nil || h.Status != "ok" {
-		t.Fatalf("healthz before drain: %v %v", h, err)
+	if h := health(t, c); h.Status != "ok" {
+		t.Fatalf("healthz before drain: %+v", h)
 	}
 	s.Drain()
-	h, err := c.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := health(t, c)
 	if h.Status != "draining" {
 		t.Errorf("healthz status = %q, want draining", h.Status)
 	}
-	_, err = c.Plan(nationRegionSQL)
+	_, err := c.Plan(nationRegionSQL)
 	var se *StatusError
 	if err == nil || !asStatus(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Errorf("plan while draining: got %v, want 503", err)
@@ -386,7 +411,7 @@ func TestStrategyReporting(t *testing.T) {
 	if pr.Strategy != "exact" {
 		t.Errorf("/plan strategy = %q, want exact (Q8 is within the exact horizon)", pr.Strategy)
 	}
-	ex, err := c.Explain(nationRegionSQL)
+	ex, err := explain(c, nationRegionSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -758,10 +783,7 @@ func TestExecuteParallel(t *testing.T) {
 		t.Errorf("execute parallel counter = %d, want 3", got)
 	}
 
-	h, err := c.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := health(t, c)
 	if h.Workers != 4 {
 		t.Errorf("healthz workers = %d, want 4", h.Workers)
 	}

@@ -648,10 +648,7 @@ func TestMemoryAdmissionReserve(t *testing.T) {
 	if _, err := c.ExecuteStream(ExecuteRequest{SQL: joinSQL, Dataset: "tpcr-small"}); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Errorf("streaming request under admission pressure: %v, want a 429", err)
 	}
-	h, err := c.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := health(t, c)
 	if h.MemUsedBytes != h.RegistryBytes {
 		t.Errorf("memUsedBytes = %d after sheds, want the %d resident bytes (reservations released)", h.MemUsedBytes, h.RegistryBytes)
 	}
@@ -734,10 +731,7 @@ func TestRegistryStatsSurface(t *testing.T) {
 	if len(r.Datasets) != 1 || !r.Datasets[0].Resident || r.Datasets[0].Pins != 0 {
 		t.Errorf("post-load dataset info = %+v", r.Datasets)
 	}
-	h, err := c.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := health(t, c)
 	if h.RegistryBytes != r.ResidentBytes {
 		t.Errorf("healthz registryBytes = %d, stats %d", h.RegistryBytes, r.ResidentBytes)
 	}

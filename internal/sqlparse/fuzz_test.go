@@ -3,6 +3,7 @@ package sqlparse
 import (
 	"testing"
 
+	"orderopt/internal/query"
 	"orderopt/internal/querygen"
 	"orderopt/internal/tpcr"
 )
@@ -59,7 +60,7 @@ func FuzzSQLRoundTrip(f *testing.F) {
 		if err != nil {
 			return // parseable but unbindable: fine
 		}
-		fp := q.Graph.Fingerprint()
+		fp := query.CanonicalFingerprint(q.Graph.AppendCanonical(nil))
 
 		rendered, err := querygen.SQL(q.Graph)
 		if err != nil {
@@ -75,7 +76,7 @@ func FuzzSQLRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rendered SQL unbindable: %v\nrendered: %q\nsql: %q", err, rendered, sql)
 		}
-		if fp2 := q2.Graph.Fingerprint(); fp2 != fp {
+		if fp2 := query.CanonicalFingerprint(q2.Graph.AppendCanonical(nil)); fp2 != fp {
 			t.Fatalf("fingerprint unstable across round trip: %#x != %#x\nrendered: %q\nsql: %q",
 				fp2, fp, rendered, sql)
 		}
