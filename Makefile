@@ -34,18 +34,18 @@ test:
 # is exercised by many goroutines through shared caches and pools —
 # and then the optimizer's randomized cross-checks over their full seed
 # sweep (tier-1 runs one seed per point; see -exhaustive in
-# internal/optimizer/enumerate_test.go): linearized vs exact tier, naive
-# vs DPccp enumerator, DFSM vs Simmen order framework, whose merge
-# joins read sort states from the per-pair table and sort at each use
-# respectively, and the DFSM DP of both tiers as it runs (non-leading
-# inners and non-live outers skipped, one sort state per column,
+# internal/optimizer/enumerate_test.go): naive vs DPccp enumerator,
+# DFSM vs Simmen order framework, whose merge joins read sort states
+# from the per-pair table and sort at each use respectively, and the
+# DFSM DP as it runs (non-leading inners and non-live outers skipped,
+# one sort state per column,
 # candidates counted per pair by arithmetic) against the same DP
 # visiting, pricing and counting every candidate one by one. The sweep
 # adds seeds, not goroutines, and runs without the detector: its shadow
 # memory on the 26M-plan grid-12 exact DP is 16 GB.
 race:
 	$(GO) test -race ./...
-	$(GO) test ./internal/optimizer/ -run 'TestLinearizedCrossCheck|TestEnumeratorsAgreeOnOptimalCost|TestModesAgreeOnOptimalCost|TestInnerPruningMatchesFullDP' -args -exhaustive
+	$(GO) test ./internal/optimizer/ -run 'TestEnumeratorsAgreeOnOptimalCost|TestModesAgreeOnOptimalCost|TestInnerPruningMatchesFullDP' -args -exhaustive
 
 # serve-soak is the lifecycle endurance run: a minute of mixed
 # plan/execute/stream/disconnect traffic under the race detector, over
@@ -57,8 +57,8 @@ serve-soak:
 	$(GO) test -race ./internal/server/ -run 'TestServeSoak' -count=1 -timeout 5m -args -soak=60s
 
 # conformance runs the declarative golden corpus (internal/conformance)
-# under the race detector: every fixture across the full strategy ×
-# planning-idiom × DOP × operator-toggle matrix, asserting identical
+# under the race detector: every fixture across the full planning-idiom
+# × DOP × operator-toggle matrix (36 cells), asserting identical
 # result checksums in every cell plus the recorded plan trees and
 # order verdicts. See docs/testing.md.
 conformance:

@@ -17,8 +17,8 @@
 //	    — the planner layer on Q8: cold pipeline vs prepared statements
 //	      vs stored-plan hits, serial and parallel.
 //	BenchmarkLargeQuery
-//	    — the adaptive tier: exact vs linearized DP around the exact
-//	      horizon (with cost-ratio metrics), linearized-only beyond it.
+//	    — the exact DP on the larger join graphs inside the planning
+//	      horizon, up to the chain-18 at its edge.
 //	BenchmarkExecRuntime
 //	    — end-to-end execution: the same TPC-R query planned with the
 //	      DFSM framework, the Simmen baseline and order-obliviously,
@@ -217,7 +217,6 @@ func BenchmarkPlanGenQ8(b *testing.B) {
 					}
 					cfg := optimizer.DefaultConfig(mode)
 					cfg.Enumerator = enum
-					cfg.Strategy = optimizer.StrategyExact // the enumerators only run in the exact tier
 					res, err := optimizer.Optimize(a, cfg)
 					if err != nil {
 						b.Fatal(err)
@@ -270,7 +269,6 @@ func BenchmarkEnumerator(b *testing.B) {
 					}
 					cfg := optimizer.DefaultConfig(optimizer.ModeDFSM)
 					cfg.Enumerator = enum
-					cfg.Strategy = optimizer.StrategyExact // the enumerators only run in the exact tier
 					res, err := optimizer.Optimize(a, cfg)
 					if err != nil {
 						b.Fatal(err)
@@ -545,85 +543,48 @@ func BenchmarkPlannerThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeQuery measures the adaptive planning tier on join
-// graphs around and beyond the exact-DP horizon, on the prepared path
-// (Prepare once, Run per iteration — the serving layer's steady state).
-// Points within the horizon run under both strategies, and the
-// linearized run reports its cost ratio against the exact optimum; the
-// large points run linearized only — the exact DP would take minutes
-// to forever, which is the tier's reason to exist.
+// BenchmarkLargeQuery measures the exact DP on the larger join graphs
+// inside the planning horizon, on the prepared path (Prepare once, Run
+// per iteration — the serving layer's steady state). Chain-18 is the
+// longest chain the horizon admits; a chain-19 or a clique-11 is
+// refused (optimizer.ErrPastHorizon).
 func BenchmarkLargeQuery(b *testing.B) {
 	points := []struct {
 		shape querygen.Shape
 		n     int
-		exact bool
 	}{
-		{querygen.Chain, 10, true},
-		{querygen.Star, 10, true},
-		{querygen.Cycle, 10, true},
-		{querygen.Grid, 9, true},
-		{querygen.Clique, 8, true},
-		{querygen.Chain, 20, false},
-		{querygen.Star, 30, false},
-		{querygen.Cycle, 24, false},
-		{querygen.Grid, 25, false},
-		{querygen.Clique, 20, false},
-	}
-	prepFor := func(b *testing.B, shape querygen.Shape, n int, strat optimizer.Strategy) *optimizer.Prepared {
-		b.Helper()
-		_, g, err := querygen.Generate(querygen.Spec{Relations: n, Shape: shape, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := optimizer.DefaultConfig(optimizer.ModeDFSM)
-		cfg.Strategy = strat
-		prep, err := optimizer.Prepare(a, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return prep
+		{querygen.Chain, 10},
+		{querygen.Star, 10},
+		{querygen.Cycle, 10},
+		{querygen.Grid, 9},
+		{querygen.Clique, 8},
+		{querygen.Chain, optimizer.HorizonRelations},
 	}
 	for _, pt := range points {
-		var exactCost float64
-		if pt.exact {
-			b.Run(fmt.Sprintf("%s-%d/exact", pt.shape, pt.n), func(b *testing.B) {
-				prep := prepFor(b, pt.shape, pt.n, optimizer.StrategyExact)
-				b.ReportAllocs()
-				b.ResetTimer()
-				var plans int64
-				for i := 0; i < b.N; i++ {
-					res, err := prep.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					exactCost = res.Best.Cost
-					plans = res.PlansGenerated
-				}
-				b.ReportMetric(float64(plans), "plans")
-			})
-		}
-		b.Run(fmt.Sprintf("%s-%d/linearized", pt.shape, pt.n), func(b *testing.B) {
-			prep := prepFor(b, pt.shape, pt.n, optimizer.StrategyLinearized)
+		b.Run(fmt.Sprintf("%s-%d", pt.shape, pt.n), func(b *testing.B) {
+			_, g, err := querygen.Generate(querygen.Spec{Relations: pt.n, Shape: pt.shape, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := query.Analyze(g, query.AnalyzeOptions{UseIndexes: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			prep, err := optimizer.Prepare(a, optimizer.DefaultConfig(optimizer.ModeDFSM))
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var cost float64
 			var plans int64
 			for i := 0; i < b.N; i++ {
 				res, err := prep.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
-				cost = res.Best.Cost
 				plans = res.PlansGenerated
 			}
 			b.ReportMetric(float64(plans), "plans")
-			if exactCost > 0 {
-				b.ReportMetric(cost/exactCost, "cost-ratio")
-			}
 		})
 	}
 }

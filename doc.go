@@ -41,9 +41,8 @@
 //	                     immutable Prepared and pooled per-run scratch;
 //	                     pluggable order component, join enumeration
 //	                     (DPccp csg-cmp pairs; the naive DPsub
-//	                     reference is the tests' oracle) and planning
-//	                     strategy (exact DP, GOO-linearized polynomial
-//	                     DP for large join graphs, or auto)
+//	                     reference is the tests' oracle); statements
+//	                     past the exact planning horizon are refused
 //	internal/plan        physical operators, cost model, resettable
 //	                     node arena, plan cloning
 //	internal/query       join graph, §5.2 analysis, canonical

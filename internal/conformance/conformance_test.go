@@ -54,13 +54,13 @@ func TestCorpus(t *testing.T) {
 }
 
 // TestMatrixShape pins the matrix dimensions the corpus promises:
-// 2 strategies × 3 idioms × 3 DOPs × 2 × 2 operator toggles — 72
-// distinct cells, each named by exactly those four segments, so a new
-// dimension (execution dialect, batch size, ...) fails here first.
+// 3 idioms × 3 DOPs × 2 × 2 operator toggles — 36 distinct cells, each
+// named by exactly those three segments, so a new dimension (execution
+// dialect, batch size, ...) fails here first.
 func TestMatrixShape(t *testing.T) {
 	m := Matrix()
-	if len(m) != 72 {
-		t.Fatalf("matrix has %d cells, want 72", len(m))
+	if len(m) != 36 {
+		t.Fatalf("matrix has %d cells, want 36", len(m))
 	}
 	names := map[string]bool{}
 	canonical := 0
@@ -73,8 +73,8 @@ func TestMatrixShape(t *testing.T) {
 			t.Errorf("cell %s appears twice", name)
 		}
 		names[name] = true
-		if strings.Count(name, "/") != 3 {
-			t.Errorf("cell %s: want strategy/idiom/dop/toggles and nothing else", name)
+		if strings.Count(name, "/") != 2 {
+			t.Errorf("cell %s: want idiom/dop/toggles and nothing else", name)
 		}
 	}
 	if canonical != 3 {
@@ -83,11 +83,10 @@ func TestMatrixShape(t *testing.T) {
 }
 
 // TestCorpusPinsServedPlans: the recorded dfsm plans are the plans the
-// served configuration chooses. The dfsm idiom is planner.DefaultConfig,
-// but its golden plan is recorded in the canonical cell, which forces
-// the exact strategy; planserverd runs the auto strategy. Every fixture
-// planned with DefaultConfig as served (auto, at MaxDOP 1) must still
-// produce its recorded dfsm plan tree.
+// served configuration chooses. Every fixture planned with
+// planner.DefaultConfig as served (at MaxDOP 1) must produce its
+// recorded dfsm plan tree, so the dfsm idiom cannot drift from what
+// planserverd plans.
 func TestCorpusPinsServedPlans(t *testing.T) {
 	fixtures, err := Load("testdata")
 	if err != nil {
@@ -187,7 +186,6 @@ func TestFixtureRoundTrip(t *testing.T) {
 		Dataset: "tpcr-small",
 		SQL:     "select * from orders, customer where o_custkey = c_custkey order by o_orderkey",
 		Expect: Expect{
-			Strategy:       "exact",
 			Rows:           42,
 			Checksum:       -7,
 			OrderSatisfied: &sat,
@@ -203,8 +201,7 @@ func TestFixtureRoundTrip(t *testing.T) {
 	if back.Desc != f.Desc || back.Dataset != f.Dataset || back.SQL != f.SQL {
 		t.Fatalf("header did not round-trip: %+v", back)
 	}
-	if back.Expect.Strategy != f.Expect.Strategy || back.Expect.Rows != f.Expect.Rows ||
-		back.Expect.Checksum != f.Expect.Checksum {
+	if back.Expect.Rows != f.Expect.Rows || back.Expect.Checksum != f.Expect.Checksum {
 		t.Fatalf("expect block did not round-trip: %+v", back.Expect)
 	}
 	if back.Expect.OrderSatisfied == nil || *back.Expect.OrderSatisfied != sat {
@@ -241,7 +238,7 @@ func TestResidentBuildEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, dop := range []int{1, 2, 4} {
-				cell := Cell{Strategy: optimizer.StrategyExact, Idiom: idiom, DOP: dop, MergeJoin: true, OrderedGrouping: true}
+				cell := Cell{Idiom: idiom, DOP: dop, MergeJoin: true, OrderedGrouping: true}
 				res, err := optimizer.Optimize(a, cell.Config())
 				if err != nil {
 					t.Fatalf("fixture %s cell %s: %v", f.Name, cell, err)

@@ -1,8 +1,8 @@
 // Package conformance is the declarative golden-corpus harness of the
 // execution tier. Each fixture is a data file declaring one query (SQL)
 // over one dataset; the runner plans and executes it across the full
-// configuration matrix — planning strategy × order-reasoning idiom ×
-// degree of parallelism × operator toggles — and asserts that every
+// configuration matrix — order-reasoning idiom × degree of parallelism
+// × operator toggles — and asserts that every
 // cell produces the identical result multiset, that claimed output
 // orders physically hold, and that the canonical cells' plan trees
 // match their checked-in goldens.
@@ -52,9 +52,6 @@ type Fixture struct {
 
 // Expect is the machine-maintained half of a fixture.
 type Expect struct {
-	// Strategy is the planning tier the auto strategy resolves to for
-	// this query ("exact" or "linearized").
-	Strategy string
 	// Rows is the result cardinality every matrix cell must produce.
 	Rows int64
 	// Checksum is the order-insensitive multiset checksum every cell's
@@ -65,7 +62,7 @@ type Expect struct {
 	// (nil when the query has no ORDER BY).
 	OrderSatisfied *bool
 	// Plans maps idiom name → golden plan tree for the canonical cells
-	// (exact strategy, serial, all operators enabled).
+	// (serial, all operators enabled).
 	Plans map[string]string
 }
 
@@ -159,8 +156,6 @@ func Parse(text string) (*Fixture, error) {
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		switch {
-		case key == "strategy":
-			f.Expect.Strategy = val
 		case key == "rows":
 			n, err := strconv.ParseInt(val, 10, 64)
 			if err != nil {
@@ -216,9 +211,6 @@ func (f *Fixture) Format() string {
 	fmt.Fprintf(&b, "dataset: %s\n", f.Dataset)
 	fmt.Fprintf(&b, "sql: %s\n", f.SQL)
 	fmt.Fprintf(&b, "\n%s\n", expectSeparator)
-	if f.Expect.Strategy != "" {
-		fmt.Fprintf(&b, "strategy: %s\n", f.Expect.Strategy)
-	}
 	fmt.Fprintf(&b, "rows: %d\n", f.Expect.Rows)
 	fmt.Fprintf(&b, "checksum: %d\n", f.Expect.Checksum)
 	if f.Expect.OrderSatisfied != nil {

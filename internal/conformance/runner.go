@@ -51,11 +51,6 @@ func Idioms() []Idiom {
 // Cell is one matrix configuration a fixture is planned and executed
 // under.
 type Cell struct {
-	// Strategy is the planning tier, exact or linearized. No cell plans
-	// auto: every fixture is inside the exact horizon, where auto plans
-	// its exact twin's tree. A fixture's strategy line records what auto
-	// resolves to, and TestCorpusPinsServedPlans plans it as served.
-	Strategy optimizer.Strategy
 	// Idiom indexes Idioms() (dfsm, simmen, oblivious).
 	Idiom int
 	// DOP is the optimizer's parallelism bound (1 = serial).
@@ -67,13 +62,13 @@ type Cell struct {
 	OrderedGrouping bool
 }
 
-// Canonical reports whether this is an idiom's golden-plan cell: exact
-// strategy, serial, all operator families enabled.
+// Canonical reports whether this is an idiom's golden-plan cell: serial,
+// all operator families enabled.
 func (c Cell) Canonical() bool {
-	return c.Strategy == optimizer.StrategyExact && c.DOP == 1 && c.MergeJoin && c.OrderedGrouping
+	return c.DOP == 1 && c.MergeJoin && c.OrderedGrouping
 }
 
-// String names the cell for failure messages: "exact/dfsm/dop1/mj+og+".
+// String names the cell for failure messages: "dfsm/dop1/mj+og+".
 func (c Cell) String() string {
 	flag := func(b bool) string {
 		if b {
@@ -81,16 +76,14 @@ func (c Cell) String() string {
 		}
 		return "-"
 	}
-	return fmt.Sprintf("%s/%s/dop%d/mj%sog%s",
-		c.Strategy, Idioms()[c.Idiom].Name, c.DOP,
-		flag(c.MergeJoin), flag(c.OrderedGrouping))
+	return fmt.Sprintf("%s/dop%d/mj%sog%s",
+		Idioms()[c.Idiom].Name, c.DOP, flag(c.MergeJoin), flag(c.OrderedGrouping))
 }
 
 // Config is the optimizer configuration the cell plans under: its
-// idiom's, with the cell's strategy, DOP bound and operator toggles.
+// idiom's, with the cell's DOP bound and operator toggles.
 func (c Cell) Config() optimizer.Config {
 	cfg := Idioms()[c.Idiom].Config
-	cfg.Strategy = c.Strategy
 	if c.DOP > 1 {
 		cfg.MaxDOP = c.DOP
 	}
@@ -103,18 +96,16 @@ func (c Cell) Config() optimizer.Config {
 	return cfg
 }
 
-// Matrix enumerates the full configuration matrix: strategy × idiom ×
-// DOP × operator toggles, 72 cells. Every cell must produce the
-// identical result multiset.
+// Matrix enumerates the full configuration matrix: idiom × DOP ×
+// operator toggles, 36 cells. Every cell must produce the identical
+// result multiset.
 func Matrix() []Cell {
 	var out []Cell
-	for _, strat := range []optimizer.Strategy{optimizer.StrategyExact, optimizer.StrategyLinearized} {
-		for idiom := range Idioms() {
-			for _, dop := range []int{1, 2, 4} {
-				for _, mj := range []bool{true, false} {
-					for _, og := range []bool{true, false} {
-						out = append(out, Cell{Strategy: strat, Idiom: idiom, DOP: dop, MergeJoin: mj, OrderedGrouping: og})
-					}
+	for idiom := range Idioms() {
+		for _, dop := range []int{1, 2, 4} {
+			for _, mj := range []bool{true, false} {
+				for _, og := range []bool{true, false} {
+					out = append(out, Cell{Idiom: idiom, DOP: dop, MergeJoin: mj, OrderedGrouping: og})
 				}
 			}
 		}
@@ -147,8 +138,8 @@ func (r *Runner) Run(f *Fixture) (Expect, error) {
 	idioms := Idioms()
 
 	// One analysis per idiom, shared across that idiom's cells: the
-	// analysis depends only on the analyze options, not on the
-	// strategy/DOP/toggle knobs.
+	// analysis depends only on the analyze options, not on the DOP and
+	// toggle knobs.
 	analyses := make([]*query.Analysis, len(idioms))
 	for i, idm := range idioms {
 		a, err := query.Analyze(g, idm.Analyze)
@@ -213,22 +204,13 @@ func (r *Runner) Run(f *Fixture) (Expect, error) {
 
 		if cell.Canonical() {
 			got.Plans[idm.Name] = res.Best.String()
-			if idm.Name == "dfsm" {
-				// The auto tier's resolution and the framework's O(1)
-				// order verdict are recorded off the canonical dfsm cell.
-				if a.OrderByOrd != 0 {
-					if fw := prep.Framework(); fw != nil {
-						v := fw.Contains(res.Best.State, a.OrderByOrd)
-						got.OrderSatisfied = &v
-					}
+			if idm.Name == "dfsm" && a.OrderByOrd != 0 {
+				// The framework's O(1) order verdict is recorded off the
+				// canonical dfsm cell.
+				if fw := prep.Framework(); fw != nil {
+					v := fw.Contains(res.Best.State, a.OrderByOrd)
+					got.OrderSatisfied = &v
 				}
-				autoCfg := idm.Config
-				autoCfg.Strategy = optimizer.StrategyAuto
-				autoPrep, err := optimizer.Prepare(a, autoCfg)
-				if err != nil {
-					return Expect{}, fmt.Errorf("fixture %s: auto prepare: %w", f.Name, err)
-				}
-				got.Strategy = autoPrep.Strategy().String()
 			}
 		}
 	}
@@ -328,9 +310,6 @@ func checkSorted(rows []exec.Row, keys []int) error {
 // match).
 func Diff(want, got Expect) []string {
 	var out []string
-	if want.Strategy != got.Strategy {
-		out = append(out, fmt.Sprintf("strategy: recorded %q, observed %q", want.Strategy, got.Strategy))
-	}
 	if want.Rows != got.Rows {
 		out = append(out, fmt.Sprintf("rows: recorded %d, observed %d", want.Rows, got.Rows))
 	}

@@ -168,7 +168,7 @@ func TestMeterConformanceCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cell := conformance.Cell{Strategy: optimizer.StrategyExact, Idiom: idiom, DOP: 1, MergeJoin: true, OrderedGrouping: true}
+			cell := conformance.Cell{Idiom: idiom, DOP: 1, MergeJoin: true, OrderedGrouping: true}
 			res, err := optimizer.Optimize(a, cell.Config())
 			if err != nil {
 				t.Fatalf("fixture %s cell %s: %v", f.Name, cell, err)

@@ -209,7 +209,7 @@ func TestStreamRowWindows(t *testing.T) {
 			}
 			seen := map[string]bool{}
 			for _, cell := range conformance.Matrix() {
-				if cell.Strategy != optimizer.StrategyExact || cell.DOP != 1 {
+				if cell.DOP != 1 {
 					continue
 				}
 				a, err := query.Analyze(q.Graph, conformance.Idioms()[cell.Idiom].Analyze)

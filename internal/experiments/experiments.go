@@ -251,9 +251,6 @@ func Sweep(spec SweepSpec) ([]GraphRow, error) {
 				for _, mode := range modes {
 					cfg := optimizer.DefaultConfig(mode)
 					cfg.Enumerator = spec.Enumerator
-					// The sweep measures the exact tier; auto must not
-					// silently switch large points to the linearized DP.
-					cfg.Strategy = optimizer.StrategyExact
 					res, err := optimizeSpec(gspec, cfg)
 					if err != nil {
 						return nil, err

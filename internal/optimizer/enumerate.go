@@ -95,8 +95,8 @@ func enumerateDPccp(n int, adj []uint64, emit func(s1, s2 uint64)) {
 }
 
 // countPairsUpTo counts the csg-cmp pairs of the join graph by DPccp
-// enumeration, aborting as soon as the count exceeds limit. It is the
-// auto-strategy probe: the cost is O(min(pairs, limit)) enumeration
+// enumeration, aborting as soon as the count exceeds limit. It is
+// Prepare's horizon probe: the cost is O(min(pairs, limit)) enumeration
 // steps — independent of plan generation — so asking "is this query
 // within the exact-DP horizon?" stays cheap even when the answer is a
 // resounding no (a clique's pair count is exponential, but the probe

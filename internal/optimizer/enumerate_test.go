@@ -280,7 +280,7 @@ func TestDPccpEmitsInDPOrder(t *testing.T) {
 }
 
 // exhaustive widens the randomized cross-checks
-// (TestEnumeratorsAgreeOnOptimalCost, TestLinearizedCrossCheck,
+// (TestEnumeratorsAgreeOnOptimalCost, TestModesAgreeOnOptimalCost,
 // TestInnerPruningMatchesFullDP) from their default seeds to their full
 // seed sweep. The default run keeps every
 // mode, shape, size and extra-edge point so tier-1 stays in seconds;

@@ -20,6 +20,7 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -57,13 +58,8 @@ type Config struct {
 	Mode Mode
 	// Enumerator selects the join-pair enumeration algorithm: the zero
 	// value is EnumDPccp, EnumNaive the reference DPsub enumeration. Both
-	// plan over the same dpTable. The linearized tier enumerates
-	// intervals instead and ignores it.
+	// plan over the same dpTable.
 	Enumerator Enumerator
-	// Strategy selects the planning tier: the exhaustive DP (the zero
-	// value), the linearized heuristic DP, or auto, which resolves per
-	// query at Prepare time (see linearize.go).
-	Strategy Strategy
 	// CoreOptions configures preparation in ModeDFSM.
 	CoreOptions core.Options
 	// DisableHashJoin removes hash joins from the search space (orders
@@ -91,15 +87,29 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used by the experiments: all
-// join operators enabled, full pruning, empty-ordering tracking on,
-// adaptive strategy selection (exact within the exact-DP horizon,
-// linearized beyond it).
+// join operators enabled, full pruning, empty-ordering tracking on.
 func DefaultConfig(m Mode) Config {
 	co := core.DefaultOptions()
 	co.TrackEmptyOrdering = true
 	co.MaxSimulationStates = 512
-	return Config{Mode: m, CoreOptions: co, Strategy: StrategyAuto}
+	return Config{Mode: m, CoreOptions: co}
 }
+
+// The exact planning horizon. The exhaustive DP is the one planner, and
+// Prepare refuses a statement past it with ErrPastHorizon. The relation
+// cap binds sparse graphs: a chain-30 has only ~4.5k csg-cmp pairs, but
+// the undominated plan lists those pairs multiply grow with the relation
+// and interesting-order count. The pair budget binds dense ones: a
+// chain-16 counts ~680 pairs, while a clique-14 passes the budget within
+// the first few thousand probe steps (countPairsUpTo).
+const (
+	HorizonRelations = 18
+	HorizonPairs     = 50_000
+)
+
+// ErrPastHorizon is Prepare's refusal of a statement with more than
+// HorizonRelations relations or more than HorizonPairs csg-cmp pairs.
+var ErrPastHorizon = errors.New("statement past the exact planning horizon")
 
 // Result is the outcome of one optimization run, carrying the counters
 // the §7 experiments report.
@@ -132,9 +142,6 @@ type Result struct {
 	// run executed on (identical across runs of one Prepared).
 	PrepTime time.Duration
 	PlanTime time.Duration
-	// Strategy is the planning tier that ran — the resolved strategy
-	// (never StrategyAuto).
-	Strategy Strategy
 	// Stats holds the framework preparation statistics (ModeDFSM only).
 	Stats *core.Stats
 }
@@ -158,16 +165,6 @@ type Prepared struct {
 	adj      []uint64 // per relation: mask of joined relations
 	edgeMask []uint64 // per edge: mask of its two endpoint relations
 
-	// strategy is the resolved planning tier (StrategyAuto is decided
-	// here, once, so every Run of one Prepared uses the same tier).
-	strategy Strategy
-	linSeq   []int    // linearized relation sequence (linearized tier)
-	linPre   []uint64 // linPre[i]: mask of the first i sequence relations
-
-	// mergeable[e]: some predicate side of edge e is a DFSM column, so an
-	// input can hold it (linearized tier under ModeDFSM, else nil).
-	mergeable []bool
-
 	prepTime time.Duration
 
 	// sims recycles the Simmen baseline frameworks (ModeSimmen only):
@@ -188,11 +185,6 @@ func (p *Prepared) Stats() *core.Stats { return p.stats }
 
 // Framework returns the prepared DFSM framework (nil in ModeSimmen).
 func (p *Prepared) Framework() *core.Framework { return p.fw }
-
-// Strategy returns the resolved planning tier (never StrategyAuto):
-// what Config.Strategy fixed, or what the auto probe chose for this
-// query at Prepare time.
-func (p *Prepared) Strategy() Strategy { return p.strategy }
 
 // optimizer is the per-run mutable scratch: the DP state one run needs.
 // It belongs to no statement — every Run of every Prepared checks one
@@ -233,10 +225,6 @@ type optimizer struct {
 	// final holds finishOne's candidates.
 	final []*plan.Node
 
-	// lin runs the linearized tier: gated merge-join generation, and
-	// walkIntervals bounds each finished interval's plan list to
-	// DefaultLinearizedBeam (the exact tier's are not bounded).
-	lin bool
 	// prune skips the join candidates of inner entries that are not
 	// lead and outer entries that are not live (see sortEntry): ModeDFSM
 	// only.
@@ -268,8 +256,7 @@ const denseTableBits = 16
 // empties every plan list the run can reach, keeping the backing arrays:
 // steady-state runs append into recycled capacity, whichever statement
 // grew it. Lists beyond the current window are neither read nor counted.
-// hint sizes a first sparse map.
-func (t *dpTable) reset(n, hint int) {
+func (t *dpTable) reset(n int) {
 	t.dense = nil
 	switch {
 	case n <= denseTableBits:
@@ -282,7 +269,7 @@ func (t *dpTable) reset(n, hint int) {
 			t.dense[i] = l[:0]
 		}
 	case t.sparse == nil:
-		t.sparse = make(map[uint64][]*plan.Node, hint)
+		t.sparse = make(map[uint64][]*plan.Node, 1<<denseTableBits)
 	default:
 		for k, l := range t.sparse {
 			t.sparse[k] = l[:0]
@@ -323,24 +310,30 @@ func (t *dpTable) retained() int {
 
 // Prepare compiles the analyzed query under cfg into an immutable,
 // concurrency-safe Prepared: the order framework (ModeDFSM), the
-// cardinality and selectivity estimates, and the join-graph bitsets.
+// cardinality and selectivity estimates, and the join-graph bitsets. A
+// statement past the exact planning horizon is refused first, before
+// the order framework is built.
 func Prepare(a *query.Analysis, cfg Config) (*Prepared, error) {
-	if len(a.Graph.Relations) > 64 {
-		// Relation subsets are uint64 masks throughout the DP; anything
-		// bigger would truncate silently.
-		return nil, fmt.Errorf("optimizer: %w", query.ErrTooManyRelations)
+	start := time.Now()
+	// The relation cap also keeps relation subsets within the uint64
+	// masks the DP uses throughout.
+	n := len(a.Graph.Relations)
+	if n > HorizonRelations {
+		return nil, fmt.Errorf("optimizer: %w: %d relations, at most %d", ErrPastHorizon, n, HorizonRelations)
+	}
+	masks := a.Graph.EdgeMasks() // force the lazy build while still single-threaded
+	if _, exceeded := countPairsUpTo(n, masks.Adj, HorizonPairs); exceeded {
+		return nil, fmt.Errorf("optimizer: %w: more than %d csg-cmp pairs", ErrPastHorizon, HorizonPairs)
 	}
 	// Plan nodes track applied operators in a 64-bit mask (for the §5.6
 	// sort-state replay). Queries with more FD sets than that — dense
-	// join graphs far beyond the paper's sizes, a clique-20 carries 190
-	// edge FD sets — degrade gracefully instead of failing: handles ≥ 64
+	// join graphs beyond the paper's sizes — degrade gracefully instead
+	// of failing: handles ≥ 64
 	// are still inferred when their operator is applied, they just are
 	// not replayed after a sort (the sorted stream then under-reports
 	// derivable orderings, which costs sort opportunities, never
 	// correctness).
-	p := &Prepared{a: a, g: a.Graph, cfg: cfg}
-
-	start := time.Now()
+	p := &Prepared{a: a, g: a.Graph, cfg: cfg, adj: masks.Adj, edgeMask: masks.Edge}
 	switch cfg.Mode {
 	case ModeDFSM:
 		fw, err := a.Prepare(cfg.CoreOptions)
@@ -357,38 +350,14 @@ func Prepare(a *query.Analysis, cfg Config) (*Prepared, error) {
 		return nil, fmt.Errorf("optimizer: unknown mode %d", cfg.Mode)
 	}
 	p.estimate()
-	masks := p.g.EdgeMasks() // force the lazy build while still single-threaded
-	p.adj = masks.Adj
-	p.edgeMask = masks.Edge
-	switch cfg.Strategy {
-	case StrategyExact, StrategyLinearized:
-		p.strategy = cfg.Strategy
-	case StrategyAuto:
-		p.strategy = p.chooseStrategy()
-	default:
-		return nil, fmt.Errorf("optimizer: unknown strategy %d", cfg.Strategy)
-	}
-	if p.strategy == StrategyLinearized {
-		p.linSeq = p.linearize()
-		p.linPre = make([]uint64, len(p.linSeq)+1)
-		for i, r := range p.linSeq {
-			p.linPre[i+1] = p.linPre[i] | 1<<uint(r)
-		}
-		if p.fw != nil {
-			col := func(o order.ID) bool { return slices.Contains(p.fw.DFSM().Columns, o) }
-			for _, sides := range a.EdgeOrders {
-				p.mergeable = append(p.mergeable, slices.ContainsFunc(sides[0], col) || slices.ContainsFunc(sides[1], col))
-			}
-		}
-	}
 	p.prepTime = time.Since(start)
 	return p, nil
 }
 
 // bind readies checked-out scratch for a run of p. Nothing a previous
 // run — of any statement, finished or panicked — left behind survives
-// it: counters, arena, tier flags and every reachable plan list are
-// reset here, not trusted.
+// it: counters, arena, flags and every reachable plan list are reset
+// here, not trusted.
 func (o *optimizer) bind(p *Prepared) {
 	o.p = p
 	o.generated, o.ccPairs, o.nodes, o.priced = 0, 0, 0, 0
@@ -404,15 +373,8 @@ func (o *optimizer) bind(p *Prepared) {
 		o.sim.ReduceCalls = 0
 		o.sim.CacheHits = 0
 	}
-	n := len(p.g.Relations)
-	o.lin = p.strategy == StrategyLinearized
 	o.prune = p.fw != nil
-	hint := 1 << denseTableBits
-	if o.lin {
-		// Only the O(n²) interval masks are ever populated.
-		hint = n * (n + 3) / 2
-	}
-	o.dp.reset(n, hint)
+	o.dp.reset(len(p.g.Relations))
 }
 
 // unbind strips the scratch of the statement it served before it goes
@@ -458,7 +420,6 @@ func (o *optimizer) plan(p *Prepared) (*Result, error) {
 		return nil, err
 	}
 	res.PlanTime = time.Since(planStart)
-	res.Strategy = p.strategy
 	res.Best = best.Clone() // detach from the pooled arena
 	res.PlansGenerated = o.generated
 	res.CsgCmpPairs = o.ccPairs
@@ -513,8 +474,7 @@ func (p *Prepared) estimate() {
 	}
 }
 
-// maskCard estimates the cardinality of joining all relations in mask
-// (used by the per-run join costing and the Prepare-time linearization).
+// maskCard estimates the cardinality of joining all relations in mask.
 func (p *Prepared) maskCard(mask uint64) float64 {
 	card := 1.0
 	for m := mask; m != 0; m &= m - 1 {
@@ -532,9 +492,6 @@ func (p *Prepared) maskCard(mask uint64) float64 {
 }
 
 func (o *optimizer) run() (*plan.Node, error) {
-	if o.p.strategy == StrategyLinearized {
-		return o.runLinearized()
-	}
 	n := len(o.p.g.Relations)
 	full := uint64(1)<<uint(n) - 1
 
@@ -561,7 +518,7 @@ func (o *optimizer) basePlans(n int) {
 	}
 }
 
-// joinPair consumes one csg-cmp pair emitted by the exact enumerators.
+// joinPair consumes one csg-cmp pair emitted by the enumerator.
 func (o *optimizer) joinPair(s1, s2 uint64) {
 	o.ccPairs++
 	o.joinLists(s1, s2, o.edgesBetween(s1, s2))
@@ -589,9 +546,7 @@ type mergePred struct {
 // its inner entry is not lead — strictly cheaper than every earlier
 // row's in its column — or its outer entry is not live: an earlier row
 // of its column reached the same joined state at no higher cost, as an
-// outer (the linearized tier's sorted entries, which its merge gate
-// keeps from being outers, are never live). Both are otherwise always
-// set when the run does not prune.
+// outer. Both are always set when the run does not prune.
 type sortEntry struct {
 	p               *plan.Node
 	has, lead, live bool
@@ -657,17 +612,13 @@ func (o *optimizer) joinLists(s1, s2 uint64, edges []int) {
 }
 
 // mergePreds collects the pair's merge predicates into o.preds, each
-// predicate's orders aligned with the pair's sides. The linearized tier
-// skips edges no input can hold an order of (Prepared.mergeable).
+// predicate's orders aligned with the pair's sides.
 func (o *optimizer) mergePreds(s1 uint64, edges []int) {
 	o.preds = o.preds[:0]
 	if o.p.cfg.DisableMergeJoin {
 		return
 	}
 	for _, e := range edges {
-		if o.p.mergeable != nil && !o.p.mergeable[e] {
-			continue
-		}
 		sides := &o.p.a.EdgeOrders[e]
 		for pi, pred := range o.p.g.Edges[e].Preds {
 			ord := [2]order.ID{sides[0][pi], sides[1][pi]}
@@ -721,7 +672,7 @@ func (o *optimizer) sortTable(k int, list []*plan.Node, edges []int) []sortEntry
 				e.p, e.cost = p, p.Cost+sortCost
 			}
 			e.lead = !o.prune || e.cost < least
-			e.live = (e.has || !o.lin) && (!o.prune || !o.floored(e.joined, e.cost))
+			e.live = !o.prune || !o.floored(e.joined, e.cost)
 			least = min(least, e.cost)
 			u := &o.rows[k][i]
 			u.inner = u.inner || e.lead
@@ -737,7 +688,7 @@ func (o *optimizer) sortTable(k int, list []*plan.Node, edges []int) []sortEntry
 // PlansGenerated, n being the sides' plan counts: per column and
 // direction, each outer row meets every inner row (NL and hash joins in
 // column 0, a merge join in each other) and a sorted input adds a Sort
-// per row it meets. The linearized tier's outers hold the order.
+// per row it meets.
 func (o *optimizer) count(n [2]int) {
 	for _, off := range [...]bool{o.p.cfg.DisableNLJoin, o.p.cfg.DisableHashJoin} {
 		if !off {
@@ -747,9 +698,6 @@ func (o *optimizer) count(n [2]int) {
 	for c := 1; c <= len(o.preds); c++ {
 		for k := range 2 {
 			outer, has, inner := n[k], o.has[k][c], n[1-k]
-			if o.lin {
-				outer = has
-			}
 			o.generated += int64(outer*(2*inner-o.has[1-k][c]) + (outer-has)*inner)
 		}
 	}
@@ -899,16 +847,10 @@ func (o *optimizer) emitJoins(pj *pairJoin, r1, r2 []sortEntry) {
 	}
 
 	// Merge joins: one candidate per equality predicate, sorting inputs
-	// that are not already suitably ordered. The linearized tier only
-	// considers predicates whose outer input already delivers its side's
-	// order — on the dense graphs that tier serves, generating sorting
-	// merges per crossing predicate (a clique split crosses dozens)
-	// would dominate the runtime while hash and nested-loop joins cover
-	// the no-order-to-exploit case, and an inner-only ordering is picked
-	// up by the mirrored emitJoins call with the inputs swapped.
+	// that are not already suitably ordered.
 	for i := range o.preds {
 		l, r := &r1[i+1], &r2[i+1]
-		if !l.live || !r.lead || o.lin && !l.has {
+		if !l.live || !r.lead {
 			continue
 		}
 		mp := &o.preds[i]

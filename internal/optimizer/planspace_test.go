@@ -13,18 +13,17 @@ import (
 
 var update = flag.Bool("update", false, "re-record testdata/plan_space.golden")
 
-// planSpaceMaxClique bounds the exact-tier clique sizes per mode.
+// planSpaceMaxClique bounds the clique sizes per mode.
 var planSpaceMaxClique = map[Mode]int{ModeDFSM: 6, ModeSimmen: 5}
 
 // TestPlanSpaceGolden pins the search itself, not just its winner: for
 // every querygen shape at 4–8 relations, two seeds each, under both
 // order frameworks, one line per case records the plans priced, the
-// plans retained, the csg-cmp pairs, the tier that ran and the best
-// plan (its cost to the last bit, its tree verbatim). Cliques stop at
-// planSpaceMaxClique: a DFSM clique-7 prices 2.9M plans and a Simmen
-// clique-6 takes seconds. Clique-18 adds the linearized tier. The last
-// two lines are the statement plan_novel serves (servedQ8SQL through
-// sqlparse), exact tier, under both frameworks, with their order memory
+// plans retained, the csg-cmp pairs and the best plan (its cost to the
+// last bit, its tree verbatim). Cliques stop at planSpaceMaxClique: a
+// DFSM clique-7 prices 2.9M plans and a Simmen clique-6 takes seconds.
+// The last two lines are the statement plan_novel serves (servedQ8SQL
+// through sqlparse) under both frameworks, with their order memory
 // (the Simmen column counts every annotation made). A change to how
 // candidates are priced, pruned or built that moves any count or any
 // chosen plan fails here. Re-record an
@@ -43,13 +42,12 @@ func TestPlanSpaceGolden(t *testing.T) {
 			}
 		}
 	}
-	points = append(points, point{querygen.Clique, 18})
 
 	var b strings.Builder
 	for _, pt := range points {
 		for seed := int64(0); seed < 2; seed++ {
 			for _, mode := range []Mode{ModeDFSM, ModeSimmen} {
-				if pt.shape == querygen.Clique && pt.n != 18 && pt.n > planSpaceMaxClique[mode] {
+				if pt.shape == querygen.Clique && pt.n > planSpaceMaxClique[mode] {
 					continue
 				}
 				a := analyzeSpec(t, querygen.Spec{Shape: pt.shape, Relations: pt.n, Seed: seed})
@@ -63,9 +61,7 @@ func TestPlanSpaceGolden(t *testing.T) {
 		}
 	}
 	for _, mode := range []Mode{ModeDFSM, ModeSimmen} {
-		cfg := DefaultConfig(mode)
-		cfg.Strategy = StrategyExact
-		res, err := Optimize(servedQ8(t, servedQ8SQL), cfg)
+		res, err := Optimize(servedQ8(t, servedQ8SQL), DefaultConfig(mode))
 		if err != nil {
 			t.Fatalf("served Q8 %s: %v", mode, err)
 		}
@@ -92,9 +88,9 @@ func TestPlanSpaceGolden(t *testing.T) {
 	}
 }
 
-// writePlanSpace ends a plan-space golden line: the counts, the tier and
-// the best plan.
+// writePlanSpace ends a plan-space golden line: the counts and the best
+// plan.
 func writePlanSpace(b *strings.Builder, res *Result) {
-	fmt.Fprintf(b, "generated=%d retained=%d pairs=%d strategy=%s cost=%v plan=%q\n",
-		res.PlansGenerated, res.PlansRetained, res.CsgCmpPairs, res.Strategy, res.Best.Cost, res.Best.String())
+	fmt.Fprintf(b, "generated=%d retained=%d pairs=%d cost=%v plan=%q\n",
+		res.PlansGenerated, res.PlansRetained, res.CsgCmpPairs, res.Best.Cost, res.Best.String())
 }

@@ -48,9 +48,7 @@ func runPruned(t *testing.T, p *Prepared) dpOutcome {
 // per-pair table is built plan by plan (referenceTable, every entry lead
 // and live), so every candidate is visited and priced, and
 // PlansGenerated counts each candidate and each Sort under it one by one
-// as its emitJoins call is visited. The linearized tier walks the
-// intervals and bounds them as its run does, and visits no merge join
-// whose outer input does not hold the order, as count counts none.
+// as its emitJoins call is visited.
 func runFull(t *testing.T, p *Prepared) dpOutcome {
 	t.Helper()
 	o := new(optimizer)
@@ -67,9 +65,6 @@ func runFull(t *testing.T, p *Prepared) dpOutcome {
 		}
 		sorts := int64(0)
 		for c := 1; c < len(r1); c++ {
-			if o.lin && !r1[c].has {
-				continue
-			}
 			joins++
 			for _, e := range []sortEntry{r1[c], r2[c]} {
 				if !e.has {
@@ -84,7 +79,9 @@ func runFull(t *testing.T, p *Prepared) dpOutcome {
 		}
 		o.generated += joins + sorts
 	}
-	pair := func(s1, s2 uint64, edges []int) {
+	EnumeratePairs(p.cfg.Enumerator, n, p.adj, func(s1, s2 uint64) {
+		o.ccPairs++
+		edges := o.edgesBetween(s1, s2)
 		pj := pairJoin{mask: s1 | s2, edges: edges, out: p.maskCard(s1 | s2)}
 		for _, e := range edges {
 			if h := p.a.EdgeFD[e]; h >= 0 && h < 64 {
@@ -102,15 +99,7 @@ func runFull(t *testing.T, p *Prepared) dpOutcome {
 				visit(&pj, r2, r1)
 			}
 		}
-	}
-	if o.lin {
-		o.walkIntervals(pair)
-	} else {
-		EnumeratePairs(p.cfg.Enumerator, n, p.adj, func(s1, s2 uint64) {
-			o.ccPairs++
-			pair(s1, s2, o.edgesBetween(s1, s2))
-		})
-	}
+	})
 	if _, err := o.finish(uint64(1)<<uint(n) - 1); err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +136,7 @@ func referenceTable(o *optimizer, k int, list []*plan.Node, edges []int) []sortE
 // TestInnerPruningMatchesFullDP holds the pruning to the DP that visits
 // and prices every candidate and counts them one by one (runFull): on
 // seeded querygen graphs of five shapes at 3–8 relations (cliques to 6),
-// with indexes, under ModeDFSM's exact and linearized tiers (the latter's
-// subtests end in _lin), every mask's final list (cost, state, plan) and
+// with indexes, under ModeDFSM, every mask's final list (cost, state, plan) and
 // the generated, retained and arena-node counts must be identical to the
 // run's with the skip of non-leading inners and non-live outers
 // (sortEntry), shared column sort states and arithmetic counts, and the
@@ -166,25 +154,18 @@ func TestInnerPruningMatchesFullDP(t *testing.T) {
 				continue
 			}
 			for seed := range int64(seeds) {
-				for _, v := range []struct {
-					noNL     bool
-					strategy Strategy
-				}{{false, StrategyExact}, {true, StrategyExact}, {false, StrategyLinearized}} {
-					if v.noNL && seed != 0 {
+				for _, noNL := range []bool{false, true} {
+					if noNL && seed != 0 {
 						continue
 					}
 					name := fmt.Sprintf("%s/n%d_s%d", shape, n, seed)
-					if v.noNL {
+					if noNL {
 						name += "_nonl"
-					}
-					if v.strategy == StrategyLinearized {
-						name += "_lin"
 					}
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						cfg := DefaultConfig(ModeDFSM)
-						cfg.Strategy = v.strategy
-						cfg.DisableNLJoin = v.noNL
+						cfg.DisableNLJoin = noNL
 						a := analyzeSpec(t, querygen.Spec{Shape: shape, Relations: n, Seed: seed, WithGroupBy: seed%2 == 1})
 						p, err := Prepare(a, cfg)
 						if err != nil {
@@ -213,62 +194,59 @@ func TestInnerPruningMatchesFullDP(t *testing.T) {
 // TestSortTableMatchesPerPlan holds the per-pair table's shared column
 // entries to the plan-by-plan computation they replace: on seeded
 // querygen graphs of five shapes at 3–8 relations (cliques to 6), under
-// ModeDFSM's exact and linearized tiers, the table sortTable builds for
-// any two disjoint masks with plans and a crossing edge (every pair the
-// DP joined among them) must carry, entry for entry, the plan, order,
-// Sort cost, sorted state and joined state that referenceTable computes
-// from each entry's own plan, its card and FD mask included.
+// ModeDFSM, the table sortTable builds for any two disjoint masks with
+// plans and a crossing edge (every pair the DP joined among them) must
+// carry, entry for entry, the plan, order, Sort cost, sorted state and
+// joined state that referenceTable computes from each entry's own plan,
+// its card and FD mask included. Subtest names keep their "exact/"
+// prefix so their ids stay stable.
 func TestSortTableMatchesPerPlan(t *testing.T) {
-	for _, strategy := range []Strategy{StrategyExact, StrategyLinearized} {
-		for _, shape := range []querygen.Shape{querygen.Chain, querygen.Star, querygen.Cycle, querygen.Clique, querygen.Grid} {
-			for n := 3; n <= 8; n++ {
-				if shape == querygen.Clique && n > 6 {
-					continue
-				}
-				for seed := range int64(2) {
-					t.Run(fmt.Sprintf("%s/%s/n%d_s%d", strategy, shape, n, seed), func(t *testing.T) {
-						t.Parallel()
-						cfg := DefaultConfig(ModeDFSM)
-						cfg.Strategy = strategy
-						a := analyzeSpec(t, querygen.Spec{Shape: shape, Relations: n, Seed: seed, WithGroupBy: seed == 1})
-						p, err := Prepare(a, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						o := new(optimizer)
-						o.bind(p)
-						defer o.unbind()
-						if _, err := o.run(); err != nil {
-							t.Fatal(err)
-						}
-						full, sorted := uint64(1)<<uint(n)-1, 0
-						for s1 := uint64(1); s1 < full; s1++ {
-							rest := full &^ s1
-							for s2 := rest; s2 != 0; s2 = (s2 - 1) & rest {
-								edges := o.edgesBetween(s1, s2)
-								if len(o.dp.get(s1)) == 0 || len(o.dp.get(s2)) == 0 || len(edges) == 0 {
-									continue
-								}
-								o.mergePreds(s1, edges)
-								for k, s := range []uint64{s1, s2} {
-									got := o.sortTable(k, o.dp.get(s), edges)
-									for i, w := range referenceTable(o, k, o.dp.get(s), edges) {
-										g := got[i]
-										if g.p != w.p || g.has != w.has || g.cost != w.cost || g.state != w.state || g.joined != w.joined || g.ord != w.ord {
-											t.Fatalf("masks %b, %b side %d entry %d: sortTable %+v, per plan %+v", s1, s2, k, i, g, w)
-										}
-										if !g.has {
-											sorted++
-										}
+	for _, shape := range []querygen.Shape{querygen.Chain, querygen.Star, querygen.Cycle, querygen.Clique, querygen.Grid} {
+		for n := 3; n <= 8; n++ {
+			if shape == querygen.Clique && n > 6 {
+				continue
+			}
+			for seed := range int64(2) {
+				t.Run(fmt.Sprintf("exact/%s/n%d_s%d", shape, n, seed), func(t *testing.T) {
+					t.Parallel()
+					a := analyzeSpec(t, querygen.Spec{Shape: shape, Relations: n, Seed: seed, WithGroupBy: seed == 1})
+					p, err := Prepare(a, DefaultConfig(ModeDFSM))
+					if err != nil {
+						t.Fatal(err)
+					}
+					o := new(optimizer)
+					o.bind(p)
+					defer o.unbind()
+					if _, err := o.run(); err != nil {
+						t.Fatal(err)
+					}
+					full, sorted := uint64(1)<<uint(n)-1, 0
+					for s1 := uint64(1); s1 < full; s1++ {
+						rest := full &^ s1
+						for s2 := rest; s2 != 0; s2 = (s2 - 1) & rest {
+							edges := o.edgesBetween(s1, s2)
+							if len(o.dp.get(s1)) == 0 || len(o.dp.get(s2)) == 0 || len(edges) == 0 {
+								continue
+							}
+							o.mergePreds(s1, edges)
+							for k, s := range []uint64{s1, s2} {
+								got := o.sortTable(k, o.dp.get(s), edges)
+								for i, w := range referenceTable(o, k, o.dp.get(s), edges) {
+									g := got[i]
+									if g.p != w.p || g.has != w.has || g.cost != w.cost || g.state != w.state || g.joined != w.joined || g.ord != w.ord {
+										t.Fatalf("masks %b, %b side %d entry %d: sortTable %+v, per plan %+v", s1, s2, k, i, g, w)
+									}
+									if !g.has {
+										sorted++
 									}
 								}
 							}
 						}
-						if sorted == 0 {
-							t.Fatal("no sorted entry compared")
-						}
-					})
-				}
+					}
+					if sorted == 0 {
+						t.Fatal("no sorted entry compared")
+					}
+				})
 			}
 		}
 	}

@@ -81,11 +81,6 @@ type Stats struct {
 	PlanCalls     int64
 	PlanCacheHits int64
 	PlanRuns      int64
-	// PlanRunsExact and PlanRunsLinearized split PlanRuns by the
-	// planning tier the prepared query resolved to (the optimizer's
-	// auto strategy decides once, at preparation).
-	PlanRunsExact      int64
-	PlanRunsLinearized int64
 	// PreparedEntries is the number of cached statements and
 	// PlanCacheEntries the number of those that hold a plan (gauges,
 	// not monotone counters) — the serving layer's /stats endpoint
@@ -101,13 +96,11 @@ type Planner struct {
 
 	prepared *statements // by SQL text; nil when disabled
 
-	prepares           atomic.Int64
-	preparedHits       atomic.Int64
-	planCalls          atomic.Int64
-	planCacheHits      atomic.Int64
-	planRuns           atomic.Int64
-	planRunsExact      atomic.Int64
-	planRunsLinearized atomic.Int64
+	prepares      atomic.Int64
+	preparedHits  atomic.Int64
+	planCalls     atomic.Int64
+	planCacheHits atomic.Int64
+	planRuns      atomic.Int64
 }
 
 // New returns a Planner for cfg.
@@ -122,13 +115,11 @@ func New(cfg Config) *Planner {
 // Stats returns a snapshot of the planner's counters.
 func (p *Planner) Stats() Stats {
 	s := Stats{
-		Prepares:           p.prepares.Load(),
-		PreparedHits:       p.preparedHits.Load(),
-		PlanCalls:          p.planCalls.Load(),
-		PlanCacheHits:      p.planCacheHits.Load(),
-		PlanRuns:           p.planRuns.Load(),
-		PlanRunsExact:      p.planRunsExact.Load(),
-		PlanRunsLinearized: p.planRunsLinearized.Load(),
+		Prepares:      p.prepares.Load(),
+		PreparedHits:  p.preparedHits.Load(),
+		PlanCalls:     p.planCalls.Load(),
+		PlanCacheHits: p.planCacheHits.Load(),
+		PlanRuns:      p.planRuns.Load(),
 	}
 	if p.prepared != nil {
 		s.PreparedEntries, s.PlanCacheEntries = p.prepared.counts()
@@ -312,11 +303,6 @@ func (q *PreparedQuery) plan(src Source) (Planned, error) {
 		return Planned{}, err
 	}
 	p.planRuns.Add(1)
-	if q.prep.Strategy() == optimizer.StrategyLinearized {
-		p.planRunsLinearized.Add(1)
-	} else {
-		p.planRunsExact.Add(1)
-	}
 	// The first run to finish stores its plan; a run that lost the race
 	// answers with the stored one, so whatever Memo keeps on q belongs to
 	// the plan every caller sees.

@@ -400,57 +400,3 @@ func TestNoCatalog(t *testing.T) {
 		t.Errorf("SQL planning without a catalog succeeded")
 	}
 }
-
-// TestPerStrategyStats: the planner splits its DP-run counter by the
-// planning tier the optimizer's auto strategy resolved to, and large
-// graphs plan and keep their plan through the same prepared-statement
-// machinery as small ones.
-func TestPerStrategyStats(t *testing.T) {
-	p := newTestPlanner(t, optimizer.ModeDFSM)
-
-	// Q8 (8 relations) resolves to the exact tier under auto.
-	if _, err := p.PlanContext(context.Background(), tpcr.Query8SQL); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.PlanRunsExact != 1 || st.PlanRunsLinearized != 0 {
-		t.Fatalf("after Q8: exact %d linearized %d, want 1/0", st.PlanRunsExact, st.PlanRunsLinearized)
-	}
-
-	// A clique-20 resolves to the linearized tier.
-	_, g, err := querygen.Generate(querygen.Spec{Relations: 20, Shape: querygen.Clique, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := p.prepareGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Prepared().Strategy(); got != optimizer.StrategyLinearized {
-		t.Fatalf("clique-20 resolved to %s, want linearized", got)
-	}
-	first, err := q.plan(SourcePrepared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Best == nil || first.Cost <= 0 {
-		t.Fatal("no linearized plan through the planner")
-	}
-	st = p.Stats()
-	if st.PlanRunsExact != 1 || st.PlanRunsLinearized != 1 {
-		t.Fatalf("after clique-20: exact %d linearized %d, want 1/1", st.PlanRunsExact, st.PlanRunsLinearized)
-	}
-
-	// Replanning the same statement returns its stored plan, not the DP.
-	again, err := q.plan(SourcePrepared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Source != SourceCacheHit || again.Cost != first.Cost {
-		t.Fatalf("replan: source %v cost %v, want cachehit at cost %v", again.Source, again.Cost, first.Cost)
-	}
-	st = p.Stats()
-	if st.PlanRunsLinearized != 1 || st.PlanCacheHits != 1 {
-		t.Fatalf("replan counters: linearized %d cachehits %d, want 1/1", st.PlanRunsLinearized, st.PlanCacheHits)
-	}
-}

@@ -26,9 +26,9 @@ type AnalyzeOptions struct {
 
 // maxEdgeOrders caps how many join-equality predicates register their
 // column orderings as produced interesting orders. NFSM/DFSM preparation
-// is worst-case exponential in the interesting-order count, so the dense
-// join graphs of the adaptive large-query tier (a clique-20 carries 190
-// predicates) would explode preparation without a cap. Capped predicates
+// is worst-case exponential in the interesting-order count, so dense join
+// graphs (a clique-20 carries 190 predicates) would explode preparation
+// without a cap. Capped predicates
 // keep their FD sets — join-time order inference stays exact — but merge
 // joins on them sort both inputs instead of exploiting pre-existing
 // orderings. Two further structural rules apply: predicates touching a

@@ -178,7 +178,7 @@ func TestGridShape(t *testing.T) {
 	}
 }
 
-// TestGenerateLargeShapes covers the adaptive planning tier's workload:
+// TestGenerateLargeShapes covers graphs past the planning horizon:
 // every shape at large relation counts — up to the full 64-relation mask
 // width — must generate a valid, connected graph.
 func TestGenerateLargeShapes(t *testing.T) {

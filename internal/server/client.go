@@ -43,12 +43,9 @@ type PlanNode struct {
 
 // PlanResponse is the result of /plan.
 type PlanResponse struct {
-	SQL    string `json:"sql"`
-	Source string `json:"source"` // cold, prepared or cachehit
-	// Strategy is the planning tier that produced the plan: exact
-	// (exhaustive DP) or linearized (the adaptive large-query tier).
-	Strategy string  `json:"strategy"`
-	Cost     float64 `json:"cost"`
+	SQL    string  `json:"sql"`
+	Source string  `json:"source"` // cold, prepared or cachehit
+	Cost   float64 `json:"cost"`
 	// PlanNs is the dynamic-programming time; 0 on cache hits
 	// (no DP ran).
 	PlanNs   int64     `json:"planNs,omitempty"`
@@ -58,10 +55,9 @@ type PlanResponse struct {
 
 // ExplainResponse is the result of /explain.
 type ExplainResponse struct {
-	SQL      string  `json:"sql"`
-	Source   string  `json:"source"`
-	Strategy string  `json:"strategy"` // exact or linearized
-	Cost     float64 `json:"cost"`
+	SQL    string  `json:"sql"`
+	Source string  `json:"source"`
+	Cost   float64 `json:"cost"`
 	// Text is the rendered physical plan tree.
 	Text string `json:"text"`
 	// OrderBy is the required result ordering, e.g. "(o.o_orderkey)".
@@ -119,12 +115,11 @@ type ExecuteRequest struct {
 // ExecuteResponse is the result of /execute: the plan (as /plan reports
 // it) plus the execution outcome over the chosen dataset.
 type ExecuteResponse struct {
-	SQL      string    `json:"sql"`
-	Dataset  string    `json:"dataset"`
-	Source   string    `json:"source"`   // cold, prepared or cachehit
-	Strategy string    `json:"strategy"` // exact or linearized
-	Cost     float64   `json:"cost"`
-	Plan     *PlanNode `json:"plan"`
+	SQL     string    `json:"sql"`
+	Dataset string    `json:"dataset"`
+	Source  string    `json:"source"` // cold, prepared or cachehit
+	Cost    float64   `json:"cost"`
+	Plan    *PlanNode `json:"plan"`
 	// Columns names the result columns; grouped queries end with the
 	// aggregate select-list items ("count(*)", "sum(l.l_qty)", ... —
 	// a lone "count(*)" when the query spelled no aggregates).

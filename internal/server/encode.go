@@ -326,8 +326,7 @@ func (w *jsonWriter) requested(sql, dataset, source string) {
 
 // planned writes the members an ExecuteResponse and a StreamHeader take
 // from the plan, in their shared order, after the requested ones.
-func (w *jsonWriter) planned(strategy string, cost float64, plan *PlanNode, columns []string) {
-	w.key("strategy").str(strategy)
+func (w *jsonWriter) planned(cost float64, plan *PlanNode, columns []string) {
 	w.key("cost").float(cost)
 	w.key("plan").planNode(plan)
 	w.key("columns").strs(columns)
@@ -343,7 +342,7 @@ func (w *jsonWriter) copyBlock(b []byte, err error) {
 }
 
 // planBlock is what an /execute response holds that its cached plan
-// alone decides: the members strategy, cost, plan and columns, and each
+// alone decides: the members cost, plan and columns, and each
 // operator's op, detail and estRows. The server builds one per
 // prepared statement, on the statement's first /execute
 // (planner.Planned.Memo), and every response served from the statement's
@@ -351,13 +350,12 @@ func (w *jsonWriter) copyBlock(b []byte, err error) {
 // the ones the writer writes for the public fields the server fills
 // from the block too.
 type planBlock struct {
-	strategy string
-	cost     float64
-	plan     *PlanNode
-	columns  []string
+	cost    float64
+	plan    *PlanNode
+	columns []string
 
 	// body and header are the plan's members as the buffered body and the
-	// stream header write them, from the comma before "strategy".
+	// stream header write them, from the comma before "cost".
 	body, header []byte
 	// heads are the buffered body's operator objects, each through its
 	// estRows.
@@ -365,14 +363,14 @@ type planBlock struct {
 	err   error // encoding/json's, for a non-finite cost or estimate
 }
 
-func newPlanBlock(strategy string, cost float64, plan *PlanNode, columns []string, ops []*exec.OpStats) *planBlock {
-	b := &planBlock{strategy: strategy, cost: cost, plan: plan, columns: columns}
+func newPlanBlock(cost float64, plan *PlanNode, columns []string, ops []*exec.OpStats) *planBlock {
+	b := &planBlock{cost: cost, plan: plan, columns: columns}
 	// Depth 1, past the request's members: where the writer stands when
-	// it reaches "strategy".
+	// it reaches "cost".
 	w := jsonWriter{indent: true, depth: 1}
-	w.planned(strategy, cost, plan, columns)
+	w.planned(cost, plan, columns)
 	c := jsonWriter{depth: 1}
-	c.planned(strategy, cost, plan, columns)
+	c.planned(cost, plan, columns)
 	b.body, b.header, b.err = w.buf, c.buf, cmp.Or(w.err, c.err)
 	b.heads = make([][]byte, len(ops))
 	for i, op := range ops {
@@ -399,7 +397,7 @@ func AppendExecuteResponse(dst []byte, r *ExecuteResponse) ([]byte, error) {
 		w.copyBlock(b.body, b.err)
 		heads = b.heads
 	} else {
-		w.planned(r.Strategy, r.Cost, r.Plan, r.Columns)
+		w.planned(r.Cost, r.Plan, r.Columns)
 	}
 	w.key("rowCount").int(r.RowCount)
 	w.key("rows").rows(r.Rows)
@@ -418,7 +416,6 @@ func AppendPlanResponse(dst []byte, r *PlanResponse) ([]byte, error) {
 	w.open('{')
 	w.key("sql").str(r.SQL)
 	w.key("source").str(r.Source)
-	w.key("strategy").str(r.Strategy)
 	w.key("cost").float(r.Cost)
 	w.optInt("planNs", r.PlanNs)
 	if len(r.Residual) > 0 {
@@ -439,7 +436,7 @@ func AppendStreamHeader(dst []byte, h *StreamHeader) ([]byte, error) {
 	if b := h.block; b != nil {
 		w.copyBlock(b.header, b.err)
 	} else {
-		w.planned(h.Strategy, h.Cost, h.Plan, h.Columns)
+		w.planned(h.Cost, h.Plan, h.Columns)
 	}
 	w.key("chunkRows").int(int64(h.ChunkRows))
 	w.optInt("planNs", h.PlanNs)

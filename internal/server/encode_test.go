@@ -273,10 +273,10 @@ func FuzzWriterMatchesEncodingJSON(f *testing.F) {
 		ops := []exec.OpStats{{Op: s, Detail: s, EstRows: fl, Rows: n, TimeNs: -n, DOP: int(int32(n)), Limited: n%2 == 0, Resident: n%3 == 0}}
 		d := int64(depth)
 		rows := [][]int64{{n, -n, 0}, {n, -n, 0}, {n, d, 0}, {d, -n, 0}, {}, {d}, {d}, nil, {d}}
-		checkWriter(t, "ExecuteResponse", &ExecuteResponse{SQL: s, Dataset: s, Source: s, Strategy: s, Cost: fl, Plan: tree,
+		checkWriter(t, "ExecuteResponse", &ExecuteResponse{SQL: s, Dataset: s, Source: s, Cost: fl, Plan: tree,
 			Columns: []string{s, "c"}, RowCount: n, Rows: rows, Truncated: n < 0, RowsSorted: n, PlanNs: n, ExecNs: n, Operators: ops})
-		checkWriter(t, "PlanResponse", &PlanResponse{SQL: s, Source: s, Strategy: s, Cost: fl, PlanNs: n, Residual: []string{s}, Plan: tree})
-		checkWriter(t, "StreamHeader", &StreamHeader{Frame: FrameHeader, SQL: s, Dataset: s, Source: s, Strategy: s, Cost: fl, Plan: tree,
+		checkWriter(t, "PlanResponse", &PlanResponse{SQL: s, Source: s, Cost: fl, PlanNs: n, Residual: []string{s}, Plan: tree})
+		checkWriter(t, "StreamHeader", &StreamHeader{Frame: FrameHeader, SQL: s, Dataset: s, Source: s, Cost: fl, Plan: tree,
 			Columns: []string{s}, ChunkRows: int(int32(n)), PlanNs: n})
 		checkWriter(t, "StreamRows", &StreamRows{Frame: FrameRows, Rows: rows})
 		checkWriter(t, "StreamTrailer", &StreamTrailer{Frame: FrameTrailer, RowCount: n, RowsSorted: n, ExecNs: n, Operators: ops, Error: s, Code: s})
@@ -598,7 +598,7 @@ func TestWriterAllocs(t *testing.T) {
 	}
 	resp := &ExecuteResponse{
 		SQL:     "select * from orders, customer where o_custkey = c_custkey order by o_orderkey limit 10",
-		Dataset: "tpcr-large", Source: "cachehit", Strategy: "exact", Cost: 1234.5,
+		Dataset: "tpcr-large", Source: "cachehit", Cost: 1234.5,
 		Plan:    &PlanNode{Op: "Limit", Cost: 1234.5, Card: 10, Limit: 10, Left: &PlanNode{Op: "HashJoin", Left: scan("o"), Right: scan("c")}},
 		Columns: []string{"o.o_orderkey", "o.o_custkey", "c.c_custkey", "c.c_nationkey"}, RowCount: 10, RowsSorted: 0, ExecNs: 41000,
 		Operators: []exec.OpStats{{Op: "Limit", EstRows: 10, Rows: 10, TimeNs: 40000}, {Op: "HashJoin", Detail: "o.o_custkey = c.c_custkey",

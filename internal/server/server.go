@@ -523,11 +523,10 @@ func (s *Server) planResponse(ctx context.Context, sql string) (any, int, error)
 		s.planMetrics.parallel.Add(1)
 	}
 	resp := &PlanResponse{
-		SQL:      sql,
-		Source:   pd.Source.String(),
-		Strategy: q.Prepared().Strategy().String(),
-		Cost:     pd.Cost,
-		Plan:     planJSON(pd.Best, q),
+		SQL:    sql,
+		Source: pd.Source.String(),
+		Cost:   pd.Cost,
+		Plan:   planJSON(pd.Best, q),
 	}
 	if pd.Result != nil {
 		resp.PlanNs = pd.Result.PlanTime.Nanoseconds()
@@ -551,11 +550,10 @@ func (s *Server) explainResponse(ctx context.Context, sql string) (any, int, err
 	g := org.Prepared().Graph()
 	reg, in := a.Builder.Registry(), a.Builder.Interner()
 	resp := &ExplainResponse{
-		SQL:      sql,
-		Source:   pd.Source.String(),
-		Strategy: org.Prepared().Strategy().String(),
-		Cost:     pd.Cost,
-		Text:     pd.Best.String(),
+		SQL:    sql,
+		Source: pd.Source.String(),
+		Cost:   pd.Cost,
+		Text:   pd.Best.String(),
 	}
 	if a.OrderByOrd != 0 {
 		resp.OrderBy = in.Format(reg, a.OrderByOrd)
@@ -779,7 +777,7 @@ func (s *Server) compileRequest(ctx context.Context, req ExecuteRequest, ds *exe
 	}
 	block, _ := pd.Memo(planner.MemoBlock, func() (any, error) {
 		s.noteBuilt(planner.MemoBlock)
-		return newPlanBlock(org.Prepared().Strategy().String(), pd.Cost, planJSON(pd.Best, org),
+		return newPlanBlock(pd.Cost, planJSON(pd.Best, org),
 			columnNames(org, pipe.Schema), pipe.Ops), nil
 	})
 	return &compiled{pd: pd, pipe: pipe, block: block.(*planBlock)}, 0, nil
@@ -831,15 +829,14 @@ func (s *Server) executeResponse(ctx context.Context, req ExecuteRequest, ds *ex
 	}
 	b := c.block
 	resp := &ExecuteResponse{
-		SQL:      req.SQL,
-		Dataset:  ds.Name,
-		Source:   c.pd.Source.String(),
-		Strategy: b.strategy,
-		Cost:     b.cost,
-		Plan:     b.plan,
-		Columns:  b.columns,
-		Rows:     [][]int64{},
-		block:    b,
+		SQL:     req.SQL,
+		Dataset: ds.Name,
+		Source:  c.pd.Source.String(),
+		Cost:    b.cost,
+		Plan:    b.plan,
+		Columns: b.columns,
+		Rows:    [][]int64{},
+		block:   b,
 	}
 	if c.pd.Result != nil {
 		resp.PlanNs = c.pd.Result.PlanTime.Nanoseconds()

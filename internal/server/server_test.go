@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"orderopt/internal/exec"
+	"orderopt/internal/optimizer"
 	"orderopt/internal/planner"
 	"orderopt/internal/tpcr"
 )
@@ -398,33 +399,48 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestStrategyReporting: /plan and /explain report the resolved
-// planning tier, and /stats carries the per-strategy DP-run counters.
-func TestStrategyReporting(t *testing.T) {
-	_, c, done := newTestServer(t, Config{})
+// nationChain is a self-join chain over n aliases of nation, ordered by
+// the head's name: n1.n_nationkey = n2.n_regionkey, and so on down the
+// chain, each edge on a column pair of its own.
+func nationChain(n int) string {
+	from, where := make([]string, n), make([]string, n-1)
+	for i := range n {
+		from[i] = fmt.Sprintf("nation n%d", i+1)
+		if i > 0 {
+			where[i-1] = fmt.Sprintf("n%d.n_nationkey = n%d.n_regionkey", i, i+1)
+		}
+	}
+	return "select * from " + strings.Join(from, ", ") + " where " + strings.Join(where, " and ") + " order by n1.n_name"
+}
+
+// TestPastHorizonRefused: a statement past the exact planning horizon is
+// a 400 naming the horizon on /plan, /explain and /execute, buffered or
+// streamed, and runs no DP. A chain at the horizon still plans.
+func TestPastHorizonRefused(t *testing.T) {
+	_, c, done := newExecServer(t)
 	defer done()
 
-	pr, err := c.Plan(tpcr.Query8SQL)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := c.Plan(nationChain(optimizer.HorizonRelations)); err != nil {
+		t.Fatalf("%d-alias chain: %v", optimizer.HorizonRelations, err)
 	}
-	if pr.Strategy != "exact" {
-		t.Errorf("/plan strategy = %q, want exact (Q8 is within the exact horizon)", pr.Strategy)
-	}
-	ex, err := explain(c, nationRegionSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Strategy != "exact" {
-		t.Errorf("/explain strategy = %q, want exact", ex.Strategy)
+	sql := nationChain(optimizer.HorizonRelations + 1)
+	_, planErr := c.Plan(sql)
+	_, explainErr := explain(c, sql)
+	_, execErr := c.Execute(ExecuteRequest{SQL: sql})
+	_, streamErr := c.ExecuteStream(ExecuteRequest{SQL: sql})
+	want := fmt.Sprintf("past the exact planning horizon: %d relations", optimizer.HorizonRelations+1)
+	for endpoint, err := range map[string]error{"/plan": planErr, "/explain": explainErr, "/execute": execErr, "/execute stream": streamErr} {
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, want) {
+			t.Errorf("%s: got %v, want a 400 naming %q", endpoint, err, want)
+		}
 	}
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Planner.PlanRunsExact != 2 || st.Planner.PlanRunsLinearized != 0 {
-		t.Errorf("/stats per-strategy runs = %d/%d, want 2/0",
-			st.Planner.PlanRunsExact, st.Planner.PlanRunsLinearized)
+	if st.Planner.PlanRuns != 1 {
+		t.Errorf("/stats planner runs = %d, want 1: only the chain at the horizon plans", st.Planner.PlanRuns)
 	}
 }
 

@@ -56,14 +56,13 @@ const (
 // everything known before the pipeline runs — the plan, its cost and
 // source, and the result column names.
 type StreamHeader struct {
-	Frame    string    `json:"frame"` // "header"
-	SQL      string    `json:"sql"`
-	Dataset  string    `json:"dataset"`
-	Source   string    `json:"source"`   // cold, prepared or cachehit
-	Strategy string    `json:"strategy"` // exact or linearized
-	Cost     float64   `json:"cost"`
-	Plan     *PlanNode `json:"plan"`
-	Columns  []string  `json:"columns"`
+	Frame   string    `json:"frame"` // "header"
+	SQL     string    `json:"sql"`
+	Dataset string    `json:"dataset"`
+	Source  string    `json:"source"` // cold, prepared or cachehit
+	Cost    float64   `json:"cost"`
+	Plan    *PlanNode `json:"plan"`
+	Columns []string  `json:"columns"`
 	// ChunkRows is the server's effective rows-per-frame cap (the
 	// request's chunkRows clamped to [1, MaxStreamChunk], defaulted).
 	ChunkRows int   `json:"chunkRows"`
@@ -116,7 +115,6 @@ func (s *Server) executeStream(ctx context.Context, w http.ResponseWriter, req E
 		SQL:       req.SQL,
 		Dataset:   ds.Name,
 		Source:    c.pd.Source.String(),
-		Strategy:  b.strategy,
 		Cost:      b.cost,
 		Plan:      b.plan,
 		Columns:   b.columns,
