@@ -141,8 +141,11 @@ func referenceTable(o *optimizer, k int, list []*plan.Node, edges []int) []sortE
 // run's with the skip of non-leading inners and non-live outers
 // (sortEntry), shared column sort states and arithmetic counts, and the
 // run must price fewer candidates. Seed 0 also runs without nested-loop
-// joins, so the operator count is not always two. -exhaustive widens the
-// seeds from 3 to 12.
+// joins, so the operator count is not always two, and every seed also
+// runs under EnumNaive, so the pruning holds for a second pair walk over
+// the same dpTable. The naive subtests end in _lin: the suffix keeps the
+// ids of the variant that ran the deleted second tier, whose own pair
+// walk they replace. -exhaustive widens the seeds from 3 to 12.
 func TestInnerPruningMatchesFullDP(t *testing.T) {
 	seeds := 3
 	if *exhaustive {
@@ -154,18 +157,25 @@ func TestInnerPruningMatchesFullDP(t *testing.T) {
 				continue
 			}
 			for seed := range int64(seeds) {
-				for _, noNL := range []bool{false, true} {
-					if noNL && seed != 0 {
+				for _, v := range []struct {
+					noNL bool
+					enum Enumerator
+				}{{false, EnumDPccp}, {true, EnumDPccp}, {false, EnumNaive}} {
+					if v.noNL && seed != 0 {
 						continue
 					}
 					name := fmt.Sprintf("%s/n%d_s%d", shape, n, seed)
-					if noNL {
+					if v.noNL {
 						name += "_nonl"
+					}
+					if v.enum == EnumNaive {
+						name += "_lin"
 					}
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						cfg := DefaultConfig(ModeDFSM)
-						cfg.DisableNLJoin = noNL
+						cfg.DisableNLJoin = v.noNL
+						cfg.Enumerator = v.enum
 						a := analyzeSpec(t, querygen.Spec{Shape: shape, Relations: n, Seed: seed, WithGroupBy: seed%2 == 1})
 						p, err := Prepare(a, cfg)
 						if err != nil {
